@@ -13,38 +13,55 @@
 //!
 //! and brackets its measured region with [`snapshot`]: the delta of
 //! `(allocations, bytes)` divided by the chunks processed is the
-//! allocations-per-chunk figure the gate asserts on. Counting is two relaxed
-//! atomic increments per `alloc`/`realloc` — cheap enough to leave on for
-//! the timing columns too (it perturbs hit and miss paths equally).
+//! allocations-per-chunk figure the gate asserts on.
+//!
+//! The counters are **per thread**: a region measures what the thread that
+//! opened it allocated, so sibling tests allocating concurrently under
+//! `cargo test`'s parallel runner (or any other thread of the process)
+//! cannot leak into it. The measured windows run their chunk work on the
+//! calling thread (one chunk thread), which is what makes that the right
+//! scope. Counting is two thread-local `Cell` bumps per `alloc`/`realloc` —
+//! cheap enough to leave on for the timing columns too (it perturbs hit and
+//! miss paths equally).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching them from
+    // inside the allocator never allocates and never registers a TLS dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// System allocator wrapper counting every allocation and its size.
+/// Counts one allocation of `bytes` against the calling thread. `try_with`
+/// because the allocator also runs while a thread is being torn down.
+#[inline]
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// System allocator wrapper counting every allocation and its size against
+/// the allocating thread.
 pub struct CountingAllocator;
 
 // SAFETY: defers every operation to `System`; only counters are added.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is fresh allocator traffic for the grown span; counting the
         // full new size keeps the gate conservative.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -53,12 +70,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-/// Current `(allocations, bytes)` totals since process start.
+/// The calling thread's `(allocations, bytes)` totals since it started.
 pub fn snapshot() -> (u64, u64) {
-    (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        ALLOCATED_BYTES.load(Ordering::Relaxed),
-    )
+    (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get))
 }
 
 /// Delta between two [`snapshot`]s as `(allocations, bytes)`.
@@ -67,7 +81,8 @@ pub fn delta(before: (u64, u64), after: (u64, u64)) -> (u64, u64) {
 }
 
 /// Whether [`CountingAllocator`] is actually installed as the global
-/// allocator of this process, detected once with a probe allocation.
+/// allocator of this process, detected once with a probe allocation (on
+/// whichever thread asks first — installation is process-wide).
 ///
 /// The counters only move when a harness has opted in with
 /// `#[global_allocator]`; a library unit test running under the plain
@@ -85,8 +100,9 @@ pub fn counting_allocator_installed() -> bool {
 ///
 /// Created by [`enter`](AllocRegion::enter) (or the [`no_alloc_region!`](crate::no_alloc_region)
 /// macro), closed by [`finish`](AllocRegion::finish) which returns the
-/// region's `(allocations, bytes)` delta and panics when the allocation
-/// count exceeds the budget. Dropping the guard without calling `finish`
+/// `(allocations, bytes)` the calling thread performed inside the region
+/// and panics when the allocation count exceeds the budget. Open and close a
+/// region on the same thread. Dropping the guard without calling `finish`
 /// still enforces the budget (unless the thread is already panicking).
 ///
 /// Enforcement is automatically disarmed when

@@ -24,7 +24,7 @@
 //! every harness, under `target/experiments/`).
 
 use mlr_bench::{compare_row, header, pct, scale_from_args, smoke_from_args, write_record};
-use mlr_core::{MlrConfig, MlrPipeline, Scale};
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline, Scale};
 use mlr_memo::{CapacityBudget, EvictionPolicyKind, MemoStore, ShardedMemoDb};
 use serde::Serialize;
 use std::sync::Arc;
@@ -81,7 +81,8 @@ fn replay(schedule: &[&MlrPipeline], store: &Arc<ShardedMemoDb>) -> Vec<Vec<f64>
         .enumerate()
         .map(|(i, pipeline)| {
             let shared: Arc<dyn MemoStore> = Arc::clone(store) as Arc<dyn MemoStore>;
-            let (result, _executor) = pipeline.run_memoized_with_store(shared, i as u64 + 1);
+            let executor = pipeline.memo_executor(shared, i as u64 + 1);
+            let (result, _) = pipeline.run_with_executor(executor, &CancelToken::new());
             result.reconstruction.as_slice().to_vec()
         })
         .collect()

@@ -27,8 +27,8 @@ use mlr_core::MlrConfig;
 use mlr_math::stats::Ecdf;
 use mlr_math::Complex64;
 use mlr_memo::{
-    DistributedMemoDb, EncoderConfig, MemoDbConfig, MemoStore, NodeTopology, Provenance,
-    QueryOutcome, ShardedMemoDb,
+    DistributedMemoDb, EncoderConfig, MemoDbConfig, MemoStore, NodeTopology, ProbeOutcome,
+    Provenance, ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::hardware::InterconnectSpec;
@@ -118,21 +118,25 @@ fn run_schedule(store: &dyn MemoStore, rounds: usize, locations: usize) -> Vec<b
             let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 64);
             let key = store.encode(&input);
             let origin = Provenance::solo(round + 1);
-            match store.query_with_key(FftOpKind::Fu2D, loc, &input, key, origin) {
-                QueryOutcome::Hit { .. } => outcomes.push(true),
-                QueryOutcome::Miss { key } => {
-                    outcomes.push(false);
-                    store.insert(
-                        FftOpKind::Fu2D,
-                        loc,
-                        &input,
-                        key,
-                        chunk(2.0, 0.3, 16),
-                        origin,
-                        1e-3,
-                    );
+            // The store's access protocol: read-only probe, then the
+            // ordered commit the outcome calls for.
+            let op = FftOpKind::Fu2D;
+            match store.probe_with_key(op, loc, &input, &key, origin) {
+                ProbeOutcome::Hit {
+                    entry,
+                    origin: inserted_by,
+                    ..
+                } => {
+                    store.commit_hit(op, loc, entry, inserted_by, origin);
+                    outcomes.push(true);
+                    continue;
                 }
+                ProbeOutcome::Expired { entry } => store.reclaim_expired(op, loc, entry),
+                ProbeOutcome::Miss => {}
             }
+            store.commit_miss(op, loc);
+            outcomes.push(false);
+            store.insert(op, loc, &input, key, chunk(2.0, 0.3, 16), origin, 1e-3);
         }
     }
     outcomes

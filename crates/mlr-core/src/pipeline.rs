@@ -4,13 +4,12 @@ use crate::config::MlrConfig;
 use crate::report::{MlrReport, PaperScaleProjection};
 use mlr_lamino::{LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_memo::{
-    CapacityBudget, ConcurrencyGovernor, EncoderConfig, EvictionPolicyKind, JobId, MemoDbConfig,
-    MemoStore, MemoizedExecutor, ShardedMemoDb,
+    CapacityBudget, EncoderConfig, EvictionPolicyKind, JobId, MemoDbConfig, MemoStore,
+    MemoizedExecutor, ShardedMemoDb,
 };
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
 use mlr_solver::{AdmmResult, AdmmSolver, CancelToken};
-use mlr_telemetry::Telemetry;
 use std::sync::Arc;
 
 /// The end-to-end pipeline: dataset simulation, exact reconstruction,
@@ -102,122 +101,39 @@ impl MlrPipeline {
         solver.run(&self.operator, &self.dataset.projections)
     }
 
-    /// Runs the memoized (mLR) reconstruction; returns the result and the
-    /// executor holding all memoization statistics. Chunk-level parallelism
-    /// follows `config.intra_job_threads` (no governor: a standalone run
-    /// owns the whole machine).
+    /// Runs the memoized (mLR) reconstruction over a private one-shard
+    /// store; returns the result and the executor holding all memoization
+    /// statistics. Chunk-level parallelism follows
+    /// `config.intra_job_threads` (no governor: a standalone run owns the
+    /// whole machine).
     pub fn run_memoized(&self) -> (AdmmResult, MemoizedExecutor) {
-        let executor = MemoizedExecutor::new(
-            self.config.memo,
-            self.encoder_config(),
-            self.config.problem.seed,
-        )
-        .with_parallelism(self.config.intra_job_threads, None);
-        let solver = AdmmSolver::new(self.config.admm);
-        let result = solver.run_with(&self.operator, &self.dataset.projections, &executor);
-        (result, executor)
+        let executor = self.memo_executor(self.build_shared_store(1), 0);
+        self.run_with_executor(executor, &CancelToken::new())
     }
 
-    /// [`MlrPipeline::run_memoized`] with the executor's
-    /// schedule-perturbation checker armed: parallel-phase workers stagger
-    /// their block start/completion orderings deterministically from `seed`.
-    /// The result must be bit-identical to the unperturbed run for every
-    /// seed — the determinism harness sweeps seeds × thread counts over
-    /// this entry point.
-    pub fn run_memoized_perturbed(&self, seed: u64) -> (AdmmResult, MemoizedExecutor) {
-        let executor = MemoizedExecutor::new(
-            self.config.memo,
-            self.encoder_config(),
-            self.config.problem.seed,
-        )
-        .with_parallelism(self.config.intra_job_threads, None)
-        .with_schedule_perturbation(seed);
-        let solver = AdmmSolver::new(self.config.admm);
-        let result = solver.run_with(&self.operator, &self.dataset.projections, &executor);
-        (result, executor)
-    }
-
-    /// [`MlrPipeline::run_memoized_with_store`] with the executor's
-    /// schedule-perturbation checker armed: adversarial block orderings over
-    /// an injected store. The determinism harness drives this with a
-    /// fault-armed `DistributedMemoDb` to pin that forced fault-misses stay
-    /// bit-identical across thread counts and completion orders too.
-    pub fn run_memoized_perturbed_with_store(
-        &self,
-        store: Arc<dyn MemoStore>,
-        job: JobId,
-        seed: u64,
-    ) -> (AdmmResult, MemoizedExecutor) {
-        let executor = MemoizedExecutor::with_store(self.config.memo, store, job)
-            .with_parallelism(self.config.intra_job_threads, None)
-            .with_schedule_perturbation(seed);
-        let solver = AdmmSolver::new(self.config.admm);
-        let result = solver.run_with(&self.operator, &self.dataset.projections, &executor);
-        (result, executor)
-    }
-
-    /// Runs the memoized reconstruction against an injected (typically
-    /// shared) memo store on behalf of job `job`. With a store shared
+    /// An executor for this pipeline over an injected (typically shared)
+    /// memo store on behalf of job `job`: `config.memo` and
+    /// `config.intra_job_threads` applied, nothing else. With a store shared
     /// between pipelines, FFT results memoized by one reconstruction are
-    /// reused by the others — the multi-tenant mode the runtime builds on.
-    pub fn run_memoized_with_store(
-        &self,
-        store: Arc<dyn MemoStore>,
-        job: JobId,
-    ) -> (AdmmResult, MemoizedExecutor) {
-        self.run_memoized_governed(store, job, None)
+    /// reused by the others. Chain the executor's own builders for a
+    /// governor (`with_parallelism`), telemetry or schedule perturbation —
+    /// none of them changes the reconstruction.
+    pub fn memo_executor(&self, store: Arc<dyn MemoStore>, job: JobId) -> MemoizedExecutor {
+        MemoizedExecutor::with_store(self.config.memo, store, job)
+            .with_parallelism(self.config.intra_job_threads, None)
     }
 
-    /// Runs the memoized reconstruction over a shared store *and* a shared
-    /// concurrency governor: the multi-tenant entry point the runtime's
-    /// workers use, where every chunk thread beyond the job's first must be
-    /// leased from the governor so concurrent jobs never oversubscribe the
-    /// machine. The governor only shapes wall time — the reconstruction is
-    /// bit-identical whatever it grants.
-    pub fn run_memoized_governed(
+    /// Runs the memoized reconstruction through a caller-built executor. The
+    /// ADMM driver polls `cancel` at every iteration boundary, so a
+    /// cancelled (or deadline-expired) job stops early, flushes the
+    /// coalescer through the executor's `finish` hook, and keeps the memo
+    /// entries it already published available to every other tenant of a
+    /// shared store; a token that never fires changes nothing.
+    pub fn run_with_executor(
         &self,
-        store: Arc<dyn MemoStore>,
-        job: JobId,
-        governor: Option<Arc<ConcurrencyGovernor>>,
-    ) -> (AdmmResult, MemoizedExecutor) {
-        self.run_memoized_serving(store, job, governor, &CancelToken::new())
-    }
-
-    /// The serving-front-end entry point: a governed multi-tenant run that is
-    /// additionally *cancellable* — the ADMM driver polls `cancel` at every
-    /// iteration boundary, so a cancelled (or deadline-expired) job stops
-    /// early, flushes the coalescer through the executor's `finish` hook, and
-    /// keeps the memo entries it already published available to every other
-    /// tenant of the shared store. A token that never fires leaves the run
-    /// bit-identical to [`MlrPipeline::run_memoized_governed`].
-    pub fn run_memoized_serving(
-        &self,
-        store: Arc<dyn MemoStore>,
-        job: JobId,
-        governor: Option<Arc<ConcurrencyGovernor>>,
+        executor: MemoizedExecutor,
         cancel: &CancelToken,
     ) -> (AdmmResult, MemoizedExecutor) {
-        self.run_memoized_observed(store, job, governor, cancel, Telemetry::disabled())
-    }
-
-    /// [`MlrPipeline::run_memoized_serving`] with a telemetry recorder
-    /// attached to the executor: per-iteration and per-operator lifecycle
-    /// spans, chunk counters, and hit-path stage histograms flow into
-    /// `telemetry`'s shared registry. Passing [`Telemetry::disabled`] makes
-    /// this identical (including allocation behaviour) to the plain serving
-    /// entry point; telemetry records only wall-clock dimensions, so the
-    /// reconstruction stays bit-identical either way.
-    pub fn run_memoized_observed(
-        &self,
-        store: Arc<dyn MemoStore>,
-        job: JobId,
-        governor: Option<Arc<ConcurrencyGovernor>>,
-        cancel: &CancelToken,
-        telemetry: Telemetry,
-    ) -> (AdmmResult, MemoizedExecutor) {
-        let executor = MemoizedExecutor::with_store(self.config.memo, store, job)
-            .with_parallelism(self.config.intra_job_threads, governor)
-            .with_telemetry(telemetry);
         let solver = AdmmSolver::new(self.config.admm);
         let result =
             solver.run_with_cancel(&self.operator, &self.dataset.projections, &executor, cancel);
@@ -359,19 +275,38 @@ mod tests {
     #[test]
     fn injected_sharded_store_matches_private_database() {
         // The runtime's determinism contract: one job over a shared sharded
-        // store reconstructs bit-identically to the classic private-database
-        // path.
-        let p = tiny_pipeline(0.92);
-        let (private, _) = p.run_memoized();
-        let store = p.build_shared_store(8);
-        let (shared, executor) = p.run_memoized_with_store(store, 7);
-        let err = mlr_math::norms::relative_error(&private.reconstruction, &shared.reconstruction);
-        assert!(
-            err < 1e-12,
-            "sharded store changed the reconstruction: {err}"
+        // store reconstructs bit-identically to the private one-shard store
+        // of `run_memoized` — same hits, same evictions — under a budget
+        // tight enough to evict.
+        let (_, probe) = tiny_pipeline(0.92).run_memoized();
+        let cap = CapacityBudget::bytes(probe.store().resident_bytes() / 2);
+        let config = tiny_pipeline(0.92).config;
+        let p = MlrPipeline::new(config.with_memo_budget(cap, EvictionPolicyKind::Lru));
+        let (private, reference) = p.run_memoized();
+        let executor = p.memo_executor(p.build_shared_store(8), 7);
+        let (shared, executor) = p.run_with_executor(executor, &CancelToken::new());
+        assert_eq!(
+            private.reconstruction.as_slice(),
+            shared.reconstruction.as_slice()
         );
         assert_eq!(executor.job(), 7);
-        assert!(executor.store().stats().queries > 0);
+        let cases = |e: &MemoizedExecutor| {
+            let t = e.stats().total();
+            let s = e.store().stats();
+            (
+                (
+                    t.computed,
+                    t.failed_memo,
+                    t.db_hits,
+                    t.cache_hits,
+                    t.prefiltered,
+                ),
+                (s.entries, s.queries, s.hits, s.inserts, s.evictions),
+            )
+        };
+        assert_eq!(cases(&executor), cases(&reference));
+        let stats = executor.store().stats();
+        assert!(stats.hits > 0 && stats.evictions > 0, "vacuous: {stats:?}");
     }
 
     #[test]

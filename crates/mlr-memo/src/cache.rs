@@ -102,7 +102,8 @@ impl MemoCache {
 
     /// Looks up a value for `key` at `(op, loc)`. A cached entry is returned
     /// only when the cosine similarity between `key` and the entry's key
-    /// exceeds `tau`.
+    /// exceeds `tau`. This is [`MemoCache::peek`] with its statistics folded
+    /// in immediately ([`MemoCache::note_lookup`]).
     pub fn lookup(
         &mut self,
         op: FftOpKind,
@@ -111,37 +112,14 @@ impl MemoCache {
         tau: f64,
         current_iteration: usize,
     ) -> Option<Arc<[Complex64]>> {
-        self.stats.lookups += 1;
-        if self.kind_is_global {
-            for entry in &self.global {
-                if entry.iteration >= current_iteration {
-                    continue;
-                }
-                self.stats.comparisons += 1;
-                if scale_aware_similarity(key, &entry.key) > tau {
-                    self.stats.hits += 1;
-                    return Some(Arc::clone(&entry.value));
-                }
-            }
-            None
-        } else {
-            if let Some(entry) = self.private.get(&(op, loc)) {
-                if entry.iteration >= current_iteration {
-                    return None;
-                }
-                self.stats.comparisons += 1;
-                if scale_aware_similarity(key, &entry.key) > tau {
-                    self.stats.hits += 1;
-                    return Some(Arc::clone(&entry.value));
-                }
-            }
-            None
-        }
+        let (found, comparisons) = self.peek(op, loc, key, tau, current_iteration);
+        self.note_lookup(found.is_some(), comparisons);
+        found
     }
 
-    /// Read-only lookup for the parallel phase of the batched executor: like
-    /// [`MemoCache::lookup`] but with *no* statistics side effects, so many
-    /// chunks can peek concurrently under a shared lock. Returns the value
+    /// Read-only lookup for the parallel phase of the executor: *no*
+    /// statistics side effects, so many chunks can peek concurrently under a
+    /// shared lock. Returns the value
     /// (if any) and the number of similarity comparisons performed; the
     /// caller folds both into the statistics during its ordered commit via
     /// [`MemoCache::note_lookup`].
@@ -180,7 +158,7 @@ impl MemoCache {
     }
 
     /// Folds the outcome of a [`MemoCache::peek`] into the statistics (the
-    /// ordered-commit counterpart of the accounting `lookup` does inline).
+    /// executor does this during its ordered commit).
     pub fn note_lookup(&mut self, hit: bool, comparisons: u64) {
         self.stats.lookups += 1;
         self.stats.comparisons += comparisons;

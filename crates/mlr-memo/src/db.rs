@@ -1,11 +1,10 @@
-//! The memoization database: encoder + index database + value database.
+//! The memoization database's configuration and its lock stripe.
 //!
 //! This is the memory-node side of the paper's distributed memoization
-//! (§4.3.2). An *insertion* encodes the FFT input chunk into a key, adds the
-//! key to the index database and the FFT output to the value database. A
-//! *query* encodes the input, asks the index database for the most similar
-//! stored key and — only if the similarity clears the threshold `τ` —
-//! returns the associated value.
+//! (§4.3.2). An *insertion* adds the encoded key of an FFT input chunk to
+//! the index database and the FFT output to the value database. A *probe*
+//! asks the index database for the most similar stored key and — only if
+//! the similarity clears the threshold `τ` — returns the associated value.
 //!
 //! The similarity gate follows the paper's Eq. 3: cosine similarity between
 //! the query key and the stored key. By default the gate is evaluated on the
@@ -13,24 +12,16 @@
 //! accuracy-vs-τ experiments faithful to what τ means in the paper; the
 //! encoded keys are what the ANN index searches.
 //!
-//! Since the capacity-governance layer landed, the database is *bounded*:
-//! a [`CapacityBudget`] in the configuration caps resident bytes and/or
-//! entry count, enforced after every insert by the configured
-//! [`EvictionPolicy`]. All bookkeeping runs on the logical
-//! [`StoreClock`] (op ticks, job-iteration epochs, stable entry ids), so
-//! eviction is deterministic given the same schedule and identical whether
-//! the scopes live here or are striped over a
-//! [`ShardedMemoDb`](crate::ShardedMemoDb).
+//! The public store is [`ShardedMemoDb`](crate::ShardedMemoDb); the
+//! crate-private `MemoDatabase` here is one of its lock stripes. All
+//! bookkeeping runs on the logical [`StoreClock`] (op ticks, job-iteration
+//! epochs, stable entry ids) shared by every stripe, so eviction is
+//! deterministic given the same schedule and independent of the shard count.
 
 use crate::ann::{IvfConfig, IvfIndex};
-use crate::encoder::{CnnEncoder, EncoderConfig};
-use crate::eviction::{
-    recompute_cost_estimate, CapacityBudget, EntryMeta, EvictionPolicy, EvictionPolicyKind,
-    StoreClock,
-};
+use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, EvictionPolicyKind, StoreClock};
 use crate::fingerprint::{ChunkFingerprint, FingerprintTable};
-use crate::kvstore::ValueStore;
-use crate::store::{ProbeOutcome, Provenance, StoreStats};
+use crate::store::{ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
 use mlr_math::norms::{scale_aware_similarity, scale_aware_similarity_c};
 use mlr_math::Complex64;
@@ -74,50 +65,24 @@ impl Default for MemoDbConfig {
     }
 }
 
-/// Outcome of a database query.
-#[derive(Debug, Clone)]
-pub enum QueryOutcome {
-    /// A value passed the τ gate; `similarity` is the measured cosine
-    /// similarity and `key` the encoded key of the query (reusable for the
-    /// compute-node cache).
-    Hit {
-        /// The stored FFT result — a shared reference into the value
-        /// database, never a deep clone.
-        value: Arc<[Complex64]>,
-        /// Cosine similarity between query and stored entry.
-        similarity: f64,
-        /// Encoded query key.
-        key: Vec<f64>,
-        /// Which job/iteration inserted the entry that served this hit
-        /// (drives the cross-job accounting of shared stores).
-        origin: Provenance,
-    },
-    /// No stored entry was similar enough; the encoded key is returned so the
-    /// caller can reuse it for the insertion that follows the exact compute.
-    Miss {
-        /// Encoded query key.
-        key: Vec<f64>,
-    },
-}
-
-/// One index scope (either global or per (op, location)).
-#[derive(Debug)]
-struct Scope {
-    index: IvfIndex,
-}
-
-/// Everything stored for one entry besides its value (which lives in the
-/// [`ValueStore`]): eviction metadata, the scope it was indexed under, and
-/// the τ-gate material (raw input or encoded key).
+/// Everything stored for one entry: eviction metadata, the scope it was
+/// indexed under, the τ-gate material (raw input or encoded key), and the
+/// value itself.
 struct EntryRecord {
     meta: EntryMeta,
     scope: (FftOpKind, usize),
     raw_input: Option<Arc<[Complex64]>>,
     key: Option<Vec<f64>>,
+    /// The stored FFT result — shared with every hit, never deep-cloned.
+    value: Arc<[Complex64]>,
 }
 
 impl EntryRecord {
-    /// Bytes held outside the value store (raw input + retained key).
+    fn value_bytes(&self) -> u64 {
+        (self.value.len() * 16) as u64
+    }
+
+    /// Bytes held besides the value (raw input + retained key).
     fn aux_bytes(&self) -> u64 {
         let raw = self.raw_input.as_ref().map_or(0, |r| r.len() * 16) as u64;
         let key = self.key.as_ref().map_or(0, |k| k.len() * 8) as u64;
@@ -125,63 +90,38 @@ impl EntryRecord {
     }
 }
 
-/// Which caps this database instance enforces after an insert.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BudgetRole {
-    /// A standalone database (or the store behind `LocalMemoStore`): it *is*
-    /// the whole store, so it enforces the global caps (and any stripe caps,
-    /// treating itself as its only stripe).
-    Standalone,
-    /// One stripe of a `ShardedMemoDb`: enforces only the per-stripe caps;
-    /// the owning store coordinates global enforcement across stripes.
-    Stripe,
-}
-
-/// The memoization database.
-pub struct MemoDatabase {
+/// One lock stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb): the index
+/// scopes, doorkeeper rings and entries of the `(op, loc)` scopes hashed to
+/// it. It enforces only the per-stripe caps; the owning store encodes keys,
+/// keeps the store-wide counters and coordinates global enforcement.
+pub(crate) struct MemoDatabase {
     config: MemoDbConfig,
-    encoder: CnnEncoder,
-    scopes: HashMap<(FftOpKind, usize), Scope>,
+    scopes: HashMap<(FftOpKind, usize), IvfIndex>,
     /// Per-scope doorkeeper rings for the norm prefilter. Control metadata:
     /// deliberately excluded from `resident_bytes` accounting (bounded at
     /// [`crate::fingerprint::FINGERPRINT_HISTORY`] entries per scope).
     fingerprints: HashMap<(FftOpKind, usize), FingerprintTable>,
-    values: ValueStore,
     entries: HashMap<u64, EntryRecord>,
     clock: Arc<StoreClock>,
     policy: Arc<dyn EvictionPolicy>,
-    role: BudgetRole,
-    /// Bytes resident outside the value store (raw inputs + keys).
+    /// Bytes of the stored values.
+    value_bytes: u64,
+    /// Bytes resident besides the values (raw inputs + keys).
     aux_bytes: u64,
-    /// Bytes/entries freed since the owner last drained (lets a sharded
-    /// owner keep its published resident counter exact without re-summing).
+    /// Bytes/entries freed since the owner last drained (lets the owner
+    /// keep its published resident counter exact without re-summing).
     freed_bytes_unpublished: u64,
     freed_entries_unpublished: u64,
-    /// High-water mark of `resident_bytes()` observed *after* enforcement.
-    peak_resident: u64,
-    /// Total number of index queries served (for reports).
-    queries: u64,
-    /// Queries that returned a value.
-    hits: u64,
-    /// Hits served by an entry another job inserted.
-    cross_job_hits: u64,
-    /// Insertions performed.
-    inserts: u64,
     /// Entries evicted to satisfy the budget.
     evictions: u64,
     /// Entries reclaimed because their TTL expired.
     expirations: u64,
-    /// Queries issued while the store was under capacity pressure.
-    pressure_queries: u64,
-    /// Hits served while the store was under capacity pressure.
-    pressure_hits: u64,
 }
 
 /// Stable 64-bit hash of an index scope, used to seed the scope's ANN index.
 /// Deriving the seed from the *scope* (rather than from the running entry
 /// counter) makes query outcomes independent of how entries interleave
-/// across scopes — and therefore identical whether the scopes live in one
-/// database or are spread over the shards of a `ShardedMemoDb`.
+/// across scopes — and therefore independent of the shard count.
 pub(crate) fn scope_seed(op: FftOpKind, loc: usize) -> u64 {
     // FNV-1a over the discriminant and location.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -193,202 +133,66 @@ pub(crate) fn scope_seed(op: FftOpKind, loc: usize) -> u64 {
 }
 
 impl MemoDatabase {
-    /// Creates an empty database with the given configuration and a fresh
-    /// (untrained) encoder.
-    pub fn new(config: MemoDbConfig, encoder_config: EncoderConfig, seed: u64) -> Self {
-        Self::with_encoder(config, CnnEncoder::new(encoder_config, seed))
-    }
-
-    /// Creates an empty database around an existing (possibly pre-trained)
-    /// encoder.
-    pub fn with_encoder(config: MemoDbConfig, encoder: CnnEncoder) -> Self {
-        Self::build(
-            config,
-            encoder,
-            StoreClock::new(),
-            config.eviction.build(),
-            BudgetRole::Standalone,
-        )
-    }
-
-    /// Creates an empty database governed by a *custom* eviction policy
-    /// (the configuration's [`EvictionPolicyKind`] is ignored for victim
-    /// selection).
-    pub fn with_policy(
-        config: MemoDbConfig,
-        encoder_config: EncoderConfig,
-        seed: u64,
-        policy: Arc<dyn EvictionPolicy>,
-    ) -> Self {
-        Self::build(
-            config,
-            CnnEncoder::new(encoder_config, seed),
-            StoreClock::new(),
-            policy,
-            BudgetRole::Standalone,
-        )
-    }
-
-    /// Creates one stripe of a sharded store: shares the owner's logical
-    /// clock and policy, and leaves global budget enforcement to the owner.
+    /// Creates an empty stripe sharing the owner's logical clock and policy.
     pub(crate) fn stripe(
         config: MemoDbConfig,
-        encoder_config: EncoderConfig,
-        seed: u64,
         clock: Arc<StoreClock>,
         policy: Arc<dyn EvictionPolicy>,
-    ) -> Self {
-        Self::build(
-            config,
-            CnnEncoder::new(encoder_config, seed),
-            clock,
-            policy,
-            BudgetRole::Stripe,
-        )
-    }
-
-    fn build(
-        config: MemoDbConfig,
-        encoder: CnnEncoder,
-        clock: Arc<StoreClock>,
-        policy: Arc<dyn EvictionPolicy>,
-        role: BudgetRole,
     ) -> Self {
         Self {
             config,
-            encoder,
             scopes: HashMap::new(),
             fingerprints: HashMap::new(),
-            values: ValueStore::new(),
             entries: HashMap::new(),
             clock,
             policy,
-            role,
+            value_bytes: 0,
             aux_bytes: 0,
             freed_bytes_unpublished: 0,
             freed_entries_unpublished: 0,
-            peak_resident: 0,
-            queries: 0,
-            hits: 0,
-            cross_job_hits: 0,
-            inserts: 0,
             evictions: 0,
             expirations: 0,
-            pressure_queries: 0,
-            pressure_hits: 0,
         }
     }
 
-    /// The database configuration.
-    pub fn config(&self) -> &MemoDbConfig {
-        &self.config
-    }
-
-    /// Mutable access to the encoder (e.g. to train it on collected chunks).
-    pub fn encoder_mut(&mut self) -> &mut CnnEncoder {
-        &mut self.encoder
-    }
-
-    /// The encoder.
-    pub fn encoder(&self) -> &CnnEncoder {
-        &self.encoder
-    }
-
-    /// The logical clock driving ticks, epochs and entry ids.
-    pub fn clock(&self) -> &Arc<StoreClock> {
-        &self.clock
-    }
-
-    /// Advances the job-iteration epoch; returns the new epoch.
-    pub fn advance_epoch(&self) -> u64 {
-        self.clock.advance_epoch()
-    }
-
     /// Number of stored entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Returns `true` when the database holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate resident bytes of the value database.
-    pub fn value_bytes(&self) -> u64 {
-        self.values.bytes()
+    /// Resident bytes of the stored values.
+    pub(crate) fn value_bytes(&self) -> u64 {
+        self.value_bytes
     }
 
     /// Total resident bytes: values plus retained raw inputs and keys —
-    /// the quantity the [`CapacityBudget`] caps.
-    pub fn resident_bytes(&self) -> u64 {
-        self.values.bytes() + self.aux_bytes
-    }
-
-    /// High-water mark of [`Self::resident_bytes`] observed after budget
-    /// enforcement (i.e. at the points where the bound must hold).
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident.max(self.resident_bytes())
-    }
-
-    /// Number of queries served.
-    pub fn queries(&self) -> u64 {
-        self.queries
+    /// the quantity the [`CapacityBudget`](crate::CapacityBudget) caps.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.value_bytes + self.aux_bytes
     }
 
     /// Entries evicted so far to satisfy the budget.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// Entries reclaimed so far because their TTL expired.
-    pub fn expirations(&self) -> u64 {
+    pub(crate) fn expirations(&self) -> u64 {
         self.expirations
-    }
-
-    /// Aggregate counters in the shape shared with the other memo stores.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            entries: self.len(),
-            queries: self.queries,
-            hits: self.hits,
-            cross_job_hits: self.cross_job_hits,
-            inserts: self.inserts,
-            value_bytes: self.value_bytes(),
-            evictions: self.evictions,
-            expirations: self.expirations,
-            resident_bytes: self.resident_bytes(),
-            peak_resident_bytes: self.peak_resident_bytes(),
-            pressure_queries: self.pressure_queries,
-            pressure_hits: self.pressure_hits,
-        }
     }
 
     /// A copy of the eviction metadata of entry `id`, if it is resident —
     /// the signal (bytes, hit counts, recompute cost, policy priority) the
     /// distributed tier's replica promotion ranks by.
-    pub fn meta_of(&self, id: u64) -> Option<EntryMeta> {
+    pub(crate) fn meta_of(&self, id: u64) -> Option<EntryMeta> {
         self.entries.get(&id).map(|r| r.meta)
-    }
-
-    /// Encodes an input chunk into a key (exposed for the compute-node cache
-    /// and for benches that time the encoder separately).
-    pub fn encode(&self, input: &[Complex64]) -> Vec<f64> {
-        self.encoder.encode(input)
-    }
-
-    /// Encodes a batch of input chunks through one thread-local scratch
-    /// lease (amortizes the scratch across the batch, allocation-free once
-    /// the thread's scratch is warm).
-    pub fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        self.encoder.encode_batch(inputs)
     }
 
     /// Does the scope's fingerprint history contain a chunk whose raw
     /// similarity to `fp`'s chunk could exceed `τ`? Returns `false` for a
     /// scope that has seen no chunks yet — the prefilter then routes the
     /// chunk straight to the exact FFT without encoding it.
-    pub fn has_fingerprint_neighbor(
+    pub(crate) fn has_fingerprint_neighbor(
         &self,
         op: FftOpKind,
         loc: usize,
@@ -402,7 +206,7 @@ impl MemoDatabase {
 
     /// Records the fingerprint of a committed chunk in the scope's
     /// doorkeeper ring (bounded; the oldest entry is evicted on overflow).
-    pub fn note_fingerprint(&mut self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
+    pub(crate) fn note_fingerprint(&mut self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
         let scope = self.scope_key(op, loc);
         self.fingerprints.entry(scope).or_default().note(fp);
     }
@@ -415,121 +219,13 @@ impl MemoDatabase {
         }
     }
 
-    /// Queries the database for an entry similar to `input` at
-    /// `(op, loc)`.
-    pub fn query(&mut self, op: FftOpKind, loc: usize, input: &[Complex64]) -> QueryOutcome {
-        let key = self.encode(input);
-        self.query_with_key(op, loc, input, key, usize::MAX)
-    }
-
-    /// Queries with a pre-computed encoded key (avoids double encoding when
-    /// the caller already consulted the compute-node cache).
-    pub fn query_with_key(
-        &mut self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        current_iteration: usize,
-    ) -> QueryOutcome {
-        self.query_with_key_from(op, loc, input, key, Provenance::solo(current_iteration))
-    }
-
-    /// Queries with a pre-computed key on behalf of a specific job/iteration
-    /// (the multi-tenant entry point used through the `MemoStore` seam).
-    pub fn query_with_key_from(
-        &mut self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        origin: Provenance,
-    ) -> QueryOutcome {
-        self.queries += 1;
-        let tick = self.clock.next_tick();
-        let now_epoch = self.clock.epoch();
-        let under_pressure = self.role == BudgetRole::Standalone
-            && self
-                .config
-                .budget
-                .pressure(self.resident_bytes(), self.len() as u64)
-                >= PRESSURE_THRESHOLD;
-        if under_pressure {
-            self.pressure_queries += 1;
-        }
-        let scope_key = self.scope_key(op, loc);
-        let Some(scope) = self.scopes.get(&scope_key) else {
-            return QueryOutcome::Miss { key };
-        };
-        let Some(hit) = scope.index.search(&key) else {
-            return QueryOutcome::Miss { key };
-        };
-        let Some(record) = self.entries.get(&hit.id) else {
-            return QueryOutcome::Miss { key };
-        };
-        // TTL: an expired entry is unreachable; reclaim it on the way out.
-        if self.policy.is_expired(&record.meta, now_epoch) {
-            self.remove_entry(hit.id, RemovalKind::Expired);
-            return QueryOutcome::Miss { key };
-        }
-        // Within one job, only entries from *earlier* ADMM iterations may be
-        // reused; a value produced within the current LSP solve would feed
-        // the CG its own output back and stall the update. Entries from
-        // other jobs are always eligible.
-        let stored_origin = record.meta.origin;
-        if !stored_origin.may_serve(&origin) {
-            return QueryOutcome::Miss { key };
-        }
-        let similarity = if self.config.gate_on_raw {
-            match &record.raw_input {
-                Some(stored) => scale_aware_similarity_c(input, stored),
-                None => return QueryOutcome::Miss { key },
-            }
-        } else {
-            match &record.key {
-                Some(stored) => scale_aware_similarity(&key, stored),
-                None => return QueryOutcome::Miss { key },
-            }
-        };
-        if similarity > self.config.tau {
-            if let Some(value) = self.values.get(hit.id) {
-                self.hits += 1;
-                if under_pressure {
-                    self.pressure_hits += 1;
-                }
-                if stored_origin.job != origin.job {
-                    self.cross_job_hits += 1;
-                }
-                // Refresh recency/reuse metadata for LRU and cost-aware
-                // ranking (logical tick — never wall-clock).
-                if let Some(record) = self.entries.get_mut(&hit.id) {
-                    record.meta.last_access_tick = tick;
-                    record.meta.last_access_epoch = now_epoch;
-                    record.meta.hits += 1;
-                    if stored_origin.job != origin.job {
-                        record.meta.cross_hits += 1;
-                    }
-                    self.policy.charge(&mut record.meta);
-                }
-                return QueryOutcome::Hit {
-                    value,
-                    similarity,
-                    key,
-                    origin: stored_origin,
-                };
-            }
-        }
-        QueryOutcome::Miss { key }
-    }
-
-    /// Read-only probe: the lookup of [`Self::query_with_key_from`] with
-    /// *no* side effects — no counters, no tick consumption, no recency
-    /// refresh, no lazy TTL reclamation. The batched executor probes every
-    /// chunk of an operator application against the store state frozen at
-    /// the application's start and replays the bookkeeping afterwards, in
-    /// chunk-index order, through [`Self::commit_hit`] /
-    /// [`Self::commit_miss_query`] / [`Self::reclaim_expired`].
-    pub fn probe_with_key_from(
+    /// Read-only probe for an entry similar to `input` at `(op, loc)`: no
+    /// counters, no tick consumption, no recency refresh, no lazy TTL
+    /// reclamation. The executor probes every chunk of an operator
+    /// application against the store state frozen at the application's
+    /// start and replays the bookkeeping afterwards, in chunk-index order,
+    /// through [`Self::commit_hit`] / [`Self::reclaim_expired`].
+    pub(crate) fn probe(
         &self,
         op: FftOpKind,
         loc: usize,
@@ -539,18 +235,23 @@ impl MemoDatabase {
     ) -> ProbeOutcome {
         let now_epoch = self.clock.epoch();
         let scope_key = self.scope_key(op, loc);
-        let Some(scope) = self.scopes.get(&scope_key) else {
+        let Some(index) = self.scopes.get(&scope_key) else {
             return ProbeOutcome::Miss;
         };
-        let Some(hit) = scope.index.search(key) else {
+        let Some(hit) = index.search(key) else {
             return ProbeOutcome::Miss;
         };
         let Some(record) = self.entries.get(&hit.id) else {
             return ProbeOutcome::Miss;
         };
+        // TTL: an expired entry is unreachable; the commit reclaims it.
         if self.policy.is_expired(&record.meta, now_epoch) {
             return ProbeOutcome::Expired { entry: hit.id };
         }
+        // Within one job, only entries from *earlier* ADMM iterations may be
+        // reused; a value produced within the current LSP solve would feed
+        // the CG its own output back and stall the update. Entries from
+        // other jobs are always eligible.
         let stored_origin = record.meta.origin;
         if !stored_origin.may_serve(&origin) {
             return ProbeOutcome::Miss;
@@ -567,44 +268,26 @@ impl MemoDatabase {
             }
         };
         if similarity > self.config.tau {
-            if let Some(value) = self.values.get(hit.id) {
-                return ProbeOutcome::Hit {
-                    value,
-                    similarity,
-                    entry: hit.id,
-                    origin: stored_origin,
-                };
-            }
+            return ProbeOutcome::Hit {
+                value: Arc::clone(&record.value),
+                similarity,
+                entry: hit.id,
+                origin: stored_origin,
+            };
         }
         ProbeOutcome::Miss
     }
 
-    /// Replays the bookkeeping of a hit discovered by
-    /// [`Self::probe_with_key_from`]: query/hit counters, pressure
-    /// accounting, and the recency/reuse metadata refresh the eviction
-    /// policies rank by. Runs during the batch's ordered commit, so the
-    /// logical tick each hit consumes is assigned in chunk-index order —
-    /// identical for every thread count. The metadata refresh is skipped if
-    /// the entry no longer exists (an earlier commit of the same batch may
-    /// have evicted it); that skip is itself deterministic.
-    pub fn commit_hit(&mut self, entry: u64, entry_origin: Provenance, origin: Provenance) {
-        self.queries += 1;
+    /// Replays the bookkeeping of a hit discovered by [`Self::probe`]: the
+    /// recency/reuse metadata refresh the eviction policies rank by. Runs
+    /// during the batch's ordered commit, so the logical tick each hit
+    /// consumes is assigned in chunk-index order — identical for every
+    /// thread count. The refresh is skipped if the entry no longer exists
+    /// (an earlier commit of the same batch may have evicted it); that skip
+    /// is itself deterministic.
+    pub(crate) fn commit_hit(&mut self, entry: u64, entry_origin: Provenance, origin: Provenance) {
         let tick = self.clock.next_tick();
         let now_epoch = self.clock.epoch();
-        let under_pressure = self.role == BudgetRole::Standalone
-            && self
-                .config
-                .budget
-                .pressure(self.resident_bytes(), self.len() as u64)
-                >= PRESSURE_THRESHOLD;
-        if under_pressure {
-            self.pressure_queries += 1;
-            self.pressure_hits += 1;
-        }
-        self.hits += 1;
-        if entry_origin.job != origin.job {
-            self.cross_job_hits += 1;
-        }
         if let Some(record) = self.entries.get_mut(&entry) {
             record.meta.last_access_tick = tick;
             record.meta.last_access_epoch = now_epoch;
@@ -616,27 +299,9 @@ impl MemoDatabase {
         }
     }
 
-    /// Replays the query accounting of a probe that missed (the insert that
-    /// follows the exact compute is a separate
-    /// [`Self::insert_from_with_cost`]).
-    pub fn commit_miss_query(&mut self) {
-        self.queries += 1;
-        let _tick = self.clock.next_tick();
-        let under_pressure = self.role == BudgetRole::Standalone
-            && self
-                .config
-                .budget
-                .pressure(self.resident_bytes(), self.len() as u64)
-                >= PRESSURE_THRESHOLD;
-        if under_pressure {
-            self.pressure_queries += 1;
-        }
-    }
-
     /// Reclaims an entry a probe found expired, if it still exists and still
-    /// is expired — the ordered-commit counterpart of the lazy reclamation
-    /// [`Self::query_with_key_from`] performs inline.
-    pub fn reclaim_expired(&mut self, entry: u64) {
+    /// is expired.
+    pub(crate) fn reclaim_expired(&mut self, entry: u64) {
         let now_epoch = self.clock.epoch();
         let expired = self
             .entries
@@ -648,40 +313,12 @@ impl MemoDatabase {
     }
 
     /// Inserts an entry: the FFT `input` (as the key source) and its computed
-    /// `output` (as the value). Returns the new entry id.
-    pub fn insert(
-        &mut self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        output: Vec<Complex64>,
-        iteration: usize,
-    ) -> u64 {
-        self.insert_from(op, loc, input, key, output, Provenance::solo(iteration))
-    }
-
-    /// Inserts an entry on behalf of a specific job/iteration, pricing its
-    /// recompute cost with the default analytic model.
-    pub fn insert_from(
-        &mut self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        output: Vec<Complex64>,
-        origin: Provenance,
-    ) -> u64 {
-        let cost = recompute_cost_estimate(op, input.len());
-        self.insert_from_with_cost(op, loc, input, key, output, origin, cost)
-    }
-
-    /// Inserts an entry with an explicit recompute-cost hint (the quantity
-    /// cost-aware eviction ranks by). The hint must be a deterministic
-    /// function of the operation — wall-clock timings would make eviction
-    /// irreproducible.
+    /// `output` (as the value), with the recompute-cost hint cost-aware
+    /// eviction ranks by. The hint must be a deterministic function of the
+    /// operation — wall-clock timings would make eviction irreproducible.
+    /// Returns the new entry id.
     #[allow(clippy::too_many_arguments)]
-    pub fn insert_from_with_cost(
+    pub(crate) fn insert(
         &mut self,
         op: FftOpKind,
         loc: usize,
@@ -694,18 +331,17 @@ impl MemoDatabase {
         let id = self.clock.next_id();
         let tick = self.clock.next_tick();
         let epoch = self.clock.epoch();
-        self.inserts += 1;
         let scope_key = self.scope_key(op, loc);
         let dim = key.len();
         let ivf = self.config.ivf;
-        let scope = self.scopes.entry(scope_key).or_insert_with(|| Scope {
-            index: IvfIndex::new(dim, ivf, scope_seed(scope_key.0, scope_key.1) ^ 0x5EED),
+        let index = self.scopes.entry(scope_key).or_insert_with(|| {
+            IvfIndex::new(dim, ivf, scope_seed(scope_key.0, scope_key.1) ^ 0x5EED)
         });
-        scope.index.add(id, key.clone());
-        let record = EntryRecord {
+        index.add(id, key.clone());
+        let mut record = EntryRecord {
             meta: EntryMeta {
                 id,
-                bytes: 0, // filled below once aux bytes are known
+                bytes: 0, // filled below once the record's bytes are known
                 inserted_tick: tick,
                 inserted_epoch: epoch,
                 last_access_tick: tick,
@@ -723,47 +359,32 @@ impl MemoDatabase {
                 .gate_on_raw
                 .then(|| Arc::<[Complex64]>::from(input)),
             key: (!self.config.gate_on_raw).then_some(key),
+            value: output.into(),
         };
-        let aux = record.aux_bytes();
-        let value_bytes = (output.len() * 16) as u64;
-        let mut record = record;
-        record.meta.bytes = value_bytes + aux;
+        record.meta.bytes = record.value_bytes() + record.aux_bytes();
         self.policy.charge(&mut record.meta);
-        self.aux_bytes += aux;
-        self.values.put(id, output.into());
+        self.value_bytes += record.value_bytes();
+        self.aux_bytes += record.aux_bytes();
         self.entries.insert(id, record);
-        self.enforce_budget();
+        self.enforce_stripe_budget();
         id
     }
 
-    /// Evicts entries until the caps this instance is responsible for hold,
-    /// then records the post-enforcement high-water mark. Expired entries
-    /// are preferred victims (rank `-∞`) but are otherwise reclaimed lazily,
-    /// so stripes and standalone stores converge on the same state.
-    fn enforce_budget(&mut self) {
+    /// Evicts entries until the per-stripe caps hold. Expired entries are
+    /// preferred victims (rank `-∞`) but are otherwise reclaimed lazily.
+    fn enforce_stripe_budget(&mut self) {
         let now_epoch = self.clock.epoch();
-        loop {
-            let bytes = self.resident_bytes();
-            let entries = self.len() as u64;
-            let over = match self.role {
-                BudgetRole::Standalone => {
-                    self.config.budget.exceeded(bytes, entries)
-                        || self.config.budget.stripe_exceeded(bytes, entries)
-                }
-                BudgetRole::Stripe => self.config.budget.stripe_exceeded(bytes, entries),
-            };
-            if !over {
+        while self
+            .config
+            .budget
+            .stripe_exceeded(self.resident_bytes(), self.len() as u64)
+        {
+            let Some((rank, id)) = self.peek_victim(now_epoch) else {
                 break;
-            }
-            match self.peek_victim(now_epoch) {
-                Some((rank, id)) => {
-                    self.policy.on_evict(rank);
-                    self.remove_entry(id, RemovalKind::Evicted);
-                }
-                None => break,
-            }
+            };
+            self.policy.on_evict(rank);
+            self.remove_entry(id, RemovalKind::Evicted);
         }
-        self.peak_resident = self.peak_resident.max(self.resident_bytes());
     }
 
     /// The entry the policy would evict next: minimum `(rank, id)` over all
@@ -783,15 +404,15 @@ impl MemoDatabase {
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
     }
 
-    /// Evicts a specific entry on behalf of the owning sharded store's
-    /// global enforcement. Returns the bytes freed.
+    /// Evicts a specific entry on behalf of the owning store's global
+    /// enforcement. Returns the bytes freed.
     pub(crate) fn evict_id(&mut self, id: u64) -> u64 {
         self.remove_entry(id, RemovalKind::Evicted)
     }
 
-    /// Drains the `(bytes, entries)` freed since the last drain — lets a
-    /// sharded owner keep its published resident counters exact without
-    /// re-summing every stripe.
+    /// Drains the `(bytes, entries)` freed since the last drain — lets the
+    /// owner keep its published resident counters exact without re-summing
+    /// every stripe.
     pub(crate) fn drain_freed(&mut self) -> (u64, u64) {
         let freed = (self.freed_bytes_unpublished, self.freed_entries_unpublished);
         self.freed_bytes_unpublished = 0;
@@ -803,12 +424,11 @@ impl MemoDatabase {
         let Some(record) = self.entries.remove(&id) else {
             return 0;
         };
-        if let Some(scope) = self.scopes.get_mut(&record.scope) {
-            scope.index.remove(id);
+        if let Some(index) = self.scopes.get_mut(&record.scope) {
+            index.remove(id);
         }
-        self.values.remove(id);
-        let aux = record.aux_bytes();
-        self.aux_bytes -= aux;
+        self.value_bytes -= record.value_bytes();
+        self.aux_bytes -= record.aux_bytes();
         let freed = record.meta.bytes;
         self.freed_bytes_unpublished += freed;
         self.freed_entries_unpublished += 1;
@@ -836,22 +456,18 @@ impl MemoDatabase {
 
     /// Average number of key comparisons one query performs (used by the
     /// simulated-cost reports).
-    pub fn comparisons_per_query(&self) -> f64 {
+    pub(crate) fn comparisons_per_query(&self) -> f64 {
         if self.scopes.is_empty() {
             return 0.0;
         }
         let total: usize = self
             .scopes
             .values()
-            .map(|s| s.index.comparisons_per_query())
+            .map(|index| index.comparisons_per_query())
             .sum();
         total as f64 / self.scopes.len() as f64
     }
 }
-
-/// A query counts as "under pressure" when the tightest global cap is at
-/// least this utilised — the regime the bounded-store hit rate is judged in.
-pub(crate) const PRESSURE_THRESHOLD: f64 = 0.95;
 
 #[derive(Debug, Clone, Copy)]
 enum RemovalKind {
@@ -865,110 +481,92 @@ enum RemovalKind {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::encoder::EncoderConfig;
+    //! The stripe's protocol, driven through the owning store's public
+    //! probe → commit seam on one stripe and on several: every behaviour
+    //! must be independent of the shard count.
 
-    fn tiny_encoder_config() -> EncoderConfig {
-        EncoderConfig {
-            input_grid: 8,
-            conv1_filters: 2,
-            conv2_filters: 4,
-            embedding_dim: 8,
-            learning_rate: 1e-3,
+    use super::*;
+    use crate::store::MemoStore;
+    use crate::testutil::{chunk, fill, insert, lookup, store};
+    use mlr_lamino::FftOpKind::{Fu1D, Fu2D};
+
+    const LAYOUTS: [usize; 2] = [1, 4];
+
+    fn config(tau: f64) -> MemoDbConfig {
+        MemoDbConfig {
+            tau,
+            ..Default::default()
         }
     }
 
-    fn db(tau: f64) -> MemoDatabase {
-        MemoDatabase::new(
-            MemoDbConfig {
-                tau,
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-        )
-    }
-
-    fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / n as f64;
-                Complex64::new(scale * (5.0 * t + phase).sin(), scale * (3.0 * t).cos())
-            })
-            .collect()
+    fn at(iteration: usize) -> Provenance {
+        Provenance::solo(iteration)
     }
 
     #[test]
     fn query_empty_is_miss() {
-        let mut d = db(0.9);
-        assert!(d.is_empty());
-        match d.query(FftOpKind::Fu2D, 0, &chunk(1.0, 0.0, 128)) {
-            QueryOutcome::Miss { key } => assert_eq!(key.len(), 8),
-            QueryOutcome::Hit { .. } => panic!("unexpected hit"),
+        for shards in LAYOUTS {
+            let d = store(config(0.9), shards);
+            assert!(d.is_empty());
+            let input = chunk(1.0, 0.0, 128);
+            assert_eq!(d.encode(&input).len(), 8);
+            assert!(lookup(&d, Fu2D, 0, &input, at(1)).is_none());
+            assert_eq!(d.stats().queries, 1);
         }
-        assert_eq!(d.queries(), 1);
     }
 
     #[test]
     fn insert_then_identical_query_hits() {
-        let mut d = db(0.9);
-        let input = chunk(1.0, 0.0, 256);
-        let output = chunk(2.0, 1.0, 64);
-        let key = d.encode(&input);
-        d.insert(FftOpKind::Fu2D, 3, &input, key, output.clone(), 0);
-        match d.query(FftOpKind::Fu2D, 3, &input) {
-            QueryOutcome::Hit {
-                value, similarity, ..
-            } => {
-                assert!(similarity > 0.999);
-                assert_eq!(value.as_ref(), output.as_slice());
-            }
-            QueryOutcome::Miss { .. } => panic!("expected hit"),
+        for shards in LAYOUTS {
+            let d = store(config(0.9), shards);
+            let input = chunk(1.0, 0.0, 256);
+            let output = chunk(2.0, 1.0, 64);
+            insert(&d, Fu2D, 3, &input, output.clone(), at(0));
+            let (value, similarity, _) = lookup(&d, Fu2D, 3, &input, at(1)).expect("hit");
+            assert!(similarity > 0.999);
+            assert_eq!(value.as_ref(), output.as_slice());
         }
     }
 
     #[test]
     fn dissimilar_query_misses() {
-        let mut d = db(0.95);
-        let input = chunk(1.0, 0.0, 256);
-        let key = d.encode(&input);
-        d.insert(FftOpKind::Fu2D, 3, &input, key, chunk(2.0, 1.0, 64), 0);
-        // Same location but very different content.
-        let other = chunk(1.0, 2.5, 256);
-        match d.query(FftOpKind::Fu2D, 3, &other) {
-            QueryOutcome::Miss { .. } => {}
-            QueryOutcome::Hit { similarity, .. } => {
-                panic!("expected miss, got hit with similarity {similarity}")
-            }
+        for shards in LAYOUTS {
+            let d = store(config(0.95), shards);
+            insert(
+                &d,
+                Fu2D,
+                3,
+                &chunk(1.0, 0.0, 256),
+                chunk(2.0, 1.0, 64),
+                at(0),
+            );
+            // Same location but very different content.
+            let hit = lookup(&d, Fu2D, 3, &chunk(1.0, 2.5, 256), at(1));
+            assert!(hit.is_none(), "expected miss, got {:?}", hit.map(|h| h.1));
         }
     }
 
     #[test]
     fn per_location_scoping_prevents_cross_location_hits() {
-        let mut d = db(0.9);
-        let input = chunk(1.0, 0.0, 256);
-        let key = d.encode(&input);
-        d.insert(FftOpKind::Fu2D, 0, &input, key, chunk(2.0, 1.0, 64), 0);
-        match d.query(FftOpKind::Fu2D, 1, &input) {
-            QueryOutcome::Miss { .. } => {}
-            QueryOutcome::Hit { .. } => panic!("per-location scoping violated"),
+        for shards in LAYOUTS {
+            let d = store(config(0.9), shards);
+            let input = chunk(1.0, 0.0, 256);
+            insert(&d, Fu2D, 0, &input, chunk(2.0, 1.0, 64), at(0));
+            assert!(lookup(&d, Fu2D, 1, &input, at(1)).is_none());
         }
     }
 
     #[test]
     fn global_scope_allows_cross_location_hits() {
-        let config = MemoDbConfig {
-            tau: 0.9,
-            per_location: false,
-            ..Default::default()
-        };
-        let mut d = MemoDatabase::new(config, tiny_encoder_config(), 2);
-        let input = chunk(1.0, 0.0, 256);
-        let key = d.encode(&input);
-        d.insert(FftOpKind::Fu2D, 0, &input, key, chunk(2.0, 1.0, 64), 0);
-        match d.query(FftOpKind::Fu2D, 7, &input) {
-            QueryOutcome::Hit { .. } => {}
-            QueryOutcome::Miss { .. } => panic!("global scope should hit"),
+        for shards in LAYOUTS {
+            let global = MemoDbConfig {
+                per_location: false,
+                ..config(0.9)
+            };
+            let d = store(global, shards);
+            let input = chunk(1.0, 0.0, 256);
+            insert(&d, Fu2D, 0, &input, chunk(2.0, 1.0, 64), at(0));
+            assert!(lookup(&d, Fu2D, 7, &input, at(1)).is_some());
         }
     }
 
@@ -979,160 +577,99 @@ mod tests {
         let base = chunk(1.0, 0.0, 256);
         let perturbed: Vec<Complex64> = base
             .iter()
-            .enumerate()
-            .map(|(i, z)| *z + chunk(0.12, 1.3, 256)[i])
+            .zip(chunk(0.12, 1.3, 256))
+            .map(|(z, dz)| *z + dz)
             .collect();
-        let sim = mlr_math::norms::scale_aware_similarity_c(&base, &perturbed);
+        let sim = scale_aware_similarity_c(&base, &perturbed);
         assert!(sim > 0.85 && sim < 0.999, "test setup: sim {sim}");
+        for shards in LAYOUTS {
+            let loose = store(config((sim - 0.05).max(0.0)), shards);
+            insert(&loose, Fu1D, 0, &base, chunk(2.0, 0.5, 32), at(0));
+            assert!(lookup(&loose, Fu1D, 0, &perturbed, at(1)).is_some());
 
-        let mut loose = db((sim - 0.05).max(0.0));
-        let key = loose.encode(&base);
-        loose.insert(FftOpKind::Fu1D, 0, &base, key, chunk(2.0, 0.5, 32), 0);
-        assert!(matches!(
-            loose.query(FftOpKind::Fu1D, 0, &perturbed),
-            QueryOutcome::Hit { .. }
-        ));
-
-        let mut strict = db((sim + 0.02).min(0.9999));
-        let key = strict.encode(&base);
-        strict.insert(FftOpKind::Fu1D, 0, &base, key, chunk(2.0, 0.5, 32), 0);
-        assert!(matches!(
-            strict.query(FftOpKind::Fu1D, 0, &perturbed),
-            QueryOutcome::Miss { .. }
-        ));
+            let strict = store(config((sim + 0.02).min(0.9999)), shards);
+            insert(&strict, Fu1D, 0, &base, chunk(2.0, 0.5, 32), at(0));
+            assert!(lookup(&strict, Fu1D, 0, &perturbed, at(1)).is_none());
+        }
     }
 
     #[test]
     fn value_bytes_grow_with_insertions() {
-        let mut d = db(0.9);
-        assert_eq!(d.value_bytes(), 0);
-        for loc in 0..4 {
-            let input = chunk(1.0 + loc as f64, 0.0, 64);
-            let key = d.encode(&input);
-            d.insert(FftOpKind::Fu2D, loc, &input, key, chunk(1.0, 0.0, 32), 0);
+        for shards in LAYOUTS {
+            let d = store(config(0.9), shards);
+            assert_eq!(d.value_bytes(), 0);
+            fill(&d, 4, |_| {});
+            assert_eq!(d.len(), 4);
+            assert_eq!(d.value_bytes(), 4 * 32 * 16);
+            // Resident bytes additionally count the retained raw inputs and
+            // the peak is at least the current footprint.
+            assert!(d.resident_bytes() > d.value_bytes());
+            assert!(d.peak_resident_bytes() >= d.resident_bytes());
+            assert!(d.comparisons_per_query() > 0.0);
         }
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.value_bytes(), 4 * 32 * 16);
-        // Resident bytes additionally count the retained raw inputs and the
-        // peak is at least the current footprint.
-        assert!(d.resident_bytes() > d.value_bytes());
-        assert!(d.peak_resident_bytes() >= d.resident_bytes());
-        assert!(d.comparisons_per_query() > 0.0);
     }
 
     #[test]
     fn entry_budget_is_enforced_after_every_insert() {
-        let mut d = MemoDatabase::new(
-            MemoDbConfig {
-                tau: 0.9,
+        for shards in LAYOUTS {
+            let fifo = MemoDbConfig {
                 budget: CapacityBudget::entries(3),
                 eviction: EvictionPolicyKind::Fifo,
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-        );
-        for loc in 0..8 {
-            let input = chunk(1.0 + loc as f64, 0.0, 64);
-            let key = d.encode(&input);
-            d.insert(FftOpKind::Fu2D, loc, &input, key, chunk(1.0, 0.0, 32), 0);
-            assert!(d.len() <= 3, "entry cap violated after insert {loc}");
+                ..config(0.9)
+            };
+            let d = store(fifo, shards);
+            fill(&d, 8, |loc| {
+                assert!(d.len() <= 3, "entry cap violated after insert {loc}")
+            });
+            assert_eq!(d.len(), 3);
+            assert_eq!(d.evictions(), 5);
+            // FIFO evicted the oldest entries: the earliest locations now miss.
+            assert!(lookup(&d, Fu2D, 0, &chunk(1.0, 0.0, 64), at(1)).is_none());
+            assert!(lookup(&d, Fu2D, 7, &chunk(8.0, 0.0, 64), at(1)).is_some());
         }
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.evictions(), 5);
-        // FIFO evicted the oldest entries: the earliest locations now miss.
-        assert!(matches!(
-            d.query(FftOpKind::Fu2D, 0, &chunk(1.0, 0.0, 64)),
-            QueryOutcome::Miss { .. }
-        ));
-        assert!(matches!(
-            d.query(FftOpKind::Fu2D, 7, &chunk(8.0, 0.0, 64)),
-            QueryOutcome::Hit { .. }
-        ));
     }
 
     #[test]
     fn byte_budget_bounds_resident_footprint() {
-        let mut d = MemoDatabase::new(
-            MemoDbConfig {
-                tau: 0.9,
-                budget: CapacityBudget::unbounded(),
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-        );
-        // Measure the footprint of 4 entries, then rebuild with half of it.
-        for loc in 0..4 {
-            let input = chunk(1.0 + loc as f64, 0.0, 64);
-            let key = d.encode(&input);
-            d.insert(FftOpKind::Fu2D, loc, &input, key, chunk(1.0, 0.0, 32), 0);
-        }
-        let full = d.resident_bytes();
-        let cap = full / 2;
-        let mut bounded = MemoDatabase::new(
-            MemoDbConfig {
-                tau: 0.9,
+        for shards in LAYOUTS {
+            // Measure the footprint of 4 entries, then rebuild with half of it.
+            let unbounded = store(config(0.9), shards);
+            fill(&unbounded, 4, |_| {});
+            let cap = unbounded.resident_bytes() / 2;
+            let capped = MemoDbConfig {
                 budget: CapacityBudget::bytes(cap),
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-        );
-        for loc in 0..4 {
-            let input = chunk(1.0 + loc as f64, 0.0, 64);
-            let key = bounded.encode(&input);
-            bounded.insert(FftOpKind::Fu2D, loc, &input, key, chunk(1.0, 0.0, 32), 0);
-            assert!(
-                bounded.resident_bytes() <= cap,
-                "byte cap violated: {} > {cap}",
-                bounded.resident_bytes()
-            );
+                ..config(0.9)
+            };
+            let bounded = store(capped, shards);
+            fill(&bounded, 4, |_| {
+                let resident = bounded.resident_bytes();
+                assert!(resident <= cap, "byte cap violated: {resident} > {cap}");
+            });
+            assert!(bounded.peak_resident_bytes() <= cap);
+            assert!(bounded.evictions() > 0);
         }
-        assert!(bounded.peak_resident_bytes() <= cap);
-        assert!(bounded.evictions() > 0);
     }
 
     #[test]
     fn ttl_entries_become_unreachable() {
-        let mut d = MemoDatabase::new(
-            MemoDbConfig {
-                tau: 0.9,
+        for shards in LAYOUTS {
+            let ttl = MemoDbConfig {
                 eviction: EvictionPolicyKind::Ttl { ttl_epochs: 2 },
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-        );
-        let input = chunk(1.0, 0.0, 128);
-        let key = d.encode(&input);
-        d.insert(FftOpKind::Fu2D, 0, &input, key, chunk(1.0, 0.0, 16), 0);
-        d.advance_epoch();
-        // Within the TTL: reachable.
-        assert!(matches!(
-            d.query_with_key_from(
-                FftOpKind::Fu2D,
-                0,
-                &input,
-                d.encode(&input),
-                Provenance::solo(1)
-            ),
-            QueryOutcome::Hit { .. }
-        ));
-        d.advance_epoch();
-        d.advance_epoch();
-        // Past the TTL: unreachable and lazily reclaimed.
-        assert!(matches!(
-            d.query_with_key_from(
-                FftOpKind::Fu2D,
-                0,
-                &input,
-                d.encode(&input),
-                Provenance::solo(3)
-            ),
-            QueryOutcome::Miss { .. }
-        ));
-        assert_eq!(d.len(), 0);
-        assert_eq!(d.expirations(), 1);
+                ..config(0.9)
+            };
+            let d = store(ttl, shards);
+            let input = chunk(1.0, 0.0, 128);
+            insert(&d, Fu2D, 0, &input, chunk(1.0, 0.0, 16), at(0));
+            d.advance_epoch();
+            // Within the TTL: reachable.
+            assert!(lookup(&d, Fu2D, 0, &input, at(1)).is_some());
+            d.advance_epoch();
+            d.advance_epoch();
+            // Past the TTL: unreachable, and reclaimed by the commit.
+            assert!(lookup(&d, Fu2D, 0, &input, at(3)).is_none());
+            assert_eq!(d.len(), 0);
+            assert_eq!(d.expirations(), 1);
+            assert_eq!(d.resident_bytes(), 0);
+        }
     }
 }

@@ -56,7 +56,7 @@
 //! counts, and its [`FaultStats`] are identical too. No wall clock is
 //! consulted anywhere on a fault path.
 
-use crate::db::{MemoDbConfig, QueryOutcome};
+use crate::db::MemoDbConfig;
 use crate::eviction::{CostAwarePolicy, EntryMeta};
 use crate::sharded::ShardedMemoDb;
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
@@ -788,58 +788,6 @@ impl MemoStore for DistributedMemoDb {
         self.inner.note_fingerprint(op, loc, fp);
     }
 
-    fn query_with_key(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        origin: Provenance,
-    ) -> QueryOutcome {
-        self.fault_tick(None);
-        if let Some((fault, node)) = self.owner_down(op, loc) {
-            // The owner is down: the access degrades to a deterministic
-            // miss (the caller recomputes — always correct) unless the
-            // serving entry is replicated locally.
-            let saved = match self.inner.probe_with_key(op, loc, input, &key, origin) {
-                ProbeOutcome::Hit { entry, .. } => fault.replica_ids.read().contains(&entry),
-                _ => false,
-            };
-            if !saved {
-                fault.degraded_accesses.fetch_add(1, Ordering::Relaxed);
-                self.inner.commit_miss(op, loc);
-                {
-                    let mut net = self.net.lock();
-                    net.misses[node] += 1;
-                }
-                self.fault_tick(Some(false));
-                return QueryOutcome::Miss { key };
-            }
-            fault.replica_saved_hits.fetch_add(1, Ordering::Relaxed);
-            // Fall through: the replica serves the hit.
-        }
-        let outcome = self.inner.query_with_key(op, loc, input, key, origin);
-        self.fault_tick(Some(matches!(&outcome, QueryOutcome::Hit { .. })));
-        match &outcome {
-            QueryOutcome::Hit { key, .. } => {
-                // The simple query path does not surface the serving entry's
-                // id; recover it with a pure probe (no counters touched) so
-                // the replica set sees this hit too. The probe runs after the
-                // query committed, so the entry is resident.
-                if let ProbeOutcome::Hit { entry, .. } =
-                    self.inner.probe_with_key(op, loc, input, key, origin)
-                {
-                    let meta = self.inner.entry_meta(op, loc, entry);
-                    self.charge_hit(op, loc, entry, meta);
-                } else {
-                    self.charge_hit(op, loc, u64::MAX, None);
-                }
-            }
-            QueryOutcome::Miss { .. } => self.charge_miss(op, loc),
-        }
-        outcome
-    }
-
     fn probe_with_key(
         &self,
         op: FftOpKind,
@@ -965,6 +913,10 @@ impl MemoStore for DistributedMemoDb {
         self.inner.epoch()
     }
 
+    fn pressure(&self) -> f64 {
+        self.inner.pressure()
+    }
+
     fn stats(&self) -> StoreStats {
         self.inner.stats()
     }
@@ -981,41 +933,17 @@ impl MemoStore for DistributedMemoDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::EncoderConfig;
-    use crate::eviction::recompute_cost_estimate;
-
-    fn tiny_encoder_config() -> EncoderConfig {
-        EncoderConfig {
-            input_grid: 8,
-            conv1_filters: 2,
-            conv2_filters: 4,
-            embedding_dim: 8,
-            learning_rate: 1e-3,
-        }
-    }
+    use crate::testutil::{chunk, lookup_or_insert, store};
 
     fn sharded(shards: usize) -> Arc<ShardedMemoDb> {
-        Arc::new(ShardedMemoDb::with_shards(
-            MemoDbConfig {
-                tau: 0.9,
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-            shards,
-        ))
+        let config = MemoDbConfig {
+            tau: 0.9,
+            ..Default::default()
+        };
+        Arc::new(store(config, shards))
     }
 
-    fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / n as f64;
-                Complex64::new(scale * (5.0 * t + phase).sin(), scale * (3.0 * t).cos())
-            })
-            .collect()
-    }
-
-    /// Drives `rounds` rounds of query-or-insert over 8 locations and
+    /// Drives `rounds` rounds of lookup-or-insert over 8 locations and
     /// returns the hit/miss sequence.
     fn run_schedule(store: &dyn MemoStore, rounds: usize) -> Vec<bool> {
         run_rounds(store, 0..rounds)
@@ -1030,24 +958,16 @@ mod tests {
             store.advance_epoch();
             for loc in 0..8usize {
                 let input = chunk(1.0 + loc as f64, 0.1 * loc as f64, 128);
-                let key = store.encode(&input);
                 let origin = Provenance::solo(round + 1);
-                match store.query_with_key(FftOpKind::Fu2D, loc, &input, key, origin) {
-                    QueryOutcome::Hit { .. } => outcomes.push(true),
-                    QueryOutcome::Miss { key } => {
-                        outcomes.push(false);
-                        let cost = recompute_cost_estimate(FftOpKind::Fu2D, input.len());
-                        store.insert(
-                            FftOpKind::Fu2D,
-                            loc,
-                            &input,
-                            key,
-                            chunk(2.0, 0.5, 32),
-                            origin,
-                            cost,
-                        );
-                    }
-                }
+                let output = chunk(2.0, 0.5, 32);
+                outcomes.push(lookup_or_insert(
+                    store,
+                    FftOpKind::Fu2D,
+                    loc,
+                    &input,
+                    output,
+                    origin,
+                ));
             }
         }
         outcomes
@@ -1123,10 +1043,12 @@ mod tests {
         assert!(warm[8..].iter().all(|&h| h), "warm-up must end hitting");
         let resident_before = inner.len();
         assert!(resident_before > 0);
-        // One node owns everything; crash it for the next round and restart
-        // it far enough out that the purge lands mid-schedule.
+        // One node owns everything; crash it for the whole next round. A
+        // degraded miss costs two ticks (commit + insert), so the restart at
+        // t + 15 is applied by the round's last insert — after its last
+        // probe, which therefore still sees the node down.
         let t = inner.current_tick();
-        let plan = FaultPlan::new(3).crash_window(0, t, t + 12);
+        let plan = FaultPlan::new(3).crash_window(0, t, t + 15);
         let store = DistributedMemoDb::with_faults(inner, NodeTopology::with_nodes(1), plan);
         assert!(!store.node_health().is_up(0), "crash window must be open");
         let during = run_rounds(&store, 2..3);

@@ -16,14 +16,15 @@
 
 use crate::cache::{CacheKind, MemoCache};
 use crate::coalesce::{KeyCoalescer, PendingKey};
-use crate::db::{MemoDatabase, MemoDbConfig, QueryOutcome};
+use crate::db::MemoDbConfig;
 use crate::encoder::EncoderConfig;
 use crate::eviction::{recompute_cost_estimate, CapacityBudget, EvictionPolicyKind};
 use crate::fingerprint::ChunkFingerprint;
 use crate::parallel::{ConcurrencyGovernor, ParallelStats};
+use crate::sharded::ShardedMemoDb;
 use crate::similarity::SimilarityTracker;
 use crate::stats::{MemoCase, MemoStats, OpStatsTable};
-use crate::store::{JobId, LocalMemoStore, MemoStore, ProbeOutcome, Provenance};
+use crate::store::{JobId, MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::Complex64;
 use mlr_telemetry::{CounterId, CounterTable, SpanKind, StageId, StageTable, Telemetry};
@@ -128,12 +129,12 @@ impl Default for MemoConfig {
 
 /// Per-executor mutable state behind one lock: the key coalescer,
 /// statistics and similarity tracker are private to one job and only
-/// touched during the *ordered commit* phase (or the sequential
-/// single-chunk path), so a single mutex suffices without ever serializing
-/// chunk compute. The compute-node cache lives outside this lock, behind a
-/// read-write lock, because the parallel phase peeks it concurrently. The
-/// memoization database itself lives behind the [`MemoStore`] seam, so
-/// several executors can share one store concurrently.
+/// touched during the *ordered commit* phase, so a single mutex suffices
+/// without ever serializing chunk compute. The compute-node cache lives
+/// outside this lock, behind a read-write lock, because the parallel phase
+/// peeks it concurrently. The memoization database itself lives behind the
+/// [`MemoStore`] seam, so several executors can share one store
+/// concurrently.
 struct EngineState {
     coalescer: KeyCoalescer,
     /// Fixed-arity `Copy` counter table: `stats()` snapshots it with one
@@ -162,11 +163,15 @@ enum ProbeCase {
         /// TTL-expired candidate to reclaim during the commit.
         expired: Option<u64>,
     },
-    /// The norm prefilter found no τ-band fingerprint neighbor: the exact
-    /// transform was computed without encoding, peeking, or probing.
-    Prefiltered {
+    /// No key was encoded and no query issued; the exact transform was
+    /// computed directly. `case` says why: [`MemoCase::Computed`] when
+    /// memoization does not apply to the dispatch (disabled, uniform FFT,
+    /// warm-up), [`MemoCase::Prefiltered`] when the norm prefilter found no
+    /// τ-band fingerprint neighbor.
+    Bypassed {
         output: Vec<Complex64>,
         compute_seconds: f64,
+        case: MemoCase,
     },
 }
 
@@ -192,6 +197,22 @@ struct ChunkScratch {
     /// kernel's thread-local accumulator on the probing thread).
     quantize_ns: u64,
 }
+
+/// What one dispatch — an operator batch, or `execute`'s single chunk —
+/// fixes before its parallel phase, read by both phases.
+struct Dispatch {
+    iteration: usize,
+    /// Memoization applies: the operation is memoizable and warm-up is over.
+    memoize: bool,
+    prefilter_on: bool,
+    tel_on: bool,
+    origin: Provenance,
+}
+
+/// One chunk as both phases see it: location, input, exact compute. Generic
+/// over the compute closure so `execute` (whose closure is not `Sync` and
+/// therefore cannot ride in a `ChunkRequest`) shares the batch path's code.
+type Task<'a, F> = (usize, &'a [Complex64], &'a F);
 
 /// The memoized FFT executor.
 pub struct MemoizedExecutor {
@@ -224,8 +245,8 @@ pub struct MemoizedExecutor {
 }
 
 impl MemoizedExecutor {
-    /// Creates an executor with the given configuration, database
-    /// configuration, and encoder, backed by a private single-tenant store.
+    /// Creates an executor with the given configuration and encoder, backed
+    /// by a private store: a one-shard [`ShardedMemoDb`].
     pub fn new(config: MemoConfig, encoder_config: EncoderConfig, seed: u64) -> Self {
         let db_config = MemoDbConfig {
             tau: config.tau,
@@ -233,14 +254,8 @@ impl MemoizedExecutor {
             eviction: config.eviction,
             ..Default::default()
         };
-        let db = MemoDatabase::new(db_config, encoder_config, seed);
-        Self::with_database(config, db)
-    }
-
-    /// Creates an executor around an existing database (e.g. with a
-    /// pre-trained encoder).
-    pub fn with_database(config: MemoConfig, db: MemoDatabase) -> Self {
-        Self::with_store(config, Arc::new(LocalMemoStore::new(db)), 0)
+        let store = ShardedMemoDb::with_shards(db_config, encoder_config, seed, 1);
+        Self::with_store(config, Arc::new(store), 0)
     }
 
     /// Creates an executor on top of a (possibly shared) memo store, on
@@ -421,25 +436,14 @@ impl MemoizedExecutor {
         self.config.enabled && (!self.config.usfft_only || kind.is_unequally_spaced())
     }
 
-    /// Runs `f(0..n)` across the configured chunk threads (leasing extras
-    /// from the governor, best-effort) and returns the results in index
-    /// order plus the `(requested, used)` thread counts. The index space is
-    /// split into contiguous blocks — the same deterministic partition the
-    /// modeled schedule assumes — and since `f` is pure with respect to the
-    /// commit-ordered state, the output is identical for every thread count.
-    fn map_chunks<T: Send>(
-        &self,
-        n: usize,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> (Vec<T>, usize, usize) {
-        self.map_chunk_blocks(n, |range| range.map(&f).collect())
-    }
-
-    /// Like [`Self::map_chunks`], but hands each worker its whole contiguous
-    /// index block at once, so per-block work (batched key encoding, one
-    /// store lock per block) can be amortized. The partition is the same
-    /// deterministic contiguous split for any given thread count, and block
-    /// results are concatenated in index order.
+    /// Runs `f` over `0..n` across the configured chunk threads (leasing
+    /// extras from the governor, best-effort) and returns the results in
+    /// index order plus the `(requested, used)` thread counts. Each worker
+    /// gets one contiguous index block — the same deterministic partition
+    /// the modeled schedule assumes — so per-block work (batched key
+    /// encoding, one encoder lease per block) is amortized; since `f` is
+    /// pure with respect to the commit-ordered state, the concatenated
+    /// output is identical for every thread count.
     fn map_chunk_blocks<T: Send>(
         &self,
         n: usize,
@@ -490,382 +494,188 @@ impl MemoizedExecutor {
         (out, requested, used)
     }
 
-    /// Folds one batch dispatch into the parallel statistics: thread
-    /// accounting, measured times, and the deterministic modeled schedule
-    /// (analytic per-chunk recompute cost over contiguous blocks at the
-    /// *requested* thread count — the governor's grant varies with machine
-    /// load, the model must not).
+    /// Folds one dispatch into the parallel statistics: thread accounting,
+    /// measured times, and the deterministic modeled schedule (analytic
+    /// per-chunk recompute cost over contiguous blocks at the *requested*
+    /// thread count — the governor's grant varies with machine load, the
+    /// model must not).
     fn note_batch(
         state: &mut EngineState,
-        kind: FftOpKind,
-        batch: &[ChunkRequest<'_>],
-        requested: usize,
-        used: usize,
+        costs: &[f64],
+        (requested, used): (usize, usize),
         chunk_seconds: f64,
         phase_seconds: f64,
     ) {
         let p = &mut state.parallel;
         p.batches += 1;
-        p.chunks += batch.len() as u64;
+        p.chunks += costs.len() as u64;
         p.threads_requested += requested as u64;
         p.threads_granted += used as u64;
         p.chunk_seconds += chunk_seconds;
         p.phase_seconds += phase_seconds;
-        let costs: Vec<f64> = batch
-            .iter()
-            .map(|t| recompute_cost_estimate(kind, t.input.len()))
-            .collect();
         p.modeled_serial_cost += costs.iter().sum::<f64>();
-        let workers = requested.min(batch.len()).max(1);
-        let block = batch.len().div_ceil(workers);
+        let workers = requested.min(costs.len()).max(1);
+        let block = costs.len().div_ceil(workers);
         let critical = costs
             .chunks(block)
             .map(|b| b.iter().sum::<f64>())
             .fold(0.0f64, f64::max);
         p.modeled_critical_cost += critical;
     }
-}
 
-impl FftExecutor for MemoizedExecutor {
-    fn begin_iteration(&self, iteration: usize) {
-        MemoizedExecutor::begin_iteration(self, iteration);
-    }
-
-    fn finish(&self) {
-        MemoizedExecutor::finish(self);
-    }
-
-    fn execute(
-        &self,
-        kind: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>,
-    ) -> Vec<Complex64> {
-        let in_warmup = self.state.lock().iteration < self.config.warmup_iterations;
-        if !self.should_memoize(kind) || in_warmup {
-            let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-            let out = compute(input);
-            let mut state = self.state.lock();
-            state.stats.record(kind, MemoCase::Computed);
-            state
-                .stats
-                .add_compute_time(kind, start.elapsed().as_secs_f64());
-            return out;
-        }
-
-        let mut state = self.state.lock();
-        let iteration = state.iteration;
-        if self.config.track_similarity {
-            state.similarity.record(loc, iteration, input);
-        }
-
-        // 0. Norm prefilter: an O(n) fingerprint consulted against the
-        //    scope's doorkeeper history. No τ-band neighbor ⇒ the raw gate
-        //    cannot pass ⇒ skip encode/peek/probe and compute exactly. The
-        //    fingerprint is noted either way, so a repeating chunk is
-        //    admitted (and inserted) on its second sighting.
-        if self.config.prefilter && self.store.config().gate_on_raw {
-            let fp = ChunkFingerprint::compute(input);
-            let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
-            self.store.note_fingerprint(kind, loc, fp);
-            if !admitted {
-                drop(state);
-                let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                let out = compute(input);
-                let elapsed = start.elapsed().as_secs_f64();
-                let mut state = self.state.lock();
-                state.stats.record(kind, MemoCase::Prefiltered);
-                state.stats.add_compute_time(kind, elapsed);
-                return out;
-            }
-        }
-
-        // 1. Encode the key once (through the store, so every tenant of a
-        //    shared store uses the same encoder).
-        let key = self.store.encode(input);
-        state.stats.add_encoded_key(kind);
-
-        // 2. Compute-node cache.
-        if self.config.use_cache {
-            if let Some(value) =
-                self.cache
-                    .write()
-                    .lookup(kind, loc, &key, self.config.tau, iteration)
-            {
-                state.stats.record(kind, MemoCase::CacheHit);
-                // The payload copy into the caller's Vec happens outside the
-                // state lock (the batch path avoids even that copy by
-                // memcpying into the operator's grid buffer directly).
-                drop(state);
-                return value.as_ref().to_vec();
-            }
-        }
-
-        // 3. Key coalescing: the query key travels to the memory node as part
-        //    of a batch (borrowed — the coalescer never clones it). The batch
-        //    boundary only affects *when* bytes cross the wire (accounted in
-        //    the stats), not the query result.
-        if let Some(batch) = state.coalescer.submit(kind, loc, &key) {
-            Self::account_flush(&mut state.stats, &batch);
-        }
-        // Otherwise buffered; bytes accounted when the batch flushes.
-
-        // 4. Query the memoization database.
-        let origin = Provenance {
-            job: self.job,
-            iteration,
-        };
-        match self.store.query_with_key(kind, loc, input, key, origin) {
-            QueryOutcome::Hit { value, key, .. } => {
-                state.stats.record(kind, MemoCase::DbHit);
-                state
-                    .stats
-                    .add_remote_bytes(kind, (value.len() * 16) as u64);
-                drop(state);
-                if self.config.use_cache {
-                    self.cache
-                        .write()
-                        .insert(kind, loc, key, value.clone(), iteration);
-                }
-                value.as_ref().to_vec()
-            }
-            QueryOutcome::Miss { key } => {
-                // 5. Compute exactly and insert (the insertion itself is
-                //    overlapped with the next chunk's compute in the real
-                //    system; here only its bytes are accounted).
-                drop(state);
-                let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                let out = compute(input);
-                let elapsed = start.elapsed().as_secs_f64();
-                let mut state = self.state.lock();
-                state.stats.record(kind, MemoCase::FailedMemo);
-                state.stats.add_compute_time(kind, elapsed);
-                state.stats.add_remote_bytes(kind, (out.len() * 16) as u64);
-                let origin = Provenance {
-                    job: self.job,
-                    iteration: state.iteration,
-                };
-                drop(state);
-                // Price the entry with the deterministic analytic cost model
-                // (the OpStats wall-clock timings corroborate its per-op
-                // ratios but would make eviction irreproducible).
-                let cost = recompute_cost_estimate(kind, input.len());
-                self.store
-                    .insert(kind, loc, input, key, out.clone(), origin, cost);
-                out
-            }
-        }
-    }
-
-    /// The deterministic two-phase chunk-parallel schedule.
-    ///
-    /// **Phase 1 (parallel):** every chunk independently encodes its key,
-    /// peeks the compute-node cache (read-only), probes the database
-    /// (read-only) and — on a miss — computes the exact transform. All of
-    /// this runs against the store/cache state *frozen at the start of the
-    /// application*, so the phase is order-independent. Inserts from this
-    /// application only become visible at the next one, which loses nothing:
-    /// the provenance freshness gate already makes same-job entries of the
-    /// current iteration ineligible.
-    ///
-    /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
-    /// effect — statistics, similarity tracking, key coalescing, cache
-    /// updates, store hit/miss bookkeeping (logical ticks!) and inserts with
-    /// their eviction enforcement. Commit order never depends on the thread
-    /// schedule, so the reconstruction (and the eviction trace) is
-    /// bit-identical for every `intra_job_threads`.
-    fn execute_batch_into(
-        &self,
-        kind: FftOpKind,
-        batch: &[ChunkRequest<'_>],
-        outputs: &mut [&mut [Complex64]],
-    ) {
-        assert_eq!(batch.len(), outputs.len(), "batch/output arity mismatch");
-        if batch.is_empty() {
-            return;
-        }
+    /// Freezes what a dispatch of `kind` needs before its parallel phase.
+    fn dispatch(&self, kind: FftOpKind) -> Dispatch {
         let iteration = self.state.lock().iteration;
-        let in_warmup = iteration < self.config.warmup_iterations;
+        let memoize = self.should_memoize(kind) && iteration >= self.config.warmup_iterations;
         let tel_on = self.telemetry.is_enabled();
-        if !self.should_memoize(kind) || in_warmup {
-            // Non-memoized stage: parallel exact compute, ordered stats fold.
-            let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
-            let (results, requested, used) = self.map_chunks(batch.len(), |i| {
-                let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                let out = (batch[i].compute)(batch[i].input);
-                (out, start.elapsed().as_secs_f64())
-            });
-            let phase_seconds = phase_start.elapsed().as_secs_f64();
-            let mut state = self.state.lock();
-            let mut chunk_seconds = 0.0;
-            let mut stage_scratch = StageTable::new();
-            for ((out, seconds), slot) in results.into_iter().zip(outputs.iter_mut()) {
-                state.stats.record(kind, MemoCase::Computed);
-                state.stats.add_compute_time(kind, seconds);
-                chunk_seconds += seconds;
-                slot.copy_from_slice(&out);
-                if tel_on {
-                    stage_scratch.record(StageId::MissFft, (seconds * 1e9) as u64);
-                }
-            }
-            Self::note_batch(
-                &mut state,
-                kind,
-                batch,
-                requested,
-                used,
-                chunk_seconds,
-                phase_seconds,
-            );
-            if tel_on {
-                drop(state);
-                let mut counter_scratch = CounterTable::new();
-                counter_scratch.add(CounterId::OperatorBatches, 1);
-                counter_scratch.add(CounterId::ChunksCommitted, batch.len() as u64);
-                counter_scratch.add(CounterId::ComputedChunks, batch.len() as u64);
-                self.telemetry.fold_counters(&counter_scratch);
-                self.telemetry.fold_stages(&stage_scratch);
-                self.telemetry
-                    .span(self.job, SpanKind::Operator, batch.len() as u64);
-            }
-            return;
+        if memoize {
+            // The ANN kernel's fixed-point shortlist times itself into a
+            // thread-local accumulator, drained per chunk on the probing
+            // thread.
+            crate::ann::set_quantize_timing(tel_on);
         }
-
-        let origin = Provenance {
-            job: self.job,
+        Dispatch {
             iteration,
+            memoize,
+            prefilter_on: self.config.prefilter && self.store.config().gate_on_raw,
+            tel_on,
+            origin: Provenance {
+                job: self.job,
+                iteration,
+            },
+        }
+    }
+
+    /// **Phase 1 (parallel)** for the contiguous block `range` of a
+    /// dispatch: every chunk independently takes its fingerprint, encodes
+    /// its key, peeks the compute-node cache (read-only), probes the
+    /// database (read-only) and — on a miss — computes the exact transform.
+    /// All of this runs against the store/cache state *frozen at the start
+    /// of the application*, so the phase is order-independent. Inserts from
+    /// this application only become visible at the next one, which loses
+    /// nothing: the provenance freshness gate already makes same-job entries
+    /// of the current iteration ineligible.
+    fn probe_block<'a, F>(
+        &self,
+        kind: FftOpKind,
+        d: &Dispatch,
+        range: std::ops::Range<usize>,
+        task: &impl Fn(usize) -> Task<'a, F>,
+    ) -> Vec<ChunkScratch>
+    where
+        F: Fn(&[Complex64]) -> Vec<Complex64> + ?Sized + 'a,
+    {
+        let tel_on = d.tel_on;
+        let stage_ns_of = |seconds: f64| if tel_on { (seconds * 1e9) as u64 } else { 0 };
+        // A chunk computed exactly with no key, cache or store involvement.
+        let bypassed = |case, fingerprint, pre_seconds: f64, i: usize| {
+            let (_, input, compute) = task(i);
+            let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
+            let output = compute(input);
+            let compute_seconds = compute_start.elapsed().as_secs_f64();
+            ChunkScratch {
+                key: Vec::new(),
+                case: ProbeCase::Bypassed {
+                    output,
+                    compute_seconds,
+                    case,
+                },
+                fingerprint,
+                cache_checked: false,
+                cache_comparisons: 0,
+                seconds: pre_seconds + compute_seconds,
+                encode_ns: 0,
+                peek_ns: 0,
+                probe_ns: 0,
+                prefilter_ns: stage_ns_of(pre_seconds),
+                quantize_ns: 0,
+            }
         };
-
-        let prefilter_on = self.config.prefilter && self.store.config().gate_on_raw;
-        // The ANN kernel's fixed-point shortlist times itself into a
-        // thread-local accumulator, drained per chunk on the probing thread.
-        crate::ann::set_quantize_timing(tel_on);
-
-        // ------------------------------------------------- phase 1: parallel
-        let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
-        let (scratch, requested, used) = self.map_chunk_blocks(batch.len(), |range| {
-            let mut out: Vec<ChunkScratch> = Vec::with_capacity(range.len());
-            // Pass A: fingerprint + doorkeeper decision per chunk, read-only
-            // against the history frozen at the start of the application
-            // (notes happen at ordered commit, so the decisions are
-            // independent of the thread schedule).
-            let mut pre: Vec<(Option<ChunkFingerprint>, bool, f64)> =
-                Vec::with_capacity(range.len());
-            for i in range.clone() {
-                let task = &batch[i];
-                let t = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                let (fp, admitted) = if prefilter_on {
-                    let fp = ChunkFingerprint::compute(task.input);
-                    let admitted = self.store.has_fingerprint_neighbor(kind, task.loc, &fp);
-                    (Some(fp), admitted)
-                } else {
-                    (None, true)
-                };
-                pre.push((fp, admitted, t.elapsed().as_secs_f64()));
-            }
-            // Pass B: one batched encode for the block's admitted chunks —
-            // one store lock and one encoder scratch for the whole block
-            // instead of one per chunk.
-            let admitted_inputs: Vec<&[Complex64]> = range
-                .clone()
-                .zip(&pre)
-                .filter(|(_, (_, admitted, _))| *admitted)
-                .map(|(i, _)| batch[i].input)
+        if !d.memoize {
+            return range
+                .map(|i| bypassed(MemoCase::Computed, None, 0.0, i))
                 .collect();
-            let encode_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: encode timing feeds telemetry
-            let mut keys = if admitted_inputs.is_empty() {
-                Vec::new()
+        }
+        let mut out: Vec<ChunkScratch> = Vec::with_capacity(range.len());
+        // Pass A: fingerprint + doorkeeper decision per chunk, read-only
+        // against the history frozen at the start of the application
+        // (notes happen at ordered commit, so the decisions are
+        // independent of the thread schedule).
+        let mut pre: Vec<(Option<ChunkFingerprint>, bool, f64)> = Vec::with_capacity(range.len());
+        for i in range.clone() {
+            let (loc, input, _) = task(i);
+            let t = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
+            let (fp, admitted) = if d.prefilter_on {
+                let fp = ChunkFingerprint::compute(input);
+                let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
+                (Some(fp), admitted)
             } else {
-                self.store.encode_batch(&admitted_inputs)
+                (None, true)
+            };
+            pre.push((fp, admitted, t.elapsed().as_secs_f64()));
+        }
+        // Pass B: one batched encode for the block's admitted chunks —
+        // one encoder lease and one encoder scratch for the whole block
+        // instead of one per chunk.
+        let admitted_inputs: Vec<&[Complex64]> = range
+            .clone()
+            .zip(&pre)
+            .filter(|(_, (_, admitted, _))| *admitted)
+            .map(|(i, _)| task(i).1)
+            .collect();
+        let encode_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: encode timing feeds telemetry
+        let mut keys = if admitted_inputs.is_empty() {
+            Vec::new()
+        } else {
+            self.store.encode_batch(&admitted_inputs)
+        }
+        .into_iter();
+        let encode_seconds = encode_start.elapsed().as_secs_f64();
+        let n_admitted = admitted_inputs.len().max(1) as u64;
+        // Per-chunk attribution of the block encode: even shares, the
+        // integer remainder going to the first admitted chunk so the
+        // stage-sum invariant loses nothing to rounding.
+        let encode_share = encode_seconds / n_admitted as f64;
+        let encode_total_ns = (encode_seconds * 1e9) as u64;
+        let encode_share_ns = encode_total_ns / n_admitted;
+        let mut encode_rem_ns = encode_total_ns % n_admitted;
+        // Pass C: cache peek, database probe, and exact compute on miss.
+        for (i, (fp, admitted, pre_seconds)) in range.zip(pre) {
+            if !admitted {
+                out.push(bypassed(MemoCase::Prefiltered, fp, pre_seconds, i));
+                continue;
             }
-            .into_iter();
-            let encode_seconds = encode_start.elapsed().as_secs_f64();
-            let n_admitted = admitted_inputs.len().max(1) as u64;
-            // Per-chunk attribution of the block encode: even shares, the
-            // integer remainder going to the first admitted chunk so the
-            // stage-sum invariant loses nothing to rounding.
-            let encode_share = encode_seconds / n_admitted as f64;
-            let encode_total_ns = (encode_seconds * 1e9) as u64;
-            let encode_share_ns = encode_total_ns / n_admitted;
-            let mut encode_rem_ns = encode_total_ns % n_admitted;
-            // Pass C: cache peek, database probe, and exact compute on miss.
-            for (i, (fp, admitted, pre_seconds)) in range.clone().zip(pre) {
-                let task = &batch[i];
-                let prefilter_ns = if tel_on && prefilter_on {
-                    (pre_seconds * 1e9) as u64
-                } else {
-                    0
-                };
-                if !admitted {
-                    let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                    let output = (task.compute)(task.input);
-                    let compute_seconds = compute_start.elapsed().as_secs_f64();
-                    out.push(ChunkScratch {
-                        key: Vec::new(),
-                        case: ProbeCase::Prefiltered {
-                            output,
-                            compute_seconds,
-                        },
-                        fingerprint: fp,
-                        cache_checked: false,
-                        cache_comparisons: 0,
-                        seconds: pre_seconds + compute_seconds,
-                        encode_ns: 0,
-                        peek_ns: 0,
-                        probe_ns: 0,
-                        prefilter_ns,
-                        quantize_ns: 0,
-                    });
-                    continue;
-                }
-                let key = keys.next().expect("one key per admitted chunk"); // mlr-check: allow(unwrap-expect) — invariant: encode_batch returns one key per admitted chunk
-                let encode_ns = if tel_on {
-                    encode_share_ns + std::mem::take(&mut encode_rem_ns)
-                } else {
-                    0
-                };
-                let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                let mut cache_checked = false;
-                let mut cache_comparisons = 0;
-                let mut peek_ns = 0;
-                if self.config.use_cache {
-                    cache_checked = true;
-                    let peek_clock = stage_clock(tel_on);
-                    let (found, comparisons) =
-                        self.cache
-                            .read()
-                            .peek(kind, task.loc, &key, self.config.tau, iteration);
-                    peek_ns = stage_ns(peek_clock);
-                    cache_comparisons = comparisons;
-                    if let Some(value) = found {
-                        out.push(ChunkScratch {
-                            key,
-                            case: ProbeCase::CacheHit { value },
-                            fingerprint: fp,
-                            cache_checked,
-                            cache_comparisons,
-                            seconds: pre_seconds + encode_share + start.elapsed().as_secs_f64(),
-                            encode_ns,
-                            peek_ns,
-                            probe_ns: 0,
-                            prefilter_ns,
-                            quantize_ns: 0,
-                        });
-                        continue;
-                    }
-                }
+            let (loc, input, compute) = task(i);
+            let key = keys.next().expect("one key per admitted chunk"); // mlr-check: allow(unwrap-expect) — invariant: encode_batch returns one key per admitted chunk
+            let encode_ns = if tel_on {
+                encode_share_ns + std::mem::take(&mut encode_rem_ns)
+            } else {
+                0
+            };
+            let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
+            let mut cache_comparisons = 0;
+            let mut peek_ns = 0;
+            let mut probe_ns = 0;
+            let mut quantize_ns = 0;
+            let mut cached = None;
+            if self.config.use_cache {
+                let peek_clock = stage_clock(tel_on);
+                (cached, cache_comparisons) =
+                    self.cache
+                        .read()
+                        .peek(kind, loc, &key, self.config.tau, d.iteration);
+                peek_ns = stage_ns(peek_clock);
+            }
+            let case = if let Some(value) = cached {
+                ProbeCase::CacheHit { value }
+            } else {
                 let probe_clock = stage_clock(tel_on);
-                let probe = self
-                    .store
-                    .probe_with_key(kind, task.loc, task.input, &key, origin);
-                let probe_ns = stage_ns(probe_clock);
-                let quantize_ns = if tel_on {
-                    crate::ann::take_quantize_ns()
-                } else {
-                    0
-                };
-                let case = match probe {
+                let probe = self.store.probe_with_key(kind, loc, input, &key, d.origin);
+                probe_ns = stage_ns(probe_clock);
+                if tel_on {
+                    quantize_ns = crate::ann::take_quantize_ns();
+                }
+                match probe {
                     ProbeOutcome::Hit {
                         value,
                         entry,
@@ -882,33 +692,59 @@ impl FftExecutor for MemoizedExecutor {
                             _ => None,
                         };
                         let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                        let output = (task.compute)(task.input);
+                        let output = compute(input);
                         ProbeCase::Computed {
                             output,
                             compute_seconds: compute_start.elapsed().as_secs_f64(),
                             expired,
                         }
                     }
-                };
-                out.push(ChunkScratch {
-                    key,
-                    case,
-                    fingerprint: fp,
-                    cache_checked,
-                    cache_comparisons,
-                    seconds: pre_seconds + encode_share + start.elapsed().as_secs_f64(),
-                    encode_ns,
-                    peek_ns,
-                    probe_ns,
-                    prefilter_ns,
-                    quantize_ns,
-                });
-            }
-            out
-        });
-        let phase_seconds = phase_start.elapsed().as_secs_f64();
+                }
+            };
+            out.push(ChunkScratch {
+                key,
+                case,
+                fingerprint: fp,
+                cache_checked: self.config.use_cache,
+                cache_comparisons,
+                seconds: pre_seconds + encode_share + start.elapsed().as_secs_f64(),
+                encode_ns,
+                peek_ns,
+                probe_ns,
+                prefilter_ns: stage_ns_of(pre_seconds),
+                quantize_ns,
+            });
+        }
+        out
+    }
 
-        // ------------------------------------------- phase 2: ordered commit
+    /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
+    /// effect of the `scratch` a dispatch's phase 1 produced — statistics,
+    /// similarity tracking, key coalescing, cache updates, store hit/miss
+    /// bookkeeping (logical ticks!) and inserts with their eviction
+    /// enforcement — and hand each chunk's result to `emit`. Commit order
+    /// never depends on the thread schedule, so the reconstruction (and the
+    /// eviction trace) is bit-identical for every `intra_job_threads`.
+    #[allow(clippy::too_many_arguments)]
+    fn commit<'a, F>(
+        &self,
+        kind: FftOpKind,
+        d: &Dispatch,
+        task: &impl Fn(usize) -> Task<'a, F>,
+        scratch: Vec<ChunkScratch>,
+        threads: (usize, usize),
+        phase_seconds: f64,
+        mut emit: impl FnMut(usize, &[Complex64]),
+    ) where
+        F: ?Sized + 'a,
+    {
+        let Dispatch {
+            iteration,
+            tel_on,
+            origin,
+            ..
+        } = *d;
+        let n = scratch.len();
         let mut state = self.state.lock();
         let mut chunk_seconds = 0.0;
         // Telemetry scratch lives on this stack frame (`Copy` tables, zero
@@ -917,37 +753,42 @@ impl FftExecutor for MemoizedExecutor {
         // allocation gate with telemetry enabled.
         let mut stage_scratch = StageTable::new();
         let mut counter_scratch = CounterTable::new();
-        for ((task, chunk), slot) in batch.iter().zip(scratch).zip(outputs.iter_mut()) {
+        let mut costs = Vec::with_capacity(n);
+        for (i, chunk) in scratch.into_iter().enumerate() {
+            let (loc, input, _) = task(i);
+            costs.push(recompute_cost_estimate(kind, input.len()));
             chunk_seconds += chunk.seconds;
-            if self.config.track_similarity {
-                state.similarity.record(task.loc, iteration, task.input);
+            if d.memoize && self.config.track_similarity {
+                state.similarity.record(loc, iteration, input);
             }
             // Doorkeeper bookkeeping happens in chunk-index order, like
             // every other side effect: every committed chunk's fingerprint
             // is noted, including prefiltered ones — a repeating chunk is
             // admitted (and inserted) on its second sighting.
             if let Some(fp) = chunk.fingerprint {
-                self.store.note_fingerprint(kind, task.loc, fp);
+                self.store.note_fingerprint(kind, loc, fp);
             }
-            let prefiltered = matches!(chunk.case, ProbeCase::Prefiltered { .. });
-            if !prefiltered {
+            let encoded = !matches!(chunk.case, ProbeCase::Bypassed { .. });
+            let cache_hit = matches!(chunk.case, ProbeCase::CacheHit { .. });
+            if encoded {
                 state.stats.add_encoded_key(kind);
             }
             if chunk.cache_checked {
-                let hit = matches!(chunk.case, ProbeCase::CacheHit { .. });
-                self.cache.write().note_lookup(hit, chunk.cache_comparisons);
+                self.cache
+                    .write()
+                    .note_lookup(cache_hit, chunk.cache_comparisons);
             }
             if tel_on {
                 if chunk.fingerprint.is_some() {
                     stage_scratch.record(StageId::Prefilter, chunk.prefilter_ns);
                 }
-                if !prefiltered {
+                if encoded {
                     stage_scratch.record(StageId::Encode, chunk.encode_ns);
                 }
                 if chunk.cache_checked {
                     stage_scratch.record(StageId::CachePeek, chunk.peek_ns);
                 }
-                if !prefiltered && !matches!(chunk.case, ProbeCase::CacheHit { .. }) {
+                if encoded && !cache_hit {
                     // The quantize sub-stage is carved out of the probe so
                     // the stage set partitions hit-path time (no double
                     // counting in the stage-sum invariant).
@@ -964,7 +805,7 @@ impl FftExecutor for MemoizedExecutor {
                     // Zero-copy hit: one memcpy from the shared payload into
                     // the operator's grid window, no intermediate Vec.
                     let copy_clock = stage_clock(tel_on);
-                    slot.copy_from_slice(&value);
+                    emit(i, &value);
                     if tel_on {
                         stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
                         counter_scratch.add(CounterId::CacheHitChunks, 1);
@@ -975,17 +816,22 @@ impl FftExecutor for MemoizedExecutor {
                     entry,
                     entry_origin,
                 } => {
-                    if let Some(flushed) = state.coalescer.submit(kind, task.loc, &chunk.key) {
+                    // Key coalescing: the query key travels to the memory
+                    // node as part of a batch (borrowed — the coalescer
+                    // never clones it). The batch boundary only affects
+                    // *when* bytes cross the wire (accounted in the stats),
+                    // not the query result.
+                    if let Some(flushed) = state.coalescer.submit(kind, loc, &chunk.key) {
                         Self::account_flush(&mut state.stats, &flushed);
                     }
                     self.store
-                        .commit_hit(kind, task.loc, entry, entry_origin, origin);
+                        .commit_hit(kind, loc, entry, entry_origin, origin);
                     state.stats.record(kind, MemoCase::DbHit);
                     state
                         .stats
                         .add_remote_bytes(kind, (value.len() * 16) as u64);
                     let copy_clock = stage_clock(tel_on);
-                    slot.copy_from_slice(&value);
+                    emit(i, &value);
                     if tel_on {
                         stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
                         counter_scratch.add(CounterId::DbHitChunks, 1);
@@ -995,7 +841,7 @@ impl FftExecutor for MemoizedExecutor {
                         // ownership of the already-encoded key — no clones.
                         self.cache
                             .write()
-                            .insert(kind, task.loc, chunk.key, value, iteration);
+                            .insert(kind, loc, chunk.key, value, iteration);
                     }
                 }
                 ProbeCase::Computed {
@@ -1003,66 +849,122 @@ impl FftExecutor for MemoizedExecutor {
                     compute_seconds,
                     expired,
                 } => {
-                    if let Some(flushed) = state.coalescer.submit(kind, task.loc, &chunk.key) {
+                    if let Some(flushed) = state.coalescer.submit(kind, loc, &chunk.key) {
                         Self::account_flush(&mut state.stats, &flushed);
                     }
                     if let Some(entry) = expired {
-                        self.store.reclaim_expired(kind, task.loc, entry);
+                        self.store.reclaim_expired(kind, loc, entry);
                     }
-                    self.store.commit_miss(kind, task.loc);
+                    self.store.commit_miss(kind, loc);
                     state.stats.record(kind, MemoCase::FailedMemo);
                     state.stats.add_compute_time(kind, compute_seconds);
                     state
                         .stats
                         .add_remote_bytes(kind, (output.len() * 16) as u64);
-                    slot.copy_from_slice(&output);
+                    emit(i, &output);
                     if tel_on {
                         stage_scratch.record(StageId::MissFft, (compute_seconds * 1e9) as u64);
                         counter_scratch.add(CounterId::ComputedChunks, 1);
                     }
-                    let cost = recompute_cost_estimate(kind, task.input.len());
+                    // Price the entry with the deterministic analytic cost
+                    // model (the OpStats wall-clock timings corroborate its
+                    // per-op ratios but would make eviction irreproducible).
                     // The computed Vec moves into the store (one conversion
                     // into the shared payload buffer, no extra clone).
                     self.store
-                        .insert(kind, task.loc, task.input, chunk.key, output, origin, cost);
+                        .insert(kind, loc, input, chunk.key, output, origin, costs[i]);
                 }
-                ProbeCase::Prefiltered {
+                ProbeCase::Bypassed {
                     output,
                     compute_seconds,
+                    case,
                 } => {
                     // No key traveled and no query was issued: nothing to
                     // coalesce, no store bookkeeping, no insert (there is no
-                    // key to insert under — the chunk's fingerprint was
-                    // noted above, so its next sighting takes the full
-                    // path and inserts).
-                    state.stats.record(kind, MemoCase::Prefiltered);
+                    // key to insert under — a prefiltered chunk's
+                    // fingerprint was noted above, so its next sighting
+                    // takes the full path and inserts).
+                    state.stats.record(kind, case);
                     state.stats.add_compute_time(kind, compute_seconds);
-                    slot.copy_from_slice(&output);
+                    emit(i, &output);
                     if tel_on {
                         stage_scratch.record(StageId::MissFft, (compute_seconds * 1e9) as u64);
-                        counter_scratch.add(CounterId::PrefilteredChunks, 1);
+                        let counter = match case {
+                            MemoCase::Prefiltered => CounterId::PrefilteredChunks,
+                            _ => CounterId::ComputedChunks,
+                        };
+                        counter_scratch.add(counter, 1);
                     }
                 }
             }
         }
-        Self::note_batch(
-            &mut state,
-            kind,
-            batch,
-            requested,
-            used,
-            chunk_seconds,
-            phase_seconds,
-        );
+        Self::note_batch(&mut state, &costs, threads, chunk_seconds, phase_seconds);
         if tel_on {
             drop(state);
             counter_scratch.add(CounterId::OperatorBatches, 1);
-            counter_scratch.add(CounterId::ChunksCommitted, batch.len() as u64);
+            counter_scratch.add(CounterId::ChunksCommitted, n as u64);
             self.telemetry.fold_counters(&counter_scratch);
             self.telemetry.fold_stages(&stage_scratch);
-            self.telemetry
-                .span(self.job, SpanKind::Operator, batch.len() as u64);
+            self.telemetry.span(self.job, SpanKind::Operator, n as u64);
         }
+    }
+}
+
+impl FftExecutor for MemoizedExecutor {
+    fn begin_iteration(&self, iteration: usize) {
+        MemoizedExecutor::begin_iteration(self, iteration);
+    }
+
+    fn finish(&self) {
+        MemoizedExecutor::finish(self);
+    }
+
+    /// The batch path applied to one chunk. `compute` is not `Sync`, so both
+    /// phases run on the calling thread instead of through the chunk
+    /// threads.
+    fn execute(
+        &self,
+        kind: FftOpKind,
+        loc: usize,
+        input: &[Complex64],
+        compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>,
+    ) -> Vec<Complex64> {
+        let d = self.dispatch(kind);
+        let task = |_| (loc, input, compute);
+        let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
+        let scratch = self.probe_block(kind, &d, 0..1, &task);
+        let phase_seconds = phase_start.elapsed().as_secs_f64();
+        let mut out = Vec::new();
+        self.commit(kind, &d, &task, scratch, (1, 1), phase_seconds, |_, v| {
+            out = v.to_vec()
+        });
+        out
+    }
+
+    /// The deterministic two-phase chunk-parallel schedule: phase 1
+    /// (`probe_block`) over contiguous blocks on the chunk threads, then one
+    /// phase 2 (`commit`) in chunk-index order.
+    fn execute_batch_into(
+        &self,
+        kind: FftOpKind,
+        batch: &[ChunkRequest<'_>],
+        outputs: &mut [&mut [Complex64]],
+    ) {
+        assert_eq!(batch.len(), outputs.len(), "batch/output arity mismatch");
+        if batch.is_empty() {
+            return;
+        }
+        let d = self.dispatch(kind);
+        let task = |i: usize| (batch[i].loc, batch[i].input, batch[i].compute);
+        let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
+        let (scratch, requested, used) = self.map_chunk_blocks(batch.len(), |range| {
+            self.probe_block(kind, &d, range, &task)
+        });
+        let phase_seconds = phase_start.elapsed().as_secs_f64();
+        let threads = (requested, used);
+        self.commit(kind, &d, &task, scratch, threads, phase_seconds, |i, v| {
+            outputs[i].copy_from_slice(v)
+        });
     }
 }
 

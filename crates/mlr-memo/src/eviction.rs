@@ -321,8 +321,7 @@ impl EvictionPolicy for CostAwarePolicy {
 
 /// Configuration-level policy selector (`Copy`, serialisable) carried in
 /// [`MemoDbConfig`](crate::db::MemoDbConfig). Custom policies plug in
-/// through [`MemoDatabase::with_policy`](crate::MemoDatabase::with_policy)
-/// / [`ShardedMemoDb::with_policy`](crate::ShardedMemoDb::with_policy).
+/// through [`ShardedMemoDb::with_policy`](crate::ShardedMemoDb::with_policy).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum EvictionPolicyKind {
     /// [`FifoPolicy`].
@@ -367,10 +366,9 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
 }
 
 /// The logical clocks of one store, shared by every stripe so tick, epoch
-/// and id assignment are identical whether the scopes live in one
-/// [`MemoDatabase`](crate::MemoDatabase) or are spread over the stripes of
-/// a [`ShardedMemoDb`](crate::ShardedMemoDb) — the property that makes
-/// eviction shard-layout-independent.
+/// and id assignment are identical however many stripes a
+/// [`ShardedMemoDb`](crate::ShardedMemoDb) spreads its scopes over — the
+/// property that makes eviction shard-layout-independent.
 #[derive(Debug, Default)]
 pub struct StoreClock {
     tick: AtomicU64,

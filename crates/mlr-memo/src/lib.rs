@@ -20,10 +20,10 @@
 //! * [`ann`] — the index database (§4.3.2): a from-scratch cluster-based
 //!   (IVF) approximate-nearest-neighbour index standing in for Faiss,
 //!   supporting dynamic insertion and batched queries.
-//! * [`kvstore`] — the value database: an in-memory sharded key-value store
-//!   standing in for Redis, with asynchronous insertion.
-//! * [`db`] — the memoization database combining encoder + index + values,
-//!   with the τ-thresholded query/insert protocol.
+//! * [`db`] — the database configuration ([`MemoDbConfig`]) and the
+//!   crate-private lock stripe: index database + value database (entries
+//!   hold their `Arc<[Complex64]>` payload, standing in for Redis) behind
+//!   the τ-thresholded probe/insert protocol.
 //! * [`cache`] — the compute-node memoization cache (§4.4): a one-entry FIFO
 //!   cache *private to each chunk location*, compared against a global cache.
 //! * [`coalesce`] — key coalescing (§4.3.3): queries are buffered until the
@@ -46,12 +46,17 @@
 //!   chunk-index order), so reconstructions are bit-identical for every
 //!   thread count.
 //! * [`similarity`] — the chunk-similarity tracker behind Figure 4.
-//! * [`store`] — the [`MemoStore`] seam: a thread-safe interface the
-//!   executor talks to, so the database behind it can be a private
-//!   [`MemoDatabase`] or a store shared by many concurrent jobs.
-//! * [`sharded`] — the [`ShardedMemoDb`], a lock-striped concurrent store
+//! * [`store`] — the [`MemoStore`] seam: the thread-safe interface the
+//!   executor talks to, with one access protocol — a read-only probe, then
+//!   an ordered commit (`commit_hit` / `commit_miss` / `reclaim_expired`,
+//!   and `insert` after a miss).
+//! * [`sharded`] — the [`ShardedMemoDb`], *the* store: lock-striped, with
+//!   one stripe when private to a standalone executor and sixteen when
 //!   serving several reconstruction jobs at once (the in-process analogue
 //!   of the paper's memory node under multi-job traffic).
+//! * [`distributed`] — the [`DistributedMemoDb`] memory-node tier wrapped
+//!   around a `ShardedMemoDb`: modeled link latency, per-node accounting,
+//!   replica promotion and fault injection, never different hits.
 
 #![warn(missing_docs)]
 
@@ -64,17 +69,18 @@ pub mod encoder;
 pub mod engine;
 pub mod eviction;
 pub mod fingerprint;
-pub mod kvstore;
 pub mod parallel;
 pub mod sharded;
 pub mod similarity;
 pub mod stats;
 pub mod store;
+#[cfg(test)]
+mod testutil;
 
 pub use ann::IvfIndex;
 pub use cache::{CacheKind, MemoCache};
 pub use coalesce::KeyCoalescer;
-pub use db::{MemoDatabase, MemoDbConfig, QueryOutcome};
+pub use db::MemoDbConfig;
 pub use distributed::{DistributedMemoDb, DistributedStats, FaultStats, NodeStats, NodeTopology};
 pub use encoder::{CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
@@ -83,9 +89,8 @@ pub use eviction::{
     EvictionPolicyKind, FifoPolicy, LruPolicy, StoreClock, TtlPolicy,
 };
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
-pub use kvstore::ValueStore;
 pub use parallel::{ConcurrencyGovernor, CoreLease, ParallelStats};
 pub use sharded::{ShardedMemoDb, ACCESS_OP_UNKNOWN, DEFAULT_SHARDS};
 pub use similarity::SimilarityTracker;
 pub use stats::{MemoCase, MemoStats, OpStats, OpStatsTable};
-pub use store::{JobId, LocalMemoStore, MemoStore, ProbeOutcome, Provenance, StoreStats};
+pub use store::{JobId, MemoStore, ProbeOutcome, Provenance, StoreStats};

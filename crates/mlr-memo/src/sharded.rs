@@ -1,10 +1,10 @@
 //! The sharded, lock-striped concurrent memoization store.
 //!
-//! [`ShardedMemoDb`] is the multi-tenant counterpart of
-//! [`MemoDatabase`]: one logical database whose
+//! [`ShardedMemoDb`] is the memoization store: one logical database whose
 //! index scopes are distributed over `N` shards, each behind its own
 //! `parking_lot` mutex, so concurrent reconstruction jobs contend only when
-//! they touch the *same* chunk neighbourhood. It is the in-process analogue
+//! they touch the *same* chunk neighbourhood (a standalone executor owns a
+//! one-shard instance). It is the in-process analogue
 //! of the paper's memory-node database (Figure 6) serving several compute
 //! jobs at once: entries inserted by job A are served to job B (tracked by
 //! the `cross_job_hits` counter), which is where a shared database beats
@@ -12,9 +12,9 @@
 //!
 //! Sharding is by index scope — `(operation, chunk location)` under the
 //! default per-location scoping, operation only under global scoping — so a
-//! scope never straddles shards and query semantics are *identical* to a
-//! single [`MemoDatabase`]: the same inserts produce the same hit/miss
-//! sequence regardless of the shard count (the per-scope ANN seeds are
+//! scope never straddles shards and query semantics are *identical* for
+//! every shard count: the same inserts produce the same hit/miss
+//! sequence with one stripe or sixteen (the per-scope ANN seeds are
 //! derived from the scope, not from insertion order, for exactly this
 //! reason). Key encoding goes through one shared encoder behind a `RwLock`
 //! (reads only, after optional training), so every tenant speaks the same
@@ -27,13 +27,13 @@
 //! minimum `(rank, id)` victim across all stripes under one eviction lock,
 //! so the resident footprint never exceeds the cap at any observable point
 //! and — because every stripe shares one [`StoreClock`] (op ticks, epochs,
-//! entry ids) — the evicted entries are exactly the ones a single
-//! `MemoDatabase` with the same budget would evict. Per-stripe caps
+//! entry ids) — the evicted entries are exactly the ones a one-shard
+//! store with the same budget would evict. Per-stripe caps
 //! (`stripe_max_*`) are additionally enforced inside each stripe. Published
 //! resident counters are only updated *after* enforcement, so external
 //! observers never see an over-budget store.
 
-use crate::db::{scope_seed, MemoDatabase, MemoDbConfig, QueryOutcome, PRESSURE_THRESHOLD};
+use crate::db::{scope_seed, MemoDatabase, MemoDbConfig};
 use crate::encoder::{CnnEncoder, EncoderConfig};
 use crate::eviction::{CapacityBudget, EvictionPolicy, StoreClock};
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
@@ -48,6 +48,10 @@ use std::sync::Arc;
 /// unknown at the record point (global eviction selects a victim by
 /// `(rank, id)` across stripes, without knowing which operator owns it).
 pub const ACCESS_OP_UNKNOWN: u8 = u8::MAX;
+
+/// A query counts as "under pressure" when the tightest global cap is at
+/// least this utilised — the regime the bounded-store hit rate is judged in.
+const PRESSURE_THRESHOLD: f64 = 0.95;
 
 /// Default number of lock stripes. Enough to keep eight-ish concurrent jobs
 /// off each other's locks without bloating small deployments.
@@ -127,17 +131,12 @@ impl ShardedMemoDb {
     ) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let clock = StoreClock::new();
-        // Every shard gets an encoder with the same seed so the whole store
-        // is one consistent key space; only the top-level encoder is ever
-        // used for encoding (the shards are driven exclusively through the
-        // pre-encoded-key entry points). Shards share the clock and policy
-        // so eviction is identical to a single unsharded database.
+        // Stripes share the clock and policy, so eviction is independent of
+        // the shard count.
         let shard_dbs = (0..shards)
             .map(|_| {
                 Mutex::new(MemoDatabase::stripe(
                     config,
-                    encoder_config,
-                    seed,
                     Arc::clone(&clock),
                     Arc::clone(&policy),
                 ))
@@ -270,13 +269,7 @@ impl ShardedMemoDb {
     pub fn purge_stripe(&self, stripe: usize) -> Vec<u64> {
         let mut db = self.shards[stripe].lock();
         let ids = db.purge_all();
-        let (freed_bytes, freed_entries) = db.drain_freed();
-        if freed_bytes > 0 || freed_entries > 0 {
-            self.published_resident
-                .fetch_sub(freed_bytes as i64, Ordering::Relaxed);
-            self.published_entries
-                .fetch_sub(freed_entries as i64, Ordering::Relaxed);
-        }
+        self.publish_freed(&mut db);
         drop(db);
         for &id in &ids {
             self.trace_access(ACCESS_OP_UNKNOWN, stripe, id, AccessKind::Lost);
@@ -310,6 +303,21 @@ impl ShardedMemoDb {
         )
     }
 
+    /// Folds what `db` freed since its last drain into the published
+    /// counters and returns the freed `(bytes, entries)`. Called with the
+    /// stripe lock still held, so the subtraction cannot race an insert's
+    /// addition of the same entry.
+    fn publish_freed(&self, db: &mut MemoDatabase) -> (u64, u64) {
+        let (bytes, entries) = db.drain_freed();
+        if bytes > 0 || entries > 0 {
+            self.published_resident
+                .fetch_sub(bytes as i64, Ordering::Relaxed);
+            self.published_entries
+                .fetch_sub(entries as i64, Ordering::Relaxed);
+        }
+        (bytes, entries)
+    }
+
     /// Evicts store-wide minimum-`(rank, id)` victims until the global
     /// caps hold over the published totals plus the not-yet-published
     /// contribution of the insert being enforced. Caller must hold
@@ -328,8 +336,8 @@ impl ShardedMemoDb {
             if !budget.exceeded(bytes + pending_bytes, entries + pending_entries) {
                 break;
             }
-            // Store-wide victim: the same entry a single unsharded database
-            // would pick — minimum rank, ties on the smaller stable id.
+            // Store-wide victim: the same entry a one-shard store would
+            // pick — minimum rank, ties on the smaller stable id.
             let mut best: Option<(f64, u64, usize)> = None;
             for (i, shard) in self.shards.iter().enumerate() {
                 if let Some((rank, id)) = shard.lock().peek_victim(now_epoch) {
@@ -350,11 +358,7 @@ impl ShardedMemoDb {
                     self.policy.on_evict(rank);
                     let mut db = self.shards[shard_idx].lock();
                     db.evict_id(id);
-                    let (freed_bytes, freed_entries) = db.drain_freed();
-                    self.published_resident
-                        .fetch_sub(freed_bytes as i64, Ordering::Relaxed);
-                    self.published_entries
-                        .fetch_sub(freed_entries as i64, Ordering::Relaxed);
+                    self.publish_freed(&mut db);
                     drop(db);
                     self.trace_access(ACCESS_OP_UNKNOWN, shard_idx, id, AccessKind::Evict);
                 }
@@ -398,54 +402,6 @@ impl MemoStore for ShardedMemoDb {
         self.shard_for(op, loc).lock().note_fingerprint(op, loc, fp);
     }
 
-    fn query_with_key(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        origin: Provenance,
-    ) -> QueryOutcome {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let (published_bytes, published_entries) = self.published();
-        let under_pressure = self
-            .config
-            .budget
-            .pressure(published_bytes, published_entries)
-            >= PRESSURE_THRESHOLD;
-        if under_pressure {
-            self.pressure_queries.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut db = self.shard_for(op, loc).lock();
-        let outcome = db.query_with_key_from(op, loc, input, key, origin);
-        // A query can lazily reclaim an expired entry; fold the freed bytes
-        // into the published counters while the stripe lock is still held,
-        // so the subtraction cannot race an insert's addition of the same
-        // entry.
-        let (freed_bytes, freed_entries) = db.drain_freed();
-        if freed_bytes > 0 || freed_entries > 0 {
-            self.published_resident
-                .fetch_sub(freed_bytes as i64, Ordering::Relaxed);
-            self.published_entries
-                .fetch_sub(freed_entries as i64, Ordering::Relaxed);
-        }
-        drop(db);
-        if let QueryOutcome::Hit {
-            origin: entry_origin,
-            ..
-        } = &outcome
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if under_pressure {
-                self.pressure_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            if entry_origin.job != origin.job {
-                self.cross_job_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        outcome
-    }
-
     fn probe_with_key(
         &self,
         op: FftOpKind,
@@ -458,7 +414,7 @@ impl MemoStore for ShardedMemoDb {
         // no published-counter adjustments.
         self.shard_for(op, loc)
             .lock()
-            .probe_with_key_from(op, loc, input, key, origin)
+            .probe(op, loc, input, key, origin)
     }
 
     fn commit_hit(
@@ -470,13 +426,7 @@ impl MemoStore for ShardedMemoDb {
         origin: Provenance,
     ) {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let (published_bytes, published_entries) = self.published();
-        if self
-            .config
-            .budget
-            .pressure(published_bytes, published_entries)
-            >= PRESSURE_THRESHOLD
-        {
+        if self.pressure() >= PRESSURE_THRESHOLD {
             self.pressure_queries.fetch_add(1, Ordering::Relaxed);
             self.pressure_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -493,31 +443,19 @@ impl MemoStore for ShardedMemoDb {
 
     fn commit_miss(&self, op: FftOpKind, loc: usize) {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let (published_bytes, published_entries) = self.published();
-        if self
-            .config
-            .budget
-            .pressure(published_bytes, published_entries)
-            >= PRESSURE_THRESHOLD
-        {
+        if self.pressure() >= PRESSURE_THRESHOLD {
             self.pressure_queries.fetch_add(1, Ordering::Relaxed);
         }
-        let stripe = self.shard_index(op, loc);
-        self.shards[stripe].lock().commit_miss_query();
-        self.trace_access(op as u8, stripe, 0, AccessKind::Miss);
+        // A miss touches no entry: it only consumes its logical tick.
+        self.clock.next_tick();
+        self.trace_access(op as u8, self.shard_index(op, loc), 0, AccessKind::Miss);
     }
 
     fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64) {
         let stripe = self.shard_index(op, loc);
         let mut db = self.shards[stripe].lock();
         db.reclaim_expired(entry);
-        let (freed_bytes, freed_entries) = db.drain_freed();
-        if freed_bytes > 0 || freed_entries > 0 {
-            self.published_resident
-                .fetch_sub(freed_bytes as i64, Ordering::Relaxed);
-            self.published_entries
-                .fetch_sub(freed_entries as i64, Ordering::Relaxed);
-        }
+        self.publish_freed(&mut db);
         drop(db);
         self.trace_access(op as u8, stripe, entry, AccessKind::Expired);
     }
@@ -542,8 +480,8 @@ impl MemoStore for ShardedMemoDb {
         let stripe = self.shard_index(op, loc);
         let mut db = self.shards[stripe].lock();
         let before = (db.resident_bytes(), db.len() as u64);
-        let id = db.insert_from_with_cost(op, loc, input, key, output, origin, recompute_cost);
-        let (freed_bytes, freed_entries) = db.drain_freed();
+        let id = db.insert(op, loc, input, key, output, origin, recompute_cost);
+        let (freed_bytes, freed_entries) = self.publish_freed(&mut db);
         let after = (db.resident_bytes(), db.len() as u64);
         // Split the stripe's delta: what stripe-cap eviction reclaimed from
         // already-published entries is subtracted immediately (still under
@@ -552,12 +490,6 @@ impl MemoStore for ShardedMemoDb {
         // enforcement — observers never see an over-budget store.
         let new_bytes = after.0 + freed_bytes - before.0;
         let new_entries = after.1 + freed_entries - before.1;
-        if freed_bytes > 0 || freed_entries > 0 {
-            self.published_resident
-                .fetch_sub(freed_bytes as i64, Ordering::Relaxed);
-            self.published_entries
-                .fetch_sub(freed_entries as i64, Ordering::Relaxed);
-        }
         drop(db);
         if bounded {
             self.enforce_global(new_bytes, new_entries);
@@ -590,6 +522,13 @@ impl MemoStore for ShardedMemoDb {
 
     fn epoch(&self) -> u64 {
         self.clock.epoch()
+    }
+
+    fn pressure(&self) -> f64 {
+        // Lock-free: the same published counters the query-time pressure
+        // accounting reads, so admission checks never touch a stripe lock.
+        let (bytes, entries) = self.published();
+        self.config.budget.pressure(bytes, entries)
     }
 
     fn stats(&self) -> StoreStats {
@@ -627,13 +566,6 @@ impl MemoStore for ShardedMemoDb {
         let mut encoder = self.encoder.write();
         let loss = encoder.train_contrastive(samples, epochs);
         encoder.quantise_weights();
-        // Keep the shards' own encoders in lockstep: all store traffic goes
-        // through the pre-encoded-key entry points, but MemoDatabase's
-        // `encode`/`query` are public, and a shard answering with a stale
-        // (untrained) encoder would silently live in a different key space.
-        for shard in &self.shards {
-            *shard.lock().encoder_mut() = encoder.clone();
-        }
         loss
     }
 }
@@ -641,88 +573,48 @@ impl MemoStore for ShardedMemoDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::MemoDatabase;
-    use crate::encoder::EncoderConfig;
-    use crate::eviction::{recompute_cost_estimate, EvictionPolicyKind};
-    use crate::store::LocalMemoStore;
+    use crate::eviction::EvictionPolicyKind;
+    use crate::testutil::{chunk, fill, insert, lookup, lookup_or_insert, store};
+    use mlr_lamino::FftOpKind::{Fu1D, Fu2D, Fu2DAdj};
 
-    fn tiny_encoder_config() -> EncoderConfig {
-        EncoderConfig {
-            input_grid: 8,
-            conv1_filters: 2,
-            conv2_filters: 4,
-            embedding_dim: 8,
-            learning_rate: 1e-3,
+    fn config(budget: CapacityBudget, eviction: EvictionPolicyKind) -> MemoDbConfig {
+        MemoDbConfig {
+            tau: 0.9,
+            budget,
+            eviction,
+            ..Default::default()
         }
     }
 
-    fn sharded(tau: f64, shards: usize) -> ShardedMemoDb {
-        ShardedMemoDb::with_shards(
-            MemoDbConfig {
-                tau,
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
+    fn sharded(shards: usize) -> ShardedMemoDb {
+        store(
+            config(CapacityBudget::unbounded(), Default::default()),
             shards,
         )
     }
 
-    fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / n as f64;
-                Complex64::new(scale * (5.0 * t + phase).sin(), scale * (3.0 * t).cos())
-            })
-            .collect()
-    }
-
-    fn insert_simple(
-        store: &dyn MemoStore,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        output: Vec<Complex64>,
-        origin: Provenance,
-    ) -> u64 {
-        let cost = recompute_cost_estimate(op, input.len());
-        store.insert(op, loc, input, key, output, origin, cost)
-    }
-
     #[test]
     fn insert_then_query_hits_across_jobs() {
-        let db = sharded(0.9, 4);
+        let db = sharded(4);
         let input = chunk(1.0, 0.0, 256);
-        let key = db.encode(&input);
         let origin_a = Provenance {
             job: 1,
             iteration: 3,
         };
-        insert_simple(
-            &db,
-            FftOpKind::Fu2D,
-            5,
-            &input,
-            key.clone(),
-            chunk(2.0, 1.0, 32),
-            origin_a,
-        );
+        insert(&db, Fu2D, 5, &input, chunk(2.0, 1.0, 32), origin_a);
 
         // Same job, same iteration: the freshness gate must refuse.
-        match db.query_with_key(FftOpKind::Fu2D, 5, &input, key.clone(), origin_a) {
-            QueryOutcome::Miss { .. } => {}
-            QueryOutcome::Hit { .. } => panic!("same-iteration reuse must be gated"),
-        }
+        assert!(
+            lookup(&db, Fu2D, 5, &input, origin_a).is_none(),
+            "same-iteration reuse must be gated"
+        );
         // Different job at iteration 0: eligible, and counted as cross-job.
         let origin_b = Provenance {
             job: 2,
             iteration: 0,
         };
-        match db.query_with_key(FftOpKind::Fu2D, 5, &input, key, origin_b) {
-            QueryOutcome::Hit { origin, .. } => assert_eq!(origin, origin_a),
-            QueryOutcome::Miss { .. } => panic!("cross-job hit expected"),
-        }
+        let (_, _, inserted_by) = lookup(&db, Fu2D, 5, &input, origin_b).expect("cross-job hit");
+        assert_eq!(inserted_by, origin_a);
         let stats = db.stats();
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.hits, 1);
@@ -733,119 +625,83 @@ mod tests {
 
     #[test]
     fn outcome_is_independent_of_shard_count() {
-        // The same insert/query trace against 1, 3 and 16 shards (and the
-        // single-tenant LocalMemoStore) must produce identical hit/miss
-        // sequences — the determinism contract the runtime relies on.
-        let trace: Vec<(FftOpKind, usize, f64, f64)> = vec![
-            (FftOpKind::Fu2D, 0, 1.0, 0.0),
-            (FftOpKind::Fu2D, 1, 1.0, 0.4),
-            (FftOpKind::Fu1D, 0, 0.7, 0.1),
-            (FftOpKind::Fu2DAdj, 3, 1.3, 0.9),
-            (FftOpKind::Fu2D, 0, 1.01, 0.01),
-            (FftOpKind::Fu1D, 0, 0.72, 0.12),
+        // The same lookup-or-insert trace against 1, 3 and 16 shards must
+        // produce identical hit/miss sequences — the determinism contract
+        // the runtime relies on (one shard is what a standalone executor
+        // builds for itself).
+        let trace = [
+            (Fu2D, 0, 1.0, 0.0),
+            (Fu2D, 1, 1.0, 0.4),
+            (Fu1D, 0, 0.7, 0.1),
+            (Fu2DAdj, 3, 1.3, 0.9),
+            (Fu2D, 0, 1.01, 0.01),
+            (Fu1D, 0, 0.72, 0.12),
         ];
-        let run = |store: &dyn MemoStore| -> Vec<bool> {
-            let mut outcomes = Vec::new();
-            for (it, &(op, loc, scale, phase)) in trace.iter().enumerate() {
-                let input = chunk(scale, phase, 256);
-                let key = store.encode(&input);
-                let origin = Provenance::solo(it + 1);
-                match store.query_with_key(op, loc, &input, key.clone(), origin) {
-                    QueryOutcome::Hit { .. } => outcomes.push(true),
-                    QueryOutcome::Miss { key } => {
-                        outcomes.push(false);
-                        insert_simple(store, op, loc, &input, key, chunk(2.0, 0.5, 16), origin);
-                    }
-                }
-            }
-            outcomes
+        let run = |shards: usize| -> Vec<bool> {
+            let store = sharded(shards);
+            (trace.iter().enumerate())
+                .map(|(it, &(op, loc, scale, phase))| {
+                    let (input, output) = (chunk(scale, phase, 256), chunk(2.0, 0.5, 16));
+                    lookup_or_insert(&store, op, loc, &input, output, Provenance::solo(it + 1))
+                })
+                .collect()
         };
-        let local = LocalMemoStore::new(MemoDatabase::new(
-            MemoDbConfig {
-                tau: 0.9,
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
-        ));
-        let reference = run(&local);
+        let reference = run(1);
         assert!(
             reference.iter().any(|&h| h),
             "trace never hits — test is vacuous"
         );
-        for shards in [1, 3, 16] {
-            assert_eq!(
-                run(&sharded(0.9, shards)),
-                reference,
-                "{shards} shards diverged"
-            );
+        for shards in [3, 16] {
+            assert_eq!(run(shards), reference, "{shards} shards diverged");
         }
     }
 
     #[test]
     fn scopes_do_not_leak_across_locations() {
-        let db = sharded(0.9, 8);
+        let db = sharded(8);
         let input = chunk(1.0, 0.0, 256);
-        let key = db.encode(&input);
-        insert_simple(
+        insert(
             &db,
-            FftOpKind::Fu2D,
+            Fu2D,
             0,
             &input,
-            key.clone(),
             chunk(2.0, 1.0, 16),
             Provenance::solo(0),
         );
-        match db.query_with_key(FftOpKind::Fu2D, 1, &input, key, Provenance::solo(1)) {
-            QueryOutcome::Miss { .. } => {}
-            QueryOutcome::Hit { .. } => panic!("per-location scoping violated"),
-        }
+        assert!(
+            lookup(&db, Fu2D, 1, &input, Provenance::solo(1)).is_none(),
+            "per-location scoping violated"
+        );
     }
 
     #[test]
     fn global_scope_stays_in_one_shard() {
-        let config = MemoDbConfig {
-            tau: 0.9,
+        let global = MemoDbConfig {
             per_location: false,
-            ..Default::default()
+            ..sharded(1).config()
         };
-        let db = ShardedMemoDb::with_shards(config, tiny_encoder_config(), 2, 8);
+        let db = store(global, 8);
         let input = chunk(1.0, 0.0, 256);
-        let key = db.encode(&input);
-        insert_simple(
+        insert(
             &db,
-            FftOpKind::Fu2D,
+            Fu2D,
             0,
             &input,
-            key,
             chunk(2.0, 1.0, 16),
             Provenance::solo(0),
         );
         // A different location must still hit: the whole operation shares one
         // index scope, which sharding must not split.
-        let key2 = db.encode(&input);
-        match db.query_with_key(FftOpKind::Fu2D, 77, &input, key2, Provenance::solo(1)) {
-            QueryOutcome::Hit { .. } => {}
-            QueryOutcome::Miss { .. } => panic!("global scope broken by sharding"),
-        }
+        assert!(
+            lookup(&db, Fu2D, 77, &input, Provenance::solo(1)).is_some(),
+            "global scope broken by sharding"
+        );
     }
 
     #[test]
     fn value_accounting_sums_over_shards() {
-        let db = sharded(0.9, 4);
-        for loc in 0..8 {
-            let input = chunk(1.0 + loc as f64, 0.0, 64);
-            let key = db.encode(&input);
-            insert_simple(
-                &db,
-                FftOpKind::Fu2D,
-                loc,
-                &input,
-                key,
-                chunk(1.0, 0.0, 32),
-                Provenance::solo(0),
-            );
-        }
+        let db = sharded(4);
+        fill(&db, 8, |_| {});
         assert_eq!(db.len(), 8);
         assert_eq!(db.value_bytes(), 8 * 32 * 16);
         // Resident bytes additionally count raw inputs + keys and are
@@ -861,101 +717,58 @@ mod tests {
 
     #[test]
     fn global_entry_cap_is_enforced_across_shards() {
-        let db = ShardedMemoDb::with_shards(
-            MemoDbConfig {
-                tau: 0.9,
-                budget: CapacityBudget::entries(3),
-                eviction: EvictionPolicyKind::Fifo,
-                ..Default::default()
-            },
-            tiny_encoder_config(),
-            1,
+        let db = store(
+            config(CapacityBudget::entries(3), EvictionPolicyKind::Fifo),
             4,
         );
-        for loc in 0..10 {
-            let input = chunk(1.0 + loc as f64, 0.0, 64);
-            let key = db.encode(&input);
-            insert_simple(
-                &db,
-                FftOpKind::Fu2D,
-                loc,
-                &input,
-                key,
-                chunk(1.0, 0.0, 32),
-                Provenance::solo(0),
-            );
-            assert!(db.len() <= 3, "global cap violated after insert {loc}");
-        }
+        fill(&db, 10, |loc| {
+            assert!(db.len() <= 3, "global cap violated after insert {loc}")
+        });
         assert_eq!(db.len(), 3);
         assert_eq!(db.evictions(), 7);
         let stats = db.stats();
         assert_eq!(stats.evictions, 7);
         assert_eq!(stats.entries, 3);
+        assert_eq!(
+            db.pressure(),
+            1.0,
+            "an entry cap at its limit is full pressure"
+        );
     }
 
     #[test]
     fn bounded_sharded_store_matches_unsharded_eviction() {
-        // A byte-capped trace must produce identical hit/miss sequences and
-        // identical surviving entries whether the store is one database or
-        // striped — the shared clock + global victim selection guarantee.
-        let run = |store: &dyn MemoStore| -> (Vec<bool>, usize, u64) {
+        // A byte-capped trace must produce identical hit/miss sequences,
+        // identical surviving entries and identical counters whether the
+        // store has one stripe or many — the shared clock + global victim
+        // selection guarantee.
+        let run = |store: &ShardedMemoDb| -> (Vec<bool>, StoreStats) {
             let mut outcomes = Vec::new();
             for round in 0..3usize {
                 store.advance_epoch();
                 for loc in 0..12usize {
                     let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 128);
-                    let key = store.encode(&input);
                     let origin = Provenance::solo(round + 1);
-                    match store.query_with_key(FftOpKind::Fu2D, loc, &input, key, origin) {
-                        QueryOutcome::Hit { .. } => outcomes.push(true),
-                        QueryOutcome::Miss { key } => {
-                            outcomes.push(false);
-                            insert_simple(
-                                store,
-                                FftOpKind::Fu2D,
-                                loc,
-                                &input,
-                                key,
-                                chunk(2.0, 0.5, 64),
-                                origin,
-                            );
-                        }
-                    }
+                    let output = chunk(2.0, 0.5, 64);
+                    outcomes.push(lookup_or_insert(store, Fu2D, loc, &input, output, origin));
                 }
             }
-            (outcomes, store.len(), store.stats().evictions)
+            (outcomes, store.stats())
         };
-        let config = |budget| MemoDbConfig {
-            tau: 0.9,
-            budget,
-            eviction: EvictionPolicyKind::Lru,
-            ..Default::default()
-        };
+        let lru = |budget| config(budget, EvictionPolicyKind::Lru);
         // Measure the unbounded footprint, then cap at half of it.
-        let probe = ShardedMemoDb::with_shards(
-            config(CapacityBudget::unbounded()),
-            tiny_encoder_config(),
-            1,
-            4,
-        );
-        let _ = run(&probe);
-        let cap = probe.resident_bytes() / 2;
+        let unbounded = store(lru(CapacityBudget::unbounded()), 4);
+        let _ = run(&unbounded);
+        let cap = unbounded.resident_bytes() / 2;
         assert!(cap > 0);
 
-        let local = LocalMemoStore::new(MemoDatabase::new(
-            config(CapacityBudget::bytes(cap)),
-            tiny_encoder_config(),
-            1,
-        ));
-        let reference = run(&local);
-        assert!(reference.2 > 0, "cap at 50% must evict — test is vacuous");
-        for shards in [1, 4, 16] {
-            let store = ShardedMemoDb::with_shards(
-                config(CapacityBudget::bytes(cap)),
-                tiny_encoder_config(),
-                1,
-                shards,
-            );
+        let reference = run(&store(lru(CapacityBudget::bytes(cap)), 1));
+        assert!(
+            reference.1.evictions > 0,
+            "cap at 50% must evict — test is vacuous"
+        );
+        for shards in [4, 16] {
+            let store = store(lru(CapacityBudget::bytes(cap)), shards);
             assert_eq!(run(&store), reference, "{shards} shards diverged");
             assert!(store.peak_resident_bytes() <= cap);
         }

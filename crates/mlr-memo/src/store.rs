@@ -1,8 +1,9 @@
 //! The memo-store seam: a thread-safe interface over "the memoization
-//! database", so the executor no longer cares whether it talks to a private
-//! single-tenant [`MemoDatabase`] or to the
-//! sharded, lock-striped [`ShardedMemoDb`](crate::sharded::ShardedMemoDb)
-//! shared by every job of a runtime.
+//! database", so the executor does not care whether it talks to a
+//! [`ShardedMemoDb`](crate::sharded::ShardedMemoDb) directly — private to
+//! one job or shared by every job of a runtime — or to the
+//! [`DistributedMemoDb`](crate::distributed::DistributedMemoDb) memory-node
+//! tier wrapped around one.
 //!
 //! The paper's distributed design (Figure 6) keeps the memoization database
 //! on a dedicated memory node precisely so that *many* reconstructions can
@@ -12,11 +13,10 @@
 //! "reuse only across iterations" rule *per job* while still serving job B
 //! values that job A computed.
 
-use crate::db::{MemoDatabase, MemoDbConfig, QueryOutcome};
+use crate::db::MemoDbConfig;
 use crate::fingerprint::ChunkFingerprint;
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -117,16 +117,16 @@ impl StoreStats {
     }
 }
 
-/// Outcome of a read-only probe (the parallel phase of the batched
-/// executor's two-phase protocol).
+/// Outcome of a read-only probe — the first half of the store's only
+/// access protocol.
 ///
-/// A probe is [`MemoStore::query_with_key`] stripped of every side effect:
-/// no query/hit counters, no recency refresh, no lazy TTL reclamation. The
-/// executor probes all chunks of a batch concurrently against the store
-/// state frozen at the start of the operator application, then replays the
-/// bookkeeping in chunk-index order through [`MemoStore::commit_hit`] /
-/// [`MemoStore::commit_miss`] — which is what makes the parallel schedule
-/// order-independent.
+/// A probe has no side effects: no query/hit counters, no recency refresh,
+/// no TTL reclamation. The executor probes all chunks of a batch
+/// concurrently against the store state frozen at the start of the operator
+/// application, then replays the bookkeeping in chunk-index order through
+/// [`MemoStore::commit_hit`] / [`MemoStore::commit_miss`] /
+/// [`MemoStore::reclaim_expired`] — which is what makes the parallel
+/// schedule order-independent.
 #[derive(Debug, Clone)]
 pub enum ProbeOutcome {
     /// A stored value passed the τ gate.
@@ -158,12 +158,13 @@ pub enum ProbeOutcome {
 /// tenant of a shared store uses the *same* encoder (keys from different
 /// encoders would be mutually meaningless).
 ///
-/// The τ-gated query/insert protocol, on a store shared by concurrent jobs:
+/// The τ-gated probe → commit protocol, on a store shared by concurrent
+/// jobs:
 ///
 /// ```
 /// use mlr_lamino::FftOpKind;
 /// use mlr_memo::{
-///     EncoderConfig, MemoDbConfig, MemoStore, Provenance, QueryOutcome, ShardedMemoDb,
+///     EncoderConfig, MemoDbConfig, MemoStore, ProbeOutcome, Provenance, ShardedMemoDb,
 /// };
 /// use mlr_math::Complex64;
 ///
@@ -182,22 +183,28 @@ pub enum ProbeOutcome {
 /// let chunk: Vec<Complex64> = (0..64)
 ///     .map(|i| Complex64::new((i as f64 * 0.1).sin(), 0.0))
 ///     .collect();
+/// let (op, loc) = (FftOpKind::Fu2D, 0);
 ///
-/// // First sight of the chunk: a miss; insert the exactly-computed value.
+/// // First sight of the chunk: the probe misses; commit the miss, then
+/// // insert the exactly-computed value.
 /// let key = store.encode(&chunk);
-/// let QueryOutcome::Miss { key } =
-///     store.query_with_key(FftOpKind::Fu2D, 0, &chunk, key, Provenance::solo(1))
-/// else {
-///     panic!("an empty store cannot hit");
-/// };
-/// store.insert(FftOpKind::Fu2D, 0, &chunk, key, chunk.clone(), Provenance::solo(1), 1e-3);
+/// let probe = store.probe_with_key(op, loc, &chunk, &key, Provenance::solo(1));
+/// assert!(matches!(probe, ProbeOutcome::Miss), "an empty store cannot hit");
+/// store.commit_miss(op, loc);
+/// store.insert(op, loc, &chunk, key, chunk.clone(), Provenance::solo(1), 1e-3);
 ///
 /// // A later iteration asking about the same chunk is served from memory
-/// // (cosine similarity 1.0 passes any τ).
+/// // (cosine similarity 1.0 passes any τ); the commit does the accounting.
 /// store.advance_epoch();
 /// let key = store.encode(&chunk);
-/// let outcome = store.query_with_key(FftOpKind::Fu2D, 0, &chunk, key, Provenance::solo(2));
-/// assert!(matches!(outcome, QueryOutcome::Hit { .. }));
+/// let ProbeOutcome::Hit { value, entry, origin, .. } =
+///     store.probe_with_key(op, loc, &chunk, &key, Provenance::solo(2))
+/// else {
+///     panic!("the identical chunk must hit");
+/// };
+/// assert_eq!(store.stats().hits, 0, "a probe counts nothing");
+/// store.commit_hit(op, loc, entry, origin, Provenance::solo(2));
+/// assert_eq!(value.as_ref(), chunk.as_slice());
 /// assert_eq!(store.stats().hits, 1);
 /// ```
 pub trait MemoStore: Send + Sync {
@@ -208,43 +215,22 @@ pub trait MemoStore: Send + Sync {
     fn encode(&self, input: &[Complex64]) -> Vec<f64>;
 
     /// Encodes a batch of input chunks in one pass, amortizing per-call
-    /// costs (scratch lease, locks) across the batch. The default falls
-    /// back to per-item [`MemoStore::encode`]; implementations override it
-    /// to take their lock once.
-    fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        inputs.iter().map(|input| self.encode(input)).collect()
-    }
+    /// costs (encoder lease, scratch) across the batch.
+    fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>>;
 
     /// Norm-prefilter consultation: does the scope's fingerprint history at
     /// `(op, loc)` contain a chunk whose raw similarity to `fp`'s chunk
-    /// could exceed τ? Implementations without a fingerprint table return
-    /// `true` (admit everything), which disables the prefilter safely.
-    fn has_fingerprint_neighbor(&self, op: FftOpKind, loc: usize, fp: &ChunkFingerprint) -> bool {
-        let _ = (op, loc, fp);
-        true
-    }
+    /// could exceed τ?
+    fn has_fingerprint_neighbor(&self, op: FftOpKind, loc: usize, fp: &ChunkFingerprint) -> bool;
 
     /// Records the fingerprint of a committed chunk in the scope's
-    /// doorkeeper history. Default: no-op (for stores without a table).
-    fn note_fingerprint(&self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
-        let _ = (op, loc, fp);
-    }
+    /// doorkeeper history.
+    fn note_fingerprint(&self, op: FftOpKind, loc: usize, fp: ChunkFingerprint);
 
-    /// Queries for an entry similar to `input` at `(op, loc)` with a
-    /// pre-computed key. `origin` identifies the querying job/iteration.
-    fn query_with_key(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        origin: Provenance,
-    ) -> QueryOutcome;
-
-    /// Read-only probe at `(op, loc)`: the lookup of
-    /// [`MemoStore::query_with_key`] with *no* side effects (no counters, no
-    /// recency refresh, no reclamation), safe to issue concurrently from the
-    /// parallel phase of a batch.
+    /// Read-only probe at `(op, loc)` for an entry similar to `input`, with
+    /// a pre-computed key, on behalf of the job/iteration `origin`: *no*
+    /// side effects (no counters, no recency refresh, no reclamation), safe
+    /// to issue concurrently from the parallel phase of a batch.
     fn probe_with_key(
         &self,
         op: FftOpKind,
@@ -273,8 +259,7 @@ pub trait MemoStore: Send + Sync {
     /// goes through [`MemoStore::insert`]).
     fn commit_miss(&self, op: FftOpKind, loc: usize);
 
-    /// Reclaims an entry a probe found expired, if it still is (the ordered
-    /// counterpart of the lazy reclamation `query_with_key` performs).
+    /// Reclaims an entry a probe found expired, if it still is.
     fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64);
 
     /// Inserts an entry computed by `origin`. Returns the entry id
@@ -317,11 +302,7 @@ pub trait MemoStore: Send + Sync {
 
     /// Utilisation of the tightest global capacity cap in `[0, 1]`
     /// (0 when unbounded) — what the runtime's admission control consults.
-    fn pressure(&self) -> f64 {
-        self.config()
-            .budget
-            .pressure(self.resident_bytes(), self.len() as u64)
-    }
+    fn pressure(&self) -> f64;
 
     /// Aggregate counters.
     fn stats(&self) -> StoreStats;
@@ -332,145 +313,6 @@ pub trait MemoStore: Send + Sync {
     /// Trains the store's key encoder on sample chunks (contrastive
     /// objective + INT8 quantisation); returns the final loss.
     fn train_encoder(&self, samples: &[Vec<Complex64>], epochs: usize) -> f64;
-}
-
-/// Single-tenant [`MemoStore`]: one [`MemoDatabase`] behind one mutex.
-/// This is exactly the pre-runtime behaviour of the memoized executor; it
-/// exists so the executor has a uniform seam whether or not a shared store
-/// is in play.
-pub struct LocalMemoStore {
-    inner: Mutex<MemoDatabase>,
-}
-
-impl LocalMemoStore {
-    /// Wraps an existing database.
-    pub fn new(db: MemoDatabase) -> Self {
-        Self {
-            inner: Mutex::new(db),
-        }
-    }
-
-    /// Consumes the store, returning the database.
-    pub fn into_inner(self) -> MemoDatabase {
-        self.inner.into_inner()
-    }
-}
-
-impl MemoStore for LocalMemoStore {
-    fn config(&self) -> MemoDbConfig {
-        *self.inner.lock().config()
-    }
-
-    fn encode(&self, input: &[Complex64]) -> Vec<f64> {
-        self.inner.lock().encode(input)
-    }
-
-    fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        self.inner.lock().encode_batch(inputs)
-    }
-
-    fn has_fingerprint_neighbor(&self, op: FftOpKind, loc: usize, fp: &ChunkFingerprint) -> bool {
-        self.inner.lock().has_fingerprint_neighbor(op, loc, fp)
-    }
-
-    fn note_fingerprint(&self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
-        self.inner.lock().note_fingerprint(op, loc, fp);
-    }
-
-    fn query_with_key(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        origin: Provenance,
-    ) -> QueryOutcome {
-        self.inner
-            .lock()
-            .query_with_key_from(op, loc, input, key, origin)
-    }
-
-    fn probe_with_key(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: &[f64],
-        origin: Provenance,
-    ) -> ProbeOutcome {
-        self.inner
-            .lock()
-            .probe_with_key_from(op, loc, input, key, origin)
-    }
-
-    fn commit_hit(
-        &self,
-        _op: FftOpKind,
-        _loc: usize,
-        entry: u64,
-        entry_origin: Provenance,
-        origin: Provenance,
-    ) {
-        self.inner.lock().commit_hit(entry, entry_origin, origin);
-    }
-
-    fn commit_miss(&self, _op: FftOpKind, _loc: usize) {
-        self.inner.lock().commit_miss_query();
-    }
-
-    fn reclaim_expired(&self, _op: FftOpKind, _loc: usize, entry: u64) {
-        self.inner.lock().reclaim_expired(entry);
-    }
-
-    fn insert(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        key: Vec<f64>,
-        output: Vec<Complex64>,
-        origin: Provenance,
-        recompute_cost: f64,
-    ) -> u64 {
-        self.inner
-            .lock()
-            .insert_from_with_cost(op, loc, input, key, output, origin, recompute_cost)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    fn value_bytes(&self) -> u64 {
-        self.inner.lock().value_bytes()
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.inner.lock().resident_bytes()
-    }
-
-    fn advance_epoch(&self) -> u64 {
-        self.inner.lock().advance_epoch()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.inner.lock().clock().epoch()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.lock().stats()
-    }
-
-    fn comparisons_per_query(&self) -> f64 {
-        self.inner.lock().comparisons_per_query()
-    }
-
-    fn train_encoder(&self, samples: &[Vec<Complex64>], epochs: usize) -> f64 {
-        let mut db = self.inner.lock();
-        let loss = db.encoder_mut().train_contrastive(samples, epochs);
-        db.encoder_mut().quantise_weights();
-        loss
-    }
 }
 
 #[cfg(test)]

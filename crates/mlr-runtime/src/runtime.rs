@@ -833,14 +833,11 @@ fn run_job(
     let mut config = job.config;
     config.intra_job_threads = config.intra_job_threads.max(intra_job_threads);
     let pipeline = MlrPipeline::new(config);
-    let shared: Arc<dyn MemoStore> = Arc::clone(store);
-    let (result, executor) = pipeline.run_memoized_observed(
-        shared,
-        id,
-        Some(Arc::clone(governor)),
-        &token,
-        counters.telemetry.clone(),
-    );
+    let executor = pipeline
+        .memo_executor(Arc::clone(store), id)
+        .with_parallelism(config.intra_job_threads, Some(Arc::clone(governor)))
+        .with_telemetry(counters.telemetry.clone());
+    let (result, executor) = pipeline.run_with_executor(executor, &token);
     let busy_ns = start.elapsed().as_nanos() as u64;
 
     let stats = executor.stats();

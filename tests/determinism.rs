@@ -19,8 +19,8 @@
 //! open a schedule-dependence hole (faults fire on logical ticks, and
 //! ticks advance with the ordered commit, never with thread timing).
 
-use mlr_core::{MlrConfig, MlrPipeline};
-use mlr_memo::{DistributedMemoDb, NodeTopology};
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
+use mlr_memo::{DistributedMemoDb, MemoStore, NodeTopology};
 use mlr_sim::faults::FaultPlan;
 use std::sync::Arc;
 
@@ -32,20 +32,32 @@ fn bits(reconstruction: &[f64]) -> Vec<u64> {
     reconstruction.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs one reconstruction at `threads` chunk threads, with the
-/// perturbation checker armed when `seed` is `Some`, and returns the
-/// reconstruction bits plus the (db, cache, failed) hit counts.
-fn run(threads: usize, seed: Option<u64>) -> (Vec<u64>, (u64, u64, u64)) {
-    let pipeline = MlrPipeline::new(base_config().with_intra_job_threads(threads));
-    let (result, executor) = match seed {
-        Some(seed) => pipeline.run_memoized_perturbed(seed),
-        None => pipeline.run_memoized(),
+/// Runs `pipeline` over `store`, with the perturbation checker armed when
+/// `seed` is `Some`, and returns the reconstruction bits plus the
+/// (db, cache, failed) hit counts.
+fn run_over(
+    pipeline: &MlrPipeline,
+    store: Arc<dyn MemoStore>,
+    seed: Option<u64>,
+) -> (Vec<u64>, (u64, u64, u64)) {
+    let executor = pipeline.memo_executor(store, 1);
+    let executor = match seed {
+        Some(seed) => executor.with_schedule_perturbation(seed),
+        None => executor,
     };
+    let (result, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
     let total = executor.stats().total();
     (
         bits(result.reconstruction.as_slice()),
         (total.db_hits, total.cache_hits, total.failed_memo),
     )
+}
+
+/// One reconstruction at `threads` chunk threads over a private one-shard
+/// store (what `run_memoized` builds).
+fn run(threads: usize, seed: Option<u64>) -> (Vec<u64>, (u64, u64, u64)) {
+    let pipeline = MlrPipeline::new(base_config().with_intra_job_threads(threads));
+    run_over(&pipeline, pipeline.build_shared_store(1), seed)
 }
 
 #[test]
@@ -85,17 +97,9 @@ fn run_faulted(
         NodeTopology::with_nodes(4),
         plan.clone(),
     ));
-    let (result, executor) = match seed {
-        Some(seed) => pipeline.run_memoized_perturbed_with_store(store.clone(), 1, seed),
-        None => pipeline.run_memoized_with_store(store.clone(), 1),
-    };
-    let total = executor.stats().total();
-    let faults = store.fault_stats().expect("plan armed").clone();
-    (
-        bits(result.reconstruction.as_slice()),
-        (total.db_hits, total.cache_hits, total.failed_memo),
-        faults,
-    )
+    let (reconstruction, hits) = run_over(&pipeline, store.clone(), seed);
+    let faults = store.fault_stats().expect("plan armed");
+    (reconstruction, hits, faults)
 }
 
 #[test]
@@ -106,7 +110,7 @@ fn perturbed_schedules_stay_deterministic_under_an_active_fault_plan() {
     // be most visible.
     let probe = MlrPipeline::new(base_config());
     let probe_store = probe.build_shared_store(8);
-    let _ = probe.run_memoized_with_store(probe_store.clone(), 1);
+    let _ = run_over(&probe, probe_store.clone(), None);
     let horizon = probe_store.current_tick();
     assert!(horizon > 0, "probe run never touched the store");
     let plan = FaultPlan::new(11).crash_window(0, 1, horizon / 2);

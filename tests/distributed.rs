@@ -15,7 +15,7 @@ use mlr_core::MlrConfig;
 use mlr_memo::EncoderConfig;
 use mlr_memo::{
     DistributedMemoDb, MemoDbConfig, MemoStore, NodeTopology, ProbeOutcome, Provenance,
-    QueryOutcome, ShardedMemoDb,
+    ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_telemetry::{export_access_records, parse_access_records, AccessRecord};
@@ -23,6 +23,9 @@ use std::sync::Arc;
 
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
+
+mod common;
+use common::probe_commit;
 
 fn encoder() -> EncoderConfig {
     EncoderConfig {
@@ -65,20 +68,18 @@ fn run_schedule(store: &dyn MemoStore, rounds: usize, locations: usize) -> Vec<b
             let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 64);
             let key = store.encode(&input);
             let origin = Provenance::solo(round + 1);
-            match store.query_with_key(FftOpKind::Fu2D, loc, &input, key, origin) {
-                QueryOutcome::Hit { .. } => outcomes.push(true),
-                QueryOutcome::Miss { key } => {
-                    outcomes.push(false);
-                    store.insert(
-                        FftOpKind::Fu2D,
-                        loc,
-                        &input,
-                        key,
-                        chunk(2.0, 0.3, 16),
-                        origin,
-                        1e-3,
-                    );
-                }
+            let hit = probe_commit(store, FftOpKind::Fu2D, loc, &input, &key, origin).is_some();
+            outcomes.push(hit);
+            if !hit {
+                store.insert(
+                    FftOpKind::Fu2D,
+                    loc,
+                    &input,
+                    key,
+                    chunk(2.0, 0.3, 16),
+                    origin,
+                    1e-3,
+                );
             }
         }
     }

@@ -3,15 +3,18 @@
 //! real thread contention, and TTL unreachability — the contracts
 //! `fig19_eviction` and the runtime build on.
 
-use mlr_core::{MlrConfig, MlrPipeline};
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
 use mlr_memo::{
     recompute_cost_estimate, CapacityBudget, EvictionPolicyKind, MemoDbConfig, MemoStore,
-    Provenance, QueryOutcome, ShardedMemoDb,
+    Provenance, ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::Arc;
+
+mod common;
+use common::probe_commit;
 
 fn tiny_encoder_config() -> mlr_memo::EncoderConfig {
     mlr_memo::EncoderConfig {
@@ -38,7 +41,8 @@ fn replay(pipeline: &MlrPipeline, store: Arc<ShardedMemoDb>, jobs: usize) -> Vec
     (1..=jobs)
         .map(|job| {
             let shared: Arc<dyn MemoStore> = Arc::clone(&store) as Arc<dyn MemoStore>;
-            let (result, _) = pipeline.run_memoized_with_store(shared, job as u64);
+            let executor = pipeline.memo_executor(shared, job as u64);
+            let (result, _) = pipeline.run_with_executor(executor, &CancelToken::new());
             result
                 .reconstruction
                 .as_slice()
@@ -180,7 +184,7 @@ fn budget_never_exceeded_across_eight_concurrent_jobs() {
                         job: t + 1,
                         iteration: i as usize + 1,
                     };
-                    let _ = store.query_with_key(FftOpKind::Fu2D, loc, &input, key, origin_q);
+                    let _ = probe_commit(&*store, FftOpKind::Fu2D, loc, &input, &key, origin_q);
                 }
             });
         }
@@ -233,38 +237,21 @@ fn ttl_entries_are_unreachable_after_expiry() {
 
     // Within the TTL (3 epochs): reachable, including cross-job.
     store.advance_epoch();
-    match store.query_with_key(
-        FftOpKind::Fu2D,
-        0,
-        &input,
-        key.clone(),
-        Provenance {
-            job: 2,
-            iteration: 0,
-        },
-    ) {
-        QueryOutcome::Hit { .. } => {}
-        QueryOutcome::Miss { .. } => panic!("entry must be reachable within its TTL"),
-    }
+    let from_job = |job| Provenance { job, iteration: 0 };
+    assert!(
+        probe_commit(&store, FftOpKind::Fu2D, 0, &input, &key, from_job(2)).is_some(),
+        "entry must be reachable within its TTL"
+    );
 
     // Age past the TTL.
     for _ in 0..4 {
         store.advance_epoch();
     }
     assert_eq!(store.epoch(), 5);
-    match store.query_with_key(
-        FftOpKind::Fu2D,
-        0,
-        &input,
-        key,
-        Provenance {
-            job: 3,
-            iteration: 0,
-        },
-    ) {
-        QueryOutcome::Miss { .. } => {}
-        QueryOutcome::Hit { .. } => panic!("expired entry served a query"),
-    }
+    assert!(
+        probe_commit(&store, FftOpKind::Fu2D, 0, &input, &key, from_job(3)).is_none(),
+        "expired entry served a query"
+    );
     let stats = store.stats();
     assert_eq!(stats.expirations, 1);
     assert_eq!(stats.entries, 0);

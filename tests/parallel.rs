@@ -5,7 +5,7 @@
 //! concurrency governor must keep jobs × chunk threads within the core
 //! budget.
 
-use mlr_core::{MlrConfig, MlrPipeline};
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_memo::{CapacityBudget, EvictionPolicyKind, MemoStore};
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::Arc;
@@ -36,7 +36,8 @@ fn run_sharded(config: MlrConfig, threads: usize, shards: usize) -> (Vec<u64>, (
     let pipeline = MlrPipeline::new(config.with_intra_job_threads(threads));
     let store = pipeline.build_shared_store(shards);
     let shared: Arc<dyn MemoStore> = store as Arc<dyn MemoStore>;
-    let (result, executor) = pipeline.run_memoized_with_store(shared, 7);
+    let executor = pipeline.memo_executor(shared, 7);
+    let (result, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
     let total = executor.stats().total();
     (
         bits(result.reconstruction.as_slice()),
@@ -63,9 +64,10 @@ fn reconstruction_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn sharded_store_is_bit_identical_across_thread_counts() {
-    // The sequential single-tenant run is the reference; every thread count
-    // over a fresh ShardedMemoDb must reproduce it exactly (the store seam
-    // guarantees Local == Sharded, the schedule guarantees 1 == N threads).
+    // The sequential standalone run (one private shard) is the reference;
+    // every thread count over a fresh 8-shard store must reproduce it
+    // exactly (the store guarantees 1 == N shards, the schedule 1 == N
+    // threads).
     let (reference, ref_hits) = run_standalone(base_config(), 1);
     for threads in [1, 2, 4, 8] {
         let (parallel, hits) = run_sharded(base_config(), threads, 8);
@@ -119,9 +121,9 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
     // trace through multi-chunk `execute_batch_into` dispatches whose memo
     // hits are single memcpys from the shared `Arc<[Complex64]>` payloads
     // into caller-provided slices. Outputs must be bitwise equal and the
-    // case counts identical — over both the local store and a shared
-    // `ShardedMemoDb` — so the zero-copy path cannot drift from the
-    // reference protocol.
+    // case counts identical — over a private one-shard store and over the
+    // 16-shard layout the runtime shares — so the zero-copy path cannot
+    // drift from the one-chunk-at-a-time protocol.
     use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
     use mlr_math::Complex64;
     use mlr_memo::{EncoderConfig, MemoConfig, MemoDbConfig, MemoizedExecutor, ShardedMemoDb};
@@ -148,25 +150,17 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
             .map(|z| z.scale(1.0 + 0.001 * it as f64))
             .collect()
     };
-    let sharded = |seed: u64| {
+    let executor = |shards: usize| {
         let db_config = MemoDbConfig {
             tau: memo.tau,
             ..Default::default()
         };
-        MemoizedExecutor::with_store(
-            memo,
-            Arc::new(ShardedMemoDb::new(db_config, encoder, seed)),
-            0,
-        )
+        let store = ShardedMemoDb::with_shards(db_config, encoder, 11, shards);
+        MemoizedExecutor::with_store(memo, Arc::new(store), 0)
     };
-    let pairs: [(MemoizedExecutor, MemoizedExecutor); 2] = [
-        (
-            MemoizedExecutor::new(memo, encoder, 11),
-            MemoizedExecutor::new(memo, encoder, 11),
-        ),
-        (sharded(11), sharded(11)),
-    ];
-    for (label, (sequential, batched)) in ["local", "sharded"].iter().zip(pairs) {
+    for shards in [1, 16] {
+        let label = format!("{shards}-shard");
+        let (sequential, batched) = (executor(shards), executor(shards));
         let locations = 6usize;
         for it in 0..5 {
             sequential.begin_iteration(it);

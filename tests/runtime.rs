@@ -7,10 +7,13 @@
 use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
-use mlr_memo::{MemoDbConfig, MemoStore, Provenance, QueryOutcome, ShardedMemoDb};
+use mlr_memo::{MemoDbConfig, MemoStore, Provenance, ShardedMemoDb};
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod common;
+use common::probe_commit;
 
 fn tiny_encoder_config() -> mlr_memo::EncoderConfig {
     mlr_memo::EncoderConfig {
@@ -85,12 +88,13 @@ fn sharded_store_survives_concurrent_insert_query_stress() {
                         iteration: i as usize + 1,
                     };
                     observed_queries.fetch_add(1, Ordering::Relaxed);
-                    match store.query_with_key(FftOpKind::Fu2D, loc, &input, key, query_origin) {
-                        QueryOutcome::Hit { origin, .. } => {
+                    let store: &dyn MemoStore = store.as_ref();
+                    match probe_commit(store, FftOpKind::Fu2D, loc, &input, &key, query_origin) {
+                        Some(origin) => {
                             assert_eq!(origin, insert_origin);
                             observed_hits.fetch_add(1, Ordering::Relaxed);
                         }
-                        QueryOutcome::Miss { .. } => {
+                        None => {
                             panic!("own freshly inserted entry must hit (t={t}, i={i})")
                         }
                     }
@@ -105,11 +109,12 @@ fn sharded_store_survives_concurrent_insert_query_stress() {
                     );
                     let other_key = store.encode(&other_input);
                     observed_queries.fetch_add(1, Ordering::Relaxed);
-                    if let QueryOutcome::Hit { origin, .. } = store.query_with_key(
+                    if let Some(origin) = probe_commit(
+                        store,
                         FftOpKind::Fu2D,
                         other_loc,
                         &other_input,
-                        other_key,
+                        &other_key,
                         query_origin,
                     ) {
                         observed_hits.fetch_add(1, Ordering::Relaxed);
