@@ -19,11 +19,19 @@
 //!   (informational only: CI runners may have a single core, where wall
 //!   speedup is meaningless but the modeled schedule is unchanged).
 //!
+//! It also records the **thread-spawn count of one reconstruction** at the
+//! default configuration (sequential chunks, rayon shim unpinned), where
+//! every fork goes through the shim: one per worker per chunk compute, so
+//! O(operator applications) until ROADMAP item 2's pool makes it O(pool
+//! size). Ungated. Counted in a child process, because this one pins the
+//! shim to a single thread.
+//!
 //! The machine-readable record lands in `BENCH_intra_job.json` (and, like
 //! every harness, under `target/experiments/`).
 
 use mlr_bench::{compare_row, header, smoke_from_args, write_record};
 use mlr_core::{MlrConfig, MlrPipeline};
+use mlr_lamino::kernel_threads_spawned;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -59,6 +67,35 @@ struct Record {
     bit_identical: bool,
     /// Every parallel cell reproduced the sequential hit counts exactly.
     hit_parity: bool,
+    /// Ungated; `None` when the census child could not be run.
+    spawn_census: Option<SpawnCensus>,
+}
+
+/// OS threads spawned by one memoized reconstruction (first chunk size, one
+/// chunk thread) with the rayon shim unpinned at `rayon_threads` workers.
+#[derive(Serialize)]
+struct SpawnCensus {
+    rayon_threads: usize,
+    threads_spawned_per_reconstruction: u64,
+}
+
+const SPAWN_CENSUS_FLAG: &str = "--spawn-census";
+
+/// Re-runs this binary as the census child: same arguments plus the flag,
+/// without the `RAYON_NUM_THREADS` pin this process sets on itself.
+fn spawn_census() -> Option<SpawnCensus> {
+    let output = std::process::Command::new(std::env::current_exe().ok()?)
+        .args(std::env::args().skip(1))
+        .arg(SPAWN_CENSUS_FLAG)
+        .env_remove("RAYON_NUM_THREADS")
+        .output()
+        .ok()?;
+    let stdout = String::from_utf8(output.stdout).ok()?;
+    let mut fields = stdout.split_whitespace();
+    Some(SpawnCensus {
+        rayon_threads: fields.next()?.parse().ok()?,
+        threads_spawned_per_reconstruction: fields.next()?.parse().ok()?,
+    })
 }
 
 #[derive(Clone)]
@@ -94,15 +131,6 @@ fn run(config: MlrConfig, chunk_size: usize, threads: usize) -> RunOutcome {
 }
 
 fn main() {
-    // Chunk-level threads are the parallelism under study: pin the rayon
-    // shim's intra-kernel fan-out to one thread so the two grains do not
-    // compete for cores (results are identical either way — this only
-    // de-noises the timing columns).
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    header(
-        "Figure 20",
-        "intra-job chunk parallelism: threads × chunk size, speedup + hit parity vs sequential",
-    );
     let smoke = smoke_from_args();
     let (n, angles, iterations) = if smoke { (12, 8, 5) } else { (16, 12, 6) };
     let thread_counts: Vec<usize> = if smoke {
@@ -112,6 +140,27 @@ fn main() {
     };
     let chunk_sizes: Vec<usize> = if smoke { vec![2, 4] } else { vec![2, 4, 8] };
     let config = MlrConfig::quick(n, angles).with_iterations(iterations);
+    if std::env::args().any(|a| a == SPAWN_CENSUS_FLAG) {
+        let mut config = config;
+        config.chunk_size = chunk_sizes[0];
+        let pipeline = MlrPipeline::new(config);
+        let before = kernel_threads_spawned();
+        let _ = pipeline.run_memoized();
+        let spawned = kernel_threads_spawned() - before;
+        // Unpinned, the shim uses the machine's available parallelism.
+        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        println!("{threads} {spawned}");
+        return;
+    }
+    // Chunk-level threads are the parallelism under study: pin the rayon
+    // shim's intra-kernel fan-out to one thread so the two grains do not
+    // compete for cores (results are identical either way — this only
+    // de-noises the timing columns).
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    header(
+        "Figure 20",
+        "intra-job chunk parallelism: threads × chunk size, speedup + hit parity vs sequential",
+    );
 
     println!("problem: {n}³, {angles} angles, {iterations} ADMM iterations\n");
     println!(
@@ -190,6 +239,17 @@ fn main() {
         "≥ 2×",
         &format!("{modeled_speedup_4t:.2}x"),
     );
+    let spawn_census = spawn_census();
+    compare_row(
+        "threads spawned by one reconstruction",
+        "not reported",
+        &spawn_census.as_ref().map_or("census failed".into(), |c| {
+            format!(
+                "{} ({} rayon threads, unpinned)",
+                c.threads_spawned_per_reconstruction, c.rayon_threads
+            )
+        }),
+    );
 
     assert!(all_identical, "a parallel schedule changed the bits");
     assert!(all_parity, "a parallel schedule changed the hit counts");
@@ -208,6 +268,7 @@ fn main() {
         modeled_speedup_4t,
         bit_identical: all_identical,
         hit_parity: all_parity,
+        spawn_census,
     };
     match serde_json::to_string_pretty(&record) {
         Ok(json) => {

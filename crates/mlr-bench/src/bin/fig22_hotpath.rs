@@ -53,7 +53,7 @@
 use mlr_bench::alloc::{delta, snapshot, CountingAllocator};
 use mlr_bench::{compare_row, fmt_secs, header, smoke_from_args, write_record};
 use mlr_fft::fft::{Direction, FftPlan};
-use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
+use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
 use mlr_memo::{EncoderConfig, MemoConfig, MemoizedExecutor};
@@ -135,6 +135,13 @@ struct SweepPoint {
     cache_hit_ns_per_chunk: f64,
     miss_ns_per_chunk: f64,
     measured_hit_speedup: f64,
+    /// What a hit actually replaces in a reconstruction: the exact
+    /// `F_u2D` chunk compute (`LaminoOperator::fu2d_chunk_compute`) on a
+    /// chunk of this many elements — `len` planes of a `side³` geometry
+    /// with `side/2` angles, `side` = 16 below 1 Ki elements, 32 below
+    /// 4 Ki, 64 from there. `miss_ns_per_chunk` is a plain `FftPlan` of the
+    /// chunk length, a far cheaper proxy. Ungated.
+    usfft2d_ns_per_chunk: f64,
 }
 
 #[derive(Serialize)]
@@ -354,7 +361,27 @@ fn sweep_point(n: usize, memo: MemoConfig, seed_base: u64) -> SweepPoint {
         cache_hit_ns_per_chunk: cache_hit_ns,
         miss_ns_per_chunk: miss_ns,
         measured_hit_speedup: miss_ns / cache_hit_ns.max(1e-9),
+        usfft2d_ns_per_chunk: usfft2d_chunk_ns(&inputs[0]),
     }
+}
+
+/// Mean ns of the exact `F_u2D` compute on one chunk of `input.len()`
+/// elements (see [`SweepPoint::usfft2d_ns_per_chunk`] for the geometry).
+fn usfft2d_chunk_ns(input: &[Complex64]) -> f64 {
+    let side = match input.len() {
+        0..=1023 => 16,
+        1024..=4095 => 32,
+        _ => 64,
+    };
+    let len = input.len() / (side * side);
+    let op = LaminoOperator::new(LaminoGeometry::cube(side, side / 2, 30.0), len);
+    let reps = 8;
+    let _ = op.fu2d_chunk_compute(input, 0, len);
+    let start = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(op.fu2d_chunk_compute(std::hint::black_box(input), 0, len));
+    }
+    start.elapsed().as_secs_f64() * 1e9 / reps as f64
 }
 
 fn main() {
@@ -583,16 +610,17 @@ fn main() {
     println!();
     if sweep_run {
         println!(
-            "{:>12} {:>16} {:>14} {:>12}",
-            "chunk elems", "cache hit ns", "miss ns", "hit speedup"
+            "{:>12} {:>16} {:>14} {:>12} {:>14}",
+            "chunk elems", "cache hit ns", "miss ns", "hit speedup", "usfft2d ns"
         );
         for p in &sweep {
             println!(
-                "{:>12} {:>16.0} {:>14.0} {:>11.2}x",
+                "{:>12} {:>16.0} {:>14.0} {:>11.2}x {:>14.0}",
                 p.chunk_elems,
                 p.cache_hit_ns_per_chunk,
                 p.miss_ns_per_chunk,
-                p.measured_hit_speedup
+                p.measured_hit_speedup,
+                p.usfft2d_ns_per_chunk
             );
         }
         println!();

@@ -26,8 +26,8 @@ impl MlrPipeline {
     pub fn new(config: MlrConfig) -> Self {
         let p = &config.problem;
         let geometry = LaminoGeometry::cube(p.n, p.n_angles, p.tilt_degrees);
-        let dataset = LaminoDataset::simulate(geometry.clone(), p.phantom, p.noise, p.seed);
         let operator = LaminoOperator::new(geometry, config.chunk_size);
+        let dataset = LaminoDataset::simulate_with(&operator, p.phantom, p.noise, p.seed);
         Self {
             config,
             dataset,

@@ -50,6 +50,26 @@ impl LaminoDataset {
         noise: ProjectionNoise,
         seed: u64,
     ) -> Self {
+        let chunk_size = geometry.n1.clamp(1, 16);
+        Self::simulate_with(
+            &LaminoOperator::new(geometry, chunk_size),
+            phantom,
+            noise,
+            seed,
+        )
+    }
+
+    /// [`Self::simulate`] through an operator the caller already built, for
+    /// its geometry. The operator's chunk size does not enter the arithmetic
+    /// (planes are transformed independently), so the projections equal
+    /// `simulate`'s bit for bit.
+    pub fn simulate_with(
+        operator: &LaminoOperator,
+        phantom: PhantomKind,
+        noise: ProjectionNoise,
+        seed: u64,
+    ) -> Self {
+        let geometry = operator.geometry().clone();
         let n = geometry.n0.max(geometry.n1).max(geometry.n2);
         let ground_truth = phantom.generate(n, seed);
         assert_eq!(
@@ -57,7 +77,6 @@ impl LaminoDataset {
             geometry.volume_shape(),
             "dataset simulation currently requires a cubic geometry"
         );
-        let operator = LaminoOperator::new(geometry.clone(), geometry.n1.clamp(1, 16));
         let mut projections = operator.forward(&ground_truth);
         if let ProjectionNoise::Gaussian { relative_sigma } = noise {
             let rms = (projections.as_slice().iter().map(|x| x * x).sum::<f64>()
@@ -130,6 +149,22 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 0.0);
+    }
+
+    #[test]
+    fn simulate_with_any_chunk_size_equals_simulate() {
+        let g = LaminoGeometry::cube(12, 6, 30.0);
+        let noise = ProjectionNoise::Gaussian {
+            relative_sigma: 0.02,
+        };
+        let reference = LaminoDataset::simulate(g.clone(), PhantomKind::Brain, noise, 5);
+        for chunk_size in [1, 5] {
+            let operator = LaminoOperator::new(g.clone(), chunk_size);
+            let ds = LaminoDataset::simulate_with(&operator, PhantomKind::Brain, noise, 5);
+            assert_eq!(ds.projections, reference.projections, "chunk {chunk_size}");
+            assert_eq!(ds.ground_truth, reference.ground_truth);
+            assert_eq!(ds.geometry, reference.geometry);
+        }
     }
 
     #[test]

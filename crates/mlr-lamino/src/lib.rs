@@ -41,5 +41,7 @@ pub mod phantom;
 pub use chunk::{ChunkGrid, ChunkLocation};
 pub use dataset::{LaminoDataset, ProjectionNoise};
 pub use geometry::{DetectorSpec, LaminoGeometry};
-pub use operators::{ChunkRequest, DirectExecutor, FftExecutor, FftOpKind, LaminoOperator};
+pub use operators::{
+    kernel_threads_spawned, ChunkRequest, DirectExecutor, FftExecutor, FftOpKind, LaminoOperator,
+};
 pub use phantom::{brain_phantom, ic_phantom, smooth_random_phantom, PhantomKind};

@@ -200,6 +200,13 @@ impl FftExecutor for DirectExecutor {
     }
 }
 
+/// OS threads the kernel layer's data-parallel loops have spawned in this
+/// process so far. Only the plane loops of the `*_chunk_compute` kernels and
+/// the plan build in [`LaminoOperator::new`] fork; nothing below them does.
+pub fn kernel_threads_spawned() -> u64 {
+    rayon::spawned_threads()
+}
+
 /// Splits `data` into consecutive mutable windows of the given sizes — the
 /// per-chunk output slices a batch dispatch writes into. The windows
 /// partition a single grid (or staging) buffer, so chunk results land in

@@ -4,14 +4,26 @@
 //! `par_iter().map().collect()`, `par_chunks_mut().for_each()` (plus
 //! `.enumerate()`), `(a..b).into_par_iter().map().collect()` and
 //! [`scope`] — on top of `std::thread::scope`. Work is split into one
-//! contiguous block per worker thread; when only one hardware thread is
-//! available (or the input is tiny) everything degrades to the sequential
-//! loop, so there is no spawn overhead on single-core machines.
+//! contiguous block per worker thread, and every call spawns and joins its
+//! own OS threads ([`spawned_threads`] counts them). Only when one hardware
+//! thread is available, or the input has at most one item, does a call
+//! degrade to the sequential loop; any longer input forks, however little
+//! work each item carries.
 //!
 //! Set `RAYON_NUM_THREADS` to override the detected parallelism.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+/// OS threads spawned by this shim so far (a statistic, hence `Relaxed`).
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// Number of OS threads the shim has spawned in this process, over every
+/// parallel iterator and [`scope`] so far.
+pub fn spawned_threads() -> u64 {
+    SPAWNED.load(Ordering::Relaxed)
+}
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
@@ -50,6 +62,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let f = &f;
+                SPAWNED.fetch_add(1, Ordering::Relaxed);
                 s.spawn(move || {
                     let start = w * block;
                     let end = ((w + 1) * block).min(len);
@@ -90,6 +103,7 @@ where
     std::thread::scope(|s| {
         for chunk in split {
             let f = &f;
+            SPAWNED.fetch_add(1, Ordering::Relaxed);
             s.spawn(move || {
                 for item in chunk {
                     f(item);
@@ -287,6 +301,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         F: for<'a> FnOnce(&'a Scope<'scope, 'env>) + Send + 'scope,
     {
         let inner = self.inner;
+        SPAWNED.fetch_add(1, Ordering::Relaxed);
         inner.spawn(move || f(&Scope { inner }));
     }
 }
@@ -333,6 +348,7 @@ mod tests {
     fn scope_joins_spawned_tasks() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
+        let spawned_before = super::spawned_threads();
         super::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|_| {
@@ -341,5 +357,7 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 8);
+        // At least: sibling tests fork concurrently and are counted too.
+        assert!(super::spawned_threads() - spawned_before >= 8);
     }
 }
