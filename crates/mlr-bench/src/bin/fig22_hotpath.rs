@@ -37,15 +37,20 @@
 //! `fig22_hotpath --smoke --sweep` so `BENCH_hotpath.json` always carries
 //! the sweep; without `--sweep` the sweep fields are zeroed.
 //!
+//! `operator_scratch` records what an operator parks in its scratch pools
+//! after a forward + adjoint application, at two detector heights: the count
+//! must stay inside a bound that depends on the kernel thread count only.
+//!
 //! Gated in CI (`ci/bench_baseline.json`): `hit_path_allocation_free` and
 //! `zero_payload_clone` must hold exactly; the machine-independent
 //! `modeled_hit_speedup` — the analytic recompute cost `w·n·log2 n` over a
 //! `2n` element-touch model of the hit memcpy — must stay ≥ 2×; the
 //! *measured* `measured_hit_speedup` must stay above 1.0 (the
 //! `measured_hit_beats_fft` boolean), the sweep break-even must land at or
-//! below the smoke chunk size, and the drifting trace's
-//! `prefilter.skip_rate` must stay positive. Remaining wall-clock columns
-//! are informational.
+//! below the smoke chunk size, the drifting trace's
+//! `prefilter.skip_rate` must stay positive, and
+//! `operator_scratch.independent_of_rows` must hold (a scratch pool per
+//! detector row flips it). Remaining wall-clock columns are informational.
 //!
 //! The machine-readable record lands in `BENCH_hotpath.json` (and under
 //! `target/experiments/`).
@@ -53,9 +58,11 @@
 use mlr_bench::alloc::{delta, snapshot, CountingAllocator};
 use mlr_bench::{compare_row, fmt_secs, header, smoke_from_args, write_record};
 use mlr_fft::fft::{Direction, FftPlan};
-use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator};
+use mlr_lamino::{
+    ChunkRequest, DetectorSpec, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator,
+};
 use mlr_math::rng::seeded;
-use mlr_math::Complex64;
+use mlr_math::{Array3, Complex64};
 use mlr_memo::{EncoderConfig, MemoConfig, MemoizedExecutor};
 use mlr_telemetry::{MetricsSnapshot, StageId, Telemetry, STAGE_NAMES};
 use rand::Rng;
@@ -142,6 +149,24 @@ struct SweepPoint {
     /// 4 Ki, 64 from there. `miss_ns_per_chunk` is a plain `FftPlan` of the
     /// chunk length, a far cheaper proxy. Ungated.
     usfft2d_ns_per_chunk: f64,
+    /// The exact `F_u1D` chunk compute (`LaminoOperator::fu1d_chunk_compute`)
+    /// on the same chunk, read as `len` volume planes of the same geometry.
+    /// Ungated.
+    fu1d_ns_per_chunk: f64,
+}
+
+/// What an operator leaves parked in its scratch pools after one forward and
+/// one adjoint application, for the taller of two geometries that differ
+/// only in detector rows.
+#[derive(Serialize)]
+struct OperatorScratch {
+    detector_rows: usize,
+    idle_buffers: usize,
+    resident_kib: f64,
+    /// CI gate: at both heights `idle_buffers` is at most
+    /// `3 · kernel threads + 2` (per thread a 2-D fine grid, a 2-D column and
+    /// a 1-D fine grid; per operator the gather and staging arenas).
+    independent_of_rows: bool,
 }
 
 #[derive(Serialize)]
@@ -185,7 +210,11 @@ struct Record {
     /// CI gate (with `--sweep`): the hit pays for itself at or below the
     /// default smoke chunk size of 1024 elems.
     break_even_at_or_below_smoke_chunk: bool,
+    operator_scratch: OperatorScratch,
 }
+
+/// Threads the rayon shim is pinned to for the whole run (see `main`).
+const KERNEL_THREADS: usize = 1;
 
 /// Allocation envelope of one steady-state cache-hit chunk: the encoded key
 /// (the one intended allocation) plus slack for amortised batch plumbing.
@@ -356,18 +385,21 @@ fn sweep_point(n: usize, memo: MemoConfig, seed_base: u64) -> SweepPoint {
 
     let cache_hit_ns = hit_secs * 1e9 / chunks;
     let miss_ns = miss_secs * 1e9 / chunks;
+    let (usfft2d_ns, fu1d_ns) = usfft_chunk_ns(&inputs[0]);
     SweepPoint {
         chunk_elems: n,
         cache_hit_ns_per_chunk: cache_hit_ns,
         miss_ns_per_chunk: miss_ns,
         measured_hit_speedup: miss_ns / cache_hit_ns.max(1e-9),
-        usfft2d_ns_per_chunk: usfft2d_chunk_ns(&inputs[0]),
+        usfft2d_ns_per_chunk: usfft2d_ns,
+        fu1d_ns_per_chunk: fu1d_ns,
     }
 }
 
-/// Mean ns of the exact `F_u2D` compute on one chunk of `input.len()`
-/// elements (see [`SweepPoint::usfft2d_ns_per_chunk`] for the geometry).
-fn usfft2d_chunk_ns(input: &[Complex64]) -> f64 {
+/// Mean ns of the exact `F_u2D` and `F_u1D` computes on one chunk of
+/// `input.len()` elements (see [`SweepPoint::usfft2d_ns_per_chunk`] for the
+/// geometry): `(usfft2d, fu1d)`.
+fn usfft_chunk_ns(input: &[Complex64]) -> (f64, f64) {
     let side = match input.len() {
         0..=1023 => 16,
         1024..=4095 => 32,
@@ -375,20 +407,53 @@ fn usfft2d_chunk_ns(input: &[Complex64]) -> f64 {
     };
     let len = input.len() / (side * side);
     let op = LaminoOperator::new(LaminoGeometry::cube(side, side / 2, 30.0), len);
-    let reps = 8;
-    let _ = op.fu2d_chunk_compute(input, 0, len);
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(op.fu2d_chunk_compute(std::hint::black_box(input), 0, len));
+    let mean_ns = |compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>| {
+        let reps = 8;
+        let _ = compute(input);
+        let start = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(compute(std::hint::black_box(input)));
+        }
+        start.elapsed().as_secs_f64() * 1e9 / reps as f64
+    };
+    (
+        mean_ns(&|x| op.fu2d_chunk_compute(x, 0, len)),
+        mean_ns(&|x| op.fu1d_chunk_compute(x, len)),
+    )
+}
+
+/// Applies forward + adjoint at 16³ / 8 angles / chunk 4 and at twice the
+/// detector rows, and reads back what each operator parked.
+fn operator_scratch() -> OperatorScratch {
+    let cube = LaminoGeometry::cube(16, 8, 30.0);
+    let tall = LaminoGeometry {
+        detector: DetectorSpec::new(2 * cube.detector.rows, cube.detector.cols),
+        ..cube.clone()
+    };
+    let parked = |geometry: LaminoGeometry| {
+        let op = LaminoOperator::new(geometry, 4);
+        let shape = op.geometry().volume_shape();
+        let d = op.forward(&Array3::from_vec(shape, vec![1.0; shape.len()]));
+        let _ = op.adjoint(&d);
+        (op.scratch_idle_buffers(), op.scratch_idle_bytes())
+    };
+    let bound = 3 * KERNEL_THREADS + 2;
+    let detector_rows = tall.detector.rows;
+    let (idle_cube, _) = parked(cube);
+    let (idle_buffers, bytes) = parked(tall);
+    OperatorScratch {
+        detector_rows,
+        idle_buffers,
+        resident_kib: bytes as f64 / 1024.0,
+        independent_of_rows: idle_cube <= bound && idle_buffers <= bound,
     }
-    start.elapsed().as_secs_f64() * 1e9 / reps as f64
 }
 
 fn main() {
     // Pin the rayon shim to one thread and run batches sequentially: the
     // subject under measurement is the per-chunk constant factor, and the
     // allocation gate must count one deterministic code path.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
+    std::env::set_var("RAYON_NUM_THREADS", KERNEL_THREADS.to_string());
     header(
         "Figure 22",
         "zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk",
@@ -610,17 +675,18 @@ fn main() {
     println!();
     if sweep_run {
         println!(
-            "{:>12} {:>16} {:>14} {:>12} {:>14}",
-            "chunk elems", "cache hit ns", "miss ns", "hit speedup", "usfft2d ns"
+            "{:>12} {:>16} {:>14} {:>12} {:>14} {:>12}",
+            "chunk elems", "cache hit ns", "miss ns", "hit speedup", "usfft2d ns", "fu1d ns"
         );
         for p in &sweep {
             println!(
-                "{:>12} {:>16.0} {:>14.0} {:>11.2}x {:>14.0}",
+                "{:>12} {:>16.0} {:>14.0} {:>11.2}x {:>14.0} {:>12.0}",
                 p.chunk_elems,
                 p.cache_hit_ns_per_chunk,
                 p.miss_ns_per_chunk,
                 p.measured_hit_speedup,
-                p.usfft2d_ns_per_chunk
+                p.usfft2d_ns_per_chunk,
+                p.fu1d_ns_per_chunk
             );
         }
         println!();
@@ -634,6 +700,17 @@ fn main() {
             },
         );
     }
+    let operator_scratch = operator_scratch();
+    compare_row(
+        "operator scratch parked after forward + adjoint",
+        &format!("≤ {} buffers at any height", 3 * KERNEL_THREADS + 2),
+        &format!(
+            "{} buffers / {:.0} KiB at {} detector rows",
+            operator_scratch.idle_buffers,
+            operator_scratch.resident_kib,
+            operator_scratch.detector_rows
+        ),
+    );
     compare_row(
         "hit-path top stage",
         "(informational)",
@@ -714,6 +791,11 @@ fn main() {
         measured_hit_beats_fft,
         "a memo hit must beat the FFT it replaces: measured {measured_hit_speedup:.2}x"
     );
+    assert!(
+        operator_scratch.independent_of_rows,
+        "operator scratch grows with detector rows: {} buffers parked at {} rows",
+        operator_scratch.idle_buffers, operator_scratch.detector_rows
+    );
 
     let record = Record {
         smoke,
@@ -737,6 +819,7 @@ fn main() {
         sweep,
         break_even_chunk_elems,
         break_even_at_or_below_smoke_chunk,
+        operator_scratch,
     };
     match serde_json::to_string_pretty(&record) {
         Ok(json) => {

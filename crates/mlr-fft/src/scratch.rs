@@ -11,12 +11,28 @@
 //!
 //! The pool is a plain mutex-guarded free list. Concurrent callers (the
 //! worker threads the `ConcurrencyGovernor` grants to a batch, or rayon's
-//! plane-level fan-out) each pop their own buffer, so the pool's resident
-//! size converges to the peak number of concurrent leases — one buffer per
-//! worker identity, never one per chunk. Reuse is invisible numerically:
-//! leases are either zero-filled ([`ScratchPool::lease_zeroed`]) or handed
-//! out with unspecified contents for callers that overwrite every element
-//! ([`ScratchPool::lease`]).
+//! plane-level fan-out) each pop their own buffer, so a pool's resident size
+//! converges to the peak number of leases that were ever out at once — never
+//! one buffer per chunk. That bound only means something if the pool is
+//! shared by everything that leases from it in turn, so ownership follows
+//! sharing:
+//!
+//! * an [`FftPlan`](crate::fft::FftPlan) owns its Bluestein scratch and a
+//!   [`Fft2Batch`](crate::fft2d::Fft2Batch) its column buffers — one plan
+//!   serves every plane;
+//! * a [`Usfft1d`](crate::usfft::Usfft1d) owns its fine-grid pool — the
+//!   operator has one vertical plan;
+//! * a [`Usfft2d`](crate::usfft::Usfft2d) only *borrows* its fine-grid and
+//!   column pools (`Arc<ScratchPool>` each). The laminography operator
+//!   builds one pair and hands it to all `h` per-detector-row plans, which
+//!   share the same `nr1 × nr2`, so the operator parks at most one fine grid
+//!   and one column per concurrently running plane transform — O(threads),
+//!   not O(detector rows). A plan built on its own gets a private pair;
+//! * the operator owns the gather/staging arena of its `F_u2D` stages.
+//!
+//! Reuse is invisible numerically: leases are either zero-filled
+//! ([`ScratchPool::lease_zeroed`]) or handed out with unspecified contents
+//! for callers that overwrite every element ([`ScratchPool::lease`]).
 
 use mlr_math::Complex64;
 use parking_lot::Mutex;
@@ -39,11 +55,17 @@ impl ScratchPool {
         self.free.lock().len()
     }
 
+    /// Bytes of storage held by the parked buffers (diagnostics).
+    pub fn idle_bytes(&self) -> usize {
+        let elems: usize = self.free.lock().iter().map(Vec::capacity).sum();
+        elems * std::mem::size_of::<Complex64>()
+    }
+
     /// Leases a buffer of exactly `len` elements with **unspecified**
     /// contents — for callers that overwrite every element (gather arenas,
     /// transpose targets). Returns the buffer to the pool on drop.
     pub fn lease(&self, len: usize) -> ScratchLease<'_> {
-        let mut buf = self.free.lock().pop().unwrap_or_default();
+        let mut buf = self.pop();
         buf.resize(len, Complex64::ZERO);
         ScratchLease { pool: self, buf }
     }
@@ -51,9 +73,15 @@ impl ScratchPool {
     /// Leases a buffer of exactly `len` elements, zero-filled — for sparse
     /// writers (fine-grid spreading, zero-padded chirp products).
     pub fn lease_zeroed(&self, len: usize) -> ScratchLease<'_> {
-        let mut lease = self.lease(len);
-        lease.buf.fill(Complex64::ZERO);
-        lease
+        let mut buf = self.pop();
+        // Emptied first, so `resize` writes every element exactly once.
+        buf.clear();
+        buf.resize(len, Complex64::ZERO);
+        ScratchLease { pool: self, buf }
+    }
+
+    fn pop(&self) -> Vec<Complex64> {
+        self.free.lock().pop().unwrap_or_default()
     }
 
     fn give_back(&self, buf: Vec<Complex64>) {

@@ -30,6 +30,24 @@
 //! going forward and only the `n2` columns the result reads coming back,
 //! through one pooled column buffer. Nothing here forks: the caller's plane
 //! loop is the one level of parallelism.
+//!
+//! The 1-D transform evaluates no window at all per call: the window depends
+//! only on the plan, so [`Usfft1d::with_params`] stores, per frequency, the
+//! first tap cell and the `2m+1` weights, and `forward`/`adjoint` are a
+//! multiply-add over that table. The laminography operator has *one*
+//! vertical plan and applies it `n1·n2` times per operator application, so
+//! the table is `h·(2m+1)` f64 once per operator (5 KB at h = 48, 213 KB at
+//! h = 2048). The same table for [`Usfft2d`] would be `nθ·w·(4m+2)` f64 *per
+//! detector-row plan* (11.5 MB per operator at 48³) for a plan applied once
+//! per application, which is why the 2-D window stays per-call.
+//!
+//! Every transform has an `_into` form that writes the result where the
+//! caller keeps it — the strided 1-D forms read and write a column of a
+//! row-major plane in place — and the `Vec`-returning methods are
+//! `vec! + _into`. Working memory is leased ([`crate::scratch`]): a
+//! [`Usfft1d`] owns its fine-grid pool; a [`Usfft2d`] borrows a fine-grid and
+//! a column pool, private to it unless [`Usfft2d::with_scratch`] shares one
+//! pair among plans of equal fine-grid size.
 
 use crate::fft::{Direction, FftPlan};
 use crate::scratch::{ScratchLease, ScratchPool};
@@ -58,12 +76,17 @@ fn gaussian_sigma(n: usize, r: usize, m_sp: usize) -> f64 {
 pub struct Usfft1d {
     n: usize,
     nr: usize,
-    m_sp: usize,
-    sigma: f64,
+    /// Window taps per frequency, `2·half_width + 1`.
+    n_taps: usize,
     freqs: Vec<f64>,
     deconv: Vec<f64>,
     scale: f64,
     plan: Arc<FftPlan>,
+    /// Per frequency, the fine-grid cell of its first window tap; tap `t`
+    /// sits at cell `(tap_start + t) mod nr`.
+    tap_start: Vec<usize>,
+    /// Per frequency, its `n_taps` window weights in ascending cell order.
+    tap_weights: Vec<f64>,
     /// Pooled fine-grid buffers (length `nr`): forward/adjoint transforms
     /// stop allocating their spreading grid once the pool is warm.
     fine_pool: ScratchPool,
@@ -97,15 +120,24 @@ impl Usfft1d {
             })
             .collect();
         let scale = 1.0 / (nr as f64 * (4.0 * PI * sigma).sqrt());
+        let n_taps = 2 * half_width + 1;
+        let mut tap_start = Vec::with_capacity(freqs.len());
+        let mut tap_weights = Vec::with_capacity(freqs.len() * n_taps);
+        for &w in &freqs {
+            let mut window = taps(w, nr, sigma, half_width).peekable();
+            tap_start.extend(window.peek().map(|&(_, cell)| cell));
+            tap_weights.extend(window.map(|(weight, _)| weight));
+        }
         Self {
             n,
             nr,
-            m_sp: half_width,
-            sigma,
+            n_taps,
             freqs,
             deconv,
             scale,
             plan: Arc::new(FftPlan::new(nr)),
+            tap_start,
+            tap_weights,
             fine_pool: ScratchPool::new(),
         }
     }
@@ -125,10 +157,15 @@ impl Usfft1d {
         &self.freqs
     }
 
-    #[inline]
-    fn kernel(&self, dist_cells: f64) -> f64 {
-        let d = dist_cells / self.nr as f64;
-        (-(d * d) / (4.0 * self.sigma)).exp()
+    /// The plan's fine-grid scratch pool (diagnostics).
+    pub fn scratch(&self) -> &ScratchPool {
+        &self.fine_pool
+    }
+
+    /// Per frequency: the first tap cell and the window weights from there.
+    fn windows(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        let weights = self.tap_weights.chunks_exact(self.n_taps);
+        self.tap_start.iter().copied().zip(weights)
     }
 
     /// Forward transform: `out[k] = Σ_p u[p]·exp(-2πi·ω_k·p)`.
@@ -137,39 +174,50 @@ impl Usfft1d {
     /// Panics when `u.len() != self.input_len()`.
     pub fn forward(&self, u: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(u.len(), self.n, "USFFT input length mismatch");
+        let mut out = vec![Complex64::ZERO; self.freqs.len()];
+        self.forward_into(u, 1, &mut out, 1);
+        out
+    }
+
+    /// [`Self::forward`] on strided data: sample `j` is `u[j * in_stride]`
+    /// and value `k` goes to `out[k * out_stride]` (a column of a row-major
+    /// plane is the slice from its first element, strided by the row
+    /// length). Elements of `out` between the strides are left alone.
+    ///
+    /// # Panics
+    /// Panics when `u` or `out` is too short for its stride.
+    pub fn forward_into(
+        &self,
+        u: &[Complex64],
+        in_stride: usize,
+        out: &mut [Complex64],
+        out_stride: usize,
+    ) {
+        assert!(
+            holds_strided(u.len(), self.n, in_stride),
+            "USFFT input length mismatch"
+        );
+        assert!(
+            holds_strided(out.len(), self.freqs.len(), out_stride),
+            "USFFT output length mismatch"
+        );
         // 1. Pre-compensate and place on the fine grid at (p mod nr). The
         //    grid is pooled scratch — no allocation in steady state.
         let mut fine = self.fine_pool.lease_zeroed(self.nr);
-        let half = (self.n / 2) as isize;
-        for (j, &val) in u.iter().enumerate() {
-            let p = j as isize - half;
-            let idx = p.rem_euclid(self.nr as isize) as usize;
-            fine[idx] = val.scale(self.deconv[j]);
+        for (j, &d) in self.deconv.iter().enumerate() {
+            fine[embed(j, self.n, self.nr)] = u[j * in_stride].scale(d);
         }
         // 2. Oversampled FFT: fine[q] = Σ_p v[p]·exp(-2πi·q·p/nr).
         self.plan.process(&mut fine, Direction::Forward);
         // 3. Interpolate to each non-uniform frequency.
-        self.interpolate(&fine)
-    }
-
-    fn interpolate(&self, fine: &[Complex64]) -> Vec<Complex64> {
-        let nr = self.nr as isize;
-        let m_sp = self.m_sp as isize;
-        self.freqs
-            .iter()
-            .map(|&w| {
-                let center = wrap_unit(w) * self.nr as f64;
-                let q0 = center.round() as isize;
-                let mut acc = Complex64::ZERO;
-                for l in -m_sp..=m_sp {
-                    let q = q0 + l;
-                    let weight = self.kernel(center - q as f64);
-                    let idx = q.rem_euclid(nr) as usize;
-                    acc += fine[idx].scale(weight);
-                }
-                acc.scale(self.scale)
-            })
-            .collect()
+        let mask = self.nr - 1;
+        for (k, (start, weights)) in self.windows().enumerate() {
+            let mut acc = Complex64::ZERO;
+            for (t, &weight) in weights.iter().enumerate() {
+                acc += fine[(start + t) & mask].scale(weight);
+            }
+            out[k * out_stride] = acc.scale(self.scale);
+        }
     }
 
     /// Adjoint transform: `out[p] = Σ_k y[k]·exp(+2πi·ω_k·p)`, implemented as
@@ -183,33 +231,47 @@ impl Usfft1d {
             self.freqs.len(),
             "USFFT adjoint input length mismatch"
         );
-        let nr = self.nr as isize;
-        let m_sp = self.m_sp as isize;
+        let mut out = vec![Complex64::ZERO; self.n];
+        self.adjoint_into(y, 1, &mut out, 1);
+        out
+    }
+
+    /// [`Self::adjoint`] on strided data: value `k` is `y[k * in_stride]` and
+    /// sample `j` goes to `out[j * out_stride]`, as in [`Self::forward_into`].
+    ///
+    /// # Panics
+    /// Panics when `y` or `out` is too short for its stride.
+    pub fn adjoint_into(
+        &self,
+        y: &[Complex64],
+        in_stride: usize,
+        out: &mut [Complex64],
+        out_stride: usize,
+    ) {
+        assert!(
+            holds_strided(y.len(), self.freqs.len(), in_stride),
+            "USFFT adjoint input length mismatch"
+        );
+        assert!(
+            holds_strided(out.len(), self.n, out_stride),
+            "USFFT adjoint output length mismatch"
+        );
         // 1. Spread each non-uniform value onto the fine grid (transpose of
-        //    the interpolation step). Pooled scratch, as in `forward`.
+        //    the interpolation step). Pooled scratch, as in `forward_into`.
         let mut fine = self.fine_pool.lease_zeroed(self.nr);
-        for (k, &val) in y.iter().enumerate() {
-            let center = wrap_unit(self.freqs[k]) * self.nr as f64;
-            let q0 = center.round() as isize;
-            let scaled = val.scale(self.scale);
-            for l in -m_sp..=m_sp {
-                let q = q0 + l;
-                let weight = self.kernel(center - q as f64);
-                let idx = q.rem_euclid(nr) as usize;
-                fine[idx] += scaled.scale(weight);
+        let mask = self.nr - 1;
+        for (k, (start, weights)) in self.windows().enumerate() {
+            let scaled = y[k * in_stride].scale(self.scale);
+            for (t, &weight) in weights.iter().enumerate() {
+                fine[(start + t) & mask] += scaled.scale(weight);
             }
         }
         // 2. Conjugate-transpose of the forward FFT = unscaled inverse FFT.
         self.plan.process_unscaled(&mut fine, Direction::Inverse);
         // 3. Transpose of placement + compensation.
-        let half = (self.n / 2) as isize;
-        (0..self.n)
-            .map(|j| {
-                let p = j as isize - half;
-                let idx = p.rem_euclid(nr) as usize;
-                fine[idx].scale(self.deconv[j])
-            })
-            .collect()
+        for (j, &d) in self.deconv.iter().enumerate() {
+            out[j * out_stride] = fine[embed(j, self.n, self.nr)].scale(d);
+        }
     }
 
     /// Naive `O(n·m)` evaluation of the forward transform (ground truth for
@@ -269,6 +331,11 @@ fn embed(j: usize, n: usize, nr: usize) -> usize {
     (j as isize - (n / 2) as isize).rem_euclid(nr as isize) as usize
 }
 
+/// Whether a slice of `len` elements holds `count` samples `stride` apart.
+fn holds_strided(len: usize, count: usize, stride: usize) -> bool {
+    count == 0 || (stride > 0 && len > (count - 1) * stride)
+}
+
 /// Most taps (`2·half_width + 1`) a 2-D window may have per axis; bounds the
 /// stack array holding one frequency's column weights.
 const MAX_TAPS: usize = 33;
@@ -310,9 +377,9 @@ pub struct Usfft2d {
     plan2: Arc<FftPlan>,
     /// Pooled fine grids (length `nr1 * nr2`) and column buffers (length
     /// `nr1`): the per-chunk 2-D transforms stop allocating once the pools
-    /// warm up.
-    fine_pool: ScratchPool,
-    column_pool: ScratchPool,
+    /// warm up. Shared with every plan built over the same pair.
+    fine_pool: Arc<ScratchPool>,
+    column_pool: Arc<ScratchPool>,
 }
 
 impl Usfft2d {
@@ -325,7 +392,8 @@ impl Usfft2d {
         Self::with_params(n1, n2, freqs, DEFAULT_OVERSAMPLING, DEFAULT_HALF_WIDTH)
     }
 
-    /// Creates a transform with explicit oversampling and kernel half-width.
+    /// Creates a transform with explicit oversampling and kernel half-width,
+    /// over scratch pools of its own.
     ///
     /// # Panics
     /// Panics when a dimension is zero, `oversampling < 2`, `half_width == 0`,
@@ -337,6 +405,33 @@ impl Usfft2d {
         freqs: Vec<(f64, f64)>,
         oversampling: usize,
         half_width: usize,
+    ) -> Self {
+        Self::with_scratch(
+            n1,
+            n2,
+            freqs,
+            oversampling,
+            half_width,
+            Arc::new(ScratchPool::new()),
+            Arc::new(ScratchPool::new()),
+        )
+    }
+
+    /// [`Self::with_params`] over the caller's fine-grid and column pools.
+    /// Plans of equal `(n1, n2, oversampling)` built over one pair park one
+    /// fine grid and one column per transform running at once, however many
+    /// plans there are.
+    ///
+    /// # Panics
+    /// As [`Self::with_params`].
+    pub fn with_scratch(
+        n1: usize,
+        n2: usize,
+        freqs: Vec<(f64, f64)>,
+        oversampling: usize,
+        half_width: usize,
+        fine_pool: Arc<ScratchPool>,
+        column_pool: Arc<ScratchPool>,
     ) -> Self {
         assert!(n1 > 0 && n2 > 0, "USFFT2D dimensions must be positive");
         assert!(oversampling >= 2, "oversampling must be >= 2");
@@ -371,8 +466,8 @@ impl Usfft2d {
             scale,
             plan1: Arc::new(FftPlan::new(nr1)),
             plan2: Arc::new(FftPlan::new(nr2)),
-            fine_pool: ScratchPool::new(),
-            column_pool: ScratchPool::new(),
+            fine_pool,
+            column_pool,
         }
     }
 
@@ -442,27 +537,39 @@ impl Usfft2d {
     /// # Panics
     /// Panics when `u.len() != n1 * n2`.
     pub fn forward(&self, u: &[Complex64]) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; self.freqs.len()];
+        self.forward_into(u, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into the caller's `output_len()` values.
+    ///
+    /// # Panics
+    /// Panics when `u.len() != n1 * n2` or `out.len() != self.output_len()`.
+    pub fn forward_into(&self, u: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(u.len(), self.n1 * self.n2, "USFFT2D input length mismatch");
+        assert_eq!(
+            out.len(),
+            self.freqs.len(),
+            "USFFT2D output length mismatch"
+        );
         let fine = self.fine_forward(u);
         let mut col_taps = [(0.0, 0); MAX_TAPS];
         let col_taps = &mut col_taps[..2 * self.m_sp + 1];
-        self.freqs
-            .iter()
-            .map(|&(w1, w2)| {
-                // The window is separable: the column weights are shared by
-                // every row tap of this frequency.
-                let window2 = taps(w2, self.nr2, self.sigma2, self.m_sp);
-                col_taps.iter_mut().zip(window2).for_each(|(s, t)| *s = t);
-                let mut acc = Complex64::ZERO;
-                for (k1, i1) in taps(w1, self.nr1, self.sigma1, self.m_sp) {
-                    let row = &fine[i1 * self.nr2..(i1 + 1) * self.nr2];
-                    for &(k2, i2) in col_taps.iter() {
-                        acc += row[i2].scale(k1 * k2);
-                    }
+        for (value, &(w1, w2)) in out.iter_mut().zip(&self.freqs) {
+            // The window is separable: the column weights are shared by
+            // every row tap of this frequency.
+            let window2 = taps(w2, self.nr2, self.sigma2, self.m_sp);
+            col_taps.iter_mut().zip(window2).for_each(|(s, t)| *s = t);
+            let mut acc = Complex64::ZERO;
+            for (k1, i1) in taps(w1, self.nr1, self.sigma1, self.m_sp) {
+                let row = &fine[i1 * self.nr2..(i1 + 1) * self.nr2];
+                for &(k2, i2) in col_taps.iter() {
+                    acc += row[i2].scale(k1 * k2);
                 }
-                acc.scale(self.scale)
-            })
-            .collect()
+            }
+            *value = acc.scale(self.scale);
+        }
     }
 
     /// Adjoint transform: `out[p1,p2] = Σ_k y[k]·exp(+2πi(ω1_k·p1 + ω2_k·p2))`,
@@ -471,10 +578,25 @@ impl Usfft2d {
     /// # Panics
     /// Panics when `y.len() != self.output_len()`.
     pub fn adjoint(&self, y: &[Complex64]) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; self.n1 * self.n2];
+        self.adjoint_into(y, &mut out);
+        out
+    }
+
+    /// [`Self::adjoint`] into the caller's row-major `n1 × n2` grid.
+    ///
+    /// # Panics
+    /// Panics when `y.len() != self.output_len()` or `out.len() != n1 * n2`.
+    pub fn adjoint_into(&self, y: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(
             y.len(),
             self.freqs.len(),
             "USFFT2D adjoint input length mismatch"
+        );
+        assert_eq!(
+            out.len(),
+            self.n1 * self.n2,
+            "USFFT2D adjoint output length mismatch"
         );
         let mut fine = self.fine_pool.lease_zeroed(self.nr1 * self.nr2);
         let mut col_taps = [(0.0, 0); MAX_TAPS];
@@ -493,7 +615,6 @@ impl Usfft2d {
         // Only the n2 embedded columns are read below.
         let cols = (0..self.n2).map(|j2| embed(j2, self.n2, self.nr2));
         self.fft_fine(&mut fine, Direction::Inverse, 0..self.nr1, cols);
-        let mut out = vec![Complex64::ZERO; self.n1 * self.n2];
         for j1 in 0..self.n1 {
             let r1 = embed(j1, self.n1, self.nr1);
             for j2 in 0..self.n2 {
@@ -502,7 +623,6 @@ impl Usfft2d {
                     fine[r1 * self.nr2 + r2].scale(self.deconv1[j1] * self.deconv2[j2]);
             }
         }
-        out
     }
 
     /// Naive `O(n1·n2·m)` forward evaluation (ground truth for tests).
@@ -630,6 +750,130 @@ mod tests {
     fn usfft1d_wrong_input_length_panics() {
         let t = Usfft1d::new(8, vec![0.1]);
         let _ = t.forward(&random_c(4, 12));
+    }
+
+    /// The 1-D transform as it was before the window moved into the plan:
+    /// `2m+1` kernel evaluations per frequency on every call, centred-wrap
+    /// indices spelled out with `rem_euclid`. Kept as the bit-identity
+    /// reference for `forward`/`adjoint` and their strided forms.
+    struct Reference1d<'a> {
+        t: &'a Usfft1d,
+        m_sp: usize,
+        sigma: f64,
+    }
+
+    impl Reference1d<'_> {
+        fn kernel(&self, dist_cells: f64) -> f64 {
+            Reference::kernel(dist_cells, self.t.nr, self.sigma)
+        }
+
+        fn forward(&self, u: &[Complex64]) -> Vec<Complex64> {
+            let t = self.t;
+            let nr = t.nr as isize;
+            let m_sp = self.m_sp as isize;
+            let mut fine = vec![Complex64::ZERO; t.nr];
+            let half = (t.n / 2) as isize;
+            for (j, &val) in u.iter().enumerate() {
+                let p = j as isize - half;
+                fine[p.rem_euclid(nr) as usize] = val.scale(t.deconv[j]);
+            }
+            t.plan.process(&mut fine, Direction::Forward);
+            t.freqs
+                .iter()
+                .map(|&w| {
+                    let center = wrap_unit(w) * t.nr as f64;
+                    let q0 = center.round() as isize;
+                    let mut acc = Complex64::ZERO;
+                    for l in -m_sp..=m_sp {
+                        let q = q0 + l;
+                        let weight = self.kernel(center - q as f64);
+                        acc += fine[q.rem_euclid(nr) as usize].scale(weight);
+                    }
+                    acc.scale(t.scale)
+                })
+                .collect()
+        }
+
+        fn adjoint(&self, y: &[Complex64]) -> Vec<Complex64> {
+            let t = self.t;
+            let nr = t.nr as isize;
+            let m_sp = self.m_sp as isize;
+            let mut fine = vec![Complex64::ZERO; t.nr];
+            for (k, &val) in y.iter().enumerate() {
+                let center = wrap_unit(t.freqs[k]) * t.nr as f64;
+                let q0 = center.round() as isize;
+                let scaled = val.scale(t.scale);
+                for l in -m_sp..=m_sp {
+                    let q = q0 + l;
+                    let weight = self.kernel(center - q as f64);
+                    fine[q.rem_euclid(nr) as usize] += scaled.scale(weight);
+                }
+            }
+            t.plan.process_unscaled(&mut fine, Direction::Inverse);
+            let half = (t.n / 2) as isize;
+            (0..t.n)
+                .map(|j| {
+                    let p = j as isize - half;
+                    fine[p.rem_euclid(nr) as usize].scale(t.deconv[j])
+                })
+                .collect()
+        }
+    }
+
+    /// `values` laid out `stride` apart in a buffer of `poison`.
+    fn spread(values: &[Complex64], stride: usize, poison: Complex64) -> Vec<Complex64> {
+        let mut out = vec![poison; values.len() * stride];
+        for (k, &v) in values.iter().enumerate() {
+            out[k * stride] = v;
+        }
+        out
+    }
+
+    #[test]
+    fn usfft1d_is_bit_identical_to_per_call_window_reference() {
+        // (n, half-width): the operators' half-width 6 with nr > 2n (24, 48)
+        // and nr == 2n (32); a small grid at the default half-width; and one
+        // whose 21-tap window is wider than its 16-cell fine grid, so taps
+        // wrap more than once.
+        let cases = [(24, 6), (32, 6), (48, 6), (10, 10), (6, 10)];
+        let poison = Complex64::new(f64::NAN, 1.0);
+        for (case, &(n, m_sp)) in cases.iter().enumerate() {
+            // Frequencies on the ±0.5 seam, at and around 0 (taps wrap the
+            // low and the high grid edge), outside [-0.5, 0.5), then random.
+            let mut freqs = vec![0.5, -0.5, 0.0, -1e-3, 1e-3, 0.499, -0.499, 1.25, -0.75];
+            freqs.extend(random_freqs(2 * n, 70 + case as u64));
+            let t = Usfft1d::with_params(n, freqs, 2, m_sp);
+            let reference = Reference1d {
+                t: &t,
+                m_sp,
+                sigma: gaussian_sigma(n, 2, m_sp),
+            };
+            let m = t.output_len();
+            let u = random_c(n, 80 + case as u64);
+            let y = random_c(m, 90 + case as u64);
+            let forward = bits(&reference.forward(&u));
+            let adjoint = bits(&reference.adjoint(&y));
+            // Twice: the second call runs on recycled (stale) pool buffers.
+            for _ in 0..2 {
+                assert_eq!(bits(&t.forward(&u)), forward, "forward n {n} m {m_sp}");
+                assert_eq!(bits(&t.adjoint(&y)), adjoint, "adjoint n {n} m {m_sp}");
+                // Stride 1, and the stride of a column in an n2 = n plane;
+                // input and output strided alike, as the operator does.
+                for stride in [1, n] {
+                    let mut out = vec![poison; m * stride];
+                    t.forward_into(&spread(&u, stride, poison), stride, &mut out, stride);
+                    let picked: Vec<Complex64> = out.iter().step_by(stride).copied().collect();
+                    assert_eq!(bits(&picked), forward, "forward_into n {n} stride {stride}");
+                    let mut out = vec![poison; n * stride];
+                    t.adjoint_into(&spread(&y, stride, poison), stride, &mut out, stride);
+                    let picked: Vec<Complex64> = out.iter().step_by(stride).copied().collect();
+                    assert_eq!(bits(&picked), adjoint, "adjoint_into n {n} stride {stride}");
+                    // Nothing between the strides is written.
+                    let between = out.iter().enumerate().filter(|(i, _)| i % stride != 0);
+                    assert!(between.into_iter().all(|(_, z)| z.re.is_nan()));
+                }
+            }
+        }
     }
 
     #[test]
@@ -810,17 +1054,19 @@ mod tests {
             let u = random_c(n1 * n2, 50 + case as u64);
             let y = random_c(t.output_len(), 60 + case as u64);
             // Twice: the second call runs on recycled (stale) pool buffers.
+            // The `_into` forms start from a poisoned target: they must
+            // overwrite every element.
             for _ in 0..2 {
-                assert_eq!(
-                    bits(&t.forward(&u)),
-                    bits(&reference.forward(&u)),
-                    "forward {n1}x{n2} m {m_sp}"
-                );
-                assert_eq!(
-                    bits(&t.adjoint(&y)),
-                    bits(&reference.adjoint(&y)),
-                    "adjoint {n1}x{n2} m {m_sp}"
-                );
+                let forward = bits(&reference.forward(&u));
+                assert_eq!(bits(&t.forward(&u)), forward, "forward {n1}x{n2} m {m_sp}");
+                let mut out = vec![Complex64::new(f64::NAN, 1.0); t.output_len()];
+                t.forward_into(&u, &mut out);
+                assert_eq!(bits(&out), forward, "forward_into {n1}x{n2} m {m_sp}");
+                let adjoint = bits(&reference.adjoint(&y));
+                assert_eq!(bits(&t.adjoint(&y)), adjoint, "adjoint {n1}x{n2} m {m_sp}");
+                let mut out = vec![Complex64::new(f64::NAN, 1.0); n1 * n2];
+                t.adjoint_into(&y, &mut out);
+                assert_eq!(bits(&out), adjoint, "adjoint_into {n1}x{n2} m {m_sp}");
             }
         }
     }

@@ -18,6 +18,7 @@ use mlr_fft::usfft::{Usfft1d, Usfft2d};
 use mlr_math::{Array3, Complex64, Shape3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifies one of the six FFT operations that Algorithm 1 of the paper
 /// invokes (and that mLR memoizes).
@@ -278,7 +279,10 @@ where
 /// Construction precomputes the USFFT plans (vertical transform and one
 /// in-plane transform per detector row) and the uniform 2-D FFT plan, so
 /// repeated applications — every CG step of every ADMM iteration — reuse
-/// them.
+/// them. The plans' working memory does not come per plan: the row plans
+/// lease from one pair of pools, so what an operator keeps resident between
+/// applications scales with the kernel thread count, not with the detector
+/// height ([`Self::scratch_idle_buffers`]).
 pub struct LaminoOperator {
     geometry: LaminoGeometry,
     usfft_vertical: Usfft1d,
@@ -292,8 +296,11 @@ pub struct LaminoOperator {
     /// chunk. The slab-aligned stages (`F_u1D`, `F_2D`) need no staging at
     /// all — they borrow the operand and write the result grids directly.
     arena: ScratchPool,
-    /// Pooled per-plane column buffers for the chunk compute kernels.
-    column_pool: ScratchPool,
+    /// The one fine-grid pool and the one column pool every row plan of
+    /// `usfft_rows` leases from: all rows share `nr1 × nr2`, so the operator
+    /// parks one buffer of each per plane transform running at once.
+    plane_fine: Arc<ScratchPool>,
+    plane_columns: Arc<ScratchPool>,
 }
 
 impl LaminoOperator {
@@ -305,15 +312,19 @@ impl LaminoOperator {
     pub fn new(geometry: LaminoGeometry, chunk_size: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         let usfft_vertical = Usfft1d::with_params(geometry.n0, geometry.vertical_freqs(), 2, 6);
+        let plane_fine = Arc::new(ScratchPool::new());
+        let plane_columns = Arc::new(ScratchPool::new());
         let usfft_rows: Vec<Usfft2d> = (0..geometry.detector.rows)
             .into_par_iter()
             .map(|row| {
-                Usfft2d::with_params(
+                Usfft2d::with_scratch(
                     geometry.n1,
                     geometry.n2,
                     geometry.inplane_freqs_for_row(row),
                     2,
                     6,
+                    Arc::clone(&plane_fine),
+                    Arc::clone(&plane_columns),
                 )
             })
             .collect();
@@ -325,8 +336,33 @@ impl LaminoOperator {
             fft2_detector,
             chunk_size,
             arena: ScratchPool::new(),
-            column_pool: ScratchPool::new(),
+            plane_fine,
+            plane_columns,
         }
+    }
+
+    /// Every scratch pool an operator application leases from: the
+    /// gather/staging arena, the row plans' shared fine-grid and column
+    /// pools, and the vertical plan's fine-grid pool.
+    fn scratch_pools(&self) -> [&ScratchPool; 4] {
+        [
+            &self.arena,
+            &self.plane_fine,
+            &self.plane_columns,
+            self.usfft_vertical.scratch(),
+        ]
+    }
+
+    /// Buffers parked in the operator's scratch pools (diagnostics). Bounded
+    /// by the leases that were ever out at once — a few per kernel thread —
+    /// whatever the number of detector rows.
+    pub fn scratch_idle_buffers(&self) -> usize {
+        self.scratch_pools().iter().map(|p| p.idle()).sum()
+    }
+
+    /// Bytes held by the buffers [`Self::scratch_idle_buffers`] counts.
+    pub fn scratch_idle_bytes(&self) -> usize {
+        self.scratch_pools().iter().map(|p| p.idle_bytes()).sum()
     }
 
     /// The geometry this operator was built for.
@@ -404,15 +440,10 @@ impl LaminoOperator {
             .enumerate()
             .for_each(|(i1, out_plane)| {
                 let in_plane = &input[i1 * n0 * n2..(i1 + 1) * n0 * n2];
-                let mut column = self.column_pool.lease(n0);
+                // Column i2 of a row-major plane: from element i2, stride n2.
                 for i2 in 0..n2 {
-                    for j in 0..n0 {
-                        column[j] = in_plane[j * n2 + i2];
-                    }
-                    let transformed = self.usfft_vertical.forward(&column);
-                    for (row, &v) in transformed.iter().enumerate() {
-                        out_plane[row * n2 + i2] = v;
-                    }
+                    self.usfft_vertical
+                        .forward_into(&in_plane[i2..], n2, &mut out_plane[i2..], n2);
                 }
             });
         out
@@ -464,15 +495,9 @@ impl LaminoOperator {
             .enumerate()
             .for_each(|(i1, out_plane)| {
                 let in_plane = &input[i1 * h * n2..(i1 + 1) * h * n2];
-                let mut column = self.column_pool.lease(h);
                 for i2 in 0..n2 {
-                    for row in 0..h {
-                        column[row] = in_plane[row * n2 + i2];
-                    }
-                    let transformed = self.usfft_vertical.adjoint(&column);
-                    for (j, &v) in transformed.iter().enumerate() {
-                        out_plane[j * n2 + i2] = v;
-                    }
+                    self.usfft_vertical
+                        .adjoint_into(&in_plane[i2..], n2, &mut out_plane[i2..], n2);
                 }
             });
         out
@@ -560,8 +585,7 @@ impl LaminoOperator {
             .for_each(|(r, out_row)| {
                 let row = row_start + r;
                 let plane = &input[r * n1 * n2..(r + 1) * n1 * n2];
-                let values = self.usfft_rows[row].forward(plane);
-                out_row.copy_from_slice(&values);
+                self.usfft_rows[row].forward_into(plane, out_row);
             });
         out
     }
@@ -654,8 +678,7 @@ impl LaminoOperator {
             .for_each(|(r, out_plane)| {
                 let row = row_start + r;
                 let samples = &input[r * n_theta * w..(r + 1) * n_theta * w];
-                let plane = self.usfft_rows[row].adjoint(samples);
-                out_plane.copy_from_slice(&plane);
+                self.usfft_rows[row].adjoint_into(samples, out_plane);
             });
         out
     }
