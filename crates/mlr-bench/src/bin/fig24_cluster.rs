@@ -6,8 +6,8 @@
 //! * **hit parity** — the same deterministic query-or-insert schedule is
 //!   driven through a plain `ShardedMemoDb` and through `DistributedMemoDb`
 //!   wrappers at several node counts; the hit sequences must be
-//!   bit-identical (the distributed tier adds modeled latency and per-node
-//!   accounting, never semantics). Gated in CI as `hit_parity`.
+//!   bit-identical (the distributed tier adds placement and replicas,
+//!   never semantics). Gated in CI as `hit_parity`.
 //! * **trace replay** — a telemetry-enabled multi-job run records its store
 //!   `AccessTrace`; the trace exports to JSON, comes back through
 //!   `mlr_telemetry::parse_access_records` (`trace_roundtrip`, gated), and
@@ -16,7 +16,10 @@
 //!   15-style per-node utilisation (`nodes_spread`: ≥ 2 active nodes,
 //!   gated) and the Figure 16-style query-latency CDF (`cdf_monotone`,
 //!   gated), with every remote probe charged strictly more than a
-//!   replica-served local hit (`remote_exceeds_local`, gated).
+//!   replica-served local hit (`remote_exceeds_local`, gated). The replay
+//!   holds no replica policy: it follows the promotions and demotions the
+//!   live tier wrote into the trace, so its local/remote hit split must
+//!   equal the live counters (`replica_hits_match_live`, gated).
 //!
 //! The machine-readable record lands in `BENCH_cluster.json` (and under
 //! `target/experiments/`).
@@ -71,10 +74,9 @@ struct Record {
     local_hits: u64,
     remote_hits: u64,
     promotions: u64,
-    /// Live distributed-store counters from the run itself (not the
-    /// replay): per-node utilisation spread and local-hit fraction.
-    live_active_nodes: usize,
-    live_local_hit_fraction: f64,
+    /// CI gate: the replayed local/remote hit split equals the live
+    /// tier's own counters.
+    replica_hits_match_live: bool,
 }
 
 fn encoder() -> EncoderConfig {
@@ -218,8 +220,10 @@ fn main() {
     // ...and replay it through the shared-link contention model over the
     // run's own stripe placement.
     let replay_config = ReplayConfig::new(InterconnectSpec::slingshot11());
-    let outcome = replay_trace(&records, &placement, &replay_config);
+    let outcome = replay_trace(&records, &placement, &replay_config, None);
     let nodes_spread = outcome.active_nodes() >= 2;
+    let replica_hits_match_live =
+        (outcome.local_hits, outcome.remote_hits) == (live.local_hits, live.remote_hits);
     let ecdf = Ecdf::new(&outcome.query_latencies);
     let curve = ecdf.curve();
     let cdf_monotone = !curve.is_empty()
@@ -272,19 +276,23 @@ fn main() {
             pct(n.utilisation),
         );
     }
-    println!(
-        "replica set: {} local / {} remote hits, {} promotions (live run: {} active nodes, {} local-hit share)",
-        outcome.local_hits,
-        outcome.remote_hits,
-        outcome.promotions,
-        live.active_nodes(),
-        pct(live.local_hit_fraction()),
+    compare_row(
+        "replayed local / remote hits vs live tier",
+        &format!("{} / {}", live.local_hits, live.remote_hits),
+        &format!(
+            "{} / {} ({} promotions)",
+            outcome.local_hits, outcome.remote_hits, outcome.promotions
+        ),
     );
 
     assert!(hit_parity, "distributed store diverged from ShardedMemoDb");
     assert!(trace_roundtrip, "access trace failed to round-trip");
     assert!(nodes_spread, "replayed traffic never left one node");
     assert!(cdf_monotone, "query-latency CDF is not monotone");
+    assert!(
+        replica_hits_match_live,
+        "the replay's replica split diverged from the live tier's"
+    );
     assert!(
         remote_exceeds_local,
         "remote probes must cost strictly more than local replica hits \
@@ -311,8 +319,7 @@ fn main() {
         local_hits: outcome.local_hits,
         remote_hits: outcome.remote_hits,
         promotions: outcome.promotions,
-        live_active_nodes: live.active_nodes(),
-        live_local_hit_fraction: live.local_hit_fraction(),
+        replica_hits_match_live,
     };
     match serde_json::to_string_pretty(&record) {
         Ok(json) => {

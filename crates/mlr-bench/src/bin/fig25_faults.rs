@@ -21,6 +21,13 @@
 //!   reaches half the pre-crash hit rate (`recovery_measured`, gated).
 //! * **replica saves** — the replica set rescues at least one would-be hit
 //!   on the crashed node (`replica_saves_positive`, gated).
+//! * **the plan fired** — link degradations and stripe stalls change no
+//!   outcome, so their evidence is the run's access trace replayed under
+//!   the same plan (`mlr_cluster::replay_trace`): messages that paid a
+//!   degraded link or a stall, and the simulated seconds that added, must
+//!   both be non-zero (`link_degrade_footprint_positive`,
+//!   `stripe_stall_footprint_positive`, gated). A window placed outside
+//!   the run, or a replay that ignores the plan, turns them false.
 //!
 //! Fault windows are placed in *logical store ticks* measured from the
 //! baseline run's own job boundaries — no wall clock anywhere (the
@@ -28,10 +35,12 @@
 //! harness binary). The record lands in `BENCH_faults.json`.
 
 use mlr_bench::{compare_row, header, pct, smoke_from_args, write_record};
+use mlr_cluster::{replay_trace, FaultFootprint, ReplayConfig};
 use mlr_core::MlrConfig;
 use mlr_memo::{FaultStats, NodeTopology};
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::faults::FaultPlan;
+use mlr_sim::hardware::InterconnectSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -46,6 +55,9 @@ struct PlanOutcome {
     crashes: u64,
     restarts: u64,
     recovery_ticks: Option<u64>,
+    /// What the plan did to the run's traffic, from replaying the run's
+    /// access trace under it.
+    footprint: FaultFootprint,
 }
 
 #[derive(Serialize)]
@@ -72,6 +84,10 @@ struct Record {
     replica_saves: u64,
     /// CI gate: `replica_saves > 0`.
     replica_saves_positive: bool,
+    /// CI gates: the degrade / stall plan's replayed footprint is non-zero
+    /// (degraded messages > 0 and added seconds > 0).
+    link_degrade_footprint_positive: bool,
+    stripe_stall_footprint_positive: bool,
     /// Per-job hit rates of the jobs that started after the restart.
     post_restart_hit_rates: Vec<f64>,
 }
@@ -87,6 +103,8 @@ struct RunOutcome {
     job_end_ticks: Vec<u64>,
     hit_rate: f64,
     faults: Option<FaultStats>,
+    /// The run's access trace replayed under its own plan.
+    footprint: FaultFootprint,
 }
 
 fn run_workload(
@@ -98,8 +116,10 @@ fn run_workload(
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: jobs + 2,
+        telemetry: true,
+        access_trace: Some(1 << 16),
         topology: Some(NodeTopology::with_nodes(nodes)),
-        fault_plan: plan,
+        fault_plan: plan.clone(),
         ..RuntimeConfig::matching(config)
     });
     let mut bits = Vec::with_capacity(jobs);
@@ -131,6 +151,17 @@ fn run_workload(
                 .current_tick(),
         );
     }
+    let trace = rt.telemetry().snapshot().expect("telemetry enabled");
+    assert_eq!(trace.accesses_dropped, 0, "access trace ring overflowed");
+    let footprint = replay_trace(
+        &trace.accesses,
+        rt.distributed()
+            .expect("runtime was configured with a topology")
+            .placement(),
+        &ReplayConfig::new(InterconnectSpec::slingshot11()),
+        plan.as_ref(),
+    )
+    .footprint;
     let stats = rt.shutdown();
     RunOutcome {
         bits,
@@ -138,6 +169,7 @@ fn run_workload(
         job_end_ticks,
         hit_rate: stats.store.hit_rate(),
         faults: stats.fault_stats().cloned(),
+        footprint,
     }
 }
 
@@ -203,6 +235,16 @@ fn main() {
             "bounded drop",
             &format!("{} (drop {})", pct(run.hit_rate), pct(drop)),
         );
+        compare_row(
+            &format!("{name}: replayed footprint"),
+            "(see gates)",
+            &format!(
+                "{} degraded msgs (+{:.1} us), {} to a down node",
+                run.footprint.degraded_messages,
+                run.footprint.added_seconds * 1e6,
+                run.footprint.down_messages
+            ),
+        );
         outcomes.push(PlanOutcome {
             name: name.to_string(),
             hit_rate: run.hit_rate,
@@ -214,6 +256,7 @@ fn main() {
             crashes: faults.crashes,
             restarts: faults.restarts,
             recovery_ticks: faults.recovery_ticks_to_half_hit_rate,
+            footprint: run.footprint,
         });
         if *name == "node-crash" {
             crash_run = Some(run);
@@ -233,6 +276,14 @@ fn main() {
         post_restart.len() >= 2 && post_restart.windows(2).all(|w| w[1] >= w[0]);
     let recovery_measured = crash_faults.recovery_ticks_to_half_hit_rate.is_some();
     let replica_saves = crash_faults.replica_saved_hits;
+
+    let footprint_positive = |plan: &str| {
+        outcomes.iter().any(|o| {
+            o.name == plan && o.footprint.degraded_messages > 0 && o.footprint.added_seconds > 0.0
+        })
+    };
+    let link_degrade_footprint_positive = footprint_positive("link-degrade");
+    let stripe_stall_footprint_positive = footprint_positive("stripe-stall");
 
     let bit_identical_all = outcomes.iter().all(|o| o.bit_identical);
     let max_hit_rate_drop = outcomes.iter().map(|o| o.hit_rate_drop).fold(0.0, f64::max);
@@ -281,6 +332,14 @@ fn main() {
     );
     assert!(recovery_measured, "recovery clock never reached half rate");
     assert!(replica_saves > 0, "replica set never saved a hit");
+    assert!(
+        link_degrade_footprint_positive,
+        "the link-degrade plan never touched a replayed message"
+    );
+    assert!(
+        stripe_stall_footprint_positive,
+        "the stripe-stall plan never touched a replayed message"
+    );
 
     let record = Record {
         smoke,
@@ -297,6 +356,8 @@ fn main() {
         recovery_measured,
         replica_saves,
         replica_saves_positive: replica_saves > 0,
+        link_degrade_footprint_positive,
+        stripe_stall_footprint_positive,
         post_restart_hit_rates: post_restart,
     };
     match serde_json::to_string_pretty(&record) {

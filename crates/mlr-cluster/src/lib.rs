@@ -21,5 +21,5 @@ pub mod scaling;
 
 pub use latency::{latency_cdf, LatencyExperiment};
 pub use placement::{place_stripes, stripes_per_node};
-pub use replay::{replay_trace, NodeUtilisation, ReplayConfig, ReplayOutcome};
+pub use replay::{replay_trace, FaultFootprint, NodeUtilisation, ReplayConfig, ReplayOutcome};
 pub use scaling::{ScalingModel, ScalingPoint};

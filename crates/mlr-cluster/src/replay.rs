@@ -1,5 +1,4 @@
-//! Trace replay: drive the simulated interconnect with a *recorded* store
-//! access stream instead of the analytic load model.
+//! Trace replay: the one model of the memory-node network.
 //!
 //! [`LatencyExperiment`](crate::latency::LatencyExperiment) reproduces the
 //! Figure 15/16 curves from closed-form offered-load assumptions. This
@@ -11,19 +10,29 @@
 //! time, and the queue charges it wait + service. The outcome is per-node
 //! utilisation and a query-latency distribution produced by *actual store
 //! behaviour* under the modeled contention, not by an arrival-rate guess.
+//! The live distributed tier charges nothing itself; every simulated second
+//! it is ever quoted with comes from here.
 //!
-//! Hot-entry replication is modeled the same way the distributed store
-//! models it: once an entry has served `promote_hits` replayed hits it is
-//! promoted into a bounded replica set, and further hits on it cost only
-//! `local_latency` instead of a trip over the owning node's link.
+//! Replica membership is read off the trace: the distributed tier records
+//! each promotion and demotion (`AccessKind::Promote` / `Demote`), and an
+//! entry's `Evict` / `Expired` / `Lost` ends its replica. The replay holds
+//! no promotion policy of its own, so its local/remote hit split is the
+//! live tier's.
+//!
+//! A run's [`FaultPlan`] replays with it: link degradations and stripe
+//! stalls inflate the charge of the messages they cover, messages toward a
+//! down node are counted but never charged (there is no link to carry
+//! them), and the [`FaultFootprint`] says how much of the trace the plan
+//! touched.
 
 use crate::placement::stripes_per_node;
+use mlr_sim::faults::{FaultPlan, LinkState};
 use mlr_sim::hardware::InterconnectSpec;
 use mlr_sim::network::{LinkQueue, SharedLink};
 use mlr_sim::Seconds;
 use mlr_telemetry::{AccessKind, AccessRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Payload and timing model of a replay run.
 #[derive(Debug, Clone, Copy)]
@@ -42,17 +51,11 @@ pub struct ReplayConfig {
     pub control_bytes: f64,
     /// Cost of a hit served from a local replica (no link trip), seconds.
     pub local_latency: Seconds,
-    /// Replayed hits after which an entry is promoted into the replica set
-    /// (`0` disables replication).
-    pub promote_hits: u64,
-    /// Maximum number of replicated entries.
-    pub replica_budget: usize,
 }
 
 impl ReplayConfig {
     /// Defaults over the given interconnect: microsecond ticks, 1 KiB
-    /// coalesced queries, 64 KiB values, DRAM-ish 400 ns local hits,
-    /// promotion after 2 hits into a 64-entry replica set.
+    /// coalesced queries, 64 KiB values, DRAM-ish 400 ns local hits.
     pub fn new(interconnect: InterconnectSpec) -> Self {
         Self {
             interconnect,
@@ -61,14 +64,12 @@ impl ReplayConfig {
             value_bytes: 64.0 * 1024.0,
             control_bytes: 64.0,
             local_latency: 0.4e-6,
-            promote_hits: 2,
-            replica_budget: 64,
         }
     }
 }
 
 /// One memory node's share of a replayed trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeUtilisation {
     /// Node index.
     pub node: usize,
@@ -84,21 +85,38 @@ pub struct NodeUtilisation {
     pub utilisation: f64,
 }
 
+/// How much of a replayed trace the run's [`FaultPlan`] touched. All zero
+/// without a plan — and for a plan whose windows miss the run, which is
+/// what a gate on these fields catches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct FaultFootprint {
+    /// Messages charged over a degraded link or toward a stalled stripe.
+    pub degraded_messages: u64,
+    /// Service seconds those messages paid on top of their nominal charge.
+    pub added_seconds: Seconds,
+    /// Messages owned by a node that was down at their tick: counted here,
+    /// charged nowhere.
+    pub down_messages: u64,
+}
+
 /// Everything a replay run produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Per-node link accounting, indexed by node.
     pub per_node: Vec<NodeUtilisation>,
-    /// Latency of every replayed *query* (hit or miss), in replay order.
+    /// Latency of every replayed *query* (hit or miss) that was answered,
+    /// in replay order; a query toward a down node has no sample.
     pub query_latencies: Vec<Seconds>,
     /// Replayed hits served from the local replica set.
     pub local_hits: u64,
     /// Replayed hits that crossed a node link.
     pub remote_hits: u64,
-    /// Entries promoted into the replica set.
+    /// Promotions recorded in the trace.
     pub promotions: u64,
     /// Simulated end of the replay (last arrival or last link departure).
     pub horizon: Seconds,
+    /// What the fault plan did to the traffic.
+    pub footprint: FaultFootprint,
 }
 
 impl ReplayOutcome {
@@ -117,9 +135,54 @@ impl ReplayOutcome {
     }
 }
 
+/// The per-node queues plus the plan that degrades them.
+struct Links<'a> {
+    queues: Vec<LinkQueue>,
+    plan: Option<&'a FaultPlan>,
+    footprint: FaultFootprint,
+}
+
+impl Links<'_> {
+    /// Charges one message of `bytes` for `stripe` (owned by `node`) sent
+    /// at store tick `tick`, arriving at simulated time `arrival`. `None`
+    /// when the owner is down.
+    fn send(
+        &mut self,
+        node: usize,
+        stripe: usize,
+        tick: u64,
+        arrival: Seconds,
+        bytes: f64,
+    ) -> Option<Seconds> {
+        let (link, stall) = match self.plan {
+            Some(plan) if plan.node_down_at(node, tick) => {
+                self.footprint.down_messages += 1;
+                return None;
+            }
+            Some(plan) => (
+                plan.link_state_at(node, tick),
+                plan.stripe_stall_at(stripe, tick),
+            ),
+            None => (LinkState::NOMINAL, 0.0),
+        };
+        let extra = link.extra_latency + stall;
+        let queue = &mut self.queues[node];
+        if !link.is_nominal() || stall > 0.0 {
+            self.footprint.degraded_messages += 1;
+            self.footprint.added_seconds +=
+                queue.service_seconds(bytes, link.capacity_factor, extra)
+                    - queue.service_seconds(bytes, 1.0, 0.0);
+        }
+        Some(queue.charge_degraded(arrival, bytes, link.capacity_factor, extra))
+    }
+}
+
 /// Replays `records` through one [`LinkQueue`] per node of `placement`
-/// (a stripe→node map; stripes beyond its length wrap around). Fully
-/// deterministic: same records, placement and config → same outcome.
+/// (a stripe→node map; stripes beyond its length wrap around), under the
+/// `plan` the run was faulted with (`None` for a perfect cluster). The plan
+/// is consulted at each record's own store tick — the tick the run's fault
+/// windows were placed on. Fully deterministic: same records, placement,
+/// config and plan → same outcome.
 ///
 /// # Panics
 /// Panics when `placement` is empty.
@@ -127,14 +190,18 @@ pub fn replay_trace(
     records: &[AccessRecord],
     placement: &[usize],
     config: &ReplayConfig,
+    plan: Option<&FaultPlan>,
 ) -> ReplayOutcome {
     assert!(!placement.is_empty(), "replay needs a placement map");
     let nodes = placement.iter().copied().max().unwrap_or(0) + 1;
     let link = SharedLink::from_interconnect(&config.interconnect);
-    let mut queues: Vec<LinkQueue> = (0..nodes).map(|_| LinkQueue::new(link)).collect();
+    let mut links = Links {
+        queues: (0..nodes).map(|_| LinkQueue::new(link)).collect(),
+        plan,
+        footprint: FaultFootprint::default(),
+    };
     let mut query_latencies = Vec::with_capacity(records.len());
-    let mut hit_counts: HashMap<u64, u64> = HashMap::new();
-    let mut replicas: HashMap<u64, u64> = HashMap::new();
+    let mut replicas: HashSet<u64> = HashSet::new();
     let (mut local_hits, mut remote_hits, mut promotions) = (0u64, 0u64, 0u64);
     let first_tick = records.first().map(|r| r.tick).unwrap_or(0);
     let mut last_arrival: Seconds = 0.0;
@@ -142,63 +209,47 @@ pub fn replay_trace(
     for record in records {
         let arrival = record.tick.saturating_sub(first_tick) as f64 * config.tick_seconds;
         last_arrival = last_arrival.max(arrival);
-        let node = placement[record.stripe as usize % placement.len()];
+        let stripe = record.stripe as usize;
+        let node = placement[stripe % placement.len()];
+        let mut send = |bytes: f64| links.send(node, stripe, record.tick, arrival, bytes);
         match record.kind {
+            AccessKind::Hit if replicas.contains(&record.entry) => {
+                local_hits += 1;
+                query_latencies.push(config.local_latency);
+            }
             AccessKind::Hit => {
-                if replicas.contains_key(&record.entry) {
-                    local_hits += 1;
-                    query_latencies.push(config.local_latency);
-                } else {
-                    remote_hits += 1;
-                    let bytes = config.key_bytes + config.value_bytes;
-                    query_latencies.push(queues[node].charge(arrival, bytes));
-                }
-                let hits = hit_counts.entry(record.entry).or_insert(0);
-                *hits += 1;
-                if config.promote_hits > 0
-                    && *hits >= config.promote_hits
-                    && config.replica_budget > 0
-                    && !replicas.contains_key(&record.entry)
-                {
-                    if replicas.len() >= config.replica_budget {
-                        // Deterministic victim: fewest replayed hits, ties on
-                        // the larger entry id (older entries win ties).
-                        if let Some((&victim, _)) = replicas
-                            .iter()
-                            .min_by(|(ae, ah), (be, bh)| ah.cmp(bh).then(be.cmp(ae)))
-                        {
-                            replicas.remove(&victim);
-                        }
-                    }
-                    replicas.insert(record.entry, *hits);
-                    promotions += 1;
-                }
+                remote_hits += 1;
+                query_latencies.extend(send(config.key_bytes + config.value_bytes));
             }
-            AccessKind::Miss => {
-                query_latencies.push(queues[node].charge(arrival, config.key_bytes));
-            }
+            AccessKind::Miss => query_latencies.extend(send(config.key_bytes)),
             AccessKind::Insert => {
-                let bytes = config.key_bytes + config.value_bytes;
-                let _ = queues[node].charge(arrival, bytes);
+                let _ = send(config.key_bytes + config.value_bytes);
             }
             AccessKind::Evict | AccessKind::Expired => {
-                let _ = queues[node].charge(arrival, config.control_bytes);
+                let _ = send(config.control_bytes);
                 replicas.remove(&record.entry);
             }
-            AccessKind::Lost => {
-                // The entry vanished with its crashed node: no link traffic
-                // (there is no node to talk to), the replica just lapses.
+            // Replica changes are compute-side bookkeeping, and an entry
+            // lost with its crashed node has no node to talk to: none of
+            // the three puts anything on a link.
+            AccessKind::Lost | AccessKind::Demote => {
                 replicas.remove(&record.entry);
+            }
+            AccessKind::Promote => {
+                replicas.insert(record.entry);
+                promotions += 1;
             }
         }
     }
 
-    let horizon = queues
+    let horizon = links
+        .queues
         .iter()
         .map(|q| q.next_free())
         .fold(last_arrival, f64::max);
     let stripes = stripes_per_node(placement, nodes);
-    let per_node = queues
+    let per_node = links
+        .queues
         .iter()
         .enumerate()
         .map(|(node, q)| NodeUtilisation {
@@ -217,6 +268,7 @@ pub fn replay_trace(
         remote_hits,
         promotions,
         horizon,
+        footprint: links.footprint,
     }
 }
 
@@ -239,6 +291,8 @@ mod tests {
         ReplayConfig::new(InterconnectSpec::slingshot11())
     }
 
+    /// Eight entries inserted, then hit for five rounds; the tier promotes
+    /// each on its second hit.
     fn sample_trace() -> Vec<AccessRecord> {
         let mut records = Vec::new();
         let mut tick = 0u64;
@@ -251,6 +305,9 @@ mod tests {
                     AccessKind::Hit
                 };
                 records.push(record(entry, stripe, kind, tick));
+                if round == 2 {
+                    records.push(record(entry, stripe, AccessKind::Promote, tick));
+                }
                 tick += 1;
             }
         }
@@ -261,21 +318,22 @@ mod tests {
     #[test]
     fn replay_spreads_load_and_is_deterministic() {
         let placement = place_stripes(8, &[1.0; 4]);
-        let outcome = replay_trace(&sample_trace(), &placement, &config());
+        let outcome = replay_trace(&sample_trace(), &placement, &config(), None);
         assert!(outcome.active_nodes() >= 2, "load stuck on one node");
         assert_eq!(outcome.per_node.len(), 4);
-        let again = replay_trace(&sample_trace(), &placement, &config());
-        assert_eq!(outcome.query_latencies, again.query_latencies);
-        assert_eq!(outcome.local_hits, again.local_hits);
+        assert_eq!(outcome.footprint, FaultFootprint::default());
+        let again = replay_trace(&sample_trace(), &placement, &config(), None);
+        assert_eq!(outcome, again);
     }
 
     #[test]
     fn replicated_hits_cost_less_than_remote_ones() {
         let placement = place_stripes(8, &[1.0; 2]);
         let cfg = config();
-        let outcome = replay_trace(&sample_trace(), &placement, &cfg);
-        assert!(outcome.local_hits > 0, "promotion never engaged");
-        assert!(outcome.remote_hits > 0, "every hit served locally");
+        let outcome = replay_trace(&sample_trace(), &placement, &cfg, None);
+        // Rounds 1–2 precede the promotions, rounds 3–5 follow them.
+        assert_eq!((outcome.remote_hits, outcome.local_hits), (16, 24));
+        assert_eq!(outcome.promotions, 8);
         let min_remote = outcome
             .query_latencies
             .iter()
@@ -291,20 +349,113 @@ mod tests {
 
     #[test]
     fn replica_budget_is_bounded() {
-        // 100 distinct entries, each hit twice, through a 4-entry budget:
-        // promotions happen but the set never grows past the budget —
-        // replays stay O(budget) whatever the trace length.
+        // What a 4-entry live budget writes for 100 hot entries: from the
+        // fifth promotion on, each one demotes the oldest replica. The
+        // replay follows the records, so a demoted entry pays the link
+        // again and only the four survivors are still local at the end.
         let mut records = Vec::new();
-        for e in 0..100u64 {
-            for i in 0..3u64 {
-                records.push(record(e + 1, (e % 8) as u32, AccessKind::Hit, 3 * e + i));
+        for e in 1..=100u64 {
+            let tick = 2 * e;
+            records.push(record(e, (e % 8) as u32, AccessKind::Hit, tick));
+            if e > 4 {
+                records.push(record(e - 4, (e % 8) as u32, AccessKind::Demote, tick));
+            }
+            records.push(record(e, (e % 8) as u32, AccessKind::Promote, tick));
+        }
+        for e in 1..=100u64 {
+            records.push(record(e, (e % 8) as u32, AccessKind::Hit, 300 + e));
+        }
+        let placement = place_stripes(8, &[1.0; 2]);
+        let outcome = replay_trace(&records, &placement, &config(), None);
+        assert_eq!(outcome.promotions, 100);
+        assert_eq!(outcome.local_hits, 4);
+        assert_eq!(outcome.remote_hits, 196);
+    }
+
+    /// One miss every 100 ticks on each of `stripes`, far enough apart that
+    /// no message ever waits for another.
+    fn spaced_misses(stripes: &[u32], count: u64) -> Vec<AccessRecord> {
+        (0..count)
+            .flat_map(|i| {
+                stripes
+                    .iter()
+                    .map(move |&s| record(0, s, AccessKind::Miss, 100 * i))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn degrade_window_inflates_exactly_the_messages_it_covers() {
+        // Stripe 0 → node 0, stripe 1 → node 1; node 0's link browns out
+        // over ticks [1000, 2000): its misses 10..20.
+        let placement = [0usize, 1];
+        let records = spaced_misses(&[0, 1], 30);
+        let plan = FaultPlan::new(1).degrade_window(0, 1000, 2000, 0.25, 5.0e-6);
+        let outcome = replay_trace(&records, &placement, &config(), Some(&plan));
+        let (mut inside, mut outside) = (Vec::new(), Vec::new());
+        for (r, &latency) in records.iter().zip(&outcome.query_latencies) {
+            if r.stripe == 0 && (1000..2000).contains(&r.tick) {
+                inside.push(latency);
+            } else {
+                outside.push(latency);
             }
         }
-        let mut cfg = config();
-        cfg.replica_budget = 4;
-        let placement = place_stripes(8, &[1.0; 2]);
-        let outcome = replay_trace(&records, &placement, &cfg);
-        assert!(outcome.promotions >= 4);
-        assert!(outcome.local_hits > 0);
+        let worst_outside = outside.iter().copied().fold(0.0, f64::max);
+        assert!(inside.iter().all(|&l| l > worst_outside + 5.0e-6 - 1e-12));
+        assert_eq!(outcome.footprint.degraded_messages, 10);
+        assert_eq!(inside.len(), 10);
+        assert!(outcome.footprint.added_seconds > 10.0 * 5.0e-6);
+        assert_eq!(outcome.footprint.down_messages, 0);
+    }
+
+    #[test]
+    fn stall_window_touches_only_its_stripe() {
+        // Both stripes live on node 0; only stripe 1 stalls.
+        let placement = [0usize, 0];
+        let records = spaced_misses(&[0, 1], 20);
+        let plan = FaultPlan::new(2).stall_window(1, 500, 1500, 2.0e-6);
+        let outcome = replay_trace(&records, &placement, &config(), Some(&plan));
+        let nominal = replay_trace(&records, &placement, &config(), None);
+        for ((r, &with), &without) in records
+            .iter()
+            .zip(&outcome.query_latencies)
+            .zip(&nominal.query_latencies)
+        {
+            if r.stripe == 1 && (500..1500).contains(&r.tick) {
+                assert!(
+                    with > without,
+                    "stalled access at tick {} not slower",
+                    r.tick
+                );
+            } else {
+                assert_eq!(with, without, "tick {} stripe {}", r.tick, r.stripe);
+            }
+        }
+        assert_eq!(outcome.footprint.degraded_messages, 10);
+        assert!((outcome.footprint.added_seconds - 10.0 * 2.0e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn crash_window_charges_nothing_to_the_down_node() {
+        let placement = [0usize, 1];
+        let records = spaced_misses(&[0, 1], 10);
+        let plan = FaultPlan::new(3).crash_window(1, 0, 10_000);
+        let outcome = replay_trace(&records, &placement, &config(), Some(&plan));
+        assert_eq!(outcome.per_node[1].messages, 0);
+        assert_eq!(outcome.per_node[1].busy_seconds, 0.0);
+        assert_eq!(outcome.per_node[0].messages, 10);
+        assert_eq!(outcome.footprint.down_messages, 10);
+        assert_eq!(outcome.query_latencies.len(), 10);
+        assert_eq!(outcome.footprint.degraded_messages, 0);
+    }
+
+    #[test]
+    fn empty_plan_replays_bit_equal_to_none() {
+        let placement = place_stripes(8, &[1.0; 4]);
+        let plan = FaultPlan::new(0);
+        assert_eq!(
+            replay_trace(&sample_trace(), &placement, &config(), Some(&plan)),
+            replay_trace(&sample_trace(), &placement, &config(), None)
+        );
     }
 }

@@ -6,8 +6,7 @@
 //! memoization miss. This module is a from-scratch IVF index: keys are
 //! assigned to the nearest of `nlist` k-means centroids; a query scans the
 //! `nprobe` nearest clusters and returns the closest stored key by L2
-//! distance. Batched queries scan in parallel, which is what makes the
-//! key-coalescing optimisation pay off on the memory node.
+//! distance.
 //!
 //! # Storage layout and the probe hot path
 //!
@@ -194,23 +193,6 @@ pub struct SearchScratch {
 
 thread_local! {
     static PROBE_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::default());
-}
-
-/// Reusable scratch for [`IvfIndex::search_batch_with`]: the per-batch
-/// centroid distance matrix, per-query centroid ranking, and the per-list
-/// buckets of `(query index, probe rank)` pairs the list-major scan walks.
-/// Contents never influence results (fully rebuilt per batch).
-#[derive(Debug, Default)]
-pub struct BatchSearchScratch {
-    /// Flat `queries × centroids` distance matrix, filled centroid-major.
-    dists: Vec<f64>,
-    /// Per-query centroid ranking, rebuilt per query.
-    order: Vec<(usize, f64)>,
-    /// For each posting list, the `(query index, probe rank)` pairs that
-    /// probe it this batch.
-    list_queries: Vec<Vec<(usize, usize)>>,
-    /// The single-query probe scratch reused for quantised shortlisting.
-    probe: SearchScratch,
 }
 
 /// A cluster-based approximate-nearest-neighbour index over fixed-dimension
@@ -405,135 +387,6 @@ impl IvfIndex {
             add_quantize_ns(t0.elapsed().as_nanos() as u64);
         }
         resid_sq.sqrt()
-    }
-
-    /// Batched search: one result slot per query, amortizing centroid scans
-    /// and posting-list traversal across the batch (the memory node's
-    /// batched lookup enabled by key coalescing). Each slot is bit-identical
-    /// to [`IvfIndex::search`] on the same query.
-    pub fn search_batch(&self, queries: &[Vec<f64>]) -> Vec<Option<SearchHit>> {
-        thread_local! {
-            static BATCH_SCRATCH: RefCell<BatchSearchScratch> =
-                RefCell::new(BatchSearchScratch::default());
-        }
-        BATCH_SCRATCH.with(|s| self.search_batch_with(queries, &mut s.borrow_mut()))
-    }
-
-    /// [`Self::search_batch`] with an explicit reusable scratch.
-    ///
-    /// The batch is processed centroid-major then list-major: every centroid
-    /// row is streamed once against all queries, and every posting list is
-    /// scanned once while its key data is cache-hot for all queries probing
-    /// it — instead of re-walking centroids and lists per query. Per-query
-    /// winners are tracked as the lexicographic minimum of
-    /// `(distance, probe rank, list position)`, which is exactly the first
-    /// candidate the probe-ordered scan of [`IvfIndex::search_with`] would
-    /// have kept, so every result slot is bit-identical (id and distance
-    /// bits) to the single-query path.
-    pub fn search_batch_with(
-        &self,
-        queries: &[Vec<f64>],
-        scratch: &mut BatchSearchScratch,
-    ) -> Vec<Option<SearchHit>> {
-        for q in queries {
-            assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        }
-        let mut results: Vec<Option<SearchHit>> = vec![None; queries.len()];
-        if self.len == 0 || queries.is_empty() {
-            return results;
-        }
-
-        // Phase 1: rank centroids for every query. The distance matrix is
-        // filled centroid-major (each centroid row loaded once, streamed
-        // against the whole batch); the per-query ranking then reproduces
-        // `probe_lists` exactly (stable sort over the index-ordered table).
-        scratch.list_queries.resize_with(self.lists.len(), Vec::new);
-        for bucket in &mut scratch.list_queries {
-            bucket.clear();
-        }
-        if self.centroid_count == 0 {
-            for qi in 0..queries.len() {
-                scratch.list_queries[0].push((qi, 0));
-            }
-        } else {
-            let c = self.centroid_count;
-            scratch.dists.clear();
-            scratch.dists.resize(queries.len() * c, 0.0);
-            for ci in 0..c {
-                let cent = self.centroid(ci);
-                for (qi, q) in queries.iter().enumerate() {
-                    scratch.dists[qi * c + ci] = l2_distance(q, cent);
-                }
-            }
-            for qi in 0..queries.len() {
-                scratch.order.clear();
-                scratch
-                    .order
-                    .extend((0..c).map(|ci| (ci, scratch.dists[qi * c + ci])));
-                scratch.order.sort_by(|a, b| a.1.total_cmp(&b.1));
-                for (rank, &(ci, _)) in scratch.order.iter().take(self.config.nprobe).enumerate() {
-                    scratch.list_queries[ci].push((qi, rank));
-                }
-            }
-        }
-
-        // Phase 2: scan each posting list once for all queries probing it.
-        let q_norms: Vec<f64> = queries
-            .iter()
-            .map(|q| q.iter().map(|x| x * x).sum::<f64>().sqrt())
-            .collect();
-        let mut best_order = vec![(usize::MAX, usize::MAX); queries.len()];
-        let mut best_sums = vec![f64::INFINITY; queries.len()];
-        for (li, list) in self.lists.iter().enumerate() {
-            if list.len() == 0 || scratch.list_queries[li].is_empty() {
-                continue;
-            }
-            for bi in 0..scratch.list_queries[li].len() {
-                let (qi, rank) = scratch.list_queries[li][bi];
-                let query = &queries[qi];
-                let eq = self.quantise_probe(query, list, &mut scratch.probe);
-                for i in 0..list.len() {
-                    let best_sum = best_sums[qi];
-                    let lb = q_norms[qi] - list.norms_sq[i].sqrt();
-                    if lb * lb > best_sum * (1.0 + 1e-9) {
-                        continue;
-                    }
-                    let qlb = list.scale * (scratch.probe.qdists[i] as f64).sqrt()
-                        - eq
-                        - list.residuals[i];
-                    if qlb > 0.0 && qlb * qlb > best_sum * (1.0 + 1e-9) {
-                        continue;
-                    }
-                    // Slightly inflated abandon threshold: candidates whose
-                    // exact sum *ties* the incumbent must survive to the
-                    // comparison below, because out-of-probe-order scanning
-                    // resolves ties by (rank, position), not arrival.
-                    let Some(sum) = distance_sq_early_abandon(
-                        query,
-                        list.key(i, self.dim),
-                        best_sum * (1.0 + 1e-9) + f64::MIN_POSITIVE,
-                    ) else {
-                        continue;
-                    };
-                    let d = sum.sqrt();
-                    let wins = match &results[qi] {
-                        None => true,
-                        Some(b) => {
-                            d < b.distance || (d == b.distance && (rank, i) < best_order[qi])
-                        }
-                    };
-                    if wins {
-                        results[qi] = Some(SearchHit {
-                            id: list.ids[i],
-                            distance: d,
-                        });
-                        best_order[qi] = (rank, i);
-                        best_sums[qi] = best_sums[qi].min(sum);
-                    }
-                }
-            }
-        }
-        results
     }
 
     /// Exact (exhaustive) nearest-neighbour search — the ground truth used by
@@ -857,46 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_is_bit_identical_to_single() {
-        // The centroid-major batched scan must fill every result slot with
-        // the bit-identical hit the single-query probe-ordered scan returns
-        // — including on exact-duplicate keys where ties are resolved by
-        // (probe rank, list position) rather than arrival order.
-        for seed in 0..6u64 {
-            let dim = 12;
-            let mut idx = IvfIndex::new(
-                dim,
-                IvfConfig {
-                    nlist: 8,
-                    nprobe: 3,
-                    retrain_interval: 96,
-                },
-                seed,
-            );
-            let mut keys = random_keys(260, dim, 500 + seed);
-            let dup = keys[41].clone();
-            keys.push(dup);
-            for (i, key) in keys.iter().enumerate() {
-                idx.add(i as u64, key.clone());
-            }
-            let mut queries = random_keys(30, dim, 600 + seed);
-            queries.push(keys[41].clone());
-            let mut batch_scratch = BatchSearchScratch::default();
-            let batch = idx.search_batch_with(&queries, &mut batch_scratch);
-            let mut scratch = SearchScratch::default();
-            for (q, b) in queries.iter().zip(&batch) {
-                let single = idx.search_with(q, &mut scratch);
-                assert_eq!(single.map(|h| h.id), b.map(|h| h.id), "seed {seed}");
-                assert_eq!(
-                    single.map(|h| h.distance.to_bits()),
-                    b.map(|h| h.distance.to_bits()),
-                    "seed {seed}: distance bits diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn early_abandon_prefixes_match_full_sum() {
         // With an infinite threshold the early-abandon sum equals the plain
         // squared distance bit for bit (same accumulation order).
@@ -906,21 +719,6 @@ mod tests {
         assert_eq!(full.sqrt().to_bits(), l2_distance(&a, &b).to_bits());
         // A threshold below the true distance abandons.
         assert!(distance_sq_early_abandon(&a, &b, full / 2.0).is_none());
-    }
-
-    #[test]
-    fn batched_search_matches_single() {
-        let dim = 8;
-        let mut idx = IvfIndex::new(dim, IvfConfig::default(), 7);
-        for (i, key) in random_keys(300, dim, 8).into_iter().enumerate() {
-            idx.add(i as u64, key);
-        }
-        let queries = random_keys(20, dim, 9);
-        let batch = idx.search_batch(&queries);
-        for (q, b) in queries.iter().zip(&batch) {
-            let single = idx.search(q);
-            assert_eq!(single.map(|h| h.id), b.map(|h| h.id));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the similarity clears the threshold `τ` — returns the associated value.
 //!
 //! The similarity gate follows the paper's Eq. 3: cosine similarity between
-//! the query key and the stored key. By default the gate is evaluated on the
+//! the query key and the stored key. The gate is evaluated on the
 //! raw input chunks (stored alongside each entry), which makes the
 //! accuracy-vs-τ experiments faithful to what τ means in the paper; the
 //! encoded keys are what the ANN index searches.
@@ -23,7 +23,7 @@ use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, EvictionPolicyK
 use crate::fingerprint::{ChunkFingerprint, FingerprintTable};
 use crate::store::{ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
-use mlr_math::norms::{scale_aware_similarity, scale_aware_similarity_c};
+use mlr_math::norms::scale_aware_similarity_c;
 use mlr_math::Complex64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -40,9 +40,6 @@ pub struct MemoDbConfig {
     /// across iterations, so this is the default; disabling it searches
     /// across locations.
     pub per_location: bool,
-    /// Evaluate the τ gate on the raw input chunks (exact fidelity, more
-    /// memory); when `false` the gate uses the encoded keys only.
-    pub gate_on_raw: bool,
     /// ANN index parameters.
     pub ivf: IvfConfig,
     /// Capacity caps (bytes/entries, global and per stripe). Unbounded by
@@ -57,7 +54,6 @@ impl Default for MemoDbConfig {
         Self {
             tau: 0.92,
             per_location: true,
-            gate_on_raw: true,
             ivf: IvfConfig::default(),
             budget: CapacityBudget::unbounded(),
             eviction: EvictionPolicyKind::default(),
@@ -66,13 +62,12 @@ impl Default for MemoDbConfig {
 }
 
 /// Everything stored for one entry: eviction metadata, the scope it was
-/// indexed under, the τ-gate material (raw input or encoded key), and the
-/// value itself.
+/// indexed under, the raw input the τ gate compares against, and the value
+/// itself.
 struct EntryRecord {
     meta: EntryMeta,
     scope: (FftOpKind, usize),
-    raw_input: Option<Arc<[Complex64]>>,
-    key: Option<Vec<f64>>,
+    raw_input: Arc<[Complex64]>,
     /// The stored FFT result — shared with every hit, never deep-cloned.
     value: Arc<[Complex64]>,
 }
@@ -82,11 +77,9 @@ impl EntryRecord {
         (self.value.len() * 16) as u64
     }
 
-    /// Bytes held besides the value (raw input + retained key).
+    /// Bytes held besides the value (the raw input).
     fn aux_bytes(&self) -> u64 {
-        let raw = self.raw_input.as_ref().map_or(0, |r| r.len() * 16) as u64;
-        let key = self.key.as_ref().map_or(0, |k| k.len() * 8) as u64;
-        raw + key
+        (self.raw_input.len() * 16) as u64
     }
 }
 
@@ -106,7 +99,7 @@ pub(crate) struct MemoDatabase {
     policy: Arc<dyn EvictionPolicy>,
     /// Bytes of the stored values.
     value_bytes: u64,
-    /// Bytes resident besides the values (raw inputs + keys).
+    /// Bytes resident besides the values (raw inputs).
     aux_bytes: u64,
     /// Bytes/entries freed since the owner last drained (lets the owner
     /// keep its published resident counter exact without re-summing).
@@ -165,7 +158,7 @@ impl MemoDatabase {
         self.value_bytes
     }
 
-    /// Total resident bytes: values plus retained raw inputs and keys —
+    /// Total resident bytes: values plus retained raw inputs —
     /// the quantity the [`CapacityBudget`](crate::CapacityBudget) caps.
     pub(crate) fn resident_bytes(&self) -> u64 {
         self.value_bytes + self.aux_bytes
@@ -256,17 +249,9 @@ impl MemoDatabase {
         if !stored_origin.may_serve(&origin) {
             return ProbeOutcome::Miss;
         }
-        let similarity = if self.config.gate_on_raw {
-            match &record.raw_input {
-                Some(stored) => scale_aware_similarity_c(input, stored),
-                None => return ProbeOutcome::Miss,
-            }
-        } else {
-            match &record.key {
-                Some(stored) => scale_aware_similarity(key, stored),
-                None => return ProbeOutcome::Miss,
-            }
-        };
+        // The τ gate runs on the raw chunks: the encoded key only picks the
+        // candidate.
+        let similarity = scale_aware_similarity_c(input, &record.raw_input);
         if similarity > self.config.tau {
             return ProbeOutcome::Hit {
                 value: Arc::clone(&record.value),
@@ -337,7 +322,7 @@ impl MemoDatabase {
         let index = self.scopes.entry(scope_key).or_insert_with(|| {
             IvfIndex::new(dim, ivf, scope_seed(scope_key.0, scope_key.1) ^ 0x5EED)
         });
-        index.add(id, key.clone());
+        index.add(id, key);
         let mut record = EntryRecord {
             meta: EntryMeta {
                 id,
@@ -354,11 +339,7 @@ impl MemoDatabase {
                 priority: 0.0,
             },
             scope: scope_key,
-            raw_input: self
-                .config
-                .gate_on_raw
-                .then(|| Arc::<[Complex64]>::from(input)),
-            key: (!self.config.gate_on_raw).then_some(key),
+            raw_input: Arc::from(input),
             value: output.into(),
         };
         record.meta.bytes = record.value_bytes() + record.aux_bytes();

@@ -3,35 +3,38 @@
 //!
 //! The paper's deployment (Figure 6, §5) keeps the memoization database on
 //! dedicated memory nodes behind Slingshot links; [`DistributedMemoDb`] is
-//! that deployment in simulation. It wraps a [`ShardedMemoDb`] and spreads
-//! the store's lock stripes over `N` simulated nodes with a deterministic,
-//! network-cost-aware placement (see `mlr_cluster::placement`): every
-//! stripe has one owning node, and every remote operation — a hit shipping
-//! a value back, a miss answering a query, an insert shipping a value up —
-//! is charged through the owning node's [`LinkQueue`], `mlr-sim`'s
-//! deterministic shared-link contention model.
+//! that deployment's *outcome* model. It wraps a [`ShardedMemoDb`], spreads
+//! the store's lock stripes over `N` simulated nodes with a deterministic
+//! placement (see `mlr_cluster::placement`), and keeps exactly the state
+//! that can change what a caller observes: which node owns a stripe, which
+//! nodes the armed [`FaultPlan`] has down, and which hot entries are
+//! replicated on the compute side. What an access *costs* in simulated
+//! network time is priced offline, from the store's `AccessTrace`, by
+//! `mlr_cluster::replay_trace` — the one link model.
 //!
 //! # Bit-identity contract
 //!
 //! Store *semantics* — which probes hit, which entries are resident, what
 //! the counters say — are delegated 1:1 to the wrapped [`ShardedMemoDb`].
-//! The distributed tier adds only modeled latency and per-node accounting
-//! on top, so given the same schedule it returns bit-identical hits to the
-//! plain sharded store, for any node count and any placement. The
+//! Without a fault plan the tier returns bit-identical hits to the plain
+//! sharded store, for any node count and any placement. The
 //! `tests/distributed.rs` suite pins this.
 //!
 //! # Hot-entry replication
 //!
 //! Entries that keep getting hit are promoted into a bounded replica set —
 //! the model of the paper's compute-side caching of hot values. Promotion
-//! is driven by the cost-aware eviction metadata already on [`EntryMeta`]:
-//! once an entry has served [`NodeTopology::promote_hits`] hits it is
-//! replicated, ranked by [`CostAwarePolicy::benefit_density`], and when the
-//! replica budget is full the lowest-density replica (ties on the smaller
-//! entry id) is dropped. A hit on a replicated entry costs
-//! [`NodeTopology::local_latency`] instead of a round trip over the owning
-//! node's link — which is what bends the latency CDF's head down while
-//! remote probes populate its tail.
+//! is driven by the cost-aware eviction metadata already on
+//! [`EntryMeta`](crate::eviction::EntryMeta): once an entry has served
+//! [`NodeTopology::promote_hits`] hits it is replicated, ranked by
+//! [`CostAwarePolicy::benefit_density`], and when the replica budget is
+//! full the lowest-density replica (ties on the smaller entry id) is
+//! demoted. A hit on a replicated entry is *local*: it survives a crash of
+//! the owning node, and the replay charges it no link trip. Every promotion
+//! and demotion is written into the store's access trace
+//! (`AccessKind::Promote` / `Demote`, right after the `Hit` that caused
+//! it); the replay follows those records and holds no policy of its own,
+//! so its `local_hits` / `remote_hits` equal [`DistributedStats`]'.
 //!
 //! # Fault injection
 //!
@@ -46,9 +49,9 @@
 //! * When a crashed node restarts, its stripes' resident entries are
 //!   purged wholesale — warm-up starts from scratch. Placement is never
 //!   recomputed; liveness is consulted through a [`NodeHealth`] view.
-//! * Link degradations and stripe stalls only inflate the modeled charge
-//!   latency ([`LinkQueue::charge_degraded`]); they never change which
-//!   probes hit.
+//! * Link degradations and stripe stalls never change which probes hit, so
+//!   the live tier ignores them; hand the same plan to
+//!   `mlr_cluster::replay_trace` to see what they cost.
 //!
 //! Every fault decision is a pure function of the plan and the store's
 //! logical tick — frozen for the whole parallel probe phase, advanced only
@@ -57,65 +60,47 @@
 //! consulted anywhere on a fault path.
 
 use crate::db::MemoDbConfig;
-use crate::eviction::{CostAwarePolicy, EntryMeta};
+use crate::eviction::CostAwarePolicy;
 use crate::sharded::ShardedMemoDb;
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_cluster::placement::{place_stripes, stripes_per_node};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
-use mlr_sim::faults::{FaultClock, FaultEvent, FaultPlan, LinkState, NodeHealth};
-use mlr_sim::hardware::InterconnectSpec;
-use mlr_sim::network::{LinkQueue, SharedLink};
+use mlr_sim::faults::{FaultEvent, FaultPlan, NodeHealth};
+use mlr_telemetry::{AccessKind, AccessRecord};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Topology of the simulated memory-node cluster. `Copy`, so it can ride
 /// in `RuntimeConfig`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeTopology {
     /// Number of simulated memory nodes the stripes are spread over.
     pub nodes: usize,
-    /// Per-node injection link the remote operations are charged through.
-    pub interconnect: InterconnectSpec,
     /// Maximum number of hot entries kept in the replica set.
     pub replica_budget: usize,
     /// Hits after which an entry is promoted into the replica set
     /// (`0` disables replication).
     pub promote_hits: u64,
-    /// Modeled cost of a hit served from a local replica, seconds.
-    pub local_latency: f64,
-    /// Simulated seconds per store-clock tick — how the deterministic op
-    /// ticks map to link arrival times.
-    pub tick_seconds: f64,
-    /// Modeled query payload (coalesced key batch), bytes.
-    pub key_bytes: f64,
-    /// Modeled control-message payload (expiry reclaim), bytes.
-    pub control_bytes: f64,
 }
 
 impl Default for NodeTopology {
-    /// Four memory nodes behind Slingshot-11 links, microsecond ticks,
-    /// 1 KiB coalesced queries, 400 ns local replica hits, promotion after
-    /// 2 hits into a 64-entry replica set.
+    /// Four memory nodes, promotion after 2 hits into a 64-entry replica
+    /// set.
     fn default() -> Self {
         Self {
             nodes: 4,
-            interconnect: InterconnectSpec::slingshot11(),
             replica_budget: 64,
             promote_hits: 2,
-            local_latency: 0.4e-6,
-            tick_seconds: 1e-6,
-            key_bytes: 1024.0,
-            control_bytes: 64.0,
         }
     }
 }
 
 impl NodeTopology {
-    /// A topology with `nodes` memory nodes and the default link model.
+    /// A topology with `nodes` memory nodes and the default replica policy.
     pub fn with_nodes(nodes: usize) -> Self {
         Self {
             nodes,
@@ -124,7 +109,7 @@ impl NodeTopology {
     }
 }
 
-/// One memory node's share of the distributed store's traffic.
+/// One memory node's share of the distributed store.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NodeStats {
     /// Node index.
@@ -133,31 +118,14 @@ pub struct NodeStats {
     pub stripes: usize,
     /// Entries resident on the node's stripes.
     pub entries: usize,
-    /// Remote hits served over the node's link.
-    pub hits: u64,
-    /// Misses answered over the node's link.
-    pub misses: u64,
-    /// Inserts shipped over the node's link.
-    pub inserts: u64,
-    /// Messages charged through the node's link (all kinds).
-    pub messages: u64,
-    /// Payload bytes charged through the node's link.
-    pub bytes: f64,
-    /// Seconds the node's link spent in service.
-    pub busy_seconds: f64,
-    /// Busy fraction of the simulated horizon, in `[0, 1]`.
-    pub utilisation: f64,
-    /// Mean modeled latency of the node's remote operations, seconds.
-    pub mean_latency_seconds: f64,
-    /// Largest modeled latency of the node's remote operations, seconds.
-    pub max_latency_seconds: f64,
 }
 
-/// Aggregate view of the distributed tier: per-node link accounting plus
-/// the replica set's effect.
+/// Aggregate view of the distributed tier: what each node holds plus the
+/// replica set's effect. Link traffic, utilisation and latencies come from
+/// replaying the run's access trace (`mlr_cluster::replay_trace`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DistributedStats {
-    /// Per-node accounting, indexed by node.
+    /// Per-node residency, indexed by node.
     pub nodes: Vec<NodeStats>,
     /// Hits served from the local replica set (no link trip).
     pub local_hits: u64,
@@ -169,23 +137,11 @@ pub struct DistributedStats {
     pub replica_evictions: u64,
     /// Entries currently replicated.
     pub replicas: usize,
-    /// Mean modeled latency of replica-served hits, seconds (the constant
-    /// [`NodeTopology::local_latency`] whenever `local_hits > 0`).
-    pub local_latency_seconds_mean: f64,
-    /// Mean modeled latency over all remote operations, seconds.
-    pub remote_latency_seconds_mean: f64,
-    /// Simulated end of the charged traffic (last arrival or departure).
-    pub horizon_seconds: f64,
     /// Fault-injection accounting; `None` when no [`FaultPlan`] is armed.
     pub faults: Option<FaultStats>,
 }
 
 impl DistributedStats {
-    /// Nodes whose link saw at least one message.
-    pub fn active_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.messages > 0).count()
-    }
-
     /// Fraction of hits served from the replica set.
     pub fn local_hit_fraction(&self) -> f64 {
         let hits = self.local_hits + self.remote_hits;
@@ -193,21 +149,6 @@ impl DistributedStats {
             0.0
         } else {
             self.local_hits as f64 / hits as f64
-        }
-    }
-
-    /// Spread between the busiest and idlest node's utilisation.
-    pub fn utilisation_spread(&self) -> f64 {
-        let max = self.nodes.iter().map(|n| n.utilisation).fold(0.0, f64::max);
-        let min = self
-            .nodes
-            .iter()
-            .map(|n| n.utilisation)
-            .fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            max - min
-        } else {
-            0.0
         }
     }
 }
@@ -238,9 +179,13 @@ pub struct FaultStats {
 }
 
 /// Sequential fault bookkeeping, mutated only on ordered-commit paths.
+#[derive(Default)]
 struct FaultSeq {
     /// Cursor into the plan's events: everything before it is applied.
     next_event: usize,
+    crashes: u64,
+    restarts: u64,
+    lost_entries: u64,
     /// Store-wide hit rate snapshotted when the last crash applied.
     pre_crash_hit_rate: f64,
     /// Tick of the most recent restart, once one applied.
@@ -252,132 +197,32 @@ struct FaultSeq {
     recovery_ticks: Option<u64>,
 }
 
-/// Fault-injection state riding next to the network model. Counters that
-/// the parallel probe path touches are atomics; everything with ordering
-/// requirements lives in [`FaultSeq`] behind its own mutex and is only
-/// taken on ordered-commit paths (lock order: `seq` before `net`).
+/// Fault-injection state. The two counters the parallel probe path touches
+/// are atomics; everything else lives in [`FaultSeq`] behind its own mutex,
+/// taken only on ordered-commit paths.
 struct FaultState {
     plan: FaultPlan,
-    clock: FaultClock,
-    /// Read-optimised mirror of the replica-set ids for the probe path —
-    /// probes must never take the `net` mutex. Rewritten (commit paths
-    /// only) whenever replica membership changes.
-    replica_ids: RwLock<HashSet<u64>>,
     degraded_accesses: AtomicU64,
     replica_saved_hits: AtomicU64,
-    lost_entries: AtomicU64,
-    crashes: AtomicU64,
-    restarts: AtomicU64,
     seq: Mutex<FaultSeq>,
 }
 
-impl FaultState {
-    fn new(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            clock: FaultClock::new(),
-            replica_ids: RwLock::new(HashSet::new()),
-            degraded_accesses: AtomicU64::new(0),
-            replica_saved_hits: AtomicU64::new(0),
-            lost_entries: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            seq: Mutex::new(FaultSeq {
-                next_event: 0,
-                pre_crash_hit_rate: 0.0,
-                restart_tick: None,
-                post_hits: 0,
-                post_queries: 0,
-                recovery_ticks: None,
-            }),
-        }
-    }
-}
-
-/// Mutable network-model state, behind one mutex: the per-node link
-/// queues, per-node counters, and the replica set. Taken only on the
-/// ordered-commit paths (never on the parallel probe path), so probe
-/// concurrency is untouched.
-struct NetState {
-    queues: Vec<LinkQueue>,
-    hits: Vec<u64>,
-    misses: Vec<u64>,
-    inserts: Vec<u64>,
-    latency_sum: Vec<f64>,
-    latency_max: Vec<f64>,
-    latency_count: Vec<u64>,
+/// The replica set and its counters. Read by probes toward a down node,
+/// written only on the ordered-commit paths.
+#[derive(Default)]
+struct ReplicaSet {
     /// entry id → benefit density at promotion/refresh time.
-    replicas: HashMap<u64, f64>,
+    members: HashMap<u64, f64>,
     local_hits: u64,
     remote_hits: u64,
     promotions: u64,
-    replica_evictions: u64,
-    local_latency_sum: f64,
-    last_arrival: f64,
-}
-
-impl NetState {
-    fn new(nodes: usize, link: SharedLink) -> Self {
-        Self {
-            queues: (0..nodes).map(|_| LinkQueue::new(link)).collect(),
-            hits: vec![0; nodes],
-            misses: vec![0; nodes],
-            inserts: vec![0; nodes],
-            latency_sum: vec![0.0; nodes],
-            latency_max: vec![0.0; nodes],
-            latency_count: vec![0; nodes],
-            replicas: HashMap::new(),
-            local_hits: 0,
-            remote_hits: 0,
-            promotions: 0,
-            replica_evictions: 0,
-            local_latency_sum: 0.0,
-            last_arrival: 0.0,
-        }
-    }
-
-    /// Charges one remote message — over a degraded link when the fault
-    /// plan says so — and folds it into the node's aggregates.
-    fn charge(&mut self, node: usize, arrival: f64, bytes: f64, eff: LinkState) -> f64 {
-        self.last_arrival = self.last_arrival.max(arrival);
-        let latency = self.queues[node].charge_degraded(
-            arrival,
-            bytes,
-            eff.capacity_factor,
-            eff.extra_latency,
-        );
-        self.latency_sum[node] += latency;
-        self.latency_max[node] = self.latency_max[node].max(latency);
-        self.latency_count[node] += 1;
-        latency
-    }
-
-    /// Promotes `entry` (ranked `density`) into the bounded replica set,
-    /// dropping the lowest-density replica (ties on the smaller id) when
-    /// the budget is full. Deterministic: runs on the ordered-commit path.
-    fn promote(&mut self, entry: u64, density: f64, budget: usize) {
-        if budget == 0 || self.replicas.contains_key(&entry) {
-            return;
-        }
-        if self.replicas.len() >= budget {
-            if let Some((&victim, _)) = self
-                .replicas
-                .iter()
-                .min_by(|(ae, ad), (be, bd)| ad.total_cmp(bd).then(ae.cmp(be)))
-            {
-                self.replicas.remove(&victim);
-                self.replica_evictions += 1;
-            }
-        }
-        self.replicas.insert(entry, density);
-        self.promotions += 1;
-    }
+    evictions: u64,
 }
 
 /// A [`MemoStore`] spread over N simulated memory nodes: semantics
-/// delegated to a [`ShardedMemoDb`] (bit-identical hits), remote traffic
-/// charged through per-node [`LinkQueue`]s, hot entries replicated by
-/// benefit density. See the module docs for the full picture.
+/// delegated to a [`ShardedMemoDb`] (bit-identical hits), hot entries
+/// replicated by benefit density, node crashes injected from a
+/// [`FaultPlan`]. See the module docs for the full picture.
 ///
 /// ```
 /// use mlr_memo::{
@@ -411,7 +256,7 @@ pub struct DistributedMemoDb {
     topology: NodeTopology,
     /// stripe → owning node, fixed at construction.
     placement: Vec<usize>,
-    net: Mutex<NetState>,
+    replicas: RwLock<ReplicaSet>,
     /// Fault-injection layer; `None` (the default) is a perfect cluster.
     fault: Option<FaultState>,
 }
@@ -423,8 +268,7 @@ impl DistributedMemoDb {
     /// # Panics
     /// Panics when `topology.nodes` is zero.
     pub fn new(inner: Arc<ShardedMemoDb>, topology: NodeTopology) -> Self {
-        let capacities = vec![topology.interconnect.injection_gbps; topology.nodes];
-        Self::with_capacities(inner, topology, &capacities)
+        Self::with_capacities(inner, topology, &vec![1.0; topology.nodes])
     }
 
     /// Spreads `inner`'s stripes over nodes with explicit per-node link
@@ -444,12 +288,11 @@ impl DistributedMemoDb {
             "one capacity per memory node"
         );
         let placement = place_stripes(inner.shard_count(), capacities);
-        let link = SharedLink::from_interconnect(&topology.interconnect);
         Self {
             inner,
             topology,
             placement,
-            net: Mutex::new(NetState::new(capacities.len(), link)),
+            replicas: RwLock::new(ReplicaSet::default()),
             fault: None,
         }
     }
@@ -462,7 +305,12 @@ impl DistributedMemoDb {
     /// Panics when `topology.nodes` is zero.
     pub fn with_faults(inner: Arc<ShardedMemoDb>, topology: NodeTopology, plan: FaultPlan) -> Self {
         let mut db = Self::new(inner, topology);
-        db.fault = Some(FaultState::new(plan));
+        db.fault = Some(FaultState {
+            plan,
+            degraded_accesses: AtomicU64::new(0),
+            replica_saved_hits: AtomicU64::new(0),
+            seq: Mutex::new(FaultSeq::default()),
+        });
         db
     }
 
@@ -489,9 +337,9 @@ impl DistributedMemoDb {
         Some(FaultStats {
             plan_seed: fault.plan.seed(),
             plan_events: fault.plan.len(),
-            crashes: fault.crashes.load(Ordering::Relaxed),
-            restarts: fault.restarts.load(Ordering::Relaxed),
-            lost_entries: fault.lost_entries.load(Ordering::Relaxed),
+            crashes: seq.crashes,
+            restarts: seq.restarts,
+            lost_entries: seq.lost_entries,
             replica_saved_hits: fault.replica_saved_hits.load(Ordering::Relaxed),
             degraded_accesses: fault.degraded_accesses.load(Ordering::Relaxed),
             recovery_ticks_to_half_hit_rate: seq.recovery_ticks,
@@ -500,41 +348,23 @@ impl DistributedMemoDb {
 
     /// True when the fault plan marks the owner of `(op, loc)` down at the
     /// store's current tick — a pure read, safe on the probe path.
-    fn owner_down(&self, op: FftOpKind, loc: usize) -> Option<(&FaultState, usize)> {
+    fn owner_down(&self, op: FftOpKind, loc: usize) -> Option<&FaultState> {
         let fault = self.fault.as_ref()?;
         let node = self.placement[self.inner.stripe_of(op, loc)];
         fault
             .plan
             .node_down_at(node, self.inner.current_tick())
-            .then_some((fault, node))
-    }
-
-    /// Effective link parameters toward `node` for traffic on `stripe`:
-    /// the plan's link degradation plus any stripe stall, nominal without
-    /// a plan.
-    fn effective_link(&self, stripe: usize, node: usize) -> LinkState {
-        match &self.fault {
-            Some(f) => {
-                let tick = self.inner.current_tick();
-                let link = f.plan.link_state_at(node, tick);
-                LinkState {
-                    capacity_factor: link.capacity_factor,
-                    extra_latency: link.extra_latency + f.plan.stripe_stall_at(stripe, tick),
-                }
-            }
-            None => LinkState::NOMINAL,
-        }
+            .then_some(fault)
     }
 
     /// Applies every scheduled fault event up to the store's current tick
-    /// (ordered-commit paths only; `seq` is taken before `net`). A restart
-    /// purges the node's stripes — the crash itself is pure bookkeeping,
-    /// since down-ness is answered directly from the plan — and optionally
-    /// folds one access into the recovery curve.
+    /// (ordered-commit paths only). A restart purges the node's stripes —
+    /// the crash itself is pure bookkeeping, since down-ness is answered
+    /// directly from the plan — and optionally folds one access into the
+    /// recovery curve.
     fn fault_tick(&self, access_hit: Option<bool>) {
         let Some(fault) = &self.fault else { return };
         let tick = self.inner.current_tick();
-        fault.clock.advance_to(tick);
         let mut seq = fault.seq.lock();
         while seq.next_event < fault.plan.events().len() {
             let timed = fault.plan.events()[seq.next_event];
@@ -544,7 +374,7 @@ impl DistributedMemoDb {
             seq.next_event += 1;
             match timed.event {
                 FaultEvent::NodeCrash { .. } => {
-                    fault.crashes.fetch_add(1, Ordering::Relaxed);
+                    seq.crashes += 1;
                     let stats = self.inner.stats();
                     seq.pre_crash_hit_rate = if stats.queries == 0 {
                         0.0
@@ -555,29 +385,24 @@ impl DistributedMemoDb {
                     seq.recovery_ticks = None;
                 }
                 FaultEvent::NodeRestart { node } => {
-                    fault.restarts.fetch_add(1, Ordering::Relaxed);
-                    let mut purged = Vec::new();
+                    seq.restarts += 1;
+                    let mut replicas = self.replicas.write();
                     for (stripe, &owner) in self.placement.iter().enumerate() {
                         if owner == node {
-                            purged.extend(self.inner.purge_stripe(stripe));
+                            let purged = self.inner.purge_stripe(stripe);
+                            seq.lost_entries += purged.len() as u64;
+                            for id in &purged {
+                                replicas.members.remove(id);
+                            }
                         }
                     }
-                    fault
-                        .lost_entries
-                        .fetch_add(purged.len() as u64, Ordering::Relaxed);
-                    if !purged.is_empty() {
-                        let mut net = self.net.lock();
-                        for id in &purged {
-                            net.replicas.remove(id);
-                        }
-                        *fault.replica_ids.write() = net.replicas.keys().copied().collect();
-                    }
+                    drop(replicas);
                     seq.restart_tick = Some(timed.tick);
                     seq.post_hits = 0;
                     seq.post_queries = 0;
                 }
-                // Link and stripe events need no side effects: their state
-                // is answered pure from the plan at charge time.
+                // Link and stripe events change no outcome; the trace
+                // replay prices them from the same plan.
                 FaultEvent::LinkDegrade { .. }
                 | FaultEvent::LinkRestore { .. }
                 | FaultEvent::StripeStall { .. }
@@ -601,155 +426,50 @@ impl DistributedMemoDb {
         &self.inner
     }
 
-    /// The node topology.
-    pub fn topology(&self) -> &NodeTopology {
-        &self.topology
-    }
-
     /// The stripe→node placement map.
     pub fn placement(&self) -> &[usize] {
         &self.placement
     }
 
-    /// The node owning the stripe of `(op, loc)`.
-    pub fn node_of(&self, op: FftOpKind, loc: usize) -> usize {
-        self.placement[self.inner.stripe_of(op, loc)]
-    }
-
-    /// Simulated arrival time of an operation committed now.
-    fn arrival(&self) -> f64 {
-        self.inner.current_tick() as f64 * self.topology.tick_seconds
-    }
-
-    /// Charges a served hit: local when the entry is replicated, a value
-    /// round trip over the owning node's link otherwise; then refreshes the
-    /// replica set from the entry's post-commit metadata.
-    fn charge_hit(&self, op: FftOpKind, loc: usize, entry: u64, meta: Option<EntryMeta>) {
-        let stripe = self.inner.stripe_of(op, loc);
-        let node = self.placement[stripe];
-        let arrival = self.arrival();
-        let eff = self.effective_link(stripe, node);
-        let down = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.plan.node_down_at(node, self.inner.current_tick()));
-        let mut net = self.net.lock();
-        let density = meta.as_ref().map(CostAwarePolicy::benefit_density);
-        if let Some(density) = net
-            .replicas
-            .contains_key(&entry)
-            .then_some(density)
-            .flatten()
-        {
-            net.local_hits += 1;
-            net.local_latency_sum += self.topology.local_latency;
-            net.replicas.insert(entry, density);
-            return;
-        }
-        // The value size is the entry's resident bytes; an entry evicted
-        // between probe and commit (its refresh is skipped) is modeled as a
-        // query-only trip.
-        let value_bytes = meta.as_ref().map_or(0.0, |m| m.bytes as f64);
-        if down {
-            // The owner died between the probe and this commit (or the
-            // replica lapsed); the payload is already on the compute side,
-            // so count the hit but charge no traffic to a dead link.
-            net.remote_hits += 1;
-            net.hits[node] += 1;
-        } else {
-            net.charge(node, arrival, self.topology.key_bytes + value_bytes, eff);
-            net.remote_hits += 1;
-            net.hits[node] += 1;
-        }
-        // Promotion is a compute-side action on a value that already
-        // arrived, so it applies even when the owner just went down.
-        if let (Some(meta), Some(density)) = (meta, density) {
-            if self.topology.promote_hits > 0 && meta.hits >= self.topology.promote_hits {
-                net.promote(meta.id, density, self.topology.replica_budget);
-                if let Some(fault) = &self.fault {
-                    *fault.replica_ids.write() = net.replicas.keys().copied().collect();
-                }
-            }
+    /// Writes one replica-set change into the store's access trace, stamped
+    /// like the `Hit` that caused it.
+    fn trace_replica(&self, op: FftOpKind, stripe: usize, entry: u64, kind: AccessKind) {
+        if let Some(trace) = self.inner.access_trace() {
+            trace.record(AccessRecord {
+                entry,
+                op: op as u8,
+                stripe: stripe as u32,
+                kind,
+                tick: self.inner.current_tick(),
+            });
         }
     }
 
-    /// Charges a miss: the coalesced query goes to the owning node and
-    /// comes back empty. A miss owned by a down node is counted but not
-    /// charged — there is no link to carry it.
-    fn charge_miss(&self, op: FftOpKind, loc: usize) {
-        let stripe = self.inner.stripe_of(op, loc);
-        let node = self.placement[stripe];
-        let arrival = self.arrival();
-        let eff = self.effective_link(stripe, node);
-        let down = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.plan.node_down_at(node, self.inner.current_tick()));
-        let mut net = self.net.lock();
-        if !down {
-            net.charge(node, arrival, self.topology.key_bytes, eff);
-        }
-        net.misses[node] += 1;
-    }
-
-    /// A snapshot of the per-node accounting and replica-set state.
+    /// A snapshot of the per-node residency and replica-set state.
     pub fn distributed_stats(&self) -> DistributedStats {
-        // `seq` (inside fault_stats) strictly before `net` — the crate-wide
-        // lock order for this pair.
         let faults = self.fault_stats();
-        let net = self.net.lock();
         let shard_sizes = self.inner.shard_sizes();
-        let nodes = net.queues.len();
+        let nodes = self.topology.nodes;
         let mut entries = vec![0usize; nodes];
         for (stripe, &node) in self.placement.iter().enumerate() {
             entries[node] += shard_sizes.get(stripe).copied().unwrap_or(0);
         }
         let stripes = stripes_per_node(&self.placement, nodes);
-        let horizon = net
-            .queues
-            .iter()
-            .map(|q| q.next_free())
-            .fold(net.last_arrival, f64::max);
-        let node_stats = (0..nodes)
-            .map(|node| NodeStats {
-                node,
-                stripes: stripes[node],
-                entries: entries[node],
-                hits: net.hits[node],
-                misses: net.misses[node],
-                inserts: net.inserts[node],
-                messages: net.queues[node].messages(),
-                bytes: net.queues[node].bytes(),
-                busy_seconds: net.queues[node].busy_seconds(),
-                utilisation: net.queues[node].utilisation(horizon),
-                mean_latency_seconds: if net.latency_count[node] == 0 {
-                    0.0
-                } else {
-                    net.latency_sum[node] / net.latency_count[node] as f64
-                },
-                max_latency_seconds: net.latency_max[node],
-            })
-            .collect();
-        let remote_ops: u64 = net.latency_count.iter().sum();
+        let replicas = self.replicas.read();
         DistributedStats {
             faults,
-            nodes: node_stats,
-            local_hits: net.local_hits,
-            remote_hits: net.remote_hits,
-            promotions: net.promotions,
-            replica_evictions: net.replica_evictions,
-            replicas: net.replicas.len(),
-            local_latency_seconds_mean: if net.local_hits == 0 {
-                0.0
-            } else {
-                net.local_latency_sum / net.local_hits as f64
-            },
-            remote_latency_seconds_mean: if remote_ops == 0 {
-                0.0
-            } else {
-                net.latency_sum.iter().sum::<f64>() / remote_ops as f64
-            },
-            horizon_seconds: horizon,
+            nodes: (0..nodes)
+                .map(|node| NodeStats {
+                    node,
+                    stripes: stripes[node],
+                    entries: entries[node],
+                })
+                .collect(),
+            local_hits: replicas.local_hits,
+            remote_hits: replicas.remote_hits,
+            promotions: replicas.promotions,
+            replica_evictions: replicas.evictions,
+            replicas: replicas.members.len(),
         }
     }
 }
@@ -768,8 +488,7 @@ impl MemoStore for DistributedMemoDb {
     }
 
     // Fingerprint consultation happens on the compute node before any
-    // encode/probe traffic, so the distributed tier delegates without
-    // charging network time.
+    // encode/probe traffic, so it never depends on a memory node's health.
     fn has_fingerprint_neighbor(
         &self,
         op: FftOpKind,
@@ -796,17 +515,18 @@ impl MemoStore for DistributedMemoDb {
         key: &[f64],
         origin: Provenance,
     ) -> ProbeOutcome {
-        // Pure read, concurrent with other probes: no charging here — the
-        // network model is fed from the deterministic ordered-commit paths.
+        // Pure read, concurrent with other probes.
         let outcome = self.inner.probe_with_key(op, loc, input, key, origin);
-        let Some((fault, _)) = self.owner_down(op, loc) else {
+        let Some(fault) = self.owner_down(op, loc) else {
             return outcome;
         };
         // The owner is down at the (frozen) probe tick. Stat counters here
         // are atomics over an interleaving-independent access set, so the
         // totals stay deterministic across thread counts.
         match outcome {
-            ProbeOutcome::Hit { entry, .. } if fault.replica_ids.read().contains(&entry) => {
+            ProbeOutcome::Hit { entry, .. }
+                if self.replicas.read().members.contains_key(&entry) =>
+            {
                 fault.replica_saved_hits.fetch_add(1, Ordering::Relaxed);
                 outcome
             }
@@ -829,31 +549,62 @@ impl MemoStore for DistributedMemoDb {
         origin: Provenance,
     ) {
         self.fault_tick(Some(true));
+        // Held across the inner commit: the trace's `Hit` and the replica
+        // records it causes land in the order the set changed, which is
+        // what lets the replay reproduce the local/remote split.
+        let mut replicas = self.replicas.write();
         self.inner.commit_hit(op, loc, entry, entry_origin, origin);
-        let meta = self.inner.entry_meta(op, loc, entry);
-        self.charge_hit(op, loc, entry, meta);
+        // An entry evicted between probe and commit has no metadata left:
+        // its value crossed the link, and there is nothing to replicate.
+        let Some(meta) = self.inner.entry_meta(op, loc, entry) else {
+            replicas.remote_hits += 1;
+            return;
+        };
+        let density = CostAwarePolicy::benefit_density(&meta);
+        if let Some(ranked) = replicas.members.get_mut(&entry) {
+            *ranked = density;
+            replicas.local_hits += 1;
+            return;
+        }
+        replicas.remote_hits += 1;
+        // Promotion is a compute-side action on a value that already
+        // arrived, so it applies even when the owner just went down.
+        let topology = self.topology;
+        if topology.promote_hits == 0
+            || meta.hits < topology.promote_hits
+            || topology.replica_budget == 0
+        {
+            return;
+        }
+        let stripe = self.inner.stripe_of(op, loc);
+        if replicas.members.len() >= topology.replica_budget {
+            // Lowest density goes, ties on the smaller entry id.
+            let victim = replicas
+                .members
+                .iter()
+                .min_by(|(ae, ad), (be, bd)| ad.total_cmp(bd).then(ae.cmp(be)))
+                .map(|(&id, _)| id);
+            if let Some(victim) = victim {
+                replicas.members.remove(&victim);
+                replicas.evictions += 1;
+                self.trace_replica(op, stripe, victim, AccessKind::Demote);
+            }
+        }
+        replicas.members.insert(entry, density);
+        replicas.promotions += 1;
+        self.trace_replica(op, stripe, entry, AccessKind::Promote);
     }
 
     fn commit_miss(&self, op: FftOpKind, loc: usize) {
         self.fault_tick(Some(false));
         self.inner.commit_miss(op, loc);
-        self.charge_miss(op, loc);
     }
 
     fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64) {
         self.fault_tick(None);
+        let mut replicas = self.replicas.write();
         self.inner.reclaim_expired(op, loc, entry);
-        let stripe = self.inner.stripe_of(op, loc);
-        let node = self.placement[stripe];
-        let arrival = self.arrival();
-        let eff = self.effective_link(stripe, node);
-        let mut net = self.net.lock();
-        net.charge(node, arrival, self.topology.control_bytes, eff);
-        if net.replicas.remove(&entry).is_some() {
-            if let Some(fault) = &self.fault {
-                *fault.replica_ids.write() = net.replicas.keys().copied().collect();
-            }
-        }
+        replicas.members.remove(&entry);
     }
 
     fn insert(
@@ -866,31 +617,12 @@ impl MemoStore for DistributedMemoDb {
         origin: Provenance,
         recompute_cost: f64,
     ) -> u64 {
+        // An insert toward a down node lands in the wrapped store
+        // regardless and is purged with the rest of the stripe when the
+        // node restarts.
         self.fault_tick(None);
-        let id = self
-            .inner
-            .insert(op, loc, input, key, output, origin, recompute_cost);
-        let value_bytes = self
-            .inner
-            .entry_meta(op, loc, id)
-            .map_or(0.0, |m| m.bytes as f64);
-        let stripe = self.inner.stripe_of(op, loc);
-        let node = self.placement[stripe];
-        let arrival = self.arrival();
-        let eff = self.effective_link(stripe, node);
-        let down = self
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.plan.node_down_at(node, self.inner.current_tick()));
-        let mut net = self.net.lock();
-        // An insert toward a down node is counted but not charged (no link
-        // to carry it); the entry lands in the wrapped store regardless and
-        // is purged with the rest of the stripe when the node restarts.
-        if !down {
-            net.charge(node, arrival, self.topology.key_bytes + value_bytes, eff);
-        }
-        net.inserts[node] += 1;
-        id
+        self.inner
+            .insert(op, loc, input, key, output, origin, recompute_cost)
     }
 
     fn len(&self) -> usize {
@@ -993,24 +725,23 @@ mod tests {
     #[test]
     fn traffic_spreads_over_nodes_and_replicas_go_local() {
         let distributed = DistributedMemoDb::new(sharded(16), NodeTopology::with_nodes(4));
-        let _ = run_schedule(&distributed, 6);
+        let outcomes = run_schedule(&distributed, 6);
         let stats = distributed.distributed_stats();
         assert!(
-            stats.active_nodes() >= 2,
-            "all traffic on one node: {stats:?}"
+            stats.nodes.iter().filter(|n| n.entries > 0).count() >= 2,
+            "all entries on one node: {stats:?}"
         );
-        assert!(stats.remote_hits > 0, "no remote hits charged");
+        assert!(stats.remote_hits > 0, "no hit crossed a link");
         assert!(
             stats.local_hits > 0,
             "promotion never produced a local hit: {stats:?}"
         );
         assert!(stats.promotions > 0);
         assert!(stats.local_hit_fraction() > 0.0);
-        // Remote operations pay at least the link's base latency, which the
-        // topology's local replica latency deliberately undercuts.
-        assert!(
-            stats.remote_latency_seconds_mean > stats.local_latency_seconds_mean,
-            "remote ops must cost strictly more than replica hits"
+        // Every served hit is exactly one of the two.
+        assert_eq!(
+            stats.local_hits + stats.remote_hits,
+            outcomes.iter().filter(|&&h| h).count() as u64
         );
         let total_entries: usize = stats.nodes.iter().map(|n| n.entries).sum();
         assert_eq!(total_entries, distributed.len());
@@ -1102,7 +833,7 @@ mod tests {
         assert_eq!(faults.replica_saved_hits, 8, "{faults:?}");
         assert_eq!(faults.degraded_accesses, 0, "{faults:?}");
         let stats = store.distributed_stats();
-        // Round 1 hits charge remote (promotion follows the charge); all of
+        // Round 1 hits are remote (promotion follows the hit); all of
         // round 2 is served from the replica set.
         assert_eq!(stats.local_hits, 8, "replica hits are local: {stats:?}");
         assert!(!store.node_health().is_up(0));

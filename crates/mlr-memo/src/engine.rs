@@ -83,10 +83,6 @@ pub struct MemoConfig {
     pub coalesce_payload_bytes: usize,
     /// Track per-location chunk similarity across iterations (Figure 4).
     pub track_similarity: bool,
-    /// Memoize only the unequally-spaced operations (the paper's choice
-    /// after operation cancellation). When `false`, all six operations are
-    /// memoized.
-    pub usfft_only: bool,
     /// Number of initial ADMM iterations during which memoization is not
     /// consulted: early iterates change too quickly for reuse to be safe, and
     /// the paper's own characterisation (Figure 4) shows similar chunks only
@@ -102,9 +98,8 @@ pub struct MemoConfig {
     /// Norm prefilter in front of the CNN encoder: chunks whose O(n)
     /// fingerprint has no τ-band neighbor in the scope's recent history skip
     /// encode, cache peek and database probe entirely and go straight to the
-    /// exact FFT. Only active when the backing store gates hits on raw
-    /// inputs (`MemoDbConfig::gate_on_raw`, the default) — the fingerprint
-    /// band bounds *raw* similarity, not key similarity.
+    /// exact FFT. Sound because the store gates hits on raw inputs: the
+    /// fingerprint band bounds *raw* similarity.
     pub prefilter: bool,
 }
 
@@ -118,7 +113,6 @@ impl Default for MemoConfig {
             coalesce_keys: true,
             coalesce_payload_bytes: 4096,
             track_similarity: false,
-            usfft_only: true,
             warmup_iterations: 2,
             budget: CapacityBudget::unbounded(),
             eviction: EvictionPolicyKind::CostAware,
@@ -204,7 +198,6 @@ struct Dispatch {
     iteration: usize,
     /// Memoization applies: the operation is memoizable and warm-up is over.
     memoize: bool,
-    prefilter_on: bool,
     tel_on: bool,
     origin: Provenance,
 }
@@ -432,8 +425,10 @@ impl MemoizedExecutor {
         self.store.train_encoder(samples, epochs)
     }
 
+    /// Only the unequally-spaced operations are memoized — the paper's
+    /// choice after operation cancellation.
     fn should_memoize(&self, kind: FftOpKind) -> bool {
-        self.config.enabled && (!self.config.usfft_only || kind.is_unequally_spaced())
+        self.config.enabled && kind.is_unequally_spaced()
     }
 
     /// Runs `f` over `0..n` across the configured chunk threads (leasing
@@ -537,7 +532,6 @@ impl MemoizedExecutor {
         Dispatch {
             iteration,
             memoize,
-            prefilter_on: self.config.prefilter && self.store.config().gate_on_raw,
             tel_on,
             origin: Provenance {
                 job: self.job,
@@ -605,7 +599,7 @@ impl MemoizedExecutor {
         for i in range.clone() {
             let (loc, input, _) = task(i);
             let t = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-            let (fp, admitted) = if d.prefilter_on {
+            let (fp, admitted) = if self.config.prefilter {
                 let fp = ChunkFingerprint::compute(input);
                 let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
                 (Some(fp), admitted)

@@ -143,7 +143,7 @@ impl CapacityBudget {
 pub struct EntryMeta {
     /// Globally unique insertion index — the stable tie-breaker.
     pub id: u64,
-    /// Resident bytes attributable to the entry (value + raw input + key).
+    /// Resident bytes attributable to the entry (value + raw input).
     pub bytes: u64,
     /// Op tick at insertion.
     pub inserted_tick: u64,

@@ -19,7 +19,7 @@
 //!   straight to the exact FFT.
 //! * [`ann`] — the index database (§4.3.2): a from-scratch cluster-based
 //!   (IVF) approximate-nearest-neighbour index standing in for Faiss,
-//!   supporting dynamic insertion and batched queries.
+//!   supporting dynamic insertion.
 //! * [`db`] — the database configuration ([`MemoDbConfig`]) and the
 //!   crate-private lock stripe: index database + value database (entries
 //!   hold their `Arc<[Complex64]>` payload, standing in for Redis) behind
@@ -55,8 +55,10 @@
 //!   serving several reconstruction jobs at once (the in-process analogue
 //!   of the paper's memory node under multi-job traffic).
 //! * [`distributed`] — the [`DistributedMemoDb`] memory-node tier wrapped
-//!   around a `ShardedMemoDb`: modeled link latency, per-node accounting,
-//!   replica promotion and fault injection, never different hits.
+//!   around a `ShardedMemoDb`: stripe→node placement, replica promotion and
+//!   node-crash injection — the state that decides outcomes. What the
+//!   network costs is priced offline from the access trace by
+//!   `mlr_cluster::replay_trace`.
 
 #![warn(missing_docs)]
 

@@ -162,16 +162,10 @@ impl ShardedMemoDb {
         }
     }
 
-    /// Attaches an access-trace recorder (builder form). The store records
-    /// hit/miss/insert/evict/expired events from its ordered-commit paths
-    /// into the given ring, stamped with store-clock ticks.
-    pub fn with_access_trace(mut self, trace: Arc<AccessTrace>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Attaches an access-trace recorder in place (before the store is
-    /// shared behind an `Arc`).
+    /// Attaches an access-trace recorder (before the store is shared behind
+    /// an `Arc`). The store records hit/miss/insert/evict/expired/lost
+    /// events from its ordered-commit paths into the given ring, stamped
+    /// with store-clock ticks; the distributed tier adds promote/demote.
     pub fn set_access_trace(&mut self, trace: Arc<AccessTrace>) {
         self.trace = Some(trace);
     }

@@ -81,21 +81,25 @@ pub struct RuntimeConfig {
     pub expiry_sweep: Option<Duration>,
     /// Distributed memo tier: when set, the shared store's lock stripes are
     /// spread over this many simulated memory nodes and every worker talks
-    /// to the store through a [`DistributedMemoDb`] — remote hits, misses
-    /// and inserts are charged through per-node shared-link queues, and hot
-    /// entries are replicated by benefit density. Store *semantics* are
-    /// untouched (bit-identical hits to the plain sharded store); only the
-    /// modeled network accounting in [`RuntimeStats::distributed`] is added.
-    /// `None` keeps the store purely local.
+    /// to the store through a [`DistributedMemoDb`], which replicates hot
+    /// entries by benefit density and records each promotion and demotion
+    /// in the access trace. Store *semantics* are untouched (bit-identical
+    /// hits to the plain sharded store); [`RuntimeStats::distributed`]
+    /// reports placement, residency and the replica set. What the network
+    /// costs is priced offline: enable [`RuntimeConfig::access_trace`] and
+    /// hand the trace to `mlr_cluster::replay_trace`. `None` keeps the
+    /// store purely local.
     pub topology: Option<NodeTopology>,
     /// Deterministic fault schedule armed on the distributed memo tier:
     /// node crash/restart windows, link degradations and stripe stalls,
-    /// all keyed to the store's logical tick (never the wall clock).
-    /// Requires [`RuntimeConfig::topology`] — without one there are no
-    /// simulated memory nodes to fault, and the plan is ignored. Fault
-    /// accounting surfaces through
+    /// all keyed to the store's logical tick (never the wall clock). Node
+    /// crashes change outcomes live (misses, purges — accounted in
     /// [`DistributedStats::faults`](mlr_memo::DistributedStats) inside
-    /// [`RuntimeStats::distributed`]. `None` injects nothing.
+    /// [`RuntimeStats::distributed`]); link degradations and stalls only
+    /// cost simulated time, which `mlr_cluster::replay_trace` reports when
+    /// given the same plan. Requires [`RuntimeConfig::topology`] — without
+    /// one there are no simulated memory nodes to fault, and
+    /// [`Runtime::new`] panics. `None` injects nothing.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -296,6 +300,11 @@ pub struct Runtime {
 
 impl Runtime {
     /// Starts a runtime with a fresh shared store.
+    ///
+    /// # Panics
+    /// Panics when `config.workers` is zero, or when `config.fault_plan` is
+    /// set without a `config.topology` (a plan with no memory nodes to
+    /// fault would otherwise be dropped silently).
     pub fn new(config: RuntimeConfig) -> Self {
         let store = Arc::new(ShardedMemoDb::with_shards(
             config.db,
@@ -307,8 +316,15 @@ impl Runtime {
     }
 
     /// Starts a runtime over an existing (possibly pre-warmed) store.
+    ///
+    /// # Panics
+    /// As [`Runtime::new`].
     pub fn with_store(config: RuntimeConfig, store: Arc<ShardedMemoDb>) -> Self {
         assert!(config.workers > 0, "worker count must be positive");
+        assert!(
+            config.fault_plan.is_none() || config.topology.is_some(),
+            "a fault plan needs a topology: there are no memory nodes to fault"
+        );
         let telemetry = if config.telemetry {
             Telemetry::with_config(TelemetryConfig {
                 access_trace_capacity: config.access_trace,
@@ -333,9 +349,8 @@ impl Runtime {
         });
         // The distributed tier wraps the *same* sharded store — semantics
         // (and the bit-identity contract) are the inner store's; the wrapper
-        // only adds per-node network accounting on the ordered-commit paths.
-        // A fault plan arms deterministic crash/degradation injection on
-        // that tier; without a topology there is nothing to fault.
+        // adds placement, the replica set and, with a fault plan, the
+        // deterministic crash injection.
         let fault_plan = config.fault_plan.clone();
         let distributed = config.topology.map(|topology| {
             Arc::new(match fault_plan {
@@ -910,6 +925,16 @@ mod tests {
         assert_eq!(stats.cancelled, 0);
         assert_eq!(stats.expired, 0);
         assert!(stats.store.queries > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fault plan needs a topology")]
+    fn fault_plan_without_topology_is_rejected() {
+        let _ = Runtime::new(RuntimeConfig {
+            workers: 1,
+            fault_plan: Some(FaultPlan::new(1).crash_window(0, 0, 10)),
+            ..RuntimeConfig::matching(&tiny_config())
+        });
     }
 
     #[test]

@@ -96,9 +96,11 @@ pub struct RuntimeStats {
     /// requests vs governor grants and the measured/modeled speedups of the
     /// intra-job parallel phases.
     pub parallel: ParallelStats,
-    /// Per-node accounting of the distributed memo tier (stripe placement,
-    /// link utilisation, replica-set effect). `None` unless the runtime was
-    /// configured with a [`mlr_memo::NodeTopology`].
+    /// The distributed memo tier's outcome state (per-node stripe placement
+    /// and residency, replica-set effect, fault accounting). `None` unless
+    /// the runtime was configured with a [`mlr_memo::NodeTopology`]. Link
+    /// utilisation and latencies are not kept live: replay the run's access
+    /// trace through `mlr_cluster::replay_trace`.
     pub distributed: Option<DistributedStats>,
 }
 

@@ -144,16 +144,28 @@ impl LinkQueue {
         capacity_factor: f64,
         extra_latency: Seconds,
     ) -> Seconds {
-        let factor = capacity_factor.clamp(1e-3, 1.0);
-        let service = self.link.base_latency
-            + extra_latency.max(0.0)
-            + bytes.max(0.0) / (self.link.capacity_gbps * factor * 1e9);
+        let service = self.service_seconds(bytes, capacity_factor, extra_latency);
         let start = arrival.max(self.next_free);
         self.next_free = start + service;
         self.busy += service;
         self.messages += 1;
         self.bytes += bytes.max(0.0);
         self.next_free - arrival
+    }
+
+    /// Seconds one message of `bytes` occupies the link under the given
+    /// degradation (`(1.0, 0.0)` is the nominal link) — the service half of
+    /// [`Self::charge_degraded`], without queueing.
+    pub fn service_seconds(
+        &self,
+        bytes: f64,
+        capacity_factor: f64,
+        extra_latency: Seconds,
+    ) -> Seconds {
+        let factor = capacity_factor.clamp(1e-3, 1.0);
+        self.link.base_latency
+            + extra_latency.max(0.0)
+            + bytes.max(0.0) / (self.link.capacity_gbps * factor * 1e9)
     }
 
     /// Messages charged so far.

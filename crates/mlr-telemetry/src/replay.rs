@@ -251,6 +251,8 @@ mod tests {
             AccessKind::Evict,
             AccessKind::Expired,
             AccessKind::Lost,
+            AccessKind::Promote,
+            AccessKind::Demote,
         ] {
             assert_eq!(AccessKind::from_name(kind.name()), Some(kind));
         }

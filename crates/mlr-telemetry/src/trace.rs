@@ -27,6 +27,12 @@ pub enum AccessKind {
     /// An entry lost with its crashed memory node (fault injection): no
     /// link traffic, no eviction-policy involvement — it simply vanished.
     Lost,
+    /// The distributed tier replicated the entry on the compute side:
+    /// later hits on it are local until a `Demote` (or the entry's
+    /// `Evict` / `Expired` / `Lost`).
+    Promote,
+    /// The distributed tier dropped the entry's replica to make room.
+    Demote,
 }
 
 impl AccessKind {
@@ -39,6 +45,8 @@ impl AccessKind {
             AccessKind::Evict => "evict",
             AccessKind::Expired => "expired",
             AccessKind::Lost => "lost",
+            AccessKind::Promote => "promote",
+            AccessKind::Demote => "demote",
         }
     }
 
@@ -51,6 +59,8 @@ impl AccessKind {
             "evict" => Some(AccessKind::Evict),
             "expired" => Some(AccessKind::Expired),
             "lost" => Some(AccessKind::Lost),
+            "promote" => Some(AccessKind::Promote),
+            "demote" => Some(AccessKind::Demote),
             _ => None,
         }
     }

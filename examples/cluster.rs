@@ -2,13 +2,13 @@
 //! nodes, hot-entry replication, and trace replay through the shared-link
 //! contention model.
 //!
-//! A topology-configured runtime serves a small multi-tenant workload, so
-//! every store access is charged through the modeled Slingshot
-//! interconnect while staying bit-identical to the process-local store.
-//! The example then prints the per-node utilisation snapshot (Figure 15
-//! analogue), replays the recorded access trace through
-//! `mlr_cluster::replay_trace`, and reports the replayed query-latency
-//! CDF (Figure 16 analogue).
+//! A topology-configured runtime serves a small multi-tenant workload and
+//! records its store access trace; the live tier only decides outcomes
+//! (placement, replicas) and stays bit-identical to the process-local
+//! store. The example then replays the trace through
+//! `mlr_cluster::replay_trace` — the one place an access is priced in
+//! simulated network time — and prints the per-node utilisation table
+//! (Figure 15 analogue) and the query-latency CDF (Figure 16 analogue).
 //!
 //! ```bash
 //! cargo run --release --example cluster
@@ -24,9 +24,8 @@ use mlr_telemetry::parse_access_records;
 
 fn main() {
     let config = MlrConfig::quick(16, 8).with_iterations(4);
-    // Four simulated memory nodes behind a Slingshot-11 interconnect. The
-    // topology only changes the modeled cost accounting: reconstructions
-    // stay bit-identical to a runtime without one (tests/distributed.rs).
+    // Four simulated memory nodes. Reconstructions stay bit-identical to a
+    // runtime without a topology (tests/distributed.rs).
     let topology = NodeTopology::with_nodes(4);
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
@@ -61,50 +60,43 @@ fn main() {
     let snapshot = rt.telemetry().snapshot().expect("telemetry enabled");
     let stats = rt.shutdown();
 
-    // Per-node utilisation of the live run — which stripes each node owns,
-    // how much traffic its link carried, and how busy it was.
-    println!("== live per-node stats (modeled link accounting) ==");
     println!(
-        "{:<6} {:>7} {:>8} {:>6} {:>8} {:>10} {:>9}",
-        "node", "stripes", "entries", "hits", "msgs", "bytes", "util"
-    );
-    for node in &live.nodes {
-        println!(
-            "{:<6} {:>7} {:>8} {:>6} {:>8} {:>10.0} {:>8.1}%",
-            node.node,
-            node.stripes,
-            node.entries,
-            node.hits,
-            node.messages,
-            node.bytes,
-            100.0 * node.utilisation,
-        );
-    }
-    println!(
-        "replicas: {} resident, {} promotions; {:.0}% of hits served node-local",
-        live.replicas,
-        live.promotions,
-        100.0 * live.local_hit_fraction(),
-    );
-    println!(
-        "store totals: {} hits ({} cross-job), {} entries resident",
-        stats.store.hits, stats.store.cross_job_hits, stats.store.entries
+        "store totals: {} hits ({} cross-job), {} entries resident, {} replicated",
+        stats.store.hits, stats.store.cross_job_hits, stats.store.entries, live.replicas
     );
 
     // Replay the recorded trace through the shared-link contention model
-    // over the run's own stripe placement — the Figure 15/16 harness.
+    // (Slingshot-11) over the run's own stripe placement — the Figure 15/16
+    // harness. Replica membership comes from the promotions and demotions
+    // the tier wrote into the trace.
     let records = parse_access_records(&snapshot.to_json()).expect("trace round-trips");
     let outcome = replay_trace(
         &records,
         &placement,
         &ReplayConfig::new(InterconnectSpec::slingshot11()),
+        None,
     );
-    let ecdf = Ecdf::new(&outcome.query_latencies);
     println!(
         "\n== trace replay ({} accesses, {} queries) ==",
         records.len(),
         outcome.query_latencies.len()
     );
+    println!(
+        "{:<6} {:>7} {:>8} {:>8} {:>10} {:>9}",
+        "node", "stripes", "entries", "msgs", "bytes", "util"
+    );
+    for (link, held) in outcome.per_node.iter().zip(&live.nodes) {
+        println!(
+            "{:<6} {:>7} {:>8} {:>8} {:>10.0} {:>8.1}%",
+            link.node,
+            link.stripes,
+            held.entries,
+            link.messages,
+            link.bytes,
+            100.0 * link.utilisation,
+        );
+    }
+    let ecdf = Ecdf::new(&outcome.query_latencies);
     println!(
         "query latency CDF: p50 {:.2} us, p90 {:.2} us, p99 {:.2} us",
         ecdf.quantile(0.50) * 1e6,
@@ -118,5 +110,10 @@ fn main() {
         outcome.local_hits,
         outcome.remote_hits,
         outcome.promotions,
+    );
+    assert_eq!(
+        (outcome.local_hits, outcome.remote_hits),
+        (live.local_hits, live.remote_hits),
+        "the replay follows the live tier's replica records"
     );
 }

@@ -2,8 +2,9 @@
 //!
 //! * **bit-identity** — the distributed store returns the same hits as the
 //!   plain `ShardedMemoDb` given the same schedule, for any node count and
-//!   any capacity layout (only the modeled latency differs), both driven
-//!   directly and through a topology-configured `Runtime`;
+//!   any capacity layout, both driven directly and through a
+//!   topology-configured `Runtime` — whose access trace, replayed through
+//!   `mlr_cluster::replay_trace`, reproduces the live replica-set split;
 //! * **layout independence** — the stripe→node placement is deterministic,
 //!   and permuting node ids (capacity order) never changes which entries
 //!   are resident or which probes hit;
@@ -11,6 +12,7 @@
 //!   exported to JSON, comes back through the replay reader as the
 //!   identical record stream.
 
+use mlr_cluster::{replay_trace, ReplayConfig};
 use mlr_core::MlrConfig;
 use mlr_memo::EncoderConfig;
 use mlr_memo::{
@@ -18,7 +20,8 @@ use mlr_memo::{
     ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
-use mlr_telemetry::{export_access_records, parse_access_records, AccessRecord};
+use mlr_sim::hardware::InterconnectSpec;
+use mlr_telemetry::{export_access_records, parse_access_records, AccessRecord, AccessTrace};
 use std::sync::Arc;
 
 use mlr_lamino::FftOpKind;
@@ -61,8 +64,18 @@ fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
 /// Drives a deterministic query-or-insert schedule and returns the
 /// hit/miss sequence.
 fn run_schedule(store: &dyn MemoStore, rounds: usize, locations: usize) -> Vec<bool> {
+    run_rounds(store, 0..rounds, locations)
+}
+
+/// [`run_schedule`] with explicit round numbers, so a schedule can continue
+/// where an earlier one left off.
+fn run_rounds(
+    store: &dyn MemoStore,
+    rounds: std::ops::Range<usize>,
+    locations: usize,
+) -> Vec<bool> {
     let mut outcomes = Vec::new();
-    for round in 0..rounds {
+    for round in rounds {
         store.advance_epoch();
         for loc in 0..locations {
             let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 64);
@@ -88,7 +101,7 @@ fn run_schedule(store: &dyn MemoStore, rounds: usize, locations: usize) -> Vec<b
 
 /// Probes every schedule location read-only and returns, per location, the
 /// serving entry id (or `None` on a miss) — the store's observable lookup
-/// behaviour, independent of any charging.
+/// behaviour.
 fn probe_map(store: &dyn MemoStore, locations: usize) -> Vec<Option<u64>> {
     (0..locations)
         .map(|loc| {
@@ -185,6 +198,8 @@ fn runtime_with_topology_reconstructs_bit_identically() {
         let rt = Runtime::new(RuntimeConfig {
             workers: 1,
             queue_capacity: 4,
+            telemetry: true,
+            access_trace: Some(1 << 16),
             topology,
             ..RuntimeConfig::matching(&config)
         });
@@ -200,11 +215,13 @@ fn runtime_with_topology_reconstructs_bit_identically() {
                     .to_vec()
             })
             .collect();
+        let trace = rt.telemetry().snapshot().expect("telemetry on").accesses;
+        let placement = rt.distributed().map(|d| d.placement().to_vec());
         let stats = rt.shutdown();
-        (reconstructions, stats)
+        (reconstructions, stats, trace, placement)
     };
-    let (local, local_stats) = run(None);
-    let (distributed, distributed_stats) = run(Some(NodeTopology::with_nodes(4)));
+    let (local, local_stats, _, _) = run(None);
+    let (distributed, distributed_stats, trace, placement) = run(Some(NodeTopology::with_nodes(4)));
     assert_eq!(
         local, distributed,
         "the distributed tier must not perturb the reconstructions"
@@ -216,14 +233,64 @@ fn runtime_with_topology_reconstructs_bit_identically() {
         .distributed
         .expect("topology-configured runtime reports per-node stats");
     assert_eq!(dist.nodes.len(), 4);
-    assert!(
-        dist.active_nodes() >= 2,
-        "store traffic never spread beyond one node: {dist:?}"
-    );
     assert!(dist.remote_hits + dist.local_hits > 0);
     assert_eq!(
         dist.nodes.iter().map(|n| n.entries).sum::<usize>(),
         distributed_stats.store.entries
+    );
+    // The network view comes from replaying the run's own trace over its
+    // own placement — and its replica split is the live tier's.
+    let replayed = replay_trace(
+        &trace,
+        &placement.expect("topology configured"),
+        &ReplayConfig::new(InterconnectSpec::slingshot11()),
+        None,
+    );
+    assert!(
+        replayed.active_nodes() >= 2,
+        "store traffic never spread beyond one node: {:?}",
+        replayed.per_node
+    );
+    assert_eq!(
+        (replayed.local_hits, replayed.remote_hits),
+        (dist.local_hits, dist.remote_hits)
+    );
+}
+
+#[test]
+fn replayed_replica_split_follows_promotions_and_demotions() {
+    // A 5-replica budget under 8 hot entries: round-robin over all of them
+    // thrashes the set (demotions), three hot locations on top of that stay
+    // replicated (local hits). The replay has only the trace to go by.
+    let topology = NodeTopology {
+        replica_budget: 5,
+        promote_hits: 1,
+        ..NodeTopology::with_nodes(2)
+    };
+    let trace = Arc::new(AccessTrace::new(1 << 12));
+    let mut inner = Arc::into_inner(sharded(8)).expect("sole owner");
+    inner.set_access_trace(Arc::clone(&trace));
+    let distributed = DistributedMemoDb::new(Arc::new(inner), topology);
+    let _ = run_rounds(&distributed, 0..4, 8);
+    let _ = run_rounds(&distributed, 4..8, 3);
+    let live = distributed.distributed_stats();
+    assert!(
+        live.replica_evictions > 0 && live.local_hits > 0,
+        "{live:?}"
+    );
+    let replayed = replay_trace(
+        &trace.snapshot(),
+        distributed.placement(),
+        &ReplayConfig::new(InterconnectSpec::slingshot11()),
+        None,
+    );
+    assert_eq!(
+        (
+            replayed.local_hits,
+            replayed.remote_hits,
+            replayed.promotions
+        ),
+        (live.local_hits, live.remote_hits, live.promotions)
     );
 }
 
@@ -268,6 +335,6 @@ fn distributed_stats_survive_json_export() {
     let stats = distributed.distributed_stats();
     let json = serde_json::to_string(&stats).expect("stats serialise");
     assert!(json.contains("\"nodes\""));
-    assert!(json.contains("\"utilisation\""));
+    assert!(json.contains("\"entries\""));
     assert!(json.contains("\"local_hits\""));
 }
