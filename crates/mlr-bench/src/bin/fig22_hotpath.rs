@@ -31,11 +31,16 @@
 //!   existed).
 //!
 //! `--sweep` additionally runs a chunk-size sweep (256 .. 16 Ki complex
-//! elems) of steady cache-hit cost versus exact-FFT cost through the same
-//! seam and records `break_even_chunk_elems` — the smallest chunk size at
-//! which a memo hit beats the FFT it replaces. CI runs
+//! elems) of the steady cache-hit cost against the exact `F_u1D` and
+//! `F_u2D` chunk computes a hit replaces in a reconstruction, and judges
+//! the engine's compiled break-even gate (`mlr_memo::memoization_pays`)
+//! against it: at every swept size and for both op families the gate's
+//! decision must match `EXPECTED_REUSE · compute ≥ cache hit`, except
+//! within a factor of two of break-even, where either decision passes
+//! (`gate_agrees_with_measurement`). The sweep table is also what the
+//! gate's constants are calibrated against. CI runs
 //! `fig22_hotpath --smoke --sweep` so `BENCH_hotpath.json` always carries
-//! the sweep; without `--sweep` the sweep fields are zeroed.
+//! the sweep; without `--sweep` the sweep is empty and the flag false.
 //!
 //! `operator_scratch` records what an operator parks in its scratch pools
 //! after a forward + adjoint application, at two detector heights: the count
@@ -44,8 +49,8 @@
 //! Gated in CI (`ci/bench_baseline.json`): `hit_path_allocation_free` and
 //! `zero_payload_clone` must hold exactly; the
 //! *measured* `measured_hit_speedup` must stay above 1.0 (the
-//! `measured_hit_beats_fft` boolean), the sweep break-even must land at or
-//! below the smoke chunk size, the drifting trace's
+//! `measured_hit_beats_fft` boolean), `gate_agrees_with_measurement` must
+//! hold, the drifting trace's
 //! `prefilter.skip_rate` must stay positive, and
 //! `operator_scratch.independent_of_rows` must hold (a scratch pool per
 //! detector row flips it). Remaining wall-clock columns are informational.
@@ -54,14 +59,16 @@
 //! `target/experiments/`).
 
 use mlr_bench::alloc::{delta, snapshot, CountingAllocator};
-use mlr_bench::{compare_row, fmt_secs, header, smoke_from_args, write_record};
+use mlr_bench::{
+    compare_row, fmt_secs, header, reconstruction_encoder, smoke_from_args, write_record,
+};
 use mlr_fft::fft::{Direction, FftPlan};
 use mlr_lamino::{
     ChunkRequest, DetectorSpec, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator,
 };
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Complex64};
-use mlr_memo::{EncoderConfig, MemoConfig, MemoizedExecutor};
+use mlr_memo::{memoization_pays, EncoderConfig, MemoConfig, MemoizedExecutor, EXPECTED_REUSE};
 use mlr_telemetry::{MetricsSnapshot, StageId, Telemetry, STAGE_NAMES};
 use rand::Rng;
 use serde::Serialize;
@@ -132,25 +139,34 @@ struct PrefilterStats {
     saved_ns_per_chunk: f64,
 }
 
-/// One chunk size of the `--sweep` mode: steady cache-hit ns/chunk versus
-/// exact-FFT ns/chunk through the same batch seam.
+/// One op family at one swept chunk size: the measured compute a hit
+/// replaces and the engine's compiled decision, side by side.
+#[derive(Serialize)]
+struct GateCheck {
+    /// Mean ns of the exact chunk compute.
+    compute_ns_per_chunk: f64,
+    /// `EXPECTED_REUSE · compute_ns_per_chunk`: what memoizing the chunk is
+    /// expected to save; it pays when this reaches `cache_hit_ns_per_chunk`.
+    expected_saving_ns: f64,
+    /// `memoization_pays(kind, chunk_elems)` as compiled into the engine.
+    gate_memoizes: bool,
+    /// The decision matches the measurement, or the measurement is within a
+    /// factor of two of break-even (where either decision passes).
+    agrees: bool,
+}
+
+/// One chunk size of the `--sweep` mode: steady cache-hit ns/chunk against
+/// the exact USFFT chunk computes of a reconstruction.
 #[derive(Serialize)]
 struct SweepPoint {
     chunk_elems: usize,
     cache_hit_ns_per_chunk: f64,
-    miss_ns_per_chunk: f64,
-    measured_hit_speedup: f64,
-    /// What a hit actually replaces in a reconstruction: the exact
-    /// `F_u2D` chunk compute (`LaminoOperator::fu2d_chunk_compute`) on a
-    /// chunk of this many elements — `len` planes of a `side³` geometry
-    /// with `side/2` angles, `side` = 16 below 1 Ki elements, 32 below
-    /// 4 Ki, 64 from there. `miss_ns_per_chunk` is a plain `FftPlan` of the
-    /// chunk length, a far cheaper proxy. Ungated.
-    usfft2d_ns_per_chunk: f64,
-    /// The exact `F_u1D` chunk compute (`LaminoOperator::fu1d_chunk_compute`)
-    /// on the same chunk, read as `len` volume planes of the same geometry.
-    /// Ungated.
-    fu1d_ns_per_chunk: f64,
+    /// `LaminoOperator::fu1d_chunk_compute` on the chunk read as `len`
+    /// volume planes of a `side³` geometry with `side/2` angles, `side` =
+    /// 16 below 1 Ki elements, 32 below 4 Ki, 64 from there.
+    fu1d: GateCheck,
+    /// `LaminoOperator::fu2d_chunk_compute` on the same chunk and geometry.
+    usfft2d: GateCheck,
 }
 
 /// What an operator leaves parked in its scratch pools after one forward and
@@ -197,14 +213,10 @@ struct Record {
     zero_payload_clone: bool,
     /// Whether the `--sweep` chunk-size sweep ran (CI always passes it).
     sweep_run: bool,
-    /// Per-chunk-size hit-vs-FFT points (empty without `--sweep`).
+    /// Per-chunk-size hit-vs-USFFT points (empty without `--sweep`).
     sweep: Vec<SweepPoint>,
-    /// Smallest swept chunk size whose measured hit speedup is ≥ 1.0
-    /// (0 when the sweep did not run or never broke even).
-    break_even_chunk_elems: usize,
-    /// CI gate (with `--sweep`): the hit pays for itself at or below the
-    /// default smoke chunk size of 1024 elems.
-    break_even_at_or_below_smoke_chunk: bool,
+    /// CI gate (with `--sweep`): every [`GateCheck`] of the sweep agrees.
+    gate_agrees_with_measurement: bool,
     operator_scratch: OperatorScratch,
 }
 
@@ -215,20 +227,6 @@ const KERNEL_THREADS: usize = 1;
 /// (the one intended allocation) plus slack for amortised batch plumbing.
 const MAX_HIT_ALLOCS: f64 = 4.0;
 const MAX_HIT_ALLOC_BYTES: f64 = 1024.0;
-
-/// The smoke-mode chunk size; the sweep gate demands break-even at or
-/// below this.
-const SMOKE_CHUNK_ELEMS: usize = 1024;
-
-fn encoder() -> EncoderConfig {
-    EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 16,
-        learning_rate: 1e-3,
-    }
-}
 
 fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
     let mut rng = seeded(0xF1622 ^ loc as u64);
@@ -345,12 +343,12 @@ fn path_stats(
     }
 }
 
-/// One sweep point: steady cache-hit ns/chunk versus exact-FFT ns/chunk at
-/// chunk size `n`, both through `execute_batch_into`. The cache path needs
-/// four warm-up dispatches under the doorkeeper (prefiltered first
-/// sighting → miss + insert → db-hit promote → cache-pool warm) before the
-/// steady all-cache-hit window.
-fn sweep_point(n: usize, memo: MemoConfig, seed_base: u64) -> SweepPoint {
+/// One sweep point: steady cache-hit ns/chunk at chunk size `n` through
+/// `execute_batch_into` (fastest of three steady windows), against the exact
+/// USFFT computes at that size. The cache path needs four warm-up dispatches
+/// under the doorkeeper (prefiltered first sighting → miss + insert → db-hit
+/// promote → cache-pool warm) before the steady all-cache-hit window.
+fn sweep_point(n: usize, memo: MemoConfig, encoder: EncoderConfig, seed: u64) -> SweepPoint {
     let locations = 8usize;
     let steady = 4usize;
     let plan = FftPlan::new(n);
@@ -363,37 +361,39 @@ fn sweep_point(n: usize, memo: MemoConfig, seed_base: u64) -> SweepPoint {
     let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; locations];
     let chunks = (steady * locations) as f64;
 
-    let hit_exec = MemoizedExecutor::new(memo, encoder(), seed_base);
+    let hit_exec = MemoizedExecutor::new(memo, encoder, seed);
     let _ = drive(&hit_exec, &inputs, &mut outputs, &compute, 0, 4);
-    let (hit_secs, _, _) = drive(&hit_exec, &inputs, &mut outputs, &compute, 4, steady);
-
-    let miss_exec = MemoizedExecutor::new(
-        MemoConfig {
-            enabled: false,
-            ..memo
-        },
-        encoder(),
-        seed_base + 1,
-    );
-    let _ = drive(&miss_exec, &inputs, &mut outputs, &compute, 0, 1);
-    let (miss_secs, _, _) = drive(&miss_exec, &inputs, &mut outputs, &compute, 1, steady);
-
+    let hit_secs = (0..3)
+        .map(|window| {
+            let first = 4 + window * steady;
+            drive(&hit_exec, &inputs, &mut outputs, &compute, first, steady).0
+        })
+        .fold(f64::INFINITY, f64::min);
     let cache_hit_ns = hit_secs * 1e9 / chunks;
-    let miss_ns = miss_secs * 1e9 / chunks;
+
     let (usfft2d_ns, fu1d_ns) = usfft_chunk_ns(&inputs[0]);
+    let check = |kind: FftOpKind, compute_ns: f64| {
+        let gate_memoizes = memoization_pays(kind, n);
+        let expected_saving_ns = EXPECTED_REUSE * compute_ns;
+        let ratio = expected_saving_ns / cache_hit_ns.max(1e-9);
+        GateCheck {
+            compute_ns_per_chunk: compute_ns,
+            expected_saving_ns,
+            gate_memoizes,
+            agrees: (0.5..=2.0).contains(&ratio) || gate_memoizes == (ratio > 1.0),
+        }
+    };
     SweepPoint {
         chunk_elems: n,
         cache_hit_ns_per_chunk: cache_hit_ns,
-        miss_ns_per_chunk: miss_ns,
-        measured_hit_speedup: miss_ns / cache_hit_ns.max(1e-9),
-        usfft2d_ns_per_chunk: usfft2d_ns,
-        fu1d_ns_per_chunk: fu1d_ns,
+        fu1d: check(FftOpKind::Fu1D, fu1d_ns),
+        usfft2d: check(FftOpKind::Fu2D, usfft2d_ns),
     }
 }
 
-/// Mean ns of the exact `F_u2D` and `F_u1D` computes on one chunk of
-/// `input.len()` elements (see [`SweepPoint::usfft2d_ns_per_chunk`] for the
-/// geometry): `(usfft2d, fu1d)`.
+/// Ns of the exact `F_u2D` and `F_u1D` computes on one chunk of
+/// `input.len()` elements (see [`SweepPoint::fu1d`] for the geometry), each
+/// the fastest of three 8-call means: `(usfft2d, fu1d)`.
 fn usfft_chunk_ns(input: &[Complex64]) -> (f64, f64) {
     let side = match input.len() {
         0..=1023 => 16,
@@ -402,18 +402,22 @@ fn usfft_chunk_ns(input: &[Complex64]) -> (f64, f64) {
     };
     let len = input.len() / (side * side);
     let op = LaminoOperator::new(LaminoGeometry::cube(side, side / 2, 30.0), len);
-    let mean_ns = |compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>| {
+    let best_mean_ns = |compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>| {
         let reps = 8;
         let _ = compute(input);
-        let start = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(compute(std::hint::black_box(input)));
-        }
-        start.elapsed().as_secs_f64() * 1e9 / reps as f64
+        (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..reps {
+                    std::hint::black_box(compute(std::hint::black_box(input)));
+                }
+                start.elapsed().as_secs_f64() * 1e9 / reps as f64
+            })
+            .fold(f64::INFINITY, f64::min)
     };
     (
-        mean_ns(&|x| op.fu2d_chunk_compute(x, 0, len)),
-        mean_ns(&|x| op.fu1d_chunk_compute(x, len)),
+        best_mean_ns(&|x| op.fu2d_chunk_compute(x, 0, len)),
+        best_mean_ns(&|x| op.fu1d_chunk_compute(x, len)),
     )
 }
 
@@ -454,6 +458,9 @@ fn main() {
         "zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk",
     );
     let smoke = smoke_from_args();
+    // The encoder reconstructions run, so the hit costs measured here are the
+    // ones the engine's break-even gate has to be right about.
+    let encoder = reconstruction_encoder();
     let sweep_run = std::env::args().any(|a| a == "--sweep");
     let (n, locations, steady) = if smoke { (1024, 24, 8) } else { (4096, 32, 12) };
     let payload_bytes = (n * 16) as u64;
@@ -485,7 +492,7 @@ fn main() {
     // allocation gates below thereby certify that the instrumented hit
     // path is still allocation-free, and the stage histograms feed the
     // breakdown.
-    let exec = MemoizedExecutor::new(memo, encoder(), 22).with_telemetry(Telemetry::enabled());
+    let exec = MemoizedExecutor::new(memo, encoder, 22).with_telemetry(Telemetry::enabled());
     let _ = drive(&exec, &inputs, &mut outputs, &compute, 0, 4);
     let stages_before = metrics_of(&exec);
     // Region-level enforcement of the same envelope the JSON gate reports:
@@ -517,7 +524,7 @@ fn main() {
             use_cache: false,
             ..memo
         },
-        encoder(),
+        encoder,
         23,
     )
     .with_telemetry(Telemetry::enabled());
@@ -545,7 +552,7 @@ fn main() {
             enabled: false,
             ..memo
         },
-        encoder(),
+        encoder,
         24,
     );
     let _ = drive(&miss_exec, &inputs, &mut outputs, &compute, 0, 1);
@@ -559,13 +566,13 @@ fn main() {
     // executor never encodes a key, while the prefilter-off twin pays the
     // full encode → probe → failed-memo path on the identical trace.
     let pf_iters = 8usize;
-    let pf_on = MemoizedExecutor::new(memo, encoder(), 26);
+    let pf_on = MemoizedExecutor::new(memo, encoder, 26);
     let pf_off = MemoizedExecutor::new(
         MemoConfig {
             prefilter: false,
             ..memo
         },
-        encoder(),
+        encoder,
         26,
     );
     let (mut on_secs, mut off_secs) = (0.0f64, 0.0f64);
@@ -604,23 +611,19 @@ fn main() {
     let zero_payload_clone = cache_hit.alloc_bytes_per_chunk < payload_bytes as f64 / 2.0
         && db_hit.alloc_bytes_per_chunk < payload_bytes as f64 / 2.0;
 
-    // --- chunk-size sweep: where does the hit start beating the FFT?
+    // --- chunk-size sweep: is the engine's break-even gate where the
+    // measurement says it should be?
     let sweep: Vec<SweepPoint> = if sweep_run {
         [256usize, 512, 1024, 2048, 4096, 8192, 16384]
             .iter()
             .enumerate()
-            .map(|(i, &sz)| sweep_point(sz, memo, 30 + 2 * i as u64))
+            .map(|(i, &sz)| sweep_point(sz, memo, encoder, 30 + i as u64))
             .collect()
     } else {
         Vec::new()
     };
-    let break_even_chunk_elems = sweep
-        .iter()
-        .find(|p| p.measured_hit_speedup >= 1.0)
-        .map(|p| p.chunk_elems)
-        .unwrap_or(0);
-    let break_even_at_or_below_smoke_chunk =
-        break_even_chunk_elems > 0 && break_even_chunk_elems <= SMOKE_CHUNK_ELEMS;
+    let gate_agrees_with_measurement =
+        sweep_run && sweep.iter().all(|p| p.fu1d.agrees && p.usfft2d.agrees);
 
     println!(
         "{:>12} {:>14} {:>14} {:>16}",
@@ -665,28 +668,34 @@ fn main() {
     println!();
     if sweep_run {
         println!(
-            "{:>12} {:>16} {:>14} {:>12} {:>14} {:>12}",
-            "chunk elems", "cache hit ns", "miss ns", "hit speedup", "usfft2d ns", "fu1d ns"
+            "{:>12} {:>13} {:>13} {:>9} {:>16} {:>9}",
+            "chunk elems", "cache hit ns", "p x fu1d ns", "1-D gate", "p x usfft2d ns", "2-D gate"
         );
+        let verdict = |c: &GateCheck| match (c.gate_memoizes, c.agrees) {
+            (true, true) => "memoize",
+            (false, true) => "bypass",
+            (true, false) => "MEMOIZE?",
+            (false, false) => "BYPASS?",
+        };
         for p in &sweep {
             println!(
-                "{:>12} {:>16.0} {:>14.0} {:>11.2}x {:>14.0} {:>12.0}",
+                "{:>12} {:>13.0} {:>13.0} {:>9} {:>16.0} {:>9}",
                 p.chunk_elems,
                 p.cache_hit_ns_per_chunk,
-                p.miss_ns_per_chunk,
-                p.measured_hit_speedup,
-                p.usfft2d_ns_per_chunk,
-                p.fu1d_ns_per_chunk
+                p.fu1d.expected_saving_ns,
+                verdict(&p.fu1d),
+                p.usfft2d.expected_saving_ns,
+                verdict(&p.usfft2d),
             );
         }
         println!();
         compare_row(
-            "break-even chunk size (hit beats FFT)",
-            &format!("≤ {SMOKE_CHUNK_ELEMS} elems"),
-            &if break_even_chunk_elems > 0 {
-                format!("{break_even_chunk_elems} elems")
+            "break-even gate vs measured p x compute >= hit",
+            "agrees (2x dead band)",
+            if gate_agrees_with_measurement {
+                "agrees"
             } else {
-                "never".to_string()
+                "DISAGREES"
             },
         );
     }
@@ -773,6 +782,10 @@ fn main() {
         "a memo hit must beat the FFT it replaces: measured {measured_hit_speedup:.2}x"
     );
     assert!(
+        !sweep_run || gate_agrees_with_measurement,
+        "the engine's break-even gate disagrees with the measured sweep by more than 2x"
+    );
+    assert!(
         operator_scratch.independent_of_rows,
         "operator scratch grows with detector rows: {} buffers parked at {} rows",
         operator_scratch.idle_buffers, operator_scratch.detector_rows
@@ -797,8 +810,7 @@ fn main() {
         zero_payload_clone,
         sweep_run,
         sweep,
-        break_even_chunk_elems,
-        break_even_at_or_below_smoke_chunk,
+        gate_agrees_with_measurement,
         operator_scratch,
     };
     match serde_json::to_string_pretty(&record) {

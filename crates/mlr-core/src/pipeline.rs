@@ -50,10 +50,12 @@ impl MlrPipeline {
         &self.operator
     }
 
-    /// The encoder configuration used for the memoization key encoder,
-    /// scaled down for small problems so tests stay fast. Public so shared
-    /// stores (e.g. the runtime's `ShardedMemoDb`) can be built with the
-    /// exact key space this pipeline would use on its own.
+    /// The encoder configuration of the memoization key encoder: one fixed
+    /// network for every problem size (8 × 8 input grid, 4 and 8 filters,
+    /// 32-dimensional keys), half of [`EncoderConfig::default`] in every
+    /// dimension, so that encoding a chunk costs microseconds on a CPU.
+    /// Public so shared stores (e.g. the runtime's `ShardedMemoDb`) can be
+    /// built with the exact key space this pipeline would use on its own.
     pub fn encoder_config(&self) -> EncoderConfig {
         EncoderConfig {
             input_grid: 8,

@@ -97,15 +97,29 @@ impl Tensor {
     }
 }
 
+/// Copies `weights`, a row-major `[out][rest]` matrix, into `transposed` as
+/// `[rest][out]`: the layout in which the inference kernels find the weights
+/// of every output channel for one tap side by side.
+fn transpose_out_innermost(weights: &[f64], out: usize, transposed: &mut Vec<f64>) {
+    let rest = weights.len() / out.max(1);
+    transposed.clear();
+    transposed.extend((0..rest).flat_map(|r| (0..out).map(move |o| weights[o * rest + r])));
+}
+
 /// One convolution layer (stride 1, zero padding preserving spatial size).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ConvLayer {
     in_c: usize,
     out_c: usize,
     k: usize,
-    /// Weights indexed `[out][in][ky][kx]`, flattened.
+    /// Weights indexed `[out][in][ky][kx]`, flattened: what training updates
+    /// and the reference pass reads.
     weights: Vec<f64>,
     bias: Vec<f64>,
+    /// `weights` as `[in][ky][kx][out]` for [`ConvLayer::forward_into`];
+    /// [`ConvLayer::sync_inference_layout`] rebuilds it after every change
+    /// to `weights`.
+    weights_t: Vec<f64>,
 }
 
 impl ConvLayer {
@@ -115,69 +129,117 @@ impl ConvLayer {
         let weights = (0..out_c * in_c * k * k)
             .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * scale)
             .collect();
-        Self {
+        let mut layer = Self {
             in_c,
             out_c,
             k,
             weights,
             bias: vec![0.0; out_c],
-        }
+            weights_t: Vec::new(),
+        };
+        layer.sync_inference_layout();
+        layer
     }
 
+    fn sync_inference_layout(&mut self) {
+        transpose_out_innermost(&self.weights, self.out_c, &mut self.weights_t);
+    }
+
+    /// The reference forward pass, one output element at a time: bias first,
+    /// then the taps in `(in, ky, kx)` lexicographic order with out-of-bounds
+    /// taps skipped. Training runs it (through `forward_trace`) and the
+    /// inference kernel is held bit-identical to it.
     fn forward(&self, input: &Tensor) -> Tensor {
+        let pad = self.k / 2;
         let mut out = Tensor::zeros(self.out_c, input.h, input.w);
-        self.forward_into(input, &mut out);
+        for o in 0..self.out_c {
+            for y in 0..input.h {
+                for x in 0..input.w {
+                    let mut acc = self.bias[o];
+                    for i in 0..self.in_c {
+                        for ky in 0..self.k {
+                            for kx in 0..self.k {
+                                let yy = y as isize + ky as isize - pad as isize;
+                                let xx = x as isize + kx as isize - pad as isize;
+                                if yy >= 0
+                                    && xx >= 0
+                                    && (yy as usize) < input.h
+                                    && (xx as usize) < input.w
+                                {
+                                    let widx = ((o * self.in_c + i) * self.k + ky) * self.k + kx;
+                                    acc +=
+                                        self.weights[widx] * input.at(i, yy as usize, xx as usize);
+                                }
+                            }
+                        }
+                    }
+                    *out.at_mut(o, y, x) = acc;
+                }
+            }
+        }
         out
     }
 
-    /// The forward pass into a caller-provided (scratch) tensor: identical
-    /// arithmetic to [`ConvLayer::forward`], zero allocations in steady
-    /// state. Every output element is written unconditionally.
+    /// The inference forward pass into a caller-provided (scratch) tensor:
+    /// zero allocations in steady state, every output element written
+    /// unconditionally.
     ///
-    /// The loops are organised as a row sweep: each output row is filled
-    /// with the bias, then every `(in-channel, ky, kx)` weight streams one
-    /// contiguous multiply-add over the valid span of the row. For any
-    /// single output element the contributions still arrive bias-first then
-    /// in `(i, ky, kx)` lexicographic order with out-of-bounds taps skipped
-    /// — exactly the accumulation order of the naive per-element loop — so
-    /// the result is bit-identical while the inner loop is branch-free,
-    /// contiguous and autovectorizable.
+    /// The output channel is the innermost loop: for one output position the
+    /// accumulators of a block of channels start at the bias, then every
+    /// valid `(in, ky, kx)` tap, in that order, adds `weight · input` to each
+    /// of them — one contiguous multiply-add over `weights_t`. A single
+    /// output element therefore sees exactly the mul-then-add sequence of
+    /// [`ConvLayer::forward`], so the result is bit-identical, while the
+    /// inner loop is a fixed-width vector operation instead of a walk over
+    /// the (≤ 8-element) valid span of an image row.
     fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
-        let pad = self.k / 2;
+        out.reshape(self.out_c, input.h, input.w);
+        let mut o0 = 0;
+        while o0 < self.out_c {
+            o0 += match self.out_c - o0 {
+                8.. => self.sweep_channels::<8>(o0, input, out),
+                4.. => self.sweep_channels::<4>(o0, input, out),
+                2.. => self.sweep_channels::<2>(o0, input, out),
+                _ => self.sweep_channels::<1>(o0, input, out),
+            };
+        }
+    }
+
+    /// Fills output channels `o0 .. o0 + OC` and returns `OC`.
+    fn sweep_channels<const OC: usize>(
+        &self,
+        o0: usize,
+        input: &Tensor,
+        out: &mut Tensor,
+    ) -> usize {
+        let (k, pad) = (self.k, self.k / 2);
         let (h, w) = (input.h, input.w);
-        out.reshape(self.out_c, h, w);
-        for o in 0..self.out_c {
-            let plane = o * h * w;
-            out.data[plane..plane + h * w].fill(self.bias[o]);
-            for y in 0..h {
-                let orow = plane + y * w;
+        let bias: [f64; OC] = std::array::from_fn(|o| self.bias[o0 + o]);
+        for y in 0..h {
+            // Valid taps: y + ky - pad ∈ [0, h), x + kx - pad ∈ [0, w).
+            let ky_range = pad.saturating_sub(y)..(h + pad - y).min(k);
+            for x in 0..w {
+                let kx_range = pad.saturating_sub(x)..(w + pad - x).min(k);
+                let mut acc = bias;
                 for i in 0..self.in_c {
-                    for ky in 0..self.k {
-                        let yy = y as isize + ky as isize - pad as isize;
-                        if yy < 0 || yy as usize >= h {
-                            continue;
-                        }
-                        let irow = (i * h + yy as usize) * w;
-                        let wrow =
-                            &self.weights[((o * self.in_c + i) * self.k + ky) * self.k..][..self.k];
-                        for (kx, &wgt) in wrow.iter().enumerate() {
-                            // Valid output span: x + kx - pad ∈ [0, w).
-                            let x0 = pad.saturating_sub(kx);
-                            let x1 = (w + pad).saturating_sub(kx).min(w);
-                            if x0 >= x1 {
-                                continue;
-                            }
-                            let istart = irow + x0 + kx - pad;
-                            let dst = &mut out.data[orow + x0..orow + x1];
-                            let src = &input.data[istart..istart + (x1 - x0)];
-                            for (a, b) in dst.iter_mut().zip(src) {
-                                *a += wgt * b;
+                    for ky in ky_range.clone() {
+                        let irow = (i * h + y + ky - pad) * w + x;
+                        let wrow = (i * k + ky) * k;
+                        for kx in kx_range.clone() {
+                            let v = input.data[irow + kx - pad];
+                            let taps = &self.weights_t[(wrow + kx) * self.out_c + o0..][..OC];
+                            for (a, wgt) in acc.iter_mut().zip(taps) {
+                                *a += wgt * v;
                             }
                         }
                     }
                 }
+                for (o, a) in acc.iter().enumerate() {
+                    out.data[((o0 + o) * h + y) * w + x] = *a;
+                }
             }
         }
+        OC
     }
 
     /// Backward pass: given dL/d(output), accumulates weight/bias gradients
@@ -230,8 +292,13 @@ impl ConvLayer {
 struct FcLayer {
     in_dim: usize,
     out_dim: usize,
+    /// Weights indexed `[out][k]`, flattened: what training updates and the
+    /// reference pass reads.
     weights: Vec<f64>,
     bias: Vec<f64>,
+    /// `weights` as `[k][out]` for [`FcLayer::forward_inference`], kept current
+    /// by [`FcLayer::sync_inference_layout`].
+    weights_t: Vec<f64>,
 }
 
 impl FcLayer {
@@ -240,14 +307,23 @@ impl FcLayer {
         let weights = (0..out_dim * in_dim)
             .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * scale)
             .collect();
-        Self {
+        let mut layer = Self {
             in_dim,
             out_dim,
             weights,
             bias: vec![0.0; out_dim],
-        }
+            weights_t: Vec::new(),
+        };
+        layer.sync_inference_layout();
+        layer
     }
 
+    fn sync_inference_layout(&mut self) {
+        transpose_out_innermost(&self.weights, self.out_dim, &mut self.weights_t);
+    }
+
+    /// The reference projection: per output, the products summed in `k`
+    /// order, then added to the bias.
     fn forward(&self, input: &[f64]) -> Vec<f64> {
         (0..self.out_dim)
             .map(|o| {
@@ -259,6 +335,30 @@ impl FcLayer {
                         .sum::<f64>()
             })
             .collect()
+    }
+
+    /// The inference projection, bit-identical to [`FcLayer::forward`]: all
+    /// outputs advance together, one contiguous multiply-add over
+    /// `weights_t` per input element, instead of one latency-bound scalar
+    /// sum per output. Each sum starts from the value `Iterator::sum` starts
+    /// from and takes its products in the same `k` order; the bias is added
+    /// last, as in the reference.
+    fn forward_inference(&self, input: &[f64]) -> Vec<f64> {
+        let sum_identity: f64 = std::iter::empty::<f64>().sum();
+        let mut out = vec![sum_identity; self.out_dim];
+        for (x, row) in input
+            .iter()
+            .zip(self.weights_t.chunks_exact(self.out_dim.max(1)))
+        {
+            for (a, w) in out.iter_mut().zip(row) {
+                *a += w * x;
+            }
+        }
+        for (a, bias) in out.iter_mut().zip(&self.bias) {
+            let sum = *a;
+            *a = bias + sum;
+        }
+        out
     }
 
     fn backward(
@@ -332,7 +432,9 @@ pub struct CnnEncoder {
 /// the returned embedding itself. Reuse is numerically invisible — every
 /// stage overwrites (or zero-fills) its scratch tensor completely, so
 /// [`CnnEncoder::encode_with`] produces bit-identical embeddings to the
-/// allocating trace path.
+/// allocating trace path. It holds activations only: anything derived from
+/// an encoder's weights lives in that encoder, because encoders with
+/// different weights share one thread's scratch.
 #[derive(Debug, Default)]
 pub struct EncoderScratch {
     input: Tensor,
@@ -476,7 +578,7 @@ impl CnnEncoder {
         avg_pool2_into(&scratch.conv1, &mut scratch.pool1);
         self.conv2.forward_into(&scratch.pool1, &mut scratch.conv2);
         relu_inplace(&mut scratch.conv2);
-        self.fc.forward(&scratch.conv2.data)
+        self.fc.forward_inference(&scratch.conv2.data)
     }
 
     /// Encodes a batch of chunks through one shared [`EncoderScratch`].
@@ -494,6 +596,14 @@ impl CnnEncoder {
             .iter()
             .map(|chunk| self.encode_with(chunk, scratch))
             .collect()
+    }
+
+    /// Re-derives every layer's inference-layout weights from the training
+    /// layout; every method that changes weights ends with it.
+    fn sync_inference_layout(&mut self) {
+        self.conv1.sync_inference_layout();
+        self.conv2.sync_inference_layout();
+        self.fc.sync_inference_layout();
     }
 
     /// One SGD step of the contrastive objective on a pair of chunks.
@@ -564,6 +674,7 @@ impl CnnEncoder {
         sgd(&mut self.conv1.bias, &gb_c1, lr);
         sgd(&mut self.conv2.weights, &gw_c2, lr);
         sgd(&mut self.conv2.bias, &gb_c2, lr);
+        self.sync_inference_layout();
         loss
     }
 
@@ -595,6 +706,7 @@ impl CnnEncoder {
         self.conv1.weights = dequantise(&quantise_int8(&self.conv1.weights));
         self.conv2.weights = dequantise(&quantise_int8(&self.conv2.weights));
         self.fc.weights = dequantise(&quantise_int8(&self.fc.weights));
+        self.sync_inference_layout();
         self.quantised = true;
     }
 }
@@ -711,6 +823,30 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn random_chunk(rng: &mut impl Rng, n: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|_| Complex64::new(rng.gen::<f64>() * 2.0 - 1.0, rng.gen::<f64>() * 2.0 - 1.0))
+            .collect()
+    }
+
+    /// The inference path (`encode_with`) against the retained reference
+    /// (`forward_trace`), bit for bit, over random chunks of several lengths.
+    fn assert_inference_matches_trace(enc: &CnnEncoder, rng: &mut impl Rng, what: &str) {
+        let mut scratch = EncoderScratch::default();
+        for n in [576, 64, 8192, 1, 300] {
+            let chunk = random_chunk(rng, n);
+            assert_eq!(
+                bits(&enc.encode_with(&chunk, &mut scratch)),
+                bits(&enc.forward_trace(&chunk).embedding),
+                "{what}, n={n}"
+            );
+        }
+    }
+
     #[test]
     fn scratch_encode_is_bit_identical_to_trace_path() {
         // The scratch-based inference path must reproduce the allocating
@@ -722,61 +858,107 @@ mod tests {
             let chunk = chunk_from_pattern(n, scale, 0.1);
             let via_scratch = enc.encode_with(&chunk, &mut scratch);
             let via_trace = enc.forward_trace(&chunk).embedding;
-            assert_eq!(via_scratch, via_trace, "n={n}");
+            assert_eq!(bits(&via_scratch), bits(&via_trace), "n={n}");
         }
     }
 
     #[test]
-    fn row_sweep_conv_is_bit_identical_to_naive_reference() {
-        // The blocked row-sweep kernel must reproduce, bit for bit, the
-        // naive per-element loop it replaced: bias first, then (i, ky, kx)
-        // in lexicographic order with out-of-bounds taps skipped.
-        fn naive(layer: &ConvLayer, input: &Tensor) -> Tensor {
-            let pad = layer.k / 2;
-            let mut out = Tensor::zeros(layer.out_c, input.h, input.w);
-            for o in 0..layer.out_c {
-                for y in 0..input.h {
-                    for x in 0..input.w {
-                        let mut acc = layer.bias[o];
-                        for i in 0..layer.in_c {
-                            for ky in 0..layer.k {
-                                for kx in 0..layer.k {
-                                    let yy = y as isize + ky as isize - pad as isize;
-                                    let xx = x as isize + kx as isize - pad as isize;
-                                    if yy >= 0
-                                        && xx >= 0
-                                        && (yy as usize) < input.h
-                                        && (xx as usize) < input.w
-                                    {
-                                        let widx =
-                                            ((o * layer.in_c + i) * layer.k + ky) * layer.k + kx;
-                                        acc += layer.weights[widx]
-                                            * input.at(i, yy as usize, xx as usize);
-                                    }
-                                }
-                            }
-                        }
-                        *out.at_mut(o, y, x) = acc;
-                    }
-                }
+    fn inference_kernels_match_trace_path_for_every_config() {
+        // What `MlrPipeline::encoder_config` returns (4- and 8-wide channel
+        // blocks), the default (8 + 8-wide blocks, dim 60) and the tests'
+        // tiny config (6 = 4 + 2 channels).
+        let pipeline = EncoderConfig {
+            input_grid: 8,
+            conv1_filters: 4,
+            conv2_filters: 8,
+            embedding_dim: 32,
+            learning_rate: 1e-3,
+        };
+        let mut rng = seeded(0xB17);
+        for (what, config) in [
+            ("pipeline", pipeline),
+            ("default", EncoderConfig::default()),
+            ("tiny", tiny_config()),
+        ] {
+            for seed in [1, 7] {
+                let enc = CnnEncoder::new(config, seed);
+                assert_inference_matches_trace(&enc, &mut rng, what);
             }
-            out
         }
+    }
+
+    #[test]
+    fn inference_layout_follows_training_and_quantisation() {
+        // The transposed copy must be rebuilt whenever the weights change:
+        // a stale copy would keep producing the pre-training keys.
+        let mut rng = seeded(0x7EA);
+        let mut enc = CnnEncoder::new(tiny_config(), 11);
+        let probe = random_chunk(&mut rng, 256);
+        let before = enc.encode(&probe);
+        let samples: Vec<Vec<Complex64>> = (0..4).map(|_| random_chunk(&mut rng, 256)).collect();
+        enc.train_contrastive(&samples, 2);
+        assert_ne!(
+            bits(&before),
+            bits(&enc.encode(&probe)),
+            "training moved no key"
+        );
+        assert_inference_matches_trace(&enc, &mut rng, "after train_contrastive");
+        enc.train_pair(&samples[0], &samples[1]);
+        assert_inference_matches_trace(&enc, &mut rng, "after train_pair");
+        enc.quantise_weights();
+        assert_inference_matches_trace(&enc, &mut rng, "after quantise_weights");
+    }
+
+    #[test]
+    fn encoders_sharing_a_thread_keep_their_own_weights() {
+        // Several stores with different seeds encode on one thread through
+        // one thread-local scratch: the scratch holds activations only, so
+        // alternating encoders never see each other's weights.
+        let mut rng = seeded(0x5EED);
+        let a = CnnEncoder::new(tiny_config(), 1);
+        let b = CnnEncoder::new(tiny_config(), 2);
+        for n in [256, 64, 512, 256] {
+            let chunk = random_chunk(&mut rng, n);
+            let (ka, kb) = (a.encode(&chunk), b.encode(&chunk));
+            assert_ne!(bits(&ka), bits(&kb), "n={n}");
+            assert_eq!(bits(&ka), bits(&a.forward_trace(&chunk).embedding), "n={n}");
+            assert_eq!(bits(&kb), bits(&b.forward_trace(&chunk).embedding), "n={n}");
+            assert_eq!(bits(&a.encode_batch(&[&chunk])[0]), bits(&ka), "n={n}");
+        }
+    }
+
+    #[test]
+    fn channel_sweep_conv_is_bit_identical_to_reference() {
+        // The channel-innermost kernel must reproduce, bit for bit, the
+        // per-element reference loop: bias first, then (i, ky, kx) in
+        // lexicographic order with out-of-bounds taps skipped. Output widths
+        // cover every channel-block decomposition (15 = 8 + 4 + 2 + 1).
         let mut rng = seeded(0xC0DE);
         for (in_c, out_c, k, h, w) in [
             (2, 4, 5, 8, 8),
             (4, 6, 3, 4, 4),
             (1, 1, 3, 1, 1),
             (3, 2, 5, 2, 6),
+            (2, 15, 3, 3, 5),
+            (8, 16, 3, 8, 8),
         ] {
             let layer = ConvLayer::new(in_c, out_c, k, &mut rng);
             let mut input = Tensor::zeros(in_c, h, w);
             for v in &mut input.data {
                 *v = rng.gen::<f64>() * 2.0 - 1.0;
             }
-            let reference = naive(&layer, &input);
-            let fast = layer.forward(&input);
-            assert_eq!(reference, fast, "in_c={in_c} out_c={out_c} k={k} {h}x{w}");
+            let reference = layer.forward(&input);
+            // A dirty, wrongly shaped scratch tensor: every element must be
+            // overwritten.
+            let mut fast = Tensor::zeros(1, 2, 3);
+            fast.data.fill(f64::NAN);
+            layer.forward_into(&input, &mut fast);
+            assert_eq!((fast.c, fast.h, fast.w), (out_c, h, w));
+            assert_eq!(
+                bits(&reference.data),
+                bits(&fast.data),
+                "in_c={in_c} out_c={out_c} k={k} {h}x{w}"
+            );
         }
     }
 

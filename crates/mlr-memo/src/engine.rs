@@ -4,6 +4,9 @@
 //! solver can run unmodified while every unequally-spaced FFT invocation goes
 //! through the memoization protocol of Figure 6:
 //!
+//! 0. decide from the operation kind and the chunk length alone whether a
+//!    hit could pay for the memo path ([`memoization_pays`]); a chunk below
+//!    break-even is computed exactly and touches nothing that follows;
 //! 1. encode the input chunk into a key (CNN encoder, on the CPU);
 //! 2. check the compute-node memoization cache (private per chunk location);
 //! 3. on a cache miss, query the memoization database on the (simulated)
@@ -18,7 +21,9 @@ use crate::cache::{CacheKind, MemoCache};
 use crate::coalesce::{KeyCoalescer, PendingKey};
 use crate::db::MemoDbConfig;
 use crate::encoder::EncoderConfig;
-use crate::eviction::{recompute_cost_estimate, CapacityBudget, EvictionPolicyKind};
+use crate::eviction::{
+    memoization_pays, recompute_cost_estimate, CapacityBudget, EvictionPolicyKind,
+};
 use crate::fingerprint::ChunkFingerprint;
 use crate::parallel::{ConcurrencyGovernor, ParallelStats};
 use crate::sharded::ShardedMemoDb;
@@ -160,8 +165,8 @@ enum ProbeCase {
     /// No key was encoded and no query issued; the exact transform was
     /// computed directly. `case` says why: [`MemoCase::Computed`] when
     /// memoization does not apply to the dispatch (disabled, uniform FFT,
-    /// warm-up), [`MemoCase::Prefiltered`] when the norm prefilter found no
-    /// τ-band fingerprint neighbor.
+    /// warm-up) or the chunk is below break-even, [`MemoCase::Prefiltered`]
+    /// when the norm prefilter found no τ-band fingerprint neighbor.
     Bypassed {
         output: Vec<Complex64>,
         compute_seconds: f64,
@@ -177,7 +182,8 @@ struct ChunkScratch {
     key: Vec<f64>,
     case: ProbeCase,
     /// The chunk's fingerprint, noted into the scope's doorkeeper history
-    /// at ordered commit (`Some` whenever the prefilter is active).
+    /// at ordered commit (`Some` whenever the prefilter is active and the
+    /// chunk is above break-even).
     fingerprint: Option<ChunkFingerprint>,
     cache_checked: bool,
     cache_comparisons: u64,
@@ -196,7 +202,8 @@ struct ChunkScratch {
 /// fixes before its parallel phase, read by both phases.
 struct Dispatch {
     iteration: usize,
-    /// Memoization applies: the operation is memoizable and warm-up is over.
+    /// Memoization applies to the dispatch: the operation is memoizable and
+    /// warm-up is over. Each chunk still has to clear the break-even gate.
     memoize: bool,
     tel_on: bool,
     origin: Provenance,
@@ -426,7 +433,8 @@ impl MemoizedExecutor {
     }
 
     /// Only the unequally-spaced operations are memoized — the paper's
-    /// choice after operation cancellation.
+    /// choice after operation cancellation. Which of their chunks are is
+    /// [`memoization_pays`]'s call, per chunk.
     fn should_memoize(&self, kind: FftOpKind) -> bool {
         self.config.enabled && kind.is_unequally_spaced()
     }
@@ -541,9 +549,10 @@ impl MemoizedExecutor {
     }
 
     /// **Phase 1 (parallel)** for the contiguous block `range` of a
-    /// dispatch: every chunk independently takes its fingerprint, encodes
-    /// its key, peeks the compute-node cache (read-only), probes the
-    /// database (read-only) and — on a miss — computes the exact transform.
+    /// dispatch: every chunk above break-even independently takes its
+    /// fingerprint, encodes its key, peeks the compute-node cache
+    /// (read-only), probes the database (read-only) and — on a miss —
+    /// computes the exact transform; a chunk below break-even only computes.
     /// All of this runs against the store/cache state *frozen at the start
     /// of the application*, so the phase is order-independent. Inserts from
     /// this application only become visible at the next one, which loses
@@ -591,22 +600,27 @@ impl MemoizedExecutor {
                 .collect();
         }
         let mut out: Vec<ChunkScratch> = Vec::with_capacity(range.len());
-        // Pass A: fingerprint + doorkeeper decision per chunk, read-only
+        // Pass A: per chunk, the break-even gate (a pure function of kind
+        // and length), then fingerprint + doorkeeper decision, read-only
         // against the history frozen at the start of the application
         // (notes happen at ordered commit, so the decisions are
-        // independent of the thread schedule).
-        let mut pre: Vec<(Option<ChunkFingerprint>, bool, f64)> = Vec::with_capacity(range.len());
+        // independent of the thread schedule). `Some(case)` routes the chunk
+        // around the memo path.
+        let mut pre: Vec<(Option<ChunkFingerprint>, Option<MemoCase>, f64)> =
+            Vec::with_capacity(range.len());
         for i in range.clone() {
             let (loc, input, _) = task(i);
             let t = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-            let (fp, admitted) = if self.config.prefilter {
+            let (fp, bypass) = if !memoization_pays(kind, input.len()) {
+                (None, Some(MemoCase::Computed))
+            } else if self.config.prefilter {
                 let fp = ChunkFingerprint::compute(input);
                 let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
-                (Some(fp), admitted)
+                (Some(fp), (!admitted).then_some(MemoCase::Prefiltered))
             } else {
-                (None, true)
+                (None, None)
             };
-            pre.push((fp, admitted, t.elapsed().as_secs_f64()));
+            pre.push((fp, bypass, t.elapsed().as_secs_f64()));
         }
         // Pass B: one batched encode for the block's admitted chunks —
         // one encoder lease and one encoder scratch for the whole block
@@ -614,7 +628,7 @@ impl MemoizedExecutor {
         let admitted_inputs: Vec<&[Complex64]> = range
             .clone()
             .zip(&pre)
-            .filter(|(_, (_, admitted, _))| *admitted)
+            .filter(|(_, (_, bypass, _))| bypass.is_none())
             .map(|(i, _)| task(i).1)
             .collect();
         let encode_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: encode timing feeds telemetry
@@ -634,9 +648,9 @@ impl MemoizedExecutor {
         let encode_share_ns = encode_total_ns / n_admitted;
         let mut encode_rem_ns = encode_total_ns % n_admitted;
         // Pass C: cache peek, database probe, and exact compute on miss.
-        for (i, (fp, admitted, pre_seconds)) in range.zip(pre) {
-            if !admitted {
-                out.push(bypassed(MemoCase::Prefiltered, fp, pre_seconds, i));
+        for (i, (fp, bypass, pre_seconds)) in range.zip(pre) {
+            if let Some(case) = bypass {
+                out.push(bypassed(case, fp, pre_seconds, i));
                 continue;
             }
             let (loc, input, compute) = task(i);
@@ -888,6 +902,11 @@ impl MemoizedExecutor {
                             _ => CounterId::ComputedChunks,
                         };
                         counter_scratch.add(counter, 1);
+                        // In a memoizing dispatch only the break-even gate
+                        // sends a chunk down the `Computed` lane.
+                        if d.memoize && case == MemoCase::Computed {
+                            counter_scratch.add(CounterId::GatedChunks, 1);
+                        }
                     }
                 }
             }
@@ -1033,12 +1052,45 @@ mod tests {
         // subsequent ones hit the cache.
         for it in 0..4 {
             exec.begin_iteration(it);
-            let _ = exec.execute(FftOpKind::Fu1D, 5, &input, &fake_fft);
+            let _ = exec.execute(FftOpKind::Fu2D, 5, &input, &fake_fft);
         }
-        let stats = exec.stats().op(FftOpKind::Fu1D);
+        let stats = exec.stats().op(FftOpKind::Fu2D);
         assert_eq!(stats.prefiltered, 1);
         assert_eq!(stats.failed_memo, 1);
         assert!(stats.cache_hits >= 1, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn chunk_below_break_even_takes_the_computed_lane() {
+        // The same repeating input, once as `F_u1D` (a hit cannot pay at 128
+        // elements) and once as `F_u2D` (it can): the gated chunk leaves no
+        // trace in the doorkeeper, the encoder, the cache or the store, and
+        // the telemetry says why.
+        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 2)
+            .with_telemetry(Telemetry::enabled());
+        let input = chunk(2, 128);
+        for it in 0..4 {
+            exec.begin_iteration(it);
+            let out = exec.execute(FftOpKind::Fu1D, 5, &input, &fake_fft);
+            assert_eq!(out, fake_fft(&input));
+        }
+        let stats = exec.stats().op(FftOpKind::Fu1D);
+        assert_eq!(stats.computed, 4);
+        assert_eq!(stats.total(), 4);
+        assert_eq!(stats.keys_encoded, 0);
+        assert_eq!(exec.db_len(), 0);
+        assert_eq!(exec.cache_stats().lookups, 0);
+        let gated = |exec: &MemoizedExecutor| {
+            let snapshot = exec.telemetry().snapshot().expect("telemetry is enabled");
+            snapshot.metrics.counter(CounterId::GatedChunks)
+        };
+        assert_eq!(gated(&exec), 4);
+        for it in 4..8 {
+            exec.begin_iteration(it);
+            let _ = exec.execute(FftOpKind::Fu2D, 5, &input, &fake_fft);
+        }
+        assert!(exec.stats().op(FftOpKind::Fu2D).cache_hits >= 1);
+        assert_eq!(gated(&exec), 4);
     }
 
     #[test]
@@ -1226,7 +1278,8 @@ mod tests {
         };
         let exec = MemoizedExecutor::new(config, tiny_encoder(), 8);
         for i in 0..6 {
-            let _ = exec.execute(FftOpKind::Fu2D, i, &chunk(200 + i as u64, 64), &fake_fft);
+            // 128 elements: above the `F_u2D` break-even, so keys travel.
+            let _ = exec.execute(FftOpKind::Fu2D, i, &chunk(200 + i as u64, 128), &fake_fft);
         }
         let cs = exec.coalesce_stats();
         assert_eq!(cs.keys, 6);

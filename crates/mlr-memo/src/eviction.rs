@@ -37,6 +37,11 @@
 //! weights mirror the measured `OpStats` compute-second ratios) rather than
 //! the measured timings themselves — measured seconds vary run to run and
 //! would make victim selection nondeterministic.
+//!
+//! The engine's break-even gate, [`memoization_pays`], lives beside that
+//! estimate for the same reason: whether a chunk is memoized at all is
+//! decided by constants and the chunk's kind and length, never by a timing
+//! taken at run time.
 
 use crate::store::Provenance;
 use mlr_lamino::FftOpKind;
@@ -365,6 +370,54 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
     weight * n * n.log2()
 }
 
+/// Share of memoized chunks whose compute a hit replaces, as this repository
+/// measures it at τ = 0.92 (`avoided_fraction` 0.31–0.35 on the benchmark's
+/// `hit-32` and `smallchunk-24`). The other two thirds pay the memo path and
+/// then compute anyway, which is how [`memoization_pays`] prices a miss.
+pub const EXPECTED_REUSE: f64 = 1.0 / 3.0;
+
+/// Nanoseconds per input element of the exact chunk compute an
+/// unequally-spaced operation runs. Like the two constants below, read off
+/// the `sweep` table of `BENCH_hotpath.json` (`fig22_hotpath --sweep`, whose
+/// `fu1d` / `usfft2d` computes are close to linear in the chunk length from
+/// 256 to 16 Ki elements); only their ratios matter, so a uniformly faster
+/// or slower machine decides the same. `None` for the uniform FFTs, which
+/// operation cancellation removes and nothing memoizes.
+const fn usfft_ns_per_elem(op: FftOpKind) -> Option<f64> {
+    match op {
+        FftOpKind::Fu2D | FftOpKind::Fu2DAdj => Some(270.0),
+        FftOpKind::Fu1D | FftOpKind::Fu1DAdj => Some(28.0),
+        FftOpKind::F2D | FftOpKind::F2DAdj => None,
+    }
+}
+
+/// What a memoized chunk pays that does not depend on its length — CNN
+/// encode, cache peek, index probe, commit — in nanoseconds: the sweep's
+/// `cache_hit_ns_per_chunk` extrapolated to zero length …
+const MEMO_PATH_FIXED_NS: f64 = 7_000.0;
+/// … and its slope per input element: fingerprint, grid resample, the
+/// store's raw-similarity gate and the payload copy.
+const MEMO_PATH_NS_PER_ELEM: f64 = 3.5;
+
+/// Whether memoizing one chunk of `input_len` elements of `op` has a
+/// non-negative expected value: the compute a hit avoids, weighted by
+/// [`EXPECTED_REUSE`], against the memo path every memoized chunk pays.
+///
+/// A pure function of the operation kind and the chunk length — properties
+/// every input has — so the engine's decision is the same on every thread
+/// count, shard layout and job, and a ragged last chunk is judged on its own
+/// length. Both sides are linear in `input_len`, so per kind the decision
+/// flips at most once, from bypass to memoize, as chunks grow: at 1200
+/// elements for `F_u1D` / `F*_u1D`, at 81 for `F_u2D` / `F*_u2D`.
+/// `fig22_hotpath --sweep` holds the constants to the measurement
+/// (`gate_agrees_with_measurement`).
+pub fn memoization_pays(op: FftOpKind, input_len: usize) -> bool {
+    let n = input_len as f64;
+    usfft_ns_per_elem(op).is_some_and(|compute_ns_per_elem| {
+        EXPECTED_REUSE * compute_ns_per_elem * n >= MEMO_PATH_FIXED_NS + MEMO_PATH_NS_PER_ELEM * n
+    })
+}
+
 /// The logical clocks of one store, shared by every stripe so tick, epoch
 /// and id assignment are identical however many stripes a
 /// [`ShardedMemoDb`](crate::ShardedMemoDb) spreads its scopes over — the
@@ -521,6 +574,67 @@ mod tests {
                 > recompute_cost_estimate(FftOpKind::Fu1D, n)
         );
         assert!(recompute_cost_estimate(FftOpKind::Fu1D, 0) > 0.0);
+    }
+
+    const USFFT_1D: [FftOpKind; 2] = [FftOpKind::Fu1D, FftOpKind::Fu1DAdj];
+    const USFFT_2D: [FftOpKind; 2] = [FftOpKind::Fu2D, FftOpKind::Fu2DAdj];
+
+    #[test]
+    fn break_even_gate_decision_table() {
+        // The outcomes the engine relies on, whatever the constants are
+        // recalibrated to.
+        for op in USFFT_1D {
+            assert!((1..=1024).all(|n| !memoization_pays(op, n)), "{op:?}");
+        }
+        for op in USFFT_2D {
+            assert!((256..2048).all(|n| memoization_pays(op, n)), "{op:?}");
+        }
+        for op in USFFT_1D.into_iter().chain(USFFT_2D) {
+            assert!((2048..=65536).all(|n| memoization_pays(op, n)), "{op:?}");
+            assert!(!memoization_pays(op, 0), "{op:?}");
+        }
+        // The benchmark's chunk shapes: 576 elements on `smallchunk-24`,
+        // 4608 and up on the others.
+        assert!(!memoization_pays(FftOpKind::Fu1D, 576));
+        assert!(memoization_pays(FftOpKind::Fu2D, 576));
+        assert!(memoization_pays(FftOpKind::Fu1DAdj, 4608));
+    }
+
+    #[test]
+    fn break_even_gate_is_monotone_and_skips_uniform_ffts() {
+        for op in FftOpKind::DENSE {
+            let decisions: Vec<bool> = (1..=65536).map(|n| memoization_pays(op, n)).collect();
+            assert!(
+                decisions.windows(2).all(|w| w[0] <= w[1]),
+                "{op:?}: a longer chunk lost a decision a shorter one won"
+            );
+            assert_eq!(
+                decisions.contains(&true),
+                op.is_unequally_spaced(),
+                "{op:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn recompute_cost_estimate_is_unchanged() {
+        // Eviction ranking, the modeled schedule and the benchmark price
+        // entries with it; the break-even model beside it must not move it.
+        for (op, n, expected) in [
+            (FftOpKind::Fu2D, 128, 3584.0),
+            (FftOpKind::Fu1D, 1024, 10240.0),
+            (FftOpKind::F2DAdj, 4096, 98304.0),
+            (FftOpKind::Fu2DAdj, 8192, 425984.0),
+            (FftOpKind::Fu1DAdj, 0, 2.0),
+            (FftOpKind::Fu1D, 576, 5281.876800830772),
+            (FftOpKind::Fu2D, 1152, 46863.01440664617),
+        ] {
+            let got = recompute_cost_estimate(op, n);
+            assert!(
+                (got - expected).abs() <= 1e-12 * expected,
+                "{op:?} at {n}: {got} != {expected}"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! * [`engine`] — the [`MemoizedExecutor`], an implementation of
 //!   `mlr_lamino::FftExecutor` that the ADMM solver can use in place of the
 //!   direct executor; it accounts simulated time against `mlr-sim`'s cost
-//!   model and records the per-case statistics behind Figures 10–12.
+//!   model and records the per-case statistics behind Figures 10–12. A
+//!   chunk takes the memo path only when [`memoization_pays`] says a hit
+//!   can pay for it at the chunk's kind and length.
 //! * [`eviction`] — capacity governance: [`CapacityBudget`] caps (bytes /
 //!   entries, global and per stripe) enforced after every insert by a
 //!   pluggable [`EvictionPolicy`] (FIFO, LRU, TTL in job-iterations, and a
@@ -87,8 +89,9 @@ pub use distributed::{DistributedMemoDb, DistributedStats, FaultStats, NodeStats
 pub use encoder::{CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
 pub use eviction::{
-    recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta, EvictionPolicy,
-    EvictionPolicyKind, FifoPolicy, LruPolicy, StoreClock, TtlPolicy,
+    memoization_pays, recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta,
+    EvictionPolicy, EvictionPolicyKind, FifoPolicy, LruPolicy, StoreClock, TtlPolicy,
+    EXPECTED_REUSE,
 };
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
 pub use parallel::{ConcurrencyGovernor, CoreLease, ParallelStats};

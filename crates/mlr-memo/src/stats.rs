@@ -17,8 +17,11 @@ use std::collections::HashMap;
 /// How one memoizable FFT invocation was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MemoCase {
-    /// Computed exactly, without consulting the memoization system (either
-    /// memoization is disabled or the operation is not memoizable).
+    /// Computed exactly, without consulting the memoization system:
+    /// memoization is disabled, the operation is a uniform FFT, the job is
+    /// still in its warm-up iterations, or the chunk is below break-even
+    /// (`memoization_pays` says a hit could not pay for the memo path at its
+    /// kind and length).
     Computed,
     /// Case 1: database miss → compute + insert.
     FailedMemo,
@@ -35,7 +38,8 @@ pub enum MemoCase {
 /// Per-operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpStats {
-    /// Invocations computed without memoization.
+    /// Invocations computed without consulting the memoization system:
+    /// disabled, uniform FFT, warm-up or below break-even.
     pub computed: u64,
     /// Case-1 invocations (miss + insert).
     pub failed_memo: u64,

@@ -44,6 +44,11 @@ pub enum CounterId {
     /// Chunks the norm prefilter routed straight to the exact FFT
     /// (no encode, no cache peek, no probe).
     PrefilteredChunks,
+    /// Chunks of a memoizing dispatch the break-even gate sent straight to
+    /// the exact FFT because a hit could not pay for the memo path at their
+    /// kind and length (no fingerprint, no key, no store access). A subset
+    /// of `ComputedChunks`.
+    GatedChunks,
     /// Worker threads respawned after dying to a panic that escaped the
     /// per-job containment (the pool never shrinks).
     WorkerRestarts,
@@ -53,7 +58,7 @@ pub enum CounterId {
 }
 
 /// Number of counters in [`CounterId`].
-pub const COUNTER_COUNT: usize = 15;
+pub const COUNTER_COUNT: usize = 16;
 
 /// Stable snake_case names, indexable by `CounterId as usize`.
 pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
@@ -70,6 +75,7 @@ pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "db_hit_chunks",
     "computed_chunks",
     "prefiltered_chunks",
+    "gated_chunks",
     "worker_restarts",
     "retry_attempts",
 ];
@@ -431,6 +437,10 @@ mod tests {
         assert_eq!(
             COUNTER_NAMES[CounterId::PrefilteredChunks as usize],
             "prefiltered_chunks"
+        );
+        assert_eq!(
+            COUNTER_NAMES[CounterId::GatedChunks as usize],
+            "gated_chunks"
         );
         assert_eq!(
             COUNTER_NAMES[CounterId::WorkerRestarts as usize],

@@ -1,0 +1,119 @@
+//! The engine's break-even gate, end to end.
+//!
+//! `mlr_memo::memoization_pays` decides per chunk, from the operation kind
+//! and the chunk length alone, whether a hit could pay for the memo path.
+//! Two reconstructions pin what that means for a whole job: at 576-element
+//! chunks the 1-D USFFT stages leave the memo path entirely while the 2-D
+//! stages keep reusing, identically on every schedule; at 2048-element
+//! chunks nothing is below break-even and every count is what it was before
+//! the gate existed.
+
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
+use mlr_lamino::FftOpKind;
+use mlr_memo::{memoization_pays, MemoStats, OpStats};
+
+const USFFT_1D: [FftOpKind; 2] = [FftOpKind::Fu1D, FftOpKind::Fu1DAdj];
+const USFFT_2D: [FftOpKind; 2] = [FftOpKind::Fu2D, FftOpKind::Fu2DAdj];
+
+/// 24³ in one-plane chunks: 576 elements for three of the four USFFT kinds,
+/// 288 for `F*_u2D` — the shape of the benchmark's `smallchunk-24`.
+fn small_chunk_config() -> MlrConfig {
+    let mut config = MlrConfig::quick(24, 12).with_iterations(6);
+    config.chunk_size = 1;
+    config.admm.initial_step = 0.02;
+    config
+}
+
+/// `[computed, failed_memo, db_hits, cache_hits, prefiltered, keys_encoded]`:
+/// every count of an `OpStats` a schedule must not move (its seconds may).
+fn case_counts(s: OpStats) -> [u64; 6] {
+    [
+        s.computed,
+        s.failed_memo,
+        s.db_hits,
+        s.cache_hits,
+        s.prefiltered,
+        s.keys_encoded,
+    ]
+}
+
+fn run(config: MlrConfig, perturbation: Option<u64>) -> (Vec<u64>, MemoStats, usize) {
+    let pipeline = MlrPipeline::new(config);
+    let executor = pipeline.memo_executor(pipeline.build_shared_store(1), 0);
+    let executor = match perturbation {
+        Some(seed) => executor.with_schedule_perturbation(seed),
+        None => executor,
+    };
+    let (result, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
+    let bits = result
+        .reconstruction
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    (bits, executor.stats(), executor.db_len())
+}
+
+#[test]
+fn small_chunks_memoize_the_2d_stages_only() {
+    let (reference, stats, entries) = run(small_chunk_config(), None);
+    for op in USFFT_1D {
+        let s = stats.op(op);
+        assert!(s.computed > 0, "{op:?} never ran");
+        assert_eq!(s.keys_encoded, 0, "{op:?}: {s:?}");
+        assert_eq!(s.failed_memo + s.db_hits + s.cache_hits, 0, "{op:?}: {s:?}");
+        assert_eq!(s.prefiltered, 0, "{op:?} took a fingerprint: {s:?}");
+    }
+    let mut inserted = 0;
+    for op in USFFT_2D {
+        let s = stats.op(op);
+        assert!(
+            s.db_hits + s.cache_hits > 0,
+            "{op:?} stopped hitting: {s:?}"
+        );
+        inserted += s.failed_memo as usize;
+    }
+    assert_eq!(
+        entries, inserted,
+        "the store holds more than the 2-D entries"
+    );
+
+    // The decision reads kind and length only, so no schedule can move it.
+    for threads in [2, 4] {
+        let config = small_chunk_config().with_intra_job_threads(threads);
+        let (bits, threaded, _) = run(config, None);
+        assert_eq!(bits, reference, "{threads} threads changed the result");
+        assert_eq!(
+            case_counts(threaded.total()),
+            case_counts(stats.total()),
+            "{threads} threads"
+        );
+    }
+    for seed in [0x5EED_0001_u64, 0xC0FF_EE42] {
+        let config = small_chunk_config().with_intra_job_threads(4);
+        let (bits, perturbed, _) = run(config, Some(seed));
+        assert_eq!(bits, reference, "seed {seed:#x} changed the result");
+        assert_eq!(
+            case_counts(perturbed.total()),
+            case_counts(stats.total()),
+            "seed {seed:#x}"
+        );
+    }
+}
+
+#[test]
+fn chunks_above_break_even_count_what_they_counted_before_the_gate() {
+    // 16³ in 8-plane chunks: 2048 elements (1024 for `F*_u2D`), all above
+    // break-even. The counts are the parent commit's, which had no gate.
+    let pipeline = MlrPipeline::new(MlrConfig::quick(16, 8).with_iterations(8));
+    for op in USFFT_1D.into_iter().chain(USFFT_2D) {
+        assert!(memoization_pays(op, pipeline.operator().chunk_elems(op)));
+    }
+    let (_, executor) = pipeline.run_memoized();
+    let stats = executor.stats();
+    let counts = |op| case_counts(stats.op(op));
+    assert_eq!(counts(FftOpKind::Fu1D), [12, 11, 5, 11, 9, 27]);
+    assert_eq!(counts(FftOpKind::Fu1DAdj), [12, 11, 7, 2, 16, 20]);
+    assert_eq!(counts(FftOpKind::Fu2D), [12, 11, 10, 10, 5, 31]);
+    assert_eq!(counts(FftOpKind::Fu2DAdj), [12, 15, 6, 1, 14, 22]);
+}
