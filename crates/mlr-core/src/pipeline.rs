@@ -4,7 +4,7 @@ use crate::config::MlrConfig;
 use crate::report::{MlrReport, PaperScaleProjection};
 use mlr_lamino::{LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_memo::{
-    CapacityBudget, EncoderConfig, EvictionPolicyKind, JobId, MemoDbConfig, MemoStore,
+    CapacityBudget, EncoderConfig, EvictionPolicyKind, JobId, MemoConfig, MemoStore,
     MemoizedExecutor, ShardedMemoDb,
 };
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
@@ -62,7 +62,6 @@ impl MlrPipeline {
             conv1_filters: 4,
             conv2_filters: 8,
             embedding_dim: 32,
-            learning_rate: 1e-3,
         }
     }
 
@@ -83,12 +82,12 @@ impl MlrPipeline {
         budget: CapacityBudget,
         eviction: EvictionPolicyKind,
     ) -> Arc<ShardedMemoDb> {
-        let db_config = MemoDbConfig {
-            tau: self.config.memo.tau,
+        let db_config = MemoConfig {
             budget,
             eviction,
-            ..Default::default()
-        };
+            ..self.config.memo
+        }
+        .db_config();
         Arc::new(ShardedMemoDb::with_shards(
             db_config,
             self.encoder_config(),
@@ -127,8 +126,7 @@ impl MlrPipeline {
 
     /// Runs the memoized reconstruction through a caller-built executor. The
     /// ADMM driver polls `cancel` at every iteration boundary, so a
-    /// cancelled (or deadline-expired) job stops early, flushes the
-    /// coalescer through the executor's `finish` hook, and keeps the memo
+    /// cancelled (or deadline-expired) job stops early and keeps the memo
     /// entries it already published available to every other tenant of a
     /// shared store; a token that never fires changes nothing.
     pub fn run_with_executor(

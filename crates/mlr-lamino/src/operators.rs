@@ -180,8 +180,9 @@ pub trait FftExecutor: Send + Sync {
     fn begin_iteration(&self, _iteration: usize) {}
 
     /// Notifies the executor that the job is complete (no more invocations
-    /// will follow). Memoizing executors flush and account any buffered
-    /// coalesced keys here; the default implementation does nothing.
+    /// will follow). The default implementation does nothing, and so does
+    /// the memoizing executor (it buffers nothing between invocations); a
+    /// wrapping executor forwards the call to the one it wraps.
     fn finish(&self) {}
 }
 

@@ -408,18 +408,6 @@ impl IvfIndex {
         best
     }
 
-    /// Number of stored keys a query would compare against (the paper's
-    /// "similarity comparison" cost; used to contrast private vs. global
-    /// caches and to price queries in the cost model).
-    pub fn comparisons_per_query(&self) -> usize {
-        if self.centroid_count == 0 {
-            return self.len;
-        }
-        // nprobe lists of average occupancy, plus the centroid scan.
-        let avg = self.len / self.config.nlist.max(1);
-        self.config.nlist + self.config.nprobe * avg.max(1)
-    }
-
     /// Ranks centroids by distance into the scratch and selects the `nprobe`
     /// nearest list indices (ties broken by centroid index — the sort is
     /// stable over the index-ordered distance table, exactly as the jagged
@@ -733,16 +721,25 @@ mod tests {
             },
             10,
         );
+        // Keys the probed lists of one query hold: what a search compares
+        // the query against, beside the centroids.
+        let compared = |idx: &IvfIndex, query: &[f64]| -> usize {
+            let mut scratch = SearchScratch::default();
+            idx.probe_lists(query, &mut scratch);
+            scratch.probes.iter().map(|&l| idx.lists[l].len()).sum()
+        };
+        let query = vec![0.5; dim];
         for (i, key) in random_keys(63, dim, 11).into_iter().enumerate() {
             idx.add(i as u64, key);
         }
         // Below the training threshold: exhaustive.
-        assert_eq!(idx.comparisons_per_query(), 63);
+        assert_eq!(compared(&idx, &query), 63);
         for (i, key) in random_keys(500, dim, 12).into_iter().enumerate() {
             idx.add(1000 + i as u64, key);
         }
         // After training, far fewer comparisons than the full database.
-        assert!(idx.comparisons_per_query() < idx.len());
+        assert!(idx.centroid_count > 0);
+        assert!(compared(&idx, &query) + idx.centroid_count < idx.len() / 2);
     }
 
     #[test]

@@ -35,11 +35,6 @@ pub struct MemoDbConfig {
     /// Similarity threshold `τ`: a stored value is reused only when the
     /// cosine similarity between query and stored key exceeds it.
     pub tau: f64,
-    /// Scope searches to the (operation, chunk location) pair. The paper's
-    /// observation (Figure 4) is that reuse happens *at* a chunk location
-    /// across iterations, so this is the default; disabling it searches
-    /// across locations.
-    pub per_location: bool,
     /// ANN index parameters.
     pub ivf: IvfConfig,
     /// Capacity caps (bytes/entries, global and per stripe). Unbounded by
@@ -53,7 +48,6 @@ impl Default for MemoDbConfig {
     fn default() -> Self {
         Self {
             tau: 0.92,
-            per_location: true,
             ivf: IvfConfig::default(),
             budget: CapacityBudget::unbounded(),
             eviction: EvictionPolicyKind::default(),
@@ -85,8 +79,11 @@ impl EntryRecord {
 
 /// One lock stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb): the index
 /// scopes, doorkeeper rings and entries of the `(op, loc)` scopes hashed to
-/// it. It enforces only the per-stripe caps; the owning store encodes keys,
-/// keeps the store-wide counters and coordinates global enforcement.
+/// it. A scope is always the (operation, chunk location) pair: the paper's
+/// observation (Figure 4) is that reuse happens *at* a chunk location across
+/// iterations, so searches never cross locations. The stripe enforces only
+/// the per-stripe caps; the owning store encodes keys, keeps the store-wide
+/// counters and coordinates global enforcement.
 pub(crate) struct MemoDatabase {
     config: MemoDbConfig,
     scopes: HashMap<(FftOpKind, usize), IvfIndex>,
@@ -191,25 +188,15 @@ impl MemoDatabase {
         loc: usize,
         fp: &ChunkFingerprint,
     ) -> bool {
-        let scope = self.scope_key(op, loc);
         self.fingerprints
-            .get(&scope)
+            .get(&(op, loc))
             .is_some_and(|t| t.has_neighbor(fp, self.config.tau))
     }
 
     /// Records the fingerprint of a committed chunk in the scope's
     /// doorkeeper ring (bounded; the oldest entry is evicted on overflow).
     pub(crate) fn note_fingerprint(&mut self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
-        let scope = self.scope_key(op, loc);
-        self.fingerprints.entry(scope).or_default().note(fp);
-    }
-
-    fn scope_key(&self, op: FftOpKind, loc: usize) -> (FftOpKind, usize) {
-        if self.config.per_location {
-            (op, loc)
-        } else {
-            (op, usize::MAX)
-        }
+        self.fingerprints.entry((op, loc)).or_default().note(fp);
     }
 
     /// Read-only probe for an entry similar to `input` at `(op, loc)`: no
@@ -227,8 +214,7 @@ impl MemoDatabase {
         origin: Provenance,
     ) -> ProbeOutcome {
         let now_epoch = self.clock.epoch();
-        let scope_key = self.scope_key(op, loc);
-        let Some(index) = self.scopes.get(&scope_key) else {
+        let Some(index) = self.scopes.get(&(op, loc)) else {
             return ProbeOutcome::Miss;
         };
         let Some(hit) = index.search(key) else {
@@ -316,12 +302,12 @@ impl MemoDatabase {
         let id = self.clock.next_id();
         let tick = self.clock.next_tick();
         let epoch = self.clock.epoch();
-        let scope_key = self.scope_key(op, loc);
         let dim = key.len();
         let ivf = self.config.ivf;
-        let index = self.scopes.entry(scope_key).or_insert_with(|| {
-            IvfIndex::new(dim, ivf, scope_seed(scope_key.0, scope_key.1) ^ 0x5EED)
-        });
+        let index = self
+            .scopes
+            .entry((op, loc))
+            .or_insert_with(|| IvfIndex::new(dim, ivf, scope_seed(op, loc) ^ 0x5EED));
         index.add(id, key);
         let mut record = EntryRecord {
             meta: EntryMeta {
@@ -338,7 +324,7 @@ impl MemoDatabase {
                 op,
                 priority: 0.0,
             },
-            scope: scope_key,
+            scope: (op, loc),
             raw_input: Arc::from(input),
             value: output.into(),
         };
@@ -434,20 +420,6 @@ impl MemoDatabase {
         }
         ids
     }
-
-    /// Average number of key comparisons one query performs (used by the
-    /// simulated-cost reports).
-    pub(crate) fn comparisons_per_query(&self) -> f64 {
-        if self.scopes.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self
-            .scopes
-            .values()
-            .map(|index| index.comparisons_per_query())
-            .sum();
-        total as f64 / self.scopes.len() as f64
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -528,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn per_location_scoping_prevents_cross_location_hits() {
+    fn location_scoping_prevents_cross_location_hits() {
         for shards in LAYOUTS {
             let d = store(config(0.9), shards);
             let input = chunk(1.0, 0.0, 256);
@@ -538,15 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn global_scope_allows_cross_location_hits() {
+    fn scoping_separates_operations_at_one_location() {
         for shards in LAYOUTS {
-            let global = MemoDbConfig {
-                per_location: false,
-                ..config(0.9)
-            };
-            let d = store(global, shards);
+            let d = store(config(0.9), shards);
             let input = chunk(1.0, 0.0, 256);
-            insert(&d, Fu2D, 0, &input, chunk(2.0, 1.0, 64), at(0));
+            insert(&d, Fu2D, 7, &input, chunk(2.0, 1.0, 64), at(0));
+            // Same location, other operation: a different scope.
+            assert!(lookup(&d, Fu1D, 7, &input, at(1)).is_none());
             assert!(lookup(&d, Fu2D, 7, &input, at(1)).is_some());
         }
     }
@@ -586,7 +556,6 @@ mod tests {
             // the peak is at least the current footprint.
             assert!(d.resident_bytes() > d.value_bytes());
             assert!(d.peak_resident_bytes() >= d.resident_bytes());
-            assert!(d.comparisons_per_query() > 0.0);
         }
     }
 

@@ -237,7 +237,6 @@ struct ReplicaSet {
 ///         conv1_filters: 2,
 ///         conv2_filters: 4,
 ///         embedding_dim: 8,
-///         learning_rate: 1e-3,
 ///     },
 ///     1,
 ///     16,
@@ -651,14 +650,6 @@ impl MemoStore for DistributedMemoDb {
 
     fn stats(&self) -> StoreStats {
         self.inner.stats()
-    }
-
-    fn comparisons_per_query(&self) -> f64 {
-        self.inner.comparisons_per_query()
-    }
-
-    fn train_encoder(&self, samples: &[Vec<Complex64>], epochs: usize) -> f64 {
-        self.inner.train_encoder(samples, epochs)
     }
 }
 

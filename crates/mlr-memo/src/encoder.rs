@@ -4,22 +4,28 @@
 //! COMPLEX64 FFT input is split into real and imaginary planes, downsampled
 //! onto a fixed spatial grid, and passed through a small convolutional
 //! network whose output is a low-dimensional embedding (~60 values). The
-//! network is trained with the paper's contrastive objective (Eq. 2):
-//!
-//! ```text
-//! L = | ‖z_a − z_b‖₂ − ‖Ch_a − Ch_b‖₂ |
-//! ```
-//!
-//! i.e. the embedding distance of two chunks should match the L2 distance of
-//! the chunks themselves, so that nearest-neighbour search in embedding space
-//! finds chunks that really are similar.
-//!
-//! The architecture follows the paper: a 5×5 convolution bank, a 3×3
+//! architecture follows the paper: a 5×5 convolution bank, a 3×3
 //! convolution bank, and a fully connected projection; ReLU nonlinearities;
-//! average pooling between stages. Everything — forward pass, backward pass,
-//! SGD, INT8 weight quantisation for inference — is implemented here from
-//! scratch (the paper's point that mainstream frameworks do not accept
-//! COMPLEX64 inputs is moot once the re/im split is done explicitly).
+//! average pooling between stages (the paper's point that mainstream
+//! frameworks do not accept COMPLEX64 inputs is moot once the re/im split
+//! is done explicitly).
+//!
+//! **The weights are a fixed, seeded random draw.** Every key of every
+//! reconstruction, bench and test comes from `CnnEncoder::new(config, seed)`;
+//! the encoder is immutable afterwards, so stores share it without a lock.
+//! That is sound because the key never decides a hit: it only picks the
+//! nearest-neighbour *candidate*, and the τ gate then runs on the raw chunks
+//! (see `db.rs`). A random convolutional projection keeps similar chunks
+//! close, which is all candidate selection needs.
+//!
+//! The paper trains the network with a contrastive objective (Eq. 2,
+//! `L = | ‖z_a − z_b‖₂ − ‖Ch_a − Ch_b‖₂ |`) and quantises its weights to INT8
+//! for CPU inference (§4.3.1), and coalesces keys into 4 KiB queries on
+//! their way to the memory node (§4.3.3). None of the three is live code
+//! here: what an INT8 encode costs at paper scale is
+//! `mlr_sim::CostModel::cnn_encode_time`, what coalescing buys is the
+//! cost-model figure `fig11_key_coalesce`, and the coalesced query is the
+//! message size `mlr_cluster::replay_trace` prices.
 
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
@@ -38,22 +44,19 @@ pub struct EncoderConfig {
     pub conv2_filters: usize,
     /// Output embedding dimension.
     pub embedding_dim: usize,
-    /// SGD learning rate used by [`CnnEncoder::train_contrastive`].
-    pub learning_rate: f64,
 }
 
 impl Default for EncoderConfig {
     fn default() -> Self {
         // The paper's encoder uses 32 and 64 filters; the defaults here are
-        // smaller so the (CPU-only) reproduction trains in seconds, and tests
-        // shrink them further. The embedding dimension matches the paper's
-        // ~60-dimensional keys.
+        // smaller so the (CPU-only) reproduction encodes in microseconds, and
+        // tests shrink them further. The embedding dimension matches the
+        // paper's ~60-dimensional keys.
         Self {
             input_grid: 16,
             conv1_filters: 8,
             conv2_filters: 16,
             embedding_dim: 60,
-            learning_rate: 1e-3,
         }
     }
 }
@@ -68,6 +71,7 @@ struct Tensor {
 }
 
 impl Tensor {
+    #[cfg(test)]
     fn zeros(c: usize, h: usize, w: usize) -> Self {
         Self {
             c,
@@ -97,13 +101,14 @@ impl Tensor {
     }
 }
 
-/// Copies `weights`, a row-major `[out][rest]` matrix, into `transposed` as
-/// `[rest][out]`: the layout in which the inference kernels find the weights
-/// of every output channel for one tap side by side.
-fn transpose_out_innermost(weights: &[f64], out: usize, transposed: &mut Vec<f64>) {
+/// `weights`, a row-major `[out][rest]` matrix, as `[rest][out]`: the layout
+/// in which the inference kernels find the weights of every output channel
+/// for one tap side by side.
+fn transpose_out_innermost(weights: &[f64], out: usize) -> Vec<f64> {
     let rest = weights.len() / out.max(1);
-    transposed.clear();
-    transposed.extend((0..rest).flat_map(|r| (0..out).map(move |o| weights[o * rest + r])));
+    (0..rest)
+        .flat_map(|r| (0..out).map(move |o| weights[o * rest + r]))
+        .collect()
 }
 
 /// One convolution layer (stride 1, zero padding preserving spatial size).
@@ -112,13 +117,11 @@ struct ConvLayer {
     in_c: usize,
     out_c: usize,
     k: usize,
-    /// Weights indexed `[out][in][ky][kx]`, flattened: what training updates
-    /// and the reference pass reads.
+    /// Weights indexed `[out][in][ky][kx]`, flattened, in the order the
+    /// seeded generator drew them: what the reference pass reads.
     weights: Vec<f64>,
     bias: Vec<f64>,
-    /// `weights` as `[in][ky][kx][out]` for [`ConvLayer::forward_into`];
-    /// [`ConvLayer::sync_inference_layout`] rebuilds it after every change
-    /// to `weights`.
+    /// `weights` as `[in][ky][kx][out]` for [`ConvLayer::forward_into`].
     weights_t: Vec<f64>,
 }
 
@@ -126,29 +129,23 @@ impl ConvLayer {
     fn new(in_c: usize, out_c: usize, k: usize, rng: &mut impl Rng) -> Self {
         let fan_in = (in_c * k * k) as f64;
         let scale = (2.0 / fan_in).sqrt();
-        let weights = (0..out_c * in_c * k * k)
+        let weights: Vec<f64> = (0..out_c * in_c * k * k)
             .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * scale)
             .collect();
-        let mut layer = Self {
+        Self {
             in_c,
             out_c,
             k,
+            weights_t: transpose_out_innermost(&weights, out_c),
             weights,
             bias: vec![0.0; out_c],
-            weights_t: Vec::new(),
-        };
-        layer.sync_inference_layout();
-        layer
-    }
-
-    fn sync_inference_layout(&mut self) {
-        transpose_out_innermost(&self.weights, self.out_c, &mut self.weights_t);
+        }
     }
 
     /// The reference forward pass, one output element at a time: bias first,
     /// then the taps in `(in, ky, kx)` lexicographic order with out-of-bounds
-    /// taps skipped. Training runs it (through `forward_trace`) and the
-    /// inference kernel is held bit-identical to it.
+    /// taps skipped. The inference kernel is held bit-identical to it.
+    #[cfg(test)]
     fn forward(&self, input: &Tensor) -> Tensor {
         let pad = self.k / 2;
         let mut out = Tensor::zeros(self.out_c, input.h, input.w);
@@ -241,50 +238,6 @@ impl ConvLayer {
         }
         OC
     }
-
-    /// Backward pass: given dL/d(output), accumulates weight/bias gradients
-    /// and returns dL/d(input).
-    fn backward(
-        &self,
-        input: &Tensor,
-        grad_out: &Tensor,
-        grad_w: &mut [f64],
-        grad_b: &mut [f64],
-    ) -> Tensor {
-        let pad = self.k / 2;
-        let mut grad_in = Tensor::zeros(input.c, input.h, input.w);
-        #[allow(clippy::needless_range_loop)] // `o` indexes grad_out, grad_w and grad_b alike
-        for o in 0..self.out_c {
-            for y in 0..input.h {
-                for x in 0..input.w {
-                    let go = grad_out.at(o, y, x);
-                    if go == 0.0 {
-                        continue;
-                    }
-                    grad_b[o] += go;
-                    for i in 0..self.in_c {
-                        for ky in 0..self.k {
-                            for kx in 0..self.k {
-                                let yy = y as isize + ky as isize - pad as isize;
-                                let xx = x as isize + kx as isize - pad as isize;
-                                if yy >= 0
-                                    && xx >= 0
-                                    && (yy as usize) < input.h
-                                    && (xx as usize) < input.w
-                                {
-                                    let widx = ((o * self.in_c + i) * self.k + ky) * self.k + kx;
-                                    grad_w[widx] += go * input.at(i, yy as usize, xx as usize);
-                                    *grad_in.at_mut(i, yy as usize, xx as usize) +=
-                                        go * self.weights[widx];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_in
-    }
 }
 
 /// Fully connected projection layer.
@@ -292,38 +245,32 @@ impl ConvLayer {
 struct FcLayer {
     in_dim: usize,
     out_dim: usize,
-    /// Weights indexed `[out][k]`, flattened: what training updates and the
-    /// reference pass reads.
+    /// Weights indexed `[out][k]`, flattened, as drawn: what the reference
+    /// pass reads.
     weights: Vec<f64>,
     bias: Vec<f64>,
-    /// `weights` as `[k][out]` for [`FcLayer::forward_inference`], kept current
-    /// by [`FcLayer::sync_inference_layout`].
+    /// `weights` as `[k][out]` for [`FcLayer::forward_inference`].
     weights_t: Vec<f64>,
 }
 
 impl FcLayer {
     fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         let scale = (2.0 / in_dim as f64).sqrt();
-        let weights = (0..out_dim * in_dim)
+        let weights: Vec<f64> = (0..out_dim * in_dim)
             .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * scale)
             .collect();
-        let mut layer = Self {
+        Self {
             in_dim,
             out_dim,
+            weights_t: transpose_out_innermost(&weights, out_dim),
             weights,
             bias: vec![0.0; out_dim],
-            weights_t: Vec::new(),
-        };
-        layer.sync_inference_layout();
-        layer
-    }
-
-    fn sync_inference_layout(&mut self) {
-        transpose_out_innermost(&self.weights, self.out_dim, &mut self.weights_t);
+        }
     }
 
     /// The reference projection: per output, the products summed in `k`
     /// order, then added to the bias.
+    #[cfg(test)]
     fn forward(&self, input: &[f64]) -> Vec<f64> {
         (0..self.out_dim)
             .map(|o| {
@@ -360,69 +307,16 @@ impl FcLayer {
         }
         out
     }
-
-    fn backward(
-        &self,
-        input: &[f64],
-        grad_out: &[f64],
-        grad_w: &mut [f64],
-        grad_b: &mut [f64],
-    ) -> Vec<f64> {
-        let mut grad_in = vec![0.0; self.in_dim];
-        for o in 0..self.out_dim {
-            let go = grad_out[o];
-            grad_b[o] += go;
-            for i in 0..self.in_dim {
-                grad_w[o * self.in_dim + i] += go * input[i];
-                grad_in[i] += go * self.weights[o * self.in_dim + i];
-            }
-        }
-        grad_in
-    }
 }
 
-/// INT8-quantised weights of one layer (symmetric, per-layer scale).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantisedLayer {
-    /// Quantised weights in `[-127, 127]`.
-    pub weights: Vec<i8>,
-    /// Dequantisation scale.
-    pub scale: f64,
-}
-
-/// Quantises a weight slice to INT8 with a symmetric per-layer scale.
-pub fn quantise_int8(weights: &[f64]) -> QuantisedLayer {
-    let max = weights
-        .iter()
-        .fold(0.0f64, |m, &w| m.max(w.abs()))
-        .max(1e-12);
-    let scale = max / 127.0;
-    let q = weights
-        .iter()
-        .map(|&w| (w / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    QuantisedLayer { weights: q, scale }
-}
-
-/// Dequantises an INT8 layer back to `f64` weights.
-pub fn dequantise(layer: &QuantisedLayer) -> Vec<f64> {
-    layer
-        .weights
-        .iter()
-        .map(|&q| q as f64 * layer.scale)
-        .collect()
-}
-
-/// The CNN encoder.
+/// The CNN encoder: immutable after [`CnnEncoder::new`], so any number of
+/// threads encode through one shared instance without a lock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CnnEncoder {
     config: EncoderConfig,
     conv1: ConvLayer,
     conv2: ConvLayer,
     fc: FcLayer,
-    /// True when the weights currently in use went through INT8
-    /// quantise/dequantise (inference mode).
-    pub quantised: bool,
 }
 
 /// Reusable intermediate activations for the inference (encode) path.
@@ -432,7 +326,7 @@ pub struct CnnEncoder {
 /// the returned embedding itself. Reuse is numerically invisible — every
 /// stage overwrites (or zero-fills) its scratch tensor completely, so
 /// [`CnnEncoder::encode_with`] produces bit-identical embeddings to the
-/// allocating trace path. It holds activations only: anything derived from
+/// allocating reference pass. It holds activations only: anything derived from
 /// an encoder's weights lives in that encoder, because encoders with
 /// different weights share one thread's scratch.
 #[derive(Debug, Default)]
@@ -443,20 +337,15 @@ pub struct EncoderScratch {
     conv2: Tensor,
 }
 
-/// Intermediate activations kept for the backward pass.
-struct ForwardTrace {
-    input: Tensor,
-    conv1_out: Tensor,
-    relu1: Tensor,
-    pool1: Tensor,
-    conv2_out: Tensor,
-    relu2: Tensor,
-    flat: Vec<f64>,
-    embedding: Vec<f64>,
+thread_local! {
+    /// The calling thread's activations for [`CnnEncoder::encode`] and
+    /// [`CnnEncoder::encode_batch`].
+    static SCRATCH: std::cell::RefCell<EncoderScratch> =
+        std::cell::RefCell::new(EncoderScratch::default());
 }
 
 impl CnnEncoder {
-    /// Creates an encoder with randomly initialised weights.
+    /// Creates an encoder with the seeded random weights it keeps for life.
     pub fn new(config: EncoderConfig, seed: u64) -> Self {
         let mut rng = seeded(seed);
         let conv1 = ConvLayer::new(2, config.conv1_filters, 5, &mut rng);
@@ -469,7 +358,6 @@ impl CnnEncoder {
             conv1,
             conv2,
             fc,
-            quantised: false,
         }
     }
 
@@ -478,23 +366,11 @@ impl CnnEncoder {
         &self.config
     }
 
-    /// Output embedding dimension.
-    pub fn embedding_dim(&self) -> usize {
-        self.config.embedding_dim
-    }
-
     /// Resamples a complex chunk onto the fixed `2 × grid × grid` encoder
-    /// input: the chunk is treated as a flat sequence, split into re/im
-    /// planes and averaged into grid cells (a cheap, shape-agnostic
-    /// downsampling that preserves coarse magnitude structure).
-    fn prepare_input(&self, chunk: &[Complex64]) -> Tensor {
-        let g = self.config.input_grid;
-        let mut t = Tensor::zeros(2, g, g);
-        self.prepare_input_into(chunk, &mut t);
-        t
-    }
-
-    /// [`Self::prepare_input`] into a caller-provided (scratch) tensor.
+    /// input, in a caller-provided (scratch) tensor: the chunk is treated as
+    /// a flat sequence, split into re/im planes and averaged into grid cells
+    /// (a cheap, shape-agnostic downsampling that preserves coarse magnitude
+    /// structure).
     fn prepare_input_into(&self, chunk: &[Complex64], t: &mut Tensor) {
         let g = self.config.input_grid;
         t.reshape(2, g, g);
@@ -524,25 +400,17 @@ impl CnnEncoder {
         }
     }
 
-    fn forward_trace(&self, chunk: &[Complex64]) -> ForwardTrace {
-        let input = self.prepare_input(chunk);
-        let conv1_out = self.conv1.forward(&input);
-        let relu1 = relu(&conv1_out);
-        let pool1 = avg_pool2(&relu1);
-        let conv2_out = self.conv2.forward(&pool1);
-        let relu2 = relu(&conv2_out);
-        let flat = relu2.data.clone();
-        let embedding = self.fc.forward(&flat);
-        ForwardTrace {
-            input,
-            conv1_out,
-            relu1,
-            pool1,
-            conv2_out,
-            relu2,
-            flat,
-            embedding,
-        }
+    /// The allocating reference forward pass the inference path
+    /// ([`Self::encode_with`]) is held bit-identical to: fresh tensors, the
+    /// per-element convolution and the per-output projection.
+    #[cfg(test)]
+    fn forward_reference(&self, chunk: &[Complex64]) -> Vec<f64> {
+        let g = self.config.input_grid;
+        let mut input = Tensor::zeros(2, g, g);
+        self.prepare_input_into(chunk, &mut input);
+        let pool1 = avg_pool2(&relu(&self.conv1.forward(&input)));
+        let relu2 = relu(&self.conv2.forward(&pool1));
+        self.fc.forward(&relu2.data)
     }
 
     /// Encodes a complex chunk into the embedding space.
@@ -551,26 +419,25 @@ impl CnnEncoder {
     /// only allocation is the returned embedding (the memoization key) —
     /// every intermediate activation reuses the calling thread's scratch.
     pub fn encode(&self, chunk: &[Complex64]) -> Vec<f64> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<EncoderScratch> =
-                std::cell::RefCell::new(EncoderScratch::default());
-        }
         SCRATCH.with(|s| self.encode_with(chunk, &mut s.borrow_mut()))
     }
 
     /// Encodes a batch of chunks through the same thread-local scratch as
     /// [`encode`](Self::encode): one scratch lease for the whole batch, no
     /// per-call buffer allocations once the thread's scratch is warm.
+    /// Per-chunk results are those of [`CnnEncoder::encode_with`].
     pub fn encode_batch(&self, chunks: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<EncoderScratch> =
-                std::cell::RefCell::new(EncoderScratch::default());
-        }
-        SCRATCH.with(|s| self.encode_batch_with(chunks, &mut s.borrow_mut()))
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            chunks
+                .iter()
+                .map(|chunk| self.encode_with(chunk, scratch))
+                .collect()
+        })
     }
 
     /// Encodes with an explicit scratch (for callers managing their own
-    /// per-worker scratch). Bit-identical to the allocating forward pass.
+    /// per-worker scratch). Bit-identical to the allocating reference pass.
     pub fn encode_with(&self, chunk: &[Complex64], scratch: &mut EncoderScratch) -> Vec<f64> {
         self.prepare_input_into(chunk, &mut scratch.input);
         self.conv1.forward_into(&scratch.input, &mut scratch.conv1);
@@ -580,137 +447,10 @@ impl CnnEncoder {
         relu_inplace(&mut scratch.conv2);
         self.fc.forward_inference(&scratch.conv2.data)
     }
-
-    /// Encodes a batch of chunks through one shared [`EncoderScratch`].
-    ///
-    /// Per-chunk results are bit-identical to calling
-    /// [`CnnEncoder::encode_with`] once per chunk — batching only amortises
-    /// the scratch reuse and lets a store implementation hold its encoder
-    /// lock once for the whole batch instead of once per chunk.
-    pub fn encode_batch_with(
-        &self,
-        chunks: &[&[Complex64]],
-        scratch: &mut EncoderScratch,
-    ) -> Vec<Vec<f64>> {
-        chunks
-            .iter()
-            .map(|chunk| self.encode_with(chunk, scratch))
-            .collect()
-    }
-
-    /// Re-derives every layer's inference-layout weights from the training
-    /// layout; every method that changes weights ends with it.
-    fn sync_inference_layout(&mut self) {
-        self.conv1.sync_inference_layout();
-        self.conv2.sync_inference_layout();
-        self.fc.sync_inference_layout();
-    }
-
-    /// One SGD step of the contrastive objective on a pair of chunks.
-    /// Returns the loss before the update.
-    pub fn train_pair(&mut self, a: &[Complex64], b: &[Complex64]) -> f64 {
-        let lr = self.config.learning_rate;
-        let ta = self.forward_trace(a);
-        let tb = self.forward_trace(b);
-
-        // Ground-truth label: L2 distance between the *prepared* inputs
-        // (normalised per element so the scale is comparable to embeddings).
-        let target: f64 = ta
-            .input
-            .data
-            .iter()
-            .zip(&tb.input.data)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt();
-
-        let diff: Vec<f64> = ta
-            .embedding
-            .iter()
-            .zip(&tb.embedding)
-            .map(|(x, y)| x - y)
-            .collect();
-        let dist = diff.iter().map(|d| d * d).sum::<f64>().sqrt().max(1e-12);
-        let loss = (dist - target).abs();
-        let sign = if dist >= target { 1.0 } else { -1.0 };
-
-        // dL/d(z_a) = sign * (z_a - z_b)/dist ; dL/d(z_b) = -that.
-        let grad_za: Vec<f64> = diff.iter().map(|d| sign * d / dist).collect();
-        let grad_zb: Vec<f64> = grad_za.iter().map(|g| -g).collect();
-
-        // Accumulate gradients from both branches (shared weights).
-        let mut gw_fc = vec![0.0; self.fc.weights.len()];
-        let mut gb_fc = vec![0.0; self.fc.bias.len()];
-        let mut gw_c1 = vec![0.0; self.conv1.weights.len()];
-        let mut gb_c1 = vec![0.0; self.conv1.bias.len()];
-        let mut gw_c2 = vec![0.0; self.conv2.weights.len()];
-        let mut gb_c2 = vec![0.0; self.conv2.bias.len()];
-
-        for (trace, grad_z) in [(&ta, &grad_za), (&tb, &grad_zb)] {
-            let grad_flat = self
-                .fc
-                .backward(&trace.flat, grad_z, &mut gw_fc, &mut gb_fc);
-            let mut grad_relu2 = Tensor {
-                c: trace.relu2.c,
-                h: trace.relu2.h,
-                w: trace.relu2.w,
-                data: grad_flat,
-            };
-            relu_backward(&trace.conv2_out, &mut grad_relu2);
-            let grad_pool1 = self
-                .conv2
-                .backward(&trace.pool1, &grad_relu2, &mut gw_c2, &mut gb_c2);
-            let mut grad_relu1 = avg_pool2_backward(&grad_pool1, &trace.relu1);
-            relu_backward(&trace.conv1_out, &mut grad_relu1);
-            let _ = self
-                .conv1
-                .backward(&trace.input, &grad_relu1, &mut gw_c1, &mut gb_c1);
-        }
-
-        // SGD update.
-        sgd(&mut self.fc.weights, &gw_fc, lr);
-        sgd(&mut self.fc.bias, &gb_fc, lr);
-        sgd(&mut self.conv1.weights, &gw_c1, lr);
-        sgd(&mut self.conv1.bias, &gb_c1, lr);
-        sgd(&mut self.conv2.weights, &gw_c2, lr);
-        sgd(&mut self.conv2.bias, &gb_c2, lr);
-        self.sync_inference_layout();
-        loss
-    }
-
-    /// Trains the encoder with contrastive pairs drawn from `samples`
-    /// (all-pairs round-robin) for `epochs` passes. Returns the mean loss of
-    /// the final epoch.
-    pub fn train_contrastive(&mut self, samples: &[Vec<Complex64>], epochs: usize) -> f64 {
-        if samples.len() < 2 {
-            return 0.0;
-        }
-        let mut final_loss = 0.0;
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for i in 0..samples.len() {
-                let j = (i + 1) % samples.len();
-                total += self.train_pair(&samples[i], &samples[j]);
-                count += 1;
-            }
-            final_loss = total / count as f64;
-        }
-        final_loss
-    }
-
-    /// Quantises all weights to INT8 and back (the paper applies INT8
-    /// quantisation to the CNN weights for cheap CPU inference); subsequent
-    /// encodes use the quantised weights.
-    pub fn quantise_weights(&mut self) {
-        self.conv1.weights = dequantise(&quantise_int8(&self.conv1.weights));
-        self.conv2.weights = dequantise(&quantise_int8(&self.conv2.weights));
-        self.fc.weights = dequantise(&quantise_int8(&self.fc.weights));
-        self.sync_inference_layout();
-        self.quantised = true;
-    }
 }
 
+/// The reference (allocating) ReLU.
+#[cfg(test)]
 fn relu(t: &Tensor) -> Tensor {
     Tensor {
         c: t.c,
@@ -721,31 +461,22 @@ fn relu(t: &Tensor) -> Tensor {
 }
 
 /// In-place ReLU for the scratch-based inference path (same arithmetic as
-/// [`relu`]; the backward pass keeps the pre-activation copy it needs, the
-/// inference path does not).
+/// the reference `relu`).
 fn relu_inplace(t: &mut Tensor) {
     for x in &mut t.data {
         *x = x.max(0.0);
     }
 }
 
-/// Zeroes gradient entries where the pre-activation was non-positive.
-fn relu_backward(pre: &Tensor, grad: &mut Tensor) {
-    for (g, &x) in grad.data.iter_mut().zip(&pre.data) {
-        if x <= 0.0 {
-            *g = 0.0;
-        }
-    }
-}
-
 /// 2×2 average pooling (floor semantics; inputs here are powers of two).
+#[cfg(test)]
 fn avg_pool2(t: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(t.c, t.h / 2, t.w / 2);
     avg_pool2_into(t, &mut out);
     out
 }
 
-/// [`avg_pool2`] into a caller-provided (scratch) tensor.
+/// 2×2 average pooling into a caller-provided (scratch) tensor.
 fn avg_pool2_into(t: &Tensor, out: &mut Tensor) {
     let h = t.h / 2;
     let w = t.w / 2;
@@ -763,29 +494,6 @@ fn avg_pool2_into(t: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// Backward of 2×2 average pooling: spread each gradient over its window.
-fn avg_pool2_backward(grad_pooled: &Tensor, pre_pool: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(pre_pool.c, pre_pool.h, pre_pool.w);
-    for c in 0..grad_pooled.c {
-        for y in 0..grad_pooled.h {
-            for x in 0..grad_pooled.w {
-                let g = grad_pooled.at(c, y, x) / 4.0;
-                *out.at_mut(c, 2 * y, 2 * x) += g;
-                *out.at_mut(c, 2 * y + 1, 2 * x) += g;
-                *out.at_mut(c, 2 * y, 2 * x + 1) += g;
-                *out.at_mut(c, 2 * y + 1, 2 * x + 1) += g;
-            }
-        }
-    }
-    out
-}
-
-fn sgd(weights: &mut [f64], grads: &[f64], lr: f64) {
-    for (w, g) in weights.iter_mut().zip(grads) {
-        *w -= lr * g;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,7 +505,6 @@ mod tests {
             conv1_filters: 4,
             conv2_filters: 6,
             embedding_dim: 12,
-            learning_rate: 1e-3,
         }
     }
 
@@ -834,14 +541,15 @@ mod tests {
     }
 
     /// The inference path (`encode_with`) against the retained reference
-    /// (`forward_trace`), bit for bit, over random chunks of several lengths.
+    /// (`forward_reference`), bit for bit, over random chunks of several
+    /// lengths.
     fn assert_inference_matches_trace(enc: &CnnEncoder, rng: &mut impl Rng, what: &str) {
         let mut scratch = EncoderScratch::default();
         for n in [576, 64, 8192, 1, 300] {
             let chunk = random_chunk(rng, n);
             assert_eq!(
                 bits(&enc.encode_with(&chunk, &mut scratch)),
-                bits(&enc.forward_trace(&chunk).embedding),
+                bits(&enc.forward_reference(&chunk)),
                 "{what}, n={n}"
             );
         }
@@ -850,15 +558,15 @@ mod tests {
     #[test]
     fn scratch_encode_is_bit_identical_to_trace_path() {
         // The scratch-based inference path must reproduce the allocating
-        // forward trace bit for bit — including across reuses of one scratch
+        // reference pass bit for bit — including across reuses of one scratch
         // with different chunk sizes (stale data must never leak through).
         let enc = CnnEncoder::new(tiny_config(), 7);
         let mut scratch = EncoderScratch::default();
         for (n, scale) in [(256, 1.0), (64, 2.5), (0, 0.0), (512, 0.3)] {
             let chunk = chunk_from_pattern(n, scale, 0.1);
             let via_scratch = enc.encode_with(&chunk, &mut scratch);
-            let via_trace = enc.forward_trace(&chunk).embedding;
-            assert_eq!(bits(&via_scratch), bits(&via_trace), "n={n}");
+            let via_reference = enc.forward_reference(&chunk);
+            assert_eq!(bits(&via_scratch), bits(&via_reference), "n={n}");
         }
     }
 
@@ -872,7 +580,6 @@ mod tests {
             conv1_filters: 4,
             conv2_filters: 8,
             embedding_dim: 32,
-            learning_rate: 1e-3,
         };
         let mut rng = seeded(0xB17);
         for (what, config) in [
@@ -888,28 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn inference_layout_follows_training_and_quantisation() {
-        // The transposed copy must be rebuilt whenever the weights change:
-        // a stale copy would keep producing the pre-training keys.
-        let mut rng = seeded(0x7EA);
-        let mut enc = CnnEncoder::new(tiny_config(), 11);
-        let probe = random_chunk(&mut rng, 256);
-        let before = enc.encode(&probe);
-        let samples: Vec<Vec<Complex64>> = (0..4).map(|_| random_chunk(&mut rng, 256)).collect();
-        enc.train_contrastive(&samples, 2);
-        assert_ne!(
-            bits(&before),
-            bits(&enc.encode(&probe)),
-            "training moved no key"
-        );
-        assert_inference_matches_trace(&enc, &mut rng, "after train_contrastive");
-        enc.train_pair(&samples[0], &samples[1]);
-        assert_inference_matches_trace(&enc, &mut rng, "after train_pair");
-        enc.quantise_weights();
-        assert_inference_matches_trace(&enc, &mut rng, "after quantise_weights");
-    }
-
-    #[test]
     fn encoders_sharing_a_thread_keep_their_own_weights() {
         // Several stores with different seeds encode on one thread through
         // one thread-local scratch: the scratch holds activations only, so
@@ -921,8 +606,8 @@ mod tests {
             let chunk = random_chunk(&mut rng, n);
             let (ka, kb) = (a.encode(&chunk), b.encode(&chunk));
             assert_ne!(bits(&ka), bits(&kb), "n={n}");
-            assert_eq!(bits(&ka), bits(&a.forward_trace(&chunk).embedding), "n={n}");
-            assert_eq!(bits(&kb), bits(&b.forward_trace(&chunk).embedding), "n={n}");
+            assert_eq!(bits(&ka), bits(&a.forward_reference(&chunk)), "n={n}");
+            assert_eq!(bits(&kb), bits(&b.forward_reference(&chunk)), "n={n}");
             assert_eq!(bits(&a.encode_batch(&[&chunk])[0]), bits(&ka), "n={n}");
         }
     }
@@ -972,60 +657,6 @@ mod tests {
         let zn = enc.encode(&near);
         let zf = enc.encode(&far);
         assert!(l2_distance(&zb, &zn) < l2_distance(&zb, &zf));
-    }
-
-    #[test]
-    fn contrastive_training_reduces_loss() {
-        let mut enc = CnnEncoder::new(tiny_config(), 3);
-        let samples: Vec<Vec<Complex64>> = (0..6)
-            .map(|i| chunk_from_pattern(256, 1.0 + 0.3 * i as f64, 0.2 * i as f64))
-            .collect();
-        // Measure initial mean loss without updating by using a clone.
-        let mut probe = enc.clone();
-        let initial = probe.train_contrastive(&samples, 1);
-        let final_loss = enc.train_contrastive(&samples, 30);
-        assert!(
-            final_loss < initial,
-            "training should reduce loss: initial {initial}, final {final_loss}"
-        );
-    }
-
-    #[test]
-    fn training_pair_returns_nonnegative_loss() {
-        let mut enc = CnnEncoder::new(tiny_config(), 4);
-        let a = chunk_from_pattern(128, 1.0, 0.0);
-        let b = chunk_from_pattern(128, 2.0, 0.4);
-        let loss = enc.train_pair(&a, &b);
-        assert!(loss >= 0.0);
-    }
-
-    #[test]
-    fn quantisation_roundtrip_and_small_error() {
-        let weights: Vec<f64> = (0..100).map(|i| (i as f64 - 50.0) / 37.0).collect();
-        let q = quantise_int8(&weights);
-        assert_eq!(q.weights.len(), 100);
-        let back = dequantise(&q);
-        let max_err = weights
-            .iter()
-            .zip(&back)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        // Error bounded by half a quantisation step.
-        assert!(max_err <= q.scale * 0.5 + 1e-12);
-    }
-
-    #[test]
-    fn quantised_encoder_stays_close_to_float() {
-        let config = tiny_config();
-        let float_enc = CnnEncoder::new(config, 5);
-        let mut q_enc = float_enc.clone();
-        q_enc.quantise_weights();
-        assert!(q_enc.quantised);
-        let chunk = chunk_from_pattern(512, 1.3, 0.7);
-        let zf = float_enc.encode(&chunk);
-        let zq = q_enc.encode(&chunk);
-        let rel = l2_distance(&zf, &zq) / zf.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
-        assert!(rel < 0.1, "quantisation error {rel}");
     }
 
     #[test]

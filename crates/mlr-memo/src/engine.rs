@@ -7,18 +7,24 @@
 //! 0. decide from the operation kind and the chunk length alone whether a
 //!    hit could pay for the memo path ([`memoization_pays`]); a chunk below
 //!    break-even is computed exactly and touches nothing that follows;
-//! 1. encode the input chunk into a key (CNN encoder, on the CPU);
-//! 2. check the compute-node memoization cache (private per chunk location);
-//! 3. on a cache miss, query the memoization database on the (simulated)
-//!    memory node — key coalescing batches these queries;
-//! 4. on a database hit whose similarity clears `τ`, reuse the stored value;
-//! 5. otherwise compute the FFT exactly and insert the result asynchronously.
+//! 1. take the chunk's O(n) fingerprint and ask the scope's doorkeeper
+//!    history for a τ-band neighbor: without one no stored entry can pass
+//!    the τ gate (it runs on raw inputs, and the band bounds *raw*
+//!    similarity), so the chunk is computed exactly and only its
+//!    fingerprint is noted — a repeating chunk is admitted on its second
+//!    sighting;
+//! 2. encode the input chunk into a key (CNN encoder, on the CPU);
+//! 3. check the compute-node memoization cache (private per chunk location);
+//! 4. on a cache miss, probe the memoization database (the paper's memory
+//!    node; what shipping the key there costs is priced offline by
+//!    `mlr_cluster::replay_trace`, at the coalesced 4 KiB query size);
+//! 5. on a database hit whose similarity clears `τ`, reuse the stored value;
+//! 6. otherwise compute the FFT exactly and insert the result asynchronously.
 //!
 //! Uniform-FFT operations (`F_2D`, `F*_2D`) are never memoized — after the
 //! operation cancellation of Algorithm 2 they do not appear at all.
 
 use crate::cache::{CacheKind, MemoCache};
-use crate::coalesce::{KeyCoalescer, PendingKey};
 use crate::db::MemoDbConfig;
 use crate::encoder::EncoderConfig;
 use crate::eviction::{
@@ -28,7 +34,7 @@ use crate::fingerprint::ChunkFingerprint;
 use crate::parallel::{ConcurrencyGovernor, ParallelStats};
 use crate::sharded::ShardedMemoDb;
 use crate::similarity::SimilarityTracker;
-use crate::stats::{MemoCase, MemoStats, OpStatsTable};
+use crate::stats::{MemoCase, MemoStats};
 use crate::store::{JobId, MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::Complex64;
@@ -38,8 +44,12 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Starts a stage clock only when telemetry is enabled, so disabled mode
-/// performs zero `Instant::now()` calls per chunk.
+/// Starts a stage clock only when telemetry is enabled. Stage clocks are
+/// the telemetry-gated half of the engine's timing; the compute-time
+/// statistics (`OpStats::compute_seconds`, `ParallelStats::chunk_seconds`)
+/// are not gated: `probe_block` reads the clock two to three times per
+/// memoized chunk (pass A, pass C and the exact compute on a miss) whether
+/// or not telemetry is on.
 #[inline]
 fn stage_clock(enabled: bool) -> Option<Instant> {
     if enabled {
@@ -82,11 +92,8 @@ pub struct MemoConfig {
     pub use_cache: bool,
     /// Cache organisation (private per location vs. global).
     pub cache_kind: CacheKind,
-    /// Coalesce query keys into ≥4 KB payloads.
-    pub coalesce_keys: bool,
-    /// Payload size at which coalesced batches are flushed.
-    pub coalesce_payload_bytes: usize,
-    /// Track per-location chunk similarity across iterations (Figure 4).
+    /// Track per-location similarity of the `F_u2D` input chunks across
+    /// iterations (Figure 4).
     pub track_similarity: bool,
     /// Number of initial ADMM iterations during which memoization is not
     /// consulted: early iterates change too quickly for reuse to be safe, and
@@ -100,12 +107,6 @@ pub struct MemoConfig {
     pub budget: CapacityBudget,
     /// Which eviction policy enforces the budget.
     pub eviction: EvictionPolicyKind,
-    /// Norm prefilter in front of the CNN encoder: chunks whose O(n)
-    /// fingerprint has no τ-band neighbor in the scope's recent history skip
-    /// encode, cache peek and database probe entirely and go straight to the
-    /// exact FFT. Sound because the store gates hits on raw inputs: the
-    /// fingerprint band bounds *raw* similarity.
-    pub prefilter: bool,
 }
 
 impl Default for MemoConfig {
@@ -115,30 +116,41 @@ impl Default for MemoConfig {
             enabled: true,
             use_cache: true,
             cache_kind: CacheKind::Private,
-            coalesce_keys: true,
-            coalesce_payload_bytes: 4096,
             track_similarity: false,
             warmup_iterations: 2,
             budget: CapacityBudget::unbounded(),
             eviction: EvictionPolicyKind::CostAware,
-            prefilter: true,
         }
     }
 }
 
-/// Per-executor mutable state behind one lock: the key coalescer,
-/// statistics and similarity tracker are private to one job and only
-/// touched during the *ordered commit* phase, so a single mutex suffices
+impl MemoConfig {
+    /// The store configuration of a job configured like this: every field
+    /// the two share (`tau`, `budget`, `eviction`), defaults for the rest.
+    /// The one conversion — private stores, pipeline-built shared stores
+    /// and the runtime's store all go through it.
+    pub fn db_config(&self) -> MemoDbConfig {
+        MemoDbConfig {
+            tau: self.tau,
+            budget: self.budget,
+            eviction: self.eviction,
+            ..Default::default()
+        }
+    }
+}
+
+/// Per-executor mutable state behind one lock: the statistics and the
+/// similarity tracker are private to one job and only touched during the
+/// *ordered commit* phase, so a single mutex suffices
 /// without ever serializing chunk compute. The compute-node cache lives
 /// outside this lock, behind a read-write lock, because the parallel phase
 /// peeks it concurrently. The memoization database itself lives behind the
 /// [`MemoStore`] seam, so several executors can share one store
 /// concurrently.
 struct EngineState {
-    coalescer: KeyCoalescer,
     /// Fixed-arity `Copy` counter table: `stats()` snapshots it with one
-    /// memcpy under the lock and converts to the reporting shape outside.
-    stats: OpStatsTable,
+    /// memcpy under the lock.
+    stats: MemoStats,
     similarity: SimilarityTracker,
     iteration: usize,
     parallel: ParallelStats,
@@ -182,11 +194,13 @@ struct ChunkScratch {
     key: Vec<f64>,
     case: ProbeCase,
     /// The chunk's fingerprint, noted into the scope's doorkeeper history
-    /// at ordered commit (`Some` whenever the prefilter is active and the
-    /// chunk is above break-even).
+    /// at ordered commit (`Some` whenever the chunk is above break-even).
     fingerprint: Option<ChunkFingerprint>,
     cache_checked: bool,
     cache_comparisons: u64,
+    /// Fingerprint, cache peek, probe and exact compute of this chunk. The
+    /// block's batched key encode is not attributed to chunks: its clock is
+    /// a telemetry stage clock.
     seconds: f64,
     /// Stage timings (ns), all zero when telemetry is disabled.
     encode_ns: u64,
@@ -248,13 +262,7 @@ impl MemoizedExecutor {
     /// Creates an executor with the given configuration and encoder, backed
     /// by a private store: a one-shard [`ShardedMemoDb`].
     pub fn new(config: MemoConfig, encoder_config: EncoderConfig, seed: u64) -> Self {
-        let db_config = MemoDbConfig {
-            tau: config.tau,
-            budget: config.budget,
-            eviction: config.eviction,
-            ..Default::default()
-        };
-        let store = ShardedMemoDb::with_shards(db_config, encoder_config, seed, 1);
+        let store = ShardedMemoDb::with_shards(config.db_config(), encoder_config, seed, 1);
         Self::with_store(config, Arc::new(store), 0)
     }
 
@@ -270,8 +278,7 @@ impl MemoizedExecutor {
             store,
             cache: RwLock::new(MemoCache::new(config.cache_kind, cache_capacity)),
             state: Mutex::new(EngineState {
-                coalescer: KeyCoalescer::new(config.coalesce_payload_bytes, config.coalesce_keys),
-                stats: OpStatsTable::new(),
+                stats: MemoStats::new(),
                 similarity: SimilarityTracker::new(config.tau),
                 iteration: 0,
                 parallel: ParallelStats::default(),
@@ -341,53 +348,21 @@ impl MemoizedExecutor {
     }
 
     /// Marks the start of a new ADMM (outer) iteration; used by the
-    /// similarity tracker and by reports. Flushes (and accounts) any keys
-    /// still buffered in the coalescer from the previous iteration — a
-    /// trailing partial batch must not carry its bytes unaccounted across
-    /// the iteration boundary. Also advances the store's epoch (the
-    /// job-iteration clock TTL eviction ages by): each tenant ticks the
+    /// similarity tracker and by reports. Also advances the store's epoch
+    /// (the job-iteration clock TTL eviction ages by): each tenant ticks the
     /// shared store once per outer iteration.
     pub fn begin_iteration(&self, iteration: usize) {
-        let mut state = self.state.lock();
-        Self::flush_coalescer(&mut state);
-        state.iteration = iteration;
-        drop(state);
+        self.state.lock().iteration = iteration;
         self.store.advance_epoch();
         self.telemetry.count(CounterId::IterationsStarted, 1);
         self.telemetry
             .span(self.job, SpanKind::Iteration, iteration as u64);
     }
 
-    /// Marks the end of the job: flushes and accounts the coalescer's final
-    /// trailing batch, so the per-op remote-byte counters cover every key
-    /// that was ever submitted.
-    pub fn finish(&self) {
-        Self::flush_coalescer(&mut self.state.lock());
-    }
-
-    /// Drains the coalescer and charges the flushed keys' wire bytes to
-    /// their operations (the accounting `submit` defers for buffered keys).
-    fn flush_coalescer(state: &mut EngineState) {
-        let flushed = state.coalescer.flush();
-        Self::account_flush(&mut state.stats, &flushed);
-    }
-
-    /// Charges a flushed coalescer batch's wire bytes to each key's *own*
-    /// operation — a batch crossing the payload target can carry keys
-    /// buffered by earlier stages of the iteration, which must not be
-    /// misattributed to the stage that happened to trigger the flush.
-    fn account_flush(stats: &mut OpStatsTable, flushed: &[PendingKey]) {
-        for pending in flushed {
-            stats.add_remote_bytes(pending.op, pending.wire_bytes());
-        }
-    }
-
-    /// Snapshot of the accumulated statistics. The state lock is held only
-    /// for a plain copy of the fixed counter table; the conversion to the
-    /// map-backed reporting shape happens outside it.
+    /// Snapshot of the accumulated statistics: a plain copy of the fixed
+    /// counter table, taken under the state lock.
     pub fn stats(&self) -> MemoStats {
-        let table = self.state.lock().stats;
-        table.to_stats()
+        self.state.lock().stats
     }
 
     /// Snapshot of the intra-job parallel-scheduling statistics.
@@ -400,11 +375,6 @@ impl MemoizedExecutor {
         self.cache.read().stats()
     }
 
-    /// Snapshot of the key-coalescing statistics.
-    pub fn coalesce_stats(&self) -> crate::coalesce::CoalesceStats {
-        self.state.lock().coalescer.stats()
-    }
-
     /// Number of entries in the memoization database.
     pub fn db_len(&self) -> usize {
         self.store.len()
@@ -415,8 +385,8 @@ impl MemoizedExecutor {
         self.store.value_bytes()
     }
 
-    /// Chunk-similarity series for a location (only populated when
-    /// `track_similarity` is on).
+    /// Chunk-similarity series for a location of the `F_u2D` chunk grid
+    /// (only populated when `track_similarity` is on).
     pub fn similarity_series(&self, location: usize) -> Vec<(usize, usize)> {
         self.state.lock().similarity.series(location)
     }
@@ -424,12 +394,6 @@ impl MemoizedExecutor {
     /// Fraction of iterations in which a similar prior chunk existed.
     pub fn similarity_fraction(&self) -> f64 {
         self.state.lock().similarity.fraction_with_similar()
-    }
-
-    /// Trains the store's CNN encoder on the provided sample chunks using
-    /// the contrastive objective.
-    pub fn train_encoder(&self, samples: &[Vec<Complex64>], epochs: usize) -> f64 {
-        self.store.train_encoder(samples, epochs)
     }
 
     /// Only the unequally-spaced operations are memoized — the paper's
@@ -442,9 +406,8 @@ impl MemoizedExecutor {
     /// Runs `f` over `0..n` across the configured chunk threads (leasing
     /// extras from the governor, best-effort) and returns the results in
     /// index order plus the `(requested, used)` thread counts. Each worker
-    /// gets one contiguous index block — the same deterministic partition
-    /// the modeled schedule assumes — so per-block work (batched key
-    /// encoding, one encoder lease per block) is amortized; since `f` is
+    /// gets one contiguous index block, so per-block work (batched key
+    /// encoding through one encoder scratch) is amortized; since `f` is
     /// pure with respect to the commit-ordered state, the concatenated
     /// output is identical for every thread count.
     fn map_chunk_blocks<T: Send>(
@@ -495,35 +458,6 @@ impl MemoizedExecutor {
             blocks.into_iter().flatten().collect()
         };
         (out, requested, used)
-    }
-
-    /// Folds one dispatch into the parallel statistics: thread accounting,
-    /// measured times, and the deterministic modeled schedule (analytic
-    /// per-chunk recompute cost over contiguous blocks at the *requested*
-    /// thread count — the governor's grant varies with machine load, the
-    /// model must not).
-    fn note_batch(
-        state: &mut EngineState,
-        costs: &[f64],
-        (requested, used): (usize, usize),
-        chunk_seconds: f64,
-        phase_seconds: f64,
-    ) {
-        let p = &mut state.parallel;
-        p.batches += 1;
-        p.chunks += costs.len() as u64;
-        p.threads_requested += requested as u64;
-        p.threads_granted += used as u64;
-        p.chunk_seconds += chunk_seconds;
-        p.phase_seconds += phase_seconds;
-        p.modeled_serial_cost += costs.iter().sum::<f64>();
-        let workers = requested.min(costs.len()).max(1);
-        let block = costs.len().div_ceil(workers);
-        let critical = costs
-            .chunks(block)
-            .map(|b| b.iter().sum::<f64>())
-            .fold(0.0f64, f64::max);
-        p.modeled_critical_cost += critical;
     }
 
     /// Freezes what a dispatch of `kind` needs before its parallel phase.
@@ -613,38 +547,33 @@ impl MemoizedExecutor {
             let t = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
             let (fp, bypass) = if !memoization_pays(kind, input.len()) {
                 (None, Some(MemoCase::Computed))
-            } else if self.config.prefilter {
+            } else {
                 let fp = ChunkFingerprint::compute(input);
                 let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
                 (Some(fp), (!admitted).then_some(MemoCase::Prefiltered))
-            } else {
-                (None, None)
             };
             pre.push((fp, bypass, t.elapsed().as_secs_f64()));
         }
-        // Pass B: one batched encode for the block's admitted chunks —
-        // one encoder lease and one encoder scratch for the whole block
-        // instead of one per chunk.
+        // Pass B: one batched encode for the block's admitted chunks — one
+        // encoder scratch for the whole block instead of one per chunk.
         let admitted_inputs: Vec<&[Complex64]> = range
             .clone()
             .zip(&pre)
             .filter(|(_, (_, bypass, _))| bypass.is_none())
             .map(|(i, _)| task(i).1)
             .collect();
-        let encode_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: encode timing feeds telemetry
+        let encode_clock = stage_clock(tel_on);
         let mut keys = if admitted_inputs.is_empty() {
             Vec::new()
         } else {
             self.store.encode_batch(&admitted_inputs)
         }
         .into_iter();
-        let encode_seconds = encode_start.elapsed().as_secs_f64();
+        let encode_total_ns = stage_ns(encode_clock);
         let n_admitted = admitted_inputs.len().max(1) as u64;
         // Per-chunk attribution of the block encode: even shares, the
         // integer remainder going to the first admitted chunk so the
         // stage-sum invariant loses nothing to rounding.
-        let encode_share = encode_seconds / n_admitted as f64;
-        let encode_total_ns = (encode_seconds * 1e9) as u64;
         let encode_share_ns = encode_total_ns / n_admitted;
         let mut encode_rem_ns = encode_total_ns % n_admitted;
         // Pass C: cache peek, database probe, and exact compute on miss.
@@ -655,11 +584,7 @@ impl MemoizedExecutor {
             }
             let (loc, input, compute) = task(i);
             let key = keys.next().expect("one key per admitted chunk"); // mlr-check: allow(unwrap-expect) — invariant: encode_batch returns one key per admitted chunk
-            let encode_ns = if tel_on {
-                encode_share_ns + std::mem::take(&mut encode_rem_ns)
-            } else {
-                0
-            };
+            let encode_ns = encode_share_ns + std::mem::take(&mut encode_rem_ns);
             let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
             let mut cache_comparisons = 0;
             let mut peek_ns = 0;
@@ -715,7 +640,7 @@ impl MemoizedExecutor {
                 fingerprint: fp,
                 cache_checked: self.config.use_cache,
                 cache_comparisons,
-                seconds: pre_seconds + encode_share + start.elapsed().as_secs_f64(),
+                seconds: pre_seconds + start.elapsed().as_secs_f64(),
                 encode_ns,
                 peek_ns,
                 probe_ns,
@@ -728,8 +653,8 @@ impl MemoizedExecutor {
 
     /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
     /// effect of the `scratch` a dispatch's phase 1 produced — statistics,
-    /// similarity tracking, key coalescing, cache updates, store hit/miss
-    /// bookkeeping (logical ticks!) and inserts with their eviction
+    /// similarity tracking, cache updates, store hit/miss bookkeeping
+    /// (logical ticks!) and inserts with their eviction
     /// enforcement — and hand each chunk's result to `emit`. Commit order
     /// never depends on the thread schedule, so the reconstruction (and the
     /// eviction trace) is bit-identical for every `intra_job_threads`.
@@ -757,16 +682,16 @@ impl MemoizedExecutor {
         let mut chunk_seconds = 0.0;
         // Telemetry scratch lives on this stack frame (`Copy` tables, zero
         // allocation) and folds into the shared registry once per batch —
-        // the same discipline as `OpStatsTable`, preserving the fig22
+        // the same discipline as `MemoStats`, preserving the fig22
         // allocation gate with telemetry enabled.
         let mut stage_scratch = StageTable::new();
         let mut counter_scratch = CounterTable::new();
-        let mut costs = Vec::with_capacity(n);
         for (i, chunk) in scratch.into_iter().enumerate() {
             let (loc, input, _) = task(i);
-            costs.push(recompute_cost_estimate(kind, input.len()));
             chunk_seconds += chunk.seconds;
-            if d.memoize && self.config.track_similarity {
+            // One operation only: a location index means a different chunk
+            // (and length) in each operation's grid.
+            if d.memoize && self.config.track_similarity && kind == FftOpKind::Fu2D {
                 state.similarity.record(loc, iteration, input);
             }
             // Doorkeeper bookkeeping happens in chunk-index order, like
@@ -824,20 +749,9 @@ impl MemoizedExecutor {
                     entry,
                     entry_origin,
                 } => {
-                    // Key coalescing: the query key travels to the memory
-                    // node as part of a batch (borrowed — the coalescer
-                    // never clones it). The batch boundary only affects
-                    // *when* bytes cross the wire (accounted in the stats),
-                    // not the query result.
-                    if let Some(flushed) = state.coalescer.submit(kind, loc, &chunk.key) {
-                        Self::account_flush(&mut state.stats, &flushed);
-                    }
                     self.store
                         .commit_hit(kind, loc, entry, entry_origin, origin);
                     state.stats.record(kind, MemoCase::DbHit);
-                    state
-                        .stats
-                        .add_remote_bytes(kind, (value.len() * 16) as u64);
                     let copy_clock = stage_clock(tel_on);
                     emit(i, &value);
                     if tel_on {
@@ -857,18 +771,12 @@ impl MemoizedExecutor {
                     compute_seconds,
                     expired,
                 } => {
-                    if let Some(flushed) = state.coalescer.submit(kind, loc, &chunk.key) {
-                        Self::account_flush(&mut state.stats, &flushed);
-                    }
                     if let Some(entry) = expired {
                         self.store.reclaim_expired(kind, loc, entry);
                     }
                     self.store.commit_miss(kind, loc);
                     state.stats.record(kind, MemoCase::FailedMemo);
                     state.stats.add_compute_time(kind, compute_seconds);
-                    state
-                        .stats
-                        .add_remote_bytes(kind, (output.len() * 16) as u64);
                     emit(i, &output);
                     if tel_on {
                         stage_scratch.record(StageId::MissFft, (compute_seconds * 1e9) as u64);
@@ -879,17 +787,18 @@ impl MemoizedExecutor {
                     // per-op ratios but would make eviction irreproducible).
                     // The computed Vec moves into the store (one conversion
                     // into the shared payload buffer, no extra clone).
+                    let cost = recompute_cost_estimate(kind, input.len());
                     self.store
-                        .insert(kind, loc, input, chunk.key, output, origin, costs[i]);
+                        .insert(kind, loc, input, chunk.key, output, origin, cost);
                 }
                 ProbeCase::Bypassed {
                     output,
                     compute_seconds,
                     case,
                 } => {
-                    // No key traveled and no query was issued: nothing to
-                    // coalesce, no store bookkeeping, no insert (there is no
-                    // key to insert under — a prefiltered chunk's
+                    // No key was encoded and no query was issued: no store
+                    // bookkeeping, no insert (there is no key to insert
+                    // under — a prefiltered chunk's
                     // fingerprint was noted above, so its next sighting
                     // takes the full path and inserts).
                     state.stats.record(kind, case);
@@ -911,7 +820,13 @@ impl MemoizedExecutor {
                 }
             }
         }
-        Self::note_batch(&mut state, &costs, threads, chunk_seconds, phase_seconds);
+        let p = &mut state.parallel;
+        p.batches += 1;
+        p.chunks += n as u64;
+        p.threads_requested += threads.0 as u64;
+        p.threads_granted += threads.1 as u64;
+        p.chunk_seconds += chunk_seconds;
+        p.phase_seconds += phase_seconds;
         if tel_on {
             drop(state);
             counter_scratch.add(CounterId::OperatorBatches, 1);
@@ -926,10 +841,6 @@ impl MemoizedExecutor {
 impl FftExecutor for MemoizedExecutor {
     fn begin_iteration(&self, iteration: usize) {
         MemoizedExecutor::begin_iteration(self, iteration);
-    }
-
-    fn finish(&self) {
-        MemoizedExecutor::finish(self);
     }
 
     /// The batch path applied to one chunk. `compute` is not `Sync`, so both
@@ -984,6 +895,7 @@ impl FftExecutor for MemoizedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::tiny_encoder_config as tiny_encoder;
     use mlr_lamino::DirectExecutor;
     use mlr_math::rng::seeded;
     use rand::Rng;
@@ -994,16 +906,6 @@ mod tests {
         MemoConfig {
             warmup_iterations: 0,
             ..Default::default()
-        }
-    }
-
-    fn tiny_encoder() -> EncoderConfig {
-        EncoderConfig {
-            input_grid: 8,
-            conv1_filters: 2,
-            conv2_filters: 4,
-            embedding_dim: 8,
-            learning_rate: 1e-3,
         }
     }
 
@@ -1143,25 +1045,21 @@ mod tests {
         assert_eq!(stats.db_hits + stats.cache_hits, 0);
         assert_eq!(exec.db_len(), 0);
 
-        // The same workload with the prefilter disabled pays the encoder
-        // and the probe for every guaranteed miss.
-        let unfiltered = MemoizedExecutor::new(
-            MemoConfig {
-                prefilter: false,
-                ..test_config()
-            },
-            tiny_encoder(),
-            5,
-        );
+        // The same five chunks again, in the same iteration: their noted
+        // fingerprints admit them, so each pays the encoder and the probe,
+        // misses (nothing was inserted on the first sighting) and is still
+        // computed exactly.
         for i in 0..5 {
             let input = chunk(100 + i, 96);
-            let memo_out = unfiltered.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
+            let memo_out = exec.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
             let direct_out = direct.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
             assert_eq!(memo_out, direct_out);
         }
-        let stats = unfiltered.stats().op(FftOpKind::Fu2D);
+        let stats = exec.stats().op(FftOpKind::Fu2D);
+        assert_eq!(stats.prefiltered, 5);
         assert_eq!(stats.failed_memo, 5);
         assert_eq!(stats.keys_encoded, 5);
+        assert_eq!(exec.db_len(), 5);
     }
 
     #[test]
@@ -1213,6 +1111,9 @@ mod tests {
                 .map(|z| z.scale(1.0 + 0.001 * it as f64))
                 .collect();
             let _ = exec.execute(FftOpKind::Fu2D, 2, &scaled, &fake_fft);
+            // Another operation's chunk at the same location index (and of
+            // another length) is a different chunk: not part of the series.
+            let _ = exec.execute(FftOpKind::Fu2DAdj, 2, &chunk(8, 128), &fake_fft);
         }
         let series = exec.similarity_series(2);
         assert_eq!(series.len(), 4);
@@ -1253,37 +1154,37 @@ mod tests {
                 assert_eq!(a, b, "paths diverged at iteration {it}, loc {loc}");
             }
         }
-        sequential.finish();
-        batched.finish();
         let sa = sequential.stats().op(FftOpKind::Fu2D);
         let sb = batched.stats().op(FftOpKind::Fu2D);
         assert_eq!(
             (sa.failed_memo, sa.db_hits, sa.cache_hits, sa.keys_encoded),
             (sb.failed_memo, sb.db_hits, sb.cache_hits, sb.keys_encoded)
         );
-        assert_eq!(sa.remote_bytes, sb.remote_bytes);
+        assert_eq!(sa.prefiltered, sb.prefiltered);
         assert!(sa.db_hits + sa.cache_hits > 0, "trace never hit — vacuous");
     }
 
     #[test]
-    fn coalesce_stats_accumulate() {
-        let config = MemoConfig {
-            coalesce_keys: true,
-            coalesce_payload_bytes: 64,
-            // Unique chunks at unique locations would all be prefiltered
-            // away (no keys would ever reach the coalescer); this test is
-            // about the coalescer, so the prefilter stays off.
-            prefilter: false,
-            ..test_config()
-        };
-        let exec = MemoizedExecutor::new(config, tiny_encoder(), 8);
+    fn repeating_chunks_reach_the_store_on_their_second_sighting() {
+        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 8);
+        // Six unique chunks at six locations (128 elements: above the
+        // `F_u2D` break-even). First sighting: the doorkeeper sends every
+        // one to the exact FFT — no key, no cache lookup, nothing stored.
         for i in 0..6 {
-            // 128 elements: above the `F_u2D` break-even, so keys travel.
             let _ = exec.execute(FftOpKind::Fu2D, i, &chunk(200 + i as u64, 128), &fake_fft);
         }
-        let cs = exec.coalesce_stats();
-        assert_eq!(cs.keys, 6);
-        assert!(cs.messages >= 1);
+        let first = exec.stats().op(FftOpKind::Fu2D);
+        assert_eq!((first.prefiltered, first.keys_encoded), (6, 0));
+        assert_eq!(exec.db_value_bytes(), 0);
+        assert_eq!(exec.cache_stats().lookups, 0);
+        // Second sighting: each is encoded, looked up, missed and inserted.
+        for i in 0..6 {
+            let _ = exec.execute(FftOpKind::Fu2D, i, &chunk(200 + i as u64, 128), &fake_fft);
+        }
+        let second = exec.stats().op(FftOpKind::Fu2D);
+        assert_eq!((second.prefiltered, second.keys_encoded), (6, 6));
+        assert_eq!(second.failed_memo, 6);
+        assert_eq!(exec.db_len(), 6);
         assert!(exec.db_value_bytes() > 0);
         assert!(exec.cache_stats().lookups >= 6);
     }

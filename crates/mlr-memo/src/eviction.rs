@@ -325,8 +325,7 @@ impl EvictionPolicy for CostAwarePolicy {
 }
 
 /// Configuration-level policy selector (`Copy`, serialisable) carried in
-/// [`MemoDbConfig`](crate::db::MemoDbConfig). Custom policies plug in
-/// through [`ShardedMemoDb::with_policy`](crate::ShardedMemoDb::with_policy).
+/// [`MemoDbConfig`](crate::db::MemoDbConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum EvictionPolicyKind {
     /// [`FifoPolicy`].

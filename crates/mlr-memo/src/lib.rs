@@ -9,10 +9,12 @@
 //! The crate mirrors the paper's architecture piece by piece:
 //!
 //! * [`encoder`] — the CNN key encoder (§4.3.1): complex chunks are split
-//!   into real/imaginary planes, passed through a small convolutional network
-//!   trained with a contrastive loss so that chunks with similar content land
-//!   close together in a ~60-dimensional embedding space; weights can be
-//!   quantised to INT8 for cheap CPU inference.
+//!   into real/imaginary planes and passed through a small convolutional
+//!   network into a ~60-dimensional embedding space. The weights are a
+//!   fixed seeded draw, immutable after construction: the key only picks the
+//!   nearest-neighbour candidate, the τ gate runs on the raw chunks. The
+//!   paper's contrastive training and INT8 weights are cost-model figures
+//!   here (`mlr_sim::CostModel::cnn_encode_time`), not live code.
 //! * [`fingerprint`] — the norm prefilter's O(n) chunk fingerprints and the
 //!   per-scope doorkeeper table: chunks with no fingerprint neighbor inside
 //!   the τ-derived band skip the CNN encoder (and the probe) entirely and go
@@ -26,17 +28,17 @@
 //!   the τ-thresholded probe/insert protocol.
 //! * [`cache`] — the compute-node memoization cache (§4.4): a one-entry FIFO
 //!   cache *private to each chunk location*, compared against a global cache.
-//! * [`coalesce`] — key coalescing (§4.3.3): queries are buffered until the
-//!   payload reaches the interconnect's saturating size (4 KB).
 //! * [`engine`] — the [`MemoizedExecutor`], an implementation of
 //!   `mlr_lamino::FftExecutor` that the ADMM solver can use in place of the
-//!   direct executor; it accounts simulated time against `mlr-sim`'s cost
-//!   model and records the per-case statistics behind Figures 10–12. A
-//!   chunk takes the memo path only when [`memoization_pays`] says a hit
-//!   can pay for it at the chunk's kind and length.
+//!   direct executor; it records the per-case statistics behind
+//!   Figures 10–12. A chunk takes the memo path only when
+//!   [`memoization_pays`] says a hit can pay for it at the chunk's kind and
+//!   length. Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced
+//!   query is the message size `mlr_cluster::replay_trace` prices, and
+//!   `fig11_key_coalesce` is a cost-model figure.
 //! * [`eviction`] — capacity governance: [`CapacityBudget`] caps (bytes /
-//!   entries, global and per stripe) enforced after every insert by a
-//!   pluggable [`EvictionPolicy`] (FIFO, LRU, TTL in job-iterations, and a
+//!   entries, global and per stripe) enforced after every insert by the
+//!   configured [`EvictionPolicy`] (FIFO, LRU, TTL in job-iterations, or a
 //!   cost-aware benefit-density policy). Eviction runs on logical clocks
 //!   (op ticks, epochs, stable entry ids) shared by every stripe, so it is
 //!   deterministic given the schedule and independent of the shard layout.
@@ -66,7 +68,6 @@
 
 pub mod ann;
 pub mod cache;
-pub mod coalesce;
 pub mod db;
 pub mod distributed;
 pub mod encoder;
@@ -83,7 +84,6 @@ mod testutil;
 
 pub use ann::IvfIndex;
 pub use cache::{CacheKind, MemoCache};
-pub use coalesce::KeyCoalescer;
 pub use db::MemoDbConfig;
 pub use distributed::{DistributedMemoDb, DistributedStats, FaultStats, NodeStats, NodeTopology};
 pub use encoder::{CnnEncoder, EncoderConfig, EncoderScratch};
@@ -97,5 +97,5 @@ pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
 pub use parallel::{ConcurrencyGovernor, CoreLease, ParallelStats};
 pub use sharded::{ShardedMemoDb, ACCESS_OP_UNKNOWN, DEFAULT_SHARDS};
 pub use similarity::SimilarityTracker;
-pub use stats::{MemoCase, MemoStats, OpStats, OpStatsTable};
+pub use stats::{MemoCase, MemoStats, OpStats};
 pub use store::{JobId, MemoStore, ProbeOutcome, Provenance, StoreStats};

@@ -127,11 +127,9 @@ impl Drop for CoreLease {
 /// Thread counts are summed over batch dispatches, so
 /// `threads_granted / threads_requested` is the fraction of the asked-for
 /// parallelism the governor actually granted (the per-job parallel
-/// efficiency the runtime reports). The modeled costs replay the
-/// deterministic contiguous-block schedule against the analytic
-/// `recompute_cost_estimate` model, so `modeled_speedup` is reproducible on
-/// any machine; the `chunk_seconds / phase_seconds` ratio is the speedup
-/// actually measured on this machine.
+/// efficiency the runtime reports); the `chunk_seconds / phase_seconds`
+/// ratio is the speedup measured on this machine. Both times are read
+/// whether or not telemetry is enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ParallelStats {
     /// Batch dispatches executed.
@@ -143,15 +141,12 @@ pub struct ParallelStats {
     /// Σ over batches of the thread count actually used after the governor's
     /// grant.
     pub threads_granted: u64,
-    /// Σ of per-chunk parallel-phase wall time (the serialized work).
+    /// Σ of per-chunk parallel-phase wall time (the serialized work):
+    /// fingerprint, cache peek, probe and exact compute of every chunk. The
+    /// block-batched key encode is timed by telemetry only and is not in it.
     pub chunk_seconds: f64,
     /// Wall time of the parallel phases themselves.
     pub phase_seconds: f64,
-    /// Analytic cost of all chunk work, run serially.
-    pub modeled_serial_cost: f64,
-    /// Analytic cost of the critical path under the deterministic
-    /// contiguous-block schedule at the *requested* thread count.
-    pub modeled_critical_cost: f64,
 }
 
 impl ParallelStats {
@@ -184,16 +179,6 @@ impl ParallelStats {
         }
     }
 
-    /// Deterministic modeled speedup of the chunk schedule (serial cost over
-    /// critical-path cost; `1.0` when nothing ran).
-    pub fn modeled_speedup(&self) -> f64 {
-        if self.modeled_critical_cost <= 0.0 {
-            1.0
-        } else {
-            self.modeled_serial_cost / self.modeled_critical_cost
-        }
-    }
-
     /// Merges another job's statistics into this aggregate.
     pub fn merge(&mut self, other: &ParallelStats) {
         self.batches += other.batches;
@@ -202,8 +187,6 @@ impl ParallelStats {
         self.threads_granted += other.threads_granted;
         self.chunk_seconds += other.chunk_seconds;
         self.phase_seconds += other.phase_seconds;
-        self.modeled_serial_cost += other.modeled_serial_cost;
-        self.modeled_critical_cost += other.modeled_critical_cost;
     }
 }
 
@@ -252,16 +235,13 @@ mod tests {
             threads_granted: 6,
             chunk_seconds: 4.0,
             phase_seconds: 2.0,
-            modeled_serial_cost: 100.0,
-            modeled_critical_cost: 25.0,
         };
         assert!((s.grant_ratio() - 0.75).abs() < 1e-12);
         assert!((s.mean_threads() - 3.0).abs() < 1e-12);
         assert!((s.achieved_speedup() - 2.0).abs() < 1e-12);
-        assert!((s.modeled_speedup() - 4.0).abs() < 1e-12);
         let mut t = ParallelStats::default();
         assert_eq!(t.grant_ratio(), 1.0);
-        assert_eq!(t.modeled_speedup(), 1.0);
+        assert_eq!(t.achieved_speedup(), 1.0);
         t.merge(&s);
         assert_eq!(t, s);
     }

@@ -10,15 +10,13 @@
 //! the `cross_job_hits` counter), which is where a shared database beats
 //! per-job isolation.
 //!
-//! Sharding is by index scope — `(operation, chunk location)` under the
-//! default per-location scoping, operation only under global scoping — so a
-//! scope never straddles shards and query semantics are *identical* for
-//! every shard count: the same inserts produce the same hit/miss
-//! sequence with one stripe or sixteen (the per-scope ANN seeds are
-//! derived from the scope, not from insertion order, for exactly this
-//! reason). Key encoding goes through one shared encoder behind a `RwLock`
-//! (reads only, after optional training), so every tenant speaks the same
-//! key space.
+//! Sharding is by index scope — the `(operation, chunk location)` pair the
+//! paper observes reuse at (Figure 4) — so a scope never straddles shards
+//! and query semantics are *identical* for every shard count: the same
+//! inserts produce the same hit/miss sequence with one stripe or sixteen
+//! (the per-scope ANN seeds are derived from the scope, not from insertion
+//! order, for exactly this reason). Key encoding goes through one shared,
+//! immutable encoder — no lock — so every tenant speaks the same key space.
 //!
 //! # Capacity governance
 //!
@@ -40,7 +38,7 @@ use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
 use mlr_telemetry::{AccessKind, AccessRecord, AccessTrace};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,9 +58,8 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// A concurrent memoization store sharded by chunk-location hash.
 pub struct ShardedMemoDb {
     config: MemoDbConfig,
-    /// The shared key encoder. Write-locked only by `train_encoder`; every
-    /// encode takes a read lock.
-    encoder: RwLock<CnnEncoder>,
+    /// The shared key encoder: fixed at construction, read by every encode.
+    encoder: CnnEncoder,
     shards: Vec<Mutex<MemoDatabase>>,
     /// Logical clock shared with every stripe (ticks, epochs, entry ids).
     clock: Arc<StoreClock>,
@@ -108,29 +105,9 @@ impl ShardedMemoDb {
         seed: u64,
         shards: usize,
     ) -> Self {
-        Self::with_policy(
-            config,
-            encoder_config,
-            seed,
-            shards,
-            config.eviction.build(),
-        )
-    }
-
-    /// Creates an empty store governed by a *custom* eviction policy (the
-    /// configuration's `eviction` kind is ignored for victim selection).
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    pub fn with_policy(
-        config: MemoDbConfig,
-        encoder_config: EncoderConfig,
-        seed: u64,
-        shards: usize,
-        policy: Arc<dyn EvictionPolicy>,
-    ) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let clock = StoreClock::new();
+        let policy = config.eviction.build();
         // Stripes share the clock and policy, so eviction is independent of
         // the shard count.
         let shard_dbs = (0..shards)
@@ -144,7 +121,7 @@ impl ShardedMemoDb {
             .collect();
         Self {
             config,
-            encoder: RwLock::new(CnnEncoder::new(encoder_config, seed)),
+            encoder: CnnEncoder::new(encoder_config, seed),
             shards: shard_dbs,
             clock,
             policy,
@@ -209,14 +186,7 @@ impl ShardedMemoDb {
 
     /// Index of the shard owning the index scope of `(op, loc)`.
     fn shard_index(&self, op: FftOpKind, loc: usize) -> usize {
-        // Under global scoping all locations of an operation share one index
-        // scope, which therefore must live in one shard.
-        let scope_loc = if self.config.per_location {
-            loc
-        } else {
-            usize::MAX
-        };
-        (scope_seed(op, scope_loc) % self.shards.len() as u64) as usize
+        (scope_seed(op, loc) % self.shards.len() as u64) as usize
     }
 
     /// Which shard owns the index scope of `(op, loc)`.
@@ -368,12 +338,12 @@ impl MemoStore for ShardedMemoDb {
     }
 
     fn encode(&self, input: &[Complex64]) -> Vec<f64> {
-        self.encoder.read().encode(input)
+        self.encoder.encode(input)
     }
 
     fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        // One reader lease and one thread-local scratch for the whole batch.
-        self.encoder.read().encode_batch(inputs)
+        // One thread-local scratch lease for the whole batch.
+        self.encoder.encode_batch(inputs)
     }
 
     fn has_fingerprint_neighbor(
@@ -541,34 +511,15 @@ impl MemoStore for ShardedMemoDb {
             pressure_hits: self.pressure_hits.load(Ordering::Relaxed),
         }
     }
-
-    fn comparisons_per_query(&self) -> f64 {
-        let per_shard: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().comparisons_per_query())
-            .filter(|&c| c > 0.0)
-            .collect();
-        if per_shard.is_empty() {
-            0.0
-        } else {
-            per_shard.iter().sum::<f64>() / per_shard.len() as f64
-        }
-    }
-
-    fn train_encoder(&self, samples: &[Vec<Complex64>], epochs: usize) -> f64 {
-        let mut encoder = self.encoder.write();
-        let loss = encoder.train_contrastive(samples, epochs);
-        encoder.quantise_weights();
-        loss
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eviction::EvictionPolicyKind;
-    use crate::testutil::{chunk, fill, insert, lookup, lookup_or_insert, store};
+    use crate::testutil::{
+        chunk, fill, insert, lookup, lookup_or_insert, store, tiny_encoder_config,
+    };
     use mlr_lamino::FftOpKind::{Fu1D, Fu2D, Fu2DAdj};
 
     fn config(budget: CapacityBudget, eviction: EvictionPolicyKind) -> MemoDbConfig {
@@ -669,27 +620,62 @@ mod tests {
     }
 
     #[test]
-    fn global_scope_stays_in_one_shard() {
-        let global = MemoDbConfig {
-            per_location: false,
-            ..sharded(1).config()
-        };
-        let db = store(global, 8);
+    fn every_location_scope_lives_in_the_stripe_it_hashes_to() {
+        // A scope is one `(operation, location)` pair and never straddles
+        // stripes: an entry is found at its own location through the stripe
+        // `stripe_of` names, and at no other location — including ones that
+        // hash to the same stripe.
+        let db = sharded(8);
         let input = chunk(1.0, 0.0, 256);
-        insert(
-            &db,
-            Fu2D,
-            0,
-            &input,
-            chunk(2.0, 1.0, 16),
-            Provenance::solo(0),
-        );
-        // A different location must still hit: the whole operation shares one
-        // index scope, which sharding must not split.
+        let mut per_stripe = vec![0usize; db.shard_count()];
+        for loc in 0..24 {
+            let out = chunk(2.0, 1.0, 16);
+            insert(&db, Fu2D, loc, &input, out, Provenance::solo(0));
+            per_stripe[db.stripe_of(Fu2D, loc)] += 1;
+        }
+        assert_eq!(db.shard_sizes(), per_stripe);
+        for loc in 0..24 {
+            assert!(lookup(&db, Fu2D, loc, &input, Provenance::solo(1)).is_some());
+        }
+        let sharing_a_stripe = (24..)
+            .find(|&loc| db.stripe_of(Fu2D, loc) == db.stripe_of(Fu2D, 0))
+            .expect("some location hashes to stripe of location 0");
         assert!(
-            lookup(&db, Fu2D, 77, &input, Provenance::solo(1)).is_some(),
-            "global scope broken by sharding"
+            lookup(&db, Fu2D, sharing_a_stripe, &input, Provenance::solo(1)).is_none(),
+            "a scope leaked to another location of its stripe"
         );
+    }
+
+    #[test]
+    fn concurrent_encodes_match_a_private_encoder_bit_for_bit() {
+        // The store's encoder is a plain, immutable field: a lock around it
+        // or interior mutability inside it fails these two lines to compile.
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<CnnEncoder>();
+        let db = sharded(4);
+        let _: &CnnEncoder = &db.encoder;
+
+        // Eight threads released together, each encoding its own chunks
+        // through the shared store, against one private encoder of the same
+        // configuration and seed run sequentially.
+        let bits = |key: Vec<f64>| -> Vec<u64> { key.iter().map(|x| x.to_bits()).collect() };
+        let chunks: Vec<Vec<Complex64>> = (0..8 * 4)
+            .map(|i| chunk(1.0 + 0.1 * i as f64, 0.3 * i as f64, 64 + 16 * i))
+            .collect();
+        let reference = CnnEncoder::new(tiny_encoder_config(), 1);
+        let expected: Vec<Vec<u64>> = chunks.iter().map(|c| bits(reference.encode(c))).collect();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for (mine, want) in chunks.chunks(4).zip(expected.chunks(4)) {
+                let (db, barrier) = (&db, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for (c, want) in mine.iter().zip(want) {
+                        assert_eq!(&bits(db.encode(c)), want);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!    round trip, no FFT).
 
 use mlr_lamino::FftOpKind;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{Deserialize, Serialize, Value};
 
 /// How one memoizable FFT invocation was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,8 +52,6 @@ pub struct OpStats {
     pub compute_seconds: f64,
     /// Keys encoded.
     pub keys_encoded: u64,
-    /// Bytes shipped to/from the memory node (keys + values).
-    pub remote_bytes: u64,
 }
 
 impl OpStats {
@@ -72,34 +69,48 @@ impl OpStats {
             (self.db_hits + self.cache_hits) as f64 / total as f64
         }
     }
+
+    fn accumulate(&mut self, other: &OpStats) {
+        self.computed += other.computed;
+        self.failed_memo += other.failed_memo;
+        self.db_hits += other.db_hits;
+        self.cache_hits += other.cache_hits;
+        self.prefiltered += other.prefiltered;
+        self.compute_seconds += other.compute_seconds;
+        self.keys_encoded += other.keys_encoded;
+    }
 }
 
 /// The operation kinds in dense-index order — the canonical array defined
 /// next to [`FftOpKind::index`] (pinned to be its inverse by a test there).
 const KINDS: [FftOpKind; 6] = FftOpKind::DENSE;
 
-/// Fixed-arity per-operation counter table — the engine's internal, `Copy`
-/// representation of [`MemoStats`].
-///
-/// Snapshotting a hash-map-backed `MemoStats` under the engine's state lock
-/// cloned (and allocated) on every `stats()` call; this table is a plain
-/// array of `Copy` counters, so a snapshot is one memcpy and the conversion
-/// to the reporting shape happens outside the lock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpStatsTable {
+/// Statistics across operations: a fixed-arity table of `Copy` counters,
+/// one row per operation kind. The engine accumulates into one during the
+/// ordered commit and `MemoizedExecutor::stats` hands out a copy — one
+/// memcpy under the state lock, no allocation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Deserialize)]
+pub struct MemoStats {
     per_op: [OpStats; KINDS.len()],
 }
 
-impl Default for OpStatsTable {
-    fn default() -> Self {
-        Self {
-            per_op: [OpStats::default(); KINDS.len()],
-        }
+impl Serialize for MemoStats {
+    /// `{"per_op": {"<kind>": counters, ..}}`, sorted by kind name, with
+    /// operations that never recorded anything left out.
+    fn to_value(&self) -> Value {
+        let mut per_op: Vec<(String, Value)> = KINDS
+            .iter()
+            .zip(&self.per_op)
+            .filter(|(_, stats)| **stats != OpStats::default())
+            .map(|(kind, stats)| (kind.to_value().into_key(), stats.to_value()))
+            .collect();
+        per_op.sort_by(|a, b| a.0.cmp(&b.0));
+        Value::Object(vec![("per_op".to_string(), Value::Object(per_op))])
     }
 }
 
-impl OpStatsTable {
-    /// Creates an empty table.
+impl MemoStats {
+    /// Creates empty statistics.
     pub fn new() -> Self {
         Self::default()
     }
@@ -126,86 +137,16 @@ impl OpStatsTable {
         self.per_op[op.index()].keys_encoded += 1;
     }
 
-    /// Adds remote traffic for an operation.
-    pub fn add_remote_bytes(&mut self, op: FftOpKind, bytes: u64) {
-        self.per_op[op.index()].remote_bytes += bytes;
-    }
-
     /// Counters for one operation.
     pub fn op(&self, op: FftOpKind) -> OpStats {
         self.per_op[op.index()]
     }
 
-    /// Converts to the map-backed reporting shape (operations that never
-    /// recorded anything are omitted, matching the map's historical
-    /// contents).
-    pub fn to_stats(&self) -> MemoStats {
-        let mut out = MemoStats::new();
-        for (kind, stats) in KINDS.iter().zip(&self.per_op) {
-            if *stats != OpStats::default() {
-                out.per_op.insert(*kind, *stats);
-            }
-        }
-        out
-    }
-}
-
-/// Aggregated statistics across operations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MemoStats {
-    per_op: HashMap<FftOpKind, OpStats>,
-}
-
-impl MemoStats {
-    /// Creates empty statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one invocation outcome.
-    pub fn record(&mut self, op: FftOpKind, case: MemoCase) {
-        let entry = self.per_op.entry(op).or_default();
-        match case {
-            MemoCase::Computed => entry.computed += 1,
-            MemoCase::FailedMemo => entry.failed_memo += 1,
-            MemoCase::DbHit => entry.db_hits += 1,
-            MemoCase::CacheHit => entry.cache_hits += 1,
-            MemoCase::Prefiltered => entry.prefiltered += 1,
-        }
-    }
-
-    /// Adds compute wall-clock time for an operation.
-    pub fn add_compute_time(&mut self, op: FftOpKind, seconds: f64) {
-        self.per_op.entry(op).or_default().compute_seconds += seconds;
-    }
-
-    /// Adds one encoded key for an operation.
-    pub fn add_encoded_key(&mut self, op: FftOpKind) {
-        self.per_op.entry(op).or_default().keys_encoded += 1;
-    }
-
-    /// Adds remote traffic for an operation.
-    pub fn add_remote_bytes(&mut self, op: FftOpKind, bytes: u64) {
-        self.per_op.entry(op).or_default().remote_bytes += bytes;
-    }
-
-    /// Counters for one operation.
-    pub fn op(&self, op: FftOpKind) -> OpStats {
-        self.per_op.get(&op).copied().unwrap_or_default()
-    }
-
     /// Sum over all operations.
     pub fn total(&self) -> OpStats {
         let mut out = OpStats::default();
-        for s in self.per_op.values() {
-            out.computed += s.computed;
-            out.failed_memo += s.failed_memo;
-            out.db_hits += s.db_hits;
-            out.cache_hits += s.cache_hits;
-            out.prefiltered += s.prefiltered;
-            out.compute_seconds += s.compute_seconds;
-            out.keys_encoded += s.keys_encoded;
-            out.remote_bytes += s.remote_bytes;
+        for s in &self.per_op {
+            out.accumulate(s);
         }
         out
     }
@@ -229,16 +170,8 @@ impl MemoStats {
 
     /// Merges another set of statistics into this one.
     pub fn merge(&mut self, other: &MemoStats) {
-        for (op, s) in &other.per_op {
-            let entry = self.per_op.entry(*op).or_default();
-            entry.computed += s.computed;
-            entry.failed_memo += s.failed_memo;
-            entry.db_hits += s.db_hits;
-            entry.cache_hits += s.cache_hits;
-            entry.prefiltered += s.prefiltered;
-            entry.compute_seconds += s.compute_seconds;
-            entry.keys_encoded += s.keys_encoded;
-            entry.remote_bytes += s.remote_bytes;
+        for (mine, theirs) in self.per_op.iter_mut().zip(&other.per_op) {
+            mine.accumulate(theirs);
         }
     }
 }
@@ -249,8 +182,7 @@ mod tests {
 
     #[test]
     fn table_snapshot_matches_map_shape() {
-        let mut table = OpStatsTable::new();
-        let mut map = MemoStats::new();
+        let mut table = MemoStats::new();
         for (op, case) in [
             (FftOpKind::Fu2D, MemoCase::FailedMemo),
             (FftOpKind::Fu2D, MemoCase::DbHit),
@@ -258,22 +190,26 @@ mod tests {
             (FftOpKind::F2D, MemoCase::Computed),
         ] {
             table.record(op, case);
-            map.record(op, case);
         }
         table.add_compute_time(FftOpKind::Fu2D, 0.5);
-        map.add_compute_time(FftOpKind::Fu2D, 0.5);
         table.add_encoded_key(FftOpKind::Fu1D);
-        map.add_encoded_key(FftOpKind::Fu1D);
-        table.add_remote_bytes(FftOpKind::Fu2D, 64);
-        map.add_remote_bytes(FftOpKind::Fu2D, 64);
-        assert_eq!(table.to_stats(), map);
-        assert_eq!(table.op(FftOpKind::Fu2D), map.op(FftOpKind::Fu2D));
-        // Untouched operations are omitted from the map, as before.
-        assert_eq!(table.op(FftOpKind::Fu2DAdj), OpStats::default());
-        assert_eq!(table.to_stats().total().total(), map.total().total());
-        // The snapshot itself is a plain copy.
+        // A snapshot is a plain copy.
         let snapshot = table;
-        assert_eq!(snapshot.to_stats(), table.to_stats());
+        assert_eq!(snapshot, table);
+        assert_eq!(snapshot.op(FftOpKind::Fu2DAdj), OpStats::default());
+        assert_eq!(snapshot.total().total(), 4);
+        // It serialises as a map keyed by operation, sorted, with untouched
+        // operations omitted.
+        let Value::Object(fields) = snapshot.to_value() else {
+            panic!("MemoStats serialises as an object");
+        };
+        let [(name, Value::Object(per_op))] = fields.as_slice() else {
+            panic!("one `per_op` object, got {fields:?}");
+        };
+        assert_eq!(name, "per_op");
+        let kinds: Vec<&str> = per_op.iter().map(|(kind, _)| kind.as_str()).collect();
+        assert_eq!(kinds, ["F2D", "Fu1D", "Fu2D"]);
+        assert_eq!(per_op[2].1, table.op(FftOpKind::Fu2D).to_value());
     }
 
     #[test]
@@ -325,12 +261,10 @@ mod tests {
         a.add_compute_time(FftOpKind::Fu1D, 1.5);
         let mut b = MemoStats::new();
         b.record(FftOpKind::Fu1D, MemoCase::DbHit);
-        b.add_remote_bytes(FftOpKind::Fu1D, 100);
         b.add_encoded_key(FftOpKind::Fu1D);
         a.merge(&b);
         let s = a.op(FftOpKind::Fu1D);
         assert_eq!(s.db_hits, 2);
-        assert_eq!(s.remote_bytes, 100);
         assert_eq!(s.keys_encoded, 1);
         assert!((s.compute_seconds - 1.5).abs() < 1e-12);
     }

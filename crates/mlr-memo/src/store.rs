@@ -175,7 +175,6 @@ pub enum ProbeOutcome {
 ///         conv1_filters: 2,
 ///         conv2_filters: 4,
 ///         embedding_dim: 8,
-///         learning_rate: 1e-3,
 ///     },
 ///     1, // encoder seed
 ///     4, // lock stripes
@@ -208,14 +207,14 @@ pub enum ProbeOutcome {
 /// assert_eq!(store.stats().hits, 1);
 /// ```
 pub trait MemoStore: Send + Sync {
-    /// The database configuration (τ threshold, scoping, gating).
+    /// The database configuration (τ threshold, index, budget, eviction).
     fn config(&self) -> MemoDbConfig;
 
     /// Encodes an input chunk into a key.
     fn encode(&self, input: &[Complex64]) -> Vec<f64>;
 
-    /// Encodes a batch of input chunks in one pass, amortizing per-call
-    /// costs (encoder lease, scratch) across the batch.
+    /// Encodes a batch of input chunks in one pass, amortizing the
+    /// per-call scratch lease across the batch.
     fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>>;
 
     /// Norm-prefilter consultation: does the scope's fingerprint history at
@@ -306,13 +305,6 @@ pub trait MemoStore: Send + Sync {
 
     /// Aggregate counters.
     fn stats(&self) -> StoreStats;
-
-    /// Average number of key comparisons one query performs.
-    fn comparisons_per_query(&self) -> f64;
-
-    /// Trains the store's key encoder on sample chunks (contrastive
-    /// objective + INT8 quantisation); returns the final loss.
-    fn train_encoder(&self, samples: &[Vec<Complex64>], epochs: usize) -> f64;
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ pub(crate) fn tiny_encoder_config() -> EncoderConfig {
         conv1_filters: 2,
         conv2_filters: 4,
         embedding_dim: 8,
-        learning_rate: 1e-3,
     }
 }
 

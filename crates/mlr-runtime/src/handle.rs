@@ -327,7 +327,7 @@ impl JobHandle {
     ///   slot frees immediately for backpressured producers) and the ticket
     ///   resolves `Cancelled { while_running: false }`: the job never runs.
     /// * Running → the cancel token trips; the solver stops at the next ADMM
-    ///   iteration boundary, flushes the coalescer, and the ticket resolves
+    ///   iteration boundary and the ticket resolves
     ///   `Cancelled { while_running: true }`. Entries memoized by the
     ///   iterations that did run stay published for other tenants.
     /// * Already terminal → no effect.

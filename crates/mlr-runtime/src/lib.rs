@@ -33,8 +33,7 @@
 //!   iteration boundary via the solver's `CancelToken`.
 //! * Cancellation has the same two stages — a queued job is removed from
 //!   the queue on the spot (its slot frees immediately); a running job
-//!   stops at the next iteration boundary, flushes its coalescer through
-//!   the executor's `finish` hook, and the memo entries it already
+//!   stops at the next iteration boundary and the memo entries it already
 //!   published keep serving every other tenant.
 //! * [`Runtime`] — fixed worker pool; [`Runtime::submit`] rejects when the
 //!   queue is full (admission control), [`Runtime::submit_blocking`] parks

@@ -60,8 +60,11 @@ pub struct RuntimeConfig {
     /// Unified telemetry: lock-free counters and stage histograms, per-job
     /// lifecycle spans, and (optionally) the store access trace. Off by
     /// default — disabled telemetry is a no-op recorder whose call sites
-    /// cost one branch each, so the hot path stays allocation-free and
-    /// timer-free.
+    /// cost one branch each, so the hot path stays allocation-free and takes
+    /// no *stage* clock. The engine's compute-time statistics
+    /// (`OpStats::compute_seconds`, `ParallelStats::chunk_seconds`) are not
+    /// telemetry: they read the clock two to three times per memoized chunk
+    /// either way.
     pub telemetry: bool,
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
     /// hit/miss/insert/evict/expire, logical tick). `None` disables the
@@ -118,7 +121,6 @@ impl Default for RuntimeConfig {
                 conv1_filters: 4,
                 conv2_filters: 8,
                 embedding_dim: 32,
-                learning_rate: 1e-3,
             },
             seed: 7,
             admission_max_pressure: None,
@@ -142,12 +144,7 @@ impl RuntimeConfig {
     /// determinism contract the tests pin) — bounded or not.
     pub fn matching(config: &mlr_core::MlrConfig) -> Self {
         Self {
-            db: MemoDbConfig {
-                tau: config.memo.tau,
-                budget: config.memo.budget,
-                eviction: config.memo.eviction,
-                ..Default::default()
-            },
+            db: config.memo.db_config(),
             seed: config.problem.seed,
             ..Default::default()
         }

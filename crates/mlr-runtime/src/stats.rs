@@ -229,8 +229,6 @@ mod tests {
                 threads_granted: 12,
                 chunk_seconds: 2.0,
                 phase_seconds: 1.0,
-                modeled_serial_cost: 8.0,
-                modeled_critical_cost: 2.0,
             },
             distributed: None,
         };

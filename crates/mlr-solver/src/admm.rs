@@ -109,8 +109,8 @@ impl AdmmSolver {
     /// Runs ADMM-FFT with an explicit executor under a [`CancelToken`]: the
     /// token is polled at every outer-iteration boundary, and a run that is
     /// cancelled (or whose deadline passes) stops cleanly there — the
-    /// executor's `finish` hook still runs, so a memoizing executor flushes
-    /// its coalescer and its published entries keep serving other tenants.
+    /// executor's `finish` hook still runs, and the entries a memoizing
+    /// executor already published keep serving other tenants.
     /// With a token that never fires, the run is bit-identical to
     /// [`AdmmSolver::run_with`].
     pub fn run_with_cancel(
@@ -221,9 +221,9 @@ impl AdmmSolver {
             });
         }
 
-        // The job is done (or stopped early): let the executor flush whatever
-        // it buffered (memoizing executors account the coalescer's trailing
-        // batch here), even for a cancelled run — its entries stay published.
+        // The job is done (or stopped early): tell the executor, even for a
+        // cancelled run (the memoizing executor buffers nothing, so its
+        // entries are already published).
         exec.finish();
 
         AdmmResult {

@@ -8,9 +8,9 @@
 //! [`StopCause::DeadlineExpired`] at the next boundary.
 //!
 //! Stopping is *cooperative and clean*: the solver breaks out of the outer
-//! loop, still calls the executor's `finish` hook (so a memoizing executor
-//! flushes its coalescer and its entries stay published for other tenants),
-//! and reports the cause in `AdmmResult::stopped`. A token that is never
+//! loop, still calls the executor's `finish` hook (a memoizing executor's
+//! entries are published as they are inserted, so they stay available to
+//! other tenants), and reports the cause in `AdmmResult::stopped`. A token that is never
 //! cancelled and carries no deadline changes nothing — the iteration
 //! sequence, and therefore the reconstruction, is bit-identical to a run
 //! without a token.

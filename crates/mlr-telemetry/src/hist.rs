@@ -4,7 +4,7 @@
 //! power-of-two buckets over `u64` magnitudes, plus an exact `count` and
 //! `sum`. The type is `Copy` (520 bytes) so per-thread scratch lives on the
 //! stack of the chunk hot path and folds into the shared registry without a
-//! single allocation — the same discipline as `OpStatsTable` in `mlr-memo`.
+//! single allocation — the same discipline as `MemoStats` in `mlr-memo`.
 //!
 //! Bucket `0` holds the value `0`; bucket `b > 0` covers `[2^(b-1), 2^b)`.
 //! Percentiles are nearest-rank over bucket *lower bounds*, so a reported

@@ -2,7 +2,7 @@
 //!
 //! One observability surface for the whole serving stack, replacing the
 //! five ad-hoc stat structs (`RuntimeStats`, `DeadlineStats`,
-//! `ParallelStats`, `OpStatsTable`, `OffloadTrace`) that could not be
+//! `ParallelStats`, `MemoStats`, `OffloadTrace`) that could not be
 //! correlated per job or exported together:
 //!
 //! ```text
@@ -23,7 +23,7 @@
 //!
 //! * **Allocation-free hot path.** Workers accumulate into stack-resident
 //!   `Copy` scratch ([`CounterTable`], [`StageTable`]) and fold at the
-//!   ordered-commit boundary — the `OpStatsTable` pattern — so the fig22
+//!   ordered-commit boundary — the `MemoStats` pattern — so the fig22
 //!   ≤4-allocs-per-hit gate holds with telemetry enabled.
 //! * **Zero-cost when disabled.** [`Telemetry::disabled`] is an
 //!   `Option::None`; every recording method inlines to one branch, and hot

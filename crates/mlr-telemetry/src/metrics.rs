@@ -4,7 +4,7 @@
 //! The hot path never touches the registry directly. Workers accumulate
 //! into stack-resident [`CounterTable`] / [`StageTable`] scratch (plain
 //! `Copy` arrays, zero allocation) and fold them in at the ordered-commit
-//! boundary — exactly the `OpStatsTable` discipline that keeps the fig22
+//! boundary — exactly the `MemoStats` discipline that keeps the fig22
 //! ≤4-allocs-per-hit gate intact. Counter *reads* sum a small fixed number
 //! of shards; snapshots are a memcpy-sized loop, never a lock.
 

@@ -134,7 +134,6 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
         conv1_filters: 2,
         conv2_filters: 4,
         embedding_dim: 8,
-        learning_rate: 1e-3,
     };
     let memo = MemoConfig {
         warmup_iterations: 0,
@@ -188,19 +187,16 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
                 "{label}: zero-copy outputs diverged at iteration {it}"
             );
         }
-        sequential.finish();
-        batched.finish();
         let a = sequential.stats().total();
         let b = batched.stats().total();
+        let counts = |s: &mlr_memo::OpStats| {
+            let cases = (s.failed_memo, s.db_hits, s.cache_hits);
+            (cases, s.keys_encoded, s.prefiltered)
+        };
         assert_eq!(
-            (a.failed_memo, a.db_hits, a.cache_hits, a.remote_bytes),
-            (b.failed_memo, b.db_hits, b.cache_hits, b.remote_bytes),
-            "{label}: case counts diverged"
-        );
-        assert_eq!(
-            (a.prefiltered, a.keys_encoded),
-            (b.prefiltered, b.keys_encoded),
-            "{label}: prefilter decisions diverged between the paths"
+            counts(&a),
+            counts(&b),
+            "{label}: case counts or prefilter decisions diverged between the paths"
         );
         assert!(
             a.prefiltered > 0,
@@ -223,7 +219,6 @@ fn parallel_stats_record_the_schedule() {
     // No governor: the full request is always granted.
     assert_eq!(p.threads_granted, p.threads_requested);
     assert_eq!(p.grant_ratio(), 1.0);
-    assert!(p.modeled_speedup() >= 1.0);
     assert!(p.chunk_seconds > 0.0);
 }
 

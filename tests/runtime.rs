@@ -21,7 +21,6 @@ fn tiny_encoder_config() -> mlr_memo::EncoderConfig {
         conv1_filters: 2,
         conv2_filters: 4,
         embedding_dim: 8,
-        learning_rate: 1e-3,
     }
 }
 

@@ -113,7 +113,6 @@ fn encoder() -> EncoderConfig {
         conv1_filters: 2,
         conv2_filters: 4,
         embedding_dim: 16,
-        learning_rate: 1e-3,
     }
 }
 
