@@ -25,7 +25,8 @@
 //! ```
 //!
 //! `baseline` checks are numeric with an optional per-check `tolerance`
-//! overriding the global one; `equals` checks demand an exact boolean.
+//! overriding the global one; `equals` checks demand exactly the given
+//! boolean or number.
 //!
 //! Usage: `check_bench [--baseline ci/bench_baseline.json] [--dir .]`
 
@@ -102,20 +103,22 @@ fn run(baseline_path: &str, dir: &str) -> Result<Vec<Outcome>, String> {
             });
             continue;
         };
-        let outcome = if let Some(expected) = check.get("equals").and_then(JsonValue::as_bool) {
-            match value.as_bool() {
-                Some(actual) if actual == expected => Outcome {
-                    file: file.to_string(),
-                    path: path.to_string(),
-                    detail: format!("= {actual} (required)"),
-                    failed: false,
+        let outcome = if let Some(expected) = check.get("equals") {
+            let show = |v: &JsonValue| match v {
+                JsonValue::Bool(b) => b.to_string(),
+                JsonValue::Number(n) => n.to_string(),
+                other => format!("{other:?}"),
+            };
+            let failed = value != expected;
+            Outcome {
+                file: file.to_string(),
+                path: path.to_string(),
+                detail: if failed {
+                    format!("expected {}, got {}", show(expected), show(value))
+                } else {
+                    format!("= {} (required)", show(value))
                 },
-                other => Outcome {
-                    file: file.to_string(),
-                    path: path.to_string(),
-                    detail: format!("expected {expected}, got {other:?}"),
-                    failed: true,
-                },
+                failed,
             }
         } else {
             let target = check

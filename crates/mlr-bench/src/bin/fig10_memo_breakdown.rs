@@ -101,7 +101,7 @@ fn main() {
     let w = AdmmWorkload::new(size);
     let cost = CostModel::polaris(1);
     let chunk_fraction = 1.0 / size.num_chunks() as f64;
-    let value_bytes = 16.0 * size.voxels() as f64 * chunk_fraction;
+    let value_bytes = w.memo_value_bytes() * chunk_fraction;
     let mut paper_rows = Vec::new();
     println!("\nper-chunk time at 1K^3 (cost model): original / failed memo / db hit / cache hit");
     for (label, stage) in [("Fu1D", w.fu1d_time(&cost)), ("Fu2D", w.fu2d_time(&cost))] {

@@ -6,16 +6,18 @@
 //! the real executor seam (`FftExecutor::execute_batch_into`):
 //!
 //! * **hit path** — steady-state cache-hit and db-hit cost per chunk
-//!   (ns/chunk), with every payload handed out as a shared `Arc<[Complex64]>`
-//!   and copied exactly once, straight into the caller's output slice;
+//!   (ns/chunk), with every payload handed out as a shared single-precision
+//!   `Arc<[Complex32]>` (8 bytes an element — `stored_bytes_per_elem`, gated)
+//!   and widened exactly once, straight into the caller's output slice;
 //! * **miss path** — exact-FFT throughput through the same seam (the work a
 //!   hit avoids);
 //! * **prefilter path** — a drifting-amplitude trace in which every chunk's
 //!   norm fingerprint falls outside the τ-band of its scope's history, so
 //!   the doorkeeper routes every chunk straight to the exact FFT without
 //!   touching the encoder or the index. The skip rate and the ns/chunk
-//!   saved versus the full encode→probe→miss path (the same chunks'
-//!   second sighting) are both recorded;
+//!   saved versus the full encode→probe→miss→insert path (the same chunks'
+//!   second sighting) are both recorded, with the second sighting's `insert`
+//!   stage (narrow + index add + budget enforcement) beside them;
 //! * **allocator traffic** — allocations and bytes per steady-state hit
 //!   chunk, measured by the counting global allocator. This is the
 //!   deterministic CI gate: a reintroduced payload deep-clone (the pre-PR-5
@@ -48,7 +50,8 @@
 //! must stay inside a bound that depends on the kernel thread count only.
 //!
 //! Gated in CI (`ci/bench_baseline.json`): `hit_path_allocation_free` and
-//! `zero_payload_clone` must hold exactly; the
+//! `zero_payload_clone` must hold exactly; `stored_bytes_per_elem` must equal
+//! 8 (an entry going back to double precision reads 16); the
 //! *measured* `measured_hit_speedup` must stay above 1.0 (the
 //! `measured_hit_beats_fft` boolean), `gate_agrees_with_measurement` must
 //! hold, the drifting trace's
@@ -68,7 +71,7 @@ use mlr_lamino::{
     ChunkRequest, DetectorSpec, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator,
 };
 use mlr_math::rng::seeded;
-use mlr_math::{Array3, Complex64};
+use mlr_math::{Array3, Complex32, Complex64};
 use mlr_memo::{memoization_pays, EncoderConfig, MemoConfig, MemoizedExecutor, EXPECTED_REUSE};
 use mlr_telemetry::{MetricsSnapshot, StageId, Telemetry, STAGE_NAMES};
 use rand::Rng;
@@ -138,6 +141,8 @@ struct PrefilterStats {
     full_path_ns_per_chunk: f64,
     /// What the doorkeeper saves per never-going-to-hit chunk.
     saved_ns_per_chunk: f64,
+    /// Of the second sighting: the `insert` stage of its ordered commit.
+    insert_ns_per_chunk: f64,
 }
 
 /// One op family at one swept chunk size: the measured compute a hit
@@ -188,7 +193,11 @@ struct OperatorScratch {
 struct Record {
     smoke: bool,
     chunk_elems: usize,
+    /// Bytes of one stored value of `chunk_elems` elements.
     payload_bytes: u64,
+    /// CI gate: value bytes the db-hit store holds per stored element — 8,
+    /// the paper's COMPLEX64.
+    stored_bytes_per_elem: f64,
     locations: usize,
     steady_iterations: usize,
     cache_hit: PathStats,
@@ -464,7 +473,7 @@ fn main() {
     let encoder = reconstruction_encoder();
     let sweep_run = std::env::args().any(|a| a == "--sweep");
     let (n, locations, steady) = if smoke { (1024, 24, 8) } else { (4096, 32, 12) };
-    let payload_bytes = (n * 16) as u64;
+    let payload_bytes = (n * std::mem::size_of::<Complex32>()) as u64;
     println!(
         "chunk: {n} complex elems ({} KiB payload), {locations} locations, \
          {steady} steady-state iterations\n",
@@ -545,6 +554,7 @@ fn main() {
         chunks + locations as u64,
         "steady window must be all db hits"
     );
+    let stored_bytes_per_elem = db_exec.db_value_bytes() as f64 / (db_exec.db_len() * n) as f64;
 
     // --- miss path: memoization disabled, every chunk recomputes the exact
     // FFT through the same batch seam.
@@ -568,7 +578,7 @@ fn main() {
     // fingerprint and — nothing similar being stored — pays the full
     // encode → probe → failed-memo path.
     let pf_iters = 8usize;
-    let pf_exec = MemoizedExecutor::new(memo, encoder, 26);
+    let pf_exec = MemoizedExecutor::new(memo, encoder, 26).with_telemetry(Telemetry::enabled());
     let (mut skip_secs, mut full_secs) = (0.0f64, 0.0f64);
     for it in 0..pf_iters {
         let amp = 3.0f64.powi(it as i32);
@@ -596,6 +606,8 @@ fn main() {
         skip_ns_per_chunk: skip_ns,
         full_path_ns_per_chunk: full_ns,
         saved_ns_per_chunk: full_ns - skip_ns,
+        insert_ns_per_chunk: metrics_of(&pf_exec).stage(StageId::Insert).sum as f64
+            / pf_chunks as f64,
     };
 
     let measured_hit_speedup = miss.ns_per_chunk / cache_hit.ns_per_chunk.max(1e-9);
@@ -727,9 +739,17 @@ fn main() {
         "prefilter skip lane vs full miss path",
         "(informational)",
         &format!(
-            "saves {:.0} ns/chunk at skip rate {:.2}",
-            prefilter.saved_ns_per_chunk, prefilter.skip_rate
+            "saves {:.0} ns/chunk at skip rate {:.2} (miss lane: {:.0} ns/chunk, insert {:.0})",
+            prefilter.saved_ns_per_chunk,
+            prefilter.skip_rate,
+            prefilter.full_path_ns_per_chunk,
+            prefilter.insert_ns_per_chunk
         ),
+    );
+    compare_row(
+        "stored bytes per element",
+        "8 (COMPLEX64)",
+        &format!("{stored_bytes_per_elem}"),
     );
     compare_row(
         "steady hit-path allocations per chunk",
@@ -790,6 +810,7 @@ fn main() {
         smoke,
         chunk_elems: n,
         payload_bytes,
+        stored_bytes_per_elem,
         locations,
         steady_iterations: steady,
         cache_hit,

@@ -164,6 +164,7 @@ impl MlrPipeline {
             memo_stats: stats,
             cache_hit_rate: executor.cache_stats().hit_rate(),
             db_bytes: executor.db_value_bytes(),
+            db_resident_bytes: executor.store().resident_bytes(),
         }
     }
 
@@ -196,7 +197,7 @@ impl MlrPipeline {
             workload.fu2d_time(&cost),
             workload.fu1d_time(&cost),
         ];
-        let value_bytes = 16.0 * size.voxels() as f64;
+        let value_bytes = workload.memo_value_bytes();
         let db_retrieval = cost.network_bulk_time(value_bytes)
             + cost.ann_query_time(1_000_000, 60, size.num_chunks(), 8);
         let cache_retrieval = cost.dram_copy_time(value_bytes);
@@ -249,7 +250,7 @@ mod tests {
         assert!(report.avoided_fraction > 0.0, "nothing was reused");
         let (f, d, c) = report.case_distribution;
         assert!((f + d + c - 1.0).abs() < 1e-9);
-        assert!(report.db_bytes > 0);
+        assert!(report.db_bytes > 0 && report.db_resident_bytes > report.db_bytes);
         // Loss curves recorded for both runs.
         assert_eq!(report.exact_loss.len(), 6);
         assert_eq!(report.memo_loss.len(), 6);

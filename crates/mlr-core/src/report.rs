@@ -47,8 +47,12 @@ pub struct MlrReport {
     pub memo_stats: MemoStats,
     /// Hit rate of the compute-node memoization cache.
     pub cache_hit_rate: f64,
-    /// Final size of the memoization value database in bytes.
+    /// Final size of the memoization *value* database in bytes — the stored
+    /// FFT results only, half of what the store keeps resident.
     pub db_bytes: u64,
+    /// Final resident bytes of the memoization store: the values plus the
+    /// raw input each entry keeps for the τ gate (what a byte budget caps).
+    pub db_resident_bytes: u64,
 }
 
 impl MlrReport {
@@ -90,6 +94,7 @@ mod tests {
             memo_stats: MemoStats::new(),
             cache_hit_rate: 0.0,
             db_bytes: 0,
+            db_resident_bytes: 0,
         };
         assert_eq!(r.compute_saving(), 0.0);
     }

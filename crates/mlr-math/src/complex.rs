@@ -1,15 +1,19 @@
-//! Double-precision complex arithmetic.
+//! Double-precision complex arithmetic, and the single-precision storage
+//! format of a memo entry.
 //!
-//! The paper's FFT operators work on `COMPLEX64` data (two `f64` components in
-//! the CUDA naming the paper uses loosely; here we follow the Rust convention
-//! and call the 2×`f64` type [`Complex64`]). The type is `#[repr(C)]` so a
-//! slice of complex numbers can be reinterpreted as interleaved re/im planes —
-//! the decomposition the memoization encoder relies on (§4.3.1 of the paper).
+//! Every computation in the workspace runs on [`Complex64`] — the Rust
+//! convention's name for 2 × `f64`, *not* the paper's `COMPLEX64`, which is
+//! numpy's 2 × `f32` and is called [`Complex32`] here. The type is `#[repr(C)]`
+//! so a slice of complex numbers can be reinterpreted as interleaved re/im
+//! planes — the decomposition the memoization encoder relies on (§4.3.1 of
+//! the paper). [`Complex32`] exists only to be stored: [`narrow`],
+//! [`widen_into`] and [`round_into`] are the whole of its interface.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::sync::Arc;
 
 /// A double-precision complex number.
 #[derive(Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -310,10 +314,116 @@ pub fn join_re_im(re: &[f64], im: &[f64]) -> Vec<Complex64> {
         .collect()
 }
 
+/// A single-precision complex number (2 × `f32`, numpy's and the paper's
+/// `COMPLEX64`): the storage format of a memo entry. No arithmetic is
+/// defined on it — a stored value is only ever narrowed on the way into the
+/// store and widened on the way out; every computation stays [`Complex64`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
+pub struct Complex32 {
+    /// Real component.
+    pub re: f32,
+    /// Imaginary component.
+    pub im: f32,
+}
+
+impl Complex32 {
+    /// Bytes one stored element takes — the one place a payload is priced
+    /// from (byte accounting, the paper-scale projections).
+    pub const BYTES: usize = std::mem::size_of::<Self>();
+
+    /// Rounds both components to the nearest `f32`. A component that is not
+    /// finite, or too large for `f32`, comes out non-finite.
+    #[inline]
+    pub fn narrow(z: Complex64) -> Self {
+        Self {
+            re: z.re as f32,
+            im: z.im as f32,
+        }
+    }
+
+    /// The same value in double precision (exact).
+    #[inline]
+    pub fn widen(self) -> Complex64 {
+        Complex64::new(self.re as f64, self.im as f64)
+    }
+
+    /// Returns `true` when both components are finite.
+    #[inline]
+    pub fn is_finite(self) -> bool {
+        self.re.is_finite() && self.im.is_finite()
+    }
+}
+
+/// Narrows a slice into one shared single-precision buffer, or `None` when
+/// some component is non-finite or overflows `f32` — such a slice has no
+/// single-precision form worth keeping.
+pub fn narrow(src: &[Complex64]) -> Option<Arc<[Complex32]>> {
+    let mut finite = true;
+    let out: Arc<[Complex32]> = src
+        .iter()
+        .map(|&z| {
+            let n = Complex32::narrow(z);
+            finite &= n.is_finite();
+            n
+        })
+        .collect();
+    finite.then_some(out)
+}
+
+/// Widens `src` into `dst`, element by element.
+///
+/// # Panics
+/// Panics when the slices have different lengths.
+pub fn widen_into(src: &[Complex32], dst: &mut [Complex64]) {
+    assert_eq!(src.len(), dst.len(), "widen_into length mismatch");
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = s.widen();
+    }
+}
+
+/// Writes `widen(narrow(src))` into `dst` in one pass — the bits
+/// [`widen_into`] would produce from [`narrow`]'s buffer, without the buffer.
+/// Returns `false` when some component has no finite `f32` form (`dst` then
+/// holds non-finite values and the caller should fall back to `src`).
+///
+/// # Panics
+/// Panics when the slices have different lengths.
+pub fn round_into(src: &[Complex64], dst: &mut [Complex64]) -> bool {
+    assert_eq!(src.len(), dst.len(), "round_into length mismatch");
+    let mut finite = true;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let n = Complex32::narrow(s);
+        finite &= n.is_finite();
+        *d = n.widen();
+    }
+    finite
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    #[test]
+    fn narrow_widen_round_agree_and_refuse_what_f32_cannot_hold() {
+        let data: Vec<Complex64> = (0..33)
+            .map(|i| Complex64::new((0.7 * i as f64).sin() * 1e3, -0.1 * i as f64))
+            .collect();
+        let stored = narrow(&data).expect("finite and in range");
+        let mut widened = vec![Complex64::ZERO; data.len()];
+        widen_into(&stored, &mut widened);
+        let mut rounded = vec![Complex64::ZERO; data.len()];
+        assert!(round_into(&data, &mut rounded));
+        assert_eq!(widened, rounded);
+        assert_ne!(widened, data, "0.1 * i has no exact f32 form");
+        for bad in [f64::NAN, f64::INFINITY, 1e39, -1e39] {
+            let mut with_bad = data.clone();
+            with_bad[7].im = bad;
+            assert!(narrow(&with_bad).is_none(), "{bad} was narrowed");
+            assert!(!round_into(&with_bad, &mut rounded), "{bad} was rounded");
+        }
+    }
 
     #[test]
     fn arithmetic_basics() {

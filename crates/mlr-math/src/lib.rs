@@ -6,7 +6,8 @@
 //! other crate in the workspace relies on:
 //!
 //! * [`Complex64`] — a minimal, `#[repr(C)]` double-precision complex number
-//!   with the arithmetic needed by FFTs and Fourier-domain operators.
+//!   with the arithmetic needed by FFTs and Fourier-domain operators — and
+//!   [`Complex32`], the single-precision format memo entries are stored in.
 //! * [`Array1`], [`Array2`], [`Array3`] — dense row-major arrays used for
 //!   projection data, reconstruction volumes and frequency-domain chunks.
 //! * [`norms`] — L2 / Frobenius norms, cosine similarity (the similarity
@@ -30,7 +31,7 @@ pub mod rng;
 pub mod stats;
 
 pub use array::{Array1, Array2, Array3, Shape3};
-pub use complex::Complex64;
+pub use complex::{Complex32, Complex64};
 
 /// Convenience alias used throughout the workspace.
 pub type C64 = Complex64;

@@ -8,7 +8,7 @@
 //! * **Relative reconstruction error** `E` (Eq. 4) and
 //!   `Accuracy = 1 − E` (Eq. 5) — the quality metric of Table 1.
 
-use crate::{Array3, Complex64};
+use crate::{Array3, Complex32, Complex64};
 
 /// L2 norm of a real slice.
 pub fn l2_norm(x: &[f64]) -> f64 {
@@ -83,26 +83,49 @@ pub fn cosine_similarity_c(a: &[Complex64], b: &[Complex64]) -> f64 {
     (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// Scale-aware similarity between two real vectors: the cosine similarity
-/// multiplied by the ratio of the smaller to the larger L2 norm. Two vectors
-/// pointing the same way but with very different magnitudes are *not*
-/// considered similar — important for memoization, where reusing a stored FFT
-/// result for a rescaled input would be badly wrong even though the plain
-/// cosine similarity is 1.
-pub fn scale_aware_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let na = l2_norm(a);
-    let nb = l2_norm(b);
+/// The scale-aware similarity of two vectors from their inner product and
+/// norms: the cosine, clamped to `[-1, 1]`, times the ratio of the smaller to
+/// the larger norm. Two zero vectors are identical (1); a zero and a
+/// non-zero vector share nothing (0).
+fn scale_aware(dot: f64, na: f64, nb: f64) -> f64 {
     if na == 0.0 && nb == 0.0 {
         return 1.0;
     }
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    cosine_similarity(a, b) * (na.min(nb) / na.max(nb))
+    (dot / (na * nb)).clamp(-1.0, 1.0) * (na.min(nb) / na.max(nb))
+}
+
+/// Scale-aware similarity between two real vectors: the cosine similarity
+/// multiplied by the ratio of the smaller to the larger L2 norm. Two vectors
+/// pointing the same way but with very different magnitudes are *not*
+/// considered similar — important for memoization, where reusing a stored FFT
+/// result for a rescaled input would be badly wrong even though the plain
+/// cosine similarity is 1.
+///
+/// One pass: the inner product and both squared norms accumulate side by
+/// side, each in element order from `-0.0` (where `Iterator::sum` starts),
+/// so the result has the bits of [`cosine_similarity`] times the norm ratio
+/// computed separately.
+///
+/// # Panics
+/// Panics when the slices have different lengths.
+pub fn scale_aware_similarity(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "cosine_similarity length mismatch");
+    let (mut dot, mut na2, mut nb2) = (-0.0, -0.0, -0.0);
+    for (x, y) in a.iter().zip(b) {
+        dot += x * y;
+        na2 += x * x;
+        nb2 += y * y;
+    }
+    scale_aware(dot, na2.sqrt(), nb2.sqrt())
 }
 
 /// Scale-aware similarity between two complex vectors (see
-/// [`scale_aware_similarity`]).
+/// [`scale_aware_similarity`]): the plain composition of
+/// [`cosine_similarity_c`] and the norm ratio. The memo store gates with
+/// [`scale_aware_similarity_mixed`]; this is its all-`f64` reference.
 pub fn scale_aware_similarity_c(a: &[Complex64], b: &[Complex64]) -> f64 {
     let na = l2_norm_c(a);
     let nb = l2_norm_c(b);
@@ -113,6 +136,36 @@ pub fn scale_aware_similarity_c(a: &[Complex64], b: &[Complex64]) -> f64 {
         return 0.0;
     }
     cosine_similarity_c(a, b) * (na.min(nb) / na.max(nb))
+}
+
+/// L2 norm of a single-precision complex slice, accumulated in `f64` — what
+/// a memo entry caches at insert so the τ gate never walks the stored vector
+/// for it.
+pub fn l2_norm_c32(x: &[Complex32]) -> f64 {
+    x.iter().map(|v| v.widen().norm_sqr()).sum::<f64>().sqrt()
+}
+
+/// The memo store's τ gate: [`scale_aware_similarity_c`] between a
+/// double-precision `query` and a vector `stored` in single precision whose
+/// norm ([`l2_norm_c32`]) the caller already holds. One pass over the pair,
+/// every product and sum in `f64`; it differs from the all-`f64` gate on the
+/// un-narrowed vector only by the rounding of `stored` (relative 2⁻²⁴ per
+/// component).
+///
+/// # Panics
+/// Panics when the slices have different lengths.
+pub fn scale_aware_similarity_mixed(
+    query: &[Complex64],
+    stored: &[Complex32],
+    stored_norm: f64,
+) -> f64 {
+    assert_eq!(query.len(), stored.len(), "mixed gate length mismatch");
+    let (mut dot, mut nq2) = (0.0, 0.0);
+    for (q, s) in query.iter().zip(stored) {
+        dot += q.re * s.re as f64 + q.im * s.im as f64;
+        nq2 += q.norm_sqr();
+    }
+    scale_aware(dot, nq2.sqrt(), stored_norm)
 }
 
 /// Frobenius norm of a real 3-D array.

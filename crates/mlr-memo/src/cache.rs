@@ -12,7 +12,7 @@
 
 use mlr_lamino::FftOpKind;
 use mlr_math::norms::scale_aware_similarity;
-use mlr_math::Complex64;
+use mlr_math::Complex32;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ struct CacheEntry {
     key: Vec<f64>,
     /// Shared payload buffer — the cache holds a reference into the same
     /// allocation the database serves, never a private copy.
-    value: Arc<[Complex64]>,
+    value: Arc<[Complex32]>,
     /// Outer ADMM iteration in which the entry was inserted; entries are only
     /// served to *later* iterations (reuse across iterations is the paper's
     /// premise; reuse within one LSP solve would short-circuit the CG).
@@ -56,11 +56,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Hit rate in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
+        crate::stats::ratio(self.hits, self.lookups)
     }
 }
 
@@ -111,7 +107,7 @@ impl MemoCache {
         key: &[f64],
         tau: f64,
         current_iteration: usize,
-    ) -> Option<Arc<[Complex64]>> {
+    ) -> Option<Arc<[Complex32]>> {
         let (found, comparisons) = self.peek(op, loc, key, tau, current_iteration);
         self.note_lookup(found.is_some(), comparisons);
         found
@@ -130,7 +126,7 @@ impl MemoCache {
         key: &[f64],
         tau: f64,
         current_iteration: usize,
-    ) -> (Option<Arc<[Complex64]>>, u64) {
+    ) -> (Option<Arc<[Complex32]>>, u64) {
         if self.kind_is_global {
             let mut comparisons = 0;
             for entry in &self.global {
@@ -144,16 +140,13 @@ impl MemoCache {
             }
             (None, comparisons)
         } else {
-            if let Some(entry) = self.private.get(&(op, loc)) {
-                if entry.iteration >= current_iteration {
-                    return (None, 0);
+            match self.private.get(&(op, loc)) {
+                Some(entry) if entry.iteration < current_iteration => {
+                    let hit = scale_aware_similarity(key, &entry.key) > tau;
+                    (hit.then(|| Arc::clone(&entry.value)), 1)
                 }
-                if scale_aware_similarity(key, &entry.key) > tau {
-                    return (Some(Arc::clone(&entry.value)), 1);
-                }
-                return (None, 1);
+                _ => (None, 0),
             }
-            (None, 0)
         }
     }
 
@@ -174,7 +167,7 @@ impl MemoCache {
         op: FftOpKind,
         loc: usize,
         key: Vec<f64>,
-        value: Arc<[Complex64]>,
+        value: Arc<[Complex32]>,
         iteration: usize,
     ) {
         self.stats.insertions += 1;
@@ -216,7 +209,7 @@ impl MemoCache {
 
     /// Resident bytes (keys + values).
     pub fn bytes(&self) -> u64 {
-        let entry_bytes = |e: &CacheEntry| (e.key.len() * 8 + e.value.len() * 16) as u64;
+        let entry_bytes = |e: &CacheEntry| (size_of_val(&*e.key) + size_of_val(&*e.value)) as u64;
         if self.kind_is_global {
             self.global.iter().map(entry_bytes).sum()
         } else {
@@ -233,8 +226,12 @@ mod tests {
         vec![v, 2.0 * v, -v, 0.5]
     }
 
-    fn value(n: usize) -> Arc<[Complex64]> {
-        vec![Complex64::new(n as f64, 0.0); n].into()
+    fn value(n: usize) -> Arc<[Complex32]> {
+        let z = Complex32 {
+            re: n as f32,
+            im: 0.0,
+        };
+        vec![z; n].into()
     }
 
     #[test]
@@ -339,7 +336,7 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.insertions, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(c.bytes(), (4 * 8 + 8 * 16) as u64);
+        assert_eq!(c.bytes(), (4 * 8 + 8 * 8) as u64);
         assert!(!c.is_empty());
         assert_eq!(c.kind(), CacheKind::Private);
     }

@@ -6,11 +6,15 @@
 //! asks the index database for the most similar stored key and — only if
 //! the similarity clears the threshold `τ` — returns the associated value.
 //!
-//! The similarity gate follows the paper's Eq. 3: cosine similarity between
-//! the query key and the stored key. The gate is evaluated on the
-//! raw input chunks (stored alongside each entry), which makes the
+//! The similarity gate follows the paper's Eq. 3, evaluated on the *raw
+//! input chunks* (each entry keeps its own), which makes the
 //! accuracy-vs-τ experiments faithful to what τ means in the paper; the
-//! encoded keys are what the ANN index searches.
+//! encoded keys are only what the ANN index searches.
+//!
+//! Both halves of an entry — raw input and value — are stored in the
+//! paper's layout, single-precision [`Complex32`] (8 bytes an element, which
+//! every byte count follows); the gate is one `f64`-accumulated pass over
+//! query and stored input, against the stored norm cached at insert.
 //!
 //! The public store is [`ShardedMemoDb`](crate::ShardedMemoDb); the
 //! crate-private `MemoDatabase` here is one of its lock stripes. All
@@ -23,8 +27,8 @@ use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, EvictionPolicyK
 use crate::fingerprint::{ChunkFingerprint, FingerprintTable};
 use crate::store::{ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
-use mlr_math::norms::scale_aware_similarity_c;
-use mlr_math::Complex64;
+use mlr_math::norms::scale_aware_similarity_mixed;
+use mlr_math::{Complex32, Complex64};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,7 +37,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoDbConfig {
     /// Similarity threshold `τ`: a stored value is reused only when the
-    /// cosine similarity between query and stored key exceeds it.
+    /// scale-aware similarity between the query's raw chunk and the entry's
+    /// raw input exceeds it (keys only pick the candidate; the compute-node
+    /// cache is the one place that gates on keys).
     pub tau: f64,
     /// ANN index parameters.
     pub ivf: IvfConfig,
@@ -56,24 +62,21 @@ impl Default for MemoDbConfig {
 }
 
 /// Everything stored for one entry: eviction metadata, the scope it was
-/// indexed under, the raw input the τ gate compares against, and the value
-/// itself.
+/// indexed under, the raw input the τ gate compares against (with its norm),
+/// and the value itself.
 struct EntryRecord {
     meta: EntryMeta,
     scope: (FftOpKind, usize),
-    raw_input: Arc<[Complex64]>,
+    raw_input: Arc<[Complex32]>,
+    /// `l2_norm_c32(&raw_input)`, so a probe walks the pair once.
+    raw_norm: f64,
     /// The stored FFT result — shared with every hit, never deep-cloned.
-    value: Arc<[Complex64]>,
+    value: Arc<[Complex32]>,
 }
 
 impl EntryRecord {
     fn value_bytes(&self) -> u64 {
-        (self.value.len() * 16) as u64
-    }
-
-    /// Bytes held besides the value (the raw input).
-    fn aux_bytes(&self) -> u64 {
-        (self.raw_input.len() * 16) as u64
+        size_of_val(&*self.value) as u64
     }
 }
 
@@ -96,8 +99,9 @@ pub(crate) struct MemoDatabase {
     policy: Arc<dyn EvictionPolicy>,
     /// Bytes of the stored values.
     value_bytes: u64,
-    /// Bytes resident besides the values (raw inputs).
-    aux_bytes: u64,
+    /// Bytes of the stored values and raw inputs: the sum of every
+    /// resident entry's `meta.bytes`.
+    resident_bytes: u64,
     /// Bytes/entries freed since the owner last drained (lets the owner
     /// keep its published resident counter exact without re-summing).
     freed_bytes_unpublished: u64,
@@ -137,7 +141,7 @@ impl MemoDatabase {
             clock,
             policy,
             value_bytes: 0,
-            aux_bytes: 0,
+            resident_bytes: 0,
             freed_bytes_unpublished: 0,
             freed_entries_unpublished: 0,
             evictions: 0,
@@ -158,7 +162,7 @@ impl MemoDatabase {
     /// Total resident bytes: values plus retained raw inputs —
     /// the quantity the [`CapacityBudget`](crate::CapacityBudget) caps.
     pub(crate) fn resident_bytes(&self) -> u64 {
-        self.value_bytes + self.aux_bytes
+        self.resident_bytes
     }
 
     /// Entries evicted so far to satisfy the budget.
@@ -237,7 +241,7 @@ impl MemoDatabase {
         }
         // The τ gate runs on the raw chunks: the encoded key only picks the
         // candidate.
-        let similarity = scale_aware_similarity_c(input, &record.raw_input);
+        let similarity = scale_aware_similarity_mixed(input, &record.raw_input, record.raw_norm);
         if similarity > self.config.tau {
             return ProbeOutcome::Hit {
                 value: Arc::clone(&record.value),
@@ -283,19 +287,20 @@ impl MemoDatabase {
         }
     }
 
-    /// Inserts an entry: the FFT `input` (as the key source) and its computed
-    /// `output` (as the value), with the recompute-cost hint cost-aware
-    /// eviction ranks by. The hint must be a deterministic function of the
-    /// operation — wall-clock timings would make eviction irreproducible.
+    /// Inserts an entry: the FFT input (what the τ gate compares against,
+    /// with its norm) and its computed output (the value), narrowed by the
+    /// owning store outside every lock, with the recompute-cost hint
+    /// cost-aware eviction ranks by — a deterministic function of the
+    /// operation (wall-clock timings would make eviction irreproducible).
     /// Returns the new entry id.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &mut self,
         op: FftOpKind,
         loc: usize,
-        input: &[Complex64],
+        (raw_norm, raw_input): (f64, Arc<[Complex32]>),
         key: Vec<f64>,
-        output: Vec<Complex64>,
+        value: Arc<[Complex32]>,
         origin: Provenance,
         recompute_cost: f64,
     ) -> u64 {
@@ -312,7 +317,7 @@ impl MemoDatabase {
         let mut record = EntryRecord {
             meta: EntryMeta {
                 id,
-                bytes: 0, // filled below once the record's bytes are known
+                bytes: (size_of_val(&*raw_input) + size_of_val(&*value)) as u64,
                 inserted_tick: tick,
                 inserted_epoch: epoch,
                 last_access_tick: tick,
@@ -325,13 +330,13 @@ impl MemoDatabase {
                 priority: 0.0,
             },
             scope: (op, loc),
-            raw_input: Arc::from(input),
-            value: output.into(),
+            raw_input,
+            raw_norm,
+            value,
         };
-        record.meta.bytes = record.value_bytes() + record.aux_bytes();
         self.policy.charge(&mut record.meta);
         self.value_bytes += record.value_bytes();
-        self.aux_bytes += record.aux_bytes();
+        self.resident_bytes += record.meta.bytes;
         self.entries.insert(id, record);
         self.enforce_stripe_budget();
         id
@@ -395,8 +400,8 @@ impl MemoDatabase {
             index.remove(id);
         }
         self.value_bytes -= record.value_bytes();
-        self.aux_bytes -= record.aux_bytes();
         let freed = record.meta.bytes;
+        self.resident_bytes -= freed;
         self.freed_bytes_unpublished += freed;
         self.freed_entries_unpublished += 1;
         match kind {
@@ -442,6 +447,8 @@ mod tests {
     use crate::store::MemoStore;
     use crate::testutil::{chunk, fill, insert, lookup, store};
     use mlr_lamino::FftOpKind::{Fu1D, Fu2D};
+    use mlr_math::complex::narrow;
+    use mlr_math::norms::scale_aware_similarity_c;
 
     const LAYOUTS: [usize; 2] = [1, 4];
 
@@ -477,7 +484,8 @@ mod tests {
             insert(&d, Fu2D, 3, &input, output.clone(), at(0));
             let (value, similarity, _) = lookup(&d, Fu2D, 3, &input, at(1)).expect("hit");
             assert!(similarity > 0.999);
-            assert_eq!(value.as_ref(), output.as_slice());
+            // Served in the stored format: the inserted value, narrowed.
+            assert_eq!(Some(value), narrow(&output));
         }
     }
 
@@ -551,10 +559,10 @@ mod tests {
             assert_eq!(d.value_bytes(), 0);
             fill(&d, 4, |_| {});
             assert_eq!(d.len(), 4);
-            assert_eq!(d.value_bytes(), 4 * 32 * 16);
-            // Resident bytes additionally count the retained raw inputs and
-            // the peak is at least the current footprint.
-            assert!(d.resident_bytes() > d.value_bytes());
+            // 8 bytes a stored element: 32-element values, and resident
+            // bytes additionally count the 64-element raw inputs.
+            assert_eq!(d.value_bytes(), 4 * 32 * 8);
+            assert_eq!(d.resident_bytes(), 4 * 8 * (64 + 32));
             assert!(d.peak_resident_bytes() >= d.resident_bytes());
         }
     }

@@ -67,7 +67,7 @@ use mlr_cluster::placement::{place_stripes, stripes_per_node};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
 use mlr_sim::faults::{FaultEvent, FaultPlan, NodeHealth};
-use mlr_telemetry::{AccessKind, AccessRecord};
+use mlr_telemetry::AccessKind;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -144,12 +144,7 @@ pub struct DistributedStats {
 impl DistributedStats {
     /// Fraction of hits served from the replica set.
     pub fn local_hit_fraction(&self) -> f64 {
-        let hits = self.local_hits + self.remote_hits;
-        if hits == 0 {
-            0.0
-        } else {
-            self.local_hits as f64 / hits as f64
-        }
+        crate::stats::ratio(self.local_hits, self.local_hits + self.remote_hits)
     }
 }
 
@@ -322,11 +317,9 @@ impl DistributedMemoDb {
     /// armed plan every node is up. Placement never changes on a crash —
     /// this view is how consumers learn an owner cannot currently serve.
     pub fn node_health(&self) -> NodeHealth {
-        let tick = self.inner.current_tick();
-        match &self.fault {
-            Some(f) => f.plan.health_at(self.topology.nodes, tick),
-            None => FaultPlan::new(0).health_at(self.topology.nodes, tick),
-        }
+        let no_faults = FaultPlan::new(0);
+        let plan = self.fault_plan().unwrap_or(&no_faults);
+        plan.health_at(self.topology.nodes, self.inner.current_tick())
     }
 
     /// Fault accounting so far; `None` when no plan is armed.
@@ -374,12 +367,7 @@ impl DistributedMemoDb {
             match timed.event {
                 FaultEvent::NodeCrash { .. } => {
                     seq.crashes += 1;
-                    let stats = self.inner.stats();
-                    seq.pre_crash_hit_rate = if stats.queries == 0 {
-                        0.0
-                    } else {
-                        stats.hits as f64 / stats.queries as f64
-                    };
+                    seq.pre_crash_hit_rate = self.inner.stats().hit_rate();
                     seq.restart_tick = None;
                     seq.recovery_ticks = None;
                 }
@@ -428,20 +416,6 @@ impl DistributedMemoDb {
     /// The stripe→node placement map.
     pub fn placement(&self) -> &[usize] {
         &self.placement
-    }
-
-    /// Writes one replica-set change into the store's access trace, stamped
-    /// like the `Hit` that caused it.
-    fn trace_replica(&self, op: FftOpKind, stripe: usize, entry: u64, kind: AccessKind) {
-        if let Some(trace) = self.inner.access_trace() {
-            trace.record(AccessRecord {
-                entry,
-                op: op as u8,
-                stripe: stripe as u32,
-                kind,
-                tick: self.inner.current_tick(),
-            });
-        }
     }
 
     /// A snapshot of the per-node residency and replica-set state.
@@ -586,12 +560,14 @@ impl MemoStore for DistributedMemoDb {
             if let Some(victim) = victim {
                 replicas.members.remove(&victim);
                 replicas.evictions += 1;
-                self.trace_replica(op, stripe, victim, AccessKind::Demote);
+                self.inner
+                    .trace_access(op as u8, stripe, victim, AccessKind::Demote);
             }
         }
         replicas.members.insert(entry, density);
         replicas.promotions += 1;
-        self.trace_replica(op, stripe, entry, AccessKind::Promote);
+        self.inner
+            .trace_access(op as u8, stripe, entry, AccessKind::Promote);
     }
 
     fn commit_miss(&self, op: FftOpKind, loc: usize) {

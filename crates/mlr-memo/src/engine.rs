@@ -23,6 +23,16 @@
 //!
 //! Uniform-FFT operations (`F_2D`, `F*_2D`) are never memoized — after the
 //! operation cancellation of Algorithm 2 they do not appear at all.
+//!
+//! # What a chunk's output slot receives
+//!
+//! Entries are single precision, so a hit is one *widening* copy into the
+//! operator's output window. A crashed memory node turns a hit into a
+//! recompute of the same input, and a fault must not change a bit: every
+//! lane chosen by store state (prefiltered, failed memo, cache hit, db hit)
+//! emits `widen(narrow(F(x)))`, rounding fused into the emit copy; the lane
+//! chosen by input and configuration alone (`computed`: disabled, uniform
+//! FFT, warm-up, below break-even) emits the exact `f64` result.
 
 use crate::cache::{CacheKind, MemoCache};
 use crate::db::MemoDbConfig;
@@ -37,7 +47,8 @@ use crate::similarity::SimilarityTracker;
 use crate::stats::{MemoCase, MemoStats};
 use crate::store::{JobId, MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
-use mlr_math::Complex64;
+use mlr_math::complex::{round_into, widen_into};
+use mlr_math::{Complex32, Complex64};
 use mlr_telemetry::{CounterId, CounterTable, SpanKind, StageId, StageTable, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -156,33 +167,60 @@ struct EngineState {
     parallel: ParallelStats,
 }
 
+/// What the ordered commit hands a chunk's output slot (see the module
+/// docs for which lane emits which).
+enum Emit<'a> {
+    /// An exact result: copied as it is, or — `round` — emitted as
+    /// `widen(narrow(·))`, the bits a hit on the same input serves.
+    Computed { exact: &'a [Complex64], round: bool },
+    /// A stored value, widened.
+    Stored(&'a [Complex32]),
+}
+
+impl Emit<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Emit::Computed { exact, .. } => exact.len(),
+            Emit::Stored(v) => v.len(),
+        }
+    }
+
+    fn write_into(self, dst: &mut [Complex64]) {
+        match self {
+            Emit::Stored(v) => widen_into(v, dst),
+            // A result `f32` cannot hold is never stored, so no hit can
+            // disagree with it: it stays exact.
+            Emit::Computed { exact, round } => {
+                if !(round && round_into(exact, dst)) {
+                    dst.copy_from_slice(exact);
+                }
+            }
+        }
+    }
+}
+
 /// Per-chunk result of the parallel phase, carried into the ordered commit.
 enum ProbeCase {
-    /// The compute-node cache held a similar-enough value (a shared buffer,
-    /// never a copy — the commit memcpys it straight into the output slice).
-    CacheHit { value: Arc<[Complex64]> },
-    /// The database probe passed the τ gate.
-    DbHit {
-        value: Arc<[Complex64]>,
-        entry: u64,
-        entry_origin: Provenance,
+    /// A stored value is reused (a shared buffer, never a copy — the commit
+    /// widens it straight into the output slice): the compute-node cache
+    /// held one similar enough (`db: None`), or the database probe passed
+    /// the τ gate with this entry and its inserter.
+    Hit {
+        value: Arc<[Complex32]>,
+        db: Option<(u64, Provenance)>,
     },
-    /// Nothing reusable: the exact transform was computed in parallel.
+    /// The exact transform was computed in parallel. `case` says why:
+    /// [`MemoCase::FailedMemo`] when key, cache and database found nothing
+    /// reusable (the commit inserts the result); otherwise no key was
+    /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
+    /// prefilter, [`MemoCase::Computed`] when memoization does not apply
+    /// (disabled, uniform FFT, warm-up) or the chunk is below break-even.
     Computed {
         output: Vec<Complex64>,
         compute_seconds: f64,
+        case: MemoCase,
         /// TTL-expired candidate to reclaim during the commit.
         expired: Option<u64>,
-    },
-    /// No key was encoded and no query issued; the exact transform was
-    /// computed directly. `case` says why: [`MemoCase::Computed`] when
-    /// memoization does not apply to the dispatch (disabled, uniform FFT,
-    /// warm-up) or the chunk is below break-even, [`MemoCase::Prefiltered`]
-    /// when the norm prefilter found no τ-band fingerprint neighbor.
-    Bypassed {
-        output: Vec<Complex64>,
-        compute_seconds: f64,
-        case: MemoCase,
     },
 }
 
@@ -512,10 +550,11 @@ impl MemoizedExecutor {
             let compute_seconds = compute_start.elapsed().as_secs_f64();
             ChunkScratch {
                 key: Vec::new(),
-                case: ProbeCase::Bypassed {
+                case: ProbeCase::Computed {
                     output,
                     compute_seconds,
                     case,
+                    expired: None,
                 },
                 fingerprint,
                 cache_checked: false,
@@ -586,10 +625,7 @@ impl MemoizedExecutor {
             let key = keys.next().expect("one key per admitted chunk"); // mlr-check: allow(unwrap-expect) — invariant: encode_batch returns one key per admitted chunk
             let encode_ns = encode_share_ns + std::mem::take(&mut encode_rem_ns);
             let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-            let mut cache_comparisons = 0;
-            let mut peek_ns = 0;
-            let mut probe_ns = 0;
-            let mut quantize_ns = 0;
+            let (mut cache_comparisons, mut peek_ns, mut probe_ns, mut quantize_ns) = (0, 0, 0, 0);
             let mut cached = None;
             if self.config.use_cache {
                 let peek_clock = stage_clock(tel_on);
@@ -600,7 +636,7 @@ impl MemoizedExecutor {
                 peek_ns = stage_ns(peek_clock);
             }
             let case = if let Some(value) = cached {
-                ProbeCase::CacheHit { value }
+                ProbeCase::Hit { value, db: None }
             } else {
                 let probe_clock = stage_clock(tel_on);
                 let probe = self.store.probe_with_key(kind, loc, input, &key, d.origin);
@@ -614,10 +650,9 @@ impl MemoizedExecutor {
                         entry,
                         origin: entry_origin,
                         ..
-                    } => ProbeCase::DbHit {
+                    } => ProbeCase::Hit {
                         value,
-                        entry,
-                        entry_origin,
+                        db: Some((entry, entry_origin)),
                     },
                     outcome @ (ProbeOutcome::Miss | ProbeOutcome::Expired { .. }) => {
                         let expired = match outcome {
@@ -629,6 +664,7 @@ impl MemoizedExecutor {
                         ProbeCase::Computed {
                             output,
                             compute_seconds: compute_start.elapsed().as_secs_f64(),
+                            case: MemoCase::FailedMemo,
                             expired,
                         }
                     }
@@ -667,16 +703,11 @@ impl MemoizedExecutor {
         scratch: Vec<ChunkScratch>,
         threads: (usize, usize),
         phase_seconds: f64,
-        mut emit: impl FnMut(usize, &[Complex64]),
+        mut emit: impl FnMut(usize, Emit<'_>),
     ) where
         F: ?Sized + 'a,
     {
-        let Dispatch {
-            iteration,
-            tel_on,
-            origin,
-            ..
-        } = *d;
+        let (iteration, tel_on, origin) = (d.iteration, d.tel_on, d.origin);
         let n = scratch.len();
         let mut state = self.state.lock();
         let mut chunk_seconds = 0.0;
@@ -701,8 +732,12 @@ impl MemoizedExecutor {
             if let Some(fp) = chunk.fingerprint {
                 self.store.note_fingerprint(kind, loc, fp);
             }
-            let encoded = !matches!(chunk.case, ProbeCase::Bypassed { .. });
-            let cache_hit = matches!(chunk.case, ProbeCase::CacheHit { .. });
+            // A key was encoded unless the chunk went around the memo path.
+            let encoded = !matches!(
+                chunk.case,
+                ProbeCase::Computed { case, .. } if case != MemoCase::FailedMemo
+            );
+            let cache_hit = matches!(chunk.case, ProbeCase::Hit { db: None, .. });
             if encoded {
                 state.stats.add_encoded_key(kind);
             }
@@ -733,32 +768,25 @@ impl MemoizedExecutor {
                 }
             }
             match chunk.case {
-                ProbeCase::CacheHit { value } => {
-                    state.stats.record(kind, MemoCase::CacheHit);
-                    // Zero-copy hit: one memcpy from the shared payload into
-                    // the operator's grid window, no intermediate Vec.
+                ProbeCase::Hit { value, db } => {
+                    let (case, counter) = match db {
+                        Some((entry, entry_origin)) => {
+                            self.store
+                                .commit_hit(kind, loc, entry, entry_origin, origin);
+                            (MemoCase::DbHit, CounterId::DbHitChunks)
+                        }
+                        None => (MemoCase::CacheHit, CounterId::CacheHitChunks),
+                    };
+                    state.stats.record(kind, case);
+                    // Zero-copy hit: one widening copy from the shared payload
+                    // into the operator's grid window, no intermediate Vec.
                     let copy_clock = stage_clock(tel_on);
-                    emit(i, &value);
+                    emit(i, Emit::Stored(&value));
                     if tel_on {
                         stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
-                        counter_scratch.add(CounterId::CacheHitChunks, 1);
+                        counter_scratch.add(counter, 1);
                     }
-                }
-                ProbeCase::DbHit {
-                    value,
-                    entry,
-                    entry_origin,
-                } => {
-                    self.store
-                        .commit_hit(kind, loc, entry, entry_origin, origin);
-                    state.stats.record(kind, MemoCase::DbHit);
-                    let copy_clock = stage_clock(tel_on);
-                    emit(i, &value);
-                    if tel_on {
-                        stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
-                        counter_scratch.add(CounterId::DbHitChunks, 1);
-                    }
-                    if self.config.use_cache {
+                    if db.is_some() && self.config.use_cache {
                         // The cache shares the payload buffer (Arc) and takes
                         // ownership of the already-encoded key — no clones.
                         self.cache
@@ -769,41 +797,23 @@ impl MemoizedExecutor {
                 ProbeCase::Computed {
                     output,
                     compute_seconds,
+                    case,
                     expired,
                 } => {
-                    if let Some(entry) = expired {
-                        self.store.reclaim_expired(kind, loc, entry);
+                    let failed_memo = case == MemoCase::FailedMemo;
+                    if failed_memo {
+                        if let Some(entry) = expired {
+                            self.store.reclaim_expired(kind, loc, entry);
+                        }
+                        self.store.commit_miss(kind, loc);
                     }
-                    self.store.commit_miss(kind, loc);
-                    state.stats.record(kind, MemoCase::FailedMemo);
-                    state.stats.add_compute_time(kind, compute_seconds);
-                    emit(i, &output);
-                    if tel_on {
-                        stage_scratch.record(StageId::MissFft, (compute_seconds * 1e9) as u64);
-                        counter_scratch.add(CounterId::ComputedChunks, 1);
-                    }
-                    // Price the entry with the deterministic analytic cost
-                    // model (the OpStats wall-clock timings corroborate its
-                    // per-op ratios but would make eviction irreproducible).
-                    // The computed Vec moves into the store (one conversion
-                    // into the shared payload buffer, no extra clone).
-                    let cost = recompute_cost_estimate(kind, input.len());
-                    self.store
-                        .insert(kind, loc, input, chunk.key, output, origin, cost);
-                }
-                ProbeCase::Bypassed {
-                    output,
-                    compute_seconds,
-                    case,
-                } => {
-                    // No key was encoded and no query was issued: no store
-                    // bookkeeping, no insert (there is no key to insert
-                    // under — a prefiltered chunk's
-                    // fingerprint was noted above, so its next sighting
-                    // takes the full path and inserts).
                     state.stats.record(kind, case);
                     state.stats.add_compute_time(kind, compute_seconds);
-                    emit(i, &output);
+                    // Only the lane chosen by input and configuration alone
+                    // keeps its exact bits (see the module docs).
+                    let round = case != MemoCase::Computed;
+                    let exact = &output[..];
+                    emit(i, Emit::Computed { exact, round });
                     if tel_on {
                         stage_scratch.record(StageId::MissFft, (compute_seconds * 1e9) as u64);
                         let counter = match case {
@@ -815,6 +825,19 @@ impl MemoizedExecutor {
                         // sends a chunk down the `Computed` lane.
                         if d.memoize && case == MemoCase::Computed {
                             counter_scratch.add(CounterId::GatedChunks, 1);
+                        }
+                    }
+                    // Only a failed memo has a key to insert under (a
+                    // prefiltered chunk inserts on its next sighting), priced
+                    // by the analytic cost model: wall-clock timings would
+                    // make eviction irreproducible.
+                    if failed_memo {
+                        let cost = recompute_cost_estimate(kind, input.len());
+                        let insert_clock = stage_clock(tel_on);
+                        self.store
+                            .insert(kind, loc, input, chunk.key, output, origin, cost);
+                        if tel_on {
+                            stage_scratch.record(StageId::Insert, stage_ns(insert_clock));
                         }
                     }
                 }
@@ -860,7 +883,8 @@ impl FftExecutor for MemoizedExecutor {
         let phase_seconds = phase_start.elapsed().as_secs_f64();
         let mut out = Vec::new();
         self.commit(kind, &d, &task, scratch, (1, 1), phase_seconds, |_, v| {
-            out = v.to_vec()
+            out.resize(v.len(), Complex64::ZERO);
+            v.write_into(&mut out)
         });
         out
     }
@@ -887,7 +911,7 @@ impl FftExecutor for MemoizedExecutor {
         let phase_seconds = phase_start.elapsed().as_secs_f64();
         let threads = (requested, used);
         self.commit(kind, &d, &task, scratch, threads, phase_seconds, |i, v| {
-            outputs[i].copy_from_slice(v)
+            v.write_into(outputs[i])
         });
     }
 }
@@ -1027,17 +1051,25 @@ mod tests {
     #[test]
     fn results_match_direct_executor_when_inputs_differ() {
         // With completely different inputs every call, memoization never
-        // hits, so outputs must equal the exact computation. Each chunk is
-        // the first sighting in its own location scope, so the norm
-        // prefilter routes all of them straight to the exact FFT — the
-        // encoder is never consulted on this unique-chunk workload.
+        // hits, so outputs must equal the exact computation rounded through
+        // the stored format. Each chunk is the first sighting in its own
+        // location scope, so the norm prefilter routes all of them straight
+        // to the exact FFT — the encoder is never consulted on this
+        // unique-chunk workload.
         let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 5);
-        let direct = DirectExecutor;
-        for i in 0..5 {
-            let input = chunk(100 + i, 96);
-            let memo_out = exec.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
-            let direct_out = direct.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
-            assert_eq!(memo_out, direct_out);
+        let rounded_direct = |loc: usize, input: &[Complex64]| {
+            let exact = DirectExecutor.execute(FftOpKind::Fu2D, loc, input, &fake_fft);
+            let mut rounded = vec![Complex64::ZERO; exact.len()];
+            assert!(round_into(&exact, &mut rounded) && rounded != exact);
+            rounded
+        };
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let inputs: Vec<_> = (0..5).map(|i| chunk(100 + i, 96)).collect();
+        for (loc, input) in inputs.iter().enumerate() {
+            let memo_out = exec.execute(FftOpKind::Fu2D, loc, input, &fake_fft);
+            assert_eq!(memo_out, rounded_direct(loc, input));
         }
         let stats = exec.stats().op(FftOpKind::Fu2D);
         assert_eq!(stats.prefiltered, 5);
@@ -1047,19 +1079,27 @@ mod tests {
 
         // The same five chunks again, in the same iteration: their noted
         // fingerprints admit them, so each pays the encoder and the probe,
-        // misses (nothing was inserted on the first sighting) and is still
-        // computed exactly.
-        for i in 0..5 {
-            let input = chunk(100 + i, 96);
-            let memo_out = exec.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
-            let direct_out = direct.execute(FftOpKind::Fu2D, i as usize, &input, &fake_fft);
-            assert_eq!(memo_out, direct_out);
+        // misses (nothing was inserted on the first sighting), is computed
+        // exactly and inserted.
+        let mut missed = Vec::new();
+        for (loc, input) in inputs.iter().enumerate() {
+            missed.push(exec.execute(FftOpKind::Fu2D, loc, input, &fake_fft));
+            assert_eq!(missed[loc], rounded_direct(loc, input));
         }
         let stats = exec.stats().op(FftOpKind::Fu2D);
         assert_eq!(stats.prefiltered, 5);
         assert_eq!(stats.failed_memo, 5);
         assert_eq!(stats.keys_encoded, 5);
         assert_eq!(exec.db_len(), 5);
+
+        // Next iteration: every chunk is served from the store, with the
+        // very bits the miss that inserted it returned.
+        exec.begin_iteration(1);
+        for (loc, input) in inputs.iter().enumerate() {
+            let hit = exec.execute(FftOpKind::Fu2D, loc, input, &fake_fft);
+            assert_eq!(bits(&hit), bits(&missed[loc]));
+        }
+        assert_eq!(exec.stats().op(FftOpKind::Fu2D).db_hits, 5);
     }
 
     #[test]

@@ -51,13 +51,16 @@ use std::sync::Arc;
 
 /// Byte/entry caps for a memoization store, globally and per lock stripe.
 ///
-/// `None` means unbounded. Global caps are enforced over the whole store
-/// (across every stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb));
+/// `None` means unbounded. A byte cap counts each entry's value *plus* the
+/// raw input it keeps for the τ gate, 8 bytes an element of either
+/// ([`EntryMeta::bytes`]; `value_bytes` counts the values alone, keys and
+/// doorkeeper rings are not counted). Global caps hold over the whole
+/// store (every stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb));
 /// stripe caps bound each stripe individually, which limits how lopsided a
 /// skewed scope distribution can make the stripes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CapacityBudget {
-    /// Maximum resident bytes (values + retained raw inputs + keys).
+    /// Maximum resident bytes (values + retained raw inputs).
     pub max_bytes: Option<u64>,
     /// Maximum number of stored entries.
     pub max_entries: Option<u64>,

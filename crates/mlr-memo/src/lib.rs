@@ -11,10 +11,9 @@
 //! * [`encoder`] — the CNN key encoder (§4.3.1): complex chunks are split
 //!   into real/imaginary planes and passed through a small convolutional
 //!   network into a ~60-dimensional embedding space. The weights are a
-//!   fixed seeded draw, immutable after construction: the key only picks the
-//!   nearest-neighbour candidate, the τ gate runs on the raw chunks. The
-//!   paper's contrastive training and INT8 weights are cost-model figures
-//!   here (`mlr_sim::CostModel::cnn_encode_time`), not live code.
+//!   fixed seeded draw: the key only picks the nearest-neighbour candidate,
+//!   the τ gate runs on the raw chunks (the paper's contrastive training
+//!   and INT8 weights are cost-model figures here, not live code).
 //! * [`fingerprint`] — the norm prefilter's O(n) chunk fingerprints and the
 //!   per-scope doorkeeper table: chunks with no fingerprint neighbor inside
 //!   the τ-derived band skip the CNN encoder (and the probe) entirely and go
@@ -24,7 +23,7 @@
 //!   supporting dynamic insertion.
 //! * [`db`] — the database configuration ([`MemoDbConfig`]) and the
 //!   crate-private lock stripe: index database + value database (entries
-//!   hold their `Arc<[Complex64]>` payload, standing in for Redis) behind
+//!   hold single-precision `Arc<[Complex32]>` payloads, as Redis would) behind
 //!   the τ-thresholded probe/insert protocol.
 //! * [`cache`] — the compute-node memoization cache (§4.4): a one-entry FIFO
 //!   cache *private to each chunk location*, compared against a global cache.
@@ -38,17 +37,15 @@
 //!   `fig11_key_coalesce` is a cost-model figure.
 //! * [`eviction`] — capacity governance: [`CapacityBudget`] caps (bytes /
 //!   entries, global and per stripe) enforced after every insert by the
-//!   configured [`EvictionPolicy`] (FIFO, LRU, TTL in job-iterations, or a
-//!   cost-aware benefit-density policy). Eviction runs on logical clocks
-//!   (op ticks, epochs, stable entry ids) shared by every stripe, so it is
-//!   deterministic given the schedule and independent of the shard layout.
+//!   configured [`EvictionPolicy`] (FIFO, LRU, TTL in job-iterations, or
+//!   cost-aware benefit density), on logical clocks shared by every stripe:
+//!   deterministic given the schedule, independent of the shard layout.
 //! * [`parallel`] — deterministic intra-job chunk parallelism: the
 //!   [`ConcurrencyGovernor`] that keeps job-level workers × chunk-level
 //!   threads from oversubscribing the machine, and the per-job
-//!   [`ParallelStats`]. The engine's batched executor runs a two-phase
-//!   protocol (parallel read-only probe/compute, then an ordered commit in
-//!   chunk-index order), so reconstructions are bit-identical for every
-//!   thread count.
+//!   [`ParallelStats`]. The engine's two-phase batch protocol (parallel
+//!   read-only probe/compute, then a commit in chunk-index order) keeps
+//!   reconstructions bit-identical for every thread count.
 //! * [`similarity`] — the chunk-similarity tracker behind Figure 4.
 //! * [`store`] — the [`MemoStore`] seam: the thread-safe interface the
 //!   executor talks to, with one access protocol — a read-only probe, then

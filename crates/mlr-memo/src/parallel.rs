@@ -162,11 +162,7 @@ impl ParallelStats {
 
     /// Mean threads used per batch dispatch.
     pub fn mean_threads(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.threads_granted as f64 / self.batches as f64
-        }
+        crate::stats::ratio(self.threads_granted, self.batches)
     }
 
     /// Measured speedup of the parallel phases on this machine: serialized

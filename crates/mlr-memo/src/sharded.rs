@@ -33,9 +33,11 @@
 
 use crate::db::{scope_seed, MemoDatabase, MemoDbConfig};
 use crate::encoder::{CnnEncoder, EncoderConfig};
-use crate::eviction::{CapacityBudget, EvictionPolicy, StoreClock};
+use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, StoreClock};
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_lamino::FftOpKind;
+use mlr_math::complex::narrow;
+use mlr_math::norms::l2_norm_c32;
 use mlr_math::Complex64;
 use mlr_telemetry::{AccessKind, AccessRecord, AccessTrace};
 use parking_lot::Mutex;
@@ -78,6 +80,7 @@ pub struct ShardedMemoDb {
     hits: AtomicU64,
     cross_job_hits: AtomicU64,
     inserts: AtomicU64,
+    refused_inserts: AtomicU64,
     pressure_queries: AtomicU64,
     pressure_hits: AtomicU64,
     /// Optional store access-trace recorder (entry, op, stripe, kind,
@@ -133,6 +136,7 @@ impl ShardedMemoDb {
             hits: AtomicU64::new(0),
             cross_job_hits: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
+            refused_inserts: AtomicU64::new(0),
             pressure_queries: AtomicU64::new(0),
             pressure_hits: AtomicU64::new(0),
             trace: None,
@@ -152,10 +156,11 @@ impl ShardedMemoDb {
         self.trace.as_ref()
     }
 
-    /// Records one access event when tracing is enabled; a single branch
-    /// otherwise.
+    /// Records one access event, stamped with the current tick, when
+    /// tracing is enabled; a single branch otherwise. The distributed tier
+    /// writes its replica-set changes through it too.
     #[inline]
-    fn trace_access(&self, op: u8, stripe: usize, entry: u64, kind: AccessKind) {
+    pub(crate) fn trace_access(&self, op: u8, stripe: usize, entry: u64, kind: AccessKind) {
         if let Some(trace) = &self.trace {
             trace.record(AccessRecord {
                 entry,
@@ -184,34 +189,23 @@ impl ShardedMemoDb {
         self.config.budget
     }
 
-    /// Index of the shard owning the index scope of `(op, loc)`.
-    fn shard_index(&self, op: FftOpKind, loc: usize) -> usize {
-        (scope_seed(op, loc) % self.shards.len() as u64) as usize
-    }
-
     /// Which shard owns the index scope of `(op, loc)`.
     fn shard_for(&self, op: FftOpKind, loc: usize) -> &Mutex<MemoDatabase> {
-        &self.shards[self.shard_index(op, loc)]
+        &self.shards[self.stripe_of(op, loc)]
     }
 
-    /// Public view of the stripe owning `(op, loc)` — what the distributed
-    /// tier's stripe→node placement and the trace-replay harness key on.
-    /// Identical to the `stripe` field of the access-trace records this
-    /// store emits.
+    /// Index of the stripe owning the index scope of `(op, loc)` — what the
+    /// distributed tier's stripe→node placement and the trace-replay harness
+    /// key on, and the `stripe` field of the access-trace records.
     pub fn stripe_of(&self, op: FftOpKind, loc: usize) -> usize {
-        self.shard_index(op, loc)
+        (scope_seed(op, loc) % self.shards.len() as u64) as usize
     }
 
     /// A copy of the eviction metadata of entry `entry` in the stripe
     /// owning `(op, loc)`, if the entry is still resident there. The
     /// distributed tier's replica promotion ranks hot entries by this
     /// metadata (hit counts, bytes, recompute cost).
-    pub fn entry_meta(
-        &self,
-        op: FftOpKind,
-        loc: usize,
-        entry: u64,
-    ) -> Option<crate::eviction::EntryMeta> {
+    pub fn entry_meta(&self, op: FftOpKind, loc: usize, entry: u64) -> Option<EntryMeta> {
         self.shard_for(op, loc).lock().meta_of(entry)
     }
 
@@ -398,7 +392,7 @@ impl MemoStore for ShardedMemoDb {
         if entry_origin.job != origin.job {
             self.cross_job_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let stripe = self.shard_index(op, loc);
+        let stripe = self.stripe_of(op, loc);
         self.shards[stripe]
             .lock()
             .commit_hit(entry, entry_origin, origin);
@@ -412,11 +406,11 @@ impl MemoStore for ShardedMemoDb {
         }
         // A miss touches no entry: it only consumes its logical tick.
         self.clock.next_tick();
-        self.trace_access(op as u8, self.shard_index(op, loc), 0, AccessKind::Miss);
+        self.trace_access(op as u8, self.stripe_of(op, loc), 0, AccessKind::Miss);
     }
 
     fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64) {
-        let stripe = self.shard_index(op, loc);
+        let stripe = self.stripe_of(op, loc);
         let mut db = self.shards[stripe].lock();
         db.reclaim_expired(entry);
         self.publish_freed(&mut db);
@@ -434,6 +428,14 @@ impl MemoStore for ShardedMemoDb {
         origin: Provenance,
         recompute_cost: f64,
     ) -> u64 {
+        // The one narrowing of an entry's life (and the norm the τ gate
+        // reuses), outside every lock. What `f32` cannot hold is not stored:
+        // no tick, no id, no trace record.
+        let (Some(raw_input), Some(value)) = (narrow(input), narrow(&output)) else {
+            self.refused_inserts.fetch_add(1, Ordering::Relaxed);
+            return u64::MAX;
+        };
+        let raw = (l2_norm_c32(&raw_input), raw_input);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         let bounded = self.config.budget.is_bounded();
         // One writer at a time when bounded: the budget invariant must hold
@@ -441,10 +443,10 @@ impl MemoStore for ShardedMemoDb {
         // atomic with respect to other inserts. Queries stay concurrent
         // (they only take their own stripe's lock).
         let _guard = bounded.then(|| self.eviction_lock.lock());
-        let stripe = self.shard_index(op, loc);
+        let stripe = self.stripe_of(op, loc);
         let mut db = self.shards[stripe].lock();
         let before = (db.resident_bytes(), db.len() as u64);
-        let id = db.insert(op, loc, input, key, output, origin, recompute_cost);
+        let id = db.insert(op, loc, raw, key, value, origin, recompute_cost);
         let (freed_bytes, freed_entries) = self.publish_freed(&mut db);
         let after = (db.resident_bytes(), db.len() as u64);
         // Split the stripe's delta: what stripe-cap eviction reclaimed from
@@ -503,6 +505,7 @@ impl MemoStore for ShardedMemoDb {
             cross_job_hits: self.cross_job_hits.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             value_bytes: self.value_bytes(),
+            refused_inserts: self.refused_inserts.load(Ordering::Relaxed),
             evictions: self.evictions(),
             expirations: self.expirations(),
             resident_bytes: self.resident_bytes(),
@@ -683,10 +686,10 @@ mod tests {
         let db = sharded(4);
         fill(&db, 8, |_| {});
         assert_eq!(db.len(), 8);
-        assert_eq!(db.value_bytes(), 8 * 32 * 16);
-        // Resident bytes additionally count raw inputs + keys and are
+        assert_eq!(db.value_bytes(), 8 * 32 * 8);
+        // Resident bytes additionally count the raw inputs and are
         // published after every insert.
-        assert!(db.resident_bytes() > db.value_bytes());
+        assert_eq!(db.resident_bytes(), 8 * 8 * (64 + 32));
         assert!(db.peak_resident_bytes() >= db.resident_bytes());
         assert_eq!(db.shard_sizes().iter().sum::<usize>(), 8);
         assert!(

@@ -54,6 +54,15 @@ pub struct OpStats {
     pub keys_encoded: u64,
 }
 
+/// `num / den`, or 0 when nothing was counted: every rate of this crate.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
 impl OpStats {
     /// Total memoizable invocations.
     pub fn total(&self) -> u64 {
@@ -62,12 +71,7 @@ impl OpStats {
 
     /// Fraction of invocations whose FFT computation was avoided.
     pub fn avoided_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.db_hits + self.cache_hits) as f64 / total as f64
-        }
+        ratio(self.db_hits + self.cache_hits, self.total())
     }
 
     fn accumulate(&mut self, other: &OpStats) {
@@ -157,14 +161,11 @@ impl MemoStats {
     /// breakdown in §6.4.
     pub fn case_distribution(&self) -> (f64, f64, f64) {
         let t = self.total();
-        let memoizable = (t.failed_memo + t.db_hits + t.cache_hits) as f64;
-        if memoizable == 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
+        let memoizable = t.failed_memo + t.db_hits + t.cache_hits;
         (
-            t.failed_memo as f64 / memoizable,
-            t.db_hits as f64 / memoizable,
-            t.cache_hits as f64 / memoizable,
+            ratio(t.failed_memo, memoizable),
+            ratio(t.db_hits, memoizable),
+            ratio(t.cache_hits, memoizable),
         )
     }
 

@@ -15,8 +15,9 @@
 
 use crate::db::MemoDbConfig;
 use crate::fingerprint::ChunkFingerprint;
+use crate::stats::ratio;
 use mlr_lamino::FftOpKind;
-use mlr_math::Complex64;
+use mlr_math::{Complex32, Complex64};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -68,14 +69,18 @@ pub struct StoreStats {
     pub cross_job_hits: u64,
     /// Insertions performed.
     pub inserts: u64,
-    /// Approximate resident bytes of the value database.
+    /// Resident bytes of the value database (8 per stored element).
     pub value_bytes: u64,
+    /// Inserts refused because input or output had a component that is
+    /// non-finite or overflows `f32` (nothing else refuses one). The chunk
+    /// was still answered, exactly, by its compute.
+    pub refused_inserts: u64,
     /// Entries evicted to satisfy the capacity budget.
     pub evictions: u64,
     /// Entries reclaimed because their TTL expired.
     pub expirations: u64,
-    /// Total resident bytes (values + retained raw inputs + keys) — the
-    /// quantity the capacity budget caps.
+    /// Total resident bytes (values + retained raw inputs) — the quantity
+    /// the capacity budget caps.
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes` observed after budget
     /// enforcement; with a byte cap set, this never exceeds the cap.
@@ -90,30 +95,18 @@ pub struct StoreStats {
 impl StoreStats {
     /// Fraction of queries answered from the store.
     pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.queries as f64
-        }
+        ratio(self.hits, self.queries)
     }
 
     /// Fraction of queries answered by another job's entry.
     pub fn cross_job_hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cross_job_hits as f64 / self.queries as f64
-        }
+        ratio(self.cross_job_hits, self.queries)
     }
 
     /// Hit rate over only the queries issued while the store was under
     /// capacity pressure — the figure of merit for a bounded store.
     pub fn hit_rate_under_pressure(&self) -> f64 {
-        if self.pressure_queries == 0 {
-            0.0
-        } else {
-            self.pressure_hits as f64 / self.pressure_queries as f64
-        }
+        ratio(self.pressure_hits, self.pressure_queries)
     }
 }
 
@@ -131,9 +124,9 @@ impl StoreStats {
 pub enum ProbeOutcome {
     /// A stored value passed the τ gate.
     Hit {
-        /// The stored FFT result — a shared reference into the value
-        /// database, never a deep clone.
-        value: Arc<[Complex64]>,
+        /// The stored FFT result, in the store's single-precision format —
+        /// a shared reference into the value database, never a deep clone.
+        value: Arc<[Complex32]>,
         /// Cosine similarity between query and stored entry.
         similarity: f64,
         /// Stable id of the serving entry (for the ordered commit).
@@ -203,7 +196,8 @@ pub enum ProbeOutcome {
 /// };
 /// assert_eq!(store.stats().hits, 0, "a probe counts nothing");
 /// store.commit_hit(op, loc, entry, origin, Provenance::solo(2));
-/// assert_eq!(value.as_ref(), chunk.as_slice());
+/// // What comes back is the inserted value rounded to the stored format.
+/// assert_eq!(value, mlr_math::complex::narrow(&chunk).unwrap());
 /// assert_eq!(store.stats().hits, 1);
 /// ```
 pub trait MemoStore: Send + Sync {
@@ -261,8 +255,11 @@ pub trait MemoStore: Send + Sync {
     /// Reclaims an entry a probe found expired, if it still is.
     fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64);
 
-    /// Inserts an entry computed by `origin`. Returns the entry id
-    /// (stable across the whole store; the eviction tie-breaker).
+    /// Inserts an entry computed by `origin`: `input` and `output` are
+    /// narrowed to the stored single-precision format, once, here. Returns
+    /// the entry id (stable across the whole store; the eviction
+    /// tie-breaker) — or `u64::MAX`, having stored and counted nothing but
+    /// [`StoreStats::refused_inserts`], when `f32` cannot hold one of them.
     /// `recompute_cost` is the deterministic cost hint cost-aware eviction
     /// ranks by (see [`recompute_cost_estimate`](crate::eviction::recompute_cost_estimate)).
     #[allow(clippy::too_many_arguments)]
@@ -285,11 +282,11 @@ pub trait MemoStore: Send + Sync {
         self.len() == 0
     }
 
-    /// Approximate resident bytes of the value database.
+    /// Resident bytes of the value database (8 per stored element).
     fn value_bytes(&self) -> u64;
 
-    /// Total resident bytes (values + retained raw inputs + keys) — the
-    /// quantity the capacity budget caps.
+    /// Total resident bytes (values + retained raw inputs) — the quantity
+    /// the capacity budget caps.
     fn resident_bytes(&self) -> u64;
 
     /// Advances the store's job-iteration epoch (the TTL clock). Executors

@@ -8,7 +8,7 @@ use crate::eviction::recompute_cost_estimate;
 use crate::sharded::ShardedMemoDb;
 use crate::store::{MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
-use mlr_math::Complex64;
+use mlr_math::{Complex32, Complex64};
 use std::sync::Arc;
 
 pub(crate) fn tiny_encoder_config() -> EncoderConfig {
@@ -74,7 +74,7 @@ pub(crate) fn lookup(
     loc: usize,
     input: &[Complex64],
     origin: Provenance,
-) -> Option<(Arc<[Complex64]>, f64, Provenance)> {
+) -> Option<(Arc<[Complex32]>, f64, Provenance)> {
     let key = store.encode(input);
     match store.probe_with_key(op, loc, input, &key, origin) {
         ProbeOutcome::Hit {

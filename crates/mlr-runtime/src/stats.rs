@@ -207,6 +207,7 @@ mod tests {
                 cross_job_hits: 10,
                 inserts: 30,
                 value_bytes: 1 << 20,
+                refused_inserts: 0,
                 evictions: 12,
                 expirations: 3,
                 resident_bytes: 3 << 20,

@@ -206,6 +206,14 @@ impl AdmmWorkload {
         2.0 * 16.0 * self.size.voxels() as f64
     }
 
+    /// Bytes of one whole-volume memoized value. A stored element is single
+    /// precision ([`Complex32`](mlr_math::Complex32), the paper's
+    /// COMPLEX64): the one place the paper-scale projections price a memo
+    /// payload from.
+    pub fn memo_value_bytes(&self) -> f64 {
+        (mlr_math::Complex32::BYTES as u64 * self.size.voxels()) as f64
+    }
+
     /// Simulated time of one LSP inner (CG) iteration under Algorithm 1
     /// (six FFT stages, three per pass) including PCIe transfers, assuming
     /// the transfer of one chunk overlaps the compute of another so only the

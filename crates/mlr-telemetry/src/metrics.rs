@@ -102,10 +102,13 @@ pub enum StageId {
     /// records the probe minus this sub-stage — so the stage set partitions
     /// hit-path time without double counting.
     Quantize,
+    /// Storing a missed chunk at ordered commit: narrowing input and output
+    /// to the stored format, the index add and the budget enforcement.
+    Insert,
 }
 
 /// Number of stages in [`StageId`].
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 8;
 
 /// Stable snake_case names, indexable by `StageId as usize`.
 pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
@@ -116,6 +119,7 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "miss_fft",
     "prefilter",
     "quantize",
+    "insert",
 ];
 
 /// Per-thread counter scratch: a `Copy` array on the worker's stack.
@@ -454,5 +458,6 @@ mod tests {
         assert_eq!(STAGE_NAMES[StageId::MissFft as usize], "miss_fft");
         assert_eq!(STAGE_NAMES[StageId::Prefilter as usize], "prefilter");
         assert_eq!(STAGE_NAMES[StageId::Quantize as usize], "quantize");
+        assert_eq!(STAGE_NAMES[StageId::Insert as usize], "insert");
     }
 }

@@ -149,19 +149,19 @@ impl SpanJournal {
     /// Appends one record, overwriting the oldest when full. Allocation-free
     /// after the ring's one-time preallocation.
     pub fn record(&self, job: u64, kind: SpanKind, arg: u64) {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let wall_ns = match self.epoch {
             Some(epoch) => epoch.elapsed().as_nanos() as u64,
             None => 0,
         };
+        // The tick is drawn under the ring lock, so ring order is tick order.
+        let mut ring = self.ring.lock();
         let record = SpanRecord {
             job,
             kind,
             arg,
-            tick,
+            tick: self.tick.fetch_add(1, Ordering::Relaxed),
             wall_ns,
         };
-        let mut ring = self.ring.lock();
         if ring.len < self.capacity {
             ring.slots.push(record);
             ring.len += 1;

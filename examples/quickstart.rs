@@ -36,8 +36,9 @@ fn main() {
         100.0 * report.compute_saving()
     );
     println!(
-        "memoization database size                 : {:.1} MiB",
-        report.db_bytes as f64 / (1 << 20) as f64
+        "memoization store (values / resident)     : {:.1} / {:.1} MiB",
+        report.db_bytes as f64 / (1 << 20) as f64,
+        report.db_resident_bytes as f64 / (1 << 20) as f64
     );
 
     // Project the measured behaviour to the paper's 1K^3 problem.

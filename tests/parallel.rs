@@ -119,8 +119,8 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
     // Drives the output-slice seam directly: one executor runs chunk by
     // chunk through `execute` (owned-Vec returns), a twin consumes the same
     // trace through multi-chunk `execute_batch_into` dispatches whose memo
-    // hits are single memcpys from the shared `Arc<[Complex64]>` payloads
-    // into caller-provided slices. Outputs must be bitwise equal and the
+    // hits are single widening copies from the shared `Arc<[Complex32]>`
+    // payloads into caller-provided slices. Outputs must be bitwise equal and the
     // case counts identical — over a private one-shard store and over the
     // 16-shard layout the runtime shares — so the zero-copy path cannot
     // drift from the one-chunk-at-a-time protocol.
@@ -207,6 +207,142 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
             "{label}: trace never hit — vacuous"
         );
     }
+}
+
+/// Four sightings of `inputs` (one chunk per location, `F_u2D`) through the
+/// batch seam at `threads` chunk threads, each in its own iteration: the
+/// outputs of every sighting, and the executor.
+fn four_sightings(
+    inputs: &[Vec<mlr_math::Complex64>],
+    threads: usize,
+) -> (
+    Vec<Vec<Vec<mlr_math::Complex64>>>,
+    mlr_memo::MemoizedExecutor,
+) {
+    use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
+    use mlr_math::Complex64;
+    let encoder = mlr_memo::EncoderConfig {
+        input_grid: 8,
+        conv1_filters: 2,
+        conv2_filters: 4,
+        embedding_dim: 8,
+    };
+    let memo = mlr_memo::MemoConfig {
+        warmup_iterations: 0,
+        ..Default::default()
+    };
+    let exec = mlr_memo::MemoizedExecutor::new(memo, encoder, 3).with_parallelism(threads, None);
+    let compute =
+        |x: &[Complex64]| -> Vec<Complex64> { x.iter().map(|z| z.scale(1.0 / 3.0)).collect() };
+    let sightings = (0..4)
+        .map(|it| {
+            exec.begin_iteration(it);
+            let batch: Vec<ChunkRequest<'_>> = inputs
+                .iter()
+                .enumerate()
+                .map(|(loc, input)| ChunkRequest {
+                    loc,
+                    input,
+                    compute: &compute,
+                })
+                .collect();
+            let mut outputs: Vec<Vec<Complex64>> = inputs
+                .iter()
+                .map(|x| vec![Complex64::ZERO; x.len()])
+                .collect();
+            let mut slots: Vec<&mut [Complex64]> =
+                outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
+            exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
+            outputs
+        })
+        .collect();
+    (sightings, exec)
+}
+
+#[test]
+fn lanes_chosen_by_store_state_emit_identical_bits() {
+    // The same chunk is prefiltered on its first sighting, a failed memo on
+    // its second, a database hit on its third and a cache hit on its
+    // fourth. Which of those a sighting gets depends on what the store
+    // holds (a crashed memory node turns the hit back into a recompute), so
+    // all four must hand the operator the same bits: the exact result
+    // rounded through the stored single-precision format.
+    use mlr_math::Complex64;
+    let inputs: Vec<Vec<Complex64>> = (0..6)
+        .map(|loc| {
+            (0..128)
+                .map(|i| Complex64::new((0.3 * (i + loc) as f64).sin(), 0.01 * i as f64))
+                .collect()
+        })
+        .collect();
+    let complex_bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    for threads in [1, 4] {
+        let (sightings, exec) = four_sightings(&inputs, threads);
+        let total = exec.stats().total();
+        assert_eq!(
+            (
+                total.prefiltered,
+                total.failed_memo,
+                total.db_hits,
+                total.cache_hits
+            ),
+            (6, 6, 6, 6),
+            "{threads} threads: the four sightings did not take the four lanes"
+        );
+        for (loc, input) in inputs.iter().enumerate() {
+            let exact: Vec<Complex64> = input.iter().map(|z| z.scale(1.0 / 3.0)).collect();
+            let mut rounded = vec![Complex64::ZERO; exact.len()];
+            assert!(mlr_math::complex::round_into(&exact, &mut rounded));
+            assert_ne!(rounded, exact, "x / 3 has no exact f32 form");
+            for (sighting, outputs) in sightings.iter().enumerate() {
+                assert_eq!(
+                    complex_bits(&outputs[loc]),
+                    complex_bits(&rounded),
+                    "{threads} threads: sighting {sighting} of location {loc} is not \
+                     widen(narrow(F(x)))"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_chunk_f32_cannot_hold_is_answered_exactly_and_never_stored() {
+    // At location 0 one input component overflows f32 (the output, a third
+    // of it, does not); at location 1 one output component is not finite.
+    // Neither may be stored: every sighting recomputes, the store counts
+    // the refusals, and an output f32 cannot hold is handed over exactly as
+    // computed. Location 2 is an ordinary chunk.
+    use mlr_math::Complex64;
+    let ordinary: Vec<Complex64> = (0..128)
+        .map(|i| Complex64::new((0.3 * i as f64).sin(), 0.01 * i as f64))
+        .collect();
+    let mut inputs = vec![ordinary.clone(), ordinary.clone(), ordinary];
+    inputs[0][5].re = 1e39;
+    inputs[1][5].im = f64::INFINITY;
+    let (sightings, exec) = four_sightings(&inputs, 1);
+    for outputs in &sightings {
+        assert_eq!(outputs[0][5].re, (1e39 / 3.0) as f32 as f64);
+        assert_eq!(outputs[1][5].im, f64::INFINITY);
+        let exact = inputs[1][6].scale(1.0 / 3.0);
+        assert_ne!(
+            exact.im, exact.im as f32 as f64,
+            "the probe element must round"
+        );
+        assert_eq!(outputs[1][6], exact, "an unstorable output was rounded");
+    }
+    let store = exec.store().stats();
+    assert_eq!((store.entries, store.inserts), (1, 1), "{store:?}");
+    // Sightings 2 to 4 of both bad chunks each probed, missed and were refused.
+    assert_eq!(store.refused_inserts, 6, "{store:?}");
+    assert_eq!(store.resident_bytes, 8 * (128 + 128));
+    let total = exec.stats().total();
+    assert_eq!(
+        (total.failed_memo, total.db_hits + total.cache_hits),
+        (7, 2)
+    );
 }
 
 #[test]

@@ -8,7 +8,11 @@
 
 use mlr_fft::fft::{dft_naive, fft, ifft, Direction};
 use mlr_lamino::{ChunkGrid, DirectExecutor, LaminoGeometry, LaminoOperator};
-use mlr_math::norms::{cosine_similarity_c, l2_norm_c, max_abs_diff_c, scale_aware_similarity_c};
+use mlr_math::complex::{narrow, round_into, widen_into};
+use mlr_math::norms::{
+    cosine_similarity, cosine_similarity_c, l2_norm, l2_norm_c, l2_norm_c32, max_abs_diff_c,
+    scale_aware_similarity, scale_aware_similarity_c, scale_aware_similarity_mixed,
+};
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Complex64};
 use rand::Rng;
@@ -83,6 +87,89 @@ fn similarity_measures_are_bounded() {
             "self-similarity must be ~1 (case {case})"
         );
     }
+}
+
+#[test]
+fn fused_similarity_has_the_bits_of_the_separate_passes() {
+    // The one-pass real scale-aware similarity (the cache's key gate)
+    // accumulates dot and norms in the element order the separate passes
+    // use, so not a bit may differ.
+    for case in 0..CASES {
+        let a = complex_vec(48 + case as usize, 1400 + case);
+        let b = complex_vec(48 + case as usize, 1500 + case);
+        let scale = 0.25 * (1 + case % 7) as f64;
+        let (ra, rb): (Vec<f64>, Vec<f64>) = (a.iter().zip(&b))
+            .map(|(x, y)| (x.re, y.im * scale))
+            .unzip();
+        let (na, nb) = (l2_norm(&ra), l2_norm(&rb));
+        let separate = cosine_similarity(&ra, &rb) * (na.min(nb) / na.max(nb));
+        assert_eq!(
+            scale_aware_similarity(&ra, &rb).to_bits(),
+            separate.to_bits(),
+            "fused pass drifted (case {case})"
+        );
+    }
+}
+
+#[test]
+fn narrowing_is_idempotent_and_within_half_an_f32_ulp() {
+    for case in 0..CASES {
+        // Magnitudes from 1e-3 to 1e6: all inside f32's normal range.
+        let scale = 10f64.powi(case as i32 % 10 - 3);
+        let x: Vec<Complex64> = complex_vec(64, 1600 + case)
+            .iter()
+            .map(|z| z.scale(scale))
+            .collect();
+        let stored = narrow(&x).expect("finite and in range");
+        let mut once = vec![Complex64::ZERO; x.len()];
+        widen_into(&stored, &mut once);
+        for (r, z) in once.iter().zip(&x) {
+            let bound = 2f64.powi(-24);
+            assert!(
+                (r.re - z.re).abs() <= bound * z.re.abs()
+                    && (r.im - z.im).abs() <= bound * z.im.abs(),
+                "rounding error above 2^-24 relative (case {case}): {z:?} -> {r:?}"
+            );
+        }
+        // Rounding what is already rounded changes nothing, whichever way
+        // it is rounded.
+        assert_eq!(narrow(&once).as_deref(), Some(&stored[..]));
+        let mut twice = vec![Complex64::ZERO; x.len()];
+        assert!(round_into(&once, &mut twice));
+        assert_eq!(
+            twice, once,
+            "widen(narrow(.)) is not idempotent (case {case})"
+        );
+    }
+}
+
+#[test]
+fn mixed_precision_gate_tracks_the_f64_gate() {
+    let gates = |query: &[Complex64], raw: &[Complex64]| {
+        let stored = narrow(raw).expect("finite and in range");
+        let mixed = scale_aware_similarity_mixed(query, &stored, l2_norm_c32(&stored));
+        (mixed, scale_aware_similarity_c(query, raw))
+    };
+    for case in 0..CASES {
+        let raw = complex_vec(96, 1700 + case);
+        // From near-identical to unrelated, at drifting scales.
+        let mix = case as f64 / CASES as f64;
+        let query: Vec<Complex64> = raw
+            .iter()
+            .zip(complex_vec(96, 1800 + case))
+            .map(|(r, n)| (*r + n.scale(mix)).scale(1.0 + 0.01 * case as f64))
+            .collect();
+        let (mixed, exact) = gates(&query, &raw);
+        assert!(
+            (mixed - exact).abs() <= 1e-6,
+            "mixed gate off by more than 1e-6 (case {case}): {mixed} vs {exact}"
+        );
+    }
+    let zero = vec![Complex64::ZERO; 16];
+    let some = complex_vec(16, 1900);
+    assert_eq!(gates(&zero, &zero), (1.0, 1.0));
+    assert_eq!(gates(&zero, &some), (0.0, 0.0));
+    assert_eq!(gates(&some, &zero), (0.0, 0.0));
 }
 
 #[test]
