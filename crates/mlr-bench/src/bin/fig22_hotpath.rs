@@ -14,8 +14,8 @@
 //! * **prefilter path** — a drifting-amplitude trace in which every chunk's
 //!   norm fingerprint falls outside the τ-band of its scope's history, so
 //!   the doorkeeper routes every chunk straight to the exact FFT without
-//!   touching the encoder or the index. The skip rate and the ns/chunk
-//!   saved versus the full encode→probe→miss→insert path (the same chunks'
+//!   touching the cache, the key or the index. The skip rate and the ns/chunk
+//!   saved versus the full peek→encode→probe→miss→insert path (the same chunks'
 //!   second sighting) are both recorded, with the second sighting's `insert`
 //!   stage (narrow + index add + budget enforcement) beside them;
 //! * **allocator traffic** — allocations and bytes per steady-state hit
@@ -25,22 +25,24 @@
 //!   payload-sized allocations per chunk. The hit-path executors run with
 //!   telemetry *enabled*, so the gate also certifies that the instrumented
 //!   path stays allocation-free;
-//! * **stage breakdown** — where the hit ns/chunk goes: prefilter, encode,
-//!   cache peek, IVF probe (exact rescore), key quantisation, payload copy
-//!   and miss-FFT nanoseconds per chunk from the telemetry stage
-//!   histograms, answering how the measured hit cost splits. With the
-//!   prefilter and quantize sub-stages timed, the stage sum is held to
-//!   within 5 % of the measured wall clock (was 10 % before those stages
-//!   existed).
+//! * **stage breakdown** — where the hit ns/chunk goes: prefilter, cache
+//!   peek (the τ gate on the raw chunk), key sketch, index probe (flat scan,
+//!   then the τ gate), payload copy and miss-FFT nanoseconds per chunk from the
+//!   telemetry stage histograms, answering how the measured hit cost
+//!   splits. A steady cache hit records no encode and no probe: it never
+//!   computes a key. The stage sum is compared with the measured wall clock
+//!   (`stage_sum_within_5pct`, informational).
 //!
 //! `--sweep` additionally runs a chunk-size sweep (256 .. 16 Ki complex
-//! elems) of the steady cache-hit cost against the exact `F_u1D` and
-//! `F_u2D` chunk computes a hit replaces in a reconstruction, and judges
-//! the engine's compiled break-even gate (`mlr_memo::memoization_pays`)
-//! against it: at every swept size and for both op families the gate's
-//! decision must match `EXPECTED_REUSE · compute ≥ cache hit`, except
-//! within a factor of two of break-even, where either decision passes
-//! (`gate_agrees_with_measurement`). The sweep table is also what the
+//! elems) of what the memo path costs — the steady cache hit, and the tax
+//! a memoized *miss* pays on top of its compute (cache peek, key, probe,
+//! insert) — against the exact `F_u1D` and `F_u2D` chunk computes a hit
+//! replaces in a reconstruction, and judges the engine's compiled
+//! break-even gate (`mlr_memo::memoization_pays`) against it: at every swept
+//! size and for both op families the gate's decision must match
+//! `p · compute ≥ p · hit + (1 − p) · miss tax` (`p` = `EXPECTED_REUSE`),
+//! except within a factor of two of break-even, where either decision
+//! passes (`gate_agrees_with_measurement`). The sweep table is also what the
 //! gate's constants are calibrated against. CI runs
 //! `fig22_hotpath --smoke --sweep` so `BENCH_hotpath.json` always carries
 //! the sweep; without `--sweep` the sweep is empty and the flag false.
@@ -63,16 +65,14 @@
 //! `target/experiments/`).
 
 use mlr_bench::alloc::{delta, snapshot, CountingAllocator};
-use mlr_bench::{
-    compare_row, fmt_secs, header, reconstruction_encoder, smoke_from_args, write_record,
-};
+use mlr_bench::{compare_row, fmt_secs, header, smoke_from_args, write_record};
 use mlr_fft::fft::{Direction, FftPlan};
 use mlr_lamino::{
     ChunkRequest, DetectorSpec, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator,
 };
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Complex32, Complex64};
-use mlr_memo::{memoization_pays, EncoderConfig, MemoConfig, MemoizedExecutor, EXPECTED_REUSE};
+use mlr_memo::{memoization_pays, MemoConfig, MemoizedExecutor, EXPECTED_REUSE};
 use mlr_telemetry::{MetricsSnapshot, StageId, Telemetry, STAGE_NAMES};
 use rand::Rng;
 use serde::Serialize;
@@ -93,8 +93,8 @@ struct PathStats {
 }
 
 /// Per-stage split of a steady-state hit chunk, from the telemetry stage
-/// histograms recorded by the executor itself (prefilter → encode → cache
-/// peek → IVF probe + quantize → payload copy, plus the miss-FFT stage on
+/// histograms recorded by the executor itself (prefilter → cache peek →
+/// encode → index probe → payload copy, plus the miss-FFT stage on
 /// recompute paths). This answers the question the aggregate ns/chunk
 /// column cannot: *where* the hit-path time goes.
 #[derive(Serialize)]
@@ -106,17 +106,14 @@ struct StageBreakdown {
     miss_fft_ns_per_chunk: f64,
     /// Fingerprint compute + doorkeeper consult, charged on every chunk.
     prefilter_ns_per_chunk: f64,
-    /// i8 key quantisation inside the probe (carved out of `ivf_probe`).
-    quantize_ns_per_chunk: f64,
-    /// Sum of the seven stage columns.
+    /// Sum of the six stage columns.
     stage_sum_ns_per_chunk: f64,
     /// The wall-clock ns/chunk measured over the same steady window.
     measured_ns_per_chunk: f64,
     /// stage_sum / measured: how much of the measured time the stage timers
     /// explain (the remainder is untimed commit bookkeeping).
     stage_sum_fraction: f64,
-    /// Whether the stage sum lands within 5 % of the measured ns/chunk.
-    /// Tightened from 10 % now that prefilter and quantize are timed;
+    /// Whether the stage sum lands within 5 % of the measured ns/chunk;
     /// timing-noisy, so informational — not a CI gate.
     stage_sum_within_5pct: bool,
     /// The most expensive stage of this path.
@@ -152,7 +149,7 @@ struct GateCheck {
     /// Mean ns of the exact chunk compute.
     compute_ns_per_chunk: f64,
     /// `EXPECTED_REUSE · compute_ns_per_chunk`: what memoizing the chunk is
-    /// expected to save; it pays when this reaches `cache_hit_ns_per_chunk`.
+    /// expected to save; it pays when this reaches `memo_path_ns_per_chunk`.
     expected_saving_ns: f64,
     /// `memoization_pays(kind, chunk_elems)` as compiled into the engine.
     gate_memoizes: bool,
@@ -161,12 +158,20 @@ struct GateCheck {
     agrees: bool,
 }
 
-/// One chunk size of the `--sweep` mode: steady cache-hit ns/chunk against
+/// One chunk size of the `--sweep` mode: what the memo path costs against
 /// the exact USFFT chunk computes of a reconstruction.
 #[derive(Serialize)]
 struct SweepPoint {
     chunk_elems: usize,
     cache_hit_ns_per_chunk: f64,
+    /// What a memoized miss pays beyond its compute: the prefilter, cache
+    /// peek, encode, probe and insert stages of a second-sighting chunk with
+    /// nothing similar stored.
+    miss_tax_ns_per_chunk: f64,
+    /// `p · cache_hit + (1 − p) · miss_tax` at `p = EXPECTED_REUSE`: what a
+    /// memoized chunk is expected to pay — the hit lane encodes no key and
+    /// inserts nothing, so it alone understates it.
+    memo_path_ns_per_chunk: f64,
     /// `LaminoOperator::fu1d_chunk_compute` on the chunk read as `len`
     /// volume planes of a `side³` geometry with `side/2` angles, `side` =
     /// 16 below 1 Ki elements, 32 below 4 Ki, 64 from there.
@@ -233,8 +238,8 @@ struct Record {
 /// Threads the rayon shim is pinned to for the whole run (see `main`).
 const KERNEL_THREADS: usize = 1;
 
-/// Allocation envelope of one steady-state cache-hit chunk: the encoded key
-/// (the one intended allocation) plus slack for amortised batch plumbing.
+/// Allocation envelope of one steady-state cache-hit chunk (which computes
+/// no key): slack for amortised batch plumbing.
 const MAX_HIT_ALLOCS: f64 = 4.0;
 const MAX_HIT_ALLOC_BYTES: f64 = 1024.0;
 
@@ -299,7 +304,6 @@ fn stage_breakdown(
         per_chunk(StageId::PayloadCopy),
         per_chunk(StageId::MissFft),
         per_chunk(StageId::Prefilter),
-        per_chunk(StageId::Quantize),
     ];
     let stage_sum: f64 = stages.iter().sum();
     let top = stages
@@ -316,7 +320,6 @@ fn stage_breakdown(
         payload_copy_ns_per_chunk: stages[3],
         miss_fft_ns_per_chunk: stages[4],
         prefilter_ns_per_chunk: stages[5],
-        quantize_ns_per_chunk: stages[6],
         stage_sum_ns_per_chunk: stage_sum,
         measured_ns_per_chunk,
         stage_sum_fraction: fraction,
@@ -354,11 +357,13 @@ fn path_stats(
 }
 
 /// One sweep point: steady cache-hit ns/chunk at chunk size `n` through
-/// `execute_batch_into` (fastest of three steady windows), against the exact
+/// `execute_batch_into` (fastest of three steady windows) and the miss tax
+/// (fastest of three drifting-amplitude windows, as in the prefilter lane:
+/// every chunk's second sighting misses and inserts), against the exact
 /// USFFT computes at that size. The cache path needs four warm-up dispatches
 /// under the doorkeeper (prefiltered first sighting → miss + insert → db-hit
 /// promote → cache-pool warm) before the steady all-cache-hit window.
-fn sweep_point(n: usize, memo: MemoConfig, encoder: EncoderConfig, seed: u64) -> SweepPoint {
+fn sweep_point(n: usize, memo: MemoConfig) -> SweepPoint {
     let locations = 8usize;
     let steady = 4usize;
     let plan = FftPlan::new(n);
@@ -371,7 +376,7 @@ fn sweep_point(n: usize, memo: MemoConfig, encoder: EncoderConfig, seed: u64) ->
     let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; locations];
     let chunks = (steady * locations) as f64;
 
-    let hit_exec = MemoizedExecutor::new(memo, encoder, seed);
+    let hit_exec = MemoizedExecutor::private(memo);
     let _ = drive(&hit_exec, &inputs, &mut outputs, &compute, 0, 4);
     let hit_secs = (0..3)
         .map(|window| {
@@ -381,11 +386,43 @@ fn sweep_point(n: usize, memo: MemoConfig, encoder: EncoderConfig, seed: u64) ->
         .fold(f64::INFINITY, f64::min);
     let cache_hit_ns = hit_secs * 1e9 / chunks;
 
+    // The miss tax is read off the engine's own stage clocks (a difference
+    // of two wall times at these sizes is mostly noise): the stages a
+    // second sighting records beside its FFT, fastest of three windows.
+    let miss_exec = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
+    let tax_stages = |m: &MetricsSnapshot| -> u64 {
+        use StageId::{CachePeek, Encode, Insert, IvfProbe, Prefilter};
+        [Prefilter, CachePeek, Encode, IvfProbe, Insert]
+            .iter()
+            .map(|&id| m.stage(id).sum)
+            .sum()
+    };
+    let mut tax_ns = u64::MAX;
+    for window in 0..3 {
+        let mut window_ns = 0;
+        for it in window * steady..(window + 1) * steady {
+            let amp = 3.0f64.powi(it as i32);
+            let drift: Vec<Vec<Complex64>> = inputs
+                .iter()
+                .map(|c| c.iter().map(|z| z.scale(amp)).collect())
+                .collect();
+            let _ = drive(&miss_exec, &drift, &mut outputs, &compute, 2 * it, 1);
+            let before = tax_stages(&metrics_of(&miss_exec));
+            let _ = drive(&miss_exec, &drift, &mut outputs, &compute, 2 * it + 1, 1);
+            window_ns += tax_stages(&metrics_of(&miss_exec)) - before;
+        }
+        tax_ns = tax_ns.min(window_ns);
+    }
+    let missed = miss_exec.stats().total().failed_memo as f64;
+    assert_eq!(missed, 3.0 * chunks, "every second sighting must miss");
+    let miss_tax_ns = tax_ns as f64 / chunks;
+    let memo_path_ns = EXPECTED_REUSE * cache_hit_ns + (1.0 - EXPECTED_REUSE) * miss_tax_ns;
+
     let (usfft2d_ns, fu1d_ns) = usfft_chunk_ns(&inputs[0]);
     let check = |kind: FftOpKind, compute_ns: f64| {
         let gate_memoizes = memoization_pays(kind, n);
         let expected_saving_ns = EXPECTED_REUSE * compute_ns;
-        let ratio = expected_saving_ns / cache_hit_ns.max(1e-9);
+        let ratio = expected_saving_ns / memo_path_ns.max(1e-9);
         GateCheck {
             compute_ns_per_chunk: compute_ns,
             expected_saving_ns,
@@ -396,6 +433,8 @@ fn sweep_point(n: usize, memo: MemoConfig, encoder: EncoderConfig, seed: u64) ->
     SweepPoint {
         chunk_elems: n,
         cache_hit_ns_per_chunk: cache_hit_ns,
+        miss_tax_ns_per_chunk: miss_tax_ns,
+        memo_path_ns_per_chunk: memo_path_ns,
         fu1d: check(FftOpKind::Fu1D, fu1d_ns),
         usfft2d: check(FftOpKind::Fu2D, usfft2d_ns),
     }
@@ -468,9 +507,6 @@ fn main() {
         "zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk",
     );
     let smoke = smoke_from_args();
-    // The encoder reconstructions run, so the hit costs measured here are the
-    // ones the engine's break-even gate has to be right about.
-    let encoder = reconstruction_encoder();
     let sweep_run = std::env::args().any(|a| a == "--sweep");
     let (n, locations, steady) = if smoke { (1024, 24, 8) } else { (4096, 32, 12) };
     let payload_bytes = (n * std::mem::size_of::<Complex32>()) as u64;
@@ -502,7 +538,7 @@ fn main() {
     // allocation gates below thereby certify that the instrumented hit
     // path is still allocation-free, and the stage histograms feed the
     // breakdown.
-    let exec = MemoizedExecutor::new(memo, encoder, 22).with_telemetry(Telemetry::enabled());
+    let exec = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
     let _ = drive(&exec, &inputs, &mut outputs, &compute, 0, 4);
     let stages_before = metrics_of(&exec);
     // Region-level enforcement of the same envelope the JSON gate reports:
@@ -529,14 +565,10 @@ fn main() {
     // --- db-hit path: cache disabled, every steady chunk is a database hit
     // served through the shared payload buffer (warm-ups: prefiltered
     // sighting, populate, first db-hit round).
-    let db_exec = MemoizedExecutor::new(
-        MemoConfig {
-            use_cache: false,
-            ..memo
-        },
-        encoder,
-        23,
-    )
+    let db_exec = MemoizedExecutor::private(MemoConfig {
+        use_cache: false,
+        ..memo
+    })
     .with_telemetry(Telemetry::enabled());
     let _ = drive(&db_exec, &inputs, &mut outputs, &compute, 0, 3);
     let db_stages_before = metrics_of(&db_exec);
@@ -558,14 +590,10 @@ fn main() {
 
     // --- miss path: memoization disabled, every chunk recomputes the exact
     // FFT through the same batch seam.
-    let miss_exec = MemoizedExecutor::new(
-        MemoConfig {
-            enabled: false,
-            ..memo
-        },
-        encoder,
-        24,
-    );
+    let miss_exec = MemoizedExecutor::private(MemoConfig {
+        enabled: false,
+        ..memo
+    });
     let _ = drive(&miss_exec, &inputs, &mut outputs, &compute, 0, 1);
     let (secs, allocs, bytes) = drive(&miss_exec, &inputs, &mut outputs, &compute, 1, steady);
     let miss = path_stats(&miss_exec, secs, allocs, bytes, chunks);
@@ -578,7 +606,7 @@ fn main() {
     // fingerprint and — nothing similar being stored — pays the full
     // encode → probe → failed-memo path.
     let pf_iters = 8usize;
-    let pf_exec = MemoizedExecutor::new(memo, encoder, 26).with_telemetry(Telemetry::enabled());
+    let pf_exec = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
     let (mut skip_secs, mut full_secs) = (0.0f64, 0.0f64);
     for it in 0..pf_iters {
         let amp = 3.0f64.powi(it as i32);
@@ -623,8 +651,7 @@ fn main() {
     let sweep: Vec<SweepPoint> = if sweep_run {
         [256usize, 512, 1024, 2048, 4096, 8192, 16384]
             .iter()
-            .enumerate()
-            .map(|(i, &sz)| sweep_point(sz, memo, encoder, 30 + i as u64))
+            .map(|&sz| sweep_point(sz, memo))
             .collect()
     } else {
         Vec::new()
@@ -648,25 +675,23 @@ fn main() {
     }
     println!();
     println!(
-        "{:>12} {:>10} {:>8} {:>12} {:>11} {:>9} {:>14} {:>10} {:>11}",
+        "{:>12} {:>10} {:>12} {:>8} {:>11} {:>14} {:>10} {:>11}",
         "path",
         "prefilter",
-        "encode",
         "cache peek",
-        "IVF probe",
-        "quantize",
+        "encode",
+        "probe",
         "payload copy",
         "miss FFT",
         "stage sum"
     );
     for (label, b) in [("cache hit", &cache_hit_stages), ("db hit", &db_hit_stages)] {
         println!(
-            "{label:>12} {:>10.0} {:>8.0} {:>12.0} {:>11.0} {:>9.0} {:>14.0} {:>10.0} {:>11.0}",
+            "{label:>12} {:>10.0} {:>12.0} {:>8.0} {:>11.0} {:>14.0} {:>10.0} {:>11.0}",
             b.prefilter_ns_per_chunk,
-            b.encode_ns_per_chunk,
             b.cache_peek_ns_per_chunk,
+            b.encode_ns_per_chunk,
             b.ivf_probe_ns_per_chunk,
-            b.quantize_ns_per_chunk,
             b.payload_copy_ns_per_chunk,
             b.miss_fft_ns_per_chunk,
             b.stage_sum_ns_per_chunk,
@@ -675,8 +700,15 @@ fn main() {
     println!();
     if sweep_run {
         println!(
-            "{:>12} {:>13} {:>13} {:>9} {:>16} {:>9}",
-            "chunk elems", "cache hit ns", "p x fu1d ns", "1-D gate", "p x usfft2d ns", "2-D gate"
+            "{:>12} {:>13} {:>12} {:>13} {:>13} {:>9} {:>16} {:>9}",
+            "chunk elems",
+            "cache hit ns",
+            "miss tax ns",
+            "memo path ns",
+            "p x fu1d ns",
+            "1-D gate",
+            "p x usfft2d ns",
+            "2-D gate"
         );
         let verdict = |c: &GateCheck| match (c.gate_memoizes, c.agrees) {
             (true, true) => "memoize",
@@ -686,9 +718,11 @@ fn main() {
         };
         for p in &sweep {
             println!(
-                "{:>12} {:>13.0} {:>13.0} {:>9} {:>16.0} {:>9}",
+                "{:>12} {:>13.0} {:>12.0} {:>13.0} {:>13.0} {:>9} {:>16.0} {:>9}",
                 p.chunk_elems,
                 p.cache_hit_ns_per_chunk,
+                p.miss_tax_ns_per_chunk,
+                p.memo_path_ns_per_chunk,
                 p.fu1d.expected_saving_ns,
                 verdict(&p.fu1d),
                 p.usfft2d.expected_saving_ns,
@@ -697,7 +731,7 @@ fn main() {
         }
         println!();
         compare_row(
-            "break-even gate vs measured p x compute >= hit",
+            "break-even gate vs measured p x compute >= memo path",
             "agrees (2x dead band)",
             if gate_agrees_with_measurement {
                 "agrees"
@@ -729,7 +763,6 @@ fn main() {
                 "ivf_probe" => cache_hit_stages.ivf_probe_ns_per_chunk,
                 "payload_copy" => cache_hit_stages.payload_copy_ns_per_chunk,
                 "prefilter" => cache_hit_stages.prefilter_ns_per_chunk,
-                "quantize" => cache_hit_stages.quantize_ns_per_chunk,
                 _ => cache_hit_stages.miss_fft_ns_per_chunk,
             },
             100.0 * cache_hit_stages.stage_sum_fraction
@@ -753,7 +786,7 @@ fn main() {
     );
     compare_row(
         "steady hit-path allocations per chunk",
-        "~0 (key only)",
+        "~0 (no key)",
         &format!(
             "{:.2} allocs / {:.0} B",
             cache_hit.allocs_per_chunk, cache_hit.alloc_bytes_per_chunk

@@ -27,7 +27,7 @@
 
 use mlr_bench::alloc::{delta, snapshot, CountingAllocator};
 use mlr_bench::json::JsonValue;
-use mlr_bench::{compare_row, header, pct, reconstruction_encoder, smoke_from_args, write_record};
+use mlr_bench::{compare_row, header, pct, smoke_from_args, write_record};
 use mlr_fft::fft::{Direction, FftPlan};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
@@ -202,9 +202,8 @@ fn main() {
     // any timed window.
     // The overhead bound is a share of the hit path, so it is taken on the
     // hit path jobs pay (as in fig22).
-    let encoder = reconstruction_encoder();
-    let off = MemoizedExecutor::new(memo, encoder, 22);
-    let on = MemoizedExecutor::new(memo, encoder, 22).with_telemetry(Telemetry::enabled());
+    let off = MemoizedExecutor::private(memo);
+    let on = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
     let (mut off_iter, mut on_iter) = (0usize, 0usize);
     // Four warm-up rounds under the doorkeeper: prefiltered first sighting,
     // populate (miss), db-hit promote, cache-pool warm.

@@ -30,8 +30,8 @@ use mlr_core::MlrConfig;
 use mlr_math::stats::Ecdf;
 use mlr_math::Complex64;
 use mlr_memo::{
-    DistributedMemoDb, EncoderConfig, MemoDbConfig, MemoStore, NodeTopology, ProbeOutcome,
-    Provenance, ShardedMemoDb,
+    DistributedMemoDb, MemoDbConfig, MemoStore, NodeTopology, ProbeOutcome, Provenance,
+    ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::hardware::InterconnectSpec;
@@ -79,23 +79,12 @@ struct Record {
     replica_hits_match_live: bool,
 }
 
-fn encoder() -> EncoderConfig {
-    EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    }
-}
-
 fn sharded(shards: usize) -> Arc<ShardedMemoDb> {
     Arc::new(ShardedMemoDb::with_shards(
         MemoDbConfig {
             tau: 0.9,
             ..Default::default()
         },
-        encoder(),
-        1,
         shards,
     ))
 }

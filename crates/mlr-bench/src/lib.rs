@@ -22,7 +22,7 @@
 //! | `fig19_eviction` | beyond the paper — capacity budget vs cross-job hit rate per eviction policy |
 //! | `fig20_intra_job` | beyond the paper — intra-job chunk parallelism: threads × chunk size, speedup + hit parity |
 //! | `fig21_serving` | beyond the paper — deadline-aware serving: load × deadline tightness vs miss rate, cancellation guarantees |
-//! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/encode/peek/probe/quantize), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the engine's break-even gate to the measurement (`gate_agrees_with_measurement`) |
+//! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the engine's break-even gate to the measurement (`gate_agrees_with_measurement`) |
 //! | `fig23_observability` | beyond the paper — telemetry overhead: disabled vs enabled hit ns/chunk, enabled-mode allocation envelope, export round-trip |
 //! | `fig24_cluster` | beyond the paper — distributed memo tier: hit parity vs `ShardedMemoDb`, access-trace replay over simulated memory nodes (Figure 15/16 analogues) |
 //! | `check_bench` | CI regression gate over the `BENCH_*.json` records (see `ci/bench_baseline.json`) |
@@ -70,14 +70,6 @@ pub fn arg_value(name: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// The key-encoder configuration every reconstruction runs
-/// (`MlrPipeline::encoder_config`), for the harnesses that drive a
-/// `MemoizedExecutor` directly: hit-path costs and allocation envelopes are
-/// then the ones a job pays.
-pub fn reconstruction_encoder() -> mlr_memo::EncoderConfig {
-    mlr_core::MlrPipeline::new(mlr_core::MlrConfig::quick(8, 4)).encoder_config()
 }
 
 /// Prints a section header for a harness.

@@ -13,7 +13,7 @@ use mlr_fft::fft::{Direction, FftPlan};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
-use mlr_memo::{EncoderConfig, MemoConfig, MemoizedExecutor};
+use mlr_memo::{MemoConfig, MemoizedExecutor};
 use mlr_telemetry::Telemetry;
 use rand::Rng;
 
@@ -28,15 +28,6 @@ fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
     (0..n)
         .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
         .collect()
-}
-
-fn encoder() -> EncoderConfig {
-    EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 16,
-    }
 }
 
 /// One whole-grid batch dispatch per iteration through the zero-copy seam.
@@ -93,7 +84,7 @@ fn steady_hit_window_stays_inside_the_region_budget() {
         warmup_iterations: 0,
         ..Default::default()
     };
-    let exec = MemoizedExecutor::new(memo, encoder(), 22).with_telemetry(Telemetry::enabled());
+    let exec = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
 
     // Warm-up rounds: prefilter note, populate, promote, pool warming.
     drive(&exec, &inputs, &mut outputs, &compute, 0, 4);

@@ -50,25 +50,16 @@ impl MlrPipeline {
         &self.operator
     }
 
-    /// The encoder configuration of the memoization key encoder: one fixed
-    /// network for every problem size (8 × 8 input grid, 4 and 8 filters,
-    /// 32-dimensional keys), half of [`EncoderConfig::default`] in every
-    /// dimension, so that encoding a chunk costs microseconds on a CPU.
-    /// Public so shared stores (e.g. the runtime's `ShardedMemoDb`) can be
-    /// built with the exact key space this pipeline would use on its own.
+    /// Exists for `examples/benchmark`'s frozen call shapes (nothing else
+    /// may call it); a `[benchmark]` PR removes it. A key is
+    /// `mlr_memo::sketch` of its chunk: there is nothing to configure.
     pub fn encoder_config(&self) -> EncoderConfig {
-        EncoderConfig {
-            input_grid: 8,
-            conv1_filters: 4,
-            conv2_filters: 8,
-            embedding_dim: 32,
-        }
+        EncoderConfig
     }
 
-    /// Builds a sharded memo store compatible with this pipeline (same τ,
-    /// same encoder configuration and seed, and the capacity budget /
-    /// eviction policy carried in `config.memo`), suitable for sharing
-    /// across several pipelines/jobs.
+    /// Builds a sharded memo store compatible with this pipeline (same τ
+    /// and the capacity budget / eviction policy carried in `config.memo`),
+    /// suitable for sharing across several pipelines/jobs.
     pub fn build_shared_store(&self, shards: usize) -> Arc<ShardedMemoDb> {
         self.build_shared_store_with(shards, self.config.memo.budget, self.config.memo.eviction)
     }
@@ -88,12 +79,7 @@ impl MlrPipeline {
             ..self.config.memo
         }
         .db_config();
-        Arc::new(ShardedMemoDb::with_shards(
-            db_config,
-            self.encoder_config(),
-            self.config.problem.seed,
-            shards,
-        ))
+        Arc::new(ShardedMemoDb::with_shards(db_config, shards))
     }
 
     /// Runs the exact (non-memoized) ADMM-FFT reconstruction.

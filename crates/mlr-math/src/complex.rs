@@ -289,9 +289,10 @@ impl<'a> Sum<&'a Complex64> for Complex64 {
 
 /// Splits a complex slice into separate real and imaginary planes.
 ///
-/// This is the decomposition the memoization encoder applies before feeding a
-/// COMPLEX64 chunk to the CNN (the paper's §4.3.1: "the COMPLEX64-typed
-/// matrix is decomposed into two matrices").
+/// This is the decomposition the paper's key encoder applies before feeding
+/// a COMPLEX64 chunk to its CNN (§4.3.1: "the COMPLEX64-typed matrix is
+/// decomposed into two matrices"); `mlr_memo::sketch` averages the two
+/// planes block by block.
 pub fn split_re_im(data: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
     let mut re = Vec::with_capacity(data.len());
     let mut im = Vec::with_capacity(data.len());

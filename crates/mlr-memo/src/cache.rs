@@ -9,10 +9,17 @@
 //! cache shared across locations reaches essentially the same hit rate but
 //! has to run a similarity comparison against every resident entry, costing
 //! ~64× more comparisons on a 1K³ problem.
+//!
+//! A cached entry *is* the database entry that last hit at its location:
+//! the same raw-input and value buffers (shared, never copied) and the same
+//! cached norm. A lookup therefore evaluates the one τ gate the store
+//! evaluates ([`tau_gate`]: the paper's Eq. 3 on the chunks themselves)
+//! before any key exists: a cache hit encodes nothing, and the cache can
+//! never serve a value the store would refuse.
 
+use crate::db::tau_gate;
 use mlr_lamino::FftOpKind;
-use mlr_math::norms::scale_aware_similarity;
-use mlr_math::Complex32;
+use mlr_math::{Complex32, Complex64};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,17 +34,27 @@ pub enum CacheKind {
     Global,
 }
 
-/// One cached entry: the encoded key it was stored under and the value.
+/// One cached entry: the buffers of the database entry it came from.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    key: Vec<f64>,
+    /// The entry's raw input and its norm: what the τ gate compares with.
+    raw_input: Arc<[Complex32]>,
+    raw_norm: f64,
     /// Shared payload buffer — the cache holds a reference into the same
     /// allocation the database serves, never a private copy.
     value: Arc<[Complex32]>,
-    /// Outer ADMM iteration in which the entry was inserted; entries are only
+    /// Outer ADMM iteration in which the entry was cached; entries are only
     /// served to *later* iterations (reuse across iterations is the paper's
     /// premise; reuse within one LSP solve would short-circuit the CG).
     iteration: usize,
+}
+
+impl CacheEntry {
+    /// The store's τ gate (an entry of another length — another
+    /// operation's, in the global pool — never passes it).
+    fn serves(&self, input: &[Complex64], tau: f64) -> bool {
+        tau_gate(input, &self.raw_input, self.raw_norm, tau).is_some()
+    }
 }
 
 /// Statistics of cache behaviour (feeds Figure 12 and the §4.4 comparison).
@@ -96,19 +113,19 @@ impl MemoCache {
         }
     }
 
-    /// Looks up a value for `key` at `(op, loc)`. A cached entry is returned
-    /// only when the cosine similarity between `key` and the entry's key
-    /// exceeds `tau`. This is [`MemoCache::peek`] with its statistics folded
-    /// in immediately ([`MemoCache::note_lookup`]).
+    /// Looks up a value for the chunk `input` at `(op, loc)`: a cached
+    /// entry is returned only when the raw-chunk similarity between `input`
+    /// and the entry's input exceeds `tau`. This is [`MemoCache::peek`] with
+    /// its statistics folded in immediately ([`MemoCache::note_lookup`]).
     pub fn lookup(
         &mut self,
         op: FftOpKind,
         loc: usize,
-        key: &[f64],
+        input: &[Complex64],
         tau: f64,
         current_iteration: usize,
     ) -> Option<Arc<[Complex32]>> {
-        let (found, comparisons) = self.peek(op, loc, key, tau, current_iteration);
+        let (found, comparisons) = self.peek(op, loc, input, tau, current_iteration);
         self.note_lookup(found.is_some(), comparisons);
         found
     }
@@ -123,7 +140,7 @@ impl MemoCache {
         &self,
         op: FftOpKind,
         loc: usize,
-        key: &[f64],
+        input: &[Complex64],
         tau: f64,
         current_iteration: usize,
     ) -> (Option<Arc<[Complex32]>>, u64) {
@@ -134,7 +151,7 @@ impl MemoCache {
                     continue;
                 }
                 comparisons += 1;
-                if scale_aware_similarity(key, &entry.key) > tau {
+                if entry.serves(input, tau) {
                     return (Some(Arc::clone(&entry.value)), comparisons);
                 }
             }
@@ -142,7 +159,7 @@ impl MemoCache {
         } else {
             match self.private.get(&(op, loc)) {
                 Some(entry) if entry.iteration < current_iteration => {
-                    let hit = scale_aware_similarity(key, &entry.key) > tau;
+                    let hit = entry.serves(input, tau);
                     (hit.then(|| Arc::clone(&entry.value)), 1)
                 }
                 _ => (None, 0),
@@ -160,19 +177,21 @@ impl MemoCache {
         }
     }
 
-    /// Inserts (or replaces, FIFO) the value fetched from the memoization
-    /// database for `(op, loc)`.
+    /// Caches (or replaces, FIFO) the database entry that just hit at
+    /// `(op, loc)`: its raw input with the norm the store cached for it,
+    /// and its value.
     pub fn insert(
         &mut self,
         op: FftOpKind,
         loc: usize,
-        key: Vec<f64>,
+        (raw_norm, raw_input): (f64, Arc<[Complex32]>),
         value: Arc<[Complex32]>,
         iteration: usize,
     ) {
         self.stats.insertions += 1;
         let entry = CacheEntry {
-            key,
+            raw_input,
+            raw_norm,
             value,
             iteration,
         };
@@ -207,9 +226,11 @@ impl MemoCache {
         self.stats
     }
 
-    /// Resident bytes (keys + values).
+    /// Bytes the cached entries reference (raw inputs + values; shared
+    /// with the database while the entry is resident there).
     pub fn bytes(&self) -> u64 {
-        let entry_bytes = |e: &CacheEntry| (size_of_val(&*e.key) + size_of_val(&*e.value)) as u64;
+        let entry_bytes =
+            |e: &CacheEntry| (size_of_val(&*e.raw_input) + size_of_val(&*e.value)) as u64;
         if self.kind_is_global {
             self.global.iter().map(entry_bytes).sum()
         } else {
@@ -221,9 +242,33 @@ impl MemoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlr_math::complex::narrow;
+    use mlr_math::norms::{l2_norm_c32, scale_aware_similarity_c};
 
-    fn key(v: f64) -> Vec<f64> {
-        vec![v, 2.0 * v, -v, 0.5]
+    /// A four-element chunk along one direction, `v` its magnitude.
+    fn input(v: f64) -> Vec<Complex64> {
+        vec![
+            Complex64::new(v, 2.0 * v),
+            Complex64::new(-v, 0.5 * v),
+            Complex64::new(0.0, v),
+            Complex64::new(3.0 * v, 0.0),
+        ]
+    }
+
+    /// A chunk orthogonal to every `input(v)`.
+    fn orthogonal() -> Vec<Complex64> {
+        vec![
+            Complex64::new(2.0, -1.0),
+            Complex64::ZERO,
+            Complex64::ZERO,
+            Complex64::ZERO,
+        ]
+    }
+
+    /// `chunk` as the store holds it: the norm, then the narrowed buffer.
+    fn stored(chunk: &[Complex64]) -> (f64, Arc<[Complex32]>) {
+        let raw = narrow(chunk).unwrap();
+        (l2_norm_c32(&raw), raw)
     }
 
     fn value(n: usize) -> Arc<[Complex32]> {
@@ -237,41 +282,69 @@ mod tests {
     #[test]
     fn private_cache_hit_and_miss() {
         let mut c = MemoCache::new(CacheKind::Private, 0);
-        assert!(c.lookup(FftOpKind::Fu2D, 3, &key(1.0), 0.9, 1).is_none());
-        c.insert(FftOpKind::Fu2D, 3, key(1.0), value(4), 0);
-        // Same key: similarity 1 > tau.
-        assert!(c.lookup(FftOpKind::Fu2D, 3, &key(1.0), 0.9, 1).is_some());
-        // Rescaled key: same direction but double the magnitude — the
+        assert!(c.lookup(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1).is_none());
+        c.insert(FftOpKind::Fu2D, 3, stored(&input(1.0)), value(4), 0);
+        // Same chunk: similarity 1 > tau.
+        assert!(c.lookup(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1).is_some());
+        // Rescaled chunk: same direction but double the magnitude — the
         // scale-aware similarity is only 0.5, so it must miss.
-        assert!(c.lookup(FftOpKind::Fu2D, 3, &key(2.0), 0.9, 1).is_none());
+        assert!(c.lookup(FftOpKind::Fu2D, 3, &input(2.0), 0.9, 1).is_none());
         // Different location or op: miss.
-        assert!(c.lookup(FftOpKind::Fu2D, 4, &key(1.0), 0.9, 1).is_none());
-        assert!(c.lookup(FftOpKind::Fu1D, 3, &key(1.0), 0.9, 1).is_none());
-        // Dissimilar key at the same location: miss.
+        assert!(c.lookup(FftOpKind::Fu2D, 4, &input(1.0), 0.9, 1).is_none());
+        assert!(c.lookup(FftOpKind::Fu1D, 3, &input(1.0), 0.9, 1).is_none());
+        // Dissimilar chunk at the same location: miss.
         assert!(c
-            .lookup(FftOpKind::Fu2D, 3, &[1.0, -2.0, 1.0, -0.5], 0.9, 1)
+            .lookup(FftOpKind::Fu2D, 3, &orthogonal(), 0.9, 1)
             .is_none());
+    }
+
+    #[test]
+    fn cache_never_serves_what_the_raw_gate_refuses() {
+        // Queries on both sides of τ against one cached entry: the cache
+        // answers exactly as the τ gate on the raw chunks does, and an entry
+        // cached in the current iteration is invisible either way.
+        let tau = 0.92;
+        let base = input(1.0);
+        let mut c = MemoCache::new(CacheKind::Private, 0);
+        c.insert(FftOpKind::Fu2D, 0, stored(&base), value(4), 4);
+        let mut served = [0, 0];
+        for step in 0..40 {
+            let query: Vec<Complex64> = base
+                .iter()
+                .zip(orthogonal())
+                .map(|(z, o)| z.scale(1.0 + 0.005 * step as f64) + o.scale(0.02 * step as f64))
+                .collect();
+            let passes = scale_aware_similarity_c(&query, &base) > tau;
+            let hit = c.peek(FftOpKind::Fu2D, 0, &query, tau, 5).0.is_some();
+            assert_eq!(hit, passes, "step {step}");
+            served[hit as usize] += 1;
+            assert!(c.peek(FftOpKind::Fu2D, 0, &query, tau, 4).0.is_none());
+        }
+        assert!(served[0] > 5 && served[1] > 5, "one-sided: {served:?}");
     }
 
     #[test]
     fn private_cache_is_single_entry_fifo() {
         let mut c = MemoCache::new(CacheKind::Private, 0);
-        c.insert(FftOpKind::Fu1D, 0, key(1.0), value(2), 0);
-        c.insert(FftOpKind::Fu1D, 0, vec![0.0, 0.0, 1.0, 0.0], value(3), 0);
+        c.insert(FftOpKind::Fu1D, 0, stored(&input(1.0)), value(2), 0);
+        c.insert(FftOpKind::Fu1D, 0, stored(&orthogonal()), value(3), 0);
         assert_eq!(c.len(), 1);
-        // The original key has been evicted.
-        assert!(c.lookup(FftOpKind::Fu1D, 0, &key(1.0), 0.99, 1).is_none());
+        // The original entry has been evicted.
+        assert!(c.lookup(FftOpKind::Fu1D, 0, &input(1.0), 0.99, 1).is_none());
         assert!(c
-            .lookup(FftOpKind::Fu1D, 0, &[0.0, 0.0, 1.0, 0.0], 0.99, 1)
+            .lookup(FftOpKind::Fu1D, 0, &orthogonal(), 0.99, 1)
             .is_some());
     }
 
     #[test]
     fn global_cache_shares_across_locations() {
         let mut c = MemoCache::new(CacheKind::Global, 64);
-        c.insert(FftOpKind::Fu2D, 0, key(1.0), value(2), 0);
-        // A lookup at a *different* location can still hit.
-        assert!(c.lookup(FftOpKind::Fu2D, 9, &key(1.0), 0.9, 1).is_some());
+        c.insert(FftOpKind::Fu2D, 0, stored(&input(1.0)), value(2), 0);
+        // A lookup at a *different* location can still hit...
+        assert!(c.lookup(FftOpKind::Fu2D, 9, &input(1.0), 0.9, 1).is_some());
+        // ...and a chunk of another length is compared with nothing.
+        let longer = [input(1.0), input(1.0)].concat();
+        assert!(c.lookup(FftOpKind::Fu1D, 9, &longer, 0.9, 1).is_none());
     }
 
     #[test]
@@ -280,16 +353,15 @@ mod tests {
         let mut private = MemoCache::new(CacheKind::Private, 0);
         let mut global = MemoCache::new(CacheKind::Global, locations);
         for loc in 0..locations {
-            let k = vec![loc as f64 + 1.0, 1.0, 0.0, 0.0];
-            private.insert(FftOpKind::Fu2D, loc, k.clone(), value(2), 0);
-            global.insert(FftOpKind::Fu2D, loc, k, value(2), 0);
+            let raw = stored(&input(loc as f64 + 1.0));
+            private.insert(FftOpKind::Fu2D, loc, raw.clone(), value(2), 0);
+            global.insert(FftOpKind::Fu2D, loc, raw, value(2), 0);
         }
-        // One lookup per location with a key orthogonal to everything stored,
-        // forcing full scans in the global cache.
-        let probe = vec![0.0, 0.0, 0.0, 1.0];
+        // One lookup per location with a chunk orthogonal to everything
+        // stored, forcing full scans in the global cache.
         for loc in 0..locations {
-            let _ = private.lookup(FftOpKind::Fu2D, loc, &probe, 0.9, 1);
-            let _ = global.lookup(FftOpKind::Fu2D, loc, &probe, 0.9, 1);
+            let _ = private.lookup(FftOpKind::Fu2D, loc, &orthogonal(), 0.9, 1);
+            let _ = global.lookup(FftOpKind::Fu2D, loc, &orthogonal(), 0.9, 1);
         }
         assert!(global.stats().comparisons >= locations as u64 * locations as u64);
         assert_eq!(private.stats().comparisons, locations as u64);
@@ -299,7 +371,8 @@ mod tests {
     fn global_cache_respects_capacity() {
         let mut c = MemoCache::new(CacheKind::Global, 4);
         for i in 0..10 {
-            c.insert(FftOpKind::Fu1D, i, key(i as f64 + 1.0), value(1), 0);
+            let raw = stored(&input(i as f64 + 1.0));
+            c.insert(FftOpKind::Fu1D, i, raw, value(1), 0);
         }
         assert_eq!(c.len(), 4);
     }
@@ -307,15 +380,15 @@ mod tests {
     #[test]
     fn peek_matches_lookup_without_stats_side_effects() {
         let mut c = MemoCache::new(CacheKind::Private, 0);
-        c.insert(FftOpKind::Fu2D, 3, key(1.0), value(4), 0);
+        c.insert(FftOpKind::Fu2D, 3, stored(&input(1.0)), value(4), 0);
         // Peek agrees with lookup on hit/miss but leaves the stats alone.
-        let (hit, comparisons) = c.peek(FftOpKind::Fu2D, 3, &key(1.0), 0.9, 1);
+        let (hit, comparisons) = c.peek(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1);
         assert!(hit.is_some());
         assert_eq!(comparisons, 1);
-        let (miss, _) = c.peek(FftOpKind::Fu2D, 4, &key(1.0), 0.9, 1);
+        let (miss, _) = c.peek(FftOpKind::Fu2D, 4, &input(1.0), 0.9, 1);
         assert!(miss.is_none());
         // Same-iteration entries are invisible to peek, as to lookup.
-        assert!(c.peek(FftOpKind::Fu2D, 3, &key(1.0), 0.9, 0).0.is_none());
+        assert!(c.peek(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 0).0.is_none());
         assert_eq!(c.stats().lookups, 0);
         c.note_lookup(true, 1);
         c.note_lookup(false, 1);
@@ -328,9 +401,9 @@ mod tests {
     #[test]
     fn stats_and_bytes() {
         let mut c = MemoCache::new(CacheKind::Private, 0);
-        c.insert(FftOpKind::Fu2D, 1, key(1.0), value(8), 0);
-        let _ = c.lookup(FftOpKind::Fu2D, 1, &key(1.0), 0.5, 1);
-        let _ = c.lookup(FftOpKind::Fu2D, 2, &key(1.0), 0.5, 1);
+        c.insert(FftOpKind::Fu2D, 1, stored(&input(1.0)), value(8), 0);
+        let _ = c.lookup(FftOpKind::Fu2D, 1, &input(1.0), 0.5, 1);
+        let _ = c.lookup(FftOpKind::Fu2D, 2, &input(1.0), 0.5, 1);
         let s = c.stats();
         assert_eq!(s.lookups, 2);
         assert_eq!(s.hits, 1);

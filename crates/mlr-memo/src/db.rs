@@ -1,15 +1,17 @@
 //! The memoization database's configuration and its lock stripe.
 //!
 //! This is the memory-node side of the paper's distributed memoization
-//! (§4.3.2). An *insertion* adds the encoded key of an FFT input chunk to
-//! the index database and the FFT output to the value database. A *probe*
-//! asks the index database for the most similar stored key and — only if
-//! the similarity clears the threshold `τ` — returns the associated value.
+//! (§4.3.2). An *insertion* adds the key of an FFT input chunk to the
+//! scope's index and the FFT output to the value database. A *probe* asks
+//! the index for the stored key nearest to the query's *among the entries
+//! the query may use* and — only if that entry's similarity clears the
+//! threshold `τ` — returns its value.
 //!
-//! The similarity gate follows the paper's Eq. 3, evaluated on the *raw
-//! input chunks* (each entry keeps its own), which makes the
-//! accuracy-vs-τ experiments faithful to what τ means in the paper; the
-//! encoded keys are only what the ANN index searches.
+//! There is one τ gate, [`tau_gate`]: the paper's Eq. 3 evaluated on the
+//! *raw input chunks* (each entry keeps its own), which makes the
+//! accuracy-vs-τ experiments faithful to what τ means in the paper. The
+//! store and the compute-node cache both call it; keys only order the
+//! candidates.
 //!
 //! Both halves of an entry — raw input and value — are stored in the
 //! paper's layout, single-precision [`Complex32`] (8 bytes an element, which
@@ -22,7 +24,7 @@
 //! epochs, stable entry ids) shared by every stripe, so eviction is
 //! deterministic given the same schedule and independent of the shard count.
 
-use crate::ann::{IvfConfig, IvfIndex};
+use crate::ann::FlatIndex;
 use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, EvictionPolicyKind, StoreClock};
 use crate::fingerprint::{ChunkFingerprint, FingerprintTable};
 use crate::store::{ProbeOutcome, Provenance};
@@ -38,11 +40,8 @@ use std::sync::Arc;
 pub struct MemoDbConfig {
     /// Similarity threshold `τ`: a stored value is reused only when the
     /// scale-aware similarity between the query's raw chunk and the entry's
-    /// raw input exceeds it (keys only pick the candidate; the compute-node
-    /// cache is the one place that gates on keys).
+    /// raw input exceeds it ([`tau_gate`]; keys only pick the candidate).
     pub tau: f64,
-    /// ANN index parameters.
-    pub ivf: IvfConfig,
     /// Capacity caps (bytes/entries, global and per stripe). Unbounded by
     /// default — the pre-governance behaviour.
     pub budget: CapacityBudget,
@@ -54,11 +53,27 @@ impl Default for MemoDbConfig {
     fn default() -> Self {
         Self {
             tau: 0.92,
-            ivf: IvfConfig::default(),
             budget: CapacityBudget::unbounded(),
             eviction: EvictionPolicyKind::default(),
         }
     }
+}
+
+/// The τ gate, the only one: the scale-aware similarity (Eq. 3) between a
+/// query's raw chunk and a stored raw input with its cached norm, returned
+/// when it exceeds `tau`. A stored input of another length (another
+/// geometry's chunk at the same location index) is never similar.
+pub fn tau_gate(
+    input: &[Complex64],
+    raw_input: &[Complex32],
+    raw_norm: f64,
+    tau: f64,
+) -> Option<f64> {
+    if raw_input.len() != input.len() {
+        return None;
+    }
+    let similarity = scale_aware_similarity_mixed(input, raw_input, raw_norm);
+    (similarity > tau).then_some(similarity)
 }
 
 /// Everything stored for one entry: eviction metadata, the scope it was
@@ -78,6 +93,22 @@ impl EntryRecord {
     fn value_bytes(&self) -> u64 {
         size_of_val(&*self.value) as u64
     }
+
+    /// The similarity of `input` to this entry, if it passes the τ gate.
+    fn gate(&self, input: &[Complex64], tau: f64) -> Option<f64> {
+        tau_gate(input, &self.raw_input, self.raw_norm, tau)
+    }
+
+    /// The hit this entry serves at `similarity`.
+    fn hit(&self, similarity: f64) -> ProbeOutcome {
+        ProbeOutcome::Hit {
+            value: Arc::clone(&self.value),
+            raw: (self.raw_norm, Arc::clone(&self.raw_input)),
+            similarity,
+            entry: self.meta.id,
+            origin: self.meta.origin,
+        }
+    }
 }
 
 /// One lock stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb): the index
@@ -89,7 +120,7 @@ impl EntryRecord {
 /// counters and coordinates global enforcement.
 pub(crate) struct MemoDatabase {
     config: MemoDbConfig,
-    scopes: HashMap<(FftOpKind, usize), IvfIndex>,
+    scopes: HashMap<(FftOpKind, usize), FlatIndex>,
     /// Per-scope doorkeeper rings for the norm prefilter. Control metadata:
     /// deliberately excluded from `resident_bytes` accounting (bounded at
     /// [`crate::fingerprint::FINGERPRINT_HISTORY`] entries per scope).
@@ -112,11 +143,8 @@ pub(crate) struct MemoDatabase {
     expirations: u64,
 }
 
-/// Stable 64-bit hash of an index scope, used to seed the scope's ANN index.
-/// Deriving the seed from the *scope* (rather than from the running entry
-/// counter) makes query outcomes independent of how entries interleave
-/// across scopes — and therefore independent of the shard count.
-pub(crate) fn scope_seed(op: FftOpKind, loc: usize) -> u64 {
+/// Stable 64-bit hash of an index scope: which lock stripe owns it.
+pub(crate) fn scope_hash(op: FftOpKind, loc: usize) -> u64 {
     // FNV-1a over the discriminant and location.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in [(op as u8)].into_iter().chain(loc.to_le_bytes()) {
@@ -217,40 +245,56 @@ impl MemoDatabase {
         key: &[f64],
         origin: Provenance,
     ) -> ProbeOutcome {
-        let now_epoch = self.clock.epoch();
         let Some(index) = self.scopes.get(&(op, loc)) else {
             return ProbeOutcome::Miss;
         };
-        let Some(hit) = index.search(key) else {
-            return ProbeOutcome::Miss;
-        };
-        let Some(record) = self.entries.get(&hit.id) else {
-            return ProbeOutcome::Miss;
-        };
-        // TTL: an expired entry is unreachable; the commit reclaims it.
-        if self.policy.is_expired(&record.meta, now_epoch) {
-            return ProbeOutcome::Expired { entry: hit.id };
-        }
         // Within one job, only entries from *earlier* ADMM iterations may be
         // reused; a value produced within the current LSP solve would feed
         // the CG its own output back and stall the update. Entries from
-        // other jobs are always eligible.
-        let stored_origin = record.meta.origin;
-        if !stored_origin.may_serve(&origin) {
+        // other jobs are always eligible. The scan skips what the query may
+        // not use, so such an entry's key cannot shadow an older one.
+        let eligible = |id: u64| {
+            self.entries
+                .get(&id)
+                .is_some_and(|r| r.meta.origin.may_serve(&origin))
+        };
+        let Some(record) = index
+            .nearest(key, eligible)
+            .and_then(|id| self.entries.get(&id))
+        else {
             return ProbeOutcome::Miss;
-        }
-        // The τ gate runs on the raw chunks: the encoded key only picks the
-        // candidate.
-        let similarity = scale_aware_similarity_mixed(input, &record.raw_input, record.raw_norm);
-        if similarity > self.config.tau {
-            return ProbeOutcome::Hit {
-                value: Arc::clone(&record.value),
-                similarity,
-                entry: hit.id,
-                origin: stored_origin,
+        };
+        // TTL: an expired entry is unreachable; the commit reclaims it.
+        if self.policy.is_expired(&record.meta, self.clock.epoch()) {
+            return ProbeOutcome::Expired {
+                entry: record.meta.id,
             };
         }
-        ProbeOutcome::Miss
+        record
+            .gate(input, self.config.tau)
+            .map_or(ProbeOutcome::Miss, |similarity| record.hit(similarity))
+    }
+
+    /// The reference the key selector is tested against, never called by a
+    /// run: every entry of the scope that `origin` may use and whose TTL has
+    /// not run out goes through the τ gate, keys unseen; the most similar
+    /// one that passes is the hit (the first-inserted on a tie). A `Hit`
+    /// here that [`Self::probe`] does not return is a hit the sketch lost.
+    pub(crate) fn probe_exhaustive(
+        &self,
+        op: FftOpKind,
+        loc: usize,
+        input: &[Complex64],
+        origin: Provenance,
+    ) -> ProbeOutcome {
+        let now_epoch = self.clock.epoch();
+        self.entries
+            .values()
+            .filter(|r| r.scope == (op, loc) && r.meta.origin.may_serve(&origin))
+            .filter(|r| !self.policy.is_expired(&r.meta, now_epoch))
+            .filter_map(|r| Some((r.gate(input, self.config.tau)?, r)))
+            .min_by(|(a_sim, a), (b_sim, b)| b_sim.total_cmp(a_sim).then(a.meta.id.cmp(&b.meta.id)))
+            .map_or(ProbeOutcome::Miss, |(similarity, r)| r.hit(similarity))
     }
 
     /// Replays the bookkeeping of a hit discovered by [`Self::probe`]: the
@@ -307,13 +351,10 @@ impl MemoDatabase {
         let id = self.clock.next_id();
         let tick = self.clock.next_tick();
         let epoch = self.clock.epoch();
-        let dim = key.len();
-        let ivf = self.config.ivf;
-        let index = self
-            .scopes
+        self.scopes
             .entry((op, loc))
-            .or_insert_with(|| IvfIndex::new(dim, ivf, scope_seed(op, loc) ^ 0x5EED));
-        index.add(id, key);
+            .or_insert_with(|| FlatIndex::new(key.len()))
+            .add(id, &key);
         let mut record = EntryRecord {
             meta: EntryMeta {
                 id,
@@ -469,7 +510,7 @@ mod tests {
             let d = store(config(0.9), shards);
             assert!(d.is_empty());
             let input = chunk(1.0, 0.0, 128);
-            assert_eq!(d.encode(&input).len(), 8);
+            assert_eq!(d.encode(&input).len(), crate::encoder::SKETCH_DIM);
             assert!(lookup(&d, Fu2D, 0, &input, at(1)).is_none());
             assert_eq!(d.stats().queries, 1);
         }

@@ -220,22 +220,10 @@ struct ReplicaSet {
 /// [`FaultPlan`]. See the module docs for the full picture.
 ///
 /// ```
-/// use mlr_memo::{
-///     DistributedMemoDb, EncoderConfig, MemoDbConfig, MemoStore, NodeTopology, ShardedMemoDb,
-/// };
+/// use mlr_memo::{DistributedMemoDb, MemoDbConfig, MemoStore, NodeTopology, ShardedMemoDb};
 /// use std::sync::Arc;
 ///
-/// let inner = Arc::new(ShardedMemoDb::with_shards(
-///     MemoDbConfig::default(),
-///     EncoderConfig {
-///         input_grid: 8,
-///         conv1_filters: 2,
-///         conv2_filters: 4,
-///         embedding_dim: 8,
-///     },
-///     1,
-///     16,
-/// ));
+/// let inner = Arc::new(ShardedMemoDb::with_shards(MemoDbConfig::default(), 16));
 /// let store = DistributedMemoDb::new(inner, NodeTopology::with_nodes(4));
 /// // 16 stripes spread evenly over 4 equal-capacity nodes...
 /// assert_eq!(store.placement().len(), 16);
@@ -454,10 +442,6 @@ impl MemoStore for DistributedMemoDb {
 
     fn encode(&self, input: &[Complex64]) -> Vec<f64> {
         self.inner.encode(input)
-    }
-
-    fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        self.inner.encode_batch(inputs)
     }
 
     // Fingerprint consultation happens on the compute node before any

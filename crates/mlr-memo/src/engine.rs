@@ -13,13 +13,21 @@
 //!    similarity), so the chunk is computed exactly and only its
 //!    fingerprint is noted — a repeating chunk is admitted on its second
 //!    sighting;
-//! 2. encode the input chunk into a key (CNN encoder, on the CPU);
-//! 3. check the compute-node memoization cache (private per chunk location);
-//! 4. on a cache miss, probe the memoization database (the paper's memory
-//!    node; what shipping the key there costs is priced offline by
-//!    `mlr_cluster::replay_trace`, at the coalesced 4 KiB query size);
-//! 5. on a database hit whose similarity clears `τ`, reuse the stored value;
+//! 2. check the compute-node memoization cache (private per chunk location):
+//!    the entry that last hit here is reused if the chunk passes the τ gate
+//!    against *its* raw input — no key is computed for a cache hit;
+//! 3. on a cache miss, sketch the chunk into its key (`encoder.rs`);
+//! 4. probe the memoization database (the paper's memory node; what
+//!    shipping the key there costs is priced offline by
+//!    `mlr_cluster::replay_trace`, at the coalesced 4 KiB query size): the
+//!    scope's entry with the nearest key, among those this job and
+//!    iteration may use, goes through the same τ gate;
+//! 5. on a database hit, reuse the stored value and cache the entry;
 //! 6. otherwise compute the FFT exactly and insert the result asynchronously.
+//!
+//! Every reuse decision is therefore the paper's Eq. 3 on the chunks
+//! themselves ([`tau_gate`](crate::db::tau_gate)), in the cache and in the
+//! store alike; the key only picks which stored chunk the store compares.
 //!
 //! Uniform-FFT operations (`F_2D`, `F*_2D`) are never memoized — after the
 //! operation cancellation of Algorithm 2 they do not appear at all.
@@ -58,9 +66,8 @@ use std::time::Instant;
 /// Starts a stage clock only when telemetry is enabled. Stage clocks are
 /// the telemetry-gated half of the engine's timing; the compute-time
 /// statistics (`OpStats::compute_seconds`, `ParallelStats::chunk_seconds`)
-/// are not gated: `probe_block` reads the clock two to three times per
-/// memoized chunk (pass A, pass C and the exact compute on a miss) whether
-/// or not telemetry is on.
+/// are not gated: `probe_chunk` reads the clock once per chunk and once
+/// more around an exact compute whether or not telemetry is on.
 #[inline]
 fn stage_clock(enabled: bool) -> Option<Instant> {
     if enabled {
@@ -136,16 +143,15 @@ impl Default for MemoConfig {
 }
 
 impl MemoConfig {
-    /// The store configuration of a job configured like this: every field
-    /// the two share (`tau`, `budget`, `eviction`), defaults for the rest.
-    /// The one conversion — private stores, pipeline-built shared stores
-    /// and the runtime's store all go through it.
+    /// The store configuration of a job configured like this (`tau`,
+    /// `budget`, `eviction`). The one conversion — private stores,
+    /// pipeline-built shared stores and the runtime's store all go through
+    /// it.
     pub fn db_config(&self) -> MemoDbConfig {
         MemoDbConfig {
             tau: self.tau,
             budget: self.budget,
             eviction: self.eviction,
-            ..Default::default()
         }
     }
 }
@@ -204,13 +210,13 @@ enum ProbeCase {
     /// A stored value is reused (a shared buffer, never a copy — the commit
     /// widens it straight into the output slice): the compute-node cache
     /// held one similar enough (`db: None`), or the database probe passed
-    /// the τ gate with this entry and its inserter.
+    /// the τ gate with this entry.
     Hit {
         value: Arc<[Complex32]>,
-        db: Option<(u64, Provenance)>,
+        db: Option<DbHit>,
     },
     /// The exact transform was computed in parallel. `case` says why:
-    /// [`MemoCase::FailedMemo`] when key, cache and database found nothing
+    /// [`MemoCase::FailedMemo`] when cache, key and database found nothing
     /// reusable (the commit inserts the result); otherwise no key was
     /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
     /// prefilter, [`MemoCase::Computed`] when memoization does not apply
@@ -224,30 +230,36 @@ enum ProbeCase {
     },
 }
 
-/// Everything the parallel phase produces for one chunk: the encoded key,
-/// how the chunk was satisfied, the compute-node-cache accounting to replay,
-/// and the chunk's wall time (folded into `OpStats`/`ParallelStats` during
-/// the ordered commit — never under the state lock while computing).
-struct ChunkScratch {
+/// The database entry behind a db hit: what the commit accounts the hit to
+/// and what it hands the compute-node cache.
+struct DbHit {
+    entry: u64,
+    origin: Provenance,
+    raw: (f64, Arc<[Complex32]>),
+}
+
+/// What the parallel phase produces for one chunk beside its [`ProbeCase`]:
+/// its key (if the chunk got as far as the database), the
+/// compute-node-cache accounting to replay, and the chunk's wall time
+/// (folded into `OpStats`/`ParallelStats` during the ordered commit — never
+/// under the state lock while computing).
+#[derive(Default)]
+struct ChunkTrail {
+    /// Empty unless the database was probed.
     key: Vec<f64>,
-    case: ProbeCase,
     /// The chunk's fingerprint, noted into the scope's doorkeeper history
     /// at ordered commit (`Some` whenever the chunk is above break-even).
     fingerprint: Option<ChunkFingerprint>,
     cache_checked: bool,
     cache_comparisons: u64,
-    /// Fingerprint, cache peek, probe and exact compute of this chunk. The
-    /// block's batched key encode is not attributed to chunks: its clock is
-    /// a telemetry stage clock.
+    /// Everything phase 1 did for this chunk: fingerprint, cache peek, key,
+    /// probe and exact compute.
     seconds: f64,
     /// Stage timings (ns), all zero when telemetry is disabled.
-    encode_ns: u64,
-    peek_ns: u64,
-    probe_ns: u64,
     prefilter_ns: u64,
-    /// Fixed-point shortlist time inside the probe (drained from the ANN
-    /// kernel's thread-local accumulator on the probing thread).
-    quantize_ns: u64,
+    peek_ns: u64,
+    encode_ns: u64,
+    probe_ns: u64,
 }
 
 /// What one dispatch — an operator batch, or `execute`'s single chunk —
@@ -297,11 +309,17 @@ pub struct MemoizedExecutor {
 }
 
 impl MemoizedExecutor {
-    /// Creates an executor with the given configuration and encoder, backed
-    /// by a private store: a one-shard [`ShardedMemoDb`].
-    pub fn new(config: MemoConfig, encoder_config: EncoderConfig, seed: u64) -> Self {
-        let store = ShardedMemoDb::with_shards(config.db_config(), encoder_config, seed, 1);
+    /// Creates an executor backed by a private store: a one-shard
+    /// [`ShardedMemoDb`] configured by [`MemoConfig::db_config`].
+    pub fn private(config: MemoConfig) -> Self {
+        let store = ShardedMemoDb::with_shards(config.db_config(), 1);
         Self::with_store(config, Arc::new(store), 0)
+    }
+
+    /// [`Self::private`]. Exists for `examples/benchmark`'s frozen call
+    /// shape (nothing else may call it); a `[benchmark]` PR removes it.
+    pub fn new(config: MemoConfig, _encoder_config: EncoderConfig, _seed: u64) -> Self {
+        Self::private(config)
     }
 
     /// Creates an executor on top of a (possibly shared) memo store, on
@@ -356,8 +374,8 @@ impl MemoizedExecutor {
     }
 
     /// Attaches a telemetry recorder: per-iteration and per-batch lifecycle
-    /// spans, chunk counters, and hit-path stage histograms
-    /// (encode / cache-peek / IVF-probe / payload-copy / miss-FFT). The
+    /// spans, chunk counters, and hit-path stage histograms (prefilter /
+    /// cache-peek / encode / probe / payload-copy / miss-FFT). The
     /// default is [`Telemetry::disabled`], which records nothing and takes
     /// zero stage clock reads.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -444,10 +462,9 @@ impl MemoizedExecutor {
     /// Runs `f` over `0..n` across the configured chunk threads (leasing
     /// extras from the governor, best-effort) and returns the results in
     /// index order plus the `(requested, used)` thread counts. Each worker
-    /// gets one contiguous index block, so per-block work (batched key
-    /// encoding through one encoder scratch) is amortized; since `f` is
-    /// pure with respect to the commit-ordered state, the concatenated
-    /// output is identical for every thread count.
+    /// gets one contiguous index block; since `f` is pure with respect to
+    /// the commit-ordered state, the concatenated output is identical for
+    /// every thread count.
     fn map_chunk_blocks<T: Send>(
         &self,
         n: usize,
@@ -502,17 +519,10 @@ impl MemoizedExecutor {
     fn dispatch(&self, kind: FftOpKind) -> Dispatch {
         let iteration = self.state.lock().iteration;
         let memoize = self.should_memoize(kind) && iteration >= self.config.warmup_iterations;
-        let tel_on = self.telemetry.is_enabled();
-        if memoize {
-            // The ANN kernel's fixed-point shortlist times itself into a
-            // thread-local accumulator, drained per chunk on the probing
-            // thread.
-            crate::ann::set_quantize_timing(tel_on);
-        }
         Dispatch {
             iteration,
             memoize,
-            tel_on,
+            tel_on: self.telemetry.is_enabled(),
             origin: Provenance {
                 job: self.job,
                 iteration,
@@ -520,171 +530,94 @@ impl MemoizedExecutor {
         }
     }
 
-    /// **Phase 1 (parallel)** for the contiguous block `range` of a
-    /// dispatch: every chunk above break-even independently takes its
-    /// fingerprint, encodes its key, peeks the compute-node cache
-    /// (read-only), probes the database (read-only) and — on a miss —
-    /// computes the exact transform; a chunk below break-even only computes.
-    /// All of this runs against the store/cache state *frozen at the start
-    /// of the application*, so the phase is order-independent. Inserts from
-    /// this application only become visible at the next one, which loses
-    /// nothing: the provenance freshness gate already makes same-job entries
-    /// of the current iteration ineligible.
-    fn probe_block<'a, F>(
+    /// **Phase 1 (parallel)** for one chunk of a dispatch: above break-even
+    /// it takes its fingerprint, peeks the compute-node cache (read-only),
+    /// and — on a cache miss — sketches its key, probes the database
+    /// (read-only) and, finding nothing, computes the exact transform; a
+    /// chunk below break-even only computes. All of this runs against the
+    /// store/cache state *frozen at the start of the application*, so the
+    /// phase is order-independent. Inserts from this application only
+    /// become visible at the next one, which loses nothing: the provenance
+    /// freshness gate already makes same-job entries of the current
+    /// iteration ineligible.
+    fn probe_chunk<F>(
         &self,
         kind: FftOpKind,
         d: &Dispatch,
-        range: std::ops::Range<usize>,
-        task: &impl Fn(usize) -> Task<'a, F>,
-    ) -> Vec<ChunkScratch>
+        (loc, input, compute): Task<'_, F>,
+    ) -> (ProbeCase, ChunkTrail)
     where
-        F: Fn(&[Complex64]) -> Vec<Complex64> + ?Sized + 'a,
+        F: Fn(&[Complex64]) -> Vec<Complex64> + ?Sized,
     {
         let tel_on = d.tel_on;
-        let stage_ns_of = |seconds: f64| if tel_on { (seconds * 1e9) as u64 } else { 0 };
-        // A chunk computed exactly with no key, cache or store involvement.
-        let bypassed = |case, fingerprint, pre_seconds: f64, i: usize| {
-            let (_, input, compute) = task(i);
+        let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
+        let computed = |case, expired| {
             let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
             let output = compute(input);
-            let compute_seconds = compute_start.elapsed().as_secs_f64();
-            ChunkScratch {
-                key: Vec::new(),
-                case: ProbeCase::Computed {
-                    output,
-                    compute_seconds,
-                    case,
-                    expired: None,
-                },
-                fingerprint,
-                cache_checked: false,
-                cache_comparisons: 0,
-                seconds: pre_seconds + compute_seconds,
-                encode_ns: 0,
-                peek_ns: 0,
-                probe_ns: 0,
-                prefilter_ns: stage_ns_of(pre_seconds),
-                quantize_ns: 0,
+            ProbeCase::Computed {
+                output,
+                compute_seconds: compute_start.elapsed().as_secs_f64(),
+                case,
+                expired,
             }
         };
-        if !d.memoize {
-            return range
-                .map(|i| bypassed(MemoCase::Computed, None, 0.0, i))
-                .collect();
-        }
-        let mut out: Vec<ChunkScratch> = Vec::with_capacity(range.len());
-        // Pass A: per chunk, the break-even gate (a pure function of kind
-        // and length), then fingerprint + doorkeeper decision, read-only
-        // against the history frozen at the start of the application
-        // (notes happen at ordered commit, so the decisions are
-        // independent of the thread schedule). `Some(case)` routes the chunk
-        // around the memo path.
-        let mut pre: Vec<(Option<ChunkFingerprint>, Option<MemoCase>, f64)> =
-            Vec::with_capacity(range.len());
-        for i in range.clone() {
-            let (loc, input, _) = task(i);
-            let t = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-            let (fp, bypass) = if !memoization_pays(kind, input.len()) {
-                (None, Some(MemoCase::Computed))
-            } else {
-                let fp = ChunkFingerprint::compute(input);
-                let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
-                (Some(fp), (!admitted).then_some(MemoCase::Prefiltered))
-            };
-            pre.push((fp, bypass, t.elapsed().as_secs_f64()));
-        }
-        // Pass B: one batched encode for the block's admitted chunks — one
-        // encoder scratch for the whole block instead of one per chunk.
-        let admitted_inputs: Vec<&[Complex64]> = range
-            .clone()
-            .zip(&pre)
-            .filter(|(_, (_, bypass, _))| bypass.is_none())
-            .map(|(i, _)| task(i).1)
-            .collect();
-        let encode_clock = stage_clock(tel_on);
-        let mut keys = if admitted_inputs.is_empty() {
-            Vec::new()
-        } else {
-            self.store.encode_batch(&admitted_inputs)
-        }
-        .into_iter();
-        let encode_total_ns = stage_ns(encode_clock);
-        let n_admitted = admitted_inputs.len().max(1) as u64;
-        // Per-chunk attribution of the block encode: even shares, the
-        // integer remainder going to the first admitted chunk so the
-        // stage-sum invariant loses nothing to rounding.
-        let encode_share_ns = encode_total_ns / n_admitted;
-        let mut encode_rem_ns = encode_total_ns % n_admitted;
-        // Pass C: cache peek, database probe, and exact compute on miss.
-        for (i, (fp, bypass, pre_seconds)) in range.zip(pre) {
-            if let Some(case) = bypass {
-                out.push(bypassed(case, fp, pre_seconds, i));
-                continue;
+        let mut chunk = ChunkTrail::default();
+        let case = 'lane: {
+            // The break-even gate: a pure function of kind and length.
+            if !d.memoize || !memoization_pays(kind, input.len()) {
+                break 'lane computed(MemoCase::Computed, None);
             }
-            let (loc, input, compute) = task(i);
-            let key = keys.next().expect("one key per admitted chunk"); // mlr-check: allow(unwrap-expect) — invariant: encode_batch returns one key per admitted chunk
-            let encode_ns = encode_share_ns + std::mem::take(&mut encode_rem_ns);
-            let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-            let (mut cache_comparisons, mut peek_ns, mut probe_ns, mut quantize_ns) = (0, 0, 0, 0);
-            let mut cached = None;
+            // Fingerprint + doorkeeper decision, read-only against the
+            // history frozen at the start of the application (notes happen
+            // at ordered commit).
+            let fp = ChunkFingerprint::compute(input);
+            chunk.fingerprint = Some(fp);
+            let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
+            if tel_on {
+                chunk.prefilter_ns = start.elapsed().as_nanos() as u64;
+            }
+            if !admitted {
+                break 'lane computed(MemoCase::Prefiltered, None);
+            }
+            // The cache is gated on the raw chunk: a hit needs no key.
             if self.config.use_cache {
                 let peek_clock = stage_clock(tel_on);
-                (cached, cache_comparisons) =
+                let (cached, comparisons) =
                     self.cache
                         .read()
-                        .peek(kind, loc, &key, self.config.tau, d.iteration);
-                peek_ns = stage_ns(peek_clock);
+                        .peek(kind, loc, input, self.config.tau, d.iteration);
+                chunk.peek_ns = stage_ns(peek_clock);
+                chunk.cache_checked = true;
+                chunk.cache_comparisons = comparisons;
+                if let Some(value) = cached {
+                    break 'lane ProbeCase::Hit { value, db: None };
+                }
             }
-            let case = if let Some(value) = cached {
-                ProbeCase::Hit { value, db: None }
-            } else {
-                let probe_clock = stage_clock(tel_on);
-                let probe = self.store.probe_with_key(kind, loc, input, &key, d.origin);
-                probe_ns = stage_ns(probe_clock);
-                if tel_on {
-                    quantize_ns = crate::ann::take_quantize_ns();
-                }
-                match probe {
-                    ProbeOutcome::Hit {
-                        value,
-                        entry,
-                        origin: entry_origin,
-                        ..
-                    } => ProbeCase::Hit {
-                        value,
-                        db: Some((entry, entry_origin)),
-                    },
-                    outcome @ (ProbeOutcome::Miss | ProbeOutcome::Expired { .. }) => {
-                        let expired = match outcome {
-                            ProbeOutcome::Expired { entry } => Some(entry),
-                            _ => None,
-                        };
-                        let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-                        let output = compute(input);
-                        ProbeCase::Computed {
-                            output,
-                            compute_seconds: compute_start.elapsed().as_secs_f64(),
-                            case: MemoCase::FailedMemo,
-                            expired,
-                        }
-                    }
-                }
-            };
-            out.push(ChunkScratch {
-                key,
-                case,
-                fingerprint: fp,
-                cache_checked: self.config.use_cache,
-                cache_comparisons,
-                seconds: pre_seconds + start.elapsed().as_secs_f64(),
-                encode_ns,
-                peek_ns,
-                probe_ns,
-                prefilter_ns: stage_ns_of(pre_seconds),
-                quantize_ns,
-            });
-        }
-        out
+            let encode_clock = stage_clock(tel_on);
+            chunk.key = self.store.encode(input);
+            chunk.encode_ns = stage_ns(encode_clock);
+            let probe_clock = stage_clock(tel_on);
+            let probe = self
+                .store
+                .probe_with_key(kind, loc, input, &chunk.key, d.origin);
+            chunk.probe_ns = stage_ns(probe_clock);
+            match probe {
+                ProbeOutcome::Hit {
+                    value,
+                    raw,
+                    entry,
+                    origin,
+                    ..
+                } => ProbeCase::Hit {
+                    value,
+                    db: Some(DbHit { entry, origin, raw }),
+                },
+                ProbeOutcome::Miss => computed(MemoCase::FailedMemo, None),
+                ProbeOutcome::Expired { entry } => computed(MemoCase::FailedMemo, Some(entry)),
+            }
+        };
+        chunk.seconds = start.elapsed().as_secs_f64();
+        (case, chunk)
     }
 
     /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
@@ -700,7 +633,7 @@ impl MemoizedExecutor {
         kind: FftOpKind,
         d: &Dispatch,
         task: &impl Fn(usize) -> Task<'a, F>,
-        scratch: Vec<ChunkScratch>,
+        scratch: Vec<(ProbeCase, ChunkTrail)>,
         threads: (usize, usize),
         phase_seconds: f64,
         mut emit: impl FnMut(usize, Emit<'_>),
@@ -717,7 +650,7 @@ impl MemoizedExecutor {
         // allocation gate with telemetry enabled.
         let mut stage_scratch = StageTable::new();
         let mut counter_scratch = CounterTable::new();
-        for (i, chunk) in scratch.into_iter().enumerate() {
+        for (i, (case, chunk)) in scratch.into_iter().enumerate() {
             let (loc, input, _) = task(i);
             chunk_seconds += chunk.seconds;
             // One operation only: a location index means a different chunk
@@ -732,12 +665,16 @@ impl MemoizedExecutor {
             if let Some(fp) = chunk.fingerprint {
                 self.store.note_fingerprint(kind, loc, fp);
             }
-            // A key was encoded unless the chunk went around the memo path.
-            let encoded = !matches!(
-                chunk.case,
-                ProbeCase::Computed { case, .. } if case != MemoCase::FailedMemo
+            // A key was encoded iff the chunk got as far as the database.
+            let encoded = matches!(
+                case,
+                ProbeCase::Hit { db: Some(_), .. }
+                    | ProbeCase::Computed {
+                        case: MemoCase::FailedMemo,
+                        ..
+                    }
             );
-            let cache_hit = matches!(chunk.case, ProbeCase::Hit { db: None, .. });
+            let cache_hit = matches!(case, ProbeCase::Hit { db: None, .. });
             if encoded {
                 state.stats.add_encoded_key(kind);
             }
@@ -750,29 +687,20 @@ impl MemoizedExecutor {
                 if chunk.fingerprint.is_some() {
                     stage_scratch.record(StageId::Prefilter, chunk.prefilter_ns);
                 }
-                if encoded {
-                    stage_scratch.record(StageId::Encode, chunk.encode_ns);
-                }
                 if chunk.cache_checked {
                     stage_scratch.record(StageId::CachePeek, chunk.peek_ns);
                 }
-                if encoded && !cache_hit {
-                    // The quantize sub-stage is carved out of the probe so
-                    // the stage set partitions hit-path time (no double
-                    // counting in the stage-sum invariant).
-                    stage_scratch.record(
-                        StageId::IvfProbe,
-                        chunk.probe_ns.saturating_sub(chunk.quantize_ns),
-                    );
-                    stage_scratch.record(StageId::Quantize, chunk.quantize_ns);
+                if encoded {
+                    stage_scratch.record(StageId::Encode, chunk.encode_ns);
+                    stage_scratch.record(StageId::IvfProbe, chunk.probe_ns);
                 }
             }
-            match chunk.case {
+            match case {
                 ProbeCase::Hit { value, db } => {
-                    let (case, counter) = match db {
-                        Some((entry, entry_origin)) => {
+                    let (case, counter) = match &db {
+                        Some(hit) => {
                             self.store
-                                .commit_hit(kind, loc, entry, entry_origin, origin);
+                                .commit_hit(kind, loc, hit.entry, hit.origin, origin);
                             (MemoCase::DbHit, CounterId::DbHitChunks)
                         }
                         None => (MemoCase::CacheHit, CounterId::CacheHitChunks),
@@ -786,12 +714,13 @@ impl MemoizedExecutor {
                         stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
                         counter_scratch.add(counter, 1);
                     }
-                    if db.is_some() && self.config.use_cache {
-                        // The cache shares the payload buffer (Arc) and takes
-                        // ownership of the already-encoded key — no clones.
+                    if let (Some(hit), true) = (db, self.config.use_cache) {
+                        // The cache shares the entry's buffers (Arcs): this
+                        // location's next chunk is gated against the very
+                        // raw input the store just gated this one against.
                         self.cache
                             .write()
-                            .insert(kind, loc, chunk.key, value, iteration);
+                            .insert(kind, loc, hit.raw, value, iteration);
                     }
                 }
                 ProbeCase::Computed {
@@ -879,7 +808,7 @@ impl FftExecutor for MemoizedExecutor {
         let d = self.dispatch(kind);
         let task = |_| (loc, input, compute);
         let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
-        let scratch = self.probe_block(kind, &d, 0..1, &task);
+        let scratch = vec![self.probe_chunk(kind, &d, task(0))];
         let phase_seconds = phase_start.elapsed().as_secs_f64();
         let mut out = Vec::new();
         self.commit(kind, &d, &task, scratch, (1, 1), phase_seconds, |_, v| {
@@ -890,7 +819,7 @@ impl FftExecutor for MemoizedExecutor {
     }
 
     /// The deterministic two-phase chunk-parallel schedule: phase 1
-    /// (`probe_block`) over contiguous blocks on the chunk threads, then one
+    /// (`probe_chunk`) over contiguous blocks on the chunk threads, then one
     /// phase 2 (`commit`) in chunk-index order.
     fn execute_batch_into(
         &self,
@@ -906,7 +835,7 @@ impl FftExecutor for MemoizedExecutor {
         let task = |i: usize| (batch[i].loc, batch[i].input, batch[i].compute);
         let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
         let (scratch, requested, used) = self.map_chunk_blocks(batch.len(), |range| {
-            self.probe_block(kind, &d, range, &task)
+            range.map(|i| self.probe_chunk(kind, &d, task(i))).collect()
         });
         let phase_seconds = phase_start.elapsed().as_secs_f64();
         let threads = (requested, used);
@@ -919,7 +848,6 @@ impl FftExecutor for MemoizedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::tiny_encoder_config as tiny_encoder;
     use mlr_lamino::DirectExecutor;
     use mlr_math::rng::seeded;
     use rand::Rng;
@@ -947,7 +875,7 @@ mod tests {
 
     #[test]
     fn identical_inputs_hit_after_first_miss() {
-        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 1);
+        let exec = MemoizedExecutor::private(test_config());
         let input = chunk(1, 128);
         // First sighting: the doorkeeper prefilter has no history for the
         // scope, so the chunk goes straight to the exact FFT (no insert).
@@ -971,7 +899,7 @@ mod tests {
 
     #[test]
     fn cache_hit_comes_from_compute_node_cache() {
-        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 2);
+        let exec = MemoizedExecutor::private(test_config());
         let input = chunk(2, 128);
         // Iteration 0 is prefiltered (first sighting), iteration 1 misses
         // and inserts, iteration 2 hits the DB (and fills the cache),
@@ -990,10 +918,9 @@ mod tests {
     fn chunk_below_break_even_takes_the_computed_lane() {
         // The same repeating input, once as `F_u1D` (a hit cannot pay at 128
         // elements) and once as `F_u2D` (it can): the gated chunk leaves no
-        // trace in the doorkeeper, the encoder, the cache or the store, and
+        // trace in the doorkeeper, the cache, the key count or the store, and
         // the telemetry says why.
-        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 2)
-            .with_telemetry(Telemetry::enabled());
+        let exec = MemoizedExecutor::private(test_config()).with_telemetry(Telemetry::enabled());
         let input = chunk(2, 128);
         for it in 0..4 {
             exec.begin_iteration(it);
@@ -1025,7 +952,7 @@ mod tests {
             enabled: false,
             ..test_config()
         };
-        let exec = MemoizedExecutor::new(config, tiny_encoder(), 3);
+        let exec = MemoizedExecutor::private(config);
         let input = chunk(3, 64);
         for _ in 0..3 {
             let out = exec.execute(FftOpKind::Fu2D, 0, &input, &fake_fft);
@@ -1039,7 +966,7 @@ mod tests {
 
     #[test]
     fn uniform_fft_ops_are_not_memoized_by_default() {
-        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 4);
+        let exec = MemoizedExecutor::private(test_config());
         let input = chunk(4, 64);
         let _ = exec.execute(FftOpKind::F2D, 0, &input, &fake_fft);
         let _ = exec.execute(FftOpKind::F2D, 0, &input, &fake_fft);
@@ -1054,9 +981,9 @@ mod tests {
         // hits, so outputs must equal the exact computation rounded through
         // the stored format. Each chunk is the first sighting in its own
         // location scope, so the norm prefilter routes all of them straight
-        // to the exact FFT — the encoder is never consulted on this
+        // to the exact FFT — no key is computed on this
         // unique-chunk workload.
-        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 5);
+        let exec = MemoizedExecutor::private(test_config());
         let rounded_direct = |loc: usize, input: &[Complex64]| {
             let exact = DirectExecutor.execute(FftOpKind::Fu2D, loc, input, &fake_fft);
             let mut rounded = vec![Complex64::ZERO; exact.len()];
@@ -1078,7 +1005,7 @@ mod tests {
         assert_eq!(exec.db_len(), 0);
 
         // The same five chunks again, in the same iteration: their noted
-        // fingerprints admit them, so each pays the encoder and the probe,
+        // fingerprints admit them, so each pays the key and the probe,
         // misses (nothing was inserted on the first sighting), is computed
         // exactly and inserted.
         let mut missed = Vec::new();
@@ -1108,7 +1035,7 @@ mod tests {
             tau: 0.90,
             ..test_config()
         };
-        let exec = MemoizedExecutor::new(config, tiny_encoder(), 6);
+        let exec = MemoizedExecutor::private(config);
         let base = chunk(6, 256);
         // Iteration 0 primes the doorkeeper (prefiltered, nothing stored);
         // iteration 1 inserts the exact base result.
@@ -1142,7 +1069,7 @@ mod tests {
             tau: 0.9,
             ..test_config()
         };
-        let exec = MemoizedExecutor::new(config, tiny_encoder(), 7);
+        let exec = MemoizedExecutor::private(config);
         let base = chunk(7, 64);
         for it in 0..4 {
             exec.begin_iteration(it);
@@ -1170,8 +1097,8 @@ mod tests {
         // semantics: a one-element batch has no intra-batch visibility
         // deferral) must produce the same outputs and the same case counts,
         // so the paths cannot silently drift apart.
-        let sequential = MemoizedExecutor::new(test_config(), tiny_encoder(), 9);
-        let batched = MemoizedExecutor::new(test_config(), tiny_encoder(), 9);
+        let sequential = MemoizedExecutor::private(test_config());
+        let batched = MemoizedExecutor::private(test_config());
         for it in 0..4 {
             sequential.begin_iteration(it);
             batched.begin_iteration(it);
@@ -1206,7 +1133,7 @@ mod tests {
 
     #[test]
     fn repeating_chunks_reach_the_store_on_their_second_sighting() {
-        let exec = MemoizedExecutor::new(test_config(), tiny_encoder(), 8);
+        let exec = MemoizedExecutor::private(test_config());
         // Six unique chunks at six locations (128 elements: above the
         // `F_u2D` break-even). First sighting: the doorkeeper sends every
         // one to the exact FFT — no key, no cache lookup, nothing stored.

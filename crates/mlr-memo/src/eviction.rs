@@ -393,12 +393,17 @@ const fn usfft_ns_per_elem(op: FftOpKind) -> Option<f64> {
     }
 }
 
-/// What a memoized chunk pays that does not depend on its length — CNN
-/// encode, cache peek, index probe, commit — in nanoseconds: the sweep's
-/// `cache_hit_ns_per_chunk` extrapolated to zero length …
+/// What a memoized chunk is expected to pay, the sweep's
+/// `memo_path_ns_per_chunk` (`p ·` a cache hit `+ (1 − p) ·` what a miss
+/// pays beside its compute: fingerprint, cache peek, key, probe, insert), as
+/// a line in the chunk length: the part that does not depend on it …
 const MEMO_PATH_FIXED_NS: f64 = 7_000.0;
-/// … and its slope per input element: fingerprint, grid resample, the
-/// store's raw-similarity gate and the payload copy.
+/// … and the slope per input element. Fitted when every memoized chunk paid
+/// a 6.5 µs CNN key; the sweep now reads about 1 µs + 8.3 ns/elem, which
+/// crosses this line at 1250 elements, beside the `F_u1D` threshold, and at
+/// no swept size moves a decision out of the sweep's 2× dead band (`F_u1D`
+/// saves 0.8–1.5× the path at every size, `F_u2D` ≥ 6×), so the constants
+/// and every count they decide stay what they were.
 const MEMO_PATH_NS_PER_ELEM: f64 = 3.5;
 
 /// Whether memoizing one chunk of `input_len` elements of `op` has a

@@ -1,16 +1,16 @@
 //! O(n) chunk fingerprints for the norm prefilter (the "doorkeeper" in
-//! front of the CNN encoder).
+//! front of the cache, the key and the store).
 //!
-//! The hot-path telemetry of Figure 22 showed that a memo *miss* on a
-//! cold/unique chunk still pays the full CNN encode (~93 % of the hit cost)
-//! before discovering there is nothing to reuse. The prefilter removes that
-//! cost: each chunk is summarised by a [`ChunkFingerprint`] — a handful of
+//! A memo *miss* on a cold/unique chunk would pay a cache gate, a key, a
+//! store lock and an index scan before discovering there is nothing to
+//! reuse — and then an insert nothing will ever hit. The prefilter removes
+//! that cost: each chunk is summarised by a [`ChunkFingerprint`] — a handful of
 //! norm/moment features computable in one O(n) pass — and the engine keeps a
 //! small per-scope history of the fingerprints of recently committed chunks.
 //! A new chunk whose fingerprint is not [within the τ-derived
 //! band](ChunkFingerprint::within_band) of *any* remembered fingerprint
 //! cannot pass the raw similarity gate against those chunks, so the engine
-//! skips encode + cache peek + ANN probe entirely and goes straight to the
+//! skips cache peek + key + index probe entirely and goes straight to the
 //! exact FFT.
 //!
 //! # Soundness
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn within_band_rejects_clear_mismatches() {
         // The filter must have teeth: disjoint norms outside the band are
-        // rejected without touching the encoder.
+        // rejected without touching cache, key or store.
         let a = ChunkFingerprint::compute(&[Complex64::new(1.0, 0.0); 16]);
         let b = ChunkFingerprint::compute(&[Complex64::new(100.0, 0.0); 16]);
         assert!(!a.within_band(&b, 0.92));

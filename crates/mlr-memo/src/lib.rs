@@ -8,25 +8,28 @@
 //!
 //! The crate mirrors the paper's architecture piece by piece:
 //!
-//! * [`encoder`] — the CNN key encoder (§4.3.1): complex chunks are split
-//!   into real/imaginary planes and passed through a small convolutional
-//!   network into a ~60-dimensional embedding space. The weights are a
-//!   fixed seeded draw: the key only picks the nearest-neighbour candidate,
-//!   the τ gate runs on the raw chunks (the paper's contrastive training
-//!   and INT8 weights are cost-model figures here, not live code).
+//! * [`encoder`] — the key (§4.3.1's role): [`sketch`], the chunk's real
+//!   and imaginary parts block-averaged onto an 8 × 8 grid, 128 numbers, a
+//!   pure function. The key only picks the nearest-neighbour candidate;
+//!   every reuse decision is the τ gate on the raw chunks (the paper's
+//!   trained INT8 CNN is a cost-model row here, not live code).
 //! * [`fingerprint`] — the norm prefilter's O(n) chunk fingerprints and the
 //!   per-scope doorkeeper table: chunks with no fingerprint neighbor inside
-//!   the τ-derived band skip the CNN encoder (and the probe) entirely and go
-//!   straight to the exact FFT.
-//! * [`ann`] — the index database (§4.3.2): a from-scratch cluster-based
-//!   (IVF) approximate-nearest-neighbour index standing in for Faiss,
-//!   supporting dynamic insertion.
-//! * [`db`] — the database configuration ([`MemoDbConfig`]) and the
-//!   crate-private lock stripe: index database + value database (entries
-//!   hold single-precision `Arc<[Complex32]>` payloads, as Redis would) behind
-//!   the τ-thresholded probe/insert protocol.
+//!   the τ-derived band skip cache, key and probe entirely and go straight
+//!   to the exact FFT.
+//! * [`ann`] — the index database (§4.3.2's role): one flat key list per
+//!   `(operation, location)` scope, scanned in full — O(entries in the
+//!   scope), tens here, bounded by the [`CapacityBudget`] — where the paper
+//!   needs Faiss-IVF for millions.
+//! * [`db`] — the database configuration ([`MemoDbConfig`]), the one τ gate
+//!   ([`tau_gate`]: Eq. 3 on the raw chunks) and the crate-private lock
+//!   stripe: index database + value database (entries hold single-precision
+//!   `Arc<[Complex32]>` payloads, as Redis would) behind the τ-thresholded
+//!   probe/insert protocol.
 //! * [`cache`] — the compute-node memoization cache (§4.4): a one-entry FIFO
-//!   cache *private to each chunk location*, compared against a global cache.
+//!   cache *private to each chunk location*, compared against a global
+//!   cache; an entry is the database entry that last hit there, gated by
+//!   the same [`tau_gate`] before any key is computed.
 //! * [`engine`] — the [`MemoizedExecutor`], an implementation of
 //!   `mlr_lamino::FftExecutor` that the ADMM solver can use in place of the
 //!   direct executor; it records the per-case statistics behind
@@ -79,11 +82,10 @@ pub mod store;
 #[cfg(test)]
 mod testutil;
 
-pub use ann::IvfIndex;
 pub use cache::{CacheKind, MemoCache};
-pub use db::MemoDbConfig;
+pub use db::{tau_gate, MemoDbConfig};
 pub use distributed::{DistributedMemoDb, DistributedStats, FaultStats, NodeStats, NodeTopology};
-pub use encoder::{CnnEncoder, EncoderConfig, EncoderScratch};
+pub use encoder::{sketch, CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
 pub use eviction::{
     memoization_pays, recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta,

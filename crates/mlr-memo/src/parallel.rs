@@ -142,8 +142,7 @@ pub struct ParallelStats {
     /// grant.
     pub threads_granted: u64,
     /// Σ of per-chunk parallel-phase wall time (the serialized work):
-    /// fingerprint, cache peek, probe and exact compute of every chunk. The
-    /// block-batched key encode is timed by telemetry only and is not in it.
+    /// fingerprint, cache peek, key, probe and exact compute of every chunk.
     pub chunk_seconds: f64,
     /// Wall time of the parallel phases themselves.
     pub phase_seconds: f64,

@@ -14,9 +14,9 @@
 //! paper observes reuse at (Figure 4) — so a scope never straddles shards
 //! and query semantics are *identical* for every shard count: the same
 //! inserts produce the same hit/miss sequence with one stripe or sixteen
-//! (the per-scope ANN seeds are derived from the scope, not from insertion
-//! order, for exactly this reason). Key encoding goes through one shared,
-//! immutable encoder — no lock — so every tenant speaks the same key space.
+//! (a scope's index is its key list in insertion order, and nothing else).
+//! A key is a pure function of its chunk ([`sketch`]), so every tenant
+//! speaks the same key space by construction.
 //!
 //! # Capacity governance
 //!
@@ -31,8 +31,8 @@
 //! resident counters are only updated *after* enforcement, so external
 //! observers never see an over-budget store.
 
-use crate::db::{scope_seed, MemoDatabase, MemoDbConfig};
-use crate::encoder::{CnnEncoder, EncoderConfig};
+use crate::db::{scope_hash, MemoDatabase, MemoDbConfig};
+use crate::encoder::sketch;
 use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, StoreClock};
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_lamino::FftOpKind;
@@ -60,8 +60,6 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// A concurrent memoization store sharded by chunk-location hash.
 pub struct ShardedMemoDb {
     config: MemoDbConfig,
-    /// The shared key encoder: fixed at construction, read by every encode.
-    encoder: CnnEncoder,
     shards: Vec<Mutex<MemoDatabase>>,
     /// Logical clock shared with every stripe (ticks, epochs, entry ids).
     clock: Arc<StoreClock>,
@@ -93,8 +91,8 @@ pub struct ShardedMemoDb {
 
 impl ShardedMemoDb {
     /// Creates an empty store with [`DEFAULT_SHARDS`] stripes.
-    pub fn new(config: MemoDbConfig, encoder_config: EncoderConfig, seed: u64) -> Self {
-        Self::with_shards(config, encoder_config, seed, DEFAULT_SHARDS)
+    pub fn new(config: MemoDbConfig) -> Self {
+        Self::with_shards(config, DEFAULT_SHARDS)
     }
 
     /// Creates an empty store with an explicit shard count; eviction runs
@@ -102,12 +100,7 @@ impl ShardedMemoDb {
     ///
     /// # Panics
     /// Panics when `shards == 0`.
-    pub fn with_shards(
-        config: MemoDbConfig,
-        encoder_config: EncoderConfig,
-        seed: u64,
-        shards: usize,
-    ) -> Self {
+    pub fn with_shards(config: MemoDbConfig, shards: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let clock = StoreClock::new();
         let policy = config.eviction.build();
@@ -124,7 +117,6 @@ impl ShardedMemoDb {
             .collect();
         Self {
             config,
-            encoder: CnnEncoder::new(encoder_config, seed),
             shards: shard_dbs,
             clock,
             policy,
@@ -198,7 +190,7 @@ impl ShardedMemoDb {
     /// distributed tier's stripe→node placement and the trace-replay harness
     /// key on, and the `stripe` field of the access-trace records.
     pub fn stripe_of(&self, op: FftOpKind, loc: usize) -> usize {
-        (scope_seed(op, loc) % self.shards.len() as u64) as usize
+        (scope_hash(op, loc) % self.shards.len() as u64) as usize
     }
 
     /// A copy of the eviction metadata of entry `entry` in the stripe
@@ -207,6 +199,24 @@ impl ShardedMemoDb {
     /// metadata (hit counts, bytes, recompute cost).
     pub fn entry_meta(&self, op: FftOpKind, loc: usize, entry: u64) -> Option<EntryMeta> {
         self.shard_for(op, loc).lock().meta_of(entry)
+    }
+
+    /// The reference [`MemoStore::probe_with_key`]'s key selector is tested
+    /// against (`tests/selector.rs`), never called by a run: every entry of
+    /// the scope that `origin` may use goes through the τ gate, no key
+    /// involved, and the most similar one that passes is the hit. Read-only,
+    /// like a probe. When this hits and the keyed probe does not, the
+    /// sketch's nearest candidate lost a reachable hit.
+    pub fn probe_exhaustive(
+        &self,
+        op: FftOpKind,
+        loc: usize,
+        input: &[Complex64],
+        origin: Provenance,
+    ) -> ProbeOutcome {
+        self.shard_for(op, loc)
+            .lock()
+            .probe_exhaustive(op, loc, input, origin)
     }
 
     /// Per-shard entry counts (diagnostics; shows stripe balance).
@@ -332,12 +342,7 @@ impl MemoStore for ShardedMemoDb {
     }
 
     fn encode(&self, input: &[Complex64]) -> Vec<f64> {
-        self.encoder.encode(input)
-    }
-
-    fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>> {
-        // One thread-local scratch lease for the whole batch.
-        self.encoder.encode_batch(inputs)
+        sketch(input)
     }
 
     fn has_fingerprint_neighbor(
@@ -520,9 +525,7 @@ impl MemoStore for ShardedMemoDb {
 mod tests {
     use super::*;
     use crate::eviction::EvictionPolicyKind;
-    use crate::testutil::{
-        chunk, fill, insert, lookup, lookup_or_insert, store, tiny_encoder_config,
-    };
+    use crate::testutil::{chunk, fill, insert, lookup, lookup_or_insert, store};
     use mlr_lamino::FftOpKind::{Fu1D, Fu2D, Fu2DAdj};
 
     fn config(budget: CapacityBudget, eviction: EvictionPolicyKind) -> MemoDbConfig {
@@ -530,7 +533,6 @@ mod tests {
             tau: 0.9,
             budget,
             eviction,
-            ..Default::default()
         }
     }
 
@@ -650,35 +652,35 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_encodes_match_a_private_encoder_bit_for_bit() {
-        // The store's encoder is a plain, immutable field: a lock around it
-        // or interior mutability inside it fails these two lines to compile.
-        fn assert_sync<T: Sync>() {}
-        assert_sync::<CnnEncoder>();
-        let db = sharded(4);
-        let _: &CnnEncoder = &db.encoder;
-
-        // Eight threads released together, each encoding its own chunks
-        // through the shared store, against one private encoder of the same
-        // configuration and seed run sequentially.
-        let bits = |key: Vec<f64>| -> Vec<u64> { key.iter().map(|x| x.to_bits()).collect() };
-        let chunks: Vec<Vec<Complex64>> = (0..8 * 4)
-            .map(|i| chunk(1.0 + 0.1 * i as f64, 0.3 * i as f64, 64 + 16 * i))
-            .collect();
-        let reference = CnnEncoder::new(tiny_encoder_config(), 1);
-        let expected: Vec<Vec<u64>> = chunks.iter().map(|c| bits(reference.encode(c))).collect();
-        let barrier = std::sync::Barrier::new(8);
-        std::thread::scope(|s| {
-            for (mine, want) in chunks.chunks(4).zip(expected.chunks(4)) {
-                let (db, barrier) = (&db, &barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    for (c, want) in mine.iter().zip(want) {
-                        assert_eq!(&bits(db.encode(c)), want);
-                    }
-                });
+    fn an_ineligible_nearer_entry_does_not_shadow_an_eligible_one() {
+        // One scope, two entries: the older within τ of the query, the
+        // newer — inserted in the query's own iteration, so it may not serve
+        // it — nearer still. The probe must hit on the older; with the
+        // eligibility check after the nearest-key search it missed.
+        let served = |o: ProbeOutcome| match o {
+            ProbeOutcome::Hit { entry, .. } => Some(entry),
+            _ => None,
+        };
+        for shards in [1, 4] {
+            let db = sharded(shards);
+            let query = chunk(1.0, 0.0, 256);
+            let mut ids = Vec::new();
+            for (it, scale) in [(1, 1.03), (2, 1.001)] {
+                let input = chunk(scale, 0.02 * (scale - 1.0), 256);
+                let value = chunk(2.0, 1.0, 32);
+                ids.push(insert(&db, Fu2D, 5, &input, value, Provenance::solo(it)));
             }
-        });
+            let key = db.encode(&query);
+            // Iteration 1 may use neither entry, 2 the older only, 3 both
+            // (and the nearer wins); the exhaustive reference agrees.
+            for (it, expected) in [(1, None), (2, Some(ids[0])), (3, Some(ids[1]))] {
+                let at = Provenance::solo(it);
+                let keyed = db.probe_with_key(Fu2D, 5, &query, &key, at);
+                assert_eq!(served(keyed), expected, "{shards} shards, iteration {it}");
+                let reference = db.probe_exhaustive(Fu2D, 5, &query, at);
+                assert_eq!(served(reference), expected);
+            }
+        }
     }
 
     #[test]

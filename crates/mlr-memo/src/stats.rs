@@ -30,7 +30,7 @@ pub enum MemoCase {
     CacheHit,
     /// Routed straight to the exact FFT by the norm prefilter: the chunk's
     /// fingerprint had no τ-band neighbor in the scope's recent history, so
-    /// encode, cache peek and database probe were all skipped.
+    /// cache peek, key and database probe were all skipped.
     Prefiltered,
 }
 

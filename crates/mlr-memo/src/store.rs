@@ -127,7 +127,11 @@ pub enum ProbeOutcome {
         /// The stored FFT result, in the store's single-precision format —
         /// a shared reference into the value database, never a deep clone.
         value: Arc<[Complex32]>,
-        /// Cosine similarity between query and stored entry.
+        /// The serving entry's raw input behind its cached norm — shared
+        /// likewise. The compute-node cache keeps both next to the value, so
+        /// its lookups run the store's own τ gate.
+        raw: (f64, Arc<[Complex32]>),
+        /// Scale-aware similarity between the query and that raw input.
         similarity: f64,
         /// Stable id of the serving entry (for the ordered commit).
         entry: u64,
@@ -147,29 +151,19 @@ pub enum ProbeOutcome {
 /// A thread-safe memoization store.
 ///
 /// All methods take `&self`; implementations are responsible for their own
-/// interior locking. The executor encodes keys through the store so every
-/// tenant of a shared store uses the *same* encoder (keys from different
-/// encoders would be mutually meaningless).
+/// interior locking. Keys come from the store ([`MemoStore::encode`]), so
+/// what a key is stays the store's business.
 ///
 /// The τ-gated probe → commit protocol, on a store shared by concurrent
 /// jobs:
 ///
 /// ```
 /// use mlr_lamino::FftOpKind;
-/// use mlr_memo::{
-///     EncoderConfig, MemoDbConfig, MemoStore, ProbeOutcome, Provenance, ShardedMemoDb,
-/// };
+/// use mlr_memo::{MemoDbConfig, MemoStore, ProbeOutcome, Provenance, ShardedMemoDb};
 /// use mlr_math::Complex64;
 ///
 /// let store = ShardedMemoDb::with_shards(
 ///     MemoDbConfig { tau: 0.9, ..Default::default() },
-///     EncoderConfig {
-///         input_grid: 8,
-///         conv1_filters: 2,
-///         conv2_filters: 4,
-///         embedding_dim: 8,
-///     },
-///     1, // encoder seed
 ///     4, // lock stripes
 /// );
 /// let chunk: Vec<Complex64> = (0..64)
@@ -201,15 +195,12 @@ pub enum ProbeOutcome {
 /// assert_eq!(store.stats().hits, 1);
 /// ```
 pub trait MemoStore: Send + Sync {
-    /// The database configuration (τ threshold, index, budget, eviction).
+    /// The database configuration (τ threshold, budget, eviction).
     fn config(&self) -> MemoDbConfig;
 
-    /// Encodes an input chunk into a key.
+    /// The key of an input chunk ([`sketch`](crate::encoder::sketch)): what
+    /// [`MemoStore::probe_with_key`] and [`MemoStore::insert`] take.
     fn encode(&self, input: &[Complex64]) -> Vec<f64>;
-
-    /// Encodes a batch of input chunks in one pass, amortizing the
-    /// per-call scratch lease across the batch.
-    fn encode_batch(&self, inputs: &[&[Complex64]]) -> Vec<Vec<f64>>;
 
     /// Norm-prefilter consultation: does the scope's fingerprint history at
     /// `(op, loc)` contain a chunk whose raw similarity to `fp`'s chunk
@@ -221,8 +212,9 @@ pub trait MemoStore: Send + Sync {
     fn note_fingerprint(&self, op: FftOpKind, loc: usize, fp: ChunkFingerprint);
 
     /// Read-only probe at `(op, loc)` for an entry similar to `input`, with
-    /// a pre-computed key, on behalf of the job/iteration `origin`: *no*
-    /// side effects (no counters, no recency refresh, no reclamation), safe
+    /// `input`'s key, on behalf of the job/iteration `origin`: the entry
+    /// with the nearest key among those `origin` may use, if it passes the
+    /// τ gate on the raw chunks. *No* side effects (no counters, no recency refresh, no reclamation), safe
     /// to issue concurrently from the parallel phase of a batch.
     fn probe_with_key(
         &self,

@@ -1,24 +1,14 @@
 //! Fixtures shared by the store unit tests (`db`, `sharded`, `distributed`):
-//! one tiny encoder, one chunk generator, and the probe → commit driver
-//! every store test goes through.
+//! one chunk generator and the probe → commit driver every store test goes
+//! through.
 
 use crate::db::MemoDbConfig;
-use crate::encoder::EncoderConfig;
 use crate::eviction::recompute_cost_estimate;
 use crate::sharded::ShardedMemoDb;
 use crate::store::{MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
 use mlr_math::{Complex32, Complex64};
 use std::sync::Arc;
-
-pub(crate) fn tiny_encoder_config() -> EncoderConfig {
-    EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    }
-}
 
 pub(crate) fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
     (0..n)
@@ -29,9 +19,9 @@ pub(crate) fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-/// A store with the tiny encoder (seed 1) and `shards` lock stripes.
+/// A store with `shards` lock stripes.
 pub(crate) fn store(config: MemoDbConfig, shards: usize) -> ShardedMemoDb {
-    ShardedMemoDb::with_shards(config, tiny_encoder_config(), 1, shards)
+    ShardedMemoDb::with_shards(config, shards)
 }
 
 /// Inserts `input → output` priced by the analytic cost model.
@@ -82,6 +72,7 @@ pub(crate) fn lookup(
             similarity,
             entry,
             origin: inserted_by,
+            ..
         } => {
             store.commit_hit(op, loc, entry, inserted_by, origin);
             Some((value, similarity, inserted_by))

@@ -13,8 +13,8 @@ use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::stats::{DeadlineStats, RuntimeStats};
 use mlr_core::{CancelToken, MlrPipeline, StopCause};
 use mlr_memo::{
-    ConcurrencyGovernor, DistributedMemoDb, EncoderConfig, JobId, MemoDbConfig, MemoStore,
-    NodeTopology, ParallelStats, ShardedMemoDb, DEFAULT_SHARDS,
+    ConcurrencyGovernor, DistributedMemoDb, JobId, MemoDbConfig, MemoStore, NodeTopology,
+    ParallelStats, ShardedMemoDb, DEFAULT_SHARDS,
 };
 use mlr_sim::faults::FaultPlan;
 use mlr_telemetry::{CounterId, SignedHistogram, SpanKind, Telemetry, TelemetryConfig};
@@ -38,10 +38,6 @@ pub struct RuntimeConfig {
     /// their own `MemoConfig`, but the store gates reuse with *this* τ, so
     /// tenants should agree with it.
     pub db: MemoDbConfig,
-    /// Shared store key-encoder configuration.
-    pub encoder: EncoderConfig,
-    /// Seed for the shared encoder.
-    pub seed: u64,
     /// Admission control against store pressure: when set, submissions are
     /// rejected with [`AdmissionError::StorePressure`] while the shared
     /// store's tightest capacity cap is more than this utilised (`None`
@@ -63,8 +59,7 @@ pub struct RuntimeConfig {
     /// cost one branch each, so the hot path stays allocation-free and takes
     /// no *stage* clock. The engine's compute-time statistics
     /// (`OpStats::compute_seconds`, `ParallelStats::chunk_seconds`) are not
-    /// telemetry: they read the clock two to three times per memoized chunk
-    /// either way.
+    /// telemetry: they read the clock once or twice per chunk either way.
     pub telemetry: bool,
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
     /// hit/miss/insert/evict/expire, logical tick). `None` disables the
@@ -116,13 +111,6 @@ impl Default for RuntimeConfig {
             queue_capacity: 32,
             shards: DEFAULT_SHARDS,
             db: MemoDbConfig::default(),
-            encoder: EncoderConfig {
-                input_grid: 8,
-                conv1_filters: 4,
-                conv2_filters: 8,
-                embedding_dim: 32,
-            },
-            seed: 7,
             admission_max_pressure: None,
             intra_job_threads: 1,
             core_budget: std::thread::available_parallelism()
@@ -138,14 +126,13 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Aligns the store's τ, capacity budget, eviction policy and encoder
-    /// seed with a job configuration, so a single job run through the
+    /// Aligns the store's τ, capacity budget and eviction policy with a job
+    /// configuration, so a single job run through the
     /// runtime behaves exactly like `MlrPipeline::run_memoized` (the
     /// determinism contract the tests pin) — bounded or not.
     pub fn matching(config: &mlr_core::MlrConfig) -> Self {
         Self {
             db: config.memo.db_config(),
-            seed: config.problem.seed,
             ..Default::default()
         }
     }
@@ -303,12 +290,7 @@ impl Runtime {
     /// set without a `config.topology` (a plan with no memory nodes to
     /// fault would otherwise be dropped silently).
     pub fn new(config: RuntimeConfig) -> Self {
-        let store = Arc::new(ShardedMemoDb::with_shards(
-            config.db,
-            config.encoder,
-            config.seed,
-            config.shards,
-        ));
+        let store = Arc::new(ShardedMemoDb::with_shards(config.db, config.shards));
         Self::with_store(config, store)
     }
 

@@ -84,23 +84,22 @@ pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum StageId {
-    /// CNN encoding of the chunk input into the similarity key.
+    /// Sketching the chunk input into its key (after a cache miss).
     Encode,
-    /// Peek of the process-local exact cache.
+    /// Peek of the compute-node cache: the τ gate on the raw chunk.
     CachePeek,
-    /// IVF probe of the shared memo database.
+    /// Probe of the memo database: the scope's flat key scan, then the τ
+    /// gate. The name is `examples/benchmark`'s (the index was an IVF once).
     IvfProbe,
     /// Copying the hit payload into the output slot at ordered commit.
     PayloadCopy,
     /// The exact FFT executed on a miss.
     MissFft,
-    /// Fingerprint computation + doorkeeper consultation before the
-    /// encoder (the norm prefilter).
+    /// Fingerprint computation + doorkeeper consultation before cache and
+    /// key (the norm prefilter).
     Prefilter,
-    /// Fixed-point shortlist arithmetic inside the IVF probe (quantised
-    /// key kernel). Carved *out* of the `ivf_probe` histogram — the engine
-    /// records the probe minus this sub-stage — so the stage set partitions
-    /// hit-path time without double counting.
+    /// Nothing records it. Exists for `examples/benchmark`'s frozen
+    /// `probe_s` sum; a `[benchmark]` PR removes it.
     Quantize,
     /// Storing a missed chunk at ordered commit: narrowing input and output
     /// to the stored format, the index add and the budget enforcement.

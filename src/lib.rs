@@ -8,7 +8,7 @@
 //! * [`mlr_core`] — configuration, pipeline and report (start here).
 //! * [`mlr_runtime`] — the multi-job reconstruction runtime with the shared
 //!   memoization store.
-//! * [`mlr_memo`] — the memoization system (encoder, ANN index, stores).
+//! * [`mlr_memo`] — the memoization system (key sketch, per-scope index, stores).
 //! * [`mlr_solver`] / [`mlr_lamino`] / [`mlr_fft`] / [`mlr_math`] — the
 //!   numerical stack.
 //! * [`mlr_sim`] / [`mlr_cluster`] / [`mlr_offload`] — the hardware cost

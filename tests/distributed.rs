@@ -14,7 +14,6 @@
 
 use mlr_cluster::{replay_trace, ReplayConfig};
 use mlr_core::MlrConfig;
-use mlr_memo::EncoderConfig;
 use mlr_memo::{
     DistributedMemoDb, MemoDbConfig, MemoStore, NodeTopology, ProbeOutcome, Provenance,
     ShardedMemoDb,
@@ -30,23 +29,12 @@ use mlr_math::Complex64;
 mod common;
 use common::probe_commit;
 
-fn encoder() -> EncoderConfig {
-    EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    }
-}
-
 fn sharded(shards: usize) -> Arc<ShardedMemoDb> {
     Arc::new(ShardedMemoDb::with_shards(
         MemoDbConfig {
             tau: 0.9,
             ..Default::default()
         },
-        encoder(),
-        1,
         shards,
     ))
 }

@@ -16,15 +16,6 @@ use std::sync::Arc;
 mod common;
 use common::probe_commit;
 
-fn tiny_encoder_config() -> mlr_memo::EncoderConfig {
-    mlr_memo::EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    }
-}
-
 fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
     (0..n)
         .map(|i| {
@@ -143,10 +134,7 @@ fn budget_never_exceeded_across_eight_concurrent_jobs() {
             tau: 0.9,
             budget: CapacityBudget::bytes(CAP_BYTES).with_stripe_bytes(CAP_BYTES / 2),
             eviction: EvictionPolicyKind::Lru,
-            ..Default::default()
         },
-        tiny_encoder_config(),
-        1,
         8,
     ));
 
@@ -215,8 +203,6 @@ fn ttl_entries_are_unreachable_after_expiry() {
             eviction: EvictionPolicyKind::Ttl { ttl_epochs: 3 },
             ..Default::default()
         },
-        tiny_encoder_config(),
-        1,
         4,
     );
     let input = chunk(1.0, 0.0, 128);

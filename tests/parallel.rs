@@ -126,15 +126,9 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
     // drift from the one-chunk-at-a-time protocol.
     use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
     use mlr_math::Complex64;
-    use mlr_memo::{EncoderConfig, MemoConfig, MemoDbConfig, MemoizedExecutor, ShardedMemoDb};
+    use mlr_memo::{MemoConfig, MemoDbConfig, MemoizedExecutor, ShardedMemoDb};
     use rand::Rng;
 
-    let encoder = EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    };
     let memo = MemoConfig {
         warmup_iterations: 0,
         ..Default::default()
@@ -154,7 +148,7 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
             tau: memo.tau,
             ..Default::default()
         };
-        let store = ShardedMemoDb::with_shards(db_config, encoder, 11, shards);
+        let store = ShardedMemoDb::with_shards(db_config, shards);
         MemoizedExecutor::with_store(memo, Arc::new(store), 0)
     };
     for shards in [1, 16] {
@@ -221,17 +215,11 @@ fn four_sightings(
 ) {
     use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
     use mlr_math::Complex64;
-    let encoder = mlr_memo::EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    };
     let memo = mlr_memo::MemoConfig {
         warmup_iterations: 0,
         ..Default::default()
     };
-    let exec = mlr_memo::MemoizedExecutor::new(memo, encoder, 3).with_parallelism(threads, None);
+    let exec = mlr_memo::MemoizedExecutor::private(memo).with_parallelism(threads, None);
     let compute =
         |x: &[Complex64]| -> Vec<Complex64> { x.iter().map(|z| z.scale(1.0 / 3.0)).collect() };
     let sightings = (0..4)

@@ -15,15 +15,6 @@ use std::sync::Arc;
 mod common;
 use common::probe_commit;
 
-fn tiny_encoder_config() -> mlr_memo::EncoderConfig {
-    mlr_memo::EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 8,
-    }
-}
-
 fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
     (0..n)
         .map(|i| {
@@ -48,8 +39,6 @@ fn sharded_store_survives_concurrent_insert_query_stress() {
             tau: 0.9,
             ..Default::default()
         },
-        tiny_encoder_config(),
-        1,
         8,
     ));
     let observed_hits = Arc::new(AtomicU64::new(0));

@@ -14,7 +14,7 @@
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
-use mlr_memo::{EncoderConfig, MemoConfig, MemoizedExecutor};
+use mlr_memo::{MemoConfig, MemoizedExecutor};
 use mlr_telemetry::{
     CounterId, CounterTable, Histogram, SpanJournal, SpanKind, StageId, StageTable, Telemetry,
 };
@@ -107,15 +107,6 @@ fn disabled_recorder_records_nothing() {
     assert!(telemetry.snapshot().is_none());
 }
 
-fn encoder() -> EncoderConfig {
-    EncoderConfig {
-        input_grid: 8,
-        conv1_filters: 2,
-        conv2_filters: 4,
-        embedding_dim: 16,
-    }
-}
-
 fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
     let mut rng = seeded(0x5EA1 ^ loc as u64);
     (0..n)
@@ -131,14 +122,10 @@ fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, [u64; mlr_telemetry:
     let locations = 12;
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
     let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; locations];
-    let exec = MemoizedExecutor::new(
-        MemoConfig {
-            warmup_iterations: 0,
-            ..Default::default()
-        },
-        encoder(),
-        7,
-    )
+    let exec = MemoizedExecutor::private(MemoConfig {
+        warmup_iterations: 0,
+        ..Default::default()
+    })
     .with_parallelism(threads, None)
     .with_telemetry(Telemetry::enabled());
     let compute = |x: &[Complex64]| x.to_vec();
