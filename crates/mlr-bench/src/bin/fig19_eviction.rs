@@ -1,5 +1,5 @@
-//! Figure 19 (beyond the paper): capacity-governed memoization — budget vs
-//! cross-job hit rate under pluggable eviction policies.
+//! Figure 19 (beyond the paper): capacity-governed memoization — what a
+//! byte budget costs in cross-job hit rate.
 //!
 //! The paper's evaluation is dominated by memory breakdowns because the
 //! memoization database competes with the reconstruction working sets for
@@ -7,15 +7,18 @@
 //! measures what bounding it costs: the replicated-jobs beamline workload
 //! (two sample families reconstructed repeatedly, interleaved A B A B … the
 //! way replicated runs and parameter rechecks arrive) is replayed over one
-//! shared store under byte budgets at fractions of the unbounded footprint,
-//! once per eviction policy (FIFO, LRU, TTL, cost-aware), and the cross-job
-//! hit rate that survives each budget is recorded.
+//! shared store, unbounded and then under byte budgets at 25 / 50 / 75 % of
+//! the unbounded footprint (`--smoke`: 50 %), and the cross-job hit rate
+//! that survives each budget under the store's one replacement rule is
+//! recorded. (The rule was swept against FIFO, LRU and a TTL here from PR 2
+//! to PR 22 and won every time; README "Capacity governance" keeps the
+//! numbers.)
 //!
 //! Invariants checked here (and gated in CI through `check_bench`):
 //! * resident bytes stay ≤ budget after every insert (post-enforcement
 //!   high-water mark never exceeds the cap);
-//! * at the 50 % budget, the cost-aware policy retains a strictly higher
-//!   cross-job hit rate than naive FIFO and LRU;
+//! * every budget binds: each bounded cell evicts (`eviction_exercised`),
+//!   so the sweep cannot pass with a budget that never did anything;
 //! * eviction is deterministic: the same budget + schedule reproduces the
 //!   reconstructions bit-identically, and a bounded single job equals
 //!   `run_memoized` with the same bounded configuration.
@@ -25,7 +28,7 @@
 
 use mlr_bench::{compare_row, header, pct, scale_from_args, smoke_from_args, write_record};
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline, Scale};
-use mlr_memo::{CapacityBudget, EvictionPolicyKind, MemoStore, ShardedMemoDb};
+use mlr_memo::{CapacityBudget, MemoStore, ShardedMemoDb};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -39,14 +42,12 @@ struct SideRecord {
 
 #[derive(Serialize)]
 struct CellRecord {
-    policy: String,
     budget_fraction: f64,
     budget_bytes: u64,
     hit_rate: f64,
     cross_job_hit_rate: f64,
     hit_rate_under_pressure: f64,
     evictions: u64,
-    expirations: u64,
     entries: usize,
     resident_bytes: u64,
     peak_resident_bytes: u64,
@@ -62,11 +63,11 @@ struct Record {
     shards: usize,
     unbounded: SideRecord,
     cells: Vec<CellRecord>,
-    /// Convenience extracts for the CI regression gate.
-    cost_aware_half_cross_job_hit_rate: f64,
-    fifo_half_cross_job_hit_rate: f64,
-    lru_half_cross_job_hit_rate: f64,
+    /// Convenience extract for the CI regression gate: the 50 % cell.
+    half_budget_cross_job_hit_rate: f64,
     all_cells_bounded: bool,
+    /// Every bounded cell evicted at least once.
+    eviction_exercised: bool,
     deterministic_replay: bool,
     single_job_bit_identical: bool,
 }
@@ -98,7 +99,7 @@ fn bits_equal(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
 fn main() {
     header(
         "Figure 19",
-        "capacity-governed memo store: budget vs cross-job hit rate by eviction policy",
+        "capacity-governed memo store: what a byte budget costs in cross-job hit rate",
     );
     let scale = scale_from_args();
     let smoke = smoke_from_args();
@@ -117,9 +118,9 @@ fn main() {
     // The replicated-jobs beamline workload: two sample families, each
     // reconstructed repeatedly, *interleaved* (A B A B …) the way replicated
     // runs and parameter rechecks arrive in practice. Every family's reuse
-    // period therefore spans an intervening job — exactly the pattern that
-    // separates recency policies (which evict family A's proven-reusable
-    // entries while family B runs) from the provenance-aware cost policy.
+    // period therefore spans an intervening job — the pattern under which
+    // recency rules evict family A's proven-reusable entries while family B
+    // runs, and the store's provenance-aware rule does not.
     let config = MlrConfig::quick(n, n / 2).with_iterations(iterations);
     let mut config_b = config;
     config_b.problem.seed = 1303;
@@ -150,78 +151,67 @@ fn main() {
 
     // ---------------------------------------------------------- the sweep
     let fractions: &[f64] = if smoke { &[0.5] } else { &[0.25, 0.5, 0.75] };
-    let ttl = EvictionPolicyKind::Ttl {
-        ttl_epochs: iterations as u64 + 2,
-    };
-    let policies: &[(&str, EvictionPolicyKind)] = &[
-        ("fifo", EvictionPolicyKind::Fifo),
-        ("lru", EvictionPolicyKind::Lru),
-        ("ttl", ttl),
-        ("cost-aware", EvictionPolicyKind::CostAware),
-    ];
-
     println!(
-        "{:<12} {:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>8}",
-        "policy", "budget", "bytes", "hit rate", "cross-job", "pressure", "evicted", "bounded"
+        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>8} {:>12} {:>8}",
+        "budget",
+        "bytes",
+        "hit rate",
+        "cross-job",
+        "pressure",
+        "evicted",
+        "entries",
+        "peak",
+        "bounded"
     );
-    let mut cells: Vec<CellRecord> = Vec::new();
-    for &fraction in fractions {
-        let budget_bytes = (fraction * footprint as f64) as u64;
-        for (name, policy) in policies {
-            let store = pipeline.build_shared_store_with(
-                shards,
-                CapacityBudget::bytes(budget_bytes),
-                *policy,
-            );
+    let cells: Vec<CellRecord> = fractions
+        .iter()
+        .map(|&fraction| {
+            let budget_bytes = (fraction * footprint as f64) as u64;
+            let store =
+                pipeline.build_shared_store_with(shards, CapacityBudget::bytes(budget_bytes));
             let _ = replay(&schedule, &store);
             let stats = store.stats();
             let bounded = stats.peak_resident_bytes <= budget_bytes;
             println!(
-                "{:<12} {:>7.0}% {:>12} {:>10} {:>12} {:>10} {:>10} {:>8}",
-                name,
+                "{:>7.0}% {:>12} {:>10} {:>12} {:>10} {:>10} {:>8} {:>12} {:>8}",
                 100.0 * fraction,
                 budget_bytes,
                 pct(stats.hit_rate()),
                 pct(stats.cross_job_hit_rate()),
                 pct(stats.hit_rate_under_pressure()),
                 stats.evictions,
+                stats.entries,
+                stats.peak_resident_bytes,
                 bounded,
             );
-            cells.push(CellRecord {
-                policy: name.to_string(),
+            CellRecord {
                 budget_fraction: fraction,
                 budget_bytes,
                 hit_rate: stats.hit_rate(),
                 cross_job_hit_rate: stats.cross_job_hit_rate(),
                 hit_rate_under_pressure: stats.hit_rate_under_pressure(),
                 evictions: stats.evictions,
-                expirations: stats.expirations,
                 entries: stats.entries,
                 resident_bytes: stats.resident_bytes,
                 peak_resident_bytes: stats.peak_resident_bytes,
                 bounded,
-            });
-        }
-    }
+            }
+        })
+        .collect();
 
-    let cell = |policy: &str, fraction: f64| -> &CellRecord {
-        cells
-            .iter()
-            .find(|c| c.policy == policy && (c.budget_fraction - fraction).abs() < 1e-9)
-            .expect("sweep covers the 50% budget")
-    };
-    let cost_aware_half = cell("cost-aware", 0.5).cross_job_hit_rate;
-    let fifo_half = cell("fifo", 0.5).cross_job_hit_rate;
-    let lru_half = cell("lru", 0.5).cross_job_hit_rate;
+    let half = cells
+        .iter()
+        .find(|c| (c.budget_fraction - 0.5).abs() < 1e-9)
+        .expect("sweep covers the 50% budget")
+        .cross_job_hit_rate;
     let all_bounded = cells.iter().all(|c| c.bounded);
+    let eviction_exercised = cells.iter().all(|c| c.evictions > 0);
 
     // --------------------------------------------- determinism invariants
     // Same budget + same schedule ⇒ bit-identical reconstructions.
     let half_budget = CapacityBudget::bytes((0.5 * footprint as f64) as u64);
-    let store_a =
-        pipeline.build_shared_store_with(shards, half_budget, EvictionPolicyKind::CostAware);
-    let store_b =
-        pipeline.build_shared_store_with(shards, half_budget, EvictionPolicyKind::CostAware);
+    let store_a = pipeline.build_shared_store_with(shards, half_budget);
+    let store_b = pipeline.build_shared_store_with(shards, half_budget);
     let recon_a = replay(&schedule, &store_a);
     let recon_b = replay(&schedule, &store_b);
     let deterministic_replay = bits_equal(&recon_a, &recon_b);
@@ -229,7 +219,7 @@ fn main() {
     // One bounded job over the sharded store == `run_memoized` with the same
     // bounded configuration (private database): eviction is shard-layout
     // independent.
-    let bounded_config = config.with_memo_budget(half_budget, EvictionPolicyKind::CostAware);
+    let bounded_config = config.with_memo_budget(half_budget);
     let bounded_pipeline = MlrPipeline::new(bounded_config);
     let (private, _) = bounded_pipeline.run_memoized();
     let single_store = bounded_pipeline.build_shared_store(shards);
@@ -244,14 +234,18 @@ fn main() {
         if all_bounded { "holds" } else { "VIOLATED" },
     );
     compare_row(
-        "cost-aware > fifo/lru cross-job @ 50% budget",
-        "strictly",
-        &format!(
-            "{} vs {} / {}",
-            pct(cost_aware_half),
-            pct(fifo_half),
-            pct(lru_half)
-        ),
+        "every budget binds (each cell evicts)",
+        "always",
+        if eviction_exercised {
+            "holds"
+        } else {
+            "VIOLATED"
+        },
+    );
+    compare_row(
+        "cross-job hit rate, unbounded -> 50% budget",
+        "(informational)",
+        &format!("{} -> {}", pct(unbounded.cross_job_hit_rate), pct(half)),
     );
     compare_row(
         "deterministic replay (same budget+schedule)",
@@ -272,12 +266,8 @@ fn main() {
         },
     );
 
-    assert!(all_bounded, "a policy let the footprint exceed its budget");
-    assert!(
-        cost_aware_half > fifo_half && cost_aware_half > lru_half,
-        "cost-aware must strictly beat naive policies at the 50% budget \
-         (cost-aware {cost_aware_half}, fifo {fifo_half}, lru {lru_half})"
-    );
+    assert!(all_bounded, "the footprint exceeded a budget");
+    assert!(eviction_exercised, "a budget of the sweep never evicted");
     assert!(deterministic_replay, "replay diverged under eviction");
     assert!(
         single_job_bit_identical,
@@ -291,10 +281,9 @@ fn main() {
         shards,
         unbounded,
         cells,
-        cost_aware_half_cross_job_hit_rate: cost_aware_half,
-        fifo_half_cross_job_hit_rate: fifo_half,
-        lru_half_cross_job_hit_rate: lru_half,
+        half_budget_cross_job_hit_rate: half,
         all_cells_bounded: all_bounded,
+        eviction_exercised,
         deterministic_replay,
         single_job_bit_identical,
     };

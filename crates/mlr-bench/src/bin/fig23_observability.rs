@@ -4,13 +4,15 @@
 //! The observability stack instruments the hottest loop in the system — the
 //! per-chunk memo-hit path — so its own cost must be provable:
 //!
-//! * **disabled overhead** — the same steady cache-hit workload is driven
+//! * **enabled overhead** — the same steady cache-hit workload is driven
 //!   through two executors, one with `Telemetry::disabled()` (the default)
-//!   and one with `Telemetry::enabled()`, in interleaved repetitions; the
-//!   per-mode minimum ns/chunk is compared. The disabled recorder is an
-//!   inlined null check and the hot loop hoists even that to one branch per
-//!   batch, so the enabled/disabled ratio must stay within 5 %
-//!   (`overhead_within_bound`, gated in CI);
+//!   and one with `Telemetry::enabled()`, in interleaved window pairs. What
+//!   the recorder costs is an absolute time per chunk (counters, stage
+//!   clocks, spans), whatever the hit path beside it costs, so the gate is
+//!   the median over the pairs of `enabled − disabled` ns/chunk against
+//!   [`MAX_OVERHEAD_NS`] (`overhead_within_bound`, gated in CI). The ratio
+//!   of the per-mode minima is printed beside it, ungated: its denominator
+//!   shrinks whenever the hit path gets cheaper;
 //! * **enabled allocation envelope** — the counting global allocator
 //!   certifies that a steady hit chunk with telemetry *enabled* still
 //!   performs at most the fig22 envelope (≤ 4 allocations, ≤ 1 KiB):
@@ -53,9 +55,12 @@ struct Record {
     /// Best steady hit ns/chunk, telemetry on (counters + stage timers +
     /// spans all recording).
     enabled_ns_per_chunk: f64,
-    /// enabled / disabled − 1 over the per-mode minima.
+    /// enabled / disabled − 1 over the per-mode minima (informational).
     overhead_fraction: f64,
-    /// CI gate: the overhead stays within 5 %.
+    /// Median over the interleaved window pairs of enabled − disabled.
+    overhead_ns_per_chunk: f64,
+    overhead_ns_bound: f64,
+    /// CI gate: the median pair difference stays within the bound.
     overhead_within_bound: bool,
     /// Allocations per steady hit chunk with telemetry enabled.
     enabled_allocs_per_chunk: f64,
@@ -74,7 +79,11 @@ struct Record {
 /// must not widen it.
 const MAX_HIT_ALLOCS: f64 = 4.0;
 const MAX_HIT_ALLOC_BYTES: f64 = 1024.0;
-const MAX_OVERHEAD: f64 = 0.05;
+/// What the enabled recorder may add to a steady hit chunk (ns, median over
+/// the window pairs): about three times what it costs today. 24 `--smoke`
+/// runs of this measurement at PR 22's commit read 76–453 ns, median 260
+/// (`ci/bench_baseline.json` has the series).
+const MAX_OVERHEAD_NS: f64 = 800.0;
 
 fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
     let mut rng = seeded(0xF1623 ^ loc as u64);
@@ -174,9 +183,9 @@ fn main() {
     );
     let smoke = smoke_from_args();
     let (n, locations, steady, reps) = if smoke {
-        (1024, 24, 6, 5)
+        (1024, 24, 6, 15)
     } else {
-        (4096, 32, 8, 7)
+        (4096, 32, 8, 15)
     };
     println!(
         "chunk: {n} complex elems, {locations} locations, {steady} steady iterations \
@@ -210,22 +219,27 @@ fn main() {
     let _ = drive(&off, &inputs, &mut outputs, &compute, &mut off_iter, 4);
     let _ = drive(&on, &inputs, &mut outputs, &compute, &mut on_iter, 4);
 
-    // Interleave the modes and keep the per-mode minimum: alternating
-    // windows see the same thermal/frequency environment, and the minimum
-    // is the least-noisy estimator of the true constant factor.
+    // Interleave the modes: the two windows of a pair see the same
+    // thermal/frequency environment, so their difference is the recorder's
+    // cost, and the median over the pairs drops a disturbed one. The
+    // per-mode minima feed the printed ratio only.
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
+    let mut pair_ns = Vec::with_capacity(reps);
     let mut on_allocs = 0u64;
     let mut on_bytes = 0u64;
     for _ in 0..reps {
-        let (secs, _, _) = drive(&off, &inputs, &mut outputs, &compute, &mut off_iter, steady);
-        best_off = best_off.min(secs);
-        let (secs, allocs, bytes) =
+        let (off_secs, _, _) = drive(&off, &inputs, &mut outputs, &compute, &mut off_iter, steady);
+        best_off = best_off.min(off_secs);
+        let (on_secs, allocs, bytes) =
             drive(&on, &inputs, &mut outputs, &compute, &mut on_iter, steady);
-        best_on = best_on.min(secs);
+        best_on = best_on.min(on_secs);
+        pair_ns.push((on_secs - off_secs) * 1e9 / chunks as f64);
         on_allocs = allocs;
         on_bytes = bytes;
     }
+    pair_ns.sort_by(f64::total_cmp);
+    let overhead_ns = pair_ns[reps / 2];
     let off_stats = off.stats().total();
     let on_stats = on.stats().total();
     assert_eq!(
@@ -236,7 +250,7 @@ fn main() {
     let disabled_ns = best_off * 1e9 / chunks as f64;
     let enabled_ns = best_on * 1e9 / chunks as f64;
     let overhead = enabled_ns / disabled_ns.max(1e-9) - 1.0;
-    let overhead_within_bound = overhead <= MAX_OVERHEAD;
+    let overhead_within_bound = overhead_ns <= MAX_OVERHEAD_NS;
     let enabled_allocs_per_chunk = on_allocs as f64 / chunks as f64;
     let enabled_alloc_bytes_per_chunk = on_bytes as f64 / chunks as f64;
     let enabled_hit_allocation_free = enabled_allocs_per_chunk <= MAX_HIT_ALLOCS
@@ -255,8 +269,13 @@ fn main() {
         &format!("{enabled_ns:.0} ns"),
     );
     compare_row(
-        "enabled/disabled overhead",
-        "<= 5 %",
+        "enabled - disabled, median over window pairs",
+        &format!("<= {MAX_OVERHEAD_NS:.0} ns"),
+        &format!("{overhead_ns:.0} ns"),
+    );
+    compare_row(
+        "enabled/disabled overhead over the minima",
+        "(informational)",
         &pct(overhead.max(0.0)),
     );
     compare_row(
@@ -272,8 +291,8 @@ fn main() {
 
     assert!(
         overhead_within_bound,
-        "telemetry overhead {overhead:.3} exceeds the {MAX_OVERHEAD} bound \
-         ({enabled_ns:.0} vs {disabled_ns:.0} ns/chunk)"
+        "telemetry overhead {overhead_ns:.0} ns/chunk exceeds the {MAX_OVERHEAD_NS} ns bound \
+         (minima {enabled_ns:.0} vs {disabled_ns:.0} ns/chunk)"
     );
     assert!(
         enabled_hit_allocation_free,
@@ -291,6 +310,8 @@ fn main() {
         disabled_ns_per_chunk: disabled_ns,
         enabled_ns_per_chunk: enabled_ns,
         overhead_fraction: overhead,
+        overhead_ns_per_chunk: overhead_ns,
+        overhead_ns_bound: MAX_OVERHEAD_NS,
         overhead_within_bound,
         enabled_allocs_per_chunk,
         enabled_alloc_bytes_per_chunk,

@@ -103,7 +103,6 @@ fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
 fn run_schedule(store: &dyn MemoStore, rounds: usize, locations: usize) -> Vec<bool> {
     let mut outcomes = Vec::new();
     for round in 0..rounds {
-        store.advance_epoch();
         for loc in 0..locations {
             let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 64);
             let key = store.encode(&input);
@@ -119,14 +118,13 @@ fn run_schedule(store: &dyn MemoStore, rounds: usize, locations: usize) -> Vec<b
                 } => {
                     store.commit_hit(op, loc, entry, inserted_by, origin);
                     outcomes.push(true);
-                    continue;
                 }
-                ProbeOutcome::Expired { entry } => store.reclaim_expired(op, loc, entry),
-                ProbeOutcome::Miss => {}
+                ProbeOutcome::Miss => {
+                    store.commit_miss(op, loc);
+                    outcomes.push(false);
+                    store.insert(op, loc, &input, key, chunk(2.0, 0.3, 16), origin, 1e-3);
+                }
             }
-            store.commit_miss(op, loc);
-            outcomes.push(false);
-            store.insert(op, loc, &input, key, chunk(2.0, 0.3, 16), origin, 1e-3);
         }
     }
     outcomes

@@ -19,7 +19,7 @@
 //! | `fig17_convergence` | Figure 17 — convergence loss with and without memoization |
 //! | `table1_accuracy` | Table 1 — reconstruction accuracy vs τ |
 //! | `fig18_multi_job` | beyond the paper — multi-job runtime, shared vs isolated stores |
-//! | `fig19_eviction` | beyond the paper — capacity budget vs cross-job hit rate per eviction policy |
+//! | `fig19_eviction` | beyond the paper — what a capacity budget costs in cross-job hit rate |
 //! | `fig20_intra_job` | beyond the paper — intra-job chunk parallelism: threads × chunk size, speedup + hit parity |
 //! | `fig21_serving` | beyond the paper — deadline-aware serving: load × deadline tightness vs miss rate, cancellation guarantees |
 //! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the engine's break-even gate to the measurement (`gate_agrees_with_measurement`) |

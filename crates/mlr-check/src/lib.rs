@@ -45,7 +45,7 @@ pub use policy::{CratePolicy, PolicyTable};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleId {
     /// `Instant::now` / `SystemTime` in deterministic library code: decision
-    /// paths must run on logical ticks (`StoreClock`, iteration epochs).
+    /// paths must run on logical ticks (`StoreClock`, iteration numbers).
     WallClock,
     /// `std::sync::{Mutex, RwLock, Condvar}` outside `shims/`: locks must go
     /// through the instrumented `parking_lot` shim so `lockcheck` sees them.
@@ -56,8 +56,8 @@ pub enum RuleId {
     /// `.unwrap()` / `.expect(` in non-test library code: failures must
     /// surface as typed errors, not panics inside a worker.
     UnwrapExpect,
-    /// `Instant::now` / `SystemTime` in a file that consumes `FaultPlan` /
-    /// `FaultClock`: fault decisions must be pure in the plan and logical
+    /// `Instant::now` / `SystemTime` in a file that consumes `FaultPlan`:
+    /// fault decisions must be pure in the plan and logical
     /// ticks so faulted runs replay bit-identically. Unlike
     /// [`RuleId::WallClock`] this rule is structural, not per-crate — it
     /// stays on even in harness binaries and relaxed crates, and only
@@ -478,12 +478,11 @@ pub fn scan_source(file: &str, text: &str, rules: RuleSet) -> Vec<Finding> {
         excluded.iter().any(|&(s, e)| start >= s && start < e)
     };
 
-    // A file *consumes* the fault layer when non-test code names its types
+    // A file *consumes* the fault layer when non-test code names its plan
     // (doc references live in comments and are masked away). Such a file's
     // wall-clock hygiene is enforced even where the general rule is relaxed.
-    let fault_consumer = masked_lines.iter().enumerate().any(|(idx, l)| {
-        !in_test_code(idx) && (l.contains("FaultPlan") || l.contains("FaultClock"))
-    });
+    let fault_consumer = (masked_lines.iter().enumerate())
+        .any(|(idx, l)| !in_test_code(idx) && l.contains("FaultPlan"));
 
     let mut findings = Vec::new();
     let mut push = |rule: RuleId, line_idx: usize, snippet: &str| {
@@ -753,7 +752,7 @@ mod tests {
     #[test]
     fn fault_mentions_only_in_comments_or_tests_do_not_make_a_consumer() {
         // Doc references are masked; a test-only consumer is a test concern.
-        let text = "// See [`FaultPlan`] for the schedule format.\nfn f() { let _ = std::time::Instant::now(); }\n\n#[cfg(test)]\nmod tests {\n    use mlr_sim::faults::FaultClock;\n}\n";
+        let text = "// See [`FaultPlan`] for the schedule format.\nfn f() { let _ = std::time::Instant::now(); }\n\n#[cfg(test)]\nmod tests {\n    use mlr_sim::faults::FaultPlan;\n}\n";
         let mut rules = RuleSet::all();
         rules.wall_clock = false;
         assert!(scan_source("inline.rs", text, rules).is_empty());

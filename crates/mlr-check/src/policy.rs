@@ -14,7 +14,7 @@
 //!   benchmark main measures wall time and asserts on its own output by
 //!   design. Library rules (shim locks, governed threads) still apply.
 //! * the `fault-wall-clock` rule is always on, everywhere: a file that
-//!   consumes `FaultPlan`/`FaultClock` may not read the wall clock even
+//!   consumes `FaultPlan` may not read the wall clock even
 //!   where the general wall-clock rule is relaxed — fault schedules must
 //!   replay bit-identically, harness or not.
 
@@ -60,7 +60,7 @@ impl CratePolicy {
             thread_spawn: self.thread_spawn,
             unwrap_expect: self.unwrap_expect && !is_harness_bin,
             // Fault-path purity is structural, not per-crate: any file that
-            // consumes `FaultPlan`/`FaultClock` must stay on logical ticks
+            // consumes `FaultPlan` must stay on logical ticks
             // even in harness bins and wall-clock-relaxed crates, or faulted
             // runs stop replaying bit-identically.
             fault_wall_clock: true,

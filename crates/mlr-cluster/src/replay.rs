@@ -15,7 +15,7 @@
 //!
 //! Replica membership is read off the trace: the distributed tier records
 //! each promotion and demotion (`AccessKind::Promote` / `Demote`), and an
-//! entry's `Evict` / `Expired` / `Lost` ends its replica. The replay holds
+//! entry's `Evict` / `Lost` ends its replica. The replay holds
 //! no promotion policy of its own, so its local/remote hit split is the
 //! live tier's.
 //!
@@ -47,7 +47,7 @@ pub struct ReplayConfig {
     /// bytes (access records carry no sizes, so replay uses one
     /// representative value size).
     pub value_bytes: f64,
-    /// Modeled control-message payload of evictions/expirations, bytes.
+    /// Modeled control-message payload of an eviction, bytes.
     pub control_bytes: f64,
     /// Cost of a hit served from a local replica (no link trip), seconds.
     pub local_latency: Seconds,
@@ -225,7 +225,7 @@ pub fn replay_trace(
             AccessKind::Insert => {
                 let _ = send(config.key_bytes + config.value_bytes);
             }
-            AccessKind::Evict | AccessKind::Expired => {
+            AccessKind::Evict => {
                 let _ = send(config.control_bytes);
                 replicas.remove(&record.entry);
             }

@@ -1,7 +1,7 @@
 //! Pipeline configuration.
 
 use mlr_lamino::{PhantomKind, ProjectionNoise};
-use mlr_memo::{CacheKind, CapacityBudget, EvictionPolicyKind, MemoConfig};
+use mlr_memo::{CacheKind, CapacityBudget, MemoConfig};
 use mlr_solver::{AdmmConfig, LspVariant};
 use serde::{Deserialize, Serialize};
 
@@ -159,17 +159,11 @@ impl MlrConfig {
         self
     }
 
-    /// Caps the memoization store with `budget`, enforced by `eviction`.
-    /// The budget flows into the private database of `run_memoized`, into
+    /// Caps the memoization store with `budget`. The budget flows into the private database of `run_memoized`, into
     /// stores built by `MlrPipeline::build_shared_store`, and into runtimes
     /// configured with `RuntimeConfig::matching`.
-    pub fn with_memo_budget(
-        mut self,
-        budget: CapacityBudget,
-        eviction: EvictionPolicyKind,
-    ) -> Self {
+    pub fn with_memo_budget(mut self, budget: CapacityBudget) -> Self {
         self.memo.budget = budget;
-        self.memo.eviction = eviction;
         self
     }
 }
@@ -202,10 +196,9 @@ mod tests {
 
     #[test]
     fn memo_budget_builder_flows_into_memo_config() {
-        let c = MlrConfig::quick(16, 8)
-            .with_memo_budget(CapacityBudget::bytes(1 << 20), EvictionPolicyKind::Lru);
+        let c = MlrConfig::quick(16, 8).with_memo_budget(CapacityBudget::bytes(1 << 20));
         assert_eq!(c.memo.budget.max_bytes, Some(1 << 20));
-        assert_eq!(c.memo.eviction, EvictionPolicyKind::Lru);
+        assert_eq!(c.memo.db_config().budget, c.memo.budget);
         assert!(c.memo.budget.is_bounded());
     }
 

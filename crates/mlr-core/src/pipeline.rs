@@ -4,8 +4,7 @@ use crate::config::MlrConfig;
 use crate::report::{MlrReport, PaperScaleProjection};
 use mlr_lamino::{LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_memo::{
-    CapacityBudget, EncoderConfig, EvictionPolicyKind, JobId, MemoConfig, MemoStore,
-    MemoizedExecutor, ShardedMemoDb,
+    CapacityBudget, EncoderConfig, JobId, MemoConfig, MemoStore, MemoizedExecutor, ShardedMemoDb,
 };
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
@@ -58,24 +57,22 @@ impl MlrPipeline {
     }
 
     /// Builds a sharded memo store compatible with this pipeline (same τ
-    /// and the capacity budget / eviction policy carried in `config.memo`),
-    /// suitable for sharing across several pipelines/jobs.
+    /// and the capacity budget carried in `config.memo`), suitable for
+    /// sharing across several pipelines/jobs.
     pub fn build_shared_store(&self, shards: usize) -> Arc<ShardedMemoDb> {
-        self.build_shared_store_with(shards, self.config.memo.budget, self.config.memo.eviction)
+        self.build_shared_store_with(shards, self.config.memo.budget)
     }
 
-    /// Builds a sharded memo store with an explicit capacity budget and
-    /// eviction policy, overriding whatever the pipeline configuration
-    /// carries — the entry point the budget-sweep harnesses use.
+    /// Builds a sharded memo store with an explicit capacity budget,
+    /// overriding whatever the pipeline configuration carries — the entry
+    /// point the budget-sweep harnesses use.
     pub fn build_shared_store_with(
         &self,
         shards: usize,
         budget: CapacityBudget,
-        eviction: EvictionPolicyKind,
     ) -> Arc<ShardedMemoDb> {
         let db_config = MemoConfig {
             budget,
-            eviction,
             ..self.config.memo
         }
         .db_config();
@@ -268,7 +265,7 @@ mod tests {
         let (_, probe) = tiny_pipeline(0.92).run_memoized();
         let cap = CapacityBudget::bytes(probe.store().resident_bytes() / 2);
         let config = tiny_pipeline(0.92).config;
-        let p = MlrPipeline::new(config.with_memo_budget(cap, EvictionPolicyKind::Lru));
+        let p = MlrPipeline::new(config.with_memo_budget(cap));
         let (private, reference) = p.run_memoized();
         let executor = p.memo_executor(p.build_shared_store(8), 7);
         let (shared, executor) = p.run_with_executor(executor, &CancelToken::new());

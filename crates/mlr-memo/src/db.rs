@@ -20,12 +20,13 @@
 //!
 //! The public store is [`ShardedMemoDb`](crate::ShardedMemoDb); the
 //! crate-private `MemoDatabase` here is one of its lock stripes. All
-//! bookkeeping runs on the logical [`StoreClock`] (op ticks, job-iteration
-//! epochs, stable entry ids) shared by every stripe, so eviction is
-//! deterministic given the same schedule and independent of the shard count.
+//! bookkeeping runs on the logical [`StoreClock`] (op ticks, stable entry
+//! ids) and the one [`CostAwarePolicy`] shared by every stripe, so eviction
+//! is deterministic given the same schedule and independent of the shard
+//! count.
 
 use crate::ann::FlatIndex;
-use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, EvictionPolicyKind, StoreClock};
+use crate::eviction::{CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock};
 use crate::fingerprint::{ChunkFingerprint, FingerprintTable};
 use crate::store::{ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
@@ -42,11 +43,9 @@ pub struct MemoDbConfig {
     /// scale-aware similarity between the query's raw chunk and the entry's
     /// raw input exceeds it ([`tau_gate`]; keys only pick the candidate).
     pub tau: f64,
-    /// Capacity caps (bytes/entries, global and per stripe). Unbounded by
+    /// Capacity caps (bytes/entries) over the whole store. Unbounded by
     /// default — the pre-governance behaviour.
     pub budget: CapacityBudget,
-    /// Which built-in eviction policy enforces the budget.
-    pub eviction: EvictionPolicyKind,
 }
 
 impl Default for MemoDbConfig {
@@ -54,7 +53,6 @@ impl Default for MemoDbConfig {
         Self {
             tau: 0.92,
             budget: CapacityBudget::unbounded(),
-            eviction: EvictionPolicyKind::default(),
         }
     }
 }
@@ -115,11 +113,12 @@ impl EntryRecord {
 /// scopes, doorkeeper rings and entries of the `(op, loc)` scopes hashed to
 /// it. A scope is always the (operation, chunk location) pair: the paper's
 /// observation (Figure 4) is that reuse happens *at* a chunk location across
-/// iterations, so searches never cross locations. The stripe enforces only
-/// the per-stripe caps; the owning store encodes keys, keeps the store-wide
-/// counters and coordinates global enforcement.
+/// iterations, so searches never cross locations. A stripe frees nothing on
+/// its own: the owning store encodes keys, keeps the store-wide counters and
+/// enforces the budget, telling the stripe which entry to evict.
 pub(crate) struct MemoDatabase {
-    config: MemoDbConfig,
+    /// The owner's `τ`.
+    tau: f64,
     scopes: HashMap<(FftOpKind, usize), FlatIndex>,
     /// Per-scope doorkeeper rings for the norm prefilter. Control metadata:
     /// deliberately excluded from `resident_bytes` accounting (bounded at
@@ -127,20 +126,9 @@ pub(crate) struct MemoDatabase {
     fingerprints: HashMap<(FftOpKind, usize), FingerprintTable>,
     entries: HashMap<u64, EntryRecord>,
     clock: Arc<StoreClock>,
-    policy: Arc<dyn EvictionPolicy>,
+    policy: Arc<CostAwarePolicy>,
     /// Bytes of the stored values.
     value_bytes: u64,
-    /// Bytes of the stored values and raw inputs: the sum of every
-    /// resident entry's `meta.bytes`.
-    resident_bytes: u64,
-    /// Bytes/entries freed since the owner last drained (lets the owner
-    /// keep its published resident counter exact without re-summing).
-    freed_bytes_unpublished: u64,
-    freed_entries_unpublished: u64,
-    /// Entries evicted to satisfy the budget.
-    evictions: u64,
-    /// Entries reclaimed because their TTL expired.
-    expirations: u64,
 }
 
 /// Stable 64-bit hash of an index scope: which lock stripe owns it.
@@ -156,24 +144,15 @@ pub(crate) fn scope_hash(op: FftOpKind, loc: usize) -> u64 {
 
 impl MemoDatabase {
     /// Creates an empty stripe sharing the owner's logical clock and policy.
-    pub(crate) fn stripe(
-        config: MemoDbConfig,
-        clock: Arc<StoreClock>,
-        policy: Arc<dyn EvictionPolicy>,
-    ) -> Self {
+    pub(crate) fn stripe(tau: f64, clock: Arc<StoreClock>, policy: Arc<CostAwarePolicy>) -> Self {
         Self {
-            config,
+            tau,
             scopes: HashMap::new(),
             fingerprints: HashMap::new(),
             entries: HashMap::new(),
             clock,
             policy,
             value_bytes: 0,
-            resident_bytes: 0,
-            freed_bytes_unpublished: 0,
-            freed_entries_unpublished: 0,
-            evictions: 0,
-            expirations: 0,
         }
     }
 
@@ -187,25 +166,16 @@ impl MemoDatabase {
         self.value_bytes
     }
 
-    /// Total resident bytes: values plus retained raw inputs —
-    /// the quantity the [`CapacityBudget`](crate::CapacityBudget) caps.
+    /// Total resident bytes, re-summed: values plus retained raw inputs —
+    /// what the owner's published counter must equal.
+    #[cfg(test)]
     pub(crate) fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    /// Entries evicted so far to satisfy the budget.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Entries reclaimed so far because their TTL expired.
-    pub(crate) fn expirations(&self) -> u64 {
-        self.expirations
+        self.entries.values().map(|r| r.meta.bytes).sum()
     }
 
     /// A copy of the eviction metadata of entry `id`, if it is resident —
-    /// the signal (bytes, hit counts, recompute cost, policy priority) the
-    /// distributed tier's replica promotion ranks by.
+    /// the signal (bytes, hit counts, recompute cost) the distributed tier's
+    /// replica promotion ranks by.
     pub(crate) fn meta_of(&self, id: u64) -> Option<EntryMeta> {
         self.entries.get(&id).map(|r| r.meta)
     }
@@ -222,7 +192,7 @@ impl MemoDatabase {
     ) -> bool {
         self.fingerprints
             .get(&(op, loc))
-            .is_some_and(|t| t.has_neighbor(fp, self.config.tau))
+            .is_some_and(|t| t.has_neighbor(fp, self.tau))
     }
 
     /// Records the fingerprint of a committed chunk in the scope's
@@ -232,11 +202,10 @@ impl MemoDatabase {
     }
 
     /// Read-only probe for an entry similar to `input` at `(op, loc)`: no
-    /// counters, no tick consumption, no recency refresh, no lazy TTL
-    /// reclamation. The executor probes every chunk of an operator
-    /// application against the store state frozen at the application's
-    /// start and replays the bookkeeping afterwards, in chunk-index order,
-    /// through [`Self::commit_hit`] / [`Self::reclaim_expired`].
+    /// counters, no tick consumption, no reuse refresh. The executor probes
+    /// every chunk of an operator application against the store state
+    /// frozen at the application's start and replays the bookkeeping
+    /// afterwards, in chunk-index order, through [`Self::commit_hit`].
     pub(crate) fn probe(
         &self,
         op: FftOpKind,
@@ -264,22 +233,16 @@ impl MemoDatabase {
         else {
             return ProbeOutcome::Miss;
         };
-        // TTL: an expired entry is unreachable; the commit reclaims it.
-        if self.policy.is_expired(&record.meta, self.clock.epoch()) {
-            return ProbeOutcome::Expired {
-                entry: record.meta.id,
-            };
-        }
         record
-            .gate(input, self.config.tau)
+            .gate(input, self.tau)
             .map_or(ProbeOutcome::Miss, |similarity| record.hit(similarity))
     }
 
     /// The reference the key selector is tested against, never called by a
-    /// run: every entry of the scope that `origin` may use and whose TTL has
-    /// not run out goes through the τ gate, keys unseen; the most similar
-    /// one that passes is the hit (the first-inserted on a tie). A `Hit`
-    /// here that [`Self::probe`] does not return is a hit the sketch lost.
+    /// run: every entry of the scope that `origin` may use goes through the
+    /// τ gate, keys unseen; the most similar one that passes is the hit (the
+    /// first-inserted on a tie). A `Hit` here that [`Self::probe`] does not
+    /// return is a hit the sketch lost.
     pub(crate) fn probe_exhaustive(
         &self,
         op: FftOpKind,
@@ -287,29 +250,24 @@ impl MemoDatabase {
         input: &[Complex64],
         origin: Provenance,
     ) -> ProbeOutcome {
-        let now_epoch = self.clock.epoch();
         self.entries
             .values()
             .filter(|r| r.scope == (op, loc) && r.meta.origin.may_serve(&origin))
-            .filter(|r| !self.policy.is_expired(&r.meta, now_epoch))
-            .filter_map(|r| Some((r.gate(input, self.config.tau)?, r)))
+            .filter_map(|r| Some((r.gate(input, self.tau)?, r)))
             .min_by(|(a_sim, a), (b_sim, b)| b_sim.total_cmp(a_sim).then(a.meta.id.cmp(&b.meta.id)))
             .map_or(ProbeOutcome::Miss, |(similarity, r)| r.hit(similarity))
     }
 
     /// Replays the bookkeeping of a hit discovered by [`Self::probe`]: the
-    /// recency/reuse metadata refresh the eviction policies rank by. Runs
-    /// during the batch's ordered commit, so the logical tick each hit
-    /// consumes is assigned in chunk-index order — identical for every
+    /// hit claims its logical tick and refreshes the reuse metadata the
+    /// replacement rule ranks by. Runs during the batch's ordered commit,
+    /// so ticks are claimed in chunk-index order — identical for every
     /// thread count. The refresh is skipped if the entry no longer exists
     /// (an earlier commit of the same batch may have evicted it); that skip
     /// is itself deterministic.
     pub(crate) fn commit_hit(&mut self, entry: u64, entry_origin: Provenance, origin: Provenance) {
-        let tick = self.clock.next_tick();
-        let now_epoch = self.clock.epoch();
+        self.clock.next_tick();
         if let Some(record) = self.entries.get_mut(&entry) {
-            record.meta.last_access_tick = tick;
-            record.meta.last_access_epoch = now_epoch;
             record.meta.hits += 1;
             if entry_origin.job != origin.job {
                 record.meta.cross_hits += 1;
@@ -318,25 +276,13 @@ impl MemoDatabase {
         }
     }
 
-    /// Reclaims an entry a probe found expired, if it still exists and still
-    /// is expired.
-    pub(crate) fn reclaim_expired(&mut self, entry: u64) {
-        let now_epoch = self.clock.epoch();
-        let expired = self
-            .entries
-            .get(&entry)
-            .is_some_and(|r| self.policy.is_expired(&r.meta, now_epoch));
-        if expired {
-            self.remove_entry(entry, RemovalKind::Expired);
-        }
-    }
-
     /// Inserts an entry: the FFT input (what the τ gate compares against,
     /// with its norm) and its computed output (the value), narrowed by the
     /// owning store outside every lock, with the recompute-cost hint
     /// cost-aware eviction ranks by — a deterministic function of the
     /// operation (wall-clock timings would make eviction irreproducible).
-    /// Returns the new entry id.
+    /// Claims one id and one tick; returns the new entry's id and resident
+    /// bytes, which the owner publishes once its budget holds again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &mut self,
@@ -347,10 +293,9 @@ impl MemoDatabase {
         value: Arc<[Complex32]>,
         origin: Provenance,
         recompute_cost: f64,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let id = self.clock.next_id();
-        let tick = self.clock.next_tick();
-        let epoch = self.clock.epoch();
+        self.clock.next_tick();
         self.scopes
             .entry((op, loc))
             .or_insert_with(|| FlatIndex::new(key.len()))
@@ -359,10 +304,6 @@ impl MemoDatabase {
             meta: EntryMeta {
                 id,
                 bytes: (size_of_val(&*raw_input) + size_of_val(&*value)) as u64,
-                inserted_tick: tick,
-                inserted_epoch: epoch,
-                last_access_tick: tick,
-                last_access_epoch: epoch,
                 cross_hits: 0,
                 hits: 0,
                 recompute_cost,
@@ -376,106 +317,43 @@ impl MemoDatabase {
             value,
         };
         self.policy.charge(&mut record.meta);
+        let bytes = record.meta.bytes;
         self.value_bytes += record.value_bytes();
-        self.resident_bytes += record.meta.bytes;
         self.entries.insert(id, record);
-        self.enforce_stripe_budget();
-        id
+        (id, bytes)
     }
 
-    /// Evicts entries until the per-stripe caps hold. Expired entries are
-    /// preferred victims (rank `-∞`) but are otherwise reclaimed lazily.
-    fn enforce_stripe_budget(&mut self) {
-        let now_epoch = self.clock.epoch();
-        while self
-            .config
-            .budget
-            .stripe_exceeded(self.resident_bytes(), self.len() as u64)
-        {
-            let Some((rank, id)) = self.peek_victim(now_epoch) else {
-                break;
-            };
-            self.policy.on_evict(rank);
-            self.remove_entry(id, RemovalKind::Evicted);
-        }
-    }
-
-    /// The entry the policy would evict next: minimum `(rank, id)` over all
-    /// entries, with expired entries ranked `-∞` so they always go first.
-    /// Order-independent over the hash map, hence deterministic.
-    pub(crate) fn peek_victim(&self, now_epoch: u64) -> Option<(f64, u64)> {
+    /// The entry the rule would evict next: minimum `(rank, id)` over all
+    /// entries. Order-independent over the hash map, hence deterministic.
+    pub(crate) fn peek_victim(&self) -> Option<(f64, u64)> {
         self.entries
             .values()
-            .map(|r| {
-                let rank = if self.policy.is_expired(&r.meta, now_epoch) {
-                    f64::NEG_INFINITY
-                } else {
-                    self.policy.rank(&r.meta, now_epoch)
-                };
-                (rank, r.meta.id)
-            })
+            .map(|r| (CostAwarePolicy::rank(&r.meta), r.meta.id))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
     }
 
-    /// Evicts a specific entry on behalf of the owning store's global
-    /// enforcement. Returns the bytes freed.
-    pub(crate) fn evict_id(&mut self, id: u64) -> u64 {
-        self.remove_entry(id, RemovalKind::Evicted)
-    }
-
-    /// Drains the `(bytes, entries)` freed since the last drain — lets the
-    /// owner keep its published resident counters exact without re-summing
-    /// every stripe.
-    pub(crate) fn drain_freed(&mut self) -> (u64, u64) {
-        let freed = (self.freed_bytes_unpublished, self.freed_entries_unpublished);
-        self.freed_bytes_unpublished = 0;
-        self.freed_entries_unpublished = 0;
-        freed
-    }
-
-    fn remove_entry(&mut self, id: u64, kind: RemovalKind) -> u64 {
-        let Some(record) = self.entries.remove(&id) else {
-            return 0;
-        };
+    /// Removes a specific entry — the victim the owning store's budget
+    /// enforcement picked. Returns the bytes freed, `None` if the entry is
+    /// gone.
+    pub(crate) fn evict_id(&mut self, id: u64) -> Option<u64> {
+        let record = self.entries.remove(&id)?;
         if let Some(index) = self.scopes.get_mut(&record.scope) {
             index.remove(id);
         }
         self.value_bytes -= record.value_bytes();
-        let freed = record.meta.bytes;
-        self.resident_bytes -= freed;
-        self.freed_bytes_unpublished += freed;
-        self.freed_entries_unpublished += 1;
-        match kind {
-            RemovalKind::Evicted => self.evictions += 1,
-            RemovalKind::Expired => self.expirations += 1,
-            RemovalKind::Lost => {}
-        }
-        freed
+        Some(record.meta.bytes)
     }
 
     /// Removes every resident entry — a crashed stripe losing its contents
-    /// (warm-up from scratch). The eviction policy is neither consulted nor
-    /// notified, and neither the eviction nor the expiration counter moves:
-    /// the removals land in the freed-accounting drained by
-    /// [`Self::drain_freed`]. Returns the lost entry ids in ascending order.
-    pub(crate) fn purge_all(&mut self) -> Vec<u64> {
+    /// (warm-up from scratch). The replacement rule is neither consulted
+    /// nor notified. Returns the lost entry ids in ascending order and the
+    /// bytes they freed.
+    pub(crate) fn purge_all(&mut self) -> (Vec<u64>, u64) {
         let mut ids: Vec<u64> = self.entries.keys().copied().collect();
         ids.sort_unstable();
-        for &id in &ids {
-            self.remove_entry(id, RemovalKind::Lost);
-        }
-        ids
+        let freed = ids.iter().filter_map(|&id| self.evict_id(id)).sum();
+        (ids, freed)
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum RemovalKind {
-    Evicted,
-    Expired,
-    /// Removed because the owning (simulated) memory node crashed: neither
-    /// an eviction (the policy is not consulted and not notified) nor an
-    /// expiry — the entry was simply lost with its node.
-    Lost,
 }
 
 #[cfg(test)]
@@ -611,18 +489,18 @@ mod tests {
     #[test]
     fn entry_budget_is_enforced_after_every_insert() {
         for shards in LAYOUTS {
-            let fifo = MemoDbConfig {
+            let capped = MemoDbConfig {
                 budget: CapacityBudget::entries(3),
-                eviction: EvictionPolicyKind::Fifo,
                 ..config(0.9)
             };
-            let d = store(fifo, shards);
+            let d = store(capped, shards);
             fill(&d, 8, |loc| {
                 assert!(d.len() <= 3, "entry cap violated after insert {loc}")
             });
             assert_eq!(d.len(), 3);
             assert_eq!(d.evictions(), 5);
-            // FIFO evicted the oldest entries: the earliest locations now miss.
+            // Never-hit entries of one size age out oldest first: the
+            // earliest locations now miss.
             assert!(lookup(&d, Fu2D, 0, &chunk(1.0, 0.0, 64), at(1)).is_none());
             assert!(lookup(&d, Fu2D, 7, &chunk(8.0, 0.0, 64), at(1)).is_some());
         }
@@ -646,29 +524,6 @@ mod tests {
             });
             assert!(bounded.peak_resident_bytes() <= cap);
             assert!(bounded.evictions() > 0);
-        }
-    }
-
-    #[test]
-    fn ttl_entries_become_unreachable() {
-        for shards in LAYOUTS {
-            let ttl = MemoDbConfig {
-                eviction: EvictionPolicyKind::Ttl { ttl_epochs: 2 },
-                ..config(0.9)
-            };
-            let d = store(ttl, shards);
-            let input = chunk(1.0, 0.0, 128);
-            insert(&d, Fu2D, 0, &input, chunk(1.0, 0.0, 16), at(0));
-            d.advance_epoch();
-            // Within the TTL: reachable.
-            assert!(lookup(&d, Fu2D, 0, &input, at(1)).is_some());
-            d.advance_epoch();
-            d.advance_epoch();
-            // Past the TTL: unreachable, and reclaimed by the commit.
-            assert!(lookup(&d, Fu2D, 0, &input, at(3)).is_none());
-            assert_eq!(d.len(), 0);
-            assert_eq!(d.expirations(), 1);
-            assert_eq!(d.resident_bytes(), 0);
         }
     }
 }

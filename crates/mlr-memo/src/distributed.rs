@@ -48,7 +48,7 @@
 //!   which case the hit survives (a *replica-saved* hit).
 //! * When a crashed node restarts, its stripes' resident entries are
 //!   purged wholesale — warm-up starts from scratch. Placement is never
-//!   recomputed; liveness is consulted through a [`NodeHealth`] view.
+//!   recomputed; liveness is read off the plan ([`FaultPlan::node_down_at`]).
 //! * Link degradations and stripe stalls never change which probes hit, so
 //!   the live tier ignores them; hand the same plan to
 //!   `mlr_cluster::replay_trace` to see what they cost.
@@ -66,7 +66,7 @@ use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_cluster::placement::{place_stripes, stripes_per_node};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
-use mlr_sim::faults::{FaultEvent, FaultPlan, NodeHealth};
+use mlr_sim::faults::{FaultEvent, FaultPlan};
 use mlr_telemetry::AccessKind;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -165,7 +165,7 @@ pub struct FaultStats {
     /// Hits on a down node that survived via the local replica set.
     pub replica_saved_hits: u64,
     /// Accesses forced down the recompute path by a down node (would-be
-    /// hits and expired-entry confirmations degraded to plain misses).
+    /// hits degraded to plain misses).
     pub degraded_accesses: u64,
     /// Logical ticks from the most recent restart until the post-restart
     /// hit rate (over at least 8 accesses) reached half the pre-crash hit
@@ -294,20 +294,6 @@ impl DistributedMemoDb {
             seq: Mutex::new(FaultSeq::default()),
         });
         db
-    }
-
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|f| &f.plan)
-    }
-
-    /// Per-node liveness at the store's current logical tick. Without an
-    /// armed plan every node is up. Placement never changes on a crash —
-    /// this view is how consumers learn an owner cannot currently serve.
-    pub fn node_health(&self) -> NodeHealth {
-        let no_faults = FaultPlan::new(0);
-        let plan = self.fault_plan().unwrap_or(&no_faults);
-        plan.health_at(self.topology.nodes, self.inner.current_tick())
     }
 
     /// Fault accounting so far; `None` when no plan is armed.
@@ -487,9 +473,8 @@ impl MemoStore for DistributedMemoDb {
                 fault.replica_saved_hits.fetch_add(1, Ordering::Relaxed);
                 outcome
             }
-            ProbeOutcome::Hit { .. } | ProbeOutcome::Expired { .. } => {
-                // A would-be hit (or an expiry we cannot confirm against a
-                // dead node) degrades to the recompute path.
+            ProbeOutcome::Hit { .. } => {
+                // A would-be hit degrades to the recompute path.
                 fault.degraded_accesses.fetch_add(1, Ordering::Relaxed);
                 ProbeOutcome::Miss
             }
@@ -559,13 +544,6 @@ impl MemoStore for DistributedMemoDb {
         self.inner.commit_miss(op, loc);
     }
 
-    fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64) {
-        self.fault_tick(None);
-        let mut replicas = self.replicas.write();
-        self.inner.reclaim_expired(op, loc, entry);
-        replicas.members.remove(&entry);
-    }
-
     fn insert(
         &self,
         op: FftOpKind,
@@ -594,14 +572,6 @@ impl MemoStore for DistributedMemoDb {
 
     fn resident_bytes(&self) -> u64 {
         self.inner.resident_bytes()
-    }
-
-    fn advance_epoch(&self) -> u64 {
-        self.inner.advance_epoch()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.inner.epoch()
     }
 
     fn pressure(&self) -> f64 {
@@ -638,7 +608,6 @@ mod tests {
     fn run_rounds(store: &dyn MemoStore, rounds: std::ops::Range<usize>) -> Vec<bool> {
         let mut outcomes = Vec::new();
         for round in rounds {
-            store.advance_epoch();
             for loc in 0..8usize {
                 let input = chunk(1.0 + loc as f64, 0.1 * loc as f64, 128);
                 let origin = Provenance::solo(round + 1);
@@ -731,8 +700,8 @@ mod tests {
         // probe, which therefore still sees the node down.
         let t = inner.current_tick();
         let plan = FaultPlan::new(3).crash_window(0, t, t + 15);
+        assert!(plan.node_down_at(0, t), "crash window must be open");
         let store = DistributedMemoDb::with_faults(inner, NodeTopology::with_nodes(1), plan);
-        assert!(!store.node_health().is_up(0), "crash window must be open");
         let during = run_rounds(&store, 2..3);
         assert!(
             during.iter().all(|&h| !h),
@@ -774,7 +743,7 @@ mod tests {
         // the miss round costs 16 ticks and the hit round 8, so the crash
         // at tick 24 covers round 2 exactly.
         let plan = FaultPlan::new(9).crash_window(0, 24, 100_000);
-        let store = DistributedMemoDb::with_faults(sharded(16), topology, plan);
+        let store = DistributedMemoDb::with_faults(sharded(16), topology, plan.clone());
         let outcomes = run_rounds(&store, 0..3);
         assert!(
             outcomes[16..].iter().all(|&h| h),
@@ -787,7 +756,7 @@ mod tests {
         // Round 1 hits are remote (promotion follows the hit); all of
         // round 2 is served from the replica set.
         assert_eq!(stats.local_hits, 8, "replica hits are local: {stats:?}");
-        assert!(!store.node_health().is_up(0));
+        assert!(plan.node_down_at(0, store.inner().current_tick()));
     }
 
     #[test]

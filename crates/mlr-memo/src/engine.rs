@@ -45,9 +45,7 @@
 use crate::cache::{CacheKind, MemoCache};
 use crate::db::MemoDbConfig;
 use crate::encoder::EncoderConfig;
-use crate::eviction::{
-    memoization_pays, recompute_cost_estimate, CapacityBudget, EvictionPolicyKind,
-};
+use crate::eviction::{memoization_pays, recompute_cost_estimate, CapacityBudget};
 use crate::fingerprint::ChunkFingerprint;
 use crate::parallel::{ConcurrencyGovernor, ParallelStats};
 use crate::sharded::ShardedMemoDb;
@@ -123,8 +121,6 @@ pub struct MemoConfig {
     /// the database configuration; shared stores built by the runtime carry
     /// their own copy of the same caps.
     pub budget: CapacityBudget,
-    /// Which eviction policy enforces the budget.
-    pub eviction: EvictionPolicyKind,
 }
 
 impl Default for MemoConfig {
@@ -137,21 +133,19 @@ impl Default for MemoConfig {
             track_similarity: false,
             warmup_iterations: 2,
             budget: CapacityBudget::unbounded(),
-            eviction: EvictionPolicyKind::CostAware,
         }
     }
 }
 
 impl MemoConfig {
     /// The store configuration of a job configured like this (`tau`,
-    /// `budget`, `eviction`). The one conversion — private stores,
+    /// `budget`). The one conversion — private stores,
     /// pipeline-built shared stores and the runtime's store all go through
     /// it.
     pub fn db_config(&self) -> MemoDbConfig {
         MemoDbConfig {
             tau: self.tau,
             budget: self.budget,
-            eviction: self.eviction,
         }
     }
 }
@@ -225,8 +219,6 @@ enum ProbeCase {
         output: Vec<Complex64>,
         compute_seconds: f64,
         case: MemoCase,
-        /// TTL-expired candidate to reclaim during the commit.
-        expired: Option<u64>,
     },
 }
 
@@ -404,12 +396,9 @@ impl MemoizedExecutor {
     }
 
     /// Marks the start of a new ADMM (outer) iteration; used by the
-    /// similarity tracker and by reports. Also advances the store's epoch
-    /// (the job-iteration clock TTL eviction ages by): each tenant ticks the
-    /// shared store once per outer iteration.
+    /// freshness rule, the similarity tracker and reports.
     pub fn begin_iteration(&self, iteration: usize) {
         self.state.lock().iteration = iteration;
-        self.store.advance_epoch();
         self.telemetry.count(CounterId::IterationsStarted, 1);
         self.telemetry
             .span(self.job, SpanKind::Iteration, iteration as u64);
@@ -551,21 +540,20 @@ impl MemoizedExecutor {
     {
         let tel_on = d.tel_on;
         let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
-        let computed = |case, expired| {
+        let computed = |case| {
             let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
             let output = compute(input);
             ProbeCase::Computed {
                 output,
                 compute_seconds: compute_start.elapsed().as_secs_f64(),
                 case,
-                expired,
             }
         };
         let mut chunk = ChunkTrail::default();
         let case = 'lane: {
             // The break-even gate: a pure function of kind and length.
             if !d.memoize || !memoization_pays(kind, input.len()) {
-                break 'lane computed(MemoCase::Computed, None);
+                break 'lane computed(MemoCase::Computed);
             }
             // Fingerprint + doorkeeper decision, read-only against the
             // history frozen at the start of the application (notes happen
@@ -577,7 +565,7 @@ impl MemoizedExecutor {
                 chunk.prefilter_ns = start.elapsed().as_nanos() as u64;
             }
             if !admitted {
-                break 'lane computed(MemoCase::Prefiltered, None);
+                break 'lane computed(MemoCase::Prefiltered);
             }
             // The cache is gated on the raw chunk: a hit needs no key.
             if self.config.use_cache {
@@ -612,8 +600,7 @@ impl MemoizedExecutor {
                     value,
                     db: Some(DbHit { entry, origin, raw }),
                 },
-                ProbeOutcome::Miss => computed(MemoCase::FailedMemo, None),
-                ProbeOutcome::Expired { entry } => computed(MemoCase::FailedMemo, Some(entry)),
+                ProbeOutcome::Miss => computed(MemoCase::FailedMemo),
             }
         };
         chunk.seconds = start.elapsed().as_secs_f64();
@@ -727,13 +714,9 @@ impl MemoizedExecutor {
                     output,
                     compute_seconds,
                     case,
-                    expired,
                 } => {
                     let failed_memo = case == MemoCase::FailedMemo;
                     if failed_memo {
-                        if let Some(entry) = expired {
-                            self.store.reclaim_expired(kind, loc, entry);
-                        }
                         self.store.commit_miss(kind, loc);
                     }
                     state.stats.record(kind, case);

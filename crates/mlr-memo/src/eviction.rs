@@ -1,44 +1,36 @@
-//! Capacity governance for the memoization store: budgets, eviction
-//! policies, and the deterministic logical clocks they run on.
+//! Capacity governance for the memoization store: one budget, one
+//! replacement rule, and the deterministic logical clock both run on.
 //!
-//! The paper's evaluation spends much of its time on memory breakdowns and
-//! offloading precisely because the memoization database competes with the
-//! reconstruction working sets for DRAM; a store that grows without bound
-//! caps a multi-tenant runtime at toy workloads. This module adds the
-//! missing governor:
+//! The paper keeps its memoization database on dedicated memory nodes and
+//! its only replacement rule is the one-entry FIFO compute-node cache
+//! (§4.4). Here the store has to fit beside the reconstruction's working
+//! set, so it carries a governor:
 //!
-//! * [`CapacityBudget`] — optional byte and entry caps, globally and per
-//!   lock stripe. A store enforces its budget *after every insert*, so the
-//!   resident footprint never exceeds the cap at any observable point.
-//! * [`EvictionPolicy`] — the pluggable victim-selection seam. Built-in
-//!   policies: [`FifoPolicy`], [`LruPolicy`], [`TtlPolicy`] (age in
-//!   job-iterations) and [`CostAwarePolicy`] (benefit density:
-//!   `recompute_cost / bytes`, boosted by observed reuse).
-//! * [`EvictionPolicyKind`] — the `Copy`able configuration-level selector
-//!   carried inside [`MemoDbConfig`](crate::db::MemoDbConfig).
+//! * [`CapacityBudget`] — optional byte and entry caps over the whole store.
+//!   A store enforces its budget *after every insert*, so the resident
+//!   footprint never exceeds the cap at any observable point.
+//! * [`CostAwarePolicy`] — the one rule that picks victims: aged benefit
+//!   density (`recompute_cost / bytes`, boosted by observed reuse), with
+//!   entries that have served another job evicted last.
 //!
 //! # Determinism
 //!
 //! Eviction decisions must be reproducible: the runtime's contract is that
 //! the same job schedule over the same budget produces bit-identical
 //! reconstructions, and that sharding is semantics-free. Wall-clock time
-//! would break both, so every input to a policy is *logical*:
+//! would break both, so every input to the rule is *logical*: the entry's
+//! **hit counts**, refreshed by the ordered commit; its **id**, the globally
+//! unique insertion index that breaks every tie; and an *analytic*
+//! recompute cost ([`recompute_cost_estimate`], an `n log n` model whose
+//! per-op weights mirror the measured `OpStats` compute-second ratios) in
+//! place of measured seconds, which vary run to run.
 //!
-//! * the **op tick** — one monotone counter incremented per query/insert,
-//!   shared by every stripe of a store (recency for LRU/FIFO);
-//! * the **epoch** — advanced once per job ADMM iteration through
-//!   [`MemoStore::advance_epoch`](crate::store::MemoStore::advance_epoch)
-//!   (age for TTL);
-//! * the **entry id** — globally unique insertion index, the stable
-//!   tie-breaker whenever two entries rank equal.
+//! The **op tick** of [`StoreClock`] — one monotone counter claimed per
+//! committed hit, committed miss and insert, shared by every stripe of a
+//! store — ranks nothing: it is the time axis `FaultPlan` windows and
+//! access-trace records are written in.
 //!
-//! The cost-aware policy likewise scores with an *analytic* recompute-cost
-//! estimate ([`recompute_cost_estimate`], an `n log n` model whose per-op
-//! weights mirror the measured `OpStats` compute-second ratios) rather than
-//! the measured timings themselves — measured seconds vary run to run and
-//! would make victim selection nondeterministic.
-//!
-//! The engine's break-even gate, [`memoization_pays`], lives beside that
+//! The engine's break-even gate, [`memoization_pays`], lives beside the cost
 //! estimate for the same reason: whether a chunk is memoized at all is
 //! decided by constants and the chunk's kind and length, never by a timing
 //! taken at run time.
@@ -49,25 +41,19 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Byte/entry caps for a memoization store, globally and per lock stripe.
+/// Byte/entry caps for a memoization store.
 ///
 /// `None` means unbounded. A byte cap counts each entry's value *plus* the
 /// raw input it keeps for the τ gate, 8 bytes an element of either
 /// ([`EntryMeta::bytes`]; `value_bytes` counts the values alone, keys and
-/// doorkeeper rings are not counted). Global caps hold over the whole
-/// store (every stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb));
-/// stripe caps bound each stripe individually, which limits how lopsided a
-/// skewed scope distribution can make the stripes.
+/// doorkeeper rings are not counted). The caps hold over the whole store
+/// (every stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CapacityBudget {
     /// Maximum resident bytes (values + retained raw inputs).
     pub max_bytes: Option<u64>,
     /// Maximum number of stored entries.
     pub max_entries: Option<u64>,
-    /// Per-stripe byte cap (enforced inside each stripe).
-    pub stripe_max_bytes: Option<u64>,
-    /// Per-stripe entry cap (enforced inside each stripe).
-    pub stripe_max_entries: Option<u64>,
 }
 
 impl CapacityBudget {
@@ -76,7 +62,7 @@ impl CapacityBudget {
         Self::default()
     }
 
-    /// A global byte cap.
+    /// A byte cap.
     pub fn bytes(max_bytes: u64) -> Self {
         Self {
             max_bytes: Some(max_bytes),
@@ -84,7 +70,7 @@ impl CapacityBudget {
         }
     }
 
-    /// A global entry-count cap.
+    /// An entry-count cap.
     pub fn entries(max_entries: u64) -> Self {
         Self {
             max_entries: Some(max_entries),
@@ -92,29 +78,13 @@ impl CapacityBudget {
         }
     }
 
-    /// Adds a per-stripe byte cap.
-    pub fn with_stripe_bytes(mut self, stripe_max_bytes: u64) -> Self {
-        self.stripe_max_bytes = Some(stripe_max_bytes);
-        self
-    }
-
-    /// Adds a per-stripe entry cap.
-    pub fn with_stripe_entries(mut self, stripe_max_entries: u64) -> Self {
-        self.stripe_max_entries = Some(stripe_max_entries);
-        self
-    }
-
     /// Whether any cap is set.
     pub fn is_bounded(&self) -> bool {
-        self.max_bytes.is_some()
-            || self.max_entries.is_some()
-            || self.stripe_max_bytes.is_some()
-            || self.stripe_max_entries.is_some()
+        self.max_bytes.is_some() || self.max_entries.is_some()
     }
 
-    /// Utilisation of the tightest *global* cap in `[0, 1]` (0 when
-    /// unbounded). The runtime's admission control consults this as "store
-    /// pressure".
+    /// Utilisation of the tightest cap in `[0, 1]` (0 when unbounded). The
+    /// runtime's admission control consults this as "store pressure".
     pub fn pressure(&self, resident_bytes: u64, entries: u64) -> f64 {
         let byte_pressure = self
             .max_bytes
@@ -131,36 +101,22 @@ impl CapacityBudget {
         .min(1.0)
     }
 
-    /// `true` when `resident_bytes`/`entries` violate a global cap.
+    /// `true` when `resident_bytes`/`entries` violate a cap.
     pub fn exceeded(&self, resident_bytes: u64, entries: u64) -> bool {
         self.max_bytes.is_some_and(|cap| resident_bytes > cap)
             || self.max_entries.is_some_and(|cap| entries > cap)
     }
-
-    /// `true` when `resident_bytes`/`entries` violate a stripe cap.
-    pub fn stripe_exceeded(&self, resident_bytes: u64, entries: u64) -> bool {
-        self.stripe_max_bytes
-            .is_some_and(|cap| resident_bytes > cap)
-            || self.stripe_max_entries.is_some_and(|cap| entries > cap)
-    }
 }
 
-/// Everything a policy may rank an entry by. All fields are logical (see
-/// the module docs): no wall-clock values, so ranking is reproducible.
+/// What the replacement rule ranks an entry by and the distributed tier's
+/// replica promotion reads. All fields are logical (see the module docs):
+/// no wall-clock values, so ranking is reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EntryMeta {
     /// Globally unique insertion index — the stable tie-breaker.
     pub id: u64,
     /// Resident bytes attributable to the entry (value + raw input).
     pub bytes: u64,
-    /// Op tick at insertion.
-    pub inserted_tick: u64,
-    /// Epoch (job-iteration clock) at insertion.
-    pub inserted_epoch: u64,
-    /// Op tick of the most recent hit (or the insertion tick).
-    pub last_access_tick: u64,
-    /// Epoch (job-iteration clock) of the most recent hit (or insertion).
-    pub last_access_epoch: u64,
     /// Number of queries this entry has served.
     pub hits: u64,
     /// Of those, hits serving a *different* job than the inserter — the
@@ -173,122 +129,39 @@ pub struct EntryMeta {
     pub recompute_cost: f64,
     /// Which job/iteration inserted the entry.
     pub origin: Provenance,
-    /// The memoized operation (lets policies weigh op classes differently).
+    /// The memoized operation.
     pub op: FftOpKind,
-    /// Policy-maintained priority, refreshed by
-    /// [`EvictionPolicy::charge`] on insert and on every hit (used by the
-    /// cost-aware policy's aged benefit density; 0 for stateless policies).
+    /// Aged benefit density, refreshed by [`CostAwarePolicy::charge`] on
+    /// insert and on every hit.
     pub priority: f64,
 }
 
-/// Victim selection seam. Implementations must be pure functions of the
-/// [`EntryMeta`] and the logical `now` — determinism of the whole store
-/// rests on that.
-pub trait EvictionPolicy: Send + Sync {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Eviction rank: the entry with the *lowest* rank is evicted first;
-    /// ties break on the smaller entry id. `now_epoch` is the store's
-    /// current job-iteration epoch.
-    fn rank(&self, meta: &EntryMeta, now_epoch: u64) -> f64;
-
-    /// Whether the entry is expired at `now_epoch` and must be unreachable
-    /// regardless of capacity pressure. Expired entries are reclaimed
-    /// lazily on lookup and eagerly during enforcement.
-    fn is_expired(&self, meta: &EntryMeta, now_epoch: u64) -> bool {
-        let _ = (meta, now_epoch);
-        false
-    }
-
-    /// Refreshes `meta.priority`. Called once when the entry is inserted
-    /// and again on every hit (after `hits`/`last_access_tick` are
-    /// updated). Stateless policies leave the default no-op.
-    fn charge(&self, meta: &mut EntryMeta) {
-        let _ = meta;
-    }
-
-    /// Notifies the policy that an entry ranked `rank` was just evicted —
-    /// the hook the cost-aware policy uses to advance its aging value.
-    /// Called exactly once per eviction, in eviction order, under the
-    /// store's enforcement lock.
-    fn on_evict(&self, rank: f64) {
-        let _ = rank;
-    }
-}
-
-/// Evict the oldest insertion first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoPolicy;
-
-impl EvictionPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn rank(&self, meta: &EntryMeta, _now_epoch: u64) -> f64 {
-        meta.inserted_tick as f64
-    }
-}
-
-/// Evict the least recently *used* entry first (hits refresh recency).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LruPolicy;
-
-impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn rank(&self, meta: &EntryMeta, _now_epoch: u64) -> f64 {
-        meta.last_access_tick as f64
-    }
-}
-
-/// Entries expire `ttl_epochs` job-iterations after insertion; under
-/// pressure, oldest-epoch entries go first.
-#[derive(Debug, Clone, Copy)]
-pub struct TtlPolicy {
-    /// Lifetime in epochs (job ADMM iterations across all tenants).
-    pub ttl_epochs: u64,
-}
-
-impl EvictionPolicy for TtlPolicy {
-    fn name(&self) -> &'static str {
-        "ttl"
-    }
-
-    fn rank(&self, meta: &EntryMeta, _now_epoch: u64) -> f64 {
-        meta.inserted_epoch as f64
-    }
-
-    fn is_expired(&self, meta: &EntryMeta, now_epoch: u64) -> bool {
-        now_epoch.saturating_sub(meta.inserted_epoch) > self.ttl_epochs
-    }
-}
-
-/// Cost-aware policy: aged benefit density in the Greedy-Dual-Size-
-/// Frequency family. Every entry carries a priority
+/// The store's replacement rule: aged benefit density in the Greedy-Dual-
+/// Size-Frequency family. Every entry carries a priority
 ///
 /// ```text
 /// priority = inflation + (1 + hits) · recompute_cost / bytes
 /// ```
 ///
 /// refreshed on insert and on every hit; the store-wide `inflation` value
-/// rises to each evicted victim's priority, and the eviction rank is this
+/// rises to each evicted victim's rank, and the eviction rank is this
 /// priority plus a protected class for entries with cross-job serving
 /// history (the `Provenance` signal that an entry survives content drift
-/// in replicated workloads). The quotient is the paper-motivated benefit
+/// in replicated workloads). The entry with the lowest rank goes first,
+/// ties on the smaller id. The quotient is the paper-motivated benefit
 /// density — how much USFFT recompute a resident byte buys — scaled by
 /// demonstrated reuse, while the inflation term ages out entries whose
 /// content has drifted past the τ gate (pure benefit density would pin
 /// those forever). All inputs are logical, so victim selection stays
 /// deterministic for a fixed schedule; the inflation value advances under
 /// the store's enforcement lock, identically across shard layouts.
+///
+/// One instance per store, shared by its stripes (which charge) and the
+/// store (which evicts).
 #[derive(Debug, Default)]
 pub struct CostAwarePolicy {
-    /// Aging value `L`: the highest victim priority evicted so far,
-    /// stored as `f64` bits.
+    /// Aging value `L`: the highest victim rank evicted so far, stored as
+    /// `f64` bits.
     inflation: AtomicU64,
 }
 
@@ -302,57 +175,28 @@ impl CostAwarePolicy {
     pub fn benefit_density(meta: &EntryMeta) -> f64 {
         (1.0 + meta.hits as f64) * meta.recompute_cost / meta.bytes.max(1) as f64
     }
-}
 
-impl EvictionPolicy for CostAwarePolicy {
-    fn name(&self) -> &'static str {
-        "cost-aware"
-    }
-
-    fn rank(&self, meta: &EntryMeta, _now_epoch: u64) -> f64 {
+    /// Eviction rank: the entry with the *lowest* rank is evicted first;
+    /// ties break on the smaller entry id.
+    pub fn rank(meta: &EntryMeta) -> f64 {
         let class = if meta.cross_hits > 0 { 1u64 << 48 } else { 0 } as f64;
         class + meta.priority
     }
 
-    fn charge(&self, meta: &mut EntryMeta) {
+    /// Refreshes `meta.priority`. Called once when the entry is inserted
+    /// and again on every hit (after `hits` / `cross_hits` are updated).
+    pub fn charge(&self, meta: &mut EntryMeta) {
         meta.priority = self.inflation_value() + Self::benefit_density(meta);
     }
 
-    fn on_evict(&self, rank: f64) {
-        // Monotone aging: inflation only moves forward, and expired
-        // victims (rank -∞) must not poison it.
+    /// Advances the aging value to the rank of an entry that was just
+    /// evicted. Called exactly once per eviction, in eviction order, under
+    /// the store's enforcement lock.
+    pub fn on_evict(&self, rank: f64) {
+        // Monotone aging: inflation only moves forward, and a non-finite
+        // rank (an infinite caller-supplied cost) must not poison it.
         if rank.is_finite() && rank > self.inflation_value() {
             self.inflation.store(rank.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// Configuration-level policy selector (`Copy`, serialisable) carried in
-/// [`MemoDbConfig`](crate::db::MemoDbConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum EvictionPolicyKind {
-    /// [`FifoPolicy`].
-    Fifo,
-    /// [`LruPolicy`].
-    Lru,
-    /// [`TtlPolicy`] with the given lifetime in epochs.
-    Ttl {
-        /// Lifetime in epochs.
-        ttl_epochs: u64,
-    },
-    /// [`CostAwarePolicy`].
-    #[default]
-    CostAware,
-}
-
-impl EvictionPolicyKind {
-    /// Instantiates the built-in policy this kind names.
-    pub fn build(&self) -> Arc<dyn EvictionPolicy> {
-        match *self {
-            EvictionPolicyKind::Fifo => Arc::new(FifoPolicy),
-            EvictionPolicyKind::Lru => Arc::new(LruPolicy),
-            EvictionPolicyKind::Ttl { ttl_epochs } => Arc::new(TtlPolicy { ttl_epochs }),
-            EvictionPolicyKind::CostAware => Arc::new(CostAwarePolicy::default()),
         }
     }
 }
@@ -425,19 +269,18 @@ pub fn memoization_pays(op: FftOpKind, input_len: usize) -> bool {
     })
 }
 
-/// The logical clocks of one store, shared by every stripe so tick, epoch
-/// and id assignment are identical however many stripes a
+/// The logical clock of one store, shared by every stripe so tick and id
+/// assignment are identical however many stripes a
 /// [`ShardedMemoDb`](crate::ShardedMemoDb) spreads its scopes over — the
 /// property that makes eviction shard-layout-independent.
 #[derive(Debug, Default)]
 pub struct StoreClock {
     tick: AtomicU64,
-    epoch: AtomicU64,
     next_id: AtomicU64,
 }
 
 impl StoreClock {
-    /// A fresh clock at tick 0, epoch 0, id 0.
+    /// A fresh clock at tick 0, id 0.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
     }
@@ -449,8 +292,7 @@ impl StoreClock {
 
     /// Reads the current op tick without advancing it. The access-trace
     /// recorder stamps records with this, so tracing never perturbs the
-    /// tick stream that eviction ranking (and with it the bit-identity
-    /// contracts) depends on.
+    /// tick stream fault windows are written against.
     pub fn current_tick(&self) -> u64 {
         self.tick.load(Ordering::Relaxed)
     }
@@ -458,16 +300,6 @@ impl StoreClock {
     /// Claims the next entry id.
     pub fn next_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The current epoch (job-iteration clock).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Advances the epoch by one job iteration; returns the new value.
-    pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
@@ -479,10 +311,6 @@ mod tests {
         EntryMeta {
             id,
             bytes,
-            inserted_tick: id,
-            inserted_epoch: 0,
-            last_access_tick: id,
-            last_access_epoch: 0,
             cross_hits: 0,
             hits,
             recompute_cost: cost,
@@ -494,13 +322,11 @@ mod tests {
 
     #[test]
     fn budget_pressure_and_caps() {
-        let b = CapacityBudget::bytes(1000).with_stripe_bytes(200);
+        let b = CapacityBudget::bytes(1000);
         assert!(b.is_bounded());
         assert!((b.pressure(500, 10) - 0.5).abs() < 1e-12);
         assert!(!b.exceeded(1000, 10));
         assert!(b.exceeded(1001, 10));
-        assert!(b.stripe_exceeded(201, 1));
-        assert!(!b.stripe_exceeded(200, 1));
 
         let unbounded = CapacityBudget::unbounded();
         assert!(!unbounded.is_bounded());
@@ -513,22 +339,21 @@ mod tests {
 
     #[test]
     fn policy_ranks_order_victims() {
-        let old = meta(1, 100, 0, 50.0);
-        let new = meta(9, 100, 0, 50.0);
-        assert!(FifoPolicy.rank(&old, 0) < FifoPolicy.rank(&new, 0));
-        assert!(LruPolicy.rank(&old, 0) < LruPolicy.rank(&new, 0));
-
-        // Cost-aware: cheap-per-byte entries rank below expensive ones, and
-        // hits make an entry sticky.
+        // Cheap-per-byte entries rank below expensive ones, hits make an
+        // entry sticky, and cross-job service outranks any density.
         let pol = CostAwarePolicy::default();
         let mut cheap = meta(1, 1000, 0, 10.0);
         let mut dear = meta(2, 100, 0, 10.0);
         let mut reused = meta(3, 1000, 5, 10.0);
-        pol.charge(&mut cheap);
-        pol.charge(&mut dear);
-        pol.charge(&mut reused);
-        assert!(pol.rank(&cheap, 0) < pol.rank(&dear, 0));
-        assert!(pol.rank(&cheap, 0) < pol.rank(&reused, 0));
+        let mut shared = meta(4, 1000, 1, 10.0);
+        shared.cross_hits = 1;
+        for m in [&mut cheap, &mut dear, &mut reused, &mut shared] {
+            pol.charge(m);
+        }
+        let rank = CostAwarePolicy::rank;
+        assert!(rank(&cheap) < rank(&dear));
+        assert!(rank(&cheap) < rank(&reused));
+        assert!(rank(&dear) < rank(&shared) && rank(&reused) < rank(&shared));
     }
 
     #[test]
@@ -538,35 +363,16 @@ mod tests {
         let pol = CostAwarePolicy::default();
         let mut stale = meta(1, 100, 0, 500.0);
         pol.charge(&mut stale);
-        pol.on_evict(pol.rank(&stale, 0));
+        pol.on_evict(CostAwarePolicy::rank(&stale));
         let mut fresh = meta(2, 100, 0, 500.0);
         pol.charge(&mut fresh);
-        assert!(pol.rank(&fresh, 0) > pol.rank(&stale, 0));
-        // Expired victims (-∞) must not poison the aging value.
+        assert!(CostAwarePolicy::rank(&fresh) > CostAwarePolicy::rank(&stale));
+        // Aging is monotone: a lower (or non-finite) victim rank moves nothing.
+        pol.on_evict(0.0);
         pol.on_evict(f64::NEG_INFINITY);
         let mut after = meta(3, 100, 0, 500.0);
         pol.charge(&mut after);
-        assert!(pol.rank(&after, 0) >= pol.rank(&fresh, 0));
-    }
-
-    #[test]
-    fn ttl_expiry_is_epoch_based() {
-        let pol = TtlPolicy { ttl_epochs: 3 };
-        let m = meta(0, 10, 0, 1.0);
-        assert!(!pol.is_expired(&m, 3));
-        assert!(pol.is_expired(&m, 4));
-    }
-
-    #[test]
-    fn kind_builds_matching_policy() {
-        assert_eq!(EvictionPolicyKind::Fifo.build().name(), "fifo");
-        assert_eq!(EvictionPolicyKind::Lru.build().name(), "lru");
-        assert_eq!(
-            EvictionPolicyKind::Ttl { ttl_epochs: 2 }.build().name(),
-            "ttl"
-        );
-        assert_eq!(EvictionPolicyKind::CostAware.build().name(), "cost-aware");
-        assert_eq!(EvictionPolicyKind::default(), EvictionPolicyKind::CostAware);
+        assert_eq!(CostAwarePolicy::rank(&after), CostAwarePolicy::rank(&fresh));
     }
 
     #[test]
@@ -649,9 +455,8 @@ mod tests {
         let c = StoreClock::new();
         assert_eq!(c.next_tick(), 0);
         assert_eq!(c.next_tick(), 1);
+        assert_eq!(c.current_tick(), 2);
         assert_eq!(c.next_id(), 0);
-        assert_eq!(c.epoch(), 0);
-        assert_eq!(c.advance_epoch(), 1);
-        assert_eq!(c.epoch(), 1);
+        assert_eq!(c.next_id(), 1);
     }
 }

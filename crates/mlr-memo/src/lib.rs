@@ -38,11 +38,11 @@
 //!   length. Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced
 //!   query is the message size `mlr_cluster::replay_trace` prices, and
 //!   `fig11_key_coalesce` is a cost-model figure.
-//! * [`eviction`] — capacity governance: [`CapacityBudget`] caps (bytes /
-//!   entries, global and per stripe) enforced after every insert by the
-//!   configured [`EvictionPolicy`] (FIFO, LRU, TTL in job-iterations, or
-//!   cost-aware benefit density), on logical clocks shared by every stripe:
-//!   deterministic given the schedule, independent of the shard layout.
+//! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /
+//!   entries over the whole store) enforced after every insert by one rule,
+//!   [`CostAwarePolicy`] (aged benefit density, cross-job servers last), on
+//!   a logical clock shared by every stripe: deterministic given the
+//!   schedule, independent of the shard layout.
 //! * [`parallel`] — deterministic intra-job chunk parallelism: the
 //!   [`ConcurrencyGovernor`] that keeps job-level workers × chunk-level
 //!   threads from oversubscribing the machine, and the per-job
@@ -52,8 +52,7 @@
 //! * [`similarity`] — the chunk-similarity tracker behind Figure 4.
 //! * [`store`] — the [`MemoStore`] seam: the thread-safe interface the
 //!   executor talks to, with one access protocol — a read-only probe, then
-//!   an ordered commit (`commit_hit` / `commit_miss` / `reclaim_expired`,
-//!   and `insert` after a miss).
+//!   an ordered commit (`commit_hit`, or `commit_miss` and `insert`).
 //! * [`sharded`] — the [`ShardedMemoDb`], *the* store: lock-striped, with
 //!   one stripe when private to a standalone executor and sixteen when
 //!   serving several reconstruction jobs at once (the in-process analogue
@@ -89,8 +88,7 @@ pub use encoder::{sketch, CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
 pub use eviction::{
     memoization_pays, recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta,
-    EvictionPolicy, EvictionPolicyKind, FifoPolicy, LruPolicy, StoreClock, TtlPolicy,
-    EXPECTED_REUSE,
+    StoreClock, EXPECTED_REUSE,
 };
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
 pub use parallel::{ConcurrencyGovernor, CoreLease, ParallelStats};

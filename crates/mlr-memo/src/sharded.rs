@@ -21,19 +21,23 @@
 //! # Capacity governance
 //!
 //! When the configuration carries a bounded [`CapacityBudget`], the store
-//! enforces it *globally*: after every insert it selects the store-wide
-//! minimum `(rank, id)` victim across all stripes under one eviction lock,
-//! so the resident footprint never exceeds the cap at any observable point
-//! and — because every stripe shares one [`StoreClock`] (op ticks, epochs,
-//! entry ids) — the evicted entries are exactly the ones a one-shard
-//! store with the same budget would evict. Per-stripe caps
-//! (`stripe_max_*`) are additionally enforced inside each stripe. Published
-//! resident counters are only updated *after* enforcement, so external
-//! observers never see an over-budget store.
+//! enforces it over all stripes at once: after every insert it selects the
+//! store-wide minimum `(rank, id)` victim ([`CostAwarePolicy`]) under one
+//! eviction lock, so the resident footprint never exceeds the cap at any
+//! observable point and — because every stripe shares one [`StoreClock`]
+//! (op ticks, entry ids) and one policy — the evicted entries are exactly
+//! the ones a one-shard store with the same budget would evict. A stripe
+//! frees nothing on its own. Published resident counters are only updated
+//! *after* enforcement, so external observers never see an over-budget
+//! store.
+//!
+//! An eviction removes the entry from the store, not from a compute-node
+//! cache that already holds its `Arc`s: that cache may serve the value once
+//! more, and its own byte count (`MemoCache::bytes`) is where it shows.
 
 use crate::db::{scope_hash, MemoDatabase, MemoDbConfig};
 use crate::encoder::sketch;
-use crate::eviction::{CapacityBudget, EntryMeta, EvictionPolicy, StoreClock};
+use crate::eviction::{CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock};
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_lamino::FftOpKind;
 use mlr_math::complex::narrow;
@@ -61,11 +65,11 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub struct ShardedMemoDb {
     config: MemoDbConfig,
     shards: Vec<Mutex<MemoDatabase>>,
-    /// Logical clock shared with every stripe (ticks, epochs, entry ids).
+    /// Logical clock shared with every stripe (ticks, entry ids).
     clock: Arc<StoreClock>,
-    /// The eviction policy, shared with every stripe (global enforcement
-    /// notifies it of evictions directly).
-    policy: Arc<dyn EvictionPolicy>,
+    /// The replacement rule, shared with every stripe (they charge, budget
+    /// enforcement here tells it what was evicted).
+    policy: Arc<CostAwarePolicy>,
     /// Serialises insert + global enforcement when the budget is bounded,
     /// so the budget invariant holds at every observable point.
     eviction_lock: Mutex<()>,
@@ -79,6 +83,7 @@ pub struct ShardedMemoDb {
     cross_job_hits: AtomicU64,
     inserts: AtomicU64,
     refused_inserts: AtomicU64,
+    evictions: AtomicU64,
     pressure_queries: AtomicU64,
     pressure_hits: AtomicU64,
     /// Optional store access-trace recorder (entry, op, stripe, kind,
@@ -95,21 +100,20 @@ impl ShardedMemoDb {
         Self::with_shards(config, DEFAULT_SHARDS)
     }
 
-    /// Creates an empty store with an explicit shard count; eviction runs
-    /// the built-in policy named by `config.eviction`.
+    /// Creates an empty store with an explicit shard count.
     ///
     /// # Panics
     /// Panics when `shards == 0`.
     pub fn with_shards(config: MemoDbConfig, shards: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let clock = StoreClock::new();
-        let policy = config.eviction.build();
+        let policy = Arc::new(CostAwarePolicy::default());
         // Stripes share the clock and policy, so eviction is independent of
         // the shard count.
         let shard_dbs = (0..shards)
             .map(|_| {
                 Mutex::new(MemoDatabase::stripe(
-                    config,
+                    config.tau,
                     Arc::clone(&clock),
                     Arc::clone(&policy),
                 ))
@@ -129,6 +133,7 @@ impl ShardedMemoDb {
             cross_job_hits: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             refused_inserts: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             pressure_queries: AtomicU64::new(0),
             pressure_hits: AtomicU64::new(0),
             trace: None,
@@ -136,7 +141,7 @@ impl ShardedMemoDb {
     }
 
     /// Attaches an access-trace recorder (before the store is shared behind
-    /// an `Arc`). The store records hit/miss/insert/evict/expired/lost
+    /// an `Arc`). The store records hit/miss/insert/evict/lost
     /// events from its ordered-commit paths into the given ring, stamped
     /// with store-clock ticks; the distributed tier adds promote/demote.
     pub fn set_access_trace(&mut self, trace: Arc<AccessTrace>) {
@@ -227,17 +232,17 @@ impl ShardedMemoDb {
     /// Purges every entry resident in `stripe` — the distributed tier calls
     /// this when the simulated memory node owning the stripe restarts after
     /// a crash (its contents are lost; warm-up starts from scratch). The
-    /// removals bypass the eviction policy and count as neither evictions
-    /// nor expirations; published resident counters are adjusted under the
-    /// stripe lock, exactly like any other reclamation. Returns the lost
-    /// entry ids in ascending order.
+    /// removals bypass the replacement rule and are not evictions;
+    /// published resident counters are adjusted under the stripe lock,
+    /// exactly like an eviction's. Returns the lost entry ids in ascending
+    /// order.
     ///
     /// # Panics
     /// Panics when `stripe >= shard_count()`.
     pub fn purge_stripe(&self, stripe: usize) -> Vec<u64> {
         let mut db = self.shards[stripe].lock();
-        let ids = db.purge_all();
-        self.publish_freed(&mut db);
+        let (ids, bytes) = db.purge_all();
+        self.publish_freed(bytes, ids.len() as u64);
         drop(db);
         for &id in &ids {
             self.trace_access(ACCESS_OP_UNKNOWN, stripe, id, AccessKind::Lost);
@@ -251,18 +256,13 @@ impl ShardedMemoDb {
         self.peak_resident.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted so far to satisfy the budget (all stripes).
+    /// Entries evicted so far to satisfy the budget.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().evictions()).sum()
-    }
-
-    /// Entries reclaimed so far because their TTL expired (all stripes).
-    pub fn expirations(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().expirations()).sum()
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// The published `(resident bytes, entries)` totals, clamped at zero —
-    /// delta accounting can transiently dip negative when a reclaim's
+    /// delta accounting can transiently dip negative when a purge's
     /// subtraction lands before the matching (deferred) publication.
     fn published(&self) -> (u64, u64) {
         (
@@ -271,67 +271,42 @@ impl ShardedMemoDb {
         )
     }
 
-    /// Folds what `db` freed since its last drain into the published
-    /// counters and returns the freed `(bytes, entries)`. Called with the
-    /// stripe lock still held, so the subtraction cannot race an insert's
-    /// addition of the same entry.
-    fn publish_freed(&self, db: &mut MemoDatabase) -> (u64, u64) {
-        let (bytes, entries) = db.drain_freed();
-        if bytes > 0 || entries > 0 {
-            self.published_resident
-                .fetch_sub(bytes as i64, Ordering::Relaxed);
-            self.published_entries
-                .fetch_sub(entries as i64, Ordering::Relaxed);
-        }
-        (bytes, entries)
+    /// Takes what a stripe just freed (an eviction or a purge) out of the
+    /// published counters, before that stripe's lock is released.
+    fn publish_freed(&self, bytes: u64, entries: u64) {
+        self.published_resident
+            .fetch_sub(bytes as i64, Ordering::Relaxed);
+        self.published_entries
+            .fetch_sub(entries as i64, Ordering::Relaxed);
     }
 
-    /// Evicts store-wide minimum-`(rank, id)` victims until the global
-    /// caps hold over the published totals plus the not-yet-published
-    /// contribution of the insert being enforced. Caller must hold
-    /// `eviction_lock`. Each eviction adjusts the published counters by the
-    /// freed amount — no stripe re-summing on this path — and the pending
-    /// contribution is only published by the caller once enforcement is
-    /// done, so external observers never see an over-budget store.
-    fn enforce_global(&self, pending_bytes: u64, pending_entries: u64) {
-        let budget = self.config.budget;
-        if budget.max_bytes.is_none() && budget.max_entries.is_none() {
-            return;
-        }
-        let now_epoch = self.clock.epoch();
+    /// Evicts store-wide minimum-`(rank, id)` victims — the entries a
+    /// one-shard store would pick — until the caps hold over the published
+    /// totals plus the one entry being inserted. Caller must hold
+    /// `eviction_lock`. Each eviction takes what it freed out of the
+    /// published counters (no stripe re-summing on this path), and the new
+    /// entry is only published by the caller once enforcement is done, so
+    /// external observers never see an over-budget store.
+    fn enforce_global(&self, pending_bytes: u64) {
         loop {
             let (bytes, entries) = self.published();
-            if !budget.exceeded(bytes + pending_bytes, entries + pending_entries) {
+            if !(self.config.budget).exceeded(bytes + pending_bytes, entries + 1) {
                 break;
             }
-            // Store-wide victim: the same entry a one-shard store would
-            // pick — minimum rank, ties on the smaller stable id.
-            let mut best: Option<(f64, u64, usize)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                if let Some((rank, id)) = shard.lock().peek_victim(now_epoch) {
-                    let better = match best {
-                        None => true,
-                        Some((best_rank, best_id, _)) => {
-                            (rank.total_cmp(&best_rank)).then(id.cmp(&best_id))
-                                == std::cmp::Ordering::Less
-                        }
-                    };
-                    if better {
-                        best = Some((rank, id, i));
-                    }
-                }
+            let victim = (self.shards.iter().enumerate())
+                .filter_map(|(i, s)| s.lock().peek_victim().map(|(rank, id)| (rank, id, i)))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some((rank, id, stripe)) = victim else {
+                break;
+            };
+            self.policy.on_evict(rank);
+            let mut db = self.shards[stripe].lock();
+            if let Some(freed) = db.evict_id(id) {
+                self.publish_freed(freed, 1);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            match best {
-                Some((rank, id, shard_idx)) => {
-                    self.policy.on_evict(rank);
-                    let mut db = self.shards[shard_idx].lock();
-                    db.evict_id(id);
-                    self.publish_freed(&mut db);
-                    drop(db);
-                    self.trace_access(ACCESS_OP_UNKNOWN, shard_idx, id, AccessKind::Evict);
-                }
-                None => break,
-            }
+            drop(db);
+            self.trace_access(ACCESS_OP_UNKNOWN, stripe, id, AccessKind::Evict);
         }
     }
 }
@@ -373,8 +348,8 @@ impl MemoStore for ShardedMemoDb {
         key: &[f64],
         origin: Provenance,
     ) -> ProbeOutcome {
-        // Pure read against the owning stripe: no counters, no reclamation,
-        // no published-counter adjustments.
+        // Pure read against the owning stripe: no counters, no
+        // published-counter adjustments.
         self.shard_for(op, loc)
             .lock()
             .probe(op, loc, input, key, origin)
@@ -414,15 +389,6 @@ impl MemoStore for ShardedMemoDb {
         self.trace_access(op as u8, self.stripe_of(op, loc), 0, AccessKind::Miss);
     }
 
-    fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64) {
-        let stripe = self.stripe_of(op, loc);
-        let mut db = self.shards[stripe].lock();
-        db.reclaim_expired(entry);
-        self.publish_freed(&mut db);
-        drop(db);
-        self.trace_access(op as u8, stripe, entry, AccessKind::Expired);
-    }
-
     fn insert(
         &self,
         op: FftOpKind,
@@ -449,26 +415,16 @@ impl MemoStore for ShardedMemoDb {
         // (they only take their own stripe's lock).
         let _guard = bounded.then(|| self.eviction_lock.lock());
         let stripe = self.stripe_of(op, loc);
-        let mut db = self.shards[stripe].lock();
-        let before = (db.resident_bytes(), db.len() as u64);
-        let id = db.insert(op, loc, raw, key, value, origin, recompute_cost);
-        let (freed_bytes, freed_entries) = self.publish_freed(&mut db);
-        let after = (db.resident_bytes(), db.len() as u64);
-        // Split the stripe's delta: what stripe-cap eviction reclaimed from
-        // already-published entries is subtracted immediately (still under
-        // the stripe lock, so it cannot race that entry's own publication),
-        // while the new entry's contribution is published only after global
-        // enforcement — observers never see an over-budget store.
-        let new_bytes = after.0 + freed_bytes - before.0;
-        let new_entries = after.1 + freed_entries - before.1;
-        drop(db);
+        let (id, new_bytes) =
+            (self.shards[stripe].lock()).insert(op, loc, raw, key, value, origin, recompute_cost);
+        // The new entry is published only once the budget holds with it —
+        // observers never see an over-budget store.
         if bounded {
-            self.enforce_global(new_bytes, new_entries);
+            self.enforce_global(new_bytes);
         }
         self.published_resident
             .fetch_add(new_bytes as i64, Ordering::Relaxed);
-        self.published_entries
-            .fetch_add(new_entries as i64, Ordering::Relaxed);
+        self.published_entries.fetch_add(1, Ordering::Relaxed);
         self.peak_resident
             .fetch_max(self.published().0, Ordering::Relaxed);
         self.trace_access(op as u8, stripe, id, AccessKind::Insert);
@@ -485,14 +441,6 @@ impl MemoStore for ShardedMemoDb {
 
     fn resident_bytes(&self) -> u64 {
         self.published().0
-    }
-
-    fn advance_epoch(&self) -> u64 {
-        self.clock.advance_epoch()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.clock.epoch()
     }
 
     fn pressure(&self) -> f64 {
@@ -512,7 +460,6 @@ impl MemoStore for ShardedMemoDb {
             value_bytes: self.value_bytes(),
             refused_inserts: self.refused_inserts.load(Ordering::Relaxed),
             evictions: self.evictions(),
-            expirations: self.expirations(),
             resident_bytes: self.resident_bytes(),
             peak_resident_bytes: self.peak_resident_bytes(),
             pressure_queries: self.pressure_queries.load(Ordering::Relaxed),
@@ -524,23 +471,17 @@ impl MemoStore for ShardedMemoDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eviction::EvictionPolicyKind;
     use crate::testutil::{chunk, fill, insert, lookup, lookup_or_insert, store};
     use mlr_lamino::FftOpKind::{Fu1D, Fu2D, Fu2DAdj};
+    use mlr_math::rng::seeded;
+    use rand::Rng;
 
-    fn config(budget: CapacityBudget, eviction: EvictionPolicyKind) -> MemoDbConfig {
-        MemoDbConfig {
-            tau: 0.9,
-            budget,
-            eviction,
-        }
+    fn config(budget: CapacityBudget) -> MemoDbConfig {
+        MemoDbConfig { tau: 0.9, budget }
     }
 
     fn sharded(shards: usize) -> ShardedMemoDb {
-        store(
-            config(CapacityBudget::unbounded(), Default::default()),
-            shards,
-        )
+        store(config(CapacityBudget::unbounded()), shards)
     }
 
     #[test]
@@ -702,10 +643,7 @@ mod tests {
 
     #[test]
     fn global_entry_cap_is_enforced_across_shards() {
-        let db = store(
-            config(CapacityBudget::entries(3), EvictionPolicyKind::Fifo),
-            4,
-        );
+        let db = store(config(CapacityBudget::entries(3)), 4);
         fill(&db, 10, |loc| {
             assert!(db.len() <= 3, "global cap violated after insert {loc}")
         });
@@ -730,7 +668,6 @@ mod tests {
         let run = |store: &ShardedMemoDb| -> (Vec<bool>, StoreStats) {
             let mut outcomes = Vec::new();
             for round in 0..3usize {
-                store.advance_epoch();
                 for loc in 0..12usize {
                     let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 128);
                     let origin = Provenance::solo(round + 1);
@@ -740,22 +677,96 @@ mod tests {
             }
             (outcomes, store.stats())
         };
-        let lru = |budget| config(budget, EvictionPolicyKind::Lru);
         // Measure the unbounded footprint, then cap at half of it.
-        let unbounded = store(lru(CapacityBudget::unbounded()), 4);
+        let unbounded = sharded(4);
         let _ = run(&unbounded);
         let cap = unbounded.resident_bytes() / 2;
         assert!(cap > 0);
 
-        let reference = run(&store(lru(CapacityBudget::bytes(cap)), 1));
+        let reference = run(&store(config(CapacityBudget::bytes(cap)), 1));
         assert!(
             reference.1.evictions > 0,
             "cap at 50% must evict — test is vacuous"
         );
         for shards in [4, 16] {
-            let store = store(lru(CapacityBudget::bytes(cap)), shards);
+            let store = store(config(CapacityBudget::bytes(cap)), shards);
             assert_eq!(run(&store), reference, "{shards} shards diverged");
             assert!(store.peak_resident_bytes() <= cap);
+        }
+    }
+
+    #[test]
+    fn every_commit_and_insert_claims_one_tick() {
+        // The tick stream is the fault clock: `FaultPlan` windows and
+        // access-trace stamps count hit commits, miss commits and inserts,
+        // one tick each, whether or not an entry records when it was touched.
+        for shards in [1, 4] {
+            let db = sharded(shards);
+            let (mut hits, mut misses, mut ids) = (0u64, 0u64, Vec::new());
+            for round in 0..3usize {
+                for loc in 0..5usize {
+                    let before = db.current_tick();
+                    let input = chunk(1.0 + loc as f64, 0.0, 64);
+                    let at = Provenance::solo(round + 1);
+                    if lookup(&db, Fu2D, loc, &input, at).is_some() {
+                        hits += 1;
+                        assert_eq!(db.current_tick(), before + 1, "a hit commit is one tick");
+                    } else {
+                        misses += 1;
+                        assert_eq!(db.current_tick(), before + 1, "a miss commit is one tick");
+                        ids.push(insert(&db, Fu2D, loc, &input, chunk(2.0, 0.5, 16), at));
+                        assert_eq!(db.current_tick(), before + 2, "an insert is one tick");
+                    }
+                }
+            }
+            assert!(hits > 0 && misses > 0, "schedule must take both commits");
+            let inserts = ids.len() as u64;
+            assert_eq!(db.current_tick(), hits + misses + inserts);
+            assert_eq!(ids, (0..inserts).collect::<Vec<_>>());
+            // A probe alone claims nothing.
+            let input = chunk(1.0, 0.0, 64);
+            let _ = db.probe_with_key(Fu2D, 0, &input, &db.encode(&input), Provenance::solo(9));
+            assert_eq!(db.current_tick(), hits + misses + inserts);
+        }
+    }
+
+    #[test]
+    fn published_totals_equal_the_stripe_sums_under_both_caps() {
+        // Inserts of mixed sizes under an entry cap and a byte cap, one
+        // stripe purged on the way: the published counters, which only ever
+        // move by deltas, must land on what the stripes actually hold.
+        let (cap_bytes, cap_entries) = (24 * 1024u64, 20u64);
+        let budget = CapacityBudget {
+            max_bytes: Some(cap_bytes),
+            max_entries: Some(cap_entries),
+        };
+        for shards in [1, 3, 16] {
+            let db = store(config(budget), shards);
+            let mut rng = seeded(0x5EED ^ shards as u64);
+            let mut purged = 0u64;
+            let (mut by_entries, mut by_bytes) = (false, false);
+            for i in 0..120usize {
+                let n = [16usize, 64, 256][rng.gen_range(0..3usize)];
+                let loc = rng.gen_range(0..40usize);
+                let (input, output) = (chunk(1.0 + i as f64, 0.1, n), chunk(2.0, 0.5, n / 2));
+                let evicted = db.evictions();
+                insert(&db, Fu2D, loc, &input, output, Provenance::solo(i));
+                assert!(db.resident_bytes() <= cap_bytes && db.len() as u64 <= cap_entries);
+                by_entries |= db.len() as u64 == cap_entries;
+                by_bytes |= db.evictions() > evicted && (db.len() as u64) < cap_entries;
+                if i == 70 {
+                    purged = db.purge_stripe(db.stripe_of(Fu2D, loc)).len() as u64;
+                    assert!(purged > 0);
+                }
+            }
+            let held = |f: fn(&MemoDatabase) -> u64| db.shards.iter().map(|s| f(&s.lock())).sum();
+            assert_eq!(db.resident_bytes(), held(MemoDatabase::resident_bytes));
+            assert_eq!(db.len() as u64, held(|stripe| stripe.len() as u64));
+            let stats = db.stats();
+            assert!(stats.peak_resident_bytes <= cap_bytes);
+            assert!(by_entries && by_bytes, "{shards} shards: a cap never bound");
+            assert_eq!(stats.inserts - stats.evictions - purged, db.len() as u64);
+            assert_eq!(stats.resident_bytes, db.resident_bytes());
         }
     }
 }

@@ -77,8 +77,6 @@ pub struct StoreStats {
     pub refused_inserts: u64,
     /// Entries evicted to satisfy the capacity budget.
     pub evictions: u64,
-    /// Entries reclaimed because their TTL expired.
-    pub expirations: u64,
     /// Total resident bytes (values + retained raw inputs) — the quantity
     /// the capacity budget caps.
     pub resident_bytes: u64,
@@ -113,13 +111,13 @@ impl StoreStats {
 /// Outcome of a read-only probe — the first half of the store's only
 /// access protocol.
 ///
-/// A probe has no side effects: no query/hit counters, no recency refresh,
-/// no TTL reclamation. The executor probes all chunks of a batch
-/// concurrently against the store state frozen at the start of the operator
-/// application, then replays the bookkeeping in chunk-index order through
-/// [`MemoStore::commit_hit`] / [`MemoStore::commit_miss`] /
-/// [`MemoStore::reclaim_expired`] — which is what makes the parallel
-/// schedule order-independent.
+/// A probe has no side effects: no query/hit counters, no tick, no reuse
+/// refresh. The executor probes all chunks of a batch concurrently against
+/// the store state frozen at the start of the operator application, then
+/// replays the bookkeeping in chunk-index order through
+/// [`MemoStore::commit_hit`], or [`MemoStore::commit_miss`] and
+/// [`MemoStore::insert`] — which is what makes the parallel schedule
+/// order-independent.
 #[derive(Debug, Clone)]
 pub enum ProbeOutcome {
     /// A stored value passed the τ gate.
@@ -140,12 +138,6 @@ pub enum ProbeOutcome {
     },
     /// No stored entry was similar enough (or eligible).
     Miss,
-    /// The candidate entry exists but its TTL expired; it is reclaimed
-    /// during the ordered commit via [`MemoStore::reclaim_expired`].
-    Expired {
-        /// Stable id of the expired entry.
-        entry: u64,
-    },
 }
 
 /// A thread-safe memoization store.
@@ -181,7 +173,6 @@ pub enum ProbeOutcome {
 ///
 /// // A later iteration asking about the same chunk is served from memory
 /// // (cosine similarity 1.0 passes any τ); the commit does the accounting.
-/// store.advance_epoch();
 /// let key = store.encode(&chunk);
 /// let ProbeOutcome::Hit { value, entry, origin, .. } =
 ///     store.probe_with_key(op, loc, &chunk, &key, Provenance::solo(2))
@@ -195,7 +186,7 @@ pub enum ProbeOutcome {
 /// assert_eq!(store.stats().hits, 1);
 /// ```
 pub trait MemoStore: Send + Sync {
-    /// The database configuration (τ threshold, budget, eviction).
+    /// The database configuration (τ threshold, budget).
     fn config(&self) -> MemoDbConfig;
 
     /// The key of an input chunk ([`sketch`](crate::encoder::sketch)): what
@@ -214,8 +205,9 @@ pub trait MemoStore: Send + Sync {
     /// Read-only probe at `(op, loc)` for an entry similar to `input`, with
     /// `input`'s key, on behalf of the job/iteration `origin`: the entry
     /// with the nearest key among those `origin` may use, if it passes the
-    /// τ gate on the raw chunks. *No* side effects (no counters, no recency refresh, no reclamation), safe
-    /// to issue concurrently from the parallel phase of a batch.
+    /// τ gate on the raw chunks. *No* side effects (no counters, no tick, no
+    /// reuse refresh), safe to issue concurrently from the parallel phase of
+    /// a batch.
     fn probe_with_key(
         &self,
         op: FftOpKind,
@@ -226,8 +218,8 @@ pub trait MemoStore: Send + Sync {
     ) -> ProbeOutcome;
 
     /// Ordered-commit bookkeeping for a probe that hit: query/hit counters,
-    /// pressure accounting, and the recency/reuse metadata refresh the
-    /// eviction policies rank by. `entry`/`entry_origin` come from the
+    /// pressure accounting, one logical tick, and the reuse metadata
+    /// refresh eviction ranks by. `entry`/`entry_origin` come from the
     /// [`ProbeOutcome::Hit`]; the refresh is skipped (deterministically) if
     /// the entry was evicted by an earlier commit of the same batch.
     fn commit_hit(
@@ -240,20 +232,16 @@ pub trait MemoStore: Send + Sync {
     );
 
     /// Ordered-commit bookkeeping for a probe that missed (query and
-    /// pressure accounting only; the insert that follows the exact compute
-    /// goes through [`MemoStore::insert`]).
+    /// pressure accounting and one logical tick; the insert that follows
+    /// the exact compute goes through [`MemoStore::insert`]).
     fn commit_miss(&self, op: FftOpKind, loc: usize);
-
-    /// Reclaims an entry a probe found expired, if it still is.
-    fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64);
 
     /// Inserts an entry computed by `origin`: `input` and `output` are
     /// narrowed to the stored single-precision format, once, here. Returns
     /// the entry id (stable across the whole store; the eviction
     /// tie-breaker) — or `u64::MAX`, having stored and counted nothing but
     /// [`StoreStats::refused_inserts`], when `f32` cannot hold one of them.
-    /// `recompute_cost` is the deterministic cost hint cost-aware eviction
-    /// ranks by (see [`recompute_cost_estimate`](crate::eviction::recompute_cost_estimate)).
+    /// `recompute_cost` is the deterministic cost hint eviction ranks by (see [`recompute_cost_estimate`](crate::eviction::recompute_cost_estimate)).
     #[allow(clippy::too_many_arguments)]
     fn insert(
         &self,
@@ -281,14 +269,7 @@ pub trait MemoStore: Send + Sync {
     /// the capacity budget caps.
     fn resident_bytes(&self) -> u64;
 
-    /// Advances the store's job-iteration epoch (the TTL clock). Executors
-    /// call this once per outer ADMM iteration; returns the new epoch.
-    fn advance_epoch(&self) -> u64;
-
-    /// The current job-iteration epoch.
-    fn epoch(&self) -> u64;
-
-    /// Utilisation of the tightest global capacity cap in `[0, 1]`
+    /// Utilisation of the tightest capacity cap in `[0, 1]`
     /// (0 when unbounded) — what the runtime's admission control consults.
     fn pressure(&self) -> f64;
 

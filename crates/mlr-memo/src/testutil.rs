@@ -77,11 +77,6 @@ pub(crate) fn lookup(
             store.commit_hit(op, loc, entry, inserted_by, origin);
             Some((value, similarity, inserted_by))
         }
-        ProbeOutcome::Expired { entry } => {
-            store.reclaim_expired(op, loc, entry);
-            store.commit_miss(op, loc);
-            None
-        }
         ProbeOutcome::Miss => {
             store.commit_miss(op, loc);
             None

@@ -49,8 +49,8 @@
 //!   [`Provenance`](mlr_memo::Provenance) so intra-job freshness gating
 //!   still holds per job while cross-job reuse is unrestricted; the store
 //!   counts those cross-job hits, surfaced via
-//!   [`RuntimeStats::cross_job_hit_rate`]. Capacity budgets and eviction
-//!   ride in the configuration as before.
+//!   [`RuntimeStats::cross_job_hit_rate`]. The capacity budget rides in
+//!   the configuration ([`RuntimeConfig::matching`]).
 //! * [`RuntimeStats`] — throughput, queue latency, utilisation, store
 //!   counters, plus cancelled/expired counts and [`DeadlineStats`]
 //!   (met/missed and slack percentiles across decided jobs).

@@ -15,7 +15,7 @@
 //! * **Ids are allocated inside admission.** A `JobId` is taken from the
 //!   runtime's counter only once the entry is definitely admitted, so a
 //!   rejected submission never consumes an id and the id sequence of
-//!   admitted jobs stays dense (stats and eviction epochs key off it).
+//!   admitted jobs stays dense (stats and entry provenance key off it).
 //! * **Entries are removable.** A cancelled queued job is taken out of the
 //!   heap on the spot by [`JobQueue::remove`] — its slot frees immediately
 //!   for blocked producers and no worker ever picks it up. Entries also

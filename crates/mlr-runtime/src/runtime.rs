@@ -62,7 +62,7 @@ pub struct RuntimeConfig {
     /// telemetry: they read the clock once or twice per chunk either way.
     pub telemetry: bool,
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
-    /// hit/miss/insert/evict/expire, logical tick). `None` disables the
+    /// hit/miss/insert/evict/lost, logical tick). `None` disables the
     /// trace; it is only honoured when [`RuntimeConfig::telemetry`] is on.
     /// The trace is attached to the store only when the runtime owns it
     /// exclusively (always true for [`Runtime::new`]); a pre-shared store
@@ -126,8 +126,8 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Aligns the store's τ, capacity budget and eviction policy with a job
-    /// configuration, so a single job run through the
+    /// Aligns the store's τ and capacity budget with a job configuration,
+    /// so a single job run through the
     /// runtime behaves exactly like `MlrPipeline::run_memoized` (the
     /// determinism contract the tests pin) — bounded or not.
     pub fn matching(config: &mlr_core::MlrConfig) -> Self {
@@ -1097,11 +1097,10 @@ mod tests {
 
     #[test]
     fn store_pressure_gates_admission() {
-        use mlr_memo::{CapacityBudget, EvictionPolicyKind};
+        use mlr_memo::CapacityBudget;
         // A one-entry budget saturates after the first job; with a pressure
         // limit configured, the next submission must be turned away.
-        let config =
-            tiny_config().with_memo_budget(CapacityBudget::entries(1), EvictionPolicyKind::Fifo);
+        let config = tiny_config().with_memo_budget(CapacityBudget::entries(1));
         let rt = Runtime::new(RuntimeConfig {
             workers: 1,
             queue_capacity: 4,

@@ -247,13 +247,13 @@ mod tests {
 
     #[test]
     fn retry_bounds_attempts_and_counts_them() {
-        use mlr_memo::{CapacityBudget, EvictionPolicyKind};
+        use mlr_memo::CapacityBudget;
         // A one-entry budget saturates the store after the first job, and
         // pressure never drains on its own — a deterministic, race-free
         // retryable rejection for every later attempt.
         let config = MlrConfig::quick(12, 8)
             .with_iterations(4)
-            .with_memo_budget(CapacityBudget::entries(1), EvictionPolicyKind::Fifo);
+            .with_memo_budget(CapacityBudget::entries(1));
         let front = ServeFront::new(RuntimeConfig {
             workers: 1,
             queue_capacity: 4,

@@ -146,7 +146,7 @@ impl RuntimeStats {
     }
 
     /// Store hit rate over only the queries issued while the store was
-    /// under capacity pressure — how well the eviction policy preserves
+    /// under capacity pressure — how well the replacement rule preserves
     /// reuse once the budget binds.
     pub fn hit_rate_under_pressure(&self) -> f64 {
         self.store.hit_rate_under_pressure()
@@ -209,7 +209,6 @@ mod tests {
                 value_bytes: 1 << 20,
                 refused_inserts: 0,
                 evictions: 12,
-                expirations: 3,
                 resident_bytes: 3 << 20,
                 peak_resident_bytes: 3 << 20,
                 pressure_queries: 10,

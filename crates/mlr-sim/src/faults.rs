@@ -20,7 +20,6 @@ use crate::Seconds;
 use mlr_math::rng::seeded_stream;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One injectable fault (or its recovery), applied at a logical tick.
 ///
@@ -288,86 +287,6 @@ impl FaultPlan {
         }
         stall
     }
-
-    /// Snapshot of per-node liveness at `tick` for a cluster of `nodes`.
-    pub fn health_at(&self, nodes: usize, tick: u64) -> NodeHealth {
-        NodeHealth {
-            tick,
-            up: (0..nodes).map(|n| !self.node_down_at(n, tick)).collect(),
-        }
-    }
-
-    /// Ticks at which each node restarts (one entry per `NodeRestart`),
-    /// in schedule order — recovery curves are measured from these.
-    pub fn restart_ticks(&self) -> Vec<(usize, u64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.event {
-                FaultEvent::NodeRestart { node } => Some((node, e.tick)),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-/// Per-node liveness at one logical tick. Placement is never recomputed on
-/// a crash — stripes keep their owner, and this view is what consumers
-/// consult to decide whether the owner can currently serve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeHealth {
-    tick: u64,
-    up: Vec<bool>,
-}
-
-impl NodeHealth {
-    /// The tick this snapshot describes.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// True when `node` is up (out-of-range nodes count as up).
-    pub fn is_up(&self, node: usize) -> bool {
-        self.up.get(node).copied().unwrap_or(true)
-    }
-
-    /// True when every node is up.
-    pub fn all_up(&self) -> bool {
-        self.up.iter().all(|&u| u)
-    }
-
-    /// Number of nodes currently down.
-    pub fn down_count(&self) -> usize {
-        self.up.iter().filter(|&&u| !u).count()
-    }
-
-    /// Per-node liveness flags, indexed by node.
-    pub fn nodes(&self) -> &[bool] {
-        &self.up
-    }
-}
-
-/// A monotone mirror of the store's logical clock, shared by fault
-/// consumers. `advance_to` is a `fetch_max`, so concurrent observers can
-/// only move it forward; readers get the highest tick any consumer has
-/// committed. This is the only clock a fault decision may consult.
-#[derive(Debug, Default)]
-pub struct FaultClock(AtomicU64);
-
-impl FaultClock {
-    /// A clock at tick zero.
-    pub fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Advances the clock to `tick` if that is later than its current value.
-    pub fn advance_to(&self, tick: u64) {
-        self.0.fetch_max(tick, Ordering::Relaxed);
-    }
-
-    /// The highest tick observed so far.
-    pub fn now(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -404,37 +323,16 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.len(), 6);
         // Windowed pairs: every crash has a restart after it.
-        assert_eq!(a.restart_ticks().len(), 1);
-        let (node, restart) = a.restart_ticks()[0];
+        let restarts: Vec<(usize, u64)> = (a.events().iter())
+            .filter_map(|e| match e.event {
+                FaultEvent::NodeRestart { node } => Some((node, e.tick)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(restarts.len(), 1);
+        let (node, restart) = restarts[0];
         assert!(a.node_down_at(node, restart - 1));
         assert!(!a.node_down_at(node, restart));
-    }
-
-    #[test]
-    fn health_view_tracks_crash_windows() {
-        let plan = FaultPlan::new(0).crash_window(2, 100, 200);
-        let before = plan.health_at(4, 50);
-        assert!(before.all_up());
-        let during = plan.health_at(4, 150);
-        assert!(!during.is_up(2));
-        assert!(during.is_up(0));
-        assert_eq!(during.down_count(), 1);
-        assert_eq!(during.nodes().len(), 4);
-        let after = plan.health_at(4, 200);
-        assert!(after.all_up());
-        // Out-of-range nodes count as up.
-        assert!(during.is_up(99));
-    }
-
-    #[test]
-    fn fault_clock_is_monotone() {
-        let clock = FaultClock::new();
-        assert_eq!(clock.now(), 0);
-        clock.advance_to(10);
-        clock.advance_to(5);
-        assert_eq!(clock.now(), 10);
-        clock.advance_to(11);
-        assert_eq!(clock.now(), 11);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod timeline;
 pub mod workload;
 
 pub use cost::CostModel;
-pub use faults::{FaultClock, FaultEvent, FaultPlan, LinkState, NodeHealth, TimedFault};
+pub use faults::{FaultEvent, FaultPlan, LinkState, TimedFault};
 pub use hardware::{ClusterSpec, GpuSpec, InterconnectSpec, MemoryNodeSpec, NodeSpec, SsdSpec};
 pub use memory::{MemTier, MemoryTracker};
 pub use network::SharedLink;

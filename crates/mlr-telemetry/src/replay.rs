@@ -184,7 +184,6 @@ mod tests {
             AccessKind::Hit,
             AccessKind::Miss,
             AccessKind::Evict,
-            AccessKind::Expired,
             AccessKind::Lost,
         ];
         (0..25u64)
@@ -249,7 +248,6 @@ mod tests {
             AccessKind::Miss,
             AccessKind::Insert,
             AccessKind::Evict,
-            AccessKind::Expired,
             AccessKind::Lost,
             AccessKind::Promote,
             AccessKind::Demote,

@@ -22,14 +22,12 @@ pub enum AccessKind {
     Insert,
     /// An entry evicted under byte/entry pressure.
     Evict,
-    /// An expired entry reclaimed in place.
-    Expired,
     /// An entry lost with its crashed memory node (fault injection): no
     /// link traffic, no eviction-policy involvement — it simply vanished.
     Lost,
     /// The distributed tier replicated the entry on the compute side:
     /// later hits on it are local until a `Demote` (or the entry's
-    /// `Evict` / `Expired` / `Lost`).
+    /// `Evict` / `Lost`).
     Promote,
     /// The distributed tier dropped the entry's replica to make room.
     Demote,
@@ -43,7 +41,6 @@ impl AccessKind {
             AccessKind::Miss => "miss",
             AccessKind::Insert => "insert",
             AccessKind::Evict => "evict",
-            AccessKind::Expired => "expired",
             AccessKind::Lost => "lost",
             AccessKind::Promote => "promote",
             AccessKind::Demote => "demote",
@@ -57,7 +54,6 @@ impl AccessKind {
             "miss" => Some(AccessKind::Miss),
             "insert" => Some(AccessKind::Insert),
             "evict" => Some(AccessKind::Evict),
-            "expired" => Some(AccessKind::Expired),
             "lost" => Some(AccessKind::Lost),
             "promote" => Some(AccessKind::Promote),
             "demote" => Some(AccessKind::Demote),

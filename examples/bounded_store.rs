@@ -3,7 +3,7 @@
 //!
 //! Waves of reconstruction jobs flow through the runtime while the shared
 //! store is capped at a fraction of what the workload would otherwise
-//! accumulate: the cost-aware eviction policy keeps the proven-reusable
+//! accumulate: the store's replacement rule keeps the proven-reusable
 //! entries resident, the footprint plateaus at the budget instead of
 //! growing with every job, and the cross-job hit rate survives.
 //!
@@ -12,7 +12,7 @@
 //! ```
 
 use mlr_core::{MlrConfig, MlrPipeline};
-use mlr_memo::{CapacityBudget, EvictionPolicyKind};
+use mlr_memo::CapacityBudget;
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 
 fn main() {
@@ -22,11 +22,8 @@ fn main() {
     // memo footprint, which a long replicated run would otherwise multiply.
     let (_, probe) = MlrPipeline::new(base).run_memoized();
     let budget_bytes = probe.store().resident_bytes() * 3 / 2;
-    let config = base.with_memo_budget(
-        CapacityBudget::bytes(budget_bytes),
-        EvictionPolicyKind::CostAware,
-    );
-    println!("memo budget: {budget_bytes} bytes (1.5x one job's footprint), policy: cost-aware\n");
+    let config = base.with_memo_budget(CapacityBudget::bytes(budget_bytes));
+    println!("memo budget: {budget_bytes} bytes (1.5x one job's footprint)\n");
 
     // No admission pressure limit here: a bounded store *saturates* in
     // steady state (resident == budget is the healthy operating point), so

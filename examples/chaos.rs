@@ -18,7 +18,7 @@
 //! ```
 
 use mlr_core::MlrConfig;
-use mlr_memo::{CapacityBudget, EvictionPolicyKind, NodeTopology};
+use mlr_memo::{CapacityBudget, NodeTopology};
 use mlr_runtime::{ReconJob, RetryPolicy, Runtime, RuntimeConfig, ServeFront, ServeRequest};
 use mlr_sim::faults::FaultPlan;
 use std::time::Duration;
@@ -113,7 +113,7 @@ fn main() {
     // transient overload a client should retry through.
     let tight = MlrConfig::quick(12, 8)
         .with_iterations(4)
-        .with_memo_budget(CapacityBudget::entries(1), EvictionPolicyKind::Fifo);
+        .with_memo_budget(CapacityBudget::entries(1));
     let front = ServeFront::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 4,

@@ -26,11 +26,6 @@ pub fn probe_commit(
             store.commit_hit(op, loc, entry, inserted_by, origin);
             Some(inserted_by)
         }
-        ProbeOutcome::Expired { entry } => {
-            store.reclaim_expired(op, loc, entry);
-            store.commit_miss(op, loc);
-            None
-        }
         ProbeOutcome::Miss => {
             store.commit_miss(op, loc);
             None

@@ -63,7 +63,6 @@ fn run_rounds(
 ) -> Vec<bool> {
     let mut outcomes = Vec::new();
     for round in rounds {
-        store.advance_epoch();
         for loc in 0..locations {
             let input = chunk(1.0 + loc as f64, 0.2 * loc as f64, 64);
             let key = store.encode(&input);

@@ -1,14 +1,13 @@
 //! Integration tests for the capacity-governance layer: determinism of
-//! eviction under a fixed budget and schedule, the budget invariant under
-//! real thread contention, and TTL unreachability — the contracts
-//! `fig19_eviction` and the runtime build on.
+//! eviction under a fixed budget and schedule and the budget invariant under
+//! real thread contention — the contracts `fig19_eviction` and the runtime
+//! build on.
 
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
 use mlr_memo::{
-    recompute_cost_estimate, CapacityBudget, EvictionPolicyKind, MemoDbConfig, MemoStore,
-    Provenance, ShardedMemoDb,
+    recompute_cost_estimate, CapacityBudget, MemoDbConfig, MemoStore, Provenance, ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::Arc;
@@ -58,21 +57,21 @@ fn eviction_is_deterministic_for_a_fixed_schedule() {
     assert!(cap > 0);
     let budget = CapacityBudget::bytes(cap);
 
-    let store_a = pipeline.build_shared_store_with(8, budget, EvictionPolicyKind::CostAware);
+    let store_a = pipeline.build_shared_store_with(8, budget);
     let recon_a = replay(&pipeline, Arc::clone(&store_a), jobs);
     assert!(
         store_a.stats().evictions > 0,
         "half budget must evict — test is vacuous"
     );
     // Same layout, fresh store: bit-identical replay and identical counters.
-    let store_b = pipeline.build_shared_store_with(8, budget, EvictionPolicyKind::CostAware);
+    let store_b = pipeline.build_shared_store_with(8, budget);
     let recon_b = replay(&pipeline, Arc::clone(&store_b), jobs);
     assert_eq!(recon_a, recon_b, "replay diverged under eviction");
     assert_eq!(store_a.stats().evictions, store_b.stats().evictions);
     assert_eq!(store_a.stats().hits, store_b.stats().hits);
     // Different shard counts: eviction must be layout-independent.
     for shards in [1, 4] {
-        let store = pipeline.build_shared_store_with(shards, budget, EvictionPolicyKind::CostAware);
+        let store = pipeline.build_shared_store_with(shards, budget);
         let recon = replay(&pipeline, Arc::clone(&store), jobs);
         assert_eq!(recon_a, recon, "{shards} shards diverged under eviction");
         assert_eq!(store.stats().evictions, store_a.stats().evictions);
@@ -89,8 +88,7 @@ fn bounded_single_job_through_runtime_matches_run_memoized() {
     let probe = MlrPipeline::new(config);
     let (_, probe_exec) = probe.run_memoized();
     let cap = probe_exec.store().resident_bytes() / 2;
-    let bounded =
-        config.with_memo_budget(CapacityBudget::bytes(cap), EvictionPolicyKind::CostAware);
+    let bounded = config.with_memo_budget(CapacityBudget::bytes(cap));
 
     let pipeline = MlrPipeline::new(bounded);
     let (reference, reference_exec) = pipeline.run_memoized();
@@ -132,8 +130,7 @@ fn budget_never_exceeded_across_eight_concurrent_jobs() {
     let store = Arc::new(ShardedMemoDb::with_shards(
         MemoDbConfig {
             tau: 0.9,
-            budget: CapacityBudget::bytes(CAP_BYTES).with_stripe_bytes(CAP_BYTES / 2),
-            eviction: EvictionPolicyKind::Lru,
+            budget: CapacityBudget::bytes(CAP_BYTES),
         },
         8,
     ));
@@ -186,59 +183,6 @@ fn budget_never_exceeded_across_eight_concurrent_jobs() {
         stats.peak_resident_bytes
     );
     assert!(stats.resident_bytes <= CAP_BYTES);
-    // Inserts minus evictions/expirations is what remains.
-    assert_eq!(
-        stats.entries as u64,
-        stats.inserts - stats.evictions - stats.expirations
-    );
-}
-
-/// TTL entries must be unreachable once their age in job-iterations exceeds
-/// the configured lifetime, and get reclaimed.
-#[test]
-fn ttl_entries_are_unreachable_after_expiry() {
-    let store = ShardedMemoDb::with_shards(
-        MemoDbConfig {
-            tau: 0.9,
-            eviction: EvictionPolicyKind::Ttl { ttl_epochs: 3 },
-            ..Default::default()
-        },
-        4,
-    );
-    let input = chunk(1.0, 0.0, 128);
-    let key = store.encode(&input);
-    store.insert(
-        FftOpKind::Fu2D,
-        0,
-        &input,
-        key.clone(),
-        chunk(2.0, 0.5, 32),
-        Provenance {
-            job: 1,
-            iteration: 0,
-        },
-        recompute_cost_estimate(FftOpKind::Fu2D, input.len()),
-    );
-
-    // Within the TTL (3 epochs): reachable, including cross-job.
-    store.advance_epoch();
-    let from_job = |job| Provenance { job, iteration: 0 };
-    assert!(
-        probe_commit(&store, FftOpKind::Fu2D, 0, &input, &key, from_job(2)).is_some(),
-        "entry must be reachable within its TTL"
-    );
-
-    // Age past the TTL.
-    for _ in 0..4 {
-        store.advance_epoch();
-    }
-    assert_eq!(store.epoch(), 5);
-    assert!(
-        probe_commit(&store, FftOpKind::Fu2D, 0, &input, &key, from_job(3)).is_none(),
-        "expired entry served a query"
-    );
-    let stats = store.stats();
-    assert_eq!(stats.expirations, 1);
-    assert_eq!(stats.entries, 0);
-    assert_eq!(store.resident_bytes(), 0);
+    // Inserts minus evictions is what remains.
+    assert_eq!(stats.entries as u64, stats.inserts - stats.evictions);
 }

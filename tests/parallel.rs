@@ -6,7 +6,7 @@
 //! budget.
 
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
-use mlr_memo::{CapacityBudget, EvictionPolicyKind, MemoStore};
+use mlr_memo::{CapacityBudget, MemoStore};
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::Arc;
 
@@ -89,8 +89,7 @@ fn bounded_store_is_bit_identical_across_thread_counts() {
     let cap = probe_exec.store().resident_bytes() / 2;
     assert!(cap > 0);
 
-    let bounded =
-        || base_config().with_memo_budget(CapacityBudget::bytes(cap), EvictionPolicyKind::Lru);
+    let bounded = || base_config().with_memo_budget(CapacityBudget::bytes(cap));
     let (reference, ref_hits) = run_standalone(bounded(), 1);
     let evictions = {
         let pipeline = MlrPipeline::new(bounded());

@@ -81,9 +81,6 @@ impl MemoStore for Shadowed {
     fn commit_miss(&self, op: FftOpKind, loc: usize) {
         self.inner.commit_miss(op, loc)
     }
-    fn reclaim_expired(&self, op: FftOpKind, loc: usize, entry: u64) {
-        self.inner.reclaim_expired(op, loc, entry)
-    }
     fn insert(
         &self,
         op: FftOpKind,
@@ -105,12 +102,6 @@ impl MemoStore for Shadowed {
     }
     fn resident_bytes(&self) -> u64 {
         self.inner.resident_bytes()
-    }
-    fn advance_epoch(&self) -> u64 {
-        self.inner.advance_epoch()
-    }
-    fn epoch(&self) -> u64 {
-        self.inner.epoch()
     }
     fn pressure(&self) -> f64 {
         self.inner.pressure()
