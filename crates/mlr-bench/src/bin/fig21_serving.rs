@@ -1,11 +1,11 @@
-//! Figure 21 (beyond the paper): the deadline-aware serving front-end —
+//! Figure 21 (beyond the paper): deadline-aware serving through the runtime —
 //! offered load × deadline tightness vs deadline-miss rate, plus the
 //! deterministic serving guarantees CI gates on.
 //!
 //! The mLR runtime serves a shared facility: many users submit
 //! reconstruction requests against one memo store, each with an
 //! acquisition-driven deadline. This harness sweeps the offered load
-//! (concurrent requests per 2-worker front-end) against deadline budgets
+//! (concurrent requests per 2-worker runtime) against deadline budgets
 //! (multiples of the calibrated single-job time) and records the miss rate
 //! and slack percentiles per cell — the serving analogue of a latency/SLO
 //! curve. Tight budgets under high load miss; generous budgets do not.
@@ -14,7 +14,7 @@
 //! gated in CI through `ci/bench_baseline.json`):
 //!
 //! * **unloaded miss rate is zero** — a lone request with a generous
-//!   deadline through the front-end always meets it;
+//!   deadline through the runtime always meets it;
 //! * **bit identity** — that request's reconstruction equals
 //!   `MlrPipeline::run_memoized`, bit for bit (the serving layer is pure
 //!   plumbing);
@@ -28,7 +28,7 @@
 
 use mlr_bench::{compare_row, header, smoke_from_args, spin_until, write_record};
 use mlr_core::{MlrConfig, MlrPipeline};
-use mlr_runtime::{Deadline, JobPhase, JobStatus, RuntimeConfig, ServeFront, ServeRequest};
+use mlr_runtime::{Deadline, JobPhase, JobStatus, ReconJob, Runtime, RuntimeConfig};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -70,11 +70,11 @@ struct Record {
     expired_never_ran: bool,
 }
 
-/// One load × deadline-tightness cell: a fresh 2-worker front-end (fresh
+/// One load × deadline-tightness cell: a fresh 2-worker runtime (fresh
 /// store, so cells are comparable), `jobs` concurrent requests, each with
 /// the same absolute budget.
 fn run_cell(config: MlrConfig, workers: usize, jobs: usize, budget_seconds: f64) -> LoadCell {
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers,
         queue_capacity: jobs.max(1),
         ..RuntimeConfig::matching(&config)
@@ -82,19 +82,18 @@ fn run_cell(config: MlrConfig, workers: usize, jobs: usize, budget_seconds: f64)
     let start = Instant::now();
     let handles: Vec<_> = (0..jobs)
         .map(|i| {
-            front
-                .submit(
-                    ServeRequest::new(format!("load-{i}"), config)
-                        .with_deadline(Deadline::within_seconds(budget_seconds)),
-                )
-                .expect("queue sized for the load")
+            rt.submit(
+                ReconJob::new(format!("load-{i}"), config)
+                    .with_deadline(Deadline::within_seconds(budget_seconds)),
+            )
+            .expect("queue sized for the load")
         })
         .collect();
     for h in handles {
         let _ = h.wait();
     }
     let wall_seconds = start.elapsed().as_secs_f64();
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     LoadCell {
         jobs,
         deadline_factor: 0.0, // caller fills in
@@ -143,7 +142,7 @@ fn main() {
     let mut cells = Vec::new();
     for &jobs in &loads {
         for &factor in &factors {
-            // Budget scaled to the work actually in front of a request: a
+            // Budget scaled to the work actually in rt of a request: a
             // full wave of the queue ahead of it on `workers` workers.
             let budget_seconds = factor * est_job_seconds * jobs.div_ceil(workers) as f64;
             let mut cell = run_cell(config, workers, jobs, budget_seconds);
@@ -164,14 +163,14 @@ fn main() {
     }
 
     // -------------------------------------- gate 1+2: unloaded, identical
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
         ..RuntimeConfig::matching(&config)
     });
-    let report = front
+    let report = rt
         .submit(
-            ServeRequest::new("unloaded", config)
+            ReconJob::new("unloaded", config)
                 .with_deadline(Deadline::within(Duration::from_secs(600))),
         )
         .expect("empty queue admits")
@@ -185,26 +184,26 @@ fn main() {
             .iter()
             .zip(reference.reconstruction.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
-    let unloaded_stats = front.shutdown();
+    let unloaded_stats = rt.shutdown();
     let unloaded_miss_rate = unloaded_stats.deadline_miss_rate();
     let unloaded_deadline_miss_rate_zero =
         unloaded_miss_rate == 0.0 && unloaded_stats.deadline.met == 1;
 
     // ------------------------------------- gate 3: cancelled never runs
     let blocker_config = MlrConfig::quick(n, angles).with_iterations(40);
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 4,
         ..RuntimeConfig::matching(&config)
     });
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config))
         .expect("empty queue admits");
     spin_until("blocker to start running", Duration::from_secs(60), || {
         blocker.phase() == JobPhase::Running
     });
-    let victim = front
-        .submit(ServeRequest::new("cancel-victim", config))
+    let victim = rt
+        .submit(ReconJob::new("cancel-victim", config))
         .expect("queue has room");
     victim.cancel();
     let cancelled_never_ran = matches!(
@@ -215,21 +214,20 @@ fn main() {
         }
     );
     let _ = blocker.wait();
-    front.shutdown();
+    rt.shutdown();
 
     // --------------------------------------- gate 4: expired never runs
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 4,
         ..RuntimeConfig::matching(&config)
     });
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config))
         .expect("empty queue admits");
-    let victim = front
+    let victim = rt
         .submit(
-            ServeRequest::new("expire-victim", config)
-                .with_deadline(Deadline::within(Duration::ZERO)),
+            ReconJob::new("expire-victim", config).with_deadline(Deadline::within(Duration::ZERO)),
         )
         .expect("queue has room");
     let expired_never_ran = matches!(
@@ -240,7 +238,7 @@ fn main() {
         }
     );
     let _ = blocker.wait();
-    front.shutdown();
+    rt.shutdown();
 
     println!();
     compare_row(

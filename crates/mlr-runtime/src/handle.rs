@@ -11,7 +11,7 @@
 //!
 //! ```text
 //!             submit                    pop                resolve(once)
-//!   ServeFront ────► ticket: Queued ────► Running ───────► Done
+//!   Runtime ───────► ticket: Queued ────► Running ───────► Done
 //!                        │                  │                with one of
 //!                        │ cancel()         │ cancel()       Completed(report)
 //!                        ▼                  ▼                Failed{error}
@@ -105,20 +105,6 @@ impl JobStatus {
     /// Whether the job panicked.
     pub fn is_failed(&self) -> bool {
         matches!(self, JobStatus::Failed { .. })
-    }
-
-    /// Whether resubmitting the job could plausibly succeed. Only a
-    /// [`JobStatus::Failed`] that was the casualty of a worker death is
-    /// retryable; a job-level panic, a cancellation and an expired deadline
-    /// are all final — a retry loop must never resubmit those.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            JobStatus::Failed {
-                retryable: true,
-                ..
-            }
-        )
     }
 
     /// The completed report, if any.
@@ -342,11 +328,11 @@ impl JobHandle {
         self.ticket.token.cancel();
         if let Some(removed) = self.queue.remove(self.id) {
             // Removed before any worker picked it up: resolve right here.
-            self.counters.note_cancelled();
-            removed.ticket.resolve(JobStatus::Cancelled {
+            let status = JobStatus::Cancelled {
                 while_running: false,
                 completed_iterations: 0,
-            });
+            };
+            self.counters.resolve(self.id, &removed.ticket, status);
             return true;
         }
         self.ticket.phase() != JobPhase::Done
@@ -399,12 +385,11 @@ mod tests {
         assert!(completed_like.is_failed());
         assert!(!completed_like.is_completed());
         assert!(completed_like.report().is_none());
-        assert!(!completed_like.is_retryable());
+        assert!(!format!("{completed_like}").contains("retryable"));
         let casualty = JobStatus::Failed {
             error: "worker died".into(),
             retryable: true,
         };
-        assert!(casualty.is_retryable());
         assert!(format!("{casualty}").contains("retryable"));
         let cancelled = JobStatus::Cancelled {
             while_running: false,

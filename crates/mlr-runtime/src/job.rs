@@ -4,6 +4,7 @@ use mlr_core::MlrConfig;
 use mlr_math::Array3;
 use mlr_memo::{JobId, MemoStats, ParallelStats};
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
 /// Scheduling priority of a job. Higher priorities are popped first; jobs of
 /// equal priority run in submission order (FIFO).
@@ -20,9 +21,40 @@ pub enum Priority {
     Interactive,
 }
 
+/// A completion deadline, expressed as a budget relative to admission time
+/// (the natural way a beamline operator states it: "I need this before the
+/// next scan, in 90 seconds").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline {
+    budget: Duration,
+}
+
+impl Deadline {
+    /// A deadline `budget` after the moment of admission.
+    pub fn within(budget: Duration) -> Self {
+        Self { budget }
+    }
+
+    /// A deadline `seconds` (fractional allowed) after admission.
+    pub fn within_seconds(seconds: f64) -> Self {
+        Self {
+            budget: Duration::from_secs_f64(seconds.max(0.0)),
+        }
+    }
+
+    /// The relative budget.
+    pub fn budget(&self) -> Duration {
+        self.budget
+    }
+
+    pub(crate) fn starting_now(&self) -> Instant {
+        Instant::now() + self.budget // mlr-check: allow(wall-clock) — serving deadline: budget is anchored to wall clock by design
+    }
+}
+
 /// One reconstruction job: a named pipeline configuration (which carries the
 /// dataset spec — the runtime simulates the acquisition when the job runs)
-/// plus a scheduling priority.
+/// plus a scheduling priority and an optional completion deadline.
 #[derive(Debug, Clone)]
 pub struct ReconJob {
     /// Human-readable name, used in reports.
@@ -31,6 +63,8 @@ pub struct ReconJob {
     pub config: MlrConfig,
     /// Scheduling priority.
     pub priority: Priority,
+    /// Optional completion deadline; it starts counting at submission.
+    pub deadline: Option<Deadline>,
     /// Test hook: panic on the worker thread *outside* the per-job panic
     /// containment, simulating a worker death with this job in flight (the
     /// respawn path has no organic trigger — run_job panics are contained).
@@ -38,12 +72,13 @@ pub struct ReconJob {
 }
 
 impl ReconJob {
-    /// Creates a normal-priority job.
+    /// Creates a normal-priority job without a deadline.
     pub fn new(name: impl Into<String>, config: MlrConfig) -> Self {
         Self {
             name: name.into(),
             config,
             priority: Priority::Normal,
+            deadline: None,
             planted_worker_panic: false,
         }
     }
@@ -51,6 +86,12 @@ impl ReconJob {
     /// Sets the priority.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
+        self
+    }
+
+    /// Sets the completion deadline.
+    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 

@@ -6,11 +6,11 @@
 //! off), while [`JobQueue::push_blocking`] parks the producer until a worker
 //! drains a slot. Jobs pop highest-priority-first; *within* a priority class
 //! the order is earliest-deadline-first (deadline-tagged entries ahead of
-//! untagged ones), FIFO among equals — so under load the serving front-end
+//! untagged ones), FIFO among equals — so under load the runtime
 //! spends its worker time on the requests that can still meet their
 //! deadlines instead of expiring them behind older, slacker work.
 //!
-//! Two serving-front-end properties are layered on top:
+//! Two serving properties are layered on top:
 //!
 //! * **Ids are allocated inside admission.** A `JobId` is taken from the
 //!   runtime's counter only once the entry is definitely admitted, so a
@@ -41,16 +41,6 @@ pub enum AdmissionError {
         /// The configured capacity that was hit.
         capacity: usize,
     },
-    /// The shared memo store is too close to its capacity budget: admitting
-    /// another job would only churn the store (every tenant's inserts evict
-    /// every other tenant's reusable entries). Configured through
-    /// [`RuntimeConfig::admission_max_pressure`](crate::RuntimeConfig).
-    StorePressure {
-        /// Observed store pressure (tightest-cap utilisation in `[0, 1]`).
-        pressure: f64,
-        /// The configured admission limit that was exceeded.
-        limit: f64,
-    },
     /// The runtime is shutting down and no longer accepts work.
     ShuttingDown,
 }
@@ -62,13 +52,6 @@ impl fmt::Display for AdmissionError {
                 write!(
                     f,
                     "job queue is at capacity ({capacity}); backpressure applied"
-                )
-            }
-            AdmissionError::StorePressure { pressure, limit } => {
-                write!(
-                    f,
-                    "shared memo store is under capacity pressure \
-                     ({pressure:.2} > limit {limit:.2}); retry later"
                 )
             }
             AdmissionError::ShuttingDown => write!(f, "runtime is shutting down"),
@@ -158,10 +141,6 @@ impl JobQueue {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -272,35 +251,6 @@ impl JobQueue {
             self.not_full.notify_one();
         }
         found
-    }
-
-    /// Removes every still-queued entry whose deadline has already passed at
-    /// `now` (the proactive expiry sweep). The caller resolves the returned
-    /// entries' tickets; each freed slot immediately re-admits a blocked
-    /// producer. Entries without a deadline are never swept.
-    pub(crate) fn sweep_expired(&self, now: Instant) -> Vec<QueuedJob> {
-        let mut inner = self.inner.lock();
-        if inner.heap.is_empty() {
-            return Vec::new();
-        }
-        // Same rebuild idiom as `remove`: BinaryHeap has no retain-with-take,
-        // and bounded queues keep the O(n) pass irrelevant next to the
-        // seconds-long jobs the entries describe.
-        let entries = std::mem::take(&mut inner.heap).into_vec();
-        let (expired, live): (Vec<_>, Vec<_>) = entries
-            .into_iter()
-            .partition(|q| q.deadline.is_some_and(|at| at <= now));
-        inner.heap = BinaryHeap::from(live);
-        drop(inner);
-        if !expired.is_empty() {
-            self.not_full.notify_all();
-        }
-        expired
-    }
-
-    /// Whether the queue has been closed (drain mode or shutdown).
-    pub(crate) fn is_closed(&self) -> bool {
-        self.inner.lock().closed
     }
 
     /// Closes the queue: no further admissions; workers drain what remains
@@ -469,38 +419,6 @@ mod tests {
             .unwrap();
         assert_eq!(q.pop().unwrap().ticket.token.deadline(), Some(soon));
         assert_eq!(q.pop().unwrap().ticket.token.deadline(), None);
-    }
-
-    #[test]
-    fn sweep_removes_only_expired_deadline_entries() {
-        let q = JobQueue::new(8);
-        let ids = AtomicU64::new(1);
-        let now = Instant::now();
-        let expired_id = q
-            .try_push(
-                &ids,
-                job("expired", Priority::Normal),
-                Arc::new(Ticket::new(CancelToken::with_deadline(now))),
-            )
-            .unwrap();
-        q.try_push(
-            &ids,
-            job("live", Priority::Normal),
-            Arc::new(Ticket::new(CancelToken::with_deadline(
-                now + std::time::Duration::from_secs(3600),
-            ))),
-        )
-        .unwrap();
-        q.try_push(&ids, job("untagged", Priority::Normal), ticket())
-            .unwrap();
-        let swept = q.sweep_expired(Instant::now());
-        assert_eq!(swept.len(), 1);
-        assert_eq!(swept[0].id, expired_id);
-        assert_eq!(swept[0].job.name, "expired");
-        // The survivors keep their order; untagged entries are never swept.
-        assert_eq!(q.pop().unwrap().job.name, "live");
-        assert_eq!(q.pop().unwrap().job.name, "untagged");
-        assert!(q.sweep_expired(Instant::now()).is_empty());
     }
 
     #[test]

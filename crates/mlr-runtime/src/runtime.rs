@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Runtime configuration.
 #[derive(Debug, Clone)]
@@ -38,20 +38,12 @@ pub struct RuntimeConfig {
     /// their own `MemoConfig`, but the store gates reuse with *this* τ, so
     /// tenants should agree with it.
     pub db: MemoDbConfig,
-    /// Admission control against store pressure: when set, submissions are
-    /// rejected with [`AdmissionError::StorePressure`] while the shared
-    /// store's tightest capacity cap is more than this utilised (`None`
-    /// disables the check; pressure is always 0 for unbounded stores).
-    pub admission_max_pressure: Option<f64>,
-    /// Default chunk-level threads per job (a job whose own
-    /// `MlrConfig::intra_job_threads` asks for more keeps its larger
-    /// request). Every thread beyond a job's first is leased from the global
-    /// concurrency governor, so `workers × intra_job_threads` can never
-    /// oversubscribe [`RuntimeConfig::core_budget`].
-    pub intra_job_threads: usize,
     /// Total cores the runtime may occupy: each worker owns one, and the
     /// remainder forms the governor's pool of spare cores for chunk-level
-    /// threads. Defaults to the machine's available parallelism.
+    /// threads. A job asks for `MlrConfig::intra_job_threads`; every thread
+    /// beyond its first is leased from that pool, so workers × threads can
+    /// never oversubscribe the budget. Defaults to the machine's available
+    /// parallelism.
     pub core_budget: usize,
     /// Unified telemetry: lock-free counters and stage histograms, per-job
     /// lifecycle spans, and (optionally) the store access trace. Off by
@@ -64,19 +56,7 @@ pub struct RuntimeConfig {
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
     /// hit/miss/insert/evict/lost, logical tick). `None` disables the
     /// trace; it is only honoured when [`RuntimeConfig::telemetry`] is on.
-    /// The trace is attached to the store only when the runtime owns it
-    /// exclusively (always true for [`Runtime::new`]); a pre-shared store
-    /// passed to [`Runtime::with_store`] keeps whatever trace it was built
-    /// with.
     pub access_trace: Option<usize>,
-    /// Interval of the proactive expiry sweep: a background sweeper walks
-    /// the queue and resolves entries whose deadline already passed as
-    /// [`JobStatus::Expired`] *in place*, instead of letting them ride to
-    /// the queue head and expire at pop. Deep queues thus shed dead work
-    /// (and free their slots for blocked producers) without spending worker
-    /// time on it. `None` disables the sweep; the pop-time check remains as
-    /// a backstop either way.
-    pub expiry_sweep: Option<Duration>,
     /// Distributed memo tier: when set, the shared store's lock stripes are
     /// spread over this many simulated memory nodes and every worker talks
     /// to the store through a [`DistributedMemoDb`], which replicates hot
@@ -111,14 +91,11 @@ impl Default for RuntimeConfig {
             queue_capacity: 32,
             shards: DEFAULT_SHARDS,
             db: MemoDbConfig::default(),
-            admission_max_pressure: None,
-            intra_job_threads: 1,
             core_budget: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             telemetry: false,
             access_trace: None,
-            expiry_sweep: Some(Duration::from_millis(10)),
             topology: None,
             fault_plan: None,
         }
@@ -214,42 +191,69 @@ impl Counters {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);
         self.telemetry.count(CounterId::WorkerRestarts, 1);
         if let Some((id, ticket)) = casualty {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.count(CounterId::JobsFailed, 1);
-            self.telemetry.span(id, SpanKind::Failed, 0);
-            ticket.resolve(JobStatus::Failed {
+            let status = JobStatus::Failed {
                 error,
                 retryable: true,
-            });
+            };
+            self.resolve(id, &ticket, status);
         }
     }
 
-    pub(crate) fn note_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.count(CounterId::JobsCancelled, 1);
+    /// The one way a job ends: counts its terminal status (deadline outcome
+    /// included), emits its terminal span and resolves its ticket. Every
+    /// path calls it — a run's outcome, a worker death's casualty, and a job
+    /// that never ran (cancelled by its handle or at pop, expired at pop) —
+    /// so every admitted job's lifecycle ends in exactly one terminal span.
+    pub(crate) fn resolve(&self, id: JobId, ticket: &Ticket, status: JobStatus) {
+        let (counter, kind, arg) = match &status {
+            JobStatus::Completed(report) => {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                if let Some(at) = ticket.token.deadline() {
+                    // mlr-check: allow(wall-clock) — serving deadline: slack vs wall deadline feeds counters
+                    self.note_deadline_outcome(slack_seconds(at, Instant::now()));
+                }
+                let iterations = report.loss.len();
+                (CounterId::JobsCompleted, SpanKind::Completed, iterations)
+            }
+            JobStatus::Failed { .. } => {
+                self.failed.fetch_add(1, Ordering::Relaxed);
+                (CounterId::JobsFailed, SpanKind::Failed, 0)
+            }
+            JobStatus::Cancelled {
+                completed_iterations,
+                ..
+            } => {
+                self.cancelled.fetch_add(1, Ordering::Relaxed);
+                let iterations = *completed_iterations;
+                (CounterId::JobsCancelled, SpanKind::Cancelled, iterations)
+            }
+            JobStatus::Expired {
+                late_seconds,
+                completed_iterations,
+                ..
+            } => {
+                self.note_expired(*late_seconds);
+                let iterations = *completed_iterations;
+                (CounterId::JobsExpired, SpanKind::Expired, iterations)
+            }
+        };
+        self.telemetry.count(counter, 1);
+        self.telemetry.span(id, kind, arg as u64);
+        ticket.resolve(status);
     }
 
     /// An expired job (skipped in the queue or stopped mid-run): counted as
     /// a deadline miss with its (negative) slack sample.
-    pub(crate) fn note_expired(&self, late_seconds: f64) {
+    fn note_expired(&self, late_seconds: f64) {
         self.expired.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.count(CounterId::JobsExpired, 1);
         let mut ledger = self.deadlines.lock();
         ledger.missed += 1;
         ledger.push_slack(-late_seconds);
     }
 
-    /// An expired job resolved in place by the proactive sweep (never even
-    /// popped): a deadline miss like any other expiry, plus the sweep's own
-    /// counter so operators can see how much dead work the sweeper sheds.
-    pub(crate) fn note_swept_expired(&self, late_seconds: f64) {
-        self.note_expired(late_seconds);
-        self.telemetry.count(CounterId::SweptExpired, 1);
-    }
-
     /// A completed job that carried a deadline: met when it finished with
     /// non-negative slack, missed otherwise (it ran to completion late).
-    pub(crate) fn note_deadline_outcome(&self, slack_seconds: f64) {
+    fn note_deadline_outcome(&self, slack_seconds: f64) {
         let mut ledger = self.deadlines.lock();
         if slack_seconds >= 0.0 {
             ledger.met += 1;
@@ -267,7 +271,30 @@ impl Counters {
 /// sharing one [`ShardedMemoDb`]. Chunk-level USFFT kernels inside a job
 /// fan out through the rayon scope-based data-parallel layer, so the two
 /// parallelism grains compose: jobs across workers, chunk kernels within a
-/// job.
+/// job. A job's [`Deadline`](crate::Deadline) starts counting at
+/// submission; every submission yields a [`JobHandle`].
+///
+/// ```
+/// use mlr_core::MlrConfig;
+/// use mlr_runtime::{Deadline, ReconJob, Runtime, RuntimeConfig};
+/// use std::time::Duration;
+///
+/// let config = MlrConfig::quick(12, 8).with_iterations(2);
+/// let rt = Runtime::new(RuntimeConfig {
+///     workers: 1,
+///     ..RuntimeConfig::matching(&config)
+/// });
+/// let job = ReconJob::new("demo", config)
+///     .with_deadline(Deadline::within(Duration::from_secs(600)));
+/// let report = rt
+///     .submit(job)
+///     .expect("queue has room")
+///     .wait_report()
+///     .expect("job completes");
+/// assert_eq!(report.loss.len(), 2);
+/// let stats = rt.shutdown();
+/// assert_eq!((stats.completed, stats.deadline.met), (1, 1));
+/// ```
 pub struct Runtime {
     queue: Arc<JobQueue>,
     store: Arc<ShardedMemoDb>,
@@ -275,9 +302,7 @@ pub struct Runtime {
     counters: Arc<Counters>,
     governor: Arc<ConcurrencyGovernor>,
     workers: Vec<JoinHandle<()>>,
-    sweeper: Option<JoinHandle<()>>,
     worker_count: usize,
-    admission_max_pressure: Option<f64>,
     next_job: AtomicU64,
     started: Instant,
 }
@@ -290,15 +315,6 @@ impl Runtime {
     /// set without a `config.topology` (a plan with no memory nodes to
     /// fault would otherwise be dropped silently).
     pub fn new(config: RuntimeConfig) -> Self {
-        let store = Arc::new(ShardedMemoDb::with_shards(config.db, config.shards));
-        Self::with_store(config, store)
-    }
-
-    /// Starts a runtime over an existing (possibly pre-warmed) store.
-    ///
-    /// # Panics
-    /// As [`Runtime::new`].
-    pub fn with_store(config: RuntimeConfig, store: Arc<ShardedMemoDb>) -> Self {
         assert!(config.workers > 0, "worker count must be positive");
         assert!(
             config.fault_plan.is_none() || config.topology.is_some(),
@@ -312,15 +328,11 @@ impl Runtime {
         } else {
             Telemetry::disabled()
         };
-        // The access trace can only be attached while the store is still
-        // exclusively ours (Runtime::new always is); a pre-shared store
-        // keeps whatever trace it was constructed with.
-        let mut store = store;
+        let mut db = ShardedMemoDb::with_shards(config.db, config.shards);
         if let Some(trace) = telemetry.access_trace() {
-            if let Some(db) = Arc::get_mut(&mut store) {
-                db.set_access_trace(trace);
-            }
+            db.set_access_trace(trace);
         }
+        let store = Arc::new(db);
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
         let counters = Arc::new(Counters {
             telemetry,
@@ -344,7 +356,6 @@ impl Runtime {
         // Each worker owns one core of the budget; whatever is left over is
         // the governor's pool of spare cores for chunk-level threads.
         let governor = ConcurrencyGovernor::for_pool(config.core_budget, config.workers);
-        let intra_job_threads = config.intra_job_threads.max(1);
         let workers = (0..config.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -366,14 +377,7 @@ impl Runtime {
                         loop {
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    worker_loop(
-                                        &queue,
-                                        &store,
-                                        &counters,
-                                        &governor,
-                                        intra_job_threads,
-                                        &inflight,
-                                    )
+                                    worker_loop(&queue, &store, &counters, &governor, &inflight)
                                 }));
                             match outcome {
                                 Ok(()) => break,
@@ -387,14 +391,6 @@ impl Runtime {
                     .expect("failed to spawn worker thread") // mlr-check: allow(unwrap-expect) — startup: a runtime without its pool is unusable, fail fast
             })
             .collect();
-        let sweeper = config.expiry_sweep.map(|interval| {
-            let queue = Arc::clone(&queue);
-            let counters = Arc::clone(&counters);
-            std::thread::Builder::new() // mlr-check: allow(thread-spawn) — runtime-owned pool: these threads are the governed worker pool
-                .name("mlr-sweeper".to_string())
-                .spawn(move || sweeper_loop(&queue, &counters, interval))
-                .expect("failed to spawn sweeper thread") // mlr-check: allow(unwrap-expect) — startup: a runtime without its pool is unusable, fail fast
-        });
         Self {
             queue,
             store,
@@ -402,9 +398,7 @@ impl Runtime {
             counters,
             governor,
             workers,
-            sweeper,
             worker_count: config.workers,
-            admission_max_pressure: config.admission_max_pressure,
             // Job 0 is reserved for standalone executors.
             next_job: AtomicU64::new(1),
             started: Instant::now(), // mlr-check: allow(wall-clock) — decoration only: start timestamp feeds latency counters
@@ -436,41 +430,14 @@ impl Runtime {
         &self.governor
     }
 
-    /// Utilisation of the shared store's tightest capacity cap in `[0, 1]`
-    /// (0 when the store is unbounded) — what pressure-aware admission
-    /// consults.
-    pub fn store_pressure(&self) -> f64 {
-        self.store.pressure()
-    }
-
-    /// Rejects the submission when the shared store is past the configured
-    /// pressure limit — admitting more work would only churn the store.
-    fn check_store_pressure(&self) -> Result<(), AdmissionError> {
-        if let Some(limit) = self.admission_max_pressure {
-            let pressure = self.store.pressure();
-            if pressure > limit {
-                return Err(AdmissionError::StorePressure { pressure, limit });
-            }
-        }
-        Ok(())
-    }
-
-    /// The one admission path: every rejection — store pressure, queue full,
-    /// shutting down, blocking or not — is counted in
-    /// [`RuntimeStats::rejected`], and the job id is allocated by the queue
-    /// only *after* admission succeeds (rejected submissions never consume
-    /// an id, keeping the admitted-id sequence dense).
-    pub(crate) fn admit(
-        &self,
-        job: ReconJob,
-        deadline: Option<Instant>,
-        blocking: bool,
-    ) -> Result<JobHandle, AdmissionError> {
-        if let Err(e) = self.check_store_pressure() {
-            self.counters.note_rejected();
-            return Err(e);
-        }
+    /// The one admission path: every rejection — queue full or shutting
+    /// down, blocking or not — is counted in [`RuntimeStats::rejected`], and
+    /// the job id is allocated by the queue only *after* admission succeeds
+    /// (rejected submissions never consume an id, keeping the admitted-id
+    /// sequence dense). The job's deadline, if any, starts counting here.
+    fn admit(&self, job: ReconJob, blocking: bool) -> Result<JobHandle, AdmissionError> {
         let name = job.name.clone();
+        let deadline = job.deadline.map(|d| d.starting_now());
         // The token is the single source of truth for both cancellation and
         // the absolute deadline: queue-skip, mid-run expiry and the handle
         // all read it from here.
@@ -519,18 +486,18 @@ impl Runtime {
     }
 
     /// Non-blocking submission with admission control: rejects with
-    /// [`AdmissionError::QueueFull`] when the queue is at capacity, or with
-    /// [`AdmissionError::StorePressure`] when the shared store is past the
-    /// configured pressure limit.
+    /// [`AdmissionError::QueueFull`] when the queue is at capacity. The
+    /// job's deadline (if any) starts counting now.
     pub fn submit(&self, job: ReconJob) -> Result<JobHandle, AdmissionError> {
-        self.admit(job, None, false)
+        self.admit(job, false)
     }
 
     /// Blocking submission: applies backpressure to the producer until a
-    /// queue slot frees up. Store pressure still rejects (blocking would
-    /// not relieve it — the store only drains by eviction).
+    /// queue slot frees up. The job's deadline starts counting at the call
+    /// and keeps counting while the producer is parked, so a job that
+    /// waited too long for a slot can expire in the queue like any other.
     pub fn submit_blocking(&self, job: ReconJob) -> Result<JobHandle, AdmissionError> {
-        self.admit(job, None, true)
+        self.admit(job, true)
     }
 
     /// A snapshot of the runtime statistics.
@@ -576,11 +543,6 @@ impl Runtime {
         }
     }
 
-    /// The configured queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
     /// Enters drain mode: no further submissions are admitted (they reject
     /// with [`AdmissionError::ShuttingDown`], and are counted as rejected),
     /// while already-admitted jobs keep running to completion. Workers stay
@@ -596,9 +558,6 @@ impl Runtime {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(s) = self.sweeper.take() {
-            let _ = s.join();
-        }
         self.stats()
     }
 }
@@ -608,9 +567,6 @@ impl Drop for Runtime {
         self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(s) = self.sweeper.take() {
-            let _ = s.join();
         }
     }
 }
@@ -630,55 +586,27 @@ fn worker_loop(
     store: &Arc<dyn MemoStore>,
     counters: &Counters,
     governor: &Arc<ConcurrencyGovernor>,
-    intra_job_threads: usize,
     inflight: &Mutex<Option<(JobId, Arc<Ticket>)>>,
 ) {
-    while let Some(q) = queue.pop() {
-        let QueuedJob {
-            id,
-            job,
-            enqueued,
-            ticket,
-            ..
-        } = q;
-        // From pop to resolution this job is the worker's in-flight slot:
+    while let Some(QueuedJob {
+        id,
+        job,
+        enqueued,
+        ticket,
+        ..
+    }) = queue.pop()
+    {
+        // A job cancelled or expired while queued is resolved and skipped:
+        // it never runs (and never touches the store).
+        if let Some(status) = skipped_at_pop(&ticket) {
+            counters.resolve(id, &ticket, status);
+            continue;
+        }
+        // From here to resolution this job is the worker's in-flight slot:
         // if the worker dies before resolving it, the respawn path reads
         // the slot and fails the job over (resolve is idempotent, so a
         // race with a late resolution is harmless).
         *inflight.lock() = Some((id, Arc::clone(&ticket)));
-        let deadline = ticket.token.deadline();
-        // Cancelled while queued but popped before the handle could remove
-        // it: the job never runs. Checked before the deadline so that, as
-        // everywhere else, cancellation wins over expiry when both apply —
-        // a submitter-cancelled job must not inflate the deadline-miss rate.
-        if ticket.token.is_cancelled() {
-            counters.note_cancelled();
-            counters.telemetry.span(id, SpanKind::Cancelled, 0);
-            ticket.resolve(JobStatus::Cancelled {
-                while_running: false,
-                completed_iterations: 0,
-            });
-            inflight.lock().take();
-            continue;
-        }
-        // Deadline-aware pop: an entry that expired while queued is reported
-        // and skipped — it never runs (and never touches the store).
-        let now = Instant::now(); // mlr-check: allow(wall-clock) — serving deadline: expiry sweep compares wall deadlines
-        if let Some(at) = deadline {
-            if now >= at {
-                let late = -slack_seconds(at, now);
-                counters.note_expired(late);
-                counters.telemetry.span(id, SpanKind::Expired, 0);
-                ticket.resolve(JobStatus::Expired {
-                    while_running: false,
-                    late_seconds: late,
-                    completed_iterations: 0,
-                });
-                inflight.lock().take();
-                continue;
-            }
-        }
-
         ticket.set_running();
         counters.telemetry.span(id, SpanKind::Running, 0);
         // Fault injection: die *outside* the per-job containment below with
@@ -689,22 +617,13 @@ fn worker_loop(
         }
         let queue_ns = enqueued.elapsed().as_nanos() as u64;
         let token = ticket.token.clone();
+        // Contain per-job panics (bad configs assert deep in the pipeline):
+        // one misbehaving tenant must not kill the worker and starve every
+        // queued job behind it. The panicked job resolves `Failed`; the
+        // worker lives on.
         let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: service-time measurement feeds counters
-                                    // Contain per-job panics (bad configs assert deep in the pipeline):
-                                    // one misbehaving tenant must not kill the worker and starve every
-                                    // queued job behind it. The panicked job resolves `Failed`; the
-                                    // worker lives on.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(
-                id,
-                job,
-                token,
-                store,
-                counters,
-                governor,
-                intra_job_threads,
-                queue_ns,
-            )
+            run_job(id, job, token, store, counters, governor, queue_ns)
         }));
         let busy_ns = start.elapsed().as_nanos() as u64;
         counters.busy_ns_total.fetch_add(busy_ns, Ordering::Relaxed);
@@ -725,91 +644,31 @@ fn worker_loop(
                 retryable: false,
             },
         };
-        match &status {
-            JobStatus::Completed(report) => {
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                counters.telemetry.count(CounterId::JobsCompleted, 1);
-                counters
-                    .telemetry
-                    .span(id, SpanKind::Completed, report.loss.len() as u64);
-                if let Some(at) = deadline {
-                    // mlr-check: allow(wall-clock) — serving deadline: slack vs wall deadline feeds counters
-                    counters.note_deadline_outcome(slack_seconds(at, Instant::now()));
-                }
-            }
-            JobStatus::Failed { .. } => {
-                counters.failed.fetch_add(1, Ordering::Relaxed);
-                counters.telemetry.count(CounterId::JobsFailed, 1);
-                counters.telemetry.span(id, SpanKind::Failed, 0);
-            }
-            JobStatus::Cancelled {
-                completed_iterations,
-                ..
-            } => {
-                counters.note_cancelled();
-                counters
-                    .telemetry
-                    .span(id, SpanKind::Cancelled, *completed_iterations as u64);
-            }
-            JobStatus::Expired {
-                late_seconds,
-                completed_iterations,
-                ..
-            } => {
-                counters.note_expired(*late_seconds);
-                counters
-                    .telemetry
-                    .span(id, SpanKind::Expired, *completed_iterations as u64);
-            }
-        }
-        ticket.resolve(status);
+        counters.resolve(id, &ticket, status);
         inflight.lock().take();
     }
 }
 
-/// The proactive expiry sweep: every `interval`, entries whose deadline has
-/// already passed are taken out of the queue and resolved
-/// [`JobStatus::Expired`] on the spot — identical status and ledger
-/// bookkeeping to the pop-time check, just earlier, so deep queues shed
-/// dead work (and free slots for blocked producers) without a worker ever
-/// touching it. Exits as soon as the queue closes; entries that expire
-/// during drain are still caught by the pop-time backstop.
-fn sweeper_loop(queue: &JobQueue, counters: &Counters, interval: Duration) {
-    while !queue.is_closed() {
-        let now = Instant::now(); // mlr-check: allow(wall-clock) — serving deadline: expiry sweep compares wall deadlines
-        for q in queue.sweep_expired(now) {
-            // Cancellation wins over expiry, exactly as at pop: a
-            // submitter-cancelled entry swept in the race window between
-            // its token tripping and its queue removal must not inflate
-            // the deadline-miss rate.
-            if q.ticket.token.is_cancelled() {
-                counters.note_cancelled();
-                counters.telemetry.span(q.id, SpanKind::Cancelled, 0);
-                q.ticket.resolve(JobStatus::Cancelled {
-                    while_running: false,
-                    completed_iterations: 0,
-                });
-                continue;
-            }
-            let at = q
-                .ticket
-                .token
-                .deadline()
-                .expect("swept entries carry a deadline"); // mlr-check: allow(unwrap-expect) — invariant: sweep_expired only returns deadline-carrying entries
-            let late = (-slack_seconds(at, Instant::now())).max(0.0); // mlr-check: allow(wall-clock) — serving deadline: slack vs wall deadline feeds counters
-            counters.note_swept_expired(late);
-            counters.telemetry.span(q.id, SpanKind::Swept, 0);
-            q.ticket.resolve(JobStatus::Expired {
-                while_running: false,
-                late_seconds: late,
-                completed_iterations: 0,
-            });
-        }
-        std::thread::sleep(interval);
+/// The status of a popped job that must not run: cancelled while queued
+/// (popped before its handle could remove it) or already past its deadline.
+/// Cancellation wins over expiry, as everywhere else — a submitter-cancelled
+/// job must not inflate the deadline-miss rate.
+fn skipped_at_pop(ticket: &Ticket) -> Option<JobStatus> {
+    if ticket.token.is_cancelled() {
+        return Some(JobStatus::Cancelled {
+            while_running: false,
+            completed_iterations: 0,
+        });
     }
+    let at = ticket.token.deadline()?;
+    let now = Instant::now(); // mlr-check: allow(wall-clock) — serving deadline: pop-time expiry compares wall deadlines
+    (now >= at).then(|| JobStatus::Expired {
+        while_running: false,
+        late_seconds: -slack_seconds(at, now),
+        completed_iterations: 0,
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     id: JobId,
     job: ReconJob,
@@ -817,15 +676,14 @@ fn run_job(
     store: &Arc<dyn MemoStore>,
     counters: &Counters,
     governor: &Arc<ConcurrencyGovernor>,
-    intra_job_threads: usize,
     queue_ns: u64,
 ) -> JobStatus {
     let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: service-time measurement feeds counters
-                                // The runtime's default chunk parallelism applies unless the job itself
-                                // asks for more; either way every thread beyond the first is leased from
-                                // the shared governor, so workers × threads stays within the core budget.
     let mut config = job.config;
-    config.intra_job_threads = config.intra_job_threads.max(intra_job_threads);
+    // The job's own chunk parallelism; every thread beyond the first is
+    // leased from the shared governor, so workers × threads stays within the
+    // core budget.
+    config.intra_job_threads = config.intra_job_threads.max(1);
     let pipeline = MlrPipeline::new(config);
     let executor = pipeline
         .memo_executor(Arc::clone(store), id)
@@ -1084,7 +942,13 @@ mod tests {
             }
             other => panic!("casualty must resolve Failed, got {other:?}"),
         }
-        assert!(doomed_again.wait().is_retryable());
+        assert!(matches!(
+            doomed_again.wait(),
+            JobStatus::Failed {
+                retryable: true,
+                ..
+            }
+        ));
         for h in survivors {
             let report = h.wait_report().expect("queued jobs must still run");
             assert!(report.name.starts_with("survivor-"));
@@ -1093,34 +957,6 @@ mod tests {
         assert_eq!(stats.worker_restarts, 2);
         assert_eq!(stats.failed, 2);
         assert_eq!(stats.completed, 3);
-    }
-
-    #[test]
-    fn store_pressure_gates_admission() {
-        use mlr_memo::CapacityBudget;
-        // A one-entry budget saturates after the first job; with a pressure
-        // limit configured, the next submission must be turned away.
-        let config = tiny_config().with_memo_budget(CapacityBudget::entries(1));
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 4,
-            admission_max_pressure: Some(0.5),
-            ..RuntimeConfig::matching(&config)
-        });
-        let first = rt.submit(ReconJob::new("fill", config)).unwrap();
-        let _ = first.wait();
-        assert!(rt.store_pressure() > 0.5, "store never saturated");
-        match rt.submit(ReconJob::new("turned-away", config)) {
-            Err(AdmissionError::StorePressure { pressure, limit }) => {
-                assert!(pressure > limit);
-            }
-            Err(e) => panic!("expected StorePressure, got {e}"),
-            Ok(_) => panic!("expected StorePressure, got admission"),
-        }
-        let stats = rt.shutdown();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.completed, 1);
-        assert!(stats.store_pressure > 0.5);
     }
 
     #[test]

@@ -80,9 +80,10 @@ pub struct RuntimeStats {
     pub wall_seconds: f64,
     /// Total worker-busy seconds across all workers.
     pub busy_seconds: f64,
-    /// Mean queue latency over completed jobs.
+    /// Mean queue latency over every popped job that ran: completed,
+    /// failed, and cancelled or expired mid-run alike.
     pub queue_seconds_mean: f64,
-    /// Maximum queue latency over completed jobs.
+    /// Maximum queue latency over the same jobs as `queue_seconds_mean`.
     pub queue_seconds_max: f64,
     /// Utilisation of the store's tightest capacity cap in `[0, 1]` at
     /// snapshot time (0 for unbounded stores).
@@ -166,7 +167,7 @@ impl RuntimeStats {
     }
 
     /// Fraction of decided deadline-carrying jobs that missed their
-    /// deadline — the serving front-end's headline quality number.
+    /// deadline — the runtime's headline serving-quality number.
     pub fn deadline_miss_rate(&self) -> f64 {
         self.deadline.miss_rate()
     }

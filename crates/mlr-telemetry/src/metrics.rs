@@ -26,9 +26,6 @@ pub enum CounterId {
     JobsCancelled,
     /// Jobs whose deadline expired (queued or mid-run).
     JobsExpired,
-    /// Expired entries resolved by the proactive queue sweep (a subset of
-    /// `JobsExpired`).
-    SweptExpired,
     /// Outer ADMM iterations started.
     IterationsStarted,
     /// Operator batch applications committed.
@@ -52,13 +49,10 @@ pub enum CounterId {
     /// Worker threads respawned after dying to a panic that escaped the
     /// per-job containment (the pool never shrinks).
     WorkerRestarts,
-    /// Submissions re-attempted by the serving front-end's retry policy
-    /// after a retryable admission rejection.
-    RetryAttempts,
 }
 
 /// Number of counters in [`CounterId`].
-pub const COUNTER_COUNT: usize = 16;
+pub const COUNTER_COUNT: usize = 14;
 
 /// Stable snake_case names, indexable by `CounterId as usize`.
 pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
@@ -67,7 +61,6 @@ pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "jobs_failed",
     "jobs_cancelled",
     "jobs_expired",
-    "swept_expired",
     "iterations_started",
     "operator_batches",
     "chunks_committed",
@@ -77,7 +70,6 @@ pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "prefiltered_chunks",
     "gated_chunks",
     "worker_restarts",
-    "retry_attempts",
 ];
 
 /// One timed stage of the memo-hit path.
@@ -430,8 +422,8 @@ mod tests {
     #[test]
     fn names_line_up_with_ids() {
         assert_eq!(
-            COUNTER_NAMES[CounterId::SweptExpired as usize],
-            "swept_expired"
+            COUNTER_NAMES[CounterId::JobsExpired as usize],
+            "jobs_expired"
         );
         assert_eq!(
             COUNTER_NAMES[CounterId::ComputedChunks as usize],
@@ -448,10 +440,6 @@ mod tests {
         assert_eq!(
             COUNTER_NAMES[CounterId::WorkerRestarts as usize],
             "worker_restarts"
-        );
-        assert_eq!(
-            COUNTER_NAMES[CounterId::RetryAttempts as usize],
-            "retry_attempts"
         );
         assert_eq!(STAGE_NAMES[StageId::Encode as usize], "encode");
         assert_eq!(STAGE_NAMES[StageId::MissFft as usize], "miss_fft");

@@ -19,7 +19,8 @@ use std::time::Instant;
 /// What a span record marks in a job's lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Job admitted into the queue (`arg` = queue length after admit).
+    /// Job admitted into the queue (`arg` = 1 when it carries a deadline,
+    /// else 0).
     Admitted,
     /// Worker picked the job up and started executing it.
     Running,
@@ -27,16 +28,16 @@ pub enum SpanKind {
     Iteration,
     /// An operator batch committed (`arg` = chunks in the batch).
     Operator,
-    /// Job ran every configured iteration.
+    /// Job ran every configured iteration (`arg` = iterations run).
     Completed,
-    /// Job cancelled (`arg` = 1 when it was mid-run).
+    /// Job cancelled (`arg` = iterations completed before the stop; 0 when
+    /// it never ran).
     Cancelled,
-    /// Job deadline expired (`arg` = 1 when it was mid-run).
+    /// Job deadline expired (`arg` = iterations completed before the stop;
+    /// 0 when it never ran).
     Expired,
-    /// Job panicked while running.
+    /// Job panicked while running, or was in flight when its worker died.
     Failed,
-    /// Job resolved `Expired` by the proactive queue sweep.
-    Swept,
 }
 
 impl SpanKind {
@@ -51,7 +52,6 @@ impl SpanKind {
             SpanKind::Cancelled => "cancelled",
             SpanKind::Expired => "expired",
             SpanKind::Failed => "failed",
-            SpanKind::Swept => "swept",
         }
     }
 
@@ -59,11 +59,7 @@ impl SpanKind {
     pub fn is_terminal(self) -> bool {
         matches!(
             self,
-            SpanKind::Completed
-                | SpanKind::Cancelled
-                | SpanKind::Expired
-                | SpanKind::Failed
-                | SpanKind::Swept
+            SpanKind::Completed | SpanKind::Cancelled | SpanKind::Expired | SpanKind::Failed
         )
     }
 }

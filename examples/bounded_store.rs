@@ -25,11 +25,6 @@ fn main() {
     let config = base.with_memo_budget(CapacityBudget::bytes(budget_bytes));
     println!("memo budget: {budget_bytes} bytes (1.5x one job's footprint)\n");
 
-    // No admission pressure limit here: a bounded store *saturates* in
-    // steady state (resident == budget is the healthy operating point), so
-    // a limit below 1.0 would turn every late submission away. The limit is
-    // for deployments that prefer shedding load once the memo working set
-    // stops fitting — demonstrated after the waves below.
     let runtime = Runtime::new(RuntimeConfig {
         workers: 2,
         queue_capacity: 8,
@@ -67,24 +62,6 @@ fn main() {
             100.0 * stats.cross_job_hit_rate(),
         );
     }
-
-    // Pressure-aware admission: a runtime configured with a limit sheds
-    // load once the shared store saturates.
-    let strict = Runtime::new(RuntimeConfig {
-        workers: 1,
-        queue_capacity: 4,
-        admission_max_pressure: Some(0.5),
-        ..RuntimeConfig::matching(&config)
-    });
-    strict
-        .submit(ReconJob::new("fill", config))
-        .expect("empty store admits")
-        .wait();
-    match strict.submit(ReconJob::new("shed", config)) {
-        Err(e) => println!("\npressure-aware admission: {e}"),
-        Ok(_) => println!("\npressure-aware admission: store still under the limit"),
-    }
-    drop(strict);
 
     let stats = runtime.shutdown();
     println!("\n== after {} jobs ==", stats.completed);

@@ -3,25 +3,22 @@
 //!
 //! A replicated-job workload runs twice — fault-free, then under a
 //! [`FaultPlan`] that crashes memory node 0 mid-workload and restarts it —
-//! and the example shows the three guarantees the fault layer makes:
+//! and the example shows the two guarantees the fault layer makes:
 //!
 //! * the reconstructions are **bit-identical** with and without the fault
 //!   (a down node degrades a hit into a recompute, never into a different
 //!   value);
 //! * the degradation is **observable**: `FaultStats` counts the crash, the
-//!   restart's purged entries, and the hits the replica set rescued;
-//! * rejected submissions can be retried with a **seeded, bounded**
-//!   [`RetryPolicy`] — backoff jitter comes from the seed, not the clock.
+//!   restart's purged entries, and the hits the replica set rescued.
 //!
 //! ```bash
 //! cargo run --release --example chaos
 //! ```
 
 use mlr_core::MlrConfig;
-use mlr_memo::{CapacityBudget, NodeTopology};
-use mlr_runtime::{ReconJob, RetryPolicy, Runtime, RuntimeConfig, ServeFront, ServeRequest};
+use mlr_memo::NodeTopology;
+use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::faults::FaultPlan;
-use std::time::Duration;
 
 const JOBS: usize = 6;
 
@@ -105,34 +102,5 @@ fn main() {
         faulted_bits, baseline_bits,
         "the fault layer must never change a reconstruction"
     );
-    println!("identity:   all {JOBS} reconstructions bit-identical to fault-free\n");
-
-    // --- 3. Bounded, seeded retry against a saturated front-end. ---------
-    // A one-entry memo budget plus a pressure-based admission limit makes
-    // the runtime turn submissions away deterministically — the shape of a
-    // transient overload a client should retry through.
-    let tight = MlrConfig::quick(12, 8)
-        .with_iterations(4)
-        .with_memo_budget(CapacityBudget::entries(1));
-    let front = ServeFront::new(RuntimeConfig {
-        workers: 1,
-        queue_capacity: 4,
-        admission_max_pressure: Some(0.5),
-        ..RuntimeConfig::matching(&tight)
-    });
-    let fill = front
-        .submit(ServeRequest::new("fill", tight))
-        .expect("empty front admits");
-    assert!(fill.wait().is_completed());
-    let policy = RetryPolicy::new(3)
-        .with_seed(7)
-        .with_tick(Duration::from_micros(50));
-    match front.submit_with_retry(ServeRequest::new("overload", tight), &policy) {
-        Ok(_) => println!("retry:      admitted after backoff"),
-        Err(e) => println!(
-            "retry:      still rejected after {} seeded-backoff attempts ({e})",
-            policy.max_attempts
-        ),
-    }
-    let _ = front.shutdown();
+    println!("identity:   all {JOBS} reconstructions bit-identical to fault-free");
 }

@@ -13,34 +13,31 @@
 //! ```
 
 use mlr_core::MlrConfig;
-use mlr_runtime::{Deadline, Priority, RuntimeConfig, ServeFront, ServeRequest};
+use mlr_runtime::{Deadline, Priority, ReconJob, Runtime, RuntimeConfig};
 use std::time::Duration;
 
 fn main() {
     let config = MlrConfig::quick(16, 8).with_iterations(8);
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         queue_capacity: 8,
         ..RuntimeConfig::matching(&config)
     });
 
-    println!("submitting to a 2-worker serving front-end over one shared store ...\n");
+    println!("submitting to a 2-worker runtime over one shared store ...\n");
 
     // Bulk work at batch priority.
     let bulk: Vec<_> = (0..4)
         .map(|i| {
-            front
-                .submit(
-                    ServeRequest::new(format!("bulk-{i}"), config).with_priority(Priority::Batch),
-                )
+            rt.submit(ReconJob::new(format!("bulk-{i}"), config).with_priority(Priority::Batch))
                 .expect("queue has room for the demo")
         })
         .collect();
 
     // The operator's preview: interactive priority, 120 s deadline.
-    let preview = front
+    let preview = rt
         .submit(
-            ServeRequest::new("preview", config)
+            ReconJob::new("preview", config)
                 .with_priority(Priority::Interactive)
                 .with_deadline(Deadline::within(Duration::from_secs(120))),
         )
@@ -48,10 +45,8 @@ fn main() {
 
     // A hopeless request: its deadline is already due when it is admitted,
     // so the worker skips it at pop — it never runs.
-    let hopeless = front
-        .submit(
-            ServeRequest::new("hopeless", config).with_deadline(Deadline::within(Duration::ZERO)),
-        )
+    let hopeless = rt
+        .submit(ReconJob::new("hopeless", config).with_deadline(Deadline::within(Duration::ZERO)))
         .expect("queue has room for the demo");
 
     // The operator changes their mind about one bulk job.
@@ -69,8 +64,8 @@ fn main() {
         println!("job {:<2} {:<10} → {status}", handle.id(), handle.name());
     }
 
-    let stats = front.shutdown();
-    println!("\n== serving front-end, after all requests ==");
+    let stats = rt.shutdown();
+    println!("\n== runtime, after all requests ==");
     println!("completed                : {}", stats.completed);
     println!("cancelled                : {}", stats.cancelled);
     println!("expired                  : {}", stats.expired);

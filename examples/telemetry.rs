@@ -1,7 +1,7 @@
 //! Observability: unified counters, stage timers, lifecycle spans and the
-//! store access trace over a telemetry-enabled serving front-end.
+//! store access trace over a telemetry-enabled runtime.
 //!
-//! The front-end runs a small multi-tenant workload (bulk jobs plus a
+//! The runtime runs a small multi-tenant workload (bulk jobs plus a
 //! deadline-tagged preview), then drains everything the telemetry stack
 //! recorded: job/chunk counters, per-stage hit-path latency percentiles
 //! from the log₂ histograms, the tail of the span journal, a slice of the
@@ -12,13 +12,13 @@
 //! ```
 
 use mlr_core::MlrConfig;
-use mlr_runtime::{Deadline, Priority, RuntimeConfig, ServeFront, ServeRequest};
+use mlr_runtime::{Deadline, Priority, ReconJob, Runtime, RuntimeConfig};
 use mlr_telemetry::{CounterId, StageId, COUNTER_NAMES, STAGE_NAMES};
 use std::time::Duration;
 
 fn main() {
     let config = MlrConfig::quick(16, 8).with_iterations(6);
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         queue_capacity: 8,
         // Turn the recorder on. Disabled (the default) every instrument in
@@ -30,20 +30,17 @@ fn main() {
         ..RuntimeConfig::matching(&config)
     });
 
-    println!("running 4 jobs through a telemetry-enabled 2-worker front-end ...\n");
+    println!("running 4 jobs through a telemetry-enabled 2-worker runtime ...\n");
 
     let handles: Vec<_> = (0..3)
         .map(|i| {
-            front
-                .submit(
-                    ServeRequest::new(format!("bulk-{i}"), config).with_priority(Priority::Batch),
-                )
+            rt.submit(ReconJob::new(format!("bulk-{i}"), config).with_priority(Priority::Batch))
                 .expect("queue has room for the demo")
         })
         .collect();
-    let preview = front
+    let preview = rt
         .submit(
-            ServeRequest::new("preview", config)
+            ReconJob::new("preview", config)
                 .with_priority(Priority::Interactive)
                 .with_deadline(Deadline::within(Duration::from_secs(120))),
         )
@@ -58,11 +55,11 @@ fn main() {
 
     // Everything recorded so far, in one self-contained copy. The handle
     // stays live after shutdown, so snapshots can also be taken mid-flight.
-    let snapshot = front
+    let snapshot = rt
         .telemetry()
         .snapshot()
         .expect("telemetry was enabled in the RuntimeConfig");
-    front.shutdown();
+    rt.shutdown();
 
     println!("\n== counters ==");
     for (name, value) in COUNTER_NAMES.iter().zip(snapshot.metrics.counters) {

@@ -350,11 +350,10 @@ fn governor_keeps_jobs_times_threads_within_the_core_budget() {
     // 2 workers over a 4-core budget leave 2 spare cores; with every job
     // asking for 8 chunk threads, concurrent grants must never exceed the
     // spare pool, and each job's per-batch grant stays ≤ 1 + capacity.
-    let config = base_config();
+    let config = base_config().with_intra_job_threads(8);
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         queue_capacity: 8,
-        intra_job_threads: 8,
         core_budget: 4,
         ..RuntimeConfig::matching(&config)
     });
@@ -395,12 +394,14 @@ fn runtime_job_with_threads_matches_sequential_run_memoized() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
-        intra_job_threads: 4,
         core_budget: 8,
         ..RuntimeConfig::matching(&config)
     });
     let report = rt
-        .submit(ReconJob::new("parallel-determinism", config))
+        .submit(ReconJob::new(
+            "parallel-determinism",
+            config.with_intra_job_threads(4),
+        ))
         .unwrap()
         .wait_report()
         .expect("governed job completes");

@@ -1,14 +1,12 @@
-//! Integration tests for the deadline-aware serving front-end: typed
+//! Integration tests for the runtime's deadline-aware serving: typed
 //! terminal statuses, two-stage cancellation (queued vs running), deadline
 //! expiry before pop, and the determinism contract that a job which *runs
-//! to completion* through `ServeFront` reconstructs bit-identically to
+//! to completion* through the `Runtime` reconstructs bit-identically to
 //! `MlrPipeline::run_memoized`.
 
 use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_memo::MemoStore;
-use mlr_runtime::{
-    Deadline, JobPhase, JobStatus, Priority, RuntimeConfig, ServeFront, ServeRequest,
-};
+use mlr_runtime::{Deadline, JobPhase, JobStatus, Priority, ReconJob, Runtime, RuntimeConfig};
 use std::time::Duration;
 
 fn tiny_config() -> MlrConfig {
@@ -28,7 +26,7 @@ fn spin_until(what: &str, done: impl FnMut() -> bool) {
 
 #[test]
 fn expired_before_pop_is_reported_and_never_runs() {
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 4,
         ..RuntimeConfig::matching(&tiny_config())
@@ -36,13 +34,12 @@ fn expired_before_pop_is_reported_and_never_runs() {
     // The blocker occupies the single worker; the victim's deadline is
     // already due when it is admitted, so by the time the worker pops it,
     // it must be skipped — reported `Expired`, never executed.
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config()))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config()))
         .unwrap();
-    let victim = front
+    let victim = rt
         .submit(
-            ServeRequest::new("victim", tiny_config())
-                .with_deadline(Deadline::within(Duration::ZERO)),
+            ReconJob::new("victim", tiny_config()).with_deadline(Deadline::within(Duration::ZERO)),
         )
         .unwrap();
     match victim.wait() {
@@ -58,7 +55,7 @@ fn expired_before_pop_is_reported_and_never_runs() {
         other => panic!("expected Expired, got {other:?}"),
     }
     assert!(blocker.wait().is_completed());
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.deadline.submitted, 1);
@@ -71,22 +68,20 @@ fn expired_before_pop_is_reported_and_never_runs() {
 
 #[test]
 fn cancel_while_queued_never_runs_and_frees_the_slot() {
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 1,
         ..RuntimeConfig::matching(&tiny_config())
     });
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config()))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config()))
         .unwrap();
     // Wait until the worker picked the blocker up, so the victim occupies
     // the single queue slot.
     spin_until("blocker to start running", || {
         blocker.phase() == JobPhase::Running
     });
-    let victim = front
-        .submit(ServeRequest::new("victim", tiny_config()))
-        .unwrap();
+    let victim = rt.submit(ReconJob::new("victim", tiny_config())).unwrap();
     assert_eq!(victim.phase(), JobPhase::Queued);
     assert!(victim.cancel(), "cancel of a queued job must register");
     match victim.wait() {
@@ -101,12 +96,12 @@ fn cancel_while_queued_never_runs_and_frees_the_slot() {
     }
     // The queue slot freed on the spot: the next submission is admitted
     // even though the blocker is still running.
-    let replacement = front
-        .submit(ServeRequest::new("replacement", tiny_config()))
+    let replacement = rt
+        .submit(ReconJob::new("replacement", tiny_config()))
         .expect("cancelling the queued victim must free its slot immediately");
     assert!(blocker.wait().is_completed());
     assert!(replacement.wait().is_completed());
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.submitted, 3);
@@ -115,17 +110,17 @@ fn cancel_while_queued_never_runs_and_frees_the_slot() {
 #[test]
 fn cancel_while_running_stops_at_an_iteration_boundary() {
     let config = MlrConfig::quick(12, 8).with_iterations(200);
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
         ..RuntimeConfig::matching(&config)
     });
-    let handle = front.submit(ServeRequest::new("long", config)).unwrap();
+    let handle = rt.submit(ReconJob::new("long", config)).unwrap();
     // Wait until the job has demonstrably started touching the store (its
     // first iteration is in flight), then cancel: at least one iteration
     // boundary must pass before the solver observes the token.
     spin_until("first iteration to start", || {
-        front.runtime().store().stats().queries > 0
+        rt.store().stats().queries > 0
     });
     assert!(handle.cancel());
     match handle.wait() {
@@ -145,7 +140,7 @@ fn cancel_while_running_stops_at_an_iteration_boundary() {
         }
         other => panic!("expected Cancelled mid-run, got {other:?}"),
     }
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 0);
     // The iterations that did run published their memo entries: a cancelled
@@ -161,14 +156,14 @@ fn completed_job_through_serve_front_matches_run_memoized() {
     let config = tiny_config();
     let (reference, _) = MlrPipeline::new(config).run_memoized();
 
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
         ..RuntimeConfig::matching(&config)
     });
-    let report = front
+    let report = rt
         .submit(
-            ServeRequest::new("deterministic", config)
+            ReconJob::new("deterministic", config)
                 .with_deadline(Deadline::within(Duration::from_secs(600))),
         )
         .unwrap()
@@ -180,7 +175,7 @@ fn completed_job_through_serve_front_matches_run_memoized() {
         bits(report.reconstruction.as_slice()),
         "a completed serving job must be bit-identical to run_memoized"
     );
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.deadline.met, 1);
     assert_eq!(stats.deadline.missed, 0);
@@ -197,20 +192,18 @@ fn completed_job_through_serve_front_matches_run_memoized() {
 
 #[test]
 fn handles_are_tickets_not_one_shot_channels() {
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
         ..RuntimeConfig::matching(&tiny_config())
     });
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config()))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config()))
         .unwrap();
     spin_until("blocker to start running", || {
         blocker.phase() == JobPhase::Running
     });
-    let queued = front
-        .submit(ServeRequest::new("queued", tiny_config()))
-        .unwrap();
+    let queued = rt.submit(ReconJob::new("queued", tiny_config())).unwrap();
     // While the worker is held by the blocker, the queued job's ticket
     // polls as pending — repeatedly, without consuming anything.
     assert!(queued.try_wait().is_none());
@@ -226,68 +219,47 @@ fn handles_are_tickets_not_one_shot_channels() {
     assert!(status.is_completed());
     assert!(queued.try_wait().expect("still resolved").is_completed());
     assert_eq!(queued.phase(), JobPhase::Done);
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.completed, 2);
 }
 
 #[test]
 fn proactive_sweep_expires_queued_jobs_without_a_worker() {
     // One worker held by a long blocker; the victim's deadline passes while
-    // it is still queued. With the proactive sweep on, the victim must
-    // resolve `Expired` *while the blocker is still running* — no worker
-    // ever touches it — and the sweep is visible in the `swept_expired`
-    // telemetry counter.
-    let front = ServeFront::new(RuntimeConfig {
+    // it is still queued. Expiry is enforced at pop, so the victim resolves
+    // `Expired` once the blocker completes and the worker reaches it — it
+    // never runs.
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 4,
-        telemetry: true,
-        expiry_sweep: Some(Duration::from_millis(2)),
         ..RuntimeConfig::matching(&tiny_config())
     });
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config()))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config()))
         .unwrap();
     spin_until("blocker to start running", || {
         blocker.phase() == JobPhase::Running
     });
-    let victim = front
+    let victim = rt
         .submit(
-            ServeRequest::new("victim", tiny_config())
+            ReconJob::new("victim", tiny_config())
                 .with_deadline(Deadline::within(Duration::from_millis(20))),
         )
         .unwrap();
-    // Resolved in place by the sweeper: the worker is demonstrably still
-    // busy with the blocker when the victim's ticket settles.
-    spin_until("sweeper to expire the victim", || {
-        victim.phase() == JobPhase::Done
-    });
-    assert_eq!(
-        blocker.phase(),
-        JobPhase::Running,
-        "victim must be swept while the worker is still held"
-    );
+    assert!(blocker.wait().is_completed());
     match victim.wait() {
         JobStatus::Expired {
             while_running,
             late_seconds,
             completed_iterations,
         } => {
-            assert!(!while_running, "swept job must never run");
+            assert!(!while_running, "a job expired in the queue must never run");
             assert!(late_seconds >= 0.0);
             assert_eq!(completed_iterations, 0);
         }
         other => panic!("expected Expired, got {other:?}"),
     }
-    let snapshot = front.telemetry().snapshot().expect("telemetry is enabled");
-    assert_eq!(
-        snapshot
-            .metrics
-            .counter(mlr_telemetry::CounterId::SweptExpired),
-        1,
-        "the sweep (not the pop-time backstop) must have resolved the victim"
-    );
-    assert!(blocker.wait().is_completed());
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.deadline.submitted, 1);
@@ -302,36 +274,36 @@ fn mixed_priorities_and_deadlines_resolve_deterministically() {
     // cancelled while queued. The expired/cancelled entries never run; the
     // rest run in priority order and produce full, finite reconstructions.
     let config = tiny_config();
-    let front = ServeFront::new(RuntimeConfig {
+    let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 8,
         ..RuntimeConfig::matching(&config)
     });
-    let blocker = front
-        .submit(ServeRequest::new("blocker", blocker_config()))
+    let blocker = rt
+        .submit(ReconJob::new("blocker", blocker_config()))
         .unwrap();
     spin_until("blocker to start running", || {
         blocker.phase() == JobPhase::Running
     });
 
-    let expired_interactive = front
+    let expired_interactive = rt
         .submit(
-            ServeRequest::new("expired-interactive", config)
+            ReconJob::new("expired-interactive", config)
                 .with_priority(Priority::Interactive)
                 .with_deadline(Deadline::within(Duration::ZERO)),
         )
         .unwrap();
-    let cancelled_normal = front
-        .submit(ServeRequest::new("cancelled-normal", config))
+    let cancelled_normal = rt
+        .submit(ReconJob::new("cancelled-normal", config))
         .unwrap();
-    let live_normal = front
+    let live_normal = rt
         .submit(
-            ServeRequest::new("live-normal", config)
+            ReconJob::new("live-normal", config)
                 .with_deadline(Deadline::within(Duration::from_secs(600))),
         )
         .unwrap();
-    let live_batch = front
-        .submit(ServeRequest::new("live-batch", config).with_priority(Priority::Batch))
+    let live_batch = rt
+        .submit(ReconJob::new("live-batch", config).with_priority(Priority::Batch))
         .unwrap();
     assert!(cancelled_normal.cancel());
 
@@ -364,7 +336,7 @@ fn mixed_priorities_and_deadlines_resolve_deterministically() {
     }
     assert!(blocker.wait().is_completed());
 
-    let stats = front.shutdown();
+    let stats = rt.shutdown();
     assert_eq!(stats.submitted, 5);
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.cancelled, 1);

@@ -9,17 +9,22 @@
 //!   snapshot);
 //! * span sequences are keyed by *logical* ticks, so the executor emits an
 //!   identical span stream whatever the intra-job thread count — the same
-//!   determinism contract the reconstruction itself honours.
+//!   determinism contract the reconstruction itself honours;
+//! * every job the runtime admits ends in exactly one terminal span, however
+//!   it ends, and the job counters agree with `RuntimeStats`.
 
+use mlr_core::MlrConfig;
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
 use mlr_memo::{MemoConfig, MemoizedExecutor};
+use mlr_runtime::{Deadline, JobPhase, ReconJob, Runtime, RuntimeConfig};
 use mlr_telemetry::{
     CounterId, CounterTable, Histogram, SpanJournal, SpanKind, StageId, StageTable, Telemetry,
 };
 use rand::Rng;
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn span_journal_stays_bounded_under_concurrent_stress() {
@@ -180,4 +185,62 @@ fn span_stream_is_deterministic_across_thread_counts() {
     );
     assert_eq!(counters_1t[CounterId::OperatorBatches as usize], 3);
     assert_eq!(counters_1t[CounterId::ChunksCommitted as usize], 36);
+}
+
+#[test]
+fn every_admitted_job_ends_in_exactly_one_terminal_span() {
+    // One worker held by a blocker; behind it, one job cancelled while
+    // queued (resolved by its handle), one expired before pop (resolved by
+    // the worker) and one that completes. Each path must close its job's
+    // lifecycle with exactly one terminal span.
+    let config = MlrConfig::quick(12, 8).with_iterations(4);
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        queue_capacity: 4,
+        telemetry: true,
+        ..RuntimeConfig::matching(&config)
+    });
+    let telemetry = rt.telemetry().clone();
+    let blocker = rt
+        .submit(ReconJob::new("blocker", config.with_iterations(40)))
+        .unwrap();
+    mlr_bench::spin_until("blocker to start running", Duration::from_secs(30), || {
+        blocker.phase() == JobPhase::Running
+    });
+    let cancelled = rt.submit(ReconJob::new("cancelled", config)).unwrap();
+    let expired = rt
+        .submit(ReconJob::new("expired", config).with_deadline(Deadline::within(Duration::ZERO)))
+        .unwrap();
+    let completed = rt.submit(ReconJob::new("completed", config)).unwrap();
+    assert!(cancelled.cancel(), "cancel of a queued job must register");
+    let ids = [blocker.id(), cancelled.id(), expired.id(), completed.id()];
+    assert!(cancelled.wait().is_cancelled());
+    assert!(expired.wait().is_expired());
+    assert!(completed.wait().is_completed());
+    assert!(blocker.wait().is_completed());
+    let stats = rt.shutdown();
+
+    let snapshot = telemetry.snapshot().expect("telemetry enabled");
+    assert_eq!(snapshot.spans_dropped, 0, "the journal must hold the run");
+    let admitted: Vec<u64> = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Admitted)
+        .map(|s| s.job)
+        .collect();
+    assert_eq!(admitted, ids);
+    for id in ids {
+        let terminal: Vec<&str> = snapshot
+            .spans
+            .iter()
+            .filter(|s| s.job == id && s.kind.is_terminal())
+            .map(|s| s.kind.name())
+            .collect();
+        assert_eq!(terminal.len(), 1, "job {id} ended in {terminal:?}");
+    }
+    let counter = |id| snapshot.metrics.counter(id);
+    assert_eq!(counter(CounterId::JobsCancelled), stats.cancelled);
+    assert_eq!(counter(CounterId::JobsExpired), stats.expired);
+    assert_eq!(counter(CounterId::JobsCompleted), stats.completed);
+    assert_eq!((stats.cancelled, stats.expired, stats.completed), (1, 1, 2));
 }
