@@ -97,28 +97,20 @@ fn main() {
     );
 
     // Paper-scale per-case timing for one chunk (cost-model projection).
-    let size = ProblemSize::paper_1k();
-    let w = AdmmWorkload::new(size);
+    let w = AdmmWorkload::new(ProblemSize::paper_1k());
     let cost = CostModel::polaris(1);
-    let chunk_fraction = 1.0 / size.num_chunks() as f64;
-    let value_bytes = w.memo_value_bytes() * chunk_fraction;
     let mut paper_rows = Vec::new();
     println!("\nper-chunk time at 1K^3 (cost model): original / failed memo / db hit / cache hit");
     for (label, stage) in [("Fu1D", w.fu1d_time(&cost)), ("Fu2D", w.fu2d_time(&cost))] {
-        let orig = stage.max(cost.pcie_time(w.stage_transfer_bytes())) * chunk_fraction;
-        let encode = cost.cnn_encode_time((size.voxels() as f64 * chunk_fraction) as usize);
-        let failed = orig + encode + cost.ann_query_time(1_000_000, 60, 1, 8);
-        let db_hit =
-            encode + cost.ann_query_time(1_000_000, 60, 1, 8) + cost.network_bulk_time(value_bytes);
-        let cache_hit = encode + cost.dram_copy_time(value_bytes);
+        let c = w.memo_chunk_seconds(&cost, stage);
         println!(
             "  {label:<6} {} / {} / {} / {}",
-            fmt_secs(orig),
-            fmt_secs(failed),
-            fmt_secs(db_hit),
-            fmt_secs(cache_hit)
+            fmt_secs(c.exact),
+            fmt_secs(c.failed),
+            fmt_secs(c.db_hit),
+            fmt_secs(c.cache_hit)
         );
-        paper_rows.push((label.to_string(), orig, failed, db_hit, cache_hit));
+        paper_rows.push((label.to_string(), c.exact, c.failed, c.db_hit, c.cache_hit));
     }
     println!("(shape check: failed memo ~= original; db hit far cheaper; cache hit cheaper still)");
     write_record(

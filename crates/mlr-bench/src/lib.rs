@@ -1,7 +1,8 @@
 //! # mlr-bench
 //!
 //! Evaluation harness for the mLR reproduction. Every table and figure of the
-//! paper's evaluation section has a corresponding binary in `src/bin/`:
+//! paper's evaluation section has a corresponding binary in `src/bin/`,
+//! except Figure 11 (key coalescing, which this repository does not run):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -10,12 +11,11 @@
 //! | `fig08_overall` | Figure 8 — overall normalized time, mLR vs original, three dataset sizes |
 //! | `fig09_cancellation_fusion` | Figure 9 — FFT/LSP time with and without cancellation + fusion |
 //! | `fig10_memo_breakdown` | Figure 10 — per-operator memoization case breakdown (+ §6.4 case distribution) |
-//! | `fig11_key_coalesce` | Figure 11 — communication/search time with and without key coalescing |
 //! | `fig12_cache_hit_rate` | Figure 12 — private vs global cache hit rate over iterations |
 //! | `fig13_offload` | Figure 13 — RSS over time for ADMM / greedy / ADMM-Offload (+ §5.1 LRU comparison) |
 //! | `fig14_scalability` | Figure 14 — FFT-operation and overall time vs number of GPUs |
-//! | `fig15_bandwidth` | Figure 15 — interconnect bandwidth utilisation vs number of GPUs |
-//! | `fig16_latency_cdf` | Figure 16 — memoization-query latency CDF under contention |
+//! | `fig15_bandwidth` | Figure 15 — interconnect bandwidth utilisation vs number of GPUs (a Poisson query stream replayed through `replay_trace`) |
+//! | `fig16_latency_cdf` | Figure 16 — memoization-query latency CDF under contention (same replay) |
 //! | `fig17_convergence` | Figure 17 — convergence loss with and without memoization |
 //! | `table1_accuracy` | Table 1 — reconstruction accuracy vs τ |
 //! | `fig18_multi_job` | beyond the paper — multi-job runtime, shared vs isolated stores |

@@ -4,13 +4,19 @@
 //! the offered load on the memory node's injection link; utilisation
 //! saturates around three nodes (12 GPUs) and the query-latency distribution
 //! develops a long tail (at 16 GPUs, 43 % of queries exceed 100 ms in the
-//! paper's measurement).
+//! paper's measurement). The experiment is a synthetic access trace replayed
+//! through [`replay_trace`], the same link model a recorded run is priced
+//! with.
 
-use mlr_math::rng::seeded;
+use crate::replay::{replay_trace, ReplayConfig, ReplayOutcome};
+use mlr_math::rng::{exponential, seeded};
 use mlr_math::stats::Ecdf;
 use mlr_sim::hardware::InterconnectSpec;
-use mlr_sim::network::{offered_load_gbps, SharedLink};
+use mlr_telemetry::{AccessKind, AccessRecord};
 use serde::{Deserialize, Serialize};
+
+/// Simulated seconds per tick of the synthetic trace.
+const TICK_SECONDS: f64 = 1e-7;
 
 /// Configuration of the contention experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -22,9 +28,9 @@ pub struct LatencyExperiment {
     pub query_bytes: f64,
     /// Returned-value payload per (successful) query in bytes.
     pub value_bytes: f64,
-    /// Number of latency samples to draw per configuration.
+    /// Number of queries replayed per configuration.
     pub samples: usize,
-    /// RNG seed.
+    /// RNG seed of the arrival stream.
     pub seed: u64,
 }
 
@@ -46,27 +52,44 @@ impl Default for LatencyExperiment {
 }
 
 impl LatencyExperiment {
+    /// Replays `samples` remote hits arriving as a seeded Poisson stream at
+    /// `gpus × queries_per_gpu_per_s` through one memory node's link. Every
+    /// record names a distinct entry, so none is ever replica-served.
+    fn replay(&self, gpus: usize) -> ReplayOutcome {
+        let rate = gpus as f64 * self.queries_per_gpu_per_s;
+        let mut rng = seeded(self.seed ^ gpus as u64);
+        let mut t = 0.0;
+        let records: Vec<AccessRecord> = (0..self.samples as u64)
+            .map(|entry| {
+                t += exponential(&mut rng, rate);
+                AccessRecord {
+                    entry,
+                    op: 0,
+                    stripe: 0,
+                    kind: AccessKind::Hit,
+                    tick: (t / TICK_SECONDS).round() as u64,
+                }
+            })
+            .collect();
+        let config = ReplayConfig {
+            tick_seconds: TICK_SECONDS,
+            key_bytes: self.query_bytes,
+            value_bytes: self.value_bytes,
+            ..ReplayConfig::new(InterconnectSpec::slingshot11())
+        };
+        replay_trace(&records, &[0], &config, None)
+    }
+
     /// Interconnect utilisation (0–1) of the memory-node link for a given
     /// number of GPUs (Figure 15's y-axis).
     pub fn utilisation(&self, gpus: usize) -> f64 {
-        let link = SharedLink::from_interconnect(&InterconnectSpec::slingshot11());
-        let offered = offered_load_gbps(
-            gpus,
-            self.queries_per_gpu_per_s,
-            self.query_bytes,
-            self.value_bytes,
-        );
-        link.utilisation(offered)
+        self.replay(gpus).per_node[0].utilisation
     }
 
-    /// Draws query-latency samples (seconds) for a given number of GPUs.
+    /// Query latencies (seconds, in arrival order) for a given number of
+    /// GPUs.
     pub fn sample_latencies(&self, gpus: usize) -> Vec<f64> {
-        let link = SharedLink::from_interconnect(&InterconnectSpec::slingshot11());
-        let rho = self.utilisation(gpus);
-        let mut rng = seeded(self.seed ^ gpus as u64);
-        (0..self.samples)
-            .map(|_| link.sample_latency(&mut rng, self.query_bytes + self.value_bytes, rho))
-            .collect()
+        self.replay(gpus).query_latencies
     }
 
     /// The latency CDF for a given number of GPUs (Figure 16's curves).
@@ -78,17 +101,6 @@ impl LatencyExperiment {
     pub fn fraction_slower_than(&self, gpus: usize, threshold: f64) -> f64 {
         1.0 - self.cdf(gpus).eval(threshold)
     }
-}
-
-/// Convenience: the latency CDF curve as `(latency_us, cumulative_fraction)`
-/// pairs for plotting.
-pub fn latency_cdf(experiment: &LatencyExperiment, gpus: usize) -> Vec<(f64, f64)> {
-    experiment
-        .cdf(gpus)
-        .curve()
-        .into_iter()
-        .map(|(s, f)| (s * 1e6, f))
-        .collect()
 }
 
 #[cfg(test)]
@@ -106,6 +118,24 @@ mod tests {
         assert!(u12 > 0.85, "12 GPUs should approach saturation, got {u12}");
         assert!(u16 >= u12);
         assert!(u16 <= 1.0);
+    }
+
+    #[test]
+    fn utilisation_below_the_knee_is_offered_over_capacity() {
+        // Below saturation the replayed link is busy for the share of time
+        // the offered load fills: offered ÷ capacity.
+        let e = LatencyExperiment::default();
+        let capacity = InterconnectSpec::slingshot11().injection_gb_per_s();
+        for gpus in [1, 2, 4, 8] {
+            let offered =
+                gpus as f64 * e.queries_per_gpu_per_s * (e.query_bytes + e.value_bytes) / 1e9;
+            let replayed = e.utilisation(gpus);
+            assert!(
+                (replayed - offered / capacity).abs() <= 0.01,
+                "{gpus} GPUs: replayed {replayed}, offered / capacity {}",
+                offered / capacity
+            );
+        }
     }
 
     #[test]
@@ -131,7 +161,7 @@ mod tests {
             samples: 500,
             ..Default::default()
         };
-        let curve = latency_cdf(&e, 8);
+        let curve = e.cdf(8).curve();
         assert_eq!(curve.len(), 500);
         for w in curve.windows(2) {
             assert!(w[1].0 >= w[0].0);

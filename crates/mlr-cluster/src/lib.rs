@@ -19,7 +19,7 @@ pub mod placement;
 pub mod replay;
 pub mod scaling;
 
-pub use latency::{latency_cdf, LatencyExperiment};
+pub use latency::LatencyExperiment;
 pub use placement::{place_stripes, stripes_per_node};
 pub use replay::{replay_trace, FaultFootprint, NodeUtilisation, ReplayConfig, ReplayOutcome};
 pub use scaling::{ScalingModel, ScalingPoint};

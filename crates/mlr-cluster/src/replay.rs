@@ -1,17 +1,18 @@
 //! Trace replay: the one model of the memory-node network.
 //!
-//! [`LatencyExperiment`](crate::latency::LatencyExperiment) reproduces the
-//! Figure 15/16 curves from closed-form offered-load assumptions. This
-//! module replays an [`AccessRecord`] stream — what `mlr-telemetry`'s
-//! access trace captured from a real multi-job run — through one
-//! deterministic [`LinkQueue`] per simulated memory node: each record's
-//! stripe is mapped to its owning node by a placement map (see
-//! [`crate::placement`]), its store-clock tick becomes a simulated arrival
-//! time, and the queue charges it wait + service. The outcome is per-node
-//! utilisation and a query-latency distribution produced by *actual store
-//! behaviour* under the modeled contention, not by an arrival-rate guess.
-//! The live distributed tier charges nothing itself; every simulated second
-//! it is ever quoted with comes from here.
+//! This module replays an [`AccessRecord`] stream through one
+//! deterministic [`LinkQueue`] per simulated memory node. The stream is
+//! either what `mlr-telemetry`'s access trace captured from a real
+//! multi-job run, or the synthetic Poisson stream of remote hits
+//! [`LatencyExperiment`](crate::latency::LatencyExperiment) builds for the
+//! Figure 15/16 curves. Each record's stripe is mapped to its owning node
+//! by a placement map (see [`crate::placement`]), its store-clock tick
+//! becomes a simulated arrival time, and the queue charges it wait +
+//! service. The outcome is per-node utilisation and a query-latency
+//! distribution; replayed from a recorded trace, both come from *actual
+//! store behaviour* under the modeled contention. The live distributed tier
+//! charges nothing itself; every simulated second it is ever quoted with
+//! comes from here.
 //!
 //! Replica membership is read off the trace: the distributed tier records
 //! each promotion and demotion (`AccessKind::Promote` / `Demote`), and an
@@ -28,7 +29,7 @@
 use crate::placement::stripes_per_node;
 use mlr_sim::faults::{FaultPlan, LinkState};
 use mlr_sim::hardware::InterconnectSpec;
-use mlr_sim::network::{LinkQueue, SharedLink};
+use mlr_sim::network::LinkQueue;
 use mlr_sim::Seconds;
 use mlr_telemetry::{AccessKind, AccessRecord};
 use serde::{Deserialize, Serialize};
@@ -124,15 +125,6 @@ impl ReplayOutcome {
     pub fn active_nodes(&self) -> usize {
         self.per_node.iter().filter(|n| n.messages > 0).count()
     }
-
-    /// Mean latency of the replayed queries (0 when none were replayed).
-    pub fn mean_query_latency(&self) -> Seconds {
-        if self.query_latencies.is_empty() {
-            0.0
-        } else {
-            self.query_latencies.iter().sum::<f64>() / self.query_latencies.len() as f64
-        }
-    }
 }
 
 /// The per-node queues plus the plan that degrades them.
@@ -194,9 +186,10 @@ pub fn replay_trace(
 ) -> ReplayOutcome {
     assert!(!placement.is_empty(), "replay needs a placement map");
     let nodes = placement.iter().copied().max().unwrap_or(0) + 1;
-    let link = SharedLink::from_interconnect(&config.interconnect);
     let mut links = Links {
-        queues: (0..nodes).map(|_| LinkQueue::new(link)).collect(),
+        queues: (0..nodes)
+            .map(|_| LinkQueue::new(&config.interconnect))
+            .collect(),
         plan,
         footprint: FaultFootprint::default(),
     };

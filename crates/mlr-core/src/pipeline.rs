@@ -153,9 +153,10 @@ impl MlrPipeline {
 
     /// Projects the measured memoization behaviour onto one of the paper's
     /// problem sizes using the analytic cost model: the original ADMM-FFT
-    /// runs Algorithm 1 with no memoization; mLR runs Algorithm 2 with the
-    /// measured case distribution deciding how many USFFT stages are replaced
-    /// by database or cache retrievals.
+    /// runs Algorithm 1 with no memoization; mLR runs Algorithm 2, every
+    /// chunk of its four USFFT stages priced by
+    /// [`AdmmWorkload::memo_chunk_seconds`] and weighed by the measured
+    /// `(failed, db hit, cache hit)` case distribution.
     pub fn project_to_paper_scale(
         &self,
         n: usize,
@@ -164,39 +165,23 @@ impl MlrPipeline {
         let size = ProblemSize::cube(n, 16);
         let workload = AdmmWorkload::new(size);
         let cost = CostModel::polaris(1);
-        let (_f_fail, f_db, f_cache) = case_distribution;
-        let hit = (f_db + f_cache).clamp(0.0, 1.0);
 
         // Original: Algorithm 1 LSP, nothing memoized.
         let original_iter = workload.iteration_time(&cost, false);
 
-        // mLR: Algorithm 2 LSP where a `hit` fraction of every USFFT stage is
-        // replaced by retrieval (network transfer of the value for DB hits,
-        // DRAM copy for cache hits) plus key encoding for every invocation.
-        let xfer = cost.pcie_time(workload.stage_transfer_bytes());
-        let stage_times = [
+        // mLR: Algorithm 2 LSP, each stage `num_chunks` memoized chunks.
+        let lsp_inner: f64 = [
             workload.fu1d_time(&cost),
             workload.fu2d_time(&cost),
             workload.fu2d_time(&cost),
             workload.fu1d_time(&cost),
-        ];
-        let value_bytes = workload.memo_value_bytes();
-        let db_retrieval = cost.network_bulk_time(value_bytes)
-            + cost.ann_query_time(1_000_000, 60, size.num_chunks(), 8);
-        let cache_retrieval = cost.dram_copy_time(value_bytes);
-        let encode = cost.cnn_encode_time(size.voxels() as usize);
-        let hit_retrieval = if hit > 0.0 {
-            (f_db * db_retrieval + f_cache * cache_retrieval) / hit
-        } else {
-            0.0
-        };
-        let lsp_inner: f64 = stage_times
-            .iter()
-            .map(|&compute| {
-                let exact_path = compute.max(xfer);
-                (1.0 - hit) * exact_path + hit * hit_retrieval + encode
-            })
-            .sum::<f64>()
+        ]
+        .iter()
+        .map(|&stage| {
+            let chunk = workload.memo_chunk_seconds(&cost, stage);
+            chunk.expected(case_distribution) * size.num_chunks() as f64
+        })
+        .sum::<f64>()
             + cost.gpu_elementwise_time(size.data_elems() as usize)
             + workload.cg_update_time(&cost);
         let mlr_iter = lsp_inner * workload.n_inner as f64
@@ -306,5 +291,50 @@ mod tests {
         // (only cancellation/fusion remains).
         let proj_none = p.project_to_paper_scale(1024, (1.0, 0.0, 0.0));
         assert!(proj_none.normalized_time > proj_1k.normalized_time);
+    }
+
+    #[test]
+    fn projection_prices_each_case_at_the_figure_10_price() {
+        // Only the LSP term depends on the case distribution, so the gap
+        // between two projections is that term's gap: per stage and chunk,
+        // Σ over cases of (case fraction × the case's price), the price
+        // Figure 10 prints.
+        let p = tiny_pipeline(0.92);
+        let size = ProblemSize::cube(1024, 16);
+        let w = AdmmWorkload::new(size);
+        let cost = CostModel::polaris(1);
+        let stages = [
+            w.fu1d_time(&cost),
+            w.fu2d_time(&cost),
+            w.fu2d_time(&cost),
+            w.fu1d_time(&cost),
+        ];
+        let lsp_term = |(failed, db, cache): (f64, f64, f64)| -> f64 {
+            let exact = 1.0 - failed - db - cache;
+            stages
+                .iter()
+                .map(|&stage| {
+                    let c = w.memo_chunk_seconds(&cost, stage);
+                    exact * c.exact + failed * c.failed + db * c.db_hit + cache * c.cache_hit
+                })
+                .sum::<f64>()
+                * size.num_chunks() as f64
+                * w.n_inner as f64
+        };
+        let reference = (0.0, 0.0, 0.0);
+        for dist in [
+            (1.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0),
+            (0.0, 0.0, 1.0),
+            (0.53, 0.19, 0.28),
+        ] {
+            let gap = p.project_to_paper_scale(1024, dist).mlr_seconds
+                - p.project_to_paper_scale(1024, reference).mlr_seconds;
+            let expected = lsp_term(dist) - lsp_term(reference);
+            assert!(
+                (gap - expected).abs() <= 1e-9 * expected.abs(),
+                "{dist:?}: projection gap {gap} s, case prices {expected} s"
+            );
+        }
     }
 }

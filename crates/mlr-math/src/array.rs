@@ -205,11 +205,6 @@ impl<T> Array2<T> {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Consumes the array and returns the underlying vector.
     pub fn into_vec(self) -> Vec<T> {
         self.data
@@ -357,22 +352,10 @@ impl<T> Array3<T> {
         &self.data[base..base + self.shape.n2]
     }
 
-    /// Mutable view of the contiguous line along axis 2.
-    pub fn line_mut(&mut self, i: usize, j: usize) -> &mut [T] {
-        let base = self.shape.offset(i, j, 0);
-        &mut self.data[base..base + self.shape.n2]
-    }
-
     /// Immutable view of slab `i` (the `n1 × n2` plane at axis-0 index `i`).
     pub fn plane(&self, i: usize) -> &[T] {
         let plane_len = self.shape.n1 * self.shape.n2;
         &self.data[i * plane_len..(i + 1) * plane_len]
-    }
-
-    /// Mutable view of slab `i`.
-    pub fn plane_mut(&mut self, i: usize) -> &mut [T] {
-        let plane_len = self.shape.n1 * self.shape.n2;
-        &mut self.data[i * plane_len..(i + 1) * plane_len]
     }
 
     /// Applies `f` to every element in place.
@@ -432,17 +415,6 @@ impl Array3<f64> {
 }
 
 impl Array3<crate::Complex64> {
-    /// Element-wise linear combination with complex scalars.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn axpby_c(&mut self, a: crate::Complex64, other: &Self, b: crate::Complex64) {
-        assert_eq!(self.shape, other.shape, "axpby shape mismatch");
-        for (x, y) in self.data.iter_mut().zip(&other.data) {
-            *x = *x * a + *y * b;
-        }
-    }
-
     /// Complex inner product `⟨self, other⟩ = Σ self · conj(other)`.
     ///
     /// # Panics

@@ -117,12 +117,6 @@ impl Complex64 {
         }
     }
 
-    /// Fused multiply-add: `self * b + c`.
-    #[inline]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        self * b + c
-    }
-
     /// Returns `true` when both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -285,34 +279,6 @@ impl<'a> Sum<&'a Complex64> for Complex64 {
     fn sum<I: Iterator<Item = &'a Complex64>>(iter: I) -> Self {
         iter.fold(Complex64::ZERO, |a, b| a + *b)
     }
-}
-
-/// Splits a complex slice into separate real and imaginary planes.
-///
-/// This is the decomposition the paper's key encoder applies before feeding
-/// a COMPLEX64 chunk to its CNN (§4.3.1: "the COMPLEX64-typed matrix is
-/// decomposed into two matrices"); `mlr_memo::sketch` averages the two
-/// planes block by block.
-pub fn split_re_im(data: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
-    let mut re = Vec::with_capacity(data.len());
-    let mut im = Vec::with_capacity(data.len());
-    for z in data {
-        re.push(z.re);
-        im.push(z.im);
-    }
-    (re, im)
-}
-
-/// Reassembles a complex slice from separate real and imaginary planes.
-///
-/// # Panics
-/// Panics when the two planes have different lengths.
-pub fn join_re_im(re: &[f64], im: &[f64]) -> Vec<Complex64> {
-    assert_eq!(re.len(), im.len(), "re/im planes must have equal length");
-    re.iter()
-        .zip(im)
-        .map(|(&r, &i)| Complex64::new(r, i))
-        .collect()
 }
 
 /// A single-precision complex number (2 × `f32`, numpy's and the paper's
@@ -500,24 +466,6 @@ mod tests {
         assert_eq!(s, Complex64::new(10.0, 10.0));
         let s2: Complex64 = v.into_iter().sum();
         assert_eq!(s2, Complex64::new(10.0, 10.0));
-    }
-
-    #[test]
-    fn split_and_join_roundtrip() {
-        let data: Vec<Complex64> = (0..16)
-            .map(|i| Complex64::new(i as f64, -(i as f64) * 0.5))
-            .collect();
-        let (re, im) = split_re_im(&data);
-        assert_eq!(re.len(), 16);
-        assert_eq!(im[4], -2.0);
-        let back = join_re_im(&re, &im);
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn join_mismatched_panics() {
-        join_re_im(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

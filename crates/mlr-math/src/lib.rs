@@ -15,8 +15,6 @@
 //!   `E` from the paper's Eq. 4.
 //! * [`stats`] — descriptive statistics, histograms and empirical CDFs used
 //!   by the evaluation harnesses (e.g. the latency CDF of Figure 16).
-//! * [`kernels`] — interpolation kernels for the unequally-spaced FFT
-//!   (Gaussian gridding kernel) used by `mlr-fft`.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the
 //!   repository is reproducible.
 //!
@@ -25,22 +23,12 @@
 
 pub mod array;
 pub mod complex;
-pub mod kernels;
 pub mod norms;
 pub mod rng;
 pub mod stats;
 
 pub use array::{Array1, Array2, Array3, Shape3};
 pub use complex::{Complex32, Complex64};
-
-/// Convenience alias used throughout the workspace.
-pub type C64 = Complex64;
-
-/// The floating-point scalar type used by the whole workspace.
-pub type Real = f64;
-
-/// Machine-epsilon-scaled tolerance used by numerical tests.
-pub const TEST_TOL: f64 = 1e-9;
 
 /// Returns `true` when two floating point values agree to within `tol`
 /// absolutely or relatively (whichever is looser). Used pervasively by tests.

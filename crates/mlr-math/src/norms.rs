@@ -173,11 +173,6 @@ pub fn frobenius(x: &Array3<f64>) -> f64 {
     l2_norm(x.as_slice())
 }
 
-/// Frobenius norm of a complex 3-D array.
-pub fn frobenius_c(x: &Array3<Complex64>) -> f64 {
-    l2_norm_c(x.as_slice())
-}
-
 /// The paper's relative-error metric (Eq. 4):
 /// `E = ‖R_comp − R_LB‖_F / ‖R_comp‖_F`, where `R_comp` is the reconstruction
 /// produced by the exact ADMM-FFT and `R_LB` the reconstruction produced with

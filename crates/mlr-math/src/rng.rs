@@ -5,7 +5,6 @@
 //! the regenerated shapes comparable). All randomness therefore flows through
 //! seeded ChaCha8 generators created here.
 
-use rand::distributions::Distribution;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -43,23 +42,8 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// Fills a slice with i.i.d. samples from `[lo, hi)`.
-pub fn fill_uniform<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64], lo: f64, hi: f64) {
-    let dist = rand::distributions::Uniform::new(lo, hi);
-    for v in out {
-        *v = dist.sample(rng);
-    }
-}
-
-/// Fills a slice with i.i.d. standard-normal samples scaled by `sigma`.
-pub fn fill_gaussian<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64], sigma: f64) {
-    for v in out {
-        *v = sigma * standard_normal(rng);
-    }
-}
-
-/// Samples an exponential variate with the given rate `lambda` (mean `1/lambda`),
-/// used by the latency models in `mlr-sim` to generate queueing jitter.
+/// Samples an exponential variate with the given rate `lambda` (mean `1/lambda`):
+/// the inter-arrival gaps of the Poisson query stream behind Figures 15 and 16.
 pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
     let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     -u.ln() / lambda
@@ -110,28 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn fill_uniform_respects_bounds() {
-        let mut rng = seeded(3);
-        let mut buf = vec![0.0; 1000];
-        fill_uniform(&mut rng, &mut buf, -2.0, 3.0);
-        assert!(buf.iter().all(|&x| (-2.0..3.0).contains(&x)));
-    }
-
-    #[test]
     fn exponential_mean() {
         let mut rng = seeded(4);
         let n = 50_000;
         let lambda = 4.0;
         let mean: f64 = (0..n).map(|_| exponential(&mut rng, lambda)).sum::<f64>() / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn fill_gaussian_scales() {
-        let mut rng = seeded(5);
-        let mut buf = vec![0.0; 10_000];
-        fill_gaussian(&mut rng, &mut buf, 3.0);
-        let var = buf.iter().map(|x| x * x).sum::<f64>() / buf.len() as f64;
-        assert!((var - 9.0).abs() < 0.5, "var {var}");
     }
 }

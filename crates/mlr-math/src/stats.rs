@@ -179,12 +179,6 @@ impl Histogram {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * width
-    }
 }
 
 /// Running mean/variance accumulator (Welford's algorithm) used where samples
@@ -294,7 +288,6 @@ mod tests {
         assert_eq!(h.total(), 5);
         assert_eq!(h.counts()[0], 2); // -1.0 clamped, 0.5
         assert_eq!(h.counts()[4], 2); // 9.9, 25.0 clamped
-        assert!(approx_eq(h.bin_center(0), 1.0, 1e-12));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! a seeded random CNN's did (ROADMAP item 4). What the paper's encoder
 //! costs at paper scale stays what it was: a cost-model row,
 //! `mlr_sim::CostModel::cnn_encode_time`, and the coalesced 4 KiB key query
-//! (§4.3.3) the message size `mlr_cluster::replay_trace` prices
-//! (`fig11_key_coalesce`).
+//! (§4.3.3) the message size Figures 15 and 16 replay through
+//! `mlr_cluster::replay_trace`.
 
 use mlr_math::Complex64;
 

@@ -36,8 +36,8 @@
 //!   Figures 10–12. A chunk takes the memo path only when
 //!   [`memoization_pays`] says a hit can pay for it at the chunk's kind and
 //!   length. Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced
-//!   query is the message size `mlr_cluster::replay_trace` prices, and
-//!   `fig11_key_coalesce` is a cost-model figure.
+//!   query is the message size Figures 15 and 16 replay through
+//!   `mlr_cluster::replay_trace`.
 //! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /
 //!   entries over the whole store) enforced after every insert by one rule,
 //!   [`CostAwarePolicy`] (aged benefit density, cross-job servers last), on

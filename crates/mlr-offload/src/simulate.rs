@@ -2,13 +2,12 @@
 //!
 //! Reproduces Figure 13: RSS over time and total execution time for
 //! (1) plain ADMM, (2) ADMM with greedy offloading and (3) ADMM-Offload, plus
-//! the LRU-style baseline from the §5.1 discussion. Memory traces are built
-//! with `mlr-sim`'s tiered [`MemoryTracker`]; time comes from the analytic
-//! workload model plus the exposed data-movement each strategy incurs.
+//! the LRU-style baseline from the §5.1 discussion. Time comes from the
+//! analytic workload model plus the exposed data-movement each strategy
+//! incurs.
 
 use crate::planner::{OffloadPlan, OffloadPlanner};
 use crate::profile::IterationProfile;
-use mlr_sim::memory::{MemTier, MemoryTracker};
 use mlr_sim::{CostModel, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -138,8 +137,6 @@ fn finish(
 fn simulate_none(profile: &IterationProfile, iterations: usize) -> OffloadTrace {
     let baseline = resident_baseline(profile);
     let total = profile.duration * iterations as f64;
-    let mut tracker = MemoryTracker::new();
-    tracker.alloc("working_set", baseline, MemTier::CpuDram, 0.0);
     // Flat trace: sample at every phase boundary of every iteration.
     let mut rss = vec![(0.0, baseline)];
     for it in 0..iterations {

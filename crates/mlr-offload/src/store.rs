@@ -1,11 +1,10 @@
 //! A file-backed variable store.
 //!
 //! The planner and the simulation model offloading analytically; this store
-//! demonstrates the mechanism for real: a named `f64` array is serialised to
-//! a file (the stand-in for the node-local NVMe SSD), dropped from memory,
-//! and read back on prefetch. The reconstruction pipeline in `mlr-core` uses
-//! it when offloading is enabled at laptop scale, which verifies that a
-//! round-tripped variable is bit-identical.
+//! is the mechanism for real: a named `f64` array is serialised to a file
+//! (the stand-in for the node-local NVMe SSD), dropped from memory, and read
+//! back on prefetch, bit-identical. No reconstruction calls it yet; its own
+//! tests are its only callers.
 
 use std::collections::HashMap;
 use std::fs;

@@ -20,8 +20,7 @@ pub struct Efficiency {
     pub gpu_fft: f64,
     /// Fraction of PCIe peak a pinned-memory cudaMemcpy sustains.
     pub pcie: f64,
-    /// Fraction of interconnect peak an RDMA transfer sustains (before the
-    /// payload-size penalty).
+    /// Fraction of interconnect peak an RDMA transfer sustains.
     pub network: f64,
     /// Fraction of SSD peak sequential bandwidth sustained.
     pub ssd: f64,
@@ -127,17 +126,6 @@ impl CostModel {
         ) + 5e-6
     }
 
-    /// One message over the inter-node interconnect with the given payload
-    /// size; accounts for the payload-size utilisation penalty that key
-    /// coalescing addresses.
-    pub fn network_message_time(&self, payload_bytes: f64) -> Seconds {
-        let link = &self.cluster.interconnect;
-        let eff_bw = link.injection_gb_per_s()
-            * self.efficiency.network
-            * link.payload_utilisation(payload_bytes).max(1e-3);
-        transfer_seconds(payload_bytes, eff_bw) + (link.latency_us + link.per_message_us) * 1e-6
-    }
-
     /// Bulk (streaming, large-payload) network transfer time.
     pub fn network_bulk_time(&self, bytes: f64) -> Seconds {
         let link = &self.cluster.interconnect;
@@ -201,28 +189,6 @@ impl CostModel {
         let threads = mem.cpu_cores.min(batch.max(1)) as f64;
         total_flops / (threads * 30.0e9)
     }
-
-    /// Value-database (KV store) access time on the memory node for a value
-    /// of `bytes`, modelled as a fixed software latency plus a DRAM streaming
-    /// term. The paper reports P99 < 0.5 ms for its Redis deployment.
-    pub fn kv_access_time(&self, bytes: f64) -> Seconds {
-        let mem = &self.cluster.memory_node;
-        150e-6 + transfer_seconds(bytes, mem.dram_gbps * 0.5)
-    }
-
-    // -------------------------------------------------------------- derived
-
-    /// Bytes of a chunk of `elems` COMPLEX64 elements.
-    pub fn complex_bytes(elems: usize) -> f64 {
-        16.0 * elems as f64
-    }
-
-    /// Time for the full "transfer chunk to GPU, run USFFT, transfer back"
-    /// pipeline stage of Figure 1, *without* overlap.
-    pub fn chunk_fft_roundtrip(&self, elems: usize, fft_n: usize, fft_batch: usize) -> Seconds {
-        let bytes = Self::complex_bytes(elems);
-        self.pcie_time(bytes) + self.gpu_fft_time(fft_n, fft_batch) + self.pcie_time(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -247,13 +213,9 @@ mod tests {
         let m = model();
         let bytes = 64.0 * 1024.0 * 1024.0;
         assert!(m.pcie_time(bytes) > m.nvlink_time(bytes));
-        // A tiny message is dominated by latency, not bandwidth.
-        let tiny = m.network_message_time(64.0);
-        assert!(tiny > 3.0e-6);
-        // Coalesced 4 KB messages are far more efficient per byte.
-        let per_byte_small = m.network_message_time(256.0) / 256.0;
-        let per_byte_4k = m.network_message_time(4096.0) / 4096.0;
-        assert!(per_byte_small > 5.0 * per_byte_4k);
+        // A tiny transfer is dominated by the link latency, not bandwidth.
+        let tiny = m.network_bulk_time(64.0);
+        assert!(tiny > 2.0e-6 && tiny < 2.1e-6, "tiny={tiny}");
     }
 
     #[test]
@@ -278,13 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_access_sub_millisecond() {
-        let m = model();
-        let t = m.kv_access_time((1u64 << 20) as f64);
-        assert!(t < 0.5e-3, "t={t}");
-    }
-
-    #[test]
     fn cnn_encode_is_cheap_relative_to_fft() {
         let m = model();
         let chunk_elems = 16 * 1024 * 1024;
@@ -302,15 +257,5 @@ mod tests {
         let cpu = m.cpu_elementwise_time(elems, 2.0, 32.0);
         let gpu = m.gpu_elementwise_time(elems);
         assert!(cpu > gpu, "cpu={cpu} gpu={gpu}");
-    }
-
-    #[test]
-    fn roundtrip_includes_both_transfers() {
-        let m = model();
-        let elems = 1 << 20;
-        let rt = m.chunk_fft_roundtrip(elems, 1024, 1024);
-        let fft = m.gpu_fft_time(1024, 1024);
-        let xfer = m.pcie_time(CostModel::complex_bytes(elems));
-        assert!((rt - (fft + 2.0 * xfer)).abs() < 1e-12);
     }
 }

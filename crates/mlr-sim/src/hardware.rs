@@ -70,9 +70,6 @@ pub struct InterconnectSpec {
     pub latency_us: f64,
     /// Fixed per-message software/RDMA-setup overhead in microseconds.
     pub per_message_us: f64,
-    /// Payload size (bytes) that reaches ~95 % of peak bandwidth utilisation;
-    /// smaller payloads are penalised (this is what key coalescing fixes).
-    pub saturating_payload_bytes: f64,
 }
 
 impl InterconnectSpec {
@@ -82,27 +79,12 @@ impl InterconnectSpec {
             injection_gbps: 200.0,
             latency_us: 2.0,
             per_message_us: 1.5,
-            saturating_payload_bytes: 4096.0,
         }
     }
 
     /// Injection bandwidth in GB/s (bytes, not bits).
     pub fn injection_gb_per_s(&self) -> f64 {
         self.injection_gbps / 8.0
-    }
-
-    /// Fraction of peak bandwidth achieved by a message of `payload_bytes`,
-    /// following a simple saturation curve: utilisation approaches 1 as the
-    /// payload approaches [`Self::saturating_payload_bytes`], and 95 % is
-    /// reached exactly at that size (matching the paper's observation that
-    /// 4 KB payloads reach 95 % utilisation on Slingshot-11).
-    pub fn payload_utilisation(&self, payload_bytes: f64) -> f64 {
-        if payload_bytes <= 0.0 {
-            return 0.0;
-        }
-        // u(p) = p / (p + k) with k chosen so u(saturating) = 0.95.
-        let k = self.saturating_payload_bytes * (1.0 - 0.95) / 0.95;
-        payload_bytes / (payload_bytes + k)
     }
 }
 
@@ -199,16 +181,6 @@ impl ClusterSpec {
             memory_node: MemoryNodeSpec::polaris_memory_node(),
         }
     }
-
-    /// Total number of GPUs across the cluster.
-    pub fn total_gpus(&self) -> usize {
-        self.num_nodes * self.node.gpus
-    }
-
-    /// Number of nodes required to host `gpus` GPUs.
-    pub fn nodes_for_gpus(&self, gpus: usize) -> usize {
-        gpus.div_ceil(self.node.gpus).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -218,32 +190,11 @@ mod tests {
     #[test]
     fn polaris_defaults_sane() {
         let c = ClusterSpec::polaris(2);
-        assert_eq!(c.total_gpus(), 8);
+        assert_eq!(c.num_nodes, 2);
         assert_eq!(c.node.gpus, 4);
         assert!(c.node.gpu.fp32_tflops > 10.0);
         assert!(c.interconnect.injection_gb_per_s() > 20.0);
         assert!(c.memory_node.dram_gib >= 512.0);
-    }
-
-    #[test]
-    fn nodes_for_gpus_rounds_up() {
-        let c = ClusterSpec::polaris(4);
-        assert_eq!(c.nodes_for_gpus(1), 1);
-        assert_eq!(c.nodes_for_gpus(4), 1);
-        assert_eq!(c.nodes_for_gpus(5), 2);
-        assert_eq!(c.nodes_for_gpus(16), 4);
-    }
-
-    #[test]
-    fn payload_utilisation_curve() {
-        let i = InterconnectSpec::slingshot11();
-        assert_eq!(i.payload_utilisation(0.0), 0.0);
-        let small = i.payload_utilisation(256.0);
-        let at_4k = i.payload_utilisation(4096.0);
-        let large = i.payload_utilisation((1u64 << 20) as f64);
-        assert!(small < at_4k);
-        assert!((at_4k - 0.95).abs() < 1e-9);
-        assert!(large > 0.99);
     }
 
     #[test]

@@ -7,25 +7,22 @@
 //! with a dedicated memory node hosting the memoization database. None of
 //! that hardware is available to this reproduction, so performance-shaped
 //! results (normalized execution time, bandwidth-utilisation curves, latency
-//! CDFs, memory-over-time traces) are produced by an **analytic cost model +
-//! event timeline** calibrated to the same nominal capabilities:
+//! CDFs) are produced by an **analytic cost model** calibrated to the same
+//! nominal capabilities:
 //!
 //! * [`hardware`] — device and cluster specifications (Polaris defaults).
 //! * [`cost`] — translation of operations (FFT FLOPs, byte transfers, kernel
-//!   launches, CNN inference, ANN queries, KV lookups) into simulated time.
-//! * [`timeline`] — a resource-aware event timeline that models overlap
-//!   between compute and data movement (the pipelines of Figures 1 and 3).
-//! * [`network`] — shared-link contention for the compute↔memory-node
-//!   interconnect (Figures 15 and 16).
+//!   launches, CNN inference, ANN queries) into simulated time.
+//! * [`network`] — the deterministic FIFO queue one memory-node link is
+//!   priced through (`mlr_cluster::replay_trace`, Figures 15 and 16).
 //! * [`faults`] — deterministic fault injection: seeded, tick-ordered
 //!   schedules of node crashes, link degradations, and slow-stripe stalls
 //!   that the distributed memo tier replays bit-identically.
-//! * [`memory`] — tiered memory accounting: per-variable allocations on GPU
-//!   HBM / CPU DRAM / SSD / remote memory and RSS-over-time traces
-//!   (Figures 2 and 13).
-//! * [`workload`] — the analytic ADMM-FFT workload model (operation counts
-//!   and variable sizes per iteration) used to extrapolate measured
-//!   per-element costs to the paper's 1K³–2K³ problem sizes.
+//! * [`memory`] — byte formatting for the memory reports of Figures 2
+//!   and 13.
+//! * [`workload`] — the analytic ADMM-FFT workload model (operation counts,
+//!   variable sizes and memo-case prices per iteration) used to extrapolate
+//!   to the paper's 1K³–2K³ problem sizes.
 //!
 //! Numerical results (convergence, accuracy vs τ, chunk similarity) never go
 //! through this crate — they are computed for real by the solver.
@@ -37,15 +34,11 @@ pub mod faults;
 pub mod hardware;
 pub mod memory;
 pub mod network;
-pub mod timeline;
 pub mod workload;
 
 pub use cost::CostModel;
 pub use faults::{FaultEvent, FaultPlan, LinkState, TimedFault};
 pub use hardware::{ClusterSpec, GpuSpec, InterconnectSpec, MemoryNodeSpec, NodeSpec, SsdSpec};
-pub use memory::{MemTier, MemoryTracker};
-pub use network::SharedLink;
-pub use timeline::{Resource, SimTimeline, Span};
 pub use workload::{AdmmWorkload, ProblemSize};
 
 /// Seconds, the simulated time unit used throughout this crate.

@@ -1,166 +1,6 @@
-//! Tiered-memory accounting.
-//!
-//! Tracks named allocations across the memory tiers (GPU HBM, CPU DRAM,
-//! local SSD, the remote memory node) over simulated time, producing the
-//! RSS-over-time traces of Figure 13 and the per-variable breakdown of
-//! Figure 2. The offload planner in `mlr-offload` uses the same tracker to
-//! check that a candidate plan fits the configured DRAM capacity.
+//! Byte formatting for the memory reports of Figures 2 and 13.
 
-use crate::Seconds;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// Memory tier a variable can live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum MemTier {
-    /// GPU HBM.
-    GpuHbm,
-    /// Host DRAM.
-    CpuDram,
-    /// Local NVMe SSD.
-    Ssd,
-    /// The remote memory node.
-    Remote,
-}
-
-impl MemTier {
-    /// All tiers.
-    pub const ALL: [MemTier; 4] = [
-        MemTier::GpuHbm,
-        MemTier::CpuDram,
-        MemTier::Ssd,
-        MemTier::Remote,
-    ];
-
-    /// Display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MemTier::GpuHbm => "GPU HBM",
-            MemTier::CpuDram => "CPU DRAM",
-            MemTier::Ssd => "SSD",
-            MemTier::Remote => "remote memory",
-        }
-    }
-}
-
-/// One point in a tier's usage trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UsagePoint {
-    /// Simulated time.
-    pub time: Seconds,
-    /// Bytes resident in the tier immediately after the event at `time`.
-    pub bytes: u64,
-}
-
-/// Tracks named allocations across tiers over simulated time.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryTracker {
-    allocations: HashMap<String, (u64, MemTier)>,
-    current: HashMap<MemTier, u64>,
-    peak: HashMap<MemTier, u64>,
-    traces: HashMap<MemTier, Vec<UsagePoint>>,
-}
-
-impl MemoryTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates `bytes` for variable `name` in `tier` at time `t`.
-    ///
-    /// # Panics
-    /// Panics if `name` is already allocated (free or move it first).
-    pub fn alloc(&mut self, name: &str, bytes: u64, tier: MemTier, t: Seconds) {
-        assert!(
-            !self.allocations.contains_key(name),
-            "variable {name} is already allocated"
-        );
-        self.allocations.insert(name.to_string(), (bytes, tier));
-        self.add(tier, bytes as i64, t);
-    }
-
-    /// Frees variable `name` at time `t`.
-    ///
-    /// # Panics
-    /// Panics if `name` is not allocated.
-    pub fn free(&mut self, name: &str, t: Seconds) {
-        let (bytes, tier) = self
-            .allocations
-            .remove(name)
-            .unwrap_or_else(|| panic!("variable {name} not allocated"));
-        self.add(tier, -(bytes as i64), t);
-    }
-
-    /// Moves variable `name` to `tier` at time `t` (e.g. offload to SSD).
-    ///
-    /// # Panics
-    /// Panics if `name` is not allocated.
-    pub fn move_to(&mut self, name: &str, tier: MemTier, t: Seconds) {
-        let (bytes, old_tier) = *self
-            .allocations
-            .get(name)
-            .unwrap_or_else(|| panic!("variable {name} not allocated"));
-        if old_tier == tier {
-            return;
-        }
-        self.add(old_tier, -(bytes as i64), t);
-        self.add(tier, bytes as i64, t);
-        self.allocations.insert(name.to_string(), (bytes, tier));
-    }
-
-    fn add(&mut self, tier: MemTier, delta: i64, t: Seconds) {
-        let entry = self.current.entry(tier).or_insert(0);
-        let new = (*entry as i64 + delta).max(0) as u64;
-        *entry = new;
-        let peak = self.peak.entry(tier).or_insert(0);
-        *peak = (*peak).max(new);
-        self.traces.entry(tier).or_default().push(UsagePoint {
-            time: t,
-            bytes: new,
-        });
-    }
-
-    /// Bytes currently resident in `tier`.
-    pub fn resident(&self, tier: MemTier) -> u64 {
-        self.current.get(&tier).copied().unwrap_or(0)
-    }
-
-    /// Peak bytes ever resident in `tier`.
-    pub fn peak(&self, tier: MemTier) -> u64 {
-        self.peak.get(&tier).copied().unwrap_or(0)
-    }
-
-    /// Usage trace of `tier` (time, bytes) in event order.
-    pub fn trace(&self, tier: MemTier) -> &[UsagePoint] {
-        self.traces.get(&tier).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Current tier of a variable, if allocated.
-    pub fn tier_of(&self, name: &str) -> Option<MemTier> {
-        self.allocations.get(name).map(|&(_, tier)| tier)
-    }
-
-    /// Size of a variable, if allocated.
-    pub fn size_of(&self, name: &str) -> Option<u64> {
-        self.allocations.get(name).map(|&(bytes, _)| bytes)
-    }
-
-    /// Per-variable breakdown of one tier, sorted by descending size — the
-    /// pie-chart data of Figure 2.
-    pub fn breakdown(&self, tier: MemTier) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .allocations
-            .iter()
-            .filter(|(_, &(_, t))| t == tier)
-            .map(|(name, &(bytes, _))| (name.clone(), bytes))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-}
-
-/// Formats bytes as GiB with one decimal, for reports.
+/// Bytes in GiB, for reports.
 pub fn gib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64
 }
@@ -170,67 +10,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_free_and_peak() {
-        let mut m = MemoryTracker::new();
-        m.alloc("psi", 10, MemTier::CpuDram, 0.0);
-        m.alloc("lambda", 20, MemTier::CpuDram, 1.0);
-        assert_eq!(m.resident(MemTier::CpuDram), 30);
-        m.free("psi", 2.0);
-        assert_eq!(m.resident(MemTier::CpuDram), 20);
-        assert_eq!(m.peak(MemTier::CpuDram), 30);
-        assert_eq!(m.trace(MemTier::CpuDram).len(), 3);
-    }
-
-    #[test]
-    fn move_between_tiers() {
-        let mut m = MemoryTracker::new();
-        m.alloc("g", 100, MemTier::CpuDram, 0.0);
-        m.move_to("g", MemTier::Ssd, 1.0);
-        assert_eq!(m.resident(MemTier::CpuDram), 0);
-        assert_eq!(m.resident(MemTier::Ssd), 100);
-        assert_eq!(m.tier_of("g"), Some(MemTier::Ssd));
-        assert_eq!(m.size_of("g"), Some(100));
-        // Moving to the same tier is a no-op.
-        m.move_to("g", MemTier::Ssd, 2.0);
-        assert_eq!(m.trace(MemTier::Ssd).len(), 1);
-    }
-
-    #[test]
-    fn breakdown_sorted_by_size() {
-        let mut m = MemoryTracker::new();
-        m.alloc("u", 50, MemTier::CpuDram, 0.0);
-        m.alloc("psi", 200, MemTier::CpuDram, 0.0);
-        m.alloc("chunk", 10, MemTier::GpuHbm, 0.0);
-        let b = m.breakdown(MemTier::CpuDram);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b[0].0, "psi");
-        assert_eq!(b[1].0, "u");
-    }
-
-    #[test]
-    #[should_panic(expected = "already allocated")]
-    fn double_alloc_panics() {
-        let mut m = MemoryTracker::new();
-        m.alloc("x", 1, MemTier::CpuDram, 0.0);
-        m.alloc("x", 1, MemTier::CpuDram, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not allocated")]
-    fn free_unknown_panics() {
-        let mut m = MemoryTracker::new();
-        m.free("nope", 0.0);
-    }
-
-    #[test]
     fn gib_formatting() {
         assert!((gib(1u64 << 30) - 1.0).abs() < 1e-12);
         assert!((gib(121 * (1u64 << 30)) - 121.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tier_labels() {
-        assert_eq!(MemTier::ALL.len(), 4);
-        assert_eq!(MemTier::Ssd.label(), "SSD");
     }
 }

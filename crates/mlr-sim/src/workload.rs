@@ -115,6 +115,34 @@ impl AdmmPhase {
     }
 }
 
+/// Paper-scale seconds of one USFFT chunk in each memo case: Figure 10's
+/// bars, and the per-chunk prices a paper-scale projection weighs by the
+/// measured case distribution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemoCaseSeconds {
+    /// Exact computation, no memo path.
+    pub exact: Seconds,
+    /// Failed memoization: key, query, then the exact computation.
+    pub failed: Seconds,
+    /// Database hit: key, query, and the value over the network.
+    pub db_hit: Seconds,
+    /// Compute-node cache hit: key and a DRAM copy of the value.
+    pub cache_hit: Seconds,
+}
+
+impl MemoCaseSeconds {
+    /// Expected seconds of one chunk under a `(failed, db hit, cache hit)`
+    /// case distribution; whatever share the three leave out of 1 is priced
+    /// as exact (a run that memoized nothing is all exact).
+    pub fn expected(&self, (failed, db_hit, cache_hit): (f64, f64, f64)) -> Seconds {
+        let exact = (1.0 - failed - db_hit - cache_hit).max(0.0);
+        exact * self.exact
+            + failed * self.failed
+            + db_hit * self.db_hit
+            + cache_hit * self.cache_hit
+    }
+}
+
 /// The analytic workload of one ADMM-FFT run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdmmWorkload {
@@ -212,6 +240,25 @@ impl AdmmWorkload {
     /// payload from.
     pub fn memo_value_bytes(&self) -> f64 {
         (mlr_math::Complex32::BYTES as u64 * self.size.voxels()) as f64
+    }
+
+    /// The price of one chunk of a USFFT stage whose whole-volume compute
+    /// takes `stage` seconds, in each memo case. This prices the *paper's*
+    /// memo path, not this repository's: a CNN key per chunk, one 60-d IVF
+    /// query against a million stored keys per probe, the value over the
+    /// network for a database hit and a DRAM copy for a cache hit.
+    pub fn memo_chunk_seconds(&self, cost: &CostModel, stage: Seconds) -> MemoCaseSeconds {
+        let fraction = 1.0 / self.size.num_chunks() as f64;
+        let exact = stage.max(cost.pcie_time(self.stage_transfer_bytes())) * fraction;
+        let value_bytes = self.memo_value_bytes() * fraction;
+        let encode = cost.cnn_encode_time((self.size.voxels() as f64 * fraction) as usize);
+        let query = cost.ann_query_time(1_000_000, 60, 1, 8);
+        MemoCaseSeconds {
+            exact,
+            failed: exact + encode + query,
+            db_hit: encode + query + cost.network_bulk_time(value_bytes),
+            cache_hit: encode + cost.dram_copy_time(value_bytes),
+        }
     }
 
     /// Simulated time of one LSP inner (CG) iteration under Algorithm 1
@@ -402,5 +449,15 @@ mod tests {
         let t2 = AdmmWorkload::new(ProblemSize::paper_2k()).iteration_time(&cost, false);
         assert!(t15 > 2.0 * t1);
         assert!(t2 > t15);
+    }
+
+    #[test]
+    fn memo_case_prices_order_like_figure_10() {
+        let cost = CostModel::polaris(1);
+        let w = AdmmWorkload::new(ProblemSize::paper_1k());
+        let c = w.memo_chunk_seconds(&cost, w.fu2d_time(&cost));
+        assert!(c.cache_hit < c.db_hit && c.db_hit < c.exact && c.exact < c.failed);
+        assert_eq!(c.expected((0.0, 0.0, 0.0)), c.exact);
+        assert_eq!(c.expected((0.0, 1.0, 0.0)), c.db_hit);
     }
 }
