@@ -42,6 +42,9 @@ pub struct FftPlan {
     /// Twiddles for the radix-2 path (only populated for power-of-two n).
     twiddles_fwd: Vec<Complex64>,
     twiddles_inv: Vec<Complex64>,
+    /// The bit-reversal permutation of the radix-2 path as the swaps that
+    /// perform it, in the order the classic in-place loop performs them.
+    swaps: Vec<(usize, usize)>,
     /// Bluestein auxiliary tables (only populated for non-power-of-two n).
     bluestein: Option<BluesteinTables>,
 }
@@ -79,10 +82,24 @@ impl FftPlan {
                 twiddles_fwd.push(Complex64::cis(-theta));
                 twiddles_inv.push(Complex64::cis(theta));
             }
+            let mut swaps = Vec::new();
+            let mut j = 0usize;
+            for i in 0..n {
+                if i < j {
+                    swaps.push((i, j));
+                }
+                let mut bit = n >> 1;
+                while j & bit != 0 {
+                    j ^= bit;
+                    bit >>= 1;
+                }
+                j |= bit;
+            }
             Self {
                 n,
                 twiddles_fwd,
                 twiddles_inv,
+                swaps,
                 bluestein: None,
             }
         } else {
@@ -132,6 +149,7 @@ impl FftPlan {
                 n,
                 twiddles_fwd: Vec::new(),
                 twiddles_inv: Vec::new(),
+                swaps: Vec::new(),
                 bluestein: Some(BluesteinTables {
                     m,
                     chirp,
@@ -198,20 +216,14 @@ impl FftPlan {
         }
     }
 
+    /// Iterative radix-2 transform. Each stage walks its blocks of `len`
+    /// and zips the two halves with every `n / len`-th twiddle, so the loop
+    /// carries no index arithmetic and no bounds checks. Every butterfly,
+    /// the `w = 1` ones included, is `a ± b·w` as written.
     fn radix2(&self, data: &mut [Complex64], dir: Direction) {
         let n = self.n;
-        // Bit-reversal permutation.
-        let mut j = 0usize;
-        for i in 0..n {
-            if i < j {
-                data.swap(i, j);
-            }
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
+        for &(i, j) in &self.swaps {
+            data.swap(i, j);
         }
         let twiddles = match dir {
             Direction::Forward => &self.twiddles_fwd,
@@ -219,15 +231,14 @@ impl FftPlan {
         };
         let mut len = 2usize;
         while len <= n {
-            let step = n / len;
-            let half = len / 2;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let w = twiddles[k * step];
-                    let a = data[start + k];
-                    let b = data[start + k + half] * w;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(len / 2);
+                let stage_twiddles = twiddles.iter().step_by(n / len);
+                for ((x, y), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage_twiddles) {
+                    let a = *x;
+                    let b = *y * w;
+                    *x = a + b;
+                    *y = a - b;
                 }
             }
             len <<= 1;
@@ -348,6 +359,90 @@ mod tests {
         (0..n)
             .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
             .collect()
+    }
+
+    /// The radix-2 transform as it was before the bit reversal became a
+    /// planned swap list and the stages slice iterators: every index
+    /// computed in the loop. Kept as the bit-identity reference.
+    fn reference_radix2(plan: &FftPlan, data: &mut [Complex64], dir: Direction) {
+        let n = plan.n;
+        let mut j = 0usize;
+        for i in 0..n {
+            if i < j {
+                data.swap(i, j);
+            }
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+        }
+        let twiddles = match dir {
+            Direction::Forward => &plan.twiddles_fwd,
+            Direction::Inverse => &plan.twiddles_inv,
+        };
+        let mut len = 2usize;
+        while len <= n {
+            let step = n / len;
+            let half = len / 2;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let w = twiddles[k * step];
+                    let a = data[start + k];
+                    let b = data[start + k + half] * w;
+                    data[start + k] = a + b;
+                    data[start + k + half] = a - b;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn radix2_is_bit_identical_to_indexed_reference() {
+        for log_n in 1..=10u64 {
+            let n = 1usize << log_n;
+            let plan = FftPlan::new(n);
+            // Random values; all +0; all −0; and a mix of ±0 and values,
+            // where a butterfly that skipped its `w = 1` multiply would
+            // flip the sign of a zero.
+            let mut rng = seeded(600 + log_n);
+            let mut component = || match rng.gen_range(0..3) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen::<f64>() - 0.5,
+            };
+            let mixed: Vec<Complex64> = (0..n)
+                .map(|_| Complex64::new(component(), component()))
+                .collect();
+            let inputs = [
+                random_signal(n, 500 + log_n),
+                vec![Complex64::ZERO; n],
+                vec![Complex64::new(-0.0, -0.0); n],
+                mixed,
+            ];
+            for x in &inputs {
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut expected = x.clone();
+                    reference_radix2(&plan, &mut expected, dir);
+                    let mut unscaled = x.clone();
+                    plan.process_unscaled(&mut unscaled, dir);
+                    assert_eq!(bits(&unscaled), bits(&expected), "unscaled n {n} {dir:?}");
+                    if dir == Direction::Inverse {
+                        let scale = 1.0 / n as f64;
+                        expected.iter_mut().for_each(|v| *v = v.scale(scale));
+                    }
+                    let mut scaled = x.clone();
+                    plan.process(&mut scaled, dir);
+                    assert_eq!(bits(&scaled), bits(&expected), "process n {n} {dir:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use fft::{Direction, FftPlan, FftPlanner};
 pub use fft2d::{fft2_inplace, ifft2_inplace, Fft2Batch};
 pub use scratch::{ScratchLease, ScratchPool};
 pub use shift::{fftfreq, fftshift_1d, fftshift_2d, ifftshift_1d, ifftshift_2d};
-pub use usfft::{Usfft1d, Usfft2d};
+pub use usfft::{Usfft1d, Usfft2d, Usfft2dGrid};
 
 /// Number of real floating-point operations a radix-2 FFT of length `n`
 /// performs, `~ 5 n log2 n`. Used by the hardware cost model in `mlr-sim` to

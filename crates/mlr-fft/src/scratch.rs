@@ -23,11 +23,12 @@
 //! * a [`Usfft1d`](crate::usfft::Usfft1d) owns its fine-grid pool — the
 //!   operator has one vertical plan;
 //! * a [`Usfft2d`](crate::usfft::Usfft2d) only *borrows* its fine-grid and
-//!   column pools (`Arc<ScratchPool>` each). The laminography operator
-//!   builds one pair and hands it to all `h` per-detector-row plans, which
-//!   share the same `nr1 × nr2`, so the operator parks at most one fine grid
-//!   and one column per concurrently running plane transform — O(threads),
-//!   not O(detector rows). A plan built on its own gets a private pair;
+//!   column pools from the [`Usfft2dGrid`](crate::usfft::Usfft2dGrid) it is
+//!   built on. The laminography operator builds one grid and hands it to all
+//!   `h` per-detector-row plans, which share the same `nr1 × nr2`, so the
+//!   operator parks at most one fine grid and one column per concurrently
+//!   running plane transform — O(threads), not O(detector rows). A plan
+//!   built on its own gets a private grid;
 //! * the operator owns the gather/staging arena of its `F_u2D` stages.
 //!
 //! Reuse is invisible numerically: leases are either zero-filled

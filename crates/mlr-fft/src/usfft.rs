@@ -16,15 +16,23 @@
 //! satisfies `⟨F x, y⟩ = ⟨x, F* y⟩` to machine precision — a property the
 //! conjugate-gradient iterations inside ADMM rely on.
 //!
-//! Accuracy (relative l2 error against the direct non-uniform sum, measured
-//! at n = 16…48): ~3e-10 with the default parameters (oversampling 2,
-//! half-width 10) and ~1e-6 with the `(2, 6)` every laminography operator is
-//! built with, when `2n` is a power of two; ~4e-7 and ~5e-5 otherwise (the
-//! fine grid rounds up to a power of two, the Gaussian width does not follow).
+//! Accuracy (relative l2 error against the direct non-uniform sum, 1-D
+//! forward and adjoint and 2-D forward at n = 16…48, 1.5·n² random
+//! frequencies): 1.6e-10 – 2.8e-10 with the default parameters
+//! (oversampling 2, half-width 10) and 8e-7 – 1.2e-6 with the `(2, 6)` every
+//! laminography operator is built with, when `2n` is a power of two;
+//! 2.3e-7 – 4.4e-7 and 2.7e-5 – 4.3e-5 otherwise (the fine grid rounds up to
+//! a power of two, the Gaussian width does not follow).
+//!
+//! The window is the Gaussian factored as in Greengard & Lee: per axis a
+//! frequency costs two exponentials, and its `2m+1` weights are a running
+//! product against a table of `exp(−l²/β)` built with the plan (`Window`).
+//! The factoring moves a weight from the per-tap exponential by rounding
+//! only (≤ 1.4e-15 measured) and a transform by ≤ 2.4e-15 relative.
 //!
 //! The 2-D transform does only the work that reaches the result. The window
-//! is separable, so a frequency costs `2(2m+1)` exponentials — its column
-//! weights are computed once into a stack array, each row weight once per
+//! is separable, so a frequency costs four exponentials — its column
+//! weights are computed once into a stack array, its row weights once per
 //! row tap — and the `(2m+1)²` taps are a multiply-add over fine-grid row
 //! slices. The fine-grid FFT transforms only the `n1` rows that hold samples
 //! going forward and only the `n2` columns the result reads coming back,
@@ -45,9 +53,10 @@
 //! caller keeps it — the strided 1-D forms read and write a column of a
 //! row-major plane in place — and the `Vec`-returning methods are
 //! `vec! + _into`. Working memory is leased ([`crate::scratch`]): a
-//! [`Usfft1d`] owns its fine-grid pool; a [`Usfft2d`] borrows a fine-grid and
-//! a column pool, private to it unless [`Usfft2d::with_scratch`] shares one
-//! pair among plans of equal fine-grid size.
+//! [`Usfft1d`] owns its fine-grid pool; a [`Usfft2d`] is a frequency list on
+//! a [`Usfft2dGrid`] — fine-grid FFT plans, window tables and the fine-grid
+//! and column pools — private to it unless [`Usfft2d::on_grid`] shares one
+//! grid among plans of equal size.
 
 use crate::fft::{Direction, FftPlan};
 use crate::scratch::{ScratchLease, ScratchPool};
@@ -66,6 +75,58 @@ pub const DEFAULT_HALF_WIDTH: usize = 10;
 fn gaussian_sigma(n: usize, r: usize, m_sp: usize) -> f64 {
     let rf = r as f64;
     m_sp as f64 / (4.0 * PI * (n as f64) * (n as f64) * rf * (rf - 0.5))
+}
+
+/// Pre-compensation of the `n` uniform samples: the inverse of the
+/// Gaussian's Fourier transform at each centred index.
+fn deconvolution(n: usize, sigma: f64) -> Vec<f64> {
+    (0..n)
+        .map(|j| {
+            let p = j as f64 - (n / 2) as f64;
+            (4.0 * PI * PI * sigma * p * p).exp()
+        })
+        .collect()
+}
+
+/// The Gaussian window along one axis of `nr` fine-grid cells, factored as
+/// in Greengard & Lee (2004). A frequency at cell position `c` has nearest
+/// cell `q0` and offset `x = c − q0`; with `β = 4σ·nr²`, tap `l ∈ [−m, m]`
+/// weighs `exp(−(x − l)²/β) = exp(−(x² + 2xm)/β) · E^(l+m) · g[l]`, where
+/// `E = exp(2x/β)` and `g[l] = exp(−l²/β)` is tabulated here. A frequency
+/// costs two exponentials however wide the window.
+struct Window {
+    nr: usize,
+    beta: f64,
+    m_sp: usize,
+    /// `g[l + m] = exp(−l²/β)` for `l ∈ [−m, m]`.
+    g: Vec<f64>,
+}
+
+impl Window {
+    fn new(nr: usize, sigma: f64, m_sp: usize) -> Self {
+        let beta = 4.0 * sigma * (nr * nr) as f64;
+        let m = m_sp as isize;
+        let g = (-m..=m).map(|l| (-((l * l) as f64) / beta).exp()).collect();
+        Self { nr, beta, m_sp, g }
+    }
+
+    /// The `2m + 1` taps around frequency `w` in ascending cell order:
+    /// `(weight, wrapped cell)`.
+    #[inline]
+    fn taps(&self, w: f64) -> impl Iterator<Item = (f64, usize)> + '_ {
+        let center = wrap_unit(w) * self.nr as f64;
+        let q0 = center.round() as isize;
+        let x = center - q0 as f64;
+        let first = (-(x * x + 2.0 * x * self.m_sp as f64) / self.beta).exp();
+        let ratio = (2.0 * x / self.beta).exp();
+        let nr = self.nr as isize;
+        let cells = q0 - self.m_sp as isize..;
+        self.g.iter().zip(cells).scan(first, move |e, (&g, q)| {
+            let weight = *e * g;
+            *e *= ratio;
+            Some((weight, q.rem_euclid(nr) as usize))
+        })
+    }
 }
 
 /// One-dimensional unequally-spaced FFT.
@@ -113,27 +174,22 @@ impl Usfft1d {
         assert!(half_width > 0, "kernel half-width must be positive");
         let nr = (n * oversampling).next_power_of_two();
         let sigma = gaussian_sigma(n, oversampling, half_width);
-        let deconv: Vec<f64> = (0..n)
-            .map(|j| {
-                let p = j as f64 - (n / 2) as f64;
-                (4.0 * PI * PI * sigma * p * p).exp()
-            })
-            .collect();
         let scale = 1.0 / (nr as f64 * (4.0 * PI * sigma).sqrt());
         let n_taps = 2 * half_width + 1;
+        let window = Window::new(nr, sigma, half_width);
         let mut tap_start = Vec::with_capacity(freqs.len());
         let mut tap_weights = Vec::with_capacity(freqs.len() * n_taps);
         for &w in &freqs {
-            let mut window = taps(w, nr, sigma, half_width).peekable();
-            tap_start.extend(window.peek().map(|&(_, cell)| cell));
-            tap_weights.extend(window.map(|(weight, _)| weight));
+            let mut taps = window.taps(w).peekable();
+            tap_start.extend(taps.peek().map(|&(_, cell)| cell));
+            tap_weights.extend(taps.map(|(weight, _)| weight));
         }
         Self {
             n,
             nr,
             n_taps,
             freqs,
-            deconv,
+            deconv: deconvolution(n, sigma),
             scale,
             plan: Arc::new(FftPlan::new(nr)),
             tap_start,
@@ -340,99 +396,38 @@ fn holds_strided(len: usize, count: usize, stride: usize) -> bool {
 /// stack array holding one frequency's column weights.
 const MAX_TAPS: usize = 33;
 
-/// The `2·m_sp + 1` Gaussian window taps around frequency `w` along an axis
-/// of `nr` fine-grid cells, in ascending cell order: `(weight, wrapped index)`.
-#[inline]
-fn taps(w: f64, nr: usize, sigma: f64, m_sp: usize) -> impl Iterator<Item = (f64, usize)> {
-    let center = wrap_unit(w) * nr as f64;
-    let q0 = center.round() as isize;
-    let m_sp = m_sp as isize;
-    (q0 - m_sp..=q0 + m_sp).map(move |q| {
-        let d = (center - q as f64) / nr as f64;
-        (
-            (-(d * d) / (4.0 * sigma)).exp(),
-            q.rem_euclid(nr as isize) as usize,
-        )
-    })
-}
-
-/// Two-dimensional unequally-spaced FFT.
-///
-/// Maps an `n1 × n2` uniform grid (centered indices) to the Fourier sum
-/// `Σ_{p1,p2} u[p1,p2]·exp(-2πi(ω1·p1 + ω2·p2))` evaluated at a list of
-/// non-uniform frequency pairs `(ω1, ω2)`.
-pub struct Usfft2d {
+/// What every [`Usfft2d`] of one `(n1, n2, oversampling, half_width)`
+/// shares: the fine-grid FFT plans, the two axes' windows, the
+/// pre-compensation, and the pooled fine grids (length `nr1 * nr2`) and
+/// column buffers (length `nr1`) the transforms lease. A plan is a grid plus
+/// its frequency list ([`Usfft2d::on_grid`]), so plans built on one grid
+/// build these once and park one fine grid and one column per transform
+/// running at once, however many plans there are.
+pub struct Usfft2dGrid {
     n1: usize,
     n2: usize,
     nr1: usize,
     nr2: usize,
-    m_sp: usize,
-    sigma1: f64,
-    sigma2: f64,
-    freqs: Vec<(f64, f64)>,
+    window1: Window,
+    window2: Window,
     deconv1: Vec<f64>,
     deconv2: Vec<f64>,
     scale: f64,
-    plan1: Arc<FftPlan>,
-    plan2: Arc<FftPlan>,
-    /// Pooled fine grids (length `nr1 * nr2`) and column buffers (length
-    /// `nr1`): the per-chunk 2-D transforms stop allocating once the pools
-    /// warm up. Shared with every plan built over the same pair.
-    fine_pool: Arc<ScratchPool>,
-    column_pool: Arc<ScratchPool>,
+    plan1: FftPlan,
+    plan2: FftPlan,
+    fine_pool: ScratchPool,
+    column_pool: ScratchPool,
 }
 
-impl Usfft2d {
-    /// Creates a transform for an `n1 × n2` uniform grid evaluated at the
-    /// given non-uniform frequency pairs `(ω1, ω2)` in cycles/sample.
-    ///
-    /// # Panics
-    /// Panics when either dimension is zero.
-    pub fn new(n1: usize, n2: usize, freqs: Vec<(f64, f64)>) -> Self {
-        Self::with_params(n1, n2, freqs, DEFAULT_OVERSAMPLING, DEFAULT_HALF_WIDTH)
-    }
-
-    /// Creates a transform with explicit oversampling and kernel half-width,
-    /// over scratch pools of its own.
+impl Usfft2dGrid {
+    /// The grid for an `n1 × n2` uniform input with explicit oversampling
+    /// and kernel half-width.
     ///
     /// # Panics
     /// Panics when a dimension is zero, `oversampling < 2`, `half_width == 0`,
     /// or `half_width > 16` (past ~12 cells the Gaussian window is below
     /// double precision anyway).
-    pub fn with_params(
-        n1: usize,
-        n2: usize,
-        freqs: Vec<(f64, f64)>,
-        oversampling: usize,
-        half_width: usize,
-    ) -> Self {
-        Self::with_scratch(
-            n1,
-            n2,
-            freqs,
-            oversampling,
-            half_width,
-            Arc::new(ScratchPool::new()),
-            Arc::new(ScratchPool::new()),
-        )
-    }
-
-    /// [`Self::with_params`] over the caller's fine-grid and column pools.
-    /// Plans of equal `(n1, n2, oversampling)` built over one pair park one
-    /// fine grid and one column per transform running at once, however many
-    /// plans there are.
-    ///
-    /// # Panics
-    /// As [`Self::with_params`].
-    pub fn with_scratch(
-        n1: usize,
-        n2: usize,
-        freqs: Vec<(f64, f64)>,
-        oversampling: usize,
-        half_width: usize,
-        fine_pool: Arc<ScratchPool>,
-        column_pool: Arc<ScratchPool>,
-    ) -> Self {
+    pub fn new(n1: usize, n2: usize, oversampling: usize, half_width: usize) -> Self {
         assert!(n1 > 0 && n2 > 0, "USFFT2D dimensions must be positive");
         assert!(oversampling >= 2, "oversampling must be >= 2");
         assert!(half_width > 0, "kernel half-width must be positive");
@@ -441,14 +436,6 @@ impl Usfft2d {
         let nr2 = (n2 * oversampling).next_power_of_two();
         let sigma1 = gaussian_sigma(n1, oversampling, half_width);
         let sigma2 = gaussian_sigma(n2, oversampling, half_width);
-        let deconv = |n: usize, sigma: f64| -> Vec<f64> {
-            (0..n)
-                .map(|j| {
-                    let p = j as f64 - (n / 2) as f64;
-                    (4.0 * PI * PI * sigma * p * p).exp()
-                })
-                .collect()
-        };
         let scale = 1.0
             / (nr1 as f64 * (4.0 * PI * sigma1).sqrt())
             / (nr2 as f64 * (4.0 * PI * sigma2).sqrt());
@@ -457,33 +444,21 @@ impl Usfft2d {
             n2,
             nr1,
             nr2,
-            m_sp: half_width,
-            sigma1,
-            sigma2,
-            freqs,
-            deconv1: deconv(n1, sigma1),
-            deconv2: deconv(n2, sigma2),
+            window1: Window::new(nr1, sigma1, half_width),
+            window2: Window::new(nr2, sigma2, half_width),
+            deconv1: deconvolution(n1, sigma1),
+            deconv2: deconvolution(n2, sigma2),
             scale,
-            plan1: Arc::new(FftPlan::new(nr1)),
-            plan2: Arc::new(FftPlan::new(nr2)),
-            fine_pool,
-            column_pool,
+            plan1: FftPlan::new(nr1),
+            plan2: FftPlan::new(nr2),
+            fine_pool: ScratchPool::new(),
+            column_pool: ScratchPool::new(),
         }
     }
 
-    /// Uniform grid dimensions `(n1, n2)`.
-    pub fn input_dims(&self) -> (usize, usize) {
-        (self.n1, self.n2)
-    }
-
-    /// Number of non-uniform output frequencies.
-    pub fn output_len(&self) -> usize {
-        self.freqs.len()
-    }
-
-    /// The non-uniform frequency pairs this transform evaluates.
-    pub fn freqs(&self) -> &[(f64, f64)] {
-        &self.freqs
+    /// The fine-grid pool and the column pool (diagnostics).
+    pub fn scratch(&self) -> [&ScratchPool; 2] {
+        [&self.fine_pool, &self.column_pool]
     }
 
     /// Builds the pre-compensated, zero-embedded fine grid and transforms it.
@@ -531,6 +506,64 @@ impl Usfft2d {
             }
         }
     }
+}
+
+/// Two-dimensional unequally-spaced FFT.
+///
+/// Maps an `n1 × n2` uniform grid (centered indices) to the Fourier sum
+/// `Σ_{p1,p2} u[p1,p2]·exp(-2πi(ω1·p1 + ω2·p2))` evaluated at a list of
+/// non-uniform frequency pairs `(ω1, ω2)`.
+pub struct Usfft2d {
+    grid: Arc<Usfft2dGrid>,
+    freqs: Vec<(f64, f64)>,
+}
+
+impl Usfft2d {
+    /// Creates a transform for an `n1 × n2` uniform grid evaluated at the
+    /// given non-uniform frequency pairs `(ω1, ω2)` in cycles/sample.
+    ///
+    /// # Panics
+    /// Panics when either dimension is zero.
+    pub fn new(n1: usize, n2: usize, freqs: Vec<(f64, f64)>) -> Self {
+        Self::with_params(n1, n2, freqs, DEFAULT_OVERSAMPLING, DEFAULT_HALF_WIDTH)
+    }
+
+    /// Creates a transform with explicit oversampling and kernel half-width,
+    /// on a grid of its own.
+    ///
+    /// # Panics
+    /// As [`Usfft2dGrid::new`].
+    pub fn with_params(
+        n1: usize,
+        n2: usize,
+        freqs: Vec<(f64, f64)>,
+        oversampling: usize,
+        half_width: usize,
+    ) -> Self {
+        let grid = Usfft2dGrid::new(n1, n2, oversampling, half_width);
+        Self::on_grid(Arc::new(grid), freqs)
+    }
+
+    /// A transform at `freqs` on the caller's grid, shared with every other
+    /// plan built on it.
+    pub fn on_grid(grid: Arc<Usfft2dGrid>, freqs: Vec<(f64, f64)>) -> Self {
+        Self { grid, freqs }
+    }
+
+    /// Uniform grid dimensions `(n1, n2)`.
+    pub fn input_dims(&self) -> (usize, usize) {
+        (self.grid.n1, self.grid.n2)
+    }
+
+    /// Number of non-uniform output frequencies.
+    pub fn output_len(&self) -> usize {
+        self.freqs.len()
+    }
+
+    /// The non-uniform frequency pairs this transform evaluates.
+    pub fn freqs(&self) -> &[(f64, f64)] {
+        &self.freqs
+    }
 
     /// Forward transform of a row-major `n1 × n2` grid.
     ///
@@ -547,28 +580,29 @@ impl Usfft2d {
     /// # Panics
     /// Panics when `u.len() != n1 * n2` or `out.len() != self.output_len()`.
     pub fn forward_into(&self, u: &[Complex64], out: &mut [Complex64]) {
-        assert_eq!(u.len(), self.n1 * self.n2, "USFFT2D input length mismatch");
+        let g = &*self.grid;
+        assert_eq!(u.len(), g.n1 * g.n2, "USFFT2D input length mismatch");
         assert_eq!(
             out.len(),
             self.freqs.len(),
             "USFFT2D output length mismatch"
         );
-        let fine = self.fine_forward(u);
+        let fine = g.fine_forward(u);
         let mut col_taps = [(0.0, 0); MAX_TAPS];
-        let col_taps = &mut col_taps[..2 * self.m_sp + 1];
+        let col_taps = &mut col_taps[..g.window2.g.len()];
         for (value, &(w1, w2)) in out.iter_mut().zip(&self.freqs) {
             // The window is separable: the column weights are shared by
             // every row tap of this frequency.
-            let window2 = taps(w2, self.nr2, self.sigma2, self.m_sp);
+            let window2 = g.window2.taps(w2);
             col_taps.iter_mut().zip(window2).for_each(|(s, t)| *s = t);
             let mut acc = Complex64::ZERO;
-            for (k1, i1) in taps(w1, self.nr1, self.sigma1, self.m_sp) {
-                let row = &fine[i1 * self.nr2..(i1 + 1) * self.nr2];
+            for (k1, i1) in g.window1.taps(w1) {
+                let row = &fine[i1 * g.nr2..(i1 + 1) * g.nr2];
                 for &(k2, i2) in col_taps.iter() {
                     acc += row[i2].scale(k1 * k2);
                 }
             }
-            *value = acc.scale(self.scale);
+            *value = acc.scale(g.scale);
         }
     }
 
@@ -578,7 +612,7 @@ impl Usfft2d {
     /// # Panics
     /// Panics when `y.len() != self.output_len()`.
     pub fn adjoint(&self, y: &[Complex64]) -> Vec<Complex64> {
-        let mut out = vec![Complex64::ZERO; self.n1 * self.n2];
+        let mut out = vec![Complex64::ZERO; self.grid.n1 * self.grid.n2];
         self.adjoint_into(y, &mut out);
         out
     }
@@ -588,6 +622,7 @@ impl Usfft2d {
     /// # Panics
     /// Panics when `y.len() != self.output_len()` or `out.len() != n1 * n2`.
     pub fn adjoint_into(&self, y: &[Complex64], out: &mut [Complex64]) {
+        let g = &*self.grid;
         assert_eq!(
             y.len(),
             self.freqs.len(),
@@ -595,51 +630,50 @@ impl Usfft2d {
         );
         assert_eq!(
             out.len(),
-            self.n1 * self.n2,
+            g.n1 * g.n2,
             "USFFT2D adjoint output length mismatch"
         );
-        let mut fine = self.fine_pool.lease_zeroed(self.nr1 * self.nr2);
+        let mut fine = g.fine_pool.lease_zeroed(g.nr1 * g.nr2);
         let mut col_taps = [(0.0, 0); MAX_TAPS];
-        let col_taps = &mut col_taps[..2 * self.m_sp + 1];
+        let col_taps = &mut col_taps[..g.window2.g.len()];
         for (&val, &(w1, w2)) in y.iter().zip(&self.freqs) {
-            let window2 = taps(w2, self.nr2, self.sigma2, self.m_sp);
+            let window2 = g.window2.taps(w2);
             col_taps.iter_mut().zip(window2).for_each(|(s, t)| *s = t);
-            let scaled = val.scale(self.scale);
-            for (k1, i1) in taps(w1, self.nr1, self.sigma1, self.m_sp) {
-                let row = &mut fine[i1 * self.nr2..(i1 + 1) * self.nr2];
+            let scaled = val.scale(g.scale);
+            for (k1, i1) in g.window1.taps(w1) {
+                let row = &mut fine[i1 * g.nr2..(i1 + 1) * g.nr2];
                 for &(k2, i2) in col_taps.iter() {
                     row[i2] += scaled.scale(k1 * k2);
                 }
             }
         }
         // Only the n2 embedded columns are read below.
-        let cols = (0..self.n2).map(|j2| embed(j2, self.n2, self.nr2));
-        self.fft_fine(&mut fine, Direction::Inverse, 0..self.nr1, cols);
-        for j1 in 0..self.n1 {
-            let r1 = embed(j1, self.n1, self.nr1);
-            for j2 in 0..self.n2 {
-                let r2 = embed(j2, self.n2, self.nr2);
-                out[j1 * self.n2 + j2] =
-                    fine[r1 * self.nr2 + r2].scale(self.deconv1[j1] * self.deconv2[j2]);
+        let cols = (0..g.n2).map(|j2| embed(j2, g.n2, g.nr2));
+        g.fft_fine(&mut fine, Direction::Inverse, 0..g.nr1, cols);
+        for j1 in 0..g.n1 {
+            let r1 = embed(j1, g.n1, g.nr1);
+            for j2 in 0..g.n2 {
+                let r2 = embed(j2, g.n2, g.nr2);
+                out[j1 * g.n2 + j2] = fine[r1 * g.nr2 + r2].scale(g.deconv1[j1] * g.deconv2[j2]);
             }
         }
     }
 
     /// Naive `O(n1·n2·m)` forward evaluation (ground truth for tests).
     pub fn forward_naive(&self, u: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(u.len(), self.n1 * self.n2, "USFFT2D input length mismatch");
-        let half1 = (self.n1 / 2) as isize;
-        let half2 = (self.n2 / 2) as isize;
+        let (n1, n2) = self.input_dims();
+        assert_eq!(u.len(), n1 * n2, "USFFT2D input length mismatch");
+        let half1 = (n1 / 2) as isize;
+        let half2 = (n2 / 2) as isize;
         self.freqs
             .iter()
             .map(|&(w1, w2)| {
                 let mut acc = Complex64::ZERO;
-                for j1 in 0..self.n1 {
+                for j1 in 0..n1 {
                     let p1 = (j1 as isize - half1) as f64;
-                    for j2 in 0..self.n2 {
+                    for j2 in 0..n2 {
                         let p2 = (j2 as isize - half2) as f64;
-                        acc +=
-                            u[j1 * self.n2 + j2] * Complex64::cis(-2.0 * PI * (w1 * p1 + w2 * p2));
+                        acc += u[j1 * n2 + j2] * Complex64::cis(-2.0 * PI * (w1 * p1 + w2 * p2));
                     }
                 }
                 acc
@@ -667,16 +701,27 @@ mod tests {
         (0..m).map(|_| rng.gen::<f64>() - 0.5).collect()
     }
 
+    /// `(n, half-width, bound)` for the accuracy tests: the default window,
+    /// then the operators' `(2, 6)` at the benchmark sizes, where the fine
+    /// grid is exactly `2n` (32) or rounds up past it (24, 48).
+    const ACCURACY_CASES: [(usize, usize, f64); 4] = [
+        (32, DEFAULT_HALF_WIDTH, 1e-5),
+        (24, 6, 1e-3),
+        (32, 6, 5e-5),
+        (48, 6, 1e-3),
+    ];
+
     #[test]
     fn usfft1d_matches_naive_forward() {
-        let n = 32;
-        let m = 45;
-        let u = random_c(n, 1);
-        let t = Usfft1d::new(n, random_freqs(m, 2));
-        let fast = t.forward(&u);
-        let slow = t.forward_naive(&u);
-        let err = max_abs_diff_c(&fast, &slow) / l2_norm_c(&slow) * (m as f64).sqrt();
-        assert!(err < 1e-5, "relative error {err}");
+        for (case, &(n, m_sp, bound)) in ACCURACY_CASES.iter().enumerate() {
+            let m = 45 + n;
+            let u = random_c(n, 1 + case as u64);
+            let t = Usfft1d::with_params(n, random_freqs(m, 2 + case as u64), 2, m_sp);
+            let fast = t.forward(&u);
+            let slow = t.forward_naive(&u);
+            let err = max_abs_diff_c(&fast, &slow) / l2_norm_c(&slow) * (m as f64).sqrt();
+            assert!(err < bound, "n {n} m {m_sp}: relative error {err}");
+        }
     }
 
     #[test]
@@ -696,14 +741,17 @@ mod tests {
 
     #[test]
     fn usfft1d_adjoint_matches_naive() {
-        let n = 24;
-        let m = 31;
-        let t = Usfft1d::new(n, random_freqs(m, 5));
-        let y = random_c(m, 6);
-        let fast = t.adjoint(&y);
-        let slow = t.adjoint_naive(&y);
-        let err = max_abs_diff_c(&fast, &slow) / l2_norm_c(&slow) * (n as f64).sqrt();
-        assert!(err < 1e-5, "relative error {err}");
+        let mut cases = vec![(24, DEFAULT_HALF_WIDTH, 1e-5)];
+        cases.extend_from_slice(&ACCURACY_CASES[1..]);
+        for (case, &(n, m_sp, bound)) in cases.iter().enumerate() {
+            let m = 31;
+            let t = Usfft1d::with_params(n, random_freqs(m, 5 + case as u64), 2, m_sp);
+            let y = random_c(m, 6 + case as u64);
+            let fast = t.adjoint(&y);
+            let slow = t.adjoint_naive(&y);
+            let err = max_abs_diff_c(&fast, &slow) / l2_norm_c(&slow) * (n as f64).sqrt();
+            assert!(err < bound, "n {n} m {m_sp}: relative error {err}");
+        }
     }
 
     #[test]
@@ -752,10 +800,10 @@ mod tests {
         let _ = t.forward(&random_c(4, 12));
     }
 
-    /// The 1-D transform as it was before the window moved into the plan:
-    /// `2m+1` kernel evaluations per frequency on every call, centred-wrap
-    /// indices spelled out with `rem_euclid`. Kept as the bit-identity
-    /// reference for `forward`/`adjoint` and their strided forms.
+    /// The 1-D transform as it was before the window moved into the plan
+    /// and was factored: `2m+1` kernel exponentials per frequency on every
+    /// call, centred-wrap indices spelled out with `rem_euclid`. Kept as the
+    /// yardstick for `forward`/`adjoint` and the plan's weights.
     struct Reference1d<'a> {
         t: &'a Usfft1d,
         m_sp: usize,
@@ -829,8 +877,19 @@ mod tests {
         out
     }
 
+    /// Relative max-norm distance of `fast` from `reference`.
+    fn rel_max_diff(fast: &[Complex64], reference: &[Complex64]) -> f64 {
+        let peak = reference.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        max_abs_diff_c(fast, reference) / peak
+    }
+
+    /// How far the factored window may move a transform from the per-call
+    /// exponentials, as a relative max-norm: rounding, orders of magnitude
+    /// below the transform's own error against the direct sum.
+    const FACTORED_WINDOW_TOL: f64 = 1e-13;
+
     #[test]
-    fn usfft1d_is_bit_identical_to_per_call_window_reference() {
+    fn usfft1d_is_within_1e13_of_per_call_window_reference_and_its_forms_agree_bitwise() {
         // (n, half-width): the operators' half-width 6 with nr > 2n (24, 48)
         // and nr == 2n (32); a small grid at the default half-width; and one
         // whose 21-tap window is wider than its 16-cell fine grid, so taps
@@ -848,11 +907,33 @@ mod tests {
                 m_sp,
                 sigma: gaussian_sigma(n, 2, m_sp),
             };
+            // The plan's tabulated weights against per-tap exponentials;
+            // every weight is at most 1, so the max-norm is absolute.
+            for (&w, (start, weights)) in t.freqs.iter().zip(t.windows()) {
+                let center = wrap_unit(w) * t.nr as f64;
+                let q0 = center.round() as isize;
+                assert_eq!(
+                    start,
+                    (q0 - m_sp as isize).rem_euclid(t.nr as isize) as usize
+                );
+                for (l, &weight) in (-(m_sp as isize)..).zip(weights) {
+                    let exact = reference.kernel(center - (q0 + l) as f64);
+                    assert!(
+                        (weight - exact).abs() < FACTORED_WINDOW_TOL,
+                        "weight n {n} w {w}"
+                    );
+                }
+            }
             let m = t.output_len();
             let u = random_c(n, 80 + case as u64);
             let y = random_c(m, 90 + case as u64);
-            let forward = bits(&reference.forward(&u));
-            let adjoint = bits(&reference.adjoint(&y));
+            let forward = t.forward(&u);
+            let adjoint = t.adjoint(&y);
+            let err = rel_max_diff(&forward, &reference.forward(&u));
+            assert!(err < FACTORED_WINDOW_TOL, "forward n {n} m {m_sp}: {err:e}");
+            let err = rel_max_diff(&adjoint, &reference.adjoint(&y));
+            assert!(err < FACTORED_WINDOW_TOL, "adjoint n {n} m {m_sp}: {err:e}");
+            let (forward, adjoint) = (bits(&forward), bits(&adjoint));
             // Twice: the second call runs on recycled (stale) pool buffers.
             for _ in 0..2 {
                 assert_eq!(bits(&t.forward(&u)), forward, "forward n {n} m {m_sp}");
@@ -878,18 +959,25 @@ mod tests {
 
     #[test]
     fn usfft2d_matches_naive_forward() {
-        let (n1, n2) = (12, 16);
-        let m = 40;
-        let mut rng = seeded(13);
-        let freqs: Vec<(f64, f64)> = (0..m)
-            .map(|_| (rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-            .collect();
-        let u = random_c(n1 * n2, 14);
-        let t = Usfft2d::new(n1, n2, freqs);
-        let fast = t.forward(&u);
-        let slow = t.forward_naive(&u);
-        let err = max_abs_diff_c(&fast, &slow) / l2_norm_c(&slow) * (m as f64).sqrt();
-        assert!(err < 1e-5, "relative error {err}");
+        let mut cases = vec![(12, 16, DEFAULT_HALF_WIDTH, 1e-5)];
+        cases.extend(
+            ACCURACY_CASES[1..]
+                .iter()
+                .map(|&(n, m_sp, bound)| (n, n, m_sp, bound)),
+        );
+        for (case, &(n1, n2, m_sp, bound)) in cases.iter().enumerate() {
+            let m = 40;
+            let mut rng = seeded(13 + case as u64);
+            let freqs: Vec<(f64, f64)> = (0..m)
+                .map(|_| (rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            let u = random_c(n1 * n2, 14 + case as u64);
+            let t = Usfft2d::with_params(n1, n2, freqs, 2, m_sp);
+            let fast = t.forward(&u);
+            let slow = t.forward_naive(&u);
+            let err = max_abs_diff_c(&fast, &slow) / l2_norm_c(&slow) * (m as f64).sqrt();
+            assert!(err < bound, "{n1}x{n2} m {m_sp}: relative error {err}");
+        }
     }
 
     #[test]
@@ -911,10 +999,15 @@ mod tests {
     }
 
     /// The 2-D transform as it was before the window was factored and the
-    /// passes pruned: `(2m+1)²` kernel evaluations per frequency, every fine
-    /// row and column transformed through two full-grid transposes. Kept as
-    /// the bit-identity reference for `forward`/`adjoint`.
-    struct Reference<'a>(&'a Usfft2d);
+    /// passes pruned: `(2m+1)²` kernel exponentials per frequency, every
+    /// fine row and column transformed through two full-grid transposes.
+    /// Kept as the yardstick for `forward`/`adjoint`.
+    struct Reference<'a> {
+        t: &'a Usfft2d,
+        m_sp: usize,
+        sigma1: f64,
+        sigma2: f64,
+    }
 
     impl Reference<'_> {
         fn kernel(dist_cells: f64, nr: usize, sigma: f64) -> f64 {
@@ -923,8 +1016,8 @@ mod tests {
         }
 
         fn fft_fine(&self, fine: &mut [Complex64], dir: Direction, scaled: bool) {
-            let t = self.0;
-            let (nr1, nr2) = (t.nr1, t.nr2);
+            let g = &*self.t.grid;
+            let (nr1, nr2) = (g.nr1, g.nr2);
             let run = |plan: &FftPlan, line: &mut [Complex64]| {
                 if scaled {
                     plan.process(line, dir);
@@ -933,7 +1026,7 @@ mod tests {
                 }
             };
             for row in fine.chunks_mut(nr2) {
-                run(&t.plan2, row);
+                run(&g.plan2, row);
             }
             let mut transposed = vec![Complex64::ZERO; nr1 * nr2];
             for r in 0..nr1 {
@@ -942,7 +1035,7 @@ mod tests {
                 }
             }
             for col in transposed.chunks_mut(nr1) {
-                run(&t.plan1, col);
+                run(&g.plan1, col);
             }
             for c in 0..nr2 {
                 for r in 0..nr1 {
@@ -954,63 +1047,63 @@ mod tests {
         /// Visits every tap of frequency `k` in the old loop order:
         /// `(fine index, k1 * k2)`.
         fn for_each_tap(&self, k: usize, mut visit: impl FnMut(usize, f64)) {
-            let t = self.0;
-            let m_sp = t.m_sp as isize;
-            let (w1, w2) = t.freqs[k];
-            let c1 = wrap_unit(w1) * t.nr1 as f64;
-            let c2 = wrap_unit(w2) * t.nr2 as f64;
+            let g = &*self.t.grid;
+            let m_sp = self.m_sp as isize;
+            let (w1, w2) = self.t.freqs[k];
+            let c1 = wrap_unit(w1) * g.nr1 as f64;
+            let c2 = wrap_unit(w2) * g.nr2 as f64;
             let q1 = c1.round() as isize;
             let q2 = c2.round() as isize;
             for l1 in -m_sp..=m_sp {
-                let k1 = Self::kernel(c1 - (q1 + l1) as f64, t.nr1, t.sigma1);
-                let i1 = (q1 + l1).rem_euclid(t.nr1 as isize) as usize;
+                let k1 = Self::kernel(c1 - (q1 + l1) as f64, g.nr1, self.sigma1);
+                let i1 = (q1 + l1).rem_euclid(g.nr1 as isize) as usize;
                 for l2 in -m_sp..=m_sp {
-                    let k2 = Self::kernel(c2 - (q2 + l2) as f64, t.nr2, t.sigma2);
-                    let i2 = (q2 + l2).rem_euclid(t.nr2 as isize) as usize;
-                    visit(i1 * t.nr2 + i2, k1 * k2);
+                    let k2 = Self::kernel(c2 - (q2 + l2) as f64, g.nr2, self.sigma2);
+                    let i2 = (q2 + l2).rem_euclid(g.nr2 as isize) as usize;
+                    visit(i1 * g.nr2 + i2, k1 * k2);
                 }
             }
         }
 
         fn forward(&self, u: &[Complex64]) -> Vec<Complex64> {
-            let t = self.0;
-            let mut fine = vec![Complex64::ZERO; t.nr1 * t.nr2];
-            let half1 = (t.n1 / 2) as isize;
-            let half2 = (t.n2 / 2) as isize;
-            for j1 in 0..t.n1 {
-                let r1 = (j1 as isize - half1).rem_euclid(t.nr1 as isize) as usize;
-                for j2 in 0..t.n2 {
-                    let r2 = (j2 as isize - half2).rem_euclid(t.nr2 as isize) as usize;
-                    fine[r1 * t.nr2 + r2] = u[j1 * t.n2 + j2].scale(t.deconv1[j1] * t.deconv2[j2]);
+            let g = &*self.t.grid;
+            let mut fine = vec![Complex64::ZERO; g.nr1 * g.nr2];
+            let half1 = (g.n1 / 2) as isize;
+            let half2 = (g.n2 / 2) as isize;
+            for j1 in 0..g.n1 {
+                let r1 = (j1 as isize - half1).rem_euclid(g.nr1 as isize) as usize;
+                for j2 in 0..g.n2 {
+                    let r2 = (j2 as isize - half2).rem_euclid(g.nr2 as isize) as usize;
+                    fine[r1 * g.nr2 + r2] = u[j1 * g.n2 + j2].scale(g.deconv1[j1] * g.deconv2[j2]);
                 }
             }
             self.fft_fine(&mut fine, Direction::Forward, true);
-            (0..t.freqs.len())
+            (0..self.t.freqs.len())
                 .map(|k| {
                     let mut acc = Complex64::ZERO;
                     self.for_each_tap(k, |i, weight| acc += fine[i].scale(weight));
-                    acc.scale(t.scale)
+                    acc.scale(g.scale)
                 })
                 .collect()
         }
 
         fn adjoint(&self, y: &[Complex64]) -> Vec<Complex64> {
-            let t = self.0;
-            let mut fine = vec![Complex64::ZERO; t.nr1 * t.nr2];
+            let g = &*self.t.grid;
+            let mut fine = vec![Complex64::ZERO; g.nr1 * g.nr2];
             for (k, &val) in y.iter().enumerate() {
-                let scaled = val.scale(t.scale);
+                let scaled = val.scale(g.scale);
                 self.for_each_tap(k, |i, weight| fine[i] += scaled.scale(weight));
             }
             self.fft_fine(&mut fine, Direction::Inverse, false);
-            let half1 = (t.n1 / 2) as isize;
-            let half2 = (t.n2 / 2) as isize;
-            let mut out = vec![Complex64::ZERO; t.n1 * t.n2];
-            for j1 in 0..t.n1 {
-                let r1 = (j1 as isize - half1).rem_euclid(t.nr1 as isize) as usize;
-                for j2 in 0..t.n2 {
-                    let r2 = (j2 as isize - half2).rem_euclid(t.nr2 as isize) as usize;
-                    out[j1 * t.n2 + j2] =
-                        fine[r1 * t.nr2 + r2].scale(t.deconv1[j1] * t.deconv2[j2]);
+            let half1 = (g.n1 / 2) as isize;
+            let half2 = (g.n2 / 2) as isize;
+            let mut out = vec![Complex64::ZERO; g.n1 * g.n2];
+            for j1 in 0..g.n1 {
+                let r1 = (j1 as isize - half1).rem_euclid(g.nr1 as isize) as usize;
+                for j2 in 0..g.n2 {
+                    let r2 = (j2 as isize - half2).rem_euclid(g.nr2 as isize) as usize;
+                    out[j1 * g.n2 + j2] =
+                        fine[r1 * g.nr2 + r2].scale(g.deconv1[j1] * g.deconv2[j2]);
                 }
             }
             out
@@ -1022,13 +1115,11 @@ mod tests {
     }
 
     #[test]
-    fn usfft2d_is_bit_identical_to_unfactored_unpruned_reference() {
+    fn usfft2d_is_within_1e13_of_unfactored_unpruned_reference_and_its_forms_agree_bitwise() {
         // (n1, n2, half-width): the operators' own half-width 6 with
         // nr > 2n (24, 48) and nr == 2n (32); a non-square grid at the
         // default half-width; and one whose 21-tap window is wider than
-        // its 16-cell fine axes, so taps wrap more than once. Equality is
-        // on bits, zero signs included: a skipped all-zero row is +0
-        // everywhere, and so is its radix-2 transform.
+        // its 16-cell fine axes, so taps wrap more than once.
         let cases = [
             (24, 24, 6),
             (48, 48, 6),
@@ -1036,6 +1127,7 @@ mod tests {
             (10, 14, 10),
             (6, 5, 10),
         ];
+        let poison = Complex64::new(f64::NAN, 1.0);
         for (case, &(n1, n2, m_sp)) in cases.iter().enumerate() {
             let mut rng = seeded(40 + case as u64);
             // Frequencies on the ±0.5 seam, at and around 0 (taps wrap the
@@ -1049,24 +1141,58 @@ mod tests {
                 (1.25, -0.75),
             ];
             freqs.extend((0..3 * n2).map(|_| (rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)));
-            let t = Usfft2d::with_params(n1, n2, freqs, 2, m_sp);
-            let reference = Reference(&t);
+            let t = Usfft2d::with_params(n1, n2, freqs.clone(), 2, m_sp);
+            let reference = Reference {
+                t: &t,
+                m_sp,
+                sigma1: gaussian_sigma(n1, 2, m_sp),
+                sigma2: gaussian_sigma(n2, 2, m_sp),
+            };
             let u = random_c(n1 * n2, 50 + case as u64);
             let y = random_c(t.output_len(), 60 + case as u64);
-            // Twice: the second call runs on recycled (stale) pool buffers.
-            // The `_into` forms start from a poisoned target: they must
+            let forward = t.forward(&u);
+            let adjoint = t.adjoint(&y);
+            let err = rel_max_diff(&forward, &reference.forward(&u));
+            assert!(
+                err < FACTORED_WINDOW_TOL,
+                "forward {n1}x{n2} m {m_sp}: {err:e}"
+            );
+            let err = rel_max_diff(&adjoint, &reference.adjoint(&y));
+            assert!(
+                err < FACTORED_WINDOW_TOL,
+                "adjoint {n1}x{n2} m {m_sp}: {err:e}"
+            );
+            let (forward, adjoint) = (bits(&forward), bits(&adjoint));
+            // A plan on a grid shared with another plan, as the operator's
+            // row plans are, computes the same bits as one on its own.
+            let grid = Arc::new(Usfft2dGrid::new(n1, n2, 2, m_sp));
+            let other = Usfft2d::on_grid(Arc::clone(&grid), freqs[..3].to_vec());
+            let shared = Usfft2d::on_grid(grid, freqs);
+            // Twice: the second call runs on recycled (stale) pool buffers,
+            // the shared grid's last left there by the other plan. The
+            // `_into` forms start from a poisoned target: they must
             // overwrite every element.
             for _ in 0..2 {
-                let forward = bits(&reference.forward(&u));
-                assert_eq!(bits(&t.forward(&u)), forward, "forward {n1}x{n2} m {m_sp}");
-                let mut out = vec![Complex64::new(f64::NAN, 1.0); t.output_len()];
-                t.forward_into(&u, &mut out);
-                assert_eq!(bits(&out), forward, "forward_into {n1}x{n2} m {m_sp}");
-                let adjoint = bits(&reference.adjoint(&y));
-                assert_eq!(bits(&t.adjoint(&y)), adjoint, "adjoint {n1}x{n2} m {m_sp}");
-                let mut out = vec![Complex64::new(f64::NAN, 1.0); n1 * n2];
-                t.adjoint_into(&y, &mut out);
-                assert_eq!(bits(&out), adjoint, "adjoint_into {n1}x{n2} m {m_sp}");
+                other.forward(&u);
+                other.adjoint(&y[..3]);
+                for plan in [&t, &shared] {
+                    assert_eq!(
+                        bits(&plan.forward(&u)),
+                        forward,
+                        "forward {n1}x{n2} m {m_sp}"
+                    );
+                    let mut out = vec![poison; plan.output_len()];
+                    plan.forward_into(&u, &mut out);
+                    assert_eq!(bits(&out), forward, "forward_into {n1}x{n2} m {m_sp}");
+                    assert_eq!(
+                        bits(&plan.adjoint(&y)),
+                        adjoint,
+                        "adjoint {n1}x{n2} m {m_sp}"
+                    );
+                    let mut out = vec![poison; n1 * n2];
+                    plan.adjoint_into(&y, &mut out);
+                    assert_eq!(bits(&out), adjoint, "adjoint_into {n1}x{n2} m {m_sp}");
+                }
             }
         }
     }

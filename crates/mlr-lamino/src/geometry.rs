@@ -131,25 +131,21 @@ impl LaminoGeometry {
     /// `e_v(θ) = (-cos θ cos φ, -sin θ cos φ, sin φ)`.
     #[inline]
     pub fn inplane_freq(&self, theta: f64, k_v: f64, k_u: f64) -> (f64, f64) {
-        let (s, c) = theta.sin_cos();
-        let cos_tilt = self.tilt.cos();
-        let kx = -k_v * c * cos_tilt - k_u * s;
-        let ky = -k_v * s * cos_tilt + k_u * c;
-        (kx, ky)
+        inplane(theta.sin_cos(), self.tilt.cos(), k_v, k_u)
     }
 
     /// All in-plane frequency pairs sampled at detector row `row`, flattened
     /// over `(angle, column)` in row-major `(nθ, w)` order. This list — one
-    /// per detector row — parameterises the per-row `F_u2D` transform.
+    /// per detector row — parameterises the per-row `F_u2D` transform. The
+    /// trigonometry is evaluated once per angle, not once per column.
     pub fn inplane_freqs_for_row(&self, row: usize) -> Vec<(f64, f64)> {
         let k_v = self.row_freq(row);
+        let cos_tilt = self.tilt.cos();
         let w = self.detector.cols;
         let mut out = Vec::with_capacity(self.angles.len() * w);
         for &theta in &self.angles {
-            for col in 0..w {
-                let k_u = self.col_freq(col);
-                out.push(self.inplane_freq(theta, k_v, k_u));
-            }
+            let sin_cos = theta.sin_cos();
+            out.extend((0..w).map(|col| inplane(sin_cos, cos_tilt, k_v, self.col_freq(col))));
         }
         out
     }
@@ -169,6 +165,14 @@ impl LaminoGeometry {
     pub fn volume_bytes(&self) -> usize {
         self.volume_shape().len() * std::mem::size_of::<f64>()
     }
+}
+
+/// [`LaminoGeometry::inplane_freq`] from `(sin θ, cos θ)` and `cos φ`.
+#[inline]
+fn inplane((s, c): (f64, f64), cos_tilt: f64, k_v: f64, k_u: f64) -> (f64, f64) {
+    let kx = -k_v * c * cos_tilt - k_u * s;
+    let ky = -k_v * s * cos_tilt + k_u * c;
+    (kx, ky)
 }
 
 #[cfg(test)]
@@ -236,6 +240,40 @@ mod tests {
         let expected = g.inplane_freq(g.angles[0], g.row_freq(2), g.col_freq(0));
         assert!(approx_eq(freqs[0].0, expected.0, 1e-12));
         assert!(approx_eq(freqs[0].1, expected.1, 1e-12));
+    }
+
+    #[test]
+    fn inplane_freqs_for_row_are_bit_equal_to_per_column_form() {
+        // The row list evaluates the trigonometry once per angle; every
+        // pair must carry the bits of the old form, which evaluated it once
+        // per (angle, column).
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect()
+        };
+        for g in [
+            LaminoGeometry::cube(24, 12, 30.0),
+            LaminoGeometry::cube(7, 5, 61.0),
+        ] {
+            for row in 0..g.detector.rows {
+                let k_v = g.row_freq(row);
+                let mut per_column = Vec::new();
+                for &theta in &g.angles {
+                    for col in 0..g.detector.cols {
+                        let k_u = g.col_freq(col);
+                        let (s, c) = theta.sin_cos();
+                        let cos_tilt = g.tilt.cos();
+                        let kx = -k_v * c * cos_tilt - k_u * s;
+                        let ky = -k_v * s * cos_tilt + k_u * c;
+                        per_column.push((kx, ky));
+                    }
+                }
+                assert_eq!(
+                    bits(&g.inplane_freqs_for_row(row)),
+                    bits(&per_column),
+                    "row {row}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::geometry::LaminoGeometry;
 use mlr_fft::fft::Direction;
 use mlr_fft::fft2d::Fft2Batch;
 use mlr_fft::scratch::ScratchPool;
-use mlr_fft::usfft::{Usfft1d, Usfft2d};
+use mlr_fft::usfft::{Usfft1d, Usfft2d, Usfft2dGrid};
 use mlr_math::{Array3, Complex64, Shape3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -297,11 +297,11 @@ pub struct LaminoOperator {
     /// chunk. The slab-aligned stages (`F_u1D`, `F_2D`) need no staging at
     /// all — they borrow the operand and write the result grids directly.
     arena: ScratchPool,
-    /// The one fine-grid pool and the one column pool every row plan of
-    /// `usfft_rows` leases from: all rows share `nr1 × nr2`, so the operator
-    /// parks one buffer of each per plane transform running at once.
-    plane_fine: Arc<ScratchPool>,
-    plane_columns: Arc<ScratchPool>,
+    /// The one grid every row plan of `usfft_rows` is built on: all rows
+    /// share `nr1 × nr2`, σ and the half-width, so the operator builds the
+    /// fine-grid FFT plans and window tables once and parks one fine grid
+    /// and one column per plane transform running at once.
+    plane_grid: Arc<Usfft2dGrid>,
 }
 
 impl LaminoOperator {
@@ -313,20 +313,11 @@ impl LaminoOperator {
     pub fn new(geometry: LaminoGeometry, chunk_size: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         let usfft_vertical = Usfft1d::with_params(geometry.n0, geometry.vertical_freqs(), 2, 6);
-        let plane_fine = Arc::new(ScratchPool::new());
-        let plane_columns = Arc::new(ScratchPool::new());
+        let plane_grid = Arc::new(Usfft2dGrid::new(geometry.n1, geometry.n2, 2, 6));
         let usfft_rows: Vec<Usfft2d> = (0..geometry.detector.rows)
             .into_par_iter()
             .map(|row| {
-                Usfft2d::with_scratch(
-                    geometry.n1,
-                    geometry.n2,
-                    geometry.inplane_freqs_for_row(row),
-                    2,
-                    6,
-                    Arc::clone(&plane_fine),
-                    Arc::clone(&plane_columns),
-                )
+                Usfft2d::on_grid(Arc::clone(&plane_grid), geometry.inplane_freqs_for_row(row))
             })
             .collect();
         let fft2_detector = Fft2Batch::new(geometry.detector.rows, geometry.detector.cols);
@@ -337,8 +328,7 @@ impl LaminoOperator {
             fft2_detector,
             chunk_size,
             arena: ScratchPool::new(),
-            plane_fine,
-            plane_columns,
+            plane_grid,
         }
     }
 
@@ -346,10 +336,11 @@ impl LaminoOperator {
     /// gather/staging arena, the row plans' shared fine-grid and column
     /// pools, and the vertical plan's fine-grid pool.
     fn scratch_pools(&self) -> [&ScratchPool; 4] {
+        let [plane_fine, plane_columns] = self.plane_grid.scratch();
         [
             &self.arena,
-            &self.plane_fine,
-            &self.plane_columns,
+            plane_fine,
+            plane_columns,
             self.usfft_vertical.scratch(),
         ]
     }

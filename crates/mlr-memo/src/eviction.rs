@@ -223,12 +223,16 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
 pub const EXPECTED_REUSE: f64 = 1.0 / 3.0;
 
 /// Nanoseconds per input element of the exact chunk compute an
-/// unequally-spaced operation runs. Like the two constants below, read off
-/// the `sweep` table of `BENCH_hotpath.json` (`fig22_hotpath --sweep`, whose
-/// `fu1d` / `usfft2d` computes are close to linear in the chunk length from
-/// 256 to 16 Ki elements); only their ratios matter, so a uniformly faster
-/// or slower machine decides the same. `None` for the uniform FFTs, which
-/// operation cancellation removes and nothing memoizes.
+/// unequally-spaced operation runs. Like the two constants below, the fit
+/// made when the gate was introduced, not a reading of today's kernels: the
+/// `sweep` table of `BENCH_hotpath.json` (`fig22_hotpath --sweep`, `fu1d` /
+/// `usfft2d` computes close to linear in the chunk length from 256 to 16 Ki
+/// elements) now reads about 27–31 and 170–205 ns/elem, and only the
+/// decisions the constants make are held to it
+/// (`gate_agrees_with_measurement`); ROADMAP item 5(a) calibrates them.
+/// Only their ratios matter, so a uniformly faster or slower machine
+/// decides the same. `None` for the uniform FFTs, which operation
+/// cancellation removes and nothing memoizes.
 const fn usfft_ns_per_elem(op: FftOpKind) -> Option<f64> {
     match op {
         FftOpKind::Fu2D | FftOpKind::Fu2DAdj => Some(270.0),
