@@ -189,8 +189,8 @@ struct OperatorScratch {
     idle_buffers: usize,
     resident_kib: f64,
     /// CI gate: at both heights `idle_buffers` is at most
-    /// `3 · kernel threads + 2` (per thread a 2-D fine grid, a 2-D column and
-    /// a 1-D fine grid; per operator the gather and staging arenas).
+    /// `2 · kernel threads + 2` (per thread a 2-D fine grid and a 1-D plane
+    /// grid; per operator the gather and staging arenas).
     independent_of_rows: bool,
 }
 
@@ -485,7 +485,7 @@ fn operator_scratch() -> OperatorScratch {
         let _ = op.adjoint(&d);
         (op.scratch_idle_buffers(), op.scratch_idle_bytes())
     };
-    let bound = 3 * KERNEL_THREADS + 2;
+    let bound = 2 * KERNEL_THREADS + 2;
     let detector_rows = tall.detector.rows;
     let (idle_cube, _) = parked(cube);
     let (idle_buffers, bytes) = parked(tall);
@@ -743,7 +743,7 @@ fn main() {
     let operator_scratch = operator_scratch();
     compare_row(
         "operator scratch parked after forward + adjoint",
-        &format!("≤ {} buffers at any height", 3 * KERNEL_THREADS + 2),
+        &format!("≤ {} buffers at any height", 2 * KERNEL_THREADS + 2),
         &format!(
             "{} buffers / {:.0} KiB at {} detector rows",
             operator_scratch.idle_buffers,

@@ -13,6 +13,7 @@ use mlr_math::Complex64;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Transform direction.
@@ -130,21 +131,10 @@ impl FftPlan {
             };
             // Forward Bluestein uses conj(chirp) for b; the inverse direction
             // is implemented by conjugation at the call site, so both tables
-            // share the same inner transform but differ in chirp sign.
+            // share the same inner transform but differ in chirp sign (the
+            // inverse's b is the chirp itself, the conjugate of its chirp).
             let b_hat_fwd = build_bhat(true);
-            let b_hat_inv = {
-                let mut b = vec![Complex64::ZERO; m];
-                for i in 0..n {
-                    let c = chirp[i]; // conj of the inverse-direction chirp
-                    b[i] = c;
-                    if i != 0 {
-                        b[m - i] = c;
-                    }
-                }
-                let mut b_hat = b;
-                inner.process(&mut b_hat, Direction::Forward);
-                b_hat
-            };
+            let b_hat_inv = build_bhat(false);
             Self {
                 n,
                 twiddles_fwd: Vec::new(),
@@ -177,20 +167,9 @@ impl FftPlan {
     /// # Panics
     /// Panics when `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.n, "FFT buffer length mismatch");
-        if self.n == 1 {
-            return;
-        }
-        if self.bluestein.is_none() {
-            self.radix2(data, dir);
-            if dir == Direction::Inverse {
-                let scale = 1.0 / self.n as f64;
-                for v in data.iter_mut() {
-                    *v = v.scale(scale);
-                }
-            }
-        } else {
-            self.bluestein_transform(data, dir);
+        self.process_unscaled(data, dir);
+        if dir == Direction::Inverse {
+            normalise(data, self.n);
         }
     }
 
@@ -202,17 +181,78 @@ impl FftPlan {
         if self.n == 1 {
             return;
         }
-        if self.bluestein.is_none() {
-            self.radix2(data, dir);
-        } else {
-            self.bluestein_transform(data, dir);
-            if dir == Direction::Inverse {
-                // bluestein_transform already applies 1/N on inverse; undo it.
-                let scale = self.n as f64;
-                for v in data.iter_mut() {
-                    *v = v.scale(scale);
+        match &self.bluestein {
+            None => self.radix2(data, dir),
+            Some(tables) => self.bluestein_transform(tables, data, dir),
+        }
+    }
+
+    /// [`Self::process_unscaled`] on columns `cols` of a block of `len()`
+    /// rows `stride` apart, bit-identical to gathering each column,
+    /// transforming it and scattering it back: every column sees the same
+    /// operations in the same order. A radix-2 plan runs its swaps and
+    /// butterflies across row segments; a Bluestein plan gathers.
+    ///
+    /// # Panics
+    /// Panics when `data.len() != self.len() * stride` or `cols` ends past
+    /// `stride`.
+    pub fn process_columns_unscaled(
+        &self,
+        data: &mut [Complex64],
+        stride: usize,
+        cols: Range<usize>,
+        dir: Direction,
+    ) {
+        assert_eq!(data.len(), self.n * stride, "FFT block length mismatch");
+        assert!(cols.end <= stride, "FFT columns past the row stride");
+        if self.n == 1 || cols.is_empty() {
+            return;
+        }
+        if stride == 1 {
+            return self.process_unscaled(data, dir);
+        }
+        if let Some(tables) = &self.bluestein {
+            let mut column = tables.scratch.lease(self.n);
+            for c in cols {
+                for (x, row) in column.iter_mut().zip(data.chunks_exact(stride)) {
+                    *x = row[c];
+                }
+                self.bluestein_transform(tables, &mut column, dir);
+                for (&x, row) in column.iter().zip(data.chunks_exact_mut(stride)) {
+                    row[c] = x;
                 }
             }
+            return;
+        }
+        for &(i, j) in &self.swaps {
+            let (head, tail) = data.split_at_mut(j * stride);
+            head[i * stride..][cols.clone()].swap_with_slice(&mut tail[cols.clone()]);
+        }
+        let n = self.n;
+        let twiddles = self.twiddles(dir);
+        let mut len = 2usize;
+        while len <= n {
+            for block in data.chunks_exact_mut(len * stride) {
+                let (lo, hi) = block.split_at_mut(len / 2 * stride);
+                let rows = lo.chunks_exact_mut(stride).zip(hi.chunks_exact_mut(stride));
+                for ((lo_row, hi_row), &w) in rows.zip(twiddles.iter().step_by(n / len)) {
+                    let hi_row = &mut hi_row[cols.clone()];
+                    for (x, y) in lo_row[cols.clone()].iter_mut().zip(hi_row) {
+                        let a = *x;
+                        let b = *y * w;
+                        *x = a + b;
+                        *y = a - b;
+                    }
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    fn twiddles(&self, dir: Direction) -> &[Complex64] {
+        match dir {
+            Direction::Forward => &self.twiddles_fwd,
+            Direction::Inverse => &self.twiddles_inv,
         }
     }
 
@@ -225,10 +265,7 @@ impl FftPlan {
         for &(i, j) in &self.swaps {
             data.swap(i, j);
         }
-        let twiddles = match dir {
-            Direction::Forward => &self.twiddles_fwd,
-            Direction::Inverse => &self.twiddles_inv,
-        };
+        let twiddles = self.twiddles(dir);
         let mut len = 2usize;
         while len <= n {
             for block in data.chunks_exact_mut(len) {
@@ -245,20 +282,25 @@ impl FftPlan {
         }
     }
 
-    fn bluestein_transform(&self, data: &mut [Complex64], dir: Direction) {
-        let tables = self.bluestein.as_ref().expect("bluestein tables"); // mlr-check: allow(unwrap-expect) — invariant: new() builds Bluestein tables for every non-power-of-two size
+    /// Unscaled in both directions, like `radix2`.
+    fn bluestein_transform(
+        &self,
+        tables: &BluesteinTables,
+        data: &mut [Complex64],
+        dir: Direction,
+    ) {
         let n = self.n;
         let m = tables.m;
         // a_i = x_i * chirp_i (chirp conjugated for the inverse direction).
         // The zero-padded product lives in pooled scratch: steady state
         // performs no allocation per transform.
+        let chirp = |i: usize| match dir {
+            Direction::Forward => tables.chirp[i],
+            Direction::Inverse => tables.chirp[i].conj(),
+        };
         let mut a = tables.scratch.lease_zeroed(m);
         for i in 0..n {
-            let c = match dir {
-                Direction::Forward => tables.chirp[i],
-                Direction::Inverse => tables.chirp[i].conj(),
-            };
-            a[i] = data[i] * c;
+            a[i] = data[i] * chirp(i);
         }
         tables.inner.process(&mut a, Direction::Forward);
         let b_hat = match dir {
@@ -270,19 +312,15 @@ impl FftPlan {
         }
         tables.inner.process(&mut a, Direction::Inverse);
         for i in 0..n {
-            let c = match dir {
-                Direction::Forward => tables.chirp[i],
-                Direction::Inverse => tables.chirp[i].conj(),
-            };
-            data[i] = a[i] * c;
-        }
-        if dir == Direction::Inverse {
-            let scale = 1.0 / n as f64;
-            for v in data.iter_mut() {
-                *v = v.scale(scale);
-            }
+            data[i] = a[i] * chirp(i);
         }
     }
+}
+
+/// The inverse transform's `1/n` on every element of `data`.
+pub(crate) fn normalise(data: &mut [Complex64], n: usize) {
+    let scale = 1.0 / n as f64;
+    data.iter_mut().for_each(|v| *v = v.scale(scale));
 }
 
 /// A thread-safe cache of [`FftPlan`]s keyed by length.
@@ -378,10 +416,7 @@ mod tests {
             }
             j |= bit;
         }
-        let twiddles = match dir {
-            Direction::Forward => &plan.twiddles_fwd,
-            Direction::Inverse => &plan.twiddles_inv,
-        };
+        let twiddles = plan.twiddles(dir);
         let mut len = 2usize;
         while len <= n {
             let step = n / len;
@@ -401,6 +436,30 @@ mod tests {
 
     fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    fn column_of(block: &[Complex64], stride: usize, c: usize) -> Vec<Complex64> {
+        block.iter().skip(c).step_by(stride).copied().collect()
+    }
+
+    /// `process_columns_unscaled` against gathering each column, running
+    /// `process_unscaled` on it and scattering it back: over every column,
+    /// and over a partial range, which must leave the others untouched.
+    fn assert_columns_match(plan: &FftPlan, block: &[Complex64], stride: usize, dir: Direction) {
+        for cols in [0..stride, 1..stride - 1] {
+            let mut expected = block.to_vec();
+            for c in cols.clone() {
+                let mut column = column_of(block, stride, c);
+                plan.process_unscaled(&mut column, dir);
+                for (r, z) in column.into_iter().enumerate() {
+                    expected[r * stride + c] = z;
+                }
+            }
+            let mut got = block.to_vec();
+            plan.process_columns_unscaled(&mut got, stride, cols.clone(), dir);
+            let case = format!("n {} {dir:?} columns {cols:?}", plan.n);
+            assert_eq!(bits(&got), bits(&expected), "{case}");
+        }
     }
 
     #[test]
@@ -440,7 +499,25 @@ mod tests {
                     let mut scaled = x.clone();
                     plan.process(&mut scaled, dir);
                     assert_eq!(bits(&scaled), bits(&expected), "process n {n} {dir:?}");
+                    // Three columns, rotations of `x`, in one batched call.
+                    let block: Vec<Complex64> = (0..n)
+                        .flat_map(|r| (0..3).map(move |c| x[(r + c) % n]))
+                        .collect();
+                    assert_columns_match(&plan, &block, 3, dir);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bluestein_columns_match_per_column_transforms() {
+        // The detector planes' Bluestein lengths take the gather loop.
+        // `process` is `process_unscaled` then `normalise`, per column as in
+        // `Fft2Batch`'s batched column pass.
+        for n in [24usize, 48] {
+            let block = random_signal(5 * n, n as u64);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                assert_columns_match(&FftPlan::new(n), &block, 5, dir);
             }
         }
     }

@@ -36,7 +36,7 @@ pub mod shift;
 pub mod usfft;
 
 pub use fft::{Direction, FftPlan, FftPlanner};
-pub use fft2d::{fft2_inplace, ifft2_inplace, Fft2Batch};
+pub use fft2d::Fft2Batch;
 pub use scratch::{ScratchLease, ScratchPool};
 pub use shift::{fftfreq, fftshift_1d, fftshift_2d, ifftshift_1d, ifftshift_2d};
 pub use usfft::{Usfft1d, Usfft2d, Usfft2dGrid};

@@ -1,13 +1,9 @@
 //! Reusable scratch arenas for the per-chunk FFT hot path.
 //!
-//! Every chunk-level transform used to allocate its working buffers afresh:
-//! the Bluestein chirp product, the USFFT fine grids, the 2-D transpose
-//! buffer, the per-plane column scratch. On the memoized hot path those
-//! allocations dominate the constant factor of a hit (the FFT itself is
-//! skipped, the allocator is not), and on the miss path they churn the
-//! allocator once per chunk. A [`ScratchPool`] amortises them: buffers are
+//! Working buffers (the Bluestein chirp product, the USFFT fine grids) are
 //! leased, used, and returned on drop, so after the first few transforms the
-//! steady state performs **zero** allocations per call.
+//! steady state performs **zero** allocations per call: allocating them per
+//! chunk would churn the allocator on every miss.
 //!
 //! The pool is a plain mutex-guarded free list. Concurrent callers (the
 //! worker threads the `ConcurrencyGovernor` grants to a batch, or rayon's
@@ -17,18 +13,17 @@
 //! shared by everything that leases from it in turn, so ownership follows
 //! sharing:
 //!
-//! * an [`FftPlan`](crate::fft::FftPlan) owns its Bluestein scratch and a
-//!   [`Fft2Batch`](crate::fft2d::Fft2Batch) its column buffers — one plan
-//!   serves every plane;
-//! * a [`Usfft1d`](crate::usfft::Usfft1d) owns its fine-grid pool — the
-//!   operator has one vertical plan;
-//! * a [`Usfft2d`](crate::usfft::Usfft2d) only *borrows* its fine-grid and
-//!   column pools from the [`Usfft2dGrid`](crate::usfft::Usfft2dGrid) it is
-//!   built on. The laminography operator builds one grid and hands it to all
-//!   `h` per-detector-row plans, which share the same `nr1 × nr2`, so the
-//!   operator parks at most one fine grid and one column per concurrently
-//!   running plane transform — O(threads), not O(detector rows). A plan
-//!   built on its own gets a private grid;
+//! * an [`FftPlan`](crate::fft::FftPlan) owns its Bluestein scratch (chirp
+//!   products, gathered columns) — one plan serves every plane;
+//! * a [`Usfft1d`](crate::usfft::Usfft1d) owns its fine-grid pool (one
+//!   `nr × cols` plane grid a lease) — the operator has one vertical plan;
+//! * a [`Usfft2d`](crate::usfft::Usfft2d) only *borrows* its fine-grid pool
+//!   from the [`Usfft2dGrid`](crate::usfft::Usfft2dGrid) it is built on. The
+//!   laminography operator builds one grid and hands it to all `h`
+//!   per-detector-row plans, which share the same `nr1 × nr2`, so the
+//!   operator parks at most one fine grid per concurrently running plane
+//!   transform — O(threads), not O(detector rows). A plan built on its own
+//!   gets a private grid;
 //! * the operator owns the gather/staging arena of its `F_u2D` stages.
 //!
 //! Reuse is invisible numerically: leases are either zero-filled
@@ -64,7 +59,7 @@ impl ScratchPool {
 
     /// Leases a buffer of exactly `len` elements with **unspecified**
     /// contents — for callers that overwrite every element (gather arenas,
-    /// transpose targets). Returns the buffer to the pool on drop.
+    /// gathered columns). Returns the buffer to the pool on drop.
     pub fn lease(&self, len: usize) -> ScratchLease<'_> {
         let mut buf = self.pop();
         buf.resize(len, Complex64::ZERO);

@@ -281,7 +281,7 @@ where
 /// in-plane transform per detector row) and the uniform 2-D FFT plan, so
 /// repeated applications — every CG step of every ADMM iteration — reuse
 /// them. The plans' working memory does not come per plan: the row plans
-/// lease from one pair of pools, so what an operator keeps resident between
+/// lease from one shared pool, so what an operator keeps resident between
 /// applications scales with the kernel thread count, not with the detector
 /// height ([`Self::scratch_idle_buffers`]).
 pub struct LaminoOperator {
@@ -300,7 +300,7 @@ pub struct LaminoOperator {
     /// The one grid every row plan of `usfft_rows` is built on: all rows
     /// share `nr1 × nr2`, σ and the half-width, so the operator builds the
     /// fine-grid FFT plans and window tables once and parks one fine grid
-    /// and one column per plane transform running at once.
+    /// per plane transform running at once.
     plane_grid: Arc<Usfft2dGrid>,
 }
 
@@ -333,14 +333,12 @@ impl LaminoOperator {
     }
 
     /// Every scratch pool an operator application leases from: the
-    /// gather/staging arena, the row plans' shared fine-grid and column
-    /// pools, and the vertical plan's fine-grid pool.
-    fn scratch_pools(&self) -> [&ScratchPool; 4] {
-        let [plane_fine, plane_columns] = self.plane_grid.scratch();
+    /// gather/staging arena, the row plans' shared fine-grid pool, and the
+    /// vertical plan's fine-grid pool.
+    fn scratch_pools(&self) -> [&ScratchPool; 3] {
         [
             &self.arena,
-            plane_fine,
-            plane_columns,
+            self.plane_grid.scratch(),
             self.usfft_vertical.scratch(),
         ]
     }
@@ -432,11 +430,7 @@ impl LaminoOperator {
             .enumerate()
             .for_each(|(i1, out_plane)| {
                 let in_plane = &input[i1 * n0 * n2..(i1 + 1) * n0 * n2];
-                // Column i2 of a row-major plane: from element i2, stride n2.
-                for i2 in 0..n2 {
-                    self.usfft_vertical
-                        .forward_into(&in_plane[i2..], n2, &mut out_plane[i2..], n2);
-                }
+                self.usfft_vertical.forward_plane(in_plane, n2, out_plane);
             });
         out
     }
@@ -487,10 +481,7 @@ impl LaminoOperator {
             .enumerate()
             .for_each(|(i1, out_plane)| {
                 let in_plane = &input[i1 * h * n2..(i1 + 1) * h * n2];
-                for i2 in 0..n2 {
-                    self.usfft_vertical
-                        .adjoint_into(&in_plane[i2..], n2, &mut out_plane[i2..], n2);
-                }
+                self.usfft_vertical.adjoint_plane(in_plane, n2, out_plane);
             });
         out
     }

@@ -5,8 +5,9 @@
 //! through the memoization protocol of Figure 6:
 //!
 //! 0. decide from the operation kind and the chunk length alone whether a
-//!    hit could pay for the memo path ([`memoization_pays`]); a chunk below
-//!    break-even is computed exactly and touches nothing that follows;
+//!    hit could pay for the memo path ([`memoization_pays`]: 2-D kinds
+//!    only); any other chunk is computed exactly and touches nothing that
+//!    follows;
 //! 1. take the chunk's O(n) fingerprint and ask the scope's doorkeeper
 //!    history for a τ-band neighbor: without one no stored entry can pass
 //!    the τ gate (it runs on raw inputs, and the band bounds *raw*
@@ -30,7 +31,8 @@
 //! store alike; the key only picks which stored chunk the store compares.
 //!
 //! Uniform-FFT operations (`F_2D`, `F*_2D`) are never memoized — after the
-//! operation cancellation of Algorithm 2 they do not appear at all.
+//! operation cancellation of Algorithm 2 they do not appear at all — and
+//! neither are the 1-D USFFTs, whose compute costs about what a hit does.
 //!
 //! # What a chunk's output slot receives
 //!
@@ -40,7 +42,7 @@
 //! lane chosen by store state (prefiltered, failed memo, cache hit, db hit)
 //! emits `widen(narrow(F(x)))`, rounding fused into the emit copy; the lane
 //! chosen by input and configuration alone (`computed`: disabled, uniform
-//! FFT, warm-up, below break-even) emits the exact `f64` result.
+//! FFT, 1-D USFFT, warm-up, below break-even) emits the exact `f64` result.
 
 use crate::cache::{CacheKind, MemoCache};
 use crate::db::MemoDbConfig;
@@ -899,10 +901,10 @@ mod tests {
 
     #[test]
     fn chunk_below_break_even_takes_the_computed_lane() {
-        // The same repeating input, once as `F_u1D` (a hit cannot pay at 128
-        // elements) and once as `F_u2D` (it can): the gated chunk leaves no
-        // trace in the doorkeeper, the cache, the key count or the store, and
-        // the telemetry says why.
+        // The same repeating input, once as `F_u1D` (never memoized) and once
+        // as `F_u2D` (a hit can pay at 128 elements): the gated chunk leaves
+        // no trace in the doorkeeper, the cache, the key count or the store,
+        // and the telemetry says why.
         let exec = MemoizedExecutor::private(test_config()).with_telemetry(Telemetry::enabled());
         let input = chunk(2, 128);
         for it in 0..4 {

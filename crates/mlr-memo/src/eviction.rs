@@ -222,24 +222,16 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
 /// then compute anyway, which is how [`memoization_pays`] prices a miss.
 pub const EXPECTED_REUSE: f64 = 1.0 / 3.0;
 
-/// Nanoseconds per input element of the exact chunk compute an
-/// unequally-spaced operation runs. Like the two constants below, the fit
-/// made when the gate was introduced, not a reading of today's kernels: the
-/// `sweep` table of `BENCH_hotpath.json` (`fig22_hotpath --sweep`, `fu1d` /
-/// `usfft2d` computes close to linear in the chunk length from 256 to 16 Ki
-/// elements) now reads about 27–31 and 170–205 ns/elem, and only the
-/// decisions the constants make are held to it
-/// (`gate_agrees_with_measurement`); ROADMAP item 5(a) calibrates them.
-/// Only their ratios matter, so a uniformly faster or slower machine
-/// decides the same. `None` for the uniform FFTs, which operation
-/// cancellation removes and nothing memoizes.
-const fn usfft_ns_per_elem(op: FftOpKind) -> Option<f64> {
-    match op {
-        FftOpKind::Fu2D | FftOpKind::Fu2DAdj => Some(270.0),
-        FftOpKind::Fu1D | FftOpKind::Fu1DAdj => Some(28.0),
-        FftOpKind::F2D | FftOpKind::F2DAdj => None,
-    }
-}
+/// Nanoseconds per input element of the exact `F_u2D` / `F*_u2D` chunk
+/// compute. Like the two constants below, the fit made when the gate was
+/// introduced, not a reading of today's kernels: the `sweep` table of
+/// `BENCH_hotpath.json` (`fig22_hotpath --sweep`, `usfft2d` computes close
+/// to linear in the chunk length from 256 to 16 Ki elements) now reads about
+/// 150–280 ns/elem, and only the decisions the constants make are held to
+/// it (`gate_agrees_with_measurement`); ROADMAP item 5(a) calibrates them.
+/// Only their ratios matter, so a uniformly faster or slower machine decides
+/// the same.
+const USFFT_2D_NS_PER_ELEM: f64 = 270.0;
 
 /// What a memoized chunk is expected to pay, the sweep's
 /// `memo_path_ns_per_chunk` (`p ·` a cache hit `+ (1 − p) ·` what a miss
@@ -247,30 +239,34 @@ const fn usfft_ns_per_elem(op: FftOpKind) -> Option<f64> {
 /// a line in the chunk length: the part that does not depend on it …
 const MEMO_PATH_FIXED_NS: f64 = 7_000.0;
 /// … and the slope per input element. Fitted when every memoized chunk paid
-/// a 6.5 µs CNN key; the sweep now reads about 1 µs + 8.3 ns/elem, which
-/// crosses this line at 1250 elements, beside the `F_u1D` threshold, and at
-/// no swept size moves a decision out of the sweep's 2× dead band (`F_u1D`
-/// saves 0.8–1.5× the path at every size, `F_u2D` ≥ 6×), so the constants
-/// and every count they decide stay what they were.
+/// a 6.5 µs CNN key; the sweep now reads about 1 µs + 8.3 ns/elem, which at
+/// no swept size moves a decision out of the sweep's 2× dead band (`F_u2D`
+/// saves ≥ 5× the path), so the constant and every count it decides stay
+/// what they were.
 const MEMO_PATH_NS_PER_ELEM: f64 = 3.5;
 
 /// Whether memoizing one chunk of `input_len` elements of `op` has a
 /// non-negative expected value: the compute a hit avoids, weighted by
 /// [`EXPECTED_REUSE`], against the memo path every memoized chunk pays.
 ///
+/// Only the 2-D USFFTs are ever memoized. The sweep prices the 1-D USFFTs'
+/// compute at about their memo path (0.9–1.1× it at every size, never the 2×
+/// a hit needs to be worth its entry), and operation cancellation removes
+/// the uniform FFTs, so their chunks always take the computed lane and emit
+/// the exact `f64` result.
+///
 /// A pure function of the operation kind and the chunk length — properties
 /// every input has — so the engine's decision is the same on every thread
 /// count, shard layout and job, and a ragged last chunk is judged on its own
-/// length. Both sides are linear in `input_len`, so per kind the decision
-/// flips at most once, from bypass to memoize, as chunks grow: at 1200
-/// elements for `F_u1D` / `F*_u1D`, at 81 for `F_u2D` / `F*_u2D`.
+/// length. Both sides are linear in `input_len`, so the decision for
+/// `F_u2D` / `F*_u2D` flips once, from bypass to memoize, at 81 elements.
 /// `fig22_hotpath --sweep` holds the constants to the measurement
 /// (`gate_agrees_with_measurement`).
 pub fn memoization_pays(op: FftOpKind, input_len: usize) -> bool {
     let n = input_len as f64;
-    usfft_ns_per_elem(op).is_some_and(|compute_ns_per_elem| {
-        EXPECTED_REUSE * compute_ns_per_elem * n >= MEMO_PATH_FIXED_NS + MEMO_PATH_NS_PER_ELEM * n
-    })
+    matches!(op, FftOpKind::Fu2D | FftOpKind::Fu2DAdj)
+        && EXPECTED_REUSE * USFFT_2D_NS_PER_ELEM * n
+            >= MEMO_PATH_FIXED_NS + MEMO_PATH_NS_PER_ELEM * n
 }
 
 /// The logical clock of one store, shared by every stripe so tick and id
@@ -399,22 +395,20 @@ mod tests {
     #[test]
     fn break_even_gate_decision_table() {
         // The outcomes the engine relies on, whatever the constants are
-        // recalibrated to.
+        // recalibrated to: the 1-D USFFTs never memoize, the 2-D ones from
+        // well below the smallest benchmark chunk.
         for op in USFFT_1D {
-            assert!((1..=1024).all(|n| !memoization_pays(op, n)), "{op:?}");
+            assert!((0..=65536).all(|n| !memoization_pays(op, n)), "{op:?}");
         }
         for op in USFFT_2D {
-            assert!((256..2048).all(|n| memoization_pays(op, n)), "{op:?}");
-        }
-        for op in USFFT_1D.into_iter().chain(USFFT_2D) {
-            assert!((2048..=65536).all(|n| memoization_pays(op, n)), "{op:?}");
+            assert!((256..=65536).all(|n| memoization_pays(op, n)), "{op:?}");
             assert!(!memoization_pays(op, 0), "{op:?}");
         }
         // The benchmark's chunk shapes: 576 elements on `smallchunk-24`,
         // 4608 and up on the others.
         assert!(!memoization_pays(FftOpKind::Fu1D, 576));
         assert!(memoization_pays(FftOpKind::Fu2D, 576));
-        assert!(memoization_pays(FftOpKind::Fu1DAdj, 4608));
+        assert!(!memoization_pays(FftOpKind::Fu1DAdj, 4608));
     }
 
     #[test]
@@ -427,8 +421,8 @@ mod tests {
             );
             assert_eq!(
                 decisions.contains(&true),
-                op.is_unequally_spaced(),
-                "{op:?}"
+                USFFT_2D.contains(&op),
+                "{op:?}: only the 2-D USFFTs memoize"
             );
         }
     }

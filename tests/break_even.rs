@@ -2,11 +2,10 @@
 //!
 //! `mlr_memo::memoization_pays` decides per chunk, from the operation kind
 //! and the chunk length alone, whether a hit could pay for the memo path.
-//! Two reconstructions pin what that means for a whole job: at 576-element
-//! chunks the 1-D USFFT stages leave the memo path entirely while the 2-D
-//! stages keep reusing, identically on every schedule; at 2048-element
-//! chunks nothing is below break-even and every count is what it was before
-//! the gate existed.
+//! Only the 2-D USFFTs are ever memoized. Two reconstructions pin what that
+//! means for a whole job: at 576-element chunks and at 2048-element chunks
+//! the 1-D USFFT stages leave the memo path entirely while the 2-D stages
+//! keep reusing, identically on every schedule.
 
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
@@ -103,20 +102,29 @@ fn small_chunks_memoize_the_2d_stages_only() {
 
 #[test]
 fn chunks_above_break_even_count_what_they_counted_before_the_gate() {
-    // 16³ in 8-plane chunks: 2048 elements (1024 for `F*_u2D`), all above
-    // break-even, so the gate moves no count. Pinned with no gate at PR 19's
-    // parent; re-pinned at PR 22, whose candidate selection (sketch key,
-    // eligibility inside the scan, cache gated on raw chunks) reaches more
-    // hits: 83 where the random CNN's nearest key reached 52.
+    // 16³ in 8-plane chunks: 2048 elements (1024 for `F*_u2D`). The 2-D
+    // stages are above break-even; the 1-D ones memoize at no length, the
+    // benchmark's 1-D chunk sizes (576 to 18 432 elements) included. Every
+    // 1-D chunk computes, so the 2-D stages see the exact 1-D output, and
+    // their counts are pinned on that.
     let pipeline = MlrPipeline::new(MlrConfig::quick(16, 8).with_iterations(8));
-    for op in USFFT_1D.into_iter().chain(USFFT_2D) {
+    for n in [576, 2048, 8192, 18432] {
+        for op in USFFT_1D {
+            assert!(!memoization_pays(op, n), "{op:?} at {n}");
+        }
+        for op in USFFT_2D {
+            assert!(memoization_pays(op, n), "{op:?} at {n}");
+        }
+    }
+    for op in USFFT_2D {
         assert!(memoization_pays(op, pipeline.operator().chunk_elems(op)));
     }
     let (_, executor) = pipeline.run_memoized();
     let stats = executor.stats();
     let counts = |op| case_counts(stats.op(op));
-    assert_eq!(counts(FftOpKind::Fu1D), [12, 7, 17, 4, 8, 24]);
-    assert_eq!(counts(FftOpKind::Fu1DAdj), [12, 6, 16, 4, 10, 22]);
-    assert_eq!(counts(FftOpKind::Fu2D), [12, 6, 20, 4, 6, 26]);
-    assert_eq!(counts(FftOpKind::Fu2DAdj), [12, 6, 15, 3, 12, 21]);
+    for op in USFFT_1D {
+        assert_eq!(counts(op), [48, 0, 0, 0, 0, 0], "{op:?}");
+    }
+    assert_eq!(counts(FftOpKind::Fu2D), [12, 12, 15, 5, 4, 27]);
+    assert_eq!(counts(FftOpKind::Fu2DAdj), [12, 12, 11, 0, 13, 23]);
 }
