@@ -385,6 +385,12 @@ pub fn dft_naive(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     out
 }
 
+/// The bit patterns of `v`, for tests that pin results to the bit.
+#[cfg(test)]
+pub(crate) fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,10 +438,6 @@ mod tests {
             }
             len <<= 1;
         }
-    }
-
-    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
-        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
     fn column_of(block: &[Complex64], stride: usize, c: usize) -> Vec<Complex64> {

@@ -94,7 +94,7 @@ pub fn to_real(volume: &Array3<Complex64>) -> Array3<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::dft_naive;
+    use crate::fft::{bits, dft_naive};
     use mlr_math::norms::max_abs_diff_c;
     use mlr_math::rng::seeded;
     use mlr_math::Shape3;
@@ -149,24 +149,24 @@ mod tests {
         assert!(max_abs_diff_c(&buf, &data) < 1e-9);
     }
 
+    /// The parallel volume path runs the same per-plane transform, so every
+    /// plane must match `process_plane` on a copy of it to the bit, for a
+    /// radix-2 plane and a Bluestein one, in both directions.
     #[test]
     fn batch_matches_per_plane() {
-        let shape = Shape3::new(5, 8, 8);
-        let mut rng = seeded(17);
-        let data: Vec<Complex64> = (0..shape.len())
-            .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-            .collect();
-        let volume = Array3::from_vec(shape, data);
-
-        let batch = Fft2Batch::new(8, 8);
-        let transformed = batch.transform_volume(&volume, Direction::Forward);
-
-        for p in 0..shape.n0 {
-            let plane = dft2_naive(volume.plane(p), 8, 8, Direction::Forward);
-            assert!(
-                max_abs_diff_c(&plane, transformed.plane(p)) < 1e-8,
-                "plane {p}"
-            );
+        for (rows, cols) in [(8, 8), (24, 16)] {
+            let shape = Shape3::new(5, rows, cols);
+            let volume = Array3::from_vec(shape, random_plane(5 * rows, cols, 17));
+            let batch = Fft2Batch::new(rows, cols);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let transformed = batch.transform_volume(&volume, dir);
+                for p in 0..shape.n0 {
+                    let mut plane = volume.plane(p).to_vec();
+                    batch.process_plane(&mut plane, dir);
+                    let case = format!("{rows}x{cols} {dir:?} plane {p}");
+                    assert_eq!(bits(&plane), bits(transformed.plane(p)), "{case}");
+                }
+            }
         }
     }
 

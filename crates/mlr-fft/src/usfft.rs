@@ -670,6 +670,7 @@ impl Usfft2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::bits;
     use mlr_math::norms::{l2_norm_c, max_abs_diff_c};
     use mlr_math::rng::seeded;
     use rand::Rng;
@@ -1088,10 +1089,6 @@ mod tests {
             }
             out
         }
-    }
-
-    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
-        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
     #[test]

@@ -71,12 +71,6 @@ impl FftOpKind {
         }
     }
 
-    /// Returns `true` for the unequally-spaced operations (the expensive
-    /// ones, and the only ones mLR memoizes after cancellation).
-    pub fn is_unequally_spaced(&self) -> bool {
-        !matches!(self, FftOpKind::F2D | FftOpKind::F2DAdj)
-    }
-
     /// The operation kinds in dense-index order: `DENSE[k.index()] == k`.
     /// This is the canonical order for fixed-arity per-operation tables
     /// (note it differs from [`FftOpKind::ALL`], which lists the kinds in
@@ -985,8 +979,6 @@ mod tests {
     fn op_kind_labels_and_sets() {
         assert_eq!(FftOpKind::ALL.len(), 6);
         assert_eq!(FftOpKind::AFTER_CANCELLATION.len(), 4);
-        assert!(FftOpKind::Fu2D.is_unequally_spaced());
-        assert!(!FftOpKind::F2D.is_unequally_spaced());
         assert_eq!(FftOpKind::Fu2DAdj.label(), "F*u2D");
     }
 

@@ -260,8 +260,8 @@ struct ChunkTrail {
 /// fixes before its parallel phase, read by both phases.
 struct Dispatch {
     iteration: usize,
-    /// Memoization applies to the dispatch: the operation is memoizable and
-    /// warm-up is over. Each chunk still has to clear the break-even gate.
+    /// Memoization is enabled and warm-up is over. Each chunk still has to
+    /// clear the break-even gate, which alone decides by operation kind.
     memoize: bool,
     tel_on: bool,
     origin: Provenance,
@@ -443,13 +443,6 @@ impl MemoizedExecutor {
         self.state.lock().similarity.fraction_with_similar()
     }
 
-    /// Only the unequally-spaced operations are memoized — the paper's
-    /// choice after operation cancellation. Which of their chunks are is
-    /// [`memoization_pays`]'s call, per chunk.
-    fn should_memoize(&self, kind: FftOpKind) -> bool {
-        self.config.enabled && kind.is_unequally_spaced()
-    }
-
     /// Runs `f` over `0..n` across the configured chunk threads (leasing
     /// extras from the governor, best-effort) and returns the results in
     /// index order plus the `(requested, used)` thread counts. Each worker
@@ -506,10 +499,10 @@ impl MemoizedExecutor {
         (out, requested, used)
     }
 
-    /// Freezes what a dispatch of `kind` needs before its parallel phase.
-    fn dispatch(&self, kind: FftOpKind) -> Dispatch {
+    /// Freezes what a dispatch needs before its parallel phase.
+    fn dispatch(&self) -> Dispatch {
         let iteration = self.state.lock().iteration;
-        let memoize = self.should_memoize(kind) && iteration >= self.config.warmup_iterations;
+        let memoize = self.config.enabled && iteration >= self.config.warmup_iterations;
         Dispatch {
             iteration,
             memoize,
@@ -790,7 +783,7 @@ impl FftExecutor for MemoizedExecutor {
         input: &[Complex64],
         compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>,
     ) -> Vec<Complex64> {
-        let d = self.dispatch(kind);
+        let d = self.dispatch();
         let task = |_| (loc, input, compute);
         let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
         let scratch = vec![self.probe_chunk(kind, &d, task(0))];
@@ -816,7 +809,7 @@ impl FftExecutor for MemoizedExecutor {
         if batch.is_empty() {
             return;
         }
-        let d = self.dispatch(kind);
+        let d = self.dispatch();
         let task = |i: usize| (batch[i].loc, batch[i].input, batch[i].compute);
         let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
         let (scratch, requested, used) = self.map_chunk_blocks(batch.len(), |range| {

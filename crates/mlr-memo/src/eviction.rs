@@ -249,11 +249,11 @@ const MEMO_PATH_NS_PER_ELEM: f64 = 3.5;
 /// non-negative expected value: the compute a hit avoids, weighted by
 /// [`EXPECTED_REUSE`], against the memo path every memoized chunk pays.
 ///
-/// Only the 2-D USFFTs are ever memoized. The sweep prices the 1-D USFFTs'
-/// compute at about their memo path (0.9–1.1× it at every size, never the 2×
-/// a hit needs to be worth its entry), and operation cancellation removes
-/// the uniform FFTs, so their chunks always take the computed lane and emit
-/// the exact `f64` result.
+/// Only the 2-D USFFTs are ever memoized; this is the engine's one decision
+/// by operation kind. The sweep prices the 1-D USFFTs' compute at or below
+/// their memo path at every size, never the 2× a hit needs to be worth its
+/// entry, and operation cancellation removes the uniform FFTs, so their
+/// chunks always take the computed lane and emit the exact `f64` result.
 ///
 /// A pure function of the operation kind and the chunk length — properties
 /// every input has — so the engine's decision is the same on every thread
