@@ -20,7 +20,9 @@
 //!   (`recovery_monotone`, gated), and the store's own recovery clock
 //!   reaches half the pre-crash hit rate (`recovery_measured`, gated).
 //! * **replica saves** — the replica set rescues at least one would-be hit
-//!   on the crashed node (`replica_saves_positive`, gated).
+//!   on the crashed node (`replica_saves_positive`, gated). The crash hits
+//!   the node, and the stall the stripe, that served the most of the
+//!   baseline's store accesses.
 //! * **the plan fired** — link degradations and stripe stalls change no
 //!   outcome, so their evidence is the run's access trace replayed under
 //!   the same plan (`mlr_cluster::replay_trace`): messages that paid a
@@ -64,6 +66,8 @@ struct PlanOutcome {
 struct Record {
     smoke: bool,
     nodes: usize,
+    /// The node the crash plan takes down (the baseline's busiest).
+    crash_node: usize,
     jobs: usize,
     iterations: usize,
     tau: f64,
@@ -105,6 +109,18 @@ struct RunOutcome {
     faults: Option<FaultStats>,
     /// The run's access trace replayed under its own plan.
     footprint: FaultFootprint,
+    /// The store stripe and the memory node that took the most store
+    /// accesses: a stall or a crash placed there is one the workload feels.
+    busiest_stripe: usize,
+    busiest_node: usize,
+}
+
+/// Index of the largest count, the lowest index on a tie.
+fn busiest(counts: &[u64]) -> usize {
+    (0..counts.len())
+        .rev()
+        .max_by_key(|&i| counts[i])
+        .expect("at least one count")
 }
 
 fn run_workload(
@@ -153,15 +169,23 @@ fn run_workload(
     }
     let trace = rt.telemetry().snapshot().expect("telemetry enabled");
     assert_eq!(trace.accesses_dropped, 0, "access trace ring overflowed");
+    let placement = rt
+        .distributed()
+        .expect("runtime was configured with a topology")
+        .placement();
     let footprint = replay_trace(
         &trace.accesses,
-        rt.distributed()
-            .expect("runtime was configured with a topology")
-            .placement(),
+        placement,
         &ReplayConfig::new(InterconnectSpec::slingshot11()),
         plan.as_ref(),
     )
     .footprint;
+    let mut stripe_accesses = vec![0u64; placement.len()];
+    let mut node_accesses = vec![0u64; nodes];
+    for access in &trace.accesses {
+        stripe_accesses[access.stripe as usize] += 1;
+        node_accesses[placement[access.stripe as usize]] += 1;
+    }
     let stats = rt.shutdown();
     RunOutcome {
         bits,
@@ -170,6 +194,8 @@ fn run_workload(
         hit_rate: stats.store.hit_rate(),
         faults: stats.fault_stats().cloned(),
         footprint,
+        busiest_stripe: busiest(&stripe_accesses),
+        busiest_node: busiest(&node_accesses),
     }
 }
 
@@ -194,19 +220,26 @@ fn main() {
     );
 
     // The fault-free baseline also measures the job boundaries in logical
-    // store ticks — the plans below are placed relative to those.
+    // store ticks — the plans below are placed relative to those — and
+    // which node and stripe a crash or a stall must hit to touch the
+    // workload (the stripes a run uses follow from the operators' chunk
+    // grids).
     let baseline = run_workload(&config, jobs, nodes, None);
     let t = |i: usize| baseline.job_end_ticks[i];
     let horizon = t(jobs - 1);
+    let crash_node = baseline.busiest_node;
     let plans: Vec<(&str, FaultPlan)> = vec![
-        ("node-crash", FaultPlan::new(1).crash_window(0, t(3), t(4))),
+        (
+            "node-crash",
+            FaultPlan::new(1).crash_window(crash_node, t(3), t(4)),
+        ),
         (
             "link-degrade",
             FaultPlan::new(2).degrade_window(1, t(1), t(5), 0.25, 5.0e-6),
         ),
         (
             "stripe-stall",
-            FaultPlan::new(3).stall_window(3, t(0), t(6), 2.0e-6),
+            FaultPlan::new(3).stall_window(baseline.busiest_stripe, t(0), t(6), 2.0e-6),
         ),
         (
             "seeded-combo",
@@ -344,6 +377,7 @@ fn main() {
     let record = Record {
         smoke,
         nodes,
+        crash_node,
         jobs,
         iterations,
         tau,

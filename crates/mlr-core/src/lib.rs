@@ -25,7 +25,7 @@ pub mod report;
 
 pub use config::{MlrConfig, ProblemSpec, Scale};
 pub use pipeline::MlrPipeline;
-pub use report::{MlrReport, PaperScaleProjection};
+pub use report::{ExactQuality, MlrReport, PaperScaleProjection};
 // Re-exported so serving layers over the pipeline (e.g. `mlr-runtime`) can
 // drive cooperative cancellation without depending on the solver crate.
 pub use mlr_solver::{CancelToken, StopCause};

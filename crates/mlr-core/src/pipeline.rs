@@ -1,7 +1,7 @@
 //! The end-to-end mLR pipeline.
 
 use crate::config::MlrConfig;
-use crate::report::{MlrReport, PaperScaleProjection};
+use crate::report::{ExactQuality, MlrReport, PaperScaleProjection};
 use mlr_lamino::{LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_memo::{
     CapacityBudget, EncoderConfig, JobId, MemoConfig, MemoStore, MemoizedExecutor, ShardedMemoDb,
@@ -10,6 +10,13 @@ use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
 use mlr_solver::{AdmmResult, AdmmSolver, CancelToken};
 use std::sync::Arc;
+
+/// An exact reference must shrink its loss below this share of the first
+/// iteration's ...
+pub const MAX_EXACT_LOSS_DROP: f64 = 0.05;
+/// ... and end closer than this (relative error) to the phantom it was
+/// simulated from; the all-zero volume scores 1.
+pub const MAX_EXACT_ERR_VS_TRUTH: f64 = 0.75;
 
 /// The end-to-end pipeline: dataset simulation, exact reconstruction,
 /// memoized reconstruction, comparison and paper-scale projection.
@@ -85,6 +92,49 @@ impl MlrPipeline {
         solver.run(&self.operator, &self.dataset.projections)
     }
 
+    /// The validity gate on an exact reference: its volume is finite and
+    /// not all zero, its loss fell below [`MAX_EXACT_LOSS_DROP`] of the
+    /// first iteration's, and its relative error against the phantom is
+    /// below [`MAX_EXACT_ERR_VS_TRUTH`]. A diverged solver trips it: the
+    /// non-negativity clamp turns a diverged iterate into zeros, and a
+    /// speed-up or an accuracy measured against zeros means nothing.
+    pub fn check_exact(&self, exact: &AdmmResult) -> Result<ExactQuality, String> {
+        let values = exact.reconstruction.as_slice();
+        if values.iter().any(|v| !v.is_finite()) {
+            return Err("exact reference has non-finite voxels".into());
+        }
+        if values.iter().all(|&v| v == 0.0) {
+            return Err("exact reference is all zero".into());
+        }
+        let losses = exact.history.loss_series();
+        let (Some(&(_, first)), Some(&(_, last))) = (losses.first(), losses.last()) else {
+            return Err("exact reference recorded no iterations".into());
+        };
+        let quality = ExactQuality {
+            loss_drop: last / first,
+            err_vs_truth: 1.0
+                - mlr_solver::accuracy_vs_reference(
+                    &self.dataset.ground_truth,
+                    &exact.reconstruction,
+                ),
+        };
+        // A NaN is not within any limit.
+        let within = |value: f64, limit: f64| value.is_finite() && value < limit;
+        if !within(quality.loss_drop, MAX_EXACT_LOSS_DROP) {
+            return Err(format!(
+                "exact reference did not converge: final/first loss {:.4} (limit {MAX_EXACT_LOSS_DROP})",
+                quality.loss_drop
+            ));
+        }
+        if !within(quality.err_vs_truth, MAX_EXACT_ERR_VS_TRUTH) {
+            return Err(format!(
+                "exact reference is far from the phantom: relative error {:.3} (limit {MAX_EXACT_ERR_VS_TRUTH})",
+                quality.err_vs_truth
+            ));
+        }
+        Ok(quality)
+    }
+
     /// Runs the memoized (mLR) reconstruction over a private one-shard
     /// store; returns the result and the executor holding all memoization
     /// statistics. Chunk-level parallelism follows
@@ -137,6 +187,7 @@ impl MlrPipeline {
         let memo_compute_seconds: f64 = memo.history.records().iter().map(|r| r.lsp_seconds).sum();
 
         MlrReport {
+            valid: self.check_exact(&exact).is_ok(),
             accuracy,
             avoided_fraction: total.avoided_fraction(),
             case_distribution: stats.case_distribution(),
@@ -222,6 +273,22 @@ mod tests {
         // Loss curves recorded for both runs.
         assert_eq!(report.exact_loss.len(), 6);
         assert_eq!(report.memo_loss.len(), 6);
+    }
+
+    #[test]
+    fn validity_gate_trips_on_a_diverged_reference() {
+        let mut config = MlrConfig::quick(12, 8).with_iterations(4);
+        config.admm.initial_step = 50.0;
+        let p = MlrPipeline::new(config);
+        let exact = p.run_exact();
+        assert!(p.check_exact(&exact).is_err());
+        assert!(!p.run_comparison().valid);
+        let converging = tiny_pipeline(0.92);
+        let quality = converging
+            .check_exact(&converging.run_exact())
+            .expect("the 12³ quick config converges");
+        assert!(quality.loss_drop < MAX_EXACT_LOSS_DROP);
+        assert!(quality.err_vs_truth < MAX_EXACT_ERR_VS_TRUTH);
     }
 
     #[test]

@@ -24,9 +24,22 @@ impl PaperScaleProjection {
     }
 }
 
+/// What [`crate::MlrPipeline::check_exact`] judges an exact reference by.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ExactQuality {
+    /// Final loss ÷ first-iteration loss.
+    pub loss_drop: f64,
+    /// Relative error of the reconstruction against the ground truth.
+    pub err_vs_truth: f64,
+}
+
 /// Result of running the exact and memoized pipelines on the same problem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MlrReport {
+    /// Whether the exact run passed [`crate::MlrPipeline::check_exact`]. Every
+    /// other number here compares against that run, so it means nothing
+    /// when this is `false`.
+    pub valid: bool,
     /// Reconstruction accuracy of the memoized run against the exact run
     /// (paper Eq. 5).
     pub accuracy: f64,
@@ -84,6 +97,7 @@ mod tests {
     #[test]
     fn compute_saving_guards_zero() {
         let r = MlrReport {
+            valid: true,
             accuracy: 1.0,
             avoided_fraction: 0.0,
             case_distribution: (0.0, 0.0, 0.0),

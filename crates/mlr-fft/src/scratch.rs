@@ -19,7 +19,7 @@
 //!   `nr × cols` plane grid a lease) — the operator has one vertical plan;
 //! * a [`Usfft2d`](crate::usfft::Usfft2d) only *borrows* its fine-grid pool
 //!   from the [`Usfft2dGrid`](crate::usfft::Usfft2dGrid) it is built on. The
-//!   laminography operator builds one grid and hands it to all `h`
+//!   laminography operator builds one grid and hands it to all `h/2 + 1`
 //!   per-detector-row plans, which share the same `nr1 × nr2`, so the
 //!   operator parks at most one fine grid per concurrently running plane
 //!   transform — O(threads), not O(detector rows). A plan built on its own

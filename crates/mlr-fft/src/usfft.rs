@@ -45,11 +45,11 @@
 //! `nr × cols` fine grid, one batched column FFT, and a row axpy per window
 //! tap; `forward`/`adjoint` are the one-column case. The window depends only
 //! on the plan, so [`Usfft1d::with_params`] tabulates each frequency's first
-//! tap cell and `2m+1` weights: `h·(2m+1)` f64 for the operator's one
-//! vertical plan (5 KB at h = 48, 213 KB at h = 2048). The same table for
-//! [`Usfft2d`] would be `nθ·w·(4m+2)` f64 *per detector-row plan* (11.5 MB
-//! per operator at 48³) for a plan applied once per application, which is
-//! why the 2-D window stays per-call.
+//! tap cell and `2m+1` weights: `(h/2+1)·(2m+1)` f64 for the operator's
+//! vertical plan (2.6 KB at h = 48, 107 KB at h = 2048). The same table for
+//! [`Usfft2d`] would be `nθ·(w+1)·(4m+2)` f64 *per row plan* (6.1 MB for the
+//! `h/2+1` plans of a 48³ operator) for a plan applied once per application,
+//! which is why the 2-D window stays per-call.
 //!
 //! Every transform has a form that writes where the caller keeps the result
 //! (`_plane` in 1-D, `_into` in 2-D); the `Vec`-returning methods wrap it.

@@ -86,10 +86,42 @@ impl LaminoGeometry {
         Shape3::new(self.angles.len(), self.detector.rows, self.detector.cols)
     }
 
-    /// Shape of the intermediate array `ũ1 = F_u1D u`, which is
-    /// `(n1, h, n2)` in the paper's notation.
+    /// Shape of the intermediate array `ũ1 = F_u1D u` the operator holds:
+    /// `(n1, h/2 + 1, n2)`, the paper's `(n1, h, n2)` cut to the
+    /// [`Self::half_rows`] it evaluates.
     pub fn u1_shape(&self) -> Shape3 {
-        Shape3::new(self.n1, self.detector.rows, self.n2)
+        Shape3::new(self.n1, self.half_rows(), self.n2)
+    }
+
+    /// Detector rows the operator evaluates: rows `0..=h/2`, whose row
+    /// frequencies are `≤ 0`. For a real volume every other row is the
+    /// conjugate mirror of one of them ([`Self::mirrored_row`]).
+    pub fn half_rows(&self) -> usize {
+        self.detector.rows / 2 + 1
+    }
+
+    /// Points per angle in an evaluated row: the `w` detector columns, plus,
+    /// when `w` is even, column `w` at `col_freq(w) = +½` — the mirror of
+    /// column 0, which the periodic grid does not hold.
+    pub fn half_cols(&self) -> usize {
+        let w = self.detector.cols;
+        w + 1 - w % 2
+    }
+
+    /// The row above `h/2` that mirrors evaluated row `i`
+    /// (`row_freq(m) == −row_freq(i)`), if the grid holds one. Row `h/2`
+    /// mirrors itself and row 0 of an even `h` (`k_v = −½`) has no mirror:
+    /// both give `None`.
+    pub fn mirrored_row(&self, i: usize) -> Option<usize> {
+        let h = self.detector.rows;
+        let m = 2 * (h / 2) - i;
+        (m > h / 2 && m < h).then_some(m)
+    }
+
+    /// The point `j'` of an evaluated row's [`Self::half_cols`] with
+    /// `col_freq(j') == −col_freq(j)`, for a detector column `j < w`.
+    pub fn mirror_col(&self, j: usize) -> usize {
+        2 * (self.detector.cols / 2) - j
     }
 
     /// Number of rotation angles `nθ`.
@@ -139,21 +171,26 @@ impl LaminoGeometry {
     /// per detector row — parameterises the per-row `F_u2D` transform. The
     /// trigonometry is evaluated once per angle, not once per column.
     pub fn inplane_freqs_for_row(&self, row: usize) -> Vec<(f64, f64)> {
-        let k_v = self.row_freq(row);
-        let cos_tilt = self.tilt.cos();
-        let w = self.detector.cols;
-        let mut out = Vec::with_capacity(self.angles.len() * w);
-        for &theta in &self.angles {
-            let sin_cos = theta.sin_cos();
-            out.extend((0..w).map(|col| inplane(sin_cos, cos_tilt, k_v, self.col_freq(col))));
-        }
-        out
+        self.row_points(row, self.detector.cols)
     }
 
-    /// Total number of non-uniform in-plane frequency samples
-    /// (`h · nθ · w`), i.e. the work `F_u2D` performs per application.
-    pub fn total_inplane_samples(&self) -> usize {
-        self.detector.rows * self.angles.len() * self.detector.cols
+    /// [`Self::inplane_freqs_for_row`] over the [`Self::half_cols`] points
+    /// of an evaluated row, in row-major `(nθ, half_cols)` order: what the
+    /// operator's row plans evaluate.
+    pub fn half_freqs_for_row(&self, row: usize) -> Vec<(f64, f64)> {
+        self.row_points(row, self.half_cols())
+    }
+
+    /// In-plane frequency pairs of row `row` at columns `0..cols` per angle.
+    fn row_points(&self, row: usize, cols: usize) -> Vec<(f64, f64)> {
+        let k_v = self.row_freq(row);
+        let cos_tilt = self.tilt.cos();
+        let mut out = Vec::with_capacity(self.angles.len() * cols);
+        for &theta in &self.angles {
+            let sin_cos = theta.sin_cos();
+            out.extend((0..cols).map(|col| inplane(sin_cos, cos_tilt, k_v, self.col_freq(col))));
+        }
+        out
     }
 
     /// Memory footprint of the projection data in bytes, assuming `f64`.
@@ -185,7 +222,7 @@ mod tests {
         let g = LaminoGeometry::cube(16, 12, 30.0);
         assert_eq!(g.volume_shape(), Shape3::new(16, 16, 16));
         assert_eq!(g.data_shape(), Shape3::new(12, 16, 16));
-        assert_eq!(g.u1_shape(), Shape3::new(16, 16, 16));
+        assert_eq!(g.u1_shape(), Shape3::new(16, 9, 16));
         assert_eq!(g.n_angles(), 12);
         assert!(approx_eq(g.tilt, 30.0f64.to_radians(), 1e-12));
     }
@@ -277,9 +314,42 @@ mod tests {
     }
 
     #[test]
+    fn pairing_negates_frequencies_and_covers_the_upper_rows_once() {
+        for (h, w) in [(8, 8), (7, 9), (16, 7), (9, 12)] {
+            let g = LaminoGeometry {
+                detector: DetectorSpec::new(h, w),
+                ..LaminoGeometry::cube(8, 3, 35.0)
+            };
+            assert_eq!(g.half_cols(), if w % 2 == 0 { w + 1 } else { w });
+            let mut covered = vec![false; h];
+            covered[..g.half_rows()].fill(true);
+            for i in 0..g.half_rows() {
+                if let Some(m) = g.mirrored_row(i) {
+                    assert_eq!(g.row_freq(m), -g.row_freq(i));
+                    assert!(!covered[m], "{h}x{w}: row {m} mirrored twice");
+                    covered[m] = true;
+                }
+            }
+            assert!(covered.iter().all(|&c| c), "{h}x{w}: a row is never filled");
+            for j in 0..w {
+                let mj = g.mirror_col(j);
+                assert!(mj < g.half_cols());
+                assert_eq!(g.col_freq(mj), -g.col_freq(j));
+            }
+            // An evaluated row is the detector row plus its extra point.
+            for row in 0..g.half_rows() {
+                let full = g.inplane_freqs_for_row(row);
+                let half = g.half_freqs_for_row(row);
+                for (t, chunk) in half.chunks_exact(g.half_cols()).enumerate() {
+                    assert_eq!(&chunk[..w], &full[t * w..(t + 1) * w]);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sample_counts_and_bytes() {
         let g = LaminoGeometry::cube(8, 5, 20.0);
-        assert_eq!(g.total_inplane_samples(), 8 * 5 * 8);
         assert_eq!(g.volume_bytes(), 8 * 8 * 8 * 8);
         assert_eq!(g.data_bytes(), 5 * 8 * 8 * 8);
     }

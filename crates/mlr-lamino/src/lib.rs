@@ -28,6 +28,10 @@
 //! * `F*_2D` — an inverse 2-D FFT per projection that maps the sampled
 //!   spectrum back to detector space.
 //!
+//! The volume and the projections are real, so `F_u1D` and `F_u2D` evaluate
+//! detector rows `0..=h/2` only and the rest of the spectrum is their
+//! conjugate mirror ([`operators`] has the fill and its transpose, the fold).
+//!
 //! The adjoint is `L* = F*_u1D · F*_u2D · F_2D`. Both directions are exposed
 //! whole-volume (for small exact runs) and chunk-by-chunk (the granularity at
 //! which the paper applies memoization and distributes work across GPUs).

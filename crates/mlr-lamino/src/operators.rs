@@ -8,6 +8,17 @@
 //! timing and the multi-GPU distribution plug in without the operator (or
 //! the FFT code) knowing about them — mirroring the paper's claim that mLR
 //! "does not change the FFT algorithm".
+//!
+//! The volume and the projections are real, so the two USFFT stages run on
+//! half the spectrum: `F_u1D` and `F_u2D` evaluate detector rows `0..=h/2`
+//! only ([`LaminoGeometry::half_rows`]), and `F_u2D`'s scatter *fills* the
+//! rows above `h/2` with the conjugate mirror of the rows below
+//! ([`LaminoGeometry::mirrored_row`]). `d̂` itself is not Hermitian on the
+//! periodic detector grid (row 0 and column 0 at `−½` have no mirror on it),
+//! so the fill rebuilds the whole `(nθ, h, w)` spectrum and `F*_2D` stays a
+//! complex inverse FFT followed by the real part. The adjoint's gather
+//! *folds* the mirrored rows back onto the evaluated ones — the exact
+//! transpose of the fill.
 
 use crate::chunk::{ChunkGrid, ChunkLocation};
 use crate::geometry::LaminoGeometry;
@@ -15,7 +26,7 @@ use mlr_fft::fft::Direction;
 use mlr_fft::fft2d::Fft2Batch;
 use mlr_fft::scratch::ScratchPool;
 use mlr_fft::usfft::{Usfft1d, Usfft2d, Usfft2dGrid};
-use mlr_math::{Array3, Complex64, Shape3};
+use mlr_math::{Array3, Complex64};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -271,13 +282,14 @@ where
 
 /// The laminography operator for a fixed geometry.
 ///
-/// Construction precomputes the USFFT plans (vertical transform and one
-/// in-plane transform per detector row) and the uniform 2-D FFT plan, so
-/// repeated applications — every CG step of every ADMM iteration — reuse
-/// them. The plans' working memory does not come per plan: the row plans
-/// lease from one shared pool, so what an operator keeps resident between
-/// applications scales with the kernel thread count, not with the detector
-/// height ([`Self::scratch_idle_buffers`]).
+/// Construction precomputes the USFFT plans (a vertical transform at the
+/// `h/2 + 1` evaluated row frequencies, and one in-plane transform per
+/// evaluated row at its `nθ · half_cols` points) and the uniform 2-D FFT
+/// plan, so repeated applications — every CG step of every ADMM iteration —
+/// reuse them. The plans' working memory does not come per plan: the row
+/// plans lease from one shared pool, so what an operator keeps resident
+/// between applications scales with the kernel thread count, not with the
+/// detector height ([`Self::scratch_idle_buffers`]).
 pub struct LaminoOperator {
     geometry: LaminoGeometry,
     usfft_vertical: Usfft1d,
@@ -306,13 +318,13 @@ impl LaminoOperator {
     /// Panics when `chunk_size == 0`.
     pub fn new(geometry: LaminoGeometry, chunk_size: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
-        let usfft_vertical = Usfft1d::with_params(geometry.n0, geometry.vertical_freqs(), 2, 6);
+        let mut vertical_freqs = geometry.vertical_freqs();
+        vertical_freqs.truncate(geometry.half_rows());
+        let usfft_vertical = Usfft1d::with_params(geometry.n0, vertical_freqs, 2, 6);
         let plane_grid = Arc::new(Usfft2dGrid::new(geometry.n1, geometry.n2, 2, 6));
-        let usfft_rows: Vec<Usfft2d> = (0..geometry.detector.rows)
+        let usfft_rows: Vec<Usfft2d> = (0..geometry.half_rows())
             .into_par_iter()
-            .map(|row| {
-                Usfft2d::on_grid(Arc::clone(&plane_grid), geometry.inplane_freqs_for_row(row))
-            })
+            .map(|row| Usfft2d::on_grid(Arc::clone(&plane_grid), geometry.half_freqs_for_row(row)))
             .collect();
         let fft2_detector = Fft2Batch::new(geometry.detector.rows, geometry.detector.cols);
         Self {
@@ -364,9 +376,10 @@ impl LaminoOperator {
         ChunkGrid::new(self.geometry.n1, self.chunk_size)
     }
 
-    /// Chunk grid of the `F_u2D` stage (slabs along the detector-row axis).
+    /// Chunk grid of the `F_u2D` stage (slabs along the evaluated detector
+    /// rows `0..=h/2`).
     pub fn fu2d_grid(&self) -> ChunkGrid {
-        ChunkGrid::new(self.geometry.detector.rows, self.chunk_size)
+        ChunkGrid::new(self.geometry.half_rows(), self.chunk_size)
     }
 
     /// Chunk grid of the `F_2D` stage (slabs along the angle axis).
@@ -376,7 +389,10 @@ impl LaminoOperator {
 
     // ----------------------------------------------------------------- Fu1D
 
-    /// Applies `F_u1D` to the whole volume: `u[n1, n0, n2] → ũ1[n1, h, n2]`.
+    /// Applies `F_u1D` to the whole volume: `u[n1, n0, n2] → ũ1[n1, h/2+1, n2]`,
+    /// the vertical spectrum at the evaluated rows' frequencies only. For a
+    /// real `u` the rows above `h/2` would be conjugates of these, and
+    /// [`Self::fu2d`] rebuilds them in `d̂` instead.
     ///
     /// Chunks of this stage are slabs along axis 0, which are contiguous in
     /// row-major storage: the batch borrows its inputs straight out of `u`
@@ -417,10 +433,10 @@ impl LaminoOperator {
     pub fn fu1d_chunk_compute(&self, input: &[Complex64], len: usize) -> Vec<Complex64> {
         let n0 = self.geometry.n0;
         let n2 = self.geometry.n2;
-        let h = self.geometry.detector.rows;
+        let rows = self.geometry.half_rows();
         assert_eq!(input.len(), len * n0 * n2, "Fu1D chunk length mismatch");
-        let mut out = vec![Complex64::ZERO; len * h * n2];
-        out.par_chunks_mut(h * n2)
+        let mut out = vec![Complex64::ZERO; len * rows * n2];
+        out.par_chunks_mut(rows * n2)
             .enumerate()
             .for_each(|(i1, out_plane)| {
                 let in_plane = &input[i1 * n0 * n2..(i1 + 1) * n0 * n2];
@@ -429,7 +445,7 @@ impl LaminoOperator {
         out
     }
 
-    /// Applies `F*_u1D`: `ũ1[n1, h, n2] → u[n1, n0, n2]`.
+    /// Applies `F*_u1D`: `ũ1[n1, h/2+1, n2] → u[n1, n0, n2]`.
     pub fn fu1d_adjoint(
         &self,
         u1: &Array3<Complex64>,
@@ -468,13 +484,13 @@ impl LaminoOperator {
     pub fn fu1d_adjoint_chunk_compute(&self, input: &[Complex64], len: usize) -> Vec<Complex64> {
         let n0 = self.geometry.n0;
         let n2 = self.geometry.n2;
-        let h = self.geometry.detector.rows;
-        assert_eq!(input.len(), len * h * n2, "F*u1D chunk length mismatch");
+        let rows = self.geometry.half_rows();
+        assert_eq!(input.len(), len * rows * n2, "F*u1D chunk length mismatch");
         let mut out = vec![Complex64::ZERO; len * n0 * n2];
         out.par_chunks_mut(n0 * n2)
             .enumerate()
             .for_each(|(i1, out_plane)| {
-                let in_plane = &input[i1 * h * n2..(i1 + 1) * h * n2];
+                let in_plane = &input[i1 * rows * n2..(i1 + 1) * rows * n2];
                 self.usfft_vertical.adjoint_plane(in_plane, n2, out_plane);
             });
         out
@@ -482,30 +498,37 @@ impl LaminoOperator {
 
     // ----------------------------------------------------------------- Fu2D
 
-    /// Applies `F_u2D`: `ũ1[n1, h, n2] → d̂[nθ, h, w]` (the sampled spectrum
-    /// of every projection).
+    /// Applies `F_u2D`: `ũ1[n1, h/2+1, n2] → d̂[nθ, h, w]` (the sampled
+    /// spectrum of every projection).
+    ///
+    /// The row plans evaluate rows `0..=h/2`, each at its
+    /// [`LaminoGeometry::half_cols`] points per angle, and the scatter into
+    /// `d̂` *fills* the rest: row `m = mirrored_row(i)` gets
+    /// `d̂[t, m, c] = conj(row_i[t, mirror_col(c)])`, column 0 from row `i`'s
+    /// `k_u = +½` point. That is `F_u2D` of the full `ũ1` whenever `ũ1` is
+    /// `F_u1D` of a real volume, the only input the operator's compositions
+    /// feed it; the map is real-linear, and [`Self::fu2d_adjoint`] is its
+    /// transpose under `Re⟨·,·⟩`.
     pub fn fu2d(&self, u1: &Array3<Complex64>, exec: &dyn FftExecutor) -> Array3<Complex64> {
         assert_eq!(
             u1.shape(),
             self.geometry.u1_shape(),
             "Fu2D input shape mismatch"
         );
-        let n1 = self.geometry.n1;
-        let n2 = self.geometry.n2;
-        let n_theta = self.geometry.n_angles();
-        let h = self.geometry.detector.rows;
-        let w = self.geometry.detector.cols;
-        let mut out = Array3::zeros(Shape3::new(n_theta, h, w));
+        let g = &self.geometry;
+        let (n1, n2, n_theta) = (g.n1, g.n2, g.n_angles());
+        let (h, w) = (g.detector.rows, g.detector.cols);
+        let (rows, cols) = (g.half_rows(), g.half_cols());
         let locs: Vec<ChunkLocation> = self.fu2d_grid().iter().collect();
-        // One leased gather arena holds every chunk's input (reused across
-        // dispatches and applications); one leased staging arena receives
-        // the per-row outputs before the scatter into `out`.
-        let mut gather = self.arena.lease(h * n1 * n2);
-        let mut offset = 0;
-        for loc in &locs {
-            let size = loc.len * n1 * n2;
-            self.gather_rows_into(u1, loc.start, loc.len, &mut gather[offset..offset + size]);
-            offset += size;
+        // The chunks cover rows 0..=h/2 in order, so one leased gather arena
+        // holds every chunk's input back to back (`[row][n1][n2]`), and one
+        // leased staging arena receives the outputs (`[row][nθ][cols]`).
+        let mut gather = self.arena.lease(rows * n1 * n2);
+        let u1 = u1.as_slice();
+        for (r, plane) in gather.chunks_exact_mut(n1 * n2).enumerate() {
+            for (i1, line) in plane.chunks_exact_mut(n2).enumerate() {
+                line.copy_from_slice(&u1[(i1 * rows + r) * n2..][..n2]);
+            }
         }
         let computes: Vec<_> = locs
             .iter()
@@ -519,32 +542,35 @@ impl LaminoOperator {
             WindowIter::new(&gather[..], locs.iter().map(|l| l.len * n1 * n2)),
             &computes,
         );
-        let mut staging = self.arena.lease(h * n_theta * w);
+        let mut staging = self.arena.lease(rows * n_theta * cols);
         {
-            let mut outputs = split_windows(&mut staging, locs.iter().map(|l| l.len * n_theta * w));
+            let mut outputs =
+                split_windows(&mut staging, locs.iter().map(|l| l.len * n_theta * cols));
             exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut outputs);
         }
-        let mut offset = 0;
-        for loc in &locs {
-            // staging layout per chunk: [rows_in_chunk][nθ * w]
-            for r in 0..loc.len {
-                let row = loc.start + r;
-                let row_data = &staging[offset + r * n_theta * w..offset + (r + 1) * n_theta * w];
-                for t in 0..n_theta {
-                    for c in 0..w {
-                        out[(t, row, c)] = row_data[t * w + c];
+        let mut out = Array3::zeros(g.data_shape());
+        let d = out.as_mut_slice();
+        // Read backwards, points `mirror_col(w-1)..=mirror_col(0)` are the
+        // mirrors of columns `0..w`.
+        let mirrored = g.mirror_col(w - 1)..=g.mirror_col(0);
+        for (i, row) in staging.chunks_exact(n_theta * cols).enumerate() {
+            for (t, points) in row.chunks_exact(cols).enumerate() {
+                d[(t * h + i) * w..][..w].copy_from_slice(&points[..w]);
+                if let Some(m) = g.mirrored_row(i) {
+                    let fill = &mut d[(t * h + m) * w..][..w];
+                    for (z, p) in fill.iter_mut().zip(points[mirrored.clone()].iter().rev()) {
+                        *z = p.conj();
                     }
                 }
             }
-            offset += loc.len * n_theta * w;
         }
         out
     }
 
-    /// Exact computation of `F_u2D` on one chunk of detector rows.
+    /// Exact computation of `F_u2D` on one chunk of evaluated detector rows.
     ///
     /// `input` holds, per row in the chunk, the `n1 × n2` horizontal plane of
-    /// `ũ1`; the output holds, per row, the `nθ × w` sampled spectrum.
+    /// `ũ1`; the output holds, per row, the `nθ × half_cols` sampled spectrum.
     pub fn fu2d_chunk_compute(
         &self,
         input: &[Complex64],
@@ -553,11 +579,10 @@ impl LaminoOperator {
     ) -> Vec<Complex64> {
         let n1 = self.geometry.n1;
         let n2 = self.geometry.n2;
-        let n_theta = self.geometry.n_angles();
-        let w = self.geometry.detector.cols;
+        let points = self.geometry.n_angles() * self.geometry.half_cols();
         assert_eq!(input.len(), len * n1 * n2, "Fu2D chunk length mismatch");
-        let mut out = vec![Complex64::ZERO; len * n_theta * w];
-        out.par_chunks_mut(n_theta * w)
+        let mut out = vec![Complex64::ZERO; len * points];
+        out.par_chunks_mut(points)
             .enumerate()
             .for_each(|(r, out_row)| {
                 let row = row_start + r;
@@ -567,7 +592,14 @@ impl LaminoOperator {
         out
     }
 
-    /// Applies `F*_u2D`: `d̂[nθ, h, w] → ũ1[n1, h, n2]`.
+    /// Applies `F*_u2D`: `d̂[nθ, h, w] → ũ1[n1, h/2+1, n2]`, the transpose of
+    /// [`Self::fu2d`] under `Re⟨·,·⟩`.
+    ///
+    /// The gather *folds* `d̂` onto the evaluated rows: row `i`'s points are
+    /// `d̂[t, i, c]` plus, for `m = mirrored_row(i)`,
+    /// `conj(d̂[t, m, c])` added at point `mirror_col(c)` — column 0 of row
+    /// `m` lands on row `i`'s `k_u = +½` point. Weighting paired rows by 2
+    /// instead would be wrong on column 0 and on the unpaired row 0.
     pub fn fu2d_adjoint(
         &self,
         dhat: &Array3<Complex64>,
@@ -578,26 +610,26 @@ impl LaminoOperator {
             self.geometry.data_shape(),
             "F*u2D input shape mismatch"
         );
-        let n1 = self.geometry.n1;
-        let n2 = self.geometry.n2;
-        let n_theta = self.geometry.n_angles();
-        let h = self.geometry.detector.rows;
-        let w = self.geometry.detector.cols;
-        let mut out = Array3::zeros(self.geometry.u1_shape());
+        let g = &self.geometry;
+        let (n1, n2, n_theta) = (g.n1, g.n2, g.n_angles());
+        let (h, w) = (g.detector.rows, g.detector.cols);
+        let (rows, cols) = (g.half_rows(), g.half_cols());
         let locs: Vec<ChunkLocation> = self.fu2d_grid().iter().collect();
-        // Leased gather arena: per row, the nθ × w spectrum samples.
-        let mut gather = self.arena.lease(h * n_theta * w);
-        let mut offset = 0;
-        for loc in &locs {
-            for r in 0..loc.len {
-                let row = loc.start + r;
-                for t in 0..n_theta {
-                    for c in 0..w {
-                        gather[offset + r * n_theta * w + t * w + c] = dhat[(t, row, c)];
+        // Leased gather arena: per evaluated row, its nθ × cols folded points.
+        let mut gather = self.arena.lease(rows * n_theta * cols);
+        let d = dhat.as_slice();
+        let mirrored = g.mirror_col(w - 1)..=g.mirror_col(0);
+        for (i, row) in gather.chunks_exact_mut(n_theta * cols).enumerate() {
+            for (t, points) in row.chunks_exact_mut(cols).enumerate() {
+                points[..w].copy_from_slice(&d[(t * h + i) * w..][..w]);
+                points[w..].fill(Complex64::ZERO);
+                if let Some(m) = g.mirrored_row(i) {
+                    let fill = &d[(t * h + m) * w..][..w];
+                    for (p, z) in points[mirrored.clone()].iter_mut().rev().zip(fill) {
+                        *p += z.conj();
                     }
                 }
             }
-            offset += loc.len * n_theta * w;
         }
         let computes: Vec<_> = locs
             .iter()
@@ -608,32 +640,26 @@ impl LaminoOperator {
             .collect();
         let batch = make_batch(
             &locs,
-            WindowIter::new(&gather[..], locs.iter().map(|l| l.len * n_theta * w)),
+            WindowIter::new(&gather[..], locs.iter().map(|l| l.len * n_theta * cols)),
             &computes,
         );
-        let mut staging = self.arena.lease(h * n1 * n2);
+        let mut staging = self.arena.lease(rows * n1 * n2);
         {
             let mut outputs = split_windows(&mut staging, locs.iter().map(|l| l.len * n1 * n2));
             exec.execute_batch_into(FftOpKind::Fu2DAdj, &batch, &mut outputs);
         }
-        let mut offset = 0;
-        for loc in &locs {
-            // staging layout per chunk: [rows_in_chunk][n1 * n2]
-            for r in 0..loc.len {
-                let row = loc.start + r;
-                let plane = &staging[offset + r * n1 * n2..offset + (r + 1) * n1 * n2];
-                for i1 in 0..n1 {
-                    for i2 in 0..n2 {
-                        out[(i1, row, i2)] = plane[i1 * n2 + i2];
-                    }
-                }
+        // Staging is `[row][n1][n2]`; `ũ1` is `[n1][row][n2]`.
+        let mut out = Array3::zeros(g.u1_shape());
+        let u1 = out.as_mut_slice();
+        for (r, plane) in staging.chunks_exact(n1 * n2).enumerate() {
+            for (i1, line) in plane.chunks_exact(n2).enumerate() {
+                u1[(i1 * rows + r) * n2..][..n2].copy_from_slice(line);
             }
-            offset += loc.len * n1 * n2;
         }
         out
     }
 
-    /// Exact computation of `F*_u2D` on one chunk of detector rows.
+    /// Exact computation of `F*_u2D` on one chunk of evaluated detector rows.
     pub fn fu2d_adjoint_chunk_compute(
         &self,
         input: &[Complex64],
@@ -642,19 +668,14 @@ impl LaminoOperator {
     ) -> Vec<Complex64> {
         let n1 = self.geometry.n1;
         let n2 = self.geometry.n2;
-        let n_theta = self.geometry.n_angles();
-        let w = self.geometry.detector.cols;
-        assert_eq!(
-            input.len(),
-            len * n_theta * w,
-            "F*u2D chunk length mismatch"
-        );
+        let points = self.geometry.n_angles() * self.geometry.half_cols();
+        assert_eq!(input.len(), len * points, "F*u2D chunk length mismatch");
         let mut out = vec![Complex64::ZERO; len * n1 * n2];
         out.par_chunks_mut(n1 * n2)
             .enumerate()
             .for_each(|(r, out_plane)| {
                 let row = row_start + r;
-                let samples = &input[r * n_theta * w..(r + 1) * n_theta * w];
+                let samples = &input[r * points..(r + 1) * points];
                 self.usfft_rows[row].adjoint_into(samples, out_plane);
             });
         out
@@ -738,7 +759,9 @@ impl LaminoOperator {
         self.forward_with(u, &DirectExecutor)
     }
 
-    /// Full forward operator with an explicit executor.
+    /// Full forward operator with an explicit executor: `F_u1D` and `F_u2D`
+    /// on the evaluated rows, the fill to the whole `d̂` (inside
+    /// [`Self::fu2d`]), then the complex `F*_2D` and the real part.
     pub fn forward_with(&self, u: &Array3<f64>, exec: &dyn FftExecutor) -> Array3<f64> {
         let u_c = mlr_fft::fft2d::to_complex(u);
         let u1 = self.fu1d(&u_c, exec);
@@ -753,7 +776,10 @@ impl LaminoOperator {
         self.adjoint_with(d, &DirectExecutor)
     }
 
-    /// Full adjoint operator with an explicit executor.
+    /// Full adjoint operator with an explicit executor: `F_2D`, the
+    /// `1/(h·w)` scale, the fold onto the evaluated rows (inside
+    /// [`Self::fu2d_adjoint`]), `F*_u2D` and `F*_u1D` on those rows, then the
+    /// real part — the exact transpose of [`Self::forward_with`].
     pub fn adjoint_with(&self, d: &Array3<f64>, exec: &dyn FftExecutor) -> Array3<f64> {
         let d_c = mlr_fft::fft2d::to_complex(d);
         let mut dhat = self.f2d(&d_c, exec);
@@ -766,29 +792,6 @@ impl LaminoOperator {
         mlr_fft::fft2d::to_real(&u)
     }
 
-    /// Gathers a slab of detector rows `[start, start+len)` from
-    /// `ũ1[n1, h, n2]` into the caller's arena window, producing the per-row
-    /// planes consumed by `F_u2D`. Every element of `out` is overwritten.
-    fn gather_rows_into(
-        &self,
-        u1: &Array3<Complex64>,
-        start: usize,
-        len: usize,
-        out: &mut [Complex64],
-    ) {
-        let n1 = self.geometry.n1;
-        let n2 = self.geometry.n2;
-        assert_eq!(out.len(), len * n1 * n2, "gather window size mismatch");
-        for r in 0..len {
-            let row = start + r;
-            for i1 in 0..n1 {
-                for i2 in 0..n2 {
-                    out[r * n1 * n2 + i1 * n2 + i2] = u1[(i1, row, i2)];
-                }
-            }
-        }
-    }
-
     /// Size in complex elements of the chunk fed to `kind` at any location
     /// with the nominal chunk size (the last chunk may be smaller). Used by
     /// the memoization sizing logic and the memory accounting in `mlr-sim`.
@@ -797,9 +800,9 @@ impl LaminoOperator {
         let cs = self.chunk_size;
         match kind {
             FftOpKind::Fu1D => cs.min(g.n1) * g.n0 * g.n2,
-            FftOpKind::Fu1DAdj => cs.min(g.n1) * g.detector.rows * g.n2,
-            FftOpKind::Fu2D => cs.min(g.detector.rows) * g.n1 * g.n2,
-            FftOpKind::Fu2DAdj => cs.min(g.detector.rows) * g.n_angles() * g.detector.cols,
+            FftOpKind::Fu1DAdj => cs.min(g.n1) * g.half_rows() * g.n2,
+            FftOpKind::Fu2D => cs.min(g.half_rows()) * g.n1 * g.n2,
+            FftOpKind::Fu2DAdj => cs.min(g.half_rows()) * g.n_angles() * g.half_cols(),
             FftOpKind::F2D | FftOpKind::F2DAdj => {
                 cs.min(g.n_angles()) * g.detector.rows * g.detector.cols
             }
@@ -813,6 +816,7 @@ mod tests {
     use crate::phantom::brain_phantom;
     use mlr_math::norms::max_abs_diff_c;
     use mlr_math::rng::seeded;
+    use mlr_math::Shape3;
     use rand::Rng;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -865,17 +869,19 @@ mod tests {
 
     #[test]
     fn fu2d_adjointness() {
+        // The fill conjugates, so `fu2d` is real-linear and its adjoint is
+        // the transpose under Re<., .>.
         let op = small_operator();
         let exec = DirectExecutor;
         let x = random_complex_volume(op.geometry().u1_shape(), 4);
         let y = random_complex_volume(op.geometry().data_shape(), 5);
         let fx = op.fu2d(&x, &exec);
         let fty = op.fu2d_adjoint(&y, &exec);
-        let lhs = fx.inner(&y);
-        let rhs = x.inner(&fty);
+        let lhs = fx.inner(&y).re;
+        let rhs = x.inner(&fty).re;
         assert!(
-            (lhs - rhs).abs() < 1e-8 * lhs.abs().max(1.0),
-            "{lhs:?} vs {rhs:?}"
+            (lhs - rhs).abs() < 1e-12 * lhs.abs().max(1.0),
+            "{lhs} vs {rhs}"
         );
     }
 
@@ -890,7 +896,7 @@ mod tests {
         let lhs = lu.dot(&d);
         let rhs = u.dot(&ltd);
         assert!(
-            (lhs - rhs).abs() < 1e-7 * lhs.abs().max(1.0),
+            (lhs - rhs).abs() < 1e-12 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
         );
     }
@@ -969,10 +975,179 @@ mod tests {
     #[test]
     fn chunk_elems_match_actual_chunks() {
         let op = small_operator();
+        // 8³, 6 angles, chunk 4: rows 0..=4 evaluated, 9 points per angle.
         assert_eq!(op.chunk_elems(FftOpKind::Fu1D), 4 * 8 * 8);
+        assert_eq!(op.chunk_elems(FftOpKind::Fu1DAdj), 4 * 5 * 8);
         assert_eq!(op.chunk_elems(FftOpKind::Fu2D), 4 * 8 * 8);
-        assert_eq!(op.chunk_elems(FftOpKind::Fu2DAdj), 4 * 6 * 8);
+        assert_eq!(op.chunk_elems(FftOpKind::Fu2DAdj), 4 * 6 * 9);
         assert_eq!(op.chunk_elems(FftOpKind::F2D), 4 * 8 * 8);
+        // Each kind's chunk compute maps a chunk of its own size to one of
+        // the next kind's.
+        let x = random_complex_volume(op.geometry().volume_shape(), 12);
+        let chunk = |kind| &x.as_slice()[..op.chunk_elems(kind)];
+        let len = |v: Vec<Complex64>| v.len();
+        assert_eq!(
+            len(op.fu1d_chunk_compute(chunk(FftOpKind::Fu1D), 4)),
+            op.chunk_elems(FftOpKind::Fu1DAdj)
+        );
+        assert_eq!(
+            len(op.fu1d_adjoint_chunk_compute(chunk(FftOpKind::Fu1DAdj), 4)),
+            op.chunk_elems(FftOpKind::Fu1D)
+        );
+        assert_eq!(
+            len(op.fu2d_chunk_compute(chunk(FftOpKind::Fu2D), 0, 4)),
+            op.chunk_elems(FftOpKind::Fu2DAdj)
+        );
+        assert_eq!(
+            len(op.fu2d_adjoint_chunk_compute(chunk(FftOpKind::Fu2DAdj), 0, 4)),
+            op.chunk_elems(FftOpKind::Fu2D)
+        );
+    }
+
+    /// The full-spectrum composition the half-spectrum operator replaces,
+    /// built from the public kernels: every detector row evaluated at its
+    /// `w` columns, no fill and no fold.
+    struct FullSpectrum {
+        g: LaminoGeometry,
+        vertical: Usfft1d,
+        rows: Vec<Usfft2d>,
+        fft2: Fft2Batch,
+    }
+
+    impl FullSpectrum {
+        fn new(g: &LaminoGeometry) -> Self {
+            let grid = Arc::new(Usfft2dGrid::new(g.n1, g.n2, 2, 6));
+            Self {
+                g: g.clone(),
+                vertical: Usfft1d::with_params(g.n0, g.vertical_freqs(), 2, 6),
+                rows: (0..g.detector.rows)
+                    .map(|row| Usfft2d::on_grid(Arc::clone(&grid), g.inplane_freqs_for_row(row)))
+                    .collect(),
+                fft2: Fft2Batch::new(g.detector.rows, g.detector.cols),
+            }
+        }
+
+        /// `F_u2D F_u1D u` on every detector row.
+        fn spectrum(&self, u: &Array3<f64>) -> Array3<Complex64> {
+            let g = &self.g;
+            let (n1, n0, n2, h, w) = (g.n1, g.n0, g.n2, g.detector.rows, g.detector.cols);
+            let mut u1 = vec![Complex64::ZERO; n1 * h * n2];
+            let u = mlr_fft::fft2d::to_complex(u);
+            for (src, dst) in u
+                .as_slice()
+                .chunks_exact(n0 * n2)
+                .zip(u1.chunks_exact_mut(h * n2))
+            {
+                self.vertical.forward_plane(src, n2, dst);
+            }
+            let mut dhat = Array3::zeros(g.data_shape());
+            for (row, plan) in self.rows.iter().enumerate() {
+                let plane: Vec<Complex64> = (0..n1)
+                    .flat_map(|i1| u1[(i1 * h + row) * n2..][..n2].to_vec())
+                    .collect();
+                for (t, samples) in plan.forward(&plane).chunks_exact(w).enumerate() {
+                    dhat.as_mut_slice()[(t * h + row) * w..][..w].copy_from_slice(samples);
+                }
+            }
+            dhat
+        }
+
+        fn forward(&self, u: &Array3<f64>) -> Array3<f64> {
+            let mut dhat = self.spectrum(u);
+            let plane = self.g.detector.rows * self.g.detector.cols;
+            for p in dhat.as_mut_slice().chunks_exact_mut(plane) {
+                self.fft2.process_plane(p, Direction::Inverse);
+            }
+            mlr_fft::fft2d::to_real(&dhat)
+        }
+
+        fn adjoint(&self, d: &Array3<f64>) -> Array3<f64> {
+            let g = &self.g;
+            let (n1, n0, n2, h, w) = (g.n1, g.n0, g.n2, g.detector.rows, g.detector.cols);
+            let mut dhat = mlr_fft::fft2d::to_complex(d);
+            for p in dhat.as_mut_slice().chunks_exact_mut(h * w) {
+                self.fft2.process_plane(p, Direction::Forward);
+            }
+            dhat.map_inplace(|z| *z = z.scale(1.0 / (h * w) as f64));
+            let mut u1 = vec![Complex64::ZERO; n1 * h * n2];
+            for (row, plan) in self.rows.iter().enumerate() {
+                let samples: Vec<Complex64> = (0..g.n_angles())
+                    .flat_map(|t| dhat.as_slice()[(t * h + row) * w..][..w].to_vec())
+                    .collect();
+                for (i1, line) in plan.adjoint(&samples).chunks_exact(n2).enumerate() {
+                    u1[(i1 * h + row) * n2..][..n2].copy_from_slice(line);
+                }
+            }
+            let mut u = Array3::zeros(g.volume_shape());
+            for (src, dst) in u1
+                .chunks_exact(h * n2)
+                .zip(u.as_mut_slice().chunks_exact_mut(n0 * n2))
+            {
+                self.vertical.adjoint_plane(src, n2, dst);
+            }
+            mlr_fft::fft2d::to_real(&u)
+        }
+    }
+
+    /// `max |a − b| / max |b|`.
+    fn rel_max_diff(a: &[f64], b: &[f64]) -> f64 {
+        let scale = b.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        mlr_math::norms::max_abs_diff(a, b) / scale
+    }
+
+    /// The geometries the half spectrum is held to: n = 12…48, an odd cube,
+    /// and the tall (2h × w) detector of `tests/scratch_structure.rs`.
+    fn reference_geometries() -> Vec<LaminoGeometry> {
+        let mut out: Vec<_> = [12, 16, 24, 32, 48, 21]
+            .into_iter()
+            .map(|n| LaminoGeometry::cube(n, n / 2, 35.0))
+            .collect();
+        let cube = LaminoGeometry::cube(16, 8, 30.0);
+        out.push(LaminoGeometry {
+            detector: crate::geometry::DetectorSpec::new(
+                2 * cube.detector.rows,
+                cube.detector.cols,
+            ),
+            ..cube
+        });
+        out
+    }
+
+    #[test]
+    fn half_spectrum_matches_the_full_spectrum_operator() {
+        for g in reference_geometries() {
+            let label = format!("{}³ on {:?}", g.n1, g.detector);
+            let op = LaminoOperator::new(g.clone(), 8);
+            let full = FullSpectrum::new(&g);
+            let u = brain_phantom(g.n1, 3);
+            let forward = rel_max_diff(op.forward(&u).as_slice(), full.forward(&u).as_slice());
+            assert!(forward < 1e-13, "{label}: forward off by {forward:e}");
+            let d = random_real_volume(g.data_shape(), 13);
+            let adjoint = rel_max_diff(op.adjoint(&d).as_slice(), full.adjoint(&d).as_slice());
+            assert!(adjoint < 1e-13, "{label}: adjoint off by {adjoint:e}");
+        }
+    }
+
+    #[test]
+    fn filled_spectrum_is_the_mirror_of_the_evaluated_rows() {
+        // The identity the fill rests on, at even and odd detector sides:
+        // every row above h/2 of the full F_u2D F_u1D u equals the conjugate
+        // mirror the fill writes there.
+        let base = LaminoGeometry::cube(16, 6, 35.0);
+        for (h, w) in [(16, 16), (15, 15), (16, 13), (13, 16)] {
+            let g = LaminoGeometry {
+                detector: crate::geometry::DetectorSpec::new(h, w),
+                ..base.clone()
+            };
+            let op = LaminoOperator::new(g.clone(), 4);
+            let u = random_real_volume(g.volume_shape(), 14);
+            let exec = DirectExecutor;
+            let filled = op.fu2d(&op.fu1d(&mlr_fft::fft2d::to_complex(&u), &exec), &exec);
+            let direct = FullSpectrum::new(&g).spectrum(&u);
+            let scale = direct.as_slice().iter().fold(0.0f64, |m, z| m.max(z.abs()));
+            let err = max_abs_diff_c(filled.as_slice(), direct.as_slice()) / scale;
+            assert!(err < 1e-14, "{h}x{w}: fill off by {err:e}");
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@ fn only_the_plane_loop_of_a_chunk_compute_forks() {
     let _ = op.adjoint(&d);
     let spawned = rayon::spawned_threads() - before;
 
-    // Forward and adjoint each dispatch every chunk of the three stage grids.
+    // Forward and adjoint each dispatch every chunk of the three stage grids
+    // (`F_u2D` covers the 9 evaluated rows 0..=8).
     let chunk_computes = 2
         * (op.fu1d_grid().num_chunks() + op.fu2d_grid().num_chunks() + op.f2d_grid().num_chunks());
-    assert_eq!(chunk_computes, 2 * (4 + 4 + 2));
+    assert_eq!(chunk_computes, 2 * (4 + 3 + 2));
     let plan_builds = 1;
     let bound = (rayon::current_num_threads() * (chunk_computes + plan_builds)) as u64;
     assert!(

@@ -1,8 +1,8 @@
 //! Pins what the operator's working memory scales with: the scratch an
 //! operator parks after an application is a few buffers per kernel thread,
-//! whatever the number of detector rows — the `h` per-row `Usfft2d` plans
-//! lease from one shared fine-grid pool, and their column passes need no
-//! buffer of their own.
+//! whatever the number of detector rows — the `h/2 + 1` per-row `Usfft2d`
+//! plans lease from one shared fine-grid pool, and their column passes need
+//! no buffer of their own.
 
 use mlr_lamino::{DetectorSpec, LaminoGeometry, LaminoOperator};
 use mlr_math::Array3;

@@ -2,8 +2,9 @@
 //! stack.
 //!
 //! A replicated-job workload runs twice — fault-free, then under a
-//! [`FaultPlan`] that crashes memory node 0 mid-workload and restarts it —
-//! and the example shows the two guarantees the fault layer makes:
+//! [`FaultPlan`] that crashes, mid-workload, the memory node holding the
+//! first `F_u2D` chunk's entries and restarts it — and the example shows
+//! the two guarantees the fault layer makes:
 //!
 //! * the reconstructions are **bit-identical** with and without the fault
 //!   (a down node degrades a hit into a recompute, never into a different
@@ -16,6 +17,7 @@
 //! ```
 
 use mlr_core::MlrConfig;
+use mlr_lamino::FftOpKind;
 use mlr_memo::NodeTopology;
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::faults::FaultPlan;
@@ -23,12 +25,13 @@ use mlr_sim::faults::FaultPlan;
 const JOBS: usize = 6;
 
 /// Runs `JOBS` identical jobs over a 4-node topology, optionally under a
-/// plan; returns the per-job reconstruction bits and the final runtime
-/// stats.
+/// plan; returns the per-job reconstruction bits, the final runtime stats,
+/// the store tick at each job's end and the node holding the first `F_u2D`
+/// chunk's entries.
 fn run_workload(
     config: &MlrConfig,
     plan: Option<FaultPlan>,
-) -> (Vec<Vec<u64>>, mlr_runtime::RuntimeStats, Vec<u64>) {
+) -> (Vec<Vec<u64>>, mlr_runtime::RuntimeStats, Vec<u64>, usize) {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: JOBS + 1,
@@ -59,7 +62,9 @@ fn run_workload(
                 .current_tick(),
         );
     }
-    (bits, rt.shutdown(), ticks)
+    let tier = rt.distributed().expect("topology set");
+    let node = tier.placement()[tier.inner().stripe_of(FftOpKind::Fu2D, 0)];
+    (bits, rt.shutdown(), ticks, node)
 }
 
 fn main() {
@@ -68,7 +73,7 @@ fn main() {
     let config = MlrConfig::quick(12, 8).with_iterations(3).with_tau(0.9999);
 
     // --- 1. Fault-free baseline (also measures the logical timeline). ---
-    let (baseline_bits, baseline_stats, ticks) = run_workload(&config, None);
+    let (baseline_bits, baseline_stats, ticks, node) = run_workload(&config, None);
     println!(
         "fault-free: {JOBS} jobs, store hit rate {:.1} %",
         100.0 * baseline_stats.store.hit_rate()
@@ -76,11 +81,11 @@ fn main() {
 
     // --- 2. The same workload under a node crash + restart. -------------
     // The window is placed in logical store ticks taken from the baseline
-    // run's own job boundaries: node 0 dies during job 4 — late enough that
-    // hot entries have earned replication — and restarts (its stripes
+    // run's own job boundaries: the node dies during job 4 — late enough
+    // that hot entries have earned replication — and restarts (its stripes
     // purged) at job 4's end.
-    let plan = FaultPlan::new(1).crash_window(0, ticks[3], ticks[4]);
-    let (faulted_bits, faulted_stats, _) = run_workload(&config, Some(plan));
+    let plan = FaultPlan::new(1).crash_window(node, ticks[3], ticks[4]);
+    let (faulted_bits, faulted_stats, _, _) = run_workload(&config, Some(plan));
     let faults = faulted_stats
         .fault_stats()
         .cloned()

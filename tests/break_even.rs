@@ -14,8 +14,9 @@ use mlr_memo::{memoization_pays, MemoStats, OpStats};
 const USFFT_1D: [FftOpKind; 2] = [FftOpKind::Fu1D, FftOpKind::Fu1DAdj];
 const USFFT_2D: [FftOpKind; 2] = [FftOpKind::Fu2D, FftOpKind::Fu2DAdj];
 
-/// 24³ in one-plane chunks: 576 elements for three of the four USFFT kinds,
-/// 288 for `F*_u2D` — the shape of the benchmark's `smallchunk-24`.
+/// 24³ in one-plane chunks: 576 elements for `F_u1D` / `F_u2D`, 312 for
+/// `F*_u1D` (13 evaluated rows) and 300 for `F*_u2D` (12 angles · 25 points)
+/// — the shape of the benchmark's `smallchunk-24`.
 fn small_chunk_config() -> MlrConfig {
     let mut config = MlrConfig::quick(24, 12).with_iterations(6);
     config.chunk_size = 1;
@@ -102,13 +103,14 @@ fn small_chunks_memoize_the_2d_stages_only() {
 
 #[test]
 fn chunks_above_break_even_count_what_they_counted_before_the_gate() {
-    // 16³ in 8-plane chunks: 2048 elements (1024 for `F*_u2D`). The 2-D
-    // stages are above break-even; the 1-D ones memoize at no length, the
-    // benchmark's 1-D chunk sizes (576 to 18 432 elements) included. Every
-    // 1-D chunk computes, so the 2-D stages see the exact 1-D output, and
-    // their counts are pinned on that.
+    // 16³ in 8-plane chunks: 2048 elements (8 · 8 angles · 17 points = 1088
+    // for `F*_u2D`; the second chunk holds the one evaluated row 8, 256 /
+    // 136 elements). The 2-D stages are above break-even; the 1-D ones
+    // memoize at no length, the benchmark's 1-D chunk sizes (312 to 18 432
+    // elements) included. Every 1-D chunk computes, so the 2-D stages see
+    // the exact 1-D output, and their counts are pinned on that.
     let pipeline = MlrPipeline::new(MlrConfig::quick(16, 8).with_iterations(8));
-    for n in [576, 2048, 8192, 18432] {
+    for n in [312, 576, 2048, 8192, 18432] {
         for op in USFFT_1D {
             assert!(!memoization_pays(op, n), "{op:?} at {n}");
         }
@@ -125,6 +127,6 @@ fn chunks_above_break_even_count_what_they_counted_before_the_gate() {
     for op in USFFT_1D {
         assert_eq!(counts(op), [48, 0, 0, 0, 0, 0], "{op:?}");
     }
-    assert_eq!(counts(FftOpKind::Fu2D), [12, 12, 15, 5, 4, 27]);
-    assert_eq!(counts(FftOpKind::Fu2DAdj), [12, 12, 11, 0, 13, 23]);
+    assert_eq!(counts(FftOpKind::Fu2D), [12, 12, 10, 7, 7, 22]);
+    assert_eq!(counts(FftOpKind::Fu2DAdj), [12, 8, 9, 4, 15, 17]);
 }
