@@ -1,7 +1,12 @@
 //! Figure 4: number of similar chunks across ADMM iterations at three chunk
 //! locations (top / middle / bottom), τ = 0.93.
+//!
+//! The memoized executor runs inside a [`SimilarityRecorder`], which notes
+//! every `F_u2D` chunk input per location; warm-up 0 makes every dispatch
+//! memoize, so the recorder sees the chunks the engine reuses from.
+use mlr_bench::similarity::SimilarityRecorder;
 use mlr_bench::{compare_row, header, scale_from_args, write_record};
-use mlr_core::{MlrConfig, MlrPipeline, Scale};
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline, Scale};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,10 +27,14 @@ fn main() {
     let mut config = MlrConfig::quick(n, n / 2)
         .with_tau(0.93)
         .with_iterations(iterations);
-    config.memo.track_similarity = true;
     config.memo.warmup_iterations = 0;
     let pipeline = MlrPipeline::new(config);
-    let (_, executor) = pipeline.run_memoized();
+    let recorder = SimilarityRecorder::new(
+        pipeline.memo_executor(pipeline.build_shared_store(1), 0),
+        pipeline.config().memo.tau,
+    );
+    let (_, recorder) = pipeline.run_with_executor(recorder, &CancelToken::new());
+    let tracker = recorder.into_tracker();
 
     let num_locations = pipeline.operator().fu2d_grid().num_chunks();
     let locations = vec![0, num_locations / 2, num_locations - 1];
@@ -35,7 +44,7 @@ fn main() {
         "location", "iteration"
     );
     for &loc in &locations {
-        let s = executor.similarity_series(loc);
+        let s = tracker.series(loc);
         for &(it, count) in s
             .iter()
             .filter(|(it, _)| it % 5 == 0 || *it + 1 == iterations)
@@ -44,7 +53,7 @@ fn main() {
         }
         series.push(s);
     }
-    let fraction = executor.similarity_fraction();
+    let fraction = tracker.fraction_with_similar();
     println!();
     compare_row(
         "iterations with >=1 similar prior chunk",

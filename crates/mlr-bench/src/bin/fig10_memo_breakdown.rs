@@ -2,12 +2,11 @@
 //! computation vs failed memoization vs successful memoization vs cache hit —
 //! and the distribution of the three cases.
 use mlr_bench::{compare_row, fmt_secs, header, scale_from_args, write_record};
-use mlr_core::{CancelToken, MlrConfig, MlrPipeline, Scale};
+use mlr_core::{MlrConfig, MlrPipeline, Scale};
 use mlr_lamino::FftOpKind;
 use mlr_memo::memoization_pays;
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
-use mlr_telemetry::{CounterId, Telemetry};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -15,7 +14,7 @@ struct Record {
     case_distribution: (f64, f64, f64),
     per_op_avoided: Vec<(String, f64)>,
     /// Share of the USFFT chunks the engine's break-even gate computed
-    /// without memoizing (`CounterId::GatedChunks`).
+    /// without memoizing (`OpStats::gated`).
     gated_fraction: f64,
     paper_scale_case_seconds: Vec<(String, f64, f64, f64, f64)>,
 }
@@ -29,12 +28,9 @@ fn main() {
     let n = scale.volume_size();
     let iterations = if scale == Scale::Tiny { 8 } else { 20 };
     let pipeline = MlrPipeline::new(MlrConfig::quick(n, n / 2).with_iterations(iterations));
-    // Telemetry on: the gated-chunk counter says how much of `computed` is
-    // the break-even gate rather than warm-up.
-    let executor = pipeline
-        .memo_executor(pipeline.build_shared_store(1), 0)
-        .with_telemetry(Telemetry::enabled());
-    let (_result, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
+    // `OpStats::gated` says how much of `computed` is the break-even gate
+    // rather than warm-up.
+    let (_result, executor) = pipeline.run_memoized();
     let stats = executor.stats();
 
     let mut per_op_avoided = Vec::new();
@@ -67,13 +63,7 @@ fn main() {
         per_op_avoided.push((op.label().to_string(), s.avoided_fraction()));
     }
     let (fail, db, cache) = stats.case_distribution();
-    let gated = executor
-        .telemetry()
-        .snapshot()
-        .expect("telemetry is enabled")
-        .metrics
-        .counter(CounterId::GatedChunks);
-    let gated_fraction = gated as f64 / stats.total().total().max(1) as f64;
+    let gated_fraction = stats.total().gated as f64 / stats.total().total().max(1) as f64;
     println!();
     compare_row(
         "USFFT chunks below break-even (gated)",

@@ -1,5 +1,5 @@
 //! Figure 17: ADMM convergence loss with and without memoization.
-use mlr_bench::{compare_row, header, scale_from_args, write_record};
+use mlr_bench::{compare_row, header, require_valid, scale_from_args, write_record};
 use mlr_core::{MlrConfig, MlrPipeline, Scale};
 use serde::Serialize;
 
@@ -21,6 +21,7 @@ fn main() {
     let iterations = if scale == Scale::Tiny { 12 } else { 30 };
     let pipeline = MlrPipeline::new(MlrConfig::quick(n, n / 2).with_iterations(iterations));
     let report = pipeline.run_comparison();
+    require_valid(&report);
 
     println!(
         "{:>10} {:>18} {:>18}",

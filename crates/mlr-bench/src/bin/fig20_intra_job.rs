@@ -13,10 +13,9 @@
 //! * **hit parity** — db/cache/failed-memo counts equal the sequential
 //!   run's (asserted, and gated);
 //! * **measured wall time / speedup** — `wall_speedup` (sequential wall
-//!   over this cell's wall) and `achieved_speedup` (serialized chunk work
-//!   over parallel-phase wall), both as this machine actually ran them.
-//!   Informational only: CI runners may have a single core, where neither
-//!   can exceed 1.
+//!   over this cell's wall), as this machine actually ran it.
+//!   Informational only: CI runners may have a single core, where it
+//!   cannot exceed 1.
 //!
 //! It also records the **thread-spawn count of one reconstruction** at the
 //! default configuration (sequential chunks, rayon shim unpinned), where
@@ -41,8 +40,6 @@ struct Cell {
     wall_seconds: f64,
     /// Sequential wall time / this cell's wall time (machine-dependent).
     wall_speedup: f64,
-    /// Measured speedup of the parallel phases (chunk work / phase wall).
-    achieved_speedup: f64,
     db_hits: u64,
     cache_hits: u64,
     failed_memo: u64,
@@ -98,7 +95,6 @@ struct RunOutcome {
     bits: Vec<u64>,
     hits: (u64, u64, u64),
     wall_seconds: f64,
-    achieved_speedup: f64,
 }
 
 fn run(config: MlrConfig, chunk_size: usize, threads: usize) -> RunOutcome {
@@ -109,7 +105,6 @@ fn run(config: MlrConfig, chunk_size: usize, threads: usize) -> RunOutcome {
     let (result, executor) = pipeline.run_memoized();
     let wall_seconds = start.elapsed().as_secs_f64();
     let total = executor.stats().total();
-    let parallel = executor.parallel_stats();
     RunOutcome {
         bits: result
             .reconstruction
@@ -119,7 +114,6 @@ fn run(config: MlrConfig, chunk_size: usize, threads: usize) -> RunOutcome {
             .collect(),
         hits: (total.db_hits, total.cache_hits, total.failed_memo),
         wall_seconds,
-        achieved_speedup: parallel.achieved_speedup(),
     }
 }
 
@@ -157,8 +151,8 @@ fn main() {
 
     println!("problem: {n}³, {angles} angles, {iterations} ADMM iterations\n");
     println!(
-        "{:>6} {:>8} {:>12} {:>9} {:>9}  {:>14} {:>5} {:>5}",
-        "chunk", "threads", "wall", "wall×", "phase×", "db/cache/fail", "bits", "hits"
+        "{:>6} {:>8} {:>12} {:>9}  {:>14} {:>5} {:>5}",
+        "chunk", "threads", "wall", "wall×", "db/cache/fail", "bits", "hits"
     );
 
     let mut cells = Vec::new();
@@ -183,12 +177,11 @@ fn main() {
                 1.0
             };
             println!(
-                "{:>6} {:>8} {:>11.3}s {:>8.2}x {:>8.2}x  {:>4}/{:<4}/{:<4} {:>5} {:>5}",
+                "{:>6} {:>8} {:>11.3}s {:>8.2}x  {:>4}/{:<4}/{:<4} {:>5} {:>5}",
                 chunk_size,
                 threads,
                 outcome.wall_seconds,
                 wall_speedup,
-                outcome.achieved_speedup,
                 outcome.hits.0,
                 outcome.hits.1,
                 outcome.hits.2,
@@ -200,7 +193,6 @@ fn main() {
                 threads,
                 wall_seconds: outcome.wall_seconds,
                 wall_speedup,
-                achieved_speedup: outcome.achieved_speedup,
                 db_hits: outcome.hits.0,
                 cache_hits: outcome.hits.1,
                 failed_memo: outcome.hits.2,

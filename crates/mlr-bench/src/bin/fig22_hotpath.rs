@@ -30,8 +30,8 @@
 //!   then the τ gate), payload copy and miss-FFT nanoseconds per chunk from the
 //!   telemetry stage histograms, answering how the measured hit cost
 //!   splits. A steady cache hit records no encode and no probe: it never
-//!   computes a key. The stage sum is compared with the measured wall clock
-//!   (`stage_sum_within_5pct`, informational).
+//!   computes a key. The stage sum is printed beside the measured wall
+//!   clock (`stage_sum_fraction`, informational).
 //!
 //! `--sweep` additionally runs a chunk-size sweep (256 .. 16 Ki complex
 //! elems) of what the memo path costs — the steady cache hit, and the tax
@@ -113,9 +113,6 @@ struct StageBreakdown {
     /// stage_sum / measured: how much of the measured time the stage timers
     /// explain (the remainder is untimed commit bookkeeping).
     stage_sum_fraction: f64,
-    /// Whether the stage sum lands within 5 % of the measured ns/chunk;
-    /// timing-noisy, so informational — not a CI gate.
-    stage_sum_within_5pct: bool,
     /// The most expensive stage of this path.
     top_stage: String,
 }
@@ -323,13 +320,12 @@ fn stage_breakdown(
         stage_sum_ns_per_chunk: stage_sum,
         measured_ns_per_chunk,
         stage_sum_fraction: fraction,
-        stage_sum_within_5pct: (fraction - 1.0).abs() <= 0.05,
         top_stage: top.to_string(),
     }
 }
 
-/// Snapshot of an executor's telemetry metrics (counters + stage
-/// histograms); the executors here always run with telemetry enabled.
+/// Snapshot of an executor's telemetry stage histograms; the executors
+/// here always run with telemetry enabled.
 fn metrics_of(exec: &MemoizedExecutor) -> MetricsSnapshot {
     exec.telemetry()
         .snapshot()

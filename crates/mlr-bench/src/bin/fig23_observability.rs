@@ -7,8 +7,8 @@
 //! * **enabled overhead** — the same steady cache-hit workload is driven
 //!   through two executors, one with `Telemetry::disabled()` (the default)
 //!   and one with `Telemetry::enabled()`, in interleaved window pairs. What
-//!   the recorder costs is an absolute time per chunk (counters, stage
-//!   clocks, spans), whatever the hit path beside it costs, so the gate is
+//!   the recorder costs is an absolute time per chunk (stage clocks and
+//!   spans), whatever the hit path beside it costs, so the gate is
 //!   the median over the pairs of `enabled − disabled` ns/chunk against
 //!   [`MAX_OVERHEAD_NS`] (`overhead_within_bound`, gated in CI). The ratio
 //!   of the per-mode minima is printed beside it, ungated: its denominator
@@ -16,13 +16,14 @@
 //! * **enabled allocation envelope** — the counting global allocator
 //!   certifies that a steady hit chunk with telemetry *enabled* still
 //!   performs at most the fig22 envelope (≤ 4 allocations, ≤ 1 KiB):
-//!   counters fold into sharded atomics, stage samples into fixed-bucket
-//!   histograms and spans into a preallocated ring, none of which allocate
+//!   stage samples fold into fixed-bucket atomic histograms and spans into
+//!   a preallocated ring, neither of which allocates
 //!   (`enabled_hit_allocation_free`, gated in CI);
 //! * **export round-trip** — the JSON snapshot and the Chrome trace-event
 //!   document are generated and re-read through `mlr_bench::json`'s parser,
 //!   proving the hand-rolled serialisers emit well-formed documents with
-//!   the expected counters in place (`export_roundtrip`, gated in CI).
+//!   the expected content in place — one `payload_copy` sample per hit, one
+//!   `operator` span per batch (`export_roundtrip`, gated in CI).
 //!
 //! The machine-readable record lands in `BENCH_observability.json` (and
 //! under `target/experiments/`).
@@ -52,8 +53,8 @@ struct Record {
     repetitions: usize,
     /// Best (minimum over repetitions) steady hit ns/chunk, telemetry off.
     disabled_ns_per_chunk: f64,
-    /// Best steady hit ns/chunk, telemetry on (counters + stage timers +
-    /// spans all recording).
+    /// Best steady hit ns/chunk, telemetry on (stage timers and spans
+    /// recording).
     enabled_ns_per_chunk: f64,
     /// enabled / disabled − 1 over the per-mode minima (informational).
     overhead_fraction: f64,
@@ -138,18 +139,25 @@ fn check_export(telemetry: &Telemetry, expected_hit_chunks: f64) -> (usize, bool
             return (spans_recorded, false);
         }
     };
+    // One payload-copy sample per hit chunk.
     let hit_chunks = json
-        .get("counters.cache_hit_chunks")
+        .get("stages.payload_copy.count")
         .and_then(JsonValue::as_f64)
         .unwrap_or(-1.0);
     let peek_count = json
         .get("stages.cache_peek.count")
         .and_then(JsonValue::as_f64)
         .unwrap_or(-1.0);
+    // One operator span per batch.
     let batches = json
-        .get("counters.operator_batches")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(-1.0);
+        .get("spans")
+        .and_then(JsonValue::as_array)
+        .map_or(0, |spans| {
+            spans
+                .iter()
+                .filter(|s| s.get("kind").and_then(JsonValue::as_str) == Some("operator"))
+                .count()
+        });
 
     let trace = match JsonValue::parse(&snap.to_chrome_trace()) {
         Ok(v) => v,
@@ -166,7 +174,7 @@ fn check_export(telemetry: &Telemetry, expected_hit_chunks: f64) -> (usize, bool
 
     let ok = hit_chunks >= expected_hit_chunks
         && peek_count >= expected_hit_chunks
-        && batches > 0.0
+        && batches > 0
         && events == spans_recorded
         && events > 0;
     (spans_recorded, ok)

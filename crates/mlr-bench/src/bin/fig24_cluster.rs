@@ -9,10 +9,9 @@
 //!   bit-identical (the distributed tier adds placement and replicas,
 //!   never semantics). Gated in CI as `hit_parity`.
 //! * **trace replay** — a telemetry-enabled multi-job run records its store
-//!   `AccessTrace`; the trace exports to JSON, comes back through
-//!   `mlr_telemetry::parse_access_records` (`trace_roundtrip`, gated), and
-//!   replays through `mlr_cluster::replay_trace` over the stripe placement
-//!   of the run's own distributed store. The replay reproduces the Figure
+//!   `AccessTrace`, and the snapshot's records replay in-process through
+//!   `mlr_cluster::replay_trace` over the stripe placement of the run's own
+//!   distributed store. The replay reproduces the Figure
 //!   15-style per-node utilisation (`nodes_spread`: ≥ 2 active nodes,
 //!   gated) and the Figure 16-style query-latency CDF (`cdf_monotone`,
 //!   gated), with every remote probe charged strictly more than a
@@ -35,7 +34,6 @@ use mlr_memo::{
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::hardware::InterconnectSpec;
-use mlr_telemetry::parse_access_records;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -54,9 +52,6 @@ struct Record {
     /// CI gate: distributed-store hit sequence is bit-identical to the
     /// plain sharded store at every probed node count.
     hit_parity: bool,
-    /// CI gate: the recorded trace exports to JSON and parses back as the
-    /// identical record stream.
-    trace_roundtrip: bool,
     /// CI gate: replayed traffic reaches at least two memory nodes.
     nodes_spread: bool,
     /// CI gate: the replayed query-latency CDF is monotone non-decreasing.
@@ -189,23 +184,10 @@ fn main() {
         .distributed_stats();
     rt.shutdown();
 
-    // ...export it to JSON and read it back through the replay reader.
-    let parsed = parse_access_records(&snapshot.to_json());
-    let trace_roundtrip = parsed.as_deref() == Ok(&snapshot.accesses[..]);
-    let records = parsed.unwrap_or_default();
-    compare_row(
-        "access trace JSON round-trip",
-        "identical stream",
-        if trace_roundtrip {
-            "identical"
-        } else {
-            "DIVERGED"
-        },
-    );
-
     // ...and replay it through the shared-link contention model over the
     // run's own stripe placement.
     let replay_config = ReplayConfig::new(InterconnectSpec::slingshot11());
+    let records = snapshot.accesses;
     let outcome = replay_trace(&records, &placement, &replay_config, None);
     let nodes_spread = outcome.active_nodes() >= 2;
     let replica_hits_match_live =
@@ -272,7 +254,6 @@ fn main() {
     );
 
     assert!(hit_parity, "distributed store diverged from ShardedMemoDb");
-    assert!(trace_roundtrip, "access trace failed to round-trip");
     assert!(nodes_spread, "replayed traffic never left one node");
     assert!(cdf_monotone, "query-latency CDF is not monotone");
     assert!(
@@ -294,7 +275,6 @@ fn main() {
         trace_len: records.len(),
         replayed_queries: outcome.query_latencies.len(),
         hit_parity,
-        trace_roundtrip,
         nodes_spread,
         cdf_monotone,
         remote_exceeds_local,

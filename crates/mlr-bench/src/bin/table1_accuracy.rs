@@ -1,5 +1,5 @@
 //! Table 1: impact of the memoization threshold τ on reconstruction accuracy.
-use mlr_bench::{compare_row, header, scale_from_args, write_record};
+use mlr_bench::{compare_row, header, require_valid, scale_from_args, write_record};
 use mlr_core::{MlrConfig, MlrPipeline, Scale};
 use serde::Serialize;
 
@@ -38,6 +38,7 @@ fn main() {
                 .with_iterations(iterations),
         );
         let report = pipeline.run_comparison();
+        require_valid(&report);
         println!(
             "{:>6.2} {:>16.3} {:>16.3} {:>16}",
             tau,

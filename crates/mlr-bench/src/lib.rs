@@ -7,7 +7,7 @@
 //! | Binary | Paper artifact |
 //! |---|---|
 //! | `fig02_memory_breakdown` | Figure 2 — per-variable CPU memory and phase time of one ADMM iteration |
-//! | `fig04_chunk_similarity` | Figure 4 — similar chunks across iterations at three locations |
+//! | `fig04_chunk_similarity` | Figure 4 — similar chunks across iterations at three locations ([`similarity::SimilarityRecorder`] around the memo engine) |
 //! | `fig08_overall` | Figure 8 — overall normalized time, mLR vs original, three dataset sizes |
 //! | `fig09_cancellation_fusion` | Figure 9 — FFT/LSP time with and without cancellation + fusion |
 //! | `fig10_memo_breakdown` | Figure 10 — per-operator memoization case breakdown (+ §6.4 case distribution) |
@@ -36,12 +36,13 @@
 //! table with the paper's reported values next to the reproduced ones and
 //! writes a JSON record under `target/experiments/`.
 
-use mlr_core::Scale;
+use mlr_core::{MlrReport, Scale};
 use serde::Serialize;
 use std::path::PathBuf;
 
 pub mod alloc;
 pub mod json;
+pub mod similarity;
 
 /// Parses the `--scale` argument from the process command line.
 pub fn scale_from_args() -> Scale {
@@ -70,6 +71,17 @@ pub fn arg_value(name: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Exits non-zero with `MlrPipeline::check_exact`'s reason when the exact
+/// reference of `report` is invalid: every number in the report compares
+/// against that run, and a diverged reference (all zeros) scores a perfect
+/// accuracy against a memoized run that diverged the same way.
+pub fn require_valid(report: &MlrReport) {
+    if let Some(why) = &report.invalid_reason {
+        eprintln!("invalid exact reference: {why}");
+        std::process::exit(1);
+    }
 }
 
 /// Prints a section header for a harness.

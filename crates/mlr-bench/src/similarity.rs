@@ -1,19 +1,23 @@
-//! Chunk-similarity tracking across ADMM iterations.
+//! Chunk-similarity tracking across ADMM iterations, for Figure 4.
 //!
 //! Figure 4 of the paper motivates memoization: at a fixed chunk location,
 //! the FFT input of the current iteration is often similar (cosine
 //! similarity above τ) to inputs seen in *previous* iterations, and the
 //! number of such similar prior chunks grows as ADMM converges. The tracker
 //! records the chunk at each location every iteration and reports exactly
-//! that count.
+//! that count. [`SimilarityRecorder`] feeds it from outside the memo engine:
+//! it wraps the executor a reconstruction runs through and notes every
+//! `F_u2D` chunk input before delegating.
 
+use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::norms::cosine_similarity_c;
 use mlr_math::Complex64;
-use serde::{Deserialize, Serialize};
+use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Record of similarity counts for one (location, iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimilarityPoint {
     /// Chunk location.
     pub location: usize,
@@ -101,9 +105,79 @@ impl SimilarityTracker {
     }
 }
 
+/// An [`FftExecutor`] that notes every `F_u2D` chunk input it is handed, per
+/// location, at the iteration [`FftExecutor::begin_iteration`] announced,
+/// and then delegates to the executor it wraps. One operation only: a
+/// location index means a different chunk (and length) in each operation's
+/// grid. Wrapping a memoized executor with warm-up 0 sees every chunk the
+/// engine memoizes, in the engine's commit order.
+pub struct SimilarityRecorder<E> {
+    inner: E,
+    iteration: AtomicUsize,
+    tracker: Mutex<SimilarityTracker>,
+}
+
+impl<E: FftExecutor> SimilarityRecorder<E> {
+    /// Wraps `inner`, counting similar prior chunks at threshold `tau`.
+    pub fn new(inner: E, tau: f64) -> Self {
+        Self {
+            inner,
+            iteration: AtomicUsize::new(0),
+            tracker: Mutex::new(SimilarityTracker::new(tau)),
+        }
+    }
+
+    /// What was recorded.
+    pub fn into_tracker(self) -> SimilarityTracker {
+        self.tracker.into_inner()
+    }
+
+    fn note(&self, kind: FftOpKind, loc: usize, input: &[Complex64]) {
+        if kind == FftOpKind::Fu2D {
+            let iteration = self.iteration.load(Ordering::Relaxed);
+            self.tracker.lock().record(loc, iteration, input);
+        }
+    }
+}
+
+impl<E: FftExecutor> FftExecutor for SimilarityRecorder<E> {
+    fn execute(
+        &self,
+        kind: FftOpKind,
+        loc: usize,
+        input: &[Complex64],
+        compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>,
+    ) -> Vec<Complex64> {
+        self.note(kind, loc, input);
+        self.inner.execute(kind, loc, input, compute)
+    }
+
+    fn execute_batch_into(
+        &self,
+        kind: FftOpKind,
+        batch: &[ChunkRequest<'_>],
+        outputs: &mut [&mut [Complex64]],
+    ) {
+        for request in batch {
+            self.note(kind, request.loc, request.input);
+        }
+        self.inner.execute_batch_into(kind, batch, outputs);
+    }
+
+    fn begin_iteration(&self, iteration: usize) {
+        self.iteration.store(iteration, Ordering::Relaxed);
+        self.inner.begin_iteration(iteration);
+    }
+
+    fn finish(&self) {
+        self.inner.finish();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlr_memo::{MemoConfig, MemoizedExecutor};
 
     fn chunk(scale: f64, phase: f64) -> Vec<Complex64> {
         (0..64)
@@ -154,5 +228,34 @@ mod tests {
         assert_eq!(similar_same_loc, 1);
         assert_eq!(tracker.tau(), 0.9);
         assert_eq!(tracker.points().len(), 3);
+    }
+
+    #[test]
+    fn recorder_collects_fu2d_series() {
+        let memo = MemoizedExecutor::private(MemoConfig {
+            tau: 0.9,
+            warmup_iterations: 0,
+            ..Default::default()
+        });
+        let recorder = SimilarityRecorder::new(memo, 0.9);
+        let fake_fft = |x: &[Complex64]| x.iter().map(|z| Complex64::new(-z.im, z.re)).collect();
+        let base = chunk(1.0, 0.3);
+        for it in 0..4 {
+            recorder.begin_iteration(it);
+            let scaled: Vec<Complex64> = base
+                .iter()
+                .map(|z| z.scale(1.0 + 0.001 * it as f64))
+                .collect();
+            let _ = recorder.execute(FftOpKind::Fu2D, 2, &scaled, &fake_fft);
+            // Another operation's chunk at the same location index is a
+            // different chunk: not part of the series.
+            let _ = recorder.execute(FftOpKind::Fu2DAdj, 2, &chunk(3.0, 1.1), &fake_fft);
+        }
+        let tracker = recorder.into_tracker();
+        let series = tracker.series(2);
+        assert_eq!(series.len(), 4);
+        assert_eq!(series[0], (0, 0));
+        assert_eq!(series[3], (3, 3));
+        assert!(tracker.fraction_with_similar() > 0.0);
     }
 }

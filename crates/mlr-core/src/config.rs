@@ -114,8 +114,6 @@ impl MlrConfig {
                 rho: 0.5,
                 initial_step: 0.05,
                 variant: LspVariant::Cancelled,
-                nonnegativity: true,
-                adaptive_rho: true,
             },
             memo: MemoConfig {
                 tau: 0.92,

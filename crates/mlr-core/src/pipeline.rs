@@ -2,7 +2,7 @@
 
 use crate::config::MlrConfig;
 use crate::report::{ExactQuality, MlrReport, PaperScaleProjection};
-use mlr_lamino::{LaminoDataset, LaminoGeometry, LaminoOperator};
+use mlr_lamino::{FftExecutor, LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_memo::{
     CapacityBudget, EncoderConfig, JobId, MemoConfig, MemoStore, MemoizedExecutor, ShardedMemoDb,
 };
@@ -157,16 +157,17 @@ impl MlrPipeline {
             .with_parallelism(self.config.intra_job_threads, None)
     }
 
-    /// Runs the memoized reconstruction through a caller-built executor. The
-    /// ADMM driver polls `cancel` at every iteration boundary, so a
-    /// cancelled (or deadline-expired) job stops early and keeps the memo
-    /// entries it already published available to every other tenant of a
-    /// shared store; a token that never fires changes nothing.
-    pub fn run_with_executor(
+    /// Runs the memoized reconstruction through a caller-built executor —
+    /// a [`MemoizedExecutor`], or a wrapper that observes one. The ADMM
+    /// driver polls `cancel` at every iteration boundary, so a cancelled (or
+    /// deadline-expired) job stops early and keeps the memo entries it
+    /// already published available to every other tenant of a shared store;
+    /// a token that never fires changes nothing.
+    pub fn run_with_executor<E: FftExecutor>(
         &self,
-        executor: MemoizedExecutor,
+        executor: E,
         cancel: &CancelToken,
-    ) -> (AdmmResult, MemoizedExecutor) {
+    ) -> (AdmmResult, E) {
         let solver = AdmmSolver::new(self.config.admm);
         let result =
             solver.run_with_cancel(&self.operator, &self.dataset.projections, &executor, cancel);
@@ -187,7 +188,7 @@ impl MlrPipeline {
         let memo_compute_seconds: f64 = memo.history.records().iter().map(|r| r.lsp_seconds).sum();
 
         MlrReport {
-            valid: self.check_exact(&exact).is_ok(),
+            invalid_reason: self.check_exact(&exact).err(),
             accuracy,
             avoided_fraction: total.avoided_fraction(),
             case_distribution: stats.case_distribution(),
@@ -282,7 +283,7 @@ mod tests {
         let p = MlrPipeline::new(config);
         let exact = p.run_exact();
         assert!(p.check_exact(&exact).is_err());
-        assert!(!p.run_comparison().valid);
+        assert!(!p.run_comparison().valid());
         let converging = tiny_pipeline(0.92);
         let quality = converging
             .check_exact(&converging.run_exact())

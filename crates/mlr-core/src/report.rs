@@ -36,10 +36,10 @@ pub struct ExactQuality {
 /// Result of running the exact and memoized pipelines on the same problem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MlrReport {
-    /// Whether the exact run passed [`crate::MlrPipeline::check_exact`]. Every
-    /// other number here compares against that run, so it means nothing
-    /// when this is `false`.
-    pub valid: bool,
+    /// Why the exact run failed [`crate::MlrPipeline::check_exact`];
+    /// `None` when it passed. Every other number here compares against that
+    /// run, so it means nothing unless this is `None`.
+    pub invalid_reason: Option<String>,
     /// Reconstruction accuracy of the memoized run against the exact run
     /// (paper Eq. 5).
     pub accuracy: f64,
@@ -69,6 +69,12 @@ pub struct MlrReport {
 }
 
 impl MlrReport {
+    /// Whether the exact reference passed
+    /// [`crate::MlrPipeline::check_exact`].
+    pub fn valid(&self) -> bool {
+        self.invalid_reason.is_none()
+    }
+
     /// Fraction of FFT compute wall-clock saved by memoization in the actual
     /// (laptop-scale) runs.
     pub fn compute_saving(&self) -> f64 {
@@ -97,7 +103,7 @@ mod tests {
     #[test]
     fn compute_saving_guards_zero() {
         let r = MlrReport {
-            valid: true,
+            invalid_reason: None,
             accuracy: 1.0,
             avoided_fraction: 0.0,
             case_distribution: (0.0, 0.0, 0.0),

@@ -180,7 +180,7 @@ pub trait FftExecutor: Send + Sync {
     }
 
     /// Notifies the executor that a new outer (ADMM) iteration begins.
-    /// Memoizing executors use this for similarity tracking; the default
+    /// Memoizing executors use this for their freshness rule; the default
     /// implementation does nothing.
     fn begin_iteration(&self, _iteration: usize) {}
 

@@ -51,23 +51,20 @@ use crate::eviction::{memoization_pays, recompute_cost_estimate, CapacityBudget}
 use crate::fingerprint::ChunkFingerprint;
 use crate::parallel::{ConcurrencyGovernor, ParallelStats};
 use crate::sharded::ShardedMemoDb;
-use crate::similarity::SimilarityTracker;
 use crate::stats::{MemoCase, MemoStats};
 use crate::store::{JobId, MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::complex::{round_into, widen_into};
 use mlr_math::{Complex32, Complex64};
-use mlr_telemetry::{CounterId, CounterTable, SpanKind, StageId, StageTable, Telemetry};
+use mlr_telemetry::{SpanKind, StageId, StageTable, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Starts a stage clock only when telemetry is enabled. Stage clocks are
-/// the telemetry-gated half of the engine's timing; the compute-time
-/// statistics (`OpStats::compute_seconds`, `ParallelStats::chunk_seconds`)
-/// are not gated: `probe_chunk` reads the clock once per chunk and once
-/// more around an exact compute whether or not telemetry is on.
+/// the engine's only timing: with a disabled recorder it reads no clock at
+/// all.
 #[inline]
 fn stage_clock(enabled: bool) -> Option<Instant> {
     if enabled {
@@ -110,9 +107,6 @@ pub struct MemoConfig {
     pub use_cache: bool,
     /// Cache organisation (private per location vs. global).
     pub cache_kind: CacheKind,
-    /// Track per-location similarity of the `F_u2D` input chunks across
-    /// iterations (Figure 4).
-    pub track_similarity: bool,
     /// Number of initial ADMM iterations during which memoization is not
     /// consulted: early iterates change too quickly for reuse to be safe, and
     /// the paper's own characterisation (Figure 4) shows similar chunks only
@@ -132,7 +126,6 @@ impl Default for MemoConfig {
             enabled: true,
             use_cache: true,
             cache_kind: CacheKind::Private,
-            track_similarity: false,
             warmup_iterations: 2,
             budget: CapacityBudget::unbounded(),
         }
@@ -152,19 +145,17 @@ impl MemoConfig {
     }
 }
 
-/// Per-executor mutable state behind one lock: the statistics and the
-/// similarity tracker are private to one job and only touched during the
-/// *ordered commit* phase, so a single mutex suffices
-/// without ever serializing chunk compute. The compute-node cache lives
-/// outside this lock, behind a read-write lock, because the parallel phase
-/// peeks it concurrently. The memoization database itself lives behind the
+/// Per-executor mutable state behind one lock: the statistics are private
+/// to one job and only touched during the *ordered commit* phase, so a
+/// single mutex suffices without ever serializing chunk compute. The
+/// compute-node cache lives outside this lock, behind a read-write lock,
+/// because the parallel phase peeks it concurrently. The memoization database itself lives behind the
 /// [`MemoStore`] seam, so several executors can share one store
 /// concurrently.
 struct EngineState {
     /// Fixed-arity `Copy` counter table: `stats()` snapshots it with one
     /// memcpy under the lock.
     stats: MemoStats,
-    similarity: SimilarityTracker,
     iteration: usize,
     parallel: ParallelStats,
 }
@@ -217,9 +208,11 @@ enum ProbeCase {
     /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
     /// prefilter, [`MemoCase::Computed`] when memoization does not apply
     /// (disabled, uniform FFT, warm-up) or the chunk is below break-even.
+    /// `fft_ns` is the exact compute's stage time (0 when telemetry is
+    /// disabled).
     Computed {
         output: Vec<Complex64>,
-        compute_seconds: f64,
+        fft_ns: u64,
         case: MemoCase,
     },
 }
@@ -234,9 +227,9 @@ struct DbHit {
 
 /// What the parallel phase produces for one chunk beside its [`ProbeCase`]:
 /// its key (if the chunk got as far as the database), the
-/// compute-node-cache accounting to replay, and the chunk's wall time
-/// (folded into `OpStats`/`ParallelStats` during the ordered commit — never
-/// under the state lock while computing).
+/// compute-node-cache accounting to replay, and its stage timings (folded
+/// into the recorder during the ordered commit — never under the state
+/// lock while computing).
 #[derive(Default)]
 struct ChunkTrail {
     /// Empty unless the database was probed.
@@ -246,9 +239,6 @@ struct ChunkTrail {
     fingerprint: Option<ChunkFingerprint>,
     cache_checked: bool,
     cache_comparisons: u64,
-    /// Everything phase 1 did for this chunk: fingerprint, cache peek, key,
-    /// probe and exact compute.
-    seconds: f64,
     /// Stage timings (ns), all zero when telemetry is disabled.
     prefilter_ns: u64,
     peek_ns: u64,
@@ -329,7 +319,6 @@ impl MemoizedExecutor {
             cache: RwLock::new(MemoCache::new(config.cache_kind, cache_capacity)),
             state: Mutex::new(EngineState {
                 stats: MemoStats::new(),
-                similarity: SimilarityTracker::new(config.tau),
                 iteration: 0,
                 parallel: ParallelStats::default(),
             }),
@@ -368,10 +357,10 @@ impl MemoizedExecutor {
     }
 
     /// Attaches a telemetry recorder: per-iteration and per-batch lifecycle
-    /// spans, chunk counters, and hit-path stage histograms (prefilter /
-    /// cache-peek / encode / probe / payload-copy / miss-FFT). The
-    /// default is [`Telemetry::disabled`], which records nothing and takes
-    /// zero stage clock reads.
+    /// spans and hit-path stage histograms (prefilter / cache-peek / encode
+    /// / probe / payload-copy / miss-FFT / insert). Chunk counts stay in
+    /// [`Self::stats`] and [`Self::parallel_stats`]. The default is
+    /// [`Telemetry::disabled`], which records nothing and reads no clock.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -398,10 +387,9 @@ impl MemoizedExecutor {
     }
 
     /// Marks the start of a new ADMM (outer) iteration; used by the
-    /// freshness rule, the similarity tracker and reports.
+    /// freshness rule and reports.
     pub fn begin_iteration(&self, iteration: usize) {
         self.state.lock().iteration = iteration;
-        self.telemetry.count(CounterId::IterationsStarted, 1);
         self.telemetry
             .span(self.job, SpanKind::Iteration, iteration as u64);
     }
@@ -430,17 +418,6 @@ impl MemoizedExecutor {
     /// Resident bytes of the value database.
     pub fn db_value_bytes(&self) -> u64 {
         self.store.value_bytes()
-    }
-
-    /// Chunk-similarity series for a location of the `F_u2D` chunk grid
-    /// (only populated when `track_similarity` is on).
-    pub fn similarity_series(&self, location: usize) -> Vec<(usize, usize)> {
-        self.state.lock().similarity.series(location)
-    }
-
-    /// Fraction of iterations in which a similar prior chunk existed.
-    pub fn similarity_fraction(&self) -> f64 {
-        self.state.lock().similarity.fraction_with_similar()
     }
 
     /// Runs `f` over `0..n` across the configured chunk threads (leasing
@@ -534,13 +511,12 @@ impl MemoizedExecutor {
         F: Fn(&[Complex64]) -> Vec<Complex64> + ?Sized,
     {
         let tel_on = d.tel_on;
-        let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
         let computed = |case| {
-            let compute_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: feeds compute-time stats
+            let fft_clock = stage_clock(tel_on);
             let output = compute(input);
             ProbeCase::Computed {
                 output,
-                compute_seconds: compute_start.elapsed().as_secs_f64(),
+                fft_ns: stage_ns(fft_clock),
                 case,
             }
         };
@@ -553,12 +529,11 @@ impl MemoizedExecutor {
             // Fingerprint + doorkeeper decision, read-only against the
             // history frozen at the start of the application (notes happen
             // at ordered commit).
+            let prefilter_clock = stage_clock(tel_on);
             let fp = ChunkFingerprint::compute(input);
             chunk.fingerprint = Some(fp);
             let admitted = self.store.has_fingerprint_neighbor(kind, loc, &fp);
-            if tel_on {
-                chunk.prefilter_ns = start.elapsed().as_nanos() as u64;
-            }
+            chunk.prefilter_ns = stage_ns(prefilter_clock);
             if !admitted {
                 break 'lane computed(MemoCase::Prefiltered);
             }
@@ -598,18 +573,16 @@ impl MemoizedExecutor {
                 ProbeOutcome::Miss => computed(MemoCase::FailedMemo),
             }
         };
-        chunk.seconds = start.elapsed().as_secs_f64();
         (case, chunk)
     }
 
     /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
     /// effect of the `scratch` a dispatch's phase 1 produced — statistics,
-    /// similarity tracking, cache updates, store hit/miss bookkeeping
-    /// (logical ticks!) and inserts with their eviction
-    /// enforcement — and hand each chunk's result to `emit`. Commit order
+    /// cache updates, store hit/miss bookkeeping (logical ticks!) and
+    /// inserts with their eviction enforcement — and hand each chunk's
+    /// result to `emit`. Commit order
     /// never depends on the thread schedule, so the reconstruction (and the
     /// eviction trace) is bit-identical for every `intra_job_threads`.
-    #[allow(clippy::too_many_arguments)]
     fn commit<'a, F>(
         &self,
         kind: FftOpKind,
@@ -617,7 +590,6 @@ impl MemoizedExecutor {
         task: &impl Fn(usize) -> Task<'a, F>,
         scratch: Vec<(ProbeCase, ChunkTrail)>,
         threads: (usize, usize),
-        phase_seconds: f64,
         mut emit: impl FnMut(usize, Emit<'_>),
     ) where
         F: ?Sized + 'a,
@@ -625,21 +597,13 @@ impl MemoizedExecutor {
         let (iteration, tel_on, origin) = (d.iteration, d.tel_on, d.origin);
         let n = scratch.len();
         let mut state = self.state.lock();
-        let mut chunk_seconds = 0.0;
-        // Telemetry scratch lives on this stack frame (`Copy` tables, zero
+        // Stage scratch lives on this stack frame (a `Copy` table, zero
         // allocation) and folds into the shared registry once per batch —
         // the same discipline as `MemoStats`, preserving the fig22
         // allocation gate with telemetry enabled.
         let mut stage_scratch = StageTable::new();
-        let mut counter_scratch = CounterTable::new();
         for (i, (case, chunk)) in scratch.into_iter().enumerate() {
             let (loc, input, _) = task(i);
-            chunk_seconds += chunk.seconds;
-            // One operation only: a location index means a different chunk
-            // (and length) in each operation's grid.
-            if d.memoize && self.config.track_similarity && kind == FftOpKind::Fu2D {
-                state.similarity.record(loc, iteration, input);
-            }
             // Doorkeeper bookkeeping happens in chunk-index order, like
             // every other side effect: every committed chunk's fingerprint
             // is noted, including prefiltered ones — a repeating chunk is
@@ -679,13 +643,13 @@ impl MemoizedExecutor {
             }
             match case {
                 ProbeCase::Hit { value, db } => {
-                    let (case, counter) = match &db {
+                    let case = match &db {
                         Some(hit) => {
                             self.store
                                 .commit_hit(kind, loc, hit.entry, hit.origin, origin);
-                            (MemoCase::DbHit, CounterId::DbHitChunks)
+                            MemoCase::DbHit
                         }
-                        None => (MemoCase::CacheHit, CounterId::CacheHitChunks),
+                        None => MemoCase::CacheHit,
                     };
                     state.stats.record(kind, case);
                     // Zero-copy hit: one widening copy from the shared payload
@@ -694,7 +658,6 @@ impl MemoizedExecutor {
                     emit(i, Emit::Stored(&value));
                     if tel_on {
                         stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
-                        counter_scratch.add(counter, 1);
                     }
                     if let (Some(hit), true) = (db, self.config.use_cache) {
                         // The cache shares the entry's buffers (Arcs): this
@@ -707,7 +670,7 @@ impl MemoizedExecutor {
                 }
                 ProbeCase::Computed {
                     output,
-                    compute_seconds,
+                    fft_ns,
                     case,
                 } => {
                     let failed_memo = case == MemoCase::FailedMemo;
@@ -715,24 +678,18 @@ impl MemoizedExecutor {
                         self.store.commit_miss(kind, loc);
                     }
                     state.stats.record(kind, case);
-                    state.stats.add_compute_time(kind, compute_seconds);
+                    // In a memoizing dispatch only the break-even gate sends
+                    // a chunk down the `Computed` lane.
+                    if d.memoize && case == MemoCase::Computed {
+                        state.stats.add_gated(kind);
+                    }
                     // Only the lane chosen by input and configuration alone
                     // keeps its exact bits (see the module docs).
                     let round = case != MemoCase::Computed;
                     let exact = &output[..];
                     emit(i, Emit::Computed { exact, round });
                     if tel_on {
-                        stage_scratch.record(StageId::MissFft, (compute_seconds * 1e9) as u64);
-                        let counter = match case {
-                            MemoCase::Prefiltered => CounterId::PrefilteredChunks,
-                            _ => CounterId::ComputedChunks,
-                        };
-                        counter_scratch.add(counter, 1);
-                        // In a memoizing dispatch only the break-even gate
-                        // sends a chunk down the `Computed` lane.
-                        if d.memoize && case == MemoCase::Computed {
-                            counter_scratch.add(CounterId::GatedChunks, 1);
-                        }
+                        stage_scratch.record(StageId::MissFft, fft_ns);
                     }
                     // Only a failed memo has a key to insert under (a
                     // prefiltered chunk inserts on its next sighting), priced
@@ -755,13 +712,8 @@ impl MemoizedExecutor {
         p.chunks += n as u64;
         p.threads_requested += threads.0 as u64;
         p.threads_granted += threads.1 as u64;
-        p.chunk_seconds += chunk_seconds;
-        p.phase_seconds += phase_seconds;
         if tel_on {
             drop(state);
-            counter_scratch.add(CounterId::OperatorBatches, 1);
-            counter_scratch.add(CounterId::ChunksCommitted, n as u64);
-            self.telemetry.fold_counters(&counter_scratch);
             self.telemetry.fold_stages(&stage_scratch);
             self.telemetry.span(self.job, SpanKind::Operator, n as u64);
         }
@@ -785,11 +737,9 @@ impl FftExecutor for MemoizedExecutor {
     ) -> Vec<Complex64> {
         let d = self.dispatch();
         let task = |_| (loc, input, compute);
-        let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
         let scratch = vec![self.probe_chunk(kind, &d, task(0))];
-        let phase_seconds = phase_start.elapsed().as_secs_f64();
         let mut out = Vec::new();
-        self.commit(kind, &d, &task, scratch, (1, 1), phase_seconds, |_, v| {
+        self.commit(kind, &d, &task, scratch, (1, 1), |_, v| {
             out.resize(v.len(), Complex64::ZERO);
             v.write_into(&mut out)
         });
@@ -811,13 +761,10 @@ impl FftExecutor for MemoizedExecutor {
         }
         let d = self.dispatch();
         let task = |i: usize| (batch[i].loc, batch[i].input, batch[i].compute);
-        let phase_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: phase timing feeds ParallelStats
         let (scratch, requested, used) = self.map_chunk_blocks(batch.len(), |range| {
             range.map(|i| self.probe_chunk(kind, &d, task(i))).collect()
         });
-        let phase_seconds = phase_start.elapsed().as_secs_f64();
-        let threads = (requested, used);
-        self.commit(kind, &d, &task, scratch, threads, phase_seconds, |i, v| {
+        self.commit(kind, &d, &task, scratch, (requested, used), |i, v| {
             v.write_into(outputs[i])
         });
     }
@@ -897,8 +844,8 @@ mod tests {
         // The same repeating input, once as `F_u1D` (never memoized) and once
         // as `F_u2D` (a hit can pay at 128 elements): the gated chunk leaves
         // no trace in the doorkeeper, the cache, the key count or the store,
-        // and the telemetry says why.
-        let exec = MemoizedExecutor::private(test_config()).with_telemetry(Telemetry::enabled());
+        // and `OpStats::gated` says why.
+        let exec = MemoizedExecutor::private(test_config());
         let input = chunk(2, 128);
         for it in 0..4 {
             exec.begin_iteration(it);
@@ -911,17 +858,15 @@ mod tests {
         assert_eq!(stats.keys_encoded, 0);
         assert_eq!(exec.db_len(), 0);
         assert_eq!(exec.cache_stats().lookups, 0);
-        let gated = |exec: &MemoizedExecutor| {
-            let snapshot = exec.telemetry().snapshot().expect("telemetry is enabled");
-            snapshot.metrics.counter(CounterId::GatedChunks)
-        };
-        assert_eq!(gated(&exec), 4);
+        assert_eq!(stats.gated, 4);
         for it in 4..8 {
             exec.begin_iteration(it);
             let _ = exec.execute(FftOpKind::Fu2D, 5, &input, &fake_fft);
         }
-        assert!(exec.stats().op(FftOpKind::Fu2D).cache_hits >= 1);
-        assert_eq!(gated(&exec), 4);
+        let fu2d = exec.stats().op(FftOpKind::Fu2D);
+        assert!(fu2d.cache_hits >= 1);
+        assert_eq!(fu2d.gated, 0);
+        assert_eq!(exec.stats().total().gated, 4);
     }
 
     #[test]
@@ -1038,33 +983,6 @@ mod tests {
         assert!(err < 0.05, "approximation error too large: {err}");
         let stats = exec.stats().op(FftOpKind::Fu2D);
         assert_eq!(stats.db_hits + stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn similarity_tracking_collects_series() {
-        let config = MemoConfig {
-            track_similarity: true,
-            tau: 0.9,
-            ..test_config()
-        };
-        let exec = MemoizedExecutor::private(config);
-        let base = chunk(7, 64);
-        for it in 0..4 {
-            exec.begin_iteration(it);
-            let scaled: Vec<Complex64> = base
-                .iter()
-                .map(|z| z.scale(1.0 + 0.001 * it as f64))
-                .collect();
-            let _ = exec.execute(FftOpKind::Fu2D, 2, &scaled, &fake_fft);
-            // Another operation's chunk at the same location index (and of
-            // another length) is a different chunk: not part of the series.
-            let _ = exec.execute(FftOpKind::Fu2DAdj, 2, &chunk(8, 128), &fake_fft);
-        }
-        let series = exec.similarity_series(2);
-        assert_eq!(series.len(), 4);
-        assert_eq!(series[0].1, 0);
-        assert!(series[3].1 >= 1);
-        assert!(exec.similarity_fraction() > 0.0);
     }
 
     #[test]

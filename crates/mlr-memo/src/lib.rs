@@ -49,7 +49,6 @@
 //!   [`ParallelStats`]. The engine's two-phase batch protocol (parallel
 //!   read-only probe/compute, then a commit in chunk-index order) keeps
 //!   reconstructions bit-identical for every thread count.
-//! * [`similarity`] — the chunk-similarity tracker behind Figure 4.
 //! * [`store`] — the [`MemoStore`] seam: the thread-safe interface the
 //!   executor talks to, with one access protocol — a read-only probe, then
 //!   an ordered commit (`commit_hit`, or `commit_miss` and `insert`).
@@ -75,7 +74,6 @@ pub mod eviction;
 pub mod fingerprint;
 pub mod parallel;
 pub mod sharded;
-pub mod similarity;
 pub mod stats;
 pub mod store;
 #[cfg(test)]
@@ -93,6 +91,5 @@ pub use eviction::{
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
 pub use parallel::{ConcurrencyGovernor, CoreLease, ParallelStats};
 pub use sharded::{ShardedMemoDb, ACCESS_OP_UNKNOWN, DEFAULT_SHARDS};
-pub use similarity::SimilarityTracker;
 pub use stats::{MemoCase, MemoStats, OpStats};
 pub use store::{JobId, MemoStore, ProbeOutcome, Provenance, StoreStats};

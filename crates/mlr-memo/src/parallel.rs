@@ -126,11 +126,9 @@ impl Drop for CoreLease {
 ///
 /// Thread counts are summed over batch dispatches, so
 /// `threads_granted / threads_requested` is the fraction of the asked-for
-/// parallelism the governor actually granted (the per-job parallel
-/// efficiency the runtime reports); the `chunk_seconds / phase_seconds`
-/// ratio is the speedup measured on this machine. Both times are read
-/// whether or not telemetry is enabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// parallelism the governor actually granted. Where the time went is the
+/// telemetry stage histograms' business; this table only counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelStats {
     /// Batch dispatches executed.
     pub batches: u64,
@@ -141,11 +139,6 @@ pub struct ParallelStats {
     /// Σ over batches of the thread count actually used after the governor's
     /// grant.
     pub threads_granted: u64,
-    /// Σ of per-chunk parallel-phase wall time (the serialized work):
-    /// fingerprint, cache peek, key, probe and exact compute of every chunk.
-    pub chunk_seconds: f64,
-    /// Wall time of the parallel phases themselves.
-    pub phase_seconds: f64,
 }
 
 impl ParallelStats {
@@ -164,24 +157,12 @@ impl ParallelStats {
         crate::stats::ratio(self.threads_granted, self.batches)
     }
 
-    /// Measured speedup of the parallel phases on this machine: serialized
-    /// per-chunk work over parallel-phase wall time (`1.0` when nothing ran).
-    pub fn achieved_speedup(&self) -> f64 {
-        if self.phase_seconds <= 0.0 {
-            1.0
-        } else {
-            self.chunk_seconds / self.phase_seconds
-        }
-    }
-
     /// Merges another job's statistics into this aggregate.
     pub fn merge(&mut self, other: &ParallelStats) {
         self.batches += other.batches;
         self.chunks += other.chunks;
         self.threads_requested += other.threads_requested;
         self.threads_granted += other.threads_granted;
-        self.chunk_seconds += other.chunk_seconds;
-        self.phase_seconds += other.phase_seconds;
     }
 }
 
@@ -228,15 +209,12 @@ mod tests {
             chunks: 8,
             threads_requested: 8,
             threads_granted: 6,
-            chunk_seconds: 4.0,
-            phase_seconds: 2.0,
         };
         assert!((s.grant_ratio() - 0.75).abs() < 1e-12);
         assert!((s.mean_threads() - 3.0).abs() < 1e-12);
-        assert!((s.achieved_speedup() - 2.0).abs() < 1e-12);
         let mut t = ParallelStats::default();
         assert_eq!(t.grant_ratio(), 1.0);
-        assert_eq!(t.achieved_speedup(), 1.0);
+        assert_eq!(t.mean_threads(), 0.0);
         t.merge(&s);
         assert_eq!(t, s);
     }

@@ -35,11 +35,14 @@ pub enum MemoCase {
 }
 
 /// Per-operation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpStats {
     /// Invocations computed without consulting the memoization system:
     /// disabled, uniform FFT, warm-up or below break-even.
     pub computed: u64,
+    /// The part of `computed` that the break-even gate sent to the exact
+    /// FFT in a memoizing dispatch (after warm-up, memoization on).
+    pub gated: u64,
     /// Case-1 invocations (miss + insert).
     pub failed_memo: u64,
     /// Case-2 invocations (database hit).
@@ -48,8 +51,6 @@ pub struct OpStats {
     pub cache_hits: u64,
     /// Invocations the norm prefilter routed straight to the exact FFT.
     pub prefiltered: u64,
-    /// Wall-clock seconds spent inside the exact compute closure.
-    pub compute_seconds: f64,
     /// Keys encoded.
     pub keys_encoded: u64,
 }
@@ -76,11 +77,11 @@ impl OpStats {
 
     fn accumulate(&mut self, other: &OpStats) {
         self.computed += other.computed;
+        self.gated += other.gated;
         self.failed_memo += other.failed_memo;
         self.db_hits += other.db_hits;
         self.cache_hits += other.cache_hits;
         self.prefiltered += other.prefiltered;
-        self.compute_seconds += other.compute_seconds;
         self.keys_encoded += other.keys_encoded;
     }
 }
@@ -93,7 +94,7 @@ const KINDS: [FftOpKind; 6] = FftOpKind::DENSE;
 /// one row per operation kind. The engine accumulates into one during the
 /// ordered commit and `MemoizedExecutor::stats` hands out a copy — one
 /// memcpy under the state lock, no allocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Deserialize)]
 pub struct MemoStats {
     per_op: [OpStats; KINDS.len()],
 }
@@ -131,9 +132,10 @@ impl MemoStats {
         }
     }
 
-    /// Adds compute wall-clock time for an operation.
-    pub fn add_compute_time(&mut self, op: FftOpKind, seconds: f64) {
-        self.per_op[op.index()].compute_seconds += seconds;
+    /// Notes that the break-even gate sent one `computed` invocation of an
+    /// operation to the exact FFT.
+    pub fn add_gated(&mut self, op: FftOpKind) {
+        self.per_op[op.index()].gated += 1;
     }
 
     /// Adds one encoded key for an operation.
@@ -192,7 +194,7 @@ mod tests {
         ] {
             table.record(op, case);
         }
-        table.add_compute_time(FftOpKind::Fu2D, 0.5);
+        table.add_gated(FftOpKind::F2D);
         table.add_encoded_key(FftOpKind::Fu1D);
         // A snapshot is a plain copy.
         let snapshot = table;
@@ -259,7 +261,8 @@ mod tests {
     fn merge_accumulates() {
         let mut a = MemoStats::new();
         a.record(FftOpKind::Fu1D, MemoCase::DbHit);
-        a.add_compute_time(FftOpKind::Fu1D, 1.5);
+        a.record(FftOpKind::Fu1D, MemoCase::Computed);
+        a.add_gated(FftOpKind::Fu1D);
         let mut b = MemoStats::new();
         b.record(FftOpKind::Fu1D, MemoCase::DbHit);
         b.add_encoded_key(FftOpKind::Fu1D);
@@ -267,6 +270,6 @@ mod tests {
         let s = a.op(FftOpKind::Fu1D);
         assert_eq!(s.db_hits, 2);
         assert_eq!(s.keys_encoded, 1);
-        assert!((s.compute_seconds - 1.5).abs() < 1e-12);
+        assert_eq!((s.computed, s.gated), (1, 1));
     }
 }

@@ -102,11 +102,6 @@ impl JobStatus {
         matches!(self, JobStatus::Expired { .. })
     }
 
-    /// Whether the job panicked.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, JobStatus::Failed { .. })
-    }
-
     /// The completed report, if any.
     pub fn report(&self) -> Option<&JobReport> {
         match self {
@@ -382,7 +377,7 @@ mod tests {
             error: "x".into(),
             retryable: false,
         };
-        assert!(completed_like.is_failed());
+        assert!(matches!(completed_like, JobStatus::Failed { .. }));
         assert!(!completed_like.is_completed());
         assert!(completed_like.report().is_none());
         assert!(!format!("{completed_like}").contains("retryable"));

@@ -125,8 +125,8 @@ pub struct JobReport {
     pub avoided_fraction: f64,
     /// This job's compute-node cache hit rate.
     pub cache_hit_rate: f64,
-    /// This job's chunk-scheduler statistics (thread grants, measured and
-    /// modeled speedup of the intra-job parallel phases).
+    /// This job's chunk-scheduler statistics: batches, chunks and thread
+    /// grants of its intra-job parallel phases.
     pub parallel: ParallelStats,
     /// Time the job spent waiting in the queue.
     pub queue_seconds: f64,

@@ -17,7 +17,7 @@ use mlr_memo::{
     ParallelStats, ShardedMemoDb, DEFAULT_SHARDS,
 };
 use mlr_sim::faults::FaultPlan;
-use mlr_telemetry::{CounterId, SignedHistogram, SpanKind, Telemetry, TelemetryConfig};
+use mlr_telemetry::{SignedHistogram, SpanKind, Telemetry, TelemetryConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,13 +45,13 @@ pub struct RuntimeConfig {
     /// never oversubscribe the budget. Defaults to the machine's available
     /// parallelism.
     pub core_budget: usize,
-    /// Unified telemetry: lock-free counters and stage histograms, per-job
-    /// lifecycle spans, and (optionally) the store access trace. Off by
-    /// default — disabled telemetry is a no-op recorder whose call sites
-    /// cost one branch each, so the hot path stays allocation-free and takes
-    /// no *stage* clock. The engine's compute-time statistics
-    /// (`OpStats::compute_seconds`, `ParallelStats::chunk_seconds`) are not
-    /// telemetry: they read the clock once or twice per chunk either way.
+    /// Telemetry: lock-free stage histograms, per-job lifecycle spans, and
+    /// (optionally) the store access trace. Counts are not telemetry: jobs
+    /// are in [`RuntimeStats`], chunks in each job's `MemoStats` and
+    /// `ParallelStats`, whether this is on or off. Off by default —
+    /// disabled telemetry is a no-op recorder whose call sites cost one
+    /// branch each, so the hot path stays allocation-free and the memo
+    /// engine reads no clock.
     pub telemetry: bool,
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
     /// hit/miss/insert/evict/lost, logical tick). `None` disables the
@@ -189,7 +189,6 @@ impl Counters {
         error: String,
     ) {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.count(CounterId::WorkerRestarts, 1);
         if let Some((id, ticket)) = casualty {
             let status = JobStatus::Failed {
                 error,
@@ -205,7 +204,7 @@ impl Counters {
     /// that never ran (cancelled by its handle or at pop, expired at pop) —
     /// so every admitted job's lifecycle ends in exactly one terminal span.
     pub(crate) fn resolve(&self, id: JobId, ticket: &Ticket, status: JobStatus) {
-        let (counter, kind, arg) = match &status {
+        let (kind, arg) = match &status {
             JobStatus::Completed(report) => {
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 if let Some(at) = ticket.token.deadline() {
@@ -213,11 +212,11 @@ impl Counters {
                     self.note_deadline_outcome(slack_seconds(at, Instant::now()));
                 }
                 let iterations = report.loss.len();
-                (CounterId::JobsCompleted, SpanKind::Completed, iterations)
+                (SpanKind::Completed, iterations)
             }
             JobStatus::Failed { .. } => {
                 self.failed.fetch_add(1, Ordering::Relaxed);
-                (CounterId::JobsFailed, SpanKind::Failed, 0)
+                (SpanKind::Failed, 0)
             }
             JobStatus::Cancelled {
                 completed_iterations,
@@ -225,7 +224,7 @@ impl Counters {
             } => {
                 self.cancelled.fetch_add(1, Ordering::Relaxed);
                 let iterations = *completed_iterations;
-                (CounterId::JobsCancelled, SpanKind::Cancelled, iterations)
+                (SpanKind::Cancelled, iterations)
             }
             JobStatus::Expired {
                 late_seconds,
@@ -234,10 +233,9 @@ impl Counters {
             } => {
                 self.note_expired(*late_seconds);
                 let iterations = *completed_iterations;
-                (CounterId::JobsExpired, SpanKind::Expired, iterations)
+                (SpanKind::Expired, iterations)
             }
         };
-        self.telemetry.count(counter, 1);
         self.telemetry.span(id, kind, arg as u64);
         ticket.resolve(status);
     }
@@ -418,7 +416,7 @@ impl Runtime {
     }
 
     /// The runtime's telemetry recorder: disabled (a no-op handle) unless
-    /// [`RuntimeConfig::telemetry`] was set. Snapshot it for counters, stage
+    /// [`RuntimeConfig::telemetry`] was set. Snapshot it for stage
     /// histograms, lifecycle spans and the optional store access trace.
     pub fn telemetry(&self) -> &Telemetry {
         &self.counters.telemetry
@@ -463,7 +461,6 @@ impl Runtime {
         match pushed {
             Ok(id) => {
                 self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                self.counters.telemetry.count(CounterId::JobsAdmitted, 1);
                 self.counters
                     .telemetry
                     .span(id, SpanKind::Admitted, u64::from(deadline.is_some()));
@@ -541,14 +538,6 @@ impl Runtime {
             parallel: *self.counters.parallel.lock(),
             distributed: self.distributed.as_ref().map(|d| d.distributed_stats()),
         }
-    }
-
-    /// Enters drain mode: no further submissions are admitted (they reject
-    /// with [`AdmissionError::ShuttingDown`], and are counted as rejected),
-    /// while already-admitted jobs keep running to completion. Workers stay
-    /// alive until [`Runtime::shutdown`] or drop.
-    pub fn close(&self) {
-        self.queue.close();
     }
 
     /// Drains the queue, stops the workers and returns the final statistics.
@@ -1015,7 +1004,8 @@ mod tests {
             queue_capacity: 4,
             ..RuntimeConfig::matching(&tiny_config())
         });
-        rt.close();
+        // Drain mode, as `shutdown` enters it, with the runtime still here.
+        rt.queue.close();
         assert!(matches!(
             rt.submit_blocking(ReconJob::new("late-blocking", tiny_config())),
             Err(AdmissionError::ShuttingDown)

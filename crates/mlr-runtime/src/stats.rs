@@ -93,8 +93,8 @@ pub struct RuntimeStats {
     pub store: StoreStats,
     /// Deadline outcomes and slack percentiles across decided jobs.
     pub deadline: DeadlineStats,
-    /// Aggregate chunk-scheduler statistics over all finished jobs: thread
-    /// requests vs governor grants and the measured/modeled speedups of the
+    /// Aggregate chunk-scheduler statistics over all finished jobs:
+    /// batches, chunks, and thread requests vs governor grants of the
     /// intra-job parallel phases.
     pub parallel: ParallelStats,
     /// The distributed memo tier's outcome state (per-node stripe placement
@@ -151,19 +151,6 @@ impl RuntimeStats {
     /// reuse once the budget binds.
     pub fn hit_rate_under_pressure(&self) -> f64 {
         self.store.hit_rate_under_pressure()
-    }
-
-    /// Per-job parallel efficiency: the fraction of requested chunk-level
-    /// threads the global governor actually granted across all finished
-    /// jobs (1.0 when jobs run sequentially or uncontended).
-    pub fn parallel_efficiency(&self) -> f64 {
-        self.parallel.grant_ratio()
-    }
-
-    /// Measured speedup of the jobs' intra-job parallel phases (serialized
-    /// chunk work over parallel wall time).
-    pub fn intra_job_speedup(&self) -> f64 {
-        self.parallel.achieved_speedup()
     }
 
     /// Fraction of decided deadline-carrying jobs that missed their
@@ -228,13 +215,10 @@ mod tests {
                 chunks: 16,
                 threads_requested: 16,
                 threads_granted: 12,
-                chunk_seconds: 2.0,
-                phase_seconds: 1.0,
             },
             distributed: None,
         };
-        assert!((s.parallel_efficiency() - 0.75).abs() < 1e-12);
-        assert!((s.intra_job_speedup() - 2.0).abs() < 1e-12);
+        assert!((s.parallel.grant_ratio() - 0.75).abs() < 1e-12);
         assert!((s.throughput_jobs_per_second() - 4.0).abs() < 1e-12);
         assert!((s.utilisation() - 0.5).abs() < 1e-12);
         assert!((s.hit_rate() - 0.4).abs() < 1e-12);

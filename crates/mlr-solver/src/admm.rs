@@ -39,11 +39,6 @@ pub struct AdmmConfig {
     pub initial_step: f64,
     /// Which LSP formulation to run.
     pub variant: LspVariant,
-    /// Enforce a non-negative reconstruction after every LSP phase
-    /// (attenuation coefficients are physically non-negative).
-    pub nonnegativity: bool,
-    /// Adapt `ρ` by primal/dual residual balancing.
-    pub adaptive_rho: bool,
 }
 
 impl Default for AdmmConfig {
@@ -55,8 +50,6 @@ impl Default for AdmmConfig {
             rho: 0.5,
             initial_step: 0.05,
             variant: LspVariant::Cancelled,
-            nonnegativity: true,
-            adaptive_rho: true,
         }
     }
 }
@@ -171,9 +164,8 @@ impl AdmmSolver {
                 data_loss = grad.data_loss;
                 cg.update(&mut u, &grad.grad, cfg.initial_step);
             }
-            if cfg.nonnegativity {
-                u.map_inplace(|v| *v = v.max(0.0));
-            }
+            // Attenuation coefficients are physically non-negative.
+            u.map_inplace(|v| *v = v.max(0.0));
             let lsp_seconds = lsp_start.elapsed().as_secs_f64();
 
             // ------------------------------------------------------- RSP
@@ -194,19 +186,18 @@ impl AdmmSolver {
             let lambda_seconds = lambda_start.elapsed().as_secs_f64();
 
             // --------------------------------------------- penalty update
+            // Adapt ρ by primal/dual residual balancing. Dual residual ~
+            // ρ‖ψ_k − ψ_{k−1}‖; approximate with the primal/ψ balance
+            // (standard Boyd §3.4 heuristic).
             let penalty_start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: per-phase seconds feed the solver profile
-            if cfg.adaptive_rho {
-                let primal_res = primal.norm_sqr().sqrt();
-                // Dual residual ~ ρ‖ψ_k − ψ_{k−1}‖; approximate with the
-                // primal/ψ balance (standard Boyd §3.4 heuristic).
-                let psi_norm = psi.norm_sqr().sqrt().max(1e-12);
-                if primal_res > 10.0 * psi_norm {
-                    rho *= 2.0;
-                } else if psi_norm > 10.0 * primal_res {
-                    rho *= 0.5;
-                }
-                rho = rho.clamp(1e-6, 1e6);
+            let primal_res = primal.norm_sqr().sqrt();
+            let psi_norm = psi.norm_sqr().sqrt().max(1e-12);
+            if primal_res > 10.0 * psi_norm {
+                rho *= 2.0;
+            } else if psi_norm > 10.0 * primal_res {
+                rho *= 0.5;
             }
+            rho = rho.clamp(1e-6, 1e6);
             let penalty_seconds = penalty_start.elapsed().as_secs_f64();
 
             let loss = data_loss + cfg.alpha * tv_norm(&u);
@@ -257,8 +248,6 @@ mod tests {
             rho: 0.5,
             initial_step: 0.05,
             variant,
-            nonnegativity: true,
-            adaptive_rho: true,
         }
     }
 

@@ -13,15 +13,15 @@
 //! logical tick otherwise.
 
 use crate::hist::Histogram;
-use crate::metrics::{MetricsSnapshot, COUNTER_NAMES, STAGE_NAMES};
+use crate::metrics::{MetricsSnapshot, STAGE_NAMES};
 use crate::span::SpanRecord;
 use crate::trace::AccessRecord;
 use std::fmt::Write as _;
 
 /// A complete, self-contained copy of everything the telemetry stack
-/// recorded: counters, stage histograms, span journal, access trace.
+/// recorded: stage histograms, span journal, access trace.
 pub struct TelemetrySnapshot {
-    /// Counters and stage histograms.
+    /// Stage histograms.
     pub metrics: MetricsSnapshot,
     /// Span journal contents, oldest first.
     pub spans: Vec<SpanRecord>,
@@ -51,14 +51,7 @@ impl TelemetrySnapshot {
     /// Serialises the whole snapshot as one JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"counters\": {");
-        for (i, name) in COUNTER_NAMES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", name, self.metrics.counters[i]);
-        }
-        out.push_str("\n  },\n  \"stages\": {");
+        out.push_str("{\n  \"stages\": {");
         for (i, name) in STAGE_NAMES.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -143,15 +136,12 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{CounterId, CounterTable, MetricsRegistry, StageId, StageTable};
+    use crate::metrics::{MetricsRegistry, StageId, StageTable};
     use crate::span::SpanKind;
     use crate::trace::AccessKind;
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let registry = MetricsRegistry::new();
-        let mut counters = CounterTable::new();
-        counters.add(CounterId::JobsAdmitted, 2);
-        registry.fold_counters(&counters);
         let mut stages = StageTable::new();
         stages.record(StageId::Encode, 1234);
         registry.fold_stages(&stages);
@@ -179,7 +169,6 @@ mod tests {
     #[test]
     fn json_contains_every_section() {
         let json = sample_snapshot().to_json();
-        assert!(json.contains("\"jobs_admitted\": 2"));
         assert!(json.contains("\"encode\": {\"count\":1,\"sum\":1234"));
         assert!(json.contains("\"kind\":\"admitted\""));
         assert!(json.contains("\"kind\":\"hit\""));

@@ -46,20 +46,6 @@ impl AccessKind {
             AccessKind::Demote => "demote",
         }
     }
-
-    /// Inverse of [`AccessKind::name`], for the trace replay reader.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "hit" => Some(AccessKind::Hit),
-            "miss" => Some(AccessKind::Miss),
-            "insert" => Some(AccessKind::Insert),
-            "evict" => Some(AccessKind::Evict),
-            "lost" => Some(AccessKind::Lost),
-            "promote" => Some(AccessKind::Promote),
-            "demote" => Some(AccessKind::Demote),
-            _ => None,
-        }
-    }
 }
 
 /// One store access. `Copy`, fixed-size.

@@ -20,7 +20,6 @@ use mlr_math::stats::Ecdf;
 use mlr_memo::NodeTopology;
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::hardware::InterconnectSpec;
-use mlr_telemetry::parse_access_records;
 
 fn main() {
     let config = MlrConfig::quick(16, 8).with_iterations(4);
@@ -69,7 +68,7 @@ fn main() {
     // (Slingshot-11) over the run's own stripe placement — the Figure 15/16
     // harness. Replica membership comes from the promotions and demotions
     // the tier wrote into the trace.
-    let records = parse_access_records(&snapshot.to_json()).expect("trace round-trips");
+    let records = snapshot.accesses;
     let outcome = replay_trace(
         &records,
         &placement,

@@ -1,19 +1,21 @@
-//! Observability: unified counters, stage timers, lifecycle spans and the
-//! store access trace over a telemetry-enabled runtime.
+//! Observability: stage timers, lifecycle spans and the store access trace
+//! over a telemetry-enabled runtime, beside the counts each layer keeps.
 //!
 //! The runtime runs a small multi-tenant workload (bulk jobs plus a
-//! deadline-tagged preview), then drains everything the telemetry stack
-//! recorded: job/chunk counters, per-stage hit-path latency percentiles
-//! from the log₂ histograms, the tail of the span journal, a slice of the
-//! store access trace, and the JSON / Chrome-trace exports.
+//! deadline-tagged preview), then prints the job counts (`RuntimeStats`),
+//! the chunk cases (the jobs' `MemoStats`) and everything the telemetry
+//! stack recorded: per-stage hit-path latency percentiles from the log₂
+//! histograms, the tail of the span journal, a slice of the store access
+//! trace, and the JSON / Chrome-trace exports.
 //!
 //! ```bash
 //! cargo run --release --example telemetry
 //! ```
 
 use mlr_core::MlrConfig;
+use mlr_memo::MemoStats;
 use mlr_runtime::{Deadline, Priority, ReconJob, Runtime, RuntimeConfig};
-use mlr_telemetry::{CounterId, StageId, COUNTER_NAMES, STAGE_NAMES};
+use mlr_telemetry::{StageId, STAGE_NAMES};
 use std::time::Duration;
 
 fn main() {
@@ -46,11 +48,15 @@ fn main() {
         )
         .expect("queue has room for the demo");
 
+    let mut memo = MemoStats::new();
     for handle in handles.iter().chain([&preview]) {
         let status = handle
             .wait_timeout(Duration::from_secs(600))
             .expect("all jobs resolve well within the demo budget");
         println!("job {:<2} {:<9} → {status}", handle.id(), handle.name());
+        if let Some(report) = status.report() {
+            memo.merge(&report.memo);
+        }
     }
 
     // Everything recorded so far, in one self-contained copy. The handle
@@ -59,12 +65,33 @@ fn main() {
         .telemetry()
         .snapshot()
         .expect("telemetry was enabled in the RuntimeConfig");
-    rt.shutdown();
+    let stats = rt.shutdown();
 
-    println!("\n== counters ==");
-    for (name, value) in COUNTER_NAMES.iter().zip(snapshot.metrics.counters) {
-        println!("{name:<20} {value}");
-    }
+    // Counts live with the layer that owns them, not in the recorder.
+    println!("\n== counts ==");
+    println!(
+        "jobs   : {} admitted, {} completed, {} failed, {} cancelled, {} expired, {} worker restarts",
+        stats.submitted,
+        stats.completed,
+        stats.failed,
+        stats.cancelled,
+        stats.expired,
+        stats.worker_restarts
+    );
+    println!(
+        "batches: {} operator batches, {} chunks",
+        stats.parallel.batches, stats.parallel.chunks
+    );
+    let cases = memo.total();
+    println!(
+        "chunks : {} computed ({} below break-even), {} prefiltered, {} failed memo, {} db hits, {} cache hits",
+        cases.computed,
+        cases.gated,
+        cases.prefiltered,
+        cases.failed_memo,
+        cases.db_hits,
+        cases.cache_hits
+    );
 
     println!("\n== hit-path stage timers (ns per chunk, log2-bucket floors) ==");
     println!(
@@ -85,13 +112,10 @@ fn main() {
             stage.percentile(0.99),
         );
     }
-    let hits = snapshot.metrics.counter(CounterId::CacheHitChunks)
-        + snapshot.metrics.counter(CounterId::DbHitChunks);
-    let committed = snapshot.metrics.counter(CounterId::ChunksCommitted).max(1);
     println!(
-        "\nhit rate: {:.1} % of {} committed chunks; encode p50 {} ns vs miss-FFT p50 {} ns",
-        100.0 * hits as f64 / committed as f64,
-        committed,
+        "\nhit rate: {:.1} % of {} chunks; encode p50 {} ns vs miss-FFT p50 {} ns",
+        100.0 * cases.avoided_fraction(),
+        cases.total(),
         snapshot.metrics.stage(StageId::Encode).percentile(0.50),
         snapshot.metrics.stage(StageId::MissFft).percentile(0.50),
     );

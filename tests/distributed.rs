@@ -8,10 +8,11 @@
 //! * **layout independence** — the stripe→node placement is deterministic,
 //!   and permuting node ids (capacity order) never changes which entries
 //!   are resident or which probes hit;
-//! * **trace round-trip** — an `AccessTrace` recorded by a real run,
-//!   exported to JSON, comes back through the replay reader as the
+//! * **trace export** — an `AccessTrace` recorded by a real run, exported
+//!   in the snapshot JSON, reads back through `mlr_bench::json` as the
 //!   identical record stream.
 
+use mlr_bench::json::JsonValue;
 use mlr_cluster::{replay_trace, ReplayConfig};
 use mlr_core::MlrConfig;
 use mlr_memo::{
@@ -20,7 +21,7 @@ use mlr_memo::{
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::hardware::InterconnectSpec;
-use mlr_telemetry::{export_access_records, parse_access_records, AccessRecord, AccessTrace};
+use mlr_telemetry::AccessTrace;
 use std::sync::Arc;
 
 use mlr_lamino::FftOpKind;
@@ -303,13 +304,22 @@ fn access_trace_round_trips_through_json() {
         "the run recorded no store accesses"
     );
 
-    // ...exports through the full snapshot JSON and the bare-array helper,
-    // and both come back as the identical record stream.
-    let from_snapshot = parse_access_records(&snapshot.to_json()).expect("snapshot JSON parses");
-    assert_eq!(from_snapshot, snapshot.accesses);
-    let bare = export_access_records(&snapshot.accesses);
-    let from_bare: Vec<AccessRecord> = parse_access_records(&bare).expect("bare array parses");
-    assert_eq!(from_bare, snapshot.accesses);
+    // ...and the snapshot JSON carries every record, field for field.
+    let json = JsonValue::parse(&snapshot.to_json()).expect("snapshot JSON parses");
+    let exported = json
+        .get("accesses")
+        .and_then(JsonValue::as_array)
+        .expect("the snapshot exports its accesses");
+    assert_eq!(exported.len(), snapshot.accesses.len());
+    for (value, record) in exported.iter().zip(&snapshot.accesses) {
+        let number = |field| value.get(field).and_then(JsonValue::as_f64);
+        assert_eq!(number("entry"), Some(record.entry as f64));
+        assert_eq!(number("op"), Some(f64::from(record.op)));
+        assert_eq!(number("stripe"), Some(f64::from(record.stripe)));
+        assert_eq!(number("tick"), Some(record.tick as f64));
+        let kind = value.get("kind").and_then(JsonValue::as_str);
+        assert_eq!(kind, Some(record.kind.name()));
+    }
 }
 
 #[test]

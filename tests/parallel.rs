@@ -342,7 +342,6 @@ fn parallel_stats_record_the_schedule() {
     // No governor: the full request is always granted.
     assert_eq!(p.threads_granted, p.threads_requested);
     assert_eq!(p.grant_ratio(), 1.0);
-    assert!(p.chunk_seconds > 0.0);
 }
 
 #[test]
@@ -377,7 +376,8 @@ fn governor_keeps_jobs_times_threads_within_the_core_budget() {
     let governor = Arc::clone(rt.governor());
     let stats = rt.shutdown();
     assert!(stats.parallel.batches > 0);
-    assert!(stats.parallel_efficiency() > 0.0 && stats.parallel_efficiency() <= 1.0);
+    let granted = stats.parallel.grant_ratio();
+    assert!(granted > 0.0 && granted <= 1.0);
     assert!(governor.peak_in_use() <= governor.capacity());
     assert_eq!(governor.in_use(), 0, "all leases returned after shutdown");
 }

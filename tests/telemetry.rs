@@ -5,23 +5,23 @@
 //! * log₂-histogram percentiles track a sorted-reference nearest-rank
 //!   percentile within bucket resolution, and never exceed any recorded
 //!   sample;
-//! * a disabled recorder records nothing anywhere (counters, stages, spans,
+//! * a disabled recorder records nothing anywhere (stages, spans,
 //!   snapshot);
 //! * span sequences are keyed by *logical* ticks, so the executor emits an
 //!   identical span stream whatever the intra-job thread count — the same
 //!   determinism contract the reconstruction itself honours;
+//! * the stage histograms, the only time ledger, take one sample per chunk
+//!   of exactly the `MemoStats` cases that run the stage;
 //! * every job the runtime admits ends in exactly one terminal span, however
-//!   it ends, and the job counters agree with `RuntimeStats`.
+//!   it ends.
 
-use mlr_core::MlrConfig;
+use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
-use mlr_memo::{MemoConfig, MemoizedExecutor};
+use mlr_memo::{MemoConfig, MemoStats, MemoizedExecutor, ParallelStats};
 use mlr_runtime::{Deadline, JobPhase, ReconJob, Runtime, RuntimeConfig};
-use mlr_telemetry::{
-    CounterId, CounterTable, Histogram, SpanJournal, SpanKind, StageId, StageTable, Telemetry,
-};
+use mlr_telemetry::{Histogram, SpanJournal, SpanKind, StageId, StageTable, Telemetry};
 use rand::Rng;
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,10 +98,6 @@ fn histogram_percentiles_track_a_sorted_reference() {
 fn disabled_recorder_records_nothing() {
     let telemetry = Telemetry::disabled();
     assert!(!telemetry.is_enabled());
-    telemetry.count(CounterId::JobsAdmitted, 5);
-    let mut counters = CounterTable::new();
-    counters.add(CounterId::ChunksCommitted, 9);
-    telemetry.fold_counters(&counters);
     let mut stages = StageTable::new();
     stages.record(StageId::Encode, 1234);
     telemetry.fold_stages(&stages);
@@ -121,8 +117,9 @@ fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
 
 /// Runs a fixed three-iteration batch schedule through a telemetry-enabled
 /// executor at the given intra-job thread count and returns the observed
-/// span stream as `(kind, arg, tick)` triples plus the counter snapshot.
-fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, [u64; mlr_telemetry::COUNTER_COUNT]) {
+/// span stream as `(kind, arg, tick)` triples plus the executor's case and
+/// schedule counts.
+fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, MemoStats, ParallelStats) {
     let n = 256;
     let locations = 12;
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
@@ -155,7 +152,7 @@ fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, [u64; mlr_telemetry:
         .iter()
         .map(|s| (s.kind.name().to_string(), s.arg, s.tick))
         .collect();
-    (spans, snapshot.metrics.counters)
+    (spans, exec.stats(), exec.parallel_stats())
 }
 
 #[test]
@@ -164,11 +161,15 @@ fn span_stream_is_deterministic_across_thread_counts() {
     // batch protocol and stamped with logical ticks, so the full stream —
     // kinds, args and tick values — is bit-identical whether the chunk
     // work inside a batch ran on one thread or four.
-    let (sequential, counters_1t) = span_stream(1);
-    let (parallel, counters_4t) = span_stream(4);
+    let (sequential, memo_1t, schedule_1t) = span_stream(1);
+    let (parallel, memo_4t, schedule_4t) = span_stream(4);
     assert!(!sequential.is_empty());
     assert_eq!(sequential, parallel);
-    assert_eq!(counters_1t, counters_4t);
+    assert_eq!(memo_1t, memo_4t);
+    assert_eq!(
+        (schedule_1t.batches, schedule_1t.chunks),
+        (schedule_4t.batches, schedule_4t.chunks)
+    );
     // The stream has the expected shape: one Iteration span per iteration,
     // one Operator span per batch, in alternating order.
     let kinds: Vec<&str> = sequential.iter().map(|(k, _, _)| k.as_str()).collect();
@@ -183,8 +184,46 @@ fn span_stream_is_deterministic_across_thread_counts() {
             "operator"
         ]
     );
-    assert_eq!(counters_1t[CounterId::OperatorBatches as usize], 3);
-    assert_eq!(counters_1t[CounterId::ChunksCommitted as usize], 36);
+    assert_eq!(schedule_1t.batches, 3);
+    assert_eq!(schedule_1t.chunks, 36);
+}
+
+#[test]
+fn stage_sample_counts_match_the_case_ledger() {
+    // A reconstruction that reaches every case: warm-up and below
+    // break-even (computed), first sightings (prefiltered), misses, db hits
+    // and cache hits.
+    let pipeline = MlrPipeline::new(MlrConfig::quick(12, 8).with_iterations(6));
+    for threads in [1, 4] {
+        let executor = pipeline
+            .memo_executor(pipeline.build_shared_store(1), 0)
+            .with_parallelism(threads, None)
+            .with_telemetry(Telemetry::enabled());
+        let (_, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
+        let cases = executor.stats().total();
+        assert!(
+            cases.computed > 0 && cases.prefiltered > 0 && cases.failed_memo > 0,
+            "{threads} threads: {cases:?}"
+        );
+        assert!(
+            cases.db_hits > 0 && cases.cache_hits > 0,
+            "{threads} threads: {cases:?}"
+        );
+        let snapshot = executor.telemetry().snapshot().expect("telemetry enabled");
+        let samples = |stage| snapshot.metrics.stage(stage).count;
+        assert_eq!(
+            samples(StageId::PayloadCopy),
+            cases.db_hits + cases.cache_hits
+        );
+        assert_eq!(
+            samples(StageId::MissFft),
+            cases.computed + cases.failed_memo + cases.prefiltered
+        );
+        assert_eq!(
+            samples(StageId::Prefilter),
+            cases.failed_memo + cases.db_hits + cases.cache_hits + cases.prefiltered
+        );
+    }
 }
 
 #[test]
@@ -219,6 +258,7 @@ fn every_admitted_job_ends_in_exactly_one_terminal_span() {
     assert!(completed.wait().is_completed());
     assert!(blocker.wait().is_completed());
     let stats = rt.shutdown();
+    assert_eq!((stats.cancelled, stats.expired, stats.completed), (1, 1, 2));
 
     let snapshot = telemetry.snapshot().expect("telemetry enabled");
     assert_eq!(snapshot.spans_dropped, 0, "the journal must hold the run");
@@ -238,9 +278,4 @@ fn every_admitted_job_ends_in_exactly_one_terminal_span() {
             .collect();
         assert_eq!(terminal.len(), 1, "job {id} ended in {terminal:?}");
     }
-    let counter = |id| snapshot.metrics.counter(id);
-    assert_eq!(counter(CounterId::JobsCancelled), stats.cancelled);
-    assert_eq!(counter(CounterId::JobsExpired), stats.expired);
-    assert_eq!(counter(CounterId::JobsCompleted), stats.completed);
-    assert_eq!((stats.cancelled, stats.expired, stats.completed), (1, 1, 2));
 }
