@@ -18,9 +18,8 @@
 //! The counters are **per thread**: a region measures what the thread that
 //! opened it allocated, so sibling tests allocating concurrently under
 //! `cargo test`'s parallel runner (or any other thread of the process)
-//! cannot leak into it. The measured windows run their chunk work on the
-//! calling thread (one chunk thread), which is what makes that the right
-//! scope. Counting is two thread-local `Cell` bumps per `alloc`/`realloc` —
+//! cannot leak into it. The memo engine runs a batch's hit path on the
+//! calling thread, which is what makes that the right scope. Counting is two thread-local `Cell` bumps per `alloc`/`realloc` —
 //! cheap enough to leave on for the timing columns too (it perturbs hit and
 //! miss paths equally).
 

@@ -20,7 +20,6 @@
 //! | `table1_accuracy` | Table 1 — reconstruction accuracy vs τ |
 //! | `fig18_multi_job` | beyond the paper — multi-job runtime, shared vs isolated stores |
 //! | `fig19_eviction` | beyond the paper — what a capacity budget costs in cross-job hit rate |
-//! | `fig20_intra_job` | beyond the paper — intra-job chunk parallelism: threads × chunk size, speedup + hit parity |
 //! | `fig21_serving` | beyond the paper — deadline-aware serving: load × deadline tightness vs miss rate, cancellation guarantees |
 //! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the engine's break-even gate to the measurement (`gate_agrees_with_measurement`) |
 //! | `fig23_observability` | beyond the paper — telemetry overhead: disabled vs enabled hit ns/chunk, enabled-mode allocation envelope, export round-trip |
@@ -28,8 +27,8 @@
 //! | `check_bench` | CI regression gate over the `BENCH_*.json` records (see `ci/bench_baseline.json`) |
 //!
 //! Run any of them with `cargo run --release -p mlr-bench --bin <name> [-- --scale tiny|small|paper]`.
-//! `fig18_multi_job`, `fig19_eviction`, `fig20_intra_job`, `fig21_serving`,
-//! `fig22_hotpath`, `fig23_observability` and `fig24_cluster` additionally accept `--smoke`, the
+//! `fig18_multi_job`, `fig19_eviction`, `fig21_serving`, `fig22_hotpath`,
+//! `fig23_observability` and `fig24_cluster` additionally accept `--smoke`, the
 //! reduced-size mode CI's bench-smoke job runs; `fig22_hotpath` also accepts
 //! `--sweep` (CI passes it) to embed the chunk-size sweep in
 //! `BENCH_hotpath.json`. Each prints a human-readable

@@ -1,5 +1,11 @@
-//! Fixture: ad-hoc thread spawn outside the governor pools (rule `thread-spawn`).
-
+//! Fixture: ad-hoc threads outside the runtime's worker pool and the rayon
+//! shim (rule `thread-spawn`).
 pub fn fire_and_forget() {
     std::thread::spawn(|| {});
+}
+
+pub fn scoped_fork() {
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+    });
 }

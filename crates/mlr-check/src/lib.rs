@@ -3,8 +3,9 @@
 //! mLR's correctness contract rests on invariants the compiler cannot see:
 //! memoization and eviction decisions must be driven by **logical ticks**,
 //! never wall-clock reads; every lock must go through the instrumented
-//! `parking_lot` shim (so the `lockcheck` sanitizer sees it); threads belong
-//! to governor-managed pools, not ad-hoc spawns; library code surfaces typed
+//! `parking_lot` shim (so the `lockcheck` sanitizer sees it); threads come
+//! from the runtime's worker pool and kernels fork through the rayon shim,
+//! never through ad-hoc spawns or scopes; library code surfaces typed
 //! errors instead of panicking on `unwrap()`. Each of these is pinned by
 //! example-based tests, but nothing stops a new call site from quietly
 //! reintroducing `Instant::now()` into a decision path — until this linter.
@@ -50,8 +51,10 @@ pub enum RuleId {
     /// `std::sync::{Mutex, RwLock, Condvar}` outside `shims/`: locks must go
     /// through the instrumented `parking_lot` shim so `lockcheck` sees them.
     StdSyncLock,
-    /// `thread::spawn` / `thread::Builder` outside governor-managed pools:
-    /// ad-hoc threads bypass the `ConcurrencyGovernor`'s core budget.
+    /// `thread::spawn` / `thread::Builder` / `thread::scope` in library
+    /// code: threads come from the runtime's worker pool, and kernels fork
+    /// through the rayon shim, so the fork structure stays the one
+    /// `mlr_lamino::kernel_threads_spawned` counts.
     ThreadSpawn,
     /// `.unwrap()` / `.expect(` in non-test library code: failures must
     /// surface as typed errors, not panics inside a worker.
@@ -526,7 +529,9 @@ pub fn scan_source(file: &str, text: &str, rules: RuleSet) -> Vec<Finding> {
             push(RuleId::StdSyncLock, idx, raw);
         }
         if rules.thread_spawn
-            && (masked.contains("thread::spawn") || masked.contains("thread::Builder"))
+            && ["thread::spawn", "thread::Builder", "thread::scope"]
+                .iter()
+                .any(|t| masked.contains(t))
         {
             push(RuleId::ThreadSpawn, idx, raw);
         }
@@ -661,7 +666,10 @@ mod tests {
     fn thread_spawn_fixture_flags_rule_and_line() {
         let text = include_str!("../fixtures/thread_spawn.rs");
         let found = scan_source("fixtures/thread_spawn.rs", text, RuleSet::all());
-        assert_eq!(violations(&found), vec![(RuleId::ThreadSpawn, 4)]);
+        assert_eq!(
+            violations(&found),
+            vec![(RuleId::ThreadSpawn, 4), (RuleId::ThreadSpawn, 8)]
+        );
     }
 
     #[test]

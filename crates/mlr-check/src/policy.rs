@@ -12,7 +12,7 @@
 //!   fact required — to use `std::sync` inside).
 //! * `src/bin/` harness binaries drop the wall-clock and unwrap rules: a
 //!   benchmark main measures wall time and asserts on its own output by
-//!   design. Library rules (shim locks, governed threads) still apply.
+//!   design. Library rules (shim locks, pooled threads) still apply.
 //! * the `fault-wall-clock` rule is always on, everywhere: a file that
 //!   consumes `FaultPlan` may not read the wall clock even
 //!   where the general wall-clock rule is relaxed — fault schedules must
@@ -29,7 +29,8 @@ pub struct CratePolicy {
     pub wall_clock: bool,
     /// Forbid `std::sync::{Mutex, RwLock, Condvar}`.
     pub std_sync_lock: bool,
-    /// Forbid `thread::spawn` / `thread::Builder` (waivable per site).
+    /// Forbid `thread::spawn` / `thread::Builder` / `thread::scope`
+    /// (waivable per site).
     pub thread_spawn: bool,
     /// Forbid `.unwrap()` / `.expect(` in non-test code (waivable per site).
     pub unwrap_expect: bool,

@@ -93,12 +93,6 @@ pub struct MlrConfig {
     pub memo: MemoConfig,
     /// Chunk size (slabs per chunk) for the FFT stages.
     pub chunk_size: usize,
-    /// Chunk-level threads used *inside* this job's FFT stages (1 =
-    /// sequential, the default). The memoized executor's two-phase schedule
-    /// keeps the reconstruction bit-identical for every value; through the
-    /// runtime, threads beyond the first are leased from the global
-    /// concurrency governor so jobs × threads never oversubscribe the pool.
-    pub intra_job_threads: usize,
 }
 
 impl MlrConfig {
@@ -120,7 +114,6 @@ impl MlrConfig {
                 ..Default::default()
             },
             chunk_size: 8,
-            intra_job_threads: 1,
         }
     }
 
@@ -146,14 +139,6 @@ impl MlrConfig {
     /// Enables or disables memoization entirely.
     pub fn with_memoization(mut self, enabled: bool) -> Self {
         self.memo.enabled = enabled;
-        self
-    }
-
-    /// Sets the chunk-level thread count for this job's FFT stages
-    /// (clamped to ≥ 1). Determinism contract: the reconstruction is
-    /// bit-identical for every value.
-    pub fn with_intra_job_threads(mut self, threads: usize) -> Self {
-        self.intra_job_threads = threads.max(1);
         self
     }
 
@@ -198,13 +183,5 @@ mod tests {
         assert_eq!(c.memo.budget.max_bytes, Some(1 << 20));
         assert_eq!(c.memo.db_config().budget, c.memo.budget);
         assert!(c.memo.budget.is_bounded());
-    }
-
-    #[test]
-    fn intra_job_threads_builder_clamps_to_one() {
-        let c = MlrConfig::quick(16, 8);
-        assert_eq!(c.intra_job_threads, 1);
-        assert_eq!(c.with_intra_job_threads(4).intra_job_threads, 4);
-        assert_eq!(c.with_intra_job_threads(0).intra_job_threads, 1);
     }
 }

@@ -137,24 +137,20 @@ impl MlrPipeline {
 
     /// Runs the memoized (mLR) reconstruction over a private one-shard
     /// store; returns the result and the executor holding all memoization
-    /// statistics. Chunk-level parallelism follows
-    /// `config.intra_job_threads` (no governor: a standalone run owns the
-    /// whole machine).
+    /// statistics.
     pub fn run_memoized(&self) -> (AdmmResult, MemoizedExecutor) {
         let executor = self.memo_executor(self.build_shared_store(1), 0);
         self.run_with_executor(executor, &CancelToken::new())
     }
 
     /// An executor for this pipeline over an injected (typically shared)
-    /// memo store on behalf of job `job`: `config.memo` and
-    /// `config.intra_job_threads` applied, nothing else. With a store shared
-    /// between pipelines, FFT results memoized by one reconstruction are
-    /// reused by the others. Chain the executor's own builders for a
-    /// governor (`with_parallelism`), telemetry or schedule perturbation —
-    /// none of them changes the reconstruction.
+    /// memo store on behalf of job `job`: `config.memo` applied, nothing
+    /// else. With a store shared between pipelines, FFT results memoized by
+    /// one reconstruction are reused by the others. Chain
+    /// `with_telemetry` for a recorder; it does not change the
+    /// reconstruction.
     pub fn memo_executor(&self, store: Arc<dyn MemoStore>, job: JobId) -> MemoizedExecutor {
         MemoizedExecutor::with_store(self.config.memo, store, job)
-            .with_parallelism(self.config.intra_job_threads, None)
     }
 
     /// Runs the memoized reconstruction through a caller-built executor —

@@ -6,8 +6,8 @@
 //! chunk would churn the allocator on every miss.
 //!
 //! The pool is a plain mutex-guarded free list. Concurrent callers (the
-//! worker threads the `ConcurrencyGovernor` grants to a batch, or rayon's
-//! plane-level fan-out) each pop their own buffer, so a pool's resident size
+//! runtime's workers, or the plane loop's fan-out through the rayon shim)
+//! each pop their own buffer, so a pool's resident size
 //! converges to the peak number of leases that were ever out at once — never
 //! one buffer per chunk. That bound only means something if the pool is
 //! shared by everything that leases from it in turn, so ownership follows

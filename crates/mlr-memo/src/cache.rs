@@ -21,7 +21,7 @@ use crate::db::tau_gate;
 use mlr_lamino::FftOpKind;
 use mlr_math::{Complex32, Complex64};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Which cache organisation to use.
@@ -83,24 +83,21 @@ pub struct MemoCache {
     kind_is_global: bool,
     /// Private organisation: one entry per (op, location).
     private: HashMap<(FftOpKind, usize), CacheEntry>,
-    /// Global organisation: a flat pool (capacity bounded to the number of
-    /// distinct (op, location) pairs seen, mirroring the paper's "overall
-    /// cache size equal to the original output size").
+    /// Global organisation: a flat pool, bounded to the number of distinct
+    /// (op, location) pairs inserted so far — the paper's "overall cache
+    /// size equal to the original output size", the size of the private
+    /// organisation over the same inserts.
     global: Vec<CacheEntry>,
-    global_capacity: usize,
+    global_pairs: HashSet<(FftOpKind, usize)>,
     stats: CacheStats,
 }
 
 impl MemoCache {
-    /// Creates a cache of the given kind. `global_capacity` bounds the pool
-    /// size for the global organisation (ignored for the private one).
-    pub fn new(kind: CacheKind, global_capacity: usize) -> Self {
+    /// Creates an empty cache of the given kind.
+    pub fn new(kind: CacheKind) -> Self {
         Self {
             kind_is_global: kind == CacheKind::Global,
-            private: HashMap::new(),
-            global: Vec::new(),
-            global_capacity: global_capacity.max(1),
-            stats: CacheStats::default(),
+            ..Self::default()
         }
     }
 
@@ -130,12 +127,11 @@ impl MemoCache {
         found
     }
 
-    /// Read-only lookup for the parallel phase of the executor: *no*
-    /// statistics side effects, so many chunks can peek concurrently under a
-    /// shared lock. Returns the value
-    /// (if any) and the number of similarity comparisons performed; the
-    /// caller folds both into the statistics during its ordered commit via
-    /// [`MemoCache::note_lookup`].
+    /// Read-only lookup for phase 1 of the executor: *no* statistics side
+    /// effects, so a whole batch peeks the cache as it was at dispatch.
+    /// Returns the value (if any) and the number of similarity comparisons
+    /// performed; the caller folds both into the statistics during its
+    /// ordered commit via [`MemoCache::note_lookup`].
     pub fn peek(
         &self,
         op: FftOpKind,
@@ -196,7 +192,8 @@ impl MemoCache {
             iteration,
         };
         if self.kind_is_global {
-            if self.global.len() >= self.global_capacity {
+            self.global_pairs.insert((op, loc));
+            if self.global.len() >= self.global_pairs.len() {
                 // FIFO: drop the oldest entry.
                 self.global.remove(0);
             }
@@ -281,7 +278,7 @@ mod tests {
 
     #[test]
     fn private_cache_hit_and_miss() {
-        let mut c = MemoCache::new(CacheKind::Private, 0);
+        let mut c = MemoCache::new(CacheKind::Private);
         assert!(c.lookup(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1).is_none());
         c.insert(FftOpKind::Fu2D, 3, stored(&input(1.0)), value(4), 0);
         // Same chunk: similarity 1 > tau.
@@ -305,7 +302,7 @@ mod tests {
         // cached in the current iteration is invisible either way.
         let tau = 0.92;
         let base = input(1.0);
-        let mut c = MemoCache::new(CacheKind::Private, 0);
+        let mut c = MemoCache::new(CacheKind::Private);
         c.insert(FftOpKind::Fu2D, 0, stored(&base), value(4), 4);
         let mut served = [0, 0];
         for step in 0..40 {
@@ -325,7 +322,7 @@ mod tests {
 
     #[test]
     fn private_cache_is_single_entry_fifo() {
-        let mut c = MemoCache::new(CacheKind::Private, 0);
+        let mut c = MemoCache::new(CacheKind::Private);
         c.insert(FftOpKind::Fu1D, 0, stored(&input(1.0)), value(2), 0);
         c.insert(FftOpKind::Fu1D, 0, stored(&orthogonal()), value(3), 0);
         assert_eq!(c.len(), 1);
@@ -338,7 +335,7 @@ mod tests {
 
     #[test]
     fn global_cache_shares_across_locations() {
-        let mut c = MemoCache::new(CacheKind::Global, 64);
+        let mut c = MemoCache::new(CacheKind::Global);
         c.insert(FftOpKind::Fu2D, 0, stored(&input(1.0)), value(2), 0);
         // A lookup at a *different* location can still hit...
         assert!(c.lookup(FftOpKind::Fu2D, 9, &input(1.0), 0.9, 1).is_some());
@@ -350,8 +347,8 @@ mod tests {
     #[test]
     fn global_cache_costs_more_comparisons() {
         let locations = 16usize;
-        let mut private = MemoCache::new(CacheKind::Private, 0);
-        let mut global = MemoCache::new(CacheKind::Global, locations);
+        let mut private = MemoCache::new(CacheKind::Private);
+        let mut global = MemoCache::new(CacheKind::Global);
         for loc in 0..locations {
             let raw = stored(&input(loc as f64 + 1.0));
             private.insert(FftOpKind::Fu2D, loc, raw.clone(), value(2), 0);
@@ -369,17 +366,33 @@ mod tests {
 
     #[test]
     fn global_cache_respects_capacity() {
-        let mut c = MemoCache::new(CacheKind::Global, 4);
-        for i in 0..10 {
-            let raw = stored(&input(i as f64 + 1.0));
-            c.insert(FftOpKind::Fu1D, i, raw, value(1), 0);
+        // The pool holds at most one entry per distinct (op, location) pair
+        // it has been given, however often a pair is refilled.
+        let mut c = MemoCache::new(CacheKind::Global);
+        let mut pairs = HashSet::new();
+        for i in 0..24usize {
+            let (op, loc) = if i % 3 == 0 {
+                (FftOpKind::Fu2DAdj, i % 2)
+            } else {
+                (FftOpKind::Fu2D, i % 5)
+            };
+            pairs.insert((op, loc));
+            c.insert(op, loc, stored(&input(i as f64 + 1.0)), value(1), 0);
+            assert!(c.len() <= pairs.len(), "insert {i}");
         }
-        assert_eq!(c.len(), 4);
+        assert_eq!((pairs.len(), c.len()), (7, 7));
+        // The oldest entry went first: input(1.0) was inserted at i = 0.
+        assert!(c
+            .lookup(FftOpKind::Fu2DAdj, 0, &input(1.0), 0.999, 1)
+            .is_none());
+        assert!(c
+            .lookup(FftOpKind::Fu2D, 0, &input(24.0), 0.999, 1)
+            .is_some());
     }
 
     #[test]
     fn peek_matches_lookup_without_stats_side_effects() {
-        let mut c = MemoCache::new(CacheKind::Private, 0);
+        let mut c = MemoCache::new(CacheKind::Private);
         c.insert(FftOpKind::Fu2D, 3, stored(&input(1.0)), value(4), 0);
         // Peek agrees with lookup on hit/miss but leaves the stats alone.
         let (hit, comparisons) = c.peek(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1);
@@ -400,7 +413,7 @@ mod tests {
 
     #[test]
     fn stats_and_bytes() {
-        let mut c = MemoCache::new(CacheKind::Private, 0);
+        let mut c = MemoCache::new(CacheKind::Private);
         c.insert(FftOpKind::Fu2D, 1, stored(&input(1.0)), value(8), 0);
         let _ = c.lookup(FftOpKind::Fu2D, 1, &input(1.0), 0.5, 1);
         let _ = c.lookup(FftOpKind::Fu2D, 2, &input(1.0), 0.5, 1);

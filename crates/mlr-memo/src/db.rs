@@ -261,10 +261,9 @@ impl MemoDatabase {
     /// Replays the bookkeeping of a hit discovered by [`Self::probe`]: the
     /// hit claims its logical tick and refreshes the reuse metadata the
     /// replacement rule ranks by. Runs during the batch's ordered commit,
-    /// so ticks are claimed in chunk-index order — identical for every
-    /// thread count. The refresh is skipped if the entry no longer exists
-    /// (an earlier commit of the same batch may have evicted it); that skip
-    /// is itself deterministic.
+    /// so ticks are claimed in chunk-index order. The refresh is skipped if
+    /// the entry no longer exists (an earlier commit of the same batch may
+    /// have evicted it); that skip is itself deterministic.
     pub(crate) fn commit_hit(&mut self, entry: u64, entry_origin: Provenance, origin: Provenance) {
         self.clock.next_tick();
         if let Some(record) = self.entries.get_mut(&entry) {

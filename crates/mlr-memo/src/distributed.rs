@@ -465,7 +465,7 @@ impl MemoStore for DistributedMemoDb {
         };
         // The owner is down at the (frozen) probe tick. Stat counters here
         // are atomics over an interleaving-independent access set, so the
-        // totals stay deterministic across thread counts.
+        // totals do not depend on how concurrent jobs' probes interleave.
         match outcome {
             ProbeOutcome::Hit { entry, .. }
                 if self.replicas.read().members.contains_key(&entry) =>

@@ -49,7 +49,6 @@ use crate::db::MemoDbConfig;
 use crate::encoder::EncoderConfig;
 use crate::eviction::{memoization_pays, recompute_cost_estimate, CapacityBudget};
 use crate::fingerprint::ChunkFingerprint;
-use crate::parallel::{ConcurrencyGovernor, ParallelStats};
 use crate::sharded::ShardedMemoDb;
 use crate::stats::{MemoCase, MemoStats};
 use crate::store::{JobId, MemoStore, ProbeOutcome, Provenance};
@@ -59,6 +58,7 @@ use mlr_math::{Complex32, Complex64};
 use mlr_telemetry::{SpanKind, StageId, StageTable, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,21 +78,6 @@ fn stage_clock(enabled: bool) -> Option<Instant> {
 #[inline]
 fn stage_ns(start: Option<Instant>) -> u64 {
     start.map_or(0, |s| s.elapsed().as_nanos() as u64)
-}
-
-/// Deterministic yield storm for the schedule-perturbation checker: a
-/// splitmix-style hash of `(seed, block, phase)` picks 0–96 scheduler
-/// yields, so different seeds force different relative block start
-/// (`phase = 0`) and completion (`phase = 1`) orderings without touching
-/// what any block computes.
-fn stagger(seed: u64, block: u64, phase: u64) {
-    let mut h = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ phase.wrapping_shl(32);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    for _ in 0..(h % 97) {
-        std::thread::yield_now();
-    }
 }
 
 /// Executor configuration.
@@ -147,9 +132,9 @@ impl MemoConfig {
 
 /// Per-executor mutable state behind one lock: the statistics are private
 /// to one job and only touched during the *ordered commit* phase, so a
-/// single mutex suffices without ever serializing chunk compute. The
-/// compute-node cache lives outside this lock, behind a read-write lock,
-/// because the parallel phase peeks it concurrently. The memoization database itself lives behind the
+/// single mutex suffices and is never held while a chunk computes. The
+/// compute-node cache lives outside this lock, behind a read-write lock:
+/// phase 1 only peeks it. The memoization database itself lives behind the
 /// [`MemoStore`] seam, so several executors can share one store
 /// concurrently.
 struct EngineState {
@@ -157,7 +142,6 @@ struct EngineState {
     /// memcpy under the lock.
     stats: MemoStats,
     iteration: usize,
-    parallel: ParallelStats,
 }
 
 /// What the ordered commit hands a chunk's output slot (see the module
@@ -192,7 +176,7 @@ impl Emit<'_> {
     }
 }
 
-/// Per-chunk result of the parallel phase, carried into the ordered commit.
+/// Per-chunk result of phase 1, carried into the ordered commit.
 enum ProbeCase {
     /// A stored value is reused (a shared buffer, never a copy — the commit
     /// widens it straight into the output slice): the compute-node cache
@@ -202,7 +186,7 @@ enum ProbeCase {
         value: Arc<[Complex32]>,
         db: Option<DbHit>,
     },
-    /// The exact transform was computed in parallel. `case` says why:
+    /// The exact transform was computed in phase 1. `case` says why:
     /// [`MemoCase::FailedMemo`] when cache, key and database found nothing
     /// reusable (the commit inserts the result); otherwise no key was
     /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
@@ -225,11 +209,11 @@ struct DbHit {
     raw: (f64, Arc<[Complex32]>),
 }
 
-/// What the parallel phase produces for one chunk beside its [`ProbeCase`]:
-/// its key (if the chunk got as far as the database), the
-/// compute-node-cache accounting to replay, and its stage timings (folded
-/// into the recorder during the ordered commit — never under the state
-/// lock while computing).
+/// What phase 1 produces for one chunk beside its [`ProbeCase`]: its key
+/// (if the chunk got as far as the database), the compute-node-cache
+/// accounting to replay, and its stage timings (folded into the recorder
+/// during the ordered commit — never under the state lock while
+/// computing).
 #[derive(Default)]
 struct ChunkTrail {
     /// Empty unless the database was probed.
@@ -247,7 +231,7 @@ struct ChunkTrail {
 }
 
 /// What one dispatch — an operator batch, or `execute`'s single chunk —
-/// fixes before its parallel phase, read by both phases.
+/// fixes before its phase 1, read by both phases.
 struct Dispatch {
     iteration: usize,
     /// Memoization is enabled and warm-up is over. Each chunk still has to
@@ -270,26 +254,14 @@ pub struct MemoizedExecutor {
     /// and account cross-job hits.
     job: JobId,
     store: Arc<dyn MemoStore>,
-    /// Compute-node cache: peeked (read) concurrently by the parallel phase,
-    /// written only during the ordered commit.
+    /// Compute-node cache: peeked (read) by phase 1, written only during
+    /// the ordered commit.
     cache: RwLock<MemoCache>,
     state: Mutex<EngineState>,
-    /// Chunk-level threads this job may use per batch (≥ 1; 1 = sequential).
-    threads: usize,
-    /// Global arbiter of spare cores, shared with every other job of a
-    /// runtime; `None` for standalone executors (full allowance).
-    governor: Option<Arc<ConcurrencyGovernor>>,
     /// Telemetry recorder (disabled by default). Stage timers and span
     /// emission are gated on `telemetry.is_enabled()` captured once per
     /// batch, so the disabled form adds one branch per batch, not per chunk.
     telemetry: Telemetry,
-    /// Seed of the schedule-perturbation checker (`None` = off): when set,
-    /// every parallel-phase worker runs a deterministic yield storm derived
-    /// from `(seed, block index)` before and after its block, forcing
-    /// adversarial block start/completion orderings. The two-phase schedule
-    /// must keep the commit bit-identical under every seed — the
-    /// determinism harness sweeps this.
-    perturb_seed: Option<u64>,
 }
 
 impl MemoizedExecutor {
@@ -311,55 +283,31 @@ impl MemoizedExecutor {
     /// runtime: several executors built over one `Arc<ShardedMemoDb>` reuse
     /// each other's entries.
     pub fn with_store(config: MemoConfig, store: Arc<dyn MemoStore>, job: JobId) -> Self {
-        let cache_capacity = 4096;
         Self {
             config,
             job,
             store,
-            cache: RwLock::new(MemoCache::new(config.cache_kind, cache_capacity)),
+            cache: RwLock::new(MemoCache::new(config.cache_kind)),
             state: Mutex::new(EngineState {
                 stats: MemoStats::new(),
                 iteration: 0,
-                parallel: ParallelStats::default(),
             }),
-            threads: 1,
-            governor: None,
             telemetry: Telemetry::disabled(),
-            perturb_seed: None,
         }
     }
 
-    /// Configures the deterministic intra-job chunk parallelism: batches
-    /// dispatched through [`FftExecutor::execute_batch_into`] run their parallel
-    /// phase on up to `threads` threads (clamped to ≥ 1), leasing every
-    /// thread beyond the first from `governor` when one is given (the
-    /// runtime's shared core arbiter). Thread count never affects the
-    /// reconstruction — only wall time.
-    pub fn with_parallelism(
-        mut self,
-        threads: usize,
-        governor: Option<Arc<ConcurrencyGovernor>>,
-    ) -> Self {
-        self.threads = threads.max(1);
-        self.governor = governor;
-        self
-    }
-
-    /// Arms the schedule-perturbation determinism checker: parallel-phase
-    /// workers stagger their block start and completion with deterministic
-    /// yield storms derived from `(seed, block index)`. This only reshuffles
-    /// *when* blocks run relative to each other — never what they compute —
-    /// so the reconstruction must stay bit-identical for every seed; any
-    /// divergence means the read-only phase leaked schedule-dependent state.
-    pub fn with_schedule_perturbation(mut self, seed: u64) -> Self {
-        self.perturb_seed = Some(seed);
+    /// `self`, unchanged: every batch runs on the calling thread, and the
+    /// only fork inside a job is the operators' plane loop. Exists for
+    /// `examples/benchmark`'s frozen call shape (nothing else may call it);
+    /// a `[benchmark]` PR removes it.
+    pub fn with_parallelism(self, _threads: usize, _governor: Option<Infallible>) -> Self {
         self
     }
 
     /// Attaches a telemetry recorder: per-iteration and per-batch lifecycle
     /// spans and hit-path stage histograms (prefilter / cache-peek / encode
     /// / probe / payload-copy / miss-FFT / insert). Chunk counts stay in
-    /// [`Self::stats`] and [`Self::parallel_stats`]. The default is
+    /// [`Self::stats`]; a batch is one `Operator` span. The default is
     /// [`Telemetry::disabled`], which records nothing and reads no clock.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -400,11 +348,6 @@ impl MemoizedExecutor {
         self.state.lock().stats
     }
 
-    /// Snapshot of the intra-job parallel-scheduling statistics.
-    pub fn parallel_stats(&self) -> ParallelStats {
-        self.state.lock().parallel
-    }
-
     /// Snapshot of the compute-node cache statistics.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.read().stats()
@@ -420,63 +363,7 @@ impl MemoizedExecutor {
         self.store.value_bytes()
     }
 
-    /// Runs `f` over `0..n` across the configured chunk threads (leasing
-    /// extras from the governor, best-effort) and returns the results in
-    /// index order plus the `(requested, used)` thread counts. Each worker
-    /// gets one contiguous index block; since `f` is pure with respect to
-    /// the commit-ordered state, the concatenated output is identical for
-    /// every thread count.
-    fn map_chunk_blocks<T: Send>(
-        &self,
-        n: usize,
-        f: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-    ) -> (Vec<T>, usize, usize) {
-        let requested = self.threads.min(n).max(1);
-        let lease = self
-            .governor
-            .as_ref()
-            .map(|g| g.acquire(requested.saturating_sub(1)));
-        let used = 1 + lease
-            .as_ref()
-            .map_or(requested.saturating_sub(1), |l| l.granted());
-        let out = if used <= 1 || n <= 1 {
-            f(0..n)
-        } else {
-            let workers = used.min(n);
-            let block = n.div_ceil(workers);
-            let perturb = self.perturb_seed;
-            let mut blocks: Vec<Vec<T>> = Vec::with_capacity(workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let f = &f;
-                        s.spawn(move || {
-                            if let Some(seed) = perturb {
-                                stagger(seed, w as u64, 0);
-                            }
-                            let start = w * block;
-                            let end = ((w + 1) * block).min(n);
-                            let out = f(start..end);
-                            if let Some(seed) = perturb {
-                                stagger(seed, w as u64, 1);
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(block) => blocks.push(block),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-            });
-            blocks.into_iter().flatten().collect()
-        };
-        (out, requested, used)
-    }
-
-    /// Freezes what a dispatch needs before its parallel phase.
+    /// Freezes what a dispatch needs before its phase 1.
     fn dispatch(&self) -> Dispatch {
         let iteration = self.state.lock().iteration;
         let memoize = self.config.enabled && iteration >= self.config.warmup_iterations;
@@ -491,16 +378,16 @@ impl MemoizedExecutor {
         }
     }
 
-    /// **Phase 1 (parallel)** for one chunk of a dispatch: above break-even
-    /// it takes its fingerprint, peeks the compute-node cache (read-only),
-    /// and — on a cache miss — sketches its key, probes the database
-    /// (read-only) and, finding nothing, computes the exact transform; a
-    /// chunk below break-even only computes. All of this runs against the
-    /// store/cache state *frozen at the start of the application*, so the
-    /// phase is order-independent. Inserts from this application only
-    /// become visible at the next one, which loses nothing: the provenance
-    /// freshness gate already makes same-job entries of the current
-    /// iteration ineligible.
+    /// **Phase 1** for one chunk of a dispatch: above break-even it takes
+    /// its fingerprint, peeks the compute-node cache (read-only), and — on a
+    /// cache miss — sketches its key, probes the database (read-only) and,
+    /// finding nothing, computes the exact transform; a chunk below
+    /// break-even only computes. Every chunk of a dispatch runs this before
+    /// any of them commits, so all probe the store, cache and doorkeeper
+    /// state *frozen at the start of the application*. Inserts from this
+    /// application only become visible at the next one, which loses
+    /// nothing: the provenance freshness gate already makes same-job
+    /// entries of the current iteration ineligible.
     fn probe_chunk<F>(
         &self,
         kind: FftOpKind,
@@ -580,16 +467,15 @@ impl MemoizedExecutor {
     /// effect of the `scratch` a dispatch's phase 1 produced — statistics,
     /// cache updates, store hit/miss bookkeeping (logical ticks!) and
     /// inserts with their eviction enforcement — and hand each chunk's
-    /// result to `emit`. Commit order
-    /// never depends on the thread schedule, so the reconstruction (and the
-    /// eviction trace) is bit-identical for every `intra_job_threads`.
+    /// result to `emit`. A chunk's ticks and evictions land in commit order,
+    /// after the whole batch has probed, so a hit found in phase 1 stays a
+    /// hit even if an earlier chunk's insert evicts its entry.
     fn commit<'a, F>(
         &self,
         kind: FftOpKind,
         d: &Dispatch,
         task: &impl Fn(usize) -> Task<'a, F>,
         scratch: Vec<(ProbeCase, ChunkTrail)>,
-        threads: (usize, usize),
         mut emit: impl FnMut(usize, Emit<'_>),
     ) where
         F: ?Sized + 'a,
@@ -707,11 +593,6 @@ impl MemoizedExecutor {
                 }
             }
         }
-        let p = &mut state.parallel;
-        p.batches += 1;
-        p.chunks += n as u64;
-        p.threads_requested += threads.0 as u64;
-        p.threads_granted += threads.1 as u64;
         if tel_on {
             drop(state);
             self.telemetry.fold_stages(&stage_scratch);
@@ -725,9 +606,7 @@ impl FftExecutor for MemoizedExecutor {
         MemoizedExecutor::begin_iteration(self, iteration);
     }
 
-    /// The batch path applied to one chunk. `compute` is not `Sync`, so both
-    /// phases run on the calling thread instead of through the chunk
-    /// threads.
+    /// The batch path applied to one chunk.
     fn execute(
         &self,
         kind: FftOpKind,
@@ -739,16 +618,16 @@ impl FftExecutor for MemoizedExecutor {
         let task = |_| (loc, input, compute);
         let scratch = vec![self.probe_chunk(kind, &d, task(0))];
         let mut out = Vec::new();
-        self.commit(kind, &d, &task, scratch, (1, 1), |_, v| {
+        self.commit(kind, &d, &task, scratch, |_, v| {
             out.resize(v.len(), Complex64::ZERO);
             v.write_into(&mut out)
         });
         out
     }
 
-    /// The deterministic two-phase chunk-parallel schedule: phase 1
-    /// (`probe_chunk`) over contiguous blocks on the chunk threads, then one
-    /// phase 2 (`commit`) in chunk-index order.
+    /// The two-phase schedule, on the calling thread: phase 1
+    /// (`probe_chunk`) over the whole batch, then phase 2 (`commit`) in
+    /// chunk-index order.
     fn execute_batch_into(
         &self,
         kind: FftOpKind,
@@ -761,12 +640,10 @@ impl FftExecutor for MemoizedExecutor {
         }
         let d = self.dispatch();
         let task = |i: usize| (batch[i].loc, batch[i].input, batch[i].compute);
-        let (scratch, requested, used) = self.map_chunk_blocks(batch.len(), |range| {
-            range.map(|i| self.probe_chunk(kind, &d, task(i))).collect()
-        });
-        self.commit(kind, &d, &task, scratch, (requested, used), |i, v| {
-            v.write_into(outputs[i])
-        });
+        let scratch = (0..batch.len())
+            .map(|i| self.probe_chunk(kind, &d, task(i)))
+            .collect();
+        self.commit(kind, &d, &task, scratch, |i, v| v.write_into(outputs[i]));
     }
 }
 
@@ -1025,6 +902,55 @@ mod tests {
         );
         assert_eq!(sa.prefiltered, sb.prefiltered);
         assert!(sa.db_hits + sa.cache_hits > 0, "trace never hit — vacuous");
+    }
+
+    #[test]
+    fn a_batch_probes_the_store_as_it_was_at_dispatch() {
+        // One-entry store. Iteration 0 primes both doorkeepers, iteration 1
+        // inserts E1 (location 1). In iteration 2, chunk 0's miss inserts
+        // E0, which evicts E1 at commit; chunk 1 probed E1 before any chunk
+        // committed, so it is still a db hit serving E1's bits, and
+        // `commit_hit` skips the refresh of the evicted entry. Probing and
+        // committing chunk by chunk would make chunk 1 a failed memo.
+        let exec = MemoizedExecutor::private(MemoConfig {
+            budget: CapacityBudget::entries(1),
+            ..test_config()
+        });
+        let (x0, x1) = (chunk(300, 128), chunk(301, 128));
+        let run = |it: usize, chunks: &[(usize, &[Complex64])], scale: f64| {
+            exec.begin_iteration(it);
+            let compute = |x: &[Complex64]| -> Vec<Complex64> {
+                fake_fft(x).iter().map(|z| z.scale(scale)).collect()
+            };
+            let batch: Vec<ChunkRequest<'_>> = chunks
+                .iter()
+                .map(|&(loc, input)| ChunkRequest {
+                    loc,
+                    input,
+                    compute: &compute,
+                })
+                .collect();
+            let mut outputs = vec![vec![Complex64::ZERO; 128]; chunks.len()];
+            let mut slots: Vec<&mut [Complex64]> =
+                outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
+            exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
+            outputs
+        };
+        run(0, &[(0, &x0), (1, &x1)], 1.0);
+        let e1 = run(1, &[(1, &x1)], 1.0).remove(0);
+        let failed = exec.stats().op(FftOpKind::Fu2D).failed_memo;
+        assert_eq!((failed, exec.db_len()), (1, 1));
+        // A recompute in iteration 2 would emit twice E1's value.
+        let third = run(2, &[(0, &x0), (1, &x1)], 2.0);
+        assert_eq!(third[1], e1, "chunk 1 did not serve E1's bits");
+        let stats = exec.stats().op(FftOpKind::Fu2D);
+        assert_eq!(
+            (stats.prefiltered, stats.failed_memo, stats.db_hits),
+            (2, 2, 1),
+            "{stats:?}"
+        );
+        let store = exec.store().stats();
+        assert_eq!((store.evictions, store.entries, store.hits), (1, 1, 1));
     }
 
     #[test]

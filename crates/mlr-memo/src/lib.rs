@@ -35,20 +35,17 @@
 //!   direct executor; it records the per-case statistics behind
 //!   Figures 10–12. A chunk takes the memo path only when
 //!   [`memoization_pays`] says a hit can pay for it at the chunk's kind and
-//!   length. Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced
-//!   query is the message size Figures 15 and 16 replay through
+//!   length. A batch runs in two phases on the calling thread: every chunk
+//!   probes the store, cache and doorkeeper state frozen at dispatch, then
+//!   the commit replays ticks, inserts and evictions in chunk-index order.
+//!   Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced query is
+//!   the message size Figures 15 and 16 replay through
 //!   `mlr_cluster::replay_trace`.
 //! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /
 //!   entries over the whole store) enforced after every insert by one rule,
 //!   [`CostAwarePolicy`] (aged benefit density, cross-job servers last), on
 //!   a logical clock shared by every stripe: deterministic given the
 //!   schedule, independent of the shard layout.
-//! * [`parallel`] — deterministic intra-job chunk parallelism: the
-//!   [`ConcurrencyGovernor`] that keeps job-level workers × chunk-level
-//!   threads from oversubscribing the machine, and the per-job
-//!   [`ParallelStats`]. The engine's two-phase batch protocol (parallel
-//!   read-only probe/compute, then a commit in chunk-index order) keeps
-//!   reconstructions bit-identical for every thread count.
 //! * [`store`] — the [`MemoStore`] seam: the thread-safe interface the
 //!   executor talks to, with one access protocol — a read-only probe, then
 //!   an ordered commit (`commit_hit`, or `commit_miss` and `insert`).
@@ -72,7 +69,6 @@ pub mod encoder;
 pub mod engine;
 pub mod eviction;
 pub mod fingerprint;
-pub mod parallel;
 pub mod sharded;
 pub mod stats;
 pub mod store;
@@ -89,7 +85,6 @@ pub use eviction::{
     StoreClock, EXPECTED_REUSE,
 };
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
-pub use parallel::{ConcurrencyGovernor, CoreLease, ParallelStats};
 pub use sharded::{ShardedMemoDb, ACCESS_OP_UNKNOWN, DEFAULT_SHARDS};
 pub use stats::{MemoCase, MemoStats, OpStats};
 pub use store::{JobId, MemoStore, ProbeOutcome, Provenance, StoreStats};

@@ -112,12 +112,10 @@ impl StoreStats {
 /// access protocol.
 ///
 /// A probe has no side effects: no query/hit counters, no tick, no reuse
-/// refresh. The executor probes all chunks of a batch concurrently against
-/// the store state frozen at the start of the operator application, then
-/// replays the bookkeeping in chunk-index order through
-/// [`MemoStore::commit_hit`], or [`MemoStore::commit_miss`] and
-/// [`MemoStore::insert`] — which is what makes the parallel schedule
-/// order-independent.
+/// refresh. The executor probes all chunks of a batch against the store
+/// state frozen at the start of the operator application, then replays the
+/// bookkeeping in chunk-index order through [`MemoStore::commit_hit`], or
+/// [`MemoStore::commit_miss`] and [`MemoStore::insert`].
 #[derive(Debug, Clone)]
 pub enum ProbeOutcome {
     /// A stored value passed the τ gate.
@@ -206,8 +204,7 @@ pub trait MemoStore: Send + Sync {
     /// `input`'s key, on behalf of the job/iteration `origin`: the entry
     /// with the nearest key among those `origin` may use, if it passes the
     /// τ gate on the raw chunks. *No* side effects (no counters, no tick, no
-    /// reuse refresh), safe to issue concurrently from the parallel phase of
-    /// a batch.
+    /// reuse refresh), safe to issue concurrently with other jobs' probes.
     fn probe_with_key(
         &self,
         op: FftOpKind,

@@ -2,7 +2,7 @@
 
 use mlr_core::MlrConfig;
 use mlr_math::Array3;
-use mlr_memo::{JobId, MemoStats, ParallelStats};
+use mlr_memo::{JobId, MemoStats};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -125,9 +125,6 @@ pub struct JobReport {
     pub avoided_fraction: f64,
     /// This job's compute-node cache hit rate.
     pub cache_hit_rate: f64,
-    /// This job's chunk-scheduler statistics: batches, chunks and thread
-    /// grants of its intra-job parallel phases.
-    pub parallel: ParallelStats,
     /// Time the job spent waiting in the queue.
     pub queue_seconds: f64,
     /// Time the job spent executing on a worker.

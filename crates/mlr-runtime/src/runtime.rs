@@ -13,8 +13,7 @@ use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::stats::{DeadlineStats, RuntimeStats};
 use mlr_core::{CancelToken, MlrPipeline, StopCause};
 use mlr_memo::{
-    ConcurrencyGovernor, DistributedMemoDb, JobId, MemoDbConfig, MemoStore, NodeTopology,
-    ParallelStats, ShardedMemoDb, DEFAULT_SHARDS,
+    DistributedMemoDb, JobId, MemoDbConfig, MemoStore, NodeTopology, ShardedMemoDb, DEFAULT_SHARDS,
 };
 use mlr_sim::faults::FaultPlan;
 use mlr_telemetry::{SignedHistogram, SpanKind, Telemetry, TelemetryConfig};
@@ -38,20 +37,12 @@ pub struct RuntimeConfig {
     /// their own `MemoConfig`, but the store gates reuse with *this* τ, so
     /// tenants should agree with it.
     pub db: MemoDbConfig,
-    /// Total cores the runtime may occupy: each worker owns one, and the
-    /// remainder forms the governor's pool of spare cores for chunk-level
-    /// threads. A job asks for `MlrConfig::intra_job_threads`; every thread
-    /// beyond its first is leased from that pool, so workers × threads can
-    /// never oversubscribe the budget. Defaults to the machine's available
-    /// parallelism.
-    pub core_budget: usize,
     /// Telemetry: lock-free stage histograms, per-job lifecycle spans, and
     /// (optionally) the store access trace. Counts are not telemetry: jobs
-    /// are in [`RuntimeStats`], chunks in each job's `MemoStats` and
-    /// `ParallelStats`, whether this is on or off. Off by default —
-    /// disabled telemetry is a no-op recorder whose call sites cost one
-    /// branch each, so the hot path stays allocation-free and the memo
-    /// engine reads no clock.
+    /// are in [`RuntimeStats`], chunks in each job's `MemoStats`, whether
+    /// this is on or off. Off by default — disabled telemetry is a no-op
+    /// recorder whose call sites cost one branch each, so the hot path
+    /// stays allocation-free and the memo engine reads no clock.
     pub telemetry: bool,
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
     /// hit/miss/insert/evict/lost, logical tick). `None` disables the
@@ -91,9 +82,6 @@ impl Default for RuntimeConfig {
             queue_capacity: 32,
             shards: DEFAULT_SHARDS,
             db: MemoDbConfig::default(),
-            core_budget: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             telemetry: false,
             access_trace: None,
             topology: None,
@@ -166,9 +154,6 @@ pub(crate) struct Counters {
     pub(crate) queue_samples: AtomicU64,
     pub(crate) queue_ns_max: AtomicU64,
     pub(crate) busy_ns_total: AtomicU64,
-    /// Aggregate of every finished job's chunk-scheduler statistics (the
-    /// per-job parallel efficiency the runtime reports).
-    pub(crate) parallel: Mutex<ParallelStats>,
     pub(crate) deadlines: Mutex<DeadlineLedger>,
 }
 
@@ -298,7 +283,6 @@ pub struct Runtime {
     store: Arc<ShardedMemoDb>,
     distributed: Option<Arc<DistributedMemoDb>>,
     counters: Arc<Counters>,
-    governor: Arc<ConcurrencyGovernor>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
     next_job: AtomicU64,
@@ -351,16 +335,12 @@ impl Runtime {
             Some(d) => Arc::clone(d) as Arc<dyn MemoStore>,
             None => Arc::clone(&store) as Arc<dyn MemoStore>,
         };
-        // Each worker owns one core of the budget; whatever is left over is
-        // the governor's pool of spare cores for chunk-level threads.
-        let governor = ConcurrencyGovernor::for_pool(config.core_budget, config.workers);
         let workers = (0..config.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let store = Arc::clone(&exec_store);
                 let counters = Arc::clone(&counters);
-                let governor = Arc::clone(&governor);
-                std::thread::Builder::new() // mlr-check: allow(thread-spawn) — runtime-owned pool: these threads are the governed worker pool
+                std::thread::Builder::new() // mlr-check: allow(thread-spawn) — runtime-owned pool: these threads are the worker pool
                     .name(format!("mlr-worker-{i}"))
                     .spawn(move || {
                         // Graceful degradation: a panic that escapes the
@@ -375,7 +355,7 @@ impl Runtime {
                         loop {
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    worker_loop(&queue, &store, &counters, &governor, &inflight)
+                                    worker_loop(&queue, &store, &counters, &inflight)
                                 }));
                             match outcome {
                                 Ok(()) => break,
@@ -394,7 +374,6 @@ impl Runtime {
             store,
             distributed,
             counters,
-            governor,
             workers,
             worker_count: config.workers,
             // Job 0 is reserved for standalone executors.
@@ -420,12 +399,6 @@ impl Runtime {
     /// histograms, lifecycle spans and the optional store access trace.
     pub fn telemetry(&self) -> &Telemetry {
         &self.counters.telemetry
-    }
-
-    /// The global concurrency governor arbitrating spare cores between the
-    /// in-flight jobs' chunk-level threads.
-    pub fn governor(&self) -> &Arc<ConcurrencyGovernor> {
-        &self.governor
     }
 
     /// The one admission path: every rejection — queue full or shutting
@@ -535,7 +508,6 @@ impl Runtime {
             store_pressure: self.store.pressure(),
             store: self.store.stats(),
             deadline,
-            parallel: *self.counters.parallel.lock(),
             distributed: self.distributed.as_ref().map(|d| d.distributed_stats()),
         }
     }
@@ -574,7 +546,6 @@ fn worker_loop(
     queue: &JobQueue,
     store: &Arc<dyn MemoStore>,
     counters: &Counters,
-    governor: &Arc<ConcurrencyGovernor>,
     inflight: &Mutex<Option<(JobId, Arc<Ticket>)>>,
 ) {
     while let Some(QueuedJob {
@@ -612,7 +583,7 @@ fn worker_loop(
         // worker lives on.
         let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: service-time measurement feeds counters
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(id, job, token, store, counters, governor, queue_ns)
+            run_job(id, job, token, store, counters, queue_ns)
         }));
         let busy_ns = start.elapsed().as_nanos() as u64;
         counters.busy_ns_total.fetch_add(busy_ns, Ordering::Relaxed);
@@ -664,26 +635,17 @@ fn run_job(
     token: CancelToken,
     store: &Arc<dyn MemoStore>,
     counters: &Counters,
-    governor: &Arc<ConcurrencyGovernor>,
     queue_ns: u64,
 ) -> JobStatus {
     let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: service-time measurement feeds counters
-    let mut config = job.config;
-    // The job's own chunk parallelism; every thread beyond the first is
-    // leased from the shared governor, so workers × threads stays within the
-    // core budget.
-    config.intra_job_threads = config.intra_job_threads.max(1);
-    let pipeline = MlrPipeline::new(config);
+    let pipeline = MlrPipeline::new(job.config);
     let executor = pipeline
         .memo_executor(Arc::clone(store), id)
-        .with_parallelism(config.intra_job_threads, Some(Arc::clone(governor)))
         .with_telemetry(counters.telemetry.clone());
     let (result, executor) = pipeline.run_with_executor(executor, &token);
     let busy_ns = start.elapsed().as_nanos() as u64;
 
     let stats = executor.stats();
-    let parallel = executor.parallel_stats();
-    counters.parallel.lock().merge(&parallel);
     let completed_iterations = result.history.records().len();
     match result.stopped {
         Some(StopCause::Cancelled) => JobStatus::Cancelled {
@@ -710,7 +672,6 @@ fn run_job(
             avoided_fraction: stats.total().avoided_fraction(),
             memo: stats,
             cache_hit_rate: executor.cache_stats().hit_rate(),
-            parallel,
             queue_seconds: queue_ns as f64 * 1e-9,
             run_seconds: busy_ns as f64 * 1e-9,
         })),

@@ -1,6 +1,6 @@
 //! Runtime-wide statistics.
 
-use mlr_memo::{DistributedStats, FaultStats, ParallelStats, StoreStats};
+use mlr_memo::{DistributedStats, FaultStats, StoreStats};
 use serde::{Deserialize, Serialize};
 
 /// Deadline bookkeeping across all decided jobs (a job is *decided* once it
@@ -93,10 +93,6 @@ pub struct RuntimeStats {
     pub store: StoreStats,
     /// Deadline outcomes and slack percentiles across decided jobs.
     pub deadline: DeadlineStats,
-    /// Aggregate chunk-scheduler statistics over all finished jobs:
-    /// batches, chunks, and thread requests vs governor grants of the
-    /// intra-job parallel phases.
-    pub parallel: ParallelStats,
     /// The distributed memo tier's outcome state (per-node stripe placement
     /// and residency, replica-set effect, fault accounting). `None` unless
     /// the runtime was configured with a [`mlr_memo::NodeTopology`]. Link
@@ -210,15 +206,8 @@ mod tests {
                 slack_p90_seconds: 2.0,
                 slack_p99_seconds: 2.4,
             },
-            parallel: ParallelStats {
-                batches: 4,
-                chunks: 16,
-                threads_requested: 16,
-                threads_granted: 12,
-            },
             distributed: None,
         };
-        assert!((s.parallel.grant_ratio() - 0.75).abs() < 1e-12);
         assert!((s.throughput_jobs_per_second() - 4.0).abs() < 1e-12);
         assert!((s.utilisation() - 0.5).abs() < 1e-12);
         assert!((s.hit_rate() - 0.4).abs() < 1e-12);

@@ -1,9 +1,9 @@
 //! # mlr-telemetry — stage timing, lifecycle spans and the access trace
 //!
 //! The recorder keeps only what no other layer records. Counts stay with
-//! the layer that owns them: chunk cases in `MemoStats`, batches, chunks
-//! and thread grants in `ParallelStats`, jobs in `RuntimeStats`. What is
-//! left is time, order and access history:
+//! the layer that owns them: chunk cases in `MemoStats`, jobs in
+//! `RuntimeStats`; a batch is one `Operator` span. What is left is time,
+//! order and access history:
 //!
 //! ```text
 //!                        Telemetry (Clone, Option<Arc<_>>)

@@ -6,7 +6,7 @@
 //! allocation) and fold it in at the ordered-commit boundary — the
 //! `MemoStats` discipline that keeps the fig22 ≤4-allocs-per-hit gate
 //! intact. Counts live with the layer that owns them (`MemoStats`,
-//! `ParallelStats`, `RuntimeStats`); this registry keeps only time.
+//! `RuntimeStats`); this registry keeps only time.
 //! Snapshots are a memcpy-sized loop, never a lock.
 
 use crate::hist::{Histogram, HIST_BUCKETS};

