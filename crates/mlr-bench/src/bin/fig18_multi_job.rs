@@ -75,6 +75,7 @@ fn main() {
     };
     let queue_capacity = rt_config.queue_capacity;
     let runtime = Runtime::new(rt_config);
+    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
     let shared_start = Instant::now();
     let handles: Vec<_> = (0..jobs)
         .map(|i| {
@@ -98,6 +99,7 @@ fn main() {
     };
 
     // ------------------------------------------------- isolated per-job path
+    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
     let isolated_start = Instant::now();
     let mut iso_queries = 0u64;
     let mut iso_hits = 0u64;

@@ -79,6 +79,7 @@ fn run_cell(config: MlrConfig, workers: usize, jobs: usize, budget_seconds: f64)
         queue_capacity: jobs.max(1),
         ..RuntimeConfig::matching(&config)
     });
+    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
     let start = Instant::now();
     let handles: Vec<_> = (0..jobs)
         .map(|i| {
@@ -126,6 +127,7 @@ fn main() {
     let config = MlrConfig::quick(n, angles).with_iterations(iterations);
 
     // ------------------------------------------------------- calibration
+    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
     let calibration_start = Instant::now();
     let (reference, _) = MlrPipeline::new(config).run_memoized();
     let est_job_seconds = calibration_start.elapsed().as_secs_f64().max(1e-3);

@@ -250,7 +250,6 @@ fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
 /// Drives `iterations` whole-grid batch dispatches (one per ADMM iteration,
 /// starting at `first_iteration`) through the zero-copy seam and returns
 /// `(seconds, allocations, bytes)` accumulated over them.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     exec: &MemoizedExecutor,
     inputs: &[Vec<Complex64>],
@@ -260,6 +259,7 @@ fn drive(
     iterations: usize,
 ) -> (f64, u64, u64) {
     let before = snapshot();
+    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
     let start = Instant::now();
     for it in first_iteration..first_iteration + iterations {
         exec.begin_iteration(it);
@@ -452,6 +452,7 @@ fn usfft_chunk_ns(input: &[Complex64]) -> (f64, f64) {
         let _ = compute(input);
         (0..3)
             .map(|_| {
+                #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
                 let start = Instant::now();
                 for _ in 0..reps {
                     std::hint::black_box(compute(std::hint::black_box(input)));

@@ -104,6 +104,7 @@ fn drive(
     iterations: usize,
 ) -> (f64, u64, u64) {
     let before = snapshot();
+    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
     let start = Instant::now();
     for _ in 0..iterations {
         exec.begin_iteration(*next_iteration);

@@ -113,6 +113,7 @@ pub fn write_record<T: Serialize>(name: &str, record: &T) {
 /// `timeout` — the wait primitive the serving harness and tests use to
 /// observe another thread reaching a phase (job started running, first
 /// iteration in flight) without sleeping past it.
+#[expect(clippy::disallowed_methods, reason = "harness: spin timeout")]
 pub fn spin_until(what: &str, timeout: std::time::Duration, mut done: impl FnMut() -> bool) {
     let giving_up = std::time::Instant::now() + timeout;
     while !done() {

@@ -190,7 +190,7 @@ impl Mul for Complex64 {
 impl Div for Complex64 {
     type Output = Complex64;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z / w == z * w^-1
+    #[expect(clippy::suspicious_arithmetic_impl, reason = "z / w == z * w^-1")]
     fn div(self, rhs: Self) -> Self {
         self * rhs.recip()
     }

@@ -45,6 +45,16 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
 mod tests {
     use super::*;
 
+    /// Lint canary: no workspace crate may name a `std::sync` lock (see
+    /// `crates/clippy.toml`), so this expectation breaks `cargo clippy -- -D
+    /// warnings` the day the ban stops firing.
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "canary: the std::sync lock ban")]
+    fn std_sync_lock_ban_canary() {
+        let lock = std::sync::Mutex::new(1u8);
+        assert_eq!(lock.into_inner().ok(), Some(1));
+    }
+
     #[test]
     fn approx_eq_absolute() {
         assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9));

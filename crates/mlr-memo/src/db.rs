@@ -282,7 +282,7 @@ impl MemoDatabase {
     /// operation (wall-clock timings would make eviction irreproducible).
     /// Claims one id and one tick; returns the new entry's id and resident
     /// bytes, which the owner publishes once its budget holds again.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "an insert carries a full entry")]
     pub(crate) fn insert(
         &mut self,
         op: FftOpKind,

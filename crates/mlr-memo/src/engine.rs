@@ -66,12 +66,9 @@ use std::time::Instant;
 /// the engine's only timing: with a disabled recorder it reads no clock at
 /// all.
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "decoration: stage clocks")]
 fn stage_clock(enabled: bool) -> Option<Instant> {
-    if enabled {
-        Some(Instant::now()) // mlr-check: allow(wall-clock) — decoration only: stage clocks feed telemetry timing
-    } else {
-        None
-    }
+    enabled.then(Instant::now)
 }
 
 /// Elapsed nanoseconds of a stage clock (0 when telemetry is disabled).
@@ -83,7 +80,7 @@ fn stage_ns(start: Option<Instant>) -> u64 {
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoConfig {
-    /// Similarity threshold `τ` (the paper's default is 0.92).
+    /// `τ` of the store [`MemoizedExecutor::private`] builds (default 0.92).
     pub tau: f64,
     /// Master switch: when `false` every invocation is computed exactly
     /// (useful for producing the reference reconstruction).
@@ -427,10 +424,9 @@ impl MemoizedExecutor {
             // The cache is gated on the raw chunk: a hit needs no key.
             if self.config.use_cache {
                 let peek_clock = stage_clock(tel_on);
+                let tau = self.store.config().tau;
                 let (cached, comparisons) =
-                    self.cache
-                        .read()
-                        .peek(kind, loc, input, self.config.tau, d.iteration);
+                    self.cache.read().peek(kind, loc, input, tau, d.iteration);
                 chunk.peek_ns = stage_ns(peek_clock);
                 chunk.cache_checked = true;
                 chunk.cache_comparisons = comparisons;

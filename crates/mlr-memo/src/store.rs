@@ -239,7 +239,7 @@ pub trait MemoStore: Send + Sync {
     /// tie-breaker) — or `u64::MAX`, having stored and counted nothing but
     /// [`StoreStats::refused_inserts`], when `f32` cannot hold one of them.
     /// `recompute_cost` is the deterministic cost hint eviction ranks by (see [`recompute_cost_estimate`](crate::eviction::recompute_cost_estimate)).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "an insert carries a full entry")]
     fn insert(
         &self,
         op: FftOpKind,

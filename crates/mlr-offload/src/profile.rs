@@ -74,12 +74,13 @@ impl IterationProfile {
             t += dur;
         }
         let duration = t;
+        #[expect(clippy::expect_used, reason = "phase_times covers every AdmmPhase")]
         let span = |phase: AdmmPhase| -> (Seconds, Seconds) {
             phases
                 .iter()
                 .find(|(p, _, _)| *p == phase)
                 .map(|&(_, s, e)| (s, e))
-                .expect("phase present") // mlr-check: allow(unwrap-expect) — invariant: phase_times covers every AdmmPhase
+                .expect("phase present")
         };
         let (lsp_s, lsp_e) = span(AdmmPhase::Lsp);
         let (rsp_s, rsp_e) = span(AdmmPhase::Rsp);

@@ -271,7 +271,8 @@ impl JobHandle {
     /// Blocks up to `timeout` for the terminal status; `None` on timeout.
     /// The handle stays usable.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobStatus> {
-        let deadline = Instant::now() + timeout; // mlr-check: allow(wall-clock) — serving deadline: caller-supplied wall timeout
+        #[expect(clippy::disallowed_methods, reason = "serving deadline: wall timeout")]
+        let deadline = Instant::now() + timeout;
         let mut slot = self.ticket.status.lock();
         loop {
             if let Some(status) = slot.as_ref() {

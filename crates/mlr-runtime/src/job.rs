@@ -47,8 +47,9 @@ impl Deadline {
         self.budget
     }
 
+    #[expect(clippy::disallowed_methods, reason = "serving deadline: wall budget")]
     pub(crate) fn starting_now(&self) -> Instant {
-        Instant::now() + self.budget // mlr-check: allow(wall-clock) — serving deadline: budget is anchored to wall clock by design
+        Instant::now() + self.budget
     }
 }
 

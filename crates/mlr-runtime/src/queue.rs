@@ -154,10 +154,11 @@ impl JobQueue {
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let deadline = ticket.token.deadline();
+        #[expect(clippy::disallowed_methods, reason = "decoration: queue latency")]
         inner.heap.push(QueuedJob {
             id,
             job,
-            enqueued: Instant::now(), // mlr-check: allow(wall-clock) — decoration only: queue-latency timestamp feeds counters
+            enqueued: Instant::now(),
             ticket,
             deadline,
             seq,
@@ -263,6 +264,7 @@ impl JobQueue {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests drive threads, timeouts")]
 mod tests {
     use super::*;
     use mlr_core::{CancelToken, MlrConfig};

@@ -6,6 +6,7 @@
 //! token and deadline *before* running it — a cancelled or expired queued
 //! job is reported and skipped, never executed — and in-flight jobs stop
 //! cooperatively at ADMM iteration boundaries through the same token.
+#![expect(clippy::disallowed_methods, reason = "deadlines, latency, worker pool")]
 
 use crate::handle::{JobHandle, JobStatus, Ticket};
 use crate::job::{JobReport, ReconJob};
@@ -33,9 +34,8 @@ pub struct RuntimeConfig {
     pub queue_capacity: usize,
     /// Lock stripes of the shared memo store.
     pub shards: usize,
-    /// Shared store database configuration (τ threshold, scoping). Jobs keep
-    /// their own `MemoConfig`, but the store gates reuse with *this* τ, so
-    /// tenants should agree with it.
+    /// Shared store database configuration: its τ gates every tenant's
+    /// reuse (store probe and compute-node cache), whatever the job's own.
     pub db: MemoDbConfig,
     /// Telemetry: lock-free stage histograms, per-job lifecycle spans, and
     /// (optionally) the store access trace. Counts are not telemetry: jobs
@@ -106,11 +106,8 @@ impl RuntimeConfig {
 /// Signed slack of `deadline` seen from `at`: positive while there is time
 /// left, negative once the deadline has passed.
 pub(crate) fn slack_seconds(deadline: Instant, at: Instant) -> f64 {
-    if at <= deadline {
-        deadline.duration_since(at).as_secs_f64()
-    } else {
-        -at.duration_since(deadline).as_secs_f64()
-    }
+    deadline.saturating_duration_since(at).as_secs_f64()
+        - at.saturating_duration_since(deadline).as_secs_f64()
 }
 
 /// Deadline bookkeeping behind [`RuntimeStats::deadline`]: decided outcomes
@@ -193,7 +190,6 @@ impl Counters {
             JobStatus::Completed(report) => {
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 if let Some(at) = ticket.token.deadline() {
-                    // mlr-check: allow(wall-clock) — serving deadline: slack vs wall deadline feeds counters
                     self.note_deadline_outcome(slack_seconds(at, Instant::now()));
                 }
                 let iterations = report.loss.len();
@@ -335,12 +331,13 @@ impl Runtime {
             Some(d) => Arc::clone(d) as Arc<dyn MemoStore>,
             None => Arc::clone(&store) as Arc<dyn MemoStore>,
         };
+        #[expect(clippy::expect_used, reason = "startup: fail fast without a pool")]
         let workers = (0..config.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let store = Arc::clone(&exec_store);
                 let counters = Arc::clone(&counters);
-                std::thread::Builder::new() // mlr-check: allow(thread-spawn) — runtime-owned pool: these threads are the worker pool
+                std::thread::Builder::new()
                     .name(format!("mlr-worker-{i}"))
                     .spawn(move || {
                         // Graceful degradation: a panic that escapes the
@@ -366,7 +363,7 @@ impl Runtime {
                             }
                         }
                     })
-                    .expect("failed to spawn worker thread") // mlr-check: allow(unwrap-expect) — startup: a runtime without its pool is unusable, fail fast
+                    .expect("failed to spawn worker thread")
             })
             .collect();
         Self {
@@ -378,7 +375,7 @@ impl Runtime {
             worker_count: config.workers,
             // Job 0 is reserved for standalone executors.
             next_job: AtomicU64::new(1),
-            started: Instant::now(), // mlr-check: allow(wall-clock) — decoration only: start timestamp feeds latency counters
+            started: Instant::now(),
         }
     }
 
@@ -533,13 +530,9 @@ impl Drop for Runtime {
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
-    }
+    let text = payload.downcast_ref::<&str>().copied();
+    let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    text.unwrap_or("job panicked").to_string()
 }
 
 fn worker_loop(
@@ -581,7 +574,7 @@ fn worker_loop(
         // one misbehaving tenant must not kill the worker and starve every
         // queued job behind it. The panicked job resolves `Failed`; the
         // worker lives on.
-        let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: service-time measurement feeds counters
+        let start = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(id, job, token, store, counters, queue_ns)
         }));
@@ -621,7 +614,7 @@ fn skipped_at_pop(ticket: &Ticket) -> Option<JobStatus> {
         });
     }
     let at = ticket.token.deadline()?;
-    let now = Instant::now(); // mlr-check: allow(wall-clock) — serving deadline: pop-time expiry compares wall deadlines
+    let now = Instant::now();
     (now >= at).then(|| JobStatus::Expired {
         while_running: false,
         late_seconds: -slack_seconds(at, now),
@@ -637,7 +630,7 @@ fn run_job(
     counters: &Counters,
     queue_ns: u64,
 ) -> JobStatus {
-    let start = Instant::now(); // mlr-check: allow(wall-clock) — decoration only: service-time measurement feeds counters
+    let start = Instant::now();
     let pipeline = MlrPipeline::new(job.config);
     let executor = pipeline
         .memo_executor(Arc::clone(store), id)
@@ -655,7 +648,7 @@ fn run_job(
         Some(StopCause::DeadlineExpired) => {
             let late = token
                 .deadline()
-                .map(|at| -slack_seconds(at, Instant::now())) // mlr-check: allow(wall-clock) — serving deadline: slack vs wall deadline feeds counters
+                .map(|at| -slack_seconds(at, Instant::now()))
                 .unwrap_or(0.0)
                 .max(0.0);
             JobStatus::Expired {

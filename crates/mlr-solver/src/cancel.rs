@@ -74,18 +74,20 @@ impl CancelToken {
     }
 
     /// What the solver polls at each iteration boundary.
+    #[expect(clippy::disallowed_methods, reason = "serving deadline: wall expiry")]
     pub fn should_stop(&self) -> Option<StopCause> {
         if self.is_cancelled() {
             return Some(StopCause::Cancelled);
         }
         match self.inner.deadline {
-            Some(d) if Instant::now() >= d => Some(StopCause::DeadlineExpired), // mlr-check: allow(wall-clock) — serving deadline: wall-clock expiry is the contract
+            Some(d) if Instant::now() >= d => Some(StopCause::DeadlineExpired),
             _ => None,
         }
     }
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests set wall deadlines")]
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -20,11 +20,7 @@ pub const HIST_BUCKETS: usize = 64;
 /// at the top bucket.
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        ((64 - value.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
+    ((64 - value.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
 /// Lower bound of a bucket — the representative value percentiles report.

@@ -95,7 +95,7 @@ struct AtomicHistogram {
 
 impl AtomicHistogram {
     const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[expect(clippy::declare_interior_mutable_const, reason = "array-repeat seed")]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Self {
             count: AtomicU64::new(0),
@@ -143,7 +143,7 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     /// An all-empty registry.
     pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[expect(clippy::declare_interior_mutable_const, reason = "array-repeat seed")]
         const HIST: AtomicHistogram = AtomicHistogram::new();
         Self {
             stages: [HIST; STAGE_COUNT],
@@ -187,6 +187,7 @@ impl MetricsSnapshot {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests drive real threads")]
 mod tests {
     use super::*;
 

@@ -117,8 +117,9 @@ impl SpanJournal {
     }
 
     /// Enables wall-clock timestamps, measured from this call.
+    #[expect(clippy::disallowed_methods, reason = "decoration: opt-in wall epochs")]
     pub fn with_wall_clock(mut self) -> Self {
-        self.epoch = Some(Instant::now()); // mlr-check: allow(wall-clock) — decoration only: opt-in wall epochs label telemetry output
+        self.epoch = Some(Instant::now());
         self
     }
 

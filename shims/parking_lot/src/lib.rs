@@ -8,8 +8,8 @@
 //!
 //! # The `lockcheck` sanitizer
 //!
-//! Because every lock in the workspace goes through this shim (the
-//! `mlr-check` linter forbids `std::sync::{Mutex, RwLock}` outside `shims/`),
+//! Because every lock in the workspace goes through this shim (clippy's
+//! `disallowed-types` bans `std::sync::{Mutex, RwLock, Condvar}` in `crates/`),
 //! the shim doubles as the instrumentation point for a lock-order sanitizer.
 //! With `--features lockcheck` every acquisition is recorded:
 //!
