@@ -19,9 +19,18 @@
 //! opened it allocated, so sibling tests allocating concurrently under
 //! `cargo test`'s parallel runner (or any other thread of the process)
 //! cannot leak into it. The memo engine runs a batch's hit path on the
-//! calling thread, which is what makes that the right scope. Counting is two thread-local `Cell` bumps per `alloc`/`realloc` —
+//! calling thread, which is what makes that the right scope. Counting is a
+//! few thread-local `Cell` updates per `alloc`/`realloc`/`dealloc` —
 //! cheap enough to leave on for the timing columns too (it perturbs hit and
 //! miss paths equally).
+//!
+//! Beside the traffic counters each thread keeps its **live bytes**
+//! (allocations minus frees) and their **peak**: [`reset_peak`] before a
+//! region and [`peak_bytes`] after it give the most the region ever held
+//! above its start — the memory ceiling of code that runs on one thread
+//! (`RAYON_NUM_THREADS=1`). A block freed on another thread than the one
+//! that allocated it moves both threads' live counts, so read them only
+//! around single-threaded regions.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,6 +40,8 @@ thread_local! {
     // inside the allocator never allocates and never registers a TLS dtor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation of `bytes` against the calling thread. `try_with`
@@ -41,6 +52,16 @@ fn count(bytes: usize) {
     let _ = ALLOCATED_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
+/// Moves the calling thread's live bytes by `delta`, raising its peak.
+#[inline]
+fn grow(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 /// System allocator wrapper counting every allocation and its size against
 /// the allocating thread.
 pub struct CountingAllocator;
@@ -49,22 +70,27 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is fresh allocator traffic for the grown span; counting the
-        // full new size keeps the gate conservative.
+        // full new size keeps the gate conservative. Live bytes move by the
+        // difference only.
         count(new_size);
+        grow(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -72,6 +98,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// The calling thread's `(allocations, bytes)` totals since it started.
 pub fn snapshot() -> (u64, u64) {
     (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get))
+}
+
+/// The calling thread's live bytes: what it allocated minus what it freed.
+pub fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// Starts a peak measurement on the calling thread: lowers its peak to its
+/// live bytes and returns them.
+pub fn reset_peak() -> i64 {
+    let live = live_bytes();
+    PEAK_BYTES.with(|peak| peak.set(live));
+    live
+}
+
+/// The most live bytes the calling thread held since its last
+/// [`reset_peak`].
+pub fn peak_bytes() -> i64 {
+    PEAK_BYTES.with(Cell::get)
 }
 
 /// Delta between two [`snapshot`]s as `(allocations, bytes)`.

@@ -1,0 +1,45 @@
+//! The ADMM solver's memory ceiling, read deterministically from the
+//! counting allocator instead of the process RSS.
+//!
+//! One exact reconstruction (`MlrPipeline::run_exact`, a plain
+//! `AdmmSolver::run` over the direct executor) at 24³, 12 angles, chunk 8
+//! may hold at most [`MAX_SOLVER_VOLUMES`] `f64` volumes of live bytes above
+//! what was live when it started: its workspace (u, ψ, λ, the gradient, the
+//! Barzilai–Borwein history and the operator intermediates) plus `d̂` and the
+//! chunk results in flight. An allocating loop that keeps `∇u`, the
+//! `ψ − λ/ρ` field or per-step clones of `u` alive reads about 26.
+//!
+//! The kernels run on the calling thread (`RAYON_NUM_THREADS=1`), so the
+//! per-thread counters see every byte the solve allocates.
+
+use mlr_bench::alloc::{peak_bytes, reset_peak, CountingAllocator};
+use mlr_core::{MlrConfig, MlrPipeline};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// The ceiling, in `f64` volumes of the reconstruction's shape.
+const MAX_SOLVER_VOLUMES: f64 = 17.0;
+
+#[test]
+fn one_exact_solve_stays_under_its_volume_budget() {
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let n = 24;
+    let mut config = MlrConfig::quick(n, 12).with_iterations(3);
+    config.chunk_size = 8;
+    config.admm.initial_step = 0.02;
+    let pipeline = MlrPipeline::new(config);
+
+    let start = reset_peak();
+    let exact = pipeline.run_exact();
+    let held = peak_bytes() - start;
+
+    assert_eq!(exact.history.len(), 3);
+    let volume = (n * n * n * std::mem::size_of::<f64>()) as f64;
+    let volumes = held as f64 / volume;
+    eprintln!("peak live bytes above start: {held} ({volumes:.1} f64 volumes)");
+    assert!(
+        volumes <= MAX_SOLVER_VOLUMES,
+        "one exact solve held {volumes:.1} f64 volumes above its start (budget {MAX_SOLVER_VOLUMES})"
+    );
+}

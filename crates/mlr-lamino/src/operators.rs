@@ -231,33 +231,18 @@ fn split_windows(
     out
 }
 
-/// Iterator over consecutive immutable windows of the given sizes — the
-/// read-side counterpart of [`split_windows`], used to hand each chunk its
-/// slice of a shared gather arena.
-struct WindowIter<'a, I> {
+/// Consecutive immutable windows of the given sizes — the read-side
+/// counterpart of [`split_windows`], handing each chunk its slice of one
+/// operand or gather arena.
+fn windows<'a>(
     data: &'a [Complex64],
-    offset: usize,
-    sizes: I,
-}
-
-impl<'a, I: Iterator<Item = usize>> WindowIter<'a, I> {
-    fn new(data: &'a [Complex64], sizes: I) -> Self {
-        Self {
-            data,
-            offset: 0,
-            sizes,
-        }
-    }
-}
-
-impl<'a, I: Iterator<Item = usize>> Iterator for WindowIter<'a, I> {
-    type Item = &'a [Complex64];
-    fn next(&mut self) -> Option<&'a [Complex64]> {
-        let size = self.sizes.next()?;
-        let window = &self.data[self.offset..self.offset + size];
-        self.offset += size;
+    sizes: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = &'a [Complex64]> + 'a {
+    sizes.scan(0, move |offset, size| {
+        let window = &data[*offset..*offset + size];
+        *offset += size;
         Some(window)
-    }
+    })
 }
 
 /// Assembles the per-chunk [`ChunkRequest`]s of one stage application from
@@ -393,39 +378,27 @@ impl LaminoOperator {
     /// the vertical spectrum at the evaluated rows' frequencies only. For a
     /// real `u` the rows above `h/2` would be conjugates of these, and
     /// [`Self::fu2d`] rebuilds them in `d̂` instead.
-    ///
-    /// Chunks of this stage are slabs along axis 0, which are contiguous in
-    /// row-major storage: the batch borrows its inputs straight out of `u`
-    /// and writes its results straight into windows of the output grid —
-    /// zero gather/scatter copies, zero per-chunk buffers.
+    /// Chunks of this stage are slabs along axis 0.
     pub fn fu1d(&self, u: &Array3<Complex64>, exec: &dyn FftExecutor) -> Array3<Complex64> {
-        let shape = u.shape();
-        assert_eq!(
-            shape,
-            self.geometry.volume_shape(),
-            "Fu1D input shape mismatch"
-        );
-        let out_shape = self.geometry.u1_shape();
-        let mut out = Array3::zeros(out_shape);
-        let locs: Vec<ChunkLocation> = self.fu1d_grid().iter().collect();
-        let in_plane = shape.n1 * shape.n2;
-        let out_plane = out_shape.n1 * out_shape.n2;
-        let computes: Vec<_> = locs
-            .iter()
-            .map(|loc| {
-                let len = loc.len;
-                move |input: &[Complex64]| self.fu1d_chunk_compute(input, len)
-            })
-            .collect();
-        let batch = make_batch(
-            &locs,
-            locs.iter()
-                .map(|loc| &u.as_slice()[loc.start * in_plane..(loc.start + loc.len) * in_plane]),
-            &computes,
-        );
-        let mut outputs = split_windows(out.as_mut_slice(), locs.iter().map(|l| l.len * out_plane));
-        exec.execute_batch_into(FftOpKind::Fu1D, &batch, &mut outputs);
+        let mut out = Array3::zeros(self.geometry.u1_shape());
+        self.fu1d_into(u, exec, &mut out);
         out
+    }
+
+    /// [`Self::fu1d`] into a caller-owned `ũ1`; every element is overwritten.
+    pub fn fu1d_into(
+        &self,
+        u: &Array3<Complex64>,
+        exec: &dyn FftExecutor,
+        out: &mut Array3<Complex64>,
+    ) {
+        let g = &self.geometry;
+        assert_eq!(u.shape(), g.volume_shape(), "Fu1D input shape mismatch");
+        assert_eq!(out.shape(), g.u1_shape(), "Fu1D output shape mismatch");
+        let (input, out) = (u.as_slice(), out.as_mut_slice());
+        self.slab_stage_into(FftOpKind::Fu1D, self.fu1d_grid(), input, out, exec, |len| {
+            move |c: &[Complex64]| self.fu1d_chunk_compute(c, len)
+        });
     }
 
     /// Exact computation of `F_u1D` on one chunk (a slab of `len` planes of
@@ -451,33 +424,31 @@ impl LaminoOperator {
         u1: &Array3<Complex64>,
         exec: &dyn FftExecutor,
     ) -> Array3<Complex64> {
-        let shape = u1.shape();
-        assert_eq!(
-            shape,
-            self.geometry.u1_shape(),
-            "F*u1D input shape mismatch"
-        );
-        let out_shape = self.geometry.volume_shape();
-        let mut out = Array3::zeros(out_shape);
-        let locs: Vec<ChunkLocation> = self.fu1d_grid().iter().collect();
-        let in_plane = shape.n1 * shape.n2;
-        let out_plane = out_shape.n1 * out_shape.n2;
-        let computes: Vec<_> = locs
-            .iter()
-            .map(|loc| {
-                let len = loc.len;
-                move |input: &[Complex64]| self.fu1d_adjoint_chunk_compute(input, len)
-            })
-            .collect();
-        let batch = make_batch(
-            &locs,
-            locs.iter()
-                .map(|loc| &u1.as_slice()[loc.start * in_plane..(loc.start + loc.len) * in_plane]),
-            &computes,
-        );
-        let mut outputs = split_windows(out.as_mut_slice(), locs.iter().map(|l| l.len * out_plane));
-        exec.execute_batch_into(FftOpKind::Fu1DAdj, &batch, &mut outputs);
+        let mut out = Array3::zeros(self.geometry.volume_shape());
+        self.fu1d_adjoint_into(u1, exec, &mut out);
         out
+    }
+
+    /// [`Self::fu1d_adjoint`] into a caller-owned volume; every element is
+    /// overwritten.
+    pub fn fu1d_adjoint_into(
+        &self,
+        u1: &Array3<Complex64>,
+        exec: &dyn FftExecutor,
+        out: &mut Array3<Complex64>,
+    ) {
+        let g = &self.geometry;
+        assert_eq!(u1.shape(), g.u1_shape(), "F*u1D input shape mismatch");
+        assert_eq!(out.shape(), g.volume_shape(), "F*u1D output shape mismatch");
+        let (input, out) = (u1.as_slice(), out.as_mut_slice());
+        self.slab_stage_into(
+            FftOpKind::Fu1DAdj,
+            self.fu1d_grid(),
+            input,
+            out,
+            exec,
+            |len| move |c: &[Complex64]| self.fu1d_adjoint_chunk_compute(c, len),
+        );
     }
 
     /// Exact computation of `F*_u1D` on one chunk.
@@ -510,12 +481,22 @@ impl LaminoOperator {
     /// feed it; the map is real-linear, and [`Self::fu2d_adjoint`] is its
     /// transpose under `Re⟨·,·⟩`.
     pub fn fu2d(&self, u1: &Array3<Complex64>, exec: &dyn FftExecutor) -> Array3<Complex64> {
-        assert_eq!(
-            u1.shape(),
-            self.geometry.u1_shape(),
-            "Fu2D input shape mismatch"
-        );
+        let mut out = Array3::zeros(self.geometry.data_shape());
+        self.fu2d_into(u1, exec, &mut out);
+        out
+    }
+
+    /// [`Self::fu2d`] into a caller-owned `d̂`: the evaluated rows and their
+    /// fill overwrite every element.
+    pub fn fu2d_into(
+        &self,
+        u1: &Array3<Complex64>,
+        exec: &dyn FftExecutor,
+        out: &mut Array3<Complex64>,
+    ) {
         let g = &self.geometry;
+        assert_eq!(u1.shape(), g.u1_shape(), "Fu2D input shape mismatch");
+        assert_eq!(out.shape(), g.data_shape(), "Fu2D output shape mismatch");
         let (n1, n2, n_theta) = (g.n1, g.n2, g.n_angles());
         let (h, w) = (g.detector.rows, g.detector.cols);
         let (rows, cols) = (g.half_rows(), g.half_cols());
@@ -539,7 +520,7 @@ impl LaminoOperator {
             .collect();
         let batch = make_batch(
             &locs,
-            WindowIter::new(&gather[..], locs.iter().map(|l| l.len * n1 * n2)),
+            windows(&gather[..], locs.iter().map(|l| l.len * n1 * n2)),
             &computes,
         );
         let mut staging = self.arena.lease(rows * n_theta * cols);
@@ -548,7 +529,6 @@ impl LaminoOperator {
                 split_windows(&mut staging, locs.iter().map(|l| l.len * n_theta * cols));
             exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut outputs);
         }
-        let mut out = Array3::zeros(g.data_shape());
         let d = out.as_mut_slice();
         // Read backwards, points `mirror_col(w-1)..=mirror_col(0)` are the
         // mirrors of columns `0..w`.
@@ -564,7 +544,6 @@ impl LaminoOperator {
                 }
             }
         }
-        out
     }
 
     /// Exact computation of `F_u2D` on one chunk of evaluated detector rows.
@@ -605,12 +584,22 @@ impl LaminoOperator {
         dhat: &Array3<Complex64>,
         exec: &dyn FftExecutor,
     ) -> Array3<Complex64> {
-        assert_eq!(
-            dhat.shape(),
-            self.geometry.data_shape(),
-            "F*u2D input shape mismatch"
-        );
+        let mut out = Array3::zeros(self.geometry.u1_shape());
+        self.fu2d_adjoint_into(dhat, exec, &mut out);
+        out
+    }
+
+    /// [`Self::fu2d_adjoint`] into a caller-owned `ũ1`; every element is
+    /// overwritten.
+    pub fn fu2d_adjoint_into(
+        &self,
+        dhat: &Array3<Complex64>,
+        exec: &dyn FftExecutor,
+        out: &mut Array3<Complex64>,
+    ) {
         let g = &self.geometry;
+        assert_eq!(dhat.shape(), g.data_shape(), "F*u2D input shape mismatch");
+        assert_eq!(out.shape(), g.u1_shape(), "F*u2D output shape mismatch");
         let (n1, n2, n_theta) = (g.n1, g.n2, g.n_angles());
         let (h, w) = (g.detector.rows, g.detector.cols);
         let (rows, cols) = (g.half_rows(), g.half_cols());
@@ -640,7 +629,7 @@ impl LaminoOperator {
             .collect();
         let batch = make_batch(
             &locs,
-            WindowIter::new(&gather[..], locs.iter().map(|l| l.len * n_theta * cols)),
+            windows(&gather[..], locs.iter().map(|l| l.len * n_theta * cols)),
             &computes,
         );
         let mut staging = self.arena.lease(rows * n1 * n2);
@@ -649,14 +638,12 @@ impl LaminoOperator {
             exec.execute_batch_into(FftOpKind::Fu2DAdj, &batch, &mut outputs);
         }
         // Staging is `[row][n1][n2]`; `ũ1` is `[n1][row][n2]`.
-        let mut out = Array3::zeros(g.u1_shape());
         let u1 = out.as_mut_slice();
         for (r, plane) in staging.chunks_exact(n1 * n2).enumerate() {
             for (i1, line) in plane.chunks_exact(n2).enumerate() {
                 u1[(i1 * rows + r) * n2..][..n2].copy_from_slice(line);
             }
         }
-        out
     }
 
     /// Exact computation of `F*_u2D` on one chunk of evaluated detector rows.
@@ -704,30 +691,41 @@ impl LaminoOperator {
         exec: &dyn FftExecutor,
         kind: FftOpKind,
     ) -> Array3<Complex64> {
-        assert_eq!(
-            d.shape(),
-            self.geometry.data_shape(),
-            "F2D input shape mismatch"
-        );
-        let mut out = Array3::zeros(d.shape());
-        let locs: Vec<ChunkLocation> = self.f2d_grid().iter().collect();
-        let plane = d.shape().n1 * d.shape().n2;
-        let computes: Vec<_> = locs
-            .iter()
-            .map(|loc| {
-                let len = loc.len;
-                move |input: &[Complex64]| self.f2d_chunk_compute(input, len, kind)
-            })
-            .collect();
-        let batch = make_batch(
-            &locs,
-            locs.iter()
-                .map(|loc| &d.as_slice()[loc.start * plane..(loc.start + loc.len) * plane]),
-            &computes,
-        );
-        let mut outputs = split_windows(out.as_mut_slice(), locs.iter().map(|l| l.len * plane));
-        exec.execute_batch_into(kind, &batch, &mut outputs);
+        let shape = self.geometry.data_shape();
+        assert_eq!(d.shape(), shape, "F2D input shape mismatch");
+        let mut out = Array3::zeros(shape);
+        let (input, slice) = (d.as_slice(), out.as_mut_slice());
+        self.slab_stage_into(kind, self.f2d_grid(), input, slice, exec, |len| {
+            move |c: &[Complex64]| self.f2d_chunk_compute(c, len, kind)
+        });
         out
+    }
+
+    /// Runs one slab-aligned stage (`F_u1D`, `F*_u1D`, `F_2D`, `F*_2D`):
+    /// chunk `loc` is planes `loc.start..loc.start + loc.len` of `input` and
+    /// of `out` alike, so the batch borrows its inputs straight out of
+    /// `input` and writes its results straight into windows of `out` —
+    /// zero gather/scatter copies, zero per-chunk buffers. `compute(len)`
+    /// builds the exact transform of a chunk of `len` planes.
+    fn slab_stage_into<C>(
+        &self,
+        kind: FftOpKind,
+        grid: ChunkGrid,
+        input: &[Complex64],
+        out: &mut [Complex64],
+        exec: &dyn FftExecutor,
+        compute: impl Fn(usize) -> C,
+    ) where
+        C: Fn(&[Complex64]) -> Vec<Complex64> + Sync,
+    {
+        let locs: Vec<ChunkLocation> = grid.iter().collect();
+        let in_plane = input.len() / grid.extent();
+        let out_plane = out.len() / grid.extent();
+        let computes: Vec<C> = locs.iter().map(|loc| compute(loc.len)).collect();
+        let inputs = windows(input, locs.iter().map(|l| l.len * in_plane));
+        let batch = make_batch(&locs, inputs, &computes);
+        let mut outputs = split_windows(out, locs.iter().map(|l| l.len * out_plane));
+        exec.execute_batch_into(kind, &batch, &mut outputs);
     }
 
     /// Exact computation of `F_2D`/`F*_2D` on one chunk of projections.

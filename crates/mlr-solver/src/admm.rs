@@ -9,18 +9,21 @@
 //! 3. **λ update** — dual ascent on the constraint `∇u = ψ`;
 //! 4. **penalty update** — residual balancing of `ρ`.
 //!
+//! Phases 2–4 are one pass over the volume ([`rsp_update`]), and every phase
+//! runs in one [`AdmmWorkspace`] allocated when the run starts: about
+//! `10 + 2 + |ũ1| + |d̂|` real volumes, the state a slab driver would page.
+//!
 //! The driver takes any `FftExecutor`, so the same code path produces the
 //! exact baseline (direct executor), the memoized run (mLR's engine) and the
 //! instrumented runs behind the evaluation figures.
 
 use crate::cancel::{CancelToken, StopCause};
-use crate::lsp::{
-    lsp_gradient_cancelled, lsp_gradient_original, CgState, FrequencyData, LspVariant,
-};
+use crate::lsp::CgState;
+use crate::lsp::{lsp_gradient_cancelled, lsp_gradient_original, FrequencyData, LspVariant};
 use crate::metrics::{ConvergenceHistory, IterationRecord};
-use crate::tv::{gradient, shrink, tv_norm, VectorField};
+use crate::tv::{add_coupling_gradient, rsp_update, VectorField};
 use mlr_lamino::{DirectExecutor, FftExecutor, LaminoOperator};
-use mlr_math::Array3;
+use mlr_math::{Array3, Complex64};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -68,6 +71,65 @@ pub struct AdmmResult {
     pub stopped: Option<StopCause>,
 }
 
+/// Every buffer an ADMM solve uses. Under [`LspVariant::Cancelled`] an
+/// iteration allocates nothing beyond the executor's chunk results.
+pub struct AdmmWorkspace {
+    /// The iterate `u`.
+    pub u: Array3<f64>,
+    /// The auxiliary variable `ψ ≈ ∇u`.
+    pub psi: VectorField,
+    /// The Lagrange multiplier `λ`.
+    pub lambda: VectorField,
+    /// The last LSP gradient `G`.
+    pub grad: Array3<f64>,
+    /// The Barzilai–Borwein history of the inner iterations.
+    pub cg: CgState,
+    /// `F_u1D`'s input (the complex `u`) and `F*_u1D`'s output.
+    volume: Array3<Complex64>,
+    /// `ũ1`, shared by the forward and the adjoint pass.
+    u1: Array3<Complex64>,
+    /// `d̂′`, which the LSP turns into the residual spectrum `r̂`.
+    pub(crate) dhat: Array3<Complex64>,
+}
+
+impl AdmmWorkspace {
+    /// A zeroed workspace for `op`'s geometry (`u = ψ = λ = 0`).
+    pub fn new(op: &LaminoOperator) -> Self {
+        let (g, shape) = (op.geometry(), op.geometry().volume_shape());
+        Self {
+            u: Array3::zeros(shape),
+            psi: VectorField::zeros(shape),
+            lambda: VectorField::zeros(shape),
+            grad: Array3::zeros(shape),
+            cg: CgState::new(shape),
+            volume: Array3::zeros(shape),
+            u1: Array3::zeros(g.u1_shape()),
+            dhat: Array3::zeros(g.data_shape()),
+        }
+    }
+
+    /// `d̂′ = F_u2D F_u1D u` into `dhat`.
+    pub(crate) fn forward(&mut self, op: &LaminoOperator, exec: &dyn FftExecutor) {
+        let volume = self.volume.as_mut_slice();
+        for (z, &x) in volume.iter_mut().zip(self.u.as_slice()) {
+            *z = Complex64::from_real(x);
+        }
+        op.fu1d_into(&self.volume, exec, &mut self.u1);
+        op.fu2d_into(&self.u1, exec, &mut self.dhat);
+    }
+
+    /// `G = Re F*_u1D F*_u2D r̂ + ρ ∇ᵀ(∇u − ψ + λ/ρ)`, `r̂` read from `dhat`.
+    pub(crate) fn back(&mut self, op: &LaminoOperator, rho: f64, exec: &dyn FftExecutor) {
+        op.fu2d_adjoint_into(&self.dhat, exec, &mut self.u1);
+        op.fu1d_adjoint_into(&self.u1, exec, &mut self.volume);
+        let grad = self.grad.as_mut_slice();
+        for (g, z) in grad.iter_mut().zip(self.volume.as_slice()) {
+            *g = z.re;
+        }
+        add_coupling_gradient(&mut self.grad, &self.u, &self.psi, &self.lambda, rho);
+    }
+}
+
 /// The ADMM-FFT solver.
 pub struct AdmmSolver {
     config: AdmmConfig,
@@ -77,11 +139,6 @@ impl AdmmSolver {
     /// Creates a solver with the given configuration.
     pub fn new(config: AdmmConfig) -> Self {
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AdmmConfig {
-        &self.config
     }
 
     /// Runs ADMM-FFT with the direct (exact) executor.
@@ -114,24 +171,18 @@ impl AdmmSolver {
         cancel: &CancelToken,
     ) -> AdmmResult {
         let cfg = &self.config;
-        let vol_shape = op.geometry().volume_shape();
-        assert_eq!(
-            d.shape(),
-            op.geometry().data_shape(),
-            "projection data shape mismatch"
-        );
+        let data_shape = op.geometry().data_shape();
+        assert_eq!(d.shape(), data_shape, "projection data shape mismatch");
 
-        let mut u: Array3<f64> = Array3::zeros(vol_shape);
-        let mut psi = VectorField::zeros(vol_shape);
-        let mut lambda = VectorField::zeros(vol_shape);
-        let mut rho = cfg.rho;
-        let mut history = ConvergenceHistory::new();
-
-        // Algorithm 2 maps the data to the frequency domain once.
+        // Algorithm 2 maps the data to the frequency domain once, before
+        // the workspace exists, so its transient does not stack on it.
         let freq = match cfg.variant {
             LspVariant::Cancelled => Some(FrequencyData::new(op, d, exec)),
             LspVariant::Original => None,
         };
+        let mut ws = AdmmWorkspace::new(op);
+        let mut rho = cfg.rho;
+        let mut history = ConvergenceHistory::new();
 
         let mut stopped = None;
         for iteration in 0..cfg.outer_iterations {
@@ -144,68 +195,44 @@ impl AdmmSolver {
             // ------------------------------------------------------- LSP
             #[expect(clippy::disallowed_methods, reason = "decoration: phase seconds")]
             let lsp_start = Instant::now();
-            // g = ψ − λ/ρ  (Algorithm 1 line 1).
-            let mut g_field = psi.clone();
-            g_field.axpby(1.0, &lambda, -1.0 / rho);
-
-            let mut cg = CgState::new();
+            ws.cg.reset();
             let mut data_loss = 0.0;
             for _ in 0..cfg.n_inner {
-                let grad = match &freq {
-                    None => lsp_gradient_original(op, &u, d, &g_field, rho, exec),
-                    Some(freq) => lsp_gradient_cancelled(op, &u, freq, &g_field, rho, exec),
+                data_loss = match &freq {
+                    None => lsp_gradient_original(op, &mut ws, d, rho, exec),
+                    Some(freq) => lsp_gradient_cancelled(op, &mut ws, freq, rho, exec),
                 };
-                data_loss = grad.data_loss;
-                cg.update(&mut u, &grad.grad, cfg.initial_step);
+                ws.cg.update(&mut ws.u, &ws.grad, cfg.initial_step);
             }
             // Attenuation coefficients are physically non-negative.
-            u.map_inplace(|v| *v = v.max(0.0));
+            ws.u.map_inplace(|v| *v = v.max(0.0));
             let lsp_seconds = lsp_start.elapsed().as_secs_f64();
 
-            // ------------------------------------------------------- RSP
+            // ------------------------------ RSP, λ and penalty updates
+            // One pass updates ψ and λ and sums what the loss and the ρ rule
+            // read. ρ balances residuals: the dual one, ~ ρ‖ψ_k − ψ_{k−1}‖,
+            // approximated by the primal/ψ balance (Boyd §3.4 heuristic).
             #[expect(clippy::disallowed_methods, reason = "decoration: phase seconds")]
             let rsp_start = Instant::now();
-            let grad_u = gradient(&u);
-            // ψ = shrink(∇u + λ/ρ, α/ρ).
-            let mut arg = grad_u.clone();
-            arg.axpby(1.0, &lambda, 1.0 / rho);
-            psi = shrink(&arg, cfg.alpha / rho);
-            let rsp_seconds = rsp_start.elapsed().as_secs_f64();
-
-            // -------------------------------------------------- λ update
-            #[expect(clippy::disallowed_methods, reason = "decoration: phase seconds")]
-            let lambda_start = Instant::now();
-            // λ ← λ + ρ(∇u − ψ).
-            let mut primal = grad_u.clone();
-            primal.axpby(1.0, &psi, -1.0);
-            lambda.axpby(1.0, &primal, rho);
-            let lambda_seconds = lambda_start.elapsed().as_secs_f64();
-
-            // --------------------------------------------- penalty update
-            // Adapt ρ by primal/dual residual balancing. Dual residual ~
-            // ρ‖ψ_k − ψ_{k−1}‖; approximate with the primal/ψ balance
-            // (standard Boyd §3.4 heuristic).
-            #[expect(clippy::disallowed_methods, reason = "decoration: phase seconds")]
-            let penalty_start = Instant::now();
-            let primal_res = primal.norm_sqr().sqrt();
-            let psi_norm = psi.norm_sqr().sqrt().max(1e-12);
+            let sums = rsp_update(&ws.u, &mut ws.psi, &mut ws.lambda, cfg.alpha, rho);
+            let primal_res = sums.primal_sqr.sqrt();
+            let psi_norm = sums.psi_sqr.sqrt().max(1e-12);
             if primal_res > 10.0 * psi_norm {
                 rho *= 2.0;
             } else if psi_norm > 10.0 * primal_res {
                 rho *= 0.5;
             }
             rho = rho.clamp(1e-6, 1e6);
-            let penalty_seconds = penalty_start.elapsed().as_secs_f64();
+            let rsp_seconds = rsp_start.elapsed().as_secs_f64();
 
-            let loss = data_loss + cfg.alpha * tv_norm(&u);
             history.push(IterationRecord {
                 iteration,
-                loss,
+                loss: data_loss + cfg.alpha * sums.tv,
                 data_loss,
                 lsp_seconds,
                 rsp_seconds,
-                lambda_seconds,
-                penalty_seconds,
+                lambda_seconds: 0.0,
+                penalty_seconds: 0.0,
             });
         }
 
@@ -215,15 +242,13 @@ impl AdmmSolver {
         exec.finish();
 
         AdmmResult {
-            reconstruction: u,
+            reconstruction: ws.u,
             history,
             final_rho: rho,
             stopped,
         }
     }
 }
-
-pub use crate::lsp::LspVariant as Variant;
 
 #[cfg(test)]
 #[expect(clippy::disallowed_methods, reason = "tests set wall deadlines")]

@@ -14,16 +14,15 @@
 //! with a shrinkage step; the Lagrange multiplier `λ` and the penalty `ρ` are
 //! then updated. The crate provides:
 //!
-//! * [`tv`] — forward-difference gradient, its adjoint (negative divergence),
-//!   the isotropic TV norm and the shrinkage (proximal) operator.
-//! * [`lsp`] — the LSP gradient under both the **original** formulation
-//!   (Algorithm 1: `F*_2D`/`F_2D` appear in every pass) and the
-//!   **cancelled + fused** formulation (Algorithm 2: the data is mapped to
-//!   the frequency domain once and the uniform FFT pair disappears), plus the
-//!   CG-style update that consumes those gradients.
+//! * [`tv`] — gradient, its adjoint, TV norm and shrinkage, composed and
+//!   fused into the one-pass forms the solver runs.
+//! * [`lsp`] — the LSP gradient under the **original** formulation
+//!   (Algorithm 1: `F*_2D`/`F_2D` in every pass) and the **cancelled +
+//!   fused** one (Algorithm 2: the data is mapped to the frequency domain
+//!   once), plus the CG-style update that consumes those gradients.
 //! * [`admm`] — the outer ADMM driver with loss tracking, phase timing and
 //!   pluggable `FftExecutor` (this is where mLR's memoization engine slots
-//!   in).
+//!   in), and the [`AdmmWorkspace`] it runs in.
 //! * [`metrics`] — the paper's reconstruction-quality metrics (Eq. 4/5) and
 //!   convergence histories.
 
@@ -33,8 +32,8 @@ pub mod lsp;
 pub mod metrics;
 pub mod tv;
 
-pub use admm::{AdmmConfig, AdmmResult, AdmmSolver};
+pub use admm::{AdmmConfig, AdmmResult, AdmmSolver, AdmmWorkspace};
 pub use cancel::{CancelToken, StopCause};
 pub use lsp::{FrequencyData, LspVariant};
 pub use metrics::{accuracy_vs_reference, ConvergenceHistory};
-pub use tv::{divergence, gradient, shrink, tv_norm, VectorField};
+pub use tv::{tv_norm, VectorField};

@@ -1,18 +1,9 @@
 //! The laminography subproblem (LSP).
 //!
-//! The LSP refines the reconstruction `u` against the objective
-//!
-//! ```text
-//! f(u) = ½‖L u − d‖₂² + ρ/2 ‖∇u − g‖₂²,       g = ψ − λ/ρ
-//! ```
-//!
-//! with a small number of CG-style iterations driven by the gradient
-//!
-//! ```text
-//! G = L*(L u − d) + ρ ∇ᵀ(∇u − g).
-//! ```
-//!
-//! Two equivalent formulations of the data-term gradient are provided:
+//! The LSP refines `u` against `f(u) = ½‖L u − d‖₂² + ρ/2 ‖∇u − g‖₂²`,
+//! `g = ψ − λ/ρ`, with a few CG-style iterations driven by the gradient
+//! `G = L*(L u − d) + ρ ∇ᵀ(∇u − g)`. Two equivalent formulations of the
+//! data term are provided:
 //!
 //! * [`LspVariant::Original`] (the paper's Algorithm 1): the forward pass
 //!   ends with `F*_2D` back to detector space and the adjoint pass starts
@@ -26,10 +17,10 @@
 //! tests check this, which is the correctness claim behind the paper's
 //! operation cancellation.
 
-use crate::tv::{divergence, gradient, VectorField};
-use mlr_fft::fft2d::{to_complex, to_real};
+use crate::admm::AdmmWorkspace;
+use mlr_fft::fft2d::to_complex;
 use mlr_lamino::{FftExecutor, LaminoOperator};
-use mlr_math::{Array3, Complex64};
+use mlr_math::{Array3, Complex64, Shape3};
 use serde::{Deserialize, Serialize};
 
 /// Which LSP formulation to run.
@@ -52,191 +43,148 @@ impl FrequencyData {
     /// Maps the measured projections to the frequency domain (Algorithm 2
     /// line 2).
     pub fn new(op: &LaminoOperator, d: &Array3<f64>, exec: &dyn FftExecutor) -> Self {
-        let d_c = to_complex(d);
-        let dhat = op.f2d(&d_c, exec);
+        let dhat = op.f2d(&to_complex(d), exec);
         let g = op.geometry();
         let plane_scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
         Self { dhat, plane_scale }
     }
 
-    /// The stored `d̂`.
-    pub fn dhat(&self) -> &Array3<Complex64> {
-        &self.dhat
-    }
-
-    /// The `1/(h·w)` scale of the detector plane.
-    pub fn plane_scale(&self) -> f64 {
-        self.plane_scale
-    }
-}
-
-/// Per-projection Hermitian projection: replaces each plane `X` by
-/// `(X + conj(X mirrored))/2`, where the mirror is taken modulo the DFT grid.
-///
-/// Taking the real part of an inverse 2-D FFT in detector space (what
-/// Algorithm 1 does implicitly when it stores `d'` as real data) is exactly
-/// this projection in the frequency domain. Applying it inside the fused
-/// subtraction kernel is what makes the operation cancellation of
-/// Algorithm 2 *exactly* equivalent to Algorithm 1 rather than only
-/// approximately so.
-pub fn hermitian_project(planes: &mut Array3<Complex64>) {
-    let shape = planes.shape();
-    let (n_theta, h, w) = shape.dims();
-    for t in 0..n_theta {
-        for m in 0..h {
-            let mm = (h - m) % h;
-            for n in 0..w {
-                let nn = (w - n) % w;
-                if (m, n) > (mm, nn) {
-                    continue; // handled when visiting the mirror index
+    /// Algorithm 2's fused subtraction (one GPU kernel in the paper) in one
+    /// pass over `d̂′`: turns it into `r̂ = H(d̂′ − d̂) / (h·w)` in place and
+    /// returns `½‖Lu − d‖²` by Parseval. `H` replaces each plane `X` by
+    /// `(X + conj(X mirrored))/2`, the mirror taken modulo the DFT grid: the
+    /// frequency-domain form of Algorithm 1 keeping `Re F*_2D d̂′`, which
+    /// makes the cancellation exact. Each mirror pair is written at its
+    /// first index, so an index is final when the pass reaches it and the
+    /// loss sums and scales it there, in index order.
+    pub fn fused_residual(&self, dhat_prime: &mut Array3<Complex64>) -> f64 {
+        assert_eq!(dhat_prime.shape(), self.dhat.shape(), "d̂′ shape mismatch");
+        let (n_theta, h, w) = dhat_prime.shape().dims();
+        let (r, d) = (dhat_prime.as_mut_slice(), self.dhat.as_slice());
+        let scale = self.plane_scale;
+        // The start value of `f64: Sum`.
+        let mut sum = -0.0;
+        let mut p = 0;
+        for t in 0..n_theta {
+            for m in 0..h {
+                let mm = (h - m) % h;
+                for n in 0..w {
+                    let nn = (w - n) % w;
+                    if (m, n) <= (mm, nn) {
+                        let q = (t * h + mm) * w + nn;
+                        let sym = ((r[p] - d[p]) + (r[q] - d[q]).conj()).scale(0.5);
+                        r[p] = sym;
+                        r[q] = sym.conj();
+                    }
+                    sum += r[p].norm_sqr();
+                    r[p] = r[p].scale(scale);
+                    p += 1;
                 }
-                let a = planes[(t, m, n)];
-                let b = planes[(t, mm, nn)];
-                let sym = (a + b.conj()).scale(0.5);
-                planes[(t, m, n)] = sym;
-                planes[(t, mm, nn)] = sym.conj();
             }
         }
+        0.5 * scale * sum
     }
 }
 
-/// Result of one LSP gradient evaluation.
-pub struct LspGradient {
-    /// The gradient `G`.
-    pub grad: Array3<f64>,
-    /// The data-fidelity part of the objective, `½‖Lu − d‖²`.
-    pub data_loss: f64,
-}
-
-/// Evaluates the LSP gradient under Algorithm 1 (original formulation).
+/// Evaluates the LSP gradient at `ws.u` under Algorithm 1 (original
+/// formulation) into `ws.grad`; returns the data loss `½‖Lu − d‖²`. Its two
+/// uniform FFTs allocate their outputs; the rest runs in the workspace.
 pub fn lsp_gradient_original(
     op: &LaminoOperator,
-    u: &Array3<f64>,
+    ws: &mut AdmmWorkspace,
     d: &Array3<f64>,
-    g_field: &VectorField,
     rho: f64,
     exec: &dyn FftExecutor,
-) -> LspGradient {
-    // Forward pass: d' = F*_2D F_u2D F_u1D u.
-    let u_c = to_complex(u);
-    let u1 = op.fu1d(&u_c, exec);
-    let dhat_prime = op.fu2d(&u1, exec);
-    let d_prime = to_real(&op.f2d_inverse(&dhat_prime, exec));
-
-    // Residual in detector space.
-    let mut resid = d_prime.clone();
-    resid.axpby(1.0, d, -1.0);
-    let data_loss = 0.5 * resid.dot(&resid);
-
-    // Adjoint pass: G_data = F*_u1D F*_u2D ((1/hw)·F_2D resid).
+) -> f64 {
+    // Forward pass: d' = F*_2D F_u2D F_u1D u, and the residual d' − d in
+    // detector space, kept complex for F_2D.
+    ws.forward(op, exec);
+    let mut resid = op.f2d_inverse(&ws.dhat, exec);
+    // The start value of `f64: Sum`.
+    let mut sum = -0.0;
+    for (z, &di) in resid.as_mut_slice().iter_mut().zip(d.as_slice()) {
+        let r = z.re - di;
+        sum += r * r;
+        *z = Complex64::from_real(r);
+    }
+    // Adjoint pass: G_data = F*_u1D F*_u2D ((1/hw)·F_2D resid); F_2D's
+    // output becomes the workspace's spectrum buffer.
     let geometry = op.geometry();
     let scale = 1.0 / (geometry.detector.rows * geometry.detector.cols) as f64;
-    let mut rhat = op.f2d(&to_complex(&resid), exec);
-    rhat.map_inplace(|z| *z = z.scale(scale));
-    let back = op.fu2d_adjoint(&rhat, exec);
-    let g_data = to_real(&op.fu1d_adjoint(&back, exec));
-
-    LspGradient {
-        grad: add_regulariser(g_data, u, g_field, rho),
-        data_loss,
-    }
+    ws.dhat = op.f2d(&resid, exec);
+    ws.dhat.map_inplace(|z| *z = z.scale(scale));
+    ws.back(op, rho, exec);
+    0.5 * sum
 }
 
-/// Evaluates the LSP gradient under Algorithm 2 (cancellation + fusion).
+/// [`lsp_gradient_original`] under Algorithm 2 (cancellation + fusion),
+/// allocating nothing: every intermediate lives in the workspace.
 pub fn lsp_gradient_cancelled(
     op: &LaminoOperator,
-    u: &Array3<f64>,
+    ws: &mut AdmmWorkspace,
     freq: &FrequencyData,
-    g_field: &VectorField,
     rho: f64,
     exec: &dyn FftExecutor,
-) -> LspGradient {
+) -> f64 {
     // Forward pass stays in the frequency domain: d̂' = F_u2D F_u1D u.
-    let u_c = to_complex(u);
-    let u1 = op.fu1d(&u_c, exec);
-    let dhat_prime = op.fu2d(&u1, exec);
-
-    // Fused subtraction (on the GPU in the paper): r̂ = H(d̂' − d̂), where H is
-    // the per-plane Hermitian projection — the frequency-domain equivalent of
-    // Algorithm 1 storing the projection residual as real detector data.
-    let mut rhat = dhat_prime;
-    for (a, b) in rhat.as_mut_slice().iter_mut().zip(freq.dhat().as_slice()) {
-        *a -= *b;
-    }
-    hermitian_project(&mut rhat);
-
-    // ½‖Lu − d‖² via Parseval, no extra FFT needed.
-    let plane_scale = freq.plane_scale();
-    let data_loss = 0.5 * plane_scale * rhat.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>();
-
-    rhat.map_inplace(|z| *z = z.scale(plane_scale));
-
+    ws.forward(op, exec);
+    let data_loss = freq.fused_residual(&mut ws.dhat);
     // Adjoint pass: G_data = F*_u1D F*_u2D r̂ — no uniform FFT stages.
-    let back = op.fu2d_adjoint(&rhat, exec);
-    let g_data = to_real(&op.fu1d_adjoint(&back, exec));
-
-    LspGradient {
-        grad: add_regulariser(g_data, u, g_field, rho),
-        data_loss,
-    }
-}
-
-/// Adds the augmented-Lagrangian regularisation term `ρ ∇ᵀ(∇u − g)` to the
-/// data gradient.
-fn add_regulariser(
-    mut g_data: Array3<f64>,
-    u: &Array3<f64>,
-    g_field: &VectorField,
-    rho: f64,
-) -> Array3<f64> {
-    let mut diff = gradient(u);
-    diff.axpby(1.0, g_field, -1.0);
-    let reg = divergence(&diff);
-    g_data.axpby(1.0, &reg, rho);
-    g_data
+    ws.back(op, rho, exec);
+    data_loss
 }
 
 /// CG-style update state: the paper's `u ← CG(u, G, G_prev)` consumes the
 /// current and previous gradients; this implementation uses the
 /// Barzilai–Borwein step (a quasi-CG scheme that needs exactly that state).
-#[derive(Debug, Clone, Default)]
+/// The previous iterate and gradient live in two buffers allocated once;
+/// each update copies into them.
+#[derive(Debug, Clone)]
 pub struct CgState {
-    prev_u: Option<Array3<f64>>,
-    prev_grad: Option<Array3<f64>>,
+    prev_u: Array3<f64>,
+    prev_grad: Array3<f64>,
+    primed: bool,
 }
 
 impl CgState {
-    /// Creates an empty state (first step uses `initial_step`).
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty history for iterates of `shape`.
+    pub fn new(shape: Shape3) -> Self {
+        Self {
+            prev_u: Array3::zeros(shape),
+            prev_grad: Array3::zeros(shape),
+            primed: false,
+        }
+    }
+
+    /// Forgets the history: the next update uses `initial_step` again.
+    pub fn reset(&mut self) {
+        self.primed = false;
     }
 
     /// Applies one update `u ← u − α G`, with `α` from the Barzilai–Borwein
     /// formula when a previous iterate exists and `initial_step` otherwise.
     /// Returns the step size used.
     pub fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) -> f64 {
-        let alpha = match (&self.prev_u, &self.prev_grad) {
-            (Some(pu), Some(pg)) => {
-                // BB1: α = <Δu, Δu> / <Δu, ΔG>.
-                let mut du = u.clone();
-                du.axpby(1.0, pu, -1.0);
-                let mut dg = grad.clone();
-                dg.axpby(1.0, pg, -1.0);
-                let denom = du.dot(&dg);
-                let numer = du.dot(&du);
-                if denom > 1e-30 && numer > 0.0 {
-                    // Keep the BB step within a moderate band around the
-                    // configured step: when a memoized gradient repeats the
-                    // previous one, ΔG ≈ 0 and the raw BB ratio blows up.
-                    (numer / denom).clamp(0.05 * initial_step, 20.0 * initial_step)
-                } else {
-                    initial_step
-                }
-            }
-            _ => initial_step,
+        // BB1: α = <Δu, Δu> / <Δu, ΔG>, summed as `Array3::dot` sums; the
+        // same pass moves u and G into the history.
+        let (mut numer, mut denom) = (-0.0, -0.0);
+        let history = self.prev_u.as_mut_slice().iter_mut();
+        let history = history.zip(self.prev_grad.as_mut_slice());
+        for ((&x, &g), (pu, pg)) in u.as_slice().iter().zip(grad.as_slice()).zip(history) {
+            let (du, dg) = (x - *pu, g - *pg);
+            numer += du * du;
+            denom += du * dg;
+            (*pu, *pg) = (x, g);
+        }
+        let alpha = if self.primed && denom > 1e-30 && numer > 0.0 {
+            // Keep the BB step within a moderate band around the
+            // configured step: when a memoized gradient repeats the
+            // previous one, ΔG ≈ 0 and the raw BB ratio blows up.
+            (numer / denom).clamp(0.05 * initial_step, 20.0 * initial_step)
+        } else {
+            initial_step
         };
-        self.prev_u = Some(u.clone());
-        self.prev_grad = Some(grad.clone());
+        self.primed = true;
         u.axpby(1.0, grad, -alpha);
         alpha
     }
@@ -245,97 +193,85 @@ impl CgState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlr_fft::fft2d::to_real;
     use mlr_lamino::{DirectExecutor, LaminoGeometry};
     use mlr_math::norms::max_abs_diff;
     use mlr_math::rng::seeded;
-    use mlr_math::Shape3;
     use rand::Rng;
 
     fn small_setup() -> (LaminoOperator, Array3<f64>, Array3<f64>) {
-        let geometry = LaminoGeometry::cube(8, 6, 32.0);
-        let op = LaminoOperator::new(geometry, 4);
+        let op = LaminoOperator::new(LaminoGeometry::cube(8, 6, 32.0), 4);
         let mut rng = seeded(3);
-        let vol_shape = op.geometry().volume_shape();
-        let data_shape = op.geometry().data_shape();
-        let u = Array3::from_vec(
-            vol_shape,
-            (0..vol_shape.len())
-                .map(|_| rng.gen::<f64>() - 0.5)
-                .collect(),
-        );
-        let d = Array3::from_vec(
-            data_shape,
-            (0..data_shape.len())
-                .map(|_| rng.gen::<f64>() - 0.5)
-                .collect(),
-        );
+        let mut random = |shape: Shape3| {
+            let values = (0..shape.len()).map(|_| rng.gen::<f64>() - 0.5);
+            Array3::from_vec(shape, values.collect())
+        };
+        let u = random(op.geometry().volume_shape());
+        let d = random(op.geometry().data_shape());
         (op, u, d)
+    }
+
+    fn max_abs(a: &Array3<f64>) -> f64 {
+        a.as_slice().iter().fold(0.0, |m, x| m.max(x.abs()))
+    }
+
+    /// A workspace at iterate `u` with `ψ = λ = 0`.
+    fn workspace_at(op: &LaminoOperator, u: &Array3<f64>) -> AdmmWorkspace {
+        let mut ws = AdmmWorkspace::new(op);
+        ws.u = u.clone();
+        ws
     }
 
     #[test]
     fn original_and_cancelled_gradients_agree() {
         let (op, u, d) = small_setup();
         let exec = DirectExecutor;
-        let g_field = VectorField::zeros(u.shape());
         let rho = 0.5;
+        let mut ws = workspace_at(&op, &u);
 
-        let orig = lsp_gradient_original(&op, &u, &d, &g_field, rho, &exec);
+        let orig_loss = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
+        let orig = ws.grad.clone();
         let freq = FrequencyData::new(&op, &d, &exec);
-        let canc = lsp_gradient_cancelled(&op, &u, &freq, &g_field, rho, &exec);
+        let canc_loss = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &exec);
 
-        let scale = orig
-            .grad
-            .as_slice()
-            .iter()
-            .map(|x| x.abs())
-            .fold(0.0, f64::max);
-        let diff = max_abs_diff(orig.grad.as_slice(), canc.grad.as_slice());
-        assert!(diff < 1e-8 * scale.max(1.0), "gradient mismatch {diff}");
-        assert!((orig.data_loss - canc.data_loss).abs() < 1e-8 * orig.data_loss.max(1.0));
+        let diff = max_abs_diff(orig.as_slice(), ws.grad.as_slice());
+        assert!(
+            diff < 1e-8 * max_abs(&orig).max(1.0),
+            "gradient mismatch {diff}"
+        );
+        assert!((orig_loss - canc_loss).abs() < 1e-8 * orig_loss.max(1.0));
     }
 
     #[test]
     fn gradient_is_zero_at_exact_solution_without_regulariser() {
-        // If d = L u_true and we evaluate at u_true with rho = 0, the data
-        // gradient vanishes.
+        // If d = L u_true and we evaluate at u_true with λ = 0 and ρ → 0,
+        // the gradient vanishes.
         let (op, u_true, _) = small_setup();
         let exec = DirectExecutor;
         let d = op.forward(&u_true);
-        let g_field = VectorField::zeros(u_true.shape());
-        let g = lsp_gradient_original(&op, &u_true, &d, &g_field, 0.0, &exec);
-        let max = g
-            .grad
-            .as_slice()
-            .iter()
-            .map(|x| x.abs())
-            .fold(0.0, f64::max);
-        let scale = u_true
-            .as_slice()
-            .iter()
-            .map(|x| x.abs())
-            .fold(0.0, f64::max);
-        assert!(max < 1e-6 * scale.max(1.0), "gradient at solution {max}");
-        assert!(g.data_loss < 1e-10);
+        let mut ws = workspace_at(&op, &u_true);
+        let data_loss = lsp_gradient_original(&op, &mut ws, &d, 1e-12, &exec);
+        let max = max_abs(&ws.grad);
+        assert!(
+            max < 1e-6 * max_abs(&u_true).max(1.0),
+            "gradient at solution {max}"
+        );
+        assert!(data_loss < 1e-10);
     }
 
     #[test]
     fn gradient_descends_the_objective() {
         let (op, u, d) = small_setup();
         let exec = DirectExecutor;
-        let g_field = VectorField::zeros(u.shape());
         let rho = 0.1;
-        let g = lsp_gradient_original(&op, &u, &d, &g_field, rho, &exec);
+        let mut ws = workspace_at(&op, &u);
+        let loss = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
         // Take a small step along -G and check the objective decreases.
         let step = 1e-3;
-        let mut u2 = u.clone();
-        u2.axpby(1.0, &g.grad, -step);
-        let g2 = lsp_gradient_original(&op, &u2, &d, &g_field, rho, &exec);
-        assert!(
-            g2.data_loss <= g.data_loss + 1e-12,
-            "{} -> {}",
-            g.data_loss,
-            g2.data_loss
-        );
+        let grad = ws.grad.clone();
+        ws.u.axpby(1.0, &grad, -step);
+        let loss2 = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
+        assert!(loss2 <= loss + 1e-12, "{loss} -> {loss2}");
     }
 
     #[test]
@@ -343,7 +279,7 @@ mod tests {
         let shape = Shape3::cube(4);
         let mut u = Array3::filled(shape, 1.0);
         let grad = Array3::filled(shape, 0.5);
-        let mut cg = CgState::new();
+        let mut cg = CgState::new(shape);
         let a0 = cg.update(&mut u, &grad, 0.1);
         assert!((a0 - 0.1).abs() < 1e-12);
         // Second step with the same gradient: denominator <du, dg> == 0 so it
@@ -352,6 +288,9 @@ mod tests {
         let grad2 = Array3::filled(shape, 0.25);
         let a1 = cg.update(&mut u, &grad2, 0.1);
         assert!(a1 > 0.0);
+        // A reset history steps by the initial step again.
+        cg.reset();
+        assert_eq!(cg.update(&mut u, &grad, 0.1), 0.1);
     }
 
     #[test]
@@ -361,20 +300,12 @@ mod tests {
         let freq = FrequencyData::new(&op, &d, &exec);
         // Compute ||Lu - d||^2 / 2 both ways: in detector space and via the
         // Hermitian-projected frequency-domain residual (Parseval).
-        let lu = op.forward(&u);
-        let mut r = lu.clone();
+        let mut r = op.forward(&u);
         r.axpby(1.0, &d, -1.0);
         let direct = 0.5 * r.dot(&r);
 
-        let u1 = op.fu1d(&to_complex(&u), &exec);
-        let dhat_prime = op.fu2d(&u1, &exec);
-        let mut rhat = dhat_prime;
-        for (a, b) in rhat.as_mut_slice().iter_mut().zip(freq.dhat().as_slice()) {
-            *a -= *b;
-        }
-        hermitian_project(&mut rhat);
-        let via_freq =
-            0.5 * freq.plane_scale() * rhat.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>();
+        let mut rhat = op.fu2d(&op.fu1d(&to_complex(&u), &exec), &exec);
+        let via_freq = freq.fused_residual(&mut rhat);
         assert!(
             (direct - via_freq).abs() < 1e-8 * direct.max(1.0),
             "{direct} vs {via_freq}"
@@ -388,9 +319,13 @@ mod tests {
         let exec = DirectExecutor;
         let u1 = op.fu1d(&to_complex(&u), &exec);
         let dhat_prime = op.fu2d(&u1, &exec);
-        // Path A: project then inverse FFT.
+        // Path A: project (fused residual against d̂ = 0), then invert.
+        let zero = FrequencyData {
+            dhat: Array3::zeros(dhat_prime.shape()),
+            plane_scale: 1.0,
+        };
         let mut projected = dhat_prime.clone();
-        hermitian_project(&mut projected);
+        zero.fused_residual(&mut projected);
         let a = op.f2d_inverse(&projected, &exec);
         // Path B: inverse FFT, drop the imaginary part, transform back and
         // forth once more to compare in the same space.

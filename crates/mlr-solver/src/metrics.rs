@@ -20,17 +20,20 @@ pub fn accuracy_vs_reference(reference: &Array3<f64>, candidate: &Array3<f64>) -
 pub struct IterationRecord {
     /// Outer ADMM iteration index.
     pub iteration: usize,
-    /// Objective value `½‖Lu − d‖² + α·TV(u)`.
+    /// Objective `½‖Lu − d‖² + α·TV(u)` over two iterates: the last
+    /// gradient's [`Self::data_loss`] plus `α·TV` of the clamped final one.
     pub loss: f64,
-    /// Data-fidelity part of the loss.
+    /// `½‖Lu − d‖²` from the last LSP gradient: at the iterate before the
+    /// final CG step and before the non-negativity clamp.
     pub data_loss: f64,
-    /// Wall-clock seconds of the LSP phase.
+    /// Wall-clock seconds of the LSP phase (inner steps and clamp).
     pub lsp_seconds: f64,
-    /// Wall-clock seconds of the RSP phase.
+    /// Wall-clock seconds of the rest of the iteration: the one pass that
+    /// updates ψ and λ and sums the residuals and the TV, then the ρ rule.
     pub rsp_seconds: f64,
-    /// Wall-clock seconds of the λ update phase.
+    /// Always 0: the λ update runs in [`Self::rsp_seconds`]'s pass.
     pub lambda_seconds: f64,
-    /// Wall-clock seconds of the penalty update phase.
+    /// Always 0: the penalty update is timed in [`Self::rsp_seconds`].
     pub penalty_seconds: f64,
 }
 

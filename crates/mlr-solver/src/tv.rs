@@ -4,7 +4,10 @@
 //! forward-difference gradient `∇u` (a 3-component vector field), its
 //! adjoint (the negative divergence, used when differentiating the augmented
 //! Lagrangian), and the isotropic shrinkage operator that solves the RSP in
-//! closed form.
+//! closed form. The solver runs them fused, materialising no field
+//! ([`add_coupling_gradient`], [`rsp_update`]), bit-identical to the
+//! composed [`gradient`], [`divergence`], [`shrink`] and [`tv_norm`]: each
+//! element keeps its expression, each sum its order and start value.
 
 use mlr_math::{Array3, Shape3};
 
@@ -35,145 +38,209 @@ impl VectorField {
         self.x.shape()
     }
 
-    /// Element-wise linear combination `self ← a·self + b·other`.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn axpby(&mut self, a: f64, other: &VectorField, b: f64) {
-        self.x.axpby(a, &other.x, b);
-        self.y.axpby(a, &other.y, b);
-        self.z.axpby(a, &other.z, b);
+    fn slices(&self) -> [&[f64]; 3] {
+        [&self.x, &self.y, &self.z].map(|c| c.as_slice())
     }
 
-    /// Sum of squared entries over all three components.
-    pub fn norm_sqr(&self) -> f64 {
-        self.x.dot(&self.x) + self.y.dot(&self.y) + self.z.dot(&self.z)
+    fn slices_mut(&mut self) -> [&mut [f64]; 3] {
+        [&mut self.x, &mut self.y, &mut self.z].map(|c| c.as_mut_slice())
     }
 
-    /// Inner product with another field.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn dot(&self, other: &VectorField) -> f64 {
-        self.x.dot(&other.x) + self.y.dot(&other.y) + self.z.dot(&other.z)
+    /// Writes the vector `v` at voxel `idx`.
+    fn set(&mut self, idx: usize, v: [f64; 3]) {
+        for (component, x) in self.slices_mut().into_iter().zip(v) {
+            component[idx] = x;
+        }
     }
+}
 
-    /// Total bytes of the field (used by memory accounting).
-    pub fn bytes(&self) -> u64 {
-        (3 * self.x.len() * std::mem::size_of::<f64>()) as u64
+/// Calls `f(idx, ahead, behind)` for every voxel of `shape` in storage
+/// order: `ahead[c]` says the voxel has a forward neighbour along axis `c`,
+/// `behind[c]` a backward one.
+fn for_each_voxel(shape: Shape3, mut f: impl FnMut(usize, [bool; 3], [bool; 3])) {
+    let (n1, n0, n2) = shape.dims();
+    let mut idx = 0;
+    for i in 0..n1 {
+        for j in 0..n0 {
+            for k in 0..n2 {
+                let ahead = [i + 1 < n1, j + 1 < n0, k + 1 < n2];
+                f(idx, ahead, [i > 0, j > 0, k > 0]);
+                idx += 1;
+            }
+        }
+    }
+}
+
+/// Index steps of the three axes of `shape`.
+fn strides(shape: Shape3) -> [usize; 3] {
+    let (_, n0, n2) = shape.dims();
+    [n0 * n2, n2, 1]
+}
+
+/// `u`'s forward differences at voxel `idx`, zero along an axis ending there.
+fn forward_diffs(u: &[f64], at: usize, ahead: [bool; 3], step: [usize; 3]) -> [f64; 3] {
+    let x = u[at];
+    std::array::from_fn(|c| if ahead[c] { u[at + step[c]] - x } else { 0.0 })
+}
+
+/// The isotropic magnitude `√(x² + y² + z²)` of one vector.
+fn magnitude(v: [f64; 3]) -> f64 {
+    (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
+}
+
+/// One vector's magnitude shrunk by `threshold`, direction kept.
+fn shrunk(v: [f64; 3], threshold: f64) -> [f64; 3] {
+    let mag = magnitude(v);
+    if mag > threshold {
+        let scale = (mag - threshold) / mag;
+        v.map(|x| x * scale)
+    } else {
+        [0.0; 3]
     }
 }
 
 /// Forward-difference gradient with Neumann (replicate) boundary: the
 /// difference at the last index along an axis is zero.
 pub fn gradient(u: &Array3<f64>) -> VectorField {
-    let shape = u.shape();
-    let (n1, n0, n2) = shape.dims();
+    let (shape, u, steps) = (u.shape(), u.as_slice(), strides(u.shape()));
     let mut g = VectorField::zeros(shape);
-    for i in 0..n1 {
-        for j in 0..n0 {
-            for k in 0..n2 {
-                let c = u[(i, j, k)];
-                if i + 1 < n1 {
-                    g.x[(i, j, k)] = u[(i + 1, j, k)] - c;
-                }
-                if j + 1 < n0 {
-                    g.y[(i, j, k)] = u[(i, j + 1, k)] - c;
-                }
-                if k + 1 < n2 {
-                    g.z[(i, j, k)] = u[(i, j, k + 1)] - c;
-                }
-            }
-        }
-    }
+    for_each_voxel(shape, |idx, ahead, _| {
+        g.set(idx, forward_diffs(u, idx, ahead, steps))
+    });
     g
 }
 
-/// Divergence of a vector field with the boundary conditions adjoint to
-/// [`gradient`], so that `⟨∇u, p⟩ = −⟨u, div p⟩` holds exactly.
-pub fn divergence(p: &VectorField) -> Array3<f64> {
-    let shape = p.shape();
-    let (n1, n0, n2) = shape.dims();
-    let mut out = Array3::zeros(shape);
-    for i in 0..n1 {
-        for j in 0..n0 {
-            for k in 0..n2 {
-                let mut acc = 0.0;
-                // d/dx backward difference of p.x
-                if i + 1 < n1 {
-                    acc += p.x[(i, j, k)];
-                }
-                if i > 0 {
-                    acc -= p.x[(i - 1, j, k)];
-                }
-                if j + 1 < n0 {
-                    acc += p.y[(i, j, k)];
-                }
-                if j > 0 {
-                    acc -= p.y[(i, j - 1, k)];
-                }
-                if k + 1 < n2 {
-                    acc += p.z[(i, j, k)];
-                }
-                if k > 0 {
-                    acc -= p.z[(i, j, k - 1)];
-                }
-                out[(i, j, k)] = acc;
+/// Calls `emit(idx, (∇ᵀp)[idx])` per voxel, `p(c, at)` being component `c`
+/// of `p` at voxel `at`: the negated backward differences, axis by axis.
+fn for_each_adjoint_gradient(
+    shape: Shape3,
+    p: impl Fn(usize, usize) -> f64,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let steps = strides(shape);
+    for_each_voxel(shape, |idx, ahead, behind| {
+        let mut acc = 0.0;
+        for c in 0..3 {
+            if ahead[c] {
+                acc += p(c, idx);
+            }
+            if behind[c] {
+                acc -= p(c, idx - steps[c]);
             }
         }
-    }
-    // The adjoint identity <grad u, p> = <u, grad^T p> with grad^T = -div
-    // means the divergence above must carry a negative sign relative to the
-    // accumulated forward differences; flip it here so callers can use the
-    // conventional identity directly.
-    out.map_inplace(|v| *v = -*v);
+        emit(idx, -acc);
+    });
+}
+
+/// Divergence of a vector field with the boundary conditions adjoint to
+/// [`gradient`], sign flipped so that `⟨∇u, p⟩ = ⟨u, divergence(p)⟩`
+/// holds exactly: this is `∇ᵀp`.
+pub fn divergence(p: &VectorField) -> Array3<f64> {
+    let (shape, p) = (p.shape(), p.slices());
+    let mut out = Array3::zeros(shape);
+    let div = out.as_mut_slice();
+    for_each_adjoint_gradient(shape, |c, at| p[c][at], |idx, v| div[idx] = v);
     out
 }
 
 /// Isotropic TV norm `Σ √(gx² + gy² + gz²)`.
 pub fn tv_norm(u: &Array3<f64>) -> f64 {
     let g = gradient(u);
-    let n = u.len();
-    let mut total = 0.0;
-    for idx in 0..n {
-        let gx = g.x.as_slice()[idx];
-        let gy = g.y.as_slice()[idx];
-        let gz = g.z.as_slice()[idx];
-        total += (gx * gx + gy * gy + gz * gz).sqrt();
-    }
-    total
+    let [x, y, z] = g.slices();
+    (0..u.len()).fold(0.0, |total, i| total + magnitude([x[i], y[i], z[i]]))
 }
 
 /// Isotropic soft-thresholding (the RSP proximal step): shrinks the magnitude
 /// of each gradient vector by `threshold`, preserving direction.
 pub fn shrink(field: &VectorField, threshold: f64) -> VectorField {
-    let shape = field.shape();
-    let mut out = VectorField::zeros(shape);
-    let n = field.x.len();
-    for idx in 0..n {
-        let gx = field.x.as_slice()[idx];
-        let gy = field.y.as_slice()[idx];
-        let gz = field.z.as_slice()[idx];
-        let mag = (gx * gx + gy * gy + gz * gz).sqrt();
-        if mag > threshold {
-            let scale = (mag - threshold) / mag;
-            out.x.as_mut_slice()[idx] = gx * scale;
-            out.y.as_mut_slice()[idx] = gy * scale;
-            out.z.as_mut_slice()[idx] = gz * scale;
-        }
+    let mut out = VectorField::zeros(field.shape());
+    let [x, y, z] = field.slices();
+    for i in 0..x.len() {
+        out.set(i, shrunk([x[i], y[i], z[i]], threshold));
     }
     out
+}
+
+/// Adds the augmented-Lagrangian coupling `ρ ∇ᵀ(∇u − g)`, `g = ψ − λ/ρ`,
+/// into `grad` in one stencil pass over the (up to) six forward differences
+/// around each voxel; neither `∇u`, `g` nor `∇ᵀ` is materialised.
+/// Bit-identical to `grad.axpby(1.0, &divergence(&diff), rho)`, with `g`
+/// (`ψ.axpby(1.0, λ, -1.0 / rho)`) and `diff` ([`gradient`]`(u).axpby(1.0,
+/// g, -1.0)`) formed component by component.
+pub fn add_coupling_gradient(
+    grad: &mut Array3<f64>,
+    u: &Array3<f64>,
+    psi: &VectorField,
+    lambda: &VectorField,
+    rho: f64,
+) {
+    let (shape, u, grad) = (u.shape(), u.as_slice(), grad.as_mut_slice());
+    let (steps, psi, lambda) = (strides(shape), psi.slices(), lambda.slices());
+    let g_scale = -1.0 / rho;
+    // Component `c` of `∇u − g` at a voxel `at` with a forward neighbour.
+    let diff =
+        |c: usize, at: usize| (u[at + steps[c]] - u[at]) - (psi[c][at] + lambda[c][at] * g_scale);
+    for_each_adjoint_gradient(shape, diff, |idx, v| grad[idx] += v * rho);
+}
+
+/// The sums [`rsp_update`] takes on its way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RspSums {
+    /// `‖∇u − ψ‖²` with the new `ψ` (the primal residual, squared).
+    pub primal_sqr: f64,
+    /// `‖ψ‖²` of the new `ψ`.
+    pub psi_sqr: f64,
+    /// `TV(u)`, as [`tv_norm`].
+    pub tv: f64,
+}
+
+/// The RSP and the dual update in one pass over `(u, ψ, λ)`:
+/// `ψ ← shrink(∇u + λ/ρ, α/ρ)`, then `λ ← λ + ρ(∇u − ψ)`, summing the
+/// squared primal residual, `‖ψ‖²` and `TV(u)` in voxel order.
+/// Bit-identical to the composed [`gradient`] / [`shrink`] / `axpby` /
+/// `dot` / [`tv_norm`] sequence; no vector field is allocated.
+pub fn rsp_update(
+    u: &Array3<f64>,
+    psi: &mut VectorField,
+    lambda: &mut VectorField,
+    alpha: f64,
+    rho: f64,
+) -> RspSums {
+    let (shape, u) = (u.shape(), u.as_slice());
+    let (steps, psi, lambda) = (strides(shape), psi.slices_mut(), lambda.slices_mut());
+    let (inv_rho, threshold) = (1.0 / rho, alpha / rho);
+    // Per component, as `Array3::dot`: from `f64: Sum`'s start value, −0.
+    let (mut primal_sqr, mut psi_sqr, mut tv) = ([-0.0; 3], [-0.0; 3], 0.0);
+    for_each_voxel(shape, |idx, ahead, _| {
+        let g = forward_diffs(u, idx, ahead, steps);
+        tv += magnitude(g);
+        let arg = std::array::from_fn(|c| g[c] + lambda[c][idx] * inv_rho);
+        let p = shrunk(arg, threshold);
+        for c in 0..3 {
+            let r = g[c] - p[c];
+            psi[c][idx] = p[c];
+            lambda[c][idx] += r * rho;
+            primal_sqr[c] += r * r;
+            psi_sqr[c] += p[c] * p[c];
+        }
+    });
+    let total = |s: [f64; 3]| s[0] + s[1] + s[2];
+    RspSums {
+        primal_sqr: total(primal_sqr),
+        psi_sqr: total(psi_sqr),
+        tv,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlr_math::norms::max_abs_diff;
     use mlr_math::rng::seeded;
     use rand::Rng;
 
     fn random_volume(n: usize, seed: u64) -> Array3<f64> {
-        let mut rng = seeded(seed);
-        let shape = Shape3::cube(n);
+        let (mut rng, shape) = (seeded(seed), Shape3::cube(n));
         Array3::from_vec(
             shape,
             (0..shape.len()).map(|_| rng.gen::<f64>() - 0.5).collect(),
@@ -181,34 +248,22 @@ mod tests {
     }
 
     fn random_field(n: usize, seed: u64) -> VectorField {
-        VectorField {
-            x: random_volume(n, seed),
-            y: random_volume(n, seed + 1),
-            z: random_volume(n, seed + 2),
-        }
+        let [x, y, z] = [0, 1, 2].map(|c| random_volume(n, seed + c));
+        VectorField { x, y, z }
     }
 
     #[test]
     fn gradient_of_constant_is_zero() {
         let u = Array3::filled(Shape3::cube(6), 3.7);
-        let g = gradient(&u);
-        assert_eq!(g.norm_sqr(), 0.0);
+        assert_eq!(gradient(&u), VectorField::zeros(u.shape()));
         assert_eq!(tv_norm(&u), 0.0);
     }
 
     #[test]
     fn gradient_of_linear_ramp() {
         let n = 5;
-        let shape = Shape3::cube(n);
-        let mut u = Array3::zeros(shape);
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    u[(i, j, k)] = 2.0 * i as f64;
-                }
-            }
-        }
-        let g = gradient(&u);
+        let ramp = (0..n).flat_map(|i| vec![2.0 * i as f64; n * n]).collect();
+        let g = gradient(&Array3::from_vec(Shape3::cube(n), ramp));
         // Interior x-differences are 2, boundary plane is 0, other axes are 0.
         assert_eq!(g.x[(0, 0, 0)], 2.0);
         assert_eq!(g.x[(n - 2, 1, 1)], 2.0);
@@ -219,16 +274,12 @@ mod tests {
 
     #[test]
     fn gradient_divergence_adjointness() {
-        // <grad u, p> == <u, -div p> ... with our sign convention
-        // divergence() already returns -div so the identity reads
-        // <grad u, p> == <u, divergence(p)> ... verify numerically.
-        let n = 6;
-        let u = random_volume(n, 1);
-        let p = random_field(n, 10);
+        // divergence() is ∇ᵀ = −div, so <grad u, p> == <u, divergence(p)>.
+        let u = random_volume(6, 1);
+        let p = random_field(6, 10);
         let gu = gradient(&u);
-        let lhs = gu.dot(&p);
-        let div_p = divergence(&p);
-        let rhs = u.dot(&div_p);
+        let lhs = gu.x.dot(&p.x) + gu.y.dot(&p.y) + gu.z.dot(&p.z);
+        let rhs = u.dot(&divergence(&p));
         assert!(
             (lhs - rhs).abs() < 1e-10 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
@@ -253,28 +304,14 @@ mod tests {
     fn shrink_is_identity_at_zero_threshold() {
         let f = random_field(4, 20);
         let s = shrink(&f, 0.0);
-        assert!((s.norm_sqr() - f.norm_sqr()).abs() < 1e-10);
+        for (a, b) in [(&s.x, &f.x), (&s.y, &f.y), (&s.z, &f.z)] {
+            assert!(max_abs_diff(a.as_slice(), b.as_slice()) < 1e-12);
+        }
     }
 
     #[test]
     fn tv_norm_positive_for_nonconstant() {
         let u = random_volume(5, 30);
         assert!(tv_norm(&u) > 0.0);
-    }
-
-    #[test]
-    fn vector_field_ops() {
-        let shape = Shape3::cube(3);
-        let mut a = VectorField::zeros(shape);
-        let b = VectorField {
-            x: Array3::filled(shape, 1.0),
-            y: Array3::filled(shape, 2.0),
-            z: Array3::filled(shape, 3.0),
-        };
-        a.axpby(1.0, &b, 2.0);
-        assert_eq!(a.x[(0, 0, 0)], 2.0);
-        assert_eq!(a.z[(2, 2, 2)], 6.0);
-        assert_eq!(a.bytes(), (3 * 27 * 8) as u64);
-        assert!(a.dot(&b) > 0.0);
     }
 }
