@@ -37,10 +37,12 @@ fn main() {
     // Project onto the paper's three problem sizes with the measured reuse
     // behaviour (falling back to the paper's own distribution when the small
     // run produced too few hits to be representative).
-    let paper_case_distribution_used = report.avoided_fraction <= 0.05;
+    // `avoided_fraction` counts the 2-D USFFT chunks only: 5 % of all USFFT
+    // chunks, 1-D included, is 10 % of them at 16³ and 11.7 % at 32³.
+    let paper_case_distribution_used = report.avoided_fraction <= 0.12;
     let dist = if paper_case_distribution_used {
         println!(
-            "fewer than 5 % of FFTs avoided: projecting with the paper's case distribution (0.53, 0.19, 0.28), not the measured one\n"
+            "fewer than 12 % of 2-D USFFT chunks avoided: projecting with the paper's case distribution (0.53, 0.19, 0.28), not the measured one\n"
         );
         (0.53, 0.19, 0.28)
     } else {

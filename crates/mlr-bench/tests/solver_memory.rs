@@ -18,8 +18,9 @@ use mlr_core::{MlrConfig, MlrPipeline};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The ceiling, in `f64` volumes of the reconstruction's shape.
-const MAX_SOLVER_VOLUMES: f64 = 17.0;
+/// The ceiling, in `f64` volumes of the reconstruction's shape (the solve
+/// reads 14.5).
+const MAX_SOLVER_VOLUMES: f64 = 15.0;
 
 #[test]
 fn one_exact_solve_stays_under_its_volume_budget() {

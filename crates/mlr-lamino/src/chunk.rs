@@ -40,11 +40,6 @@ impl ChunkGrid {
         Self { extent, chunk_size }
     }
 
-    /// Length of the partitioned axis.
-    pub fn extent(&self) -> usize {
-        self.extent
-    }
-
     /// Nominal chunk size (the last chunk may be smaller).
     pub fn chunk_size(&self) -> usize {
         self.chunk_size

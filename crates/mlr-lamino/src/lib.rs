@@ -32,9 +32,10 @@
 //! detector rows `0..=h/2` only and the rest of the spectrum is their
 //! conjugate mirror ([`operators`] has the fill and its transpose, the fold).
 //!
-//! The adjoint is `L* = F*_u1D · F*_u2D · F_2D`. Both directions are exposed
-//! whole-volume (for small exact runs) and chunk-by-chunk (the granularity at
-//! which the paper applies memoization and distributes work across GPUs).
+//! The adjoint is `L* = F*_u1D · F*_u2D · F_2D`. Every stage runs over the
+//! whole volume; `F_u2D` / `F*_u2D`, the stages memoization replaces, do so
+//! chunk by chunk through the executor seam (the granularity at which the
+//! paper applies memoization and distributes work across GPUs).
 
 pub mod chunk;
 pub mod dataset;

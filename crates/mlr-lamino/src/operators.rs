@@ -3,11 +3,13 @@
 //! `L = F*_2D · F_u2D · F_u1D` maps a reconstruction volume
 //! `u ∈ R^(n1, n0, n2)` to projection data `d ∈ R^(nθ, h, w)`; its adjoint
 //! `L* = F*_u1D · F*_u2D · F_2D` maps residual projections back to a volume
-//! gradient. Every stage is exposed *chunk by chunk* through the
-//! [`FftExecutor`] seam, which is where mLR's memoization, the simulated GPU
-//! timing and the multi-GPU distribution plug in without the operator (or
-//! the FFT code) knowing about them — mirroring the paper's claim that mLR
-//! "does not change the FFT algorithm".
+//! gradient. The two stages memoization can replace, `F_u2D` and `F*_u2D`,
+//! are exposed *chunk by chunk* through the [`FftExecutor`] seam, which is
+//! where mLR's memoization plugs in without the operator (or the FFT code)
+//! knowing about it — mirroring the paper's claim that mLR "does not change
+//! the FFT algorithm". The four it never replaces (`F_u1D`, `F*_u1D`,
+//! `F_2D`, `F*_2D`) run as one plane loop per application, no executor in
+//! between.
 //!
 //! The volume and the projections are real, so the two USFFT stages run on
 //! half the spectrum: `F_u1D` and `F_u2D` evaluate detector rows `0..=h/2`
@@ -31,8 +33,10 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Identifies one of the six FFT operations that Algorithm 1 of the paper
-/// invokes (and that mLR memoizes).
+/// Identifies one of the four USFFT operations of Algorithm 2, the kinds
+/// mLR's memoization decides about. Only `F_u2D` and `F*_u2D` reach an
+/// executor; the 1-D kinds stay so that the break-even gate and its benches
+/// can be asked about them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FftOpKind {
     /// `F_u1D` — 1-D USFFT along the vertical axis.
@@ -43,33 +47,9 @@ pub enum FftOpKind {
     Fu2D,
     /// `F*_u2D` — adjoint of `F_u2D`.
     Fu2DAdj,
-    /// `F_2D` — uniform 2-D FFT per projection.
-    F2D,
-    /// `F*_2D` — inverse uniform 2-D FFT per projection.
-    F2DAdj,
 }
 
 impl FftOpKind {
-    /// All operation kinds, in the order they appear in one LSP iteration of
-    /// Algorithm 1 (forward pass then adjoint pass).
-    pub const ALL: [FftOpKind; 6] = [
-        FftOpKind::Fu1D,
-        FftOpKind::Fu2D,
-        FftOpKind::F2DAdj,
-        FftOpKind::F2D,
-        FftOpKind::Fu2DAdj,
-        FftOpKind::Fu1DAdj,
-    ];
-
-    /// The four operations that remain after the paper's operation
-    /// cancellation (Algorithm 2): `F_2D`/`F*_2D` are eliminated.
-    pub const AFTER_CANCELLATION: [FftOpKind; 4] = [
-        FftOpKind::Fu1D,
-        FftOpKind::Fu2D,
-        FftOpKind::Fu2DAdj,
-        FftOpKind::Fu1DAdj,
-    ];
-
     /// Short human-readable label used by reports and benches.
     pub fn label(&self) -> &'static str {
         match self {
@@ -77,22 +57,16 @@ impl FftOpKind {
             FftOpKind::Fu1DAdj => "F*u1D",
             FftOpKind::Fu2D => "Fu2D",
             FftOpKind::Fu2DAdj => "F*u2D",
-            FftOpKind::F2D => "F2D",
-            FftOpKind::F2DAdj => "F*2D",
         }
     }
 
-    /// The operation kinds in dense-index order: `DENSE[k.index()] == k`.
-    /// This is the canonical order for fixed-arity per-operation tables
-    /// (note it differs from [`FftOpKind::ALL`], which lists the kinds in
-    /// Algorithm-1 invocation order).
-    pub const DENSE: [FftOpKind; 6] = [
+    /// The operation kinds in dense-index order: `DENSE[k.index()] == k`,
+    /// the canonical order for fixed-arity per-operation tables.
+    pub const DENSE: [FftOpKind; 4] = [
         FftOpKind::Fu1D,
         FftOpKind::Fu1DAdj,
         FftOpKind::Fu2D,
         FftOpKind::Fu2DAdj,
-        FftOpKind::F2D,
-        FftOpKind::F2DAdj,
     ];
 
     /// Dense index of this kind in `0..FftOpKind::DENSE.len()`, the inverse
@@ -104,8 +78,6 @@ impl FftOpKind {
             FftOpKind::Fu1DAdj => 1,
             FftOpKind::Fu2D => 2,
             FftOpKind::Fu2DAdj => 3,
-            FftOpKind::F2D => 4,
-            FftOpKind::F2DAdj => 5,
         }
     }
 }
@@ -123,19 +95,19 @@ pub struct ChunkRequest<'a> {
     pub compute: &'a (dyn Fn(&[Complex64]) -> Vec<Complex64> + Sync),
 }
 
-/// The execution seam for chunked FFT operations.
+/// The execution seam for the memoizable FFT stages.
 ///
-/// The operator hands every chunk-level FFT invocation to an executor
-/// together with a closure that performs the actual computation. The default
+/// The operator hands every `F_u2D` / `F*_u2D` chunk to an executor together
+/// with a closure that performs the actual computation. The default
 /// [`DirectExecutor`] simply calls the closure; mLR's memoization engine
 /// (in `mlr-memo`) instead searches its database and only falls back to the
-/// closure on a miss; the hardware simulator wraps either to account time.
+/// closure on a miss; an instrumenting wrapper delegates to either.
 ///
 /// Operators dispatch whole chunk grids through
-/// [`FftExecutor::execute_batch_into`], which batch-aware executors (the
-/// memoized engine's deterministic chunk-parallel scheduler) override; the
-/// default implementation simply loops over [`FftExecutor::execute`], so
-/// single-chunk executors and sim wrappers keep working unchanged.
+/// [`FftExecutor::execute_batch_into`], which the memoized engine overrides
+/// with its two-phase schedule; the default implementation simply loops over
+/// [`FftExecutor::execute`], so single-chunk executors and wrappers keep
+/// working unchanged.
 pub trait FftExecutor: Send + Sync {
     /// Executes (or replaces) FFT operation `kind` on chunk location `loc`.
     ///
@@ -159,7 +131,7 @@ pub trait FftExecutor: Send + Sync {
     /// stored payload into the grid — no intermediate `Vec` per chunk. The
     /// default implementation runs the chunks sequentially through
     /// [`FftExecutor::execute`]; the memoized engine overrides it with the
-    /// two-phase deterministic parallel schedule (parallel probe/compute,
+    /// two-phase deterministic schedule (probe/compute every chunk, then an
     /// ordered commit), whose results are bit-identical for every thread
     /// count.
     ///
@@ -208,8 +180,9 @@ impl FftExecutor for DirectExecutor {
 }
 
 /// OS threads the kernel layer's data-parallel loops have spawned in this
-/// process so far. Only the plane loops of the `*_chunk_compute` kernels and
-/// the plan build in [`LaminoOperator::new`] fork; nothing below them does.
+/// process so far. Only the plane loops fork — one per `F_u1D`, `F*_u1D`,
+/// `F_2D` or `F*_2D` application, one per `F_u2D` / `F*_u2D` chunk compute —
+/// and the plan build in [`LaminoOperator::new`]; nothing below them does.
 pub fn kernel_threads_spawned() -> u64 {
     rayon::spawned_threads()
 }
@@ -274,7 +247,9 @@ where
 /// reuse them. The plans' working memory does not come per plan: the row
 /// plans lease from one shared pool, so what an operator keeps resident
 /// between applications scales with the kernel thread count, not with the
-/// detector height ([`Self::scratch_idle_buffers`]).
+/// detector height ([`Self::scratch_idle_buffers`]). The 1-D stages lease
+/// their complex volume plane from that pool too: its fine grids sit idle
+/// while an `F_u1D` / `F*_u1D` application runs.
 pub struct LaminoOperator {
     geometry: LaminoGeometry,
     usfft_vertical: Usfft1d,
@@ -285,8 +260,7 @@ pub struct LaminoOperator {
     /// dispatches of an operator application (and across applications): the
     /// `F_u2D`/`F*_u2D` stages gather their chunk inputs into one leased
     /// arena and stage their outputs in another instead of allocating per
-    /// chunk. The slab-aligned stages (`F_u1D`, `F_2D`) need no staging at
-    /// all — they borrow the operand and write the result grids directly.
+    /// chunk.
     arena: ScratchPool,
     /// The one grid every row plan of `usfft_rows` is built on: all rows
     /// share `nr1 × nr2`, σ and the half-width, so the operator builds the
@@ -356,20 +330,10 @@ impl LaminoOperator {
         self.chunk_size
     }
 
-    /// Chunk grid of the `F_u1D` stage (slabs along volume axis `n1`).
-    pub fn fu1d_grid(&self) -> ChunkGrid {
-        ChunkGrid::new(self.geometry.n1, self.chunk_size)
-    }
-
     /// Chunk grid of the `F_u2D` stage (slabs along the evaluated detector
     /// rows `0..=h/2`).
     pub fn fu2d_grid(&self) -> ChunkGrid {
         ChunkGrid::new(self.geometry.half_rows(), self.chunk_size)
-    }
-
-    /// Chunk grid of the `F_2D` stage (slabs along the angle axis).
-    pub fn f2d_grid(&self) -> ChunkGrid {
-        ChunkGrid::new(self.geometry.n_angles(), self.chunk_size)
     }
 
     // ----------------------------------------------------------------- Fu1D
@@ -378,27 +342,31 @@ impl LaminoOperator {
     /// the vertical spectrum at the evaluated rows' frequencies only. For a
     /// real `u` the rows above `h/2` would be conjugates of these, and
     /// [`Self::fu2d`] rebuilds them in `d̂` instead.
-    /// Chunks of this stage are slabs along axis 0.
-    pub fn fu1d(&self, u: &Array3<Complex64>, exec: &dyn FftExecutor) -> Array3<Complex64> {
+    pub fn fu1d(&self, u: &Array3<f64>) -> Array3<Complex64> {
         let mut out = Array3::zeros(self.geometry.u1_shape());
-        self.fu1d_into(u, exec, &mut out);
+        self.fu1d_into(u, &mut out);
         out
     }
 
     /// [`Self::fu1d`] into a caller-owned `ũ1`; every element is overwritten.
-    pub fn fu1d_into(
-        &self,
-        u: &Array3<Complex64>,
-        exec: &dyn FftExecutor,
-        out: &mut Array3<Complex64>,
-    ) {
+    /// One plane loop over `n1`: each real plane is widened into a complex
+    /// plane leased from the fine-grid pool and transformed.
+    pub fn fu1d_into(&self, u: &Array3<f64>, out: &mut Array3<Complex64>) {
         let g = &self.geometry;
         assert_eq!(u.shape(), g.volume_shape(), "Fu1D input shape mismatch");
         assert_eq!(out.shape(), g.u1_shape(), "Fu1D output shape mismatch");
-        let (input, out) = (u.as_slice(), out.as_mut_slice());
-        self.slab_stage_into(FftOpKind::Fu1D, self.fu1d_grid(), input, out, exec, |len| {
-            move |c: &[Complex64]| self.fu1d_chunk_compute(c, len)
-        });
+        let (n0, n2, rows) = (g.n0, g.n2, g.half_rows());
+        let u = u.as_slice();
+        out.as_mut_slice()
+            .par_chunks_mut(rows * n2)
+            .enumerate()
+            .for_each(|(i1, out_plane)| {
+                let mut plane = self.plane_grid.scratch().lease(n0 * n2);
+                for (z, &x) in plane.iter_mut().zip(&u[i1 * n0 * n2..][..n0 * n2]) {
+                    *z = Complex64::from_real(x);
+                }
+                self.usfft_vertical.forward_plane(&plane, n2, out_plane);
+            });
     }
 
     /// Exact computation of `F_u1D` on one chunk (a slab of `len` planes of
@@ -418,53 +386,35 @@ impl LaminoOperator {
         out
     }
 
-    /// Applies `F*_u1D`: `ũ1[n1, h/2+1, n2] → u[n1, n0, n2]`.
-    pub fn fu1d_adjoint(
-        &self,
-        u1: &Array3<Complex64>,
-        exec: &dyn FftExecutor,
-    ) -> Array3<Complex64> {
+    /// Applies `F*_u1D` and keeps the real part:
+    /// `ũ1[n1, h/2+1, n2] → Re u[n1, n0, n2]`.
+    pub fn fu1d_adjoint(&self, u1: &Array3<Complex64>) -> Array3<f64> {
         let mut out = Array3::zeros(self.geometry.volume_shape());
-        self.fu1d_adjoint_into(u1, exec, &mut out);
+        self.fu1d_adjoint_into(u1, &mut out);
         out
     }
 
     /// [`Self::fu1d_adjoint`] into a caller-owned volume; every element is
-    /// overwritten.
-    pub fn fu1d_adjoint_into(
-        &self,
-        u1: &Array3<Complex64>,
-        exec: &dyn FftExecutor,
-        out: &mut Array3<Complex64>,
-    ) {
+    /// overwritten. One plane loop over `n1`: each plane is transformed into
+    /// a complex plane leased from the fine-grid pool, whose real part is
+    /// kept.
+    pub fn fu1d_adjoint_into(&self, u1: &Array3<Complex64>, out: &mut Array3<f64>) {
         let g = &self.geometry;
         assert_eq!(u1.shape(), g.u1_shape(), "F*u1D input shape mismatch");
         assert_eq!(out.shape(), g.volume_shape(), "F*u1D output shape mismatch");
-        let (input, out) = (u1.as_slice(), out.as_mut_slice());
-        self.slab_stage_into(
-            FftOpKind::Fu1DAdj,
-            self.fu1d_grid(),
-            input,
-            out,
-            exec,
-            |len| move |c: &[Complex64]| self.fu1d_adjoint_chunk_compute(c, len),
-        );
-    }
-
-    /// Exact computation of `F*_u1D` on one chunk.
-    pub fn fu1d_adjoint_chunk_compute(&self, input: &[Complex64], len: usize) -> Vec<Complex64> {
-        let n0 = self.geometry.n0;
-        let n2 = self.geometry.n2;
-        let rows = self.geometry.half_rows();
-        assert_eq!(input.len(), len * rows * n2, "F*u1D chunk length mismatch");
-        let mut out = vec![Complex64::ZERO; len * n0 * n2];
-        out.par_chunks_mut(n0 * n2)
+        let (n0, n2, rows) = (g.n0, g.n2, g.half_rows());
+        let u1 = u1.as_slice();
+        out.as_mut_slice()
+            .par_chunks_mut(n0 * n2)
             .enumerate()
             .for_each(|(i1, out_plane)| {
-                let in_plane = &input[i1 * rows * n2..(i1 + 1) * rows * n2];
-                self.usfft_vertical.adjoint_plane(in_plane, n2, out_plane);
+                let mut plane = self.plane_grid.scratch().lease(n0 * n2);
+                let in_plane = &u1[i1 * rows * n2..][..rows * n2];
+                self.usfft_vertical.adjoint_plane(in_plane, n2, &mut plane);
+                for (x, z) in out_plane.iter_mut().zip(plane.iter()) {
+                    *x = z.re;
+                }
             });
-        out
     }
 
     // ----------------------------------------------------------------- Fu2D
@@ -671,80 +621,22 @@ impl LaminoOperator {
     // ------------------------------------------------------------------ F2D
 
     /// Applies the uniform per-projection 2-D FFT `F_2D`:
-    /// `d[nθ, h, w] → d̂[nθ, h, w]` (chunked along the angle axis).
-    pub fn f2d(&self, d: &Array3<Complex64>, exec: &dyn FftExecutor) -> Array3<Complex64> {
-        self.f2d_impl(d, exec, FftOpKind::F2D)
+    /// `d[nθ, h, w] → d̂[nθ, h, w]`, one plane loop over the angles.
+    pub fn f2d(&self, d: &Array3<Complex64>) -> Array3<Complex64> {
+        self.f2d_impl(d, Direction::Forward)
     }
 
     /// Applies the inverse per-projection 2-D FFT `F*_2D`.
-    pub fn f2d_inverse(
-        &self,
-        dhat: &Array3<Complex64>,
-        exec: &dyn FftExecutor,
-    ) -> Array3<Complex64> {
-        self.f2d_impl(dhat, exec, FftOpKind::F2DAdj)
+    pub fn f2d_inverse(&self, dhat: &Array3<Complex64>) -> Array3<Complex64> {
+        self.f2d_impl(dhat, Direction::Inverse)
     }
 
-    fn f2d_impl(
-        &self,
-        d: &Array3<Complex64>,
-        exec: &dyn FftExecutor,
-        kind: FftOpKind,
-    ) -> Array3<Complex64> {
-        let shape = self.geometry.data_shape();
-        assert_eq!(d.shape(), shape, "F2D input shape mismatch");
-        let mut out = Array3::zeros(shape);
-        let (input, slice) = (d.as_slice(), out.as_mut_slice());
-        self.slab_stage_into(kind, self.f2d_grid(), input, slice, exec, |len| {
-            move |c: &[Complex64]| self.f2d_chunk_compute(c, len, kind)
-        });
-        out
-    }
-
-    /// Runs one slab-aligned stage (`F_u1D`, `F*_u1D`, `F_2D`, `F*_2D`):
-    /// chunk `loc` is planes `loc.start..loc.start + loc.len` of `input` and
-    /// of `out` alike, so the batch borrows its inputs straight out of
-    /// `input` and writes its results straight into windows of `out` —
-    /// zero gather/scatter copies, zero per-chunk buffers. `compute(len)`
-    /// builds the exact transform of a chunk of `len` planes.
-    fn slab_stage_into<C>(
-        &self,
-        kind: FftOpKind,
-        grid: ChunkGrid,
-        input: &[Complex64],
-        out: &mut [Complex64],
-        exec: &dyn FftExecutor,
-        compute: impl Fn(usize) -> C,
-    ) where
-        C: Fn(&[Complex64]) -> Vec<Complex64> + Sync,
-    {
-        let locs: Vec<ChunkLocation> = grid.iter().collect();
-        let in_plane = input.len() / grid.extent();
-        let out_plane = out.len() / grid.extent();
-        let computes: Vec<C> = locs.iter().map(|loc| compute(loc.len)).collect();
-        let inputs = windows(input, locs.iter().map(|l| l.len * in_plane));
-        let batch = make_batch(&locs, inputs, &computes);
-        let mut outputs = split_windows(out, locs.iter().map(|l| l.len * out_plane));
-        exec.execute_batch_into(kind, &batch, &mut outputs);
-    }
-
-    /// Exact computation of `F_2D`/`F*_2D` on one chunk of projections.
-    pub fn f2d_chunk_compute(
-        &self,
-        input: &[Complex64],
-        len: usize,
-        kind: FftOpKind,
-    ) -> Vec<Complex64> {
-        let h = self.geometry.detector.rows;
-        let w = self.geometry.detector.cols;
-        assert_eq!(input.len(), len * h * w, "F2D chunk length mismatch");
-        let dir = match kind {
-            FftOpKind::F2D => Direction::Forward,
-            FftOpKind::F2DAdj => Direction::Inverse,
-            other => panic!("f2d_chunk_compute called with {other:?}"),
-        };
-        let mut out = input.to_vec();
-        out.par_chunks_mut(h * w)
+    fn f2d_impl(&self, d: &Array3<Complex64>, dir: Direction) -> Array3<Complex64> {
+        let g = &self.geometry;
+        assert_eq!(d.shape(), g.data_shape(), "F2D input shape mismatch");
+        let mut out = d.clone();
+        out.as_mut_slice()
+            .par_chunks_mut(g.detector.rows * g.detector.cols)
             .for_each(|plane| self.fft2_detector.process_plane(plane, dir));
         out
     }
@@ -757,15 +649,12 @@ impl LaminoOperator {
         self.forward_with(u, &DirectExecutor)
     }
 
-    /// Full forward operator with an explicit executor: `F_u1D` and `F_u2D`
-    /// on the evaluated rows, the fill to the whole `d̂` (inside
+    /// Full forward operator with an explicit executor for `F_u2D`: `F_u1D`
+    /// and `F_u2D` on the evaluated rows, the fill to the whole `d̂` (inside
     /// [`Self::fu2d`]), then the complex `F*_2D` and the real part.
     pub fn forward_with(&self, u: &Array3<f64>, exec: &dyn FftExecutor) -> Array3<f64> {
-        let u_c = mlr_fft::fft2d::to_complex(u);
-        let u1 = self.fu1d(&u_c, exec);
-        let dhat = self.fu2d(&u1, exec);
-        let d = self.f2d_inverse(&dhat, exec);
-        mlr_fft::fft2d::to_real(&d)
+        let dhat = self.fu2d(&self.fu1d(u), exec);
+        mlr_fft::fft2d::to_real(&self.f2d_inverse(&dhat))
     }
 
     /// Full adjoint operator `u = L* d` on real projection data, using the
@@ -774,20 +663,17 @@ impl LaminoOperator {
         self.adjoint_with(d, &DirectExecutor)
     }
 
-    /// Full adjoint operator with an explicit executor: `F_2D`, the
-    /// `1/(h·w)` scale, the fold onto the evaluated rows (inside
-    /// [`Self::fu2d_adjoint`]), `F*_u2D` and `F*_u1D` on those rows, then the
-    /// real part — the exact transpose of [`Self::forward_with`].
+    /// Full adjoint operator with an explicit executor for `F*_u2D`: `F_2D`,
+    /// the `1/(h·w)` scale, the fold onto the evaluated rows (inside
+    /// [`Self::fu2d_adjoint`]), `F*_u2D` and `F*_u1D` on those rows with the
+    /// real part kept — the exact transpose of [`Self::forward_with`].
     pub fn adjoint_with(&self, d: &Array3<f64>, exec: &dyn FftExecutor) -> Array3<f64> {
-        let d_c = mlr_fft::fft2d::to_complex(d);
-        let mut dhat = self.f2d(&d_c, exec);
+        let mut dhat = self.f2d(&mlr_fft::fft2d::to_complex(d));
         // Adjoint of the normalised inverse FFT is the forward FFT divided by
         // the plane size.
         let scale = 1.0 / (self.geometry.detector.rows * self.geometry.detector.cols) as f64;
         dhat.map_inplace(|z| *z = z.scale(scale));
-        let u1 = self.fu2d_adjoint(&dhat, exec);
-        let u = self.fu1d_adjoint(&u1, exec);
-        mlr_fft::fft2d::to_real(&u)
+        self.fu1d_adjoint(&self.fu2d_adjoint(&dhat, exec))
     }
 
     /// Size in complex elements of the chunk fed to `kind` at any location
@@ -801,9 +687,6 @@ impl LaminoOperator {
             FftOpKind::Fu1DAdj => cs.min(g.n1) * g.half_rows() * g.n2,
             FftOpKind::Fu2D => cs.min(g.half_rows()) * g.n1 * g.n2,
             FftOpKind::Fu2DAdj => cs.min(g.half_rows()) * g.n_angles() * g.half_cols(),
-            FftOpKind::F2D | FftOpKind::F2DAdj => {
-                cs.min(g.n_angles()) * g.detector.rows * g.detector.cols
-            }
         }
     }
 }
@@ -839,29 +722,27 @@ mod tests {
     #[test]
     fn shapes_of_factored_stages() {
         let op = small_operator();
-        let exec = DirectExecutor;
-        let u = random_complex_volume(op.geometry().volume_shape(), 1);
-        let u1 = op.fu1d(&u, &exec);
+        let u = random_real_volume(op.geometry().volume_shape(), 1);
+        let u1 = op.fu1d(&u);
         assert_eq!(u1.shape(), op.geometry().u1_shape());
-        let dhat = op.fu2d(&u1, &exec);
+        let dhat = op.fu2d(&u1, &DirectExecutor);
         assert_eq!(dhat.shape(), op.geometry().data_shape());
-        let d = op.f2d_inverse(&dhat, &exec);
+        let d = op.f2d_inverse(&dhat);
         assert_eq!(d.shape(), op.geometry().data_shape());
     }
 
     #[test]
     fn fu1d_adjointness() {
+        // `fu1d` takes a real volume and `fu1d_adjoint` keeps the real part:
+        // the pair is a transpose under Re<., .>.
         let op = small_operator();
-        let exec = DirectExecutor;
-        let x = random_complex_volume(op.geometry().volume_shape(), 2);
+        let x = random_real_volume(op.geometry().volume_shape(), 2);
         let y = random_complex_volume(op.geometry().u1_shape(), 3);
-        let fx = op.fu1d(&x, &exec);
-        let fty = op.fu1d_adjoint(&y, &exec);
-        let lhs = fx.inner(&y);
-        let rhs = x.inner(&fty);
+        let lhs = op.fu1d(&x).inner(&y).re;
+        let rhs = x.dot(&op.fu1d_adjoint(&y));
         assert!(
             (lhs - rhs).abs() < 1e-8 * lhs.abs().max(1.0),
-            "{lhs:?} vs {rhs:?}"
+            "{lhs} vs {rhs}"
         );
     }
 
@@ -902,10 +783,8 @@ mod tests {
     #[test]
     fn f2d_roundtrip_identity() {
         let op = small_operator();
-        let exec = DirectExecutor;
         let d = random_complex_volume(op.geometry().data_shape(), 8);
-        let dhat = op.f2d(&d, &exec);
-        let back = op.f2d_inverse(&dhat, &exec);
+        let back = op.f2d_inverse(&op.f2d(&d));
         assert!(max_abs_diff_c(back.as_slice(), d.as_slice()) < 1e-9);
     }
 
@@ -933,30 +812,33 @@ mod tests {
 
     #[test]
     fn executor_sees_every_chunk() {
+        // Counts per `FftOpKind::index()`.
         struct Counting {
-            count: AtomicUsize,
+            counts: [AtomicUsize; 4],
         }
         impl FftExecutor for Counting {
             fn execute(
                 &self,
-                _kind: FftOpKind,
+                kind: FftOpKind,
                 _loc: usize,
                 input: &[Complex64],
                 compute: &dyn Fn(&[Complex64]) -> Vec<Complex64>,
             ) -> Vec<Complex64> {
-                self.count.fetch_add(1, Ordering::Relaxed);
+                self.counts[kind.index()].fetch_add(1, Ordering::Relaxed);
                 compute(input)
             }
         }
         let op = small_operator();
         let exec = Counting {
-            count: AtomicUsize::new(0),
+            counts: Default::default(),
         };
         let u = random_real_volume(op.geometry().volume_shape(), 11);
-        let _ = op.forward_with(&u, &exec);
-        // Three stages, each with ceil(8/4)=2 chunks for Fu1D/Fu2D and
-        // ceil(6/4)=2 chunks for F*2D.
-        assert_eq!(exec.count.load(Ordering::Relaxed), 2 + 2 + 2);
+        let d = op.forward_with(&u, &exec);
+        let _ = op.adjoint_with(&d, &exec);
+        // Only the 2-D USFFTs cross the seam, each in ceil(5/4) = 2 chunks
+        // of the evaluated rows 0..=4.
+        let counts = exec.counts.each_ref().map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(counts, [0, 0, 2, 2]);
     }
 
     #[test]
@@ -978,7 +860,6 @@ mod tests {
         assert_eq!(op.chunk_elems(FftOpKind::Fu1DAdj), 4 * 5 * 8);
         assert_eq!(op.chunk_elems(FftOpKind::Fu2D), 4 * 8 * 8);
         assert_eq!(op.chunk_elems(FftOpKind::Fu2DAdj), 4 * 6 * 9);
-        assert_eq!(op.chunk_elems(FftOpKind::F2D), 4 * 8 * 8);
         // Each kind's chunk compute maps a chunk of its own size to one of
         // the next kind's.
         let x = random_complex_volume(op.geometry().volume_shape(), 12);
@@ -987,10 +868,6 @@ mod tests {
         assert_eq!(
             len(op.fu1d_chunk_compute(chunk(FftOpKind::Fu1D), 4)),
             op.chunk_elems(FftOpKind::Fu1DAdj)
-        );
-        assert_eq!(
-            len(op.fu1d_adjoint_chunk_compute(chunk(FftOpKind::Fu1DAdj), 4)),
-            op.chunk_elems(FftOpKind::Fu1D)
         );
         assert_eq!(
             len(op.fu2d_chunk_compute(chunk(FftOpKind::Fu2D), 0, 4)),
@@ -1139,8 +1016,7 @@ mod tests {
             };
             let op = LaminoOperator::new(g.clone(), 4);
             let u = random_real_volume(g.volume_shape(), 14);
-            let exec = DirectExecutor;
-            let filled = op.fu2d(&op.fu1d(&mlr_fft::fft2d::to_complex(&u), &exec), &exec);
+            let filled = op.fu2d(&op.fu1d(&u), &DirectExecutor);
             let direct = FullSpectrum::new(&g).spectrum(&u);
             let scale = direct.as_slice().iter().fold(0.0f64, |m, z| m.max(z.abs()));
             let err = max_abs_diff_c(filled.as_slice(), direct.as_slice()) / scale;
@@ -1150,20 +1026,15 @@ mod tests {
 
     #[test]
     fn op_kind_labels_and_sets() {
-        assert_eq!(FftOpKind::ALL.len(), 6);
-        assert_eq!(FftOpKind::AFTER_CANCELLATION.len(), 4);
+        assert_eq!(FftOpKind::DENSE.len(), 4);
         assert_eq!(FftOpKind::Fu2DAdj.label(), "F*u2D");
     }
 
     #[test]
     fn dense_order_is_the_inverse_of_index() {
-        // Fixed-arity stat tables rely on this bijection; every ALL member
-        // must appear, so a new kind cannot silently miss the dense order.
+        // Fixed-arity stat tables rely on this bijection.
         for (i, kind) in FftOpKind::DENSE.iter().enumerate() {
             assert_eq!(kind.index(), i, "{kind:?}");
-        }
-        for kind in FftOpKind::ALL {
-            assert_eq!(FftOpKind::DENSE[kind.index()], kind);
         }
     }
 }

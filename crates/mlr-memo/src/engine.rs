@@ -30,9 +30,10 @@
 //! themselves ([`tau_gate`](crate::db::tau_gate)), in the cache and in the
 //! store alike; the key only picks which stored chunk the store compares.
 //!
-//! Uniform-FFT operations (`F_2D`, `F*_2D`) are never memoized — after the
-//! operation cancellation of Algorithm 2 they do not appear at all — and
-//! neither are the 1-D USFFTs, whose compute costs about what a hit does.
+//! Only `F_u2D` / `F*_u2D` chunks reach an executor: the operators run the
+//! uniform FFTs (`F_2D`, `F*_2D`, gone after the operation cancellation of
+//! Algorithm 2) and the 1-D USFFTs, whose compute costs about what a hit
+//! does, as whole plane loops.
 //!
 //! # What a chunk's output slot receives
 //!
@@ -41,8 +42,8 @@
 //! recompute of the same input, and a fault must not change a bit: every
 //! lane chosen by store state (prefiltered, failed memo, cache hit, db hit)
 //! emits `widen(narrow(F(x)))`, rounding fused into the emit copy; the lane
-//! chosen by input and configuration alone (`computed`: disabled, uniform
-//! FFT, 1-D USFFT, warm-up, below break-even) emits the exact `f64` result.
+//! chosen by input and configuration alone (`computed`: memoization
+//! disabled, warm-up, or below break-even) emits the exact `f64` result.
 
 use crate::cache::{CacheKind, MemoCache};
 use crate::db::MemoDbConfig;
@@ -188,7 +189,7 @@ enum ProbeCase {
     /// reusable (the commit inserts the result); otherwise no key was
     /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
     /// prefilter, [`MemoCase::Computed`] when memoization does not apply
-    /// (disabled, uniform FFT, warm-up) or the chunk is below break-even.
+    /// (disabled, warm-up) or the chunk is below break-even.
     /// `fft_ns` is the exact compute's stage time (0 when telemetry is
     /// disabled).
     Computed {
@@ -757,17 +758,6 @@ mod tests {
         let stats = exec.stats().op(FftOpKind::Fu2D);
         assert_eq!(stats.computed, 3);
         assert_eq!(stats.failed_memo + stats.db_hits + stats.cache_hits, 0);
-        assert_eq!(exec.db_len(), 0);
-    }
-
-    #[test]
-    fn uniform_fft_ops_are_not_memoized_by_default() {
-        let exec = MemoizedExecutor::private(test_config());
-        let input = chunk(4, 64);
-        let _ = exec.execute(FftOpKind::F2D, 0, &input, &fake_fft);
-        let _ = exec.execute(FftOpKind::F2D, 0, &input, &fake_fft);
-        let stats = exec.stats().op(FftOpKind::F2D);
-        assert_eq!(stats.computed, 2);
         assert_eq!(exec.db_len(), 0);
     }
 

@@ -32,7 +32,7 @@
 //!   the same [`tau_gate`] before any key is computed.
 //! * [`engine`] — the [`MemoizedExecutor`], an implementation of
 //!   `mlr_lamino::FftExecutor` that the ADMM solver can use in place of the
-//!   direct executor; it records the per-case statistics behind
+//!   direct executor for the `F_u2D` / `F*_u2D` chunks; it records the per-case statistics behind
 //!   Figures 10–12. A chunk takes the memo path only when
 //!   [`memoization_pays`] says a hit can pay for it at the chunk's kind and
 //!   length. A batch runs in two phases on the calling thread: every chunk

@@ -17,10 +17,9 @@ use serde::{Deserialize, Serialize, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MemoCase {
     /// Computed exactly, without consulting the memoization system:
-    /// memoization is disabled, the operation is a uniform FFT, the job is
-    /// still in its warm-up iterations, or the chunk is below break-even
-    /// (`memoization_pays` says a hit could not pay for the memo path at its
-    /// kind and length).
+    /// memoization is disabled, the job is still in its warm-up iterations,
+    /// or the chunk is below break-even (`memoization_pays` says a hit could
+    /// not pay for the memo path at its kind and length).
     Computed,
     /// Case 1: database miss → compute + insert.
     FailedMemo,
@@ -38,7 +37,7 @@ pub enum MemoCase {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpStats {
     /// Invocations computed without consulting the memoization system:
-    /// disabled, uniform FFT, warm-up or below break-even.
+    /// disabled, warm-up or below break-even.
     pub computed: u64,
     /// The part of `computed` that the break-even gate sent to the exact
     /// FFT in a memoizing dispatch (after warm-up, memoization on).
@@ -88,7 +87,7 @@ impl OpStats {
 
 /// The operation kinds in dense-index order — the canonical array defined
 /// next to [`FftOpKind::index`] (pinned to be its inverse by a test there).
-const KINDS: [FftOpKind; 6] = FftOpKind::DENSE;
+const KINDS: [FftOpKind; 4] = FftOpKind::DENSE;
 
 /// Statistics across operations: a fixed-arity table of `Copy` counters,
 /// one row per operation kind. The engine accumulates into one during the
@@ -190,11 +189,11 @@ mod tests {
             (FftOpKind::Fu2D, MemoCase::FailedMemo),
             (FftOpKind::Fu2D, MemoCase::DbHit),
             (FftOpKind::Fu1D, MemoCase::CacheHit),
-            (FftOpKind::F2D, MemoCase::Computed),
+            (FftOpKind::Fu1DAdj, MemoCase::Computed),
         ] {
             table.record(op, case);
         }
-        table.add_gated(FftOpKind::F2D);
+        table.add_gated(FftOpKind::Fu1DAdj);
         table.add_encoded_key(FftOpKind::Fu1D);
         // A snapshot is a plain copy.
         let snapshot = table;
@@ -211,7 +210,7 @@ mod tests {
         };
         assert_eq!(name, "per_op");
         let kinds: Vec<&str> = per_op.iter().map(|(kind, _)| kind.as_str()).collect();
-        assert_eq!(kinds, ["F2D", "Fu1D", "Fu2D"]);
+        assert_eq!(kinds, ["Fu1D", "Fu1DAdj", "Fu2D"]);
         assert_eq!(per_op[2].1, table.op(FftOpKind::Fu2D).to_value());
     }
 

@@ -11,7 +11,7 @@
 //!
 //! Phases 2–4 are one pass over the volume ([`rsp_update`]), and every phase
 //! runs in one [`AdmmWorkspace`] allocated when the run starts: about
-//! `10 + 2 + |ũ1| + |d̂|` real volumes, the state a slab driver would page.
+//! `10 + |ũ1| + |d̂|` real volumes, the state a slab driver would page.
 //!
 //! The driver takes any `FftExecutor`, so the same code path produces the
 //! exact baseline (direct executor), the memoized run (mLR's engine) and the
@@ -84,8 +84,6 @@ pub struct AdmmWorkspace {
     pub grad: Array3<f64>,
     /// The Barzilai–Borwein history of the inner iterations.
     pub cg: CgState,
-    /// `F_u1D`'s input (the complex `u`) and `F*_u1D`'s output.
-    volume: Array3<Complex64>,
     /// `ũ1`, shared by the forward and the adjoint pass.
     u1: Array3<Complex64>,
     /// `d̂′`, which the LSP turns into the residual spectrum `r̂`.
@@ -102,7 +100,6 @@ impl AdmmWorkspace {
             lambda: VectorField::zeros(shape),
             grad: Array3::zeros(shape),
             cg: CgState::new(shape),
-            volume: Array3::zeros(shape),
             u1: Array3::zeros(g.u1_shape()),
             dhat: Array3::zeros(g.data_shape()),
         }
@@ -110,22 +107,14 @@ impl AdmmWorkspace {
 
     /// `d̂′ = F_u2D F_u1D u` into `dhat`.
     pub(crate) fn forward(&mut self, op: &LaminoOperator, exec: &dyn FftExecutor) {
-        let volume = self.volume.as_mut_slice();
-        for (z, &x) in volume.iter_mut().zip(self.u.as_slice()) {
-            *z = Complex64::from_real(x);
-        }
-        op.fu1d_into(&self.volume, exec, &mut self.u1);
+        op.fu1d_into(&self.u, &mut self.u1);
         op.fu2d_into(&self.u1, exec, &mut self.dhat);
     }
 
     /// `G = Re F*_u1D F*_u2D r̂ + ρ ∇ᵀ(∇u − ψ + λ/ρ)`, `r̂` read from `dhat`.
     pub(crate) fn back(&mut self, op: &LaminoOperator, rho: f64, exec: &dyn FftExecutor) {
         op.fu2d_adjoint_into(&self.dhat, exec, &mut self.u1);
-        op.fu1d_adjoint_into(&self.u1, exec, &mut self.volume);
-        let grad = self.grad.as_mut_slice();
-        for (g, z) in grad.iter_mut().zip(self.volume.as_slice()) {
-            *g = z.re;
-        }
+        op.fu1d_adjoint_into(&self.u1, &mut self.grad);
         add_coupling_gradient(&mut self.grad, &self.u, &self.psi, &self.lambda, rho);
     }
 }
@@ -177,7 +166,7 @@ impl AdmmSolver {
         // Algorithm 2 maps the data to the frequency domain once, before
         // the workspace exists, so its transient does not stack on it.
         let freq = match cfg.variant {
-            LspVariant::Cancelled => Some(FrequencyData::new(op, d, exec)),
+            LspVariant::Cancelled => Some(FrequencyData::new(op, d)),
             LspVariant::Original => None,
         };
         let mut ws = AdmmWorkspace::new(op);

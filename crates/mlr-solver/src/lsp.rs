@@ -42,8 +42,8 @@ pub struct FrequencyData {
 impl FrequencyData {
     /// Maps the measured projections to the frequency domain (Algorithm 2
     /// line 2).
-    pub fn new(op: &LaminoOperator, d: &Array3<f64>, exec: &dyn FftExecutor) -> Self {
-        let dhat = op.f2d(&to_complex(d), exec);
+    pub fn new(op: &LaminoOperator, d: &Array3<f64>) -> Self {
+        let dhat = op.f2d(&to_complex(d));
         let g = op.geometry();
         let plane_scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
         Self { dhat, plane_scale }
@@ -99,7 +99,7 @@ pub fn lsp_gradient_original(
     // Forward pass: d' = F*_2D F_u2D F_u1D u, and the residual d' − d in
     // detector space, kept complex for F_2D.
     ws.forward(op, exec);
-    let mut resid = op.f2d_inverse(&ws.dhat, exec);
+    let mut resid = op.f2d_inverse(&ws.dhat);
     // The start value of `f64: Sum`.
     let mut sum = -0.0;
     for (z, &di) in resid.as_mut_slice().iter_mut().zip(d.as_slice()) {
@@ -111,7 +111,7 @@ pub fn lsp_gradient_original(
     // output becomes the workspace's spectrum buffer.
     let geometry = op.geometry();
     let scale = 1.0 / (geometry.detector.rows * geometry.detector.cols) as f64;
-    ws.dhat = op.f2d(&resid, exec);
+    ws.dhat = op.f2d(&resid);
     ws.dhat.map_inplace(|z| *z = z.scale(scale));
     ws.back(op, rho, exec);
     0.5 * sum
@@ -231,7 +231,7 @@ mod tests {
 
         let orig_loss = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
         let orig = ws.grad.clone();
-        let freq = FrequencyData::new(&op, &d, &exec);
+        let freq = FrequencyData::new(&op, &d);
         let canc_loss = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &exec);
 
         let diff = max_abs_diff(orig.as_slice(), ws.grad.as_slice());
@@ -297,14 +297,14 @@ mod tests {
     fn frequency_data_loss_matches_detector_space() {
         let (op, u, d) = small_setup();
         let exec = DirectExecutor;
-        let freq = FrequencyData::new(&op, &d, &exec);
+        let freq = FrequencyData::new(&op, &d);
         // Compute ||Lu - d||^2 / 2 both ways: in detector space and via the
         // Hermitian-projected frequency-domain residual (Parseval).
         let mut r = op.forward(&u);
         r.axpby(1.0, &d, -1.0);
         let direct = 0.5 * r.dot(&r);
 
-        let mut rhat = op.fu2d(&op.fu1d(&to_complex(&u), &exec), &exec);
+        let mut rhat = op.fu2d(&op.fu1d(&u), &exec);
         let via_freq = freq.fused_residual(&mut rhat);
         assert!(
             (direct - via_freq).abs() < 1e-8 * direct.max(1.0),
@@ -317,7 +317,7 @@ mod tests {
         // H in the frequency domain == taking Re() in detector space.
         let (op, u, _) = small_setup();
         let exec = DirectExecutor;
-        let u1 = op.fu1d(&to_complex(&u), &exec);
+        let u1 = op.fu1d(&u);
         let dhat_prime = op.fu2d(&u1, &exec);
         // Path A: project (fused residual against d̂ = 0), then invert.
         let zero = FrequencyData {
@@ -326,10 +326,10 @@ mod tests {
         };
         let mut projected = dhat_prime.clone();
         zero.fused_residual(&mut projected);
-        let a = op.f2d_inverse(&projected, &exec);
+        let a = op.f2d_inverse(&projected);
         // Path B: inverse FFT, drop the imaginary part, transform back and
         // forth once more to compare in the same space.
-        let b = to_real(&op.f2d_inverse(&dhat_prime, &exec));
+        let b = to_real(&op.f2d_inverse(&dhat_prime));
         let max_diff = a
             .as_slice()
             .iter()

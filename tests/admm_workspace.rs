@@ -172,14 +172,10 @@ mod reference {
     }
 
     /// `F_2D d` and the plane scale `1/(h·w)`: what `FrequencyData` holds.
-    pub fn frequency_data(
-        op: &LaminoOperator,
-        d: &Array3<f64>,
-        exec: &dyn FftExecutor,
-    ) -> (Array3<Complex64>, f64) {
+    pub fn frequency_data(op: &LaminoOperator, d: &Array3<f64>) -> (Array3<Complex64>, f64) {
         let g = op.geometry();
         let plane_scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
-        (op.f2d(&to_complex(d), exec), plane_scale)
+        (op.f2d(&to_complex(d)), plane_scale)
     }
 
     /// Subtraction, projection, Parseval loss and plane scale as four
@@ -217,18 +213,18 @@ mod reference {
         rho: f64,
         exec: &dyn FftExecutor,
     ) -> (Array3<f64>, f64) {
-        let u1 = op.fu1d(&to_complex(u), exec);
+        let u1 = op.fu1d(u);
         let dhat_prime = op.fu2d(&u1, exec);
-        let d_prime = to_real(&op.f2d_inverse(&dhat_prime, exec));
+        let d_prime = to_real(&op.f2d_inverse(&dhat_prime));
         let mut resid = d_prime.clone();
         resid.axpby(1.0, d, -1.0);
         let data_loss = 0.5 * resid.dot(&resid);
         let g = op.geometry();
         let scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
-        let mut rhat = op.f2d(&to_complex(&resid), exec);
+        let mut rhat = op.f2d(&to_complex(&resid));
         rhat.map_inplace(|z| *z = z.scale(scale));
         let back = op.fu2d_adjoint(&rhat, exec);
-        let g_data = to_real(&op.fu1d_adjoint(&back, exec));
+        let g_data = op.fu1d_adjoint(&back);
         (add_regulariser(g_data, u, g_field, rho), data_loss)
     }
 
@@ -240,11 +236,11 @@ mod reference {
         rho: f64,
         exec: &dyn FftExecutor,
     ) -> (Array3<f64>, f64) {
-        let u1 = op.fu1d(&to_complex(u), exec);
+        let u1 = op.fu1d(u);
         let mut rhat = op.fu2d(&u1, exec);
         let data_loss = residual_tail(&mut rhat, freq);
         let back = op.fu2d_adjoint(&rhat, exec);
-        let g_data = to_real(&op.fu1d_adjoint(&back, exec));
+        let g_data = op.fu1d_adjoint(&back);
         (add_regulariser(g_data, u, g_field, rho), data_loss)
     }
 
@@ -291,7 +287,7 @@ mod reference {
         let mut rho = cfg.rho;
         let mut losses = Vec::new();
         let freq = match cfg.variant {
-            LspVariant::Cancelled => Some(frequency_data(op, d, exec)),
+            LspVariant::Cancelled => Some(frequency_data(op, d)),
             LspVariant::Original => None,
         };
         for iteration in 0..cfg.outer_iterations {
@@ -432,17 +428,14 @@ fn fused_residual_is_the_composed_tail_bit_for_bit() {
     let config = MlrConfig::quick(12, 8);
     let pipeline = MlrPipeline::new(config);
     let op = pipeline.operator();
-    let freq = FrequencyData::new(op, &pipeline.dataset().projections, &DirectExecutor);
+    let freq = FrequencyData::new(op, &pipeline.dataset().projections);
     let u = random_volume(op.geometry().volume_shape(), 30);
-    let u1 = op.fu1d(&mlr_fft::fft2d::to_complex(&u), &DirectExecutor);
+    let u1 = op.fu1d(&u);
     let dhat_prime = op.fu2d(&u1, &DirectExecutor);
     let (mut fused, mut composed) = (dhat_prime.clone(), dhat_prime);
     let loss = freq.fused_residual(&mut fused);
     let d = &pipeline.dataset().projections;
-    let loss_ref = reference::residual_tail(
-        &mut composed,
-        &reference::frequency_data(op, d, &DirectExecutor),
-    );
+    let loss_ref = reference::residual_tail(&mut composed, &reference::frequency_data(op, d));
     assert_eq!(loss.to_bits(), loss_ref.to_bits());
     let parts = |a: &Array3<Complex64>| -> Vec<(u64, u64)> {
         a.as_slice()
