@@ -2,7 +2,7 @@
 
 use mlr_lamino::{PhantomKind, ProjectionNoise};
 use mlr_memo::{CacheKind, CapacityBudget, MemoConfig};
-use mlr_solver::{AdmmConfig, LspVariant};
+use mlr_solver::AdmmConfig;
 use serde::{Deserialize, Serialize};
 
 /// Experiment scale selector used by the harness binaries: `Tiny` and
@@ -107,7 +107,6 @@ impl MlrConfig {
                 alpha: 1e-4,
                 rho: 0.5,
                 initial_step: 0.05,
-                variant: LspVariant::Cancelled,
             },
             memo: MemoConfig {
                 tau: 0.92,

@@ -1,20 +1,17 @@
-//! Two-dimensional and batched FFTs.
+//! Two-dimensional FFTs.
 //!
 //! `F_2D` in the paper is a per-projection 2-D FFT over the detector plane
-//! (`h × w`), applied independently to every projection angle. The batched
-//! form is therefore the hot path: a 3-D array of shape `(nθ, h, w)` is
-//! transformed plane by plane. Planes are independent, so the batch runs
-//! under rayon — this is the CPU stand-in for the paper's GPU execution; the
-//! simulated GPU timing lives in `mlr-sim`.
+//! (`h × w`), applied independently to every projection angle. [`Fft2Batch`]
+//! holds the row and column plans once and transforms one plane at a time;
+//! the operators run it as one plane loop over the angles.
 
 use crate::fft::{normalise, Direction, FftPlan, FftPlanner};
 use mlr_math::{Array3, Complex64};
-use rayon::prelude::*;
 
-/// A reusable batched 2-D FFT over the planes of a 3-D array.
+/// A reusable 2-D FFT over `rows × cols` planes.
 ///
-/// The plan caches the row/column twiddle tables once, then transforms every
-/// `(axis-0) plane` of the input in parallel.
+/// The plan caches the row/column twiddle tables once, then transforms any
+/// number of planes of that shape.
 pub struct Fft2Batch {
     rows: usize,
     cols: usize,
@@ -34,21 +31,6 @@ impl Fft2Batch {
         }
     }
 
-    /// Transforms every axis-0 plane of `volume` in place, in parallel.
-    ///
-    /// # Panics
-    /// Panics when the volume's plane dimensions do not match the plan.
-    pub fn process_volume(&self, volume: &mut Array3<Complex64>, dir: Direction) {
-        let shape = volume.shape();
-        assert_eq!(shape.n1, self.rows, "plane row mismatch");
-        assert_eq!(shape.n2, self.cols, "plane col mismatch");
-        let plane_len = self.rows * self.cols;
-        volume
-            .as_mut_slice()
-            .par_chunks_mut(plane_len)
-            .for_each(|plane| self.process_plane(plane, dir));
-    }
-
     /// Transforms a single row-major plane in place.
     pub fn process_plane(&self, plane: &mut [Complex64], dir: Direction) {
         assert_eq!(plane.len(), self.rows * self.cols, "plane length mismatch");
@@ -61,17 +43,6 @@ impl Fft2Batch {
         if dir == Direction::Inverse {
             normalise(plane, self.rows);
         }
-    }
-
-    /// Out-of-place convenience: returns the transformed copy of `volume`.
-    pub fn transform_volume(
-        &self,
-        volume: &Array3<Complex64>,
-        dir: Direction,
-    ) -> Array3<Complex64> {
-        let mut out = volume.clone();
-        self.process_volume(&mut out, dir);
-        out
     }
 }
 
@@ -94,7 +65,7 @@ pub fn to_real(volume: &Array3<Complex64>) -> Array3<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::{bits, dft_naive};
+    use crate::fft::dft_naive;
     use mlr_math::norms::max_abs_diff_c;
     use mlr_math::rng::seeded;
     use mlr_math::Shape3;
@@ -149,41 +120,6 @@ mod tests {
         assert!(max_abs_diff_c(&buf, &data) < 1e-9);
     }
 
-    /// The parallel volume path runs the same per-plane transform, so every
-    /// plane must match `process_plane` on a copy of it to the bit, for a
-    /// radix-2 plane and a Bluestein one, in both directions.
-    #[test]
-    fn batch_matches_per_plane() {
-        for (rows, cols) in [(8, 8), (24, 16)] {
-            let shape = Shape3::new(5, rows, cols);
-            let volume = Array3::from_vec(shape, random_plane(5 * rows, cols, 17));
-            let batch = Fft2Batch::new(rows, cols);
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let transformed = batch.transform_volume(&volume, dir);
-                for p in 0..shape.n0 {
-                    let mut plane = volume.plane(p).to_vec();
-                    batch.process_plane(&mut plane, dir);
-                    let case = format!("{rows}x{cols} {dir:?} plane {p}");
-                    assert_eq!(bits(&plane), bits(transformed.plane(p)), "{case}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_roundtrip_volume() {
-        let shape = Shape3::new(3, 4, 6);
-        let mut rng = seeded(23);
-        let data: Vec<Complex64> = (0..shape.len())
-            .map(|_| Complex64::new(rng.gen(), rng.gen()))
-            .collect();
-        let volume = Array3::from_vec(shape, data);
-        let batch = Fft2Batch::new(4, 6);
-        let fwd = batch.transform_volume(&volume, Direction::Forward);
-        let back = batch.transform_volume(&fwd, Direction::Inverse);
-        assert!(max_abs_diff_c(back.as_slice(), volume.as_slice()) < 1e-9);
-    }
-
     #[test]
     fn real_complex_conversions() {
         let shape = Shape3::cube(3);
@@ -195,10 +131,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "plane row mismatch")]
+    #[should_panic(expected = "plane length mismatch")]
     fn batch_shape_mismatch_panics() {
         let batch = Fft2Batch::new(4, 4);
-        let mut volume: Array3<Complex64> = Array3::zeros(Shape3::new(2, 8, 4));
-        batch.process_volume(&mut volume, Direction::Forward);
+        let mut plane = vec![Complex64::ZERO; 8 * 4];
+        batch.process_plane(&mut plane, Direction::Forward);
     }
 }

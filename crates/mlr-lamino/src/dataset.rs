@@ -106,12 +106,6 @@ impl LaminoDataset {
             seed,
         )
     }
-
-    /// Input-data size in bytes (the `11.4 GB` style number the paper quotes
-    /// for its inputs, here at the simulated scale).
-    pub fn input_bytes(&self) -> usize {
-        self.geometry.data_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +118,6 @@ mod tests {
         assert_eq!(ds.ground_truth.shape(), ds.geometry.volume_shape());
         assert_eq!(ds.projections.shape(), ds.geometry.data_shape());
         assert!(ds.projections.as_slice().iter().all(|v| v.is_finite()));
-        assert_eq!(ds.input_bytes(), 8 * 16 * 16 * 8);
     }
 
     #[test]

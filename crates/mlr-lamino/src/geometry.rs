@@ -192,16 +192,6 @@ impl LaminoGeometry {
         }
         out
     }
-
-    /// Memory footprint of the projection data in bytes, assuming `f64`.
-    pub fn data_bytes(&self) -> usize {
-        self.data_shape().len() * std::mem::size_of::<f64>()
-    }
-
-    /// Memory footprint of the volume in bytes, assuming `f64`.
-    pub fn volume_bytes(&self) -> usize {
-        self.volume_shape().len() * std::mem::size_of::<f64>()
-    }
 }
 
 /// [`LaminoGeometry::inplane_freq`] from `(sin θ, cos θ)` and `cos φ`.
@@ -345,13 +335,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sample_counts_and_bytes() {
-        let g = LaminoGeometry::cube(8, 5, 20.0);
-        assert_eq!(g.volume_bytes(), 8 * 8 * 8 * 8);
-        assert_eq!(g.data_bytes(), 5 * 8 * 8 * 8);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Dense row-major 1-D/2-D/3-D arrays.
+//! Dense row-major 3-D arrays.
 //!
 //! The reconstruction volume `u ∈ R^(n1, n0, n2)`, the projection data
 //! `d ∈ R^(nθ, h, w)` and every frequency-domain chunk in the paper are dense
 //! 3-D arrays. We provide a minimal generic container with the indexing,
-//! slicing-along-axis-0 (chunking) and element-wise operations the rest of the
+//! plane and line views and element-wise operations the rest of the
 //! workspace needs, instead of pulling in an external array crate.
 
 use serde::{Deserialize, Serialize};
@@ -72,183 +72,6 @@ impl From<(usize, usize, usize)> for Shape3 {
     }
 }
 
-/// A dense 1-D array. Mostly a thin wrapper over `Vec<T>` that exists so the
-/// FFT APIs read naturally; it also carries a few numeric conveniences.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
-pub struct Array1<T> {
-    data: Vec<T>,
-}
-
-impl<T: Clone + Default> Array1<T> {
-    /// Creates an array of `n` default-initialised elements.
-    pub fn zeros(n: usize) -> Self {
-        Self {
-            data: vec![T::default(); n],
-        }
-    }
-}
-
-impl<T> Array1<T> {
-    /// Wraps an existing vector.
-    pub fn from_vec(data: Vec<T>) -> Self {
-        Self { data }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` when the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Immutable view of the underlying storage.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the array and returns the underlying vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-}
-
-impl<T> Index<usize> for Array1<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        &self.data[i]
-    }
-}
-
-impl<T> IndexMut<usize> for Array1<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.data[i]
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Array1<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Array1(len={})", self.data.len())
-    }
-}
-
-/// A dense row-major 2-D array.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
-pub struct Array2<T> {
-    rows: usize,
-    cols: usize,
-    data: Vec<T>,
-}
-
-impl<T: Clone + Default> Array2<T> {
-    /// Creates a `rows × cols` array of default-initialised elements.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![T::default(); rows * cols],
-        }
-    }
-}
-
-impl<T> Array2<T> {
-    /// Wraps an existing vector; `data.len()` must equal `rows * cols`.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), rows * cols, "Array2 data length mismatch");
-        Self { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` when the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Immutable view of the underlying storage (row-major).
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the underlying storage (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Immutable view of row `r`.
-    pub fn row(&self, r: usize) -> &[T] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Consumes the array and returns the underlying vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-}
-
-impl<T: Clone> Array2<T> {
-    /// Out-of-place transpose.
-    pub fn transpose(&self) -> Array2<T> {
-        let mut out = Vec::with_capacity(self.data.len());
-        for c in 0..self.cols {
-            for r in 0..self.rows {
-                out.push(self.data[r * self.cols + c].clone());
-            }
-        }
-        Array2 {
-            rows: self.cols,
-            cols: self.rows,
-            data: out,
-        }
-    }
-}
-
-impl<T> Index<(usize, usize)> for Array2<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &T {
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl<T> IndexMut<(usize, usize)> for Array2<T> {
-    #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
-        &mut self.data[r * self.cols + c]
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Array2<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Array2({}x{})", self.rows, self.cols)
-    }
-}
-
 /// A dense row-major 3-D array; the workhorse container of the workspace.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Array3<T> {
@@ -273,36 +96,6 @@ impl<T: Clone> Array3<T> {
             shape,
             data: vec![value; shape.len()],
         }
-    }
-
-    /// Extracts the sub-array of `count` slabs along axis 0 starting at
-    /// `start`. This is exactly the "chunk" partitioning the paper uses:
-    /// "A chunk is a partition of an input 3D array along a specific
-    /// dimension".
-    ///
-    /// # Panics
-    /// Panics when `start + count` exceeds `n0`.
-    pub fn slab(&self, start: usize, count: usize) -> Array3<T> {
-        assert!(start + count <= self.shape.n0, "slab out of range");
-        let slab_len = self.shape.n1 * self.shape.n2;
-        let data = self.data[start * slab_len..(start + count) * slab_len].to_vec();
-        Array3 {
-            shape: Shape3::new(count, self.shape.n1, self.shape.n2),
-            data,
-        }
-    }
-
-    /// Writes `slab` back into this array starting at axis-0 index `start`.
-    ///
-    /// # Panics
-    /// Panics when the slab's inner dimensions differ or it does not fit.
-    pub fn set_slab(&mut self, start: usize, slab: &Array3<T>) {
-        assert_eq!(slab.shape.n1, self.shape.n1, "slab n1 mismatch");
-        assert_eq!(slab.shape.n2, self.shape.n2, "slab n2 mismatch");
-        assert!(start + slab.shape.n0 <= self.shape.n0, "slab does not fit");
-        let slab_len = self.shape.n1 * self.shape.n2;
-        let dst = &mut self.data[start * slab_len..(start + slab.shape.n0) * slab_len];
-        dst.clone_from_slice(&slab.data);
     }
 }
 
@@ -457,30 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_extraction_and_writeback() {
-        let shape = Shape3::new(6, 2, 2);
-        let data: Vec<f64> = (0..shape.len()).map(|i| i as f64).collect();
-        let a = Array3::from_vec(shape, data);
-        let slab = a.slab(2, 2);
-        assert_eq!(slab.shape(), Shape3::new(2, 2, 2));
-        assert_eq!(slab[(0, 0, 0)], 8.0);
-        assert_eq!(slab[(1, 1, 1)], 15.0);
-
-        let mut b: Array3<f64> = Array3::zeros(shape);
-        b.set_slab(2, &slab);
-        assert_eq!(b[(2, 0, 0)], 8.0);
-        assert_eq!(b[(3, 1, 1)], 15.0);
-        assert_eq!(b[(0, 0, 0)], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "slab out of range")]
-    fn slab_out_of_range_panics() {
-        let a: Array3<f64> = Array3::zeros(Shape3::cube(4));
-        let _ = a.slab(3, 2);
-    }
-
-    #[test]
     fn plane_and_line_views() {
         let shape = Shape3::new(2, 3, 4);
         let data: Vec<f64> = (0..24).map(|i| i as f64).collect();
@@ -509,28 +278,6 @@ mod tests {
         let ip = a.inner(&b);
         // (1+i) * conj(i) = (1+i)(-i) = -i - i^2 = 1 - i, times 4.
         assert_eq!(ip, Complex64::new(4.0, -4.0));
-    }
-
-    #[test]
-    fn array2_transpose() {
-        let a = Array2::from_vec(2, 3, vec![1, 2, 3, 4, 5, 6]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(0, 1)], 4);
-        assert_eq!(t[(2, 0)], 3);
-        assert_eq!(t.row(1), &[2, 5]);
-    }
-
-    #[test]
-    fn array1_basics() {
-        let mut a: Array1<f64> = Array1::zeros(5);
-        a[3] = 9.0;
-        assert_eq!(a.len(), 5);
-        assert_eq!(a[3], 9.0);
-        assert_eq!(a.as_slice()[3], 9.0);
-        let v = a.into_vec();
-        assert_eq!(v[3], 9.0);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! * [`Complex64`] — a minimal, `#[repr(C)]` double-precision complex number
 //!   with the arithmetic needed by FFTs and Fourier-domain operators — and
 //!   [`Complex32`], the single-precision format memo entries are stored in.
-//! * [`Array1`], [`Array2`], [`Array3`] — dense row-major arrays used for
-//!   projection data, reconstruction volumes and frequency-domain chunks.
+//! * [`Array3`] — the dense row-major array used for projection data,
+//!   reconstruction volumes and frequency-domain chunks.
 //! * [`norms`] — L2 / Frobenius norms, cosine similarity (the similarity
 //!   measure mLR uses for memoization keys), and the relative-error metric
 //!   `E` from the paper's Eq. 4.
-//! * [`stats`] — descriptive statistics, histograms and empirical CDFs used
-//!   by the evaluation harnesses (e.g. the latency CDF of Figure 16).
+//! * [`stats`] — percentiles and empirical CDFs used by the evaluation
+//!   harnesses (e.g. the latency CDF of Figure 16).
 //! * [`rng`] — deterministic random-number helpers so every experiment in the
 //!   repository is reproducible.
 //!
@@ -27,7 +27,7 @@ pub mod norms;
 pub mod rng;
 pub mod stats;
 
-pub use array::{Array1, Array2, Array3, Shape3};
+pub use array::{Array3, Shape3};
 pub use complex::{Complex32, Complex64};
 
 /// Returns `true` when two floating point values agree to within `tol`

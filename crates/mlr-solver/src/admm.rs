@@ -19,7 +19,7 @@
 
 use crate::cancel::{CancelToken, StopCause};
 use crate::lsp::CgState;
-use crate::lsp::{lsp_gradient_cancelled, lsp_gradient_original, FrequencyData, LspVariant};
+use crate::lsp::{lsp_gradient_cancelled, FrequencyData};
 use crate::metrics::{ConvergenceHistory, IterationRecord};
 use crate::tv::{add_coupling_gradient, rsp_update, VectorField};
 use mlr_lamino::{DirectExecutor, FftExecutor, LaminoOperator};
@@ -40,8 +40,6 @@ pub struct AdmmConfig {
     pub rho: f64,
     /// Initial gradient-descent step for the first CG update.
     pub initial_step: f64,
-    /// Which LSP formulation to run.
-    pub variant: LspVariant,
 }
 
 impl Default for AdmmConfig {
@@ -52,7 +50,6 @@ impl Default for AdmmConfig {
             alpha: 1e-3,
             rho: 0.5,
             initial_step: 0.05,
-            variant: LspVariant::Cancelled,
         }
     }
 }
@@ -71,8 +68,8 @@ pub struct AdmmResult {
     pub stopped: Option<StopCause>,
 }
 
-/// Every buffer an ADMM solve uses. Under [`LspVariant::Cancelled`] an
-/// iteration allocates nothing beyond the executor's chunk results.
+/// Every buffer an ADMM solve uses. An iteration allocates nothing beyond
+/// the executor's chunk results.
 pub struct AdmmWorkspace {
     /// The iterate `u`.
     pub u: Array3<f64>,
@@ -126,7 +123,13 @@ pub struct AdmmSolver {
 
 impl AdmmSolver {
     /// Creates a solver with the given configuration.
+    ///
+    /// # Panics
+    /// Panics when `config.initial_step` is not positive and finite.
     pub fn new(config: AdmmConfig) -> Self {
+        let step = config.initial_step;
+        let valid = step.is_finite() && step > 0.0;
+        assert!(valid, "initial_step must be positive and finite: {step}");
         Self { config }
     }
 
@@ -159,16 +162,25 @@ impl AdmmSolver {
         exec: &dyn FftExecutor,
         cancel: &CancelToken,
     ) -> AdmmResult {
-        let cfg = &self.config;
         let data_shape = op.geometry().data_shape();
         assert_eq!(d.shape(), data_shape, "projection data shape mismatch");
-
         // Algorithm 2 maps the data to the frequency domain once, before
         // the workspace exists, so its transient does not stack on it.
-        let freq = match cfg.variant {
-            LspVariant::Cancelled => Some(FrequencyData::new(op, d)),
-            LspVariant::Original => None,
-        };
+        let freq = FrequencyData::new(op, d);
+        let lsp = |ws: &mut _, rho| lsp_gradient_cancelled(op, ws, &freq, rho, exec);
+        self.solve(op, exec, cancel, lsp)
+    }
+
+    /// The ADMM loop around an LSP gradient `(ws, ρ) ↦ data loss`:
+    /// Algorithm 2's in the solver, Algorithm 1's in a test.
+    fn solve(
+        &self,
+        op: &LaminoOperator,
+        exec: &dyn FftExecutor,
+        cancel: &CancelToken,
+        mut lsp_gradient: impl FnMut(&mut AdmmWorkspace, f64) -> f64,
+    ) -> AdmmResult {
+        let cfg = &self.config;
         let mut ws = AdmmWorkspace::new(op);
         let mut rho = cfg.rho;
         let mut history = ConvergenceHistory::new();
@@ -187,10 +199,7 @@ impl AdmmSolver {
             ws.cg.reset();
             let mut data_loss = 0.0;
             for _ in 0..cfg.n_inner {
-                data_loss = match &freq {
-                    None => lsp_gradient_original(op, &mut ws, d, rho, exec),
-                    Some(freq) => lsp_gradient_cancelled(op, &mut ws, freq, rho, exec),
-                };
+                data_loss = lsp_gradient(&mut ws, rho);
                 ws.cg.update(&mut ws.u, &ws.grad, cfg.initial_step);
             }
             // Attenuation coefficients are physically non-negative.
@@ -243,8 +252,10 @@ impl AdmmSolver {
 #[expect(clippy::disallowed_methods, reason = "tests set wall deadlines")]
 mod tests {
     use super::*;
+    use crate::lsp::lsp_gradient_original;
     use mlr_lamino::{LaminoDataset, LaminoOperator};
     use mlr_math::norms::relative_error;
+    use std::time::Duration;
 
     fn small_dataset() -> (LaminoOperator, LaminoDataset) {
         let ds = LaminoDataset::brain_cube(12, 8, 32.0, 5);
@@ -252,21 +263,19 @@ mod tests {
         (op, ds)
     }
 
-    fn quick_config(outer: usize, variant: LspVariant) -> AdmmConfig {
+    fn quick_config(outer: usize) -> AdmmConfig {
         AdmmConfig {
             outer_iterations: outer,
             n_inner: 3,
             alpha: 1e-4,
-            rho: 0.5,
-            initial_step: 0.05,
-            variant,
+            ..AdmmConfig::default()
         }
     }
 
     #[test]
     fn loss_decreases_over_iterations() {
         let (op, ds) = small_dataset();
-        let solver = AdmmSolver::new(quick_config(8, LspVariant::Cancelled));
+        let solver = AdmmSolver::new(quick_config(8));
         let result = solver.run(&op, &ds.projections);
         let series = result.history.loss_series();
         assert_eq!(series.len(), 8);
@@ -279,7 +288,7 @@ mod tests {
     #[test]
     fn reconstruction_approaches_ground_truth() {
         let (op, ds) = small_dataset();
-        let solver = AdmmSolver::new(quick_config(15, LspVariant::Cancelled));
+        let solver = AdmmSolver::new(quick_config(15));
         let result = solver.run(&op, &ds.projections);
         // The reconstruction need not be perfect after 15 iterations at this
         // tiny scale, but it must be much closer to the truth than the zero
@@ -297,11 +306,14 @@ mod tests {
     #[test]
     fn original_and_cancelled_variants_produce_same_reconstruction() {
         let (op, ds) = small_dataset();
-        let a = AdmmSolver::new(quick_config(4, LspVariant::Original)).run(&op, &ds.projections);
-        let b = AdmmSolver::new(quick_config(4, LspVariant::Cancelled)).run(&op, &ds.projections);
+        let (d, exec) = (&ds.projections, &DirectExecutor);
+        let solver = AdmmSolver::new(quick_config(4));
+        let original = |ws: &mut _, rho| lsp_gradient_original(&op, ws, d, rho, exec);
+        let a = solver.solve(&op, exec, &CancelToken::new(), original);
+        let b = solver.run(&op, d);
         let err = relative_error(&a.reconstruction, &b.reconstruction);
         assert!(err < 1e-6, "variants diverged: {err}");
-        // Loss histories match too.
+        assert_eq!(a.history.records().len(), b.history.records().len());
         for (ra, rb) in a.history.records().iter().zip(b.history.records()) {
             assert!((ra.loss - rb.loss).abs() < 1e-6 * ra.loss.max(1.0));
         }
@@ -310,7 +322,7 @@ mod tests {
     #[test]
     fn history_phase_times_populated() {
         let (op, ds) = small_dataset();
-        let solver = AdmmSolver::new(quick_config(2, LspVariant::Cancelled));
+        let solver = AdmmSolver::new(quick_config(2));
         let result = solver.run(&op, &ds.projections);
         for r in result.history.records() {
             assert!(r.lsp_seconds > 0.0);
@@ -325,7 +337,7 @@ mod tests {
         let (op, ds) = small_dataset();
         let token = CancelToken::new();
         token.cancel();
-        let solver = AdmmSolver::new(quick_config(8, LspVariant::Cancelled));
+        let solver = AdmmSolver::new(quick_config(8));
         let result = solver.run_with_cancel(&op, &ds.projections, &DirectExecutor, &token);
         assert_eq!(result.stopped, Some(StopCause::Cancelled));
         assert!(result.history.records().is_empty());
@@ -336,10 +348,8 @@ mod tests {
     #[test]
     fn expired_deadline_stops_the_run() {
         let (op, ds) = small_dataset();
-        let token = CancelToken::with_deadline(
-            std::time::Instant::now() - std::time::Duration::from_millis(1),
-        );
-        let solver = AdmmSolver::new(quick_config(8, LspVariant::Cancelled));
+        let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let solver = AdmmSolver::new(quick_config(8));
         let result = solver.run_with_cancel(&op, &ds.projections, &DirectExecutor, &token);
         assert_eq!(result.stopped, Some(StopCause::DeadlineExpired));
         assert!(result.history.records().is_empty());
@@ -348,11 +358,9 @@ mod tests {
     #[test]
     fn idle_token_is_bit_identical_to_plain_run() {
         let (op, ds) = small_dataset();
-        let solver = AdmmSolver::new(quick_config(5, LspVariant::Cancelled));
+        let solver = AdmmSolver::new(quick_config(5));
         let plain = solver.run(&op, &ds.projections);
-        let token = CancelToken::with_deadline(
-            std::time::Instant::now() + std::time::Duration::from_secs(3600),
-        );
+        let token = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         let tokened = solver.run_with_cancel(&op, &ds.projections, &DirectExecutor, &token);
         assert_eq!(tokened.stopped, None);
         assert_eq!(
@@ -360,6 +368,20 @@ mod tests {
             tokened.reconstruction.as_slice(),
             "an idle cancel token changed the reconstruction"
         );
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_step_is_rejected() {
+        for initial_step in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let config = AdmmConfig {
+                initial_step,
+                ..quick_config(1)
+            };
+            let panic = std::panic::catch_unwind(|| AdmmSolver::new(config)).err();
+            let message = panic.and_then(|p| p.downcast_ref::<String>().cloned());
+            let expected = format!("initial_step must be positive and finite: {initial_step}");
+            assert_eq!(message, Some(expected));
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!
 //! * [`tv`] — gradient, its adjoint, TV norm and shrinkage, composed and
 //!   fused into the one-pass forms the solver runs.
-//! * [`lsp`] — the LSP gradient under the **original** formulation
-//!   (Algorithm 1: `F*_2D`/`F_2D` in every pass) and the **cancelled +
-//!   fused** one (Algorithm 2: the data is mapped to the frequency domain
-//!   once), plus the CG-style update that consumes those gradients.
+//! * [`lsp`] — the LSP gradient the solver runs (Algorithm 2: cancelled and
+//!   fused, the data mapped to the frequency domain once), the one it is
+//!   checked against (Algorithm 1: `F*_2D`/`F_2D` in every pass), and the
+//!   CG-style update that consumes those gradients.
 //! * [`admm`] — the outer ADMM driver with loss tracking, phase timing and
 //!   pluggable `FftExecutor` (this is where mLR's memoization engine slots
 //!   in), and the [`AdmmWorkspace`] it runs in.
@@ -34,6 +34,6 @@ pub mod tv;
 
 pub use admm::{AdmmConfig, AdmmResult, AdmmSolver, AdmmWorkspace};
 pub use cancel::{CancelToken, StopCause};
-pub use lsp::{FrequencyData, LspVariant};
+pub use lsp::FrequencyData;
 pub use metrics::{accuracy_vs_reference, ConvergenceHistory};
 pub use tv::{tv_norm, VectorField};

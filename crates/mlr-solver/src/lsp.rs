@@ -2,38 +2,22 @@
 //!
 //! The LSP refines `u` against `f(u) = ½‖L u − d‖₂² + ρ/2 ‖∇u − g‖₂²`,
 //! `g = ψ − λ/ρ`, with a few CG-style iterations driven by the gradient
-//! `G = L*(L u − d) + ρ ∇ᵀ(∇u − g)`. Two equivalent formulations of the
-//! data term are provided:
-//!
-//! * [`LspVariant::Original`] (the paper's Algorithm 1): the forward pass
-//!   ends with `F*_2D` back to detector space and the adjoint pass starts
-//!   with `F_2D` — six FFT stages per inner iteration.
-//! * [`LspVariant::Cancelled`] (Algorithm 2): the measured data is mapped to
-//!   the frequency domain once (`d̂ = F_2D d`), the `F*_2D`/`F_2D` pair
-//!   cancels, and the frequency-domain subtraction `d̂' − d̂` is fused with
-//!   the neighbouring USFFT stage — four FFT stages per inner iteration.
-//!
-//! Both produce identical gradients (up to floating-point rounding); the unit
-//! tests check this, which is the correctness claim behind the paper's
-//! operation cancellation.
+//! `G = L*(L u − d) + ρ ∇ᵀ(∇u − g)`. The solver runs the paper's
+//! Algorithm 2 ([`lsp_gradient_cancelled`]): the data is mapped to the
+//! frequency domain once (`d̂ = F_2D d`), the `F*_2D`/`F_2D` pair cancels,
+//! and the subtraction `d̂' − d̂` is fused with the neighbouring USFFT stage
+//! — four FFT stages per inner iteration. [`lsp_gradient_original`],
+//! Algorithm 1 (six stages: `F*_2D` back to detector space, `F_2D` out of
+//! it), is the reference: the tests check that both give the same gradient,
+//! here, and the same whole solve, the claim behind operation cancellation.
 
 use crate::admm::AdmmWorkspace;
 use mlr_fft::fft2d::to_complex;
 use mlr_lamino::{FftExecutor, LaminoOperator};
 use mlr_math::{Array3, Complex64, Shape3};
-use serde::{Deserialize, Serialize};
 
-/// Which LSP formulation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LspVariant {
-    /// Algorithm 1: six FFT stages per inner iteration.
-    Original,
-    /// Algorithm 2: operation cancellation + fusion, four FFT stages.
-    Cancelled,
-}
-
-/// Precomputed frequency-domain data for the cancelled variant
-/// (`d̂ = F_2D d`, computed once per ADMM run).
+/// Precomputed frequency-domain data for Algorithm 2 (`d̂ = F_2D d`,
+/// computed once per ADMM run).
 pub struct FrequencyData {
     dhat: Array3<Complex64>,
     plane_scale: f64,
@@ -87,8 +71,8 @@ impl FrequencyData {
 }
 
 /// Evaluates the LSP gradient at `ws.u` under Algorithm 1 (original
-/// formulation) into `ws.grad`; returns the data loss `½‖Lu − d‖²`. Its two
-/// uniform FFTs allocate their outputs; the rest runs in the workspace.
+/// formulation, the tests' reference) into `ws.grad`; returns the data loss
+/// `½‖Lu − d‖²`. Its two uniform FFTs allocate their outputs.
 pub fn lsp_gradient_original(
     op: &LaminoOperator,
     ws: &mut AdmmWorkspace,
@@ -177,9 +161,9 @@ impl CgState {
             (*pu, *pg) = (x, g);
         }
         let alpha = if self.primed && denom > 1e-30 && numer > 0.0 {
-            // Keep the BB step within a moderate band around the
-            // configured step: when a memoized gradient repeats the
-            // previous one, ΔG ≈ 0 and the raw BB ratio blows up.
+            // Keep the BB step within a moderate band around the first
+            // step: when a memoized gradient repeats the previous one,
+            // ΔG ≈ 0 and the raw BB ratio blows up.
             (numer / denom).clamp(0.05 * initial_step, 20.0 * initial_step)
         } else {
             initial_step
@@ -225,14 +209,13 @@ mod tests {
     #[test]
     fn original_and_cancelled_gradients_agree() {
         let (op, u, d) = small_setup();
-        let exec = DirectExecutor;
         let rho = 0.5;
         let mut ws = workspace_at(&op, &u);
 
-        let orig_loss = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
+        let orig_loss = lsp_gradient_original(&op, &mut ws, &d, rho, &DirectExecutor);
         let orig = ws.grad.clone();
         let freq = FrequencyData::new(&op, &d);
-        let canc_loss = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &exec);
+        let canc_loss = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &DirectExecutor);
 
         let diff = max_abs_diff(orig.as_slice(), ws.grad.as_slice());
         assert!(
@@ -247,10 +230,9 @@ mod tests {
         // If d = L u_true and we evaluate at u_true with λ = 0 and ρ → 0,
         // the gradient vanishes.
         let (op, u_true, _) = small_setup();
-        let exec = DirectExecutor;
         let d = op.forward(&u_true);
         let mut ws = workspace_at(&op, &u_true);
-        let data_loss = lsp_gradient_original(&op, &mut ws, &d, 1e-12, &exec);
+        let data_loss = lsp_gradient_original(&op, &mut ws, &d, 1e-12, &DirectExecutor);
         let max = max_abs(&ws.grad);
         assert!(
             max < 1e-6 * max_abs(&u_true).max(1.0),
@@ -262,15 +244,14 @@ mod tests {
     #[test]
     fn gradient_descends_the_objective() {
         let (op, u, d) = small_setup();
-        let exec = DirectExecutor;
         let rho = 0.1;
         let mut ws = workspace_at(&op, &u);
-        let loss = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
+        let loss = lsp_gradient_original(&op, &mut ws, &d, rho, &DirectExecutor);
         // Take a small step along -G and check the objective decreases.
         let step = 1e-3;
         let grad = ws.grad.clone();
         ws.u.axpby(1.0, &grad, -step);
-        let loss2 = lsp_gradient_original(&op, &mut ws, &d, rho, &exec);
+        let loss2 = lsp_gradient_original(&op, &mut ws, &d, rho, &DirectExecutor);
         assert!(loss2 <= loss + 1e-12, "{loss} -> {loss2}");
     }
 
@@ -296,7 +277,6 @@ mod tests {
     #[test]
     fn frequency_data_loss_matches_detector_space() {
         let (op, u, d) = small_setup();
-        let exec = DirectExecutor;
         let freq = FrequencyData::new(&op, &d);
         // Compute ||Lu - d||^2 / 2 both ways: in detector space and via the
         // Hermitian-projected frequency-domain residual (Parseval).
@@ -304,7 +284,7 @@ mod tests {
         r.axpby(1.0, &d, -1.0);
         let direct = 0.5 * r.dot(&r);
 
-        let mut rhat = op.fu2d(&op.fu1d(&u), &exec);
+        let mut rhat = op.fu2d(&op.fu1d(&u), &DirectExecutor);
         let via_freq = freq.fused_residual(&mut rhat);
         assert!(
             (direct - via_freq).abs() < 1e-8 * direct.max(1.0),
@@ -316,9 +296,8 @@ mod tests {
     fn hermitian_projection_matches_real_part_roundtrip() {
         // H in the frequency domain == taking Re() in detector space.
         let (op, u, _) = small_setup();
-        let exec = DirectExecutor;
         let u1 = op.fu1d(&u);
-        let dhat_prime = op.fu2d(&u1, &exec);
+        let dhat_prime = op.fu2d(&u1, &DirectExecutor);
         // Path A: project (fused residual against d̂ = 0), then invert.
         let zero = FrequencyData {
             dhat: Array3::zeros(dhat_prime.shape()),
@@ -327,8 +306,7 @@ mod tests {
         let mut projected = dhat_prime.clone();
         zero.fused_residual(&mut projected);
         let a = op.f2d_inverse(&projected);
-        // Path B: inverse FFT, drop the imaginary part, transform back and
-        // forth once more to compare in the same space.
+        // Path B: inverse FFT, then drop the imaginary part.
         let b = to_real(&op.f2d_inverse(&dhat_prime));
         let max_diff = a
             .as_slice()

@@ -76,18 +76,10 @@ impl ConvergenceHistory {
         self.records.last().map(|r| r.loss)
     }
 
-    /// Total wall-clock seconds across all iterations.
-    pub fn total_seconds(&self) -> f64 {
-        self.records
-            .iter()
-            .map(IterationRecord::total_seconds)
-            .sum()
-    }
-
     /// Fraction of the total time spent in the LSP phase (the paper reports
     /// more than 67 %).
     pub fn lsp_fraction(&self) -> f64 {
-        let total = self.total_seconds();
+        let total: f64 = self.records.iter().map(|r| r.total_seconds()).sum();
         if total <= 0.0 {
             return 0.0;
         }
@@ -140,7 +132,7 @@ mod tests {
         assert_eq!(h.loss_series()[1], (1, 5.0));
         let lsp_frac = h.lsp_fraction();
         assert!((lsp_frac - 1.0 / 1.2).abs() < 1e-12);
-        assert!((h.total_seconds() - 3.6).abs() < 1e-12);
+        assert!((h.records()[2].total_seconds() - 1.2).abs() < 1e-12);
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! offload planner and scaling model wired to the same workload description.
 use mlr_cluster::ScalingModel;
 use mlr_core::{MlrConfig, MlrPipeline};
-use mlr_lamino::{LaminoGeometry, LaminoOperator};
+use mlr_lamino::{DirectExecutor, LaminoDataset, LaminoGeometry, LaminoOperator};
+use mlr_lamino::{PhantomKind, ProjectionNoise};
 use mlr_offload::{simulate::simulate_all, IterationProfile, OffloadPlanner};
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
-use mlr_solver::{AdmmConfig, AdmmSolver, LspVariant};
+use mlr_solver::{AdmmConfig, AdmmSolver};
+
+mod reference;
 
 #[test]
 fn full_pipeline_memoized_reconstruction_stays_accurate() {
@@ -22,36 +25,50 @@ fn full_pipeline_memoized_reconstruction_stays_accurate() {
     assert!(strict_report.accuracy + 1e-6 >= report.accuracy - 0.05);
 }
 
+/// Algorithm 1 through the reference loop against the solver's Algorithm 2:
+/// reconstructions and losses agree to rounding.
 #[test]
 fn algorithm1_and_algorithm2_match_through_the_full_solver() {
-    let geometry = LaminoGeometry::cube(10, 6, 30.0);
-    let dataset = mlr_lamino::LaminoDataset::simulate(
-        geometry.clone(),
-        mlr_lamino::PhantomKind::Brain,
-        mlr_lamino::ProjectionNoise::None,
-        3,
-    );
-    let op = LaminoOperator::new(geometry, 4);
-    let base = AdmmConfig {
-        outer_iterations: 3,
-        n_inner: 2,
-        ..AdmmConfig::default()
-    };
-    let a = AdmmSolver::new(AdmmConfig {
-        variant: LspVariant::Original,
-        ..base
-    })
-    .run(&op, &dataset.projections);
-    let b = AdmmSolver::new(AdmmConfig {
-        variant: LspVariant::Cancelled,
-        ..base
-    })
-    .run(&op, &dataset.projections);
-    let err = mlr_math::norms::relative_error(&a.reconstruction, &b.reconstruction);
-    assert!(
-        err < 1e-6,
-        "operation cancellation changed the result: {err}"
-    );
+    let cases = [
+        (
+            LaminoGeometry::cube(10, 6, 30.0),
+            3,
+            AdmmConfig {
+                outer_iterations: 3,
+                n_inner: 2,
+                ..AdmmConfig::default()
+            },
+        ),
+        (
+            LaminoGeometry::cube(12, 8, 32.0),
+            5,
+            AdmmConfig {
+                outer_iterations: 4,
+                n_inner: 3,
+                alpha: 1e-4,
+                ..AdmmConfig::default()
+            },
+        ),
+    ];
+    for (geometry, seed, cfg) in cases {
+        let noise = ProjectionNoise::None;
+        let ds = LaminoDataset::simulate(geometry.clone(), PhantomKind::Brain, noise, seed);
+        let op = LaminoOperator::new(geometry, 4);
+        let cancelled = AdmmSolver::new(cfg).run(&op, &ds.projections);
+        let variant = reference::Variant::Original;
+        let original = reference::run(&cfg, variant, &op, &ds.projections, &DirectExecutor);
+        let err =
+            mlr_math::norms::relative_error(&original.reconstruction, &cancelled.reconstruction);
+        assert!(
+            err < 1e-6,
+            "seed {seed}: cancellation changed the result: {err}"
+        );
+        let records = cancelled.history.records();
+        assert_eq!(records.len(), original.losses.len());
+        for (r, &(loss, _)) in records.iter().zip(&original.losses) {
+            assert!((r.loss - loss).abs() < 1e-6 * loss.max(1.0), "seed {seed}");
+        }
+    }
 }
 
 #[test]
