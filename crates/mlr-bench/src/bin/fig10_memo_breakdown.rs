@@ -4,7 +4,6 @@
 use mlr_bench::{compare_row, fmt_secs, header, scale_from_args, write_record};
 use mlr_core::{MlrConfig, MlrPipeline, Scale};
 use mlr_lamino::FftOpKind;
-use mlr_memo::memoization_pays;
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
 use serde::Serialize;
@@ -13,9 +12,6 @@ use serde::Serialize;
 struct Record {
     case_distribution: (f64, f64, f64),
     per_op_avoided: Vec<(String, f64)>,
-    /// Share of the USFFT chunks the engine's break-even gate computed
-    /// without memoizing (`OpStats::gated`).
-    gated_fraction: f64,
     paper_scale_case_seconds: Vec<(String, f64, f64, f64, f64)>,
 }
 
@@ -28,15 +24,13 @@ fn main() {
     let n = scale.volume_size();
     let iterations = if scale == Scale::Tiny { 8 } else { 20 };
     let pipeline = MlrPipeline::new(MlrConfig::quick(n, n / 2).with_iterations(iterations));
-    // `OpStats::gated` says how much of `computed` is the break-even gate
-    // rather than warm-up.
     let (_result, executor) = pipeline.run_memoized();
     let stats = executor.stats();
 
     let mut per_op_avoided = Vec::new();
     println!(
-        "{:<8} {:>10} {:>12} {:>10} {:>12} {:>12} {:>10}",
-        "op", "computed", "failed memo", "db hits", "cache hits", "chunk elems", "gate"
+        "{:<8} {:>10} {:>12} {:>10} {:>12} {:>12}",
+        "op", "computed", "failed memo", "db hits", "cache hits", "chunk elems"
     );
     for op in [
         FftOpKind::Fu1D,
@@ -45,31 +39,19 @@ fn main() {
         FftOpKind::Fu2DAdj,
     ] {
         let s = stats.op(op);
-        let chunk_elems = pipeline.operator().chunk_elems(op);
         println!(
-            "{:<8} {:>10} {:>12} {:>10} {:>12} {:>12} {:>10}",
+            "{:<8} {:>10} {:>12} {:>10} {:>12} {:>12}",
             op.label(),
             s.computed,
             s.failed_memo,
             s.db_hits,
             s.cache_hits,
-            chunk_elems,
-            if memoization_pays(op, chunk_elems) {
-                "memoize"
-            } else {
-                "bypass"
-            }
+            pipeline.operator().chunk_elems(op),
         );
         per_op_avoided.push((op.label().to_string(), s.avoided_fraction()));
     }
     let (fail, db, cache) = stats.case_distribution();
-    let gated_fraction = stats.total().gated as f64 / stats.total().total().max(1) as f64;
     println!();
-    compare_row(
-        "USFFT chunks below break-even (gated)",
-        "n/a",
-        &mlr_bench::pct(gated_fraction),
-    );
     compare_row(
         "case distribution (fail / db / cache)",
         "53 % / 19 % / 28 %",
@@ -108,7 +90,6 @@ fn main() {
         &Record {
             case_distribution: (fail, db, cache),
             per_op_avoided,
-            gated_fraction,
             paper_scale_case_seconds: paper_rows,
         },
     );

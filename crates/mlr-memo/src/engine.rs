@@ -4,10 +4,6 @@
 //! solver can run unmodified while every unequally-spaced FFT invocation goes
 //! through the memoization protocol of Figure 6:
 //!
-//! 0. decide from the operation kind and the chunk length alone whether a
-//!    hit could pay for the memo path ([`memoization_pays`]: 2-D kinds
-//!    only); any other chunk is computed exactly and touches nothing that
-//!    follows;
 //! 1. take the chunk's O(n) fingerprint and ask the scope's doorkeeper
 //!    history for a τ-band neighbor: without one no stored entry can pass
 //!    the τ gate (it runs on raw inputs, and the band bounds *raw*
@@ -30,10 +26,11 @@
 //! themselves ([`tau_gate`](crate::db::tau_gate)), in the cache and in the
 //! store alike; the key only picks which stored chunk the store compares.
 //!
-//! Only `F_u2D` / `F*_u2D` chunks reach an executor: the operators run the
-//! uniform FFTs (`F_2D`, `F*_2D`, gone after the operation cancellation of
-//! Algorithm 2) and the 1-D USFFTs, whose compute costs about what a hit
-//! does, as whole plane loops.
+//! Only `F_u2D` / `F*_u2D` chunks reach an executor, and every one of them
+//! takes this path once warm-up is over: the operators run the uniform FFTs
+//! (`F_2D`, `F*_2D`, gone after the operation cancellation of Algorithm 2)
+//! and the 1-D USFFTs, whose compute costs about what a hit does, as whole
+//! plane loops.
 //!
 //! # What a chunk's output slot receives
 //!
@@ -42,13 +39,13 @@
 //! recompute of the same input, and a fault must not change a bit: every
 //! lane chosen by store state (prefiltered, failed memo, cache hit, db hit)
 //! emits `widen(narrow(F(x)))`, rounding fused into the emit copy; the lane
-//! chosen by input and configuration alone (`computed`: memoization
-//! disabled, warm-up, or below break-even) emits the exact `f64` result.
+//! chosen by configuration alone (`computed`: memoization disabled, or
+//! warm-up) emits the exact `f64` result.
 
 use crate::cache::{CacheKind, MemoCache};
 use crate::db::MemoDbConfig;
 use crate::encoder::EncoderConfig;
-use crate::eviction::{memoization_pays, recompute_cost_estimate, CapacityBudget};
+use crate::eviction::{recompute_cost_estimate, CapacityBudget};
 use crate::fingerprint::ChunkFingerprint;
 use crate::sharded::ShardedMemoDb;
 use crate::stats::{MemoCase, MemoStats};
@@ -86,8 +83,6 @@ pub struct MemoConfig {
     /// Master switch: when `false` every invocation is computed exactly
     /// (useful for producing the reference reconstruction).
     pub enabled: bool,
-    /// Use the compute-node memoization cache.
-    pub use_cache: bool,
     /// Cache organisation (private per location vs. global).
     pub cache_kind: CacheKind,
     /// Number of initial ADMM iterations during which memoization is not
@@ -107,7 +102,6 @@ impl Default for MemoConfig {
         Self {
             tau: 0.92,
             enabled: true,
-            use_cache: true,
             cache_kind: CacheKind::Private,
             warmup_iterations: 2,
             budget: CapacityBudget::unbounded(),
@@ -189,7 +183,7 @@ enum ProbeCase {
     /// reusable (the commit inserts the result); otherwise no key was
     /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
     /// prefilter, [`MemoCase::Computed`] when memoization does not apply
-    /// (disabled, warm-up) or the chunk is below break-even.
+    /// (disabled, warm-up).
     /// `fft_ns` is the exact compute's stage time (0 when telemetry is
     /// disabled).
     Computed {
@@ -217,7 +211,7 @@ struct ChunkTrail {
     /// Empty unless the database was probed.
     key: Vec<f64>,
     /// The chunk's fingerprint, noted into the scope's doorkeeper history
-    /// at ordered commit (`Some` whenever the chunk is above break-even).
+    /// at ordered commit (`Some` whenever the dispatch memoizes).
     fingerprint: Option<ChunkFingerprint>,
     cache_checked: bool,
     cache_comparisons: u64,
@@ -232,8 +226,8 @@ struct ChunkTrail {
 /// fixes before its phase 1, read by both phases.
 struct Dispatch {
     iteration: usize,
-    /// Memoization is enabled and warm-up is over. Each chunk still has to
-    /// clear the break-even gate, which alone decides by operation kind.
+    /// Memoization is enabled and warm-up is over: every chunk of the
+    /// dispatch takes the memo path.
     memoize: bool,
     tel_on: bool,
     origin: Provenance,
@@ -376,11 +370,11 @@ impl MemoizedExecutor {
         }
     }
 
-    /// **Phase 1** for one chunk of a dispatch: above break-even it takes
-    /// its fingerprint, peeks the compute-node cache (read-only), and — on a
-    /// cache miss — sketches its key, probes the database (read-only) and,
-    /// finding nothing, computes the exact transform; a chunk below
-    /// break-even only computes. Every chunk of a dispatch runs this before
+    /// **Phase 1** for one chunk of a dispatch: in a memoizing dispatch it
+    /// takes its fingerprint, peeks the compute-node cache (read-only), and
+    /// — on a cache miss — sketches its key, probes the database (read-only)
+    /// and, finding nothing, computes the exact transform; otherwise it only
+    /// computes. Every chunk of a dispatch runs this before
     /// any of them commits, so all probe the store, cache and doorkeeper
     /// state *frozen at the start of the application*. Inserts from this
     /// application only become visible at the next one, which loses
@@ -407,8 +401,7 @@ impl MemoizedExecutor {
         };
         let mut chunk = ChunkTrail::default();
         let case = 'lane: {
-            // The break-even gate: a pure function of kind and length.
-            if !d.memoize || !memoization_pays(kind, input.len()) {
+            if !d.memoize {
                 break 'lane computed(MemoCase::Computed);
             }
             // Fingerprint + doorkeeper decision, read-only against the
@@ -423,17 +416,14 @@ impl MemoizedExecutor {
                 break 'lane computed(MemoCase::Prefiltered);
             }
             // The cache is gated on the raw chunk: a hit needs no key.
-            if self.config.use_cache {
-                let peek_clock = stage_clock(tel_on);
-                let tau = self.store.config().tau;
-                let (cached, comparisons) =
-                    self.cache.read().peek(kind, loc, input, tau, d.iteration);
-                chunk.peek_ns = stage_ns(peek_clock);
-                chunk.cache_checked = true;
-                chunk.cache_comparisons = comparisons;
-                if let Some(value) = cached {
-                    break 'lane ProbeCase::Hit { value, db: None };
-                }
+            let peek_clock = stage_clock(tel_on);
+            let tau = self.store.config().tau;
+            let (cached, comparisons) = self.cache.read().peek(kind, loc, input, tau, d.iteration);
+            chunk.peek_ns = stage_ns(peek_clock);
+            chunk.cache_checked = true;
+            chunk.cache_comparisons = comparisons;
+            if let Some(value) = cached {
+                break 'lane ProbeCase::Hit { value, db: None };
             }
             let encode_clock = stage_clock(tel_on);
             chunk.key = self.store.encode(input);
@@ -542,7 +532,7 @@ impl MemoizedExecutor {
                     if tel_on {
                         stage_scratch.record(StageId::PayloadCopy, stage_ns(copy_clock));
                     }
-                    if let (Some(hit), true) = (db, self.config.use_cache) {
+                    if let Some(hit) = db {
                         // The cache shares the entry's buffers (Arcs): this
                         // location's next chunk is gated against the very
                         // raw input the store just gated this one against.
@@ -561,11 +551,6 @@ impl MemoizedExecutor {
                         self.store.commit_miss(kind, loc);
                     }
                     state.stats.record(kind, case);
-                    // In a memoizing dispatch only the break-even gate sends
-                    // a chunk down the `Computed` lane.
-                    if d.memoize && case == MemoCase::Computed {
-                        state.stats.add_gated(kind);
-                    }
                     // Only the lane chosen by input and configuration alone
                     // keeps its exact bits (see the module docs).
                     let round = case != MemoCase::Computed;
@@ -714,33 +699,27 @@ mod tests {
     }
 
     #[test]
-    fn chunk_below_break_even_takes_the_computed_lane() {
-        // The same repeating input, once as `F_u1D` (never memoized) and once
-        // as `F_u2D` (a hit can pay at 128 elements): the gated chunk leaves
-        // no trace in the doorkeeper, the cache, the key count or the store,
-        // and `OpStats::gated` says why.
-        let exec = MemoizedExecutor::private(test_config());
-        let input = chunk(2, 128);
-        for it in 0..4 {
-            exec.begin_iteration(it);
-            let out = exec.execute(FftOpKind::Fu1D, 5, &input, &fake_fft);
-            assert_eq!(out, fake_fft(&input));
+    fn chunks_of_any_length_and_kind_take_the_memo_path() {
+        // Lengths and a kind the operators never dispatch used to be
+        // computed without a key; now every chunk past warm-up is first
+        // prefiltered, then a failed memo, then a hit.
+        for (kind, n) in [
+            (FftOpKind::Fu1D, 128),
+            (FftOpKind::Fu2D, 80),
+            (FftOpKind::Fu2DAdj, 1),
+        ] {
+            let exec = MemoizedExecutor::private(test_config());
+            let input = chunk(2, n);
+            for it in 0..3 {
+                exec.begin_iteration(it);
+                let _ = exec.execute(kind, 5, &input, &fake_fft);
+            }
+            let stats = exec.stats().op(kind);
+            let lanes = (stats.computed, stats.prefiltered, stats.failed_memo);
+            assert_eq!(lanes, (0, 1, 1), "{kind:?} at {n}");
+            assert_eq!(stats.db_hits + stats.cache_hits, 1, "{kind:?} at {n}");
+            assert_eq!(exec.db_len(), 1);
         }
-        let stats = exec.stats().op(FftOpKind::Fu1D);
-        assert_eq!(stats.computed, 4);
-        assert_eq!(stats.total(), 4);
-        assert_eq!(stats.keys_encoded, 0);
-        assert_eq!(exec.db_len(), 0);
-        assert_eq!(exec.cache_stats().lookups, 0);
-        assert_eq!(stats.gated, 4);
-        for it in 4..8 {
-            exec.begin_iteration(it);
-            let _ = exec.execute(FftOpKind::Fu2D, 5, &input, &fake_fft);
-        }
-        let fu2d = exec.stats().op(FftOpKind::Fu2D);
-        assert!(fu2d.cache_hits >= 1);
-        assert_eq!(fu2d.gated, 0);
-        assert_eq!(exec.stats().total().gated, 4);
     }
 
     #[test]
@@ -942,8 +921,7 @@ mod tests {
     #[test]
     fn repeating_chunks_reach_the_store_on_their_second_sighting() {
         let exec = MemoizedExecutor::private(test_config());
-        // Six unique chunks at six locations (128 elements: above the
-        // `F_u2D` break-even). First sighting: the doorkeeper sends every
+        // Six unique chunks at six locations. First sighting: the doorkeeper sends every
         // one to the exact FFT — no key, no cache lookup, nothing stored.
         for i in 0..6 {
             let _ = exec.execute(FftOpKind::Fu2D, i, &chunk(200 + i as u64, 128), &fake_fft);

@@ -29,11 +29,6 @@
 //! committed hit, committed miss and insert, shared by every stripe of a
 //! store — ranks nothing: it is the time axis `FaultPlan` windows and
 //! access-trace records are written in.
-//!
-//! The engine's break-even gate, [`memoization_pays`], lives beside the cost
-//! estimate for the same reason: whether a chunk is memoized at all is
-//! decided by constants and the chunk's kind and length, never by a timing
-//! taken at run time.
 
 use crate::store::Provenance;
 use mlr_lamino::FftOpKind;
@@ -215,60 +210,6 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
     weight * n * n.log2()
 }
 
-/// Share of memoized chunks whose compute a hit replaces, a conservative fit
-/// at τ = 0.92 (runs reuse 46–50 % of their 2-D chunks at the benchmark's
-/// `hit-32` and `smallchunk-24` configs). The other two thirds pay the memo
-/// path and then compute anyway, which is how [`memoization_pays`] prices a miss.
-pub const EXPECTED_REUSE: f64 = 1.0 / 3.0;
-
-/// Nanoseconds per input element of the exact `F_u2D` / `F*_u2D` chunk
-/// compute. Like the two constants below, the fit made when the gate was
-/// introduced, not a reading of today's kernels: the `sweep` table of
-/// `BENCH_hotpath.json` (`fig22_hotpath --sweep`, `usfft2d` computes close
-/// to linear in the chunk length from 256 to 16 Ki elements) now reads about
-/// 150–280 ns/elem, and only the decisions the constants make are held to
-/// it (`gate_agrees_with_measurement`); ROADMAP item 5(a) calibrates them.
-/// Only their ratios matter, so a uniformly faster or slower machine decides
-/// the same.
-const USFFT_2D_NS_PER_ELEM: f64 = 270.0;
-
-/// What a memoized chunk is expected to pay, the sweep's
-/// `memo_path_ns_per_chunk` (`p ·` a cache hit `+ (1 − p) ·` what a miss
-/// pays beside its compute: fingerprint, cache peek, key, probe, insert), as
-/// a line in the chunk length: the part that does not depend on it …
-const MEMO_PATH_FIXED_NS: f64 = 7_000.0;
-/// … and the slope per input element. Fitted when every memoized chunk paid
-/// a 6.5 µs CNN key; the sweep now reads about 1 µs + 8.3 ns/elem, which at
-/// no swept size moves a decision out of the sweep's 2× dead band (`F_u2D`
-/// saves ≥ 5× the path), so the constant and every count it decides stay
-/// what they were.
-const MEMO_PATH_NS_PER_ELEM: f64 = 3.5;
-
-/// Whether memoizing one chunk of `input_len` elements of `op` has a
-/// non-negative expected value: the compute a hit avoids, weighted by
-/// [`EXPECTED_REUSE`], against the memo path every memoized chunk pays.
-///
-/// Only the 2-D USFFTs are ever memoized; this is the engine's one decision
-/// by operation kind. The sweep prices the 1-D USFFTs' compute at or below
-/// their memo path at every size, never the 2× a hit needs to be worth its
-/// entry, so the operators run `F_u1D` / `F*_u1D` as whole plane loops that
-/// never reach an executor; the kind match stays so that the figures and
-/// tests can still ask about them.
-///
-/// A pure function of the operation kind and the chunk length — properties
-/// every input has — so the engine's decision is the same on every thread
-/// count, shard layout and job, and a ragged last chunk is judged on its own
-/// length. Both sides are linear in `input_len`, so the decision for
-/// `F_u2D` / `F*_u2D` flips once, from bypass to memoize, at 81 elements.
-/// `fig22_hotpath --sweep` holds the constants to the measurement
-/// (`gate_agrees_with_measurement`).
-pub fn memoization_pays(op: FftOpKind, input_len: usize) -> bool {
-    let n = input_len as f64;
-    matches!(op, FftOpKind::Fu2D | FftOpKind::Fu2DAdj)
-        && EXPECTED_REUSE * USFFT_2D_NS_PER_ELEM * n
-            >= MEMO_PATH_FIXED_NS + MEMO_PATH_NS_PER_ELEM * n
-}
-
 /// The logical clock of one store, shared by every stripe so tick and id
 /// assignment are identical however many stripes a
 /// [`ShardedMemoDb`](crate::ShardedMemoDb) spreads its scopes over — the
@@ -385,48 +326,10 @@ mod tests {
         assert!(recompute_cost_estimate(FftOpKind::Fu1D, 0) > 0.0);
     }
 
-    const USFFT_1D: [FftOpKind; 2] = [FftOpKind::Fu1D, FftOpKind::Fu1DAdj];
-    const USFFT_2D: [FftOpKind; 2] = [FftOpKind::Fu2D, FftOpKind::Fu2DAdj];
-
-    #[test]
-    fn break_even_gate_decision_table() {
-        // The outcomes the engine relies on, whatever the constants are
-        // recalibrated to: the 1-D USFFTs never memoize, the 2-D ones from
-        // well below the smallest benchmark chunk.
-        for op in USFFT_1D {
-            assert!((0..=65536).all(|n| !memoization_pays(op, n)), "{op:?}");
-        }
-        for op in USFFT_2D {
-            assert!((256..=65536).all(|n| memoization_pays(op, n)), "{op:?}");
-            assert!(!memoization_pays(op, 0), "{op:?}");
-        }
-        // The benchmark's chunk shapes: 576 elements on `smallchunk-24`,
-        // 4608 and up on the others.
-        assert!(!memoization_pays(FftOpKind::Fu1D, 576));
-        assert!(memoization_pays(FftOpKind::Fu2D, 576));
-        assert!(!memoization_pays(FftOpKind::Fu1DAdj, 4608));
-    }
-
-    #[test]
-    fn break_even_gate_is_monotone_and_skips_uniform_ffts() {
-        for op in FftOpKind::DENSE {
-            let decisions: Vec<bool> = (1..=65536).map(|n| memoization_pays(op, n)).collect();
-            assert!(
-                decisions.windows(2).all(|w| w[0] <= w[1]),
-                "{op:?}: a longer chunk lost a decision a shorter one won"
-            );
-            assert_eq!(
-                decisions.contains(&true),
-                USFFT_2D.contains(&op),
-                "{op:?}: only the 2-D USFFTs memoize"
-            );
-        }
-    }
-
     #[test]
     fn recompute_cost_estimate_is_unchanged() {
         // Eviction ranking, the modeled schedule and the benchmark price
-        // entries with it; the break-even model beside it must not move it.
+        // entries with it.
         for (op, n, expected) in [
             (FftOpKind::Fu2D, 128, 3584.0),
             (FftOpKind::Fu1D, 1024, 10240.0),

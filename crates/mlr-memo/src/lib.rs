@@ -32,12 +32,11 @@
 //!   the same [`tau_gate`] before any key is computed.
 //! * [`engine`] — the [`MemoizedExecutor`], an implementation of
 //!   `mlr_lamino::FftExecutor` that the ADMM solver can use in place of the
-//!   direct executor for the `F_u2D` / `F*_u2D` chunks; it records the per-case statistics behind
-//!   Figures 10–12. A chunk takes the memo path only when
-//!   [`memoization_pays`] says a hit can pay for it at the chunk's kind and
-//!   length. A batch runs in two phases on the calling thread: every chunk
-//!   probes the store, cache and doorkeeper state frozen at dispatch, then
-//!   the commit replays ticks, inserts and evictions in chunk-index order.
+//!   direct executor for the `F_u2D` / `F*_u2D` chunks; it records the
+//!   per-case statistics behind Figures 10–12. Every chunk past warm-up
+//!   takes the memo path. A batch runs in two phases on the calling thread:
+//!   every chunk probes the store, cache and doorkeeper state frozen at
+//!   dispatch, then the commit replays ticks, inserts and evictions in chunk-index order.
 //!   Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced query is
 //!   the message size Figures 15 and 16 replay through
 //!   `mlr_cluster::replay_trace`.
@@ -81,8 +80,7 @@ pub use distributed::{DistributedMemoDb, DistributedStats, FaultStats, NodeStats
 pub use encoder::{sketch, CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
 pub use eviction::{
-    memoization_pays, recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta,
-    StoreClock, EXPECTED_REUSE,
+    recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock,
 };
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
 pub use sharded::{ShardedMemoDb, ACCESS_OP_UNKNOWN, DEFAULT_SHARDS};

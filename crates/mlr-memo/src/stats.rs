@@ -17,9 +17,8 @@ use serde::{Deserialize, Serialize, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MemoCase {
     /// Computed exactly, without consulting the memoization system:
-    /// memoization is disabled, the job is still in its warm-up iterations,
-    /// or the chunk is below break-even (`memoization_pays` says a hit could
-    /// not pay for the memo path at its kind and length).
+    /// memoization is disabled, or the job is still in its warm-up
+    /// iterations.
     Computed,
     /// Case 1: database miss → compute + insert.
     FailedMemo,
@@ -37,11 +36,8 @@ pub enum MemoCase {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpStats {
     /// Invocations computed without consulting the memoization system:
-    /// disabled, warm-up or below break-even.
+    /// disabled or warm-up.
     pub computed: u64,
-    /// The part of `computed` that the break-even gate sent to the exact
-    /// FFT in a memoizing dispatch (after warm-up, memoization on).
-    pub gated: u64,
     /// Case-1 invocations (miss + insert).
     pub failed_memo: u64,
     /// Case-2 invocations (database hit).
@@ -76,7 +72,6 @@ impl OpStats {
 
     fn accumulate(&mut self, other: &OpStats) {
         self.computed += other.computed;
-        self.gated += other.gated;
         self.failed_memo += other.failed_memo;
         self.db_hits += other.db_hits;
         self.cache_hits += other.cache_hits;
@@ -129,12 +124,6 @@ impl MemoStats {
             MemoCase::CacheHit => entry.cache_hits += 1,
             MemoCase::Prefiltered => entry.prefiltered += 1,
         }
-    }
-
-    /// Notes that the break-even gate sent one `computed` invocation of an
-    /// operation to the exact FFT.
-    pub fn add_gated(&mut self, op: FftOpKind) {
-        self.per_op[op.index()].gated += 1;
     }
 
     /// Adds one encoded key for an operation.
@@ -193,7 +182,6 @@ mod tests {
         ] {
             table.record(op, case);
         }
-        table.add_gated(FftOpKind::Fu1DAdj);
         table.add_encoded_key(FftOpKind::Fu1D);
         // A snapshot is a plain copy.
         let snapshot = table;
@@ -261,7 +249,6 @@ mod tests {
         let mut a = MemoStats::new();
         a.record(FftOpKind::Fu1D, MemoCase::DbHit);
         a.record(FftOpKind::Fu1D, MemoCase::Computed);
-        a.add_gated(FftOpKind::Fu1D);
         let mut b = MemoStats::new();
         b.record(FftOpKind::Fu1D, MemoCase::DbHit);
         b.add_encoded_key(FftOpKind::Fu1D);
@@ -269,6 +256,6 @@ mod tests {
         let s = a.op(FftOpKind::Fu1D);
         assert_eq!(s.db_hits, 2);
         assert_eq!(s.keys_encoded, 1);
-        assert_eq!((s.computed, s.gated), (1, 1));
+        assert_eq!(s.computed, 1);
     }
 }

@@ -88,13 +88,8 @@ fn main() {
         cases.total()
     );
     println!(
-        "chunks : {} computed ({} below break-even), {} prefiltered, {} failed memo, {} db hits, {} cache hits",
-        cases.computed,
-        cases.gated,
-        cases.prefiltered,
-        cases.failed_memo,
-        cases.db_hits,
-        cases.cache_hits
+        "chunks : {} computed (warm-up), {} prefiltered, {} failed memo, {} db hits, {} cache hits",
+        cases.computed, cases.prefiltered, cases.failed_memo, cases.db_hits, cases.cache_hits
     );
 
     println!("\n== hit-path stage timers (ns per chunk, log2-bucket floors) ==");

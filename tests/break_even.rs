@@ -1,16 +1,14 @@
-//! The engine's break-even gate, end to end.
+//! Which stages a reconstruction memoizes, end to end.
 //!
-//! `mlr_memo::memoization_pays` decides per chunk, from the operation kind
-//! and the chunk length alone, whether a hit could pay for the memo path.
-//! Only the 2-D USFFTs are ever memoized, so only their chunks reach the
-//! executor: the operators run the 1-D USFFT stages as whole plane loops.
-//! Two reconstructions pin what that means for a whole job: at 576-element
-//! chunks and at 2048-element chunks the 1-D rows stay empty while the 2-D
-//! stages keep reusing.
+//! Only the 2-D stages cross the seam: the operators run the 1-D USFFT
+//! stages as whole plane loops, and every `F_u2D` / `F*_u2D` chunk past
+//! warm-up takes the memo path. Two reconstructions pin what that means for
+//! a whole job: at 576-element chunks and at 2048-element chunks the 1-D
+//! rows stay empty while the 2-D stages keep reusing.
 
 use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
-use mlr_memo::{memoization_pays, OpStats};
+use mlr_memo::OpStats;
 
 const USFFT_1D: [FftOpKind; 2] = [FftOpKind::Fu1D, FftOpKind::Fu1DAdj];
 const USFFT_2D: [FftOpKind; 2] = [FftOpKind::Fu2D, FftOpKind::Fu2DAdj];
@@ -69,23 +67,9 @@ fn small_chunks_memoize_the_2d_stages_only() {
 fn chunks_above_break_even_count_what_they_counted_before_the_gate() {
     // 16³ in 8-plane chunks: 2048 elements (8 · 8 angles · 17 points = 1088
     // for `F*_u2D`; the second chunk holds the one evaluated row 8, 256 /
-    // 136 elements). The 2-D stages are above break-even; the 1-D ones
-    // memoize at no length, the benchmark's 1-D chunk sizes (312 to 18 432
-    // elements) included. The 1-D stages never reach the executor, so the
-    // 2-D stages see the exact 1-D output, and their counts are pinned on
-    // that.
+    // 136 elements). The 1-D stages never reach the executor, so the 2-D
+    // stages see the exact 1-D output, and their counts are pinned on that.
     let pipeline = MlrPipeline::new(MlrConfig::quick(16, 8).with_iterations(8));
-    for n in [312, 576, 2048, 8192, 18432] {
-        for op in USFFT_1D {
-            assert!(!memoization_pays(op, n), "{op:?} at {n}");
-        }
-        for op in USFFT_2D {
-            assert!(memoization_pays(op, n), "{op:?} at {n}");
-        }
-    }
-    for op in USFFT_2D {
-        assert!(memoization_pays(op, pipeline.operator().chunk_elems(op)));
-    }
     let (_, executor) = pipeline.run_memoized();
     let stats = executor.stats();
     let counts = |op| case_counts(stats.op(op));
