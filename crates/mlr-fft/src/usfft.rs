@@ -16,13 +16,14 @@
 //! satisfies `⟨F x, y⟩ = ⟨x, F* y⟩` to machine precision — a property the
 //! conjugate-gradient iterations inside ADMM rely on.
 //!
-//! Accuracy (relative l2 error against the direct non-uniform sum, 1-D
-//! forward and adjoint and 2-D forward at n = 16…48, 1.5·n² random
-//! frequencies): 1.6e-10 – 2.8e-10 with the default parameters
-//! (oversampling 2, half-width 10) and 8e-7 – 1.2e-6 with the `(2, 6)` every
-//! laminography operator is built with, when `2n` is a power of two;
-//! 2.3e-7 – 4.4e-7 and 2.7e-5 – 4.3e-5 otherwise (the fine grid rounds up to
-//! a power of two, the Gaussian width does not follow).
+//! Accuracy (the accuracy tests' error against the direct non-uniform sum,
+//! 1-D forward and adjoint and 2-D forward): 3.8e-11 – 2.8e-10 with the
+//! default parameters (oversampling 2, half-width 10); with the `(2, 6)`
+//! every laminography operator is built with, 1.5e-6 – 1.1e-5 at n = 32,
+//! where the fine grid is exactly `2n`, and 1.8e-7 – 7.0e-7 at n = 24, 48
+//! and 96, where it rounds up to a power of two and the Gaussian width
+//! follows the ratio `nr / n` the grid has (5.4e-5 – 1.1e-4 when it was
+//! sized for the nominal 2).
 //!
 //! The window is the Gaussian factored as in Greengard & Lee: per axis a
 //! frequency costs two exponentials, and its `2m+1` weights are a running
@@ -69,10 +70,13 @@ pub const DEFAULT_OVERSAMPLING: usize = 2;
 pub const DEFAULT_HALF_WIDTH: usize = 10;
 
 /// Computes the Gaussian variance parameter `sigma` for a transform of size
-/// `n`, oversampling ratio `r` and kernel half-width `m_sp`, following
+/// `n` on a fine grid of `nr` cells with kernel half-width `m_sp`, following
 /// Greengard & Lee with the frequency variable expressed in cycles/sample.
-fn gaussian_sigma(n: usize, r: usize, m_sp: usize) -> f64 {
-    let rf = r as f64;
+/// The oversampling ratio is the one the grid has, `nr / n`: rounding `n·r`
+/// up to a power of two makes it larger than the nominal `r`, and a window
+/// sized for `r` is then too wide for the grid's half-width.
+fn gaussian_sigma(n: usize, nr: usize, m_sp: usize) -> f64 {
+    let rf = nr as f64 / n as f64;
     m_sp as f64 / (4.0 * PI * (n as f64) * (n as f64) * rf * (rf - 0.5))
 }
 
@@ -172,7 +176,7 @@ impl Usfft1d {
         assert!(oversampling >= 2, "oversampling must be >= 2");
         assert!(half_width > 0, "kernel half-width must be positive");
         let nr = (n * oversampling).next_power_of_two();
-        let sigma = gaussian_sigma(n, oversampling, half_width);
+        let sigma = gaussian_sigma(n, nr, half_width);
         let scale = 1.0 / (nr as f64 * (4.0 * PI * sigma).sqrt());
         let n_taps = 2 * half_width + 1;
         let window = Window::new(nr, sigma, half_width);
@@ -426,8 +430,8 @@ impl Usfft2dGrid {
         assert!(2 * half_width < MAX_TAPS, "kernel half-width too large");
         let nr1 = (n1 * oversampling).next_power_of_two();
         let nr2 = (n2 * oversampling).next_power_of_two();
-        let sigma1 = gaussian_sigma(n1, oversampling, half_width);
-        let sigma2 = gaussian_sigma(n2, oversampling, half_width);
+        let sigma1 = gaussian_sigma(n1, nr1, half_width);
+        let sigma2 = gaussian_sigma(n2, nr2, half_width);
         let scale = 1.0
             / (nr1 as f64 * (4.0 * PI * sigma1).sqrt())
             / (nr2 as f64 * (4.0 * PI * sigma2).sqrt());
@@ -689,12 +693,13 @@ mod tests {
 
     /// `(n, half-width, bound)` for the accuracy tests: the default window,
     /// then the operators' `(2, 6)` at the benchmark sizes, where the fine
-    /// grid is exactly `2n` (32) or rounds up past it (24, 48).
-    const ACCURACY_CASES: [(usize, usize, f64); 4] = [
+    /// grid is exactly `2n` (32) or rounds up past it (24, 48, 96).
+    const ACCURACY_CASES: [(usize, usize, f64); 5] = [
         (32, DEFAULT_HALF_WIDTH, 1e-5),
-        (24, 6, 1e-3),
+        (24, 6, 1e-6),
         (32, 6, 5e-5),
-        (48, 6, 1e-3),
+        (48, 6, 1e-6),
+        (96, 6, 1e-6),
     ];
 
     #[test]
@@ -882,7 +887,7 @@ mod tests {
             let reference = Reference1d {
                 t: &t,
                 m_sp,
-                sigma: gaussian_sigma(n, 2, m_sp),
+                sigma: gaussian_sigma(n, t.nr, m_sp),
             };
             // The plan's tabulated weights against per-tap exponentials;
             // every weight is at most 1, so the max-norm is absolute.
@@ -1122,8 +1127,8 @@ mod tests {
             let reference = Reference {
                 t: &t,
                 m_sp,
-                sigma1: gaussian_sigma(n1, 2, m_sp),
-                sigma2: gaussian_sigma(n2, 2, m_sp),
+                sigma1: gaussian_sigma(n1, t.grid.nr1, m_sp),
+                sigma2: gaussian_sigma(n2, t.grid.nr2, m_sp),
             };
             let u = random_c(n1 * n2, 50 + case as u64);
             let y = random_c(t.output_len(), 60 + case as u64);
