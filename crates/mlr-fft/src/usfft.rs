@@ -70,11 +70,9 @@ pub const DEFAULT_OVERSAMPLING: usize = 2;
 pub const DEFAULT_HALF_WIDTH: usize = 10;
 
 /// Computes the Gaussian variance parameter `sigma` for a transform of size
-/// `n` on a fine grid of `nr` cells with kernel half-width `m_sp`, following
-/// Greengard & Lee with the frequency variable expressed in cycles/sample.
-/// The oversampling ratio is the one the grid has, `nr / n`: rounding `n·r`
-/// up to a power of two makes it larger than the nominal `r`, and a window
-/// sized for `r` is then too wide for the grid's half-width.
+/// `n` on a fine grid of `nr` cells (oversampling ratio `nr / n`, above the
+/// nominal one when `n·r` rounds up to a power of two) with kernel
+/// half-width `m_sp`, following Greengard & Lee in cycles/sample.
 fn gaussian_sigma(n: usize, nr: usize, m_sp: usize) -> f64 {
     let rf = nr as f64 / n as f64;
     m_sp as f64 / (4.0 * PI * (n as f64) * (n as f64) * rf * (rf - 0.5))
