@@ -7,9 +7,10 @@
 //!
 //! * **hit path** — steady-state cache-hit and db-hit cost per chunk
 //!   (ns/chunk; each db-hit round runs a cold-cache executor over the
-//!   populated store), with every payload handed out as a shared single-precision
-//!   `Arc<[Complex32]>` (8 bytes an element — `stored_bytes_per_elem`, gated)
-//!   and widened exactly once, straight into the caller's output slice;
+//!   populated store), with every payload handed out as a shared
+//!   single-precision `Arc<[Complex32]>` (8 bytes an element —
+//!   `stored_bytes_per_elem`, gated) and widened exactly once, straight into
+//!   the caller's output slice;
 //! * **miss path** — exact-FFT throughput through the same seam (the work a
 //!   hit avoids);
 //! * **prefilter path** — a drifting-amplitude trace in which every chunk's
