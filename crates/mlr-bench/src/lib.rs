@@ -21,7 +21,7 @@
 //! | `fig18_multi_job` | beyond the paper — multi-job runtime, shared vs isolated stores |
 //! | `fig19_eviction` | beyond the paper — what a capacity budget costs in cross-job hit rate |
 //! | `fig21_serving` | beyond the paper — deadline-aware serving: load × deadline tightness vs miss rate, cancellation guarantees |
-//! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the engine's break-even gate to the measurement (`gate_agrees_with_measurement`) |
+//! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the stages the seam memoizes to the measurement (`gate_agrees_with_measurement`) |
 //! | `fig23_observability` | beyond the paper — telemetry overhead: disabled vs enabled hit ns/chunk, enabled-mode allocation envelope, export round-trip |
 //! | `fig24_cluster` | beyond the paper — distributed memo tier: hit parity vs `ShardedMemoDb`, access-trace replay over simulated memory nodes (Figure 15/16 analogues) |
 //! | `check_bench` | CI regression gate over the `BENCH_*.json` records (see `ci/bench_baseline.json`) |

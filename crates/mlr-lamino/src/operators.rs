@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 /// Identifies one of the four USFFT operations of Algorithm 2, the kinds
 /// mLR's memoization decides about. Only `F_u2D` and `F*_u2D` reach an
-/// executor; the 1-D kinds stay so that the break-even gate and its benches
-/// can be asked about them.
+/// executor; the 1-D kinds stay so that per-operation statistics and the
+/// benches can report that they never do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FftOpKind {
     /// `F_u1D` — 1-D USFFT along the vertical axis.

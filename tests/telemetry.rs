@@ -187,9 +187,8 @@ fn span_stream_is_deterministic() {
 
 #[test]
 fn stage_sample_counts_match_the_case_ledger() {
-    // A reconstruction that reaches every case: warm-up and below
-    // break-even (computed), first sightings (prefiltered), misses, db hits
-    // and cache hits.
+    // A reconstruction that reaches every case: warm-up (computed), first
+    // sightings (prefiltered), misses, db hits and cache hits.
     let pipeline = MlrPipeline::new(MlrConfig::quick(12, 8).with_iterations(6));
     let executor = pipeline
         .memo_executor(pipeline.build_shared_store(1), 0)
