@@ -33,7 +33,16 @@
 //!   telemetry stage histograms, answering how the measured hit cost
 //!   splits. A steady cache hit records no encode and no probe: it never
 //!   computes a key. The stage sum is printed beside the measured wall
-//!   clock (`stage_sum_fraction`, informational).
+//!   clock (`stage_sum_fraction`, informational);
+//! * **recorder cost** — a telemetry-*disabled* twin of the cache-hit
+//!   executor runs the same schedule, then the two alternate
+//!   [`OVERHEAD_PAIRS`] pairs of steady windows. What the recorder costs is an
+//!   absolute time per chunk (stage clocks and spans), whatever the hit
+//!   beside it costs, so the gate is the median over the pairs of
+//!   `enabled − disabled` ns/chunk against [`MAX_OVERHEAD_NS`]
+//!   (`overhead_within_bound`). The ratio of the per-mode minima is recorded
+//!   beside it, ungated (`overhead_fraction`): its denominator shrinks
+//!   whenever the hit path gets cheaper.
 //!
 //! `--sweep` additionally runs a chunk-size sweep (256 .. 16 Ki complex
 //! elems) of what the memo path costs — the steady cache hit, and the tax
@@ -50,34 +59,25 @@
 //! `fig22_hotpath --smoke --sweep` so `BENCH_hotpath.json` always carries
 //! the sweep; without `--sweep` the sweep is empty and the flag false.
 //!
-//! `operator_scratch` records what an operator parks in its scratch pools
-//! after a forward + adjoint application, at two detector heights: the count
-//! must stay inside a bound that depends on the kernel thread count only.
-//!
 //! Gated in CI (`ci/bench_baseline.json`): `hit_path_allocation_free` and
 //! `zero_payload_clone` must hold exactly; `stored_bytes_per_elem` must equal
 //! 8 (an entry going back to double precision reads 16); the
 //! *measured* `measured_hit_speedup` must stay above 1.0 (the
 //! `measured_hit_beats_fft` boolean), `gate_agrees_with_measurement` must
 //! hold, the drifting trace's
-//! `prefilter.skip_rate` must stay positive, and
-//! `operator_scratch.independent_of_rows` must hold (a scratch pool per
-//! detector row flips it). Remaining wall-clock columns are informational.
+//! `prefilter.skip_rate` must stay positive, and `overhead_within_bound`
+//! must hold. Remaining wall-clock columns are informational.
 //!
 //! The machine-readable record lands in `BENCH_hotpath.json` (and under
 //! `target/experiments/`).
 
-use mlr_bench::alloc::{delta, snapshot, CountingAllocator};
-use mlr_bench::{compare_row, fmt_secs, header, smoke_from_args, write_record};
-use mlr_fft::fft::{Direction, FftPlan};
-use mlr_lamino::{
-    ChunkRequest, DetectorSpec, FftExecutor, FftOpKind, LaminoGeometry, LaminoOperator,
-};
-use mlr_math::rng::seeded;
+use mlr_bench::alloc::CountingAllocator;
+use mlr_bench::hotpath::{chunk, drive, fft_compute};
+use mlr_bench::{compare_row, fmt_secs, header, pct, smoke_from_args, write_record};
+use mlr_lamino::{FftOpKind, LaminoGeometry, LaminoOperator};
 use mlr_math::{Array3, Complex32, Complex64};
 use mlr_memo::{MemoConfig, MemoStats, MemoizedExecutor, OpStats};
 use mlr_telemetry::{MetricsSnapshot, StageId, Telemetry, STAGE_NAMES};
-use rand::Rng;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -181,20 +181,6 @@ struct SweepPoint {
     usfft2d: GateCheck,
 }
 
-/// What an operator leaves parked in its scratch pools after one forward and
-/// one adjoint application, for the taller of two geometries that differ
-/// only in detector rows.
-#[derive(Serialize)]
-struct OperatorScratch {
-    detector_rows: usize,
-    idle_buffers: usize,
-    resident_kib: f64,
-    /// CI gate: at both heights `idle_buffers` is at most
-    /// `2 · kernel threads + 2` (per thread a 2-D fine grid and a 1-D plane
-    /// grid; per operator the gather and staging arenas).
-    independent_of_rows: bool,
-}
-
 #[derive(Serialize)]
 struct Record {
     smoke: bool,
@@ -227,13 +213,20 @@ struct Record {
     /// No hit chunk allocated anything payload-sized: the stored value is
     /// shared, never deep-cloned.
     zero_payload_clone: bool,
+    /// Median over the interleaved window pairs of enabled − disabled
+    /// steady cache-hit ns/chunk: what the telemetry recorder adds to a hit.
+    overhead_ns_per_chunk: f64,
+    /// enabled / disabled − 1 over the per-mode fastest windows
+    /// (informational).
+    overhead_fraction: f64,
+    /// CI gate: `overhead_ns_per_chunk` ≤ [`MAX_OVERHEAD_NS`].
+    overhead_within_bound: bool,
     /// Whether the `--sweep` chunk-size sweep ran (CI always passes it).
     sweep_run: bool,
     /// Per-chunk-size hit-vs-USFFT points (empty without `--sweep`).
     sweep: Vec<SweepPoint>,
     /// CI gate (with `--sweep`): every [`GateCheck`] of the sweep agrees.
     gate_agrees_with_measurement: bool,
-    operator_scratch: OperatorScratch,
 }
 
 /// Share of memoized chunks whose compute a hit replaces, a conservative fit
@@ -242,54 +235,18 @@ struct Record {
 /// path and then compute anyway.
 const REUSE_SHARE: f64 = 1.0 / 3.0;
 
-/// Threads the rayon shim is pinned to for the whole run (see `main`).
-const KERNEL_THREADS: usize = 1;
-
 /// Allocation envelope of one steady-state cache-hit chunk (which computes
 /// no key): slack for amortised batch plumbing.
 const MAX_HIT_ALLOCS: f64 = 4.0;
 const MAX_HIT_ALLOC_BYTES: f64 = 1024.0;
 
-fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
-    let mut rng = seeded(0xF1622 ^ loc as u64);
-    (0..n)
-        .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-        .collect()
-}
-
-/// Drives `iterations` whole-grid batch dispatches (one per ADMM iteration,
-/// starting at `first_iteration`) through the zero-copy seam and returns
-/// `(seconds, allocations, bytes)` accumulated over them.
-fn drive(
-    exec: &MemoizedExecutor,
-    inputs: &[Vec<Complex64>],
-    outputs: &mut [Vec<Complex64>],
-    compute: &(dyn Fn(&[Complex64]) -> Vec<Complex64> + Sync),
-    first_iteration: usize,
-    iterations: usize,
-) -> (f64, u64, u64) {
-    let before = snapshot();
-    #[expect(clippy::disallowed_methods, reason = "harness: measures wall time")]
-    let start = Instant::now();
-    for it in first_iteration..first_iteration + iterations {
-        exec.begin_iteration(it);
-        let batch: Vec<ChunkRequest<'_>> = inputs
-            .iter()
-            .enumerate()
-            .map(|(loc, input)| ChunkRequest {
-                loc,
-                input,
-                compute,
-            })
-            .collect();
-        let mut slots: Vec<&mut [Complex64]> =
-            outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let (allocs, bytes) = delta(before, snapshot());
-    (seconds, allocs, bytes)
-}
+/// Interleaved disabled / enabled steady windows the recorder cost is the
+/// median over.
+const OVERHEAD_PAIRS: usize = 15;
+/// What the enabled recorder may add to a steady cache-hit chunk (ns,
+/// median over the window pairs): about three times what it costs (76–453
+/// ns over 44 `--smoke` runs; `ci/bench_baseline.json`).
+const MAX_OVERHEAD_NS: f64 = 800.0;
 
 /// Builds the per-stage breakdown of one steady window from the stage
 /// histograms' count/sum deltas across it.
@@ -365,12 +322,7 @@ fn path_stats(total: OpStats, seconds: f64, allocs: u64, bytes: u64, chunks: u64
 fn sweep_point(n: usize, memo: MemoConfig, dispatched: &[bool; 4]) -> SweepPoint {
     let locations = 8usize;
     let steady = 4usize;
-    let plan = FftPlan::new(n);
-    let compute = move |x: &[Complex64]| {
-        let mut v = x.to_vec();
-        plan.process(&mut v, Direction::Forward);
-        v
-    };
+    let compute = fft_compute(n);
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
     let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; locations];
     let chunks = (steady * locations) as f64;
@@ -482,45 +434,23 @@ fn dispatched_kinds(memo: MemoConfig) -> [bool; 4] {
     FftOpKind::DENSE.map(|kind| exec.stats().op(kind).total() > 0)
 }
 
-/// Applies forward + adjoint at 16³ / 8 angles / chunk 4 and at twice the
-/// detector rows, and reads back what each operator parked.
-fn operator_scratch() -> OperatorScratch {
-    let cube = LaminoGeometry::cube(16, 8, 30.0);
-    let tall = LaminoGeometry {
-        detector: DetectorSpec::new(2 * cube.detector.rows, cube.detector.cols),
-        ..cube.clone()
-    };
-    let parked = |geometry: LaminoGeometry| {
-        let op = LaminoOperator::new(geometry, 4);
-        let shape = op.geometry().volume_shape();
-        let d = op.forward(&Array3::from_vec(shape, vec![1.0; shape.len()]));
-        let _ = op.adjoint(&d);
-        (op.scratch_idle_buffers(), op.scratch_idle_bytes())
-    };
-    let bound = 2 * KERNEL_THREADS + 2;
-    let detector_rows = tall.detector.rows;
-    let (idle_cube, _) = parked(cube);
-    let (idle_buffers, bytes) = parked(tall);
-    OperatorScratch {
-        detector_rows,
-        idle_buffers,
-        resident_kib: bytes as f64 / 1024.0,
-        independent_of_rows: idle_cube <= bound && idle_buffers <= bound,
-    }
-}
-
 fn main() {
     // Pin the rayon shim to one thread and run batches sequentially: the
     // subject under measurement is the per-chunk constant factor, and the
     // allocation gate must count one deterministic code path.
-    std::env::set_var("RAYON_NUM_THREADS", KERNEL_THREADS.to_string());
+    std::env::set_var("RAYON_NUM_THREADS", "1");
     header(
         "Figure 22",
         "zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk",
     );
     let smoke = smoke_from_args();
     let sweep_run = std::env::args().any(|a| a == "--sweep");
-    let (n, locations, steady) = if smoke { (1024, 24, 8) } else { (4096, 32, 12) };
+    // `window`: iterations in one window of a recorder-cost pair.
+    let (n, locations, steady, window) = if smoke {
+        (1024, 24, 8, 6)
+    } else {
+        (4096, 32, 12, 8)
+    };
     let payload_bytes = (n * std::mem::size_of::<Complex32>()) as u64;
     println!(
         "chunk: {n} complex elems ({} KiB payload), {locations} locations, \
@@ -528,12 +458,7 @@ fn main() {
         payload_bytes / 1024
     );
 
-    let plan = FftPlan::new(n);
-    let compute = move |x: &[Complex64]| {
-        let mut v = x.to_vec();
-        plan.process(&mut v, Direction::Forward);
-        v
-    };
+    let compute = fft_compute(n);
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
     let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; locations];
     let memo = MemoConfig {
@@ -549,7 +474,10 @@ fn main() {
     // cache hit. The executor runs with telemetry *enabled*: the
     // allocation gates below thereby certify that the instrumented hit
     // path is still allocation-free, and the stage histograms feed the
-    // breakdown.
+    // breakdown. A telemetry-disabled twin is built and warmed beside it
+    // for the recorder-cost pairs below.
+    let twin = MemoizedExecutor::private(memo);
+    let _ = drive(&twin, &inputs, &mut outputs, &compute, 0, 4);
     let exec = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
     let _ = drive(&exec, &inputs, &mut outputs, &compute, 0, 4);
     let stages_before = metrics_of(&exec);
@@ -573,6 +501,32 @@ fn main() {
         chunks + locations as u64,
         "steady window must be all cache hits"
     );
+
+    // --- recorder cost: the twin catches up with the window above
+    // untimed, then the two alternate steady windows. The two windows of a
+    // pair see the same thermal / frequency environment, so their
+    // difference is the recorder's cost, and the median over the pairs
+    // drops a disturbed one.
+    let _ = drive(&twin, &inputs, &mut outputs, &compute, 4, steady);
+    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
+    let mut pair_ns: Vec<f64> = (0..OVERHEAD_PAIRS)
+        .map(|pair| {
+            let first = 4 + steady + pair * window;
+            let off = drive(&twin, &inputs, &mut outputs, &compute, first, window).0;
+            let on = drive(&exec, &inputs, &mut outputs, &compute, first, window).0;
+            (best_off, best_on) = (best_off.min(off), best_on.min(on));
+            (on - off) * 1e9 / (window * locations) as f64
+        })
+        .collect();
+    assert_eq!(
+        twin.stats(),
+        exec.stats(),
+        "both modes must run the identical all-hit schedule"
+    );
+    pair_ns.sort_by(f64::total_cmp);
+    let overhead_ns_per_chunk = pair_ns[OVERHEAD_PAIRS / 2];
+    let overhead_fraction = best_on / best_off.max(1e-12) - 1.0;
+    let overhead_within_bound = overhead_ns_per_chunk <= MAX_OVERHEAD_NS;
 
     // --- db-hit path: each steady round runs a fresh executor over the
     // populated store, so its cache is cold and every chunk is a database
@@ -766,15 +720,12 @@ fn main() {
             },
         );
     }
-    let operator_scratch = operator_scratch();
     compare_row(
-        "operator scratch parked after forward + adjoint",
-        &format!("≤ {} buffers at any height", 2 * KERNEL_THREADS + 2),
+        "telemetry enabled - disabled, median over window pairs",
+        &format!("<= {MAX_OVERHEAD_NS:.0} ns"),
         &format!(
-            "{} buffers / {:.0} KiB at {} detector rows",
-            operator_scratch.idle_buffers,
-            operator_scratch.resident_kib,
-            operator_scratch.detector_rows
+            "{overhead_ns_per_chunk:.0} ns/chunk ({} over the minima)",
+            pct(overhead_fraction.max(0.0))
         ),
     );
     compare_row(
@@ -860,9 +811,9 @@ fn main() {
         "the families the seam memoizes disagree with the measured sweep by more than 2x"
     );
     assert!(
-        operator_scratch.independent_of_rows,
-        "operator scratch grows with detector rows: {} buffers parked at {} rows",
-        operator_scratch.idle_buffers, operator_scratch.detector_rows
+        overhead_within_bound,
+        "telemetry adds {overhead_ns_per_chunk:.0} ns to a hit chunk, over the \
+         {MAX_OVERHEAD_NS} ns bound"
     );
 
     let record = Record {
@@ -883,10 +834,12 @@ fn main() {
         measured_hit_beats_fft,
         hit_path_allocation_free,
         zero_payload_clone,
+        overhead_ns_per_chunk,
+        overhead_fraction,
+        overhead_within_bound,
         sweep_run,
         sweep,
         gate_agrees_with_measurement,
-        operator_scratch,
     };
     match serde_json::to_string_pretty(&record) {
         Ok(json) => {

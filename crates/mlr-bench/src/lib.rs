@@ -21,14 +21,14 @@
 //! | `fig18_multi_job` | beyond the paper — multi-job runtime, shared vs isolated stores |
 //! | `fig19_eviction` | beyond the paper — what a capacity budget costs in cross-job hit rate |
 //! | `fig21_serving` | beyond the paper — deadline-aware serving: load × deadline tightness vs miss rate, cancellation guarantees |
-//! | `fig22_hotpath` | beyond the paper — zero-copy memo hits: hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane; `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the stages the seam memoizes to the measurement (`gate_agrees_with_measurement`) |
-//! | `fig23_observability` | beyond the paper — telemetry overhead: disabled vs enabled hit ns/chunk, enabled-mode allocation envelope, export round-trip |
+//! | `fig22_hotpath` | beyond the paper — zero-copy memo hits ([`hotpath::drive`]): hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane, what the telemetry recorder adds to a hit (`overhead_within_bound`); `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the stages the seam memoizes to the measurement (`gate_agrees_with_measurement`) |
 //! | `fig24_cluster` | beyond the paper — distributed memo tier: hit parity vs `ShardedMemoDb`, access-trace replay over simulated memory nodes (Figure 15/16 analogues) |
+//! | `fig25_faults` | beyond the paper — chaos harness: a serving workload under swept fault plans (node crash, link degrade, stripe stall), bit identity, bounded degradation, recovery |
 //! | `check_bench` | CI regression gate over the `BENCH_*.json` records (see `ci/bench_baseline.json`) |
 //!
 //! Run any of them with `cargo run --release -p mlr-bench --bin <name> [-- --scale tiny|small|paper]`.
 //! `fig18_multi_job`, `fig19_eviction`, `fig21_serving`, `fig22_hotpath`,
-//! `fig23_observability` and `fig24_cluster` additionally accept `--smoke`, the
+//! `fig24_cluster` and `fig25_faults` additionally accept `--smoke`, the
 //! reduced-size mode CI's bench-smoke job runs; `fig22_hotpath` also accepts
 //! `--sweep` (CI passes it) to embed the chunk-size sweep in
 //! `BENCH_hotpath.json`. Each prints a human-readable
@@ -40,6 +40,7 @@ use serde::Serialize;
 use std::path::PathBuf;
 
 pub mod alloc;
+pub mod hotpath;
 pub mod json;
 pub mod similarity;
 

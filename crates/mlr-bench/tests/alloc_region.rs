@@ -8,53 +8,17 @@
 //! `enforcement_matches_lockcheck_mode` pins down.
 
 use mlr_bench::alloc::{counting_allocator_installed, AllocRegion, CountingAllocator};
+use mlr_bench::hotpath::{chunk, drive, fft_compute};
 use mlr_bench::no_alloc_region;
-use mlr_fft::fft::{Direction, FftPlan};
-use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
-use mlr_math::rng::seeded;
 use mlr_math::Complex64;
 use mlr_memo::{MemoConfig, MemoizedExecutor};
 use mlr_telemetry::Telemetry;
-use rand::Rng;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// The fig22 allocation envelope: encoded key plus amortised batch plumbing.
 const MAX_HIT_ALLOCS_PER_CHUNK: u64 = 4;
-
-fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
-    let mut rng = seeded(0xA110C ^ loc as u64);
-    (0..n)
-        .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-        .collect()
-}
-
-/// One whole-grid batch dispatch per iteration through the zero-copy seam.
-fn drive(
-    exec: &MemoizedExecutor,
-    inputs: &[Vec<Complex64>],
-    outputs: &mut [Vec<Complex64>],
-    compute: &(dyn Fn(&[Complex64]) -> Vec<Complex64> + Sync),
-    first_iteration: usize,
-    iterations: usize,
-) {
-    for it in first_iteration..first_iteration + iterations {
-        exec.begin_iteration(it);
-        let batch: Vec<ChunkRequest<'_>> = inputs
-            .iter()
-            .enumerate()
-            .map(|(loc, input)| ChunkRequest {
-                loc,
-                input,
-                compute,
-            })
-            .collect();
-        let mut slots: Vec<&mut [Complex64]> =
-            outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
-    }
-}
 
 #[test]
 fn probe_detects_installed_counting_allocator() {
@@ -72,12 +36,7 @@ fn steady_hit_window_stays_inside_the_region_budget() {
     let n = 512;
     let locations = 8;
     let steady = 4;
-    let plan = FftPlan::new(n);
-    let compute = move |x: &[Complex64]| {
-        let mut v = x.to_vec();
-        plan.process(&mut v, Direction::Forward);
-        v
-    };
+    let compute = fft_compute(n);
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
     let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; n]; locations];
     let memo = MemoConfig {
@@ -87,7 +46,7 @@ fn steady_hit_window_stays_inside_the_region_budget() {
     let exec = MemoizedExecutor::private(memo).with_telemetry(Telemetry::enabled());
 
     // Warm-up rounds: prefilter note, populate, promote, pool warming.
-    drive(&exec, &inputs, &mut outputs, &compute, 0, 4);
+    let _ = drive(&exec, &inputs, &mut outputs, &compute, 0, 4);
 
     let chunks = (locations * steady) as u64;
     no_alloc_region!(

@@ -51,12 +51,6 @@ impl ScratchPool {
         self.free.lock().len()
     }
 
-    /// Bytes of storage held by the parked buffers (diagnostics).
-    pub fn idle_bytes(&self) -> usize {
-        let elems: usize = self.free.lock().iter().map(Vec::capacity).sum();
-        elems * std::mem::size_of::<Complex64>()
-    }
-
     /// Leases a buffer of exactly `len` elements with **unspecified**
     /// contents — for callers that overwrite every element (gather arenas,
     /// gathered columns). Returns the buffer to the pool on drop.

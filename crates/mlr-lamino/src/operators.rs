@@ -315,11 +315,6 @@ impl LaminoOperator {
         self.scratch_pools().iter().map(|p| p.idle()).sum()
     }
 
-    /// Bytes held by the buffers [`Self::scratch_idle_buffers`] counts.
-    pub fn scratch_idle_bytes(&self) -> usize {
-        self.scratch_pools().iter().map(|p| p.idle_bytes()).sum()
-    }
-
     /// The geometry this operator was built for.
     pub fn geometry(&self) -> &LaminoGeometry {
         &self.geometry

@@ -173,8 +173,8 @@ impl FingerprintTable {
         if self.ring.len() < FINGERPRINT_HISTORY {
             if self.ring.capacity() == 0 {
                 // Size the ring once at scope creation so steady-state
-                // notes never reallocate (the fig22/fig23 hit-path
-                // allocation gates count every byte).
+                // notes never reallocate (fig22's hit-path allocation
+                // gate counts every byte).
                 self.ring.reserve_exact(FINGERPRINT_HISTORY);
             }
             self.ring.push(fp);

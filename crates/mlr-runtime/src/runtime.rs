@@ -17,7 +17,7 @@ use mlr_memo::{
     DistributedMemoDb, JobId, MemoDbConfig, MemoStore, NodeTopology, ShardedMemoDb, DEFAULT_SHARDS,
 };
 use mlr_sim::faults::FaultPlan;
-use mlr_telemetry::{SignedHistogram, SpanKind, Telemetry, TelemetryConfig};
+use mlr_telemetry::{SignedHistogram, SpanKind, Telemetry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ pub struct RuntimeConfig {
     pub telemetry: bool,
     /// Capacity of the store access-trace ring (entry id, operator, stripe,
     /// hit/miss/insert/evict/lost, logical tick). `None` disables the
-    /// trace; it is only honoured when [`RuntimeConfig::telemetry`] is on.
+    /// trace; a trace needs [`RuntimeConfig::telemetry`] on.
     pub access_trace: Option<usize>,
     /// Distributed memo tier: when set, the shared store's lock stripes are
     /// spread over this many simulated memory nodes and every worker talks
@@ -114,20 +114,13 @@ pub(crate) fn slack_seconds(deadline: Instant, at: Instant) -> f64 {
 /// plus the decided jobs' signed slack distribution. The distribution lives
 /// in a fixed-bucket [`SignedHistogram`] (microsecond-resolution log₂
 /// buckets), so the ledger is O(1) memory however many jobs are decided and
-/// a stats snapshot never sorts a sample vector — the old bounded-ring +
-/// sort design this replaces.
+/// a stats snapshot never sorts a sample vector.
 #[derive(Default)]
 pub(crate) struct DeadlineLedger {
     pub(crate) submitted: u64,
     pub(crate) met: u64,
     pub(crate) missed: u64,
     pub(crate) slack: SignedHistogram,
-}
-
-impl DeadlineLedger {
-    fn push_slack(&mut self, slack_seconds: f64) {
-        self.slack.record_seconds(slack_seconds);
-    }
 }
 
 #[derive(Default)]
@@ -192,8 +185,7 @@ impl Counters {
                 if let Some(at) = ticket.token.deadline() {
                     self.note_deadline_outcome(slack_seconds(at, Instant::now()));
                 }
-                let iterations = report.loss.len();
-                (SpanKind::Completed, iterations)
+                (SpanKind::Completed, report.loss.len())
             }
             JobStatus::Failed { .. } => {
                 self.failed.fetch_add(1, Ordering::Relaxed);
@@ -204,8 +196,7 @@ impl Counters {
                 ..
             } => {
                 self.cancelled.fetch_add(1, Ordering::Relaxed);
-                let iterations = *completed_iterations;
-                (SpanKind::Cancelled, iterations)
+                (SpanKind::Cancelled, *completed_iterations)
             }
             JobStatus::Expired {
                 late_seconds,
@@ -213,8 +204,7 @@ impl Counters {
                 ..
             } => {
                 self.note_expired(*late_seconds);
-                let iterations = *completed_iterations;
-                (SpanKind::Expired, iterations)
+                (SpanKind::Expired, *completed_iterations)
             }
         };
         self.telemetry.span(id, kind, arg as u64);
@@ -227,7 +217,7 @@ impl Counters {
         self.expired.fetch_add(1, Ordering::Relaxed);
         let mut ledger = self.deadlines.lock();
         ledger.missed += 1;
-        ledger.push_slack(-late_seconds);
+        ledger.slack.record_seconds(-late_seconds);
     }
 
     /// A completed job that carried a deadline: met when it finished with
@@ -239,7 +229,7 @@ impl Counters {
         } else {
             ledger.missed += 1;
         }
-        ledger.push_slack(slack_seconds);
+        ledger.slack.record_seconds(slack_seconds);
     }
 }
 
@@ -248,7 +238,7 @@ impl Counters {
 /// Jobs enter a bounded priority queue; a fixed pool of worker threads pops
 /// them and runs the full memoized ADMM reconstruction, every executor
 /// sharing one [`ShardedMemoDb`]. Chunk-level USFFT kernels inside a job
-/// fan out through the rayon scope-based data-parallel layer, so the two
+/// fan out through the operators' rayon plane loop, so the two
 /// parallelism grains compose: jobs across workers, chunk kernels within a
 /// job. A job's [`Deadline`](crate::Deadline) starts counting at
 /// submission; every submission yields a [`JobHandle`].
@@ -289,22 +279,25 @@ impl Runtime {
     /// Starts a runtime with a fresh shared store.
     ///
     /// # Panics
-    /// Panics when `config.workers` is zero, or when `config.fault_plan` is
+    /// Panics when `config.workers` is zero, when `config.fault_plan` is
     /// set without a `config.topology` (a plan with no memory nodes to
-    /// fault would otherwise be dropped silently).
+    /// fault would otherwise be dropped silently), or when
+    /// `config.access_trace` is set with `config.telemetry` off (a trace
+    /// with no recorder to hold it, likewise).
     pub fn new(config: RuntimeConfig) -> Self {
         assert!(config.workers > 0, "worker count must be positive");
         assert!(
             config.fault_plan.is_none() || config.topology.is_some(),
             "a fault plan needs a topology: there are no memory nodes to fault"
         );
-        let telemetry = if config.telemetry {
-            Telemetry::with_config(TelemetryConfig {
-                access_trace_capacity: config.access_trace,
-                ..TelemetryConfig::default()
-            })
-        } else {
-            Telemetry::disabled()
+        assert!(
+            config.access_trace.is_none() || config.telemetry,
+            "an access trace needs telemetry: there is no recorder to hold it"
+        );
+        let telemetry = match (config.telemetry, config.access_trace) {
+            (false, _) => Telemetry::disabled(),
+            (true, None) => Telemetry::enabled(),
+            (true, Some(capacity)) => Telemetry::with_access_trace(capacity),
         };
         let mut db = ShardedMemoDb::with_shards(config.db, config.shards);
         if let Some(trace) = telemetry.access_trace() {
@@ -713,6 +706,15 @@ mod tests {
         let _ = Runtime::new(RuntimeConfig {
             workers: 1,
             fault_plan: Some(FaultPlan::new(1).crash_window(0, 0, 10)),
+            ..RuntimeConfig::matching(&tiny_config())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "an access trace needs telemetry")]
+    fn access_trace_without_telemetry_is_rejected() {
+        let _ = Runtime::new(RuntimeConfig {
+            access_trace: Some(64),
             ..RuntimeConfig::matching(&tiny_config())
         });
     }

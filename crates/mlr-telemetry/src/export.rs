@@ -9,8 +9,7 @@
 //!
 //! Chrome trace output loads directly into `chrome://tracing` / Perfetto:
 //! each span becomes an instant event on the job's track, timestamped with
-//! wall-clock microseconds when wall timers were enabled and with the
-//! logical tick otherwise.
+//! its wall-clock microseconds; the logical tick rides along in `args`.
 
 use crate::hist::Histogram;
 use crate::metrics::{MetricsSnapshot, STAGE_NAMES};
@@ -103,27 +102,20 @@ impl TelemetrySnapshot {
 
     /// Serialises the span journal as a Chrome trace-event document (the
     /// `{"traceEvents": [...]}` object form). Each span is an instant event
-    /// on track `tid = job`; `ts` is wall-clock microseconds when wall
-    /// timers were enabled, the logical tick otherwise.
+    /// on track `tid = job` at `ts` = its wall-clock microseconds.
     pub fn to_chrome_trace(&self) -> String {
-        let wall = self.spans.iter().any(|s| s.wall_ns > 0);
         let mut out = String::with_capacity(4096);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         for (i, span) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let ts = if wall {
-                span.wall_ns / 1_000
-            } else {
-                span.tick
-            };
             let _ = write!(
                 out,
                 "\n  {{\"name\":\"{}\",\"cat\":\"mlr\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"arg\":{},\"tick\":{}}}}}",
                 span.kind.name(),
                 span.job,
-                ts,
+                span.wall_ns / 1_000,
                 span.arg,
                 span.tick
             );

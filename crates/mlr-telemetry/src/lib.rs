@@ -9,10 +9,10 @@
 //!                        Telemetry (Clone, Option<Arc<_>>)
 //!                ┌──────────────┼──────────────────┐
 //!                ▼              ▼                  ▼
-//!        MetricsRegistry   SpanJournal       AccessTrace (opt-in)
-//!        log₂ stage        bounded ring,     bounded ring of store
-//!        histograms        logical ticks +   accesses stamped with
-//!                          optional wall ns  StoreClock ticks
+//!        MetricsRegistry   SpanJournal       AccessTrace (opt-in:
+//!        log₂ stage        bounded ring,     with_access_trace)
+//!        histograms        logical ticks +   bounded ring of store
+//!                          wall ns           accesses, StoreClock ticks
 //!                ▲              ▲
 //!     fold at ordered      admit/run/iter/   TelemetrySnapshot
 //!     commit from Copy     operator/done       .to_json()
@@ -30,9 +30,9 @@
 //!   loops capture [`Telemetry::is_enabled`] once per batch, so a disabled
 //!   recorder means the memo engine reads no clock at all.
 //! * **Deterministic logical time.** Span ordering uses a monotone logical
-//!   tick and the access trace uses the store's `StoreClock`; wall-clock
-//!   timestamps are optional and never influence ordering, so the
-//!   bit-identity contracts are untouched.
+//!   tick and the access trace uses the store's `StoreClock`; a span's
+//!   wall-clock timestamp never influences ordering, so the bit-identity
+//!   contracts are untouched.
 
 #![warn(missing_docs)]
 
@@ -40,6 +40,7 @@ mod export;
 mod hist;
 mod metrics;
 mod recorder;
+mod ring;
 mod span;
 mod trace;
 
@@ -48,6 +49,6 @@ pub use hist::{bucket_floor, bucket_index, Histogram, SignedHistogram, HIST_BUCK
 pub use metrics::{
     MetricsRegistry, MetricsSnapshot, StageId, StageTable, STAGE_COUNT, STAGE_NAMES,
 };
-pub use recorder::{Telemetry, TelemetryConfig};
+pub use recorder::Telemetry;
 pub use span::{SpanJournal, SpanKind, SpanRecord};
 pub use trace::{AccessKind, AccessRecord, AccessTrace};

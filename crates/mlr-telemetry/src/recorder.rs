@@ -6,8 +6,8 @@
 //! form compiles down to a single predictable branch on a register — no
 //! atomics, no locks, no `Instant::now()`. The hot path additionally gates
 //! its stage timers on [`Telemetry::is_enabled`] captured once per batch,
-//! so disabled mode takes zero clock reads per chunk. The `fig23`
-//! observability bench holds the enabled cost to ≤ 800 ns a hit chunk.
+//! so disabled mode takes zero clock reads per chunk. `fig22_hotpath` holds
+//! the enabled cost to ≤ 800 ns a cache-hit chunk.
 
 use crate::export::TelemetrySnapshot;
 use crate::metrics::{MetricsRegistry, StageTable};
@@ -15,29 +15,8 @@ use crate::span::{SpanJournal, SpanKind};
 use crate::trace::AccessTrace;
 use std::sync::Arc;
 
-/// Construction parameters for an enabled [`Telemetry`].
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryConfig {
-    /// Span journal ring capacity (records).
-    pub span_capacity: usize,
-    /// Whether spans carry wall-clock timestamps in addition to logical
-    /// ticks.
-    pub wall_clock: bool,
-    /// Whether to record the store access trace, and with what ring
-    /// capacity. `None` disables the trace (the default — it is the one
-    /// recorder with per-store-access cost).
-    pub access_trace_capacity: Option<usize>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            span_capacity: 8192,
-            wall_clock: true,
-            access_trace_capacity: None,
-        }
-    }
-}
+/// Span journal ring capacity (records) of an enabled recorder.
+const SPAN_CAPACITY: usize = 8192;
 
 struct TelemetryInner {
     metrics: MetricsRegistry,
@@ -79,24 +58,24 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled recorder with default configuration.
+    /// An enabled recorder: stage histograms and the span journal.
     pub fn enabled() -> Self {
-        Self::with_config(TelemetryConfig::default())
+        Self::build(None)
     }
 
-    /// An enabled recorder with explicit configuration.
-    pub fn with_config(config: TelemetryConfig) -> Self {
-        let mut spans = SpanJournal::new(config.span_capacity);
-        if config.wall_clock {
-            spans = spans.with_wall_clock();
-        }
+    /// An enabled recorder that also keeps the store access trace, in a ring
+    /// of `capacity` records. The trace is the one recorder with a cost per
+    /// store access, so only this constructor has one.
+    pub fn with_access_trace(capacity: usize) -> Self {
+        Self::build(Some(capacity))
+    }
+
+    fn build(trace_capacity: Option<usize>) -> Self {
         Self {
             inner: Some(Arc::new(TelemetryInner {
                 metrics: MetricsRegistry::new(),
-                spans,
-                trace: config
-                    .access_trace_capacity
-                    .map(|capacity| Arc::new(AccessTrace::new(capacity))),
+                spans: SpanJournal::new(SPAN_CAPACITY),
+                trace: trace_capacity.map(|capacity| Arc::new(AccessTrace::new(capacity))),
             })),
         }
     }
@@ -134,9 +113,9 @@ impl Telemetry {
         self.inner.as_ref().map(|inner| &inner.spans)
     }
 
-    /// The store access trace, when enabled *and* configured. The store
-    /// holds a clone of this `Arc` and records into it from its
-    /// ordered-commit paths.
+    /// The store access trace, when built by
+    /// [`Telemetry::with_access_trace`]. The store holds a clone of this
+    /// `Arc` and records into it from its ordered-commit paths.
     pub fn access_trace(&self) -> Option<Arc<AccessTrace>> {
         self.inner.as_ref().and_then(|inner| inner.trace.clone())
     }
@@ -176,11 +155,7 @@ mod tests {
 
     #[test]
     fn enabled_round_trips_through_snapshot() {
-        let telemetry = Telemetry::with_config(TelemetryConfig {
-            span_capacity: 16,
-            wall_clock: false,
-            access_trace_capacity: Some(8),
-        });
+        let telemetry = Telemetry::with_access_trace(8);
         telemetry.span(3, SpanKind::Admitted, 0);
         telemetry.span(3, SpanKind::Completed, 0);
         let trace = telemetry.access_trace().expect("trace configured");

@@ -4,15 +4,15 @@
 //! drawn from one atomic — so span *ordering* is deterministic wherever the
 //! emitting code path is sequential (per-job iteration and operator spans
 //! are emitted from the ordered-commit path, which runs on one thread in
-//! chunk-index order regardless of the worker count). Wall-clock timestamps
-//! are optional and additive: they never influence ordering, so enabling
-//! them cannot perturb the bit-identity contracts.
+//! chunk-index order regardless of the worker count). Every record also
+//! carries its wall-clock time, which never influences ordering, so it
+//! cannot perturb the bit-identity contracts.
 //!
 //! The ring is bounded: when full, the oldest record is overwritten and a
 //! drop counter increments. Memory use is `capacity × 40 bytes`, fixed at
 //! construction.
 
-use parking_lot::Mutex;
+use crate::ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -76,61 +76,37 @@ pub struct SpanRecord {
     /// Logical tick: globally monotone, deterministic in sequential
     /// emission order.
     pub tick: u64,
-    /// Nanoseconds since the journal's wall-clock epoch; `0` when wall
-    /// timers are disabled.
+    /// Nanoseconds since the journal was created.
     pub wall_ns: u64,
-}
-
-struct Ring {
-    slots: Vec<SpanRecord>,
-    /// Index of the oldest record when the ring is full; write cursor
-    /// otherwise.
-    head: usize,
-    len: usize,
 }
 
 /// Bounded ring-buffer journal of [`SpanRecord`]s.
 pub struct SpanJournal {
-    capacity: usize,
     tick: AtomicU64,
-    dropped: AtomicU64,
-    epoch: Option<Instant>,
-    ring: Mutex<Ring>,
+    epoch: Instant,
+    ring: Ring<SpanRecord>,
 }
 
 impl SpanJournal {
-    /// A journal holding at most `capacity` records (minimum 1), without
-    /// wall-clock timers.
+    /// A journal holding at most `capacity` records (minimum 1), its wall
+    /// clock measured from this call.
+    #[expect(clippy::disallowed_methods, reason = "decoration: span wall epoch")]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
             tick: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            epoch: None,
-            ring: Mutex::new(Ring {
-                slots: Vec::with_capacity(capacity),
-                head: 0,
-                len: 0,
-            }),
+            epoch: Instant::now(),
+            ring: Ring::new(capacity),
         }
-    }
-
-    /// Enables wall-clock timestamps, measured from this call.
-    #[expect(clippy::disallowed_methods, reason = "decoration: opt-in wall epochs")]
-    pub fn with_wall_clock(mut self) -> Self {
-        self.epoch = Some(Instant::now());
-        self
     }
 
     /// Maximum number of retained records.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Current number of retained records (never exceeds capacity).
     pub fn len(&self) -> usize {
-        self.ring.lock().len
+        self.ring.len()
     }
 
     /// Whether the journal holds no records.
@@ -140,44 +116,26 @@ impl SpanJournal {
 
     /// Records overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Appends one record, overwriting the oldest when full. Allocation-free
     /// after the ring's one-time preallocation.
     pub fn record(&self, job: u64, kind: SpanKind, arg: u64) {
-        let wall_ns = match self.epoch {
-            Some(epoch) => epoch.elapsed().as_nanos() as u64,
-            None => 0,
-        };
+        let wall_ns = self.epoch.elapsed().as_nanos() as u64;
         // The tick is drawn under the ring lock, so ring order is tick order.
-        let mut ring = self.ring.lock();
-        let record = SpanRecord {
+        self.ring.push_with(|| SpanRecord {
             job,
             kind,
             arg,
             tick: self.tick.fetch_add(1, Ordering::Relaxed),
             wall_ns,
-        };
-        if ring.len < self.capacity {
-            ring.slots.push(record);
-            ring.len += 1;
-        } else {
-            let head = ring.head;
-            ring.slots[head] = record;
-            ring.head = (head + 1) % self.capacity;
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        });
     }
 
     /// Copies the retained records out, oldest first.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let ring = self.ring.lock();
-        let mut out = Vec::with_capacity(ring.len);
-        for i in 0..ring.len {
-            out.push(ring.slots[(ring.head + i) % ring.len.max(1)]);
-        }
-        out
+        self.ring.snapshot()
     }
 }
 
@@ -202,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn ticks_are_dense_from_zero_without_wall_clock() {
+    fn ticks_are_dense_from_zero() {
         let journal = SpanJournal::new(16);
         journal.record(1, SpanKind::Admitted, 0);
         journal.record(1, SpanKind::Running, 0);
@@ -210,12 +168,11 @@ mod tests {
         let records = journal.snapshot();
         let ticks: Vec<u64> = records.iter().map(|r| r.tick).collect();
         assert_eq!(ticks, vec![0, 1, 2]);
-        assert!(records.iter().all(|r| r.wall_ns == 0));
     }
 
     #[test]
-    fn wall_clock_is_monotone_when_enabled() {
-        let journal = SpanJournal::new(16).with_wall_clock();
+    fn wall_clock_is_monotone() {
+        let journal = SpanJournal::new(16);
         journal.record(1, SpanKind::Admitted, 0);
         std::thread::sleep(std::time::Duration::from_millis(1));
         journal.record(1, SpanKind::Completed, 0);

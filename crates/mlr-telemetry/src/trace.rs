@@ -8,8 +8,7 @@
 //! paths with `StoreClock` ticks, so the trace is deterministic for a given
 //! workload regardless of worker or shard-probe interleaving.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::ring::Ring;
 
 /// What kind of store access a record captures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,42 +62,27 @@ pub struct AccessRecord {
     pub tick: u64,
 }
 
-struct Ring {
-    slots: Vec<AccessRecord>,
-    head: usize,
-    len: usize,
-}
-
 /// Bounded ring of [`AccessRecord`]s, overwriting the oldest when full.
 pub struct AccessTrace {
-    capacity: usize,
-    dropped: AtomicU64,
-    ring: Mutex<Ring>,
+    ring: Ring<AccessRecord>,
 }
 
 impl AccessTrace {
     /// A trace holding at most `capacity` records (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
-            dropped: AtomicU64::new(0),
-            ring: Mutex::new(Ring {
-                slots: Vec::with_capacity(capacity),
-                head: 0,
-                len: 0,
-            }),
+            ring: Ring::new(capacity),
         }
     }
 
     /// Maximum number of retained records.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Current number of retained records (never exceeds capacity).
     pub fn len(&self) -> usize {
-        self.ring.lock().len
+        self.ring.len()
     }
 
     /// Whether the trace holds no records.
@@ -108,31 +92,17 @@ impl AccessTrace {
 
     /// Records overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Appends one record, overwriting the oldest when full.
     pub fn record(&self, record: AccessRecord) {
-        let mut ring = self.ring.lock();
-        if ring.len < self.capacity {
-            ring.slots.push(record);
-            ring.len += 1;
-        } else {
-            let head = ring.head;
-            ring.slots[head] = record;
-            ring.head = (head + 1) % self.capacity;
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ring.push_with(|| record);
     }
 
     /// Copies the retained records out, oldest first.
     pub fn snapshot(&self) -> Vec<AccessRecord> {
-        let ring = self.ring.lock();
-        let mut out = Vec::with_capacity(ring.len);
-        for i in 0..ring.len {
-            out.push(ring.slots[(ring.head + i) % ring.len.max(1)]);
-        }
-        out
+        self.ring.snapshot()
     }
 }
 

@@ -1,9 +1,9 @@
 //! Offline stand-in for `rayon`.
 //!
 //! Implements exactly the parallel-iterator surface this workspace uses —
-//! `par_iter().map().collect()`, `par_chunks_mut().for_each()` (plus
-//! `.enumerate()`), `(a..b).into_par_iter().map().collect()` and
-//! [`scope`] — on top of `std::thread::scope`. Work is split into one
+//! `par_chunks_mut().for_each()` (plus `.enumerate()`) and
+//! `(a..b).into_par_iter().map().collect()` — on top of
+//! `std::thread::scope`. Work is split into one
 //! contiguous block per worker thread, and every call spawns and joins its
 //! own OS threads ([`spawned_threads`] counts them). Only when one hardware
 //! thread is available, or the input has at most one item, does a call
@@ -20,13 +20,13 @@ use std::sync::OnceLock;
 static SPAWNED: AtomicU64 = AtomicU64::new(0);
 
 /// Number of OS threads the shim has spawned in this process, over every
-/// parallel iterator and [`scope`] so far.
+/// parallel iterator so far.
 pub fn spawned_threads() -> u64 {
     SPAWNED.load(Ordering::Relaxed)
 }
 
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use crate::{IntoParallelIterator, ParallelSliceMut};
 }
 
 /// Number of worker threads (cached).
@@ -111,61 +111,6 @@ where
             });
         }
     });
-}
-
-// ------------------------------------------------------------- shared slices
-
-/// `par_iter` on slices (and anything that derefs to one).
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel iterator over `&T`.
-    fn par_iter(&self) -> ParIter<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { slice: self }
-    }
-}
-
-/// Parallel iterator over shared slice elements.
-pub struct ParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Maps every element; evaluation happens at `collect`.
-    pub fn map<R, F>(self, f: F) -> ParIterMap<'a, T, F>
-    where
-        F: Fn(&'a T) -> R + Sync,
-        R: Send,
-    {
-        ParIterMap {
-            slice: self.slice,
-            f,
-        }
-    }
-}
-
-/// A mapped parallel slice iterator.
-pub struct ParIterMap<'a, T, F> {
-    slice: &'a [T],
-    f: F,
-}
-
-impl<'a, T: Sync, F> ParIterMap<'a, T, F> {
-    /// Evaluates the map in parallel, preserving element order.
-    pub fn collect<R, C>(self) -> C
-    where
-        F: Fn(&'a T) -> R + Sync,
-        R: Send,
-        C: FromIterator<R>,
-    {
-        let slice = self.slice;
-        let f = &self.f;
-        map_indexed(slice.len(), |i| f(&slice[i]))
-            .into_iter()
-            .collect()
-    }
 }
 
 // ------------------------------------------------------------ mutable slices
@@ -286,44 +231,9 @@ impl<F> ParRangeMap<F> {
     }
 }
 
-// -------------------------------------------------------------------- scope
-
-/// A fork-join scope: tasks spawned on it are joined before [`scope`]
-/// returns. Backed by `std::thread::scope`.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a task that may borrow from the enclosing scope.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        SPAWNED.fetch_add(1, Ordering::Relaxed);
-        inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
-/// Creates a fork-join scope; returns once every spawned task finished.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-
-    #[test]
-    fn par_iter_map_collect_preserves_order() {
-        let data: Vec<u64> = (0..1000).collect();
-        let doubled: Vec<u64> = data.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn par_chunks_mut_covers_every_chunk() {
@@ -342,22 +252,5 @@ mod tests {
     fn range_into_par_iter() {
         let squares: Vec<usize> = (3..8).into_par_iter().map(|i| i * i).collect();
         assert_eq!(squares, vec![9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn scope_joins_spawned_tasks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let spawned_before = super::spawned_threads();
-        super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-        // At least: sibling tests fork concurrently and are counted too.
-        assert!(super::spawned_threads() - spawned_before >= 8);
     }
 }

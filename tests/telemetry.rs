@@ -12,11 +12,13 @@
 //!   `Operator` span per batch;
 //! * the stage histograms, the only time ledger, take one sample per chunk
 //!   of exactly the `MemoStats` cases that run the stage;
+//! * the JSON snapshot and the Chrome trace parse back with that content;
 //! * every job the runtime admits ends in exactly one terminal span, however
 //!   it ends.
 
+use mlr_bench::hotpath::{chunk, drive};
+use mlr_bench::json::JsonValue;
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
-use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
 use mlr_math::rng::seeded;
 use mlr_math::Complex64;
 use mlr_memo::{MemoConfig, MemoStats, MemoizedExecutor};
@@ -108,17 +110,10 @@ fn disabled_recorder_records_nothing() {
     assert!(telemetry.snapshot().is_none());
 }
 
-fn chunk(loc: usize, n: usize) -> Vec<Complex64> {
-    let mut rng = seeded(0x5EA1 ^ loc as u64);
-    (0..n)
-        .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-        .collect()
-}
-
-/// Runs a fixed three-iteration batch schedule through a telemetry-enabled
-/// executor and returns the observed span stream as `(kind, arg, tick)`
-/// triples plus the executor's case counts.
-fn span_stream() -> (Vec<(String, u64, u64)>, MemoStats) {
+/// Runs a fixed three-iteration schedule of twelve-chunk batches through a
+/// telemetry-enabled executor: prefiltered first sightings, then misses,
+/// then db hits.
+fn three_batches() -> MemoizedExecutor {
     let n = 256;
     let locations = 12;
     let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, n)).collect();
@@ -128,22 +123,14 @@ fn span_stream() -> (Vec<(String, u64, u64)>, MemoStats) {
         ..Default::default()
     })
     .with_telemetry(Telemetry::enabled());
-    let compute = |x: &[Complex64]| x.to_vec();
-    for it in 0..3 {
-        exec.begin_iteration(it);
-        let batch: Vec<ChunkRequest<'_>> = inputs
-            .iter()
-            .enumerate()
-            .map(|(loc, input)| ChunkRequest {
-                loc,
-                input,
-                compute: &compute,
-            })
-            .collect();
-        let mut slots: Vec<&mut [Complex64]> =
-            outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
-    }
+    let _ = drive(&exec, &inputs, &mut outputs, &|x| x.to_vec(), 0, 3);
+    exec
+}
+
+/// The span stream of [`three_batches`] as `(kind, arg, tick)` triples, plus
+/// the executor's case counts.
+fn span_stream() -> (Vec<(String, u64, u64)>, MemoStats) {
+    let exec = three_batches();
     let snapshot = exec.telemetry().snapshot().expect("telemetry enabled");
     let spans = snapshot
         .spans
@@ -183,6 +170,40 @@ fn span_stream_is_deterministic() {
         .collect();
     assert_eq!(operator_args, [12, 12, 12]);
     assert_eq!(memo.total().total(), 36);
+}
+
+#[test]
+fn exports_parse_back_with_the_recorded_content() {
+    let exec = three_batches();
+    let snapshot = exec.telemetry().snapshot().expect("telemetry enabled");
+    let json = JsonValue::parse(&snapshot.to_json()).expect("the snapshot JSON parses");
+    let operator_spans = json
+        .get("spans")
+        .and_then(JsonValue::as_array)
+        .expect("a spans array")
+        .iter()
+        .filter(|s| s.get("kind").and_then(JsonValue::as_str) == Some("operator"))
+        .count();
+    assert_eq!(operator_spans, 3, "one operator span per batch");
+    let cases = exec.stats().total();
+    let hits = cases.db_hits + cases.cache_hits;
+    assert!(hits > 0, "vacuous: the schedule hit nothing: {cases:?}");
+    assert_eq!(
+        json.get("stages.payload_copy.count")
+            .and_then(JsonValue::as_f64),
+        Some(hits as f64),
+        "one payload copy per hit"
+    );
+    let trace = JsonValue::parse(&snapshot.to_chrome_trace()).expect("the Chrome trace parses");
+    let events = trace
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .map(<[JsonValue]>::len);
+    assert_eq!(
+        events,
+        Some(snapshot.spans.len()),
+        "one trace event per span"
+    );
 }
 
 #[test]
