@@ -1,5 +1,8 @@
-//! Figure 8: overall performance of mLR vs the original ADMM-FFT on the
-//! 1K³, (1.5K)³ and (2K)³ problems (normalized execution time).
+//! Figure 8: overall performance of mLR on the 1K³, (1.5K)³ and (2K)³
+//! problems (normalized execution time). The paper normalizes by the
+//! original ADMM-FFT (Algorithm 1); this projection normalizes by the exact
+//! Algorithm-2 run this repository's solver runs, so it measures
+//! memoization alone.
 use mlr_bench::{compare_row, header, require_valid, scale_from_args, write_record};
 use mlr_core::{MlrConfig, MlrPipeline, PaperScaleProjection, Scale};
 use serde::Serialize;
@@ -17,7 +20,7 @@ struct Record {
 fn main() {
     header(
         "Figure 8",
-        "overall normalized time: mLR vs original ADMM-FFT",
+        "overall normalized time: mLR vs the exact Algorithm-2 run",
     );
     let scale = scale_from_args();
     let n = scale.volume_size();
@@ -53,6 +56,7 @@ fn main() {
         ("1.5K^3", 1536, 0.414),
         ("2K^3", 2048, 0.363),
     ];
+    println!("paper: normalized by Algorithm 1; reproduced: by the exact Algorithm-2 run (memoization alone)");
     let mut projections = Vec::new();
     for &(label, size, paper) in &paper_norm {
         let p = pipeline.project_to_paper_scale(size, dist);
@@ -70,8 +74,8 @@ fn main() {
         / projections.len() as f64;
     compare_row(
         "average improvement",
-        "52.8 %",
-        &format!("{mean_improvement:.1} %"),
+        "52.8 % (Alg. 1)",
+        &format!("{mean_improvement:.1} % (exact Alg. 2)"),
     );
     write_record(
         "fig08_overall",

@@ -1,15 +1,15 @@
 //! # mlr-bench
 //!
 //! Evaluation harness for the mLR reproduction. Every table and figure of the
-//! paper's evaluation section has a corresponding binary in `src/bin/`,
-//! except Figure 11 (key coalescing, which this repository does not run):
+//! paper's evaluation section has a corresponding binary in `src/bin/`, except
+//! Figures 9 (the solver has no Algorithm-1 LSP to set cancellation and fusion
+//! against) and 11 (key coalescing, which this repository does not run):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
 //! | `fig02_memory_breakdown` | Figure 2 — per-variable CPU memory and phase time of one ADMM iteration |
 //! | `fig04_chunk_similarity` | Figure 4 — similar chunks across iterations at three locations ([`similarity::SimilarityRecorder`] around the memo engine) |
-//! | `fig08_overall` | Figure 8 — overall normalized time, mLR vs original, three dataset sizes |
-//! | `fig09_cancellation_fusion` | Figure 9 — FFT/LSP time with and without cancellation + fusion |
+//! | `fig08_overall` | Figure 8 — overall normalized time, mLR vs the exact Algorithm-2 run (the paper's baseline is Algorithm 1), three dataset sizes |
 //! | `fig10_memo_breakdown` | Figure 10 — per-operator memoization case breakdown (+ §6.4 case distribution) |
 //! | `fig12_cache_hit_rate` | Figure 12 — private vs global cache hit rate over iterations |
 //! | `fig13_offload` | Figure 13 — RSS over time for ADMM / greedy / ADMM-Offload (+ §5.1 LRU comparison) |

@@ -100,25 +100,14 @@ impl ScalingModel {
         assert!(gpus > 0, "need at least one GPU");
         let nodes = self.nodes_for(gpus);
         let cost = CostModel::polaris(nodes);
-        // Per-stage single-GPU time includes the chunk traffic over PCIe
-        // (Figure 1's pipeline: the longer of compute and transfer is
-        // exposed), which is what the multi-GPU distribution divides.
-        let xfer = cost.pcie_time(self.workload.stage_transfer_bytes());
-        let fu1d_1 = self.workload.fu1d_time(&cost).max(xfer);
-        let fu2d_1 = self.workload.fu2d_time(&cost).max(xfer);
-
+        // The single-GPU stage price is the exact run's exposed one (the
+        // longer of compute and PCIe traffic, Figure 1's pipeline), which is
+        // what the multi-GPU distribution divides; the rest of the iteration
+        // (fused subtraction, CG update, non-LSP phases) is not divided.
+        let (fu1d_1, fu2d_1) = self.workload.exact_stages(&cost);
         let fu1d = self.stage_seconds(&cost, fu1d_1, gpus);
         let fu2d = self.stage_seconds(&cost, fu2d_1, gpus);
-
-        // One LSP inner iteration after cancellation: Fu1D, Fu2D, F*u2D,
-        // F*u1D (adjoints cost the same as the forward operators), plus the
-        // CG update which stays on the CPU and does not scale with GPUs.
-        let lsp_inner = 2.0 * fu1d + 2.0 * fu2d + self.workload.cg_update_time(&cost);
-        let lsp = lsp_inner * self.workload.n_inner as f64;
-        let iteration = lsp
-            + self.workload.rsp_time(&cost)
-            + self.workload.lambda_update_time(&cost)
-            + self.workload.penalty_update_time(&cost);
+        let iteration = self.workload.iteration_time(&cost, fu1d, fu2d);
         ScalingPoint {
             gpus,
             nodes,
@@ -151,12 +140,9 @@ mod tests {
         let m = model();
         let p = m.point(1);
         assert_eq!(p.nodes, 1);
-        let cost = CostModel::polaris(1);
-        let expected = m
-            .workload
-            .fu1d_time(&cost)
-            .max(cost.pcie_time(m.workload.stage_transfer_bytes()));
-        assert!((p.fu1d_seconds - expected).abs() < 1e-9);
+        let (fu1d, fu2d) = m.workload.exact_stages(&CostModel::polaris(1));
+        assert_eq!(p.fu1d_seconds.to_bits(), fu1d.to_bits());
+        assert_eq!(p.fu2d_seconds.to_bits(), fu2d.to_bits());
     }
 
     #[test]

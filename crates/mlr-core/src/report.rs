@@ -9,16 +9,19 @@ use serde::{Deserialize, Serialize};
 pub struct PaperScaleProjection {
     /// Cubic problem dimension (1024, 1536, 2048).
     pub n: usize,
-    /// Simulated seconds per run for the original ADMM-FFT.
+    /// Simulated seconds per ADMM iteration of the exact Algorithm-2 run.
     pub original_seconds: f64,
-    /// Simulated seconds per run for mLR (memoization + cancellation/fusion).
+    /// Simulated seconds per ADMM iteration of the memoized Algorithm-2 run.
     pub mlr_seconds: f64,
-    /// `mlr_seconds / original_seconds` (Figure 8's normalized time).
+    /// `mlr_seconds / original_seconds`: Figure 8's normalized time, with
+    /// memoization as the only difference (the paper's baseline is
+    /// Algorithm 1).
     pub normalized_time: f64,
 }
 
 impl PaperScaleProjection {
-    /// Performance improvement as a percentage (the paper reports 34.6–65.4 %).
+    /// Performance improvement as a percentage (the paper reports 34.6–65.4 %
+    /// against Algorithm 1).
     pub fn improvement_percent(&self) -> f64 {
         100.0 * (1.0 - self.normalized_time)
     }

@@ -537,7 +537,7 @@ impl Usfft2d {
     }
 
     /// Uniform grid dimensions `(n1, n2)`.
-    pub fn input_dims(&self) -> (usize, usize) {
+    fn input_dims(&self) -> (usize, usize) {
         (self.grid.n1, self.grid.n2)
     }
 

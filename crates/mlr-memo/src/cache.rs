@@ -101,32 +101,6 @@ impl MemoCache {
         }
     }
 
-    /// The cache organisation.
-    pub fn kind(&self) -> CacheKind {
-        if self.kind_is_global {
-            CacheKind::Global
-        } else {
-            CacheKind::Private
-        }
-    }
-
-    /// Looks up a value for the chunk `input` at `(op, loc)`: a cached
-    /// entry is returned only when the raw-chunk similarity between `input`
-    /// and the entry's input exceeds `tau`. This is [`MemoCache::peek`] with
-    /// its statistics folded in immediately ([`MemoCache::note_lookup`]).
-    pub fn lookup(
-        &mut self,
-        op: FftOpKind,
-        loc: usize,
-        input: &[Complex64],
-        tau: f64,
-        current_iteration: usize,
-    ) -> Option<Arc<[Complex32]>> {
-        let (found, comparisons) = self.peek(op, loc, input, tau, current_iteration);
-        self.note_lookup(found.is_some(), comparisons);
-        found
-    }
-
     /// Read-only lookup for phase 1 of the executor: *no* statistics side
     /// effects, so a whole batch peeks the cache as it was at dispatch.
     /// Returns the value (if any) and the number of similarity comparisons
@@ -276,23 +250,35 @@ mod tests {
         vec![z; n].into()
     }
 
+    /// The engine's cache lookup: a read-only peek, then its statistics.
+    fn lookup(
+        c: &mut MemoCache,
+        op: FftOpKind,
+        loc: usize,
+        input: &[Complex64],
+        tau: f64,
+        iteration: usize,
+    ) -> bool {
+        let (found, comparisons) = c.peek(op, loc, input, tau, iteration);
+        c.note_lookup(found.is_some(), comparisons);
+        found.is_some()
+    }
+
     #[test]
     fn private_cache_hit_and_miss() {
         let mut c = MemoCache::new(CacheKind::Private);
-        assert!(c.lookup(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1).is_none());
+        assert!(!lookup(&mut c, FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1));
         c.insert(FftOpKind::Fu2D, 3, stored(&input(1.0)), value(4), 0);
         // Same chunk: similarity 1 > tau.
-        assert!(c.lookup(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1).is_some());
+        assert!(lookup(&mut c, FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1));
         // Rescaled chunk: same direction but double the magnitude — the
         // scale-aware similarity is only 0.5, so it must miss.
-        assert!(c.lookup(FftOpKind::Fu2D, 3, &input(2.0), 0.9, 1).is_none());
+        assert!(!lookup(&mut c, FftOpKind::Fu2D, 3, &input(2.0), 0.9, 1));
         // Different location or op: miss.
-        assert!(c.lookup(FftOpKind::Fu2D, 4, &input(1.0), 0.9, 1).is_none());
-        assert!(c.lookup(FftOpKind::Fu1D, 3, &input(1.0), 0.9, 1).is_none());
+        assert!(!lookup(&mut c, FftOpKind::Fu2D, 4, &input(1.0), 0.9, 1));
+        assert!(!lookup(&mut c, FftOpKind::Fu1D, 3, &input(1.0), 0.9, 1));
         // Dissimilar chunk at the same location: miss.
-        assert!(c
-            .lookup(FftOpKind::Fu2D, 3, &orthogonal(), 0.9, 1)
-            .is_none());
+        assert!(!lookup(&mut c, FftOpKind::Fu2D, 3, &orthogonal(), 0.9, 1));
     }
 
     #[test]
@@ -327,10 +313,8 @@ mod tests {
         c.insert(FftOpKind::Fu1D, 0, stored(&orthogonal()), value(3), 0);
         assert_eq!(c.len(), 1);
         // The original entry has been evicted.
-        assert!(c.lookup(FftOpKind::Fu1D, 0, &input(1.0), 0.99, 1).is_none());
-        assert!(c
-            .lookup(FftOpKind::Fu1D, 0, &orthogonal(), 0.99, 1)
-            .is_some());
+        assert!(!lookup(&mut c, FftOpKind::Fu1D, 0, &input(1.0), 0.99, 1));
+        assert!(lookup(&mut c, FftOpKind::Fu1D, 0, &orthogonal(), 0.99, 1));
     }
 
     #[test]
@@ -338,10 +322,10 @@ mod tests {
         let mut c = MemoCache::new(CacheKind::Global);
         c.insert(FftOpKind::Fu2D, 0, stored(&input(1.0)), value(2), 0);
         // A lookup at a *different* location can still hit...
-        assert!(c.lookup(FftOpKind::Fu2D, 9, &input(1.0), 0.9, 1).is_some());
+        assert!(lookup(&mut c, FftOpKind::Fu2D, 9, &input(1.0), 0.9, 1));
         // ...and a chunk of another length is compared with nothing.
         let longer = [input(1.0), input(1.0)].concat();
-        assert!(c.lookup(FftOpKind::Fu1D, 9, &longer, 0.9, 1).is_none());
+        assert!(!lookup(&mut c, FftOpKind::Fu1D, 9, &longer, 0.9, 1));
     }
 
     #[test]
@@ -357,8 +341,8 @@ mod tests {
         // One lookup per location with a chunk orthogonal to everything
         // stored, forcing full scans in the global cache.
         for loc in 0..locations {
-            let _ = private.lookup(FftOpKind::Fu2D, loc, &orthogonal(), 0.9, 1);
-            let _ = global.lookup(FftOpKind::Fu2D, loc, &orthogonal(), 0.9, 1);
+            lookup(&mut private, FftOpKind::Fu2D, loc, &orthogonal(), 0.9, 1);
+            lookup(&mut global, FftOpKind::Fu2D, loc, &orthogonal(), 0.9, 1);
         }
         assert!(global.stats().comparisons >= locations as u64 * locations as u64);
         assert_eq!(private.stats().comparisons, locations as u64);
@@ -382,25 +366,28 @@ mod tests {
         }
         assert_eq!((pairs.len(), c.len()), (7, 7));
         // The oldest entry went first: input(1.0) was inserted at i = 0.
-        assert!(c
-            .lookup(FftOpKind::Fu2DAdj, 0, &input(1.0), 0.999, 1)
-            .is_none());
-        assert!(c
-            .lookup(FftOpKind::Fu2D, 0, &input(24.0), 0.999, 1)
-            .is_some());
+        assert!(!lookup(
+            &mut c,
+            FftOpKind::Fu2DAdj,
+            0,
+            &input(1.0),
+            0.999,
+            1
+        ));
+        assert!(lookup(&mut c, FftOpKind::Fu2D, 0, &input(24.0), 0.999, 1));
     }
 
     #[test]
     fn peek_matches_lookup_without_stats_side_effects() {
         let mut c = MemoCache::new(CacheKind::Private);
         c.insert(FftOpKind::Fu2D, 3, stored(&input(1.0)), value(4), 0);
-        // Peek agrees with lookup on hit/miss but leaves the stats alone.
+        // Peek answers hit or miss but leaves the stats alone.
         let (hit, comparisons) = c.peek(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 1);
         assert!(hit.is_some());
         assert_eq!(comparisons, 1);
         let (miss, _) = c.peek(FftOpKind::Fu2D, 4, &input(1.0), 0.9, 1);
         assert!(miss.is_none());
-        // Same-iteration entries are invisible to peek, as to lookup.
+        // Same-iteration entries are invisible to peek.
         assert!(c.peek(FftOpKind::Fu2D, 3, &input(1.0), 0.9, 0).0.is_none());
         assert_eq!(c.stats().lookups, 0);
         c.note_lookup(true, 1);
@@ -415,8 +402,8 @@ mod tests {
     fn stats_and_bytes() {
         let mut c = MemoCache::new(CacheKind::Private);
         c.insert(FftOpKind::Fu2D, 1, stored(&input(1.0)), value(8), 0);
-        let _ = c.lookup(FftOpKind::Fu2D, 1, &input(1.0), 0.5, 1);
-        let _ = c.lookup(FftOpKind::Fu2D, 2, &input(1.0), 0.5, 1);
+        lookup(&mut c, FftOpKind::Fu2D, 1, &input(1.0), 0.5, 1);
+        lookup(&mut c, FftOpKind::Fu2D, 2, &input(1.0), 0.5, 1);
         let s = c.stats();
         assert_eq!(s.lookups, 2);
         assert_eq!(s.hits, 1);
@@ -424,6 +411,5 @@ mod tests {
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(c.bytes(), (4 * 8 + 8 * 8) as u64);
         assert!(!c.is_empty());
-        assert_eq!(c.kind(), CacheKind::Private);
     }
 }

@@ -66,7 +66,7 @@ pub struct IterationProfile {
 impl IterationProfile {
     /// Builds the profile from the analytic workload model.
     pub fn from_workload(workload: &AdmmWorkload, cost: &CostModel) -> Self {
-        let phase_times = workload.phase_times(cost, true);
+        let phase_times = workload.phase_times(cost);
         let mut phases = Vec::with_capacity(phase_times.len());
         let mut t = 0.0;
         for (phase, dur) in &phase_times {

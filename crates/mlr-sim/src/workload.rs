@@ -143,26 +143,24 @@ impl MemoCaseSeconds {
     }
 }
 
+/// Inner iterations per LSP solve: the paper's `N_inner`.
+const N_INNER: usize = 4;
+
+/// Relative cost of a USFFT against a uniform FFT of the same logical size
+/// (oversampled fine grid plus Gaussian gridding).
+const USFFT_OVERHEAD: f64 = 2.5;
+
 /// The analytic workload of one ADMM-FFT run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdmmWorkload {
     /// Problem dimensions.
     pub size: ProblemSize,
-    /// Inner CG iterations per LSP solve (`N_inner`).
-    pub n_inner: usize,
-    /// Relative cost multiplier of a USFFT vs. a uniform FFT of the same
-    /// logical size (oversampled fine grid + Gaussian gridding).
-    pub usfft_overhead: f64,
 }
 
 impl AdmmWorkload {
-    /// Creates the workload model with the paper's `N_inner = 4`.
+    /// Creates the workload model of one problem size.
     pub fn new(size: ProblemSize) -> Self {
-        Self {
-            size,
-            n_inner: 4,
-            usfft_overhead: 2.5,
-        }
+        Self { size }
     }
 
     // ----------------------------------------------------------- variables
@@ -206,26 +204,32 @@ impl AdmmWorkload {
 
     // ----------------------------------------------------------- FFT costs
 
-    /// Simulated GPU time of one application of `F_u1D` over the whole
-    /// volume (all chunks).
+    /// Simulated GPU compute time of one application of `F_u1D` over the
+    /// whole volume (all chunks).
     pub fn fu1d_time(&self, cost: &CostModel) -> Seconds {
         // One length-N 1-D USFFT per (n1, n2) column.
         let batch = self.size.n * self.size.n;
-        cost.gpu_fft_time(self.size.n, batch) * self.usfft_overhead
+        cost.gpu_fft_time(self.size.n, batch) * USFFT_OVERHEAD
     }
 
-    /// Simulated GPU time of one application of `F_u2D` over the whole
-    /// volume. This is the most expensive operator: one oversampled 2-D FFT
-    /// plus gridding per detector row.
+    /// Simulated GPU compute time of one application of `F_u2D` over the
+    /// whole volume. This is the most expensive operator: one oversampled
+    /// 2-D FFT plus gridding per detector row.
     pub fn fu2d_time(&self, cost: &CostModel) -> Seconds {
         let fine = 2 * self.size.n;
-        cost.gpu_fft_time(fine * fine, self.size.h) * self.usfft_overhead
+        cost.gpu_fft_time(fine * fine, self.size.h) * USFFT_OVERHEAD
     }
 
-    /// Simulated GPU time of one application of `F_2D` (or its inverse) over
-    /// all projections.
-    pub fn f2d_time(&self, cost: &CostModel) -> Seconds {
-        cost.gpu_fft_time(self.size.h * self.size.w, self.size.n_theta)
+    /// Exposed seconds of one exact whole-volume application of `F_u1D` and
+    /// of `F_u2D`, in that order: the longer of the stage's compute and its
+    /// PCIe traffic, because the transfer of one chunk overlaps the compute
+    /// of another (Figure 1's pipeline). This is what `run_exact` runs.
+    pub fn exact_stages(&self, cost: &CostModel) -> (Seconds, Seconds) {
+        let xfer = cost.pcie_time(self.stage_transfer_bytes());
+        (
+            self.fu1d_time(cost).max(xfer),
+            self.fu2d_time(cost).max(xfer),
+        )
     }
 
     /// Host↔GPU traffic (bytes) for one whole-volume application of one
@@ -261,90 +265,49 @@ impl AdmmWorkload {
         }
     }
 
-    /// Simulated time of one LSP inner (CG) iteration under Algorithm 1
-    /// (six FFT stages, three per pass) including PCIe transfers, assuming
-    /// the transfer of one chunk overlaps the compute of another so only the
-    /// *longer* of the two is exposed per stage (Figure 1's pipeline).
-    pub fn lsp_inner_iteration_time_alg1(&self, cost: &CostModel) -> Seconds {
-        let stages = [
-            self.fu1d_time(cost),
-            self.fu2d_time(cost),
-            self.f2d_time(cost), // F*2D in the forward pass
-            self.f2d_time(cost), // F2D in the adjoint pass
-            self.fu2d_time(cost),
-            self.fu1d_time(cost),
-        ];
-        let xfer = cost.pcie_time(self.stage_transfer_bytes());
-        stages.iter().map(|&s| s.max(xfer)).sum::<f64>() + self.cg_update_time(cost)
-    }
+    // ---------------------------------------------------------- iteration
 
-    /// Simulated time of one LSP inner iteration under Algorithm 2
-    /// (cancellation removes both uniform-FFT stages; fusion keeps the
-    /// frequency-domain subtraction on the GPU).
-    pub fn lsp_inner_iteration_time_alg2(&self, cost: &CostModel) -> Seconds {
-        let stages = [
-            self.fu1d_time(cost),
-            self.fu2d_time(cost),
-            self.fu2d_time(cost),
-            self.fu1d_time(cost),
-        ];
-        let xfer = cost.pcie_time(self.stage_transfer_bytes());
-        let fused_sub = cost.gpu_elementwise_time(self.size.data_elems() as usize);
-        stages.iter().map(|&s| s.max(xfer)).sum::<f64>() + fused_sub + self.cg_update_time(cost)
-    }
-
-    /// Simulated time of the CG direction/step update (CPU element-wise work
-    /// over the volume-sized gradient arrays).
-    pub fn cg_update_time(&self, cost: &CostModel) -> Seconds {
-        cost.cpu_elementwise_time(self.size.voxels() as usize, 6.0, 24.0)
-    }
-
-    /// Simulated time of the full LSP phase (`N_inner` CG iterations).
-    pub fn lsp_time(&self, cost: &CostModel, cancelled_and_fused: bool) -> Seconds {
-        let per = if cancelled_and_fused {
-            self.lsp_inner_iteration_time_alg2(cost)
-        } else {
-            self.lsp_inner_iteration_time_alg1(cost)
-        };
-        per * self.n_inner as f64
-    }
-
-    /// Simulated time of the RSP phase (TV shrinkage over the gradient
-    /// field).
-    pub fn rsp_time(&self, cost: &CostModel) -> Seconds {
-        cost.cpu_elementwise_time(3 * self.size.voxels() as usize, 8.0, 16.0)
-    }
-
-    /// Simulated time of the λ update phase.
-    pub fn lambda_update_time(&self, cost: &CostModel) -> Seconds {
-        cost.cpu_elementwise_time(3 * self.size.voxels() as usize, 3.0, 16.0)
-    }
-
-    /// Simulated time of the penalty (ρ) update phase.
-    pub fn penalty_update_time(&self, cost: &CostModel) -> Seconds {
-        cost.cpu_elementwise_time(self.size.voxels() as usize, 2.0, 8.0)
-    }
-
-    /// Simulated time of one full ADMM iteration.
-    pub fn iteration_time(&self, cost: &CostModel, cancelled_and_fused: bool) -> Seconds {
-        self.lsp_time(cost, cancelled_and_fused)
-            + self.rsp_time(cost)
-            + self.lambda_update_time(cost)
-            + self.penalty_update_time(cost)
-    }
-
-    /// Duration of each phase of one ADMM iteration, in execution order.
-    pub fn phase_times(
+    /// Simulated seconds of each phase of one Algorithm-2 ADMM iteration, in
+    /// execution order: the one place the model composes an iteration.
+    /// `fu1d` and `fu2d` are the exposed whole-volume seconds of one `F_u1D`
+    /// and one `F_u2D` application, each adjoint priced like its forward.
+    ///
+    /// The LSP runs `N_inner` inner iterations of `F_u1D`, `F_u2D`,
+    /// `F*_u2D`, `F*_u1D` (cancellation removed both uniform-FFT stages),
+    /// the frequency-domain subtraction fused on the GPU and the CG update on
+    /// the CPU. RSP (TV shrinkage over the gradient field), the λ update and
+    /// the penalty (ρ) update are CPU element-wise passes.
+    pub fn iteration(
         &self,
         cost: &CostModel,
-        cancelled_and_fused: bool,
-    ) -> Vec<(AdmmPhase, Seconds)> {
-        vec![
-            (AdmmPhase::Lsp, self.lsp_time(cost, cancelled_and_fused)),
-            (AdmmPhase::Rsp, self.rsp_time(cost)),
-            (AdmmPhase::LambdaUpdate, self.lambda_update_time(cost)),
-            (AdmmPhase::PenaltyUpdate, self.penalty_update_time(cost)),
+        fu1d: Seconds,
+        fu2d: Seconds,
+    ) -> [(AdmmPhase, Seconds); 4] {
+        let voxels = self.size.voxels() as usize;
+        let cpu = |elems, flops, bytes| cost.cpu_elementwise_time(elems, flops, bytes);
+        let fused_sub = cost.gpu_elementwise_time(self.size.data_elems() as usize);
+        let lsp_inner = fu1d + fu2d + fu2d + fu1d + fused_sub + cpu(voxels, 6.0, 24.0);
+        [
+            (AdmmPhase::Lsp, lsp_inner * N_INNER as f64),
+            (AdmmPhase::Rsp, cpu(3 * voxels, 8.0, 16.0)),
+            (AdmmPhase::LambdaUpdate, cpu(3 * voxels, 3.0, 16.0)),
+            (AdmmPhase::PenaltyUpdate, cpu(voxels, 2.0, 8.0)),
         ]
+    }
+
+    /// Simulated seconds of one whole [`AdmmWorkload::iteration`].
+    pub fn iteration_time(&self, cost: &CostModel, fu1d: Seconds, fu2d: Seconds) -> Seconds {
+        self.iteration(cost, fu1d, fu2d)
+            .iter()
+            .map(|&(_, t)| t)
+            .sum()
+    }
+
+    /// Each phase of one iteration of the exact run
+    /// ([`AdmmWorkload::exact_stages`]), in execution order.
+    pub fn phase_times(&self, cost: &CostModel) -> [(AdmmPhase, Seconds); 4] {
+        let (fu1d, fu2d) = self.exact_stages(cost);
+        self.iteration(cost, fu1d, fu2d)
     }
 }
 
@@ -406,20 +369,10 @@ mod tests {
         // Figure 2: LSP is more than 67 % of one ADMM iteration.
         let cost = CostModel::polaris(1);
         let w = AdmmWorkload::new(ProblemSize::paper_1_5k());
-        let lsp = w.lsp_time(&cost, false);
-        let total = w.iteration_time(&cost, false);
+        let (fu1d, fu2d) = w.exact_stages(&cost);
+        let lsp = w.phase_times(&cost)[0].1;
+        let total = w.iteration_time(&cost, fu1d, fu2d);
         assert!(lsp / total > 0.67, "LSP fraction {}", lsp / total);
-    }
-
-    #[test]
-    fn cancellation_and_fusion_speed_up_lsp() {
-        let cost = CostModel::polaris(1);
-        for size in [ProblemSize::paper_1k(), ProblemSize::paper_1_5k()] {
-            let w = AdmmWorkload::new(size);
-            let alg1 = w.lsp_time(&cost, false);
-            let alg2 = w.lsp_time(&cost, true);
-            assert!(alg2 < alg1, "alg2 {alg2} should beat alg1 {alg1}");
-        }
     }
 
     #[test]
@@ -427,26 +380,35 @@ mod tests {
         let cost = CostModel::polaris(1);
         let w = AdmmWorkload::new(ProblemSize::paper_1k());
         assert!(w.fu2d_time(&cost) > w.fu1d_time(&cost));
-        assert!(w.fu2d_time(&cost) > w.f2d_time(&cost));
     }
 
     #[test]
     fn phase_times_cover_all_phases() {
         let cost = CostModel::polaris(1);
         let w = AdmmWorkload::new(ProblemSize::cube(256, 16));
-        let phases = w.phase_times(&cost, true);
-        assert_eq!(phases.len(), 4);
+        let phases = w.phase_times(&cost);
+        assert_eq!(
+            phases.map(|(p, _)| p),
+            AdmmPhase::ALL,
+            "phases in execution order"
+        );
+        let (fu1d, fu2d) = w.exact_stages(&cost);
         let sum: f64 = phases.iter().map(|(_, t)| t).sum();
-        assert!((sum - w.iteration_time(&cost, true)).abs() < 1e-9);
+        assert_eq!(sum.to_bits(), w.iteration_time(&cost, fu1d, fu2d).to_bits());
         assert_eq!(AdmmPhase::ALL[0].label(), "LSP");
     }
 
     #[test]
     fn larger_problems_cost_more() {
         let cost = CostModel::polaris(1);
-        let t1 = AdmmWorkload::new(ProblemSize::paper_1k()).iteration_time(&cost, false);
-        let t15 = AdmmWorkload::new(ProblemSize::paper_1_5k()).iteration_time(&cost, false);
-        let t2 = AdmmWorkload::new(ProblemSize::paper_2k()).iteration_time(&cost, false);
+        let exact = |size| {
+            let w = AdmmWorkload::new(size);
+            let (fu1d, fu2d) = w.exact_stages(&cost);
+            w.iteration_time(&cost, fu1d, fu2d)
+        };
+        let t1 = exact(ProblemSize::paper_1k());
+        let t15 = exact(ProblemSize::paper_1_5k());
+        let t2 = exact(ProblemSize::paper_2k());
         assert!(t15 > 2.0 * t1);
         assert!(t2 > t15);
     }

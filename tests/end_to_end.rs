@@ -87,8 +87,14 @@ fn offload_planner_and_scaling_model_agree_with_workload() {
         "planned offload must beat greedy"
     );
 
+    // One GPU runs the exact run's iteration, priced by the same
+    // composition the offload profile reads.
+    let (fu1d, fu2d) = workload.exact_stages(&cost);
+    let iteration = workload.iteration_time(&cost, fu1d, fu2d);
+    assert_eq!(profile.duration.to_bits(), iteration.to_bits());
     let scaling = ScalingModel::new(workload, 10);
     let p1 = scaling.point(1);
     let p4 = scaling.point(4);
+    assert_eq!(p1.overall_seconds.to_bits(), (10.0 * iteration).to_bits());
     assert!(p4.overall_seconds < p1.overall_seconds);
 }
