@@ -53,7 +53,7 @@ fn main() {
     let (fail, db, cache) = stats.case_distribution();
     println!();
     compare_row(
-        "case distribution (fail / db / cache)",
+        "case shares of all chunks (fail/db/cache)",
         "53 % / 19 % / 28 %",
         &format!(
             "{:.0} % / {:.0} % / {:.0} %",

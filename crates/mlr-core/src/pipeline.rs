@@ -178,7 +178,6 @@ impl MlrPipeline {
         let accuracy =
             mlr_solver::accuracy_vs_reference(&exact.reconstruction, &memo.reconstruction);
         let stats = executor.stats();
-        let total = stats.total();
         let exact_compute_seconds: f64 =
             exact.history.records().iter().map(|r| r.lsp_seconds).sum();
         let memo_compute_seconds: f64 = memo.history.records().iter().map(|r| r.lsp_seconds).sum();
@@ -186,7 +185,7 @@ impl MlrPipeline {
         MlrReport {
             invalid_reason: self.check_exact(&exact).err(),
             accuracy,
-            avoided_fraction: total.avoided_fraction(),
+            avoided_fraction: stats.total().avoided_fraction(),
             case_distribution: stats.case_distribution(),
             exact_compute_seconds,
             memo_compute_seconds,
@@ -205,9 +204,9 @@ impl MlrPipeline {
     /// baseline is the exact run, every stage at its exposed price. mLR
     /// charges `F_u1D` the same, and each `F_u2D` chunk its
     /// [`AdmmWorkload::memo_chunk_seconds`] price weighed by the measured
-    /// `(failed, db hit, cache hit)` case distribution: only `F_u2D` /
-    /// `F*_u2D` chunks reach the memo engine. So the projection measures
-    /// memoization alone, not cancellation.
+    /// `(failed, db hit, cache hit)` shares of all chunks, the rest exact:
+    /// only `F_u2D` / `F*_u2D` chunks reach the memo engine. So the
+    /// projection measures memoization alone, not cancellation.
     pub fn project_to_paper_scale(
         &self,
         n: usize,
@@ -250,8 +249,9 @@ mod tests {
         assert!(report.accuracy <= 1.0 + 1e-12);
         // Something was memoized across 6 iterations of a converging solver.
         assert!(report.avoided_fraction > 0.0, "nothing was reused");
-        let (f, d, c) = report.case_distribution;
-        assert!((f + d + c - 1.0).abs() < 1e-9);
+        let (t, (f, d, c)) = (report.memo_stats.total(), report.case_distribution);
+        let unprobed = (t.computed + t.prefiltered) as f64 / t.total() as f64;
+        assert!((f + d + c + unprobed - 1.0).abs() < 1e-9);
         assert!(report.db_bytes > 0 && report.db_resident_bytes > report.db_bytes);
         // Loss curves recorded for both runs.
         assert_eq!(report.exact_loss.len(), 6);

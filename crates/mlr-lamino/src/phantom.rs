@@ -192,21 +192,19 @@ fn fill_ellipsoid(vol: &mut Array3<f64>, c: [f64; 3], r: [f64; 3], value: f64) {
 }
 
 fn paint_ellipsoid(vol: &mut Array3<f64>, c: [f64; 3], r: [f64; 3], value: f64, overwrite: bool) {
-    let shape = vol.shape();
-    let (n1, n0, n2) = shape.dims();
-    for i in 0..n1 {
-        let dx = (i as f64 - c[0]) / r[0].max(1e-9);
-        for j in 0..n0 {
-            let dy = (j as f64 - c[1]) / r[1].max(1e-9);
-            for k in 0..n2 {
-                let dz = (k as f64 - c[2]) / r[2].max(1e-9);
-                if dx * dx + dy * dy + dz * dz <= 1.0 {
-                    if overwrite {
-                        vol[(i, j, k)] = value;
-                    } else {
-                        vol[(i, j, k)] += value;
-                    }
-                }
+    let (n1, n0, n2) = vol.shape().dims();
+    // The squared offset along `axis` in semi-axes. A plane with `dx² > 1`
+    // or a row with `dx² + dy² > 1` is skipped: adding non-negative squares
+    // never lowers the sum, so the painted voxels are those of a full scan.
+    let sq = |x: usize, axis: usize| {
+        let d = (x as f64 - c[axis]) / r[axis].max(1e-9);
+        d * d
+    };
+    for (i, x) in (0..n1).map(|i| (i, sq(i, 0))).filter(|&(_, x)| x <= 1.0) {
+        for (j, xy) in (0..n0).map(|j| (j, x + sq(j, 1))).filter(|p| p.1 <= 1.0) {
+            for k in (0..n2).filter(|&k| xy + sq(k, 2) <= 1.0) {
+                let v = &mut vol[(i, j, k)];
+                *v = if overwrite { value } else { *v + value };
             }
         }
     }

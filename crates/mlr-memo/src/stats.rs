@@ -145,17 +145,16 @@ impl MemoStats {
         out
     }
 
-    /// Distribution of the three memoization cases over all memoizable
-    /// invocations: `(failed, db_hit, cache_hit)` as fractions summing to 1
-    /// (ignores plain computed invocations). Matches the paper's 53/19/28 %
-    /// breakdown in §6.4.
+    /// Shares of the three memoization cases, `(failed, db_hit, cache_hit)`,
+    /// among every invocation the engine handled (the paper's breakdown in
+    /// §6.4 reads 53/19/28 %); those computed without a probe (disabled,
+    /// warm-up, prefiltered) are the remainder `1 − failed − db_hit − cache_hit`.
     pub fn case_distribution(&self) -> (f64, f64, f64) {
-        let t = self.total();
-        let memoizable = t.failed_memo + t.db_hits + t.cache_hits;
+        let (t, all) = (self.total(), self.total().total());
         (
-            ratio(t.failed_memo, memoizable),
-            ratio(t.db_hits, memoizable),
-            ratio(t.cache_hits, memoizable),
+            ratio(t.failed_memo, all),
+            ratio(t.db_hits, all),
+            ratio(t.cache_hits, all),
         )
     }
 
@@ -222,19 +221,20 @@ mod tests {
     #[test]
     fn case_distribution_sums_to_one() {
         let mut s = MemoStats::new();
-        for _ in 0..53 {
-            s.record(FftOpKind::Fu2D, MemoCase::FailedMemo);
+        let counts = [
+            (MemoCase::FailedMemo, 53),
+            (MemoCase::DbHit, 19),
+            (MemoCase::CacheHit, 28),
+        ];
+        let unprobed = [(MemoCase::Computed, 60), (MemoCase::Prefiltered, 40)];
+        for (case, count) in counts.into_iter().chain(unprobed) {
+            (0..count).for_each(|_| s.record(FftOpKind::Fu2D, case));
         }
-        for _ in 0..19 {
-            s.record(FftOpKind::Fu2D, MemoCase::DbHit);
-        }
-        for _ in 0..28 {
-            s.record(FftOpKind::Fu2D, MemoCase::CacheHit);
-        }
-        let (f, d, c) = s.case_distribution();
-        assert!((f + d + c - 1.0).abs() < 1e-12);
-        assert!((f - 0.53).abs() < 1e-12);
-        assert!((c - 0.28).abs() < 1e-12);
+        // Shares of all 200 chunks: the 100 computed without a probe are the rest.
+        let ((f, d, c), t) = (s.case_distribution(), s.total());
+        let unprobed = (t.computed + t.prefiltered) as f64 / t.total() as f64;
+        assert!((f + d + c + unprobed - 1.0).abs() < 1e-12);
+        assert_eq!((f, d, c, unprobed), (0.265, 0.095, 0.14, 0.5));
     }
 
     #[test]

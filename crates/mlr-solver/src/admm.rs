@@ -9,9 +9,11 @@
 //! 3. **λ update** — dual ascent on the constraint `∇u = ψ`;
 //! 4. **penalty update** — residual balancing of `ρ`.
 //!
-//! Phases 2–4 are one pass over the volume ([`rsp_update`]), and every phase
-//! runs in one [`AdmmWorkspace`] allocated when the run starts: about
-//! `10 + |ũ1| + |d̂|` real volumes, the state a slab driver would page.
+//! `ψ` and `λ` are held as one [`DualField`], the RSP's shrink argument;
+//! phases 2–4 are one pass over the volume ([`DualField::rsp_update`]), and
+//! every phase runs in one [`AdmmWorkspace`] allocated when the run starts:
+//! about `6 + |ũ1| + |d̂|` real volumes (u, the dual field, G, `G_prev`),
+//! the state a slab driver would page.
 //!
 //! The driver takes any `FftExecutor`, so the same code path produces the
 //! exact baseline (direct executor), the memoized run (mLR's engine) and the
@@ -21,7 +23,7 @@ use crate::cancel::{CancelToken, StopCause};
 use crate::lsp::CgState;
 use crate::lsp::{lsp_gradient_cancelled, FrequencyData};
 use crate::metrics::{ConvergenceHistory, IterationRecord};
-use crate::tv::{add_coupling_gradient, rsp_update, VectorField};
+use crate::tv::DualField;
 use mlr_lamino::{DirectExecutor, FftExecutor, LaminoOperator};
 use mlr_math::{Array3, Complex64};
 use serde::{Deserialize, Serialize};
@@ -73,10 +75,8 @@ pub struct AdmmResult {
 pub struct AdmmWorkspace {
     /// The iterate `u`.
     pub u: Array3<f64>,
-    /// The auxiliary variable `ψ ≈ ∇u`.
-    pub psi: VectorField,
-    /// The Lagrange multiplier `λ`.
-    pub lambda: VectorField,
+    /// The auxiliary variable `ψ ≈ ∇u` and the Lagrange multiplier `λ`.
+    pub dual: DualField,
     /// The last LSP gradient `G`.
     pub grad: Array3<f64>,
     /// The Barzilai–Borwein history of the inner iterations.
@@ -93,8 +93,7 @@ impl AdmmWorkspace {
         let (g, shape) = (op.geometry(), op.geometry().volume_shape());
         Self {
             u: Array3::zeros(shape),
-            psi: VectorField::zeros(shape),
-            lambda: VectorField::zeros(shape),
+            dual: DualField::zeros(shape),
             grad: Array3::zeros(shape),
             cg: CgState::new(shape),
             u1: Array3::zeros(g.u1_shape()),
@@ -112,7 +111,8 @@ impl AdmmWorkspace {
     pub(crate) fn back(&mut self, op: &LaminoOperator, rho: f64, exec: &dyn FftExecutor) {
         op.fu2d_adjoint_into(&self.dhat, exec, &mut self.u1);
         op.fu1d_adjoint_into(&self.u1, &mut self.grad);
-        add_coupling_gradient(&mut self.grad, &self.u, &self.psi, &self.lambda, rho);
+        self.dual
+            .add_coupling_gradient(&mut self.grad, &self.u, rho);
     }
 }
 
@@ -207,12 +207,12 @@ impl AdmmSolver {
             let lsp_seconds = lsp_start.elapsed().as_secs_f64();
 
             // ------------------------------ RSP, λ and penalty updates
-            // One pass updates ψ and λ and sums what the loss and the ρ rule
-            // read. ρ balances residuals: the dual one, ~ ρ‖ψ_k − ψ_{k−1}‖,
+            // One pass updates the dual field and sums what the loss and the
+            // ρ rule read. ρ balances residuals: the dual one, ~ ρ‖ψ_k − ψ_{k−1}‖,
             // approximated by the primal/ψ balance (Boyd §3.4 heuristic).
             #[expect(clippy::disallowed_methods, reason = "decoration: phase seconds")]
             let rsp_start = Instant::now();
-            let sums = rsp_update(&ws.u, &mut ws.psi, &mut ws.lambda, cfg.alpha, rho);
+            let sums = ws.dual.rsp_update(&ws.u, cfg.alpha, rho);
             let primal_res = sums.primal_sqr.sqrt();
             let psi_norm = sums.psi_sqr.sqrt().max(1e-12);
             if primal_res > 10.0 * psi_norm {

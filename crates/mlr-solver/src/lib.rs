@@ -36,4 +36,4 @@ pub use admm::{AdmmConfig, AdmmResult, AdmmSolver, AdmmWorkspace};
 pub use cancel::{CancelToken, StopCause};
 pub use lsp::FrequencyData;
 pub use metrics::{accuracy_vs_reference, ConvergenceHistory};
-pub use tv::{tv_norm, VectorField};
+pub use tv::{tv_norm, DualField, VectorField};

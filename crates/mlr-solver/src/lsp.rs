@@ -121,54 +121,54 @@ pub fn lsp_gradient_cancelled(
 /// CG-style update state: the paper's `u ← CG(u, G, G_prev)` consumes the
 /// current and previous gradients; this implementation uses the
 /// Barzilai–Borwein step (a quasi-CG scheme that needs exactly that state).
-/// The previous iterate and gradient live in two buffers allocated once;
-/// each update copies into them.
+/// Within one LSP the last step moved `u` by `Δu = −α_prev·G_prev`, so the
+/// history is one buffer, `G_prev`, and two scalars: `α_prev` and
+/// `‖G_prev‖²`. Each update copies `G` into the buffer.
 #[derive(Debug, Clone)]
 pub struct CgState {
-    prev_u: Array3<f64>,
     prev_grad: Array3<f64>,
-    primed: bool,
+    /// `α_prev`; 0 for an empty history, which fails the BB guard.
+    prev_step: f64,
+    prev_sqr: f64,
 }
 
 impl CgState {
     /// An empty history for iterates of `shape`.
     pub fn new(shape: Shape3) -> Self {
         Self {
-            prev_u: Array3::zeros(shape),
             prev_grad: Array3::zeros(shape),
-            primed: false,
+            prev_step: 0.0,
+            prev_sqr: 0.0,
         }
     }
 
     /// Forgets the history: the next update uses `initial_step` again.
     pub fn reset(&mut self) {
-        self.primed = false;
+        self.prev_step = 0.0;
     }
 
     /// Applies one update `u ← u − α G`, with `α` from the Barzilai–Borwein
-    /// formula when a previous iterate exists and `initial_step` otherwise.
+    /// formula when a previous step exists and `initial_step` otherwise.
     /// Returns the step size used.
     pub fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) -> f64 {
-        // BB1: α = <Δu, Δu> / <Δu, ΔG>, summed as `Array3::dot` sums; the
-        // same pass moves u and G into the history.
-        let (mut numer, mut denom) = (-0.0, -0.0);
-        let history = self.prev_u.as_mut_slice().iter_mut();
-        let history = history.zip(self.prev_grad.as_mut_slice());
-        for ((&x, &g), (pu, pg)) in u.as_slice().iter().zip(grad.as_slice()).zip(history) {
-            let (du, dg) = (x - *pu, g - *pg);
-            numer += du * du;
-            denom += du * dg;
-            (*pu, *pg) = (x, g);
+        // BB1, α = ⟨Δu, Δu⟩ / ⟨Δu, ΔG⟩ = α_prev‖G_prev‖² / ⟨G_prev, G_prev − G⟩,
+        // summed as `Array3::dot` sums; the same pass moves G into the history.
+        let (mut denom, mut sqr) = (-0.0, -0.0);
+        for (&g, pg) in grad.as_slice().iter().zip(self.prev_grad.as_mut_slice()) {
+            denom += *pg * (*pg - g);
+            sqr += g * g;
+            *pg = g;
         }
-        let alpha = if self.primed && denom > 1e-30 && numer > 0.0 {
+        let (step, prev_sqr) = (self.prev_step, self.prev_sqr);
+        let alpha = if step * denom > 1e-30 && prev_sqr > 0.0 {
             // Keep the BB step within a moderate band around the first
             // step: when a memoized gradient repeats the previous one,
             // ΔG ≈ 0 and the raw BB ratio blows up.
-            (numer / denom).clamp(0.05 * initial_step, 20.0 * initial_step)
+            (step * prev_sqr / denom).clamp(0.05 * initial_step, 20.0 * initial_step)
         } else {
             initial_step
         };
-        self.primed = true;
+        (self.prev_step, self.prev_sqr) = (alpha, sqr);
         u.axpby(1.0, grad, -alpha);
         alpha
     }

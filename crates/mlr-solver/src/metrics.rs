@@ -29,7 +29,7 @@ pub struct IterationRecord {
     /// Wall-clock seconds of the LSP phase (inner steps and clamp).
     pub lsp_seconds: f64,
     /// Wall-clock seconds of the rest of the iteration: the one pass that
-    /// updates ψ and λ and sums the residuals and the TV, then the ρ rule.
+    /// updates the dual field and sums the residuals and the TV, then the ρ rule.
     pub rsp_seconds: f64,
     /// Always 0: the λ update runs in [`Self::rsp_seconds`]'s pass.
     pub lambda_seconds: f64,

@@ -4,15 +4,16 @@
 //! forward-difference gradient `∇u` (a 3-component vector field), its
 //! adjoint (the negative divergence, used when differentiating the augmented
 //! Lagrangian), and the isotropic shrinkage operator that solves the RSP in
-//! closed form. The solver runs them fused, materialising no field
-//! ([`add_coupling_gradient`], [`rsp_update`]), bit-identical to the
+//! closed form. The solver runs them fused over one [`DualField`]
+//! ([`DualField::add_coupling_gradient`], [`DualField::rsp_update`]),
+//! bit-identical to the
 //! composed [`gradient`], [`divergence`], [`shrink`] and [`tv_norm`]: each
 //! element keeps its expression, each sum its order and start value.
 
 use mlr_math::{Array3, Shape3};
 
-/// A 3-component vector field over a volume (the gradient of `u`, the
-/// auxiliary variable `ψ`, the multiplier `λ` all have this shape).
+/// A 3-component vector field over a volume (the gradient of `u` and the
+/// ADMM dual field [`DualField::arg`] have this shape).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorField {
     /// Component along volume axis 0 (`n1`).
@@ -54,17 +55,17 @@ impl VectorField {
     }
 }
 
-/// Calls `f(idx, ahead, behind)` for every voxel of `shape` in storage
-/// order: `ahead[c]` says the voxel has a forward neighbour along axis `c`,
-/// `behind[c]` a backward one.
-fn for_each_voxel(shape: Shape3, mut f: impl FnMut(usize, [bool; 3], [bool; 3])) {
+/// Calls `f(idx, [jk, k], ahead, behind)` for every voxel `(i, j, k)` of
+/// `shape` in storage order (`jk` indexes it in its plane): `ahead[c]` says
+/// it has a forward neighbour along axis `c`, `behind[c]` a backward one.
+fn for_each_voxel(shape: Shape3, mut f: impl FnMut(usize, [usize; 2], [bool; 3], [bool; 3])) {
     let (n1, n0, n2) = shape.dims();
     let mut idx = 0;
     for i in 0..n1 {
         for j in 0..n0 {
             for k in 0..n2 {
                 let ahead = [i + 1 < n1, j + 1 < n0, k + 1 < n2];
-                f(idx, ahead, [i > 0, j > 0, k > 0]);
+                f(idx, [j * n2 + k, k], ahead, [i > 0, j > 0, k > 0]);
                 idx += 1;
             }
         }
@@ -104,42 +105,31 @@ fn shrunk(v: [f64; 3], threshold: f64) -> [f64; 3] {
 pub fn gradient(u: &Array3<f64>) -> VectorField {
     let (shape, u, steps) = (u.shape(), u.as_slice(), strides(u.shape()));
     let mut g = VectorField::zeros(shape);
-    for_each_voxel(shape, |idx, ahead, _| {
+    for_each_voxel(shape, |idx, _, ahead, _| {
         g.set(idx, forward_diffs(u, idx, ahead, steps))
     });
     g
 }
 
-/// Calls `emit(idx, (∇ᵀp)[idx])` per voxel, `p(c, at)` being component `c`
-/// of `p` at voxel `at`: the negated backward differences, axis by axis.
-fn for_each_adjoint_gradient(
-    shape: Shape3,
-    p: impl Fn(usize, usize) -> f64,
-    mut emit: impl FnMut(usize, f64),
-) {
-    let steps = strides(shape);
-    for_each_voxel(shape, |idx, ahead, behind| {
+/// Divergence of a vector field with the boundary conditions adjoint to
+/// [`gradient`], sign flipped so that `⟨∇u, p⟩ = ⟨u, divergence(p)⟩`
+/// holds exactly: this is `∇ᵀp`, the negated backward differences.
+pub fn divergence(p: &VectorField) -> Array3<f64> {
+    let (shape, p) = (p.shape(), p.slices());
+    let (steps, mut out) = (strides(shape), Array3::zeros(shape));
+    let div = out.as_mut_slice();
+    for_each_voxel(shape, |idx, _, ahead, behind| {
         let mut acc = 0.0;
         for c in 0..3 {
             if ahead[c] {
-                acc += p(c, idx);
+                acc += p[c][idx];
             }
             if behind[c] {
-                acc -= p(c, idx - steps[c]);
+                acc -= p[c][idx - steps[c]];
             }
         }
-        emit(idx, -acc);
+        div[idx] = -acc;
     });
-}
-
-/// Divergence of a vector field with the boundary conditions adjoint to
-/// [`gradient`], sign flipped so that `⟨∇u, p⟩ = ⟨u, divergence(p)⟩`
-/// holds exactly: this is `∇ᵀp`.
-pub fn divergence(p: &VectorField) -> Array3<f64> {
-    let (shape, p) = (p.shape(), p.slices());
-    let mut out = Array3::zeros(shape);
-    let div = out.as_mut_slice();
-    for_each_adjoint_gradient(shape, |c, at| p[c][at], |idx, v| div[idx] = v);
     out
 }
 
@@ -161,29 +151,27 @@ pub fn shrink(field: &VectorField, threshold: f64) -> VectorField {
     out
 }
 
-/// Adds the augmented-Lagrangian coupling `ρ ∇ᵀ(∇u − g)`, `g = ψ − λ/ρ`,
-/// into `grad` in one stencil pass over the (up to) six forward differences
-/// around each voxel; neither `∇u`, `g` nor `∇ᵀ` is materialised.
-/// Bit-identical to `grad.axpby(1.0, &divergence(&diff), rho)`, with `g`
-/// (`ψ.axpby(1.0, λ, -1.0 / rho)`) and `diff` ([`gradient`]`(u).axpby(1.0,
-/// g, -1.0)`) formed component by component.
-pub fn add_coupling_gradient(
-    grad: &mut Array3<f64>,
-    u: &Array3<f64>,
-    psi: &VectorField,
-    lambda: &VectorField,
-    rho: f64,
-) {
-    let (shape, u, grad) = (u.shape(), u.as_slice(), grad.as_mut_slice());
-    let (steps, psi, lambda) = (strides(shape), psi.slices(), lambda.slices());
-    let g_scale = -1.0 / rho;
-    // Component `c` of `∇u − g` at a voxel `at` with a forward neighbour.
-    let diff =
-        |c: usize, at: usize| (u[at + steps[c]] - u[at]) - (psi[c][at] + lambda[c][at] * g_scale);
-    for_each_adjoint_gradient(shape, diff, |idx, v| grad[idx] += v * rho);
+/// The ADMM dual pair `(ψ, λ)` as one field, `arg`: the last RSP's shrink
+/// argument `a = ∇u + λ/ρ_used`. By Moreau's decomposition,
+/// `ψ = shrink(a, α/ρ_used)` and `λ/ρ_now = (ρ_used/ρ_now)·(a − ψ)`.
+pub struct DualField {
+    /// `a` (zero before the first RSP: `ψ = λ = 0`).
+    pub arg: VectorField,
+    /// `α/ρ_used`, the threshold `a` was shrunk at.
+    pub threshold: f64,
+    /// `ρ_used`, the penalty `a` was formed at.
+    pub rho: f64,
+    /// The coupling stencil's `∇u − g` of the last `i` plane and `j` row.
+    rolling: [Vec<f64>; 2],
 }
 
-/// The sums [`rsp_update`] takes on its way.
+/// `ψ` and `λ/ρ_now` at one voxel of `a`, `ratio = ρ_used/ρ_now`.
+fn split(a: [f64; 3], threshold: f64, ratio: f64) -> ([f64; 3], [f64; 3]) {
+    let psi = shrunk(a, threshold);
+    (psi, std::array::from_fn(|c| ratio * (a[c] - psi[c])))
+}
+
+/// The sums [`DualField::rsp_update`] takes on its way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RspSums {
     /// `‖∇u − ψ‖²` with the new `ψ` (the primal residual, squared).
@@ -194,41 +182,78 @@ pub struct RspSums {
     pub tv: f64,
 }
 
-/// The RSP and the dual update in one pass over `(u, ψ, λ)`:
-/// `ψ ← shrink(∇u + λ/ρ, α/ρ)`, then `λ ← λ + ρ(∇u − ψ)`, summing the
-/// squared primal residual, `‖ψ‖²` and `TV(u)` in voxel order.
-/// Bit-identical to the composed [`gradient`] / [`shrink`] / `axpby` /
-/// `dot` / [`tv_norm`] sequence; no vector field is allocated.
-pub fn rsp_update(
-    u: &Array3<f64>,
-    psi: &mut VectorField,
-    lambda: &mut VectorField,
-    alpha: f64,
-    rho: f64,
-) -> RspSums {
-    let (shape, u) = (u.shape(), u.as_slice());
-    let (steps, psi, lambda) = (strides(shape), psi.slices_mut(), lambda.slices_mut());
-    let (inv_rho, threshold) = (1.0 / rho, alpha / rho);
-    // Per component, as `Array3::dot`: from `f64: Sum`'s start value, −0.
-    let (mut primal_sqr, mut psi_sqr, mut tv) = ([-0.0; 3], [-0.0; 3], 0.0);
-    for_each_voxel(shape, |idx, ahead, _| {
-        let g = forward_diffs(u, idx, ahead, steps);
-        tv += magnitude(g);
-        let arg = std::array::from_fn(|c| g[c] + lambda[c][idx] * inv_rho);
-        let p = shrunk(arg, threshold);
-        for c in 0..3 {
-            let r = g[c] - p[c];
-            psi[c][idx] = p[c];
-            lambda[c][idx] += r * rho;
-            primal_sqr[c] += r * r;
-            psi_sqr[c] += p[c] * p[c];
+impl DualField {
+    /// `ψ = λ = 0` over `shape`.
+    pub fn zeros(shape: Shape3) -> Self {
+        let (_, n0, n2) = shape.dims();
+        Self {
+            arg: VectorField::zeros(shape),
+            threshold: 0.0,
+            rho: 1.0,
+            rolling: [vec![0.0; n0 * n2], vec![0.0; n2]],
         }
-    });
-    let total = |s: [f64; 3]| s[0] + s[1] + s[2];
-    RspSums {
-        primal_sqr: total(primal_sqr),
-        psi_sqr: total(psi_sqr),
-        tv,
+    }
+
+    /// Adds the augmented-Lagrangian coupling `ρ ∇ᵀ(∇u − g)`, `g = ψ − λ/ρ`,
+    /// into `grad` in one stencil pass that forms `g` once per voxel and each
+    /// difference of `∇u − g` once (the backward neighbours' from rolling
+    /// plane, row and voxel buffers); no field is materialised. Bit-identical
+    /// to `grad.axpby(1.0, &divergence(&diff), rho)`, with `ψ` =
+    /// [`shrink`]`(a)`, `l = a − ψ`, `g = ψ.axpby(1.0, l, −ρ_used/ρ)` and
+    /// `diff = ∇u.axpby(1.0, g, −1.0)` formed component by component.
+    pub fn add_coupling_gradient(&mut self, grad: &mut Array3<f64>, u: &Array3<f64>, rho: f64) {
+        let (shape, u, grad) = (u.shape(), u.as_slice(), grad.as_mut_slice());
+        let (steps, a, ratio) = (strides(shape), self.arg.slices(), self.rho / rho);
+        let (threshold, [plane, row]) = (self.threshold, &mut self.rolling);
+        let mut voxel = 0.0;
+        for_each_voxel(shape, |idx, [jk, k], ahead, behind| {
+            let (psi, scaled) = split(std::array::from_fn(|c| a[c][idx]), threshold, ratio);
+            let (mut acc, rolling) = (0.0, [&mut plane[jk], &mut row[k], &mut voxel]);
+            for (c, prev) in rolling.into_iter().enumerate() {
+                let behind_diff = *prev;
+                if ahead[c] {
+                    *prev = (u[idx + steps[c]] - u[idx]) - (psi[c] - scaled[c]);
+                    acc += *prev;
+                }
+                if behind[c] {
+                    acc -= behind_diff;
+                }
+            }
+            grad[idx] += -acc * rho;
+        });
+    }
+
+    /// The RSP and the dual update in one pass over `(u, a)`: `a ← ∇u + λ/ρ`
+    /// in place (the dual update), `ψ = shrink(a, α/ρ)` (the RSP), summing
+    /// the squared primal residual `∇u − ψ`, `‖ψ‖²` and `TV(u)` in voxel
+    /// order. Bit-identical to the composed [`gradient`] / [`shrink`] /
+    /// `axpby` / `dot` / [`tv_norm`] sequence; no vector field is allocated.
+    pub fn rsp_update(&mut self, u: &Array3<f64>, alpha: f64, rho: f64) -> RspSums {
+        let (shape, u) = (u.shape(), u.as_slice());
+        let (steps, old_threshold, ratio) = (strides(shape), self.threshold, self.rho / rho);
+        let (a, threshold) = (self.arg.slices_mut(), alpha / rho);
+        // Per component, as `Array3::dot`: from `f64: Sum`'s start value, −0.
+        let (mut primal_sqr, mut psi_sqr, mut tv) = ([-0.0; 3], [-0.0; 3], 0.0);
+        for_each_voxel(shape, |idx, _, ahead, _| {
+            let g = forward_diffs(u, idx, ahead, steps);
+            tv += magnitude(g);
+            let (_, scaled) = split(std::array::from_fn(|c| a[c][idx]), old_threshold, ratio);
+            let arg: [f64; 3] = std::array::from_fn(|c| g[c] + scaled[c]);
+            let p = shrunk(arg, threshold);
+            for c in 0..3 {
+                let r = g[c] - p[c];
+                a[c][idx] = arg[c];
+                primal_sqr[c] += r * r;
+                psi_sqr[c] += p[c] * p[c];
+            }
+        });
+        (self.threshold, self.rho) = (threshold, rho);
+        let total = |s: [f64; 3]| s[0] + s[1] + s[2];
+        RspSums {
+            primal_sqr: total(primal_sqr),
+            psi_sqr: total(psi_sqr),
+            tv,
+        }
     }
 }
 

@@ -5,14 +5,18 @@
 //! loss, and — through a memoizing executor, which sees every chunk the
 //! solver dispatches — on the case counts and the store's statistics.
 //! `mlr_solver::tv`'s composed forms, which the stencil tests compare
-//! against, are held to the reference's copies too.
+//! against, are held to the reference's copies too. The loop over the
+//! two-field dual state and the `u`/`G` history, which the solver ran
+//! before, must agree with it up to rounding, with equal case counts.
 
 use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_lamino::{DirectExecutor, FftExecutor};
+use mlr_math::norms::relative_error;
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Complex64, Shape3};
-use mlr_solver::tv::{self, add_coupling_gradient, divergence, gradient, rsp_update, VectorField};
+use mlr_solver::tv::{self, divergence, gradient};
 use mlr_solver::{AdmmSolver, FrequencyData};
+use mlr_solver::{DualField, VectorField};
 use rand::Rng;
 use reference::FieldOps;
 
@@ -40,21 +44,30 @@ fn random_field(shape: Shape3, seed: u64) -> VectorField {
 /// axis cannot hide behind a cube's symmetry.
 const ODD_SHAPE: Shape3 = Shape3::new(7, 5, 6);
 
+/// A dual state over `ODD_SHAPE`: random `a`, its threshold and `ρ_used`.
+fn random_dual(seed: u64, threshold: f64, rho_used: f64) -> DualField {
+    let mut dual = DualField::zeros(ODD_SHAPE);
+    (dual.arg, dual.threshold, dual.rho) = (random_field(ODD_SHAPE, seed), threshold, rho_used);
+    dual
+}
+
 #[test]
 fn coupling_stencil_is_the_composed_regulariser_bit_for_bit() {
     let u = random_volume(ODD_SHAPE, 1);
-    let (psi, lambda) = (random_field(ODD_SHAPE, 2), random_field(ODD_SHAPE, 5));
-    for rho in [0.5, 3.0, 1e-6] {
+    // One state across the cases, so the rolling buffers carry over.
+    let mut dual = random_dual(2, 0.0, 0.5);
+    for (threshold, rho_used, rho) in [(0.0, 0.5, 0.5), (0.3, 2.0, 0.5), (0.8, 1e-6, 3.0)] {
+        (dual.threshold, dual.rho) = (threshold, rho_used);
         let g_data = random_volume(ODD_SHAPE, 9);
-        let mut g_field = psi.clone();
-        g_field.axpby(1.0, &lambda, -1.0 / rho);
+        let (mut g_field, scaled) = reference::split_dual(&dual.arg, threshold);
+        g_field.axpby(1.0, &scaled, -rho_used / rho);
         let composed = reference::add_regulariser(g_data.clone(), &u, &g_field, rho);
         let mut fused = g_data;
-        add_coupling_gradient(&mut fused, &u, &psi, &lambda, rho);
+        dual.add_coupling_gradient(&mut fused, &u, rho);
         assert_eq!(
             bits(fused.as_slice()),
             bits(composed.as_slice()),
-            "ρ = {rho}"
+            "threshold {threshold}, ρ_used {rho_used}, ρ {rho}"
         );
     }
 }
@@ -79,33 +92,36 @@ fn composed_references_are_the_copies_of_the_allocating_loop() {
 #[test]
 fn rsp_pass_is_the_composed_update_bit_for_bit() {
     let u = random_volume(ODD_SHAPE, 20);
-    for (alpha, rho) in [(0.05, 0.5), (1e-4, 2.0), (0.3, 1e3)] {
-        let (psi0, lambda0) = (random_field(ODD_SHAPE, 21), random_field(ODD_SHAPE, 24));
-        let (mut psi, mut lambda) = (psi0, lambda0.clone());
-        let sums = rsp_update(&u, &mut psi, &mut lambda, alpha, rho);
+    let cases = [
+        (0.05, 0.5, 0.0, 0.5),
+        (1e-4, 2.0, 0.3, 1.0),
+        (0.3, 1e3, 0.8, 2e3),
+    ];
+    for (alpha, rho, threshold, rho_used) in cases {
+        let mut dual = random_dual(21, threshold, rho_used);
+        let a0 = dual.arg.clone();
+        let sums = dual.rsp_update(&u, alpha, rho);
 
         let grad_u = gradient(&u);
-        let mut arg = grad_u.clone();
-        arg.axpby(1.0, &lambda0, 1.0 / rho);
-        let psi_ref = tv::shrink(&arg, alpha / rho);
-        let mut primal = grad_u.clone();
+        let (_, scaled) = reference::split_dual(&a0, threshold);
+        let mut a_ref = grad_u.clone();
+        a_ref.axpby(1.0, &scaled, rho_used / rho);
+        let psi_ref = tv::shrink(&a_ref, alpha / rho);
+        let mut primal = grad_u;
         primal.axpby(1.0, &psi_ref, -1.0);
-        let mut lambda_ref = lambda0;
-        lambda_ref.axpby(1.0, &primal, rho);
 
-        for (a, b) in [(&psi, &psi_ref), (&lambda, &lambda_ref)] {
-            for (x, y) in [(&a.x, &b.x), (&a.y, &b.y), (&a.z, &b.z)] {
-                assert_eq!(
-                    bits(x.as_slice()),
-                    bits(y.as_slice()),
-                    "α = {alpha}, ρ = {rho}"
-                );
-            }
+        let case = format!("α = {alpha}, ρ = {rho}, threshold {threshold}, ρ_used {rho_used}");
+        let (a, b) = (&dual.arg, &a_ref);
+        for (x, y) in [(&a.x, &b.x), (&a.y, &b.y), (&a.z, &b.z)] {
+            assert_eq!(bits(x.as_slice()), bits(y.as_slice()), "{case}");
         }
+        let state = [dual.threshold, dual.rho];
+        assert_eq!(bits(&state), bits(&[alpha / rho, rho]), "{case}");
         let expect = [primal.norm_sqr(), psi_ref.norm_sqr(), tv::tv_norm(&u)];
         assert_eq!(
             bits(&[sums.primal_sqr, sums.psi_sqr, sums.tv]),
-            bits(&expect)
+            bits(&expect),
+            "{case}"
         );
     }
 }
@@ -171,8 +187,8 @@ fn assert_same_run<E: FftExecutor>(
 }
 
 /// Through the direct executor and a memoizing one.
-fn assert_matches_reference(name: &str, config: MlrConfig) {
-    let pipeline = MlrPipeline::new(config);
+fn assert_matches_reference(name: &str) {
+    let pipeline = MlrPipeline::new(config(name));
     assert_same_run(&format!("{name} direct"), &pipeline, || DirectExecutor);
     let (ws, reference) = assert_same_run(&format!("{name} memoized"), &pipeline, || {
         pipeline.memo_executor(pipeline.build_shared_store(1), 0)
@@ -195,30 +211,78 @@ fn smoke_config(n: usize, iterations: usize, tau: f64, chunk: usize, step: f64) 
     config
 }
 
+/// The benchmark's four smoke configs and 24³ at chunk 1.
+fn five_configs() -> [(&'static str, MlrConfig); 5] {
+    let mut chunk_one = MlrConfig::quick(24, 12).with_iterations(4);
+    chunk_one.chunk_size = 1;
+    chunk_one.admm.initial_step = 0.02;
+    [
+        ("hit-32", smoke_config(16, 8, 0.92, 8, 0.04)),
+        ("strict-48", smoke_config(16, 5, 0.99, 8, 0.04)),
+        ("smallchunk-24", smoke_config(12, 8, 0.92, 1, 0.07)),
+        ("serve-24x12", smoke_config(12, 6, 0.92, 8, 0.07)),
+        ("24³ chunk 1", chunk_one),
+    ]
+}
+
+fn config(name: &str) -> MlrConfig {
+    let mut configs = five_configs().into_iter();
+    configs
+        .find(|(n, _)| *n == name)
+        .expect("one of the five")
+        .1
+}
+
 #[test]
 fn hit_32_smoke_matches_the_allocating_loop() {
-    assert_matches_reference("hit-32", smoke_config(16, 8, 0.92, 8, 0.04));
+    assert_matches_reference("hit-32");
 }
 
 #[test]
 fn strict_48_smoke_matches_the_allocating_loop() {
-    assert_matches_reference("strict-48", smoke_config(16, 5, 0.99, 8, 0.04));
+    assert_matches_reference("strict-48");
 }
 
 #[test]
 fn smallchunk_24_smoke_matches_the_allocating_loop() {
-    assert_matches_reference("smallchunk-24", smoke_config(12, 8, 0.92, 1, 0.07));
+    assert_matches_reference("smallchunk-24");
 }
 
 #[test]
 fn serve_24x12_smoke_matches_the_allocating_loop() {
-    assert_matches_reference("serve-24x12", smoke_config(12, 6, 0.92, 8, 0.07));
+    assert_matches_reference("serve-24x12");
 }
 
 #[test]
 fn chunk_one_at_24_matches_the_allocating_loop() {
-    let mut config = MlrConfig::quick(24, 12).with_iterations(4);
-    config.chunk_size = 1;
-    config.admm.initial_step = 0.02;
-    assert_matches_reference("24³ chunk 1", config);
+    assert_matches_reference("24³ chunk 1");
+}
+
+#[test]
+fn solver_matches_the_two_field_loop_up_to_rounding() {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+    for (name, config) in five_configs() {
+        let pipeline = MlrPipeline::new(config);
+        let (op, d) = (pipeline.operator(), &pipeline.dataset().projections);
+        let cfg = pipeline.config().admm;
+        let memo = || pipeline.memo_executor(pipeline.build_shared_store(1), 0);
+        let (ws_exec, ref_exec) = (memo(), memo());
+        let ws = AdmmSolver::new(cfg).run_with(op, d, &ws_exec);
+        let two_field =
+            reference::run_two_field(&cfg, reference::Variant::Cancelled, op, d, &ref_exec);
+        let err = relative_error(&two_field.reconstruction, &ws.reconstruction);
+        assert!(err <= 1e-12, "{name}: reconstruction off by {err}");
+        let records = ws.history.records();
+        assert_eq!(records.len(), two_field.losses.len(), "{name}");
+        for (r, &(loss, data_loss)) in records.iter().zip(&two_field.losses) {
+            assert!(
+                close(r.loss, loss) && close(r.data_loss, data_loss),
+                "{name}: losses"
+            );
+        }
+        assert!(close(ws.final_rho, two_field.final_rho), "{name}: ρ");
+        assert_eq!(ws_exec.stats(), ref_exec.stats(), "{name}: case counts");
+        let stores = (ws_exec.store().stats(), ref_exec.store().stats());
+        assert_eq!(stores.0, stores.1, "{name}: store statistics");
+    }
 }

@@ -2,13 +2,20 @@
 //! `AdmmWorkspace`: every intermediate a fresh volume, every phase its own
 //! pass (`gradient` → `axpby` → `divergence` for the coupling, subtraction →
 //! Hermitian projection → Parseval sum → scale for Algorithm 2's tail,
-//! `shrink` / `axpby` / `norm_sqr` / `tv_norm` for the RSP, four clones per
+//! `shrink` / `axpby` / `norm_sqr` / `tv_norm` for the RSP, clones for every
 //! Barzilai–Borwein step). It carries its own copies of the composed TV
 //! pieces, so it shares no code with the fused passes beyond the operators
 //! and `VectorField`'s arithmetic.
 //!
-//! Its LSP takes either formulation: Algorithm 2, which
-//! `tests/admm_workspace.rs` holds the solver to bit for bit, or the paper's
+//! It holds the ADMM state two ways. [`run`] holds the solver's: the dual
+//! pair as one field `a` (the last RSP's shrink argument; `ψ = shrink(a,
+//! α/ρ)`, `λ/ρ = a − ψ` by Moreau's decomposition) and a gradient-only
+//! Barzilai–Borwein history. [`run_two_field`] is the loop before that:
+//! `ψ` and `λ` as two fields, the history as clones of `u` and `G`. The
+//! solver agrees with the first bit for bit and with the second up to
+//! rounding (`tests/admm_workspace.rs`).
+//!
+//! Its LSP takes either formulation: Algorithm 2, or the paper's
 //! Algorithm 1 (`F*_2D` / `F_2D` in every pass), which the solver no longer
 //! runs and `tests/end_to_end.rs` holds it to up to rounding.
 #![allow(dead_code, reason = "each test target runs the variants it checks")]
@@ -240,13 +247,32 @@ fn gradient_cancelled(
     (add_regulariser(g_data, u, g_field, rho), data_loss)
 }
 
+/// `ψ = shrink(a, threshold)` and `λ/ρ_used = a − ψ` of the one-field dual
+/// state.
+pub fn split_dual(a: &VectorField, threshold: f64) -> (VectorField, VectorField) {
+    let psi = shrink(a, threshold);
+    let mut scaled = a.clone();
+    scaled.axpby(1.0, &psi, -1.0);
+    (psi, scaled)
+}
+
+/// A Barzilai–Borwein history, fresh for every LSP.
+trait BbStep: Default {
+    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64);
+}
+
+fn bb_clamp(alpha: f64, initial_step: f64) -> f64 {
+    alpha.clamp(0.05 * initial_step, 20.0 * initial_step)
+}
+
+/// `⟨Δu, Δu⟩ / ⟨Δu, ΔG⟩` over clones of the previous `u` and `G`.
 #[derive(Default)]
-struct CgState {
+struct TwoBufferBb {
     prev_u: Option<Array3<f64>>,
     prev_grad: Option<Array3<f64>>,
 }
 
-impl CgState {
+impl BbStep for TwoBufferBb {
     fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) {
         let alpha = match (&self.prev_u, &self.prev_grad) {
             (Some(pu), Some(pg)) => {
@@ -257,7 +283,7 @@ impl CgState {
                 let denom = du.dot(&dg);
                 let numer = du.dot(&du);
                 if denom > 1e-30 && numer > 0.0 {
-                    (numer / denom).clamp(0.05 * initial_step, 20.0 * initial_step)
+                    bb_clamp(numer / denom, initial_step)
                 } else {
                     initial_step
                 }
@@ -270,7 +296,141 @@ impl CgState {
     }
 }
 
+/// The same step with `Δu = −α_prev·G_prev`:
+/// `α_prev‖G_prev‖² / ⟨G_prev, G_prev − G⟩`.
+#[derive(Default)]
+struct GradientBb {
+    /// `G_prev`, `α_prev`, `‖G_prev‖²`.
+    prev: Option<(Array3<f64>, f64, f64)>,
+}
+
+impl BbStep for GradientBb {
+    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) {
+        let alpha = match &self.prev {
+            Some((pg, prev_step, prev_sqr)) => {
+                let mut dg = pg.clone();
+                dg.axpby(1.0, grad, -1.0);
+                let denom = pg.dot(&dg);
+                if prev_step * denom > 1e-30 && *prev_sqr > 0.0 {
+                    bb_clamp(prev_step * prev_sqr / denom, initial_step)
+                } else {
+                    initial_step
+                }
+            }
+            None => initial_step,
+        };
+        self.prev = Some((grad.clone(), alpha, grad.dot(grad)));
+        u.axpby(1.0, grad, -alpha);
+    }
+}
+
+/// One run's LSP: the operator, the data and the formulation.
+struct Lsp<'a> {
+    cfg: &'a AdmmConfig,
+    op: &'a LaminoOperator,
+    d: &'a Array3<f64>,
+    /// `F_2D d` under Algorithm 2, nothing under Algorithm 1.
+    freq: Option<(Array3<Complex64>, f64)>,
+    exec: &'a dyn FftExecutor,
+}
+
+impl<'a> Lsp<'a> {
+    fn new(
+        cfg: &'a AdmmConfig,
+        variant: Variant,
+        op: &'a LaminoOperator,
+        d: &'a Array3<f64>,
+        exec: &'a dyn FftExecutor,
+    ) -> Self {
+        let freq = match variant {
+            Variant::Cancelled => Some(frequency_data(op, d)),
+            Variant::Original => None,
+        };
+        Self {
+            cfg,
+            op,
+            d,
+            freq,
+            exec,
+        }
+    }
+
+    /// `n_inner` steps against the coupling target `g_field` under a fresh
+    /// history `S`, then the non-negativity clamp; returns the last data
+    /// loss.
+    fn solve<S: BbStep>(&self, u: &mut Array3<f64>, g_field: &VectorField, rho: f64) -> f64 {
+        let (op, exec) = (self.op, self.exec);
+        let mut cg = S::default();
+        let mut data_loss = 0.0;
+        for _ in 0..self.cfg.n_inner {
+            let (grad, loss) = match &self.freq {
+                None => gradient_original(op, u, self.d, g_field, rho, exec),
+                Some(freq) => gradient_cancelled(op, u, freq, g_field, rho, exec),
+            };
+            data_loss = loss;
+            cg.update(u, &grad, self.cfg.initial_step);
+        }
+        u.map_inplace(|v| *v = v.max(0.0));
+        data_loss
+    }
+}
+
+/// The residual-balancing ρ rule.
+fn next_rho(primal: &VectorField, psi: &VectorField, rho: f64) -> f64 {
+    let primal_res = primal.norm_sqr().sqrt();
+    let psi_norm = psi.norm_sqr().sqrt().max(1e-12);
+    let rho = if primal_res > 10.0 * psi_norm {
+        rho * 2.0
+    } else if psi_norm > 10.0 * primal_res {
+        rho * 0.5
+    } else {
+        rho
+    };
+    rho.clamp(1e-6, 1e6)
+}
+
+/// The loop over the solver's state: the dual pair as `a`, the threshold it
+/// was shrunk at and `ρ_used`; the history as `G_prev` and two scalars.
 pub fn run(
+    cfg: &AdmmConfig,
+    variant: Variant,
+    op: &LaminoOperator,
+    d: &Array3<f64>,
+    exec: &dyn FftExecutor,
+) -> Run {
+    let vol_shape = op.geometry().volume_shape();
+    let mut u: Array3<f64> = Array3::zeros(vol_shape);
+    let (mut a, mut threshold, mut rho_used) = (VectorField::zeros(vol_shape), 0.0, 1.0);
+    let mut rho = cfg.rho;
+    let mut losses = Vec::new();
+    let lsp = Lsp::new(cfg, variant, op, d, exec);
+    for iteration in 0..cfg.outer_iterations {
+        exec.begin_iteration(iteration);
+        let ratio = rho_used / rho;
+        let (psi, scaled) = split_dual(&a, threshold);
+        let mut g_field = psi;
+        g_field.axpby(1.0, &scaled, -ratio);
+        let data_loss = lsp.solve::<GradientBb>(&mut u, &g_field, rho);
+        let grad_u = gradient(&u);
+        a = grad_u.clone();
+        a.axpby(1.0, &scaled, ratio);
+        (threshold, rho_used) = (cfg.alpha / rho, rho);
+        let psi = shrink(&a, threshold);
+        let mut primal = grad_u;
+        primal.axpby(1.0, &psi, -1.0);
+        rho = next_rho(&primal, &psi, rho);
+        losses.push((data_loss + cfg.alpha * tv_norm(&u), data_loss));
+    }
+    exec.finish();
+    Run {
+        reconstruction: u,
+        losses,
+        final_rho: rho,
+    }
+}
+
+/// The loop over `ψ` and `λ` as two fields and a history of `u` and `G`.
+pub fn run_two_field(
     cfg: &AdmmConfig,
     variant: Variant,
     op: &LaminoOperator,
@@ -283,25 +443,12 @@ pub fn run(
     let mut lambda = VectorField::zeros(vol_shape);
     let mut rho = cfg.rho;
     let mut losses = Vec::new();
-    let freq = match variant {
-        Variant::Cancelled => Some(frequency_data(op, d)),
-        Variant::Original => None,
-    };
+    let lsp = Lsp::new(cfg, variant, op, d, exec);
     for iteration in 0..cfg.outer_iterations {
         exec.begin_iteration(iteration);
         let mut g_field = psi.clone();
         g_field.axpby(1.0, &lambda, -1.0 / rho);
-        let mut cg = CgState::default();
-        let mut data_loss = 0.0;
-        for _ in 0..cfg.n_inner {
-            let (grad, loss) = match &freq {
-                None => gradient_original(op, &u, d, &g_field, rho, exec),
-                Some(freq) => gradient_cancelled(op, &u, freq, &g_field, rho, exec),
-            };
-            data_loss = loss;
-            cg.update(&mut u, &grad, cfg.initial_step);
-        }
-        u.map_inplace(|v| *v = v.max(0.0));
+        let data_loss = lsp.solve::<TwoBufferBb>(&mut u, &g_field, rho);
         let grad_u = gradient(&u);
         let mut arg = grad_u.clone();
         arg.axpby(1.0, &lambda, 1.0 / rho);
@@ -309,14 +456,7 @@ pub fn run(
         let mut primal = grad_u.clone();
         primal.axpby(1.0, &psi, -1.0);
         lambda.axpby(1.0, &primal, rho);
-        let primal_res = primal.norm_sqr().sqrt();
-        let psi_norm = psi.norm_sqr().sqrt().max(1e-12);
-        if primal_res > 10.0 * psi_norm {
-            rho *= 2.0;
-        } else if psi_norm > 10.0 * primal_res {
-            rho *= 0.5;
-        }
-        rho = rho.clamp(1e-6, 1e6);
+        rho = next_rho(&primal, &psi, rho);
         losses.push((data_loss + cfg.alpha * tv_norm(&u), data_loss));
     }
     exec.finish();
