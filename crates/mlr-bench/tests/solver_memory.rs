@@ -11,10 +11,14 @@
 //! `u_prev` and `G_prev` read 14.5. An allocating loop that keeps `∇u`, the
 //! `ψ − λ/ρ` field or per-step clones of `u` alive reads about 26.
 //!
+//! What a built pipeline keeps between runs is bounded too: its dataset
+//! plus [`MAX_PARKED_VOLUMES`] — the operator's plans and the scratch its
+//! kernels parked, no chunk arena.
+//!
 //! The kernels run on the calling thread (`RAYON_NUM_THREADS=1`), so the
 //! per-thread counters see every byte the solve allocates.
 
-use mlr_bench::alloc::{peak_bytes, reset_peak, CountingAllocator};
+use mlr_bench::alloc::{live_bytes, peak_bytes, reset_peak, CountingAllocator};
 use mlr_core::{MlrConfig, MlrPipeline};
 
 #[global_allocator]
@@ -24,25 +28,56 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// reads 10.6).
 const MAX_SOLVER_VOLUMES: f64 = 11.0;
 
+/// What [`MlrPipeline::new`] may hold above its dataset, in `f64` volumes
+/// (it reads 1.5; with the operator's gather and staging arenas parked it
+/// read 3.2).
+const MAX_PARKED_VOLUMES: f64 = 2.0;
+
+/// The volume side of the pipeline both tests build.
+const N: usize = 24;
+
+/// Bytes of one `f64` volume of the reconstruction's shape.
+const VOLUME: f64 = (N * N * N * std::mem::size_of::<f64>()) as f64;
+
+/// The pipeline both tests build: 24³, 12 angles, chunk 8.
+fn config() -> MlrConfig {
+    let mut config = MlrConfig::quick(N, 12).with_iterations(3);
+    config.chunk_size = 8;
+    config.admm.initial_step = 0.02;
+    config
+}
+
 #[test]
 fn one_exact_solve_stays_under_its_volume_budget() {
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let n = 24;
-    let mut config = MlrConfig::quick(n, 12).with_iterations(3);
-    config.chunk_size = 8;
-    config.admm.initial_step = 0.02;
-    let pipeline = MlrPipeline::new(config);
+    let pipeline = MlrPipeline::new(config());
 
     let start = reset_peak();
     let exact = pipeline.run_exact();
     let held = peak_bytes() - start;
 
     assert_eq!(exact.history.len(), 3);
-    let volume = (n * n * n * std::mem::size_of::<f64>()) as f64;
-    let volumes = held as f64 / volume;
+    let volumes = held as f64 / VOLUME;
     eprintln!("peak live bytes above start: {held} ({volumes:.1} f64 volumes)");
     assert!(
         volumes <= MAX_SOLVER_VOLUMES,
         "one exact solve held {volumes:.1} f64 volumes above its start (budget {MAX_SOLVER_VOLUMES})"
+    );
+}
+
+#[test]
+fn a_built_pipeline_holds_its_dataset_and_little_else() {
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let start = live_bytes();
+    let pipeline = MlrPipeline::new(config());
+    let held = live_bytes() - start;
+
+    let ds = pipeline.dataset();
+    let dataset = ds.ground_truth.as_slice().len() + ds.projections.as_slice().len();
+    let above = (held as f64 - (dataset * std::mem::size_of::<f64>()) as f64) / VOLUME;
+    eprintln!("a built pipeline holds {held} bytes, {above:.1} f64 volumes above its dataset");
+    assert!(
+        above <= MAX_PARKED_VOLUMES,
+        "a built pipeline holds {above:.1} f64 volumes above its dataset (budget {MAX_PARKED_VOLUMES})"
     );
 }

@@ -23,8 +23,7 @@
 //!   per-detector-row plans, which share the same `nr1 × nr2`, so the
 //!   operator parks at most one fine grid per concurrently running plane
 //!   transform — O(threads), not O(detector rows). A plan built on its own
-//!   gets a private grid;
-//! * the operator owns the gather/staging arena of its `F_u2D` stages.
+//!   gets a private grid.
 //!
 //! Reuse is invisible numerically: leases are either zero-filled
 //! ([`ScratchPool::lease_zeroed`]) or handed out with unspecified contents
@@ -52,8 +51,8 @@ impl ScratchPool {
     }
 
     /// Leases a buffer of exactly `len` elements with **unspecified**
-    /// contents — for callers that overwrite every element (gather arenas,
-    /// gathered columns). Returns the buffer to the pool on drop.
+    /// contents — for callers that overwrite every element (gathered
+    /// columns, widened planes). Returns the buffer to the pool on drop.
     pub fn lease(&self, len: usize) -> ScratchLease<'_> {
         let mut buf = self.pop();
         buf.resize(len, Complex64::ZERO);

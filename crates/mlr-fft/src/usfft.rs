@@ -41,10 +41,11 @@
 //! [`FftPlan::process_columns_unscaled`] across row segments. Nothing here
 //! forks: the caller's plane loop is the one level of parallelism.
 //!
-//! The 1-D transform is a plane transform: [`Usfft1d::forward_plane`] /
-//! [`Usfft1d::adjoint_plane`] take every column of a row-major plane on an
-//! `nr × cols` fine grid, one batched column FFT, and a row axpy per window
-//! tap; `forward`/`adjoint` are the one-column case. The window depends only
+//! The 1-D transform is a plane transform: [`Usfft1d::forward_rows`] /
+//! [`Usfft1d::adjoint_rows`] take every column of a plane whose frequency
+//! rows the caller places, on an `nr × cols` fine grid, one batched column
+//! FFT, and a row axpy per window tap; `_plane` is a row-major plane and
+//! `forward`/`adjoint` the one-column case. The window depends only
 //! on the plan, so [`Usfft1d::with_params`] tabulates each frequency's first
 //! tap cell and `2m+1` weights: `(h/2+1)·(2m+1)` f64 for the operator's
 //! vertical plan (2.6 KB at h = 48, 107 KB at h = 2048). The same table for
@@ -235,14 +236,24 @@ impl Usfft1d {
     /// bit-identical, on one `nr × cols` fine grid (see the module doc).
     ///
     /// # Panics
-    /// Panics when `cols == 0` or a plane's length does not match.
+    /// As [`Self::forward_rows`].
     pub fn forward_plane(&self, u: &[Complex64], cols: usize, out: &mut [Complex64]) {
+        self.forward_rows(u, cols, out.chunks_mut(cols));
+    }
+
+    /// [`Self::forward_plane`] into rows the caller places: row `k`
+    /// (frequency `k`, `cols` values) is the `k`-th slice of `out`.
+    ///
+    /// # Panics
+    /// Panics when `cols == 0` or a row count or length does not match.
+    pub fn forward_rows<'a>(
+        &self,
+        u: &[Complex64],
+        cols: usize,
+        out: impl ExactSizeIterator<Item = &'a mut [Complex64]>,
+    ) {
         assert_eq!(u.len(), self.n * cols, "USFFT input length mismatch");
-        assert_eq!(
-            out.len(),
-            self.freqs.len() * cols,
-            "USFFT output length mismatch"
-        );
+        assert_eq!(out.len(), self.freqs.len(), "USFFT output length mismatch");
         // 1. Pre-compensate and place row p on fine row (p mod nr). The grid
         //    is pooled scratch — no allocation in steady state.
         let mut fine = self.fine_pool.lease_zeroed(self.nr * cols);
@@ -257,7 +268,8 @@ impl Usfft1d {
             .process_columns_unscaled(&mut fine, cols, 0..cols, Direction::Forward);
         // 3. Interpolate to each non-uniform frequency, taps in order.
         let mask = self.nr - 1;
-        for ((start, weights), acc) in self.windows().zip(out.chunks_exact_mut(cols)) {
+        for ((start, weights), acc) in self.windows().zip(out) {
+            assert_eq!(acc.len(), cols, "USFFT output length mismatch");
             acc.fill(Complex64::ZERO);
             for (t, &weight) in weights.iter().enumerate() {
                 let fine_row = &fine[((start + t) & mask) * cols..][..cols];
@@ -285,11 +297,25 @@ impl Usfft1d {
     /// [`Self::forward_plane`].
     ///
     /// # Panics
-    /// Panics when `cols == 0` or a plane's length does not match.
+    /// As [`Self::adjoint_rows`].
     pub fn adjoint_plane(&self, y: &[Complex64], cols: usize, out: &mut [Complex64]) {
+        self.adjoint_rows(y.chunks(cols), cols, out);
+    }
+
+    /// [`Self::adjoint_plane`] from rows the caller places: row `k`
+    /// (frequency `k`, `cols` values) is the `k`-th slice of `y`.
+    ///
+    /// # Panics
+    /// Panics when `cols == 0` or a row count or length does not match.
+    pub fn adjoint_rows<'a>(
+        &self,
+        y: impl ExactSizeIterator<Item = &'a [Complex64]>,
+        cols: usize,
+        out: &mut [Complex64],
+    ) {
         assert_eq!(
             y.len(),
-            self.freqs.len() * cols,
+            self.freqs.len(),
             "USFFT adjoint input length mismatch"
         );
         assert_eq!(
@@ -302,7 +328,8 @@ impl Usfft1d {
         let mut lease = self.fine_pool.lease_zeroed((self.nr + 1) * cols);
         let (fine, scaled) = lease.split_at_mut(self.nr * cols);
         let mask = self.nr - 1;
-        for ((start, weights), row) in self.windows().zip(y.chunks_exact(cols)) {
+        for ((start, weights), row) in self.windows().zip(y) {
+            assert_eq!(row.len(), cols, "USFFT adjoint input length mismatch");
             for (s, v) in scaled.iter_mut().zip(row) {
                 *s = v.scale(self.scale);
             }
@@ -914,8 +941,8 @@ mod tests {
             let err = rel_max_diff(&adjoint, &reference.adjoint(&y));
             assert!(err < FACTORED_WINDOW_TOL, "adjoint n {n} m {m_sp}: {err:e}");
             let (forward, adjoint) = (bits(&forward), bits(&adjoint));
-            // A plane of `cols` columns, as the operator passes one, against
-            // `cols` one-column calls; the plane forms start from a poisoned
+            // A plane of `cols` columns against `cols` one-column calls and
+            // the row-placed forms; the plane forms start from a poisoned
             // target and must overwrite every element. Twice: the second
             // pass runs on recycled (stale) pool buffers.
             let cols = n;
@@ -931,6 +958,17 @@ mod tests {
                 t.forward_plane(&u_plane, cols, &mut out);
                 let mut back = vec![poison; n * cols];
                 t.adjoint_plane(&y_plane, cols, &mut back);
+                // The row-placed forms on rows two apart, the others poison.
+                let mut spread = vec![poison; 2 * m * cols];
+                t.forward_rows(&u_plane, cols, spread.chunks_mut(cols).step_by(2));
+                let rows: Vec<_> = spread.chunks(cols).step_by(2).flatten().copied().collect();
+                assert_eq!(bits(&rows), bits(&out), "forward_rows {n}");
+                for (row, y_row) in spread.chunks_mut(cols).step_by(2).zip(y_plane.chunks(cols)) {
+                    row.copy_from_slice(y_row);
+                }
+                let mut rows_back = vec![poison; n * cols];
+                t.adjoint_rows(spread.chunks(cols).step_by(2), cols, &mut rows_back);
+                assert_eq!(bits(&rows_back), bits(&back), "adjoint_rows {n}");
                 for c in 0..cols {
                     let single = t.forward(&column(&u_plane, c));
                     assert_eq!(bits(&column(&out, c)), bits(&single), "forward_plane {n}");

@@ -87,10 +87,17 @@ impl LaminoGeometry {
     }
 
     /// Shape of the intermediate array `ũ1 = F_u1D u` the operator holds:
-    /// `(n1, h/2 + 1, n2)`, the paper's `(n1, h, n2)` cut to the
-    /// [`Self::half_rows`] it evaluates.
+    /// `(h/2 + 1, n1, n2)`, the paper's `(n1, h, n2)` cut to the
+    /// [`Self::half_rows`] it evaluates and laid out row by row, so that an
+    /// `F_u2D` chunk of rows is one contiguous window.
     pub fn u1_shape(&self) -> Shape3 {
-        Shape3::new(self.n1, self.half_rows(), self.n2)
+        Shape3::new(self.half_rows(), self.n1, self.n2)
+    }
+
+    /// Shape of the half spectrum `F_u2D` evaluates before its fill:
+    /// `(h/2 + 1, nθ, half_cols)`, one row plan's points per evaluated row.
+    pub fn half_spectrum_shape(&self) -> Shape3 {
+        Shape3::new(self.half_rows(), self.n_angles(), self.half_cols())
     }
 
     /// Detector rows the operator evaluates: rows `0..=h/2`, whose row
@@ -212,7 +219,8 @@ mod tests {
         let g = LaminoGeometry::cube(16, 12, 30.0);
         assert_eq!(g.volume_shape(), Shape3::new(16, 16, 16));
         assert_eq!(g.data_shape(), Shape3::new(12, 16, 16));
-        assert_eq!(g.u1_shape(), Shape3::new(16, 9, 16));
+        assert_eq!(g.u1_shape(), Shape3::new(9, 16, 16));
+        assert_eq!(g.half_spectrum_shape(), Shape3::new(9, 12, 17));
         assert_eq!(g.n_angles(), 12);
         assert!(approx_eq(g.tilt, 30.0f64.to_radians(), 1e-12));
     }

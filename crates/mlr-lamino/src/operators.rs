@@ -13,20 +13,25 @@
 //!
 //! The volume and the projections are real, so the two USFFT stages run on
 //! half the spectrum: `F_u1D` and `F_u2D` evaluate detector rows `0..=h/2`
-//! only ([`LaminoGeometry::half_rows`]), and `F_u2D`'s scatter *fills* the
-//! rows above `h/2` with the conjugate mirror of the rows below
-//! ([`LaminoGeometry::mirrored_row`]). `d̂` itself is not Hermitian on the
-//! periodic detector grid (row 0 and column 0 at `−½` have no mirror on it),
-//! so the fill rebuilds the whole `(nθ, h, w)` spectrum and `F*_2D` stays a
-//! complex inverse FFT followed by the real part. The adjoint's gather
-//! *folds* the mirrored rows back onto the evaluated ones — the exact
-//! transpose of the fill.
+//! only ([`LaminoGeometry::half_rows`]), into the half spectrum
+//! `ŝ` ([`LaminoGeometry::half_spectrum_shape`]), and `F_u2D`'s scatter
+//! ([`LaminoOperator::fill`]) *fills* the rows above `h/2` with the conjugate
+//! mirror of the rows below ([`LaminoGeometry::mirrored_row`]). `d̂` itself
+//! is not Hermitian on the periodic detector grid (row 0 and column 0 at
+//! `−½` have no mirror on it), so the fill rebuilds the whole `(nθ, h, w)`
+//! spectrum and `F*_2D` stays a complex inverse FFT followed by the real
+//! part. The adjoint's [`LaminoOperator::fold`] *folds* the mirrored rows
+//! back onto the evaluated ones — the exact transpose of the fill.
+//!
+//! `ũ1` and `ŝ` are both laid out row-major by evaluated row, the axis the
+//! chunk grid splits, so the memoizable stages hand each chunk a window of
+//! the caller's arrays and copy nothing: `F_u1D` writes, and `F*_u1D`
+//! reads, each plane's rows in place, `n1 · n2` apart.
 
-use crate::chunk::{ChunkGrid, ChunkLocation};
+use crate::chunk::ChunkGrid;
 use crate::geometry::LaminoGeometry;
 use mlr_fft::fft::Direction;
 use mlr_fft::fft2d::Fft2Batch;
-use mlr_fft::scratch::ScratchPool;
 use mlr_fft::usfft::{Usfft1d, Usfft2d, Usfft2dGrid};
 use mlr_math::{Array3, Complex64};
 use rayon::prelude::*;
@@ -82,9 +87,9 @@ impl FftOpKind {
     }
 }
 
-/// One chunk of a batched executor dispatch: the chunk location, its
-/// gathered (flattened, row-major) input, and the exact-compute closure the
-/// executor must call on a memoization miss. The closure is `Sync` so
+/// One chunk of a batched executor dispatch: the chunk location, its input
+/// (a row-major window of the stage's input array), and the exact-compute
+/// closure the executor must call on a memoization miss. The closure is `Sync` so
 /// batch-aware executors may evaluate different chunks on different threads.
 pub struct ChunkRequest<'a> {
     /// Chunk index along the stage's grid (the memoization key scope).
@@ -126,9 +131,10 @@ pub trait FftExecutor: Send + Sync {
     /// output slice (`outputs[i]` receives chunk `i`; lengths must match the
     /// chunk results exactly).
     ///
-    /// This is the zero-copy seam: the operator hands out windows of its own
-    /// grid buffers, so a memoization hit costs one memcpy from the shared
-    /// stored payload into the grid — no intermediate `Vec` per chunk. The
+    /// This is the zero-copy seam: the operator hands out windows of the
+    /// caller's arrays (the half spectrum or `ũ1`), so a memoization hit
+    /// costs one memcpy from the shared stored payload into the array — no
+    /// intermediate `Vec` per chunk. The
     /// default implementation runs the chunks sequentially through
     /// [`FftExecutor::execute`]; the memoized engine overrides it with the
     /// two-phase deterministic schedule (probe/compute every chunk, then an
@@ -187,57 +193,6 @@ pub fn kernel_threads_spawned() -> u64 {
     rayon::spawned_threads()
 }
 
-/// Splits `data` into consecutive mutable windows of the given sizes — the
-/// per-chunk output slices a batch dispatch writes into. The windows
-/// partition a single grid (or staging) buffer, so chunk results land in
-/// place with no per-chunk `Vec`.
-fn split_windows(
-    mut data: &mut [Complex64],
-    sizes: impl Iterator<Item = usize>,
-) -> Vec<&mut [Complex64]> {
-    let mut out = Vec::new();
-    for size in sizes {
-        let (head, tail) = data.split_at_mut(size);
-        out.push(head);
-        data = tail;
-    }
-    out
-}
-
-/// Consecutive immutable windows of the given sizes — the read-side
-/// counterpart of [`split_windows`], handing each chunk its slice of one
-/// operand or gather arena.
-fn windows<'a>(
-    data: &'a [Complex64],
-    sizes: impl Iterator<Item = usize> + 'a,
-) -> impl Iterator<Item = &'a [Complex64]> + 'a {
-    sizes.scan(0, move |offset, size| {
-        let window = &data[*offset..*offset + size];
-        *offset += size;
-        Some(window)
-    })
-}
-
-/// Assembles the per-chunk [`ChunkRequest`]s of one stage application from
-/// parallel slices of locations, input windows and compute closures.
-fn make_batch<'a, C>(
-    locs: &[ChunkLocation],
-    inputs: impl Iterator<Item = &'a [Complex64]>,
-    computes: &'a [C],
-) -> Vec<ChunkRequest<'a>>
-where
-    C: Fn(&[Complex64]) -> Vec<Complex64> + Sync,
-{
-    locs.iter()
-        .zip(inputs.zip(computes))
-        .map(|(loc, (input, compute))| ChunkRequest {
-            loc: loc.index,
-            input,
-            compute: compute as &(dyn Fn(&[Complex64]) -> Vec<Complex64> + Sync),
-        })
-        .collect()
-}
-
 /// The laminography operator for a fixed geometry.
 ///
 /// Construction precomputes the USFFT plans (a vertical transform at the
@@ -249,19 +204,15 @@ where
 /// between applications scales with the kernel thread count, not with the
 /// detector height ([`Self::scratch_idle_buffers`]). The 1-D stages lease
 /// their complex volume plane from that pool too: its fine grids sit idle
-/// while an `F_u1D` / `F*_u1D` application runs.
+/// while an `F_u1D` / `F*_u1D` application runs. That is all an operator
+/// parks: the stages read and write the caller's `ũ1` and half spectrum
+/// in place.
 pub struct LaminoOperator {
     geometry: LaminoGeometry,
     usfft_vertical: Usfft1d,
     usfft_rows: Vec<Usfft2d>,
     fft2_detector: Fft2Batch,
     chunk_size: usize,
-    /// Pooled gather/scatter staging buffers, reused across the batch
-    /// dispatches of an operator application (and across applications): the
-    /// `F_u2D`/`F*_u2D` stages gather their chunk inputs into one leased
-    /// arena and stage their outputs in another instead of allocating per
-    /// chunk.
-    arena: ScratchPool,
     /// The one grid every row plan of `usfft_rows` is built on: all rows
     /// share `nr1 × nr2`, σ and the half-width, so the operator builds the
     /// fine-grid FFT plans and window tables once and parks one fine grid
@@ -292,27 +243,16 @@ impl LaminoOperator {
             usfft_rows,
             fft2_detector,
             chunk_size,
-            arena: ScratchPool::new(),
             plane_grid,
         }
     }
 
-    /// Every scratch pool an operator application leases from: the
-    /// gather/staging arena, the row plans' shared fine-grid pool, and the
-    /// vertical plan's fine-grid pool.
-    fn scratch_pools(&self) -> [&ScratchPool; 3] {
-        [
-            &self.arena,
-            self.plane_grid.scratch(),
-            self.usfft_vertical.scratch(),
-        ]
-    }
-
-    /// Buffers parked in the operator's scratch pools (diagnostics). Bounded
+    /// Buffers parked in the operator's two scratch pools, the row plans'
+    /// shared fine-grid pool and the vertical plan's (diagnostics). Bounded
     /// by the leases that were ever out at once — a few per kernel thread —
     /// whatever the number of detector rows.
     pub fn scratch_idle_buffers(&self) -> usize {
-        self.scratch_pools().iter().map(|p| p.idle()).sum()
+        self.plane_grid.scratch().idle() + self.usfft_vertical.scratch().idle()
     }
 
     /// The geometry this operator was built for.
@@ -333,10 +273,11 @@ impl LaminoOperator {
 
     // ----------------------------------------------------------------- Fu1D
 
-    /// Applies `F_u1D` to the whole volume: `u[n1, n0, n2] → ũ1[n1, h/2+1, n2]`,
-    /// the vertical spectrum at the evaluated rows' frequencies only. For a
-    /// real `u` the rows above `h/2` would be conjugates of these, and
-    /// [`Self::fu2d`] rebuilds them in `d̂` instead.
+    /// Applies `F_u1D` to the whole volume: `u[n1, n0, n2] → ũ1[h/2+1, n1, n2]`,
+    /// the vertical spectrum at the evaluated rows' frequencies only, laid
+    /// out as `F_u2D` reads it ([`LaminoGeometry::u1_shape`]). For a real `u`
+    /// the rows above `h/2` would be conjugates of these, and [`Self::fill`]
+    /// rebuilds them in `d̂` instead.
     pub fn fu1d(&self, u: &Array3<f64>) -> Array3<Complex64> {
         let mut out = Array3::zeros(self.geometry.u1_shape());
         self.fu1d_into(u, &mut out);
@@ -345,27 +286,36 @@ impl LaminoOperator {
 
     /// [`Self::fu1d`] into a caller-owned `ũ1`; every element is overwritten.
     /// One plane loop over `n1`: each real plane is widened into a complex
-    /// plane leased from the fine-grid pool and transformed.
+    /// plane leased from the fine-grid pool and transformed, its row `r`
+    /// written in place as line `(r, i1)` of `ũ1`. The loop runs over one
+    /// list of `ũ1`'s `n2`-lines, ordered plane by plane.
     pub fn fu1d_into(&self, u: &Array3<f64>, out: &mut Array3<Complex64>) {
         let g = &self.geometry;
         assert_eq!(u.shape(), g.volume_shape(), "Fu1D input shape mismatch");
         assert_eq!(out.shape(), g.u1_shape(), "Fu1D output shape mismatch");
-        let (n0, n2, rows) = (g.n0, g.n2, g.half_rows());
+        let (n1, n0, n2, rows) = (g.n1, g.n0, g.n2, g.half_rows());
+        let mut lines: Vec<&mut [Complex64]> = (0..rows * n1).map(|_| Default::default()).collect();
+        // Line `k` of `ũ1` is row `k / n1` of plane `k % n1`.
+        for (k, line) in out.as_mut_slice().chunks_exact_mut(n2).enumerate() {
+            lines[(k % n1) * rows + k / n1] = line;
+        }
         let u = u.as_slice();
-        out.as_mut_slice()
-            .par_chunks_mut(rows * n2)
+        lines
+            .par_chunks_mut(rows)
             .enumerate()
-            .for_each(|(i1, out_plane)| {
+            .for_each(|(i1, out_rows)| {
                 let mut plane = self.plane_grid.scratch().lease(n0 * n2);
                 for (z, &x) in plane.iter_mut().zip(&u[i1 * n0 * n2..][..n0 * n2]) {
                     *z = Complex64::from_real(x);
                 }
-                self.usfft_vertical.forward_plane(&plane, n2, out_plane);
+                let out_rows = out_rows.iter_mut().map(|line| &mut **line);
+                self.usfft_vertical.forward_rows(&plane, n2, out_rows);
             });
     }
 
     /// Exact computation of `F_u1D` on one chunk (a slab of `len` planes of
-    /// the volume along `n1`). Exposed so benches can time the raw kernel.
+    /// the volume along `n1`), each plane's rows contiguous. Exposed so
+    /// benches can time the raw kernel.
     pub fn fu1d_chunk_compute(&self, input: &[Complex64], len: usize) -> Vec<Complex64> {
         let n0 = self.geometry.n0;
         let n2 = self.geometry.n2;
@@ -382,7 +332,7 @@ impl LaminoOperator {
     }
 
     /// Applies `F*_u1D` and keeps the real part:
-    /// `ũ1[n1, h/2+1, n2] → Re u[n1, n0, n2]`.
+    /// `ũ1[h/2+1, n1, n2] → Re u[n1, n0, n2]`.
     pub fn fu1d_adjoint(&self, u1: &Array3<Complex64>) -> Array3<f64> {
         let mut out = Array3::zeros(self.geometry.volume_shape());
         self.fu1d_adjoint_into(u1, &mut out);
@@ -390,22 +340,22 @@ impl LaminoOperator {
     }
 
     /// [`Self::fu1d_adjoint`] into a caller-owned volume; every element is
-    /// overwritten. One plane loop over `n1`: each plane is transformed into
-    /// a complex plane leased from the fine-grid pool, whose real part is
-    /// kept.
+    /// overwritten. One plane loop over `n1`: plane `i1`'s rows are read in
+    /// place, `n1 · n2` apart in `ũ1`, and transformed into a complex plane
+    /// leased from the fine-grid pool, whose real part is kept.
     pub fn fu1d_adjoint_into(&self, u1: &Array3<Complex64>, out: &mut Array3<f64>) {
         let g = &self.geometry;
         assert_eq!(u1.shape(), g.u1_shape(), "F*u1D input shape mismatch");
         assert_eq!(out.shape(), g.volume_shape(), "F*u1D output shape mismatch");
-        let (n0, n2, rows) = (g.n0, g.n2, g.half_rows());
+        let (n1, n0, n2) = (g.n1, g.n0, g.n2);
         let u1 = u1.as_slice();
         out.as_mut_slice()
             .par_chunks_mut(n0 * n2)
             .enumerate()
             .for_each(|(i1, out_plane)| {
                 let mut plane = self.plane_grid.scratch().lease(n0 * n2);
-                let in_plane = &u1[i1 * rows * n2..][..rows * n2];
-                self.usfft_vertical.adjoint_plane(in_plane, n2, &mut plane);
+                let in_rows = u1[i1 * n2..].chunks(n1 * n2).map(|line| &line[..n2]);
+                self.usfft_vertical.adjoint_rows(in_rows, n2, &mut plane);
                 for (x, z) in out_plane.iter_mut().zip(plane.iter()) {
                     *x = z.re;
                 }
@@ -414,71 +364,49 @@ impl LaminoOperator {
 
     // ----------------------------------------------------------------- Fu2D
 
-    /// Applies `F_u2D`: `ũ1[n1, h/2+1, n2] → d̂[nθ, h, w]` (the sampled
-    /// spectrum of every projection).
-    ///
-    /// The row plans evaluate rows `0..=h/2`, each at its
-    /// [`LaminoGeometry::half_cols`] points per angle, and the scatter into
-    /// `d̂` *fills* the rest: row `m = mirrored_row(i)` gets
-    /// `d̂[t, m, c] = conj(row_i[t, mirror_col(c)])`, column 0 from row `i`'s
-    /// `k_u = +½` point. That is `F_u2D` of the full `ũ1` whenever `ũ1` is
-    /// `F_u1D` of a real volume, the only input the operator's compositions
-    /// feed it; the map is real-linear, and [`Self::fu2d_adjoint`] is its
-    /// transpose under `Re⟨·,·⟩`.
+    /// Applies `F_u2D`: `ũ1[h/2+1, n1, n2] → d̂[nθ, h, w]` (the sampled
+    /// spectrum of every projection), as [`Self::fu2d_half_into`] into a
+    /// transient half spectrum and [`Self::fill`]. That is `F_u2D` of the
+    /// full `ũ1` whenever `ũ1` is `F_u1D` of a real volume, the only input
+    /// the operator's compositions feed it; the map is real-linear, and
+    /// [`Self::fu2d_adjoint`] is its transpose under `Re⟨·,·⟩`.
     pub fn fu2d(&self, u1: &Array3<Complex64>, exec: &dyn FftExecutor) -> Array3<Complex64> {
+        let mut half = Array3::zeros(self.geometry.half_spectrum_shape());
+        self.fu2d_half_into(u1, exec, &mut half);
         let mut out = Array3::zeros(self.geometry.data_shape());
-        self.fu2d_into(u1, exec, &mut out);
+        self.fill(&half, &mut out);
         out
     }
 
-    /// [`Self::fu2d`] into a caller-owned `d̂`: the evaluated rows and their
-    /// fill overwrite every element.
-    pub fn fu2d_into(
+    /// The memoizable stage of `F_u2D`, chunk by chunk through `exec`:
+    /// `ũ1[h/2+1, n1, n2] → ŝ[h/2+1, nθ, half_cols]`, overwriting `half`.
+    pub fn fu2d_half_into(
         &self,
         u1: &Array3<Complex64>,
         exec: &dyn FftExecutor,
-        out: &mut Array3<Complex64>,
+        half: &mut Array3<Complex64>,
     ) {
-        let g = &self.geometry;
+        let (g, shape) = (&self.geometry, half.shape());
         assert_eq!(u1.shape(), g.u1_shape(), "Fu2D input shape mismatch");
-        assert_eq!(out.shape(), g.data_shape(), "Fu2D output shape mismatch");
-        let (n1, n2, n_theta) = (g.n1, g.n2, g.n_angles());
-        let (h, w) = (g.detector.rows, g.detector.cols);
-        let (rows, cols) = (g.half_rows(), g.half_cols());
-        let locs: Vec<ChunkLocation> = self.fu2d_grid().iter().collect();
-        // The chunks cover rows 0..=h/2 in order, so one leased gather arena
-        // holds every chunk's input back to back (`[row][n1][n2]`), and one
-        // leased staging arena receives the outputs (`[row][nθ][cols]`).
-        let mut gather = self.arena.lease(rows * n1 * n2);
-        let u1 = u1.as_slice();
-        for (r, plane) in gather.chunks_exact_mut(n1 * n2).enumerate() {
-            for (i1, line) in plane.chunks_exact_mut(n2).enumerate() {
-                line.copy_from_slice(&u1[(i1 * rows + r) * n2..][..n2]);
-            }
-        }
-        let computes: Vec<_> = locs
-            .iter()
-            .map(|loc| {
-                let (start, len) = (loc.start, loc.len);
-                move |input: &[Complex64]| self.fu2d_chunk_compute(input, start, len)
-            })
-            .collect();
-        let batch = make_batch(
-            &locs,
-            windows(&gather[..], locs.iter().map(|l| l.len * n1 * n2)),
-            &computes,
-        );
-        let mut staging = self.arena.lease(rows * n_theta * cols);
-        {
-            let mut outputs =
-                split_windows(&mut staging, locs.iter().map(|l| l.len * n_theta * cols));
-            exec.execute_batch_into(FftOpKind::Fu2D, &batch, &mut outputs);
-        }
-        let d = out.as_mut_slice();
+        assert_eq!(shape, g.half_spectrum_shape(), "Fu2D output shape mismatch");
+        let (input, output) = (u1.as_slice(), half.as_mut_slice());
+        self.dispatch(FftOpKind::Fu2D, input, output, exec);
+    }
+
+    /// `F_u2D`'s scatter, overwriting `out`: row `i` of `half` goes to row
+    /// `i` of every projection and *fills* row `m = mirrored_row(i)` with
+    /// `d̂[t, m, c] = conj(ŝ[i, t, mirror_col(c)])` — column 0 from row
+    /// `i`'s `k_u = +½` point.
+    pub fn fill(&self, half: &Array3<Complex64>, out: &mut Array3<Complex64>) {
+        let (g, shape) = (&self.geometry, half.shape());
+        assert_eq!(shape, g.half_spectrum_shape(), "fill input shape mismatch");
+        assert_eq!(out.shape(), g.data_shape(), "fill output shape mismatch");
+        let (h, w, cols) = (g.detector.rows, g.detector.cols, g.half_cols());
+        let (spectrum, d) = (half.as_slice(), out.as_mut_slice());
         // Read backwards, points `mirror_col(w-1)..=mirror_col(0)` are the
         // mirrors of columns `0..w`.
         let mirrored = g.mirror_col(w - 1)..=g.mirror_col(0);
-        for (i, row) in staging.chunks_exact(n_theta * cols).enumerate() {
+        for (i, row) in spectrum.chunks_exact(g.n_angles() * cols).enumerate() {
             for (t, points) in row.chunks_exact(cols).enumerate() {
                 d[(t * h + i) * w..][..w].copy_from_slice(&points[..w]);
                 if let Some(m) = g.mirrored_row(i) {
@@ -516,44 +444,35 @@ impl LaminoOperator {
         out
     }
 
-    /// Applies `F*_u2D`: `d̂[nθ, h, w] → ũ1[n1, h/2+1, n2]`, the transpose of
-    /// [`Self::fu2d`] under `Re⟨·,·⟩`.
-    ///
-    /// The gather *folds* `d̂` onto the evaluated rows: row `i`'s points are
-    /// `d̂[t, i, c]` plus, for `m = mirrored_row(i)`,
-    /// `conj(d̂[t, m, c])` added at point `mirror_col(c)` — column 0 of row
-    /// `m` lands on row `i`'s `k_u = +½` point. Weighting paired rows by 2
-    /// instead would be wrong on column 0 and on the unpaired row 0.
+    /// Applies `F*_u2D`: `d̂[nθ, h, w] → ũ1[h/2+1, n1, n2]`, the transpose of
+    /// [`Self::fu2d`] under `Re⟨·,·⟩`, as [`Self::fold`] into a transient
+    /// half spectrum and [`Self::fu2d_half_adjoint_into`].
     pub fn fu2d_adjoint(
         &self,
         dhat: &Array3<Complex64>,
         exec: &dyn FftExecutor,
     ) -> Array3<Complex64> {
+        let mut half = Array3::zeros(self.geometry.half_spectrum_shape());
+        self.fold(dhat, &mut half);
         let mut out = Array3::zeros(self.geometry.u1_shape());
-        self.fu2d_adjoint_into(dhat, exec, &mut out);
+        self.fu2d_half_adjoint_into(&half, exec, &mut out);
         out
     }
 
-    /// [`Self::fu2d_adjoint`] into a caller-owned `ũ1`; every element is
-    /// overwritten.
-    pub fn fu2d_adjoint_into(
-        &self,
-        dhat: &Array3<Complex64>,
-        exec: &dyn FftExecutor,
-        out: &mut Array3<Complex64>,
-    ) {
-        let g = &self.geometry;
-        assert_eq!(dhat.shape(), g.data_shape(), "F*u2D input shape mismatch");
-        assert_eq!(out.shape(), g.u1_shape(), "F*u2D output shape mismatch");
-        let (n1, n2, n_theta) = (g.n1, g.n2, g.n_angles());
-        let (h, w) = (g.detector.rows, g.detector.cols);
-        let (rows, cols) = (g.half_rows(), g.half_cols());
-        let locs: Vec<ChunkLocation> = self.fu2d_grid().iter().collect();
-        // Leased gather arena: per evaluated row, its nθ × cols folded points.
-        let mut gather = self.arena.lease(rows * n_theta * cols);
-        let d = dhat.as_slice();
+    /// The transpose of [`Self::fill`], overwriting `half`: it *folds* `d̂`
+    /// onto the evaluated rows, `ŝ[i, t, c] = d̂[t, i, c]` plus, for
+    /// `m = mirrored_row(i)`, `conj(d̂[t, m, c])` added at point
+    /// `mirror_col(c)` — column 0 of row `m` lands on row `i`'s `k_u = +½`
+    /// point. Weighting paired rows by 2 instead would be wrong on column 0
+    /// and on the unpaired row 0.
+    pub fn fold(&self, dhat: &Array3<Complex64>, half: &mut Array3<Complex64>) {
+        let (g, shape) = (&self.geometry, half.shape());
+        assert_eq!(dhat.shape(), g.data_shape(), "fold input shape mismatch");
+        assert_eq!(shape, g.half_spectrum_shape(), "fold output shape mismatch");
+        let (h, w, cols) = (g.detector.rows, g.detector.cols, g.half_cols());
+        let (d, spectrum) = (dhat.as_slice(), half.as_mut_slice());
         let mirrored = g.mirror_col(w - 1)..=g.mirror_col(0);
-        for (i, row) in gather.chunks_exact_mut(n_theta * cols).enumerate() {
+        for (i, row) in spectrum.chunks_exact_mut(g.n_angles() * cols).enumerate() {
             for (t, points) in row.chunks_exact_mut(cols).enumerate() {
                 points[..w].copy_from_slice(&d[(t * h + i) * w..][..w]);
                 points[w..].fill(Complex64::ZERO);
@@ -565,30 +484,21 @@ impl LaminoOperator {
                 }
             }
         }
-        let computes: Vec<_> = locs
-            .iter()
-            .map(|loc| {
-                let (start, len) = (loc.start, loc.len);
-                move |input: &[Complex64]| self.fu2d_adjoint_chunk_compute(input, start, len)
-            })
-            .collect();
-        let batch = make_batch(
-            &locs,
-            windows(&gather[..], locs.iter().map(|l| l.len * n_theta * cols)),
-            &computes,
-        );
-        let mut staging = self.arena.lease(rows * n1 * n2);
-        {
-            let mut outputs = split_windows(&mut staging, locs.iter().map(|l| l.len * n1 * n2));
-            exec.execute_batch_into(FftOpKind::Fu2DAdj, &batch, &mut outputs);
-        }
-        // Staging is `[row][n1][n2]`; `ũ1` is `[n1][row][n2]`.
-        let u1 = out.as_mut_slice();
-        for (r, plane) in staging.chunks_exact(n1 * n2).enumerate() {
-            for (i1, line) in plane.chunks_exact(n2).enumerate() {
-                u1[(i1 * rows + r) * n2..][..n2].copy_from_slice(line);
-            }
-        }
+    }
+
+    /// The memoizable stage of `F*_u2D`, chunk by chunk through `exec`:
+    /// `ŝ[h/2+1, nθ, half_cols] → ũ1[h/2+1, n1, n2]`, overwriting `out`.
+    pub fn fu2d_half_adjoint_into(
+        &self,
+        half: &Array3<Complex64>,
+        exec: &dyn FftExecutor,
+        out: &mut Array3<Complex64>,
+    ) {
+        let (g, shape) = (&self.geometry, half.shape());
+        assert_eq!(shape, g.half_spectrum_shape(), "F*u2D input shape mismatch");
+        assert_eq!(out.shape(), g.u1_shape(), "F*u2D output shape mismatch");
+        let (input, output) = (half.as_slice(), out.as_mut_slice());
+        self.dispatch(FftOpKind::Fu2DAdj, input, output, exec);
     }
 
     /// Exact computation of `F*_u2D` on one chunk of evaluated detector rows.
@@ -611,6 +521,44 @@ impl LaminoOperator {
                 self.usfft_rows[row].adjoint_into(samples, out_plane);
             });
         out
+    }
+
+    /// One batch dispatch of `F_u2D` or `F*_u2D`: every chunk of
+    /// [`Self::fu2d_grid`] reads its rows' window of `input` and writes the
+    /// same rows' window of `output` — both arrays row-major by evaluated
+    /// row, so nothing is copied on the way — and is computed on a miss by
+    /// the stage's chunk compute.
+    fn dispatch(
+        &self,
+        kind: FftOpKind,
+        input: &[Complex64],
+        output: &mut [Complex64],
+        exec: &dyn FftExecutor,
+    ) {
+        let grid = self.fu2d_grid();
+        let window = |len: usize| len / self.geometry.half_rows() * grid.chunk_size();
+        let computes: Vec<_> = grid
+            .iter()
+            .map(|loc| {
+                move |chunk: &[Complex64]| match kind {
+                    FftOpKind::Fu2D => self.fu2d_chunk_compute(chunk, loc.start, loc.len),
+                    FftOpKind::Fu2DAdj => {
+                        self.fu2d_adjoint_chunk_compute(chunk, loc.start, loc.len)
+                    }
+                    kind => unreachable!("{kind:?} is not dispatched"),
+                }
+            })
+            .collect();
+        let batch: Vec<_> = (grid.iter().zip(&computes))
+            .zip(input.chunks(window(input.len())))
+            .map(|((loc, compute), input)| ChunkRequest {
+                loc: loc.index,
+                input,
+                compute,
+            })
+            .collect();
+        let mut outputs: Vec<_> = output.chunks_mut(window(output.len())).collect();
+        exec.execute_batch_into(kind, &batch, &mut outputs);
     }
 
     // ------------------------------------------------------------------ F2D

@@ -1,10 +1,11 @@
-//! The `_into` forms of the USFFT stages write every element of the buffer
-//! they are handed: a solver reuses one buffer per intermediate across every
-//! step, so a position a stage skipped would carry the previous step's value
-//! where the allocating form has a zero. Each form, run on a buffer filled
-//! with NaN, must match its allocating form bit for bit — at even and odd
-//! detector sides, where the rows `F_u2D` evaluates and the rows it fills by
-//! mirroring split differently.
+//! The in-place forms of the USFFT stages (`_into`, and the half spectrum's
+//! `fill` and `fold`) write every element of the buffer they are handed: a
+//! solver reuses one buffer per intermediate across every step, so a
+//! position a stage skipped would carry the previous step's value where the
+//! allocating form has a zero. Each form, run on a buffer filled with NaN,
+//! must match its allocating form (or itself on a zeroed buffer) bit for
+//! bit — at even and odd detector sides, where the rows `F_u2D` evaluates
+//! and the rows it fills by mirroring split differently.
 
 use mlr_lamino::{DetectorSpec, DirectExecutor, LaminoGeometry, LaminoOperator};
 use mlr_math::rng::seeded;
@@ -50,15 +51,28 @@ fn into_forms_overwrite_every_element() {
         op.fu1d_into(&u, &mut out);
         assert_eq!(bits(&out), bits(&u1), "{h}x{w}: fu1d_into");
 
+        // The half spectrum has no allocating form: a zeroed buffer is the
+        // yardstick for a poisoned one.
+        let half_shape = g.half_spectrum_shape();
+        let mut half = Array3::zeros(half_shape);
+        op.fu2d_half_into(&u1, &exec, &mut half);
+        let mut out = poisoned(half_shape);
+        op.fu2d_half_into(&u1, &exec, &mut out);
+        assert_eq!(bits(&out), bits(&half), "{h}x{w}: fu2d_half_into");
         let dhat = op.fu2d(&u1, &exec);
         let mut out = poisoned(g.data_shape());
-        op.fu2d_into(&u1, &exec, &mut out);
-        assert_eq!(bits(&out), bits(&dhat), "{h}x{w}: fu2d_into");
+        op.fill(&half, &mut out);
+        assert_eq!(bits(&out), bits(&dhat), "{h}x{w}: fill");
 
+        let mut folded = Array3::zeros(half_shape);
+        op.fold(&dhat, &mut folded);
+        let mut out = poisoned(half_shape);
+        op.fold(&dhat, &mut out);
+        assert_eq!(bits(&out), bits(&folded), "{h}x{w}: fold");
         let back = op.fu2d_adjoint(&dhat, &exec);
         let mut out = poisoned(g.u1_shape());
-        op.fu2d_adjoint_into(&dhat, &exec, &mut out);
-        assert_eq!(bits(&out), bits(&back), "{h}x{w}: fu2d_adjoint_into");
+        op.fu2d_half_adjoint_into(&folded, &exec, &mut out);
+        assert_eq!(bits(&out), bits(&back), "{h}x{w}: fu2d_half_adjoint_into");
 
         let vol = op.fu1d_adjoint(&back);
         let mut out = Array3::filled(g.volume_shape(), f64::NAN);

@@ -1,8 +1,8 @@
 //! Pins what the operator's working memory scales with: the scratch an
 //! operator parks after an application is a few buffers per kernel thread,
 //! whatever the number of detector rows — the `h/2 + 1` per-row `Usfft2d`
-//! plans lease from one shared fine-grid pool, and their column passes need
-//! no buffer of their own.
+//! plans lease from one shared fine-grid pool, their column passes need no
+//! buffer of their own, and no stage stages its chunks in an arena.
 
 use mlr_lamino::{DetectorSpec, LaminoGeometry, LaminoOperator};
 use mlr_math::Array3;
@@ -25,10 +25,11 @@ fn operator_scratch_is_bounded_by_threads_not_detector_rows() {
         detector: DetectorSpec::new(2 * cube.detector.rows, cube.detector.cols),
         ..cube.clone()
     };
-    // Per thread of the plane loop: one 2-D fine grid and one 1-D plane
-    // grid; per operator: the gather and the staging arena. A bound, not an
-    // equality — how many leases overlap depends on the schedule.
-    let bound = 2 * rayon::current_num_threads() + 2;
+    // Per thread of the plane loop: one 2-D fine grid (or complex volume
+    // plane) and one 1-D plane grid; nothing per operator, the memoizable
+    // stages work in the caller's arrays. A bound, not an equality — how
+    // many leases overlap depends on the schedule.
+    let bound = 2 * rayon::current_num_threads();
     for geometry in [cube, tall] {
         let rows = geometry.detector.rows;
         let idle = idle_after_forward_adjoint(geometry);

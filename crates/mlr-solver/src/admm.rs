@@ -12,8 +12,10 @@
 //! `ψ` and `λ` are held as one [`DualField`], the RSP's shrink argument;
 //! phases 2–4 are one pass over the volume ([`DualField::rsp_update`]), and
 //! every phase runs in one [`AdmmWorkspace`] allocated when the run starts:
-//! about `6 + |ũ1| + |d̂|` real volumes (u, the dual field, G, `G_prev`),
-//! the state a slab driver would page.
+//! about `6 + |ũ1| + |ŝ| + |d̂|` real volumes (u, the dual field, G,
+//! `G_prev`, and the operator intermediates: `ũ1` and the half spectrum `ŝ`
+//! in chunk layout, which the memoizable stages read and write in place,
+//! and `d̂′`), the state a slab driver would page.
 //!
 //! The driver takes any `FftExecutor`, so the same code path produces the
 //! exact baseline (direct executor), the memoized run (mLR's engine) and the
@@ -83,6 +85,8 @@ pub struct AdmmWorkspace {
     pub cg: CgState,
     /// `ũ1`, shared by the forward and the adjoint pass.
     u1: Array3<Complex64>,
+    /// The half spectrum `ŝ`, likewise.
+    half: Array3<Complex64>,
     /// `d̂′`, which the LSP turns into the residual spectrum `r̂`.
     pub(crate) dhat: Array3<Complex64>,
 }
@@ -97,6 +101,7 @@ impl AdmmWorkspace {
             grad: Array3::zeros(shape),
             cg: CgState::new(shape),
             u1: Array3::zeros(g.u1_shape()),
+            half: Array3::zeros(g.half_spectrum_shape()),
             dhat: Array3::zeros(g.data_shape()),
         }
     }
@@ -104,12 +109,14 @@ impl AdmmWorkspace {
     /// `d̂′ = F_u2D F_u1D u` into `dhat`.
     pub(crate) fn forward(&mut self, op: &LaminoOperator, exec: &dyn FftExecutor) {
         op.fu1d_into(&self.u, &mut self.u1);
-        op.fu2d_into(&self.u1, exec, &mut self.dhat);
+        op.fu2d_half_into(&self.u1, exec, &mut self.half);
+        op.fill(&self.half, &mut self.dhat);
     }
 
     /// `G = Re F*_u1D F*_u2D r̂ + ρ ∇ᵀ(∇u − ψ + λ/ρ)`, `r̂` read from `dhat`.
     pub(crate) fn back(&mut self, op: &LaminoOperator, rho: f64, exec: &dyn FftExecutor) {
-        op.fu2d_adjoint_into(&self.dhat, exec, &mut self.u1);
+        op.fold(&self.dhat, &mut self.half);
+        op.fu2d_half_adjoint_into(&self.half, exec, &mut self.u1);
         op.fu1d_adjoint_into(&self.u1, &mut self.grad);
         self.dual
             .add_coupling_gradient(&mut self.grad, &self.u, rho);
@@ -167,19 +174,6 @@ impl AdmmSolver {
         // Algorithm 2 maps the data to the frequency domain once, before
         // the workspace exists, so its transient does not stack on it.
         let freq = FrequencyData::new(op, d);
-        let lsp = |ws: &mut _, rho| lsp_gradient_cancelled(op, ws, &freq, rho, exec);
-        self.solve(op, exec, cancel, lsp)
-    }
-
-    /// The ADMM loop around an LSP gradient `(ws, ρ) ↦ data loss`:
-    /// Algorithm 2's in the solver, Algorithm 1's in a test.
-    fn solve(
-        &self,
-        op: &LaminoOperator,
-        exec: &dyn FftExecutor,
-        cancel: &CancelToken,
-        mut lsp_gradient: impl FnMut(&mut AdmmWorkspace, f64) -> f64,
-    ) -> AdmmResult {
         let cfg = &self.config;
         let mut ws = AdmmWorkspace::new(op);
         let mut rho = cfg.rho;
@@ -199,7 +193,7 @@ impl AdmmSolver {
             ws.cg.reset();
             let mut data_loss = 0.0;
             for _ in 0..cfg.n_inner {
-                data_loss = lsp_gradient(&mut ws, rho);
+                data_loss = lsp_gradient_cancelled(op, &mut ws, &freq, rho, exec);
                 ws.cg.update(&mut ws.u, &ws.grad, cfg.initial_step);
             }
             // Attenuation coefficients are physically non-negative.
@@ -252,7 +246,6 @@ impl AdmmSolver {
 #[expect(clippy::disallowed_methods, reason = "tests set wall deadlines")]
 mod tests {
     use super::*;
-    use crate::lsp::lsp_gradient_original;
     use mlr_lamino::{LaminoDataset, LaminoOperator};
     use mlr_math::norms::relative_error;
     use std::time::Duration;
@@ -301,22 +294,6 @@ mod tests {
         );
         // Non-negativity was enforced.
         assert!(result.reconstruction.as_slice().iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn original_and_cancelled_variants_produce_same_reconstruction() {
-        let (op, ds) = small_dataset();
-        let (d, exec) = (&ds.projections, &DirectExecutor);
-        let solver = AdmmSolver::new(quick_config(4));
-        let original = |ws: &mut _, rho| lsp_gradient_original(&op, ws, d, rho, exec);
-        let a = solver.solve(&op, exec, &CancelToken::new(), original);
-        let b = solver.run(&op, d);
-        let err = relative_error(&a.reconstruction, &b.reconstruction);
-        assert!(err < 1e-6, "variants diverged: {err}");
-        assert_eq!(a.history.records().len(), b.history.records().len());
-        for (ra, rb) in a.history.records().iter().zip(b.history.records()) {
-            assert!((ra.loss - rb.loss).abs() < 1e-6 * ra.loss.max(1.0));
-        }
     }
 
     #[test]

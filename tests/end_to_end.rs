@@ -5,10 +5,14 @@ use mlr_cluster::ScalingModel;
 use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_lamino::{DirectExecutor, LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_lamino::{PhantomKind, ProjectionNoise};
+use mlr_math::rng::seeded;
+use mlr_math::{Array3, Shape3};
 use mlr_offload::{simulate::simulate_all, IterationProfile, OffloadPlanner};
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
-use mlr_solver::{AdmmConfig, AdmmSolver};
+use mlr_solver::lsp::lsp_gradient_cancelled;
+use mlr_solver::{AdmmConfig, AdmmSolver, AdmmWorkspace, FrequencyData, VectorField};
+use rand::Rng;
 
 mod reference;
 
@@ -69,6 +73,38 @@ fn algorithm1_and_algorithm2_match_through_the_full_solver() {
             assert!((r.loss - loss).abs() < 1e-6 * loss.max(1.0), "seed {seed}");
         }
     }
+}
+
+/// Algorithm 1's gradient in the reference loop against the solver's
+/// Algorithm 2 gradient at one random iterate (`ψ = λ = 0`): the claim
+/// behind operation cancellation, one inner step deep.
+#[test]
+fn algorithm1_and_algorithm2_gradients_agree() {
+    let op = LaminoOperator::new(LaminoGeometry::cube(8, 6, 32.0), 4);
+    let mut rng = seeded(3);
+    let mut random = |shape: Shape3| {
+        let values = (0..shape.len()).map(|_| rng.gen::<f64>() - 0.5);
+        Array3::from_vec(shape, values.collect())
+    };
+    let u = random(op.geometry().volume_shape());
+    let d = random(op.geometry().data_shape());
+    let rho = 0.5;
+    let mut ws = AdmmWorkspace::new(&op);
+    ws.u = u.clone();
+    let freq = FrequencyData::new(&op, &d);
+    let loss = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &DirectExecutor);
+    let target = VectorField::zeros(u.shape());
+    let (grad, reference_loss) =
+        reference::gradient_original(&op, &u, &d, &target, rho, &DirectExecutor);
+
+    let peak = grad.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let diff = mlr_math::norms::max_abs_diff(grad.as_slice(), ws.grad.as_slice());
+    assert!(diff < 1e-8 * peak.max(1.0), "gradient mismatch {diff}");
+    let loss_diff = (loss - reference_loss).abs();
+    assert!(
+        loss_diff < 1e-8 * reference_loss.max(1.0),
+        "{loss} vs {reference_loss}"
+    );
 }
 
 #[test]

@@ -17,7 +17,8 @@
 //!
 //! Its LSP takes either formulation: Algorithm 2, or the paper's
 //! Algorithm 1 (`F*_2D` / `F_2D` in every pass), which the solver no longer
-//! runs and `tests/end_to_end.rs` holds it to up to rounding.
+//! runs and `tests/end_to_end.rs` holds it to up to rounding: one gradient
+//! ([`gradient_original`]) to 1e-8, whole solves to 1e-6.
 #![allow(dead_code, reason = "each test target runs the variants it checks")]
 
 use mlr_fft::fft2d::{to_complex, to_real};
@@ -208,7 +209,9 @@ pub fn add_regulariser(
     g_data
 }
 
-fn gradient_original(
+/// Algorithm 1's LSP gradient at `u` against the coupling target
+/// `g_field`, and the data loss.
+pub fn gradient_original(
     op: &LaminoOperator,
     u: &Array3<f64>,
     d: &Array3<f64>,
