@@ -131,7 +131,7 @@ fn main() {
         .collect();
 
     // ------------------------------------------------- unbounded baseline
-    let unbounded_store = pipeline.build_shared_store(shards);
+    let unbounded_store = pipeline.build_shared_store_with(shards, CapacityBudget::unbounded());
     let _ = replay(&schedule, &unbounded_store);
     let ustats = unbounded_store.stats();
     let footprint = ustats.resident_bytes;

@@ -11,6 +11,11 @@
 //! `u_prev` and `G_prev` read 14.5. An allocating loop that keeps `∇u`, the
 //! `ψ − λ/ρ` field or per-step clones of `u` alive reads about 26.
 //!
+//! A memoized solve of the same pipeline may hold that plus its store's
+//! peak bytes: the memo engine carries no computed chunk past the chunk's
+//! phase 1 but a failed memo's, which the store takes. Holding every
+//! computed chunk's result until the ordered commit read 11.2 + the store.
+//!
 //! What a built pipeline keeps between runs is bounded too: its dataset
 //! plus [`MAX_PARKED_VOLUMES`] — the operator's plans and the scratch its
 //! kernels parked, no chunk arena.
@@ -79,5 +84,25 @@ fn a_built_pipeline_holds_its_dataset_and_little_else() {
     assert!(
         above <= MAX_PARKED_VOLUMES,
         "a built pipeline holds {above:.1} f64 volumes above its dataset (budget {MAX_PARKED_VOLUMES})"
+    );
+}
+
+#[test]
+fn one_memoized_solve_holds_its_store_and_an_exact_solve() {
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let pipeline = MlrPipeline::new(config());
+
+    let start = reset_peak();
+    let (memo, executor) = pipeline.run_memoized();
+    let held = peak_bytes() - start;
+
+    assert_eq!(memo.history.len(), 3);
+    let store = executor.store().stats().peak_resident_bytes as f64 / VOLUME;
+    let volumes = held as f64 / VOLUME;
+    eprintln!("peak live bytes above start: {held} ({volumes:.2} f64 volumes, store {store:.2})");
+    assert!(
+        volumes <= MAX_SOLVER_VOLUMES + store,
+        "one memoized solve held {volumes:.2} f64 volumes above its start (budget \
+         {MAX_SOLVER_VOLUMES} + the store's {store:.2})"
     );
 }

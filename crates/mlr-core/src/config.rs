@@ -141,9 +141,10 @@ impl MlrConfig {
         self
     }
 
-    /// Caps the memoization store with `budget`. The budget flows into the private database of `run_memoized`, into
-    /// stores built by `MlrPipeline::build_shared_store`, and into runtimes
-    /// configured with `RuntimeConfig::matching`.
+    /// Caps the memoization store with `budget`, which `MlrPipeline::new`
+    /// keeps (an unbounded one becomes `STORE_ITERATIONS` outer iterations
+    /// of chunk traffic): it flows into `run_memoized`'s private store,
+    /// `MlrPipeline::build_shared_store` and `RuntimeConfig::matching`.
     pub fn with_memo_budget(mut self, budget: CapacityBudget) -> Self {
         self.memo.budget = budget;
         self

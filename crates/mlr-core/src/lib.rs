@@ -24,7 +24,7 @@ pub mod pipeline;
 pub mod report;
 
 pub use config::{MlrConfig, ProblemSpec, Scale};
-pub use pipeline::MlrPipeline;
+pub use pipeline::{MlrPipeline, STORE_ITERATIONS};
 pub use report::{ExactQuality, MlrReport, PaperScaleProjection};
 // Re-exported so serving layers over the pipeline (e.g. `mlr-runtime`) can
 // drive cooperative cancellation without depending on the solver crate.

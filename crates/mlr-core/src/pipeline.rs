@@ -18,6 +18,14 @@ pub const MAX_EXACT_LOSS_DROP: f64 = 0.05;
 /// simulated from; the all-zero volume scores 1.
 pub const MAX_EXACT_ERR_VS_TRUTH: f64 = 0.75;
 
+/// Outer iterations of memoizable chunk traffic a pipeline's memo store
+/// holds by default: each `F_u2D` / `F*_u2D` chunk's raw input and value at
+/// 8 B an element (`Complex32`, as [`CapacityBudget`] counts them), both
+/// stages `n_inner` times an iteration. One iteration's worth made runs
+/// erratic; two kept avoided work and accuracy at their unbounded values
+/// from 24³ to 96³ (ROADMAP item 24).
+pub const STORE_ITERATIONS: u64 = 2;
+
 /// The end-to-end pipeline: dataset simulation, exact reconstruction,
 /// memoized reconstruction, comparison and paper-scale projection.
 pub struct MlrPipeline {
@@ -28,10 +36,17 @@ pub struct MlrPipeline {
 
 impl MlrPipeline {
     /// Builds the pipeline: simulates the dataset and constructs the
-    /// laminography operator.
-    pub fn new(config: MlrConfig) -> Self {
+    /// laminography operator. An unbounded `config.memo.budget` becomes
+    /// [`STORE_ITERATIONS`] outer iterations of the geometry's memoizable
+    /// chunk traffic, so every store built from [`Self::config`] is bounded.
+    pub fn new(mut config: MlrConfig) -> Self {
         let p = &config.problem;
         let geometry = LaminoGeometry::cube(p.n, p.n_angles, p.tilt_degrees);
+        if !config.memo.budget.is_bounded() {
+            let chunk_elems = geometry.u1_shape().len() + geometry.half_spectrum_shape().len();
+            let iteration = 2 * config.admm.n_inner * chunk_elems * 8;
+            config.memo.budget = CapacityBudget::bytes(STORE_ITERATIONS * iteration as u64);
+        }
         let operator = LaminoOperator::new(geometry, config.chunk_size);
         let dataset = LaminoDataset::simulate_with(&operator, p.phantom, p.noise, p.seed);
         Self {
@@ -64,15 +79,16 @@ impl MlrPipeline {
     }
 
     /// Builds a sharded memo store compatible with this pipeline (same τ
-    /// and the capacity budget carried in `config.memo`), suitable for
-    /// sharing across several pipelines/jobs.
+    /// and the capacity budget of [`Self::config`], bounded by default),
+    /// suitable for sharing across several pipelines/jobs.
     pub fn build_shared_store(&self, shards: usize) -> Arc<ShardedMemoDb> {
         self.build_shared_store_with(shards, self.config.memo.budget)
     }
 
     /// Builds a sharded memo store with an explicit capacity budget,
     /// overriding whatever the pipeline configuration carries — the entry
-    /// point the budget-sweep harnesses use.
+    /// point the budget-sweep harnesses use, and the only way to an
+    /// unbounded store (`CapacityBudget::unbounded()`).
     pub fn build_shared_store_with(
         &self,
         shards: usize,

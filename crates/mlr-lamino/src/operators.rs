@@ -287,39 +287,41 @@ impl LaminoOperator {
     /// [`Self::fu1d`] into a caller-owned `ũ1`; every element is overwritten.
     /// One plane loop over `n1`: each real plane is widened into a complex
     /// plane leased from the fine-grid pool and transformed, its row `r`
-    /// written in place as line `(r, i1)` of `ũ1`. The loop runs over one
-    /// list of `ũ1`'s `n2`-lines, ordered plane by plane.
+    /// written in place as line `(r, i1)` of `ũ1`. Each thread takes a block
+    /// of planes and one list: per row of `ũ1`, the window of its lines.
     pub fn fu1d_into(&self, u: &Array3<f64>, out: &mut Array3<Complex64>) {
         let g = &self.geometry;
         assert_eq!(u.shape(), g.volume_shape(), "Fu1D input shape mismatch");
         assert_eq!(out.shape(), g.u1_shape(), "Fu1D output shape mismatch");
         let (n1, n0, n2, rows) = (g.n1, g.n0, g.n2, g.half_rows());
-        let mut lines: Vec<&mut [Complex64]> = (0..rows * n1).map(|_| Default::default()).collect();
-        // Line `k` of `ũ1` is row `k / n1` of plane `k % n1`.
-        for (k, line) in out.as_mut_slice().chunks_exact_mut(n2).enumerate() {
-            lines[(k % n1) * rows + k / n1] = line;
+        let block = n1.div_ceil(rayon::current_num_threads());
+        let blocks = n1.div_ceil(block);
+        let mut lists: Vec<_> = (0..blocks).map(|_| Vec::with_capacity(rows)).collect();
+        for row in out.as_mut_slice().chunks_exact_mut(n1 * n2) {
+            for (list, window) in lists.iter_mut().zip(row.chunks_mut(block * n2)) {
+                list.push(window);
+            }
         }
-        let u = u.as_slice();
-        lines
-            .par_chunks_mut(rows)
-            .enumerate()
-            .for_each(|(i1, out_rows)| {
-                let mut plane = self.plane_grid.scratch().lease(n0 * n2);
-                for (z, &x) in plane.iter_mut().zip(&u[i1 * n0 * n2..][..n0 * n2]) {
+        lists.par_chunks_mut(1).enumerate().for_each(|(b, list)| {
+            let list = &mut list[0];
+            let mut plane = self.plane_grid.scratch().lease(n0 * n2);
+            let u_planes = u.as_slice()[b * block * n0 * n2..].chunks_exact(n0 * n2);
+            for (i, u_plane) in u_planes.take(list[0].len() / n2).enumerate() {
+                for (z, &x) in plane.iter_mut().zip(u_plane) {
                     *z = Complex64::from_real(x);
                 }
-                let out_rows = out_rows.iter_mut().map(|line| &mut **line);
+                let out_rows = list.iter_mut().map(|window| &mut window[i * n2..][..n2]);
                 self.usfft_vertical.forward_rows(&plane, n2, out_rows);
-            });
+            }
+        });
     }
 
     /// Exact computation of `F_u1D` on one chunk (a slab of `len` planes of
     /// the volume along `n1`), each plane's rows contiguous. Exposed so
     /// benches can time the raw kernel.
     pub fn fu1d_chunk_compute(&self, input: &[Complex64], len: usize) -> Vec<Complex64> {
-        let n0 = self.geometry.n0;
-        let n2 = self.geometry.n2;
-        let rows = self.geometry.half_rows();
+        let g = &self.geometry;
+        let (n0, n2, rows) = (g.n0, g.n2, g.half_rows());
         assert_eq!(input.len(), len * n0 * n2, "Fu1D chunk length mismatch");
         let mut out = vec![Complex64::ZERO; len * rows * n2];
         out.par_chunks_mut(rows * n2)
@@ -429,17 +431,15 @@ impl LaminoOperator {
         row_start: usize,
         len: usize,
     ) -> Vec<Complex64> {
-        let n1 = self.geometry.n1;
-        let n2 = self.geometry.n2;
+        let (n1, n2) = (self.geometry.n1, self.geometry.n2);
         let points = self.geometry.n_angles() * self.geometry.half_cols();
         assert_eq!(input.len(), len * n1 * n2, "Fu2D chunk length mismatch");
         let mut out = vec![Complex64::ZERO; len * points];
         out.par_chunks_mut(points)
             .enumerate()
             .for_each(|(r, out_row)| {
-                let row = row_start + r;
                 let plane = &input[r * n1 * n2..(r + 1) * n1 * n2];
-                self.usfft_rows[row].forward_into(plane, out_row);
+                self.usfft_rows[row_start + r].forward_into(plane, out_row);
             });
         out
     }
@@ -508,17 +508,15 @@ impl LaminoOperator {
         row_start: usize,
         len: usize,
     ) -> Vec<Complex64> {
-        let n1 = self.geometry.n1;
-        let n2 = self.geometry.n2;
+        let (n1, n2) = (self.geometry.n1, self.geometry.n2);
         let points = self.geometry.n_angles() * self.geometry.half_cols();
         assert_eq!(input.len(), len * points, "F*u2D chunk length mismatch");
         let mut out = vec![Complex64::ZERO; len * n1 * n2];
         out.par_chunks_mut(n1 * n2)
             .enumerate()
             .for_each(|(r, out_plane)| {
-                let row = row_start + r;
                 let samples = &input[r * points..(r + 1) * points];
-                self.usfft_rows[row].adjoint_into(samples, out_plane);
+                self.usfft_rows[row_start + r].adjoint_into(samples, out_plane);
             });
         out
     }
@@ -623,8 +621,7 @@ impl LaminoOperator {
     /// with the nominal chunk size (the last chunk may be smaller). Used by
     /// the memoization sizing logic and the memory accounting in `mlr-sim`.
     pub fn chunk_elems(&self, kind: FftOpKind) -> usize {
-        let g = &self.geometry;
-        let cs = self.chunk_size;
+        let (g, cs) = (&self.geometry, self.chunk_size);
         match kind {
             FftOpKind::Fu1D => cs.min(g.n1) * g.n0 * g.n2,
             FftOpKind::Fu1DAdj => cs.min(g.n1) * g.half_rows() * g.n2,

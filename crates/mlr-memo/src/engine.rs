@@ -90,10 +90,10 @@ pub struct MemoConfig {
     /// the paper's own characterisation (Figure 4) shows similar chunks only
     /// start appearing after the first iterations.
     pub warmup_iterations: usize,
-    /// Capacity caps for the memoization database (unbounded by default).
-    /// When the executor builds its own private store, the budget flows into
-    /// the database configuration; shared stores built by the runtime carry
-    /// their own copy of the same caps.
+    /// Capacity caps for the memoization database: unbounded here, but
+    /// `MlrPipeline::new` (mlr-core) bounds an unbounded budget at two outer
+    /// iterations of chunk traffic. A private store takes it through
+    /// [`Self::db_config`]; the runtime's shared store carries its own copy.
     pub budget: CapacityBudget,
 }
 
@@ -136,8 +136,8 @@ struct EngineState {
     iteration: usize,
 }
 
-/// What the ordered commit hands a chunk's output slot (see the module
-/// docs for which lane emits which).
+/// What a chunk's output slot receives: phase 1 emits a computed lane, the
+/// ordered commit a hit (the module docs say which lane emits which bits).
 enum Emit<'a> {
     /// An exact result: copied as it is, or — `round` — emitted as
     /// `widen(narrow(·))`, the bits a hit on the same input serves.
@@ -178,16 +178,16 @@ enum ProbeCase {
         value: Arc<[Complex32]>,
         db: Option<DbHit>,
     },
-    /// The exact transform was computed in phase 1. `case` says why:
-    /// [`MemoCase::FailedMemo`] when cache, key and database found nothing
-    /// reusable (the commit inserts the result); otherwise no key was
-    /// encoded and no query issued — [`MemoCase::Prefiltered`] by the norm
-    /// prefilter, [`MemoCase::Computed`] when memoization does not apply
-    /// (disabled, warm-up).
-    /// `fft_ns` is the exact compute's stage time (0 when telemetry is
-    /// disabled).
+    /// The exact transform was computed, and emitted, in phase 1. `case`
+    /// says why: [`MemoCase::FailedMemo`] when cache, key and database found
+    /// nothing reusable — the one lane that carries its result (`insert`)
+    /// to the commit, which stores it; otherwise no key was encoded and no
+    /// query issued — [`MemoCase::Prefiltered`] by the norm prefilter,
+    /// [`MemoCase::Computed`] when memoization does not apply (disabled,
+    /// warm-up). `fft_ns` is the exact compute's stage time (0 when
+    /// telemetry is disabled).
     Computed {
-        output: Vec<Complex64>,
+        insert: Option<Vec<Complex64>>,
         fft_ns: u64,
         case: MemoCase,
     },
@@ -374,17 +374,19 @@ impl MemoizedExecutor {
     /// takes its fingerprint, peeks the compute-node cache (read-only), and
     /// — on a cache miss — sketches its key, probes the database (read-only)
     /// and, finding nothing, computes the exact transform; otherwise it only
-    /// computes. Every chunk of a dispatch runs this before
-    /// any of them commits, so all probe the store, cache and doorkeeper
-    /// state *frozen at the start of the application*. Inserts from this
-    /// application only become visible at the next one, which loses
-    /// nothing: the provenance freshness gate already makes same-job
-    /// entries of the current iteration ineligible.
+    /// computes. A computed result goes to `emit` at once: only a failed
+    /// memo's, which the commit inserts, outlives this call. Every chunk of
+    /// a dispatch runs this before any of them commits, so all probe the
+    /// store, cache and doorkeeper state *frozen at the start of the
+    /// application*. Inserts from this application only become visible at
+    /// the next one, which loses nothing: the provenance freshness gate
+    /// already makes same-job entries of the current iteration ineligible.
     fn probe_chunk<F>(
         &self,
         kind: FftOpKind,
         d: &Dispatch,
         (loc, input, compute): Task<'_, F>,
+        emit: impl FnOnce(Emit<'_>),
     ) -> (ProbeCase, ChunkTrail)
     where
         F: Fn(&[Complex64]) -> Vec<Complex64> + ?Sized,
@@ -393,9 +395,18 @@ impl MemoizedExecutor {
         let computed = |case| {
             let fft_clock = stage_clock(tel_on);
             let output = compute(input);
+            let fft_ns = stage_ns(fft_clock);
+            // Only the lane chosen by input and configuration alone keeps
+            // its exact bits (see the module docs).
+            let round = case != MemoCase::Computed;
+            emit(Emit::Computed {
+                exact: &output,
+                round,
+            });
+            let insert = (case == MemoCase::FailedMemo).then_some(output);
             ProbeCase::Computed {
-                output,
-                fft_ns: stage_ns(fft_clock),
+                insert,
+                fft_ns,
                 case,
             }
         };
@@ -453,8 +464,8 @@ impl MemoizedExecutor {
     /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
     /// effect of the `scratch` a dispatch's phase 1 produced — statistics,
     /// cache updates, store hit/miss bookkeeping (logical ticks!) and
-    /// inserts with their eviction enforcement — and hand each chunk's
-    /// result to `emit`. A chunk's ticks and evictions land in commit order,
+    /// inserts with their eviction enforcement — and hand each hit's stored
+    /// value to `emit`. A chunk's ticks and evictions land in commit order,
     /// after the whole batch has probed, so a hit found in phase 1 stays a
     /// hit even if an earlier chunk's insert evicts its entry.
     fn commit<'a, F>(
@@ -484,16 +495,9 @@ impl MemoizedExecutor {
             if let Some(fp) = chunk.fingerprint {
                 self.store.note_fingerprint(kind, loc, fp);
             }
-            // A key was encoded iff the chunk got as far as the database.
-            let encoded = matches!(
-                case,
-                ProbeCase::Hit { db: Some(_), .. }
-                    | ProbeCase::Computed {
-                        case: MemoCase::FailedMemo,
-                        ..
-                    }
-            );
             let cache_hit = matches!(case, ProbeCase::Hit { db: None, .. });
+            // A key was encoded iff the chunk missed the cache it checked.
+            let encoded = chunk.cache_checked && !cache_hit;
             if encoded {
                 state.stats.add_encoded_key(kind);
             }
@@ -542,20 +546,11 @@ impl MemoizedExecutor {
                     }
                 }
                 ProbeCase::Computed {
-                    output,
+                    insert,
                     fft_ns,
                     case,
                 } => {
-                    let failed_memo = case == MemoCase::FailedMemo;
-                    if failed_memo {
-                        self.store.commit_miss(kind, loc);
-                    }
                     state.stats.record(kind, case);
-                    // Only the lane chosen by input and configuration alone
-                    // keeps its exact bits (see the module docs).
-                    let round = case != MemoCase::Computed;
-                    let exact = &output[..];
-                    emit(i, Emit::Computed { exact, round });
                     if tel_on {
                         stage_scratch.record(StageId::MissFft, fft_ns);
                     }
@@ -563,7 +558,8 @@ impl MemoizedExecutor {
                     // prefiltered chunk inserts on its next sighting), priced
                     // by the analytic cost model: wall-clock timings would
                     // make eviction irreproducible.
-                    if failed_memo {
+                    if let Some(output) = insert {
+                        self.store.commit_miss(kind, loc);
                         let cost = recompute_cost_estimate(kind, input.len());
                         let insert_clock = stage_clock(tel_on);
                         self.store
@@ -598,17 +594,19 @@ impl FftExecutor for MemoizedExecutor {
     ) -> Vec<Complex64> {
         let d = self.dispatch();
         let task = |_| (loc, input, compute);
-        let scratch = vec![self.probe_chunk(kind, &d, task(0))];
         let mut out = Vec::new();
-        self.commit(kind, &d, &task, scratch, |_, v| {
+        let mut emit = |v: Emit<'_>| {
             out.resize(v.len(), Complex64::ZERO);
             v.write_into(&mut out)
-        });
+        };
+        let scratch = vec![self.probe_chunk(kind, &d, task(0), &mut emit)];
+        self.commit(kind, &d, &task, scratch, |_, v| emit(v));
         out
     }
 
     /// The two-phase schedule, on the calling thread: phase 1
-    /// (`probe_chunk`) over the whole batch, then phase 2 (`commit`) in
+    /// (`probe_chunk`, which writes every computed chunk's slot) over the
+    /// whole batch, then phase 2 (`commit`, which writes the hits') in
     /// chunk-index order.
     fn execute_batch_into(
         &self,
@@ -622,8 +620,10 @@ impl FftExecutor for MemoizedExecutor {
         }
         let d = self.dispatch();
         let task = |i: usize| (batch[i].loc, batch[i].input, batch[i].compute);
-        let scratch = (0..batch.len())
-            .map(|i| self.probe_chunk(kind, &d, task(i)))
+        let scratch = outputs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, out)| self.probe_chunk(kind, &d, task(i), |v| v.write_into(out)))
             .collect();
         self.commit(kind, &d, &task, scratch, |i, v| v.write_into(outputs[i]));
     }

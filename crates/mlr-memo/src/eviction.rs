@@ -6,9 +6,11 @@
 //! (§4.4). Here the store has to fit beside the reconstruction's working
 //! set, so it carries a governor:
 //!
-//! * [`CapacityBudget`] — optional byte and entry caps over the whole store.
-//!   A store enforces its budget *after every insert*, so the resident
-//!   footprint never exceeds the cap at any observable point.
+//! * [`CapacityBudget`] — optional byte and entry caps over the whole store,
+//!   enforced *after every insert*, so the resident footprint never exceeds
+//!   the cap at any observable point. A pipeline's store is bounded by
+//!   default, at two outer iterations of chunk traffic
+//!   (`mlr_core::STORE_ITERATIONS`); unbounded is asked for by name.
 //! * [`CostAwarePolicy`] — the one rule that picks victims: aged benefit
 //!   density (`recompute_cost / bytes`, boosted by observed reuse), with
 //!   entries that have served another job evicted last.
@@ -52,7 +54,7 @@ pub struct CapacityBudget {
 }
 
 impl CapacityBudget {
-    /// No caps: the store grows without bound (the pre-governance default).
+    /// No caps: the store grows without bound.
     pub fn unbounded() -> Self {
         Self::default()
     }
@@ -87,13 +89,9 @@ impl CapacityBudget {
         let entry_pressure = self
             .max_entries
             .map(|cap| entries as f64 / cap.max(1) as f64);
-        match (byte_pressure, entry_pressure) {
-            (Some(b), Some(e)) => b.max(e),
-            (Some(b), None) => b,
-            (None, Some(e)) => e,
-            (None, None) => 0.0,
-        }
-        .min(1.0)
+        // Both are ≥ 0, so folding from 0 keeps the larger (0 when neither).
+        let tightest = byte_pressure.into_iter().chain(entry_pressure);
+        tightest.fold(0.0, f64::max).min(1.0)
     }
 
     /// `true` when `resident_bytes`/`entries` violate a cap.

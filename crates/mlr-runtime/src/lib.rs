@@ -65,13 +65,13 @@
 //! [`ServeFront`] and [`ServeRequest`] are aliases of [`Runtime`] and
 //! [`ReconJob`], kept for the frozen repository benchmark.
 //!
-//! Determinism contract: a job that *runs to completion* through the
-//! runtime (over a store built by [`RuntimeConfig::matching`]) produces the
-//! *same reconstruction* as `MlrPipeline::run_memoized` — sharding,
+//! Determinism contract: a job that *runs to completion* through a
+//! one-worker runtime matched to its pipeline's config
+//! ([`RuntimeConfig::matching`]`(pipeline.config())`) produces the *same
+//! reconstruction* as that pipeline's `run_memoized` — sharding,
 //! ticketing and deadline bookkeeping are implementation details, pinned by
-//! tests in `tests/runtime.rs` and `tests/serving.rs`. A
-//! cancelled-while-queued or expired-while-queued job never executes at
-//! all.
+//! `tests/runtime.rs`, `tests/serving.rs` and `tests/store_budget.rs`. A
+//! job cancelled or expired while queued never executes at all.
 
 #![warn(missing_docs)]
 

@@ -91,10 +91,10 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Aligns the store's τ and capacity budget with a job configuration,
-    /// so a single job run through the
-    /// runtime behaves exactly like `MlrPipeline::run_memoized` (the
-    /// determinism contract the tests pin) — bounded or not.
+    /// Gives the store a job configuration's τ and capacity budget as they
+    /// are: matched to `pipeline.config()`, whose budget `MlrPipeline::new`
+    /// bounds, a one-worker runtime reproduces its `run_memoized` bit for
+    /// bit; a plain config's unbounded budget stays unbounded.
     pub fn matching(config: &mlr_core::MlrConfig) -> Self {
         Self {
             db: config.memo.db_config(),

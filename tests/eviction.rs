@@ -51,7 +51,7 @@ fn eviction_is_deterministic_for_a_fixed_schedule() {
     let jobs = 3;
 
     // Measure the unbounded footprint, then cap at half of it.
-    let probe = pipeline.build_shared_store(8);
+    let probe = pipeline.build_shared_store_with(8, CapacityBudget::unbounded());
     let _ = replay(&pipeline, Arc::clone(&probe), jobs);
     let cap = probe.stats().resident_bytes / 2;
     assert!(cap > 0);

@@ -134,8 +134,8 @@ fn sharded_store_survives_concurrent_insert_query_stress() {
 }
 
 /// The determinism contract: one job through `mlr-runtime` (shared sharded
-/// store, worker pool, queue) reconstructs *bit-identically* to
-/// `MlrPipeline::run_memoized` with its private database.
+/// store, worker pool, queue) matched to the pipeline's config reconstructs
+/// *bit-identically* to `MlrPipeline::run_memoized` with its private database.
 #[test]
 fn single_job_through_runtime_matches_run_memoized() {
     let config = MlrConfig::quick(12, 8).with_iterations(5);
@@ -146,7 +146,7 @@ fn single_job_through_runtime_matches_run_memoized() {
     let runtime = Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
-        ..RuntimeConfig::matching(&config)
+        ..RuntimeConfig::matching(pipeline.config())
     });
     let report = runtime
         .submit(ReconJob::new("determinism", config))
