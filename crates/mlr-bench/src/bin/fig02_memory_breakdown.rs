@@ -1,72 +1,140 @@
-//! Figure 2: CPU memory consumption and phase breakdown of one ADMM iteration.
-use mlr_bench::{compare_row, header, pct, write_record};
-use mlr_offload::IterationProfile;
-use mlr_sim::memory::gib;
-use mlr_sim::workload::{AdmmWorkload, ProblemSize};
-use mlr_sim::CostModel;
+//! Figure 2, measured: the bytes the ADMM solver holds, read from the
+//! counting allocator on one thread (`RAYON_NUM_THREADS=1`), beside the
+//! paper's published breakdown as a cited column. Exits 1 if the arrays
+//! itemized from the geometry's shapes add up to more than the measured
+//! peak of the exact solve.
+use mlr_bench::alloc::{live_bytes, peak_bytes, reset_peak, CountingAllocator};
+use mlr_bench::{header, pct, scale_from_args, write_record};
+use mlr_core::{MlrConfig, MlrPipeline, Scale};
 use serde::Serialize;
 
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// One size's measurement, in bytes.
 #[derive(Serialize)]
-struct Record {
-    variables_gib: Vec<(String, f64)>,
-    total_gib: f64,
+struct Row {
+    n: usize,
+    dataset: i64,
+    pipeline_above_dataset: i64,
+    exact_peak: i64,
+    /// The arrays the exact solve holds throughout, then what else was in
+    /// flight at its peak (`u` first: one `f64` volume).
+    held: Vec<(&'static str, i64)>,
+    memo_peak: i64,
+    store_peak: i64,
     lsp_fraction: f64,
+}
+
+const MIB: f64 = (1u64 << 20) as f64;
+
+/// The paper's Figure 2 by row label, cited: ψ, λ, g + g_prev shares, the
+/// 1.5K total and the LSP's share of one iteration.
+const CITED: [(&str, &str); 5] = [
+    ("", "paper, cited (not modeled)"),
+    ("dual a", "ψ 12 % + λ 12 %"),
+    ("G", "g + g_prev 24 % (with G_prev)"),
+    ("exact peak MiB", "~300 GB at 1.5K"),
+    ("LSP share of time", "> 67 %"),
+];
+
+fn measure(n: usize) -> Row {
+    let n_theta = n / 2;
+    let mut config = MlrConfig::quick(n, n_theta).with_iterations(3);
+    config.chunk_size = 8;
+    config.admm.initial_step = 7.5 / (1.09 * (n * n_theta) as f64); // 7.5 / λ_max: ROADMAP 0(a)
+
+    let start = live_bytes();
+    let pipeline = MlrPipeline::new(config);
+    let built = live_bytes() - start;
+    let ds = pipeline.dataset();
+    let dataset = (8 * (ds.ground_truth.len() + ds.projections.len())) as i64;
+
+    let start = reset_peak();
+    let lsp_fraction = pipeline.run_exact().history.lsp_fraction();
+    let exact_peak = peak_bytes() - start;
+
+    let start = reset_peak();
+    let (_, executor) = pipeline.run_memoized();
+    let memo_peak = peak_bytes() - start;
+    let store_peak = executor.store().stats().peak_resident_bytes as i64;
+
+    let g = pipeline.operator().geometry();
+    let complex = |s: mlr_math::Shape3| 16 * s.len() as i64;
+    let volume = 8 * g.volume_shape().len() as i64;
+    let mut held = vec![
+        ("u", volume),
+        ("dual a", 3 * volume),
+        ("G", volume),
+        ("G_prev", volume),
+        ("ũ1", complex(g.u1_shape())),
+        ("ŝ", complex(g.half_spectrum_shape())),
+        ("d̂′", complex(g.data_shape())),
+        ("d̂", complex(g.data_shape())),
+    ];
+    let itemized: i64 = held.iter().map(|&(_, b)| b).sum();
+    held.push(("in flight", exact_peak - itemized));
+    Row {
+        n,
+        dataset,
+        pipeline_above_dataset: built - dataset,
+        exact_peak,
+        held,
+        memo_peak,
+        store_peak,
+        lsp_fraction,
+    }
 }
 
 fn main() {
     header(
         "Figure 2",
-        "CPU memory breakdown of one ADMM iteration (1.5K-projection problem)",
+        "measured memory of one exact and one memoized solve (nθ = n/2, chunk 8, 3 iterations)",
     );
-    let workload = AdmmWorkload::new(ProblemSize::paper_1_5k());
-    let cost = CostModel::polaris(1);
-    let total = workload.total_bytes() as f64;
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let sizes: &[usize] = if scale_from_args() == Scale::Tiny {
+        &[16, 24]
+    } else {
+        &[24, 32, 48, 64]
+    };
+    let rows: Vec<Row> = sizes.iter().map(|&n| measure(n)).collect();
 
-    let mut variables_gib = Vec::new();
-    println!("{:<18} {:>10} {:>8}", "variable", "GiB", "share");
-    for v in workload.variables() {
-        println!(
-            "{:<18} {:>10.1} {:>8}",
-            v.name,
-            gib(v.bytes),
-            pct(v.bytes as f64 / total)
-        );
-        variables_gib.push((v.name, gib(v.bytes)));
+    let line = |label: &str, cell: &dyn Fn(&Row) -> String| {
+        let cited = CITED.iter().find(|c| c.0 == label).map_or("", |c| c.1);
+        let cells: String = rows.iter().map(|r| format!("{:>18}", cell(r))).collect();
+        println!("{label:<30}{cells}  {cited}");
+    };
+    let mib = |b: i64| format!("{:.2}", b as f64 / MIB);
+    let vols = |r: &Row, b: i64| b as f64 / r.held[0].1 as f64;
+    line("", &|r| format!("{}³", r.n));
+    line("dataset MiB", &|r| mib(r.dataset));
+    line("pipeline above dataset MiB", &|r| {
+        mib(r.pipeline_above_dataset)
+    });
+    println!("exact solve, volumes (share of its peak):");
+    for (i, &(name, _)) in rows[0].held.iter().enumerate() {
+        line(name, &|r| {
+            let b = r.held[i].1;
+            format!(
+                "{:.2} ({})",
+                vols(r, b),
+                pct(b as f64 / r.exact_peak as f64)
+            )
+        });
     }
-    println!();
-    compare_row(
-        "psi share of memory",
-        "12 %",
-        &pct(workload.variables()[0].bytes as f64 / total),
-    );
-    compare_row(
-        "lambda share of memory",
-        "12 %",
-        &pct(workload.variables()[1].bytes as f64 / total),
-    );
-    let g_total = workload.variables()[2].bytes + workload.variables()[3].bytes;
-    compare_row(
-        "g + g_prev share of memory",
-        "24 %",
-        &pct(g_total as f64 / total),
-    );
-    compare_row(
-        "total CPU memory (1.5K case)",
-        "~300 GB",
-        &format!("{:.0} GiB", gib(workload.total_bytes())),
-    );
+    line("exact peak MiB", &|r| mib(r.exact_peak));
+    line("exact peak f64 volumes", &|r| {
+        format!("{:.2}", vols(r, r.exact_peak))
+    });
+    line("memoized peak MiB", &|r| mib(r.memo_peak));
+    line("store peak MiB", &|r| mib(r.store_peak));
+    let above = |r: &Row| r.memo_peak - r.exact_peak - r.store_peak;
+    line("memoized − (exact + store) MiB", &|r| mib(above(r)));
+    line("LSP share of time", &|r| pct(r.lsp_fraction));
 
-    let profile = IterationProfile::from_workload(&workload, &cost);
-    let lsp = profile.phases[0].2 - profile.phases[0].1;
-    let lsp_fraction = lsp / profile.duration;
-    compare_row("LSP share of iteration time", "> 67 %", &pct(lsp_fraction));
-
-    write_record(
-        "fig02_memory_breakdown",
-        &Record {
-            variables_gib,
-            total_gib: gib(workload.total_bytes()),
-            lsp_fraction,
-        },
-    );
+    write_record("fig02_memory_breakdown", &rows);
+    if let Some(r) = rows.iter().find(|r| r.held.last().is_some_and(|h| h.1 < 0)) {
+        eprintln!("{}³: the itemized arrays exceed the exact peak", r.n);
+        std::process::exit(1);
+    }
 }

@@ -3,16 +3,16 @@
 //! Evaluation harness for the mLR reproduction. Every table and figure of the
 //! paper's evaluation section has a corresponding binary in `src/bin/`, except
 //! Figures 9 (the solver has no Algorithm-1 LSP to set cancellation and fusion
-//! against) and 11 (key coalescing, which this repository does not run):
+//! against), 11 (key coalescing, which this repository does not run) and 13
+//! (ADMM-Offload, whose variables the solver does not hold):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
-//! | `fig02_memory_breakdown` | Figure 2 — per-variable CPU memory and phase time of one ADMM iteration |
+//! | `fig02_memory_breakdown` | Figure 2 — measured: the arrays an exact solve holds and its peak live bytes (counting allocator), a memoized solve's peak and its store's, the LSP's share of time; the paper's breakdown cited beside them |
 //! | `fig04_chunk_similarity` | Figure 4 — similar chunks across iterations at three locations ([`similarity::SimilarityRecorder`] around the memo engine) |
 //! | `fig08_overall` | Figure 8 — overall normalized time, mLR vs the exact Algorithm-2 run (the paper's baseline is Algorithm 1), three dataset sizes |
 //! | `fig10_memo_breakdown` | Figure 10 — per-operator memoization case breakdown (+ §6.4 case distribution) |
 //! | `fig12_cache_hit_rate` | Figure 12 — private vs global cache hit rate over iterations |
-//! | `fig13_offload` | Figure 13 — RSS over time for ADMM / greedy / ADMM-Offload (+ §5.1 LRU comparison) |
 //! | `fig14_scalability` | Figure 14 — FFT-operation and overall time vs number of GPUs |
 //! | `fig15_bandwidth` | Figure 15 — interconnect bandwidth utilisation vs number of GPUs (a Poisson query stream replayed through `replay_trace`) |
 //! | `fig16_latency_cdf` | Figure 16 — memoization-query latency CDF under contention (same replay) |

@@ -107,7 +107,7 @@ impl ScalingModel {
         let (fu1d_1, fu2d_1) = self.workload.exact_stages(&cost);
         let fu1d = self.stage_seconds(&cost, fu1d_1, gpus);
         let fu2d = self.stage_seconds(&cost, fu2d_1, gpus);
-        let iteration = self.workload.iteration_time(&cost, fu1d, fu2d);
+        let iteration = self.workload.iteration(&cost, fu1d, fu2d);
         ScalingPoint {
             gpus,
             nodes,

@@ -236,8 +236,8 @@ impl MlrPipeline {
             .memo_chunk_seconds(&cost, workload.fu2d_time(&cost))
             .expected(case_distribution)
             * size.num_chunks() as f64;
-        let original_iter = workload.iteration_time(&cost, fu1d, fu2d);
-        let mlr_iter = workload.iteration_time(&cost, fu1d, memo_fu2d);
+        let original_iter = workload.iteration(&cost, fu1d, fu2d);
+        let mlr_iter = workload.iteration(&cost, fu1d, memo_fu2d);
         PaperScaleProjection {
             n,
             original_seconds: original_iter,

@@ -1,33 +1,11 @@
-//! # mlr-offload
+//! # mlr-offload (retired)
 //!
-//! ADMM-Offload (§5.1 of the paper): reduce the CPU-memory footprint of
-//! ADMM-FFT by moving large auxiliary variables (ψ, λ, g, g_prev) to SSD
-//! while they are not being accessed, and prefetching them back just before
-//! the phase that needs them — without exposing the data movement on the
-//! critical path if it can be helped.
-//!
-//! The crate has four pieces:
-//!
-//! * [`profile`] — the per-variable liveness profile of one ADMM iteration
-//!   (which phase touches which variable, when, and how large it is),
-//!   derived from the analytic workload model in `mlr-sim`.
-//! * [`planner`] — enumerates offload/prefetch plans, rejects those that
-//!   violate the paper's four constraints, prices memory saving `M` and
-//!   performance loss `T` for the rest, and selects the plan with the
-//!   largest `MT = M / T`.
-//! * [`simulate`] — produces RSS-over-time traces and total execution time
-//!   for no offloading, greedy offloading, LRU-style offloading and the
-//!   planned ADMM-Offload (Figure 13 and the §5.1 LRU comparison).
-//! * [`store`] — a real file-backed variable store: offloaded variables are
-//!   written to and read back from disk, demonstrating the mechanism end to
-//!   end at laptop scale.
-
-pub mod planner;
-pub mod profile;
-pub mod simulate;
-pub mod store;
-
-pub use planner::{OffloadPlan, OffloadPlanner, PlanEvaluation};
-pub use profile::{AccessWindow, IterationProfile, VariableProfile};
-pub use simulate::{simulate_strategy, OffloadStrategy, OffloadTrace};
-pub use store::SsdStore;
+//! This crate held ADMM-Offload (§5.1 of the paper) as a model: a planner
+//! and a strategy simulation over the paper's variables ψ, λ, g and g_prev,
+//! sized to match the paper's Figure 2. The solver holds none of those
+//! arrays (one dual field and a gradient-only Barzilai–Borwein history, see
+//! `mlr_solver::AdmmWorkspace`), so the model is gone and the crate has no
+//! items. It stays only because `mlr-bench` depends on it and that
+//! dependency is recorded in the repository benchmark's frozen
+//! `examples/benchmark/Cargo.lock`; the crate and the dependency go
+//! together when that lock is next rewritten.

@@ -5,7 +5,7 @@
 //! a bandwidth/FLOP roofline plus fixed overheads — because the paper's
 //! results are *ratios* between configurations running on the same hardware;
 //! what matters is that the relative cost of FFT compute vs. PCIe transfer
-//! vs. remote lookup vs. SSD I/O is in proportion.
+//! vs. remote lookup is in proportion.
 
 use crate::hardware::ClusterSpec;
 use crate::transfer_seconds;
@@ -22,8 +22,6 @@ pub struct Efficiency {
     pub pcie: f64,
     /// Fraction of interconnect peak an RDMA transfer sustains.
     pub network: f64,
-    /// Fraction of SSD peak sequential bandwidth sustained.
-    pub ssd: f64,
     /// Fraction of DRAM peak a memcpy-like CPU kernel sustains.
     pub dram: f64,
     /// Fraction of CPU peak FLOP/s vectorised CPU math sustains.
@@ -36,7 +34,6 @@ impl Default for Efficiency {
             gpu_fft: 0.12,
             pcie: 0.80,
             network: 0.85,
-            ssd: 0.85,
             dram: 0.65,
             cpu: 0.55,
         }
@@ -133,18 +130,6 @@ impl CostModel {
             + link.latency_us * 1e-6
     }
 
-    /// SSD read time.
-    pub fn ssd_read_time(&self, bytes: f64) -> Seconds {
-        let ssd = &self.cluster.node.ssd;
-        transfer_seconds(bytes, ssd.read_gbps * self.efficiency.ssd) + ssd.latency_us * 1e-6
-    }
-
-    /// SSD write time.
-    pub fn ssd_write_time(&self, bytes: f64) -> Seconds {
-        let ssd = &self.cluster.node.ssd;
-        transfer_seconds(bytes, ssd.write_gbps * self.efficiency.ssd) + ssd.latency_us * 1e-6
-    }
-
     /// CPU DRAM copy time (e.g. staging a chunk for the memoization cache).
     pub fn dram_copy_time(&self, bytes: f64) -> Seconds {
         transfer_seconds(bytes, self.cluster.node.dram_gbps * self.efficiency.dram)
@@ -216,15 +201,6 @@ mod tests {
         // A tiny transfer is dominated by the link latency, not bandwidth.
         let tiny = m.network_bulk_time(64.0);
         assert!(tiny > 2.0e-6 && tiny < 2.1e-6, "tiny={tiny}");
-    }
-
-    #[test]
-    fn ssd_slower_than_network_bulk() {
-        let m = model();
-        let bytes = 1e9;
-        // The paper's premise: the memory node over Slingshot beats local SSD.
-        assert!(m.ssd_read_time(bytes) > m.network_bulk_time(bytes));
-        assert!(m.ssd_write_time(bytes) > m.ssd_read_time(bytes));
     }
 
     #[test]

@@ -35,31 +35,6 @@ impl GpuSpec {
     }
 }
 
-/// A local NVMe SSD (possibly a RAID of two, as on Polaris).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SsdSpec {
-    /// Capacity in GiB.
-    pub capacity_gib: f64,
-    /// Sequential read bandwidth in GB/s.
-    pub read_gbps: f64,
-    /// Sequential write bandwidth in GB/s.
-    pub write_gbps: f64,
-    /// Access latency in microseconds.
-    pub latency_us: f64,
-}
-
-impl SsdSpec {
-    /// Polaris local NVMe (2 drives, 3.2 TB total).
-    pub fn polaris_nvme() -> Self {
-        Self {
-            capacity_gib: 3200.0,
-            read_gbps: 6.4,
-            write_gbps: 4.2,
-            latency_us: 80.0,
-        }
-    }
-}
-
 /// The inter-node interconnect (and the link to the memory node).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InterconnectSpec {
@@ -88,7 +63,7 @@ impl InterconnectSpec {
     }
 }
 
-/// A host (compute node) with CPUs, DRAM, GPUs, SSD.
+/// A host (compute node) with CPUs, DRAM and GPUs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
     /// Physical CPU cores.
@@ -107,13 +82,11 @@ pub struct NodeSpec {
     pub pcie_gbps: f64,
     /// GPU↔GPU NVLink bandwidth in GB/s.
     pub nvlink_gbps: f64,
-    /// Local SSD.
-    pub ssd: SsdSpec,
 }
 
 impl NodeSpec {
     /// A Polaris compute node: 1× EPYC 7543P (32 cores), 512 GB DDR4,
-    /// 4× A100-40GB, PCIe Gen4 x16, NVLink, local NVMe.
+    /// 4× A100-40GB, PCIe Gen4 x16, NVLink.
     pub fn polaris() -> Self {
         Self {
             cpu_cores: 32,
@@ -124,7 +97,6 @@ impl NodeSpec {
             gpu: GpuSpec::a100_40gb(),
             pcie_gbps: 25.0,
             nvlink_gbps: 600.0,
-            ssd: SsdSpec::polaris_nvme(),
         }
     }
 }

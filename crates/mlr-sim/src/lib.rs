@@ -18,27 +18,25 @@
 //! * [`faults`] — deterministic fault injection: seeded, tick-ordered
 //!   schedules of node crashes, link degradations, and slow-stripe stalls
 //!   that the distributed memo tier replays bit-identically.
-//! * [`memory`] — byte formatting for the memory reports of Figures 2
-//!   and 13.
-//! * [`workload`] — the analytic ADMM-FFT workload model (operation counts,
-//!   variable sizes and memo-case prices per iteration) used to extrapolate
-//!   to the paper's 1K³–2K³ problem sizes.
+//! * [`workload`] — the analytic ADMM-FFT workload model (operation counts
+//!   and memo-case prices per iteration) used to extrapolate to the paper's
+//!   1K³–2K³ problem sizes.
 //!
-//! Numerical results (convergence, accuracy vs τ, chunk similarity) never go
-//! through this crate — they are computed for real by the solver.
+//! Numerical results (convergence, accuracy vs τ, chunk similarity) and the
+//! solver's memory (Figure 2) never go through this crate — they are
+//! computed or counted for real by the solver.
 
 #![warn(missing_docs)]
 
 pub mod cost;
 pub mod faults;
 pub mod hardware;
-pub mod memory;
 pub mod network;
 pub mod workload;
 
 pub use cost::CostModel;
 pub use faults::{FaultEvent, FaultPlan, LinkState, TimedFault};
-pub use hardware::{ClusterSpec, GpuSpec, InterconnectSpec, MemoryNodeSpec, NodeSpec, SsdSpec};
+pub use hardware::{ClusterSpec, GpuSpec, InterconnectSpec, MemoryNodeSpec, NodeSpec};
 pub use workload::{AdmmWorkload, ProblemSize};
 
 /// Seconds, the simulated time unit used throughout this crate.

@@ -1,12 +1,9 @@
 //! Analytic ADMM-FFT workload model.
 //!
 //! Describes, for a given problem size, how much work one ADMM-FFT iteration
-//! performs and how large each of its variables is — operation counts, FFT
-//! sizes, bytes moved — so that the cost model can price the paper's
-//! 1K³/1.5K³/2K³ problems even though the numerical solver in this
-//! reproduction runs at much smaller grids. The variable catalog reproduces
-//! the memory-consumption breakdown of Figure 2 and feeds the offload
-//! planner's profile for Figure 13.
+//! performs — operation counts, FFT sizes, bytes moved — so that the cost
+//! model can price the paper's 1K³/1.5K³/2K³ problems even though the
+//! numerical solver in this reproduction runs at much smaller grids.
 
 use crate::cost::CostModel;
 use crate::Seconds;
@@ -71,50 +68,6 @@ impl ProblemSize {
     }
 }
 
-/// One named variable in the ADMM working set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VariableSpec {
-    /// Variable name as used in the paper (ψ, λ, g, …).
-    pub name: String,
-    /// Size in bytes.
-    pub bytes: u64,
-    /// Whether the paper's offload planner considers it (no pointer aliases).
-    pub offloadable: bool,
-}
-
-/// The four execution phases of one ADMM iteration (§5.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum AdmmPhase {
-    /// Laminography subproblem (CG iterations over the FFT operators).
-    Lsp,
-    /// Regularisation subproblem (TV proximal step).
-    Rsp,
-    /// Lagrange multiplier update.
-    LambdaUpdate,
-    /// Penalty parameter update.
-    PenaltyUpdate,
-}
-
-impl AdmmPhase {
-    /// All four phases in execution order.
-    pub const ALL: [AdmmPhase; 4] = [
-        AdmmPhase::Lsp,
-        AdmmPhase::Rsp,
-        AdmmPhase::LambdaUpdate,
-        AdmmPhase::PenaltyUpdate,
-    ];
-
-    /// Display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdmmPhase::Lsp => "LSP",
-            AdmmPhase::Rsp => "RSP",
-            AdmmPhase::LambdaUpdate => "lambda update",
-            AdmmPhase::PenaltyUpdate => "penalty update",
-        }
-    }
-}
-
 /// Paper-scale seconds of one USFFT chunk in each memo case: Figure 10's
 /// bars, and the per-chunk prices a paper-scale projection weighs by the
 /// measured case distribution.
@@ -161,45 +114,6 @@ impl AdmmWorkload {
     /// Creates the workload model of one problem size.
     pub fn new(size: ProblemSize) -> Self {
         Self { size }
-    }
-
-    // ----------------------------------------------------------- variables
-
-    /// The ADMM working set, sized in the proportions of Figure 2:
-    /// ψ and λ at ~12 % each, `g` + `g_prev` at ~24 %, with the remainder
-    /// taken by the reconstruction, the data, frequency-domain copies and
-    /// FFT work buffers.
-    pub fn variables(&self) -> Vec<VariableSpec> {
-        let n3 = self.size.voxels();
-        let data = self.size.data_elems();
-        // Scalars are float32 on the host (the paper stores data in single
-        // precision); frequency-domain arrays are COMPLEX64 (8 bytes).
-        let vol_f32 = n3 * 4;
-        let grad_f32 = 3 * vol_f32; // 3-component vector fields
-        let data_f32 = data * 4;
-        let data_c64 = data * 8;
-        let spec = |name: &str, bytes: u64, offloadable: bool| VariableSpec {
-            name: name.to_string(),
-            bytes,
-            offloadable,
-        };
-        vec![
-            spec("psi", grad_f32, true),
-            spec("lambda", grad_f32, true),
-            spec("g", grad_f32, true),
-            spec("g_prev", grad_f32, true),
-            spec("u", vol_f32, false),
-            spec("d", data_f32, false),
-            spec("d_hat", data_c64, false),
-            spec("u1_intermediate", data_c64, false),
-            spec("cg_workspace", 2 * vol_f32, false),
-            spec("fft_buffers", 10 * vol_f32, false),
-        ]
-    }
-
-    /// Total CPU-memory footprint in bytes (sum of the variable catalog).
-    pub fn total_bytes(&self) -> u64 {
-        self.variables().iter().map(|v| v.bytes).sum()
     }
 
     // ----------------------------------------------------------- FFT costs
@@ -267,54 +181,33 @@ impl AdmmWorkload {
 
     // ---------------------------------------------------------- iteration
 
-    /// Simulated seconds of each phase of one Algorithm-2 ADMM iteration, in
-    /// execution order: the one place the model composes an iteration.
-    /// `fu1d` and `fu2d` are the exposed whole-volume seconds of one `F_u1D`
-    /// and one `F_u2D` application, each adjoint priced like its forward.
+    /// Simulated seconds of one Algorithm-2 ADMM iteration: the one place
+    /// the model composes an iteration. `fu1d` and `fu2d` are the exposed
+    /// whole-volume seconds of one `F_u1D` and one `F_u2D` application, each
+    /// adjoint priced like its forward.
     ///
     /// The LSP runs `N_inner` inner iterations of `F_u1D`, `F_u2D`,
     /// `F*_u2D`, `F*_u1D` (cancellation removed both uniform-FFT stages),
     /// the frequency-domain subtraction fused on the GPU and the CG update on
     /// the CPU. RSP (TV shrinkage over the gradient field), the λ update and
-    /// the penalty (ρ) update are CPU element-wise passes.
-    pub fn iteration(
-        &self,
-        cost: &CostModel,
-        fu1d: Seconds,
-        fu2d: Seconds,
-    ) -> [(AdmmPhase, Seconds); 4] {
+    /// the penalty (ρ) update are CPU element-wise passes. The phases are
+    /// summed in that order.
+    pub fn iteration(&self, cost: &CostModel, fu1d: Seconds, fu2d: Seconds) -> Seconds {
         let voxels = self.size.voxels() as usize;
         let cpu = |elems, flops, bytes| cost.cpu_elementwise_time(elems, flops, bytes);
         let fused_sub = cost.gpu_elementwise_time(self.size.data_elems() as usize);
         let lsp_inner = fu1d + fu2d + fu2d + fu1d + fused_sub + cpu(voxels, 6.0, 24.0);
-        [
-            (AdmmPhase::Lsp, lsp_inner * N_INNER as f64),
-            (AdmmPhase::Rsp, cpu(3 * voxels, 8.0, 16.0)),
-            (AdmmPhase::LambdaUpdate, cpu(3 * voxels, 3.0, 16.0)),
-            (AdmmPhase::PenaltyUpdate, cpu(voxels, 2.0, 8.0)),
-        ]
-    }
-
-    /// Simulated seconds of one whole [`AdmmWorkload::iteration`].
-    pub fn iteration_time(&self, cost: &CostModel, fu1d: Seconds, fu2d: Seconds) -> Seconds {
-        self.iteration(cost, fu1d, fu2d)
-            .iter()
-            .map(|&(_, t)| t)
-            .sum()
-    }
-
-    /// Each phase of one iteration of the exact run
-    /// ([`AdmmWorkload::exact_stages`]), in execution order.
-    pub fn phase_times(&self, cost: &CostModel) -> [(AdmmPhase, Seconds); 4] {
-        let (fu1d, fu2d) = self.exact_stages(cost);
-        self.iteration(cost, fu1d, fu2d)
+        let lsp = lsp_inner * N_INNER as f64;
+        let rsp = cpu(3 * voxels, 8.0, 16.0);
+        let lambda = cpu(3 * voxels, 3.0, 16.0);
+        let penalty = cpu(voxels, 2.0, 8.0);
+        lsp + rsp + lambda + penalty
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::gib;
 
     #[test]
     fn paper_sizes() {
@@ -325,77 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_matches_paper_scale() {
-        // The paper: >120 GB CPU memory for the 1K^3 problem, ~300 GB for the
-        // 1.5K projections case; ψ and λ ~12 % each, g + g_prev ~24 %.
-        let w = AdmmWorkload::new(ProblemSize::paper_1k());
-        let total = gib(w.total_bytes());
-        assert!(total > 100.0 && total < 150.0, "total {total} GiB");
-
-        let vars = w.variables();
-        let total_b = w.total_bytes() as f64;
-        let frac = |name: &str| -> f64 {
-            vars.iter().find(|v| v.name == name).unwrap().bytes as f64 / total_b
-        };
-        assert!((frac("psi") - 0.12).abs() < 0.03, "psi {}", frac("psi"));
-        assert!((frac("lambda") - 0.12).abs() < 0.03);
-        assert!(((frac("g") + frac("g_prev")) - 0.24).abs() < 0.06);
-    }
-
-    #[test]
-    fn offloadable_variables_are_the_paper_ones() {
-        let w = AdmmWorkload::new(ProblemSize::paper_1k());
-        let offloadable: Vec<String> = w
-            .variables()
-            .into_iter()
-            .filter(|v| v.offloadable)
-            .map(|v| v.name)
-            .collect();
-        assert_eq!(offloadable, vec!["psi", "lambda", "g", "g_prev"]);
-        // They account for >40 % of memory ("more than 80%" in the paper
-        // refers to all alias-free candidates; the four big ones dominate).
-        let total = w.total_bytes() as f64;
-        let sum: u64 = w
-            .variables()
-            .iter()
-            .filter(|v| v.offloadable)
-            .map(|v| v.bytes)
-            .sum();
-        assert!(sum as f64 / total >= 0.35);
-    }
-
-    #[test]
-    fn lsp_dominates_iteration_time() {
-        // Figure 2: LSP is more than 67 % of one ADMM iteration.
-        let cost = CostModel::polaris(1);
-        let w = AdmmWorkload::new(ProblemSize::paper_1_5k());
-        let (fu1d, fu2d) = w.exact_stages(&cost);
-        let lsp = w.phase_times(&cost)[0].1;
-        let total = w.iteration_time(&cost, fu1d, fu2d);
-        assert!(lsp / total > 0.67, "LSP fraction {}", lsp / total);
-    }
-
-    #[test]
     fn fu2d_is_the_longest_operator() {
         let cost = CostModel::polaris(1);
         let w = AdmmWorkload::new(ProblemSize::paper_1k());
         assert!(w.fu2d_time(&cost) > w.fu1d_time(&cost));
-    }
-
-    #[test]
-    fn phase_times_cover_all_phases() {
-        let cost = CostModel::polaris(1);
-        let w = AdmmWorkload::new(ProblemSize::cube(256, 16));
-        let phases = w.phase_times(&cost);
-        assert_eq!(
-            phases.map(|(p, _)| p),
-            AdmmPhase::ALL,
-            "phases in execution order"
-        );
-        let (fu1d, fu2d) = w.exact_stages(&cost);
-        let sum: f64 = phases.iter().map(|(_, t)| t).sum();
-        assert_eq!(sum.to_bits(), w.iteration_time(&cost, fu1d, fu2d).to_bits());
-        assert_eq!(AdmmPhase::ALL[0].label(), "LSP");
     }
 
     #[test]
@@ -404,7 +230,7 @@ mod tests {
         let exact = |size| {
             let w = AdmmWorkload::new(size);
             let (fu1d, fu2d) = w.exact_stages(&cost);
-            w.iteration_time(&cost, fu1d, fu2d)
+            w.iteration(&cost, fu1d, fu2d)
         };
         let t1 = exact(ProblemSize::paper_1k());
         let t15 = exact(ProblemSize::paper_1_5k());

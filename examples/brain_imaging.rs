@@ -1,15 +1,10 @@
 //! Biological-tissue scenario: a flat soft-tissue phantom reconstructed with
-//! the strict τ = 0.95 the paper recommends for fine structures, plus an
-//! ADMM-Offload plan for the host memory footprint.
+//! the strict τ = 0.95 the paper recommends for fine structures.
 //!
 //! ```bash
 //! cargo run --release --example brain_imaging
 //! ```
 use mlr_core::{MlrConfig, MlrPipeline};
-use mlr_offload::{simulate::simulate_all, IterationProfile, OffloadPlanner};
-use mlr_sim::memory::gib;
-use mlr_sim::workload::{AdmmWorkload, ProblemSize};
-use mlr_sim::CostModel;
 
 fn main() {
     // Numerical reconstruction at laptop scale, strict threshold.
@@ -22,34 +17,4 @@ fn main() {
         "FFT invocations avoided          : {:.1} %",
         100.0 * report.avoided_fraction
     );
-
-    // Memory planning for the paper-scale (1K^3) version of the same study.
-    let workload = AdmmWorkload::new(ProblemSize::paper_1k());
-    let cost = CostModel::polaris(1);
-    let profile = IterationProfile::from_workload(&workload, &cost);
-    let planner = OffloadPlanner::new(&profile, &cost);
-    let (plan, eval) = planner.best_plan();
-    println!("\n== ADMM-Offload plan for the 1K^3 study ==");
-    println!("offloaded variables : {:?}", plan.variables);
-    println!(
-        "memory saving       : {:.1} % (peak {:.0} GiB)",
-        100.0 * eval.memory_saving,
-        gib(eval.peak_bytes)
-    );
-    println!(
-        "performance loss    : {:.1} %",
-        100.0 * eval.performance_loss
-    );
-    println!("MT metric           : {:.2}", eval.mt);
-
-    println!("\nall offloading strategies (5 iterations):");
-    for trace in simulate_all(&profile, &cost, 5) {
-        println!(
-            "  {:<22} peak {:>6.1} GiB  time {:>8.1} s  MT {:>6.2}",
-            trace.label,
-            gib(trace.peak_bytes),
-            trace.total_seconds,
-            trace.mt
-        );
-    }
 }

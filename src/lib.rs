@@ -11,8 +11,8 @@
 //! * [`mlr_memo`] — the memoization system (key sketch, per-scope index, stores).
 //! * [`mlr_solver`] / [`mlr_lamino`] / [`mlr_fft`] / [`mlr_math`] — the
 //!   numerical stack.
-//! * [`mlr_sim`] / [`mlr_cluster`] / [`mlr_offload`] — the hardware cost
-//!   model and the scaling/offload studies built on it.
+//! * [`mlr_sim`] / [`mlr_cluster`] — the hardware cost model and the
+//!   scaling study built on it.
 
 pub use mlr_cluster;
 pub use mlr_core;
@@ -20,7 +20,6 @@ pub use mlr_fft;
 pub use mlr_lamino;
 pub use mlr_math;
 pub use mlr_memo;
-pub use mlr_offload;
 pub use mlr_runtime;
 pub use mlr_sim;
 pub use mlr_solver;
