@@ -70,7 +70,7 @@ fn main() {
 
     // Paper-scale per-case timing for one chunk (cost-model projection).
     let w = AdmmWorkload::new(ProblemSize::paper_1k());
-    let cost = CostModel::polaris(1);
+    let cost = CostModel::polaris();
     let mut paper_rows = Vec::new();
     println!("\nper-chunk time at 1K^3 (cost model): original / failed memo / db hit / cache hit");
     for (label, stage) in [("Fu1D", w.fu1d_time(&cost)), ("Fu2D", w.fu2d_time(&cost))] {

@@ -1,5 +1,5 @@
-//! Figure 24 (Figures 14–16 over the distributed memo tier): trace replay
-//! of a real multi-job run through the simulated memory-node cluster.
+//! Figure 24 (the distributed memo tier): trace replay of a real multi-job
+//! run through the simulated memory-node cluster.
 //!
 //! Two phases:
 //!
@@ -24,7 +24,8 @@
 //! `target/experiments/`).
 
 use mlr_bench::{compare_row, header, pct, smoke_from_args, write_record};
-use mlr_cluster::{replay_trace, NodeUtilisation, ReplayConfig};
+use mlr_cluster::replay::LOCAL_LATENCY;
+use mlr_cluster::{replay_trace, NodeUtilisation};
 use mlr_core::MlrConfig;
 use mlr_math::stats::Ecdf;
 use mlr_math::Complex64;
@@ -33,7 +34,6 @@ use mlr_memo::{
     ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
-use mlr_sim::hardware::InterconnectSpec;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -186,9 +186,8 @@ fn main() {
 
     // ...and replay it through the shared-link contention model over the
     // run's own stripe placement.
-    let replay_config = ReplayConfig::new(InterconnectSpec::slingshot11());
     let records = snapshot.accesses;
-    let outcome = replay_trace(&records, &placement, &replay_config, None);
+    let outcome = replay_trace(&records, &placement, None);
     let nodes_spread = outcome.active_nodes() >= 2;
     let replica_hits_match_live =
         (outcome.local_hits, outcome.remote_hits) == (live.local_hits, live.remote_hits);
@@ -199,9 +198,9 @@ fn main() {
             .windows(2)
             .all(|w| w[1].0 >= w[0].0 && w[1].1 >= w[0].1)
         && curve.last().map(|&(_, f)| f) == Some(1.0);
-    // Local replica hits replay at exactly `local_latency`; everything else
+    // Local replica hits replay at exactly `LOCAL_LATENCY`; everything else
     // crossed a link and must have paid at least its base latency.
-    let local = replay_config.local_latency;
+    let local = LOCAL_LATENCY;
     let min_remote = outcome
         .query_latencies
         .iter()

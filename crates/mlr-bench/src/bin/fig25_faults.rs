@@ -37,12 +37,11 @@
 //! harness binary). The record lands in `BENCH_faults.json`.
 
 use mlr_bench::{compare_row, header, pct, smoke_from_args, write_record};
-use mlr_cluster::{replay_trace, FaultFootprint, ReplayConfig};
+use mlr_cluster::{replay_trace, FaultFootprint};
 use mlr_core::MlrConfig;
 use mlr_memo::{FaultStats, NodeTopology};
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use mlr_sim::faults::FaultPlan;
-use mlr_sim::hardware::InterconnectSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -173,13 +172,7 @@ fn run_workload(
         .distributed()
         .expect("runtime was configured with a topology")
         .placement();
-    let footprint = replay_trace(
-        &trace.accesses,
-        placement,
-        &ReplayConfig::new(InterconnectSpec::slingshot11()),
-        plan.as_ref(),
-    )
-    .footprint;
+    let footprint = replay_trace(&trace.accesses, placement, plan.as_ref()).footprint;
     let mut stripe_accesses = vec![0u64; placement.len()];
     let mut node_accesses = vec![0u64; nodes];
     for access in &trace.accesses {

@@ -3,8 +3,10 @@
 //! Evaluation harness for the mLR reproduction. Every table and figure of the
 //! paper's evaluation section has a corresponding binary in `src/bin/`, except
 //! Figures 9 (the solver has no Algorithm-1 LSP to set cancellation and fusion
-//! against), 11 (key coalescing, which this repository does not run) and 13
-//! (ADMM-Offload, whose variables the solver does not hold):
+//! against), 11 (key coalescing, which this repository does not run), 13
+//! (ADMM-Offload, whose variables the solver does not hold) and 14–16
+//! (multi-GPU scaling and one memory node under 1–16 GPUs, which nothing here
+//! measures; `fig24_cluster` replays a recorded trace through the link model):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -13,9 +15,6 @@
 //! | `fig08_overall` | Figure 8 — overall normalized time, mLR vs the exact Algorithm-2 run (the paper's baseline is Algorithm 1), three dataset sizes |
 //! | `fig10_memo_breakdown` | Figure 10 — per-operator memoization case breakdown (+ §6.4 case distribution) |
 //! | `fig12_cache_hit_rate` | Figure 12 — private vs global cache hit rate over iterations |
-//! | `fig14_scalability` | Figure 14 — FFT-operation and overall time vs number of GPUs |
-//! | `fig15_bandwidth` | Figure 15 — interconnect bandwidth utilisation vs number of GPUs (a Poisson query stream replayed through `replay_trace`) |
-//! | `fig16_latency_cdf` | Figure 16 — memoization-query latency CDF under contention (same replay) |
 //! | `fig17_convergence` | Figure 17 — convergence loss with and without memoization |
 //! | `table1_accuracy` | Table 1 — reconstruction accuracy vs τ |
 //! | `fig18_multi_job` | beyond the paper — multi-job runtime, shared vs isolated stores |

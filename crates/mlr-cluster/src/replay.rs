@@ -1,18 +1,15 @@
 //! Trace replay: the one model of the memory-node network.
 //!
-//! This module replays an [`AccessRecord`] stream through one
-//! deterministic [`LinkQueue`] per simulated memory node. The stream is
-//! either what `mlr-telemetry`'s access trace captured from a real
-//! multi-job run, or the synthetic Poisson stream of remote hits
-//! [`LatencyExperiment`](crate::latency::LatencyExperiment) builds for the
-//! Figure 15/16 curves. Each record's stripe is mapped to its owning node
-//! by a placement map (see [`crate::placement`]), its store-clock tick
-//! becomes a simulated arrival time, and the queue charges it wait +
-//! service. The outcome is per-node utilisation and a query-latency
-//! distribution; replayed from a recorded trace, both come from *actual
-//! store behaviour* under the modeled contention. The live distributed tier
-//! charges nothing itself; every simulated second it is ever quoted with
-//! comes from here.
+//! This module replays an [`AccessRecord`] stream — what `mlr-telemetry`'s
+//! access trace captured from a real multi-job run — through one
+//! deterministic [`LinkQueue`] per simulated memory node. Each record's
+//! stripe is mapped to its owning node by a placement map (see
+//! [`crate::placement`]), its store-clock tick becomes a simulated arrival
+//! time, and the queue charges it wait + service over a Slingshot-11 link.
+//! The outcome is per-node utilisation and a query-latency distribution,
+//! both from *actual store behaviour* under the modeled contention. The
+//! live distributed tier charges nothing itself; every simulated second it
+//! is ever quoted with comes from here.
 //!
 //! Replica membership is read off the trace: the distributed tier records
 //! each promotion and demotion (`AccessKind::Promote` / `Demote`), and an
@@ -35,39 +32,19 @@ use mlr_telemetry::{AccessKind, AccessRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// Payload and timing model of a replay run.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayConfig {
-    /// Per-node link the remote operations are charged through.
-    pub interconnect: InterconnectSpec,
-    /// Simulated seconds per store-clock tick (arrival spacing).
-    pub tick_seconds: f64,
-    /// Modeled query payload (coalesced key batch), bytes.
-    pub key_bytes: f64,
-    /// Modeled value payload returned by a hit / shipped by an insert,
-    /// bytes (access records carry no sizes, so replay uses one
-    /// representative value size).
-    pub value_bytes: f64,
-    /// Modeled control-message payload of an eviction, bytes.
-    pub control_bytes: f64,
-    /// Cost of a hit served from a local replica (no link trip), seconds.
-    pub local_latency: Seconds,
-}
-
-impl ReplayConfig {
-    /// Defaults over the given interconnect: microsecond ticks, 1 KiB
-    /// coalesced queries, 64 KiB values, DRAM-ish 400 ns local hits.
-    pub fn new(interconnect: InterconnectSpec) -> Self {
-        Self {
-            interconnect,
-            tick_seconds: 1e-6,
-            key_bytes: 1024.0,
-            value_bytes: 64.0 * 1024.0,
-            control_bytes: 64.0,
-            local_latency: 0.4e-6,
-        }
-    }
-}
+/// Simulated seconds per store-clock tick (arrival spacing).
+const TICK_SECONDS: f64 = 1e-6;
+/// Modeled query payload (a coalesced key batch), bytes.
+const KEY_BYTES: f64 = 1024.0;
+/// Modeled value payload returned by a hit or shipped by an insert, bytes
+/// (access records carry no sizes, so replay uses one representative value
+/// size).
+const VALUE_BYTES: f64 = 64.0 * 1024.0;
+/// Modeled control-message payload of an eviction, bytes.
+const CONTROL_BYTES: f64 = 64.0;
+/// Cost of a hit served from a local replica (no link trip): a DRAM-ish
+/// 400 ns. Public so a caller can tell local hits' latencies from the rest.
+pub const LOCAL_LATENCY: Seconds = 0.4e-6;
 
 /// One memory node's share of a replayed trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,22 +150,21 @@ impl Links<'_> {
 /// (a stripe→node map; stripes beyond its length wrap around), under the
 /// `plan` the run was faulted with (`None` for a perfect cluster). The plan
 /// is consulted at each record's own store tick — the tick the run's fault
-/// windows were placed on. Fully deterministic: same records, placement,
-/// config and plan → same outcome.
+/// windows were placed on. Fully deterministic: same records, placement
+/// and plan → same outcome.
 ///
 /// # Panics
 /// Panics when `placement` is empty.
 pub fn replay_trace(
     records: &[AccessRecord],
     placement: &[usize],
-    config: &ReplayConfig,
     plan: Option<&FaultPlan>,
 ) -> ReplayOutcome {
     assert!(!placement.is_empty(), "replay needs a placement map");
     let nodes = placement.iter().copied().max().unwrap_or(0) + 1;
     let mut links = Links {
         queues: (0..nodes)
-            .map(|_| LinkQueue::new(&config.interconnect))
+            .map(|_| LinkQueue::new(&InterconnectSpec::slingshot11()))
             .collect(),
         plan,
         footprint: FaultFootprint::default(),
@@ -200,7 +176,7 @@ pub fn replay_trace(
     let mut last_arrival: Seconds = 0.0;
 
     for record in records {
-        let arrival = record.tick.saturating_sub(first_tick) as f64 * config.tick_seconds;
+        let arrival = record.tick.saturating_sub(first_tick) as f64 * TICK_SECONDS;
         last_arrival = last_arrival.max(arrival);
         let stripe = record.stripe as usize;
         let node = placement[stripe % placement.len()];
@@ -208,18 +184,18 @@ pub fn replay_trace(
         match record.kind {
             AccessKind::Hit if replicas.contains(&record.entry) => {
                 local_hits += 1;
-                query_latencies.push(config.local_latency);
+                query_latencies.push(LOCAL_LATENCY);
             }
             AccessKind::Hit => {
                 remote_hits += 1;
-                query_latencies.extend(send(config.key_bytes + config.value_bytes));
+                query_latencies.extend(send(KEY_BYTES + VALUE_BYTES));
             }
-            AccessKind::Miss => query_latencies.extend(send(config.key_bytes)),
+            AccessKind::Miss => query_latencies.extend(send(KEY_BYTES)),
             AccessKind::Insert => {
-                let _ = send(config.key_bytes + config.value_bytes);
+                let _ = send(KEY_BYTES + VALUE_BYTES);
             }
             AccessKind::Evict => {
-                let _ = send(config.control_bytes);
+                let _ = send(CONTROL_BYTES);
                 replicas.remove(&record.entry);
             }
             // Replica changes are compute-side bookkeeping, and an entry
@@ -280,10 +256,6 @@ mod tests {
         }
     }
 
-    fn config() -> ReplayConfig {
-        ReplayConfig::new(InterconnectSpec::slingshot11())
-    }
-
     /// Eight entries inserted, then hit for five rounds; the tier promotes
     /// each on its second hit.
     fn sample_trace() -> Vec<AccessRecord> {
@@ -311,19 +283,18 @@ mod tests {
     #[test]
     fn replay_spreads_load_and_is_deterministic() {
         let placement = place_stripes(8, &[1.0; 4]);
-        let outcome = replay_trace(&sample_trace(), &placement, &config(), None);
+        let outcome = replay_trace(&sample_trace(), &placement, None);
         assert!(outcome.active_nodes() >= 2, "load stuck on one node");
         assert_eq!(outcome.per_node.len(), 4);
         assert_eq!(outcome.footprint, FaultFootprint::default());
-        let again = replay_trace(&sample_trace(), &placement, &config(), None);
+        let again = replay_trace(&sample_trace(), &placement, None);
         assert_eq!(outcome, again);
     }
 
     #[test]
     fn replicated_hits_cost_less_than_remote_ones() {
         let placement = place_stripes(8, &[1.0; 2]);
-        let cfg = config();
-        let outcome = replay_trace(&sample_trace(), &placement, &cfg, None);
+        let outcome = replay_trace(&sample_trace(), &placement, None);
         // Rounds 1–2 precede the promotions, rounds 3–5 follow them.
         assert_eq!((outcome.remote_hits, outcome.local_hits), (16, 24));
         assert_eq!(outcome.promotions, 8);
@@ -331,13 +302,13 @@ mod tests {
             .query_latencies
             .iter()
             .copied()
-            .filter(|&l| l > cfg.local_latency)
+            .filter(|&l| l > LOCAL_LATENCY)
             .fold(f64::INFINITY, f64::min);
         assert!(
-            min_remote > cfg.local_latency,
+            min_remote > LOCAL_LATENCY,
             "remote probes must cost strictly more than local ones"
         );
-        assert!(outcome.query_latencies.contains(&cfg.local_latency));
+        assert!(outcome.query_latencies.contains(&LOCAL_LATENCY));
     }
 
     #[test]
@@ -359,7 +330,7 @@ mod tests {
             records.push(record(e, (e % 8) as u32, AccessKind::Hit, 300 + e));
         }
         let placement = place_stripes(8, &[1.0; 2]);
-        let outcome = replay_trace(&records, &placement, &config(), None);
+        let outcome = replay_trace(&records, &placement, None);
         assert_eq!(outcome.promotions, 100);
         assert_eq!(outcome.local_hits, 4);
         assert_eq!(outcome.remote_hits, 196);
@@ -384,7 +355,7 @@ mod tests {
         let placement = [0usize, 1];
         let records = spaced_misses(&[0, 1], 30);
         let plan = FaultPlan::new(1).degrade_window(0, 1000, 2000, 0.25, 5.0e-6);
-        let outcome = replay_trace(&records, &placement, &config(), Some(&plan));
+        let outcome = replay_trace(&records, &placement, Some(&plan));
         let (mut inside, mut outside) = (Vec::new(), Vec::new());
         for (r, &latency) in records.iter().zip(&outcome.query_latencies) {
             if r.stripe == 0 && (1000..2000).contains(&r.tick) {
@@ -407,8 +378,8 @@ mod tests {
         let placement = [0usize, 0];
         let records = spaced_misses(&[0, 1], 20);
         let plan = FaultPlan::new(2).stall_window(1, 500, 1500, 2.0e-6);
-        let outcome = replay_trace(&records, &placement, &config(), Some(&plan));
-        let nominal = replay_trace(&records, &placement, &config(), None);
+        let outcome = replay_trace(&records, &placement, Some(&plan));
+        let nominal = replay_trace(&records, &placement, None);
         for ((r, &with), &without) in records
             .iter()
             .zip(&outcome.query_latencies)
@@ -433,7 +404,7 @@ mod tests {
         let placement = [0usize, 1];
         let records = spaced_misses(&[0, 1], 10);
         let plan = FaultPlan::new(3).crash_window(1, 0, 10_000);
-        let outcome = replay_trace(&records, &placement, &config(), Some(&plan));
+        let outcome = replay_trace(&records, &placement, Some(&plan));
         assert_eq!(outcome.per_node[1].messages, 0);
         assert_eq!(outcome.per_node[1].busy_seconds, 0.0);
         assert_eq!(outcome.per_node[0].messages, 10);
@@ -447,8 +418,8 @@ mod tests {
         let placement = place_stripes(8, &[1.0; 4]);
         let plan = FaultPlan::new(0);
         assert_eq!(
-            replay_trace(&sample_trace(), &placement, &config(), Some(&plan)),
-            replay_trace(&sample_trace(), &placement, &config(), None)
+            replay_trace(&sample_trace(), &placement, Some(&plan)),
+            replay_trace(&sample_trace(), &placement, None)
         );
     }
 }

@@ -230,7 +230,7 @@ impl MlrPipeline {
     ) -> PaperScaleProjection {
         let size = ProblemSize::cube(n, 16);
         let workload = AdmmWorkload::new(size);
-        let cost = CostModel::polaris(1);
+        let cost = CostModel::polaris();
         let (fu1d, fu2d) = workload.exact_stages(&cost);
         let memo_fu2d = workload
             .memo_chunk_seconds(&cost, workload.fu2d_time(&cost))
@@ -370,7 +370,7 @@ mod tests {
         let p = tiny_pipeline(0.92);
         let size = ProblemSize::cube(1024, 16);
         let w = AdmmWorkload::new(size);
-        let cost = CostModel::polaris(1);
+        let cost = CostModel::polaris();
         let c = w.memo_chunk_seconds(&cost, w.fu2d_time(&cost));
         let lsp_term = |(failed, db, cache): (f64, f64, f64)| -> f64 {
             let exact = 1.0 - failed - db - cache;
@@ -392,6 +392,20 @@ mod tests {
                 (gap - expected).abs() <= 1e-9 * expected.abs(),
                 "{dist:?}: projection gap {gap} s, case prices {expected} s"
             );
+        }
+        // What the frozen benchmark reads, pinned to the bit (seconds).
+        let [p1, p2] = [1024, 2048].map(|n| p.project_to_paper_scale(n, (0.4, 0.4, 0.2)));
+        for (read, pinned) in [
+            (c.exact, 0.026843701850000002),
+            (c.failed, 0.027015880551298704),
+            (c.db_hit, 0.00649030707776929),
+            (c.cache_hit, 0.001144424855144855),
+            (p1.original_seconds, 29.189549719635522),
+            (p1.mlr_seconds, 22.424830704035482),
+            (p2.original_seconds, 233.51513775708418),
+            (p2.mlr_seconds, 179.30679043228383),
+        ] {
+            assert_eq!(read.to_bits(), f64::to_bits(pinned), "{read} s");
         }
     }
 }

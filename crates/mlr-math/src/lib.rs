@@ -14,7 +14,7 @@
 //!   measure mLR uses for memoization keys), and the relative-error metric
 //!   `E` from the paper's Eq. 4.
 //! * [`stats`] — percentiles and empirical CDFs used by the evaluation
-//!   harnesses (e.g. the latency CDF of Figure 16).
+//!   harnesses (e.g. the replayed query-latency CDF of `fig24`).
 //! * [`rng`] — deterministic random-number helpers so every experiment in the
 //!   repository is reproducible.
 //!

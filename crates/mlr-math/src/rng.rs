@@ -25,8 +25,7 @@ pub fn seeded_stream(seed: u64, stream: u64) -> ChaCha8Rng {
 }
 
 /// Samples a standard normal variate using the Box–Muller transform. Avoids a
-/// dependency on `rand_distr` while being adequate for phantom noise and
-/// synthetic latency jitter.
+/// dependency on `rand_distr` while being adequate for phantom noise.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
@@ -40,13 +39,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Samples a normal variate with the given mean and standard deviation.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
-}
-
-/// Samples an exponential variate with the given rate `lambda` (mean `1/lambda`):
-/// the inter-arrival gaps of the Poisson query stream behind Figures 15 and 16.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    -u.ln() / lambda
 }
 
 #[cfg(test)]
@@ -91,14 +83,5 @@ mod tests {
         let sample: Vec<f64> = (0..n).map(|_| normal(&mut rng, 5.0, 2.0)).collect();
         let mean = sample.iter().sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = seeded(4);
-        let n = 50_000;
-        let lambda = 4.0;
-        let mean: f64 = (0..n).map(|_| exponential(&mut rng, lambda)).sum::<f64>() / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
     }
 }

@@ -1,8 +1,8 @@
 //! Percentiles and empirical CDFs.
 //!
 //! The evaluation section of the paper reports percentiles (P99 value-store
-//! latency) and cumulative distributions (Figure 16's query-latency CDF under
-//! contention). These helpers back those harnesses.
+//! latency) and cumulative distributions (query latency under contention).
+//! These helpers back the harnesses that replay a recorded trace.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,16 +39,6 @@ impl Ecdf {
         Self { sorted }
     }
 
-    /// Fraction of observations ≤ `x`, in `[0, 1]`.
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        // Number of elements <= x via binary search for the partition point.
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// Inverse CDF (quantile function); `q` in `[0, 1]`.
     ///
     /// # Panics
@@ -58,7 +48,7 @@ impl Ecdf {
     }
 
     /// Emits `(x, F(x))` pairs at each distinct observation — the series a
-    /// plotting tool would consume to draw the CDF curve of Figure 16.
+    /// plotting tool would consume to draw the CDF curve.
     pub fn curve(&self) -> Vec<(f64, f64)> {
         let n = self.sorted.len();
         self.sorted
@@ -66,16 +56,6 @@ impl Ecdf {
             .enumerate()
             .map(|(i, &x)| (x, (i + 1) as f64 / n as f64))
             .collect()
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Returns `true` when the ECDF was built from an empty sample.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 }
 
@@ -93,17 +73,12 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_eval_and_quantile() {
+    fn ecdf_quantile_and_curve() {
         let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.eval(0.5), 0.0);
-        assert_eq!(e.eval(2.0), 0.5);
-        assert_eq!(e.eval(10.0), 1.0);
         assert!(approx_eq(e.quantile(0.5), 2.5, 1e-12));
         let curve = e.curve();
         assert_eq!(curve.len(), 4);
         assert_eq!(curve[3], (4.0, 1.0));
-        assert_eq!(e.len(), 4);
-        assert!(!e.is_empty());
     }
 
     #[test]

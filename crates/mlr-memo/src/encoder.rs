@@ -20,9 +20,9 @@
 //! workloads the sketch's nearest candidate loses fewer reachable hits than
 //! a seeded random CNN's did (ROADMAP item 4). What the paper's encoder
 //! costs at paper scale stays what it was: a cost-model row,
-//! `mlr_sim::CostModel::cnn_encode_time`, and the coalesced 4 KiB key query
-//! (§4.3.3) the message size Figures 15 and 16 replay through
-//! `mlr_cluster::replay_trace`.
+//! `mlr_sim::CostModel::cnn_encode_time`, and key coalescing (§4.3.3) the
+//! 1 KiB key batch `mlr_cluster::replay_trace` charges a recorded trace's
+//! probes.
 
 use mlr_math::Complex64;
 

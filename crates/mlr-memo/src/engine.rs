@@ -16,7 +16,7 @@
 //! 3. on a cache miss, sketch the chunk into its key (`encoder.rs`);
 //! 4. probe the memoization database (the paper's memory node; what
 //!    shipping the key there costs is priced offline by
-//!    `mlr_cluster::replay_trace`, at the coalesced 4 KiB query size): the
+//!    `mlr_cluster::replay_trace`, at its 1 KiB coalesced query size): the
 //!    scope's entry with the nearest key, among those this job and
 //!    iteration may use, goes through the same τ gate;
 //! 5. on a database hit, reuse the stored value and cache the entry;

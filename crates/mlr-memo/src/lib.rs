@@ -37,9 +37,9 @@
 //!   takes the memo path. A batch runs in two phases on the calling thread:
 //!   every chunk probes the store, cache and doorkeeper state frozen at
 //!   dispatch, then the commit replays ticks, inserts and evictions in chunk-index order.
-//!   Key coalescing (§4.3.3) is not live code: the 4 KiB coalesced query is
-//!   the message size Figures 15 and 16 replay through
-//!   `mlr_cluster::replay_trace`.
+//!   Key coalescing (§4.3.3) is not live code: a coalesced 1 KiB key batch
+//!   is the query size `mlr_cluster::replay_trace` charges a recorded
+//!   trace's probes.
 //! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /
 //!   entries over the whole store) enforced after every insert by one rule,
 //!   [`CostAwarePolicy`] (aged benefit density, cross-job servers last), on

@@ -50,10 +50,10 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Cost model for a Polaris-like cluster of `num_nodes` nodes.
-    pub fn polaris(num_nodes: usize) -> Self {
+    /// Cost model for one Polaris-like compute node and its memory node.
+    pub fn polaris() -> Self {
         Self {
-            cluster: ClusterSpec::polaris(num_nodes),
+            cluster: ClusterSpec::polaris(),
             efficiency: Efficiency::default(),
         }
     }
@@ -115,14 +115,6 @@ impl CostModel {
         transfer_seconds(bytes, self.cluster.node.pcie_gbps * self.efficiency.pcie) + 10e-6
     }
 
-    /// GPU↔GPU transfer time over NVLink (same node).
-    pub fn nvlink_time(&self, bytes: f64) -> Seconds {
-        transfer_seconds(
-            bytes,
-            self.cluster.node.nvlink_gbps * self.efficiency.network,
-        ) + 5e-6
-    }
-
     /// Bulk (streaming, large-payload) network transfer time.
     pub fn network_bulk_time(&self, bytes: f64) -> Seconds {
         let link = &self.cluster.interconnect;
@@ -181,7 +173,7 @@ mod tests {
     use super::*;
 
     fn model() -> CostModel {
-        CostModel::polaris(1)
+        CostModel::polaris()
     }
 
     #[test]
@@ -194,10 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn pcie_slower_than_nvlink_and_network_has_latency() {
+    fn network_has_latency() {
         let m = model();
-        let bytes = 64.0 * 1024.0 * 1024.0;
-        assert!(m.pcie_time(bytes) > m.nvlink_time(bytes));
         // A tiny transfer is dominated by the link latency, not bandwidth.
         let tiny = m.network_bulk_time(64.0);
         assert!(tiny > 2.0e-6 && tiny < 2.1e-6, "tiny={tiny}");

@@ -10,12 +10,8 @@ use serde::{Deserialize, Serialize};
 /// A GPU device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuSpec {
-    /// Marketing name, for reports.
-    pub name: String,
     /// Peak FP32 throughput in TFLOP/s.
     pub fp32_tflops: f64,
-    /// HBM capacity in GiB.
-    pub hbm_gib: f64,
     /// HBM bandwidth in GB/s.
     pub hbm_gbps: f64,
     /// Kernel launch overhead in microseconds.
@@ -26,9 +22,7 @@ impl GpuSpec {
     /// NVIDIA A100-40GB (SXM), the Polaris GPU.
     pub fn a100_40gb() -> Self {
         Self {
-            name: "NVIDIA A100-40GB".to_string(),
             fp32_tflops: 19.5,
-            hbm_gib: 40.0,
             hbm_gbps: 1555.0,
             kernel_launch_us: 5.0,
         }
@@ -63,40 +57,31 @@ impl InterconnectSpec {
     }
 }
 
-/// A host (compute node) with CPUs, DRAM and GPUs.
+/// A host (compute node): its CPUs, DRAM bandwidth, GPU and PCIe link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
     /// Physical CPU cores.
     pub cpu_cores: usize,
     /// Sustained per-core GFLOP/s for the CPU cost model.
     pub cpu_core_gflops: f64,
-    /// DRAM capacity in GiB.
-    pub dram_gib: f64,
     /// DRAM bandwidth in GB/s.
     pub dram_gbps: f64,
-    /// Number of GPUs.
-    pub gpus: usize,
     /// GPU model.
     pub gpu: GpuSpec,
     /// Host↔GPU PCIe bandwidth in GB/s (per direction).
     pub pcie_gbps: f64,
-    /// GPU↔GPU NVLink bandwidth in GB/s.
-    pub nvlink_gbps: f64,
 }
 
 impl NodeSpec {
-    /// A Polaris compute node: 1× EPYC 7543P (32 cores), 512 GB DDR4,
-    /// 4× A100-40GB, PCIe Gen4 x16, NVLink.
+    /// A Polaris compute node: 1× EPYC 7543P (32 cores), DDR4, A100-40GB
+    /// GPUs on PCIe Gen4 x16.
     pub fn polaris() -> Self {
         Self {
             cpu_cores: 32,
             cpu_core_gflops: 35.0,
-            dram_gib: 512.0,
             dram_gbps: 204.8,
-            gpus: 4,
             gpu: GpuSpec::a100_40gb(),
             pcie_gbps: 25.0,
-            nvlink_gbps: 600.0,
         }
     }
 }
@@ -104,35 +89,23 @@ impl NodeSpec {
 /// The dedicated memory node hosting the memoization database.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryNodeSpec {
-    /// DRAM capacity in GiB.
-    pub dram_gib: f64,
-    /// DRAM bandwidth in GB/s.
-    pub dram_gbps: f64,
-    /// SSD spill capacity in GiB (the paper uses up to 1.5 TB).
-    pub ssd_gib: f64,
     /// CPU cores available for index/value lookups.
     pub cpu_cores: usize,
 }
 
 impl MemoryNodeSpec {
-    /// The paper's memory node: 512 GB DRAM plus up to 1.5 TB SSD.
+    /// The paper's memory node (512 GB DRAM plus up to 1.5 TB SSD); the
+    /// model reads only the cores its index scan runs on.
     pub fn polaris_memory_node() -> Self {
-        Self {
-            dram_gib: 512.0,
-            dram_gbps: 204.8,
-            ssd_gib: 1536.0,
-            cpu_cores: 64,
-        }
+        Self { cpu_cores: 64 }
     }
 }
 
-/// The full simulated system: compute nodes, interconnect and memory node.
+/// The simulated system: one compute node, the interconnect, the memory node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterSpec {
     /// Per-node hardware.
     pub node: NodeSpec,
-    /// Number of compute nodes.
-    pub num_nodes: usize,
     /// Inter-node / memory-node interconnect.
     pub interconnect: InterconnectSpec,
     /// The memory node.
@@ -140,15 +113,10 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A Polaris-like cluster with the given number of compute nodes.
-    ///
-    /// # Panics
-    /// Panics when `num_nodes == 0`.
-    pub fn polaris(num_nodes: usize) -> Self {
-        assert!(num_nodes > 0, "cluster needs at least one node");
+    /// A Polaris-like compute node, its interconnect and the memory node.
+    pub fn polaris() -> Self {
         Self {
             node: NodeSpec::polaris(),
-            num_nodes,
             interconnect: InterconnectSpec::slingshot11(),
             memory_node: MemoryNodeSpec::polaris_memory_node(),
         }
@@ -161,17 +129,9 @@ mod tests {
 
     #[test]
     fn polaris_defaults_sane() {
-        let c = ClusterSpec::polaris(2);
-        assert_eq!(c.num_nodes, 2);
-        assert_eq!(c.node.gpus, 4);
+        let c = ClusterSpec::polaris();
         assert!(c.node.gpu.fp32_tflops > 10.0);
         assert!(c.interconnect.injection_gb_per_s() > 20.0);
-        assert!(c.memory_node.dram_gib >= 512.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn zero_nodes_panics() {
-        let _ = ClusterSpec::polaris(0);
+        assert_eq!(c.memory_node.cpu_cores, 64);
     }
 }

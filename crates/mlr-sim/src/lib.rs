@@ -6,15 +6,15 @@
 //! DDR4, 4× NVIDIA A100-40GB, NVMe SSDs, dual HPE Slingshot-11 at 200 Gb/s)
 //! with a dedicated memory node hosting the memoization database. None of
 //! that hardware is available to this reproduction, so performance-shaped
-//! results (normalized execution time, bandwidth-utilisation curves, latency
-//! CDFs) are produced by an **analytic cost model** calibrated to the same
-//! nominal capabilities:
+//! results (normalized execution time, a replayed trace's link utilisation
+//! and latency CDF) are produced by an **analytic cost model** calibrated to
+//! the same nominal capabilities:
 //!
 //! * [`hardware`] — device and cluster specifications (Polaris defaults).
 //! * [`cost`] — translation of operations (FFT FLOPs, byte transfers, kernel
 //!   launches, CNN inference, ANN queries) into simulated time.
 //! * [`network`] — the deterministic FIFO queue one memory-node link is
-//!   priced through (`mlr_cluster::replay_trace`, Figures 15 and 16).
+//!   priced through (`mlr_cluster::replay_trace`).
 //! * [`faults`] — deterministic fault injection: seeded, tick-ordered
 //!   schedules of node crashes, link degradations, and slow-stripe stalls
 //!   that the distributed memo tier replays bit-identically.

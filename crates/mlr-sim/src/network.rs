@@ -1,13 +1,12 @@
 //! The memory-node link as a deterministic single-server queue.
 //!
 //! All compute nodes query the memory node, so its injection link is a
-//! shared resource. Figure 15 of the paper shows interconnect utilisation
-//! approaching saturation beyond ~12 GPUs (3 nodes), and Figure 16 shows the
-//! query-latency CDF stretching by orders of magnitude under that contention.
-//! Both come out of [`LinkQueue`], fed an access trace by
-//! `mlr_cluster::replay_trace`: as arrivals approach the link's capacity,
-//! messages wait for the ones ahead of them; beyond it, the wait grows with
-//! every message.
+//! shared resource. The paper's Figures 15 and 16 show its utilisation
+//! saturating beyond ~12 GPUs (3 nodes) and the query-latency CDF
+//! stretching under that contention. Here [`LinkQueue`] is fed a recorded
+//! access trace by `mlr_cluster::replay_trace`: as arrivals approach the
+//! link's capacity, messages wait for the ones ahead of them; beyond it,
+//! the wait grows with every message.
 
 use crate::hardware::InterconnectSpec;
 use crate::Seconds;
@@ -21,8 +20,8 @@ use crate::Seconds;
 /// earlier one is still in service waits for it, and the returned latency is
 /// wait + service. Fed the same arrival sequence it always produces the same
 /// latencies — no randomness, no wall clock — which is what lets a recorded
-/// `AccessTrace` reproduce the Figure 15/16 utilisation and latency-CDF
-/// curves deterministically.
+/// `AccessTrace` replay to the same utilisation and latency distribution
+/// every time.
 ///
 /// Arrivals are expected in non-decreasing time order (store-clock ticks
 /// mapped to seconds are); an out-of-order arrival is served as if it
@@ -131,7 +130,8 @@ impl LinkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlr_math::rng::{exponential, seeded};
+    use mlr_math::rng::seeded;
+    use rand::Rng;
 
     fn queue() -> LinkQueue {
         LinkQueue::new(&InterconnectSpec::slingshot11())
@@ -163,7 +163,8 @@ mod tests {
             let mut t = 0.0;
             let total: f64 = (0..2000)
                 .map(|_| {
-                    t += exponential(&mut rng, rate);
+                    // Exponential inter-arrival gap of mean 1 / rate.
+                    t += -rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / rate;
                     q.charge(t, 4096.0)
                 })
                 .sum();

@@ -219,14 +219,14 @@ mod tests {
 
     #[test]
     fn fu2d_is_the_longest_operator() {
-        let cost = CostModel::polaris(1);
+        let cost = CostModel::polaris();
         let w = AdmmWorkload::new(ProblemSize::paper_1k());
         assert!(w.fu2d_time(&cost) > w.fu1d_time(&cost));
     }
 
     #[test]
     fn larger_problems_cost_more() {
-        let cost = CostModel::polaris(1);
+        let cost = CostModel::polaris();
         let exact = |size| {
             let w = AdmmWorkload::new(size);
             let (fu1d, fu2d) = w.exact_stages(&cost);
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn memo_case_prices_order_like_figure_10() {
-        let cost = CostModel::polaris(1);
+        let cost = CostModel::polaris();
         let w = AdmmWorkload::new(ProblemSize::paper_1k());
         let c = w.memo_chunk_seconds(&cost, w.fu2d_time(&cost));
         assert!(c.cache_hit < c.db_hit && c.db_hit < c.exact && c.exact < c.failed);

@@ -1,10 +1,10 @@
 //! Store access-trace recorder: the input the distributed memo tier needs.
 //!
-//! Figures 14–16 of the paper (memory-node utilisation, latency CDFs) are
-//! currently reproduced from an analytic model. This recorder captures the
-//! real store access stream — entry id, operator, stripe, hit/miss/evict,
-//! logical store tick — so those figures can be driven by a recorded trace
-//! instead. Records are emitted only from the store's *ordered-commit*
+//! Figures 15–16 of the paper (memory-node utilisation, latency CDFs) need
+//! the store's real traffic. This recorder captures the access stream —
+//! entry id, operator, stripe, hit/miss/evict, logical store tick — which
+//! `mlr_cluster::replay_trace` prices through the link model (`fig24`
+//! reports both quantities for a recorded multi-job run). Records are emitted only from the store's *ordered-commit*
 //! paths with `StoreClock` ticks, so the trace is deterministic for a given
 //! workload regardless of worker or shard-probe interleaving.
 

@@ -14,12 +14,11 @@
 //! cargo run --release --example cluster
 //! ```
 
-use mlr_cluster::{replay_trace, ReplayConfig};
+use mlr_cluster::replay_trace;
 use mlr_core::MlrConfig;
 use mlr_math::stats::Ecdf;
 use mlr_memo::NodeTopology;
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
-use mlr_sim::hardware::InterconnectSpec;
 
 fn main() {
     let config = MlrConfig::quick(16, 8).with_iterations(4);
@@ -69,12 +68,7 @@ fn main() {
     // harness. Replica membership comes from the promotions and demotions
     // the tier wrote into the trace.
     let records = snapshot.accesses;
-    let outcome = replay_trace(
-        &records,
-        &placement,
-        &ReplayConfig::new(InterconnectSpec::slingshot11()),
-        None,
-    );
+    let outcome = replay_trace(&records, &placement, None);
     println!(
         "\n== trace replay ({} accesses, {} queries) ==",
         records.len(),

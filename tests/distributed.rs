@@ -13,14 +13,13 @@
 //!   identical record stream.
 
 use mlr_bench::json::JsonValue;
-use mlr_cluster::{replay_trace, ReplayConfig};
+use mlr_cluster::replay_trace;
 use mlr_core::MlrConfig;
 use mlr_memo::{
     DistributedMemoDb, MemoDbConfig, MemoStore, NodeTopology, ProbeOutcome, Provenance,
     ShardedMemoDb,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
-use mlr_sim::hardware::InterconnectSpec;
 use mlr_telemetry::AccessTrace;
 use std::sync::Arc;
 
@@ -227,12 +226,7 @@ fn runtime_with_topology_reconstructs_bit_identically() {
     );
     // The network view comes from replaying the run's own trace over its
     // own placement — and its replica split is the live tier's.
-    let replayed = replay_trace(
-        &trace,
-        &placement.expect("topology configured"),
-        &ReplayConfig::new(InterconnectSpec::slingshot11()),
-        None,
-    );
+    let replayed = replay_trace(&trace, &placement.expect("topology configured"), None);
     assert!(
         replayed.active_nodes() >= 2,
         "store traffic never spread beyond one node: {:?}",
@@ -265,12 +259,7 @@ fn replayed_replica_split_follows_promotions_and_demotions() {
         live.replica_evictions > 0 && live.local_hits > 0,
         "{live:?}"
     );
-    let replayed = replay_trace(
-        &trace.snapshot(),
-        distributed.placement(),
-        &ReplayConfig::new(InterconnectSpec::slingshot11()),
-        None,
-    );
+    let replayed = replay_trace(&trace.snapshot(), distributed.placement(), None);
     assert_eq!(
         (
             replayed.local_hits,

@@ -1,14 +1,10 @@
 //! End-to-end integration tests spanning the whole workspace: phantom →
-//! projections → exact and memoized ADMM-TV reconstruction → report, plus the
-//! scaling model wired to the workload description.
-use mlr_cluster::ScalingModel;
+//! projections → exact and memoized ADMM-TV reconstruction → report.
 use mlr_core::{MlrConfig, MlrPipeline};
 use mlr_lamino::{DirectExecutor, LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_lamino::{PhantomKind, ProjectionNoise};
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Shape3};
-use mlr_sim::workload::{AdmmWorkload, ProblemSize};
-use mlr_sim::CostModel;
 use mlr_solver::lsp::lsp_gradient_cancelled;
 use mlr_solver::{AdmmConfig, AdmmSolver, AdmmWorkspace, FrequencyData, VectorField};
 use rand::Rng;
@@ -104,20 +100,4 @@ fn algorithm1_and_algorithm2_gradients_agree() {
         loss_diff < 1e-8 * reference_loss.max(1.0),
         "{loss} vs {reference_loss}"
     );
-}
-
-#[test]
-fn scaling_model_prices_the_workload_iteration() {
-    let workload = AdmmWorkload::new(ProblemSize::paper_1k());
-    let cost = CostModel::polaris(1);
-
-    // One GPU runs the exact run's iteration, priced by the workload's one
-    // composition.
-    let (fu1d, fu2d) = workload.exact_stages(&cost);
-    let iteration = workload.iteration(&cost, fu1d, fu2d);
-    let scaling = ScalingModel::new(workload, 10);
-    let p1 = scaling.point(1);
-    let p4 = scaling.point(4);
-    assert_eq!(p1.overall_seconds.to_bits(), (10.0 * iteration).to_bits());
-    assert!(p4.overall_seconds < p1.overall_seconds);
 }
