@@ -60,17 +60,17 @@ fn measure(n: usize) -> Row {
     let store_peak = executor.store().stats().peak_resident_bytes as i64;
 
     let g = pipeline.operator().geometry();
-    let complex = |s: mlr_math::Shape3| 16 * s.len() as i64;
-    let volume = 8 * g.volume_shape().len() as i64;
+    let (volume, complex) = (8 * g.volume_shape().len() as i64, |n: usize| 16 * n as i64);
+    let half_data = complex(g.half_rows() * g.n_angles() * g.detector.cols);
     let mut held = vec![
         ("u", volume),
         ("dual a", 3 * volume),
         ("G", volume),
         ("G_prev", volume),
-        ("ũ1", complex(g.u1_shape())),
-        ("ŝ", complex(g.half_spectrum_shape())),
-        ("d̂′", complex(g.data_shape())),
-        ("d̂", complex(g.data_shape())),
+        ("ũ1", complex(g.u1_shape().len())),
+        ("ŝ", complex(g.half_spectrum_shape().len())),
+        ("H(d̂), rows ≤ h/2", half_data),
+        ("residual plane", complex(g.detector.rows * g.detector.cols)),
     ];
     let itemized: i64 = held.iter().map(|&(_, b)| b).sum();
     held.push(("in flight", exact_peak - itemized));

@@ -6,10 +6,11 @@
 //! may hold at most [`MAX_SOLVER_VOLUMES`] `f64` volumes of live bytes above
 //! what was live when it started: its workspace (u, the one-field dual state
 //! `a` and its rolling stencil buffers, the gradient, the Barzilai–Borwein
-//! history `G_prev` and the operator intermediates) plus `d̂` and the chunk
-//! results in flight. Holding `ψ` and `λ` as two fields and the history as
-//! `u_prev` and `G_prev` read 14.5. An allocating loop that keeps `∇u`, the
-//! `ψ − λ/ρ` field or per-step clones of `u` alive reads about 26.
+//! history `G_prev` and the operator intermediates `ũ1` and `ŝ`) plus the
+//! projected half of `d̂` and the chunk results in flight. Holding `d̂′` and
+//! the full `d̂` read 10.6. Holding `ψ` and `λ` as two fields and the history
+//! as `u_prev` and `G_prev` read 14.5. An allocating loop that keeps `∇u`,
+//! the `ψ − λ/ρ` field or per-step clones of `u` alive reads about 26.
 //!
 //! A memoized solve of the same pipeline may hold that plus its store's
 //! peak bytes: the memo engine carries no computed chunk past the chunk's
@@ -30,8 +31,8 @@ use mlr_core::{MlrConfig, MlrPipeline};
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// The ceiling, in `f64` volumes of the reconstruction's shape (the solve
-/// reads 10.6).
-const MAX_SOLVER_VOLUMES: f64 = 11.0;
+/// reads 9.2).
+const MAX_SOLVER_VOLUMES: f64 = 9.6;
 
 /// What [`MlrPipeline::new`] may hold above its dataset, in `f64` volumes
 /// (it reads 1.5; with the operator's gather and staging arenas parked it

@@ -25,7 +25,6 @@
 
 use crate::placement::stripes_per_node;
 use mlr_sim::faults::{FaultPlan, LinkState};
-use mlr_sim::hardware::InterconnectSpec;
 use mlr_sim::network::LinkQueue;
 use mlr_sim::Seconds;
 use mlr_telemetry::{AccessKind, AccessRecord};
@@ -163,9 +162,7 @@ pub fn replay_trace(
     assert!(!placement.is_empty(), "replay needs a placement map");
     let nodes = placement.iter().copied().max().unwrap_or(0) + 1;
     let mut links = Links {
-        queues: (0..nodes)
-            .map(|_| LinkQueue::new(&InterconnectSpec::slingshot11()))
-            .collect(),
+        queues: (0..nodes).map(|_| LinkQueue::slingshot11()).collect(),
         plan,
         footprint: FaultFootprint::default(),
     };

@@ -41,8 +41,10 @@ pub struct LinkQueue {
 }
 
 impl LinkQueue {
-    /// An idle queue over one link of the given interconnect.
-    pub fn new(spec: &InterconnectSpec) -> Self {
+    /// An idle queue over one Slingshot-11 link, the one interconnect
+    /// modeled.
+    pub fn slingshot11() -> Self {
+        let spec = InterconnectSpec::slingshot11();
         Self {
             capacity_gbps: spec.injection_gb_per_s(),
             base_latency: (spec.latency_us + spec.per_message_us) * 1e-6,
@@ -134,7 +136,7 @@ mod tests {
     use rand::Rng;
 
     fn queue() -> LinkQueue {
-        LinkQueue::new(&InterconnectSpec::slingshot11())
+        LinkQueue::slingshot11()
     }
 
     #[test]

@@ -42,16 +42,6 @@ impl ProblemSize {
         Self::cube(1024, 16)
     }
 
-    /// The paper's medium dataset, `(1.5K)³`.
-    pub fn paper_1_5k() -> Self {
-        Self::cube(1536, 16)
-    }
-
-    /// The paper's large dataset, `(2K)³`.
-    pub fn paper_2k() -> Self {
-        Self::cube(2048, 16)
-    }
-
     /// Number of chunk locations along the partitioned axis.
     pub fn num_chunks(&self) -> usize {
         self.n.div_ceil(self.chunk_size)
@@ -213,7 +203,7 @@ mod tests {
     fn paper_sizes() {
         assert_eq!(ProblemSize::paper_1k().n, 1024);
         assert_eq!(ProblemSize::paper_1k().num_chunks(), 64);
-        assert_eq!(ProblemSize::paper_2k().num_chunks(), 128);
+        assert_eq!(ProblemSize::cube(2048, 16).num_chunks(), 128);
         assert_eq!(ProblemSize::cube(100, 16).num_chunks(), 7);
     }
 
@@ -233,8 +223,8 @@ mod tests {
             w.iteration(&cost, fu1d, fu2d)
         };
         let t1 = exact(ProblemSize::paper_1k());
-        let t15 = exact(ProblemSize::paper_1_5k());
-        let t2 = exact(ProblemSize::paper_2k());
+        let t15 = exact(ProblemSize::cube(1536, 16));
+        let t2 = exact(ProblemSize::cube(2048, 16));
         assert!(t15 > 2.0 * t1);
         assert!(t2 > t15);
     }

@@ -12,18 +12,17 @@
 //! `ψ` and `λ` are held as one [`DualField`], the RSP's shrink argument;
 //! phases 2–4 are one pass over the volume ([`DualField::rsp_update`]), and
 //! every phase runs in one [`AdmmWorkspace`] allocated when the run starts:
-//! about `6 + |ũ1| + |ŝ| + |d̂|` real volumes (u, the dual field, G,
-//! `G_prev`, and the operator intermediates: `ũ1` and the half spectrum `ŝ`
-//! in chunk layout, which the memoizable stages read and write in place,
-//! and `d̂′`), the state a slab driver would page.
+//! about `6 + |ũ1| + |ŝ|` real volumes (u, the dual field, G, `G_prev`,
+//! and the operator intermediates `ũ1` and `ŝ` in chunk layout, which the
+//! memoizable stages read and write in place), the state a slab driver
+//! would page.
 //!
 //! The driver takes any `FftExecutor`, so the same code path produces the
 //! exact baseline (direct executor), the memoized run (mLR's engine) and the
 //! instrumented runs behind the evaluation figures.
 
 use crate::cancel::{CancelToken, StopCause};
-use crate::lsp::CgState;
-use crate::lsp::{lsp_gradient_cancelled, FrequencyData};
+use crate::lsp::{lsp_gradient_cancelled, CgState, FrequencyData};
 use crate::metrics::{ConvergenceHistory, IterationRecord};
 use crate::tv::DualField;
 use mlr_lamino::{DirectExecutor, FftExecutor, LaminoOperator};
@@ -84,11 +83,13 @@ pub struct AdmmWorkspace {
     /// The Barzilai–Borwein history of the inner iterations.
     pub cg: CgState,
     /// `ũ1`, shared by the forward and the adjoint pass.
-    u1: Array3<Complex64>,
-    /// The half spectrum `ŝ`, likewise.
-    half: Array3<Complex64>,
-    /// `d̂′`, which the LSP turns into the residual spectrum `r̂`.
-    pub(crate) dhat: Array3<Complex64>,
+    pub(crate) u1: Array3<Complex64>,
+    /// The half spectrum `ŝ`, likewise; the LSP turns it into the folded
+    /// residual spectrum.
+    pub(crate) half: Array3<Complex64>,
+    /// One angle's residual plane `d̂′ − H(d̂)`, which that pass reads
+    /// while it overwrites the angle's `ŝ`.
+    pub(crate) plane: Vec<Complex64>,
 }
 
 impl AdmmWorkspace {
@@ -102,24 +103,8 @@ impl AdmmWorkspace {
             cg: CgState::new(shape),
             u1: Array3::zeros(g.u1_shape()),
             half: Array3::zeros(g.half_spectrum_shape()),
-            dhat: Array3::zeros(g.data_shape()),
+            plane: Vec::with_capacity(g.detector.rows * g.detector.cols),
         }
-    }
-
-    /// `d̂′ = F_u2D F_u1D u` into `dhat`.
-    pub(crate) fn forward(&mut self, op: &LaminoOperator, exec: &dyn FftExecutor) {
-        op.fu1d_into(&self.u, &mut self.u1);
-        op.fu2d_half_into(&self.u1, exec, &mut self.half);
-        op.fill(&self.half, &mut self.dhat);
-    }
-
-    /// `G = Re F*_u1D F*_u2D r̂ + ρ ∇ᵀ(∇u − ψ + λ/ρ)`, `r̂` read from `dhat`.
-    pub(crate) fn back(&mut self, op: &LaminoOperator, rho: f64, exec: &dyn FftExecutor) {
-        op.fold(&self.dhat, &mut self.half);
-        op.fu2d_half_adjoint_into(&self.half, exec, &mut self.u1);
-        op.fu1d_adjoint_into(&self.u1, &mut self.grad);
-        self.dual
-            .add_coupling_gradient(&mut self.grad, &self.u, rho);
     }
 }
 

@@ -17,9 +17,7 @@
 //! * [`tv`] — gradient, its adjoint, TV norm and shrinkage, composed and
 //!   fused into the one-pass forms the solver runs.
 //! * [`lsp`] — the LSP gradient the solver runs (Algorithm 2: cancelled and
-//!   fused, the data mapped to the frequency domain once), the one it is
-//!   checked against (Algorithm 1: `F*_2D`/`F_2D` in every pass), and the
-//!   CG-style update that consumes those gradients.
+//!   fused over the half spectrum) and the CG-style update that consumes it.
 //! * [`admm`] — the outer ADMM driver with loss tracking, phase timing and
 //!   pluggable `FftExecutor` (this is where mLR's memoization engine slots
 //!   in), and the [`AdmmWorkspace`] it runs in.

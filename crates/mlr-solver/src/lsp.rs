@@ -5,64 +5,117 @@
 //! `G = L*(L u − d) + ρ ∇ᵀ(∇u − g)`. The solver runs the paper's
 //! Algorithm 2 ([`lsp_gradient_cancelled`]): the data is mapped to the
 //! frequency domain once (`d̂ = F_2D d`), the `F*_2D`/`F_2D` pair cancels,
-//! and the subtraction `d̂' − d̂` is fused with the neighbouring USFFT stage
-//! — four FFT stages per inner iteration. Algorithm 1 (six stages: `F*_2D`
+//! and the subtraction `d̂′ − d̂` is fused with the fill and the fold around
+//! it into one pass over the half spectrum `ŝ` — four FFT stages per inner
+//! iteration, and no full spectrum held. Algorithm 1 (six stages: `F*_2D`
 //! back to detector space, `F_2D` out of it) lives only in the repository's
 //! test reference loop, which holds this gradient (to 1e-8) and whole solves
 //! (to 1e-6) to it: the claim behind operation cancellation.
 
 use crate::admm::AdmmWorkspace;
 use mlr_fft::fft2d::to_complex;
-use mlr_lamino::{FftExecutor, LaminoOperator};
+use mlr_lamino::{FftExecutor, LaminoGeometry, LaminoOperator};
 use mlr_math::{Array3, Complex64, Shape3};
 
-/// Precomputed frequency-domain data for Algorithm 2 (`d̂ = F_2D d`,
-/// computed once per ADMM run).
+/// A row read in DFT-mirror order: element `n` is `row[(w − n) % w]`.
+fn dft_mirrored<T>(row: &[T]) -> impl Iterator<Item = &T> {
+    std::iter::once(&row[0]).chain(row[1..].iter().rev())
+}
+
+/// Row `m` of `H(X)` for an `h × w` plane `X`, as a pass in index order
+/// writes it. `H` turns each DFT pair `a ≤ b = ((h − a₀) % h, (w − a₁) % w)`
+/// into `(X[a] + conj(X[b]))/2` at `a`, then its conjugate at `b`: the
+/// frequency-domain form of keeping `Re F*_2D`.
+fn projected_row(plane: &[Complex64], h: usize, m: usize) -> impl Iterator<Item = Complex64> + '_ {
+    let (w, mm) = (plane.len() / h, (h - m) % h);
+    let mirror = dft_mirrored(&plane[mm * w..][..w]);
+    let row = plane[m * w..][..w].iter().zip(mirror).enumerate();
+    row.map(move |(n, (&x, &y))| {
+        // Whether `(m, n)` precedes its mirror `(mm, (w − n) % w)`.
+        if m < mm || (m == mm && 0 < n && 2 * n < w) {
+            (x + y.conj()).scale(0.5)
+        } else {
+            (y + x.conj()).scale(0.5).conj()
+        }
+    })
+}
+
+/// Precomputed frequency-domain data for Algorithm 2, built once per ADMM
+/// run: rows `0..=h/2` of `H(d̂)`, `d̂ = F_2D d`, laid out as `ŝ` is,
+/// `(h/2 + 1, nθ, w)`. `H(d̂)` is conjugate-symmetric, so every other row
+/// is a conjugate of these; and `H(d̂′ − H(d̂)) = H(d̂′ − d̂)`.
 pub struct FrequencyData {
-    dhat: Array3<Complex64>,
-    plane_scale: f64,
+    half: Array3<Complex64>,
+    geometry: LaminoGeometry,
 }
 
 impl FrequencyData {
     /// Maps the measured projections to the frequency domain (Algorithm 2
-    /// line 2).
+    /// line 2) and keeps the projected rows `0..=h/2`.
     pub fn new(op: &LaminoOperator, d: &Array3<f64>) -> Self {
-        let dhat = op.f2d(&to_complex(d));
-        let g = op.geometry();
-        let plane_scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
-        Self { dhat, plane_scale }
+        let (geometry, dhat) = (op.geometry().clone(), op.f2d(&to_complex(d)));
+        let (n_theta, h, w) = dhat.shape().dims();
+        let planes = dhat.as_slice().chunks_exact(h * w);
+        let rows = (0..geometry.half_rows()).flat_map(|m| {
+            let planes = planes.clone();
+            planes.flat_map(move |plane| projected_row(plane, h, m))
+        });
+        let shape = Shape3::new(geometry.half_rows(), n_theta, w);
+        // Sized up front: a flat map's size hint would grow it by doubling.
+        let mut half = Vec::with_capacity(shape.len());
+        half.extend(rows);
+        let half = Array3::from_vec(shape, half);
+        Self { half, geometry }
     }
 
     /// Algorithm 2's fused subtraction (one GPU kernel in the paper) in one
-    /// pass over `d̂′`: turns it into `r̂ = H(d̂′ − d̂) / (h·w)` in place and
-    /// returns `½‖Lu − d‖²` by Parseval. `H` replaces each plane `X` by
-    /// `(X + conj(X mirrored))/2`, the mirror taken modulo the DFT grid: the
-    /// frequency-domain form of Algorithm 1 keeping `Re F*_2D d̂′`, which
-    /// makes the cancellation exact. Each mirror pair is written at its
-    /// first index, so an index is final when the pass reaches it and the
-    /// loss sums and scales it there, in index order.
-    pub fn fused_residual(&self, dhat_prime: &mut Array3<Complex64>) -> f64 {
-        assert_eq!(dhat_prime.shape(), self.dhat.shape(), "d̂′ shape mismatch");
-        let (n_theta, h, w) = dhat_prime.shape().dims();
-        let (r, d) = (dhat_prime.as_mut_slice(), self.dhat.as_slice());
-        let scale = self.plane_scale;
+    /// pass over the half spectrum `ŝ = F_u2D F_u1D u`: turns it into the
+    /// fold of `r̂ = H(d̂′ − d̂) / (h·w)`, which `F*_u2D` reads, and returns
+    /// `½‖Lu − d‖²` by Parseval. `d̂′` is `ŝ` filled. Angle by angle, the
+    /// pass forms the plane `d̂′ − H(d̂)` in `plane` before it overwrites the
+    /// angle's `ŝ`: the fill mirrors about the centred frequency and `H`
+    /// modulo the DFT grid, which at an odd side pair different points.
+    /// Each point of the plane is then projected, summed and scaled in index
+    /// order and accumulated into `ŝ` as the fold does, copy first,
+    /// conjugate mirror second.
+    pub fn fused_residual(&self, half: &mut Array3<Complex64>, plane: &mut Vec<Complex64>) -> f64 {
+        let g = &self.geometry;
+        assert_eq!(half.shape(), g.half_spectrum_shape(), "ŝ shape mismatch");
+        let (h, w, n_theta) = (g.detector.rows, g.detector.cols, g.n_angles());
+        let (rows, cols, top) = (g.half_rows(), g.half_cols(), 2 * (h / 2));
+        let mirrored = g.mirror_col(w - 1)..=g.mirror_col(0);
+        let (s, d) = (half.as_mut_slice(), self.half.as_slice());
+        let scale = 1.0 / (h * w) as f64;
         // The start value of `f64: Sum`.
         let mut sum = -0.0;
-        let mut p = 0;
         for t in 0..n_theta {
+            plane.clear();
             for m in 0..h {
-                let mm = (h - m) % h;
-                for n in 0..w {
-                    let nn = (w - n) % w;
-                    if (m, n) <= (mm, nn) {
-                        let q = (t * h + mm) * w + nn;
-                        let sym = ((r[p] - d[p]) + (r[q] - d[q]).conj()).scale(0.5);
-                        r[p] = sym;
-                        r[q] = sym.conj();
+                if m < rows {
+                    let x = &s[(m * n_theta + t) * cols..][..w];
+                    let y = &d[(m * n_theta + t) * w..][..w];
+                    plane.extend(x.iter().zip(y).map(|(&x, &y)| x - y));
+                } else {
+                    // The fill's mirror of row `top − m` minus `H(d̂)`'s DFT
+                    // mirror of row `h − m`.
+                    let x = s[((top - m) * n_theta + t) * cols..][mirrored.clone()].iter();
+                    let y = dft_mirrored(&d[((h - m) * n_theta + t) * w..][..w]);
+                    plane.extend(x.rev().zip(y).map(|(x, y)| x.conj() - y.conj()));
+                }
+            }
+            for m in 0..h {
+                let row = &mut s[(m.min(top - m) * n_theta + t) * cols..][..cols];
+                if m < rows {
+                    row[w..].fill(Complex64::ZERO);
+                }
+                for (n, r) in projected_row(plane, h, m).enumerate() {
+                    sum += r.norm_sqr();
+                    let r = r.scale(scale);
+                    if m < rows {
+                        row[n] = r;
+                    } else {
+                        row[g.mirror_col(n)] += r.conj();
                     }
-                    sum += r[p].norm_sqr();
-                    r[p] = r[p].scale(scale);
-                    p += 1;
                 }
             }
         }
@@ -80,11 +133,15 @@ pub fn lsp_gradient_cancelled(
     rho: f64,
     exec: &dyn FftExecutor,
 ) -> f64 {
-    // Forward pass stays in the frequency domain: d̂' = F_u2D F_u1D u.
-    ws.forward(op, exec);
-    let data_loss = freq.fused_residual(&mut ws.dhat);
-    // Adjoint pass: G_data = F*_u1D F*_u2D r̂ — no uniform FFT stages.
-    ws.back(op, rho, exec);
+    // Forward pass stays in the frequency domain: ŝ = F_u2D F_u1D u.
+    op.fu1d_into(&ws.u, &mut ws.u1);
+    op.fu2d_half_into(&ws.u1, exec, &mut ws.half);
+    let data_loss = freq.fused_residual(&mut ws.half, &mut ws.plane);
+    // Adjoint pass: G = Re F*_u1D F*_u2D r̂ + ρ ∇ᵀ(∇u − ψ + λ/ρ) — no
+    // uniform FFT stages.
+    op.fu2d_half_adjoint_into(&ws.half, exec, &mut ws.u1);
+    op.fu1d_adjoint_into(&ws.u1, &mut ws.grad);
+    ws.dual.add_coupling_gradient(&mut ws.grad, &ws.u, rho);
     data_loss
 }
 
@@ -234,8 +291,9 @@ mod tests {
         r.axpby(1.0, &d, -1.0);
         let direct = 0.5 * r.dot(&r);
 
-        let mut rhat = op.fu2d(&op.fu1d(&u), &DirectExecutor);
-        let via_freq = freq.fused_residual(&mut rhat);
+        let mut half = Array3::zeros(op.geometry().half_spectrum_shape());
+        op.fu2d_half_into(&op.fu1d(&u), &DirectExecutor, &mut half);
+        let via_freq = freq.fused_residual(&mut half, &mut Vec::new());
         assert!(
             (direct - via_freq).abs() < 1e-8 * direct.max(1.0),
             "{direct} vs {via_freq}"
@@ -246,17 +304,13 @@ mod tests {
     fn hermitian_projection_matches_real_part_roundtrip() {
         // H in the frequency domain == taking Re() in detector space.
         let (op, u, _) = small_setup();
-        let u1 = op.fu1d(&u);
-        let dhat_prime = op.fu2d(&u1, &DirectExecutor);
-        // Path A: project (fused residual against d̂ = 0), then invert.
-        let zero = FrequencyData {
-            dhat: Array3::zeros(dhat_prime.shape()),
-            plane_scale: 1.0,
-        };
-        let mut projected = dhat_prime.clone();
-        zero.fused_residual(&mut projected);
-        let a = op.f2d_inverse(&projected);
-        // Path B: inverse FFT, then drop the imaginary part.
+        let dhat_prime = op.fu2d(&op.fu1d(&u), &DirectExecutor);
+        let (shape, (_, h, w)) = (dhat_prime.shape(), dhat_prime.shape().dims());
+        let planes = dhat_prime.as_slice().chunks_exact(h * w);
+        let projected =
+            planes.flat_map(|plane| (0..h).flat_map(move |m| projected_row(plane, h, m)));
+        // Path A: project, then invert; path B: invert, then drop Im.
+        let a = op.f2d_inverse(&Array3::from_vec(shape, projected.collect()));
         let b = to_real(&op.f2d_inverse(&dhat_prime));
         let max_diff = a
             .as_slice()

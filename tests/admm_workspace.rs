@@ -10,12 +10,14 @@
 //! before, must agree with it up to rounding, with equal case counts.
 
 use mlr_core::{MlrConfig, MlrPipeline};
-use mlr_lamino::{DirectExecutor, FftExecutor};
-use mlr_math::norms::relative_error;
+use mlr_fft::fft2d::to_complex;
+use mlr_lamino::{DetectorSpec, DirectExecutor, FftExecutor, LaminoGeometry, LaminoOperator};
+use mlr_math::norms::{max_abs_diff, relative_error};
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Complex64, Shape3};
+use mlr_solver::lsp::lsp_gradient_cancelled;
 use mlr_solver::tv::{self, divergence, gradient};
-use mlr_solver::{AdmmSolver, FrequencyData};
+use mlr_solver::{AdmmSolver, AdmmWorkspace, FrequencyData};
 use mlr_solver::{DualField, VectorField};
 use rand::Rng;
 use reference::FieldOps;
@@ -126,27 +128,83 @@ fn rsp_pass_is_the_composed_update_bit_for_bit() {
     }
 }
 
+/// The detectors the half-spectrum pass is held to: even, odd, mixed and
+/// tall (2h × w) sides under one 16³ volume and 6 angles. At an odd side
+/// the fill's centred mirror and `H`'s DFT mirror pair different points.
+fn detector_geometries() -> Vec<LaminoGeometry> {
+    let base = LaminoGeometry::cube(16, 6, 35.0);
+    let sides = [(16, 16), (15, 15), (16, 13), (13, 16), (32, 16)];
+    sides
+        .into_iter()
+        .map(|(h, w)| LaminoGeometry {
+            detector: DetectorSpec::new(h, w),
+            ..base.clone()
+        })
+        .collect()
+}
+
+fn complex_bits(a: &Array3<Complex64>) -> Vec<(u64, u64)> {
+    let parts = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+    a.as_slice().iter().map(parts).collect()
+}
+
 #[test]
 fn fused_residual_is_the_composed_tail_bit_for_bit() {
-    let config = MlrConfig::quick(12, 8);
-    let pipeline = MlrPipeline::new(config);
-    let op = pipeline.operator();
-    let freq = FrequencyData::new(op, &pipeline.dataset().projections);
-    let u = random_volume(op.geometry().volume_shape(), 30);
-    let u1 = op.fu1d(&u);
-    let dhat_prime = op.fu2d(&u1, &DirectExecutor);
-    let (mut fused, mut composed) = (dhat_prime.clone(), dhat_prime);
-    let loss = freq.fused_residual(&mut fused);
-    let d = &pipeline.dataset().projections;
-    let loss_ref = reference::residual_tail(&mut composed, &reference::frequency_data(op, d));
-    assert_eq!(loss.to_bits(), loss_ref.to_bits());
-    let parts = |a: &Array3<Complex64>| -> Vec<(u64, u64)> {
-        a.as_slice()
-            .iter()
-            .map(|z| (z.re.to_bits(), z.im.to_bits()))
-            .collect()
-    };
-    assert_eq!(parts(&fused), parts(&composed));
+    for g in detector_geometries() {
+        let label = format!("{:?}", g.detector);
+        let op = LaminoOperator::new(g.clone(), 4);
+        let d = random_volume(g.data_shape(), 31);
+        let freq = FrequencyData::new(&op, &d);
+        let u1 = op.fu1d(&random_volume(g.volume_shape(), 30));
+        let mut fused = Array3::zeros(g.half_spectrum_shape());
+        op.fu2d_half_into(&u1, &DirectExecutor, &mut fused);
+        let loss = freq.fused_residual(&mut fused, &mut Vec::new());
+        // fill → subtract → H → loss → scale → fold.
+        let mut rhat = op.fu2d(&u1, &DirectExecutor);
+        let loss_ref = reference::residual_tail(&mut rhat, &reference::frequency_data(&op, &d));
+        let mut composed = Array3::zeros(g.half_spectrum_shape());
+        op.fold(&rhat, &mut composed);
+        assert_eq!(loss.to_bits(), loss_ref.to_bits(), "{label}");
+        assert_eq!(complex_bits(&fused), complex_bits(&composed), "{label}");
+    }
+}
+
+/// The half-spectrum pass against the full-spectrum composition it
+/// replaced, with the unprojected `d̂`: one gradient and its loss.
+#[test]
+fn half_spectrum_gradient_is_the_full_spectrum_one_up_to_rounding() {
+    let rho = 0.5;
+    for g in detector_geometries() {
+        let label = format!("{:?}", g.detector);
+        let op = LaminoOperator::new(g.clone(), 4);
+        let (u, d) = (
+            random_volume(g.volume_shape(), 32),
+            random_volume(g.data_shape(), 33),
+        );
+        let mut ws = AdmmWorkspace::new(&op);
+        ws.u = u.clone();
+        let loss = lsp_gradient_cancelled(
+            &op,
+            &mut ws,
+            &FrequencyData::new(&op, &d),
+            rho,
+            &DirectExecutor,
+        );
+
+        let scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
+        let unprojected = (op.f2d(&to_complex(&d)), scale);
+        let mut rhat = op.fu2d(&op.fu1d(&u), &DirectExecutor);
+        let loss_ref = reference::residual_tail(&mut rhat, &unprojected);
+        let g_data = op.fu1d_adjoint(&op.fu2d_adjoint(&rhat, &DirectExecutor));
+        let zero = VectorField::zeros(u.shape());
+        let grad = reference::add_regulariser(g_data, &u, &zero, rho);
+
+        let peak = grad.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let diff = max_abs_diff(grad.as_slice(), ws.grad.as_slice()) / peak;
+        assert!(diff < 1e-12, "{label}: gradient off by {diff:e}");
+        let loss_diff = (loss - loss_ref).abs() / loss_ref;
+        assert!(loss_diff < 1e-12, "{label}: loss off by {loss_diff:e}");
+    }
 }
 
 /// The workspace solver and the Algorithm 2 reference over one pipeline and

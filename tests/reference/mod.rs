@@ -176,11 +176,15 @@ pub fn hermitian_project(planes: &mut Array3<Complex64>) {
     }
 }
 
-/// `F_2D d` and the plane scale `1/(h·w)`: what `FrequencyData` holds.
+/// `H(F_2D d)` and the plane scale `1/(h·w)`: what `FrequencyData` holds
+/// (rows `0..=h/2` of the first). `H` is idempotent, so projecting the data
+/// changes the residual `H(d̂′ − d̂)` only by rounding.
 pub fn frequency_data(op: &LaminoOperator, d: &Array3<f64>) -> (Array3<Complex64>, f64) {
     let g = op.geometry();
     let plane_scale = 1.0 / (g.detector.rows * g.detector.cols) as f64;
-    (op.f2d(&to_complex(d)), plane_scale)
+    let mut dhat = op.f2d(&to_complex(d));
+    hermitian_project(&mut dhat);
+    (dhat, plane_scale)
 }
 
 /// Subtraction, projection, Parseval loss and plane scale as four
