@@ -4,9 +4,11 @@
 //!
 //! The paper's distributed design keeps the memoization database on a
 //! dedicated memory node; its payoff grows when many reconstructions share
-//! it. This harness replays the beamline scenario — several reconstructions
-//! of the same sample family submitted together — through `mlr-runtime`'s
-//! worker pool over one `ShardedMemoDb`, then replays the identical jobs
+//! it. Here no memory node runs: the workers share one in-process
+//! `ShardedMemoDb`, the store every memoized run uses. This harness replays
+//! the beamline scenario — several reconstructions of the same sample
+//! family submitted together — through `mlr-runtime`'s worker pool over
+//! that store, then replays the identical jobs
 //! with private databases, and compares hit rates, database footprint and
 //! wall time. The machine-readable record lands in `BENCH_runtime.json`
 //! (and, like every harness, under `target/experiments/`).

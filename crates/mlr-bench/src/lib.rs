@@ -6,7 +6,7 @@
 //! against), 11 (key coalescing, which this repository does not run), 13
 //! (ADMM-Offload, whose variables the solver does not hold) and 14–16
 //! (multi-GPU scaling and one memory node under 1–16 GPUs, which nothing here
-//! measures; `fig24_cluster` replays a recorded trace through the link model):
+//! measures: the store runs in process, with no memory node or link):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -21,13 +21,11 @@
 //! | `fig19_eviction` | beyond the paper — what a capacity budget costs in cross-job hit rate |
 //! | `fig21_serving` | beyond the paper — deadline-aware serving: load × deadline tightness vs miss rate, cancellation guarantees |
 //! | `fig22_hotpath` | beyond the paper — zero-copy memo hits ([`hotpath::drive`]): hit ns/chunk, miss FFT throughput, allocations/chunk (counting allocator), per-stage hit breakdown (prefilter/peek/encode/probe), prefilter skip lane, what the telemetry recorder adds to a hit (`overhead_within_bound`); `--sweep` adds the 256..16 Ki-elem chunk-size sweep that holds the stages the seam memoizes to the measurement (`gate_agrees_with_measurement`) |
-//! | `fig24_cluster` | beyond the paper — distributed memo tier: hit parity vs `ShardedMemoDb`, access-trace replay over simulated memory nodes (Figure 15/16 analogues) |
-//! | `fig25_faults` | beyond the paper — chaos harness: a serving workload under swept fault plans (node crash, link degrade, stripe stall), bit identity, bounded degradation, recovery |
 //! | `check_bench` | CI regression gate over the `BENCH_*.json` records (see `ci/bench_baseline.json`) |
 //!
 //! Run any of them with `cargo run --release -p mlr-bench --bin <name> [-- --scale tiny|small|paper]`.
-//! `fig18_multi_job`, `fig19_eviction`, `fig21_serving`, `fig22_hotpath`,
-//! `fig24_cluster` and `fig25_faults` additionally accept `--smoke`, the
+//! `fig18_multi_job`, `fig19_eviction`, `fig21_serving` and `fig22_hotpath`
+//! additionally accept `--smoke`, the
 //! reduced-size mode CI's bench-smoke job runs; `fig22_hotpath` also accepts
 //! `--sweep` (CI passes it) to embed the chunk-size sweep in
 //! `BENCH_hotpath.json`. Each prints a human-readable

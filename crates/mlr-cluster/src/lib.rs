@@ -1,14 +1,13 @@
-//! # mlr-cluster
+//! # mlr-cluster (retired)
 //!
-//! The memory-node side of the distributed memo tier: which node owns each
-//! lock stripe ([`placement`]) and what a recorded access trace costs on the
-//! per-node links ([`replay`]). `fig24_cluster` replays a real multi-job run
-//! through it, and `fig25_faults` the same run under a fault plan.
+//! This crate held the memory-node side of a simulated distributed memo
+//! tier: stripe-to-node placement and the replay of a recorded access trace
+//! through a modeled link per node. No memory node runs in this repository
+//! (the runtime's workers share one `mlr_memo::ShardedMemoDb` in process),
+//! so a link priced from a datasheet constant measured nothing and the
+//! crate has no items. It stays only because `mlr-memo` and `mlr-bench`
+//! depend on it and those dependencies are recorded in the repository
+//! benchmark's frozen `examples/benchmark/Cargo.lock`; the crate and the
+//! dependencies go together when that lock is next rewritten.
 
 #![warn(missing_docs)]
-
-pub mod placement;
-pub mod replay;
-
-pub use placement::{place_stripes, stripes_per_node};
-pub use replay::{replay_trace, FaultFootprint, NodeUtilisation, ReplayOutcome};

@@ -13,8 +13,8 @@
 //! * [`norms`] — L2 / Frobenius norms, cosine similarity (the similarity
 //!   measure mLR uses for memoization keys), and the relative-error metric
 //!   `E` from the paper's Eq. 4.
-//! * [`stats`] — percentiles and empirical CDFs used by the evaluation
-//!   harnesses (e.g. the replayed query-latency CDF of `fig24`).
+//! * [`stats`] — percentiles and empirical CDFs for evaluation
+//!   harnesses.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the
 //!   repository is reproducible.
 //!

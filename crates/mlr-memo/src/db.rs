@@ -1,6 +1,6 @@
 //! The memoization database's configuration and its lock stripe.
 //!
-//! This is the memory-node side of the paper's distributed memoization
+//! This is the in-process counterpart of the paper's memory-node database
 //! (§4.3.2). An *insertion* adds the key of an FFT input chunk to the
 //! scope's index and the FFT output to the value database. A *probe* asks
 //! the index for the stored key nearest to the query's *among the entries
@@ -173,13 +173,6 @@ impl MemoDatabase {
         self.entries.values().map(|r| r.meta.bytes).sum()
     }
 
-    /// A copy of the eviction metadata of entry `id`, if it is resident —
-    /// the signal (bytes, hit counts, recompute cost) the distributed tier's
-    /// replica promotion ranks by.
-    pub(crate) fn meta_of(&self, id: u64) -> Option<EntryMeta> {
-        self.entries.get(&id).map(|r| r.meta)
-    }
-
     /// Does the scope's fingerprint history contain a chunk whose raw
     /// similarity to `fp`'s chunk could exceed `τ`? Returns `false` for a
     /// scope that has seen no chunks yet — the prefilter then routes the
@@ -341,17 +334,6 @@ impl MemoDatabase {
         }
         self.value_bytes -= record.value_bytes();
         Some(record.meta.bytes)
-    }
-
-    /// Removes every resident entry — a crashed stripe losing its contents
-    /// (warm-up from scratch). The replacement rule is neither consulted
-    /// nor notified. Returns the lost entry ids in ascending order and the
-    /// bytes they freed.
-    pub(crate) fn purge_all(&mut self) -> (Vec<u64>, u64) {
-        let mut ids: Vec<u64> = self.entries.keys().copied().collect();
-        ids.sort_unstable();
-        let freed = ids.iter().filter_map(|&id| self.evict_id(id)).sum();
-        (ids, freed)
     }
 }
 

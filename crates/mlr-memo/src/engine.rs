@@ -14,11 +14,10 @@
 //!    the entry that last hit here is reused if the chunk passes the τ gate
 //!    against *its* raw input — no key is computed for a cache hit;
 //! 3. on a cache miss, sketch the chunk into its key (`encoder.rs`);
-//! 4. probe the memoization database (the paper's memory node; what
-//!    shipping the key there costs is priced offline by
-//!    `mlr_cluster::replay_trace`, at its 1 KiB coalesced query size): the
-//!    scope's entry with the nearest key, among those this job and
-//!    iteration may use, goes through the same τ gate;
+//! 4. probe the memoization database (the paper's memory node; here the
+//!    in-process store, reached with no link in between): the scope's
+//!    entry with the nearest key, among those this job and iteration may
+//!    use, goes through the same τ gate;
 //! 5. on a database hit, reuse the stored value and cache the entry;
 //! 6. otherwise compute the FFT exactly and insert the result asynchronously.
 //!
@@ -35,10 +34,11 @@
 //! # What a chunk's output slot receives
 //!
 //! Entries are single precision, so a hit is one *widening* copy into the
-//! operator's output window. A crashed memory node turns a hit into a
-//! recompute of the same input, and a fault must not change a bit: every
-//! lane chosen by store state (prefiltered, failed memo, cache hit, db hit)
-//! emits `widen(narrow(F(x)))`, rounding fused into the emit copy; the lane
+//! operator's output window, while a recompute is exact `f64`. So that the
+//! bits a chunk receives do not hang on that `f64` / `f32` mismatch — on
+//! whether the store happened to hold a matching entry — every lane chosen
+//! by store state (prefiltered, failed memo, cache hit, db hit) emits
+//! `widen(narrow(F(x)))`, rounding fused into the emit copy; the lane
 //! chosen by configuration alone (`computed`: memoization disabled, or
 //! warm-up) emits the exact `f64` result.
 

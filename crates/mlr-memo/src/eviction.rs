@@ -29,8 +29,8 @@
 //!
 //! The **op tick** of [`StoreClock`] — one monotone counter claimed per
 //! committed hit, committed miss and insert, shared by every stripe of a
-//! store — ranks nothing: it is the time axis `FaultPlan` windows and
-//! access-trace records are written in.
+//! store — ranks nothing: it counts the store's committed operations.
+//! Entries age through [`CostAwarePolicy`]'s inflation value instead.
 
 use crate::store::Provenance;
 use mlr_lamino::FftOpKind;
@@ -101,9 +101,8 @@ impl CapacityBudget {
     }
 }
 
-/// What the replacement rule ranks an entry by and the distributed tier's
-/// replica promotion reads. All fields are logical (see the module docs):
-/// no wall-clock values, so ranking is reproducible.
+/// What the replacement rule ranks an entry by. All fields are logical (see
+/// the module docs): no wall-clock values, so ranking is reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EntryMeta {
     /// Globally unique insertion index — the stable tie-breaker.
@@ -229,9 +228,7 @@ impl StoreClock {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Reads the current op tick without advancing it. The access-trace
-    /// recorder stamps records with this, so tracing never perturbs the
-    /// tick stream fault windows are written against.
+    /// Reads the current op tick without advancing it.
     pub fn current_tick(&self) -> u64 {
         self.tick.load(Ordering::Relaxed)
     }

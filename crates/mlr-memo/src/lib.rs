@@ -1,6 +1,6 @@
 //! # mlr-memo
 //!
-//! The distributed memoization system that is mLR's core contribution:
+//! The memoization system that is mLR's core contribution:
 //! replace expensive unequally-spaced FFT operations with values computed in
 //! earlier ADMM iterations whenever the operation's input chunk is
 //! sufficiently similar (cosine similarity above a threshold `τ`) to a chunk
@@ -37,9 +37,8 @@
 //!   takes the memo path. A batch runs in two phases on the calling thread:
 //!   every chunk probes the store, cache and doorkeeper state frozen at
 //!   dispatch, then the commit replays ticks, inserts and evictions in chunk-index order.
-//!   Key coalescing (§4.3.3) is not live code: a coalesced 1 KiB key batch
-//!   is the query size `mlr_cluster::replay_trace` charges a recorded
-//!   trace's probes.
+//!   Key coalescing (§4.3.3) is not live code: no link separates the
+//!   executor from the store.
 //! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /
 //!   entries over the whole store) enforced after every insert by one rule,
 //!   [`CostAwarePolicy`] (aged benefit density, cross-job servers last), on
@@ -51,19 +50,15 @@
 //! * [`sharded`] — the [`ShardedMemoDb`], *the* store: lock-striped, with
 //!   one stripe when private to a standalone executor and sixteen when
 //!   serving several reconstruction jobs at once (the in-process analogue
-//!   of the paper's memory node under multi-job traffic).
-//! * [`distributed`] — the [`DistributedMemoDb`] memory-node tier wrapped
-//!   around a `ShardedMemoDb`: stripe→node placement, replica promotion and
-//!   node-crash injection — the state that decides outcomes. What the
-//!   network costs is priced offline from the access trace by
-//!   `mlr_cluster::replay_trace`.
+//!   of the paper's memory node under multi-job traffic). The paper keeps
+//!   that database on dedicated memory nodes (Figure 6); here every worker
+//!   reaches it in process, so no link is modeled.
 
 #![warn(missing_docs)]
 
 pub mod ann;
 pub mod cache;
 pub mod db;
-pub mod distributed;
 pub mod encoder;
 pub mod engine;
 pub mod eviction;
@@ -76,13 +71,12 @@ mod testutil;
 
 pub use cache::{CacheKind, MemoCache};
 pub use db::{tau_gate, MemoDbConfig};
-pub use distributed::{DistributedMemoDb, DistributedStats, FaultStats, NodeStats, NodeTopology};
 pub use encoder::{sketch, CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
 pub use eviction::{
     recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock,
 };
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
-pub use sharded::{ShardedMemoDb, ACCESS_OP_UNKNOWN, DEFAULT_SHARDS};
+pub use sharded::{ShardedMemoDb, DEFAULT_SHARDS};
 pub use stats::{MemoCase, MemoStats, OpStats};
 pub use store::{JobId, MemoStore, ProbeOutcome, Provenance, StoreStats};

@@ -37,21 +37,15 @@
 
 use crate::db::{scope_hash, MemoDatabase, MemoDbConfig};
 use crate::encoder::sketch;
-use crate::eviction::{CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock};
+use crate::eviction::{CapacityBudget, CostAwarePolicy, StoreClock};
 use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_lamino::FftOpKind;
 use mlr_math::complex::narrow;
 use mlr_math::norms::l2_norm_c32;
 use mlr_math::Complex64;
-use mlr_telemetry::{AccessKind, AccessRecord, AccessTrace};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Operator discriminant stamped on access records whose operator is
-/// unknown at the record point (global eviction selects a victim by
-/// `(rank, id)` across stripes, without knowing which operator owns it).
-pub const ACCESS_OP_UNKNOWN: u8 = u8::MAX;
 
 /// A query counts as "under pressure" when the tightest global cap is at
 /// least this utilised — the regime the bounded-store hit rate is judged in.
@@ -86,12 +80,6 @@ pub struct ShardedMemoDb {
     evictions: AtomicU64,
     pressure_queries: AtomicU64,
     pressure_hits: AtomicU64,
-    /// Optional store access-trace recorder (entry, op, stripe, kind,
-    /// tick). Records are emitted only from the ordered-commit paths and
-    /// stamped with [`StoreClock::current_tick`] (a read, never an
-    /// advance), so the trace is deterministic and tracing cannot perturb
-    /// eviction ranking. `None` (the default) costs one branch per commit.
-    trace: Option<Arc<AccessTrace>>,
 }
 
 impl ShardedMemoDb {
@@ -136,49 +124,7 @@ impl ShardedMemoDb {
             evictions: AtomicU64::new(0),
             pressure_queries: AtomicU64::new(0),
             pressure_hits: AtomicU64::new(0),
-            trace: None,
         }
-    }
-
-    /// Attaches an access-trace recorder (before the store is shared behind
-    /// an `Arc`). The store records hit/miss/insert/evict/lost
-    /// events from its ordered-commit paths into the given ring, stamped
-    /// with store-clock ticks; the distributed tier adds promote/demote.
-    pub fn set_access_trace(&mut self, trace: Arc<AccessTrace>) {
-        self.trace = Some(trace);
-    }
-
-    /// The attached access-trace recorder, if any.
-    pub fn access_trace(&self) -> Option<&Arc<AccessTrace>> {
-        self.trace.as_ref()
-    }
-
-    /// Records one access event, stamped with the current tick, when
-    /// tracing is enabled; a single branch otherwise. The distributed tier
-    /// writes its replica-set changes through it too.
-    #[inline]
-    pub(crate) fn trace_access(&self, op: u8, stripe: usize, entry: u64, kind: AccessKind) {
-        if let Some(trace) = &self.trace {
-            trace.record(AccessRecord {
-                entry,
-                op,
-                stripe: stripe as u32,
-                kind,
-                tick: self.clock.current_tick(),
-            });
-        }
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The store clock's current op tick (a read, never an advance) — the
-    /// deterministic timestamp access-trace records carry and the
-    /// distributed tier maps to simulated arrival times.
-    pub fn current_tick(&self) -> u64 {
-        self.clock.current_tick()
     }
 
     /// The capacity budget this store enforces.
@@ -191,19 +137,9 @@ impl ShardedMemoDb {
         &self.shards[self.stripe_of(op, loc)]
     }
 
-    /// Index of the stripe owning the index scope of `(op, loc)` — what the
-    /// distributed tier's stripe→node placement and the trace-replay harness
-    /// key on, and the `stripe` field of the access-trace records.
-    pub fn stripe_of(&self, op: FftOpKind, loc: usize) -> usize {
+    /// Index of the stripe owning the index scope of `(op, loc)`.
+    fn stripe_of(&self, op: FftOpKind, loc: usize) -> usize {
         (scope_hash(op, loc) % self.shards.len() as u64) as usize
-    }
-
-    /// A copy of the eviction metadata of entry `entry` in the stripe
-    /// owning `(op, loc)`, if the entry is still resident there. The
-    /// distributed tier's replica promotion ranks hot entries by this
-    /// metadata (hit counts, bytes, recompute cost).
-    pub fn entry_meta(&self, op: FftOpKind, loc: usize, entry: u64) -> Option<EntryMeta> {
-        self.shard_for(op, loc).lock().meta_of(entry)
     }
 
     /// The reference [`MemoStore::probe_with_key`]'s key selector is tested
@@ -229,27 +165,6 @@ impl ShardedMemoDb {
         self.shards.iter().map(|s| s.lock().len()).collect()
     }
 
-    /// Purges every entry resident in `stripe` — the distributed tier calls
-    /// this when the simulated memory node owning the stripe restarts after
-    /// a crash (its contents are lost; warm-up starts from scratch). The
-    /// removals bypass the replacement rule and are not evictions;
-    /// published resident counters are adjusted under the stripe lock,
-    /// exactly like an eviction's. Returns the lost entry ids in ascending
-    /// order.
-    ///
-    /// # Panics
-    /// Panics when `stripe >= shard_count()`.
-    pub fn purge_stripe(&self, stripe: usize) -> Vec<u64> {
-        let mut db = self.shards[stripe].lock();
-        let (ids, bytes) = db.purge_all();
-        self.publish_freed(bytes, ids.len() as u64);
-        drop(db);
-        for &id in &ids {
-            self.trace_access(ACCESS_OP_UNKNOWN, stripe, id, AccessKind::Lost);
-        }
-        ids
-    }
-
     /// High-water mark of the resident footprint, observed only at
     /// post-enforcement points — with a byte cap set this never exceeds it.
     pub fn peak_resident_bytes(&self) -> u64 {
@@ -262,22 +177,13 @@ impl ShardedMemoDb {
     }
 
     /// The published `(resident bytes, entries)` totals, clamped at zero —
-    /// delta accounting can transiently dip negative when a purge's
-    /// subtraction lands before the matching (deferred) publication.
+    /// delta accounting can transiently dip negative when enforcement evicts
+    /// the entry being inserted before its insert publishes it.
     fn published(&self) -> (u64, u64) {
         (
             self.published_resident.load(Ordering::Relaxed).max(0) as u64,
             self.published_entries.load(Ordering::Relaxed).max(0) as u64,
         )
-    }
-
-    /// Takes what a stripe just freed (an eviction or a purge) out of the
-    /// published counters, before that stripe's lock is released.
-    fn publish_freed(&self, bytes: u64, entries: u64) {
-        self.published_resident
-            .fetch_sub(bytes as i64, Ordering::Relaxed);
-        self.published_entries
-            .fetch_sub(entries as i64, Ordering::Relaxed);
     }
 
     /// Evicts store-wide minimum-`(rank, id)` victims — the entries a
@@ -302,11 +208,11 @@ impl ShardedMemoDb {
             self.policy.on_evict(rank);
             let mut db = self.shards[stripe].lock();
             if let Some(freed) = db.evict_id(id) {
-                self.publish_freed(freed, 1);
+                self.published_resident
+                    .fetch_sub(freed as i64, Ordering::Relaxed);
+                self.published_entries.fetch_sub(1, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            drop(db);
-            self.trace_access(ACCESS_OP_UNKNOWN, stripe, id, AccessKind::Evict);
         }
     }
 }
@@ -372,21 +278,18 @@ impl MemoStore for ShardedMemoDb {
         if entry_origin.job != origin.job {
             self.cross_job_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let stripe = self.stripe_of(op, loc);
-        self.shards[stripe]
+        self.shard_for(op, loc)
             .lock()
             .commit_hit(entry, entry_origin, origin);
-        self.trace_access(op as u8, stripe, entry, AccessKind::Hit);
     }
 
-    fn commit_miss(&self, op: FftOpKind, loc: usize) {
+    fn commit_miss(&self, _op: FftOpKind, _loc: usize) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if self.pressure() >= PRESSURE_THRESHOLD {
             self.pressure_queries.fetch_add(1, Ordering::Relaxed);
         }
         // A miss touches no entry: it only consumes its logical tick.
         self.clock.next_tick();
-        self.trace_access(op as u8, self.stripe_of(op, loc), 0, AccessKind::Miss);
     }
 
     fn insert(
@@ -401,7 +304,7 @@ impl MemoStore for ShardedMemoDb {
     ) -> u64 {
         // The one narrowing of an entry's life (and the norm the τ gate
         // reuses), outside every lock. What `f32` cannot hold is not stored:
-        // no tick, no id, no trace record.
+        // no tick, no id.
         let (Some(raw_input), Some(value)) = (narrow(input), narrow(&output)) else {
             self.refused_inserts.fetch_add(1, Ordering::Relaxed);
             return u64::MAX;
@@ -427,7 +330,6 @@ impl MemoStore for ShardedMemoDb {
         self.published_entries.fetch_add(1, Ordering::Relaxed);
         self.peak_resident
             .fetch_max(self.published().0, Ordering::Relaxed);
-        self.trace_access(op as u8, stripe, id, AccessKind::Insert);
         id
     }
 
@@ -573,7 +475,7 @@ mod tests {
         // hash to the same stripe.
         let db = sharded(8);
         let input = chunk(1.0, 0.0, 256);
-        let mut per_stripe = vec![0usize; db.shard_count()];
+        let mut per_stripe = vec![0usize; db.shards.len()];
         for loc in 0..24 {
             let out = chunk(2.0, 1.0, 16);
             insert(&db, Fu2D, loc, &input, out, Provenance::solo(0));
@@ -697,44 +599,45 @@ mod tests {
 
     #[test]
     fn every_commit_and_insert_claims_one_tick() {
-        // The tick stream is the fault clock: `FaultPlan` windows and
-        // access-trace stamps count hit commits, miss commits and inserts,
-        // one tick each, whether or not an entry records when it was touched.
+        // The store clock counts hit commits, miss commits and inserts, one
+        // tick each, whether or not an entry records when it was touched,
+        // identically for every shard layout.
         for shards in [1, 4] {
             let db = sharded(shards);
+            let tick = || db.clock.current_tick();
             let (mut hits, mut misses, mut ids) = (0u64, 0u64, Vec::new());
             for round in 0..3usize {
                 for loc in 0..5usize {
-                    let before = db.current_tick();
+                    let before = tick();
                     let input = chunk(1.0 + loc as f64, 0.0, 64);
                     let at = Provenance::solo(round + 1);
                     if lookup(&db, Fu2D, loc, &input, at).is_some() {
                         hits += 1;
-                        assert_eq!(db.current_tick(), before + 1, "a hit commit is one tick");
+                        assert_eq!(tick(), before + 1, "a hit commit is one tick");
                     } else {
                         misses += 1;
-                        assert_eq!(db.current_tick(), before + 1, "a miss commit is one tick");
+                        assert_eq!(tick(), before + 1, "a miss commit is one tick");
                         ids.push(insert(&db, Fu2D, loc, &input, chunk(2.0, 0.5, 16), at));
-                        assert_eq!(db.current_tick(), before + 2, "an insert is one tick");
+                        assert_eq!(tick(), before + 2, "an insert is one tick");
                     }
                 }
             }
             assert!(hits > 0 && misses > 0, "schedule must take both commits");
             let inserts = ids.len() as u64;
-            assert_eq!(db.current_tick(), hits + misses + inserts);
+            assert_eq!(tick(), hits + misses + inserts);
             assert_eq!(ids, (0..inserts).collect::<Vec<_>>());
             // A probe alone claims nothing.
             let input = chunk(1.0, 0.0, 64);
             let _ = db.probe_with_key(Fu2D, 0, &input, &db.encode(&input), Provenance::solo(9));
-            assert_eq!(db.current_tick(), hits + misses + inserts);
+            assert_eq!(tick(), hits + misses + inserts);
         }
     }
 
     #[test]
     fn published_totals_equal_the_stripe_sums_under_both_caps() {
-        // Inserts of mixed sizes under an entry cap and a byte cap, one
-        // stripe purged on the way: the published counters, which only ever
-        // move by deltas, must land on what the stripes actually hold.
+        // Inserts of mixed sizes under an entry cap and a byte cap: the
+        // published counters, which only ever move by deltas, must land on
+        // what the stripes actually hold.
         let (cap_bytes, cap_entries) = (24 * 1024u64, 20u64);
         let budget = CapacityBudget {
             max_bytes: Some(cap_bytes),
@@ -743,7 +646,6 @@ mod tests {
         for shards in [1, 3, 16] {
             let db = store(config(budget), shards);
             let mut rng = seeded(0x5EED ^ shards as u64);
-            let mut purged = 0u64;
             let (mut by_entries, mut by_bytes) = (false, false);
             for i in 0..120usize {
                 let n = [16usize, 64, 256][rng.gen_range(0..3usize)];
@@ -754,10 +656,6 @@ mod tests {
                 assert!(db.resident_bytes() <= cap_bytes && db.len() as u64 <= cap_entries);
                 by_entries |= db.len() as u64 == cap_entries;
                 by_bytes |= db.evictions() > evicted && (db.len() as u64) < cap_entries;
-                if i == 70 {
-                    purged = db.purge_stripe(db.stripe_of(Fu2D, loc)).len() as u64;
-                    assert!(purged > 0);
-                }
             }
             let held = |f: fn(&MemoDatabase) -> u64| db.shards.iter().map(|s| f(&s.lock())).sum();
             assert_eq!(db.resident_bytes(), held(MemoDatabase::resident_bytes));
@@ -765,7 +663,7 @@ mod tests {
             let stats = db.stats();
             assert!(stats.peak_resident_bytes <= cap_bytes);
             assert!(by_entries && by_bytes, "{shards} shards: a cap never bound");
-            assert_eq!(stats.inserts - stats.evictions - purged, db.len() as u64);
+            assert_eq!(stats.inserts - stats.evictions, db.len() as u64);
             assert_eq!(stats.resident_bytes, db.resident_bytes());
         }
     }

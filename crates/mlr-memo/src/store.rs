@@ -1,9 +1,7 @@
 //! The memo-store seam: a thread-safe interface over "the memoization
-//! database", so the executor does not care whether it talks to a
-//! [`ShardedMemoDb`](crate::sharded::ShardedMemoDb) directly — private to
-//! one job or shared by every job of a runtime — or to the
-//! [`DistributedMemoDb`](crate::distributed::DistributedMemoDb) memory-node
-//! tier wrapped around one.
+//! database", so the executor does not care whether its
+//! [`ShardedMemoDb`](crate::sharded::ShardedMemoDb) is private to one job or
+//! shared by every job of a runtime (or is a test's wrapper around one).
 //!
 //! The paper's distributed design (Figure 6) keeps the memoization database
 //! on a dedicated memory node precisely so that *many* reconstructions can

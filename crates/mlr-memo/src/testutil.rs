@@ -1,4 +1,4 @@
-//! Fixtures shared by the store unit tests (`db`, `sharded`, `distributed`):
+//! Fixtures shared by the store unit tests (`db`, `sharded`):
 //! one chunk generator and the probe → commit driver every store test goes
 //! through.
 

@@ -5,7 +5,8 @@
 //!
 //! The paper's distributed memoization (Figure 6) separates compute nodes
 //! from a memory node holding the memoization database — a design that only
-//! pays off when *many* reconstructions share that database. Synchrotron
+//! pays off when *many* reconstructions share that database. Here the
+//! workers share one in-process store instead of a memory node. Synchrotron
 //! laminography runs many large samples back-to-back (and concurrently),
 //! and those requests arrive with acquisition-driven deadlines; this crate
 //! is the serving layer for that regime:
@@ -53,14 +54,7 @@
 //! * **Robustness layer** — a panicking worker is respawned (counted in
 //!   [`RuntimeStats::worker_restarts`]) and its job resolves
 //!   [`JobStatus::Failed`] with a `retryable` flag instead of wedging the
-//!   pool; and [`RuntimeConfig::fault_plan`] arms the distributed store's
-//!   deterministic fault injection
-//!   ([`FaultPlan`](mlr_sim::faults::FaultPlan) windows on logical store
-//!   ticks: node crash/restart, link degradation, stripe stalls), whose
-//!   footprint surfaces as [`mlr_memo::FaultStats`] via
-//!   [`RuntimeStats::fault_stats`]. Faults degrade hits into exact
-//!   recomputes — never into different values (`tests/faults.rs`,
-//!   `fig25_faults`).
+//!   pool.
 //!
 //! [`ServeFront`] and [`ServeRequest`] are aliases of [`Runtime`] and
 //! [`ReconJob`], kept for the frozen repository benchmark.

@@ -13,10 +13,7 @@ use crate::job::{JobReport, ReconJob};
 use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::stats::{DeadlineStats, RuntimeStats};
 use mlr_core::{CancelToken, MlrPipeline, StopCause};
-use mlr_memo::{
-    DistributedMemoDb, JobId, MemoDbConfig, MemoStore, NodeTopology, ShardedMemoDb, DEFAULT_SHARDS,
-};
-use mlr_sim::faults::FaultPlan;
+use mlr_memo::{JobId, MemoDbConfig, MemoStore, ShardedMemoDb, DEFAULT_SHARDS};
 use mlr_telemetry::{SignedHistogram, SpanKind, Telemetry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,39 +34,13 @@ pub struct RuntimeConfig {
     /// Shared store database configuration: its τ gates every tenant's
     /// reuse (store probe and compute-node cache), whatever the job's own.
     pub db: MemoDbConfig,
-    /// Telemetry: lock-free stage histograms, per-job lifecycle spans, and
-    /// (optionally) the store access trace. Counts are not telemetry: jobs
-    /// are in [`RuntimeStats`], chunks in each job's `MemoStats`, whether
-    /// this is on or off. Off by default — disabled telemetry is a no-op
-    /// recorder whose call sites cost one branch each, so the hot path
-    /// stays allocation-free and the memo engine reads no clock.
+    /// Telemetry: lock-free stage histograms and per-job lifecycle spans.
+    /// Counts are not telemetry: jobs are in [`RuntimeStats`], chunks in
+    /// each job's `MemoStats`, whether this is on or off. Off by default —
+    /// disabled telemetry is a no-op recorder whose call sites cost one
+    /// branch each, so the hot path stays allocation-free and the memo
+    /// engine reads no clock.
     pub telemetry: bool,
-    /// Capacity of the store access-trace ring (entry id, operator, stripe,
-    /// hit/miss/insert/evict/lost, logical tick). `None` disables the
-    /// trace; a trace needs [`RuntimeConfig::telemetry`] on.
-    pub access_trace: Option<usize>,
-    /// Distributed memo tier: when set, the shared store's lock stripes are
-    /// spread over this many simulated memory nodes and every worker talks
-    /// to the store through a [`DistributedMemoDb`], which replicates hot
-    /// entries by benefit density and records each promotion and demotion
-    /// in the access trace. Store *semantics* are untouched (bit-identical
-    /// hits to the plain sharded store); [`RuntimeStats::distributed`]
-    /// reports placement, residency and the replica set. What the network
-    /// costs is priced offline: enable [`RuntimeConfig::access_trace`] and
-    /// hand the trace to `mlr_cluster::replay_trace`. `None` keeps the
-    /// store purely local.
-    pub topology: Option<NodeTopology>,
-    /// Deterministic fault schedule armed on the distributed memo tier:
-    /// node crash/restart windows, link degradations and stripe stalls,
-    /// all keyed to the store's logical tick (never the wall clock). Node
-    /// crashes change outcomes live (misses, purges — accounted in
-    /// [`DistributedStats::faults`](mlr_memo::DistributedStats) inside
-    /// [`RuntimeStats::distributed`]); link degradations and stalls only
-    /// cost simulated time, which `mlr_cluster::replay_trace` reports when
-    /// given the same plan. Requires [`RuntimeConfig::topology`] — without
-    /// one there are no simulated memory nodes to fault, and
-    /// [`Runtime::new`] panics. `None` injects nothing.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for RuntimeConfig {
@@ -83,9 +54,6 @@ impl Default for RuntimeConfig {
             shards: DEFAULT_SHARDS,
             db: MemoDbConfig::default(),
             telemetry: false,
-            access_trace: None,
-            topology: None,
-            fault_plan: None,
         }
     }
 }
@@ -267,7 +235,6 @@ impl Counters {
 pub struct Runtime {
     queue: Arc<JobQueue>,
     store: Arc<ShardedMemoDb>,
-    distributed: Option<Arc<DistributedMemoDb>>,
     counters: Arc<Counters>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
@@ -279,56 +246,25 @@ impl Runtime {
     /// Starts a runtime with a fresh shared store.
     ///
     /// # Panics
-    /// Panics when `config.workers` is zero, when `config.fault_plan` is
-    /// set without a `config.topology` (a plan with no memory nodes to
-    /// fault would otherwise be dropped silently), or when
-    /// `config.access_trace` is set with `config.telemetry` off (a trace
-    /// with no recorder to hold it, likewise).
+    /// Panics when `config.workers` is zero.
     pub fn new(config: RuntimeConfig) -> Self {
         assert!(config.workers > 0, "worker count must be positive");
-        assert!(
-            config.fault_plan.is_none() || config.topology.is_some(),
-            "a fault plan needs a topology: there are no memory nodes to fault"
-        );
-        assert!(
-            config.access_trace.is_none() || config.telemetry,
-            "an access trace needs telemetry: there is no recorder to hold it"
-        );
-        let telemetry = match (config.telemetry, config.access_trace) {
-            (false, _) => Telemetry::disabled(),
-            (true, None) => Telemetry::enabled(),
-            (true, Some(capacity)) => Telemetry::with_access_trace(capacity),
+        let telemetry = if config.telemetry {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
         };
-        let mut db = ShardedMemoDb::with_shards(config.db, config.shards);
-        if let Some(trace) = telemetry.access_trace() {
-            db.set_access_trace(trace);
-        }
-        let store = Arc::new(db);
+        let store = Arc::new(ShardedMemoDb::with_shards(config.db, config.shards));
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
         let counters = Arc::new(Counters {
             telemetry,
             ..Counters::default()
         });
-        // The distributed tier wraps the *same* sharded store — semantics
-        // (and the bit-identity contract) are the inner store's; the wrapper
-        // adds placement, the replica set and, with a fault plan, the
-        // deterministic crash injection.
-        let fault_plan = config.fault_plan.clone();
-        let distributed = config.topology.map(|topology| {
-            Arc::new(match fault_plan {
-                Some(plan) => DistributedMemoDb::with_faults(Arc::clone(&store), topology, plan),
-                None => DistributedMemoDb::new(Arc::clone(&store), topology),
-            })
-        });
-        let exec_store: Arc<dyn MemoStore> = match &distributed {
-            Some(d) => Arc::clone(d) as Arc<dyn MemoStore>,
-            None => Arc::clone(&store) as Arc<dyn MemoStore>,
-        };
         #[expect(clippy::expect_used, reason = "startup: fail fast without a pool")]
         let workers = (0..config.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let store = Arc::clone(&exec_store);
+                let store = Arc::clone(&store) as Arc<dyn MemoStore>;
                 let counters = Arc::clone(&counters);
                 std::thread::Builder::new()
                     .name(format!("mlr-worker-{i}"))
@@ -362,7 +298,6 @@ impl Runtime {
         Self {
             queue,
             store,
-            distributed,
             counters,
             workers,
             worker_count: config.workers,
@@ -377,16 +312,9 @@ impl Runtime {
         &self.store
     }
 
-    /// The distributed memo tier wrapping the shared store, when the runtime
-    /// was configured with a [`RuntimeConfig::topology`]; `None` for a
-    /// purely local store.
-    pub fn distributed(&self) -> Option<&Arc<DistributedMemoDb>> {
-        self.distributed.as_ref()
-    }
-
     /// The runtime's telemetry recorder: disabled (a no-op handle) unless
     /// [`RuntimeConfig::telemetry`] was set. Snapshot it for stage
-    /// histograms, lifecycle spans and the optional store access trace.
+    /// histograms and lifecycle spans.
     pub fn telemetry(&self) -> &Telemetry {
         &self.counters.telemetry
     }
@@ -498,7 +426,6 @@ impl Runtime {
             store_pressure: self.store.pressure(),
             store: self.store.stats(),
             deadline,
-            distributed: self.distributed.as_ref().map(|d| d.distributed_stats()),
         }
     }
 
@@ -698,25 +625,6 @@ mod tests {
         assert_eq!(stats.cancelled, 0);
         assert_eq!(stats.expired, 0);
         assert!(stats.store.queries > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "a fault plan needs a topology")]
-    fn fault_plan_without_topology_is_rejected() {
-        let _ = Runtime::new(RuntimeConfig {
-            workers: 1,
-            fault_plan: Some(FaultPlan::new(1).crash_window(0, 0, 10)),
-            ..RuntimeConfig::matching(&tiny_config())
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "an access trace needs telemetry")]
-    fn access_trace_without_telemetry_is_rejected() {
-        let _ = Runtime::new(RuntimeConfig {
-            access_trace: Some(64),
-            ..RuntimeConfig::matching(&tiny_config())
-        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Runtime-wide statistics.
 
-use mlr_memo::{DistributedStats, FaultStats, StoreStats};
+use mlr_memo::StoreStats;
 use serde::{Deserialize, Serialize};
 
 /// Deadline bookkeeping across all decided jobs (a job is *decided* once it
@@ -93,12 +93,6 @@ pub struct RuntimeStats {
     pub store: StoreStats,
     /// Deadline outcomes and slack percentiles across decided jobs.
     pub deadline: DeadlineStats,
-    /// The distributed memo tier's outcome state (per-node stripe placement
-    /// and residency, replica-set effect, fault accounting). `None` unless
-    /// the runtime was configured with a [`mlr_memo::NodeTopology`]. Link
-    /// utilisation and latencies are not kept live: replay the run's access
-    /// trace through `mlr_cluster::replay_trace`.
-    pub distributed: Option<DistributedStats>,
 }
 
 impl RuntimeStats {
@@ -154,13 +148,6 @@ impl RuntimeStats {
     pub fn deadline_miss_rate(&self) -> f64 {
         self.deadline.miss_rate()
     }
-
-    /// Fault accounting of the distributed memo tier: `None` unless the
-    /// runtime was configured with both a topology and a
-    /// [`fault_plan`](crate::RuntimeConfig::fault_plan).
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.distributed.as_ref()?.faults.as_ref()
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +193,6 @@ mod tests {
                 slack_p90_seconds: 2.0,
                 slack_p99_seconds: 2.4,
             },
-            distributed: None,
         };
         assert!((s.throughput_jobs_per_second() - 4.0).abs() < 1e-12);
         assert!((s.utilisation() - 0.5).abs() < 1e-12);

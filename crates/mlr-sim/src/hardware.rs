@@ -37,8 +37,6 @@ pub struct InterconnectSpec {
     pub injection_gbps: f64,
     /// Base one-way latency in microseconds.
     pub latency_us: f64,
-    /// Fixed per-message software/RDMA-setup overhead in microseconds.
-    pub per_message_us: f64,
 }
 
 impl InterconnectSpec {
@@ -47,7 +45,6 @@ impl InterconnectSpec {
         Self {
             injection_gbps: 200.0,
             latency_us: 2.0,
-            per_message_us: 1.5,
         }
     }
 

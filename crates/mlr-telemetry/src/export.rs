@@ -14,11 +14,10 @@
 use crate::hist::Histogram;
 use crate::metrics::{MetricsSnapshot, STAGE_NAMES};
 use crate::span::SpanRecord;
-use crate::trace::AccessRecord;
 use std::fmt::Write as _;
 
 /// A complete, self-contained copy of everything the telemetry stack
-/// recorded: stage histograms, span journal, access trace.
+/// recorded: stage histograms and the span journal.
 pub struct TelemetrySnapshot {
     /// Stage histograms.
     pub metrics: MetricsSnapshot,
@@ -26,11 +25,6 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<SpanRecord>,
     /// Spans overwritten because the journal ring was full.
     pub spans_dropped: u64,
-    /// Store access trace contents, oldest first (empty when the trace was
-    /// not enabled).
-    pub accesses: Vec<AccessRecord>,
-    /// Access records overwritten because the trace ring was full.
-    pub accesses_dropped: u64,
 }
 
 fn write_histogram(out: &mut String, hist: &Histogram) {
@@ -77,25 +71,6 @@ impl TelemetrySnapshot {
                 span.wall_ns
             );
         }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"accesses_dropped\": {},\n  \"accesses\": [",
-            self.accesses_dropped
-        );
-        for (i, access) in self.accesses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"entry\":{},\"op\":{},\"stripe\":{},\"kind\":\"{}\",\"tick\":{}}}",
-                access.entry,
-                access.op,
-                access.stripe,
-                access.kind.name(),
-                access.tick
-            );
-        }
         out.push_str("\n  ]\n}\n");
         out
     }
@@ -130,7 +105,6 @@ mod tests {
     use super::*;
     use crate::metrics::{MetricsRegistry, StageId, StageTable};
     use crate::span::SpanKind;
-    use crate::trace::AccessKind;
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let registry = MetricsRegistry::new();
@@ -147,14 +121,6 @@ mod tests {
                 wall_ns: 0,
             }],
             spans_dropped: 0,
-            accesses: vec![AccessRecord {
-                entry: 7,
-                op: 0,
-                stripe: 3,
-                kind: AccessKind::Hit,
-                tick: 42,
-            }],
-            accesses_dropped: 0,
         }
     }
 
@@ -163,7 +129,6 @@ mod tests {
         let json = sample_snapshot().to_json();
         assert!(json.contains("\"encode\": {\"count\":1,\"sum\":1234"));
         assert!(json.contains("\"kind\":\"admitted\""));
-        assert!(json.contains("\"kind\":\"hit\""));
         assert!(json.contains("\"spans_dropped\": 0"));
     }
 

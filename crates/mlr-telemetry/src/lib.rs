@@ -1,22 +1,22 @@
-//! # mlr-telemetry — stage timing, lifecycle spans and the access trace
+//! # mlr-telemetry — stage timing and lifecycle spans
 //!
 //! The recorder keeps only what no other layer records. Counts stay with
 //! the layer that owns them: chunk cases in `MemoStats`, jobs in
-//! `RuntimeStats`; a batch is one `Operator` span. What is left is time,
-//! order and access history:
+//! `RuntimeStats`; a batch is one `Operator` span. What is left is time
+//! and order:
 //!
 //! ```text
-//!                        Telemetry (Clone, Option<Arc<_>>)
-//!                ┌──────────────┼──────────────────┐
-//!                ▼              ▼                  ▼
-//!        MetricsRegistry   SpanJournal       AccessTrace (opt-in:
-//!        log₂ stage        bounded ring,     with_access_trace)
-//!        histograms        logical ticks +   bounded ring of store
-//!                          wall ns           accesses, StoreClock ticks
-//!                ▲              ▲
-//!     fold at ordered      admit/run/iter/   TelemetrySnapshot
-//!     commit from Copy     operator/done       .to_json()
-//!     scratch tables       spans per job       .to_chrome_trace()
+//!                 Telemetry (Clone, Option<Arc<_>>)
+//!                ┌──────────────┴───┐
+//!                ▼                  ▼
+//!        MetricsRegistry       SpanJournal
+//!        log₂ stage            bounded ring,
+//!        histograms            logical ticks +
+//!                              wall ns
+//!                ▲                  ▲
+//!     fold at ordered      admit/run/iter/      TelemetrySnapshot
+//!     commit from Copy     operator/done          .to_json()
+//!     scratch tables       spans per job          .to_chrome_trace()
 //! ```
 //!
 //! Design rules, all load-bearing:
@@ -30,9 +30,8 @@
 //!   loops capture [`Telemetry::is_enabled`] once per batch, so a disabled
 //!   recorder means the memo engine reads no clock at all.
 //! * **Deterministic logical time.** Span ordering uses a monotone logical
-//!   tick and the access trace uses the store's `StoreClock`; a span's
-//!   wall-clock timestamp never influences ordering, so the bit-identity
-//!   contracts are untouched.
+//!   tick; a span's wall-clock timestamp never influences ordering, so the
+//!   bit-identity contracts are untouched.
 
 #![warn(missing_docs)]
 
@@ -42,7 +41,6 @@ mod metrics;
 mod recorder;
 mod ring;
 mod span;
-mod trace;
 
 pub use export::TelemetrySnapshot;
 pub use hist::{bucket_floor, bucket_index, Histogram, SignedHistogram, HIST_BUCKETS};
@@ -51,4 +49,3 @@ pub use metrics::{
 };
 pub use recorder::Telemetry;
 pub use span::{SpanJournal, SpanKind, SpanRecord};
-pub use trace::{AccessKind, AccessRecord, AccessTrace};

@@ -12,7 +12,6 @@
 use crate::export::TelemetrySnapshot;
 use crate::metrics::{MetricsRegistry, StageTable};
 use crate::span::{SpanJournal, SpanKind};
-use crate::trace::AccessTrace;
 use std::sync::Arc;
 
 /// Span journal ring capacity (records) of an enabled recorder.
@@ -21,7 +20,6 @@ const SPAN_CAPACITY: usize = 8192;
 struct TelemetryInner {
     metrics: MetricsRegistry,
     spans: SpanJournal,
-    trace: Option<Arc<AccessTrace>>,
 }
 
 /// Cloneable recorder handle threaded through runtime, memo engine, solver
@@ -60,22 +58,10 @@ impl Telemetry {
 
     /// An enabled recorder: stage histograms and the span journal.
     pub fn enabled() -> Self {
-        Self::build(None)
-    }
-
-    /// An enabled recorder that also keeps the store access trace, in a ring
-    /// of `capacity` records. The trace is the one recorder with a cost per
-    /// store access, so only this constructor has one.
-    pub fn with_access_trace(capacity: usize) -> Self {
-        Self::build(Some(capacity))
-    }
-
-    fn build(trace_capacity: Option<usize>) -> Self {
         Self {
             inner: Some(Arc::new(TelemetryInner {
                 metrics: MetricsRegistry::new(),
                 spans: SpanJournal::new(SPAN_CAPACITY),
-                trace: trace_capacity.map(|capacity| Arc::new(AccessTrace::new(capacity))),
             })),
         }
     }
@@ -113,23 +99,13 @@ impl Telemetry {
         self.inner.as_ref().map(|inner| &inner.spans)
     }
 
-    /// The store access trace, when built by
-    /// [`Telemetry::with_access_trace`]. The store holds a clone of this
-    /// `Arc` and records into it from its ordered-commit paths.
-    pub fn access_trace(&self) -> Option<Arc<AccessTrace>> {
-        self.inner.as_ref().and_then(|inner| inner.trace.clone())
-    }
-
     /// A complete copy of everything recorded so far; `None` when disabled.
     pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
         let inner = self.inner.as_ref()?;
-        let trace = inner.trace.as_deref();
         Some(TelemetrySnapshot {
             metrics: inner.metrics.snapshot(),
             spans: inner.spans.snapshot(),
             spans_dropped: inner.spans.dropped(),
-            accesses: trace.map(|t| t.snapshot()).unwrap_or_default(),
-            accesses_dropped: trace.map(|t| t.dropped()).unwrap_or(0),
         })
     }
 }
@@ -150,26 +126,16 @@ mod tests {
         assert!(telemetry.snapshot().is_none());
         assert!(telemetry.metrics().is_none());
         assert!(telemetry.spans().is_none());
-        assert!(telemetry.access_trace().is_none());
     }
 
     #[test]
     fn enabled_round_trips_through_snapshot() {
-        let telemetry = Telemetry::with_access_trace(8);
+        let telemetry = Telemetry::enabled();
         telemetry.span(3, SpanKind::Admitted, 0);
         telemetry.span(3, SpanKind::Completed, 0);
-        let trace = telemetry.access_trace().expect("trace configured");
-        trace.record(crate::trace::AccessRecord {
-            entry: 1,
-            op: 0,
-            stripe: 0,
-            kind: crate::trace::AccessKind::Insert,
-            tick: 1,
-        });
         let snap = telemetry.snapshot().expect("enabled");
         assert_eq!(snap.spans.len(), 2);
-        assert_eq!(snap.accesses.len(), 1);
-        assert!(snap.to_json().contains("\"kind\":\"insert\""));
+        assert!(snap.to_json().contains("\"kind\":\"completed\""));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The bounded ring the span journal and the access trace share:
-//! preallocated once, overwriting the oldest record when full and counting
+//! The bounded ring under the span journal: preallocated once, overwriting the oldest record when full and counting
 //! what it overwrote. Memory use is `capacity × size_of::<T>()`, fixed at
 //! construction.
 

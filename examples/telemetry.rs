@@ -1,13 +1,12 @@
-//! Observability: stage timers, lifecycle spans and the store access trace
-//! over a telemetry-enabled runtime, beside the counts each layer keeps.
+//! Observability: stage timers and lifecycle spans over a
+//! telemetry-enabled runtime, beside the counts each layer keeps.
 //!
 //! The runtime runs a small multi-tenant workload (bulk jobs plus a
 //! deadline-tagged preview), then prints the job counts (`RuntimeStats`),
 //! the operator batches (one `Operator` span each), the chunk cases (the
 //! jobs' `MemoStats`) and everything the telemetry stack recorded:
 //! per-stage hit-path latency percentiles from the log₂ histograms, the
-//! tail of the span journal, a slice of the store access trace, and the
-//! JSON / Chrome-trace exports.
+//! tail of the span journal, and the JSON / Chrome-trace exports.
 //!
 //! ```bash
 //! cargo run --release --example telemetry
@@ -27,9 +26,6 @@ fn main() {
         // Turn the recorder on. Disabled (the default) every instrument in
         // the stack compiles down to one predictable branch.
         telemetry: true,
-        // Opt into the store access trace as well (the one recorder with
-        // per-store-access cost), keeping the last 4096 accesses.
-        access_trace: Some(4096),
         ..RuntimeConfig::matching(&config)
     });
 
@@ -131,21 +127,6 @@ fn main() {
             span.job,
             span.kind.name(),
             span.arg
-        );
-    }
-
-    println!(
-        "\n== store access trace (last 4 of {}, {} dropped) ==",
-        snapshot.accesses.len(),
-        snapshot.accesses_dropped
-    );
-    for access in snapshot.accesses.iter().rev().take(4).rev() {
-        println!(
-            "store tick {:>6}  {:<7} entry {:<5} stripe {}",
-            access.tick,
-            access.kind.name(),
-            access.entry,
-            access.stripe
         );
     }
 

@@ -11,10 +11,9 @@
 //! * [`mlr_memo`] — the memoization system (key sketch, per-scope index, stores).
 //! * [`mlr_solver`] / [`mlr_lamino`] / [`mlr_fft`] / [`mlr_math`] — the
 //!   numerical stack.
-//! * [`mlr_sim`] / [`mlr_cluster`] — the hardware cost model and the
-//!   scaling study built on it.
+//! * [`mlr_sim`] — the hardware cost model the paper-scale projection is
+//!   priced with.
 
-pub use mlr_cluster;
 pub use mlr_core;
 pub use mlr_fft;
 pub use mlr_lamino;

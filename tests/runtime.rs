@@ -169,6 +169,38 @@ fn single_job_through_runtime_matches_run_memoized() {
     assert!(stats.store.queries > 0);
 }
 
+/// Two identical jobs back to back on one worker: the second reuses the
+/// first one's entries, and the whole schedule — hits, misses and inserts —
+/// replays bit for bit on a fresh runtime.
+#[test]
+fn back_to_back_jobs_on_one_worker_reuse_entries_deterministically() {
+    let config = MlrConfig::quick(12, 8).with_iterations(3);
+    let run = || {
+        let runtime = Runtime::new(RuntimeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..RuntimeConfig::matching(&config)
+        });
+        let bits: Vec<Vec<u64>> = ["first", "second"]
+            .iter()
+            .map(|name| {
+                let report = runtime
+                    .submit(ReconJob::new(*name, config))
+                    .unwrap()
+                    .wait_report()
+                    .expect("job completes");
+                let volume = report.reconstruction.as_slice();
+                volume.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        (bits, runtime.shutdown().store)
+    };
+    let (bits, store) = run();
+    assert!(store.hits > 0, "second job never hit the store: {store:?}");
+    assert!(store.cross_job_hits > 0, "no reuse across jobs: {store:?}");
+    assert_eq!(run(), (bits, store), "a second runtime diverged");
+}
+
 /// Four concurrent jobs over one store: all complete, and the shared store
 /// serves cross-job hits that isolated databases cannot.
 #[test]

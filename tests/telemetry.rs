@@ -106,7 +106,6 @@ fn disabled_recorder_records_nothing() {
     telemetry.span(1, SpanKind::Admitted, 0);
     assert!(telemetry.metrics().is_none());
     assert!(telemetry.spans().is_none());
-    assert!(telemetry.access_trace().is_none());
     assert!(telemetry.snapshot().is_none());
 }
 
