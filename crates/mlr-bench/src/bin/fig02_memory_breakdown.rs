@@ -18,8 +18,8 @@ struct Row {
     dataset: i64,
     pipeline_above_dataset: i64,
     exact_peak: i64,
-    /// The arrays the exact solve holds throughout, then what else was in
-    /// flight at its peak (`u` first: one `f64` volume).
+    /// The arrays the exact solve holds throughout (`u`, `a` and `G_prev`
+    /// in `f32`), then what else was in flight at its peak.
     held: Vec<(&'static str, i64)>,
     memo_peak: i64,
     store_peak: i64,
@@ -60,13 +60,13 @@ fn measure(n: usize) -> Row {
     let store_peak = executor.store().stats().peak_resident_bytes as i64;
 
     let g = pipeline.operator().geometry();
-    let (volume, complex) = (8 * g.volume_shape().len() as i64, |n: usize| 16 * n as i64);
+    let (single, complex) = (4 * g.volume_shape().len() as i64, |n: usize| 16 * n as i64);
     let half_data = complex(g.half_rows() * g.n_angles() * g.detector.cols);
     let mut held = vec![
-        ("u", volume),
-        ("dual a", 3 * volume),
-        ("G", volume),
-        ("G_prev", volume),
+        ("u", single),
+        ("dual a", 3 * single),
+        ("G", 2 * single),
+        ("G_prev", single),
         ("ũ1", complex(g.u1_shape().len())),
         ("ŝ", complex(g.half_spectrum_shape().len())),
         ("H(d̂), rows ≤ h/2", half_data),
@@ -105,7 +105,7 @@ fn main() {
         println!("{label:<30}{cells}  {cited}");
     };
     let mib = |b: i64| format!("{:.2}", b as f64 / MIB);
-    let vols = |r: &Row, b: i64| b as f64 / r.held[0].1 as f64;
+    let vols = |r: &Row, b: i64| b as f64 / (8 * r.n.pow(3)) as f64; // `f64` volumes
     line("", &|r| format!("{}³", r.n));
     line("dataset MiB", &|r| mib(r.dataset));
     line("pipeline above dataset MiB", &|r| {

@@ -5,10 +5,11 @@
 //! `AdmmSolver::run` over the direct executor) at 24³, 12 angles, chunk 8
 //! may hold at most [`MAX_SOLVER_VOLUMES`] `f64` volumes of live bytes above
 //! what was live when it started: its workspace (u, the one-field dual state
-//! `a` and its rolling stencil buffers, the gradient, the Barzilai–Borwein
-//! history `G_prev` and the operator intermediates `ũ1` and `ŝ`) plus the
-//! projected half of `d̂` and the chunk results in flight. Holding `d̂′` and
-//! the full `d̂` read 10.6. Holding `ψ` and `λ` as two fields and the history
+//! `a` and the Barzilai–Borwein history `G_prev` in `f32`, the rolling
+//! stencil buffers, the gradient and the operator intermediates `ũ1` and
+//! `ŝ`) plus the projected half of `d̂` and the chunk results in flight.
+//! Holding u, `a` and `G_prev` in `f64` read 9.2. Holding `d̂′` and the full
+//! `d̂` as well read 10.6. Holding `ψ` and `λ` as two fields and the history
 //! as `u_prev` and `G_prev` read 14.5. An allocating loop that keeps `∇u`,
 //! the `ψ − λ/ρ` field or per-step clones of `u` alive reads about 26.
 //!
@@ -31,8 +32,8 @@ use mlr_core::{MlrConfig, MlrPipeline};
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// The ceiling, in `f64` volumes of the reconstruction's shape (the solve
-/// reads 9.2).
-const MAX_SOLVER_VOLUMES: f64 = 9.6;
+/// reads 6.7).
+const MAX_SOLVER_VOLUMES: f64 = 7.1;
 
 /// What [`MlrPipeline::new`] may hold above its dataset, in `f64` volumes
 /// (it reads 1.5; with the operator's gather and staging arenas parked it

@@ -285,19 +285,19 @@ impl LaminoOperator {
     }
 
     /// [`Self::fu1d`] into a caller-owned `ũ1`; every element is overwritten.
-    /// One plane loop over `n1`: each real plane is widened into a complex
-    /// plane leased from the fine-grid pool and transformed, its row `r`
-    /// written in place as line `(r, i1)` of `ũ1`. Each thread takes a block
-    /// of planes and one list: per row of `ũ1`, the window of its lines.
-    pub fn fu1d_into(&self, u: &Array3<f64>, out: &mut Array3<Complex64>) {
+    /// One plane loop over `n1`: each real plane, `f32` or `f64`, is widened
+    /// into a complex plane leased from the fine-grid pool and transformed,
+    /// its row `r` written in place as line `(r, i1)` of `ũ1`. Each thread
+    /// takes a block of planes and one list: per row of `ũ1`, its lines' window.
+    pub fn fu1d_into<R: Copy + Into<f64> + Sync>(&self, u: &Array3<R>, u1: &mut Array3<Complex64>) {
         let g = &self.geometry;
         assert_eq!(u.shape(), g.volume_shape(), "Fu1D input shape mismatch");
-        assert_eq!(out.shape(), g.u1_shape(), "Fu1D output shape mismatch");
+        assert_eq!(u1.shape(), g.u1_shape(), "Fu1D output shape mismatch");
         let (n1, n0, n2, rows) = (g.n1, g.n0, g.n2, g.half_rows());
         let block = n1.div_ceil(rayon::current_num_threads());
         let blocks = n1.div_ceil(block);
         let mut lists: Vec<_> = (0..blocks).map(|_| Vec::with_capacity(rows)).collect();
-        for row in out.as_mut_slice().chunks_exact_mut(n1 * n2) {
+        for row in u1.as_mut_slice().chunks_exact_mut(n1 * n2) {
             for (list, window) in lists.iter_mut().zip(row.chunks_mut(block * n2)) {
                 list.push(window);
             }
@@ -308,7 +308,7 @@ impl LaminoOperator {
             let u_planes = u.as_slice()[b * block * n0 * n2..].chunks_exact(n0 * n2);
             for (i, u_plane) in u_planes.take(list[0].len() / n2).enumerate() {
                 for (z, &x) in plane.iter_mut().zip(u_plane) {
-                    *z = Complex64::from_real(x);
+                    *z = Complex64::from_real(x.into());
                 }
                 let out_rows = list.iter_mut().map(|window| &mut window[i * n2..][..n2]);
                 self.usfft_vertical.forward_rows(&plane, n2, out_rows);

@@ -13,8 +13,6 @@
 //! * [`norms`] — L2 / Frobenius norms, cosine similarity (the similarity
 //!   measure mLR uses for memoization keys), and the relative-error metric
 //!   `E` from the paper's Eq. 4.
-//! * [`stats`] — percentiles and empirical CDFs for evaluation
-//!   harnesses.
 //! * [`rng`] — deterministic random-number helpers so every experiment in the
 //!   repository is reproducible.
 //!
@@ -25,7 +23,6 @@ pub mod array;
 pub mod complex;
 pub mod norms;
 pub mod rng;
-pub mod stats;
 
 pub use array::{Array3, Shape3};
 pub use complex::{Complex32, Complex64};

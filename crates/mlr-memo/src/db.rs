@@ -20,8 +20,8 @@
 //!
 //! The public store is [`ShardedMemoDb`](crate::ShardedMemoDb); the
 //! crate-private `MemoDatabase` here is one of its lock stripes. All
-//! bookkeeping runs on the logical [`StoreClock`] (op ticks, stable entry
-//! ids) and the one [`CostAwarePolicy`] shared by every stripe, so eviction
+//! bookkeeping runs on the logical [`StoreClock`] (stable entry ids) and
+//! the one [`CostAwarePolicy`] shared by every stripe, so eviction
 //! is deterministic given the same schedule and independent of the shard
 //! count.
 
@@ -195,7 +195,7 @@ impl MemoDatabase {
     }
 
     /// Read-only probe for an entry similar to `input` at `(op, loc)`: no
-    /// counters, no tick consumption, no reuse refresh. The executor probes
+    /// counters, no reuse refresh. The executor probes
     /// every chunk of an operator application against the store state
     /// frozen at the application's start and replays the bookkeeping
     /// afterwards, in chunk-index order, through [`Self::commit_hit`].
@@ -252,13 +252,12 @@ impl MemoDatabase {
     }
 
     /// Replays the bookkeeping of a hit discovered by [`Self::probe`]: the
-    /// hit claims its logical tick and refreshes the reuse metadata the
-    /// replacement rule ranks by. Runs during the batch's ordered commit,
-    /// so ticks are claimed in chunk-index order. The refresh is skipped if
+    /// hit refreshes the reuse metadata the replacement rule ranks by. Runs
+    /// during the batch's ordered commit, so refreshes land in chunk-index
+    /// order. The refresh is skipped if
     /// the entry no longer exists (an earlier commit of the same batch may
     /// have evicted it); that skip is itself deterministic.
     pub(crate) fn commit_hit(&mut self, entry: u64, entry_origin: Provenance, origin: Provenance) {
-        self.clock.next_tick();
         if let Some(record) = self.entries.get_mut(&entry) {
             record.meta.hits += 1;
             if entry_origin.job != origin.job {
@@ -273,7 +272,7 @@ impl MemoDatabase {
     /// owning store outside every lock, with the recompute-cost hint
     /// cost-aware eviction ranks by — a deterministic function of the
     /// operation (wall-clock timings would make eviction irreproducible).
-    /// Claims one id and one tick; returns the new entry's id and resident
+    /// Claims one id; returns the new entry's id and resident
     /// bytes, which the owner publishes once its budget holds again.
     #[expect(clippy::too_many_arguments, reason = "an insert carries a full entry")]
     pub(crate) fn insert(
@@ -287,7 +286,6 @@ impl MemoDatabase {
         recompute_cost: f64,
     ) -> (u64, u64) {
         let id = self.clock.next_id();
-        self.clock.next_tick();
         self.scopes
             .entry((op, loc))
             .or_insert_with(|| FlatIndex::new(key.len()))

@@ -463,9 +463,9 @@ impl MemoizedExecutor {
 
     /// **Phase 2 (ordered commit):** in chunk-index order, replay every side
     /// effect of the `scratch` a dispatch's phase 1 produced — statistics,
-    /// cache updates, store hit/miss bookkeeping (logical ticks!) and
-    /// inserts with their eviction enforcement — and hand each hit's stored
-    /// value to `emit`. A chunk's ticks and evictions land in commit order,
+    /// cache updates, store hit/miss bookkeeping and inserts with their
+    /// eviction enforcement — and hand each hit's stored value to `emit`.
+    /// A chunk's reuse refreshes and evictions land in commit order,
     /// after the whole batch has probed, so a hit found in phase 1 stays a
     /// hit even if an earlier chunk's insert evicts its entry.
     fn commit<'a, F>(

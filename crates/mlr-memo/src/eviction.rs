@@ -1,5 +1,5 @@
 //! Capacity governance for the memoization store: one budget, one
-//! replacement rule, and the deterministic logical clock both run on.
+//! replacement rule, and the store clock that numbers its entries.
 //!
 //! The paper keeps its memoization database on dedicated memory nodes and
 //! its only replacement rule is the one-entry FIFO compute-node cache
@@ -27,10 +27,8 @@
 //! per-op weights mirror the measured `OpStats` compute-second ratios) in
 //! place of measured seconds, which vary run to run.
 //!
-//! The **op tick** of [`StoreClock`] — one monotone counter claimed per
-//! committed hit, committed miss and insert, shared by every stripe of a
-//! store — ranks nothing: it counts the store's committed operations.
-//! Entries age through [`CostAwarePolicy`]'s inflation value instead.
+//! Entries age through [`CostAwarePolicy`]'s inflation value; the ids come
+//! from [`StoreClock`], shared by every stripe of a store.
 
 use crate::store::Provenance;
 use mlr_lamino::FftOpKind;
@@ -164,7 +162,7 @@ impl CostAwarePolicy {
     }
 
     /// Benefit density of an entry: `(1 + hits) · recompute_cost / bytes`.
-    pub fn benefit_density(meta: &EntryMeta) -> f64 {
+    fn benefit_density(meta: &EntryMeta) -> f64 {
         (1.0 + meta.hits as f64) * meta.recompute_cost / meta.bytes.max(1) as f64
     }
 
@@ -207,30 +205,19 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
     weight * n * n.log2()
 }
 
-/// The logical clock of one store, shared by every stripe so tick and id
-/// assignment are identical however many stripes a
+/// The logical clock of one store, shared by every stripe so id
+/// assignment is identical however many stripes a
 /// [`ShardedMemoDb`](crate::ShardedMemoDb) spreads its scopes over — the
 /// property that makes eviction shard-layout-independent.
 #[derive(Debug, Default)]
 pub struct StoreClock {
-    tick: AtomicU64,
     next_id: AtomicU64,
 }
 
 impl StoreClock {
-    /// A fresh clock at tick 0, id 0.
+    /// A fresh clock at id 0.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// Claims the next op tick.
-    pub fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Reads the current op tick without advancing it.
-    pub fn current_tick(&self) -> u64 {
-        self.tick.load(Ordering::Relaxed)
     }
 
     /// Claims the next entry id.
@@ -344,9 +331,6 @@ mod tests {
     #[test]
     fn clock_is_monotone() {
         let c = StoreClock::new();
-        assert_eq!(c.next_tick(), 0);
-        assert_eq!(c.next_tick(), 1);
-        assert_eq!(c.current_tick(), 2);
         assert_eq!(c.next_id(), 0);
         assert_eq!(c.next_id(), 1);
     }

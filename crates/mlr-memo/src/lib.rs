@@ -36,7 +36,7 @@
 //!   per-case statistics behind Figures 10–12. Every chunk past warm-up
 //!   takes the memo path. A batch runs in two phases on the calling thread:
 //!   every chunk probes the store, cache and doorkeeper state frozen at
-//!   dispatch, then the commit replays ticks, inserts and evictions in chunk-index order.
+//!   dispatch, then the commit replays hits, inserts and evictions in chunk-index order.
 //!   Key coalescing (§4.3.3) is not live code: no link separates the
 //!   executor from the store.
 //! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /

@@ -109,7 +109,7 @@ impl StoreStats {
 /// Outcome of a read-only probe — the first half of the store's only
 /// access protocol.
 ///
-/// A probe has no side effects: no query/hit counters, no tick, no reuse
+/// A probe has no side effects: no query/hit counters, no reuse
 /// refresh. The executor probes all chunks of a batch against the store
 /// state frozen at the start of the operator application, then replays the
 /// bookkeeping in chunk-index order through [`MemoStore::commit_hit`], or
@@ -201,8 +201,8 @@ pub trait MemoStore: Send + Sync {
     /// Read-only probe at `(op, loc)` for an entry similar to `input`, with
     /// `input`'s key, on behalf of the job/iteration `origin`: the entry
     /// with the nearest key among those `origin` may use, if it passes the
-    /// τ gate on the raw chunks. *No* side effects (no counters, no tick, no
-    /// reuse refresh), safe to issue concurrently with other jobs' probes.
+    /// τ gate on the raw chunks. *No* side effects (no counters, no reuse
+    /// refresh), safe to issue concurrently with other jobs' probes.
     fn probe_with_key(
         &self,
         op: FftOpKind,
@@ -213,7 +213,7 @@ pub trait MemoStore: Send + Sync {
     ) -> ProbeOutcome;
 
     /// Ordered-commit bookkeeping for a probe that hit: query/hit counters,
-    /// pressure accounting, one logical tick, and the reuse metadata
+    /// pressure accounting, and the reuse metadata
     /// refresh eviction ranks by. `entry`/`entry_origin` come from the
     /// [`ProbeOutcome::Hit`]; the refresh is skipped (deterministically) if
     /// the entry was evicted by an earlier commit of the same batch.
@@ -227,7 +227,7 @@ pub trait MemoStore: Send + Sync {
     );
 
     /// Ordered-commit bookkeeping for a probe that missed (query and
-    /// pressure accounting and one logical tick; the insert that follows
+    /// pressure accounting; the insert that follows
     /// the exact compute goes through [`MemoStore::insert`]).
     fn commit_miss(&self, op: FftOpKind, loc: usize);
 

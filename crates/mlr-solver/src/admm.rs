@@ -12,10 +12,11 @@
 //! `ψ` and `λ` are held as one [`DualField`], the RSP's shrink argument;
 //! phases 2–4 are one pass over the volume ([`DualField::rsp_update`]), and
 //! every phase runs in one [`AdmmWorkspace`] allocated when the run starts:
-//! about `6 + |ũ1| + |ŝ|` real volumes (u, the dual field, G, `G_prev`,
-//! and the operator intermediates `ũ1` and `ŝ` in chunk layout, which the
-//! memoizable stages read and write in place), the state a slab driver
-//! would page.
+//! about `3.5 + |ũ1| + |ŝ|` `f64` volumes (u, the dual field and `G_prev`
+//! in `f32`, G in `f64`, and the operator intermediates `ũ1` and `ŝ` in
+//! chunk layout, which the memoizable stages read and write in place), the
+//! state a slab driver would page. Every update of the `f32` state runs in
+//! `f64` and narrows once; every sum accumulates in `f64`.
 //!
 //! The driver takes any `FftExecutor`, so the same code path produces the
 //! exact baseline (direct executor), the memoized run (mLR's engine) and the
@@ -74,11 +75,12 @@ pub struct AdmmResult {
 /// Every buffer an ADMM solve uses. An iteration allocates nothing beyond
 /// the executor's chunk results.
 pub struct AdmmWorkspace {
-    /// The iterate `u`.
-    pub u: Array3<f64>,
+    /// The iterate `u`, in `f32`.
+    pub u: Array3<f32>,
     /// The auxiliary variable `ψ ≈ ∇u` and the Lagrange multiplier `λ`.
     pub dual: DualField,
-    /// The last LSP gradient `G`.
+    /// The last LSP gradient `G`, in `f64`: it is narrowed only into the
+    /// history.
     pub grad: Array3<f64>,
     /// The Barzilai–Borwein history of the inner iterations.
     pub cg: CgState,
@@ -218,8 +220,14 @@ impl AdmmSolver {
         // entries are already published).
         exec.finish();
 
+        // Widened once the data and every other workspace array are gone
+        // (`{ ws }` drops all but `u` at the end of its statement), so the
+        // tail holds `u` twice: 1.5 volumes.
+        drop(freq);
+        let u = { ws }.u;
+        let widened = u.as_slice().iter().map(|&v| f64::from(v)).collect();
         AdmmResult {
-            reconstruction: ws.u,
+            reconstruction: Array3::from_vec(u.shape(), widened),
             history,
             final_rho: rho,
             stopped,

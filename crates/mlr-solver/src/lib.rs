@@ -14,8 +14,8 @@
 //! with a shrinkage step; the Lagrange multiplier `λ` and the penalty `ρ` are
 //! then updated. The crate provides:
 //!
-//! * [`tv`] — gradient, its adjoint, TV norm and shrinkage, composed and
-//!   fused into the one-pass forms the solver runs.
+//! * [`tv`] — gradient, its adjoint, TV norm and shrinkage, fused into the
+//!   one-pass forms the solver runs over its `f32` dual field.
 //! * [`lsp`] — the LSP gradient the solver runs (Algorithm 2: cancelled and
 //!   fused over the half spectrum) and the CG-style update that consumes it.
 //! * [`admm`] — the outer ADMM driver with loss tracking, phase timing and
@@ -34,4 +34,4 @@ pub use admm::{AdmmConfig, AdmmResult, AdmmSolver, AdmmWorkspace};
 pub use cancel::{CancelToken, StopCause};
 pub use lsp::FrequencyData;
 pub use metrics::{accuracy_vs_reference, ConvergenceHistory};
-pub use tv::{tv_norm, DualField, VectorField};
+pub use tv::DualField;

@@ -150,10 +150,11 @@ pub fn lsp_gradient_cancelled(
 /// Barzilai–Borwein step (a quasi-CG scheme that needs exactly that state).
 /// Within one LSP the last step moved `u` by `Δu = −α_prev·G_prev`, so the
 /// history is one buffer, `G_prev`, and two scalars: `α_prev` and
-/// `‖G_prev‖²`. Each update copies `G` into the buffer.
+/// `‖G_prev‖²`. Each update copies `G` into the buffer, narrowed to `f32`;
+/// the sums read the `f64` gradient and accumulate in `f64`.
 #[derive(Debug, Clone)]
 pub struct CgState {
-    prev_grad: Array3<f64>,
+    prev_grad: Array3<f32>,
     /// `α_prev`; 0 for an empty history, which fails the BB guard.
     prev_step: f64,
     prev_sqr: f64,
@@ -174,17 +175,18 @@ impl CgState {
         self.prev_step = 0.0;
     }
 
-    /// Applies one update `u ← u − α G`, with `α` from the Barzilai–Borwein
-    /// formula when a previous step exists and `initial_step` otherwise.
-    /// Returns the step size used.
-    pub fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) -> f64 {
+    /// Applies one update `u ← u − α G` in `f64`, narrowing each voxel once,
+    /// with `α` from the Barzilai–Borwein formula when a previous step
+    /// exists and `initial_step` otherwise. Returns the step size used.
+    pub fn update(&mut self, u: &mut Array3<f32>, grad: &Array3<f64>, initial_step: f64) -> f64 {
         // BB1, α = ⟨Δu, Δu⟩ / ⟨Δu, ΔG⟩ = α_prev‖G_prev‖² / ⟨G_prev, G_prev − G⟩,
         // summed as `Array3::dot` sums; the same pass moves G into the history.
         let (mut denom, mut sqr) = (-0.0, -0.0);
         for (&g, pg) in grad.as_slice().iter().zip(self.prev_grad.as_mut_slice()) {
-            denom += *pg * (*pg - g);
+            let prev = f64::from(*pg);
+            denom += prev * (prev - g);
             sqr += g * g;
-            *pg = g;
+            *pg = g as f32;
         }
         let (step, prev_sqr) = (self.prev_step, self.prev_sqr);
         let alpha = if step * denom > 1e-30 && prev_sqr > 0.0 {
@@ -196,7 +198,10 @@ impl CgState {
             initial_step
         };
         (self.prev_step, self.prev_sqr) = (alpha, sqr);
-        u.axpby(1.0, grad, -alpha);
+        // `Array3::axpby(1.0, grad, −α)`'s expression, narrowed once.
+        for (x, &g) in u.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+            *x = (f64::from(*x) + g * -alpha) as f32;
+        }
         alpha
     }
 }
@@ -209,6 +214,8 @@ mod tests {
     use mlr_math::rng::seeded;
     use rand::Rng;
 
+    /// An operator, a random iterate (rounded to `f32` once, so the
+    /// workspace holds it exactly) and random data.
     fn small_setup() -> (LaminoOperator, Array3<f64>, Array3<f64>) {
         let op = LaminoOperator::new(LaminoGeometry::cube(8, 6, 32.0), 4);
         let mut rng = seeded(3);
@@ -216,7 +223,8 @@ mod tests {
             let values = (0..shape.len()).map(|_| rng.gen::<f64>() - 0.5);
             Array3::from_vec(shape, values.collect())
         };
-        let u = random(op.geometry().volume_shape());
+        let mut u = random(op.geometry().volume_shape());
+        u.map_inplace(|v| *v = f64::from(*v as f32));
         let d = random(op.geometry().data_shape());
         (op, u, d)
     }
@@ -228,7 +236,8 @@ mod tests {
     /// A workspace at iterate `u` with `ψ = λ = 0`.
     fn workspace_at(op: &LaminoOperator, u: &Array3<f64>) -> AdmmWorkspace {
         let mut ws = AdmmWorkspace::new(op);
-        ws.u = u.clone();
+        let values = u.as_slice().iter().map(|&v| v as f32);
+        ws.u = Array3::from_vec(u.shape(), values.collect());
         ws
     }
 
@@ -257,7 +266,7 @@ mod tests {
         // Take a small step along -G and check the objective decreases.
         let step = 1e-3;
         let grad = ws.grad.clone();
-        ws.u.axpby(1.0, &grad, -step);
+        CgState::new(u.shape()).update(&mut ws.u, &grad, step);
         let loss2 = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &DirectExecutor);
         assert!(loss2 <= loss + 1e-12, "{loss} -> {loss2}");
     }

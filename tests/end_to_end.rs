@@ -6,10 +6,12 @@ use mlr_lamino::{PhantomKind, ProjectionNoise};
 use mlr_math::rng::seeded;
 use mlr_math::{Array3, Shape3};
 use mlr_solver::lsp::lsp_gradient_cancelled;
-use mlr_solver::{AdmmConfig, AdmmSolver, AdmmWorkspace, FrequencyData, VectorField};
+use mlr_solver::{AdmmConfig, AdmmSolver, AdmmWorkspace, FrequencyData};
 use rand::Rng;
 
 mod reference;
+
+use reference::{Storage, VectorField};
 
 #[test]
 fn full_pipeline_memoized_reconstruction_stays_accurate() {
@@ -54,8 +56,9 @@ fn algorithm1_and_algorithm2_match_through_the_full_solver() {
         let ds = LaminoDataset::simulate(geometry.clone(), PhantomKind::Brain, noise, seed);
         let op = LaminoOperator::new(geometry, 4);
         let cancelled = AdmmSolver::new(cfg).run(&op, &ds.projections);
-        let variant = reference::Variant::Original;
-        let original = reference::run(&cfg, variant, &op, &ds.projections, &DirectExecutor);
+        let (variant, storage) = (reference::Variant::Original, Storage::Single);
+        let projections = &ds.projections;
+        let original = reference::run(&cfg, variant, storage, &op, projections, &DirectExecutor);
         let err =
             mlr_math::norms::relative_error(&original.reconstruction, &cancelled.reconstruction);
         assert!(
@@ -71,8 +74,10 @@ fn algorithm1_and_algorithm2_match_through_the_full_solver() {
 }
 
 /// Algorithm 1's gradient in the reference loop against the solver's
-/// Algorithm 2 gradient at one random iterate (`ψ = λ = 0`): the claim
-/// behind operation cancellation, one inner step deep.
+/// Algorithm 2 gradient at one random iterate (`ψ = λ = 0`, rounded to
+/// `f32` once, as the workspace stores it): the claim behind operation
+/// cancellation, one inner step deep. The solver's gradient is read in
+/// `f64`, before any narrowing.
 #[test]
 fn algorithm1_and_algorithm2_gradients_agree() {
     let op = LaminoOperator::new(LaminoGeometry::cube(8, 6, 32.0), 4);
@@ -81,11 +86,12 @@ fn algorithm1_and_algorithm2_gradients_agree() {
         let values = (0..shape.len()).map(|_| rng.gen::<f64>() - 0.5);
         Array3::from_vec(shape, values.collect())
     };
-    let u = random(op.geometry().volume_shape());
+    let mut u = random(op.geometry().volume_shape());
+    Storage::Single.round(&mut u);
     let d = random(op.geometry().data_shape());
     let rho = 0.5;
     let mut ws = AdmmWorkspace::new(&op);
-    ws.u = u.clone();
+    ws.u = Array3::from_vec(u.shape(), u.as_slice().iter().map(|&v| v as f32).collect());
     let freq = FrequencyData::new(&op, &d);
     let loss = lsp_gradient_cancelled(&op, &mut ws, &freq, rho, &DirectExecutor);
     let target = VectorField::zeros(u.shape());

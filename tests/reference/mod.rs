@@ -3,17 +3,23 @@
 //! pass (`gradient` → `axpby` → `divergence` for the coupling, subtraction →
 //! Hermitian projection → Parseval sum → scale for Algorithm 2's tail,
 //! `shrink` / `axpby` / `norm_sqr` / `tv_norm` for the RSP, clones for every
-//! Barzilai–Borwein step). It carries its own copies of the composed TV
-//! pieces, so it shares no code with the fused passes beyond the operators
-//! and `VectorField`'s arithmetic.
+//! Barzilai–Borwein step). It carries the composed TV pieces and the
+//! vector field they work on, so it shares no code with the fused passes
+//! beyond the operators.
+//!
+//! Its arrays are `f64`. Under [`Storage::Single`] it rounds them to `f32`
+//! where the solver narrows its state: `u` after every step, the history's
+//! copy of `G`, and the dual field `a` once the RSP has shrunk it, so the
+//! solver agrees with it bit for bit. Under [`Storage::Double`] nothing is
+//! rounded: the loop as it ran before the solver stored its state in `f32`.
 //!
 //! It holds the ADMM state two ways. [`run`] holds the solver's: the dual
 //! pair as one field `a` (the last RSP's shrink argument; `ψ = shrink(a,
 //! α/ρ)`, `λ/ρ = a − ψ` by Moreau's decomposition) and a gradient-only
 //! Barzilai–Borwein history. [`run_two_field`] is the loop before that:
 //! `ψ` and `λ` as two fields, the history as clones of `u` and `G`. The
-//! solver agrees with the first bit for bit and with the second up to
-//! rounding (`tests/admm_workspace.rs`).
+//! first, in double storage, agrees with the second up to rounding
+//! (`tests/admm_workspace.rs`).
 //!
 //! Its LSP takes either formulation: Algorithm 2, or the paper's
 //! Algorithm 1 (`F*_2D` / `F_2D` in every pass), which the solver no longer
@@ -23,9 +29,58 @@
 
 use mlr_fft::fft2d::{to_complex, to_real};
 use mlr_lamino::{FftExecutor, LaminoOperator};
-use mlr_math::{Array3, Complex64};
-use mlr_solver::tv::VectorField;
+use mlr_math::{Array3, Complex64, Shape3};
 use mlr_solver::AdmmConfig;
+
+/// A 3-component vector field over a volume (the gradient of `u` and the
+/// ADMM dual field have this shape).
+#[derive(Debug, Clone, PartialEq)]
+pub struct VectorField {
+    /// Component along volume axis 0 (`n1`).
+    pub x: Array3<f64>,
+    /// Component along volume axis 1 (`n0`, vertical).
+    pub y: Array3<f64>,
+    /// Component along volume axis 2 (`n2`).
+    pub z: Array3<f64>,
+}
+
+impl VectorField {
+    pub fn zeros(shape: Shape3) -> Self {
+        Self {
+            x: Array3::zeros(shape),
+            y: Array3::zeros(shape),
+            z: Array3::zeros(shape),
+        }
+    }
+
+    pub fn shape(&self) -> Shape3 {
+        self.x.shape()
+    }
+}
+
+/// How a loop stores its state between passes.
+#[derive(Clone, Copy)]
+pub enum Storage {
+    /// As the solver: `u`, `G_prev` and `a` rounded to `f32` where it
+    /// narrows them.
+    Single,
+    /// Every array in `f64`.
+    Double,
+}
+
+impl Storage {
+    pub fn round(self, a: &mut Array3<f64>) {
+        if let Storage::Single = self {
+            a.map_inplace(|v| *v = f64::from(*v as f32));
+        }
+    }
+
+    pub fn round_field(self, f: &mut VectorField) {
+        for c in [&mut f.x, &mut f.y, &mut f.z] {
+            self.round(c);
+        }
+    }
+}
 
 /// The `VectorField` arithmetic the allocating loop used: `Array3`'s, one
 /// component at a time.
@@ -265,7 +320,7 @@ pub fn split_dual(a: &VectorField, threshold: f64) -> (VectorField, VectorField)
 
 /// A Barzilai–Borwein history, fresh for every LSP.
 trait BbStep: Default {
-    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64);
+    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64, s: Storage);
 }
 
 fn bb_clamp(alpha: f64, initial_step: f64) -> f64 {
@@ -279,8 +334,9 @@ struct TwoBufferBb {
     prev_grad: Option<Array3<f64>>,
 }
 
+/// Run in double storage only.
 impl BbStep for TwoBufferBb {
-    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) {
+    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64, _: Storage) {
         let alpha = match (&self.prev_u, &self.prev_grad) {
             (Some(pu), Some(pg)) => {
                 let mut du = u.clone();
@@ -312,7 +368,7 @@ struct GradientBb {
 }
 
 impl BbStep for GradientBb {
-    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64) {
+    fn update(&mut self, u: &mut Array3<f64>, grad: &Array3<f64>, initial_step: f64, s: Storage) {
         let alpha = match &self.prev {
             Some((pg, prev_step, prev_sqr)) => {
                 let mut dg = pg.clone();
@@ -326,8 +382,11 @@ impl BbStep for GradientBb {
             }
             None => initial_step,
         };
-        self.prev = Some((grad.clone(), alpha, grad.dot(grad)));
+        let mut prev_grad = grad.clone();
+        s.round(&mut prev_grad);
+        self.prev = Some((prev_grad, alpha, grad.dot(grad)));
         u.axpby(1.0, grad, -alpha);
+        s.round(u);
     }
 }
 
@@ -339,12 +398,14 @@ struct Lsp<'a> {
     /// `F_2D d` under Algorithm 2, nothing under Algorithm 1.
     freq: Option<(Array3<Complex64>, f64)>,
     exec: &'a dyn FftExecutor,
+    storage: Storage,
 }
 
 impl<'a> Lsp<'a> {
     fn new(
         cfg: &'a AdmmConfig,
         variant: Variant,
+        storage: Storage,
         op: &'a LaminoOperator,
         d: &'a Array3<f64>,
         exec: &'a dyn FftExecutor,
@@ -359,6 +420,7 @@ impl<'a> Lsp<'a> {
             d,
             freq,
             exec,
+            storage,
         }
     }
 
@@ -375,7 +437,7 @@ impl<'a> Lsp<'a> {
                 Some(freq) => gradient_cancelled(op, u, freq, g_field, rho, exec),
             };
             data_loss = loss;
-            cg.update(u, &grad, self.cfg.initial_step);
+            cg.update(u, &grad, self.cfg.initial_step, self.storage);
         }
         u.map_inplace(|v| *v = v.max(0.0));
         data_loss
@@ -397,10 +459,12 @@ fn next_rho(primal: &VectorField, psi: &VectorField, rho: f64) -> f64 {
 }
 
 /// The loop over the solver's state: the dual pair as `a`, the threshold it
-/// was shrunk at and `ρ_used`; the history as `G_prev` and two scalars.
+/// was shrunk at and `ρ_used`; the history as `G_prev` and two scalars;
+/// stored as `storage` says.
 pub fn run(
     cfg: &AdmmConfig,
     variant: Variant,
+    storage: Storage,
     op: &LaminoOperator,
     d: &Array3<f64>,
     exec: &dyn FftExecutor,
@@ -410,7 +474,7 @@ pub fn run(
     let (mut a, mut threshold, mut rho_used) = (VectorField::zeros(vol_shape), 0.0, 1.0);
     let mut rho = cfg.rho;
     let mut losses = Vec::new();
-    let lsp = Lsp::new(cfg, variant, op, d, exec);
+    let lsp = Lsp::new(cfg, variant, storage, op, d, exec);
     for iteration in 0..cfg.outer_iterations {
         exec.begin_iteration(iteration);
         let ratio = rho_used / rho;
@@ -423,6 +487,7 @@ pub fn run(
         a.axpby(1.0, &scaled, ratio);
         (threshold, rho_used) = (cfg.alpha / rho, rho);
         let psi = shrink(&a, threshold);
+        storage.round_field(&mut a);
         let mut primal = grad_u;
         primal.axpby(1.0, &psi, -1.0);
         rho = next_rho(&primal, &psi, rho);
@@ -450,7 +515,7 @@ pub fn run_two_field(
     let mut lambda = VectorField::zeros(vol_shape);
     let mut rho = cfg.rho;
     let mut losses = Vec::new();
-    let lsp = Lsp::new(cfg, variant, op, d, exec);
+    let lsp = Lsp::new(cfg, variant, Storage::Double, op, d, exec);
     for iteration in 0..cfg.outer_iterations {
         exec.begin_iteration(iteration);
         let mut g_field = psi.clone();
