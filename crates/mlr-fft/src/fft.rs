@@ -1,20 +1,21 @@
 //! One-dimensional complex FFT.
 //!
-//! The implementation is an iterative radix-2 Cooley–Tukey transform with a
-//! bit-reversal permutation and precomputed twiddle factors, plus a Bluestein
-//! (chirp-z) fallback so arbitrary lengths — including the odd projection
-//! counts real laminography scans produce — are supported. Plans are created
-//! by [`FftPlanner`], which caches twiddle tables per length so repeated
-//! transforms of the same size (the common case: every chunk has the same
-//! shape) pay the setup cost once.
+//! Every length `2^a·3^b` runs one iterative mixed-radix Cooley–Tukey
+//! transform: a digit-reversal permutation (planned as a swap list), then
+//! radix-2 stages and radix-3 stages over one table of twiddles
+//! `cis(∓2πk/n)`. At a power of two the digit reversal is the bit reversal
+//! and every stage is radix 2, so those lengths run the classic radix-2
+//! transform to the bit. Any other length takes a Bluestein (chirp-z)
+//! fallback whose inner transform has the smallest `2^a·3^b` length
+//! `≥ 2n − 1` (`fast_len`), so arbitrary lengths — including the odd
+//! projection counts real laminography scans produce — are supported. A
+//! plan holds its tables, so repeated transforms of one length (the common
+//! case: every chunk has the same shape) pay the setup cost once.
 
 use crate::scratch::ScratchPool;
 use mlr_math::Complex64;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,23 +37,53 @@ impl Direction {
     }
 }
 
+/// The stage radices of a `2^a·3^b` length, first stage first (every 2,
+/// then every 3); `None` for any other length.
+fn radices(mut n: usize) -> Option<Vec<usize>> {
+    let mut radices = Vec::new();
+    for r in [2, 3] {
+        while n.is_multiple_of(r) {
+            radices.push(r);
+            n /= r;
+        }
+    }
+    (n == 1).then_some(radices)
+}
+
+/// The smallest length `≥ min` that [`FftPlan`] transforms without its
+/// Bluestein fallback: the smallest `2^a·3^b ≥ min`.
+pub(crate) fn fast_len(min: usize) -> usize {
+    let min = min.max(1);
+    let mut best = min.next_power_of_two();
+    let mut power_of_three = 3;
+    while power_of_three < best {
+        best = best.min(min.div_ceil(power_of_three).next_power_of_two() * power_of_three);
+        power_of_three *= 3;
+    }
+    best
+}
+
 /// A reusable FFT plan for a fixed length.
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
-    /// Twiddles for the radix-2 path (only populated for power-of-two n).
+    /// Radix of each Cooley–Tukey stage, first stage first (mixed-radix
+    /// lengths only).
+    radices: Vec<usize>,
+    /// `cis(∓2πk/n)` for every `k` a stage reads (mixed-radix lengths only).
     twiddles_fwd: Vec<Complex64>,
     twiddles_inv: Vec<Complex64>,
-    /// The bit-reversal permutation of the radix-2 path as the swaps that
-    /// perform it, in the order the classic in-place loop performs them.
+    /// The digit-reversal permutation as the swaps that perform it, each
+    /// `(low, high)`: one per step around each of its cycles, so at a power
+    /// of two the bit reversal's disjoint pairs in ascending order.
     swaps: Vec<(usize, usize)>,
-    /// Bluestein auxiliary tables (only populated for non-power-of-two n).
+    /// Bluestein auxiliary tables (only for lengths other than `2^a·3^b`).
     bluestein: Option<BluesteinTables>,
 }
 
 #[derive(Debug)]
 struct BluesteinTables {
-    /// Padded power-of-two length m >= 2n-1.
+    /// Padded length `m = fast_len(2n − 1)`.
     m: usize,
     /// Chirp sequence a_n = exp(-i π n² / N) for the forward direction.
     chirp: Vec<Complex64>,
@@ -60,7 +91,7 @@ struct BluesteinTables {
     b_hat_fwd: Vec<Complex64>,
     /// FFT of the zero-padded reciprocal chirp (inverse direction).
     b_hat_inv: Vec<Complex64>,
-    /// Inner power-of-two plan for length m.
+    /// Inner mixed-radix plan for length m.
     inner: Box<FftPlan>,
     /// Reusable length-`m` chirp-product buffers, one per concurrent caller
     /// — the transform stops allocating once the pool is warm.
@@ -74,37 +105,49 @@ impl FftPlan {
     /// Panics when `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT length must be positive");
-        if n.is_power_of_two() {
-            let half = n / 2;
-            let mut twiddles_fwd = Vec::with_capacity(half.max(1));
-            let mut twiddles_inv = Vec::with_capacity(half.max(1));
-            for k in 0..half.max(1) {
+        if let Some(radices) = radices(n) {
+            // A radix-r stage reads twiddle indices below n·(r − 1)/r.
+            let largest = radices.last().copied().unwrap_or(2);
+            let mut twiddles_fwd = Vec::with_capacity(n - n / largest);
+            let mut twiddles_inv = Vec::with_capacity(n - n / largest);
+            for k in 0..n - n / largest {
                 let theta = 2.0 * PI * k as f64 / n as f64;
                 twiddles_fwd.push(Complex64::cis(-theta));
                 twiddles_inv.push(Complex64::cis(theta));
             }
+            // Position i, read as digits (i / L_{t−1}) mod r_t with L_t the
+            // length after stage t, takes input element Σ_t digit_t · n / L_t.
+            let source = |i: usize| {
+                let (mut j, mut len) = (0, 1);
+                for &r in &radices {
+                    j += (i / len) % r * (n / (len * r));
+                    len *= r;
+                }
+                j
+            };
             let mut swaps = Vec::new();
-            let mut j = 0usize;
-            for i in 0..n {
-                if i < j {
-                    swaps.push((i, j));
+            let mut placed = vec![false; n];
+            for start in 0..n {
+                let mut i = start;
+                while !placed[i] {
+                    placed[i] = true;
+                    let j = source(i);
+                    if j != start {
+                        swaps.push((i.min(j), i.max(j)));
+                    }
+                    i = j;
                 }
-                let mut bit = n >> 1;
-                while j & bit != 0 {
-                    j ^= bit;
-                    bit >>= 1;
-                }
-                j |= bit;
             }
             Self {
                 n,
+                radices,
                 twiddles_fwd,
                 twiddles_inv,
                 swaps,
                 bluestein: None,
             }
         } else {
-            let m = (2 * n - 1).next_power_of_two();
+            let m = fast_len(2 * n - 1);
             let mut chirp = Vec::with_capacity(n);
             for i in 0..n {
                 // Use i² mod 2n to avoid precision loss for large i.
@@ -137,6 +180,7 @@ impl FftPlan {
             let b_hat_inv = build_bhat(false);
             Self {
                 n,
+                radices: Vec::new(),
                 twiddles_fwd: Vec::new(),
                 twiddles_inv: Vec::new(),
                 swaps: Vec::new(),
@@ -182,7 +226,7 @@ impl FftPlan {
             return;
         }
         match &self.bluestein {
-            None => self.radix2(data, dir),
+            None => self.mixed_radix_transform(data, dir),
             Some(tables) => self.bluestein_transform(tables, data, dir),
         }
     }
@@ -190,7 +234,7 @@ impl FftPlan {
     /// [`Self::process_unscaled`] on columns `cols` of a block of `len()`
     /// rows `stride` apart, bit-identical to gathering each column,
     /// transforming it and scattering it back: every column sees the same
-    /// operations in the same order. A radix-2 plan runs its swaps and
+    /// operations in the same order. A mixed-radix plan runs its swaps and
     /// butterflies across row segments; a Bluestein plan gathers.
     ///
     /// # Panics
@@ -228,24 +272,39 @@ impl FftPlan {
             let (head, tail) = data.split_at_mut(j * stride);
             head[i * stride..][cols.clone()].swap_with_slice(&mut tail[cols.clone()]);
         }
-        let n = self.n;
         let twiddles = self.twiddles(dir);
-        let mut len = 2usize;
-        while len <= n {
+        let rot = dir.sign() * RADIX3_SIN;
+        let mut len = 1;
+        for &radix in &self.radices {
+            let m = len;
+            len *= radix;
+            let w1 = || twiddles.iter().step_by(self.n / len);
+            let w2 = || twiddles.iter().step_by(2 * self.n / len);
             for block in data.chunks_exact_mut(len * stride) {
-                let (lo, hi) = block.split_at_mut(len / 2 * stride);
-                let rows = lo.chunks_exact_mut(stride).zip(hi.chunks_exact_mut(stride));
-                for ((lo_row, hi_row), &w) in rows.zip(twiddles.iter().step_by(n / len)) {
-                    let hi_row = &mut hi_row[cols.clone()];
-                    for (x, y) in lo_row[cols.clone()].iter_mut().zip(hi_row) {
-                        let a = *x;
-                        let b = *y * w;
-                        *x = a + b;
-                        *y = a - b;
+                let (rows0, rest) = block.split_at_mut(m * stride);
+                let rows0 = rows0.chunks_exact_mut(stride);
+                if radix == 2 {
+                    let rows = rows0.zip(rest.chunks_exact_mut(stride));
+                    for ((row0, row1), &w) in rows.zip(w1()) {
+                        let row1 = &mut row1[cols.clone()];
+                        for (x0, x1) in row0[cols.clone()].iter_mut().zip(row1) {
+                            let b = *x1 * w;
+                            (*x0, *x1) = (*x0 + b, *x0 - b);
+                        }
+                    }
+                } else {
+                    let (rows1, rows2) = rest.split_at_mut(m * stride);
+                    let rows = rows0.zip(rows1.chunks_exact_mut(stride));
+                    let rows = rows.zip(rows2.chunks_exact_mut(stride));
+                    for (((row0, row1), row2), (&t1, &t2)) in rows.zip(w1().zip(w2())) {
+                        let row1 = row1[cols.clone()].iter_mut();
+                        let row2 = row2[cols.clone()].iter_mut();
+                        for ((x0, x1), x2) in row0[cols.clone()].iter_mut().zip(row1).zip(row2) {
+                            [*x0, *x1, *x2] = butterfly3(*x0, *x1 * t1, *x2 * t2, rot);
+                        }
                     }
                 }
             }
-            len <<= 1;
         }
     }
 
@@ -256,33 +315,43 @@ impl FftPlan {
         }
     }
 
-    /// Iterative radix-2 transform. Each stage walks its blocks of `len`
-    /// and zips the two halves with every `n / len`-th twiddle, so the loop
-    /// carries no index arithmetic and no bounds checks. Every butterfly,
-    /// the `w = 1` ones included, is `a ± b·w` as written.
-    fn radix2(&self, data: &mut [Complex64], dir: Direction) {
-        let n = self.n;
+    /// Iterative mixed-radix transform. Each stage of radix `r` walks its
+    /// blocks of `len`, splits each into `r` sub-transforms of `len / r` and
+    /// zips them with every `n / len`-th twiddle (every `2n / len`-th for
+    /// the third), so the loop carries no index arithmetic and no bounds
+    /// checks. Every butterfly, the `w = 1` ones included, is `a ± b·w` as
+    /// written at radix 2 and [`butterfly3`] at radix 3.
+    fn mixed_radix_transform(&self, data: &mut [Complex64], dir: Direction) {
         for &(i, j) in &self.swaps {
             data.swap(i, j);
         }
         let twiddles = self.twiddles(dir);
-        let mut len = 2usize;
-        while len <= n {
+        let rot = dir.sign() * RADIX3_SIN;
+        let mut len = 1;
+        for &radix in &self.radices {
+            let m = len;
+            len *= radix;
+            let w1 = || twiddles.iter().step_by(self.n / len);
+            let w2 = || twiddles.iter().step_by(2 * self.n / len);
             for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(len / 2);
-                let stage_twiddles = twiddles.iter().step_by(n / len);
-                for ((x, y), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage_twiddles) {
-                    let a = *x;
-                    let b = *y * w;
-                    *x = a + b;
-                    *y = a - b;
+                let (x0, rest) = block.split_at_mut(m);
+                if radix == 2 {
+                    for ((x0, x1), &w) in x0.iter_mut().zip(rest).zip(w1()) {
+                        let b = *x1 * w;
+                        (*x0, *x1) = (*x0 + b, *x0 - b);
+                    }
+                } else {
+                    let (x1, x2) = rest.split_at_mut(m);
+                    let xs = x0.iter_mut().zip(x1).zip(x2);
+                    for (((x0, x1), x2), (&t1, &t2)) in xs.zip(w1().zip(w2())) {
+                        [*x0, *x1, *x2] = butterfly3(*x0, *x1 * t1, *x2 * t2, rot);
+                    }
                 }
             }
-            len <<= 1;
         }
     }
 
-    /// Unscaled in both directions, like `radix2`.
+    /// Unscaled in both directions, like `mixed_radix_transform`.
     fn bluestein_transform(
         &self,
         tables: &BluesteinTables,
@@ -317,39 +386,24 @@ impl FftPlan {
     }
 }
 
+/// `sin(2π/3)`: the imaginary part of the cube roots of unity.
+const RADIX3_SIN: f64 = 0.866_025_403_784_438_6;
+
+/// The radix-3 butterfly on `a` and the twiddled `b`, `c`: `a + b + c`,
+/// then `a − (b + c)/2 ± i·rot·(b − c)`, where `rot = ∓sin(2π/3)` makes
+/// `−1/2 + i·rot` the forward (inverse) kernel's cube root of unity.
+#[inline]
+fn butterfly3(a: Complex64, b: Complex64, c: Complex64, rot: f64) -> [Complex64; 3] {
+    let (sum, diff) = (b + c, b - c);
+    let mid = a - sum.scale(0.5);
+    let turn = Complex64::new(-diff.im * rot, diff.re * rot);
+    [a + sum, mid + turn, mid - turn]
+}
+
 /// The inverse transform's `1/n` on every element of `data`.
 pub(crate) fn normalise(data: &mut [Complex64], n: usize) {
     let scale = 1.0 / n as f64;
     data.iter_mut().for_each(|v| *v = v.scale(scale));
-}
-
-/// A thread-safe cache of [`FftPlan`]s keyed by length.
-#[derive(Default)]
-pub struct FftPlanner {
-    plans: Mutex<HashMap<usize, Arc<FftPlan>>>,
-}
-
-impl FftPlanner {
-    /// Creates an empty planner.
-    pub fn new() -> Self {
-        Self {
-            plans: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Returns the (possibly cached) plan for length `n`.
-    pub fn plan(&self, n: usize) -> Arc<FftPlan> {
-        let mut guard = self.plans.lock();
-        guard
-            .entry(n)
-            .or_insert_with(|| Arc::new(FftPlan::new(n)))
-            .clone()
-    }
-
-    /// Number of distinct lengths planned so far.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.lock().len()
-    }
 }
 
 /// Convenience wrapper: forward FFT of a slice, out of place.
@@ -376,6 +430,14 @@ pub fn dft_naive(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
         };
     }
     out
+}
+
+#[cfg(test)]
+impl FftPlan {
+    /// Whether this plan takes the Bluestein fallback.
+    pub(crate) fn is_bluestein(&self) -> bool {
+        self.bluestein.is_some()
+    }
 }
 
 /// The bit patterns of `v`, for tests that pin results to the bit.
@@ -506,14 +568,51 @@ mod tests {
 
     #[test]
     fn bluestein_columns_match_per_column_transforms() {
-        // The detector planes' Bluestein lengths take the gather loop.
+        // Lengths with a factor other than 2 and 3 take the gather loop.
         // `process` is `process_unscaled` then `normalise`, per column as in
         // `Fft2Batch`'s batched column pass.
-        for n in [24usize, 48] {
+        for n in [20usize, 50] {
+            let plan = FftPlan::new(n);
+            assert!(plan.is_bluestein(), "n {n}");
             let block = random_signal(5 * n, n as u64);
             for dir in [Direction::Forward, Direction::Inverse] {
-                assert_columns_match(&FftPlan::new(n), &block, 5, dir);
+                assert_columns_match(&plan, &block, 5, dir);
             }
+        }
+    }
+
+    #[test]
+    fn mixed_radix_matches_naive_dft_both_directions() {
+        for n in [3usize, 6, 9, 12, 18, 24, 27, 36, 48, 54, 96, 243] {
+            let plan = FftPlan::new(n);
+            assert!(!plan.is_bluestein(), "n {n}");
+            let x = random_signal(n, 300 + n as u64);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut fast = x.clone();
+                plan.process(&mut fast, dir);
+                let err = max_abs_diff_c(&fast, &dft_naive(&x, dir));
+                assert!(err < 1e-12 * n as f64, "n {n} {dir:?}: {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_radix_columns_match_per_column_transforms() {
+        // The detector planes' lengths at 48³ and the fine grid's at 48³.
+        for n in [48usize, 96] {
+            let block = random_signal(7 * n, 400 + n as u64);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                assert_columns_match(&FftPlan::new(n), &block, 7, dir);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_len_is_the_smallest_length_without_bluestein() {
+        for min in 0..=600usize {
+            let len = fast_len(min);
+            assert!(len >= min && radices(len).is_some(), "{min}");
+            assert!((min.max(1)..len).all(|n| radices(n).is_none()), "{min}");
         }
     }
 
@@ -582,28 +681,20 @@ mod tests {
 
     #[test]
     fn unscaled_inverse_is_adjoint() {
-        // <F x, y> == <x, F^H y> where F^H is the unscaled inverse kernel.
-        let n = 32;
-        let x = random_signal(n, 11);
-        let y = random_signal(n, 12);
-        let plan = FftPlan::new(n);
-        let mut fx = x.clone();
-        plan.process(&mut fx, Direction::Forward);
-        let mut fhy = y.clone();
-        plan.process_unscaled(&mut fhy, Direction::Inverse);
-        let lhs: Complex64 = fx.iter().zip(&y).map(|(a, b)| *a * b.conj()).sum();
-        let rhs: Complex64 = x.iter().zip(&fhy).map(|(a, b)| *a * b.conj()).sum();
-        assert!((lhs - rhs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn planner_caches_plans() {
-        let planner = FftPlanner::new();
-        let p1 = planner.plan(128);
-        let p2 = planner.plan(128);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        let _ = planner.plan(64);
-        assert_eq!(planner.cached_plans(), 2);
+        // <F x, y> == <x, F^H y> where F^H is the unscaled inverse kernel:
+        // radix 2, mixed radix and Bluestein.
+        for n in [32, 48, 20] {
+            let x = random_signal(n, 11);
+            let y = random_signal(n, 12);
+            let plan = FftPlan::new(n);
+            let mut fx = x.clone();
+            plan.process(&mut fx, Direction::Forward);
+            let mut fhy = y.clone();
+            plan.process_unscaled(&mut fhy, Direction::Inverse);
+            let lhs: Complex64 = fx.iter().zip(&y).map(|(a, b)| *a * b.conj()).sum();
+            let rhs: Complex64 = x.iter().zip(&fhy).map(|(a, b)| *a * b.conj()).sum();
+            assert!((lhs - rhs).abs() < 1e-9, "n {n}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! holds the row and column plans once and transforms one plane at a time;
 //! the operators run it as one plane loop over the angles.
 
-use crate::fft::{normalise, Direction, FftPlan, FftPlanner};
+use crate::fft::{normalise, Direction, FftPlan};
 use mlr_math::{Array3, Complex64};
+use std::sync::Arc;
 
 /// A reusable 2-D FFT over `rows × cols` planes.
 ///
@@ -15,19 +16,25 @@ use mlr_math::{Array3, Complex64};
 pub struct Fft2Batch {
     rows: usize,
     cols: usize,
-    row_plan: std::sync::Arc<FftPlan>,
-    col_plan: std::sync::Arc<FftPlan>,
+    pub(crate) row_plan: Arc<FftPlan>,
+    pub(crate) col_plan: Arc<FftPlan>,
 }
 
 impl Fft2Batch {
-    /// Creates a batch plan for planes of `rows × cols`.
+    /// Creates a batch plan for planes of `rows × cols`; a square plane's
+    /// rows and columns share one plan.
     pub fn new(rows: usize, cols: usize) -> Self {
-        let planner = FftPlanner::new();
+        let row_plan = Arc::new(FftPlan::new(cols.max(1)));
+        let col_plan = if rows == cols {
+            Arc::clone(&row_plan)
+        } else {
+            Arc::new(FftPlan::new(rows.max(1)))
+        };
         Self {
             rows,
             cols,
-            row_plan: planner.plan(cols.max(1)),
-            col_plan: planner.plan(rows.max(1)),
+            row_plan,
+            col_plan,
         }
     }
 

@@ -16,11 +16,13 @@
 //! The crate provides all three families plus their adjoints, without any
 //! external FFT dependency:
 //!
-//! * [`fft`] — iterative radix-2 Cooley–Tukey FFT with precomputed twiddles
-//!   and a Bluestein (chirp-z) fallback for arbitrary lengths.
+//! * [`fft`] — one iterative mixed-radix Cooley–Tukey FFT (radix-2 and
+//!   radix-3 stages, precomputed twiddles) for every length `2^a·3^b`, and
+//!   a Bluestein (chirp-z) fallback for any other length.
 //! * [`fft2d`] — the row–column 2-D FFT of one detector plane.
 //! * [`usfft`] — type-2 (uniform → non-uniform) and type-1 (adjoint) USFFT in
-//!   one and two dimensions with Gaussian-kernel gridding, following
+//!   one and two dimensions with Gaussian-kernel gridding on fine grids of
+//!   the smallest `2^a·3^b` cells at or past twice the input, following
 //!   Dutt & Rokhlin and the `lam_usfft` reference implementation the paper
 //!   builds on.
 //!
@@ -33,7 +35,7 @@ pub mod fft2d;
 pub mod scratch;
 pub mod usfft;
 
-pub use fft::{Direction, FftPlan, FftPlanner};
+pub use fft::{Direction, FftPlan};
 pub use fft2d::Fft2Batch;
 pub use scratch::{ScratchLease, ScratchPool};
 pub use usfft::{Usfft1d, Usfft2d, Usfft2dGrid};

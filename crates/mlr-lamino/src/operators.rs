@@ -635,7 +635,7 @@ impl LaminoOperator {
 mod tests {
     use super::*;
     use crate::phantom::brain_phantom;
-    use mlr_math::norms::max_abs_diff_c;
+    use mlr_math::norms::{max_abs_diff, max_abs_diff_c};
     use mlr_math::rng::seeded;
     use mlr_math::Shape3;
     use rand::Rng;
@@ -659,6 +659,11 @@ mod tests {
         Array3::from_vec(shape, data)
     }
 
+    fn dot(a: &Array3<f64>, b: &Array3<f64>) -> f64 {
+        let pairs = a.as_slice().iter().zip(b.as_slice());
+        pairs.map(|(x, y)| x * y).sum()
+    }
+
     #[test]
     fn shapes_of_factored_stages() {
         let op = small_operator();
@@ -679,7 +684,7 @@ mod tests {
         let x = random_real_volume(op.geometry().volume_shape(), 2);
         let y = random_complex_volume(op.geometry().u1_shape(), 3);
         let lhs = op.fu1d(&x).inner(&y).re;
-        let rhs = x.dot(&op.fu1d_adjoint(&y));
+        let rhs = dot(&x, &op.fu1d_adjoint(&y));
         assert!(
             (lhs - rhs).abs() < 1e-8 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
@@ -712,8 +717,7 @@ mod tests {
         let d = random_real_volume(op.geometry().data_shape(), 7);
         let lu = op.forward(&u);
         let ltd = op.adjoint(&d);
-        let lhs = lu.dot(&d);
-        let rhs = u.dot(&ltd);
+        let (lhs, rhs) = (dot(&lu, &d), dot(&u, &ltd));
         assert!(
             (lhs - rhs).abs() < 1e-12 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
@@ -734,19 +738,13 @@ mod tests {
         let shape = op.geometry().volume_shape();
         let a = random_real_volume(shape, 9);
         let b = random_real_volume(shape, 10);
-        let mut sum = a.clone();
-        sum.axpby(1.0, &b, 1.0);
-        let la = op.forward(&a);
-        let lb = op.forward(&b);
-        let lsum = op.forward(&sum);
-        let mut expected = la.clone();
-        expected.axpby(1.0, &lb, 1.0);
-        let diff: f64 = lsum
-            .as_slice()
-            .iter()
-            .zip(expected.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
+        let add = |x: &Array3<f64>, y: &Array3<f64>| -> Vec<f64> {
+            let pairs = x.as_slice().iter().zip(y.as_slice());
+            pairs.map(|(x, y)| x + y).collect()
+        };
+        let lsum = op.forward(&Array3::from_vec(shape, add(&a, &b)));
+        let expected = add(&op.forward(&a), &op.forward(&b));
+        let diff = max_abs_diff(lsum.as_slice(), &expected);
         assert!(diff < 1e-9, "nonlinearity {diff}");
     }
 

@@ -180,33 +180,6 @@ impl<T: fmt::Debug> fmt::Debug for Array3<T> {
     }
 }
 
-impl Array3<f64> {
-    /// Element-wise linear combination `self ← self * a + other * b`.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn axpby(&mut self, a: f64, other: &Array3<f64>, b: f64) {
-        assert_eq!(self.shape, other.shape, "axpby shape mismatch");
-        for (x, y) in self.data.iter_mut().zip(&other.data) {
-            *x = *x * a + *y * b;
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Dot product with another array of identical shape.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn dot(&self, other: &Array3<f64>) -> f64 {
-        assert_eq!(self.shape, other.shape, "dot shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
-    }
-}
-
 impl Array3<crate::Complex64> {
     /// Complex inner product `⟨self, other⟩ = Σ self · conj(other)`.
     ///
@@ -257,17 +230,6 @@ mod tests {
         assert_eq!(a.plane(1).len(), 12);
         assert_eq!(a.plane(1)[0], 12.0);
         assert_eq!(a.line(1, 2), &[20.0, 21.0, 22.0, 23.0]);
-    }
-
-    #[test]
-    fn axpby_and_dot() {
-        let shape = Shape3::cube(3);
-        let mut a = Array3::filled(shape, 2.0);
-        let b = Array3::filled(shape, 3.0);
-        a.axpby(2.0, &b, -1.0);
-        assert_eq!(a[(1, 1, 1)], 1.0);
-        assert_eq!(a.sum(), 27.0);
-        assert_eq!(a.dot(&b), 81.0);
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl CgState {
             initial_step
         };
         (self.prev_step, self.prev_sqr) = (alpha, sqr);
-        // `Array3::axpby(1.0, grad, −α)`'s expression, narrowed once.
+        // The reference loop's `u.axpby(1.0, grad, −α)`, narrowed once.
         for (x, &g) in u.as_mut_slice().iter_mut().zip(grad.as_slice()) {
             *x = (f64::from(*x) + g * -alpha) as f32;
         }
@@ -296,9 +296,9 @@ mod tests {
         let freq = FrequencyData::new(&op, &d);
         // Compute ||Lu - d||^2 / 2 both ways: in detector space and via the
         // Hermitian-projected frequency-domain residual (Parseval).
-        let mut r = op.forward(&u);
-        r.axpby(1.0, &d, -1.0);
-        let direct = 0.5 * r.dot(&r);
+        let r = op.forward(&u);
+        let pairs = r.as_slice().iter().zip(d.as_slice());
+        let direct = 0.5 * pairs.map(|(x, y)| (x - y) * (x - y)).sum::<f64>();
 
         let mut half = Array3::zeros(op.geometry().half_spectrum_shape());
         op.fu2d_half_into(&op.fu1d(&u), &DirectExecutor, &mut half);

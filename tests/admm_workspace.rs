@@ -19,7 +19,7 @@ use mlr_math::{Array3, Complex64, Shape3};
 use mlr_solver::lsp::lsp_gradient_cancelled;
 use mlr_solver::{AdmmSolver, AdmmWorkspace, DualField, FrequencyData};
 use rand::Rng;
-use reference::{divergence, gradient, shrink, tv_norm, FieldOps, Storage, VectorField};
+use reference::{divergence, gradient, shrink, tv_norm, ArrayOps, FieldOps, Storage, VectorField};
 
 mod reference;
 

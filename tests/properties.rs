@@ -209,8 +209,14 @@ fn laminography_operator_adjointness_holds_for_random_volumes() {
     let d = Array3::from_vec(data_shape, (0..data_shape.len()).map(|_| next()).collect());
     let lu = op.forward_with(&u, &DirectExecutor);
     let ltd = op.adjoint_with(&d, &DirectExecutor);
-    let lhs = lu.dot(&d);
-    let rhs = u.dot(&ltd);
+    let dot = |a: &Array3<f64>, b: &Array3<f64>| -> f64 {
+        a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .map(|(x, y)| x * y)
+            .sum()
+    };
+    let (lhs, rhs) = (dot(&lu, &d), dot(&u, &ltd));
     assert!(
         (lhs - rhs).abs() < 1e-7 * lhs.abs().max(1.0),
         "{lhs} vs {rhs}"

@@ -82,6 +82,28 @@ impl Storage {
     }
 }
 
+/// The `Array3<f64>` arithmetic the allocating loop used.
+pub trait ArrayOps {
+    /// `self ← self · a + other · b`, element by element.
+    fn axpby(&mut self, a: f64, other: &Self, b: f64);
+    /// `Σ self · other` in element order.
+    fn dot(&self, other: &Self) -> f64;
+}
+
+impl ArrayOps for Array3<f64> {
+    fn axpby(&mut self, a: f64, other: &Self, b: f64) {
+        assert_eq!(self.shape(), other.shape(), "axpby shape mismatch");
+        let pairs = self.as_mut_slice().iter_mut().zip(other.as_slice());
+        pairs.for_each(|(x, y)| *x = *x * a + *y * b);
+    }
+
+    fn dot(&self, other: &Self) -> f64 {
+        assert_eq!(self.shape(), other.shape(), "dot shape mismatch");
+        let pairs = self.as_slice().iter().zip(other.as_slice());
+        pairs.map(|(x, y)| x * y).sum()
+    }
+}
+
 /// The `VectorField` arithmetic the allocating loop used: `Array3`'s, one
 /// component at a time.
 pub trait FieldOps {
