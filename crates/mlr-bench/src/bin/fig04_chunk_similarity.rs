@@ -30,7 +30,7 @@ fn main() {
     config.memo.warmup_iterations = 0;
     let pipeline = MlrPipeline::new(config);
     let recorder = SimilarityRecorder::new(
-        pipeline.memo_executor(pipeline.build_shared_store(1), 0),
+        pipeline.memo_executor(pipeline.build_shared_store(), 0),
         pipeline.config().memo.tau,
     );
     let (_, recorder) = pipeline.run_with_executor(recorder, &CancelToken::new());

@@ -1,11 +1,11 @@
-//! Figure 18 (beyond the paper): multi-job runtime with a shared, sharded
+//! Figure 18 (beyond the paper): multi-job runtime with a shared
 //! memoization database vs the same jobs run with isolated per-job
 //! databases.
 //!
 //! The paper's distributed design keeps the memoization database on a
 //! dedicated memory node; its payoff grows when many reconstructions share
 //! it. Here no memory node runs: the workers share one in-process
-//! `ShardedMemoDb`, the store every memoized run uses. This harness replays
+//! `MemoDb`, the store every memoized run uses. This harness replays
 //! the beamline scenario — several reconstructions of the same sample
 //! family submitted together — through `mlr-runtime`'s worker pool over
 //! that store, then replays the identical jobs
@@ -33,7 +33,6 @@ struct Record {
     smoke: bool,
     jobs: usize,
     workers: usize,
-    shards: usize,
     queue_capacity: usize,
     shared: SideRecord,
     isolated: SideRecord,
@@ -48,7 +47,7 @@ struct Record {
 fn main() {
     header(
         "Figure 18",
-        "multi-job runtime: shared sharded memo DB vs isolated per-job DBs",
+        "multi-job runtime: shared memo DB vs isolated per-job DBs",
     );
     let scale = scale_from_args();
     // `--smoke` is the CI bench-smoke mode: smallest problem that still
@@ -62,7 +61,6 @@ fn main() {
     let iterations = if smoke || scale == Scale::Tiny { 5 } else { 8 };
     let jobs = 4usize;
     let workers = 2usize;
-    let shards = 16usize;
 
     // The beamline scenario: the same sample family reconstructed several
     // times (replicated runs / parameter rechecks), submitted concurrently.
@@ -72,7 +70,6 @@ fn main() {
     let rt_config = RuntimeConfig {
         workers,
         queue_capacity: 8,
-        shards,
         ..RuntimeConfig::matching(&config)
     };
     let queue_capacity = rt_config.queue_capacity;
@@ -200,7 +197,6 @@ fn main() {
         smoke,
         jobs,
         workers,
-        shards,
         queue_capacity,
         cross_job_advantage: shared.cross_job_hit_rate - isolated.cross_job_hit_rate,
         shared,

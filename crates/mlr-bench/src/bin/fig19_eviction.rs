@@ -28,7 +28,7 @@
 
 use mlr_bench::{compare_row, header, pct, scale_from_args, smoke_from_args, write_record};
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline, Scale};
-use mlr_memo::{CapacityBudget, MemoStore, ShardedMemoDb};
+use mlr_memo::{CapacityBudget, MemoDb, MemoStore};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -60,7 +60,6 @@ struct Record {
     smoke: bool,
     jobs: usize,
     iterations: usize,
-    shards: usize,
     unbounded: SideRecord,
     cells: Vec<CellRecord>,
     /// Convenience extract for the CI regression gate: the 50 % cell.
@@ -76,7 +75,7 @@ struct Record {
 /// 1..=len, so cross-job accounting applies) and returns every
 /// reconstruction. Sequential replay pins the schedule, which is what makes
 /// the determinism checks exact.
-fn replay(schedule: &[&MlrPipeline], store: &Arc<ShardedMemoDb>) -> Vec<Vec<f64>> {
+fn replay(schedule: &[&MlrPipeline], store: &Arc<MemoDb>) -> Vec<Vec<f64>> {
     schedule
         .iter()
         .enumerate()
@@ -113,7 +112,6 @@ fn main() {
     // recency is already near-optimal and the policies converge.)
     let iterations = 5;
     let jobs = if smoke { 5 } else { 6 };
-    let shards = 16usize;
 
     // The replicated-jobs beamline workload: two sample families, each
     // reconstructed repeatedly, *interleaved* (A B A B …) the way replicated
@@ -131,7 +129,7 @@ fn main() {
         .collect();
 
     // ------------------------------------------------- unbounded baseline
-    let unbounded_store = pipeline.build_shared_store_with(shards, CapacityBudget::unbounded());
+    let unbounded_store = pipeline.build_shared_store_with(CapacityBudget::unbounded());
     let _ = replay(&schedule, &unbounded_store);
     let ustats = unbounded_store.stats();
     let footprint = ustats.resident_bytes;
@@ -167,8 +165,7 @@ fn main() {
         .iter()
         .map(|&fraction| {
             let budget_bytes = (fraction * footprint as f64) as u64;
-            let store =
-                pipeline.build_shared_store_with(shards, CapacityBudget::bytes(budget_bytes));
+            let store = pipeline.build_shared_store_with(CapacityBudget::bytes(budget_bytes));
             let _ = replay(&schedule, &store);
             let stats = store.stats();
             let bounded = stats.peak_resident_bytes <= budget_bytes;
@@ -210,19 +207,18 @@ fn main() {
     // --------------------------------------------- determinism invariants
     // Same budget + same schedule ⇒ bit-identical reconstructions.
     let half_budget = CapacityBudget::bytes((0.5 * footprint as f64) as u64);
-    let store_a = pipeline.build_shared_store_with(shards, half_budget);
-    let store_b = pipeline.build_shared_store_with(shards, half_budget);
+    let store_a = pipeline.build_shared_store_with(half_budget);
+    let store_b = pipeline.build_shared_store_with(half_budget);
     let recon_a = replay(&schedule, &store_a);
     let recon_b = replay(&schedule, &store_b);
     let deterministic_replay = bits_equal(&recon_a, &recon_b);
 
-    // One bounded job over the sharded store == `run_memoized` with the same
-    // bounded configuration (private database): eviction is shard-layout
-    // independent.
+    // One bounded job over a shared store == `run_memoized` with the same
+    // bounded configuration (private database).
     let bounded_config = config.with_memo_budget(half_budget);
     let bounded_pipeline = MlrPipeline::new(bounded_config);
     let (private, _) = bounded_pipeline.run_memoized();
-    let single_store = bounded_pipeline.build_shared_store(shards);
+    let single_store = bounded_pipeline.build_shared_store();
     let single = replay(&[&bounded_pipeline], &single_store);
     let single_job_bit_identical =
         bits_equal(&[private.reconstruction.as_slice().to_vec()], &single[..1]);
@@ -278,7 +274,6 @@ fn main() {
         smoke,
         jobs,
         iterations,
-        shards,
         unbounded,
         cells,
         half_budget_cross_job_hit_rate: half,

@@ -4,7 +4,7 @@ use crate::config::MlrConfig;
 use crate::report::{ExactQuality, MlrReport, PaperScaleProjection};
 use mlr_lamino::{FftExecutor, LaminoDataset, LaminoGeometry, LaminoOperator};
 use mlr_memo::{
-    CapacityBudget, EncoderConfig, JobId, MemoConfig, MemoStore, MemoizedExecutor, ShardedMemoDb,
+    CapacityBudget, EncoderConfig, JobId, MemoConfig, MemoDb, MemoStore, MemoizedExecutor,
 };
 use mlr_sim::workload::{AdmmWorkload, ProblemSize};
 use mlr_sim::CostModel;
@@ -78,28 +78,24 @@ impl MlrPipeline {
         EncoderConfig
     }
 
-    /// Builds a sharded memo store compatible with this pipeline (same τ
-    /// and the capacity budget of [`Self::config`], bounded by default),
-    /// suitable for sharing across several pipelines/jobs.
-    pub fn build_shared_store(&self, shards: usize) -> Arc<ShardedMemoDb> {
-        self.build_shared_store_with(shards, self.config.memo.budget)
+    /// Builds a memo store compatible with this pipeline (same τ and the
+    /// capacity budget of [`Self::config`], bounded by default), suitable
+    /// for sharing across several pipelines/jobs.
+    pub fn build_shared_store(&self) -> Arc<MemoDb> {
+        self.build_shared_store_with(self.config.memo.budget)
     }
 
-    /// Builds a sharded memo store with an explicit capacity budget,
+    /// Builds a memo store with an explicit capacity budget,
     /// overriding whatever the pipeline configuration carries — the entry
     /// point the budget-sweep harnesses use, and the only way to an
     /// unbounded store (`CapacityBudget::unbounded()`).
-    pub fn build_shared_store_with(
-        &self,
-        shards: usize,
-        budget: CapacityBudget,
-    ) -> Arc<ShardedMemoDb> {
+    pub fn build_shared_store_with(&self, budget: CapacityBudget) -> Arc<MemoDb> {
         let db_config = MemoConfig {
             budget,
             ..self.config.memo
         }
         .db_config();
-        Arc::new(ShardedMemoDb::with_shards(db_config, shards))
+        Arc::new(MemoDb::new(db_config))
     }
 
     /// Runs the exact (non-memoized) ADMM-FFT reconstruction.
@@ -151,11 +147,10 @@ impl MlrPipeline {
         Ok(quality)
     }
 
-    /// Runs the memoized (mLR) reconstruction over a private one-shard
-    /// store; returns the result and the executor holding all memoization
-    /// statistics.
+    /// Runs the memoized (mLR) reconstruction over a private store; returns
+    /// the result and the executor holding all memoization statistics.
     pub fn run_memoized(&self) -> (AdmmResult, MemoizedExecutor) {
-        let executor = self.memo_executor(self.build_shared_store(1), 0);
+        let executor = self.memo_executor(self.build_shared_store(), 0);
         self.run_with_executor(executor, &CancelToken::new())
     }
 
@@ -309,16 +304,16 @@ mod tests {
 
     #[test]
     fn injected_sharded_store_matches_private_database() {
-        // The runtime's determinism contract: one job over a shared sharded
-        // store reconstructs bit-identically to the private one-shard store
-        // of `run_memoized` — same hits, same evictions — under a budget
-        // tight enough to evict.
+        // The runtime's determinism contract: one job over an injected
+        // shared store reconstructs bit-identically to the private store of
+        // `run_memoized` — same hits, same evictions — under a budget tight
+        // enough to evict.
         let (_, probe) = tiny_pipeline(0.92).run_memoized();
         let cap = CapacityBudget::bytes(probe.store().resident_bytes() / 2);
         let config = tiny_pipeline(0.92).config;
         let p = MlrPipeline::new(config.with_memo_budget(cap));
         let (private, reference) = p.run_memoized();
-        let executor = p.memo_executor(p.build_shared_store(8), 7);
+        let executor = p.memo_executor(p.build_shared_store(), 7);
         let (shared, executor) = p.run_with_executor(executor, &CancelToken::new());
         assert_eq!(
             private.reconstruction.as_slice(),

@@ -68,6 +68,7 @@
 //! [`Usfft2d::on_grid`] share one [`Usfft2dGrid`] and its pool.
 
 use crate::fft::{fast_len, Direction, FftPlan};
+use crate::fft2d::Fft2Batch;
 use crate::scratch::{ScratchLease, ScratchPool};
 use mlr_math::Complex64;
 use std::f64::consts::PI;
@@ -351,12 +352,8 @@ impl Usfft1d {
         self.plan
             .process_columns_unscaled(fine, cols, 0..cols, Direction::Inverse);
         // 3. Transpose of placement + compensation.
-        for (j, (&d, row)) in self
-            .deconv
-            .iter()
-            .zip(out.chunks_exact_mut(cols))
-            .enumerate()
-        {
+        let rows = out.chunks_exact_mut(cols);
+        for (j, (&d, row)) in self.deconv.iter().zip(rows).enumerate() {
             let fine_row = &fine[embed(j, self.n, self.nr) * cols..][..cols];
             for (o, f) in row.iter_mut().zip(fine_row) {
                 *o = f.scale(d);
@@ -426,9 +423,9 @@ fn embed(j: usize, n: usize, nr: usize) -> usize {
 const MAX_TAPS: usize = 33;
 
 /// What every [`Usfft2d`] of one `(n1, n2, oversampling, half_width)`
-/// shares: the fine-grid FFT plans, the two axes' windows, the
-/// pre-compensation, and the pooled fine grids (length `nr1 * nr2`) the
-/// transforms lease. A plan is a grid plus its frequency list
+/// shares: the fine-grid FFT (one plan for both axes when square), the two
+/// axes' windows, the pre-compensation, and the pooled fine grids (length
+/// `nr1 * nr2`) the transforms lease. A plan is a grid plus its frequency list
 /// ([`Usfft2d::on_grid`]), so plans built on one grid build these once and
 /// park one fine grid per transform running at once, however many plans
 /// there are.
@@ -442,8 +439,7 @@ pub struct Usfft2dGrid {
     deconv1: Vec<f64>,
     deconv2: Vec<f64>,
     scale: f64,
-    plan1: FftPlan,
-    plan2: FftPlan,
+    fine_fft: Fft2Batch,
     fine_pool: ScratchPool,
 }
 
@@ -477,8 +473,7 @@ impl Usfft2dGrid {
             deconv1: deconvolution(n1, sigma1),
             deconv2: deconvolution(n2, sigma2),
             scale,
-            plan1: FftPlan::new(nr1),
-            plan2: FftPlan::new(nr2),
+            fine_fft: Fft2Batch::new(nr1, nr2),
             fine_pool: ScratchPool::new(),
         }
     }
@@ -517,13 +512,13 @@ impl Usfft2dGrid {
         rows: impl Iterator<Item = usize>,
         cols: impl IntoIterator<Item = Range<usize>>,
     ) {
-        let nr2 = self.nr2;
+        let (nr2, fft) = (self.nr2, &self.fine_fft);
         for r in rows {
-            self.plan2
+            fft.row_plan
                 .process_unscaled(&mut fine[r * nr2..(r + 1) * nr2], dir);
         }
         for range in cols {
-            self.plan1.process_columns_unscaled(fine, nr2, range, dir);
+            fft.col_plan.process_columns_unscaled(fine, nr2, range, dir);
         }
     }
 }
@@ -568,11 +563,6 @@ impl Usfft2d {
     /// plan built on it.
     pub fn on_grid(grid: Arc<Usfft2dGrid>, freqs: Vec<(f64, f64)>) -> Self {
         Self { grid, freqs }
-    }
-
-    /// Uniform grid dimensions `(n1, n2)`.
-    fn input_dims(&self) -> (usize, usize) {
-        (self.grid.n1, self.grid.n2)
     }
 
     /// Number of non-uniform output frequencies.
@@ -682,7 +672,7 @@ impl Usfft2d {
 
     /// Naive `O(n1·n2·m)` forward evaluation (ground truth for tests).
     pub fn forward_naive(&self, u: &[Complex64]) -> Vec<Complex64> {
-        let (n1, n2) = self.input_dims();
+        let (n1, n2) = (self.grid.n1, self.grid.n2);
         assert_eq!(u.len(), n1 * n2, "USFFT2D input length mismatch");
         let half1 = (n1 / 2) as isize;
         let half2 = (n2 / 2) as isize;
@@ -1055,7 +1045,7 @@ mod tests {
                 }
             };
             for row in fine.chunks_mut(nr2) {
-                run(&g.plan2, row);
+                run(&g.fine_fft.row_plan, row);
             }
             let mut transposed = vec![Complex64::ZERO; nr1 * nr2];
             for r in 0..nr1 {
@@ -1064,7 +1054,7 @@ mod tests {
                 }
             }
             for col in transposed.chunks_mut(nr1) {
-                run(&g.plan1, col);
+                run(&g.fine_fft.col_plan, col);
             }
             for c in 0..nr2 {
                 for r in 0..nr1 {
@@ -1231,9 +1221,18 @@ mod tests {
             let grid = Usfft2dGrid::new(n, n, 2, 6);
             assert_eq!([vertical.nr, grid.nr1, grid.nr2], [2 * n; 3], "n {n}");
             let detector = crate::Fft2Batch::new(n, n);
-            let (row, col) = (&*detector.row_plan, &*detector.col_plan);
-            let plans = [&*vertical.plan, &grid.plan1, &grid.plan2, row, col];
+            let (row, col) = (&detector.row_plan, &detector.col_plan);
+            let fine = [&grid.fine_fft.row_plan, &grid.fine_fft.col_plan];
+            let plans = [&vertical.plan, fine[0], fine[1], row, col];
             assert!(plans.iter().all(|p| !p.is_bluestein()), "n {n}");
+        }
+    }
+
+    #[test]
+    fn a_square_fine_grid_plans_its_length_once() {
+        for n in [24, 32, 48] {
+            let fine = Usfft2dGrid::new(n, n, 2, 6).fine_fft;
+            assert!(Arc::ptr_eq(&fine.row_plan, &fine.col_plan), "n {n}");
         }
     }
 
@@ -1246,7 +1245,7 @@ mod tests {
     #[test]
     fn usfft2d_dims_accessors() {
         let t = Usfft2d::new(8, 6, vec![(0.0, 0.0), (0.1, -0.2)]);
-        assert_eq!(t.input_dims(), (8, 6));
+        assert_eq!((t.grid.n1, t.grid.n2), (8, 6));
         assert_eq!(t.output_len(), 2);
         assert_eq!(t.freqs().len(), 2);
     }

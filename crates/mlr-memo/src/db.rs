@@ -1,11 +1,11 @@
-//! The memoization database's configuration and its lock stripe.
+//! The memoization store: its configuration, the τ gate, and [`MemoDb`].
 //!
 //! This is the in-process counterpart of the paper's memory-node database
-//! (§4.3.2). An *insertion* adds the key of an FFT input chunk to the
-//! scope's index and the FFT output to the value database. A *probe* asks
-//! the index for the stored key nearest to the query's *among the entries
-//! the query may use* and — only if that entry's similarity clears the
-//! threshold `τ` — returns its value.
+//! (§4.3.2, Figure 6). An *insertion* adds the key of an FFT input chunk to
+//! the scope's index and the FFT output to the value database. A *probe*
+//! asks the index for the stored key nearest to the query's *among the
+//! entries the query may use* and — only if that entry's similarity clears
+//! the threshold `τ` — returns its value.
 //!
 //! There is one τ gate, [`tau_gate`]: the paper's Eq. 3 evaluated on the
 //! *raw input chunks* (each entry keeps its own), which makes the
@@ -18,23 +18,41 @@
 //! every byte count follows); the gate is one `f64`-accumulated pass over
 //! query and stored input, against the stored norm cached at insert.
 //!
-//! The public store is [`ShardedMemoDb`](crate::ShardedMemoDb); the
-//! crate-private `MemoDatabase` here is one of its lock stripes. All
-//! bookkeeping runs on the logical [`StoreClock`] (stable entry ids) and
-//! the one [`CostAwarePolicy`] shared by every stripe, so eviction
-//! is deterministic given the same schedule and independent of the shard
-//! count.
+//! [`MemoDb`] is one database behind one `parking_lot` mutex: a standalone
+//! executor owns one, and the runtime's workers share one, so entries
+//! inserted by job A serve job B (counted in `cross_job_hits`) — where a
+//! shared database beats per-job isolation. Only an insert's narrowing to
+//! `f32` and its norm run outside the lock. A key is a pure function of its
+//! chunk ([`sketch`]), so every tenant speaks the same key space.
+//!
+//! # Capacity governance
+//!
+//! With a bounded [`CapacityBudget`], every insert evicts under the same
+//! lock until the budget holds again: the victim is the minimum
+//! `(rank, id)` of [`CostAwarePolicy::rank`] over all entries, the new one
+//! included. So no observer sees an over-budget store, and which entries
+//! go is a pure function of the commit order. An eviction removes the
+//! entry from the store, not from a compute-node cache that already holds
+//! its `Arc`s: that cache may serve the value once more, and its own byte
+//! count (`MemoCache::bytes`) is where it shows.
 
 use crate::ann::FlatIndex;
-use crate::eviction::{CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock};
+use crate::encoder::sketch;
+use crate::eviction::{CapacityBudget, CostAwarePolicy, EntryMeta};
 use crate::fingerprint::{ChunkFingerprint, FingerprintTable};
-use crate::store::{ProbeOutcome, Provenance};
+use crate::store::{MemoStore, ProbeOutcome, Provenance, StoreStats};
 use mlr_lamino::FftOpKind;
-use mlr_math::norms::scale_aware_similarity_mixed;
+use mlr_math::complex::narrow;
+use mlr_math::norms::{l2_norm_c32, scale_aware_similarity_mixed};
 use mlr_math::{Complex32, Complex64};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A query counts as "under pressure" when the tightest global cap is at
+/// least this utilised — the regime the bounded-store hit rate is judged in.
+const PRESSURE_THRESHOLD: f64 = 0.95;
 
 /// Database configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -109,97 +127,131 @@ impl EntryRecord {
     }
 }
 
-/// One lock stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb): the index
-/// scopes, doorkeeper rings and entries of the `(op, loc)` scopes hashed to
-/// it. A scope is always the (operation, chunk location) pair: the paper's
-/// observation (Figure 4) is that reuse happens *at* a chunk location across
-/// iterations, so searches never cross locations. A stripe frees nothing on
-/// its own: the owning store encodes keys, keeps the store-wide counters and
-/// enforces the budget, telling the stripe which entry to evict.
-pub(crate) struct MemoDatabase {
-    /// The owner's `τ`.
-    tau: f64,
+/// The memoization store: one database behind one lock.
+pub struct MemoDb {
+    config: MemoDbConfig,
+    state: Mutex<DbState>,
+}
+
+/// What [`MemoDb`]'s lock guards. A scope is always the (operation, chunk
+/// location) pair: the paper's observation (Figure 4) is that reuse happens
+/// *at* a chunk location across iterations, so searches never cross
+/// locations.
+#[derive(Default)]
+struct DbState {
     scopes: HashMap<(FftOpKind, usize), FlatIndex>,
     /// Per-scope doorkeeper rings for the norm prefilter. Control metadata:
     /// deliberately excluded from `resident_bytes` accounting (bounded at
     /// [`crate::fingerprint::FINGERPRINT_HISTORY`] entries per scope).
     fingerprints: HashMap<(FftOpKind, usize), FingerprintTable>,
     entries: HashMap<u64, EntryRecord>,
-    clock: Arc<StoreClock>,
-    policy: Arc<CostAwarePolicy>,
-    /// Bytes of the stored values.
-    value_bytes: u64,
+    /// The id the next insert claims: inserts are numbered 0, 1, 2, … in
+    /// commit order, the eviction tie-break.
+    next_id: u64,
+    policy: CostAwarePolicy,
+    /// The counters, and the value and resident totals every insert and
+    /// eviction keeps up to date (`entries` is filled in by a snapshot).
+    stats: StoreStats,
 }
 
-/// Stable 64-bit hash of an index scope: which lock stripe owns it.
-pub(crate) fn scope_hash(op: FftOpKind, loc: usize) -> u64 {
-    // FNV-1a over the discriminant and location.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in [(op as u8)].into_iter().chain(loc.to_le_bytes()) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+impl DbState {
+    /// Counts one committed query, and whether it came while the tightest
+    /// cap was at least [`PRESSURE_THRESHOLD`] full.
+    fn count_query(&mut self, budget: CapacityBudget, hit: bool) {
+        let pressure = budget.pressure(self.stats.resident_bytes, self.entries.len() as u64);
+        let pressured = pressure >= PRESSURE_THRESHOLD;
+        let stats = &mut self.stats;
+        stats.queries += 1;
+        stats.hits += u64::from(hit);
+        stats.pressure_queries += u64::from(pressured);
+        stats.pressure_hits += u64::from(pressured && hit);
     }
-    h
+
+    /// The entry the rule would evict next: minimum `(rank, id)` over all
+    /// entries. Order-independent over the hash map, hence deterministic.
+    fn peek_victim(&self) -> Option<(f64, u64)> {
+        self.entries
+            .values()
+            .map(|r| (CostAwarePolicy::rank(&r.meta), r.meta.id))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    /// Removes entry `id` with its key and takes it out of the totals.
+    fn remove(&mut self, id: u64) {
+        let Some(record) = self.entries.remove(&id) else {
+            return;
+        };
+        if let Some(index) = self.scopes.get_mut(&record.scope) {
+            index.remove(id);
+        }
+        self.stats.value_bytes -= record.value_bytes();
+        self.stats.resident_bytes -= record.meta.bytes;
+    }
 }
 
-impl MemoDatabase {
-    /// Creates an empty stripe sharing the owner's logical clock and policy.
-    pub(crate) fn stripe(tau: f64, clock: Arc<StoreClock>, policy: Arc<CostAwarePolicy>) -> Self {
+impl MemoDb {
+    /// Creates an empty store.
+    pub fn new(config: MemoDbConfig) -> Self {
         Self {
-            tau,
-            scopes: HashMap::new(),
-            fingerprints: HashMap::new(),
-            entries: HashMap::new(),
-            clock,
-            policy,
-            value_bytes: 0,
+            config,
+            state: Mutex::new(DbState::default()),
         }
     }
 
-    /// Number of stored entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Resident bytes of the stored values.
-    pub(crate) fn value_bytes(&self) -> u64 {
-        self.value_bytes
-    }
-
-    /// Total resident bytes, re-summed: values plus retained raw inputs —
-    /// what the owner's published counter must equal.
-    #[cfg(test)]
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        self.entries.values().map(|r| r.meta.bytes).sum()
-    }
-
-    /// Does the scope's fingerprint history contain a chunk whose raw
-    /// similarity to `fp`'s chunk could exceed `τ`? Returns `false` for a
-    /// scope that has seen no chunks yet — the prefilter then routes the
-    /// chunk straight to the exact FFT without encoding it.
-    pub(crate) fn has_fingerprint_neighbor(
+    /// The reference [`MemoStore::probe_with_key`]'s key selector is tested
+    /// against (`tests/selector.rs`), never called by a run: every entry of
+    /// the scope that `origin` may use goes through the τ gate, no key
+    /// involved, and the most similar one that passes is the hit (the
+    /// first-inserted on a tie). Read-only, like a probe. When this hits and
+    /// the keyed probe does not, the sketch's nearest candidate lost a
+    /// reachable hit.
+    pub fn probe_exhaustive(
         &self,
         op: FftOpKind,
         loc: usize,
-        fp: &ChunkFingerprint,
-    ) -> bool {
-        self.fingerprints
-            .get(&(op, loc))
-            .is_some_and(|t| t.has_neighbor(fp, self.tau))
+        input: &[Complex64],
+        origin: Provenance,
+    ) -> ProbeOutcome {
+        let tau = self.config.tau;
+        (self.state.lock().entries.values())
+            .filter(|r| r.scope == (op, loc) && r.meta.origin.may_serve(&origin))
+            .filter_map(|r| Some((r.gate(input, tau)?, r)))
+            .min_by(|(a_sim, a), (b_sim, b)| b_sim.total_cmp(a_sim).then(a.meta.id.cmp(&b.meta.id)))
+            .map_or(ProbeOutcome::Miss, |(similarity, r)| r.hit(similarity))
+    }
+}
+
+#[cfg(test)]
+impl MemoDb {
+    /// The value and resident totals re-summed over the stored entries:
+    /// what the maintained totals must equal.
+    pub(crate) fn resummed(&self) -> (u64, u64) {
+        let db = self.state.lock();
+        let entries = db.entries.values();
+        entries.fold((0, 0), |(v, r), e| (v + e.value_bytes(), r + e.meta.bytes))
+    }
+}
+
+impl MemoStore for MemoDb {
+    fn config(&self) -> MemoDbConfig {
+        self.config
     }
 
-    /// Records the fingerprint of a committed chunk in the scope's
-    /// doorkeeper ring (bounded; the oldest entry is evicted on overflow).
-    pub(crate) fn note_fingerprint(&mut self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
-        self.fingerprints.entry((op, loc)).or_default().note(fp);
+    fn encode(&self, input: &[Complex64]) -> Vec<f64> {
+        sketch(input)
     }
 
-    /// Read-only probe for an entry similar to `input` at `(op, loc)`: no
-    /// counters, no reuse refresh. The executor probes
-    /// every chunk of an operator application against the store state
-    /// frozen at the application's start and replays the bookkeeping
-    /// afterwards, in chunk-index order, through [`Self::commit_hit`].
-    pub(crate) fn probe(
+    fn has_fingerprint_neighbor(&self, op: FftOpKind, loc: usize, fp: &ChunkFingerprint) -> bool {
+        (self.state.lock().fingerprints.get(&(op, loc)))
+            .is_some_and(|t| t.has_neighbor(fp, self.config.tau))
+    }
+
+    fn note_fingerprint(&self, op: FftOpKind, loc: usize, fp: ChunkFingerprint) {
+        let mut db = self.state.lock();
+        db.fingerprints.entry((op, loc)).or_default().note(fp);
+    }
+
+    fn probe_with_key(
         &self,
         op: FftOpKind,
         loc: usize,
@@ -207,7 +259,8 @@ impl MemoDatabase {
         key: &[f64],
         origin: Provenance,
     ) -> ProbeOutcome {
-        let Some(index) = self.scopes.get(&(op, loc)) else {
+        let db = self.state.lock();
+        let Some(index) = db.scopes.get(&(op, loc)) else {
             return ProbeOutcome::Miss;
         };
         // Within one job, only entries from *earlier* ADMM iterations may be
@@ -215,79 +268,63 @@ impl MemoDatabase {
         // the CG its own output back and stall the update. Entries from
         // other jobs are always eligible. The scan skips what the query may
         // not use, so such an entry's key cannot shadow an older one.
-        let eligible = |id: u64| {
-            self.entries
-                .get(&id)
-                .is_some_and(|r| r.meta.origin.may_serve(&origin))
-        };
-        let Some(record) = index
-            .nearest(key, eligible)
-            .and_then(|id| self.entries.get(&id))
-        else {
+        let eligible =
+            |id: u64| (db.entries.get(&id)).is_some_and(|r| r.meta.origin.may_serve(&origin));
+        let Some(record) = (index.nearest(key, eligible)).and_then(|id| db.entries.get(&id)) else {
             return ProbeOutcome::Miss;
         };
-        record
-            .gate(input, self.tau)
+        (record.gate(input, self.config.tau))
             .map_or(ProbeOutcome::Miss, |similarity| record.hit(similarity))
     }
 
-    /// The reference the key selector is tested against, never called by a
-    /// run: every entry of the scope that `origin` may use goes through the
-    /// τ gate, keys unseen; the most similar one that passes is the hit (the
-    /// first-inserted on a tie). A `Hit` here that [`Self::probe`] does not
-    /// return is a hit the sketch lost.
-    pub(crate) fn probe_exhaustive(
+    fn commit_hit(
+        &self,
+        _op: FftOpKind,
+        _loc: usize,
+        entry: u64,
+        entry_origin: Provenance,
+        origin: Provenance,
+    ) {
+        let cross = entry_origin.job != origin.job;
+        let mut guard = self.state.lock();
+        let db = &mut *guard;
+        db.count_query(self.config.budget, true);
+        db.stats.cross_job_hits += u64::from(cross);
+        if let Some(record) = db.entries.get_mut(&entry) {
+            record.meta.hits += 1;
+            record.meta.cross_hits += u64::from(cross);
+            db.policy.charge(&mut record.meta);
+        }
+    }
+
+    fn commit_miss(&self, _op: FftOpKind, _loc: usize) {
+        self.state.lock().count_query(self.config.budget, false);
+    }
+
+    fn insert(
         &self,
         op: FftOpKind,
         loc: usize,
         input: &[Complex64],
-        origin: Provenance,
-    ) -> ProbeOutcome {
-        self.entries
-            .values()
-            .filter(|r| r.scope == (op, loc) && r.meta.origin.may_serve(&origin))
-            .filter_map(|r| Some((r.gate(input, self.tau)?, r)))
-            .min_by(|(a_sim, a), (b_sim, b)| b_sim.total_cmp(a_sim).then(a.meta.id.cmp(&b.meta.id)))
-            .map_or(ProbeOutcome::Miss, |(similarity, r)| r.hit(similarity))
-    }
-
-    /// Replays the bookkeeping of a hit discovered by [`Self::probe`]: the
-    /// hit refreshes the reuse metadata the replacement rule ranks by. Runs
-    /// during the batch's ordered commit, so refreshes land in chunk-index
-    /// order. The refresh is skipped if
-    /// the entry no longer exists (an earlier commit of the same batch may
-    /// have evicted it); that skip is itself deterministic.
-    pub(crate) fn commit_hit(&mut self, entry: u64, entry_origin: Provenance, origin: Provenance) {
-        if let Some(record) = self.entries.get_mut(&entry) {
-            record.meta.hits += 1;
-            if entry_origin.job != origin.job {
-                record.meta.cross_hits += 1;
-            }
-            self.policy.charge(&mut record.meta);
-        }
-    }
-
-    /// Inserts an entry: the FFT input (what the τ gate compares against,
-    /// with its norm) and its computed output (the value), narrowed by the
-    /// owning store outside every lock, with the recompute-cost hint
-    /// cost-aware eviction ranks by — a deterministic function of the
-    /// operation (wall-clock timings would make eviction irreproducible).
-    /// Claims one id; returns the new entry's id and resident
-    /// bytes, which the owner publishes once its budget holds again.
-    #[expect(clippy::too_many_arguments, reason = "an insert carries a full entry")]
-    pub(crate) fn insert(
-        &mut self,
-        op: FftOpKind,
-        loc: usize,
-        (raw_norm, raw_input): (f64, Arc<[Complex32]>),
         key: Vec<f64>,
-        value: Arc<[Complex32]>,
+        output: Vec<Complex64>,
         origin: Provenance,
         recompute_cost: f64,
-    ) -> (u64, u64) {
-        let id = self.clock.next_id();
-        self.scopes
-            .entry((op, loc))
+    ) -> u64 {
+        // The one narrowing of an entry's life (and the norm the τ gate
+        // reuses), outside the lock. What `f32` cannot hold is not stored:
+        // no id.
+        let narrowed = narrow(input).zip(narrow(&output));
+        let narrowed = narrowed.map(|(raw, value)| (l2_norm_c32(&raw), raw, value));
+        let mut guard = self.state.lock();
+        let db = &mut *guard;
+        let Some((raw_norm, raw_input, value)) = narrowed else {
+            db.stats.refused_inserts += 1;
+            return u64::MAX;
+        };
+        let id = db.next_id;
+        db.next_id += 1;
+        (db.scopes.entry((op, loc)))
             .or_insert_with(|| FlatIndex::new(key.len()))
             .add(id, &key);
         let mut record = EntryRecord {
@@ -306,49 +343,61 @@ impl MemoDatabase {
             raw_norm,
             value,
         };
-        self.policy.charge(&mut record.meta);
-        let bytes = record.meta.bytes;
-        self.value_bytes += record.value_bytes();
-        self.entries.insert(id, record);
-        (id, bytes)
-    }
-
-    /// The entry the rule would evict next: minimum `(rank, id)` over all
-    /// entries. Order-independent over the hash map, hence deterministic.
-    pub(crate) fn peek_victim(&self) -> Option<(f64, u64)> {
-        self.entries
-            .values()
-            .map(|r| (CostAwarePolicy::rank(&r.meta), r.meta.id))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-    }
-
-    /// Removes a specific entry — the victim the owning store's budget
-    /// enforcement picked. Returns the bytes freed, `None` if the entry is
-    /// gone.
-    pub(crate) fn evict_id(&mut self, id: u64) -> Option<u64> {
-        let record = self.entries.remove(&id)?;
-        if let Some(index) = self.scopes.get_mut(&record.scope) {
-            index.remove(id);
+        db.policy.charge(&mut record.meta);
+        db.stats.inserts += 1;
+        db.stats.value_bytes += record.value_bytes();
+        db.stats.resident_bytes += record.meta.bytes;
+        db.entries.insert(id, record);
+        let budget = self.config.budget;
+        while budget.exceeded(db.stats.resident_bytes, db.entries.len() as u64) {
+            let Some((rank, victim)) = db.peek_victim() else {
+                break;
+            };
+            db.policy.on_evict(rank);
+            db.remove(victim);
+            db.stats.evictions += 1;
         }
-        self.value_bytes -= record.value_bytes();
-        Some(record.meta.bytes)
+        db.stats.peak_resident_bytes = db.stats.peak_resident_bytes.max(db.stats.resident_bytes);
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.state.lock().entries.len()
+    }
+
+    fn value_bytes(&self) -> u64 {
+        self.state.lock().stats.value_bytes
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.state.lock().stats.resident_bytes
+    }
+
+    fn pressure(&self) -> f64 {
+        let db = self.state.lock();
+        (self.config.budget).pressure(db.stats.resident_bytes, db.entries.len() as u64)
+    }
+
+    fn stats(&self) -> StoreStats {
+        let db = self.state.lock();
+        StoreStats {
+            entries: db.entries.len(),
+            ..db.stats
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! The stripe's protocol, driven through the owning store's public
-    //! probe → commit seam on one stripe and on several: every behaviour
-    //! must be independent of the shard count.
+    //! The store's protocol, driven through its public probe → commit seam.
 
     use super::*;
-    use crate::store::MemoStore;
-    use crate::testutil::{chunk, fill, insert, lookup, store};
+    use crate::testutil::{chunk, fill, insert, lookup};
     use mlr_lamino::FftOpKind::{Fu1D, Fu2D};
     use mlr_math::complex::narrow;
     use mlr_math::norms::scale_aware_similarity_c;
-
-    const LAYOUTS: [usize; 2] = [1, 4];
+    use mlr_math::rng::seeded;
+    use rand::Rng;
 
     fn config(tau: f64) -> MemoDbConfig {
         MemoDbConfig {
@@ -357,73 +406,119 @@ mod tests {
         }
     }
 
+    fn capped(budget: CapacityBudget) -> MemoDb {
+        MemoDb::new(MemoDbConfig { tau: 0.9, budget })
+    }
+
     fn at(iteration: usize) -> Provenance {
         Provenance::solo(iteration)
     }
 
     #[test]
     fn query_empty_is_miss() {
-        for shards in LAYOUTS {
-            let d = store(config(0.9), shards);
-            assert!(d.is_empty());
-            let input = chunk(1.0, 0.0, 128);
-            assert_eq!(d.encode(&input).len(), crate::encoder::SKETCH_DIM);
-            assert!(lookup(&d, Fu2D, 0, &input, at(1)).is_none());
-            assert_eq!(d.stats().queries, 1);
-        }
+        let d = MemoDb::new(config(0.9));
+        assert!(d.is_empty());
+        let input = chunk(1.0, 0.0, 128);
+        assert_eq!(d.encode(&input).len(), crate::encoder::SKETCH_DIM);
+        assert!(lookup(&d, Fu2D, 0, &input, at(1)).is_none());
+        assert_eq!(d.stats().queries, 1);
     }
 
     #[test]
     fn insert_then_identical_query_hits() {
-        for shards in LAYOUTS {
-            let d = store(config(0.9), shards);
-            let input = chunk(1.0, 0.0, 256);
-            let output = chunk(2.0, 1.0, 64);
-            insert(&d, Fu2D, 3, &input, output.clone(), at(0));
-            let (value, similarity, _) = lookup(&d, Fu2D, 3, &input, at(1)).expect("hit");
-            assert!(similarity > 0.999);
-            // Served in the stored format: the inserted value, narrowed.
-            assert_eq!(Some(value), narrow(&output));
-        }
+        let d = MemoDb::new(config(0.9));
+        let input = chunk(1.0, 0.0, 256);
+        let output = chunk(2.0, 1.0, 64);
+        insert(&d, Fu2D, 3, &input, output.clone(), at(0));
+        let (value, similarity, _) = lookup(&d, Fu2D, 3, &input, at(1)).expect("hit");
+        assert!(similarity > 0.999);
+        // Served in the stored format: the inserted value, narrowed.
+        assert_eq!(Some(value), narrow(&output));
+    }
+
+    #[test]
+    fn insert_then_query_hits_across_jobs() {
+        let db = MemoDb::new(config(0.9));
+        let input = chunk(1.0, 0.0, 256);
+        let origin_a = Provenance {
+            job: 1,
+            iteration: 3,
+        };
+        insert(&db, Fu2D, 5, &input, chunk(2.0, 1.0, 32), origin_a);
+
+        // Same job, same iteration: the freshness gate must refuse.
+        assert!(
+            lookup(&db, Fu2D, 5, &input, origin_a).is_none(),
+            "same-iteration reuse must be gated"
+        );
+        // Different job at iteration 0: eligible, and counted as cross-job.
+        let origin_b = Provenance {
+            job: 2,
+            iteration: 0,
+        };
+        let (_, _, inserted_by) = lookup(&db, Fu2D, 5, &input, origin_b).expect("cross-job hit");
+        assert_eq!(inserted_by, origin_a);
+        let stats = db.stats();
+        assert_eq!(stats.queries, 2);
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.cross_job_hits, 1);
+        assert_eq!(stats.inserts, 1);
+        assert!(stats.cross_job_hit_rate() > 0.0);
     }
 
     #[test]
     fn dissimilar_query_misses() {
-        for shards in LAYOUTS {
-            let d = store(config(0.95), shards);
-            insert(
-                &d,
-                Fu2D,
-                3,
-                &chunk(1.0, 0.0, 256),
-                chunk(2.0, 1.0, 64),
-                at(0),
-            );
-            // Same location but very different content.
-            let hit = lookup(&d, Fu2D, 3, &chunk(1.0, 2.5, 256), at(1));
-            assert!(hit.is_none(), "expected miss, got {:?}", hit.map(|h| h.1));
-        }
+        let d = MemoDb::new(config(0.95));
+        let (input, output) = (chunk(1.0, 0.0, 256), chunk(2.0, 1.0, 64));
+        insert(&d, Fu2D, 3, &input, output, at(0));
+        // Same location but very different content.
+        let hit = lookup(&d, Fu2D, 3, &chunk(1.0, 2.5, 256), at(1));
+        assert!(hit.is_none(), "expected miss, got {:?}", hit.map(|h| h.1));
     }
 
     #[test]
     fn location_scoping_prevents_cross_location_hits() {
-        for shards in LAYOUTS {
-            let d = store(config(0.9), shards);
-            let input = chunk(1.0, 0.0, 256);
-            insert(&d, Fu2D, 0, &input, chunk(2.0, 1.0, 64), at(0));
-            assert!(lookup(&d, Fu2D, 1, &input, at(1)).is_none());
-        }
+        let d = MemoDb::new(config(0.9));
+        let input = chunk(1.0, 0.0, 256);
+        insert(&d, Fu2D, 0, &input, chunk(2.0, 1.0, 64), at(0));
+        assert!(lookup(&d, Fu2D, 1, &input, at(1)).is_none());
     }
 
     #[test]
     fn scoping_separates_operations_at_one_location() {
-        for shards in LAYOUTS {
-            let d = store(config(0.9), shards);
-            let input = chunk(1.0, 0.0, 256);
-            insert(&d, Fu2D, 7, &input, chunk(2.0, 1.0, 64), at(0));
-            // Same location, other operation: a different scope.
-            assert!(lookup(&d, Fu1D, 7, &input, at(1)).is_none());
-            assert!(lookup(&d, Fu2D, 7, &input, at(1)).is_some());
+        let d = MemoDb::new(config(0.9));
+        let input = chunk(1.0, 0.0, 256);
+        insert(&d, Fu2D, 7, &input, chunk(2.0, 1.0, 64), at(0));
+        // Same location, other operation: a different scope.
+        assert!(lookup(&d, Fu1D, 7, &input, at(1)).is_none());
+        assert!(lookup(&d, Fu2D, 7, &input, at(1)).is_some());
+    }
+
+    #[test]
+    fn an_ineligible_nearer_entry_does_not_shadow_an_eligible_one() {
+        // One scope, two entries: the older within τ of the query, the
+        // newer — inserted in the query's own iteration, so it may not serve
+        // it — nearer still. The probe must hit on the older; with the
+        // eligibility check after the nearest-key search it missed.
+        let served = |o: ProbeOutcome| match o {
+            ProbeOutcome::Hit { entry, .. } => Some(entry),
+            _ => None,
+        };
+        let db = MemoDb::new(config(0.9));
+        let query = chunk(1.0, 0.0, 256);
+        let mut ids = Vec::new();
+        for (it, scale) in [(1, 1.03), (2, 1.001)] {
+            let input = chunk(scale, 0.02 * (scale - 1.0), 256);
+            ids.push(insert(&db, Fu2D, 5, &input, chunk(2.0, 1.0, 32), at(it)));
+        }
+        let key = db.encode(&query);
+        // Iteration 1 may use neither entry, 2 the older only, 3 both (and
+        // the nearer wins); the exhaustive reference agrees.
+        for (it, expected) in [(1, None), (2, Some(ids[0])), (3, Some(ids[1]))] {
+            let keyed = db.probe_with_key(Fu2D, 5, &query, &key, at(it));
+            assert_eq!(served(keyed), expected, "iteration {it}");
+            let reference = db.probe_exhaustive(Fu2D, 5, &query, at(it));
+            assert_eq!(served(reference), expected);
         }
     }
 
@@ -439,70 +534,84 @@ mod tests {
             .collect();
         let sim = scale_aware_similarity_c(&base, &perturbed);
         assert!(sim > 0.85 && sim < 0.999, "test setup: sim {sim}");
-        for shards in LAYOUTS {
-            let loose = store(config((sim - 0.05).max(0.0)), shards);
-            insert(&loose, Fu1D, 0, &base, chunk(2.0, 0.5, 32), at(0));
-            assert!(lookup(&loose, Fu1D, 0, &perturbed, at(1)).is_some());
+        let loose = MemoDb::new(config((sim - 0.05).max(0.0)));
+        insert(&loose, Fu1D, 0, &base, chunk(2.0, 0.5, 32), at(0));
+        assert!(lookup(&loose, Fu1D, 0, &perturbed, at(1)).is_some());
 
-            let strict = store(config((sim + 0.02).min(0.9999)), shards);
-            insert(&strict, Fu1D, 0, &base, chunk(2.0, 0.5, 32), at(0));
-            assert!(lookup(&strict, Fu1D, 0, &perturbed, at(1)).is_none());
-        }
+        let strict = MemoDb::new(config((sim + 0.02).min(0.9999)));
+        insert(&strict, Fu1D, 0, &base, chunk(2.0, 0.5, 32), at(0));
+        assert!(lookup(&strict, Fu1D, 0, &perturbed, at(1)).is_none());
     }
 
     #[test]
     fn value_bytes_grow_with_insertions() {
-        for shards in LAYOUTS {
-            let d = store(config(0.9), shards);
-            assert_eq!(d.value_bytes(), 0);
-            fill(&d, 4, |_| {});
-            assert_eq!(d.len(), 4);
-            // 8 bytes a stored element: 32-element values, and resident
-            // bytes additionally count the 64-element raw inputs.
-            assert_eq!(d.value_bytes(), 4 * 32 * 8);
-            assert_eq!(d.resident_bytes(), 4 * 8 * (64 + 32));
-            assert!(d.peak_resident_bytes() >= d.resident_bytes());
-        }
+        let d = MemoDb::new(config(0.9));
+        assert_eq!(d.value_bytes(), 0);
+        fill(&d, 4, |_| {});
+        assert_eq!(d.len(), 4);
+        // 8 bytes a stored element: 32-element values, and resident
+        // bytes additionally count the 64-element raw inputs.
+        assert_eq!(d.value_bytes(), 4 * 32 * 8);
+        assert_eq!(d.resident_bytes(), 4 * 8 * (64 + 32));
+        assert!(d.stats().peak_resident_bytes >= d.resident_bytes());
     }
 
     #[test]
     fn entry_budget_is_enforced_after_every_insert() {
-        for shards in LAYOUTS {
-            let capped = MemoDbConfig {
-                budget: CapacityBudget::entries(3),
-                ..config(0.9)
-            };
-            let d = store(capped, shards);
-            fill(&d, 8, |loc| {
-                assert!(d.len() <= 3, "entry cap violated after insert {loc}")
-            });
-            assert_eq!(d.len(), 3);
-            assert_eq!(d.evictions(), 5);
-            // Never-hit entries of one size age out oldest first: the
-            // earliest locations now miss.
-            assert!(lookup(&d, Fu2D, 0, &chunk(1.0, 0.0, 64), at(1)).is_none());
-            assert!(lookup(&d, Fu2D, 7, &chunk(8.0, 0.0, 64), at(1)).is_some());
-        }
+        let d = capped(CapacityBudget::entries(3));
+        fill(&d, 8, |loc| {
+            assert!(d.len() <= 3, "entry cap violated after insert {loc}")
+        });
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.stats().evictions, 5);
+        // Never-hit entries of one size age out oldest first: the
+        // earliest locations now miss.
+        assert!(lookup(&d, Fu2D, 0, &chunk(1.0, 0.0, 64), at(1)).is_none());
+        assert!(lookup(&d, Fu2D, 7, &chunk(8.0, 0.0, 64), at(1)).is_some());
     }
 
     #[test]
     fn byte_budget_bounds_resident_footprint() {
-        for shards in LAYOUTS {
-            // Measure the footprint of 4 entries, then rebuild with half of it.
-            let unbounded = store(config(0.9), shards);
-            fill(&unbounded, 4, |_| {});
-            let cap = unbounded.resident_bytes() / 2;
-            let capped = MemoDbConfig {
-                budget: CapacityBudget::bytes(cap),
-                ..config(0.9)
-            };
-            let bounded = store(capped, shards);
-            fill(&bounded, 4, |_| {
-                let resident = bounded.resident_bytes();
-                assert!(resident <= cap, "byte cap violated: {resident} > {cap}");
-            });
-            assert!(bounded.peak_resident_bytes() <= cap);
-            assert!(bounded.evictions() > 0);
+        // Measure the footprint of 4 entries, then rebuild with half of it.
+        let unbounded = MemoDb::new(config(0.9));
+        fill(&unbounded, 4, |_| {});
+        let cap = unbounded.resident_bytes() / 2;
+        let bounded = capped(CapacityBudget::bytes(cap));
+        fill(&bounded, 4, |_| {
+            let resident = bounded.resident_bytes();
+            assert!(resident <= cap, "byte cap violated: {resident} > {cap}");
+        });
+        assert!(bounded.stats().peak_resident_bytes <= cap);
+        assert!(bounded.stats().evictions > 0);
+    }
+
+    #[test]
+    fn maintained_totals_equal_the_resummed_entries_under_both_caps() {
+        // Inserts of mixed sizes under an entry cap and a byte cap: the
+        // totals that inserts and evictions keep up to date must land on
+        // what the entries actually hold.
+        let (cap_bytes, cap_entries) = (24 * 1024u64, 20u64);
+        let db = capped(CapacityBudget {
+            max_bytes: Some(cap_bytes),
+            max_entries: Some(cap_entries),
+        });
+        let mut rng = seeded(0x5EED);
+        let (mut by_entries, mut by_bytes) = (false, false);
+        for i in 0..120usize {
+            let n = [16usize, 64, 256][rng.gen_range(0..3usize)];
+            let loc = rng.gen_range(0..40usize);
+            let (input, output) = (chunk(1.0 + i as f64, 0.1, n), chunk(2.0, 0.5, n / 2));
+            let evicted = db.stats().evictions;
+            insert(&db, Fu2D, loc, &input, output, at(i));
+            assert!(db.resident_bytes() <= cap_bytes && db.len() as u64 <= cap_entries);
+            by_entries |= db.len() as u64 == cap_entries;
+            by_bytes |= db.stats().evictions > evicted && (db.len() as u64) < cap_entries;
         }
+        assert!(by_entries && by_bytes, "a cap never bound");
+        assert_eq!(db.resummed(), (db.value_bytes(), db.resident_bytes()));
+        let stats = db.stats();
+        assert!(stats.peak_resident_bytes <= cap_bytes);
+        assert_eq!(stats.inserts - stats.evictions, db.len() as u64);
+        assert_eq!(stats.resident_bytes, db.resident_bytes());
     }
 }

@@ -43,11 +43,10 @@
 //! warm-up) emits the exact `f64` result.
 
 use crate::cache::{CacheKind, MemoCache};
-use crate::db::MemoDbConfig;
+use crate::db::{MemoDb, MemoDbConfig};
 use crate::encoder::EncoderConfig;
 use crate::eviction::{recompute_cost_estimate, CapacityBudget};
 use crate::fingerprint::ChunkFingerprint;
-use crate::sharded::ShardedMemoDb;
 use crate::stats::{MemoCase, MemoStats};
 use crate::store::{JobId, MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
@@ -257,10 +256,10 @@ pub struct MemoizedExecutor {
 }
 
 impl MemoizedExecutor {
-    /// Creates an executor backed by a private store: a one-shard
-    /// [`ShardedMemoDb`] configured by [`MemoConfig::db_config`].
+    /// Creates an executor backed by a private store: a [`MemoDb`]
+    /// configured by [`MemoConfig::db_config`].
     pub fn private(config: MemoConfig) -> Self {
-        let store = ShardedMemoDb::with_shards(config.db_config(), 1);
+        let store = MemoDb::new(config.db_config());
         Self::with_store(config, Arc::new(store), 0)
     }
 
@@ -272,7 +271,7 @@ impl MemoizedExecutor {
 
     /// Creates an executor on top of a (possibly shared) memo store, on
     /// behalf of job `job`. This is the multi-tenant entry point used by the
-    /// runtime: several executors built over one `Arc<ShardedMemoDb>` reuse
+    /// runtime: several executors built over one `Arc<MemoDb>` reuse
     /// each other's entries.
     pub fn with_store(config: MemoConfig, store: Arc<dyn MemoStore>, job: JobId) -> Self {
         Self {

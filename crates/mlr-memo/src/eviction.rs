@@ -1,5 +1,5 @@
-//! Capacity governance for the memoization store: one budget, one
-//! replacement rule, and the store clock that numbers its entries.
+//! Capacity governance for the memoization store: one budget and one
+//! replacement rule.
 //!
 //! The paper keeps its memoization database on dedicated memory nodes and
 //! its only replacement rule is the one-entry FIFO compute-node cache
@@ -19,30 +19,26 @@
 //!
 //! Eviction decisions must be reproducible: the runtime's contract is that
 //! the same job schedule over the same budget produces bit-identical
-//! reconstructions, and that sharding is semantics-free. Wall-clock time
-//! would break both, so every input to the rule is *logical*: the entry's
-//! **hit counts**, refreshed by the ordered commit; its **id**, the globally
-//! unique insertion index that breaks every tie; and an *analytic*
+//! reconstructions. Wall-clock time would break it, so every input to the
+//! rule is *logical*: the entry's **hit counts**, refreshed by the ordered
+//! commit; its **id**, the store's insertion index that breaks every tie;
+//! and an *analytic*
 //! recompute cost ([`recompute_cost_estimate`], an `n log n` model whose
 //! per-op weights mirror the measured `OpStats` compute-second ratios) in
 //! place of measured seconds, which vary run to run.
-//!
-//! Entries age through [`CostAwarePolicy`]'s inflation value; the ids come
-//! from [`StoreClock`], shared by every stripe of a store.
+//! Entries age through [`CostAwarePolicy`]'s inflation value.
 
 use crate::store::Provenance;
 use mlr_lamino::FftOpKind;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Byte/entry caps for a memoization store.
 ///
 /// `None` means unbounded. A byte cap counts each entry's value *plus* the
 /// raw input it keeps for the τ gate, 8 bytes an element of either
 /// ([`EntryMeta::bytes`]; `value_bytes` counts the values alone, keys and
-/// doorkeeper rings are not counted). The caps hold over the whole store
-/// (every stripe of a [`ShardedMemoDb`](crate::ShardedMemoDb)).
+/// doorkeeper rings are not counted). The caps hold over the whole
+/// [`MemoDb`](crate::MemoDb).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CapacityBudget {
     /// Maximum resident bytes (values + retained raw inputs).
@@ -143,24 +139,15 @@ pub struct EntryMeta {
 /// demonstrated reuse, while the inflation term ages out entries whose
 /// content has drifted past the τ gate (pure benefit density would pin
 /// those forever). All inputs are logical, so victim selection stays
-/// deterministic for a fixed schedule; the inflation value advances under
-/// the store's enforcement lock, identically across shard layouts.
-///
-/// One instance per store, shared by its stripes (which charge) and the
-/// store (which evicts).
+/// deterministic for a fixed schedule; the inflation value advances in
+/// eviction order, under the store's lock. One instance per store.
 #[derive(Debug, Default)]
 pub struct CostAwarePolicy {
-    /// Aging value `L`: the highest victim rank evicted so far, stored as
-    /// `f64` bits.
-    inflation: AtomicU64,
+    /// Aging value `L`: the highest victim rank evicted so far.
+    inflation: f64,
 }
 
 impl CostAwarePolicy {
-    /// The current aging value.
-    fn inflation_value(&self) -> f64 {
-        f64::from_bits(self.inflation.load(Ordering::Relaxed))
-    }
-
     /// Benefit density of an entry: `(1 + hits) · recompute_cost / bytes`.
     fn benefit_density(meta: &EntryMeta) -> f64 {
         (1.0 + meta.hits as f64) * meta.recompute_cost / meta.bytes.max(1) as f64
@@ -176,17 +163,16 @@ impl CostAwarePolicy {
     /// Refreshes `meta.priority`. Called once when the entry is inserted
     /// and again on every hit (after `hits` / `cross_hits` are updated).
     pub fn charge(&self, meta: &mut EntryMeta) {
-        meta.priority = self.inflation_value() + Self::benefit_density(meta);
+        meta.priority = self.inflation + Self::benefit_density(meta);
     }
 
     /// Advances the aging value to the rank of an entry that was just
-    /// evicted. Called exactly once per eviction, in eviction order, under
-    /// the store's enforcement lock.
-    pub fn on_evict(&self, rank: f64) {
+    /// evicted. Called exactly once per eviction, in eviction order.
+    pub fn on_evict(&mut self, rank: f64) {
         // Monotone aging: inflation only moves forward, and a non-finite
         // rank (an infinite caller-supplied cost) must not poison it.
-        if rank.is_finite() && rank > self.inflation_value() {
-            self.inflation.store(rank.to_bits(), Ordering::Relaxed);
+        if rank.is_finite() && rank > self.inflation {
+            self.inflation = rank;
         }
     }
 }
@@ -205,30 +191,10 @@ pub fn recompute_cost_estimate(op: FftOpKind, input_len: usize) -> f64 {
     weight * n * n.log2()
 }
 
-/// The logical clock of one store, shared by every stripe so id
-/// assignment is identical however many stripes a
-/// [`ShardedMemoDb`](crate::ShardedMemoDb) spreads its scopes over — the
-/// property that makes eviction shard-layout-independent.
-#[derive(Debug, Default)]
-pub struct StoreClock {
-    next_id: AtomicU64,
-}
-
-impl StoreClock {
-    /// A fresh clock at id 0.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Claims the next entry id.
-    pub fn next_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{chunk, insert};
 
     fn meta(id: u64, bytes: u64, hits: u64, cost: f64) -> EntryMeta {
         EntryMeta {
@@ -283,7 +249,7 @@ mod tests {
     fn cost_aware_ages_with_evictions() {
         // After an eviction at rank L, freshly charged entries start above
         // L — stale high-density entries no longer dominate forever.
-        let pol = CostAwarePolicy::default();
+        let mut pol = CostAwarePolicy::default();
         let mut stale = meta(1, 100, 0, 500.0);
         pol.charge(&mut stale);
         pol.on_evict(CostAwarePolicy::rank(&stale));
@@ -296,6 +262,25 @@ mod tests {
         let mut after = meta(3, 100, 0, 500.0);
         pol.charge(&mut after);
         assert_eq!(CostAwarePolicy::rank(&after), CostAwarePolicy::rank(&fresh));
+    }
+
+    #[test]
+    fn clock_is_monotone() {
+        // The rule's tie-breaker is the store's logical clock, the insertion
+        // index: it starts at 0 and advances by one an insert.
+        let db = crate::MemoDb::new(crate::MemoDbConfig::default());
+        for (loc, expected) in [(0, 0), (1, 1), (0, 2)] {
+            let input = chunk(1.0 + loc as f64, 0.5 * expected as f64, 64);
+            let id = insert(
+                &db,
+                FftOpKind::Fu2D,
+                loc,
+                &input,
+                chunk(2.0, 0.5, 16),
+                Provenance::solo(0),
+            );
+            assert_eq!(id, expected);
+        }
     }
 
     #[test]
@@ -326,12 +311,5 @@ mod tests {
                 "{op:?} at {n}: {got} != {expected}"
             );
         }
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let c = StoreClock::new();
-        assert_eq!(c.next_id(), 0);
-        assert_eq!(c.next_id(), 1);
     }
 }

@@ -21,11 +21,13 @@
 //!   `(operation, location)` scope, scanned in full — O(entries in the
 //!   scope), tens here, bounded by the [`CapacityBudget`] — where the paper
 //!   needs Faiss-IVF for millions.
-//! * [`db`] — the database configuration ([`MemoDbConfig`]), the one τ gate
-//!   ([`tau_gate`]: Eq. 3 on the raw chunks) and the crate-private lock
-//!   stripe: index database + value database (entries hold single-precision
-//!   `Arc<[Complex32]>` payloads, as Redis would) behind the τ-thresholded
-//!   probe/insert protocol.
+//! * [`db`] — *the* store, [`MemoDb`]: index database + value database
+//!   (entries hold single-precision `Arc<[Complex32]>` payloads, as Redis
+//!   would) behind one lock and the τ-thresholded probe/insert protocol,
+//!   with its configuration ([`MemoDbConfig`]) and the one τ gate
+//!   ([`tau_gate`]: Eq. 3 on the raw chunks). A standalone executor owns
+//!   one; the runtime's workers share one, the in-process analogue of the
+//!   paper's memory node (Figure 6) — no link is modeled.
 //! * [`cache`] — the compute-node memoization cache (§4.4): a one-entry FIFO
 //!   cache *private to each chunk location*, compared against a global
 //!   cache; an entry is the database entry that last hit there, gated by
@@ -42,17 +44,10 @@
 //! * [`eviction`] — capacity governance: one [`CapacityBudget`] (bytes /
 //!   entries over the whole store) enforced after every insert by one rule,
 //!   [`CostAwarePolicy`] (aged benefit density, cross-job servers last), on
-//!   a logical clock shared by every stripe: deterministic given the
-//!   schedule, independent of the shard layout.
+//!   logical inputs only: deterministic given the schedule.
 //! * [`store`] — the [`MemoStore`] seam: the thread-safe interface the
 //!   executor talks to, with one access protocol — a read-only probe, then
 //!   an ordered commit (`commit_hit`, or `commit_miss` and `insert`).
-//! * [`sharded`] — the [`ShardedMemoDb`], *the* store: lock-striped, with
-//!   one stripe when private to a standalone executor and sixteen when
-//!   serving several reconstruction jobs at once (the in-process analogue
-//!   of the paper's memory node under multi-job traffic). The paper keeps
-//!   that database on dedicated memory nodes (Figure 6); here every worker
-//!   reaches it in process, so no link is modeled.
 
 #![warn(missing_docs)]
 
@@ -63,20 +58,18 @@ pub mod encoder;
 pub mod engine;
 pub mod eviction;
 pub mod fingerprint;
-pub mod sharded;
+#[cfg(test)]
+mod sharded;
 pub mod stats;
 pub mod store;
 #[cfg(test)]
 mod testutil;
 
 pub use cache::{CacheKind, MemoCache};
-pub use db::{tau_gate, MemoDbConfig};
+pub use db::{tau_gate, MemoDb, MemoDbConfig};
 pub use encoder::{sketch, CnnEncoder, EncoderConfig, EncoderScratch};
 pub use engine::{MemoConfig, MemoizedExecutor};
-pub use eviction::{
-    recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta, StoreClock,
-};
+pub use eviction::{recompute_cost_estimate, CapacityBudget, CostAwarePolicy, EntryMeta};
 pub use fingerprint::{ChunkFingerprint, FingerprintTable, FINGERPRINT_HISTORY};
-pub use sharded::{ShardedMemoDb, DEFAULT_SHARDS};
 pub use stats::{MemoCase, MemoStats, OpStats};
 pub use store::{JobId, MemoStore, ProbeOutcome, Provenance, StoreStats};

@@ -1,6 +1,6 @@
 //! The memo-store seam: a thread-safe interface over "the memoization
 //! database", so the executor does not care whether its
-//! [`ShardedMemoDb`](crate::sharded::ShardedMemoDb) is private to one job or
+//! [`MemoDb`](crate::MemoDb) is private to one job or
 //! shared by every job of a runtime (or is a test's wrapper around one).
 //!
 //! The paper's distributed design (Figure 6) keeps the memoization database
@@ -147,13 +147,10 @@ pub enum ProbeOutcome {
 ///
 /// ```
 /// use mlr_lamino::FftOpKind;
-/// use mlr_memo::{MemoDbConfig, MemoStore, ProbeOutcome, Provenance, ShardedMemoDb};
+/// use mlr_memo::{MemoDb, MemoDbConfig, MemoStore, ProbeOutcome, Provenance};
 /// use mlr_math::Complex64;
 ///
-/// let store = ShardedMemoDb::with_shards(
-///     MemoDbConfig { tau: 0.9, ..Default::default() },
-///     4, // lock stripes
-/// );
+/// let store = MemoDb::new(MemoDbConfig { tau: 0.9, ..Default::default() });
 /// let chunk: Vec<Complex64> = (0..64)
 ///     .map(|i| Complex64::new((i as f64 * 0.1).sin(), 0.0))
 ///     .collect();

@@ -1,10 +1,7 @@
-//! Fixtures shared by the store unit tests (`db`, `sharded`):
-//! one chunk generator and the probe → commit driver every store test goes
-//! through.
+//! Fixtures shared by the store unit tests: one chunk generator and the
+//! probe → commit driver every store test goes through.
 
-use crate::db::MemoDbConfig;
 use crate::eviction::recompute_cost_estimate;
-use crate::sharded::ShardedMemoDb;
 use crate::store::{MemoStore, ProbeOutcome, Provenance};
 use mlr_lamino::FftOpKind;
 use mlr_math::{Complex32, Complex64};
@@ -17,11 +14,6 @@ pub(crate) fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
             Complex64::new(scale * (5.0 * t + phase).sin(), scale * (3.0 * t).cos())
         })
         .collect()
-}
-
-/// A store with `shards` lock stripes.
-pub(crate) fn store(config: MemoDbConfig, shards: usize) -> ShardedMemoDb {
-    ShardedMemoDb::with_shards(config, shards)
 }
 
 /// Inserts `input → output` priced by the analytic cost model.
@@ -82,21 +74,4 @@ pub(crate) fn lookup(
             None
         }
     }
-}
-
-/// [`lookup`], inserting `output` on a miss — one memoized invocation as
-/// the executor performs it. Returns whether it hit.
-pub(crate) fn lookup_or_insert(
-    store: &dyn MemoStore,
-    op: FftOpKind,
-    loc: usize,
-    input: &[Complex64],
-    output: Vec<Complex64>,
-    origin: Provenance,
-) -> bool {
-    let hit = lookup(store, op, loc, input, origin).is_some();
-    if !hit {
-        insert(store, op, loc, input, output, origin);
-    }
-    hit
 }

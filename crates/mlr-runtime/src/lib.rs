@@ -15,8 +15,8 @@
 //!   ReconJob ──► bounded priority queue ──► worker pool ──► JobStatus
 //!   (deadline,    (admission control,         │ │ │          Completed
 //!    priority)     backpressure,              ▼ ▼ ▼          Failed
-//!        │         removable entries)   ShardedMemoDb        Cancelled
-//!        ▼                              (N lock stripes,     Expired
+//!        │         removable entries)       MemoDb           Cancelled
+//!        ▼                              (one lock)           Expired
 //!    JobHandle ── cancel() ─► queued: removed on the spot        ▲
 //!    try_wait / wait_timeout  running: stops at the next ADMM    │
 //!    / wait ──────────────────iteration boundary ────────────────┘
@@ -40,7 +40,7 @@
 //!   the queue on the spot (its slot frees immediately); a running job
 //!   stops at the next iteration boundary and the memo entries it already
 //!   published keep serving every other tenant.
-//! * The shared [`ShardedMemoDb`](mlr_memo::ShardedMemoDb): every worker's
+//! * The shared [`MemoDb`](mlr_memo::MemoDb): every worker's
 //!   executor queries and feeds the same store, so job B reuses USFFT
 //!   results job A computed. Entries carry a
 //!   [`Provenance`](mlr_memo::Provenance) so intra-job freshness gating
@@ -62,7 +62,7 @@
 //! Determinism contract: a job that *runs to completion* through a
 //! one-worker runtime matched to its pipeline's config
 //! ([`RuntimeConfig::matching`]`(pipeline.config())`) produces the *same
-//! reconstruction* as that pipeline's `run_memoized` — sharding,
+//! reconstruction* as that pipeline's `run_memoized` — the queue, the
 //! ticketing and deadline bookkeeping are implementation details, pinned by
 //! `tests/runtime.rs`, `tests/serving.rs` and `tests/store_budget.rs`. A
 //! job cancelled or expired while queued never executes at all.

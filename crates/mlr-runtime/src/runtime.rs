@@ -1,5 +1,5 @@
 //! The runtime: a fixed worker pool multiplexing reconstruction jobs over
-//! one shared, sharded memoization store.
+//! one shared memoization store.
 //!
 //! Every admitted job is tracked by a ticket (see [`crate::handle`]) that
 //! resolves to a typed [`JobStatus`]. Workers check a popped entry's cancel
@@ -13,7 +13,7 @@ use crate::job::{JobReport, ReconJob};
 use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::stats::{DeadlineStats, RuntimeStats};
 use mlr_core::{CancelToken, MlrPipeline, StopCause};
-use mlr_memo::{JobId, MemoDbConfig, MemoStore, ShardedMemoDb, DEFAULT_SHARDS};
+use mlr_memo::{JobId, MemoDb, MemoDbConfig, MemoStore};
 use mlr_telemetry::{SignedHistogram, SpanKind, Telemetry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +29,7 @@ pub struct RuntimeConfig {
     /// Queue capacity; submissions beyond it are rejected (admission
     /// control) or block (backpressure), depending on the submit call.
     pub queue_capacity: usize,
-    /// Lock stripes of the shared memo store.
+    /// Ignored (the store has one lock); kept for `examples/benchmark`.
     pub shards: usize,
     /// Shared store database configuration: its τ gates every tenant's
     /// reuse (store probe and compute-node cache), whatever the job's own.
@@ -51,7 +51,7 @@ impl Default for RuntimeConfig {
                 .unwrap_or(1)
                 .min(4),
             queue_capacity: 32,
-            shards: DEFAULT_SHARDS,
+            shards: 1,
             db: MemoDbConfig::default(),
             telemetry: false,
         }
@@ -205,7 +205,7 @@ impl Counters {
 ///
 /// Jobs enter a bounded priority queue; a fixed pool of worker threads pops
 /// them and runs the full memoized ADMM reconstruction, every executor
-/// sharing one [`ShardedMemoDb`]. Chunk-level USFFT kernels inside a job
+/// sharing one [`MemoDb`]. Chunk-level USFFT kernels inside a job
 /// fan out through the operators' rayon plane loop, so the two
 /// parallelism grains compose: jobs across workers, chunk kernels within a
 /// job. A job's [`Deadline`](crate::Deadline) starts counting at
@@ -234,7 +234,7 @@ impl Counters {
 /// ```
 pub struct Runtime {
     queue: Arc<JobQueue>,
-    store: Arc<ShardedMemoDb>,
+    store: Arc<MemoDb>,
     counters: Arc<Counters>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
@@ -254,7 +254,7 @@ impl Runtime {
         } else {
             Telemetry::disabled()
         };
-        let store = Arc::new(ShardedMemoDb::with_shards(config.db, config.shards));
+        let store = Arc::new(MemoDb::new(config.db));
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
         let counters = Arc::new(Counters {
             telemetry,
@@ -308,7 +308,7 @@ impl Runtime {
     }
 
     /// The shared memo store.
-    pub fn store(&self) -> &Arc<ShardedMemoDb> {
+    pub fn store(&self) -> &Arc<MemoDb> {
         &self.store
     }
 

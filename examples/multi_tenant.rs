@@ -1,5 +1,5 @@
 //! Multi-tenant serving: four concurrent reconstruction jobs sharing one
-//! sharded memoization store.
+//! memoization store.
 //!
 //! Later-arriving jobs reuse the USFFT results earlier jobs memoized, so
 //! they avoid far more FFT work than a cold-started reconstruction — the

@@ -355,7 +355,7 @@ fn assert_matches_reference(name: &str) {
     let pipeline = MlrPipeline::new(config(name));
     assert_same_run(&format!("{name} direct"), &pipeline, || DirectExecutor);
     let (ws, reference) = assert_same_run(&format!("{name} memoized"), &pipeline, || {
-        pipeline.memo_executor(pipeline.build_shared_store(1), 0)
+        pipeline.memo_executor(pipeline.build_shared_store(), 0)
     });
     assert_eq!(ws.stats(), reference.stats(), "{name}: case counts");
     assert_eq!(
@@ -434,7 +434,7 @@ fn one_field_loop_matches_the_two_field_loop_up_to_rounding() {
         let pipeline = MlrPipeline::new(config);
         let (op, d) = (pipeline.operator(), &pipeline.dataset().projections);
         let cfg = pipeline.config().admm;
-        let memo = || pipeline.memo_executor(pipeline.build_shared_store(1), 0);
+        let memo = || pipeline.memo_executor(pipeline.build_shared_store(), 0);
         let (one_exec, two_exec) = (memo(), memo());
         let one_field = reference::run(&cfg, variant, Storage::Double, op, d, &one_exec);
         let two_field = reference::run_two_field(&cfg, variant, op, d, &two_exec);

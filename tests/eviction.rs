@@ -7,7 +7,7 @@ use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
 use mlr_memo::{
-    recompute_cost_estimate, CapacityBudget, MemoDbConfig, MemoStore, Provenance, ShardedMemoDb,
+    recompute_cost_estimate, CapacityBudget, MemoDb, MemoDbConfig, MemoStore, Provenance,
 };
 use mlr_runtime::{ReconJob, Runtime, RuntimeConfig};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn chunk(scale: f64, phase: f64, n: usize) -> Vec<Complex64> {
 
 /// Replays `jobs` sequential reconstructions over one shared store and
 /// returns the reconstructions' raw bits.
-fn replay(pipeline: &MlrPipeline, store: Arc<ShardedMemoDb>, jobs: usize) -> Vec<Vec<u64>> {
+fn replay(pipeline: &MlrPipeline, store: Arc<MemoDb>, jobs: usize) -> Vec<Vec<u64>> {
     (1..=jobs)
         .map(|job| {
             let shared: Arc<dyn MemoStore> = Arc::clone(&store) as Arc<dyn MemoStore>;
@@ -43,7 +43,7 @@ fn replay(pipeline: &MlrPipeline, store: Arc<ShardedMemoDb>, jobs: usize) -> Vec
 }
 
 /// Same budget + same schedule ⇒ identical reconstructions, identical
-/// eviction counts — and independent of the shard layout.
+/// eviction counts.
 #[test]
 fn eviction_is_deterministic_for_a_fixed_schedule() {
     let config = MlrConfig::quick(12, 8).with_iterations(4);
@@ -51,31 +51,24 @@ fn eviction_is_deterministic_for_a_fixed_schedule() {
     let jobs = 3;
 
     // Measure the unbounded footprint, then cap at half of it.
-    let probe = pipeline.build_shared_store_with(8, CapacityBudget::unbounded());
+    let probe = pipeline.build_shared_store_with(CapacityBudget::unbounded());
     let _ = replay(&pipeline, Arc::clone(&probe), jobs);
     let cap = probe.stats().resident_bytes / 2;
     assert!(cap > 0);
     let budget = CapacityBudget::bytes(cap);
 
-    let store_a = pipeline.build_shared_store_with(8, budget);
+    let store_a = pipeline.build_shared_store_with(budget);
     let recon_a = replay(&pipeline, Arc::clone(&store_a), jobs);
     assert!(
         store_a.stats().evictions > 0,
         "half budget must evict — test is vacuous"
     );
-    // Same layout, fresh store: bit-identical replay and identical counters.
-    let store_b = pipeline.build_shared_store_with(8, budget);
+    // A fresh store: bit-identical replay and identical counters.
+    let store_b = pipeline.build_shared_store_with(budget);
     let recon_b = replay(&pipeline, Arc::clone(&store_b), jobs);
     assert_eq!(recon_a, recon_b, "replay diverged under eviction");
     assert_eq!(store_a.stats().evictions, store_b.stats().evictions);
     assert_eq!(store_a.stats().hits, store_b.stats().hits);
-    // Different shard counts: eviction must be layout-independent.
-    for shards in [1, 4] {
-        let store = pipeline.build_shared_store_with(shards, budget);
-        let recon = replay(&pipeline, Arc::clone(&store), jobs);
-        assert_eq!(recon_a, recon, "{shards} shards diverged under eviction");
-        assert_eq!(store.stats().evictions, store_a.stats().evictions);
-    }
 }
 
 /// A bounded single job through the runtime still satisfies the pinned
@@ -127,13 +120,10 @@ fn budget_never_exceeded_across_eight_concurrent_jobs() {
     const PER_THREAD: u64 = 50;
     const CAP_BYTES: u64 = 64 * 1024;
 
-    let store = Arc::new(ShardedMemoDb::with_shards(
-        MemoDbConfig {
-            tau: 0.9,
-            budget: CapacityBudget::bytes(CAP_BYTES),
-        },
-        8,
-    ));
+    let store = Arc::new(MemoDb::new(MemoDbConfig {
+        tau: 0.9,
+        budget: CapacityBudget::bytes(CAP_BYTES),
+    }));
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -156,8 +146,8 @@ fn budget_never_exceeded_across_eight_concurrent_jobs() {
                         origin,
                         recompute_cost_estimate(FftOpKind::Fu2D, input.len()),
                     );
-                    // The published footprint is only updated post-
-                    // enforcement, so every observation must be ≤ cap.
+                    // Insert and enforcement hold one lock, so every
+                    // observation must be ≤ cap.
                     let resident = store.resident_bytes();
                     assert!(
                         resident <= CAP_BYTES,

@@ -1,8 +1,8 @@
-//! Integration tests for the memoized executor's batch seam and its store
-//! layouts: a reconstruction over a shared `ShardedMemoDb` must match the
-//! private one-shard store of `run_memoized` bit for bit — at every shard
-//! count, unbounded and under an eviction budget — and the zero-copy batch
-//! path must emit exactly what the one-chunk path does.
+//! Integration tests for the memoized executor's batch seam and its store:
+//! a reconstruction over an injected shared `MemoDb` must match the private
+//! store of `run_memoized` bit for bit — unbounded and under an eviction
+//! budget — and the zero-copy batch path must emit exactly what the
+//! one-chunk path does.
 
 use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_memo::{CapacityBudget, MemoStore};
@@ -29,11 +29,10 @@ fn run_standalone(config: MlrConfig) -> (Vec<u64>, (u64, u64, u64)) {
     )
 }
 
-/// Same, over a freshly built shared store of `shards` stripes.
-fn run_sharded(config: MlrConfig, shards: usize) -> (Vec<u64>, (u64, u64, u64)) {
+/// Same, over a freshly built store injected as a shared one (job 7).
+fn run_shared(config: MlrConfig) -> (Vec<u64>, (u64, u64, u64)) {
     let pipeline = MlrPipeline::new(config);
-    let store = pipeline.build_shared_store(shards);
-    let shared: Arc<dyn MemoStore> = store as Arc<dyn MemoStore>;
+    let shared: Arc<dyn MemoStore> = pipeline.build_shared_store();
     let executor = pipeline.memo_executor(shared, 7);
     let (result, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
     let total = executor.stats().total();
@@ -43,29 +42,23 @@ fn run_sharded(config: MlrConfig, shards: usize) -> (Vec<u64>, (u64, u64, u64)) 
     )
 }
 
-const SHARDS: [usize; 4] = [1, 2, 8, 16];
-
 #[test]
-fn sharded_store_is_bit_identical_across_shard_counts() {
-    // The standalone run (one private shard) is the reference; a fresh
-    // shared store of every swept stripe count must reproduce it exactly.
+fn shared_store_is_bit_identical_to_the_private_one() {
+    // The standalone run (a private store) is the reference; a fresh shared
+    // store must reproduce it exactly.
     let (reference, ref_hits) = run_standalone(base_config());
     assert!(
         ref_hits.0 + ref_hits.1 > 0,
         "schedule never hits — test is vacuous: {ref_hits:?}"
     );
-    for shards in SHARDS {
-        let (sharded, hits) = run_sharded(base_config(), shards);
-        assert_eq!(sharded, reference, "{shards} shards diverged");
-        assert_eq!(hits, ref_hits, "{shards} shards changed the hit counts");
-    }
+    assert_eq!(run_shared(base_config()), (reference, ref_hits));
 }
 
 #[test]
-fn bounded_store_is_bit_identical_across_shard_counts() {
+fn bounded_shared_store_is_bit_identical_to_the_private_one() {
     // Under a binding eviction budget the commit order *is* the eviction
     // schedule, so this pins that inserts and evictions replay identically
-    // whatever the stripe layout.
+    // over an injected store.
     let probe = MlrPipeline::new(base_config());
     let (_, probe_exec) = probe.run_memoized();
     let cap = probe_exec.store().resident_bytes() / 2;
@@ -79,14 +72,7 @@ fn bounded_store_is_bit_identical_across_shard_counts() {
         executor.store().stats().evictions
     };
     assert!(evictions > 0, "budget never bound — test is vacuous");
-    for shards in SHARDS {
-        let (sharded, hits) = run_sharded(bounded(), shards);
-        assert_eq!(
-            sharded, reference,
-            "{shards} shards diverged under an eviction budget"
-        );
-        assert_eq!(hits, ref_hits, "{shards} shards changed the hit counts");
-    }
+    assert_eq!(run_shared(bounded()), (reference, ref_hits));
 }
 
 #[test]
@@ -96,12 +82,11 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
     // trace through multi-chunk `execute_batch_into` dispatches whose memo
     // hits are single widening copies from the shared `Arc<[Complex32]>`
     // payloads into caller-provided slices. Outputs must be bitwise equal and the
-    // case counts identical — over a private one-shard store and over the
-    // 16-shard layout the runtime shares — so the zero-copy path cannot
-    // drift from the one-chunk-at-a-time protocol.
+    // case counts identical, so the zero-copy path cannot drift from the
+    // one-chunk-at-a-time protocol.
     use mlr_lamino::{ChunkRequest, FftExecutor, FftOpKind};
     use mlr_math::Complex64;
-    use mlr_memo::{MemoConfig, MemoDbConfig, MemoizedExecutor, ShardedMemoDb};
+    use mlr_memo::{MemoConfig, MemoDb, MemoDbConfig, MemoizedExecutor};
     use rand::Rng;
 
     let memo = MemoConfig {
@@ -118,64 +103,57 @@ fn zero_copy_batch_seam_matches_sequential_execute() {
             .map(|z| z.scale(1.0 + 0.001 * it as f64))
             .collect()
     };
-    let executor = |shards: usize| {
+    let executor = || {
         let db_config = MemoDbConfig {
             tau: memo.tau,
             ..Default::default()
         };
-        let store = ShardedMemoDb::with_shards(db_config, shards);
-        MemoizedExecutor::with_store(memo, Arc::new(store), 0)
+        MemoizedExecutor::with_store(memo, Arc::new(MemoDb::new(db_config)), 0)
     };
-    for shards in [1, 16] {
-        let label = format!("{shards}-shard");
-        let (sequential, batched) = (executor(shards), executor(shards));
-        let locations = 6usize;
-        for it in 0..5 {
-            sequential.begin_iteration(it);
-            batched.begin_iteration(it);
-            let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, it)).collect();
-            let reference: Vec<Vec<Complex64>> = (0..locations)
-                .map(|loc| sequential.execute(FftOpKind::Fu2D, loc, &inputs[loc], &fake_fft))
-                .collect();
-            let compute = |x: &[Complex64]| fake_fft(x);
-            let batch: Vec<ChunkRequest<'_>> = inputs
-                .iter()
-                .enumerate()
-                .map(|(loc, input)| ChunkRequest {
-                    loc,
-                    input,
-                    compute: &compute,
-                })
-                .collect();
-            let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; 96]; locations];
-            let mut slots: Vec<&mut [Complex64]> =
-                outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-            batched.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
-            assert_eq!(
-                outputs, reference,
-                "{label}: zero-copy outputs diverged at iteration {it}"
-            );
-        }
-        let a = sequential.stats().total();
-        let b = batched.stats().total();
-        let counts = |s: &mlr_memo::OpStats| {
-            let cases = (s.failed_memo, s.db_hits, s.cache_hits);
-            (cases, s.keys_encoded, s.prefiltered)
-        };
+    let (sequential, batched) = (executor(), executor());
+    let locations = 6usize;
+    for it in 0..5 {
+        sequential.begin_iteration(it);
+        batched.begin_iteration(it);
+        let inputs: Vec<Vec<Complex64>> = (0..locations).map(|loc| chunk(loc, it)).collect();
+        let reference: Vec<Vec<Complex64>> = (0..locations)
+            .map(|loc| sequential.execute(FftOpKind::Fu2D, loc, &inputs[loc], &fake_fft))
+            .collect();
+        let compute = |x: &[Complex64]| fake_fft(x);
+        let batch: Vec<ChunkRequest<'_>> = inputs
+            .iter()
+            .enumerate()
+            .map(|(loc, input)| ChunkRequest {
+                loc,
+                input,
+                compute: &compute,
+            })
+            .collect();
+        let mut outputs: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; 96]; locations];
+        let mut slots: Vec<&mut [Complex64]> =
+            outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
+        batched.execute_batch_into(FftOpKind::Fu2D, &batch, &mut slots);
         assert_eq!(
-            counts(&a),
-            counts(&b),
-            "{label}: case counts or prefilter decisions diverged between the paths"
-        );
-        assert!(
-            a.prefiltered > 0,
-            "{label}: the norm prefilter never fired — vacuous for the doorkeeper"
-        );
-        assert!(
-            a.db_hits + a.cache_hits > 0,
-            "{label}: trace never hit — vacuous"
+            outputs, reference,
+            "zero-copy outputs diverged at iteration {it}"
         );
     }
+    let a = sequential.stats().total();
+    let b = batched.stats().total();
+    let counts = |s: &mlr_memo::OpStats| {
+        let cases = (s.failed_memo, s.db_hits, s.cache_hits);
+        (cases, s.keys_encoded, s.prefiltered)
+    };
+    assert_eq!(
+        counts(&a),
+        counts(&b),
+        "case counts or prefilter decisions diverged between the paths"
+    );
+    assert!(
+        a.prefiltered > 0,
+        "the norm prefilter never fired — vacuous for the doorkeeper"
+    );
+    assert!(a.db_hits + a.cache_hits > 0, "trace never hit — vacuous");
 }
 
 /// Four sightings of `inputs` (one chunk per location, `F_u2D`) through the

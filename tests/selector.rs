@@ -4,7 +4,7 @@
 //! A probe asks the scope's index for the entry whose *key* (the chunk's
 //! block-average sketch) is nearest the query's, among the entries the query
 //! may use, and puts that one entry through the τ gate. The reference,
-//! `ShardedMemoDb::probe_exhaustive`, puts *every* such entry through the
+//! `MemoDb::probe_exhaustive`, puts *every* such entry through the
 //! gate. A probe that misses where the reference hits is a reachable hit the
 //! sketch lost; this test shadows every probe of a converging 24³ run with
 //! the reference and bounds the loss. The shadow sits behind the `MemoStore`
@@ -14,14 +14,14 @@ use mlr_core::{CancelToken, MlrConfig, MlrPipeline};
 use mlr_lamino::FftOpKind;
 use mlr_math::Complex64;
 use mlr_memo::{
-    ChunkFingerprint, MemoDbConfig, MemoStore, ProbeOutcome, Provenance, ShardedMemoDb, StoreStats,
+    ChunkFingerprint, MemoDb, MemoDbConfig, MemoStore, ProbeOutcome, Provenance, StoreStats,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A `ShardedMemoDb` that shadows each keyed probe with the exhaustive one.
+/// A `MemoDb` that shadows each keyed probe with the exhaustive one.
 struct Shadowed {
-    inner: ShardedMemoDb,
+    inner: MemoDb,
     probes: AtomicU64,
     /// Probes the exhaustive reference answers with a hit.
     reachable: AtomicU64,
@@ -121,7 +121,7 @@ fn the_sketch_loses_at_most_a_fifth_of_the_reachable_hits() {
     config.chunk_size = 1;
     let pipeline = MlrPipeline::new(config);
     let store = Arc::new(Shadowed {
-        inner: ShardedMemoDb::with_shards(pipeline.config().memo.db_config(), 4),
+        inner: MemoDb::new(pipeline.config().memo.db_config()),
         probes: AtomicU64::new(0),
         reachable: AtomicU64::new(0),
         lost: AtomicU64::new(0),

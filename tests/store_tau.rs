@@ -5,7 +5,7 @@
 
 use mlr_lamino::{FftExecutor, FftOpKind};
 use mlr_math::Complex64;
-use mlr_memo::{MemoConfig, MemoDbConfig, MemoizedExecutor, ShardedMemoDb};
+use mlr_memo::{MemoConfig, MemoDb, MemoDbConfig, MemoizedExecutor};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -17,13 +17,10 @@ fn a_looser_job_tau_gets_no_cache_hit_its_store_would_refuse() {
         warmup_iterations: 0,
         ..Default::default()
     };
-    let store = ShardedMemoDb::with_shards(
-        MemoDbConfig {
-            tau: store_tau,
-            ..Default::default()
-        },
-        1,
-    );
+    let store = MemoDb::new(MemoDbConfig {
+        tau: store_tau,
+        ..Default::default()
+    });
     let exec = MemoizedExecutor::with_store(job, Arc::new(store), 1);
     let fft = |x: &[Complex64]| -> Vec<Complex64> {
         x.iter().map(|z| Complex64::new(-z.im, z.re)).collect()

@@ -211,7 +211,7 @@ fn stage_sample_counts_match_the_case_ledger() {
     // sightings (prefiltered), misses, db hits and cache hits.
     let pipeline = MlrPipeline::new(MlrConfig::quick(12, 8).with_iterations(6));
     let executor = pipeline
-        .memo_executor(pipeline.build_shared_store(1), 0)
+        .memo_executor(pipeline.build_shared_store(), 0)
         .with_telemetry(Telemetry::enabled());
     let (_, executor) = pipeline.run_with_executor(executor, &CancelToken::new());
     let cases = executor.stats().total();
